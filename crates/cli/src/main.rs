@@ -214,11 +214,11 @@ fn write_partial(sh: &mut Shell, out: &mut dyn Write, q: &Quarantine) -> std::io
     let sites: Vec<&str> = q.sites.iter().map(String::as_str).collect();
     writeln!(
         out,
-        "partial result: quarantined {} unit(s) ({} region(s), {} disjunct(s), {} tuple(s)); faults: {}",
+        "partial result: quarantined {} unit(s) ({} table operation(s), {} region(s), {} disjunct(s)); faults: {}",
         q.units(),
+        q.tables,
         q.regions.len(),
         q.disjuncts,
-        q.tuples,
         sites.join(", "),
     )?;
     sh.exit_code = 8;

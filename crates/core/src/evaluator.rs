@@ -1,42 +1,47 @@
 //! Plan-driven evaluation of region-logic queries against a region extension.
 //!
-//! Queries no longer interpret the `RegFormula` tree directly: every entry
-//! point first lowers the formula through [`crate::lower`] into an interned
-//! [`lcdb_plan::Plan`] DAG (NNF, constant folding, common-subplan sharing,
-//! region-quantifier hoisting), then executes the plan node-by-node. The
-//! executor implements the algorithms behind Theorems 4.3, 6.1 and 7.3:
+//! Every entry point first lowers the formula through [`crate::lower`] into
+//! an interned [`lcdb_plan::Plan`] DAG (NNF, constant folding,
+//! common-subplan sharing, region-quantifier hoisting), then executes the
+//! plan. The executor implements the algorithms behind Theorems 4.3, 6.1
+//! and 7.3 in two halves:
 //!
-//! * region quantifiers expand into finite disjunctions/conjunctions over
-//!   the region sort;
-//! * element quantifiers are eliminated by Fourier–Motzkin (with
-//!   feasibility-pruned DNF conversion), so the result of a query with free
-//!   element variables is a quantifier-free FO+LIN formula — *closure*;
-//! * fixed points iterate over `P(Reg^k)` — a finite lattice, so iteration
-//!   always terminates (the paper's central design point);
-//! * `TC`/`DTC` compute reachability over tuples of regions;
-//! * `rBIT` extracts the binary representation of a defined rational.
+//! * **Element-free nodes are evaluated set at a time.** The region sort is
+//!   finite, so such a node denotes a subset of `Reg^k` for its `k` free
+//!   region variables; the `tables` submodule computes that subset once, as
+//!   a dense bit table over the variables' quantifier domains. Region
+//!   quantifiers are column reductions, fixed points iterate stage tables
+//!   over `P(Reg^k)` — a finite lattice, so iteration always terminates (the
+//!   paper's central design point) — and `TC`/`DTC` close a bit matrix.
+//! * **Nodes with free element variables are interpreted**, here, one
+//!   binding at a time, to a quantifier-free FO+LIN formula over those
+//!   variables (*closure*): element quantifiers are eliminated by
+//!   Fourier–Motzkin with feasibility-pruned DNF conversion, region
+//!   quantifiers expand into finite disjunctions/conjunctions, `rBIT`
+//!   extracts the binary representation of a defined rational. Where the
+//!   interpreter meets an element-free subplan it probes that subplan's
+//!   table at the current binding.
 //!
-//! Because plan nodes are hash-consed, memoization is per [`PlanId`]: shared
-//! subplans are evaluated once per distinct region binding — including
-//! across fixed-point rounds, and (via memo seeding) across the worker
-//! chunks of a parallel fan-out. Fixed points and TC edge relations keep
-//! their own per-operator caches, which is what makes e.g. the connectivity
-//! query cost one fixed-point computation instead of `|Reg|²` of them.
+//! Because plan nodes are hash-consed, sharing is per [`PlanId`]: a shared
+//! subplan has one table per choice of domains, and on the formula path one
+//! memoized formula per region binding.
 //!
 //! Every recursion path is *fallible*: internally the evaluator threads a
 //! private `Stop` error channel so that an [`EvalBudget`] limit (deadline,
 //! iteration cap, tuple-test cap, memory ceiling, cancellation) or a
 //! malformed query unwinds cleanly to the entry point, where it is reported
-//! as an [`EvalError`] carrying the partial [`EvalStats`]. Budget and
-//! cancellation checks happen at plan-node granularity (metered, so the
-//! common case is a counter increment). The legacy infallible entry points
-//! (`eval_sentence`, …) wrap the `try_*` variants with an unlimited budget,
-//! so for them only query defects can surface — as panics, preserving the
-//! historical contract.
+//! as an [`EvalError`] carrying the partial [`EvalStats`]. Stage and
+//! tuple-test caps are charged per stage, the memory ceiling before every
+//! table allocation, the deadline and cancellation per table and per block
+//! of rows. The legacy infallible entry points (`eval_sentence`, …) wrap
+//! the `try_*` variants with an unlimited budget, so for them only query
+//! defects can surface — as panics, preserving the historical contract.
+
+mod tables;
 
 use crate::error::EvalError;
 use crate::lower;
-use crate::regfo::{FixMode, RegFormula, RegionVar, SetVar};
+use crate::regfo::{FixMode, RegFormula};
 use crate::region::Decomposition;
 use lcdb_arith::{Rational, Sign};
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
@@ -45,13 +50,15 @@ use lcdb_logic::dnf::{to_dnf_pruned, Dnf};
 use lcdb_logic::{qe, Formula, Rel, Var};
 use lcdb_plan::hash::{FastMap, FastSet};
 use lcdb_plan::memo::{Bindings, PlanMemo};
-use lcdb_plan::{NodeFacts, Plan, PlanId, PlanNode};
+use lcdb_plan::table::Table;
+use lcdb_plan::{Plan, PlanId, PlanNode};
 use lcdb_recover::{FixKind, FixProgress, FixpointSnapshot, PersistedStats, Snapshot};
 use lcdb_trace::TraceHandle;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
+use tables::{Cx, Dom, Env, PlanInfo, TableState};
 
 pub use crate::lower::query_fingerprint;
 
@@ -67,21 +74,24 @@ pub struct EvalStats {
     pub fix_tuple_tests: usize,
     /// Quantifier eliminations of element variables.
     pub qe_calls: usize,
-    /// Region-quantifier expansions (regions × quantifiers).
+    /// Region-quantifier expansions: the regions each evaluation of a
+    /// region quantifier ranged over — once per table for element-free
+    /// quantifiers, once per binding on the formula path.
     pub region_expansions: usize,
     /// Transitive-closure edge evaluations.
     pub tc_edge_tests: usize,
     /// Regions materialized by the decomposition under evaluation.
     pub regions: usize,
-    /// Units (disjuncts, regions, fixpoint tuples) quarantined by
+    /// Units (table operations, disjuncts, regions) quarantined by
     /// fault-tolerant evaluation ([`Evaluator::tolerate_faults`]).
     pub quarantined: usize,
     /// Interned plan nodes in the last compiled query.
     pub plan_nodes: usize,
-    /// Plan-memo lookups (boolean and formula caches, keyed by `PlanId`
-    /// plus region bindings).
+    /// Requests for a plan node's result: a table, a cell of a lazily
+    /// filled leaf, or a memoized formula.
     pub plan_cache_lookups: usize,
-    /// Plan-memo hits — work avoided by shared-subplan evaluation.
+    /// Requests answered by reuse — work avoided by shared-subplan
+    /// evaluation.
     pub plan_cache_hits: usize,
 }
 
@@ -90,12 +100,12 @@ pub struct EvalStats {
 /// [`EvalOutcome::Partial`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Quarantine {
-    /// Region ids whose quantifier expansion was skipped.
+    /// Region ids whose quantifier expansion was skipped (formula path).
     pub regions: BTreeSet<usize>,
-    /// Disjuncts (of explicit `Or` nodes) dropped.
+    /// Disjuncts (of explicit `Or` nodes) dropped (formula path).
     pub disjuncts: usize,
-    /// Fixpoint tuple tests treated as false.
-    pub tuples: usize,
+    /// Table operations whose result was replaced by the empty table.
+    pub tables: usize,
     /// The faults absorbed: injection-site names or query-defect messages.
     pub sites: BTreeSet<String>,
 }
@@ -103,12 +113,12 @@ pub struct Quarantine {
 impl Quarantine {
     /// True when nothing was quarantined (the evaluation was complete).
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty() && self.disjuncts == 0 && self.tuples == 0
+        self.regions.is_empty() && self.disjuncts == 0 && self.tables == 0
     }
 
     /// Total quarantined units.
     pub fn units(&self) -> usize {
-        self.regions.len() + self.disjuncts + self.tuples
+        self.regions.len() + self.disjuncts + self.tables
     }
 }
 
@@ -153,23 +163,50 @@ impl<T> EvalOutcome<T> {
 enum QuarantineUnit {
     Disjunct,
     Region(usize),
-    Tuple,
+    Table,
 }
 
-/// Live progress of one fixpoint computation: the tuple set after the last
-/// completed stage. The in-memory twin of [`lcdb_recover::FixProgress`].
+/// Live progress of one fixpoint computation: the stage table after the
+/// last completed stage, with what it takes to turn it back into tuples of
+/// region ids — the in-memory twin of [`lcdb_recover::FixProgress`].
 #[derive(Clone)]
 struct FixLive {
     mode: FixMode,
+    stage: u64,
+    /// Index into the table's variables, per declared tuple component.
+    order: Vec<usize>,
+    /// The regions each declared component ranges over, by position.
+    regions: Arc<Vec<Vec<u32>>>,
+    table: Arc<Table>,
+}
+
+/// A stage installed by [`Evaluator::resume_from`], still as tuples of
+/// region ids: the stage table's layout is only known once the query is
+/// compiled.
+#[derive(Clone)]
+struct ResumeEntry {
+    mode: FixMode,
     arity: usize,
     stage: u64,
-    tuples: BTreeSet<Vec<usize>>,
+    tuples: Vec<Vec<usize>>,
 }
 
 /// Key for checkpoint progress: a stable structural fingerprint of the
 /// fixpoint operator plus the region ids bound to its outer dependencies.
 /// Unlike plan ids, this survives across processes.
 type ProgressKey = (u64, Vec<u64>);
+
+fn persisted(stats: EvalStats, regions: u64) -> PersistedStats {
+    PersistedStats {
+        fix_iterations: stats.fix_iterations as u64,
+        fix_tuple_tests: stats.fix_tuple_tests as u64,
+        qe_calls: stats.qe_calls as u64,
+        region_expansions: stats.region_expansions as u64,
+        tc_edge_tests: stats.tc_edge_tests as u64,
+        regions,
+        quarantined: stats.quarantined as u64,
+    }
+}
 
 /// An entry-less checkpoint for aborts that happen before any evaluator
 /// exists (typically during decomposition construction). Resuming from it
@@ -179,15 +216,7 @@ type ProgressKey = (u64, Vec<u64>);
 pub fn empty_checkpoint(query: &RegFormula, stats: EvalStats) -> Snapshot {
     Snapshot::Fixpoint(FixpointSnapshot {
         query_fingerprint: query_fingerprint(query),
-        stats: PersistedStats {
-            fix_iterations: stats.fix_iterations as u64,
-            fix_tuple_tests: stats.fix_tuple_tests as u64,
-            qe_calls: stats.qe_calls as u64,
-            region_expansions: stats.region_expansions as u64,
-            tc_edge_tests: stats.tc_edge_tests as u64,
-            regions: 0,
-            quarantined: stats.quarantined as u64,
-        },
+        stats: persisted(stats, 0),
         entries: Vec::new(),
     })
 }
@@ -208,69 +237,6 @@ fn fix_mode(kind: FixKind) -> FixMode {
     }
 }
 
-/// Environment: bindings for region variables and set variables.
-///
-/// Set bindings are `Arc`-shared: the whole environment is `Send + Sync`,
-/// so parallel fan-outs hand each worker a cheap structural clone instead
-/// of deep-copying every bound set per worker.
-#[derive(Clone, Default, Debug, PartialEq, Eq, Hash)]
-struct Env {
-    /// Region bindings as a vector sorted by variable name. Environments
-    /// are consulted on every plan-node visit and cloned on every
-    /// quantifier expansion, so the flat layout matters twice: lookups
-    /// binary-search contiguous memory instead of chasing tree nodes, and
-    /// cloning copies `Arc<str>` handles instead of reallocating every
-    /// variable name.
-    regions: Vec<(Arc<str>, usize)>,
-    sets: BTreeMap<SetVar, Arc<BTreeSet<Vec<usize>>>>,
-}
-
-impl Env {
-    fn region(&self, v: &str) -> Result<usize, Stop> {
-        // Linear scan, not binary search: environments hold a handful of
-        // variables, `==` on short strings rejects on length or first byte,
-        // and the straight-line loop predicts well where a search's
-        // branches do not.
-        self.regions
-            .iter()
-            .find(|(name, _)| name.as_ref() == v)
-            .map(|&(_, id)| id)
-            .ok_or_else(|| Stop::Query(format!("unbound region variable '{}'", v)))
-    }
-
-    /// Bind `v` to `id`, inserting if absent, and return its slot for O(1)
-    /// rebinding via [`Env::set_slot`]. Slots stay valid until the next
-    /// *insert* — expansion and sweep loops bind every variable first,
-    /// resolve slots once, then rebind per iteration without re-searching.
-    fn bind(&mut self, v: &str, id: usize) -> usize {
-        match self
-            .regions
-            .binary_search_by(|(name, _)| name.as_ref().cmp(v))
-        {
-            Ok(i) => {
-                self.regions[i].1 = id;
-                i
-            }
-            Err(i) => {
-                self.regions.insert(i, (Arc::from(v), id));
-                i
-            }
-        }
-    }
-
-    /// The slot of an already-bound variable; see [`Env::bind`].
-    fn slot_of(&self, v: &str) -> usize {
-        self.regions
-            .binary_search_by(|(name, _)| name.as_ref().cmp(v))
-            .expect("slot_of on an unbound region variable")
-    }
-
-    /// Rebind the variable at `slot` (from [`Env::bind`]/[`Env::slot_of`]).
-    fn set_slot(&mut self, slot: usize, id: usize) {
-        self.regions[slot].1 = id;
-    }
-}
-
 /// Internal error channel of the recursion: either a budget ran out or the
 /// query itself is defective. Converted to [`EvalError`] (with statistics
 /// attached) at the public entry points.
@@ -285,16 +251,17 @@ impl From<BudgetError> for Stop {
     }
 }
 
-/// Cache key: plan node id plus the bindings of its free region variables
-/// (in name order). Only set-variable-free nodes are cached this way.
+/// Formula-memo key: plan node id plus the bindings of its free region
+/// variables (in name order). Only set-variable-free nodes are memoized.
 type NodeKey = lcdb_plan::memo::MemoKey;
 
 /// Plan-driven executor for region-logic formulas over a fixed region
 /// extension.
 ///
 /// Every public entry point lowers its query through [`crate::lower`] into
-/// an interned plan and executes that; memo tables are keyed by [`PlanId`]
-/// and cleared on every entry call, so results never leak between queries.
+/// an interned plan and executes that; tables and memoized formulas are
+/// keyed by [`PlanId`] and cleared on every entry call, so results never
+/// leak between queries.
 ///
 /// Construct with [`Evaluator::new`] for unlimited evaluation or
 /// [`Evaluator::with_budget`] to enforce resource limits, in which case the
@@ -303,11 +270,19 @@ pub struct Evaluator<'a> {
     ext: &'a dyn Decomposition,
     budget: EvalBudget,
     meter: Meter,
-    fix_cache: RefCell<FastMap<NodeKey, Arc<BTreeSet<Vec<usize>>>>>,
-    tc_cache: RefCell<FastMap<NodeKey, Arc<Vec<Vec<usize>>>>>,
-    bool_cache: RefCell<FastMap<NodeKey, bool>>,
-    /// Formula-valued memo for set-free composite nodes: shared subplans
-    /// (hash-consed to one `PlanId`) evaluate once per region binding.
+    /// Dimension of each region, and the regions of each dimension with
+    /// every region's position in its class: the guarded quantifier
+    /// domains.
+    dim_of: Vec<u32>,
+    by_dim: Vec<Vec<u32>>,
+    pos_in_dim: Vec<u32>,
+    /// The table executor's state for the current entry call.
+    tabs: RefCell<TableState>,
+    /// Operand size above which a table is built in slices; a field so the
+    /// unit tests can reach the slicing path on small inputs.
+    slice_bytes: Cell<usize>,
+    /// Formula-valued memo for set-free composite nodes with free element
+    /// variables: shared subplans evaluate once per region binding.
     formula_memo: RefCell<FastMap<NodeKey, Formula>>,
     positivity_checked: RefCell<FastSet<PlanId>>,
     stats: RefCell<EvalStats>,
@@ -317,21 +292,21 @@ pub struct Evaluator<'a> {
     /// What the current entry call has quarantined so far.
     quarantine: RefCell<Quarantine>,
     /// Checkpointable progress: per fixpoint operator (and outer bindings),
-    /// the tuple set after its last completed stage. Survives an abort so
+    /// the stage table after its last completed stage. Survives an abort so
     /// [`Evaluator::checkpoint`] can persist it.
     progress: RefCell<BTreeMap<ProgressKey, FixLive>>,
     /// Progress installed by [`Evaluator::resume_from`]: fixpoint loops seed
     /// their first stage from here instead of starting at the bottom.
-    resume: RefCell<BTreeMap<ProgressKey, FixLive>>,
-    /// Worker pool for region-quantifier expansions and fixpoint tuple
-    /// sweeps. Serial by default; see [`Evaluator::with_threads`].
+    resume: RefCell<BTreeMap<ProgressKey, ResumeEntry>>,
+    /// Worker pool: wide table kernels split into row ranges over it, and
+    /// region quantifiers of the formula path fan out over it. Serial by
+    /// default; see [`Evaluator::with_threads`].
     pool: Pool,
-    /// Concurrent second-level memo behind the private caches, shared by
-    /// every worker of a fan-out (and by this evaluator between fan-outs).
-    /// Present exactly when the pool is non-serial; lookups go local table
-    /// → shared table → compute, and computed entries are published to
-    /// both. First-writer-wins publication keeps results bit-identical at
-    /// any thread count because every entry is a pure function of its key.
+    /// Concurrent second level behind the formula memo, shared by every
+    /// worker of a formula-path fan-out. Present exactly when the pool is
+    /// non-serial. First-writer-wins publication keeps results identical
+    /// at any thread count because every entry is a pure function of its
+    /// key.
     shared: RefCell<Option<Arc<PlanMemo>>>,
     /// Observed per-item cost (ns) of the last fan-out of each plan node,
     /// from the profiler's rows when profiling is on and from a cheap
@@ -344,7 +319,7 @@ pub struct Evaluator<'a> {
     /// Cached `trace.enabled()` so hot paths pay one branch when tracing is
     /// off instead of a virtual call.
     trace_on: bool,
-    /// Per-plan-node profiling (visit counts, memo hits, self time); off by
+    /// Per-plan-node profiling (visit counts, reuse, self time); off by
     /// default because it adds two clock reads per plan-node visit.
     profiling: Cell<bool>,
     /// Profile rows indexed by `PlanId`; sized for the plan at entry.
@@ -364,9 +339,10 @@ pub struct Evaluator<'a> {
 /// Per-plan-node profile counters; see [`Evaluator::plan_profile`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfEntry {
-    /// Times the executor entered this node.
+    /// Times the executor asked for this node: its table, or its formula
+    /// at one binding.
     pub visits: u64,
-    /// Visits answered from the boolean cache or the formula memo.
+    /// Visits answered by a table or memoized formula that already existed.
     pub memo_hits: u64,
     /// Wall time inside this node including its children, in nanoseconds.
     pub total_ns: u64,
@@ -375,35 +351,33 @@ pub struct ProfEntry {
     pub self_ns: u64,
 }
 
-/// Shared ingredients for the per-worker child evaluators of a parallel
-/// fan-out: the (now `Sync`) decomposition, a clone of the budget (sharing
-/// its deadline and cancellation token), the resume map so seeded fixpoints
-/// restart from their checkpointed stage inside workers too, and a handle
-/// to the fan-out's concurrent [`PlanMemo`] — every worker reads and
-/// publishes the same table, so each memoizable entry is computed roughly
-/// once per fan-out instead of once per worker.
+/// Shared ingredients for the per-worker child evaluators of a formula-path
+/// fan-out: the (`Sync`) decomposition, a clone of the budget (sharing its
+/// deadline and cancellation token), the resume map, a copy of the table
+/// executor's state — the tables the body probes were built before the
+/// fan-out — and a handle to the fan-out's concurrent [`PlanMemo`], so each
+/// memoizable formula is computed roughly once per fan-out instead of once
+/// per worker.
 struct ParSetup<'a> {
     ext: &'a dyn Decomposition,
     budget: EvalBudget,
     /// The parent's metrics registry: worker meters are backed by the same
     /// `budget.meter_ticks` counter, so pool work shows up in `--metrics`.
     metrics: lcdb_trace::MetricsRegistry,
-    resume: BTreeMap<ProgressKey, FixLive>,
+    resume: BTreeMap<ProgressKey, ResumeEntry>,
+    tabs: TableState,
     shared: Arc<PlanMemo>,
 }
 
 impl<'a> ParSetup<'a> {
     /// A fresh child evaluator for one worker. Children are always serial
     /// (no nested fan-out) and never degrade — parallel evaluation falls
-    /// back to serial under [`Evaluator::tolerate_faults`]. The shared memo
-    /// handle is installed so anything any worker (or the parent, before
-    /// the fan-out) has evaluated stays evaluated-once across the pool;
-    /// each entry is still computed at least once, so the "parallel
-    /// counters bound serial work" invariant is preserved.
+    /// back to serial under [`Evaluator::tolerate_faults`].
     fn spawn(&self) -> Evaluator<'a> {
         let mut ev = Evaluator::with_budget(self.ext, self.budget.clone());
         ev.meter = Meter::backed_by(self.metrics.counter("budget.meter_ticks").shared());
         *ev.resume.borrow_mut() = self.resume.clone();
+        *ev.tabs.borrow_mut() = self.tabs.clone();
         *ev.shared.borrow_mut() = Some(Arc::clone(&self.shared));
         ev
     }
@@ -459,22 +433,34 @@ impl<'a> Evaluator<'a> {
     /// `try_*` entry points to observe limit exhaustion as [`EvalError`]s;
     /// the infallible entry points panic when the budget runs out.
     pub fn with_budget(ext: &'a dyn Decomposition, budget: EvalBudget) -> Self {
+        let dim_of: Vec<u32> = ext.region_ids().map(|r| ext.region(r).dim as u32).collect();
+        let mut by_dim: Vec<Vec<u32>> = Vec::new();
+        let mut pos_in_dim = Vec::with_capacity(dim_of.len());
+        for (r, &k) in dim_of.iter().enumerate() {
+            if by_dim.len() <= k as usize {
+                by_dim.resize(k as usize + 1, Vec::new());
+            }
+            pos_in_dim.push(by_dim[k as usize].len() as u32);
+            by_dim[k as usize].push(r as u32);
+        }
         // Order the 0-dimensional regions lexicographically by the point they
         // contain (they are singletons); this is the total order the rBIT
         // operator and the capture construction rely on (§5, §6).
-        let mut zero_dim: Vec<usize> = ext
-            .region_ids()
-            .filter(|&r| ext.region(r).dim == 0)
-            .collect();
+        let mut zero_dim: Vec<usize> = by_dim
+            .first()
+            .map(|ids| ids.iter().map(|&r| r as usize).collect())
+            .unwrap_or_default();
         zero_dim.sort_by(|&a, &b| ext.region(a).witness.cmp(&ext.region(b).witness));
         let meter = budget.meter();
         Evaluator {
             ext,
             budget,
             meter,
-            fix_cache: RefCell::new(FastMap::default()),
-            tc_cache: RefCell::new(FastMap::default()),
-            bool_cache: RefCell::new(FastMap::default()),
+            dim_of,
+            by_dim,
+            pos_in_dim,
+            tabs: RefCell::new(TableState::default()),
+            slice_bytes: Cell::new(tables::SLICE_BYTES),
             formula_memo: RefCell::new(FastMap::default()),
             positivity_checked: RefCell::new(FastSet::default()),
             stats: RefCell::new(EvalStats {
@@ -518,9 +504,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Enable per-plan-node profiling: every [`PlanId`] accumulates visit
-    /// count, memo hits, and self/total wall time, retrievable after an
-    /// entry call via [`Evaluator::plan_profile`]. Adds two monotonic-clock
-    /// reads per plan-node visit, so it is off by default.
+    /// count, reuse, and self/total wall time, retrievable after an entry
+    /// call via [`Evaluator::plan_profile`]. Adds two monotonic-clock reads
+    /// per plan-node visit, so it is off by default.
     pub fn with_profiling(self) -> Self {
         self.profiling.set(true);
         self
@@ -544,18 +530,17 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Fan region-quantifier expansions and fixpoint tuple sweeps out over
-    /// `threads` worker threads. Semantic results are *identical* to serial
-    /// evaluation — verdicts, query answers, short-circuit points, and which
-    /// item's error wins all follow the input order, because workers only
-    /// compute and the merge replays the serial protocol over the ordered
-    /// results. Work *counters* ([`EvalStats`]) measure actual work, which
-    /// can exceed a serial run's: workers racing on a shared-memo entry may
-    /// compute it more than once before one publication wins, so each
-    /// counter is `>=` its serial value and budget caps remain hard bounds
-    /// on real resource use. `threads <= 1` keeps evaluation serial; so
-    /// does [`Evaluator::tolerate_faults`], whose quarantine accounting is
-    /// inherently order-dependent.
+    /// Use up to `threads` worker threads: wide table kernels split into
+    /// row ranges, and region quantifiers with free element variables fan
+    /// their regions out. Results are *identical* to serial evaluation —
+    /// verdicts, query answers, and which error wins: a table does not
+    /// depend on how its rows were split, and a fan-out's merge replays the
+    /// serial protocol over the ordered results. Table work is counted the
+    /// same at every thread count; a short-circuited fan-out drops the
+    /// deltas of the items past the deciding one, so each counter is `<=`
+    /// its serial value. `threads <= 1` keeps evaluation serial; so does
+    /// [`Evaluator::tolerate_faults`] for fan-outs, whose quarantine
+    /// accounting is inherently order-dependent.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = Pool::new(threads);
         self.bind_shared_memo();
@@ -569,10 +554,7 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Install (or drop) the shared memo to match the pool: a serial
-    /// evaluator keeps its lock-free private caches only; a parallel one
-    /// additionally publishes to (and reads from) the concurrent table
-    /// every fan-out worker shares.
+    /// Install (or drop) the shared formula memo to match the pool.
     fn bind_shared_memo(&self) {
         *self.shared.borrow_mut() = if self.pool.is_serial() {
             None
@@ -586,23 +568,24 @@ impl<'a> Evaluator<'a> {
         self.pool.threads()
     }
 
-    /// Enable graceful degradation: a fault confined to one disjunct, one
-    /// region of a quantifier expansion, or one fixpoint tuple test —
-    /// an injected fault or a localized query defect — quarantines that unit
-    /// (recorded in [`EvalStats::quarantined`] and the outcome's
-    /// [`Quarantine`]) instead of aborting the whole evaluation. Global
-    /// resource exhaustion (deadline, caps, cancellation) still aborts.
+    /// Enable graceful degradation: a fault confined to one table operation
+    /// (one plan node over its domains), or on the formula path to one
+    /// disjunct or one region of a quantifier expansion — an injected fault
+    /// or a localized query defect — quarantines that unit (recorded in
+    /// [`EvalStats::quarantined`] and the outcome's [`Quarantine`]) instead
+    /// of aborting the whole evaluation. Global resource exhaustion
+    /// (deadline, caps, cancellation) still aborts.
     pub fn tolerate_faults(mut self) -> Self {
         self.degrade = true;
         self
     }
 
-    /// Plan-keyed caches are only valid for the plan they were built from;
-    /// clear them when a new query enters.
-    fn clear_caches(&self) {
-        self.fix_cache.borrow_mut().clear();
-        self.tc_cache.borrow_mut().clear();
-        self.bool_cache.borrow_mut().clear();
+    /// Per-entry setup shared by the plan-executing entry points: everything
+    /// keyed by plan id belongs to one plan, so it is cleared; the plan's
+    /// region variables are resolved to slots; and (when profiling) the
+    /// profile table is sized for this plan's node ids.
+    fn begin_entry(&self, plan: &Plan) -> PlanInfo {
+        *self.tabs.borrow_mut() = TableState::for_plan(plan);
         self.formula_memo.borrow_mut().clear();
         self.positivity_checked.borrow_mut().clear();
         // Per-entry recovery state: the quarantine and checkpointable
@@ -610,18 +593,10 @@ impl<'a> Evaluator<'a> {
         // was installed for the query about to run.
         *self.quarantine.borrow_mut() = Quarantine::default();
         self.progress.borrow_mut().clear();
-        // The shared memo and fan-out cost hints are plan-keyed too: replace
-        // the table (workers of a finished fan-out may still hold the old
-        // Arc) and drop the per-node cost observations.
+        // Replace the shared memo (workers of a finished fan-out may still
+        // hold the old Arc) and drop the per-node cost observations.
         self.bind_shared_memo();
         self.fan_cost_ns.borrow_mut().clear();
-    }
-
-    /// Per-entry setup shared by the plan-executing entry points: clear the
-    /// plan-keyed caches, record the plan size, and (when profiling) size
-    /// the profile table for this plan's node ids.
-    fn begin_entry(&self, plan: &Plan) {
-        self.clear_caches();
         self.stats.borrow_mut().plan_nodes = plan.len();
         if self.profiling.get() {
             let mut prof = self.prof.borrow_mut();
@@ -629,17 +604,14 @@ impl<'a> Evaluator<'a> {
             prof.resize(plan.len(), ProfEntry::default());
             self.prof_child_ns.set(0);
         }
-    }
-
-    fn bindings(&self, facts: &NodeFacts, env: &Env) -> Result<Bindings, Stop> {
-        facts.free_regions.iter().map(|v| env.region(v)).collect()
+        PlanInfo::new(plan)
     }
 
     /// The accumulated work counters.
     ///
-    /// Invariant: every plan-memo hit was preceded by a lookup, at any
-    /// thread count — fan-out children count both locally and their deltas
-    /// merge pairwise, so `plan_cache_lookups >= plan_cache_hits` always.
+    /// Invariant: every reuse was preceded by a request, at any thread
+    /// count — fan-out children count both locally and their deltas merge
+    /// pairwise, so `plan_cache_lookups >= plan_cache_hits` always.
     /// Checked here (and repaired in release builds, where a violation
     /// would mean a lost-update bug upstream rather than a reason to panic).
     pub fn stats(&self) -> EvalStats {
@@ -746,35 +718,32 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// Count one fixed-point tuple test; TC edge tests share the same cap.
-    fn note_fix_tuple_test(&self) -> Result<(), Stop> {
+    /// Count the tuple tests of one fixed-point stage; TC edge tests share
+    /// the same cap.
+    fn note_fix_tuple_tests(&self, tests: usize) -> Result<(), Stop> {
         let total = {
             let mut s = self.stats.borrow_mut();
-            s.fix_tuple_tests += 1;
-            (s.fix_tuple_tests + s.tc_edge_tests) as u64
+            s.fix_tuple_tests = s.fix_tuple_tests.saturating_add(tests);
+            s.fix_tuple_tests.saturating_add(s.tc_edge_tests) as u64
         };
-        self.budget.check_tuple_tests(total)?;
-        self.meter.tick(&self.budget)?;
-        Ok(())
+        Ok(self.budget.check_tuple_tests(total)?)
     }
 
-    /// Count one TC edge test toward the shared tuple-test cap.
-    fn note_tc_edge_test(&self) -> Result<(), Stop> {
+    /// Count the edge tests of one closure toward the shared tuple-test cap.
+    fn note_tc_edge_tests(&self, tests: usize) -> Result<(), Stop> {
         let total = {
             let mut s = self.stats.borrow_mut();
-            s.tc_edge_tests += 1;
-            (s.fix_tuple_tests + s.tc_edge_tests) as u64
+            s.tc_edge_tests = s.tc_edge_tests.saturating_add(tests);
+            s.fix_tuple_tests.saturating_add(s.tc_edge_tests) as u64
         };
-        self.budget.check_tuple_tests(total)?;
-        self.meter.tick(&self.budget)?;
-        Ok(())
+        Ok(self.budget.check_tuple_tests(total)?)
     }
 
-    /// Count one region-quantifier expansion (metered, not capped).
-    fn note_region_expansion(&self) -> Result<(), Stop> {
-        self.stats.borrow_mut().region_expansions += 1;
-        self.meter.tick(&self.budget)?;
-        Ok(())
+    /// Count the regions one evaluation of a region quantifier ranges over
+    /// (metered, not capped).
+    fn note_region_expansions(&self, regions: usize) -> Result<(), Stop> {
+        self.stats.borrow_mut().region_expansions += regions;
+        Ok(self.meter.tick(&self.budget)?)
     }
 
     /// Should this fan-out run on the pool? Degraded mode stays serial: its
@@ -798,6 +767,7 @@ impl<'a> Evaluator<'a> {
             budget: self.budget.clone(),
             metrics: self.trace.metrics().clone(),
             resume: self.resume.borrow().clone(),
+            tabs: self.tabs.borrow().clone(),
             shared,
         }
     }
@@ -825,8 +795,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Record the observed per-item cost of a fan-out over `node`, feeding
-    /// the next [`Evaluator::fan_grain`] for the same node (fixpoints fan
-    /// out once per stage, so the second stage already splits informed).
+    /// the next [`Evaluator::fan_grain`] for the same node.
     fn note_fan_cost(&self, node: PlanId, items: usize, elapsed: std::time::Duration) {
         if items == 0 {
             return;
@@ -897,9 +866,9 @@ impl<'a> Evaluator<'a> {
                 q.regions.insert(id);
                 (format!("region={id}"), "quarantine.regions")
             }
-            QuarantineUnit::Tuple => {
-                q.tuples += 1;
-                ("tuple".to_string(), "quarantine.tuples")
+            QuarantineUnit::Table => {
+                q.tables += 1;
+                ("table".to_string(), "quarantine.tables")
             }
         };
         if !site.is_empty() {
@@ -935,6 +904,8 @@ impl<'a> Evaluator<'a> {
             "eval.checkpoint",
             &format!("entries={}", self.progress.borrow().len()),
         );
+        // The stage tables become the snapshot's sorted tuples of region
+        // ids here, at the boundary: the format knows nothing of tables.
         let entries = self
             .progress
             .borrow()
@@ -944,26 +915,14 @@ impl<'a> Evaluator<'a> {
                 bindings: bindings.clone(),
                 mode: fix_kind(live.mode),
                 stage: live.stage,
-                arity: live.arity as u32,
-                tuples: live
-                    .tuples
-                    .iter()
-                    .map(|t| t.iter().map(|&r| r as u64).collect())
-                    .collect(),
+                arity: live.order.len() as u32,
+                tuples: Self::stage_tuples(live),
             })
             .collect();
         let s = self.stats();
         Snapshot::Fixpoint(FixpointSnapshot {
             query_fingerprint: query_fingerprint(query),
-            stats: PersistedStats {
-                fix_iterations: s.fix_iterations as u64,
-                fix_tuple_tests: s.fix_tuple_tests as u64,
-                qe_calls: s.qe_calls as u64,
-                region_expansions: s.region_expansions as u64,
-                tc_edge_tests: s.tc_edge_tests as u64,
-                regions: s.regions as u64,
-                quarantined: s.quarantined as u64,
-            },
+            stats: persisted(s, s.regions as u64),
             entries,
         })
     }
@@ -1011,17 +970,23 @@ impl<'a> Evaluator<'a> {
                     ))),
                 }
             };
-            let bindings = e.bindings.clone();
-            let mut tuples = BTreeSet::new();
+            let mut tuples = Vec::with_capacity(e.tuples.len());
             for t in &e.tuples {
-                tuples.insert(t.iter().map(|&r| to_id(r)).collect::<Result<Vec<_>, _>>()?);
+                if t.len() != e.arity as usize {
+                    return Err(self.query_error(format!(
+                        "snapshot holds a {}-tuple in a fixed point of arity {}",
+                        t.len(),
+                        e.arity
+                    )));
+                }
+                tuples.push(t.iter().map(|&r| to_id(r)).collect::<Result<Vec<_>, _>>()?);
             }
-            for &b in &bindings {
+            for &b in &e.bindings {
                 to_id(b)?;
             }
             resume.insert(
-                (e.fingerprint, bindings),
-                FixLive {
+                (e.fingerprint, e.bindings.clone()),
+                ResumeEntry {
                     mode: fix_mode(e.mode),
                     arity: e.arity as usize,
                     stage: e.stage,
@@ -1074,15 +1039,48 @@ impl<'a> Evaluator<'a> {
         if !f.free_set_vars().is_empty() {
             return Err(self.query_error("sentence has free set variables"));
         }
+        let out = self.run_entry(f, "eval.sentence", &[])?;
+        Ok(self.outcome(truth(&out)))
+    }
+
+    /// Compile `f`, run it under the given region bindings, and flush the
+    /// trace counters: the body of every entry point.
+    fn run_entry(
+        &self,
+        f: &RegFormula,
+        span: &str,
+        bindings: &[(&str, usize)],
+    ) -> Result<Formula, EvalError> {
         let (plan, root) = lower::compile(f);
-        self.begin_entry(&plan);
+        let info = self.begin_entry(&plan);
         let _span = self
             .trace
-            .span_with("eval.sentence", &format!("plan_nodes={}", plan.len()));
-        let out = self.eval_node(&plan, root, &Env::default());
+            .span_with(span, &format!("plan_nodes={}", plan.len()));
+        let cx = Cx {
+            plan: &plan,
+            info: &info,
+        };
+        let mut env = Env::new(&info);
+        for &(name, id) in bindings {
+            if id >= self.ext.num_regions() {
+                return Err(self.query_error(format!("no region with id {id}")));
+            }
+            if let Some(&slot) = info.slots.get(name) {
+                env.dom[slot as usize] = Dom::One(id as u32);
+                env.val[slot as usize] = id as u32;
+            }
+        }
+        if let Some(v) = plan
+            .facts(root)
+            .free_regions
+            .iter()
+            .find(|v| !bindings.iter().any(|(name, _)| name == v))
+        {
+            return Err(self.query_error(format!("unbound region variable '{}'", v)));
+        }
+        let out = self.eval_node(cx, root, &mut env);
         self.flush_trace_counters();
-        let out = out.map_err(|s| self.stop_error(s))?;
-        Ok(self.outcome(out.eval(&BTreeMap::new())))
+        out.map_err(|s| self.stop_error(s))
     }
 
     /// Package a value with the quarantine accumulated by this entry call.
@@ -1125,14 +1123,7 @@ impl<'a> Evaluator<'a> {
         if !f.free_set_vars().is_empty() {
             return Err(self.query_error("query has free set variables"));
         }
-        let (plan, root) = lower::compile(f);
-        self.begin_entry(&plan);
-        let _span = self
-            .trace
-            .span_with("eval.query", &format!("plan_nodes={}", plan.len()));
-        let out = self.eval_node(&plan, root, &Env::default());
-        self.flush_trace_counters();
-        let out = out.map_err(|s| self.stop_error(s))?;
+        let out = self.run_entry(f, "eval.query", &[])?;
         Ok(self.outcome(to_dnf_pruned(&out).simplify_strong().to_formula()))
     }
 
@@ -1186,72 +1177,37 @@ impl<'a> Evaluator<'a> {
         f: &RegFormula,
         bindings: &[(&str, usize)],
     ) -> Result<Formula, EvalError> {
-        let env = {
-            let mut e = Env::default();
-            for &(k, v) in bindings {
-                e.bind(k, v);
-            }
-            e
-        };
-        let (plan, root) = lower::compile(f);
-        self.begin_entry(&plan);
-        let _span = self
-            .trace
-            .span_with("eval.with_regions", &format!("plan_nodes={}", plan.len()));
-        let out = self.eval_node(&plan, root, &env);
-        self.flush_trace_counters();
-        out.map_err(|s| self.stop_error(s))
+        if !f.free_set_vars().is_empty() {
+            return Err(self.query_error("query has free set variables"));
+        }
+        self.run_entry(f, "eval.with_regions", bindings)
     }
 
-    /// Core plan execution: produces a quantifier-free formula over the
-    /// free element variables of node `id` (constants `True`/`False` when
-    /// none). Budget and cancellation checks run here, at node granularity
-    /// (metered, so the common case is one counter increment).
-    ///
-    /// Two memo layers sit in front of the recursion, both keyed by
-    /// `(PlanId, free-region bindings)`:
-    ///
-    /// * a boolean cache for *closed* quantifier nodes — order formulas
-    ///   like succ/first are re-evaluated inside fixed-point bodies
-    ///   thousands of times with the same bindings;
-    /// * a formula memo for set-free composite nodes, which is what makes
-    ///   hash-consed shared subplans evaluate once — including across
-    ///   fixed-point rounds and (via [`ParSetup`] seeding) across the
-    ///   worker chunks of a parallel fan-out.
-    ///
-    /// Set-variable contents change between fixed-point stages, so nodes
-    /// reading set variables are never cached. Degraded mode keeps the
-    /// boolean cache but disables the formula memo: quarantine accounting
-    /// is order-dependent, and a memoized partial answer would replay one
-    /// order's quarantine into another.
-    fn eval_node(&self, plan: &Plan, id: PlanId, env: &Env) -> Result<Formula, Stop> {
+    /// Time one visit of a plan node for the profile, crediting children's
+    /// wall time to them. `prof_child_ns` holds the time of already-profiled
+    /// children of the node currently on the stack; each visit zeroes it for
+    /// its own children and adds its total back for its parent, so self
+    /// times telescope (Σ self = root total) at any thread count — a
+    /// parallel fan-out's pool wait is the fanning node's self time.
+    fn profiled<T>(&self, id: PlanId, visit: impl FnOnce() -> T) -> T {
         if !self.profiling.get() {
-            return self.eval_node_memo(plan, id, env);
+            return visit();
         }
-        // Profiling: time this visit, crediting children's wall time to
-        // them. `prof_child_ns` holds the time of already-profiled children
-        // of the node currently on the stack; each visit zeroes it for its
-        // own children and adds its total back for its parent, so self
-        // times telescope (Σ self = root total) at any thread count — a
-        // parallel fan-out's pool wait is the fanning node's self time.
         let saved_child = self.prof_child_ns.replace(0);
         let start = Instant::now();
-        let result = self.eval_node_memo(plan, id, env);
+        let result = visit();
         let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let self_ns = total.saturating_sub(self.prof_child_ns.get());
-        {
-            let mut prof = self.prof.borrow_mut();
-            if let Some(e) = prof.get_mut(id as usize) {
-                e.visits += 1;
-                e.total_ns = e.total_ns.saturating_add(total);
-                e.self_ns = e.self_ns.saturating_add(self_ns);
-            }
+        if let Some(e) = self.prof.borrow_mut().get_mut(id as usize) {
+            e.visits += 1;
+            e.total_ns = e.total_ns.saturating_add(total);
+            e.self_ns = e.self_ns.saturating_add(self_ns);
         }
         self.prof_child_ns.set(saved_child.saturating_add(total));
         result
     }
 
-    /// Note a plan-memo hit for the profile table (cheap: profiling only).
+    /// Note a reuse for the profile table (cheap: profiling only).
     fn note_memo_hit(&self, id: PlanId) {
         if self.profiling.get() {
             if let Some(e) = self.prof.borrow_mut().get_mut(id as usize) {
@@ -1260,73 +1216,37 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn eval_node_memo(&self, plan: &Plan, id: PlanId, env: &Env) -> Result<Formula, Stop> {
-        self.meter.tick(&self.budget)?;
-        let facts = plan.facts(id);
-        let node = plan.node(id);
-        if matches!(
-            node,
-            PlanNode::ExistsElem(..)
-                | PlanNode::ForallElem(..)
-                | PlanNode::ExistsRegion(..)
-                | PlanNode::ForallRegion(..)
-        ) && facts.elem_free()
-            && facts.set_free()
-        {
-            let key = (id, self.bindings(facts, env)?);
-            {
-                let mut st = self.stats.borrow_mut();
-                st.plan_cache_lookups += 1;
-                if let Some(&b) = self.bool_cache.borrow().get(&key) {
-                    st.plan_cache_hits += 1;
-                    drop(st);
-                    self.note_memo_hit(id);
-                    return Ok(bool_formula(b));
-                }
-            }
-            // Second level: the fan-out-wide shared table. The first
-            // worker to reach a cold key computes while siblings block on
-            // the claim; either way the value is copied into the private
-            // cache so repeats stay lock-free.
-            let to_bool = |out: Formula| match out {
-                Formula::True => true,
-                Formula::False => false,
-                other => other.eval(&BTreeMap::new()),
-            };
-            let shared = self.shared.borrow().as_ref().map(Arc::clone);
-            let b = if let Some(s) = shared {
-                let mut computed = false;
-                let b = s.bools.get_or_try_compute(&key, || {
-                    computed = true;
-                    Ok::<bool, Stop>(to_bool(self.eval_node_uncached(plan, id, env)?))
-                })?;
-                if !computed {
-                    self.stats.borrow_mut().plan_cache_hits += 1;
-                    self.note_memo_hit(id);
-                }
-                b
-            } else {
-                to_bool(self.eval_node_uncached(plan, id, env)?)
-            };
-            self.bool_cache.borrow_mut().insert(key, b);
-            return Ok(bool_formula(b));
+    /// The formula interpreter: a quantifier-free formula over the free
+    /// element variables of node `id` at the region binding in `env`
+    /// (`True`/`False` when there are none).
+    ///
+    /// An element-free node is not interpreted: its table (or, for an
+    /// element-closed leaf, the leaf's cell) is probed at the binding.
+    /// Set-free composite nodes with free element variables are memoized by
+    /// `(PlanId, free-region bindings)`, which is what makes hash-consed
+    /// shared subplans evaluate once per binding — including (through the
+    /// shared [`PlanMemo`]) across the workers of a fan-out. Degraded mode
+    /// disables the formula memo: quarantine accounting is order-dependent,
+    /// and a memoized partial answer would replay one order's quarantine
+    /// into another.
+    fn eval_node(&self, cx: Cx, id: PlanId, env: &mut Env) -> Result<Formula, Stop> {
+        let facts = cx.plan.facts(id);
+        if facts.elem_free() {
+            // `table` profiles and meters its own visits.
+            return self.probe(cx, id, env).map(bool_formula);
         }
-        if !self.degrade
-            && facts.set_free()
-            && matches!(
-                node,
-                PlanNode::And(_)
-                    | PlanNode::Or(_)
-                    | PlanNode::Not(_)
-                    | PlanNode::ExistsElem(..)
-                    | PlanNode::ForallElem(..)
-                    | PlanNode::ExistsRegion(..)
-                    | PlanNode::ForallRegion(..)
-                    | PlanNode::In(..)
-                    | PlanNode::Pred(..)
-            )
-        {
-            let key = (id, self.bindings(facts, env)?);
+        self.profiled(id, || {
+            self.meter.tick(&self.budget)?;
+            if self.degrade || !facts.set_free() {
+                return self.eval_node_uncached(cx, id, env);
+            }
+            let key: NodeKey = (
+                id,
+                cx.free(id)
+                    .iter()
+                    .map(|&v| env.val[v as usize] as usize)
+                    .collect::<Bindings>(),
+            );
             {
                 let mut st = self.stats.borrow_mut();
                 st.plan_cache_lookups += 1;
@@ -1337,12 +1257,16 @@ impl<'a> Evaluator<'a> {
                     return Ok(cached.clone());
                 }
             }
+            // Second level: the fan-out-wide shared table. The first worker
+            // to reach a cold key computes while siblings block on the
+            // claim; either way the value is copied into the private memo
+            // so repeats stay lock-free.
             let shared = self.shared.borrow().as_ref().map(Arc::clone);
             let out = if let Some(s) = shared {
                 let mut computed = false;
                 let out = s.formulas.get_or_try_compute(&key, || {
                     computed = true;
-                    self.eval_node_uncached(plan, id, env)
+                    self.eval_node_uncached(cx, id, env)
                 })?;
                 if !computed {
                     self.stats.borrow_mut().plan_cache_hits += 1;
@@ -1350,18 +1274,17 @@ impl<'a> Evaluator<'a> {
                 }
                 out
             } else {
-                self.eval_node_uncached(plan, id, env)?
+                self.eval_node_uncached(cx, id, env)?
             };
             self.formula_memo.borrow_mut().insert(key, out.clone());
-            return Ok(out);
-        }
-        self.eval_node_uncached(plan, id, env)
+            Ok(out)
+        })
     }
 
-    fn eval_node_uncached(&self, plan: &Plan, id: PlanId, env: &Env) -> Result<Formula, Stop> {
-        Ok(match plan.node(id) {
-            PlanNode::True => Formula::True,
-            PlanNode::False => Formula::False,
+    /// One step of the formula interpreter. Also the way an element-closed
+    /// leaf computes a cell: its node is interpreted at the cell's binding.
+    fn eval_node_uncached(&self, cx: Cx, id: PlanId, env: &mut Env) -> Result<Formula, Stop> {
+        Ok(match cx.plan.node(id) {
             PlanNode::Lin(a) => match a.constant_truth() {
                 Some(true) => Formula::True,
                 Some(false) => Formula::False,
@@ -1375,8 +1298,8 @@ impl<'a> Evaluator<'a> {
                     .ok_or_else(|| Stop::Query(format!("unknown relation '{}'", name)))?;
                 rel.apply(args)
             }
-            PlanNode::In(args, rvar) => {
-                let rid = env.region(rvar)?;
+            PlanNode::In(args, _) => {
+                let rid = env.val[cx.args(id)[0] as usize] as usize;
                 let d = self.ext.ambient_dim();
                 if args.len() != d {
                     return Err(Stop::Query(format!(
@@ -1392,28 +1315,10 @@ impl<'a> Evaluator<'a> {
                 }
                 formula
             }
-            PlanNode::Adj(a, b) => {
-                bool_formula(self.ext.adjacent(env.region(a)?, env.region(b)?))
-            }
-            PlanNode::RegionEq(a, b) => bool_formula(env.region(a)? == env.region(b)?),
-            PlanNode::SubsetOf(r, name) => {
-                // The Decomposition trait's subset_of is infallible and
-                // panics on unknown names; reject those here instead.
-                if self.ext.database().relation(name).is_none() {
-                    return Err(Stop::Query(format!("unknown relation '{}'", name)));
-                }
-                bool_formula(self.ext.subset_of(env.region(r)?, name))
-            }
-            PlanNode::DimEq(r, k) => {
-                bool_formula(self.ext.region(env.region(r)?).dim == *k)
-            }
-            PlanNode::Bounded(r) => {
-                bool_formula(self.ext.region(env.region(r)?).bounded)
-            }
             PlanNode::And(fs) => {
                 let mut parts = Vec::with_capacity(fs.len());
                 for &sub in fs {
-                    match self.eval_node(plan, sub, env)? {
+                    match self.eval_node(cx, sub, env)? {
                         Formula::False => return Ok(Formula::False),
                         Formula::True => {}
                         other => parts.push(other),
@@ -1424,7 +1329,7 @@ impl<'a> Evaluator<'a> {
             PlanNode::Or(fs) => {
                 let mut parts = Vec::with_capacity(fs.len());
                 for &sub in fs {
-                    match self.eval_node(plan, sub, env) {
+                    match self.eval_node(cx, sub, env) {
                         Ok(Formula::True) => return Ok(Formula::True),
                         Ok(Formula::False) => {}
                         Ok(other) => parts.push(other),
@@ -1436,66 +1341,27 @@ impl<'a> Evaluator<'a> {
                 }
                 Formula::or(parts)
             }
-            PlanNode::Not(inner) => Formula::not(self.eval_node(plan, *inner, env)?),
-            PlanNode::ExistsElem(v, inner) => {
-                let sub = self.eval_node(plan, *inner, env)?;
+            PlanNode::Not(inner) => Formula::not(self.eval_node(cx, *inner, env)?),
+            PlanNode::ExistsElem(v, inner) | PlanNode::ForallElem(v, inner) => {
+                let existential = matches!(cx.plan.node(id), PlanNode::ExistsElem(..));
+                let sub = self.eval_node(cx, *inner, env)?;
                 self.stats.borrow_mut().qe_calls += 1;
                 self.budget.check_interrupt()?;
-                self.timed_qe(&sub, v, true)
+                self.timed_qe(&sub, v, existential)
             }
-            PlanNode::ForallElem(v, inner) => {
-                let sub = self.eval_node(plan, *inner, env)?;
-                self.stats.borrow_mut().qe_calls += 1;
-                self.budget.check_interrupt()?;
-                self.timed_qe(&sub, v, false)
+            PlanNode::ExistsRegion(v, inner) | PlanNode::ForallRegion(v, inner) => {
+                let existential = matches!(cx.plan.node(id), PlanNode::ExistsRegion(..));
+                self.eval_region_quantifier(cx, id, v, *inner, env, existential)?
             }
-            PlanNode::ExistsRegion(v, inner) => {
-                self.eval_region_quantifier(plan, v, *inner, env, true)?
+            PlanNode::Rbit { var, body, .. } => {
+                bool_formula(self.eval_rbit(cx, id, var, *body, env)?)
             }
-            PlanNode::ForallRegion(v, inner) => {
-                self.eval_region_quantifier(plan, v, *inner, env, false)?
-            }
-            PlanNode::SetApp(m, vars) => {
-                let set = env
-                    .sets
-                    .get(m)
-                    .ok_or_else(|| Stop::Query(format!("unbound set variable '{}'", m)))?;
-                let tuple: Vec<usize> = vars
-                    .iter()
-                    .map(|v| env.region(v))
-                    .collect::<Result<_, _>>()?;
-                bool_formula(set.contains(&tuple))
-            }
-            PlanNode::Fix { args, .. } => {
-                let fixpoint = self.fixpoint_set(plan, id, env)?;
-                let tuple: Vec<usize> = args
-                    .iter()
-                    .map(|v| env.region(v))
-                    .collect::<Result<_, _>>()?;
-                bool_formula(fixpoint.contains(&tuple))
-            }
-            PlanNode::Rbit { var, body, rn, rd } => bool_formula(self.eval_rbit(
-                plan,
-                var,
-                *body,
-                env.region(rn)?,
-                env.region(rd)?,
-                env,
-            )?),
-            PlanNode::Tc {
-                arg_left,
-                arg_right,
-                ..
-            } => {
-                let src: Vec<usize> = arg_left
-                    .iter()
-                    .map(|v| env.region(v))
-                    .collect::<Result<_, _>>()?;
-                let dst: Vec<usize> = arg_right
-                    .iter()
-                    .map(|v| env.region(v))
-                    .collect::<Result<_, _>>()?;
-                bool_formula(self.eval_tc(plan, id, env, &src, &dst)?)
+            // Everything else is element-free and not element-closed, so
+            // `eval_node` answered it from its table.
+            other => {
+                return Err(Stop::Query(format!(
+                    "internal: table-evaluated node reached the formula interpreter: {other:?}"
+                )))
             }
         })
     }
@@ -1514,29 +1380,16 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// Evaluate a node with no free element variables to a boolean.
-    fn eval_bool(&self, plan: &Plan, id: PlanId, env: &Env) -> Result<bool, Stop> {
-        let out = self.eval_node(plan, id, env)?;
-        Ok(match out {
-            Formula::True => true,
-            Formula::False => false,
-            other => {
-                debug_assert!(
-                    other.free_vars().is_empty(),
-                    "fixed-point bodies must not have free element variables"
-                );
-                other.eval(&BTreeMap::new())
-            }
-        })
-    }
-
     /// Detect a dimension guard on the quantified region variable `v` in
     /// `body`: a top-level conjunct `dim(v) = k` in existential position, or
     /// a top-level disjunct `¬ dim(v) = k` in universal position. A binding
     /// that violates such a guard makes the body the quantifier's absorbing
     /// element — false under ∃ (and under fixpoint membership), true under
-    /// ∀ — so the expansion may skip it without changing the value, only
-    /// the work.
+    /// ∀ — so the quantifier may range over the regions of dimension `k`
+    /// alone without changing the value, only the work. Compiled capture
+    /// sentences (Theorem 6.4) guard every quantifier with `dim(v) = 0`,
+    /// which turns tables over the whole face lattice into tables over its
+    /// vertices.
     fn dim_guard(plan: &Plan, body: PlanId, v: &str, existential: bool) -> Option<usize> {
         let direct = |id: PlanId| match plan.node(id) {
             PlanNode::DimEq(r, k) if r == v => Some(*k),
@@ -1559,45 +1412,24 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The region ids a quantified region variable ranges over: every
-    /// region, narrowed to a single dimension class when the body carries a
-    /// [`Self::dim_guard`]. Compiled capture sentences (Theorem 6.4) guard
-    /// every quantifier with `dim(v) = 0`, so this turns expansion over the
-    /// whole face lattice into expansion over its vertices.
-    fn quantifier_domain(
-        &self,
-        plan: &Plan,
-        body: PlanId,
-        v: &str,
-        existential: bool,
-    ) -> Vec<usize> {
-        match Self::dim_guard(plan, body, v, existential) {
-            Some(k) => self
-                .ext
-                .region_ids()
-                .filter(|&r| self.ext.region(r).dim == k)
-                .collect(),
-            None => self.ext.region_ids().collect(),
-        }
-    }
-
-    /// Expand a region quantifier over every region: disjunction for ∃R,
-    /// conjunction for ∀R (Theorem 4.3's expansion). With a worker pool
-    /// installed, region bodies evaluate concurrently on per-worker child
-    /// evaluators; the merge then replays the serial protocol in region
-    /// order — same short-circuits, same counters, same first error.
+    /// Expand a region quantifier whose body has free element variables
+    /// over its domain: disjunction for ∃R, conjunction for ∀R (Theorem
+    /// 4.3's expansion). With a worker pool installed, region bodies
+    /// evaluate concurrently on per-worker child evaluators; the merge then
+    /// replays the serial protocol in region order — same short-circuits,
+    /// same counters, same first error.
     fn eval_region_quantifier(
         &self,
-        plan: &Plan,
+        cx: Cx,
+        id: PlanId,
         v: &str,
         inner: PlanId,
-        env: &Env,
+        env: &mut Env,
         existential: bool,
     ) -> Result<Formula, Stop> {
-        let ids = self.quantifier_domain(plan, inner, v, existential);
-        // Guarded so the detail string is not even formatted when tracing
-        // is off — this runs once per region-quantifier *evaluation*, which
-        // inside fixpoint bodies is hot.
+        let slot = cx.args(id)[0] as usize;
+        let dom = Self::guarded_dom(cx.plan, inner, v, existential);
+        let ids = self.dom_regions(dom);
         let _span = self.trace_on.then(|| {
             self.trace.span_with(
                 "eval.regions",
@@ -1608,57 +1440,14 @@ impl<'a> Evaluator<'a> {
                 ),
             )
         });
-        let mut parts = Vec::new();
-        if !self.parallel(ids.len()) {
-            let mut env2 = env.clone();
-            let slot = env2.bind(v, 0);
-            for id in ids {
-                self.note_region_expansion()?;
-                env2.set_slot(slot, id);
-                match self.eval_node(plan, inner, &env2) {
-                    Ok(Formula::True) if existential => return Ok(Formula::True),
-                    Ok(Formula::False) if !existential => return Ok(Formula::False),
-                    Ok(Formula::True) | Ok(Formula::False) => {}
-                    Ok(other) => parts.push(other),
-                    // Degraded mode: skip this region's disjunct/conjunct.
-                    Err(stop) => self.absorb(stop, QuarantineUnit::Region(id))?,
-                }
-            }
-        } else {
-            let setup = self.par_setup();
-            // Env is Send + Sync (Arc-shared sets): workers clone it
-            // structurally instead of rebuilding from a flattened copy.
-            let (proto_env, slot) = {
-                let mut e = env.clone();
-                let slot = e.bind(v, 0);
-                (e, slot)
-            };
-            let grain = self.fan_grain(inner);
-            let fan_start = Instant::now();
-            let out = self.pool.map_init_grained(
-                &ids,
-                grain,
-                || (setup.spawn(), proto_env.clone()),
-                |state, _, &id| {
-                    let (ev, wenv) = state;
-                    wenv.set_slot(slot, id);
-                    run_child(ev, |ev| ev.eval_node(plan, inner, wenv))
-                },
-            );
-            self.note_fan_cost(inner, ids.len(), fan_start.elapsed());
-            for item in out {
-                self.note_region_expansion()?;
-                self.merge_child(item.stats, item.progress)?;
-                match item.result {
-                    Ok(Formula::True) if existential => return Ok(Formula::True),
-                    Ok(Formula::False) if !existential => return Ok(Formula::False),
-                    Ok(Formula::True) | Ok(Formula::False) => {}
-                    Ok(other) => parts.push(other),
-                    // First error in region order wins, exactly as serial.
-                    Err(stop) => return Err(stop),
-                }
-            }
-        }
+        let saved = (env.dom[slot], env.val[slot]);
+        env.dom[slot] = dom;
+        let run = self.expand_regions(cx, inner, slot, &ids, env, existential);
+        (env.dom[slot], env.val[slot]) = saved;
+        let parts = match run? {
+            Ok(parts) => parts,
+            Err(decided) => return Ok(decided),
+        };
         Ok(if existential {
             Formula::or(parts)
         } else {
@@ -1666,399 +1455,86 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Compute (and memoize) the fixed-point set of a `Fix` node under the
-    /// outer environment.
-    fn fixpoint_set(
+    /// The residual formulas of `inner` over `ids`, or the constant that
+    /// decided the quantifier early.
+    fn expand_regions(
         &self,
-        plan: &Plan,
-        fix_id: PlanId,
-        env: &Env,
-    ) -> Result<Arc<BTreeSet<Vec<usize>>>, Stop> {
-        let PlanNode::Fix {
-            mode,
-            set_var,
-            vars,
-            body,
-            ..
-        } = plan.node(fix_id)
-        else {
-            unreachable!("fixpoint_set called on a non-Fix node")
+        cx: Cx,
+        inner: PlanId,
+        slot: usize,
+        ids: &[u32],
+        env: &mut Env,
+        existential: bool,
+    ) -> Result<Result<Vec<Formula>, Formula>, Stop> {
+        let mut parts = Vec::new();
+        let mut take = |out: Formula| match out {
+            Formula::True if existential => Err(Formula::True),
+            Formula::False if !existential => Err(Formula::False),
+            Formula::True | Formula::False => Ok(()),
+            other => {
+                parts.push(other);
+                Ok(())
+            }
         };
-        let (mode, body) = (*mode, *body);
-        // Key on the *body*: the fixed point depends only on (body, tuple
-        // variables, set variable, outer bindings), never on the applied
-        // args, so distinct application sites of the same operator share
-        // one computation — hash-consing makes such sites one node.
-        if self.positivity_checked.borrow_mut().insert(body) {
-            if !plan.facts(body).elem_free() {
-                return Err(Stop::Query(
-                    "fixed-point bodies must not have free element variables (Definition 5.1)"
-                        .into(),
-                ));
-            }
-            if mode == FixMode::Lfp && !plan.positive_in(body, set_var) {
-                return Err(Stop::Query(format!(
-                    "LFP requires the body to be positive in '{}'",
-                    set_var
-                )));
-            }
-        }
-        // The fixed point depends only on the *body's* free region variables
-        // other than the tuple variables — crucially *not* on the applied
-        // args, so one computation serves every application site. Bodies
-        // that read outer set variables are not memoized (their contents
-        // change between outer fixed-point stages).
-        let (deps, body_set_free) = {
-            let facts = plan.facts(body);
-            let deps: Vec<RegionVar> = facts
-                .free_regions
-                .iter()
-                .filter(|v| !vars.contains(v))
-                .cloned()
-                .collect();
-            let set_free = facts.free_sets.iter().all(|m| m == set_var);
-            (deps, set_free)
-        };
-        let cache_key = if body_set_free {
-            let bound: Bindings = deps
-                .iter()
-                .map(|v| env.region(v))
-                .collect::<Result<_, _>>()?;
-            let key = (body, bound);
-            if let Some(cached) = self.fix_cache.borrow().get(&key) {
-                return Ok(Arc::clone(cached));
-            }
-            Some(key)
-        } else {
-            None
-        };
-        // Checkpointable progress is keyed by a process-stable fingerprint
-        // derived from the canonical plan hash (plan ids are not stable
-        // across runs). Only memoizable fixpoints — bodies free of *outer*
-        // set variables — are recorded: a body reading an outer set variable
-        // computes a different fixpoint per outer stage, which the key
-        // cannot distinguish.
-        let progress_key: Option<ProgressKey> = cache_key.as_ref().map(|(_, bound)| {
-            (
-                plan.fix_fingerprint(fix_id),
-                bound.as_slice().iter().map(|&b| b as u64).collect(),
-            )
-        });
-
-        // The whole chase is one closure so a cold shared-memo key can run
-        // it under an in-flight claim: one worker of a fan-out computes the
-        // fixed point while siblings that need the same key block on the
-        // claim instead of each re-running every stage.
-        let compute = || -> Result<Arc<BTreeSet<Vec<usize>>>, Stop> {
-        let k = vars.len();
-        let _fix_span = self
-            .trace_on
-            .then(|| {
-                self.trace
-                    .span_with("fix.run", &format!("mode={} arity={k}", mode.name()))
-            });
-        // Definition 5.1 sweeps every k-tuple of regions, but a tuple that
-        // violates a `dim(v) = c` guard conjoined into the body tests false
-        // at every stage regardless of the set variable's contents, so it
-        // can never enter the chain. Enumerating only guard-satisfying
-        // tuples shrinks each stage without changing any stage set — for
-        // the capture sentences (four 0-dim-guarded variables over a mixed
-        // face lattice) by more than an order of magnitude.
-        let domains: Vec<Vec<usize>> = vars
-            .iter()
-            .map(|v| self.quantifier_domain(plan, body, v, true))
-            .collect();
-        let tuples = try_tuple_product(&domains, &self.budget)?;
-        let mut current: Arc<BTreeSet<Vec<usize>>> = Arc::new(BTreeSet::new());
-        let mut stage: u64 = 0;
-        // Resume: seed the chain from the snapshot's last completed stage.
-        // Sound for LFP/IFP (the chain is inflationary from any sound stage)
-        // and for PFP (the stage sequence is deterministic, so continuing
-        // from stage n replays the same orbit; a divergence cycle is
-        // re-detected at most one period later with the same empty verdict).
-        if let Some(pk) = &progress_key {
-            if let Some(saved) = self.resume.borrow().get(pk) {
-                if saved.mode == mode && saved.arity == k {
-                    current = Arc::new(saved.tuples.clone());
-                    stage = saved.stage;
-                }
-            }
-        }
-        let mut seen: HashSet<BTreeSet<Vec<usize>>> = HashSet::new();
-        let result = loop {
-            let _stage_span = self
-                .trace_on
-                .then(|| self.trace.span_with("fix.stage", &format!("stage={stage}")));
-            // Budget gate per stage: a divergence-prone PFP burns stages
-            // first, so this is where an iteration cap interrupts it.
-            self.note_fix_stage()?;
-            seen.insert((*current).clone());
-            let mut next: BTreeSet<Vec<usize>> = if mode == FixMode::Ifp {
-                (*current).clone()
-            } else {
-                BTreeSet::new()
-            };
-            let mut env2 = env.clone();
-            env2.sets.insert(set_var.clone(), Arc::clone(&current));
-            for v in vars {
-                env2.bind(v, 0);
-            }
-            // All tuple variables are bound, so slots are stable for the
-            // whole stage sweep.
-            let slots: Vec<usize> = vars.iter().map(|v| env2.slot_of(v)).collect();
-            // IFP carries `current` into `next`, and serial evaluation skips
-            // tuples already present. Candidates are pairwise distinct, so
-            // the skip set is exactly the stage-start `next` — which makes
-            // the surviving tuple tests independent and safe to fan out.
-            let sweep: Vec<&Vec<usize>> = tuples
-                .iter()
-                .filter(|t| !(mode == FixMode::Ifp && next.contains(*t)))
-                .collect();
-            if !self.parallel(sweep.len()) {
-                for tuple in sweep {
-                    self.note_fix_tuple_test()?;
-                    for (&slot, &id) in slots.iter().zip(tuple) {
-                        env2.set_slot(slot, id);
-                    }
-                    match self.eval_bool(plan, body, &env2) {
-                        Ok(true) => {
-                            next.insert(tuple.clone());
+        if !self.parallel(ids.len()) {
+            for &id in ids {
+                self.note_region_expansions(1)?;
+                env.val[slot] = id;
+                match self.eval_node(cx, inner, env) {
+                    Ok(out) => {
+                        if let Err(decided) = take(out) {
+                            return Ok(Err(decided));
                         }
-                        Ok(false) => {}
-                        // Degraded mode: a fault confined to one tuple test
-                        // leaves that tuple out of the stage.
-                        Err(stop) => self.absorb(stop, QuarantineUnit::Tuple)?,
                     }
-                }
-            } else {
-                let setup = self.par_setup();
-                let grain = self.fan_grain(body);
-                let fan_start = Instant::now();
-                let out = self.pool.map_init_grained(
-                    &sweep,
-                    grain,
-                    || (setup.spawn(), env2.clone()),
-                    |state, _, t| {
-                        let (ev, wenv) = state;
-                        for (&slot, &id) in slots.iter().zip(t.iter()) {
-                            wenv.set_slot(slot, id);
-                        }
-                        run_child(ev, |ev| ev.eval_bool(plan, body, wenv))
-                    },
-                );
-                self.note_fan_cost(body, sweep.len(), fan_start.elapsed());
-                for (tuple, item) in sweep.iter().zip(out) {
-                    self.note_fix_tuple_test()?;
-                    self.merge_child(item.stats, item.progress)?;
-                    match item.result {
-                        Ok(true) => {
-                            next.insert((*tuple).clone());
-                        }
-                        Ok(false) => {}
-                        // First error in tuple order wins, exactly as serial.
-                        Err(stop) => return Err(stop),
-                    }
+                    // Degraded mode: skip this region's disjunct/conjunct.
+                    Err(stop) => self.absorb(stop, QuarantineUnit::Region(id as usize))?,
                 }
             }
-            // The stage completed: record it so an abort in a *later* stage
-            // (or a later fixpoint) can resume from here.
-            stage += 1;
-            if self.trace_on {
-                // Delta between consecutive stages, as a semi-naive-style
-                // progress signal; flushing here keeps counter events
-                // aligned with stage boundaries.
-                let delta = next.symmetric_difference(&current).count();
-                self.trace.count("fix.delta_tuples", delta as u64);
-                self.flush_trace_counters();
-            }
-            if let Some(pk) = &progress_key {
-                self.progress.borrow_mut().insert(
-                    pk.clone(),
-                    FixLive {
-                        mode,
-                        arity: k,
-                        stage,
-                        tuples: next.clone(),
-                    },
-                );
-            }
-            if next == *current {
-                break Arc::clone(&current);
-            }
-            match mode {
-                FixMode::Lfp | FixMode::Ifp => current = Arc::new(next),
-                FixMode::Pfp => {
-                    if seen.contains(&next) {
-                        // Divergence: the PFP is empty by definition.
-                        break Arc::new(BTreeSet::new());
-                    }
-                    current = Arc::new(next);
-                }
-            }
-        };
-        Ok(result)
-        };
-        let shared = self.shared.borrow().as_ref().map(Arc::clone);
-        let result = match (&cache_key, shared) {
-            // Fan-out-wide second level: a sibling worker (or the parent)
-            // may already have run — or be running — this fixpoint.
-            (Some(key), Some(s)) => s.fixes.get_or_try_compute(key, compute)?,
-            _ => compute()?,
-        };
-        if let Some(key) = cache_key {
-            self.fix_cache.borrow_mut().insert(key, Arc::clone(&result));
-        }
-        Ok(result)
-    }
-
-    /// Reachability for the TC/DTC operators: is `dst` reachable from `src`
-    /// (reflexively) via the step relation defined by the node's body?
-    fn eval_tc(
-        &self,
-        plan: &Plan,
-        tc_id: PlanId,
-        env: &Env,
-        src: &[usize],
-        dst: &[usize],
-    ) -> Result<bool, Stop> {
-        let PlanNode::Tc {
-            deterministic,
-            left,
-            right,
-            body,
-            ..
-        } = plan.node(tc_id)
-        else {
-            unreachable!("eval_tc called on a non-Tc node")
-        };
-        let (deterministic, body) = (*deterministic, *body);
-        if left.len() != right.len() {
-            return Err(Stop::Query("TC tuple arity mismatch".into()));
-        }
-        if !plan.facts(body).elem_free() {
-            return Err(Stop::Query(
-                "TC bodies must not have free element variables".into(),
-            ));
-        }
-        if src == dst {
-            return Ok(true); // a path of length one (n = 1 in Definition 7.2)
-        }
-        let m = left.len();
-        let (deps, body_set_free) = {
-            let facts = plan.facts(body);
-            let deps: Vec<RegionVar> = facts
-                .free_regions
-                .iter()
-                .filter(|v| !left.contains(v) && !right.contains(v))
-                .cloned()
-                .collect();
-            (deps, facts.set_free())
-        };
-        let cache_key = if body_set_free {
-            let bound: Bindings = deps
-                .iter()
-                .map(|v| env.region(v))
-                .collect::<Result<_, _>>()?;
-            Some((tc_id, bound))
         } else {
-            None
-        };
-
-        // Memoized edge relation as an adjacency list over tuple indices.
-        let tuples = try_all_tuples(self.ext.num_regions(), m, &self.budget)?;
-        let tuple_index: HashMap<&Vec<usize>, usize> =
-            tuples.iter().enumerate().map(|(i, t)| (t, i)).collect();
-        let cached_edges = cache_key
-            .as_ref()
-            .and_then(|key| self.tc_cache.borrow().get(key).cloned());
-        // Building the edge relation is a closure so a cold shared-memo key
-        // can run it under an in-flight claim — one worker scans the
-        // quadratic tuple grid while siblings wait for the published
-        // adjacency list.
-        let compute = || -> Result<Arc<Vec<Vec<usize>>>, Stop> {
-            let _span = self.trace_on.then(|| {
-                self.trace
-                    .span_with("tc.edges", &format!("tuples={}", tuples.len()))
-            });
-            let mut out = vec![Vec::new(); tuples.len()];
-            let mut env2 = env.clone();
-            for v in left.iter().chain(right) {
-                env2.bind(v, 0);
-            }
-            let left_slots: Vec<usize> = left.iter().map(|v| env2.slot_of(v)).collect();
-            let right_slots: Vec<usize> = right.iter().map(|v| env2.slot_of(v)).collect();
-            for (i, t1) in tuples.iter().enumerate() {
-                for (&slot, &id) in left_slots.iter().zip(t1) {
-                    env2.set_slot(slot, id);
-                }
-                for t2 in tuples.iter() {
-                    self.note_tc_edge_test()?;
-                    for (&slot, &id) in right_slots.iter().zip(t2) {
-                        env2.set_slot(slot, id);
-                    }
-                    if self.eval_bool(plan, body, &env2)? {
-                        out[i].push(tuple_index[t2]);
-                    }
-                }
-            }
-            if deterministic {
-                // DTC: keep only unique successors.
-                for succs in out.iter_mut() {
-                    if succs.len() != 1 {
-                        succs.clear();
-                    }
-                }
-            }
-            Ok(Arc::new(out))
-        };
-        let edges: Arc<Vec<Vec<usize>>> = if let Some(cached) = cached_edges {
-            cached
-        } else {
-            let shared = self.shared.borrow().as_ref().map(Arc::clone);
-            let rc = match (&cache_key, shared) {
-                // Fan-out-wide second level for the edge relation.
-                (Some(key), Some(s)) => s.tcs.get_or_try_compute(key, compute)?,
-                _ => compute()?,
-            };
-            if let Some(key) = cache_key {
-                self.tc_cache.borrow_mut().insert(key, Arc::clone(&rc));
-            }
-            rc
-        };
-
-        // BFS.
-        let start = tuple_index[&src.to_vec()];
-        let goal = tuple_index[&dst.to_vec()];
-        let mut visited = vec![false; tuples.len()];
-        let mut queue = std::collections::VecDeque::new();
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(cur) = queue.pop_front() {
-            if cur == goal {
-                return Ok(true);
-            }
-            self.meter.tick(&self.budget)?;
-            for &nxt in &edges[cur] {
-                if !visited[nxt] {
-                    visited[nxt] = true;
-                    queue.push_back(nxt);
+            // The workers copy the tables: build the ones the body probes
+            // first, once, instead of once per worker.
+            self.prefetch(cx, inner, env)?;
+            let setup = self.par_setup();
+            let grain = self.fan_grain(inner);
+            let fan_start = Instant::now();
+            let proto: &Env = env;
+            let out = self.pool.map_init_grained(
+                ids,
+                grain,
+                || (setup.spawn(), proto.clone()),
+                |state, _, &id| {
+                    let (ev, wenv) = state;
+                    wenv.val[slot] = id;
+                    run_child(ev, |ev| ev.eval_node(cx, inner, wenv))
+                },
+            );
+            self.note_fan_cost(inner, ids.len(), fan_start.elapsed());
+            for item in out {
+                self.note_region_expansions(1)?;
+                self.merge_child(item.stats, item.progress)?;
+                // First error in region order wins, exactly as serial.
+                if let Err(decided) = take(item.result?) {
+                    return Ok(Err(decided));
                 }
             }
         }
-        Ok(false)
+        Ok(Ok(parts))
     }
 
     /// The `rBIT` operator (Definition 5.1).
     fn eval_rbit(
         &self,
-        plan: &Plan,
+        cx: Cx,
+        id: PlanId,
         var: &str,
         body: PlanId,
-        rn: usize,
-        rd: usize,
-        env: &Env,
+        env: &mut Env,
     ) -> Result<bool, Stop> {
-        let formula = self.eval_node(plan, body, env)?;
+        let (rn, rd) = (
+            env.val[cx.args(id)[0] as usize] as usize,
+            env.val[cx.args(id)[1] as usize] as usize,
+        );
+        let formula = self.eval_node(cx, body, env)?;
         let free = formula.free_vars();
         if !(free.is_empty() || (free.len() == 1 && free.contains(var))) {
             return Err(Stop::Query(format!(
@@ -2095,63 +1571,16 @@ fn bool_formula(b: bool) -> Formula {
     }
 }
 
-/// All tuples over `0..n` of length `k` in lexicographic order, budget-gated:
-/// the `n^k` materialization is checked against the memory ceiling *before*
-/// allocating (checked arithmetic — an overflowing size estimate fails
-/// closed when a ceiling is set).
-/// Cartesian product of per-position candidate lists, in lexicographic
-/// order of positions — the guard-restricted generalization of
-/// [`try_all_tuples`] (which it degenerates to when every list is
-/// `0..n`). An empty candidate list yields no tuples at all.
-fn try_tuple_product(
-    domains: &[Vec<usize>],
-    budget: &EvalBudget,
-) -> Result<Vec<Vec<usize>>, BudgetError> {
-    let k = domains.len();
-    let per_tuple = (k as u128) * (std::mem::size_of::<usize>() as u128)
-        + (std::mem::size_of::<Vec<usize>>() as u128);
-    let estimated = domains
-        .iter()
-        .try_fold(1u128, |acc, d| acc.checked_mul(d.len() as u128))
-        .and_then(|count| count.checked_mul(per_tuple))
-        .and_then(|bytes| usize::try_from(bytes).ok());
-    budget.check_memory_estimate(estimated)?;
-    let mut out = vec![Vec::new()];
-    for d in domains {
-        let mut next = Vec::with_capacity(out.len().saturating_mul(d.len()));
-        for t in &out {
-            for &i in d {
-                let mut t2 = t.clone();
-                t2.push(i);
-                next.push(t2);
-            }
+/// The truth value of a formula without free variables.
+fn truth(f: &Formula) -> bool {
+    match f {
+        Formula::True => true,
+        Formula::False => false,
+        other => {
+            debug_assert!(other.free_vars().is_empty(), "truth of an open formula");
+            other.eval(&BTreeMap::new())
         }
-        out = next;
     }
-    Ok(out)
-}
-
-fn try_all_tuples(n: usize, k: usize, budget: &EvalBudget) -> Result<Vec<Vec<usize>>, BudgetError> {
-    let per_tuple = (k as u128) * (std::mem::size_of::<usize>() as u128)
-        + (std::mem::size_of::<Vec<usize>>() as u128);
-    let estimated = (n as u128)
-        .checked_pow(k as u32)
-        .and_then(|count| count.checked_mul(per_tuple))
-        .and_then(|bytes| usize::try_from(bytes).ok());
-    budget.check_memory_estimate(estimated)?;
-    let mut out = vec![Vec::new()];
-    for _ in 0..k {
-        let mut next = Vec::with_capacity(out.len() * n);
-        for t in &out {
-            for i in 0..n {
-                let mut t2 = t.clone();
-                t2.push(i);
-                next.push(t2);
-            }
-        }
-        out = next;
-    }
-    Ok(out)
 }
 
 /// If the single-variable DNF defines exactly one rational, return it.

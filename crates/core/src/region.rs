@@ -11,6 +11,7 @@ use lcdb_geom::{Arrangement, Hyperplane, VPolyhedron};
 use lcdb_linalg::QVector;
 use lcdb_logic::{Database, Formula, LinExpr, Relation};
 use lcdb_exec::ShardedMap;
+use std::collections::BTreeMap;
 
 /// Per-region metadata exposed to the logics.
 #[derive(Clone, Debug)]
@@ -64,17 +65,45 @@ pub trait Decomposition: Send + Sync {
     /// A quantifier-free formula over `vars` defining the region.
     fn region_formula(&self, id: usize, vars: &[String]) -> Formula;
 
-    /// Is the region entirely contained in the named relation?
+    /// Which regions are entirely contained in the named relation: bit `id`
+    /// of word `id / 64`. `None` for a relation the database lacks or whose
+    /// arity is not the ambient dimension. Computed once per extension.
     ///
     /// Exact for the arrangement (regions are membership-homogeneous, §3);
     /// for the NC¹ decomposition this is decided at the witness point, which
     /// the paper accepts as the price of the weaker decomposition (§7).
-    fn subset_of(&self, id: usize, relation: &str) -> bool;
+    fn members(&self, relation: &str) -> Option<&[u64]>;
+
+    /// Is the region entirely contained in the named relation?
+    ///
+    /// # Panics
+    /// Panics if [`Decomposition::members`] has no vector for the relation.
+    fn subset_of(&self, id: usize, relation: &str) -> bool {
+        let bits = self
+            .members(relation)
+            .unwrap_or_else(|| panic!("unknown relation '{}'", relation));
+        bits[id / 64] >> (id % 64) & 1 == 1
+    }
 
     /// All region ids, convenience.
     fn region_ids(&self) -> std::ops::Range<usize> {
         0..self.num_regions()
     }
+}
+
+/// One membership bit per region for every relation of the ambient arity,
+/// decided at the region's witness in exact rationals.
+fn membership(db: &Database, d: usize, data: &[RegionData]) -> BTreeMap<String, Vec<u64>> {
+    db.relations()
+        .filter(|(_, rel)| rel.arity() == d)
+        .map(|(name, rel)| {
+            let mut bits = vec![0u64; data.len().div_ceil(64)];
+            for r in data.iter().filter(|r| rel.contains(&r.witness)) {
+                bits[r.id / 64] |= 1 << (r.id % 64);
+            }
+            (name.clone(), bits)
+        })
+        .collect()
 }
 
 /// The arrangement-based region structure of §3/§4: regions are the faces of
@@ -85,6 +114,9 @@ pub struct ArrangementRegions {
     spatial: String,
     arrangement: Arrangement,
     data: Vec<RegionData>,
+    /// Faces are homogeneous w.r.t. every relation whose hyperplanes are in
+    /// the arrangement, so the witness decides containment exactly.
+    members: BTreeMap<String, Vec<u64>>,
     /// Interned membership formulas keyed by (region, variable names):
     /// region-quantifier expansion and `In`-node evaluation ask for the
     /// same formulas thousands of times, from every pool worker at once —
@@ -135,23 +167,7 @@ impl ArrangementRegions {
         let (d, hyperplanes) = Self::spatial_hyperplanes(&db, spatial)?;
         let arrangement = Arrangement::try_build_traced(d, hyperplanes, budget, pool, trace)
             .map_err(|e| EvalError::from_budget(e, EvalStats::default()))?;
-        let data = arrangement
-            .faces()
-            .iter()
-            .map(|f| RegionData {
-                id: f.id,
-                dim: f.dim,
-                bounded: f.bounded,
-                witness: f.witness.clone(),
-            })
-            .collect();
-        Ok(ArrangementRegions {
-            db,
-            spatial: spatial.to_string(),
-            arrangement,
-            data,
-            formulas: ShardedMap::new(),
-        })
+        Self::from_parts(db, spatial, arrangement)
     }
 
     /// Reassemble a region structure around an arrangement that was built
@@ -190,8 +206,9 @@ impl ArrangementRegions {
                 bounded: f.bounded,
                 witness: f.witness.clone(),
             })
-            .collect();
+            .collect::<Vec<_>>();
         Ok(ArrangementRegions {
+            members: membership(&db, d, &data),
             db,
             spatial: spatial.to_string(),
             arrangement,
@@ -362,14 +379,8 @@ impl Decomposition for ArrangementRegions {
         f
     }
 
-    fn subset_of(&self, id: usize, relation: &str) -> bool {
-        let rel = self
-            .db
-            .relation(relation)
-            .unwrap_or_else(|| panic!("unknown relation '{}'", relation));
-        // Faces are homogeneous w.r.t. every relation whose hyperplanes are
-        // in the arrangement, so the witness decides containment exactly.
-        rel.contains(&self.data[id].witness)
+    fn members(&self, relation: &str) -> Option<&[u64]> {
+        self.members.get(relation).map(Vec::as_slice)
     }
 }
 
@@ -380,6 +391,7 @@ pub struct Nc1Regions {
     spatial: String,
     decomposition: Nc1Decomposition,
     data: Vec<RegionData>,
+    members: BTreeMap<String, Vec<u64>>,
     adjacency: ShardedMap<(usize, usize), bool>,
     formulas: ShardedMap<usize, Formula>,
 }
@@ -411,8 +423,9 @@ impl Nc1Regions {
                 bounded: r.set.is_bounded(),
                 witness: r.set.interior_point(),
             })
-            .collect();
+            .collect::<Vec<_>>();
         Ok(Nc1Regions {
+            members: membership(&db, decomposition.dim, &data),
             db,
             spatial: spatial.to_string(),
             decomposition,
@@ -533,12 +546,8 @@ impl Decomposition for Nc1Regions {
         rename_region_formula(&qf, d, vars)
     }
 
-    fn subset_of(&self, id: usize, relation: &str) -> bool {
-        let rel = self
-            .db
-            .relation(relation)
-            .unwrap_or_else(|| panic!("unknown relation '{}'", relation));
-        rel.contains(&self.data[id].witness)
+    fn members(&self, relation: &str) -> Option<&[u64]> {
+        self.members.get(relation).map(Vec::as_slice)
     }
 }
 
@@ -732,8 +741,8 @@ impl Decomposition for RegionExtension {
     fn region_formula(&self, id: usize, vars: &[String]) -> Formula {
         self.inner.region_formula(id, vars)
     }
-    fn subset_of(&self, id: usize, relation: &str) -> bool {
-        self.inner.subset_of(id, relation)
+    fn members(&self, relation: &str) -> Option<&[u64]> {
+        self.inner.members(relation)
     }
 }
 

@@ -22,15 +22,16 @@
 //! * common-subplan sharing — interning itself;
 //! * region-quantifier hoisting ([`passes::hoist_region_quantifiers`]) —
 //!   conjuncts independent of a region quantifier move out of its scope, so
-//!   fixpoint bodies expose stage-invariant subplans to the executor's memo
-//!   tables;
+//!   fixpoint bodies expose stage-invariant subplans, whose tables the
+//!   executor builds once;
 //! * dependency stratification ([`passes::stratify`]) — orders the
 //!   `lfp`/`ifp`/`pfp`/`tc` operators by nesting depth, innermost first: the
 //!   order in which a stage-wise executor must saturate them.
 //!
 //! [`explain`] renders the optimized plan with per-node cost annotations,
-//! and [`exec`] provides a first-order executor over the IR used by the
-//! datalog engine.
+//! [`exec`] provides a first-order executor over the IR used by the
+//! datalog engine, and [`table`] is the dense-bitset kernel `lcdb-core`
+//! evaluates the element-free part of a plan with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +41,7 @@ pub mod explain;
 pub mod hash;
 pub mod memo;
 pub mod passes;
+pub mod table;
 
 use lcdb_logic::{Atom, LinExpr};
 use std::collections::{BTreeSet, HashMap};
@@ -753,8 +755,8 @@ impl Plan {
 
     /// Number of references to each node from within the DAG reachable from
     /// `root` (the root itself counts one). A node with more than one
-    /// reference is a shared subplan — the executor's memo tables evaluate
-    /// it once per distinct binding.
+    /// reference is a shared subplan — the executor evaluates it once per
+    /// choice of quantifier domains.
     pub fn reference_counts(&self, root: PlanId) -> Vec<u32> {
         let mut counts = vec![0u32; self.nodes.len()];
         let mut stack = vec![root];

@@ -1,38 +1,30 @@
-//! Concurrent plan-memo table shared by every worker of a parallel
-//! fan-out.
+//! Concurrent formula memo shared by every worker of a parallel fan-out.
 //!
-//! Serial evaluation memoizes plan-node results in per-evaluator tables
-//! keyed by [`MemoKey`] — the hash-consed [`PlanId`] plus the bindings of
-//! the node's free region variables in name order. Under a fan-out, each
-//! worker's child evaluator used to carry a *private snapshot* of those
-//! tables, so siblings re-evaluated (and re-allocated) every entry the
-//! snapshot missed. A [`PlanMemo`] is the concurrent second level behind
-//! the private tables: workers consult it before recomputing and publish
-//! what they compute, so each memoizable entry is evaluated roughly once
-//! per fan-out instead of once per worker.
+//! The formula interpreter memoizes the residual formula of a plan node in a
+//! per-evaluator table keyed by [`MemoKey`] — the hash-consed [`PlanId`]
+//! plus the bindings of the node's free region variables in name order. A
+//! region quantifier with free element variables fans its regions out over
+//! per-worker child evaluators; a [`PlanMemo`] is the concurrent second
+//! level behind their private tables: workers consult it before
+//! recomputing and publish what they compute, so each memoizable formula is
+//! evaluated roughly once per fan-out instead of once per worker.
 //!
 //! ## Determinism
 //!
 //! Every value stored here is a pure function of its key given the frozen
-//! evaluation inputs (plan, decomposition, resume snapshot): the boolean
-//! verdict of a closed quantifier node, the residual formula of a set-free
-//! composite node, the fixed point of a body, the edge relation of a TC
-//! body. The tables are [`OnceMap`]s: the first worker to reach a cold key
-//! claims it and computes while later arrivals block until the value is
-//! published — crucial for the fixpoint and TC tables, where a fan-out's
-//! workers would otherwise all miss simultaneously and duplicate an entire
-//! nested fixed-point computation each. Purity means the winner's value is
-//! indistinguishable from what any waiter would have computed, so results
-//! stay identical at any thread count; a failing winner releases its claim
-//! and a waiter retries (failing the same way if the cause is a global
-//! budget). Claiming cannot deadlock: key dependencies follow the plan's
-//! terminating recursion, so the wait-for relation is acyclic.
+//! evaluation inputs (plan, decomposition, tables). The table is a
+//! [`OnceMap`]: the first worker to reach a cold key claims it and computes
+//! while later arrivals block until the value is published. Purity means
+//! the winner's value is indistinguishable from what any waiter would have
+//! computed, so results stay identical at any thread count; a failing
+//! winner releases its claim and a waiter retries (failing the same way if
+//! the cause is a global budget). Claiming cannot deadlock: key
+//! dependencies follow the plan's terminating recursion, so the wait-for
+//! relation is acyclic.
 
 use crate::PlanId;
 use lcdb_exec::OnceMap;
 use lcdb_logic::Formula;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Memo key: plan node id plus the bindings of its free region variables
 /// (in name order). Only set-variable-free nodes are memoized this way —
@@ -97,25 +89,18 @@ impl FromIterator<usize> for Bindings {
     }
 }
 
-/// The four shared memo tables of one evaluation entry, mirroring the
-/// evaluator's private caches: boolean verdicts for closed quantifier
-/// nodes, residual formulas for set-free composite nodes, fixed-point sets
-/// keyed by body, and TC edge relations keyed by body.
+/// The shared formula memo of one evaluation entry, mirroring the
+/// evaluator's private one. Element-free nodes are not here: they are
+/// evaluated into dense tables (`crate::table`) before a fan-out starts.
 ///
 /// Cleared by replacement: an entry call that reuses an evaluator installs
 /// a fresh `PlanMemo`, so results never leak between queries (plan ids are
 /// only stable within one plan).
 #[derive(Default)]
 pub struct PlanMemo {
-    /// Verdicts of closed (element- and set-free) quantifier nodes.
-    pub bools: OnceMap<MemoKey, bool>,
-    /// Residual formulas of set-free composite nodes.
+    /// Residual formulas of set-free composite nodes with free element
+    /// variables.
     pub formulas: OnceMap<MemoKey, Formula>,
-    /// Fixed-point sets, keyed by the *body* node (one computation serves
-    /// every application site of the operator).
-    pub fixes: OnceMap<MemoKey, Arc<BTreeSet<Vec<usize>>>>,
-    /// TC/DTC edge relations as adjacency lists over tuple indices.
-    pub tcs: OnceMap<MemoKey, Arc<Vec<Vec<usize>>>>,
 }
 
 impl PlanMemo {
@@ -124,17 +109,14 @@ impl PlanMemo {
         Self::default()
     }
 
-    /// Total entries across all four tables (observability only).
+    /// Entries published so far (observability only).
     pub fn len(&self) -> usize {
-        self.bools.len() + self.formulas.len() + self.fixes.len() + self.tcs.len()
+        self.formulas.len()
     }
 
     /// True when nothing has been published yet.
     pub fn is_empty(&self) -> bool {
-        self.bools.is_empty()
-            && self.formulas.is_empty()
-            && self.fixes.is_empty()
-            && self.tcs.is_empty()
+        self.formulas.is_empty()
     }
 }
 
@@ -152,14 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn tables_start_empty_and_count_entries() {
+    fn starts_empty_and_counts_entries() {
         let m = PlanMemo::new();
         assert!(m.is_empty());
-        publish(&m.bools, (0, [1].into_iter().collect()), true);
         publish(&m.formulas, (1, [].into_iter().collect()), Formula::True);
-        publish(&m.fixes, (2, [0].into_iter().collect()), Arc::new(BTreeSet::new()));
-        publish(&m.tcs, (3, [].into_iter().collect()), Arc::new(Vec::new()));
-        assert_eq!(m.len(), 4);
+        publish(&m.formulas, (1, [2].into_iter().collect()), Formula::False);
+        assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
     }
 
@@ -174,19 +154,20 @@ mod tests {
                         let key = (id, [id as usize].into_iter().collect());
                         // Pure function of the key: the winner is
                         // indistinguishable from any waiter.
+                        let value = if id % 2 == 0 { Formula::True } else { Formula::False };
                         let v = m
-                            .bools
+                            .formulas
                             .get_or_try_compute::<(), _>(&key, || {
                                 computed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                Ok(id % 2 == 0)
+                                Ok(value.clone())
                             })
                             .expect("infallible compute");
-                        assert_eq!(v, id % 2 == 0);
+                        assert_eq!(v, value);
                     }
                 });
             }
         });
-        assert_eq!(m.bools.len(), 100);
+        assert_eq!(m.formulas.len(), 100);
         assert_eq!(
             computed.load(std::sync::atomic::Ordering::Relaxed),
             100,

@@ -951,15 +951,23 @@ fn session_inner(
                 OpCode::Define => {
                     let resp = match apply_define(&mut db, &mut spatial, &req.text) {
                         Ok(msg) => {
-                            db_fp = db_fingerprint(&db, spatial.as_deref());
+                            let before = std::mem::replace(
+                                &mut db_fp,
+                                db_fingerprint(&db, spatial.as_deref()),
+                            );
                             // A rebound relation invalidates every persisted
                             // artifact depending on it — one atomic WAL
                             // record, before the definition is acknowledged,
                             // so no later request can warm-start from state
-                            // derived from the old definition.
-                            if let (Some(cat), Some(name)) =
-                                (&shared.catalog, defined_relation(&req.text))
-                            {
+                            // derived from the old definition. A definition
+                            // that leaves the database as it was (sessions
+                            // re-state their relations) invalidates nothing:
+                            // what the catalog holds is still exactly right.
+                            if let (Some(cat), Some(name), true) = (
+                                &shared.catalog,
+                                defined_relation(&req.text),
+                                before != db_fp,
+                            ) {
                                 if let Err(e) = cat.invalidate_relation(name) {
                                     shared.trace.mark("server.store", &e.to_string());
                                 }

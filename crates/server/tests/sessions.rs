@@ -461,6 +461,45 @@ fn warm_start_serves_persisted_results_across_processes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `Define` that leaves the database as it was invalidates nothing: what
+/// the session persisted before it is still served warm after a restart on
+/// the same store. A definition that changes the database still does.
+#[test]
+fn identical_redefinition_keeps_persisted_results_warm() {
+    let dir = std::env::temp_dir().join(format!("lcdb-server-redefine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServerConfig {
+        base_db: vec![GAPPED.to_string()],
+        store_dir: Some(dir.clone()),
+        ..quick_cfg()
+    };
+    let warm = |expect_aux: u32, why: &str| {
+        let server = start(cfg());
+        let mut c = Client::connect(&addr_of(&server)).expect("connect");
+        let r = c.eval_sentence(NONEMPTY, 0).expect("eval");
+        assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "true", expect_aux), "{why}");
+        (server, c)
+    };
+
+    // Compute and persist, then re-state the same definition.
+    let (server, mut c) = warm(0, "first evaluation computes");
+    let r = c.define(GAPPED).expect("define");
+    assert_eq!(r.code, RespCode::Ok, "{}", r.body);
+    server.shutdown();
+
+    // Restart: the identical re-`Define` dropped nothing. Then change the
+    // definition, and change it back, in one session.
+    let (server, mut c) = warm(2, "an unchanged definition must not invalidate");
+    c.define("S(x) := x < x").expect("define");
+    c.define(GAPPED).expect("define");
+    server.shutdown();
+
+    // Restart: the changed definition dropped S's dependents durably.
+    let (server, _) = warm(0, "a changed definition must still invalidate");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A server started with a base database serves it to every session.
 #[test]
 fn base_database_preloaded_for_all_sessions() {

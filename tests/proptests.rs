@@ -2,12 +2,12 @@
 //! paper's invariants as properties.
 
 use lcdb::arith::{int, Rational};
-use lcdb::core::{parse_regformula, Decomposition, RegFormula};
+use lcdb::core::{parse_regformula, Decomposition, FixMode, RegFormula};
 use lcdb::geom::{extract_hyperplanes, Arrangement};
 use lcdb::logic::{dnf, qe, Atom, Formula, LinExpr, Rel};
 use lcdb::{queries, EvalBudget, Evaluator, Pool, RegionExtension, Relation};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Thread counts the determinism properties sweep: serial, small, and
 /// oversubscribed relative to the tiny inputs.
@@ -479,7 +479,135 @@ fn reference_eval(
     f: &RegFormula,
     env: &mut BTreeMap<String, usize>,
 ) -> bool {
+    reference_eval_sets(ext, f, env, &mut BTreeMap::new())
+}
+
+/// A set variable's value in the reference: an explicit set of tuples.
+type TupleSet = BTreeSet<Vec<usize>>;
+
+/// Every `k`-tuple of region ids, in lexicographic order.
+fn all_tuples(n: usize, k: usize) -> Vec<Vec<usize>> {
+    (0..k).fold(vec![Vec::new()], |acc, _| {
+        acc.iter()
+            .flat_map(|t| (0..n).map(move |r| [&t[..], &[r]].concat()))
+            .collect()
+    })
+}
+
+/// Evaluate `body` with `vars` bound to `tuple`, restoring `env` after.
+fn reference_at(
+    ext: &RegionExtension,
+    body: &RegFormula,
+    vars: &[String],
+    tuple: &[usize],
+    env: &mut BTreeMap<String, usize>,
+    sets: &mut BTreeMap<String, TupleSet>,
+) -> bool {
+    let saved: Vec<Option<usize>> = vars
+        .iter()
+        .zip(tuple)
+        .map(|(v, &r)| env.insert(v.clone(), r))
+        .collect();
+    let out = reference_eval_sets(ext, body, env, sets);
+    for (v, old) in vars.iter().zip(saved).rev() {
+        match old {
+            Some(r) => env.insert(v.clone(), r),
+            None => env.remove(v),
+        };
+    }
+    out
+}
+
+/// The reference with set variables: fixed points by naive iteration over
+/// explicit tuple sets (Definition 5.1, PFP empty on divergence), `TC`/`DTC`
+/// by search over the explicit edge relation (Definition 7.2).
+fn reference_eval_sets(
+    ext: &RegionExtension,
+    f: &RegFormula,
+    env: &mut BTreeMap<String, usize>,
+    sets: &mut BTreeMap<String, TupleSet>,
+) -> bool {
     match f {
+        RegFormula::SetApp(m, args) => {
+            sets[m].contains(&args.iter().map(|a| env[a]).collect::<Vec<_>>())
+        }
+        RegFormula::Fix {
+            mode,
+            set_var,
+            vars,
+            body,
+            args,
+        } => {
+            let tuples = all_tuples(ext.num_regions(), vars.len());
+            let shadowed = sets.remove(set_var);
+            let mut current = TupleSet::new();
+            let mut seen: Vec<TupleSet> = Vec::new();
+            let fixpoint = loop {
+                seen.push(current.clone());
+                sets.insert(set_var.clone(), current.clone());
+                let mut next: TupleSet = tuples
+                    .iter()
+                    .filter(|t| reference_at(ext, body, vars, t, env, sets))
+                    .cloned()
+                    .collect();
+                if *mode == FixMode::Ifp {
+                    next.extend(current.iter().cloned());
+                }
+                if next == current {
+                    break current;
+                }
+                if *mode == FixMode::Pfp && seen.contains(&next) {
+                    break TupleSet::new();
+                }
+                current = next;
+            };
+            match shadowed {
+                Some(old) => sets.insert(set_var.clone(), old),
+                None => sets.remove(set_var),
+            };
+            fixpoint.contains(&args.iter().map(|a| env[a]).collect::<Vec<_>>())
+        }
+        RegFormula::Tc {
+            deterministic,
+            left,
+            right,
+            body,
+            arg_left,
+            arg_right,
+        } => {
+            let tuples = all_tuples(ext.num_regions(), left.len());
+            let vars = [&left[..], &right[..]].concat();
+            let mut succ: Vec<Vec<usize>> = tuples
+                .iter()
+                .map(|s| {
+                    (0..tuples.len())
+                        .filter(|&t| {
+                            let both = [&s[..], &tuples[t][..]].concat();
+                            reference_at(ext, body, &vars, &both, env, sets)
+                        })
+                        .collect()
+                })
+                .collect();
+            if *deterministic {
+                succ.iter_mut().filter(|s| s.len() != 1).for_each(Vec::clear);
+            }
+            let index = |args: &[String]| {
+                let t: Vec<usize> = args.iter().map(|a| env[a]).collect();
+                tuples.iter().position(|x| *x == t).expect("tuple of regions")
+            };
+            let (from, to) = (index(arg_left), index(arg_right));
+            let mut reached = vec![false; tuples.len()];
+            let mut stack = vec![from];
+            reached[from] = true;
+            while let Some(s) = stack.pop() {
+                for &t in &succ[s] {
+                    if !std::mem::replace(&mut reached[t], true) {
+                        stack.push(t);
+                    }
+                }
+            }
+            reached[to]
+        }
         RegFormula::True => true,
         RegFormula::False => false,
         RegFormula::SubsetOf(r, s) => ext.subset_of(env[r], s),
@@ -487,12 +615,12 @@ fn reference_eval(
         RegFormula::RegionEq(a, b) => env[a] == env[b],
         RegFormula::DimEq(r, k) => ext.region(env[r]).dim == *k,
         RegFormula::Bounded(r) => ext.region(env[r]).bounded,
-        RegFormula::And(fs) => fs.iter().all(|g| reference_eval(ext, g, env)),
-        RegFormula::Or(fs) => fs.iter().any(|g| reference_eval(ext, g, env)),
-        RegFormula::Not(g) => !reference_eval(ext, g, env),
+        RegFormula::And(fs) => fs.iter().all(|g| reference_eval_sets(ext, g, env, sets)),
+        RegFormula::Or(fs) => fs.iter().any(|g| reference_eval_sets(ext, g, env, sets)),
+        RegFormula::Not(g) => !reference_eval_sets(ext, g, env, sets),
         RegFormula::ExistsRegion(v, g) => (0..ext.num_regions()).any(|id| {
             let prev = env.insert(v.clone(), id);
-            let r = reference_eval(ext, g, env);
+            let r = reference_eval_sets(ext, g, env, sets);
             match prev {
                 Some(p) => {
                     env.insert(v.clone(), p);
@@ -505,7 +633,7 @@ fn reference_eval(
         }),
         RegFormula::ForallRegion(v, g) => (0..ext.num_regions()).all(|id| {
             let prev = env.insert(v.clone(), id);
-            let r = reference_eval(ext, g, env);
+            let r = reference_eval_sets(ext, g, env, sets);
             match prev {
                 Some(p) => {
                     env.insert(v.clone(), p);
@@ -551,4 +679,233 @@ fn rel1(src: &str) -> Relation {
         vec!["x".into()],
         &lcdb::parse_formula(src).expect("formula parses"),
     )
+}
+
+/// Shape of a random sentence of the fixed-point and closure logics, before
+/// variable binding. Indices are resolved against what is in scope, so
+/// every generated sentence is closed.
+#[derive(Debug, Clone)]
+enum FixShape {
+    /// A region atom: kind, two variable indices.
+    Leaf(u8, u8, u8),
+    /// Application of an enclosing set variable (a region atom when none).
+    App(u8, u8, u8),
+    Not(Box<FixShape>),
+    And(Box<FixShape>, Box<FixShape>),
+    Or(Box<FixShape>, Box<FixShape>),
+    Exists(Box<FixShape>),
+    Forall(Box<FixShape>),
+    /// A fixed point: mode, unary or binary, body, two argument indices.
+    Fix(u8, bool, Box<FixShape>, u8, u8),
+    /// `TC` or `DTC` over single regions: body, two argument indices.
+    Tc(bool, Box<FixShape>, u8, u8),
+}
+
+fn arb_fix_shape() -> impl Strategy<Value = FixShape> {
+    let leaf = prop_oneof![
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(k, a, b)| FixShape::Leaf(k, a, b)),
+        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(m, a, b)| FixShape::App(m, a, b)),
+    ];
+    let tree = leaf.prop_recursive(3, 10, 2, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(|s| FixShape::Not(Box::new(s))),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| FixShape::And(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| FixShape::Or(Box::new(a), Box::new(b))),
+            inner.clone().prop_map(|s| FixShape::Exists(Box::new(s))),
+            inner.clone().prop_map(|s| FixShape::Forall(Box::new(s))),
+            (any::<u8>(), any::<bool>(), inner.clone(), any::<u8>(), any::<u8>())
+                .prop_map(|(m, bin, s, a, b)| FixShape::Fix(m, bin, Box::new(s), a, b)),
+            (any::<bool>(), inner, any::<u8>(), any::<u8>())
+                .prop_map(|(det, s, a, b)| FixShape::Tc(det, Box::new(s), a, b)),
+        ]
+    });
+    // Every sentence applies at least one operator at the top.
+    (any::<u8>(), any::<bool>(), tree, any::<u8>(), any::<u8>())
+        .prop_map(|(m, bin, s, a, b)| FixShape::Fix(m, bin, Box::new(s), a, b))
+}
+
+/// Is every free occurrence of `m` in `f` under an even number of
+/// negations (and none under a closure)? What LFP requires.
+fn positive_in(f: &RegFormula, m: &str, polarity: bool) -> bool {
+    match f {
+        RegFormula::SetApp(n, _) => n != m || polarity,
+        RegFormula::Not(g) => positive_in(g, m, !polarity),
+        RegFormula::And(fs) | RegFormula::Or(fs) => fs.iter().all(|g| positive_in(g, m, polarity)),
+        RegFormula::ExistsRegion(_, g) | RegFormula::ForallRegion(_, g) => {
+            positive_in(g, m, polarity)
+        }
+        RegFormula::Fix { set_var, body, .. } => set_var == m || positive_in(body, m, polarity),
+        RegFormula::Tc { body, .. } => !body.free_set_vars().contains(m),
+        _ => true,
+    }
+}
+
+/// Bind a shape into a closed sentence under two outer quantifiers.
+/// Operators nest at most twice (the reference iterates naively) and only
+/// an outermost fixed point is binary; a body that is not positive makes an
+/// LFP an IFP.
+fn bind_fix_shape(shape: &FixShape) -> RegFormula {
+    struct Scope {
+        regions: Vec<String>,
+        sets: Vec<(String, usize)>,
+        /// Enclosing fixed points and closures.
+        depth: usize,
+        fresh: usize,
+    }
+    fn go(s: &FixShape, sc: &mut Scope) -> RegFormula {
+        let var = |i: u8, sc: &Scope| sc.regions[i as usize % sc.regions.len()].clone();
+        let fresh = |prefix: &str, sc: &mut Scope| {
+            sc.fresh += 1;
+            format!("{prefix}{}", sc.fresh)
+        };
+        match s {
+            FixShape::Leaf(kind, a, b) => match kind % 5 {
+                0 => RegFormula::SubsetOf(var(*a, sc), "S".into()),
+                1 => RegFormula::Adj(var(*a, sc), var(*b, sc)),
+                2 => RegFormula::RegionEq(var(*a, sc), var(*b, sc)),
+                3 => RegFormula::DimEq(var(*a, sc), (*b % 2) as usize),
+                _ => RegFormula::Bounded(var(*a, sc)),
+            },
+            FixShape::App(m, a, b) => match sc.sets.get(*m as usize % sc.sets.len().max(1)) {
+                None => RegFormula::SubsetOf(var(*a, sc), "S".into()),
+                Some((name, arity)) => RegFormula::SetApp(
+                    name.clone(),
+                    [var(*a, sc), var(*b, sc)][..*arity].to_vec(),
+                ),
+            },
+            FixShape::Not(g) => RegFormula::Not(Box::new(go(g, sc))),
+            FixShape::And(a, b) => RegFormula::And(vec![go(a, sc), go(b, sc)]),
+            FixShape::Or(a, b) => RegFormula::Or(vec![go(a, sc), go(b, sc)]),
+            FixShape::Exists(g) | FixShape::Forall(g) => {
+                let v = fresh("Q", sc);
+                sc.regions.push(v.clone());
+                let body = Box::new(go(g, sc));
+                sc.regions.pop();
+                match s {
+                    FixShape::Exists(_) => RegFormula::ExistsRegion(v, body),
+                    _ => RegFormula::ForallRegion(v, body),
+                }
+            }
+            FixShape::Fix(_, _, g, _, _) | FixShape::Tc(_, g, _, _) if sc.depth >= 2 => go(g, sc),
+            FixShape::Fix(mode, binary, g, a, b) => {
+                let arity = if *binary && sc.depth == 0 { 2 } else { 1 };
+                let args = [var(*a, sc), var(*b, sc)][..arity].to_vec();
+                let set_var = fresh("M", sc);
+                let vars: Vec<String> = (0..arity).map(|_| fresh("X", sc)).collect();
+                sc.regions.extend(vars.iter().cloned());
+                sc.sets.push((set_var.clone(), arity));
+                sc.depth += 1;
+                let body = go(g, sc);
+                sc.depth -= 1;
+                sc.sets.pop();
+                sc.regions.truncate(sc.regions.len() - arity);
+                let mode = match mode % 3 {
+                    0 if positive_in(&body, &set_var, true) => FixMode::Lfp,
+                    0 | 1 => FixMode::Ifp,
+                    _ => FixMode::Pfp,
+                };
+                RegFormula::Fix {
+                    mode,
+                    set_var,
+                    vars,
+                    body: Box::new(body),
+                    args,
+                }
+            }
+            FixShape::Tc(deterministic, g, a, b) => {
+                let (arg_left, arg_right) = (vec![var(*a, sc)], vec![var(*b, sc)]);
+                let (l, r) = (fresh("L", sc), fresh("R", sc));
+                sc.regions.extend([l.clone(), r.clone()]);
+                sc.depth += 1;
+                let body = go(g, sc);
+                sc.depth -= 1;
+                sc.regions.truncate(sc.regions.len() - 2);
+                RegFormula::Tc {
+                    deterministic: *deterministic,
+                    left: vec![l],
+                    right: vec![r],
+                    body: Box::new(body),
+                    arg_left,
+                    arg_right,
+                }
+            }
+        }
+    }
+    let mut sc = Scope {
+        regions: vec!["Q0".to_string(), "Q1".to_string()],
+        sets: Vec::new(),
+        depth: 0,
+        fresh: 1,
+    };
+    let body = go(shape, &mut sc);
+    RegFormula::ForallRegion(
+        "Q0".into(),
+        Box::new(RegFormula::ExistsRegion("Q1".into(), Box::new(body))),
+    )
+}
+
+/// One or two short open intervals: at most nine regions, so the naive
+/// reference stays fast under nested operators.
+fn arb_small_intervals() -> impl Strategy<Value = Relation> {
+    proptest::collection::vec((-3i64..=3, 1i64..=2), 1..3).prop_map(|spans| {
+        let parts: Vec<String> = spans
+            .iter()
+            .map(|(lo, w)| format!("({} < x and x < {})", lo, lo + w))
+            .collect();
+        rel1(&parts.join(" or "))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential test of the fixed-point and closure logics: on both
+    /// decompositions, every route to the verdict — serial, 2 and 8
+    /// threads, and abort-at-a-stage-cap then resume from the decoded
+    /// checkpoint — agrees with the naive explicit-set semantics.
+    #[test]
+    fn fixpoint_evaluation_matches_reference_semantics(
+        shape in arb_fix_shape(),
+        rel in arb_small_intervals(),
+    ) {
+        let sentence = bind_fix_shape(&shape);
+        for (name, ext) in [
+            ("arrangement", RegionExtension::arrangement(rel.clone())),
+            ("nc1", RegionExtension::nc1(rel.clone())),
+        ] {
+            let want = reference_eval(&ext, &sentence, &mut BTreeMap::new());
+            let mut stages = 0u64;
+            for &t in THREADS {
+                let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited()).with_threads(t);
+                let got = ev
+                    .try_eval_sentence(&sentence)
+                    .expect("unlimited budget cannot trip");
+                prop_assert_eq!(got, want, "{} at {} threads: {:?}", name, t, sentence);
+                stages = ev.stats().fix_iterations as u64;
+            }
+            // Every cap for short runs, a spread of caps for long ones.
+            let step = (stages / 24).max(1);
+            for cap in (1..=stages).step_by(step as usize) {
+                let tight = EvalBudget::unlimited().with_max_fix_iterations(cap);
+                let ev = Evaluator::with_budget(&ext, tight);
+                let verdict = match ev.try_eval_sentence(&sentence) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        prop_assert!(
+                            matches!(e, lcdb::EvalError::IterationLimit { .. }),
+                            "{} cap {}: {}", name, cap, e
+                        );
+                        let snap = lcdb::Snapshot::decode(&ev.checkpoint(&sentence).encode())
+                            .expect("checkpoint decodes");
+                        let ev2 = Evaluator::with_budget(&ext, EvalBudget::unlimited());
+                        ev2.resume_from(&sentence, &snap).expect("matching snapshot");
+                        ev2.try_eval_sentence(&sentence).expect("resume completes")
+                    }
+                };
+                prop_assert_eq!(verdict, want, "{} resumed from cap {}: {:?}", name, cap, sentence);
+            }
+        }
+    }
 }
