@@ -44,5 +44,26 @@ fn bench_dnf_strategies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fm, bench_dnf_strategies);
+/// The `perf_gate` `qe_us` shape: the three alibi queries over one 16-bead
+/// pair, through the evaluator.
+fn bench_alibi(c: &mut Criterion) {
+    use lcdb_bench::{alibi_extension, ALIBI_BOX, ALIBI_SENTENCE, ALIBI_WHEN};
+    use lcdb_core::{parse_regformula, Evaluator};
+    let mut group = c.benchmark_group("alibi");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+    let ext = alibi_extension(16, 11, true);
+    for (name, src) in [("sentence", ALIBI_SENTENCE), ("box", ALIBI_BOX)] {
+        let q = parse_regformula(src).unwrap();
+        group.bench_function(name, |b| b.iter(|| Evaluator::new(&ext).eval_sentence(&q)));
+    }
+    let when = parse_regformula(ALIBI_WHEN).unwrap();
+    group.bench_function("when", |b| {
+        b.iter(|| Evaluator::new(&ext).eval_query(&when))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_fm, bench_dnf_strategies, bench_alibi);
 criterion_main!(benches);

@@ -866,7 +866,10 @@ fn e19_datalog_baseline(pool: &Pool, rows: &mut Vec<String>) {
 /// E18: coefficient growth under Fourier–Motzkin (the bitwise cost model).
 fn e18_coefficients() {
     header("E18", "coefficient growth under quantifier elimination (Section 2 model)");
-    println!("  {:>6} {:>16} {:>12}", "elims", "max coeff bits", "atoms");
+    println!(
+        "  {:>6} {:>16} {:>12} {:>10}",
+        "elims", "max coeff bits", "atoms", "LP solves"
+    );
     let k = 6;
     let mut parts = Vec::new();
     for i in 0..k {
@@ -876,10 +879,12 @@ fn e18_coefficients() {
     let f = parse_formula(&parts.join(" and ")).unwrap();
     let mut dnf = lcdb_logic::dnf::to_dnf(&f);
     for i in 0..k {
+        let lp_before = lcdb_lp::counters().solves;
         dnf = qe::eliminate_exists_dnf(&dnf, &format!("v{}", i)).simplify();
+        let solves = lcdb_lp::counters().solves - lp_before;
         let bits = qe::max_coefficient_bits(&dnf);
         let count: usize = dnf.disjuncts.iter().map(|c| c.len()).sum();
-        println!("  {:>6} {:>16} {:>12}", i + 1, bits, count);
+        println!("  {:>6} {:>16} {:>12} {:>10}", i + 1, bits, count, solves);
     }
     println!("  the bitwise tape model is essential: coefficients grow under");
     println!("  elimination, which fixed-width floats could not represent exactly\n");

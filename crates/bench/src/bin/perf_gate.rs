@@ -2,8 +2,9 @@
 //!
 //! Replays the timed cores of experiments E3 (arrangement construction)
 //! and E10 (PTIME capture) — the two workloads dominated by the scalar
-//! rational kernel — and **fails (exit 1)** when either takes more than
-//! 1.5× its recorded baseline.
+//! rational kernel — and the alibi queries over one 16-bead pair, which
+//! are quantifier elimination, and **fails (exit 1)** when any takes more
+//! than 1.5× its recorded baseline.
 //!
 //! * Baselines live in `crates/bench/perf_baseline.json` (override the
 //!   path with `LCDB_PERF_BASELINE`). Refresh them with
@@ -16,7 +17,7 @@
 //! * Measurement always uses a serial pool so the numbers do not depend
 //!   on the runner's core count, only on its per-core speed.
 
-use lcdb_bench::{replay_e10, replay_e3};
+use lcdb_bench::{replay_e10, replay_e3, replay_qe};
 use lcdb_core::Pool;
 use std::path::PathBuf;
 
@@ -47,9 +48,14 @@ fn loadavg1() -> Option<f64> {
     raw.split_whitespace().next()?.parse().ok()
 }
 
-fn measure() -> (u128, u128) {
+/// One `(row label, baseline key, microseconds)` per gated replay.
+fn measure() -> [(&'static str, &'static str, u128); 3] {
     let pool = Pool::serial();
-    (replay_e3(&pool), replay_e10())
+    [
+        ("E3", "e3_us", replay_e3(&pool)),
+        ("E10", "e10_us", replay_e10()),
+        ("QE", "qe_us", replay_qe()),
+    ]
 }
 
 fn main() {
@@ -59,14 +65,16 @@ fn main() {
         .unwrap_or(1);
 
     if std::env::var_os("LCDB_PERF_BASELINE_REFRESH").is_some() {
-        let (e3, e10) = measure();
-        let json = format!("{{\"e3_us\":{},\"e10_us\":{},\"cores\":{}}}\n", e3, e10, cores);
+        let fields: Vec<String> = measure()
+            .iter()
+            .map(|(_, key, us)| format!("\"{}\":{}", key, us))
+            .collect();
+        let json = format!("{{{},\"cores\":{}}}\n", fields.join(","), cores);
         match std::fs::write(&path, &json) {
             Ok(()) => println!(
-                "perf_gate: baseline refreshed at {} (e3={}us, e10={}us)",
+                "perf_gate: baseline refreshed at {}: {}",
                 path.display(),
-                e3,
-                e10
+                json.trim_end()
             ),
             Err(e) => {
                 eprintln!("perf_gate: cannot write {}: {}", path.display(), e);
@@ -103,14 +111,16 @@ fn main() {
         );
         return;
     };
-    let (Some(base_e3), Some(base_e10)) = (field(&raw, "e3_us"), field(&raw, "e10_us")) else {
-        eprintln!("perf_gate: malformed baseline {}", path.display());
-        std::process::exit(1);
-    };
-
-    let (e3, e10) = measure();
     let mut failed = false;
-    for (id, base, now) in [("E3", base_e3, e3), ("E10", base_e10, e10)] {
+    for (id, key, now) in measure() {
+        let Some(base) = field(&raw, key) else {
+            eprintln!(
+                "perf_gate: malformed baseline {}: no {}",
+                path.display(),
+                key
+            );
+            std::process::exit(1);
+        };
         let ratio = now as f64 / base.max(1) as f64;
         let verdict = if ratio > THRESHOLD { "FAIL" } else { "ok" };
         println!(

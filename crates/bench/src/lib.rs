@@ -179,6 +179,97 @@ fn convex_hull_i64(pts: &mut Vec<(i64, i64)>) -> Vec<(i64, i64)> {
     hull
 }
 
+/// Two moving objects in the plane as the databases of the alibi query
+/// (Othman–Kuijpers–Grimson): `A(t, x, y)` and `B(t, x, y)`, each the union
+/// of `n` space-time beads along a seeded piecewise-linear trajectory — the
+/// object passes one sample every 4 time units at speed at most 1 per axis,
+/// and a bead is the ten-atom light-cone intersection between two samples.
+/// With `meet` both trajectories pass through one common sample; otherwise
+/// `B` is moved clear of `A` in `x`.
+pub fn alibi_pair(n: usize, seed: u64, meet: bool) -> (Relation, Relation) {
+    const DT: i64 = 4;
+    assert!(n >= 2);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let walk = |rng: &mut StdRng| {
+        let mut pts = vec![(0i64, 0i64, 0i64)];
+        for i in 1..=n as i64 {
+            let (_, x, y) = pts[pts.len() - 1];
+            pts.push((
+                DT * i,
+                x + rng.gen_range(-2..=2i64),
+                y + rng.gen_range(-2..=2i64),
+            ));
+        }
+        pts
+    };
+    let (a, mut b) = (walk(&mut rng), walk(&mut rng));
+    let (dx, dy) = if meet {
+        let k = n / 2;
+        (a[k].1 - b[k].1, a[k].2 - b[k].2)
+    } else {
+        // A bead reaches at most DT beyond its samples on either axis.
+        let a_max = a.iter().map(|p| p.1).max().unwrap_or(0) + DT;
+        let b_min = b.iter().map(|p| p.1).min().unwrap_or(0) - DT;
+        (a_max - b_min + 1, 0)
+    };
+    for p in &mut b {
+        (p.1, p.2) = (p.1 + dx, p.2 + dy);
+    }
+    let relation = |pts: &[(i64, i64, i64)]| {
+        let beads: Vec<String> = pts
+            .windows(2)
+            .map(|w| {
+                let ((t0, x0, y0), (t1, x1, y1)) = (w[0], w[1]);
+                format!(
+                    "({t0} <= t and t <= {t1} \
+                     and {} <= t + x and t + x <= {} and t - x <= {} and {} <= t - x \
+                     and {} <= t + y and t + y <= {} and t - y <= {} and {} <= t - y)",
+                    x0 + t0,
+                    x1 + t1,
+                    t1 - x1,
+                    t0 - x0,
+                    y0 + t0,
+                    y1 + t1,
+                    t1 - y1,
+                    t0 - y0,
+                )
+            })
+            .collect();
+        Relation::new(
+            vec!["t".into(), "x".into(), "y".into()],
+            &parse_formula(&beads.join(" or ")).expect("generated formula"),
+        )
+    };
+    (relation(&a), relation(&b))
+}
+
+/// The database of [`alibi_pair`] over the time line `T(t) := 0 ≤ t ≤ 4n`
+/// (the spatial relation: its arrangement has five regions, so evaluation
+/// time is quantifier elimination).
+pub fn alibi_extension(n: usize, seed: u64, meet: bool) -> lcdb_core::RegionExtension {
+    let (a, b) = alibi_pair(n, seed, meet);
+    let mut db = lcdb_logic::Database::new();
+    let line = format!("0 <= t and t <= {}", 4 * n);
+    db.insert(
+        "T",
+        Relation::new(
+            vec!["t".into()],
+            &parse_formula(&line).expect("fixed formula"),
+        ),
+    );
+    db.insert("A", a);
+    db.insert("B", b);
+    lcdb_core::RegionExtension::arrangement_db(db, "T")
+}
+
+/// The alibi sentence: could the two objects have met?
+pub const ALIBI_SENTENCE: &str = "exists t. exists x. exists y. A(t, x, y) and B(t, x, y)";
+/// The open alibi query: when could they have met?
+pub const ALIBI_WHEN: &str = "exists x. exists y. A(t, x, y) and B(t, x, y)";
+/// A containment sentence over the first object (false: the box is small).
+pub const ALIBI_BOX: &str =
+    "forall t. forall x. forall y. A(t, x, y) -> (-8 <= x and x <= 8 and -8 <= y and y <= 8)";
+
 /// Log-log slope between two measurements — the empirical polynomial degree.
 pub fn fitted_exponent(n1: usize, y1: f64, n2: usize, y2: f64) -> f64 {
     if y1 <= 0.0 || y2 <= 0.0 {
@@ -240,6 +331,23 @@ pub fn replay_e10() -> u128 {
     t.elapsed().as_micros()
 }
 
+/// Replay a quantifier-elimination-dominated workload — the alibi sentence,
+/// the open "when" query and a containment sentence over one fixed pair of
+/// 16-bead trajectories, through the evaluator — and return the total wall
+/// clock in microseconds. See [`replay_e3`] for why this lives in the
+/// library.
+pub fn replay_qe() -> u128 {
+    use lcdb_core::{parse_regformula, Evaluator};
+    let ext = alibi_extension(16, 11, true);
+    let ev = Evaluator::new(&ext);
+    let parse = |src| parse_regformula(src).expect("fixed query");
+    let t = std::time::Instant::now();
+    assert!(ev.eval_sentence(&parse(ALIBI_SENTENCE)), "the pair meets");
+    std::hint::black_box(ev.eval_query(&parse(ALIBI_WHEN)));
+    std::hint::black_box(ev.eval_sentence(&parse(ALIBI_BOX)));
+    t.elapsed().as_micros()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +378,41 @@ mod tests {
     fn random_hyperplane_count() {
         let hs = random_hyperplanes(2, 10, 42);
         assert_eq!(hs.len(), 10);
+    }
+
+    /// LP solves are deterministic: the thread-local counters pin them.
+    #[test]
+    fn block_elimination_is_lp_frugal() {
+        use lcdb_logic::{qe, Formula, LinExpr};
+        // What the parent commit (3691859: one `eliminate_one_cells` per
+        // variable, one LP per atom of every candidate disjunct) solved on
+        // this pair.
+        const SOLVES_PER_ATOM_ROUTE: u64 = 693;
+        let (a, b) = alibi_pair(16, 11, true);
+        let args: Vec<LinExpr> = ["t", "x", "y"].into_iter().map(LinExpr::var).collect();
+        let matrix = Formula::and(vec![a.apply(&args), b.apply(&args)]);
+        let before = lcdb_lp::counters();
+        let met = qe::eliminate_block(&matrix, &["y", "x", "t"], true);
+        let after = lcdb_lp::counters();
+        assert_eq!(met, Formula::True);
+        let solves = (after.solves - before.solves) + (after.warm_probes - before.warm_probes);
+        assert!(
+            5 * solves <= SOLVES_PER_ATOM_ROUTE,
+            "{solves} solves, the per-atom route took {SOLVES_PER_ATOM_ROUTE}"
+        );
+        assert!(after.pivots > before.pivots);
+    }
+
+    #[test]
+    fn replayed_alibi_queries_have_the_planted_answers() {
+        use lcdb_core::{parse_regformula, Evaluator};
+        for (meet, n) in [(true, 4), (false, 4), (true, 16)] {
+            let ext = alibi_extension(n, 11, meet);
+            let ev = Evaluator::new(&ext);
+            let sentence = parse_regformula(ALIBI_SENTENCE).unwrap();
+            assert_eq!(ev.eval_sentence(&sentence), meet, "n = {n}");
+        }
+        assert!(replay_qe() > 0);
     }
 
     #[test]

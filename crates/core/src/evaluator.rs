@@ -46,7 +46,7 @@ use crate::region::Decomposition;
 use lcdb_arith::{Rational, Sign};
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
 use lcdb_exec::Pool;
-use lcdb_logic::dnf::{to_dnf_pruned, Dnf};
+use lcdb_logic::dnf::{try_to_dnf_pruned, try_to_dnf_strong, Dnf};
 use lcdb_logic::{qe, Formula, Rel, Var};
 use lcdb_plan::hash::{FastMap, FastSet};
 use lcdb_plan::memo::{Bindings, PlanMemo};
@@ -1078,8 +1078,17 @@ impl<'a> Evaluator<'a> {
         {
             return Err(self.query_error(format!("unbound region variable '{}'", v)));
         }
+        let lp_before = self.trace_on.then(lcdb_lp::counters);
         let out = self.eval_node(cx, root, &mut env);
         self.flush_trace_counters();
+        if let Some(before) = lp_before {
+            // The solver's counters are per thread: this is the entry
+            // thread's share, which is all of it for a serial evaluator.
+            let lp = lcdb_lp::counters();
+            let metrics = self.trace.metrics();
+            metrics.add("lp.solves", lp.solves - before.solves);
+            metrics.add("lp.pivots", lp.pivots - before.pivots);
+        }
         out.map_err(|s| self.stop_error(s))
     }
 
@@ -1124,7 +1133,11 @@ impl<'a> Evaluator<'a> {
             return Err(self.query_error("query has free set variables"));
         }
         let out = self.run_entry(f, "eval.query", &[])?;
-        Ok(self.outcome(to_dnf_pruned(&out).simplify_strong().to_formula()))
+        // An answer that came out of an elimination is DNF-shaped already:
+        // the conversion is then one decision per disjunct, no distribution.
+        let dnf =
+            try_to_dnf_strong(&out, &mut || self.interrupted()).map_err(|s| self.stop_error(s))?;
+        Ok(self.outcome(dnf.to_formula()))
     }
 
     /// Evaluate an open query and package the answer as a [`lcdb_logic::Relation`] over
@@ -1342,12 +1355,11 @@ impl<'a> Evaluator<'a> {
                 Formula::or(parts)
             }
             PlanNode::Not(inner) => Formula::not(self.eval_node(cx, *inner, env)?),
-            PlanNode::ExistsElem(v, inner) | PlanNode::ForallElem(v, inner) => {
-                let existential = matches!(cx.plan.node(id), PlanNode::ExistsElem(..));
-                let sub = self.eval_node(cx, *inner, env)?;
-                self.stats.borrow_mut().qe_calls += 1;
-                self.budget.check_interrupt()?;
-                self.timed_qe(&sub, v, existential)
+            PlanNode::ExistsElem(..) | PlanNode::ForallElem(..) => {
+                let (vars, existential, body) = lcdb_plan::exec::quantifier_block(cx.plan, id);
+                let sub = self.eval_node(cx, body, env)?;
+                self.stats.borrow_mut().qe_calls += vars.len();
+                self.timed_qe(&sub, &vars, existential)?
             }
             PlanNode::ExistsRegion(v, inner) | PlanNode::ForallRegion(v, inner) => {
                 let existential = matches!(cx.plan.node(id), PlanNode::ExistsRegion(..));
@@ -1366,17 +1378,23 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// One quantifier elimination, feeding its latency into the
-    /// `qe.eliminate_us` histogram when tracing is enabled (QE calls are
-    /// frequent, so they are histogram samples rather than spans).
-    fn timed_qe(&self, sub: &Formula, v: &str, existential: bool) -> Formula {
-        if !self.trace_on {
-            return qe::eliminate_one_cells(sub, v, existential);
+    /// The budget's interrupt check, as the callback the DNF conversions
+    /// poll once per feasibility decision.
+    fn interrupted(&self) -> Result<(), Stop> {
+        self.budget.check_interrupt().map_err(Stop::from)
+    }
+
+    /// Eliminate one block of like quantifiers (`vars` innermost first)
+    /// under the budget, feeding its latency into the `qe.eliminate_us`
+    /// histogram when tracing is enabled (QE calls are frequent, so they are
+    /// histogram samples rather than spans).
+    fn timed_qe(&self, sub: &Formula, vars: &[&str], existential: bool) -> Result<Formula, Stop> {
+        let start = self.trace_on.then(Instant::now);
+        let out = qe::try_eliminate_block(sub, vars, existential, &mut || self.interrupted());
+        if let Some(start) = start {
+            let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            self.trace.metrics().observe("qe.eliminate_us", us);
         }
-        let start = Instant::now();
-        let out = qe::eliminate_one_cells(sub, v, existential);
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.trace.metrics().observe("qe.eliminate_us", us);
         out
     }
 
@@ -1542,7 +1560,7 @@ impl<'a> Evaluator<'a> {
                 var
             )));
         }
-        let dnf = to_dnf_pruned(&formula);
+        let dnf = try_to_dnf_pruned(&formula, &mut || self.interrupted())?;
         let Some(a) = unique_solution(&dnf, var) else {
             return Ok(false);
         };
@@ -2140,7 +2158,7 @@ mod tests {
         use lcdb_logic::parse_formula;
         let check = |src: &str| {
             let f = parse_formula(src).unwrap();
-            unique_solution(&to_dnf_pruned(&f), "x")
+            unique_solution(&lcdb_logic::dnf::to_dnf_pruned(&f), "x")
         };
         assert_eq!(check("x = 3"), Some(int(3)));
         assert_eq!(check("2*x = 3"), Some(lcdb_arith::rat(3, 2)));

@@ -110,6 +110,28 @@ fn trace_reconciles_with_stats_under_threads() {
     }
 }
 
+/// With tracing on, an entry's LP work lands in the registry beside the
+/// elimination histogram, and equals the solver's own thread-local count.
+#[test]
+fn lp_counters_reach_the_registry() {
+    let ext = RegionExtension::arrangement(relation("0 <= x and x <= 4", &["x"]));
+    let query = parse_regformula(
+        "exists x. exists y. S(x) and ((y < x and 1 < y) or (y > x + 2 and y < 5)) and y + x <= 6",
+    )
+    .unwrap();
+    let trace = TraceHandle::new(Arc::new(MemoryTracer::new()));
+    let ev = Evaluator::new(&ext).with_trace(trace.clone());
+    let before = lcdb_lp::counters();
+    assert!(ev.eval_sentence(&query));
+    let after = lcdb_lp::counters();
+    assert!(after.solves > before.solves, "the elimination ran at least one LP");
+    let counters = trace.metrics().counter_snapshot();
+    assert_eq!(counters["lp.solves"], after.solves - before.solves);
+    assert_eq!(counters["lp.pivots"], after.pivots - before.pivots);
+    assert_eq!(trace.metrics().histogram("qe.eliminate_us").count(), 1);
+    assert_eq!(ev.stats().qe_calls, 2, "one block, two variables");
+}
+
 #[test]
 fn jsonl_roundtrip_preserves_the_event_stream() {
     let path = std::env::temp_dir().join(format!("lcdb-obs-{}.jsonl", std::process::id()));

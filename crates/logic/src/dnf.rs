@@ -2,12 +2,22 @@
 //!
 //! The paper requires database relations in DNF (§2); the quantifier
 //! elimination of [`crate::qe`] also works disjunct by disjunct.
+//!
+//! Every converter shares one front end (`Interner`): the variable order
+//! is fixed once per conversion, each distinct atom is interned once as its
+//! LP row, and negations are pushed to the atoms. What keeps the
+//! conversions polynomial is that unsatisfiable disjuncts are dropped as
+//! they arise; what keeps that cheap is that every live disjunct is a
+//! `Cell` — a conjunct that carries a point satisfying it — so that most
+//! feasibility questions are answered without a linear program.
 
-use crate::{Atom, Formula, Var};
+use crate::{Atom, Formula, LinExpr, Var};
 use lcdb_arith::Rational;
-use lcdb_lp::{LinConstraint, Rel};
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use lcdb_lp::{FeasibilityBatch, LinConstraint, Rel};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
+use std::rc::Rc;
 
 /// A conjunction of atoms.
 pub type Conjunct = Vec<Atom>;
@@ -60,10 +70,8 @@ impl Dnf {
     /// All variables mentioned.
     pub fn vars(&self) -> BTreeSet<Var> {
         let mut s = BTreeSet::new();
-        for c in &self.disjuncts {
-            for a in c {
-                s.extend(a.expr.vars());
-            }
+        for a in self.disjuncts.iter().flatten() {
+            note_vars(&a.expr, &mut s);
         }
         s
     }
@@ -87,38 +95,13 @@ impl Dnf {
 
     /// Light simplification: canonicalize and deduplicate atoms, drop
     /// constant-true atoms, drop disjuncts with constant-false atoms, drop
-    /// LP-infeasible disjuncts, deduplicate disjuncts.
+    /// infeasible disjuncts, deduplicate disjuncts.
     pub fn simplify(&self) -> Dnf {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        'disjunct: for c in &self.disjuncts {
-            let mut atoms = Vec::new();
-            let mut atom_seen = BTreeSet::new();
-            for a in c {
-                let a = a.canonicalize();
-                match a.constant_truth() {
-                    Some(true) => continue,
-                    Some(false) => continue 'disjunct,
-                    None => {}
-                }
-                let key = format!("{:?}", a);
-                if atom_seen.insert(key) {
-                    atoms.push(a);
-                }
-            }
-            if !conjunct_satisfiable(&atoms) {
-                continue;
-            }
-            let key = format!("{:?}", atoms);
-            if seen.insert(key) {
-                out.push(atoms);
-            }
-        }
-        Dnf { disjuncts: out }
+        let mut cells = Cells::from_dnf(self);
+        cells.simplify();
+        cells.into_dnf()
     }
-}
 
-impl Dnf {
     /// Strong simplification: [`Dnf::simplify`] plus removal of redundant
     /// atoms within each disjunct (an atom is redundant if the rest of the
     /// conjunct already implies it — decided exactly by LP: `rest ∧ ¬atom`
@@ -126,80 +109,34 @@ impl Dnf {
     /// disjunct. Quadratic in the representation size but produces minimal,
     /// human-readable output formulas.
     pub fn simplify_strong(&self) -> Dnf {
-        let base = self.simplify();
-        let mut disjuncts: Vec<Conjunct> = Vec::new();
-        for c in &base.disjuncts {
-            let mut atoms = c.clone();
-            let mut i = 0;
-            while i < atoms.len() {
-                let mut rest = atoms.clone();
-                let atom = rest.remove(i);
-                // atom redundant ⟺ rest ∧ ¬atom unsatisfiable (for every
-                // branch of the negation).
-                let redundant = atom.negate().into_iter().all(|neg| {
-                    let mut test = rest.clone();
-                    test.push(neg);
-                    !conjunct_satisfiable(&test)
-                });
-                if redundant {
-                    atoms = rest;
-                } else {
-                    i += 1;
-                }
-            }
-            disjuncts.push(atoms);
-        }
-        // Absorption: drop disjunct i if some other disjunct j contains it
-        // semantically (every point of i satisfies j).
-        let mut keep = vec![true; disjuncts.len()];
-        for i in 0..disjuncts.len() {
-            if !keep[i] {
-                continue;
-            }
-            for j in 0..disjuncts.len() {
-                if i == j || !keep[j] {
-                    continue;
-                }
-                if conjunct_implies(&disjuncts[i], &disjuncts[j]) {
-                    // Break ties towards the shorter representation.
-                    if !(conjunct_implies(&disjuncts[j], &disjuncts[i]) && j > i) {
-                        keep[i] = false;
-                        break;
-                    }
-                }
-            }
-        }
-        Dnf {
-            disjuncts: disjuncts
-                .into_iter()
-                .zip(keep)
-                .filter(|(_, k)| *k)
-                .map(|(c, _)| c)
-                .collect(),
-        }
+        Cells::from_dnf(self).simplify_strong()
     }
 }
 
 /// Does conjunct `a` imply conjunct `b` (as point sets, `a ⊆ b`)?
 pub fn conjunct_implies(a: &Conjunct, b: &Conjunct) -> bool {
-    b.iter().all(|atom| {
-        atom.negate().into_iter().all(|neg| {
-            let mut test = a.clone();
-            test.push(neg);
-            !conjunct_satisfiable(&test)
-        })
-    })
+    let mut vars = BTreeSet::new();
+    for atom in a.iter().chain(b) {
+        note_vars(&atom.expr, &mut vars);
+    }
+    let mut atoms = Interner::new(vars);
+    let ids = |atoms: &mut Interner, c: &Conjunct| -> Vec<AtomId> {
+        c.iter().map(|atom| atoms.intern(atom)).collect()
+    };
+    let (a, b) = (ids(&mut atoms, a), ids(&mut atoms, b));
+    match atoms.extend(&atoms.root(), &a, None) {
+        Some(cell) => atoms.implies(&cell, &b),
+        None => true,
+    }
 }
 
 /// Is a single conjunct satisfiable over the reals?
 pub fn conjunct_satisfiable(c: &Conjunct) -> bool {
-    let order: Vec<Var> = {
-        let mut s = BTreeSet::new();
-        for a in c {
-            s.extend(a.expr.vars());
-        }
-        s.into_iter().collect()
-    };
+    let mut vars = BTreeSet::new();
+    for a in c {
+        note_vars(&a.expr, &mut vars);
+    }
+    let order: Vec<Var> = vars.into_iter().collect();
     let cons = conjunct_to_constraints(c, &order);
     lcdb_lp::feasible(order.len(), &cons).is_some()
 }
@@ -207,6 +144,22 @@ pub fn conjunct_satisfiable(c: &Conjunct) -> bool {
 /// Translate a conjunct to LP constraints over an explicit variable order.
 pub fn conjunct_to_constraints(c: &Conjunct, order: &[Var]) -> Vec<LinConstraint> {
     c.iter().map(|a| a.to_constraint(order)).collect()
+}
+
+/// The interrupt callback of a conversion: polled once per feasibility
+/// decision, and an `Err` abandons the conversion with that error.
+pub type Poll<'a, E> = &'a mut dyn FnMut() -> Result<(), E>;
+
+/// The [`Poll`] of the conversions that cannot be interrupted.
+pub(crate) fn never() -> Result<(), Infallible> {
+    Ok(())
+}
+
+pub(crate) fn infallible<T>(result: Result<T, Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
 }
 
 /// Convert a quantifier-free, predicate-free formula to DNF.
@@ -217,12 +170,10 @@ pub fn conjunct_to_constraints(c: &Conjunct, order: &[Var]) -> Vec<LinConstraint
 /// # Panics
 /// Panics if the formula contains quantifiers or relation symbols.
 pub fn to_dnf(f: &Formula) -> Dnf {
-    assert!(
-        f.is_quantifier_free(),
-        "to_dnf requires a quantifier-free formula"
-    );
-    assert!(!f.has_predicates(), "expand predicates before DNF");
-    nnf_to_dnf(f, false)
+    let (atoms, nnf) = Interner::lower_formula(f, false);
+    Dnf {
+        disjuncts: nnf.distribute().iter().map(|c| atoms.conjunct(c)).collect(),
+    }
 }
 
 /// DNF conversion with *feasibility pruning*: partial conjuncts that are
@@ -232,14 +183,22 @@ pub fn to_dnf(f: &Formula) -> Dnf {
 /// elimination underlying Theorem 4.3 polynomial in the database size — a
 /// naive distribution of `⋀ᵢ ⋁ⱼ` shapes is exponential in the number of
 /// clauses, almost all branches being empty cells.
+///
+/// A formula that already is an `Or` of conjunctions of atoms costs one
+/// feasibility decision per disjunct.
 pub fn to_dnf_pruned(f: &Formula) -> Dnf {
-    assert!(
-        f.is_quantifier_free(),
-        "to_dnf_pruned requires a quantifier-free formula"
-    );
-    assert!(!f.has_predicates(), "expand predicates before DNF");
-    let disjuncts = dist_pruned(f, false, Vec::new());
-    Dnf { disjuncts }
+    infallible(try_to_dnf_pruned(f, &mut never))
+}
+
+/// [`to_dnf_pruned`] under an interrupt callback.
+pub fn try_to_dnf_pruned<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
+    Ok(Cells::convert(f, false, Strategy::Pruned, poll)?.into_dnf())
+}
+
+/// `to_dnf_pruned(f).simplify_strong()` under an interrupt callback, on one
+/// list of cells: no disjunct is decided twice.
+pub fn try_to_dnf_strong<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
+    Ok(Cells::convert(f, false, Strategy::Pruned, poll)?.simplify_strong())
 }
 
 /// DNF conversion by *cell enumeration*: compute the canonical hyperplanes of
@@ -255,308 +214,742 @@ pub fn to_dnf_pruned(f: &Formula) -> Dnf {
 /// region quantifiers), where path-based distribution explodes even with
 /// feasibility pruning.
 pub fn to_dnf_cells(f: &Formula) -> Dnf {
-    assert!(f.is_quantifier_free() && !f.has_predicates());
-    let vars: Vec<Var> = {
-        let mut s = BTreeSet::new();
-        collect_vars(f, &mut s);
-        s.into_iter().collect()
-    };
-    // Canonical hyperplanes: each atom's expression as a sign-normalized
-    // equality, deduplicated.
-    let mut hyperplanes: Vec<Atom> = Vec::new();
-    {
-        let mut seen = BTreeSet::new();
-        collect_hyperplanes(f, &mut hyperplanes, &mut seen);
-    }
-
-    // Incremental sign-vector enumeration with witnesses.
-    let origin: Vec<Rational> = vars.iter().map(|_| Rational::zero()).collect();
-    let mut cells: Vec<(Conjunct, Vec<Rational>)> = vec![(Vec::new(), origin)];
-    for h in &hyperplanes {
-        let mut next = Vec::with_capacity(cells.len() * 2);
-        for (conj, witness) in &cells {
-            let env: BTreeMap<Var, Rational> = vars
-                .iter()
-                .cloned()
-                .zip(witness.iter().cloned())
-                .collect();
-            let val = h.expr.eval(&env);
-            let carried_rel = match val.sign() {
-                lcdb_arith::Sign::Negative => Rel::Lt,
-                lcdb_arith::Sign::Zero => Rel::Eq,
-                lcdb_arith::Sign::Positive => Rel::Gt,
-            };
-            for rel in [Rel::Lt, Rel::Eq, Rel::Gt] {
-                let mut ext = conj.clone();
-                ext.push(Atom {
-                    expr: h.expr.clone(),
-                    rel,
-                });
-                if rel == carried_rel {
-                    next.push((ext, witness.clone()));
-                } else {
-                    let cons = conjunct_to_constraints(&ext, &vars);
-                    if let Some(w) = lcdb_lp::feasible(vars.len(), &cons) {
-                        next.push((ext, w));
-                    }
-                }
-            }
-        }
-        cells = next;
-    }
-
-    let mut out = Vec::new();
-    for (conj, witness) in cells {
-        let env: BTreeMap<Var, Rational> = vars
-            .iter()
-            .cloned()
-            .zip(witness)
-            .collect();
-        if f.eval(&env) {
-            out.push(conj);
-        }
-    }
-    Dnf { disjuncts: out }
+    infallible(Cells::convert(f, false, Strategy::SignCells, &mut never)).into_dnf()
 }
 
-/// Upper-bound estimate of the number of DNF disjuncts a structural
-/// conversion would produce (saturating at `cap`). Used to pick a strategy.
-pub fn branching_estimate(f: &Formula, negated: bool, cap: usize) -> usize {
-    match f {
-        Formula::True | Formula::False => 1,
-        Formula::Atom(a) => {
-            if negated && a.rel == Rel::Eq {
-                2
-            } else {
-                1
-            }
-        }
-        Formula::Not(g) => branching_estimate(g, !negated, cap),
-        Formula::And(fs) if !negated => fs
-            .iter()
-            .map(|g| branching_estimate(g, false, cap))
-            .fold(1usize, |a, b| a.saturating_mul(b).min(cap)),
-        Formula::Or(fs) if negated => fs
-            .iter()
-            .map(|g| branching_estimate(g, true, cap))
-            .fold(1usize, |a, b| a.saturating_mul(b).min(cap)),
-        Formula::Or(fs) => fs
-            .iter()
-            .map(|g| branching_estimate(g, false, cap))
-            .fold(0usize, |a, b| a.saturating_add(b).min(cap)),
-        Formula::And(fs) => fs
-            .iter()
-            .map(|g| branching_estimate(g, true, cap))
-            .fold(0usize, |a, b| a.saturating_add(b).min(cap)),
-        Formula::Pred(..) | Formula::Exists(..) | Formula::Forall(..) => cap,
-    }
-}
-
-/// Adaptive DNF conversion: purely structural (no LP) for low-branching
-/// formulas, feasibility-pruned distribution for medium ones, and cell
-/// enumeration for deeply redundant formulas where only the number of
-/// realizable sign cells keeps the size polynomial.
+/// Adaptive DNF conversion. A formula that cannot blow up — structural
+/// estimate ≤ 32, or an `Or` of conjunctions already — is plainly
+/// distributed (like [`to_dnf`]). Otherwise the bounds of the other two
+/// converters are compared: pruned distribution produces at most as many
+/// disjuncts as the structural estimate, cell enumeration at most `mᵏ` for
+/// `m` distinct hyperplanes in `k` variables; cells are enumerated only
+/// when `mᵏ` is the smaller.
 pub fn to_dnf_auto(f: &Formula) -> Dnf {
-    let est = branching_estimate(f, false, 1 << 20);
-    if est <= 32 {
-        to_dnf(f)
-    } else if est <= 2048 {
-        to_dnf_pruned(f)
-    } else {
-        to_dnf_cells(f)
+    infallible(Cells::convert(f, false, Strategy::Auto, &mut never)).into_dnf()
+}
+
+/// How [`Cells::convert`] turns a formula into cells.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Strategy {
+    /// Feasibility-pruned distribution ([`to_dnf_pruned`]).
+    Pruned,
+    /// Sign-cell enumeration ([`to_dnf_cells`]).
+    SignCells,
+    /// The choice of [`to_dnf_auto`]; a plainly distributed conjunct stays
+    /// undecided until [`Cells::simplify`].
+    Auto,
+}
+
+/// Saturation point of [`Nnf::estimate`].
+const ESTIMATE_CAP: usize = 1 << 20;
+
+fn note_vars(expr: &LinExpr, out: &mut BTreeSet<Var>) {
+    for (v, _) in expr.terms() {
+        if !out.contains(v) {
+            out.insert(v.clone());
+        }
     }
 }
 
-fn collect_vars(f: &Formula, out: &mut BTreeSet<Var>) {
+fn formula_vars(f: &Formula, out: &mut BTreeSet<Var>) {
     match f {
-        Formula::Atom(a) => out.extend(a.expr.vars()),
-        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| collect_vars(g, out)),
-        Formula::Not(g) => collect_vars(g, out),
+        Formula::Atom(a) => note_vars(&a.expr, out),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| formula_vars(g, out)),
+        Formula::Not(g) => formula_vars(g, out),
         _ => {}
     }
 }
 
-fn collect_hyperplanes(f: &Formula, out: &mut Vec<Atom>, seen: &mut BTreeSet<String>) {
-    match f {
-        Formula::Atom(a) => {
-            if a.expr.is_constant() {
-                return;
+/// Index of an atom in its [`Interner`].
+type AtomId = usize;
+
+/// A formula in negation normal form over interned atoms.
+enum Nnf {
+    /// A conjunction of atoms (*true* when empty).
+    Run(Vec<AtomId>),
+    /// A conjunction; adjacent runs are merged and nested `And`s flattened.
+    And(Vec<Nnf>),
+    /// A disjunction (*false* when empty); nested `Or`s are flattened.
+    Or(Vec<Nnf>),
+}
+
+impl Nnf {
+    fn and(parts: Vec<Nnf>) -> Nnf {
+        let mut out: Vec<Nnf> = Vec::with_capacity(parts.len());
+        let mut push = |part: Nnf| match (out.last_mut(), part) {
+            (Some(Nnf::Run(run)), Nnf::Run(more)) => run.extend(more),
+            (_, part) => out.push(part),
+        };
+        for part in parts {
+            match part {
+                Nnf::And(inner) => inner.into_iter().for_each(&mut push),
+                other => push(other),
             }
-            let h = Atom {
-                expr: a.expr.clone(),
+        }
+        if out
+            .iter()
+            .any(|p| matches!(p, Nnf::Or(alts) if alts.is_empty()))
+        {
+            return Nnf::Or(Vec::new());
+        }
+        match out.len() {
+            0 => Nnf::Run(Vec::new()),
+            1 => out.remove(0),
+            _ => Nnf::And(out),
+        }
+    }
+
+    fn or(parts: Vec<Nnf>) -> Nnf {
+        let mut out = Vec::with_capacity(parts.len());
+        for part in parts {
+            match part {
+                Nnf::Or(inner) => out.extend(inner),
+                other => out.push(other),
+            }
+        }
+        if out.len() == 1 {
+            return out.remove(0);
+        }
+        Nnf::Or(out)
+    }
+
+    /// The number of disjuncts [`Nnf::distribute`] produces, saturating at
+    /// [`ESTIMATE_CAP`].
+    fn estimate(&self) -> usize {
+        match self {
+            Nnf::Run(_) => 1,
+            Nnf::And(parts) => parts.iter().fold(1usize, |n, p| {
+                n.saturating_mul(p.estimate()).min(ESTIMATE_CAP)
+            }),
+            Nnf::Or(parts) => parts.iter().fold(0usize, |n, p| {
+                n.saturating_add(p.estimate()).min(ESTIMATE_CAP)
+            }),
+        }
+    }
+
+    /// Is this an `Or` of conjunctions of atoms already?
+    fn is_dnf(&self) -> bool {
+        match self {
+            Nnf::Run(_) => true,
+            Nnf::And(_) => false,
+            Nnf::Or(parts) => parts.iter().all(|p| matches!(p, Nnf::Run(_))),
+        }
+    }
+
+    /// Plain distribution of conjunctions over disjunctions.
+    fn distribute(&self) -> Vec<Vec<AtomId>> {
+        match self {
+            Nnf::Run(run) => vec![run.clone()],
+            Nnf::Or(parts) => parts.iter().flat_map(Nnf::distribute).collect(),
+            Nnf::And(parts) => {
+                let mut acc = vec![Vec::new()];
+                for part in parts {
+                    let right = part.distribute();
+                    let mut next = Vec::with_capacity(acc.len() * right.len());
+                    for left in &acc {
+                        for r in &right {
+                            next.push(left.iter().chain(r).copied().collect());
+                        }
+                    }
+                    acc = next;
+                }
+                acc
+            }
+        }
+    }
+
+    /// Truth at a point given in the interner's variable order.
+    fn holds(&self, atoms: &Interner, point: &[Rational]) -> bool {
+        match self {
+            Nnf::Run(run) => run
+                .iter()
+                .all(|&id| atoms.entries[id].row.satisfied_by(point)),
+            Nnf::And(parts) => parts.iter().all(|p| p.holds(atoms, point)),
+            Nnf::Or(parts) => parts.iter().any(|p| p.holds(atoms, point)),
+        }
+    }
+}
+
+/// One interned atom.
+struct Entry {
+    /// The atom as an LP row over the interner's variable order; shared
+    /// with the interner's lookup key.
+    row: Rc<LinConstraint>,
+    /// The atom itself, rebuilt from the row when first asked for: most
+    /// atoms of a large conversion are only ever rows.
+    atom: OnceCell<Atom>,
+    /// The truth value of a variable-free atom.
+    truth: Option<bool>,
+    /// What a single-variable atom says about its variable: `xᵢ REL value`.
+    bound: Option<(usize, Rel, Rational)>,
+    /// The entry of [`Atom::canonicalize`], once asked for.
+    canon: Option<AtomId>,
+}
+
+/// The front end of every conversion: a variable order fixed once, and each
+/// distinct atom stored once with everything later steps ask of it.
+struct Interner {
+    order: Vec<Var>,
+    ids: HashMap<Rc<LinConstraint>, AtomId>,
+    entries: Vec<Entry>,
+}
+
+/// An interval of the real line; `true` marks a strict end.
+#[derive(Clone, Default)]
+struct Interval {
+    lo: Option<(Rational, bool)>,
+    hi: Option<(Rational, bool)>,
+}
+
+impl Interval {
+    /// Intersect with `x REL value`; `false` once nothing is left.
+    fn tighten(&mut self, rel: Rel, value: &Rational) -> bool {
+        let strict = rel.is_strict();
+        if matches!(rel, Rel::Lt | Rel::Le | Rel::Eq) {
+            let tighter = match &self.hi {
+                Some((hi, hi_strict)) => value < hi || (value == hi && strict && !hi_strict),
+                None => true,
+            };
+            if tighter {
+                self.hi = Some((value.clone(), strict));
+            }
+        }
+        if matches!(rel, Rel::Gt | Rel::Ge | Rel::Eq) {
+            let tighter = match &self.lo {
+                Some((lo, lo_strict)) => value > lo || (value == lo && strict && !lo_strict),
+                None => true,
+            };
+            if tighter {
+                self.lo = Some((value.clone(), strict));
+            }
+        }
+        match (&self.lo, &self.hi) {
+            (Some((lo, lo_strict)), Some((hi, hi_strict))) => {
+                lo < hi || (lo == hi && !lo_strict && !hi_strict)
+            }
+            _ => true,
+        }
+    }
+}
+
+/// A conjunct of interned atoms with what is known about its points: a
+/// witness satisfying every atom — `None` only for a conjunct of a plain
+/// distribution, which waits for its one feasibility decision until
+/// [`Cells::simplify`] — and a box containing all of them (tightened by the
+/// single-variable atoms the cell was extended with).
+#[derive(Clone)]
+struct Cell {
+    atoms: Vec<AtomId>,
+    witness: Option<Vec<Rational>>,
+    bounds: Vec<Interval>,
+}
+
+impl Cell {
+    fn new(
+        interner: &Interner,
+        atoms: Vec<AtomId>,
+        witness: Option<Vec<Rational>>,
+        bounds: Vec<Interval>,
+    ) -> Cell {
+        debug_assert!(
+            witness.iter().all(|point| atoms
+                .iter()
+                .all(|&id| interner.entries[id].row.satisfied_by(point))),
+            "cell witness violates one of its atoms"
+        );
+        Cell {
+            atoms,
+            witness,
+            bounds,
+        }
+    }
+}
+
+impl Interner {
+    fn new(vars: BTreeSet<Var>) -> Interner {
+        Interner {
+            order: vars.into_iter().collect(),
+            ids: HashMap::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Intern `(¬)f`'s atoms and push its negations to them.
+    ///
+    /// # Panics
+    /// Panics if the formula contains quantifiers or relation symbols.
+    fn lower_formula(f: &Formula, negated: bool) -> (Interner, Nnf) {
+        let mut vars = BTreeSet::new();
+        formula_vars(f, &mut vars);
+        let mut atoms = Interner::new(vars);
+        let nnf = atoms.lower(f, negated);
+        (atoms, nnf)
+    }
+
+    fn lower(&mut self, f: &Formula, negated: bool) -> Nnf {
+        match f {
+            Formula::True | Formula::False => {
+                if matches!(f, Formula::True) != negated {
+                    Nnf::Run(Vec::new())
+                } else {
+                    Nnf::Or(Vec::new())
+                }
+            }
+            Formula::Atom(a) if negated => Nnf::or(
+                a.negate()
+                    .iter()
+                    .map(|n| Nnf::Run(vec![self.intern(n)]))
+                    .collect(),
+            ),
+            Formula::Atom(a) => Nnf::Run(vec![self.intern(a)]),
+            Formula::Not(inner) => self.lower(inner, !negated),
+            Formula::And(fs) | Formula::Or(fs) => {
+                let parts = fs.iter().map(|g| self.lower(g, negated)).collect();
+                if matches!(f, Formula::And(_)) != negated {
+                    Nnf::and(parts)
+                } else {
+                    Nnf::or(parts)
+                }
+            }
+            Formula::Exists(..) | Formula::Forall(..) => {
+                panic!("DNF conversion requires a quantifier-free formula")
+            }
+            Formula::Pred(..) => panic!("expand predicates before DNF"),
+        }
+    }
+
+    fn intern(&mut self, atom: &Atom) -> AtomId {
+        let row = atom.to_constraint(&self.order);
+        if let Some(&id) = self.ids.get(&row) {
+            return id;
+        }
+        let mut nonzero = row.coeffs.iter().enumerate().filter(|(_, c)| !c.is_zero());
+        let bound = match (nonzero.next(), nonzero.next()) {
+            (Some((var, a)), None) => {
+                let rel = if a.is_negative() {
+                    row.rel.flip()
+                } else {
+                    row.rel
+                };
+                Some((var, rel, &row.rhs / a))
+            }
+            _ => None,
+        };
+        let id = self.entries.len();
+        let row = Rc::new(row);
+        self.ids.insert(Rc::clone(&row), id);
+        self.entries.push(Entry {
+            truth: atom.constant_truth(),
+            row,
+            atom: OnceCell::new(),
+            bound,
+            canon: None,
+        });
+        id
+    }
+
+    fn atom(&self, id: AtomId) -> &Atom {
+        let Entry { row, atom, .. } = &self.entries[id];
+        atom.get_or_init(|| {
+            let terms = self.order.iter().zip(&row.coeffs);
+            Atom {
+                expr: LinExpr::from_terms(
+                    terms
+                        .filter(|(_, c)| !c.is_zero())
+                        .map(|(v, c)| (v.clone(), c.clone())),
+                    -row.rhs.clone(),
+                ),
+                rel: row.rel,
+            }
+        })
+    }
+
+    /// The entry of the atom's canonical form (computed once per atom).
+    fn canonical(&mut self, id: AtomId) -> AtomId {
+        if let Some(canon) = self.entries[id].canon {
+            return canon;
+        }
+        let canon = self.intern(&self.atom(id).canonicalize());
+        self.entries[canon].canon = Some(canon);
+        self.entries[id].canon = Some(canon);
+        canon
+    }
+
+    /// Canonicalize and deduplicate the atoms of a conjunct and drop the
+    /// constant-true ones; `None` if one is constant-false.
+    fn normalize(&mut self, atoms: &[AtomId]) -> Option<Vec<AtomId>> {
+        let mut out = Vec::with_capacity(atoms.len());
+        for &id in atoms {
+            let id = self.canonical(id);
+            match self.entries[id].truth {
+                Some(true) => {}
+                Some(false) => return None,
+                None if out.contains(&id) => {}
+                None => out.push(id),
+            }
+        }
+        Some(out)
+    }
+
+    fn conjunct(&self, atoms: &[AtomId]) -> Conjunct {
+        atoms.iter().map(|&id| self.atom(id).clone()).collect()
+    }
+
+    /// The box of a conjunct without single-variable atoms: all of space.
+    fn unbounded(&self) -> Vec<Interval> {
+        vec![Interval::default(); self.order.len()]
+    }
+
+    /// The cell of the empty conjunct.
+    fn root(&self) -> Cell {
+        Cell {
+            atoms: Vec::new(),
+            witness: Some(vec![Rational::zero(); self.order.len()]),
+            bounds: self.unbounded(),
+        }
+    }
+
+    /// A conjunct whose feasibility decision is still to come.
+    fn undecided(&self, atoms: Vec<AtomId>) -> Cell {
+        Cell {
+            atoms,
+            witness: None,
+            bounds: self.unbounded(),
+        }
+    }
+
+    /// The one feasibility decision: is `partial ∧ run` satisfiable, and at
+    /// which point? Cheapest test first — constant atoms, the partial's own
+    /// witness (if it has one), the interval box, and only then an exact LP
+    /// over borrowed rows. Sibling extensions of one partial (`warm`) share a
+    /// [`FeasibilityBatch`] over the partial's rows, built at the first of
+    /// them that needs an LP.
+    fn extend(
+        &self,
+        partial: &Cell,
+        run: &[AtomId],
+        warm: Option<&mut Option<FeasibilityBatch>>,
+    ) -> Option<Cell> {
+        let mut fresh = Vec::with_capacity(run.len());
+        for &id in run {
+            match self.entries[id].truth {
+                Some(true) => {}
+                Some(false) => return None,
+                None => fresh.push(id),
+            }
+        }
+        let row = |id: &AtomId| &*self.entries[*id].row;
+        let holds = partial
+            .witness
+            .as_ref()
+            .is_some_and(|point| fresh.iter().all(|id| row(id).satisfied_by(point)));
+        let mut bounds = partial.bounds.clone();
+        let boxed = fresh
+            .iter()
+            .filter_map(|&id| self.entries[id].bound.as_ref())
+            .all(|(var, rel, value)| bounds[*var].tighten(*rel, value));
+        let witness = if holds {
+            partial.witness.clone()
+        } else if !boxed {
+            return None;
+        } else {
+            let d = self.order.len();
+            Some(match (warm, &fresh[..]) {
+                (Some(batch), [only]) => batch
+                    .get_or_insert_with(|| {
+                        let rows: Vec<_> = partial.atoms.iter().map(row).collect();
+                        FeasibilityBatch::new(d, &rows)
+                    })
+                    .probe(row(only))?,
+                _ => {
+                    let rows: Vec<_> = partial.atoms.iter().chain(&fresh).map(row).collect();
+                    lcdb_lp::feasible_refs(d, &rows)?
+                }
+            })
+        };
+        let atoms = partial.atoms.iter().copied().chain(fresh).collect();
+        Some(Cell::new(self, atoms, witness, bounds))
+    }
+
+    /// All satisfiable disjuncts of `partial ∧ nnf`, in the order plain
+    /// distribution lists them. A partial is extended by a whole run of
+    /// atoms per feasibility decision, and is dropped the moment it becomes
+    /// unsatisfiable.
+    fn dist<E>(&self, nnf: &Nnf, partial: Cell, poll: Poll<'_, E>) -> Result<Vec<Cell>, E> {
+        Ok(match nnf {
+            Nnf::Run(run) => {
+                poll()?;
+                self.extend(&partial, run, None).into_iter().collect()
+            }
+            Nnf::And(parts) => {
+                let mut acc = vec![partial];
+                for part in parts {
+                    let mut next = Vec::new();
+                    for cell in acc {
+                        next.extend(self.dist(part, cell, poll)?);
+                    }
+                    acc = next;
+                    if acc.is_empty() {
+                        break;
+                    }
+                }
+                acc
+            }
+            Nnf::Or(parts) => {
+                let mut warm = None;
+                let mut out = Vec::new();
+                for part in parts {
+                    match part {
+                        Nnf::Run(run) => {
+                            poll()?;
+                            out.extend(self.extend(&partial, run, Some(&mut warm)));
+                        }
+                        other => out.extend(self.dist(other, partial.clone(), poll)?),
+                    }
+                }
+                out
+            }
+        })
+    }
+
+    /// The distinct hyperplanes of the interned atoms, each as its
+    /// canonical expression, in order of first occurrence; the search stops
+    /// once `enough` of them are known.
+    fn hyperplanes(&self, enough: impl Fn(usize) -> bool) -> Vec<LinExpr> {
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for id in (0..self.entries.len()).filter(|&id| self.entries[id].truth.is_none()) {
+            if enough(out.len()) {
+                break;
+            }
+            let plane = Atom {
+                expr: self.atom(id).expr.clone(),
                 rel: Rel::Eq,
             }
-            .canonicalize();
-            let key = format!("{:?}", h);
-            if seen.insert(key) {
-                out.push(h);
+            .canonicalize()
+            .expr;
+            if seen.insert(plane.clone()) {
+                out.push(plane);
             }
         }
-        Formula::And(fs) | Formula::Or(fs) => {
-            fs.iter().for_each(|g| collect_hyperplanes(g, out, seen))
-        }
-        Formula::Not(g) => collect_hyperplanes(g, out, seen),
-        _ => {}
+        out
+    }
+
+    /// The realizable sign cells of `planes` on which `nnf` holds: the
+    /// pruned distribution of `⋀ₕ (h < 0 ∨ h = 0 ∨ h > 0)`, filtered at
+    /// the witnesses (every atom has constant sign on every cell).
+    fn sign_cells<E>(
+        &mut self,
+        nnf: &Nnf,
+        planes: Vec<LinExpr>,
+        poll: Poll<'_, E>,
+    ) -> Result<Vec<Cell>, E> {
+        let arrangement = Nnf::And(
+            planes
+                .into_iter()
+                .map(|expr| {
+                    let sign = |rel| Atom {
+                        expr: expr.clone(),
+                        rel,
+                    };
+                    Nnf::Or(
+                        [Rel::Lt, Rel::Eq, Rel::Gt]
+                            .iter()
+                            .map(|&rel| Nnf::Run(vec![self.intern(&sign(rel))]))
+                            .collect(),
+                    )
+                })
+                .collect(),
+        );
+        let mut cells = self.dist(&arrangement, self.root(), poll)?;
+        cells.retain(|cell| {
+            let point = cell
+                .witness
+                .as_ref()
+                .expect("distribution decides every cell");
+            nnf.holds(self, point)
+        });
+        Ok(cells)
+    }
+
+    /// Does every point of `cell` satisfy every atom of `atoms`? Exact: the
+    /// cell's witness refutes most non-inclusions, the rest ask whether
+    /// `cell ∧ ¬atom` is satisfiable for some branch of the negation.
+    fn implies(&mut self, cell: &Cell, atoms: &[AtomId]) -> bool {
+        atoms.iter().all(|&id| {
+            let refuted = cell
+                .witness
+                .as_ref()
+                .is_some_and(|point| !self.entries[id].row.satisfied_by(point));
+            !refuted
+                && self.atom(id).negate().iter().all(|negated| {
+                    let negated = self.intern(negated);
+                    self.extend(cell, &[negated], None).is_none()
+                })
+        })
     }
 }
 
-/// All feasible DNF disjuncts of `partial ∧ (¬)f`.
-fn dist_pruned(f: &Formula, negated: bool, partial: Conjunct) -> Vec<Conjunct> {
-    match f {
-        Formula::True => {
-            if negated {
-                Vec::new()
+/// A DNF whose disjuncts are [`Cell`]s over one [`Interner`]: the working
+/// form of quantifier elimination. A disjunct known satisfiable stays known
+/// satisfiable through a projection (the witness of `C` minus the
+/// eliminated coordinate is a witness of `∃x. C`).
+pub(crate) struct Cells {
+    atoms: Interner,
+    cells: Vec<Cell>,
+}
+
+impl Cells {
+    /// The satisfiable disjuncts of `(¬)f`.
+    ///
+    /// # Panics
+    /// Panics if the formula contains quantifiers or relation symbols.
+    pub(crate) fn convert<E>(
+        f: &Formula,
+        negated: bool,
+        strategy: Strategy,
+        poll: Poll<'_, E>,
+    ) -> Result<Cells, E> {
+        let (mut atoms, nnf) = Interner::lower_formula(f, negated);
+        let estimate = nnf.estimate();
+        let dimension = u32::try_from(atoms.order.len()).unwrap_or(u32::MAX);
+        let outgrown = |planes: usize| planes.saturating_pow(dimension) >= estimate;
+        let planes = match strategy {
+            Strategy::Pruned => None,
+            Strategy::SignCells => Some(atoms.hyperplanes(|_| false)),
+            Strategy::Auto if estimate <= 32 || nnf.is_dnf() => {
+                // Nothing to prune: each conjunct waits for `simplify`.
+                let cells = nnf.distribute().into_iter();
+                let cells = cells.map(|conjunct| atoms.undecided(conjunct)).collect();
+                return Ok(Cells { atoms, cells });
+            }
+            Strategy::Auto => {
+                let planes = atoms.hyperplanes(outgrown);
+                (!outgrown(planes.len())).then_some(planes)
+            }
+        };
+        let cells = match planes {
+            Some(planes) => atoms.sign_cells(&nnf, planes, poll)?,
+            None => atoms.dist(&nnf, atoms.root(), poll)?,
+        };
+        Ok(Cells { atoms, cells })
+    }
+
+    /// The disjuncts of a DNF as they are, undecided.
+    pub(crate) fn from_dnf(dnf: &Dnf) -> Cells {
+        let mut atoms = Interner::new(dnf.vars());
+        let cells = dnf
+            .disjuncts
+            .iter()
+            .map(|conjunct| {
+                let ids = conjunct.iter().map(|a| atoms.intern(a)).collect();
+                atoms.undecided(ids)
+            })
+            .collect();
+        Cells { atoms, cells }
+    }
+
+    pub(crate) fn into_dnf(self) -> Dnf {
+        Dnf {
+            disjuncts: self
+                .cells
+                .iter()
+                .map(|cell| self.atoms.conjunct(&cell.atoms))
+                .collect(),
+        }
+    }
+
+    /// Replace, in every cell, the atoms mentioning `var` by what `combine`
+    /// makes of them — a conjunction equivalent to their `∃ var` — and
+    /// simplify. A cell that has a witness keeps it, so no LP runs for it.
+    pub(crate) fn project(&mut self, var: &str, combine: impl Fn(&[&Atom]) -> Vec<Atom>) {
+        if let Some(position) = self.atoms.order.iter().position(|v| v == var) {
+            for cell in &mut self.cells {
+                let entries = &self.atoms.entries;
+                let (with_var, mut rest): (Vec<AtomId>, Vec<AtomId>) = cell
+                    .atoms
+                    .iter()
+                    .partition(|&&id| !entries[id].row.coeffs[position].is_zero());
+                if with_var.is_empty() {
+                    continue;
+                }
+                let with_var: Vec<&Atom> = with_var.iter().map(|&id| self.atoms.atom(id)).collect();
+                let combined = combine(&with_var);
+                rest.extend(combined.iter().map(|atom| self.atoms.intern(atom)));
+                cell.atoms = rest;
+                cell.bounds[position] = Interval::default();
+            }
+        }
+        self.simplify();
+    }
+
+    /// [`Dnf::simplify`] on cells; the one place an undecided cell is decided.
+    pub(crate) fn simplify(&mut self) {
+        let mut seen = HashSet::new();
+        for mut cell in std::mem::take(&mut self.cells) {
+            let Some(atoms) = self.atoms.normalize(&cell.atoms) else {
+                continue;
+            };
+            if !seen.insert(atoms.clone()) {
+                continue;
+            }
+            if cell.witness.is_some() {
+                cell.atoms = atoms;
+                self.cells.push(cell);
             } else {
-                vec![partial]
+                let decided = self.atoms.extend(&self.atoms.root(), &atoms, None);
+                self.cells.extend(decided);
             }
         }
-        Formula::False => {
-            if negated {
-                vec![partial]
-            } else {
-                Vec::new()
+    }
+
+    /// [`Dnf::simplify_strong`] on cells.
+    fn simplify_strong(mut self) -> Dnf {
+        self.simplify();
+        self.drop_redundant_atoms();
+        self.absorb();
+        self.into_dnf()
+    }
+
+    /// Drop every atom the rest of its cell implies.
+    fn drop_redundant_atoms(&mut self) {
+        let Cells { atoms, cells } = self;
+        for cell in cells {
+            let mut i = 0;
+            while i < cell.atoms.len() {
+                let atom = cell.atoms.remove(i);
+                // The rest is a weaker conjunct: its box is not the cell's.
+                let rest = Cell {
+                    bounds: atoms.unbounded(),
+                    ..cell.clone()
+                };
+                if !atoms.implies(&rest, &[atom]) {
+                    cell.atoms.insert(i, atom);
+                    i += 1;
+                }
             }
         }
-        Formula::Atom(a) => {
-            let candidates: Vec<Atom> = if negated { a.negate() } else { vec![a.clone()] };
-            let mut out = Vec::new();
-            for atom in candidates {
-                match atom.constant_truth() {
-                    Some(true) => {
-                        out.push(partial.clone());
-                        continue;
-                    }
-                    Some(false) => continue,
-                    None => {}
+    }
+
+    /// Drop every cell contained in another; of two equal cells the
+    /// earlier stays.
+    fn absorb(&mut self) {
+        let Cells { atoms, cells } = self;
+        let mut keep = vec![true; cells.len()];
+        for i in 0..cells.len() {
+            for j in 0..cells.len() {
+                if i == j || !keep[j] || !atoms.implies(&cells[i], &cells[j].atoms) {
+                    continue;
                 }
-                let mut ext = partial.clone();
-                ext.push(atom);
-                if conjunct_satisfiable(&ext) {
-                    out.push(ext);
-                }
-            }
-            out
-        }
-        Formula::Not(inner) => dist_pruned(inner, !negated, partial),
-        Formula::And(fs) if !negated => {
-            let mut acc = vec![partial];
-            for sub in fs {
-                let mut next = Vec::new();
-                for c in acc {
-                    next.extend(dist_pruned(sub, false, c));
-                }
-                acc = next;
-                if acc.is_empty() {
+                if !(j > i && atoms.implies(&cells[j], &cells[i].atoms)) {
+                    keep[i] = false;
                     break;
                 }
             }
-            acc
         }
-        Formula::Or(fs) if negated => {
-            // ¬(⋁ᵢ φᵢ) = ⋀ᵢ ¬φᵢ: same sequential conjunction path.
-            let mut acc = vec![partial];
-            for sub in fs {
-                let mut next = Vec::new();
-                for c in acc {
-                    next.extend(dist_pruned(sub, true, c));
-                }
-                acc = next;
-                if acc.is_empty() {
-                    break;
-                }
-            }
-            acc
-        }
-        Formula::Or(fs) => {
-            let mut out = Vec::new();
-            for sub in fs {
-                out.extend(dist_pruned(sub, false, partial.clone()));
-            }
-            out
-        }
-        Formula::And(fs) => {
-            let mut out = Vec::new();
-            for sub in fs {
-                out.extend(dist_pruned(sub, true, partial.clone()));
-            }
-            out
-        }
-        Formula::Pred(..) | Formula::Exists(..) | Formula::Forall(..) => {
-            unreachable!("checked in to_dnf_pruned")
-        }
+        let mut keep = keep.into_iter();
+        cells.retain(|_| keep.next().unwrap_or(true));
     }
-}
-
-fn nnf_to_dnf(f: &Formula, negated: bool) -> Dnf {
-    match f {
-        Formula::True => {
-            if negated {
-                Dnf::falsity()
-            } else {
-                Dnf::truth()
-            }
-        }
-        Formula::False => {
-            if negated {
-                Dnf::truth()
-            } else {
-                Dnf::falsity()
-            }
-        }
-        Formula::Atom(a) => {
-            if negated {
-                Dnf {
-                    disjuncts: a.negate().into_iter().map(|n| vec![n]).collect(),
-                }
-            } else {
-                Dnf {
-                    disjuncts: vec![vec![a.clone()]],
-                }
-            }
-        }
-        Formula::Not(inner) => nnf_to_dnf(inner, !negated),
-        Formula::And(fs) if !negated => conjoin_all(fs, false),
-        Formula::Or(fs) if negated => conjoin_all(fs, true),
-        Formula::Or(fs) => {
-            let mut out = Vec::new();
-            for sub in fs {
-                out.extend(nnf_to_dnf(sub, false).disjuncts);
-            }
-            Dnf { disjuncts: out }
-        }
-        Formula::And(fs) => {
-            // negated conjunction = disjunction of negations
-            let mut out = Vec::new();
-            for sub in fs {
-                out.extend(nnf_to_dnf(sub, true).disjuncts);
-            }
-            Dnf { disjuncts: out }
-        }
-        Formula::Pred(..) | Formula::Exists(..) | Formula::Forall(..) => {
-            unreachable!("checked in to_dnf")
-        }
-    }
-}
-
-/// Distribute: DNF of a conjunction of subformulas (each possibly negated).
-fn conjoin_all(fs: &[Formula], negated: bool) -> Dnf {
-    let mut acc = Dnf::truth();
-    for sub in fs {
-        let d = nnf_to_dnf(sub, negated);
-        let mut next = Vec::with_capacity(acc.disjuncts.len() * d.disjuncts.len());
-        for left in &acc.disjuncts {
-            for right in &d.disjuncts {
-                let mut merged = left.clone();
-                merged.extend(right.iter().cloned());
-                next.push(merged);
-            }
-        }
-        acc = Dnf { disjuncts: next };
-        if acc.is_false() {
-            return acc;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -724,5 +1117,140 @@ mod tests {
         assert!(to_dnf(&Formula::True).eval(&BTreeMap::new()));
         assert!(!to_dnf(&Formula::False).eval(&BTreeMap::new()));
         assert!(to_dnf(&Formula::not(Formula::False)).eval(&BTreeMap::new()));
+    }
+
+    /// Differential tests of the witness-carrying conversion.
+    mod differential {
+        use super::super::{
+            conjunct_satisfiable, infallible, never, to_dnf, to_dnf_pruned, AtomId, Cells,
+            Conjunct, Dnf, Interner, Strategy as Conversion,
+        };
+        use crate::arb::{arb_atom, arb_formula};
+        use proptest::prelude::*;
+
+        /// The reference simplification: canonical atoms, constants folded,
+        /// and — unless the input is trusted to be pruned already — one plain
+        /// LP per conjunct, with none of the cell shortcuts.
+        fn reference(dnf: &Dnf, check: bool) -> Vec<Conjunct> {
+            let mut out: Vec<Conjunct> = Vec::new();
+            'conjunct: for c in &dnf.disjuncts {
+                let mut atoms: Conjunct = Vec::new();
+                for a in c {
+                    let a = a.canonicalize();
+                    match a.constant_truth() {
+                        Some(true) => continue,
+                        Some(false) => continue 'conjunct,
+                        None if atoms.contains(&a) => {}
+                        None => atoms.push(a),
+                    }
+                }
+                if (!check || conjunct_satisfiable(&atoms)) && !out.contains(&atoms) {
+                    out.push(atoms);
+                }
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Witness test, interval box and warm probes decide exactly what a
+            /// plain LP per conjunct decides, in the same order.
+            #[test]
+            fn pruned_conversion_matches_lp_per_conjunct(f in arb_formula(24)) {
+                let expect = reference(&to_dnf(&f), true);
+                prop_assert_eq!(reference(&to_dnf_pruned(&f), false), expect.clone());
+                prop_assert_eq!(to_dnf(&f).simplify().disjuncts, expect);
+            }
+
+            /// Every cell any strategy produces carries a point of itself.
+            #[test]
+            fn cell_witnesses_satisfy_their_atoms(f in arb_formula(24), negated in 0..2usize) {
+                for strategy in [Conversion::Pruned, Conversion::SignCells, Conversion::Auto] {
+                    let mut cells =
+                        infallible(Cells::convert(&f, negated == 1, strategy, &mut never));
+                    // Under `Auto` a small formula is plainly distributed and
+                    // its conjuncts are decided here.
+                    cells.simplify();
+                    for cell in &cells.cells {
+                        let point = cell.witness.as_ref().expect("decided by now");
+                        for &id in &cell.atoms {
+                            prop_assert!(cells.atoms.entries[id].row.satisfied_by(point));
+                        }
+                    }
+                }
+            }
+
+            /// An empty interval box means an infeasible conjunct, and the whole
+            /// decision agrees with the LP.
+            #[test]
+            fn box_rejects_only_infeasible_conjuncts(
+                conjunct in proptest::collection::vec(arb_atom(), 1..7),
+            ) {
+                let vars = ["x", "y", "z"].iter().map(|v| v.to_string()).collect();
+                let mut atoms = Interner::new(vars);
+                let ids: Vec<AtomId> = conjunct.iter().map(|a| atoms.intern(a)).collect();
+                let mut bounds = atoms.unbounded();
+                let boxed = ids
+                    .iter()
+                    .filter_map(|&id| atoms.entries[id].bound.clone())
+                    .all(|(var, rel, value)| bounds[var].tighten(rel, &value));
+                let feasible = conjunct_satisfiable(&conjunct);
+                prop_assert!(boxed || !feasible, "box rejected a feasible conjunct");
+                prop_assert_eq!(atoms.extend(&atoms.root(), &ids, None).is_some(), feasible);
+            }
+        }
+    }
+
+    #[test]
+    fn dnf_shaped_input_is_distributed_whatever_its_size() {
+        // 40 overlapping intervals: 79 hyperplanes-to-the-1 would undercut no
+        // estimate, but 40 disjuncts over 2 distinct planes would.
+        let f = Formula::or(
+            (0..40)
+                .map(|_| Formula::and(vec![atom("x", Rel::Gt, 0), atom("x", Rel::Lt, 1)]))
+                .collect(),
+        );
+        assert_eq!(to_dnf_auto(&f).disjuncts.len(), 40);
+        assert_eq!(to_dnf_auto(&f), to_dnf(&f));
+    }
+
+    #[test]
+    fn auto_enumerates_cells_only_when_they_are_fewer() {
+        let interval =
+            |v: &str, k: i64| Formula::or(vec![atom(v, Rel::Lt, k), atom(v, Rel::Gt, k + 1)]);
+        // 2⁶ = 64 structural disjuncts over 12 planes on one line: cells.
+        let line = Formula::and((0..6).map(|k| interval("x", 3 * k)).collect());
+        assert_eq!(to_dnf_auto(&line), to_dnf_cells(&line));
+        // The same estimate over three variables (12³ cells): distribution.
+        let space = Formula::and(
+            (0..6)
+                .map(|k| interval(["x", "y", "z"][k as usize % 3], 3 * k))
+                .collect(),
+        );
+        assert_eq!(to_dnf_auto(&space), to_dnf_pruned(&space));
+        assert_ne!(to_dnf_auto(&space), to_dnf_cells(&space));
+    }
+
+    #[test]
+    fn conversion_polls_once_per_decision_and_stops_on_error() {
+        let f = Formula::and(
+            (0..6)
+                .map(|k| Formula::or(vec![atom("x", Rel::Lt, k), atom("y", Rel::Gt, k)]))
+                .collect(),
+        );
+        let mut polls = 0usize;
+        let full = try_to_dnf_pruned(&f, &mut || {
+            polls += 1;
+            Ok::<(), ()>(())
+        });
+        assert_eq!(full, Ok(to_dnf_pruned(&f)));
+        assert!(polls >= 12, "polled {polls} times");
+        let mut budget = 5usize;
+        let cut = try_to_dnf_pruned(&f, &mut || {
+            budget = budget.checked_sub(1).ok_or("interrupted")?;
+            Ok(())
+        });
+        assert_eq!(cut, Err("interrupted"));
     }
 }

@@ -18,6 +18,8 @@
 #![warn(missing_docs)]
 
 pub mod algebra;
+#[cfg(test)]
+mod arb;
 pub mod topology;
 mod database;
 pub mod dnf;

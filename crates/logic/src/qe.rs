@@ -6,9 +6,9 @@
 //! inequalities by pairing lower with upper bounds, with strictness
 //! propagated (`l < u` when either bound is strict, `l ≤ u` otherwise).
 
-use crate::dnf::{Conjunct, Dnf};
 #[cfg(test)]
 use crate::dnf::to_dnf;
+use crate::dnf::{infallible, never, Cells, Conjunct, Dnf, Poll, Strategy};
 use crate::{Atom, Formula, LinExpr};
 use lcdb_lp::Rel;
 
@@ -33,37 +33,72 @@ fn eliminate_rec(f: &Formula) -> Formula {
         Formula::And(fs) => Formula::and(fs.iter().map(eliminate_rec).collect()),
         Formula::Or(fs) => Formula::or(fs.iter().map(eliminate_rec).collect()),
         Formula::Not(inner) => Formula::not(eliminate_rec(inner)),
-        Formula::Exists(v, inner) => {
-            let qf_inner = eliminate_rec(inner);
-            let dnf = crate::dnf::to_dnf_pruned(&qf_inner);
-            eliminate_exists_dnf(&dnf, v).simplify().to_formula()
-        }
-        Formula::Forall(v, inner) => {
-            // ∀x φ ≡ ¬∃x ¬φ
-            let rewritten = Formula::not(Formula::Exists(
-                v.clone(),
-                Box::new(Formula::not((**inner).clone())),
-            ));
-            eliminate_rec(&rewritten)
+        Formula::Exists(..) | Formula::Forall(..) => {
+            // Peel the whole block of like quantifiers, outermost first.
+            let exists = matches!(f, Formula::Exists(..));
+            let mut vars = Vec::new();
+            let mut body = f;
+            while let Formula::Exists(v, inner) | Formula::Forall(v, inner) = body {
+                if matches!(body, Formula::Exists(..)) != exists {
+                    break;
+                }
+                vars.push(v.as_str());
+                body = inner;
+            }
+            vars.reverse();
+            let matrix = eliminate_rec(body);
+            infallible(eliminate(&matrix, &vars, exists, Strategy::Pruned, &mut never))
         }
         Formula::Pred(..) => unreachable!("checked by caller"),
     }
 }
 
-/// Eliminate a single element quantifier from a quantifier-free formula,
-/// using cell-based DNF conversion ([`crate::dnf::to_dnf_cells`]). Robust for
-/// deeply redundant formulas such as region-quantifier expansions, where the
-/// number of cells — not the boolean structure — bounds the work.
-pub fn eliminate_one_cells(f: &Formula, var: &str, exists: bool) -> Formula {
-    if exists {
-        let dnf = crate::dnf::to_dnf_auto(f);
-        eliminate_exists_dnf(&dnf, var).simplify().to_formula()
-    } else {
-        // ∀x φ ≡ ¬∃x ¬φ.
-        let neg = Formula::not(f.clone());
-        let dnf = crate::dnf::to_dnf_auto(&neg);
-        Formula::not(eliminate_exists_dnf(&dnf, var).simplify().to_formula())
+/// Eliminate a block of like quantifiers over one list of cells: `∃ vars. f`
+/// directly, `∀ vars. f` as `¬∃ vars. ¬f`. `vars` is innermost first. The
+/// matrix is converted once; each variable is then one Fourier–Motzkin pass
+/// over cells that stay known satisfiable, so only the conversion runs LPs.
+fn eliminate<E>(
+    f: &Formula,
+    vars: &[&str],
+    exists: bool,
+    strategy: Strategy,
+    poll: Poll<'_, E>,
+) -> Result<Formula, E> {
+    let mut cells = Cells::convert(f, !exists, strategy, poll)?;
+    for var in vars {
+        poll()?;
+        cells.project(var, |mentioning| fm_combine(mentioning, var));
     }
+    let out = cells.into_dnf().to_formula();
+    Ok(if exists { out } else { Formula::not(out) })
+}
+
+/// Eliminate a block of element quantifiers of one polarity from a
+/// quantifier-free formula (`vars` innermost first), choosing the DNF
+/// conversion adaptively ([`crate::dnf::to_dnf_auto`]). Equivalent to one
+/// [`eliminate_one_cells`] call per variable, without the round trips
+/// through [`Formula`] between them. `poll` is the interrupt callback of
+/// [`crate::dnf::Poll`], also polled once per variable.
+pub fn try_eliminate_block<E>(
+    f: &Formula,
+    vars: &[&str],
+    exists: bool,
+    poll: Poll<'_, E>,
+) -> Result<Formula, E> {
+    eliminate(f, vars, exists, Strategy::Auto, poll)
+}
+
+/// [`try_eliminate_block`] without an interrupt.
+pub fn eliminate_block(f: &Formula, vars: &[&str], exists: bool) -> Formula {
+    infallible(try_eliminate_block(f, vars, exists, &mut never))
+}
+
+/// Eliminate a single element quantifier from a quantifier-free formula:
+/// the one-variable case of [`eliminate_block`]. Robust for deeply
+/// redundant formulas such as region-quantifier expansions, where the
+/// number of sign cells — not the boolean structure — bounds the work.
+pub fn eliminate_one_cells(f: &Formula, var: &str, exists: bool) -> Formula {
+    eliminate_block(f, &[var], exists)
 }
 
 /// Eliminate `∃ var` from a DNF: Fourier–Motzkin on each disjunct.
@@ -82,36 +117,35 @@ pub fn eliminate_exists_dnf(dnf: &Dnf, var: &str) -> Dnf {
 /// Returns a conjunction equivalent (over the reals) to
 /// `∃ var. ⋀ atoms`.
 pub fn fm_eliminate_conjunct(conjunct: &Conjunct, var: &str) -> Conjunct {
-    let mut with_var = Vec::new();
-    let mut rest: Conjunct = Vec::new();
-    for a in conjunct {
-        if a.expr.mentions(var) {
-            with_var.push(a.clone());
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    if with_var.is_empty() {
-        return rest;
-    }
+    let (with_var, rest): (Vec<&Atom>, Vec<&Atom>) =
+        conjunct.iter().partition(|a| a.expr.mentions(var));
+    let mut out: Conjunct = rest.into_iter().cloned().collect();
+    out.extend(fm_combine(&with_var, var));
+    out
+}
 
+/// Fourier–Motzkin on atoms that all mention `var`: a conjunction
+/// equivalent to `∃ var. ⋀ with_var`.
+fn fm_combine(with_var: &[&Atom], var: &str) -> Vec<Atom> {
     // Equality substitution: a·x + r = 0  ⇒  x = -r/a.
     if let Some(pos) = with_var.iter().position(|a| a.rel == Rel::Eq) {
-        let eq = with_var.remove(pos);
+        let eq = with_var[pos];
         let a = eq.expr.coeff(var);
         let r = eq.expr.substitute(var, &LinExpr::zero());
         let replacement = r.scale(&(-a.recip()));
-        for other in with_var {
-            rest.push(other.substitute(var, &replacement));
-        }
-        return rest;
+        return with_var
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != pos)
+            .map(|(_, other)| other.substitute(var, &replacement))
+            .collect();
     }
 
     // Collect bounds: expr = a·x + r REL 0 with a ≠ 0.
     // a > 0:  x REL -r/a  (same direction);  a < 0: direction flips.
     let mut lowers: Vec<(LinExpr, bool)> = Vec::new(); // (bound, strict)
     let mut uppers: Vec<(LinExpr, bool)> = Vec::new();
-    for atom in &with_var {
+    for atom in with_var {
         let a = atom.expr.coeff(var);
         let r = atom.expr.substitute(var, &LinExpr::zero());
         let bound = r.scale(&(-a.recip()));
@@ -136,32 +170,35 @@ pub fn fm_eliminate_conjunct(conjunct: &Conjunct, var: &str) -> Conjunct {
         }
     }
 
-    // One-sided bounds are always realizable over ℝ: drop them.
-    if lowers.is_empty() || uppers.is_empty() {
-        return rest;
-    }
+    // One-sided bounds are always realizable over ℝ: nothing is left.
+    let mut out = Vec::with_capacity(lowers.len() * uppers.len());
     for (l, sl) in &lowers {
         for (u, su) in &uppers {
             let rel = if *sl || *su { Rel::Lt } else { Rel::Le };
-            rest.push(Atom {
+            out.push(Atom {
                 expr: l.sub(u),
                 rel,
             });
         }
     }
-    rest
+    out
 }
 
 /// Project a DNF onto a subset of variables by eliminating all others.
 pub fn project_dnf(dnf: &Dnf, keep: &[String]) -> Dnf {
-    let mut cur = dnf.clone();
-    let all = cur.vars();
-    for v in all {
-        if !keep.contains(&v) {
-            cur = eliminate_exists_dnf(&cur, &v).simplify();
-        }
+    let drop: Vec<String> = dnf
+        .vars()
+        .into_iter()
+        .filter(|v| !keep.contains(v))
+        .collect();
+    if drop.is_empty() {
+        return dnf.clone();
     }
-    cur
+    let mut cells = Cells::from_dnf(dnf);
+    for var in &drop {
+        cells.project(var, |mentioning| fm_combine(mentioning, var));
+    }
+    cells.into_dnf()
 }
 
 /// Decide truth of a predicate-free *sentence* (no free variables).
@@ -515,5 +552,45 @@ mod tests {
             atom("x", Rel::Lt, 1),
         ]);
         assert_matches_brute_force(&body2, "x", "y");
+    }
+
+    /// `∃`/`∀` of `var` decided by the brute-force reference.
+    fn brute_force(f: &Formula, var: &str, exists: bool, env: &BTreeMap<String, Rational>) -> bool {
+        if exists {
+            brute_force_exists(f, var, env)
+        } else {
+            !brute_force_exists(&Formula::not(f.clone()), var, env)
+        }
+    }
+
+    /// Block elimination against the chain of one-variable eliminations
+    /// (syntactically equal) and, at sample points, against brute force.
+    mod block {
+        use super::super::{eliminate_block, eliminate_one_cells};
+        use super::{brute_force, env, sample_points};
+        use crate::arb::arb_formula;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn block_equals_chain_and_brute_force(f in arb_formula(16), polarity in 0..2usize) {
+                let exists = polarity == 0;
+                let block = eliminate_block(&f, &["z", "y"], exists);
+                let inner = eliminate_one_cells(&f, "z", exists);
+                prop_assert_eq!(&block, &eliminate_one_cells(&inner, "y", exists));
+                // `inner` still mentions x and y: check its own quantifier
+                // against brute force on a grid of both.
+                for px in sample_points() {
+                    for py in sample_points().into_iter().step_by(3) {
+                        let e = env(&[("x", px.clone()), ("y", py)]);
+                        prop_assert_eq!(inner.eval(&e), brute_force(&f, "z", exists, &e));
+                    }
+                    let e = env(&[("x", px)]);
+                    prop_assert_eq!(block.eval(&e), brute_force(&inner, "y", exists, &e));
+                }
+            }
+        }
     }
 }

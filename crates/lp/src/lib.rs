@@ -17,7 +17,7 @@
 
 mod simplex;
 
-pub use simplex::SimplexStats;
+pub use simplex::{LpCounters, SimplexStats};
 
 use lcdb_arith::Rational;
 use lcdb_linalg::QVector;
@@ -178,6 +178,12 @@ pub fn feasible(d: usize, constraints: &[LinConstraint]) -> Option<QVector> {
 /// copies what it needs into its own tableau either way.
 pub fn feasible_refs(d: usize, constraints: &[&LinConstraint]) -> Option<QVector> {
     simplex::feasible_strict(d, constraints)
+}
+
+/// The calling thread's solver counters. They only grow; take the difference
+/// of two readings to attribute the work in between.
+pub fn counters() -> LpCounters {
+    simplex::counters()
 }
 
 /// Decide whether `objective · x` is bounded above on the (closed) feasible

@@ -9,6 +9,36 @@
 use crate::{LinConstraint, LpOutcome, Rel};
 use lcdb_arith::Rational;
 use lcdb_linalg::QVector;
+use std::cell::Cell;
+
+/// Work the solver has done on the calling thread since it started.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LpCounters {
+    /// Tableaux built and phase-1-solved from scratch.
+    pub solves: u64,
+    /// Probes answered from a [`crate::FeasibilityBatch`]'s warm basis.
+    pub warm_probes: u64,
+    /// Pivots, over every solve and probe.
+    pub pivots: u64,
+}
+
+thread_local! {
+    static COUNTERS: Cell<LpCounters> = const {
+        Cell::new(LpCounters { solves: 0, warm_probes: 0, pivots: 0 })
+    };
+}
+
+pub(crate) fn counters() -> LpCounters {
+    COUNTERS.with(Cell::get)
+}
+
+fn count(bump: impl FnOnce(&mut LpCounters)) {
+    COUNTERS.with(|c| {
+        let mut now = c.get();
+        bump(&mut now);
+        c.set(now);
+    });
+}
 
 /// Counters describing the work a simplex solve performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -45,6 +75,7 @@ impl Tableau {
     /// Pivot on (row r, column c): make column c basic in row r.
     fn pivot(&mut self, r: usize, c: usize) {
         self.stats.pivots += 1;
+        count(|n| n.pivots += 1);
         let pivot_val = self.rows[r][c].clone();
         debug_assert!(!pivot_val.is_zero());
         let inv = pivot_val.recip();
@@ -190,6 +221,7 @@ fn normalized_rows(d: usize, constraints: &[LinConstraint]) -> Vec<(QVector, Rat
 /// Returns the phase-1-complete tableau — artificials banned, any basic ones
 /// pivoted out where possible — and whether the system is feasible.
 fn phase1_tableau(d: usize, constraints: &[LinConstraint], reserve: usize) -> (Tableau, bool) {
+    count(|n| n.solves += 1);
     let norm = normalized_rows(d, constraints);
     let m = norm.len();
     let n_struct = 2 * d;
@@ -426,6 +458,7 @@ impl BatchInner {
     /// [`feasible_strict`] on the concatenated system.
     pub(crate) fn probe(&self, extension: &LinConstraint) -> Option<QVector> {
         let mut t = self.tableau.as_ref()?.clone();
+        count(|n| n.warm_probes += 1);
         let cols = t.cols;
         let ext = delta_extend(extension, self.d);
         let norm = normalized_rows(self.dd, &[ext]);

@@ -141,6 +141,24 @@ pub struct FoStats {
     pub qe_calls: usize,
 }
 
+/// The block of like element quantifiers that starts at `id` — the unit
+/// [`qe::eliminate_block`] eliminates over one list of cells: its
+/// variables innermost first, whether it is existential, and the node below
+/// it. Empty when `id` is not an element quantifier.
+pub fn quantifier_block(plan: &Plan, id: PlanId) -> (Vec<&str>, bool, PlanId) {
+    let exists = matches!(plan.node(id), PlanNode::ExistsElem(..));
+    let (mut vars, mut body) = (Vec::new(), id);
+    while let PlanNode::ExistsElem(v, inner) | PlanNode::ForallElem(v, inner) = plan.node(body) {
+        if matches!(plan.node(body), PlanNode::ExistsElem(..)) != exists {
+            break;
+        }
+        vars.push(v.as_str());
+        body = *inner;
+    }
+    vars.reverse();
+    (vars, exists, body)
+}
+
 /// Evaluate the first-order subplan at `id` to a quantifier-free formula.
 ///
 /// `resolve` supplies the formula for each `Pred(name, args)` leaf — the
@@ -185,15 +203,11 @@ pub fn eval_fo(
             let f = eval_fo(plan, p, resolve, memo, stats)?;
             Formula::not(f)
         }
-        PlanNode::ExistsElem(v, p) => {
-            let f = eval_fo(plan, p, resolve, memo, stats)?;
-            stats.qe_calls += 1;
-            qe::eliminate_one_cells(&f, &v, true)
-        }
-        PlanNode::ForallElem(v, p) => {
-            let f = eval_fo(plan, p, resolve, memo, stats)?;
-            stats.qe_calls += 1;
-            qe::eliminate_one_cells(&f, &v, false)
+        PlanNode::ExistsElem(..) | PlanNode::ForallElem(..) => {
+            let (vars, exists, body) = quantifier_block(plan, id);
+            let f = eval_fo(plan, body, resolve, memo, stats)?;
+            stats.qe_calls += vars.len();
+            qe::eliminate_block(&f, &vars, exists)
         }
         PlanNode::In(..) => return Err(ExecError::Unsupported("∈")),
         PlanNode::Adj(..) => return Err(ExecError::Unsupported("adj")),

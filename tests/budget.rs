@@ -2,13 +2,14 @@
 //! evaluation pipeline with the matching typed error and partial statistics,
 //! and the fallible entry points never panic.
 
-use lcdb::core::{try_eval_sentence_arrangement, try_eval_sentence_nc1};
+use lcdb::core::{parse_regformula, try_eval_sentence_arrangement, try_eval_sentence_nc1};
 use lcdb::{
-    parse_formula, queries, CancelToken, EvalBudget, EvalError, RegFormula, Relation,
+    parse_formula, queries, CancelToken, EvalBudget, EvalError, Evaluator, RegFormula, Relation,
 };
 use lcdb::logic::LinExpr;
+use lcdb_bench::{alibi_extension, ALIBI_SENTENCE};
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn rel1(src: &str) -> Relation {
     Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
@@ -100,6 +101,45 @@ fn zero_timeout_exceeds_deadline() {
         // checks; a zero timeout must surface as the deadline.
         EvalError::DeadlineExceeded { limit, .. } => assert_eq!(*limit, Duration::ZERO),
         other => panic!("expected DeadlineExceeded, got {}", other),
+    }
+}
+
+/// The alibi sentence over 64 × 64 beads has a structural estimate of 4096
+/// disjuncts but ~1 300 hyperplanes in three variables: enumerating their
+/// sign cells does not finish, distributing with pruning takes a moment.
+#[test]
+fn alibi_sentence_at_64_beads_meets_its_deadline() {
+    let ext = alibi_extension(64, 11, true);
+    let sentence = parse_regformula(ALIBI_SENTENCE).unwrap();
+    let budget = EvalBudget::unlimited().with_timeout(Duration::from_secs(5));
+    let ev = Evaluator::with_budget(&ext, budget);
+    assert!(ev
+        .try_eval_sentence(&sentence)
+        .expect("well inside five seconds"));
+    assert_eq!(ev.stats().qe_calls, 3);
+}
+
+/// Quantifier elimination polls the budget at every feasibility decision:
+/// a conversion that outlasts the deadline is abandoned, not finished.
+#[test]
+fn quantifier_elimination_observes_the_deadline() {
+    let ext = alibi_extension(128, 11, true);
+    let sentence = parse_regformula(ALIBI_SENTENCE).unwrap();
+    let limit = Duration::from_millis(20);
+    let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited().with_timeout(limit));
+    let started = Instant::now();
+    let result = ev.try_eval_sentence(&sentence);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "returned after {took:?}");
+    match result {
+        Err(EvalError::DeadlineExceeded { limit: l, stats }) => {
+            assert_eq!(l, limit);
+            assert_eq!(stats.qe_calls, 3, "{stats:?}");
+            assert!(stats.regions > 0, "{stats:?}");
+        }
+        // Only a machine that eliminates 128 × 128 beads in 20 ms may finish.
+        Ok(_) => assert!(took <= limit, "finished in {took:?} past the deadline"),
+        Err(other) => panic!("expected DeadlineExceeded, got {other}"),
     }
 }
 
