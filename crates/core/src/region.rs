@@ -142,9 +142,9 @@ impl ArrangementRegions {
         Self::try_new_pool(db, spatial, budget, &lcdb_exec::Pool::serial())
     }
 
-    /// Like [`ArrangementRegions::try_new`], but fans the per-level sign
-    /// refinement of the arrangement out over `pool`'s workers. The merge is
-    /// ordered, so the result is bit-for-bit identical to serial.
+    /// Like [`ArrangementRegions::try_new`], for callers that hold a pool.
+    /// The arrangement build itself is serial (see
+    /// [`Arrangement::try_build_pool`]), so the result does not depend on it.
     pub fn try_new_pool(
         db: Database,
         spatial: &str,
@@ -255,8 +255,8 @@ impl ArrangementRegions {
     /// this one by editing the face lattice — removing the hyperplanes that
     /// vanished and inserting the ones that appeared — instead of
     /// rebuilding the arrangement from scratch. Each insert replays one
-    /// refinement level over the current faces (with unsplit faces
-    /// inherited wholesale) and each removal is one merge pass, so small
+    /// refinement level over the current faces and each removal is one
+    /// merge pass, so small
     /// edits cost far less than the `O(n^d)` rebuild; the resulting face
     /// census is bit-identical to what a rebuild over the same hyperplane
     /// order would produce.
@@ -614,8 +614,8 @@ impl RegionExtension {
         })
     }
 
-    /// Like [`RegionExtension::try_arrangement`], with the arrangement's sign
-    /// refinement fanned out over `pool` (result identical to serial).
+    /// Like [`RegionExtension::try_arrangement`], for callers that hold a
+    /// pool (the arrangement build is serial; result identical).
     pub fn try_arrangement_pool(
         relation: Relation,
         budget: &EvalBudget,

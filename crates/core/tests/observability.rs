@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use lcdb_core::{
-    parse_regformula, queries, EvalOutcome, EvalStats, Evaluator, Pool, RegFormula,
+    parse_regformula, queries, Decomposition, EvalOutcome, EvalStats, Evaluator, Pool, RegFormula,
     RegionExtension,
 };
 use lcdb_logic::{parse_formula, Database, Relation};
@@ -130,6 +130,28 @@ fn lp_counters_reach_the_registry() {
     assert_eq!(counters["lp.pivots"], after.pivots - before.pivots);
     assert_eq!(trace.metrics().histogram("qe.eliminate_us").count(), 1);
     assert_eq!(ev.stats().qe_calls, 2, "one block, two variables");
+}
+
+/// A build reports its face count and the cells its levels crossed. Three
+/// lines in general position, by hand: the first crosses the plane (1), the
+/// second crosses all three cells of the first (3), the third passes through
+/// three open cells and two rays (5) — 9 splits, each adding two faces to
+/// the initial one: 19.
+#[test]
+fn arrangement_build_counts_faces_and_split_cells() {
+    let trace = TraceHandle::new(Arc::new(MemoryTracer::new()));
+    let triangle = relation("x >= 0 and y >= 0 and x + y <= 1", &["x", "y"]);
+    let ext = RegionExtension::try_arrangement_traced(
+        triangle,
+        &lcdb_core::EvalBudget::unlimited(),
+        &Pool::serial(),
+        &trace,
+    )
+    .unwrap();
+    assert_eq!(ext.num_regions(), 19);
+    let counters = trace.metrics().counter_snapshot();
+    assert_eq!(counters["geom.faces_built"], 19);
+    assert_eq!(counters["geom.cells_split"], 9);
 }
 
 #[test]

@@ -2,115 +2,26 @@
 //!
 //! Faces are the realizable sign vectors over the hyperplane set: the face of
 //! a point `p` is determined by its position vector `(v₁(p), …, vₙ(p))`.
-//! Construction is incremental: partial sign vectors over a prefix of the
-//! hyperplanes are refined one hyperplane at a time, with exact LP
-//! feasibility deciding which of the three refinements (`-1`, `0`, `+1`) are
-//! realizable. For fixed dimension this performs `O(n·#faces) = O(n^{d+1})`
-//! feasibility checks, matching the polynomial bound of Theorem 3.1.
+//! Construction is incremental: the cells of the arrangement of a prefix of
+//! the hyperplanes are refined one hyperplane `h` at a time. Which cells `h`
+//! crosses is decided by **section recursion**: the crossed cells are in
+//! bijection with the cells of the `(d−1)`-dimensional arrangement the prefix
+//! induces *inside* `h`, which is built by the same procedure (a
+//! 0-dimensional section is a single point). No linear program is solved.
+//! Level `k` costs one section arrangement plus one step per cell, so a
+//! build performs `T_d(n) = Σ_k (T_{d−1}(k) + #cells_k) = O(n^{d+1})` sign
+//! evaluations, matching the polynomial bound of Theorem 3.1.
 
 use crate::Hyperplane;
-use lcdb_arith::{Rational, Sign};
-use lcdb_budget::{BudgetError, EvalBudget};
-use lcdb_exec::{Interner, Pool};
-use lcdb_linalg::{Matrix, QVector};
+use lcdb_arith::{BigInt, Rational, Sign};
+use lcdb_budget::{BudgetError, EvalBudget, Meter};
+use lcdb_exec::Pool;
+use lcdb_linalg::{dot, scale, vec_add, vec_sub, Matrix, QVector};
 use lcdb_logic::{Atom, LinExpr, Relation};
-use lcdb_lp::{FeasibilityBatch, LinConstraint, Rel};
+use lcdb_lp::Rel;
 use lcdb_trace::TraceHandle;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
-
-/// Hash-consed sign-condition templates: for each hyperplane, the three
-/// constraints `a·x REL b` for REL ∈ {<, =, >}, built once and shared by
-/// reference across every refinement level and every pool worker. Probes
-/// assemble *borrowed* constraint prefixes instead of re-cloning
-/// exact-rational rows per child; interning (rather than a plain table) also
-/// collapses duplicate hyperplanes to one row.
-struct SignTemplates {
-    templates: Vec<[Arc<LinConstraint>; 3]>,
-}
-
-impl SignTemplates {
-    fn new(hyperplanes: &[Hyperplane]) -> Self {
-        let interner: Interner<LinConstraint> = Interner::new();
-        SignTemplates {
-            templates: hyperplanes
-                .iter()
-                .map(|h| {
-                    [Rel::Lt, Rel::Eq, Rel::Gt].map(|rel| {
-                        interner.intern(LinConstraint::new(
-                            h.coeffs().to_vec(),
-                            rel,
-                            h.rhs().clone(),
-                        ))
-                    })
-                })
-                .collect(),
-        }
-    }
-
-    fn get(&self, i: usize, s: Side) -> &LinConstraint {
-        &self.templates[i][match s {
-            Sign::Negative => 0,
-            Sign::Zero => 1,
-            Sign::Positive => 2,
-        }]
-    }
-
-    /// Expand one partial sign vector by hyperplane `k`: the side carried by
-    /// the witness is free, and the realizability of the other sides is
-    /// decided by warm-started LP probes sharing the parent's prefix system.
-    /// Children come back in `[-, 0, +]` order — the source of the
-    /// arrangement-wide lexicographic face order.
-    fn expand(
-        &self,
-        dim: usize,
-        k: usize,
-        h: &Hyperplane,
-        signs: &SignVector,
-        witness: &QVector,
-    ) -> Vec<(SignVector, QVector)> {
-        let carried = h.side_of(witness);
-        // The parent's prefix conditions, assembled once from the shared
-        // templates; the batch phase-1-solves them once and each probed
-        // side only prices its own row into the warm tableau.
-        let prefix: Vec<&LinConstraint> = signs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.get(i, *s))
-            .collect();
-        let batch = FeasibilityBatch::new(dim, &prefix);
-        let mut children: Vec<(SignVector, QVector)> = Vec::with_capacity(3);
-        for side in [Sign::Negative, Sign::Zero, Sign::Positive] {
-            let mut child = signs.clone();
-            child.push(side);
-            if side == carried {
-                children.push((child, witness.clone()));
-            } else if let Some(w) = batch.probe(self.get(k, side)) {
-                children.push((child, w));
-            }
-        }
-        children
-    }
-
-    /// Dimension and boundedness of the face with the given sign vector.
-    fn finalize(
-        &self,
-        dim: usize,
-        hyperplanes: &[Hyperplane],
-        signs: &SignVector,
-    ) -> (usize, bool) {
-        let dim_face = face_dimension(dim, hyperplanes, signs);
-        let closed: Vec<LinConstraint> = signs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| self.get(i, *s).closed())
-            .collect();
-        let bounded = lcdb_lp::is_bounded(dim, &closed)
-            .expect("face is nonempty, so its closure is nonempty");
-        (dim_face, bounded)
-    }
-}
 
 /// Which side of a hyperplane a face lies on: the paper's `v_i(p)`.
 pub type Side = Sign;
@@ -163,8 +74,9 @@ impl Arrangement {
     /// The face count is checked against `budget`'s face cap as the
     /// sign-vector refinement grows (the arrangement has `O(n^d)` faces —
     /// Theorem 3.1 — so the check has to happen *during* construction, not
-    /// after), and the deadline/cancellation token are polled between LP
-    /// feasibility calls. On `Err` nothing is materialized.
+    /// after), and the deadline/cancellation token are polled once per cell
+    /// step, inside the section recursion too. On `Err` nothing is
+    /// materialized.
     ///
     /// # Panics
     /// Panics if a hyperplane has the wrong ambient dimension or `dim == 0`;
@@ -177,17 +89,10 @@ impl Arrangement {
         Arrangement::try_build_pool(dim, hyperplanes, budget, &Pool::serial())
     }
 
-    /// [`Arrangement::try_build`] with the per-level sign-vector refinement
-    /// and the face-finalization pass fanned out over `pool`.
-    ///
-    /// Each partial vector's three LP feasibility probes are independent of
-    /// every other partial vector at the same level, so workers expand
-    /// parents concurrently; the children are merged back **in parent
-    /// order** and the budget protocol (meter ticks, face-cap checks, the
-    /// injected-fault site) is replayed serially over that merge. The
-    /// resulting arrangement — and, when a budget trips, the error and the
-    /// parent position it is charged to — is bit-for-bit identical to a
-    /// serial build.
+    /// [`Arrangement::try_build`] for callers that hold a pool. A cell step
+    /// is a handful of exact dot products — far below the grain at which
+    /// fan-out pays — so the build is serial and the result does not depend
+    /// on `pool`.
     pub fn try_build_pool(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
@@ -199,14 +104,16 @@ impl Arrangement {
 
     /// [`Arrangement::try_build_pool`] with structured tracing: one span per
     /// refinement level (carrying the level's hyperplane index and incoming
-    /// partial-vector count), a span around face finalization, and a
-    /// `geom.faces_built` counter with the final face count. With a disabled
-    /// handle this is exactly `try_build_pool`.
+    /// partial-vector count), a span around face finalization, and two
+    /// counters: `geom.faces_built`, the final face count, and
+    /// `geom.cells_split`, the cells crossed by their level's hyperplane
+    /// summed over levels (the zone complexity the section recursion pays
+    /// for). With a disabled handle this is exactly `try_build_pool`.
     pub fn try_build_traced(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
         budget: &EvalBudget,
-        pool: &Pool,
+        _pool: &Pool,
         trace: &TraceHandle,
     ) -> Result<Self, BudgetError> {
         assert!(dim > 0, "arrangements need a positive ambient dimension");
@@ -224,86 +131,59 @@ impl Arrangement {
             )
         });
         let meter = budget.meter();
-        let templates = SignTemplates::new(&hyperplanes);
-        // Incremental sign-vector refinement.
-        let mut partial: Vec<(SignVector, QVector)> =
-            vec![(Vec::new(), vec![Rational::ZERO; dim])];
-        for (k, h) in hyperplanes.iter().enumerate() {
+        let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
+        let mut partial = vec![Cell::whole_space(dim)];
+        let mut cells_split = 0;
+        for k in 0..rows.len() {
             let _level_span = on.then(|| {
                 trace.span_with("geom.level", &format!("level={} partial={}", k, partial.len()))
             });
-            let mut next = Vec::with_capacity(partial.len() * 2);
-            if pool.is_serial() {
-                for (signs, witness) in &partial {
-                    meter.tick(budget)?;
-                    next.extend(templates.expand(dim, k, h, signs, witness));
-                    budget.check_faces(next.len())?;
-                    // Fault-injection site: a spurious face-cap trip mid-refinement.
-                    #[cfg(feature = "faults")]
-                    lcdb_budget::faults::check("geom.face_cap")?;
-                }
-            } else {
-                // Workers also feed the shared meter, so deadlines and
-                // cancellation are noticed while LP probes are in flight.
-                // The merge below replays the per-parent budget protocol in
-                // parent order: the first failing parent (in that order)
-                // determines the returned error, exactly as a serial loop's
-                // short-circuit would.
-                let expanded = pool.map(&partial, |_, (signs, witness)| {
-                    meter.tick(budget)?;
-                    Ok::<_, BudgetError>(templates.expand(dim, k, h, signs, witness))
-                });
-                for children in expanded {
-                    next.extend(children?);
-                    budget.check_faces(next.len())?;
-                    #[cfg(feature = "faults")]
-                    lcdb_budget::faults::check("geom.face_cap")?;
-                }
-            }
+            let parents = partial.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim));
+            let (next, crossed) =
+                refine(dim, &rows[..=k], parents, &meter, budget, face_guard(budget))?;
+            cells_split += crossed;
             partial = next;
         }
 
         trace.count("geom.faces_built", partial.len() as u64);
+        trace.count("geom.cells_split", cells_split);
         let _final_span =
             on.then(|| trace.span_with("geom.finalize", &format!("faces={}", partial.len())));
-        let mut faces = Vec::with_capacity(partial.len());
-        let mut index = HashMap::with_capacity(partial.len());
-        if pool.is_serial() {
-            for (id, (signs, witness)) in partial.into_iter().enumerate() {
-                meter.tick(budget)?;
-                let (dim_face, bounded) = templates.finalize(dim, &hyperplanes, &signs);
-                index.insert(signs.clone(), id);
-                faces.push(Face {
-                    id,
-                    signs,
-                    dim: dim_face,
-                    witness,
-                    bounded,
-                });
-            }
-        } else {
-            let finalized = pool.map(&partial, |_, (signs, _)| {
-                meter.tick(budget)?;
-                Ok::<_, BudgetError>(templates.finalize(dim, &hyperplanes, signs))
+        Arrangement::finalize(dim, hyperplanes, &rows, partial, &meter, budget)
+    }
+
+    /// Decide boundedness and index the finished cells as faces.
+    fn finalize(
+        dim: usize,
+        hyperplanes: Vec<Hyperplane>,
+        rows: &[Row],
+        cells: Vec<Cell>,
+        meter: &Meter,
+        budget: &EvalBudget,
+    ) -> Result<Self, BudgetError> {
+        let bounded = bounded_flags(dim, rows, &cells, meter, budget)?;
+        let mut faces = Vec::with_capacity(cells.len());
+        for (id, (cell, bounded)) in cells.into_iter().zip(bounded).enumerate() {
+            meter.tick(budget)?;
+            faces.push(Face {
+                id,
+                signs: cell.signs,
+                dim: cell.dim,
+                witness: cell.witness,
+                bounded,
             });
-            for (id, ((signs, witness), entry)) in partial.into_iter().zip(finalized).enumerate() {
-                let (dim_face, bounded) = entry?;
-                index.insert(signs.clone(), id);
-                faces.push(Face {
-                    id,
-                    signs,
-                    dim: dim_face,
-                    witness,
-                    bounded,
-                });
-            }
         }
-        Ok(Arrangement {
+        Ok(Arrangement::indexed(dim, hyperplanes, faces))
+    }
+
+    fn indexed(dim: usize, hyperplanes: Vec<Hyperplane>, faces: Vec<Face>) -> Self {
+        let index = faces.iter().map(|f| (f.signs.clone(), f.id)).collect();
+        Arrangement {
             dim,
             hyperplanes,
             faces,
             index,
-        })
+        }
     }
 
     /// Refine the existing face lattice by one new hyperplane, **without**
@@ -314,13 +194,10 @@ impl Arrangement {
     /// The result is bit-for-bit identical to that rebuild — face order,
     /// sign vectors, dimensions, boundedness flags, *and witnesses* — because
     /// the first `n` levels of the rebuild do not depend on `h` at all (they
-    /// reproduce this arrangement's faces), and this method replays the last
-    /// level with the same warm-started probes in the same order. Faces that
-    /// do not cross `h` keep their dimension, boundedness, and witness: the
-    /// face is the same point set, its closure lies entirely on the carried
-    /// side, and (for faces inside `h`) the new normal is already spanned by
-    /// the face's zero-set normals. Only genuinely split faces pay LP calls,
-    /// so an insert costs one refinement level instead of `n + 1`.
+    /// reproduce this arrangement's faces), and this method runs the last
+    /// level through the same function. An insert costs one section
+    /// arrangement and one step per face instead of `n + 1` levels;
+    /// boundedness is re-decided for the new arrangement as a whole.
     ///
     /// # Panics
     /// Panics if `h` has the wrong ambient dimension.
@@ -331,123 +208,25 @@ impl Arrangement {
         }
     }
 
-    /// Budgeted, pool-aware [`Arrangement::insert_hyperplane`]. The budget
-    /// protocol replays the final build level: one meter tick per existing
-    /// face during refinement, a face-cap check as children accumulate, and
-    /// one tick per new face during finalization.
+    /// Budgeted [`Arrangement::insert_hyperplane`]. The budget protocol
+    /// replays the final build level: one meter tick per existing face
+    /// during refinement, a face-cap check as children accumulate, and one
+    /// tick per new face during finalization. Serial for the same reason as
+    /// [`Arrangement::try_build_pool`].
     pub fn try_insert_hyperplane(
         &self,
         h: Hyperplane,
         budget: &EvalBudget,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> Result<Arrangement, BudgetError> {
         assert_eq!(h.dim(), self.dim, "hyperplane dimension mismatch");
         let mut hyperplanes = self.hyperplanes.clone();
         hyperplanes.push(h);
-        let k = hyperplanes.len() - 1;
-        let h = &hyperplanes[k];
         let meter = budget.meter();
-        let templates = SignTemplates::new(&hyperplanes);
-
-        // Refinement level `k`, with the current faces as the partial
-        // vectors. Children are grouped per parent so single-child parents
-        // can inherit the parent's finalization verbatim.
-        let parents: Vec<(SignVector, QVector)> = self
-            .faces
-            .iter()
-            .map(|f| (f.signs.clone(), f.witness.clone()))
-            .collect();
-        let mut grouped: Vec<Vec<(SignVector, QVector)>> = Vec::with_capacity(parents.len());
-        let mut total = 0usize;
-        if pool.is_serial() {
-            for (signs, witness) in &parents {
-                meter.tick(budget)?;
-                let children = templates.expand(self.dim, k, h, signs, witness);
-                total += children.len();
-                grouped.push(children);
-                budget.check_faces(total)?;
-                #[cfg(feature = "faults")]
-                lcdb_budget::faults::check("geom.face_cap")?;
-            }
-        } else {
-            let expanded = pool.map(&parents, |_, (signs, witness)| {
-                meter.tick(budget)?;
-                Ok::<_, BudgetError>(templates.expand(self.dim, k, h, signs, witness))
-            });
-            for children in expanded {
-                let children = children?;
-                total += children.len();
-                grouped.push(children);
-                budget.check_faces(total)?;
-                #[cfg(feature = "faults")]
-                lcdb_budget::faults::check("geom.face_cap")?;
-            }
-        }
-
-        // Finalize: split children recompute dimension/boundedness; a lone
-        // child is the same point set as its parent and inherits both.
-        enum Entry {
-            Inherit(usize, bool),
-            Compute(SignVector),
-        }
-        let mut order: Vec<(SignVector, QVector, Entry)> = Vec::with_capacity(total);
-        for (parent, children) in self.faces.iter().zip(grouped) {
-            let split = children.len() > 1;
-            for (signs, witness) in children {
-                let entry = if split {
-                    Entry::Compute(signs.clone())
-                } else {
-                    Entry::Inherit(parent.dim, parent.bounded)
-                };
-                order.push((signs, witness, entry));
-            }
-        }
-        let mut faces = Vec::with_capacity(order.len());
-        let mut index = HashMap::with_capacity(order.len());
-        if pool.is_serial() {
-            for (id, (signs, witness, entry)) in order.into_iter().enumerate() {
-                meter.tick(budget)?;
-                let (dim_face, bounded) = match entry {
-                    Entry::Inherit(d, b) => (d, b),
-                    Entry::Compute(ref s) => templates.finalize(self.dim, &hyperplanes, s),
-                };
-                index.insert(signs.clone(), id);
-                faces.push(Face {
-                    id,
-                    signs,
-                    dim: dim_face,
-                    witness,
-                    bounded,
-                });
-            }
-        } else {
-            let finalized = pool.map(&order, |_, (_, _, entry)| {
-                meter.tick(budget)?;
-                Ok::<_, BudgetError>(match entry {
-                    Entry::Inherit(d, b) => (*d, *b),
-                    Entry::Compute(s) => templates.finalize(self.dim, &hyperplanes, s),
-                })
-            });
-            for (id, ((signs, witness, _), entry)) in
-                order.into_iter().zip(finalized).enumerate()
-            {
-                let (dim_face, bounded) = entry?;
-                index.insert(signs.clone(), id);
-                faces.push(Face {
-                    id,
-                    signs,
-                    dim: dim_face,
-                    witness,
-                    bounded,
-                });
-            }
-        }
-        Ok(Arrangement {
-            dim: self.dim,
-            hyperplanes,
-            faces,
-            index,
-        })
+        let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
+        let parents = self.faces.iter().map(|f| (&f.signs[..], &f.witness[..], f.dim));
+        let (cells, _) = refine(self.dim, &rows, parents, &meter, budget, face_guard(budget))?;
+        Arrangement::finalize(self.dim, hyperplanes, &rows, cells, &meter, budget)
     }
 
     /// Coarsen the face lattice by deleting the hyperplane at `index`:
@@ -456,12 +235,11 @@ impl Arrangement {
     /// The merged lattice has the same sign vectors (with coordinate
     /// `index` projected out), dimensions, boundedness flags, face order,
     /// and face count as a from-scratch build over the remaining
-    /// hyperplanes — the census is bit-identical. Witnesses of merged faces
-    /// are inherited from their first constituent (in face order) and
-    /// therefore may differ from the rebuild's LP-chosen points, though they
-    /// always lie in the merged face. Groups with a single constituent are
-    /// unchanged point sets and inherit everything; only genuinely merged
-    /// groups recompute dimension and boundedness.
+    /// hyperplanes — the census is bit-identical. A merged face is the union
+    /// of its constituents: its dimension is their largest, it is bounded
+    /// iff all of them are, and its witness is inherited from the first (in
+    /// face order), so it may differ from the rebuild's point though it
+    /// always lies in the merged face.
     ///
     /// # Panics
     /// Panics if `index` is out of range.
@@ -472,12 +250,12 @@ impl Arrangement {
         }
     }
 
-    /// Budgeted, pool-aware [`Arrangement::remove_hyperplane`].
+    /// Budgeted [`Arrangement::remove_hyperplane`].
     pub fn try_remove_hyperplane(
         &self,
         index: usize,
         budget: &EvalBudget,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> Result<Arrangement, BudgetError> {
         assert!(
             index < self.hyperplanes.len(),
@@ -506,65 +284,26 @@ impl Arrangement {
         let mut order: Vec<(SignVector, Vec<FaceId>)> = groups.into_iter().collect();
         order.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let templates = SignTemplates::new(&hyperplanes);
-        let recompute = |signs: &SignVector, members: &[FaceId]| {
-            let first = &self.faces[members[0]];
-            if members.len() == 1 {
-                // The group is a single old face: the same point set, so its
-                // dimension and boundedness carry over.
-                (first.dim, first.bounded)
-            } else {
-                templates.finalize(self.dim, &hyperplanes, signs)
-            }
-        };
         let mut faces = Vec::with_capacity(order.len());
-        let mut new_index = HashMap::with_capacity(order.len());
-        if pool.is_serial() {
-            for (id, (signs, members)) in order.into_iter().enumerate() {
-                meter.tick(budget)?;
-                let (dim_face, bounded) = recompute(&signs, &members);
-                let witness = self.faces[members[0]].witness.clone();
-                new_index.insert(signs.clone(), id);
-                faces.push(Face {
-                    id,
-                    signs,
-                    dim: dim_face,
-                    witness,
-                    bounded,
-                });
-            }
-        } else {
-            let finalized = pool.map(&order, |_, (signs, members)| {
-                meter.tick(budget)?;
-                Ok::<_, BudgetError>(recompute(signs, members))
+        for (id, (signs, members)) in order.into_iter().enumerate() {
+            meter.tick(budget)?;
+            let parts = || members.iter().map(|&m| &self.faces[m]);
+            faces.push(Face {
+                id,
+                signs,
+                dim: parts().map(|f| f.dim).max().expect("groups are nonempty"),
+                witness: self.faces[members[0]].witness.clone(),
+                bounded: parts().all(|f| f.bounded),
             });
-            for (id, ((signs, members), entry)) in order.into_iter().zip(finalized).enumerate() {
-                let (dim_face, bounded) = entry?;
-                let witness = self.faces[members[0]].witness.clone();
-                new_index.insert(signs.clone(), id);
-                faces.push(Face {
-                    id,
-                    signs,
-                    dim: dim_face,
-                    witness,
-                    bounded,
-                });
-            }
         }
-        Ok(Arrangement {
-            dim: self.dim,
-            hyperplanes,
-            faces,
-            index: new_index,
-        })
+        Ok(Arrangement::indexed(self.dim, hyperplanes, faces))
     }
 
     /// Reassemble an arrangement from previously materialized parts (e.g. a
     /// persisted catalog blob), rebuilding the sign-vector index. This is the
     /// inverse of reading [`Arrangement::hyperplanes`] and
-    /// [`Arrangement::faces`]; it does **not** re-run the LP feasibility
-    /// probes, so the caller is responsible for the parts having come from a
-    /// real build. Structural invariants are still checked: face ids must be
+    /// [`Arrangement::faces`]; it does **not** re-derive the faces, so the
+    /// caller is responsible for the parts having come from a real build. Structural invariants are still checked: face ids must be
     /// sequential, sign vectors must match the hyperplane count, witnesses
     /// must have ambient dimension, face dims must be `≤ dim`, and sign
     /// vectors must be pairwise distinct.
@@ -779,19 +518,261 @@ impl Arrangement {
     }
 }
 
-/// Dimension of a face: ambient dimension minus the rank of the normals of
-/// the hyperplanes the face lies on.
-fn face_dimension(dim: usize, hyperplanes: &[Hyperplane], signs: &[Side]) -> usize {
-    let zero_rows: Vec<QVector> = hyperplanes
-        .iter()
-        .zip(signs)
-        .filter(|(_, s)| **s == Sign::Zero)
-        .map(|(h, _)| h.coeffs().to_vec())
-        .collect();
-    if zero_rows.is_empty() {
-        return dim;
+/// The affine expression `coeffs · x − rhs` whose sign is one coordinate of
+/// a position vector: a hyperplane's own expression, or its restriction to a
+/// section. Unlike a [`Hyperplane`] a row is never re-canonicalised, so
+/// restriction cannot flip an orientation, and its normal may be zero: a
+/// prefix hyperplane parallel (or equal) to the section has one constant
+/// sign on all of it.
+struct Row {
+    coeffs: QVector,
+    rhs: Rational,
+}
+
+impl Row {
+    fn of(h: &Hyperplane) -> Row {
+        Row {
+            coeffs: h.coeffs().to_vec(),
+            rhs: h.rhs().clone(),
+        }
     }
-    dim - Matrix::from_rows(zero_rows).rank()
+
+    fn value(&self, p: &[Rational]) -> Rational {
+        dot(&self.coeffs, p) - &self.rhs
+    }
+
+    /// The same expression as a function on the section `h = 0`, with
+    /// coordinate `pivot` (where `h`'s normal is nonzero) eliminated. It
+    /// takes the same *value* at `lift(y)` as `self` does, so section sign
+    /// vectors are prefix sign vectors.
+    fn restrict(&self, h: &Row, pivot: usize) -> Row {
+        let f = &self.coeffs[pivot] / &h.coeffs[pivot];
+        Row {
+            coeffs: (0..self.coeffs.len())
+                .filter(|j| *j != pivot)
+                .map(|j| &self.coeffs[j] - &(&f * &h.coeffs[j]))
+                .collect(),
+            rhs: &self.rhs - &(&f * &h.rhs),
+        }
+    }
+
+    /// The point of `self = 0` whose other coordinates are `y`.
+    fn lift(&self, pivot: usize, y: &[Rational]) -> QVector {
+        let mut x: QVector = y.to_vec();
+        x.insert(pivot, Rational::ZERO);
+        x[pivot] = -self.value(&x) / &self.coeffs[pivot];
+        x
+    }
+}
+
+/// A cell of the arrangement of a row prefix: position vector, a point of
+/// its relative interior, and its dimension.
+struct Cell {
+    signs: SignVector,
+    witness: QVector,
+    dim: usize,
+}
+
+impl Cell {
+    /// The one cell of the arrangement of no rows.
+    fn whole_space(dim: usize) -> Cell {
+        Cell {
+            signs: Vec::new(),
+            witness: vec![Rational::ZERO; dim],
+            dim,
+        }
+    }
+}
+
+/// All cells of the arrangement of `rows` in `ℝ^dim`, in lexicographic
+/// sign-vector order.
+fn arrangement_cells(
+    dim: usize,
+    rows: &[Row],
+    meter: &Meter,
+    budget: &EvalBudget,
+) -> Result<Vec<Cell>, BudgetError> {
+    let mut cells = vec![Cell::whole_space(dim)];
+    for k in 0..rows.len() {
+        let parents = cells.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim));
+        cells = refine(dim, &rows[..=k], parents, meter, budget, |_| Ok(()))?.0;
+    }
+    Ok(cells)
+}
+
+/// The arrangement `rows` induce inside the hyperplane `h = 0` of `ℝ^dim`,
+/// in the coordinates other than `pivot`.
+fn section_cells(
+    dim: usize,
+    rows: &[Row],
+    (h, pivot): (&Row, usize),
+    meter: &Meter,
+    budget: &EvalBudget,
+) -> Result<Vec<Cell>, BudgetError> {
+    let restricted: Vec<Row> = rows.iter().map(|r| r.restrict(h, pivot)).collect();
+    arrangement_cells(dim - 1, &restricted, meter, budget)
+}
+
+/// One refinement level, shared by build, insert and the recursion itself:
+/// split the cells of the arrangement of `rows[..k]` (the `parents`, as
+/// `(signs, witness, dim)`) by `h = rows[k]`.
+///
+/// The section arrangement of the prefix inside `h` says which parents are
+/// crossed. A parent whose sign vector does not occur there misses `h` and
+/// has one child, on its witness's side. One that occurs with its own
+/// dimension lies inside `h`. Any other is crossed: the section cell is its
+/// `Zero` child, one dimension lower, and both sides are nonempty. Children
+/// are emitted in `[-, 0, +]` order under parents in order — the source of
+/// the arrangement-wide lexicographic face order. Returns the children and
+/// how many parents were crossed; `after_parent` sees the running child
+/// count after every parent, one `meter` tick precedes each.
+fn refine<'a>(
+    dim: usize,
+    rows: &[Row],
+    parents: impl ExactSizeIterator<Item = (&'a [Side], &'a [Rational], usize)>,
+    meter: &Meter,
+    budget: &EvalBudget,
+    mut after_parent: impl FnMut(usize) -> Result<(), BudgetError>,
+) -> Result<(Vec<Cell>, u64), BudgetError> {
+    let (h, prefix) = rows.split_last().expect("a level has a splitting row");
+    let pivot = h.coeffs.iter().position(|c| !c.is_zero());
+    // Without a normal `h` is one constant sign and has no section.
+    let section: HashMap<SignVector, (QVector, usize)> = match pivot {
+        None => HashMap::new(),
+        Some(p) => section_cells(dim, prefix, (h, p), meter, budget)?
+            .into_iter()
+            .map(|c| (c.signs, (h.lift(p, &c.witness), c.dim)))
+            .collect(),
+    };
+    let mut children = Vec::with_capacity(parents.len() * 2);
+    let mut crossed = 0;
+    for (signs, w, cell_dim) in parents {
+        meter.tick(budget)?;
+        let mut child = |side: Side, witness: QVector, dim: usize| {
+            let mut child_signs = Vec::with_capacity(signs.len() + 1);
+            child_signs.extend_from_slice(signs);
+            child_signs.push(side);
+            children.push(Cell {
+                signs: child_signs,
+                witness,
+                dim,
+            });
+        };
+        let carried = h.value(w).sign();
+        match section.get(signs) {
+            None => child(carried, w.to_vec(), cell_dim),
+            Some((_, section_dim)) if *section_dim == cell_dim => {
+                child(Sign::Zero, w.to_vec(), cell_dim)
+            }
+            Some((z, _)) => {
+                crossed += 1;
+                let step = |base, dir| step_inside(prefix, signs, base, dir);
+                let (neg, zero, pos) = match carried {
+                    Sign::Negative => (w.to_vec(), z.clone(), step(z, &vec_sub(z, w))),
+                    Sign::Positive => (step(z, &vec_sub(z, w)), z.clone(), w.to_vec()),
+                    // The witness itself lies on `h` (level 0 of a hyperplane
+                    // through the origin, say): leave it along a direction of
+                    // the cell's own affine hull that `h` is not parallel to.
+                    Sign::Zero => {
+                        let up = direction_off(h, prefix, signs);
+                        let down: QVector = up.iter().map(|c| -c).collect();
+                        (step(w, &down), w.to_vec(), step(w, &up))
+                    }
+                };
+                child(Sign::Negative, neg, cell_dim);
+                child(Sign::Zero, zero, cell_dim - 1);
+                child(Sign::Positive, pos, cell_dim);
+            }
+        }
+        after_parent(children.len())?;
+    }
+    Ok((children, crossed))
+}
+
+/// What build and insert check after every parent of their (top) level: the
+/// face cap as children accumulate, and the injected-fault site.
+fn face_guard(budget: &EvalBudget) -> impl FnMut(usize) -> Result<(), BudgetError> + '_ {
+    move |children| {
+        budget.check_faces(children)?;
+        // Fault-injection site: a spurious face-cap trip mid-refinement.
+        #[cfg(feature = "faults")]
+        lcdb_budget::faults::check("geom.face_cap")?;
+        Ok(())
+    }
+}
+
+/// `base + t·dir` for the largest `t ∈ {1, ½, ¼, …}` that keeps every strict
+/// sign of the cell `signs` (whose point `base` is): a ratio test over the
+/// rows the step moves towards. Powers of two keep witnesses short.
+fn step_inside(prefix: &[Row], signs: &[Side], base: &[Rational], dir: &[Rational]) -> QVector {
+    let strict = prefix.iter().zip(signs).filter(|(_, side)| **side != Sign::Zero);
+    let reach = |(row, side): (&Row, &Side)| {
+        let rate = dot(&row.coeffs, dir);
+        (rate.sign() == side.flip()).then(|| -(row.value(base) / &rate))
+    };
+    let limit = strict.filter_map(reach).min();
+    let mut t = Rational::ONE;
+    let half = Rational::from_i64s(1, 2);
+    while limit.as_ref().is_some_and(|l| t >= *l) {
+        t *= &half;
+    }
+    vec_add(base, &scale(dir, &t))
+}
+
+/// A direction inside the affine hull of the cell `signs` along which `h`
+/// increases. One exists whenever the cell is not contained in `h`.
+fn direction_off(h: &Row, prefix: &[Row], signs: &[Side]) -> QVector {
+    // The leading zero row fixes the column count for an open cell.
+    let normals: Vec<QVector> = std::iter::once(vec![Rational::ZERO; h.coeffs.len()])
+        .chain(
+            prefix
+                .iter()
+                .zip(signs)
+                .filter(|(_, s)| **s == Sign::Zero)
+                .map(|(r, _)| r.coeffs.clone()),
+        )
+        .collect();
+    Matrix::from_rows(normals)
+        .nullspace()
+        .into_iter()
+        .find_map(|u| match dot(&h.coeffs, &u).sign() {
+            Sign::Zero => None,
+            Sign::Positive => Some(u),
+            Sign::Negative => Some(u.iter().map(|c| -c).collect()),
+        })
+        .expect("a cell crossed by h has a direction leaving h")
+}
+
+/// Boundedness of every cell, by the cube test: with `M` above every
+/// coordinate of every vertex, a cell is unbounded iff it meets one of the
+/// `2·dim` hyperplanes `x_i = ±M`, i.e. iff its sign vector occurs in one of
+/// those sections. (The closure of every cell has a vertex, all of them
+/// strictly inside the cube: a bounded cell lies in the hull of its
+/// vertices, and an unbounded one is convex and reaches outside, so it
+/// crosses the cube's boundary.) Without a vertex the arrangement has a
+/// lineality direction and every cell is unbounded.
+fn bounded_flags(
+    dim: usize,
+    rows: &[Row],
+    cells: &[Cell],
+    meter: &Meter,
+    budget: &EvalBudget,
+) -> Result<Vec<bool>, BudgetError> {
+    let vertices = cells.iter().filter(|c| c.dim == 0);
+    let Some(reach) = vertices.flat_map(|c| c.witness.iter().map(Rational::abs)).max() else {
+        return Ok(vec![false; cells.len()]);
+    };
+    let m = Rational::from_integer(reach.floor() + BigInt::one());
+    let mut unbounded: HashSet<SignVector> = HashSet::new();
+    for i in 0..dim {
+        for rhs in [-&m, m.clone()] {
+            let mut coeffs = vec![Rational::ZERO; dim];
+            coeffs[i] = Rational::ONE;
+            let section = section_cells(dim, rows, (&Row { coeffs, rhs }, i), meter, budget)?;
+            unbounded.extend(section.into_iter().map(|c| c.signs));
+        }
+    }
+    Ok(cells.iter().map(|c| !unbounded.contains(&c.signs)).collect())
 }
 
 /// Node of the incidence graph: a proper face or one of the two improper

@@ -20,7 +20,7 @@
 use crate::{Hyperplane, VPolyhedron};
 use lcdb_arith::Rational;
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
-use lcdb_linalg::{vec_sub, Flat, QVector};
+use lcdb_linalg::{dot, scale, vec_add, vec_sub, Flat, QVector};
 use lcdb_logic::{dnf::Conjunct, Relation};
 use lcdb_lp::{LinConstraint, Rel};
 use std::collections::HashSet;
@@ -314,7 +314,7 @@ fn try_bounded_regions(
             let pts: Vec<QVector> = combo.iter().map(|&i| vertices[i].clone()).collect();
             let ok = combo.iter().enumerate().all(|(ii, &i)| {
                 combo[ii + 1..].iter().all(|&j| {
-                    !open_segment_meets(d, &vertices[i], &vertices[j], interior)
+                    !open_segment_meets(&vertices[i], &vertices[j], interior)
                 })
             });
             if ok {
@@ -482,32 +482,36 @@ fn canonical_direction(dir: &[Rational]) -> QVector {
 
 /// Does the open segment (a, b) meet the (relative) interior given by the
 /// strict constraint system?
-fn open_segment_meets(
-    d: usize,
-    a: &QVector,
-    b: &QVector,
-    interior: &[LinConstraint],
-) -> bool {
-    // Point x = a + t (b - a), 0 < t < 1, satisfying the interior system.
-    // Variables: x (d coords) and t.
-    let mut cons: Vec<LinConstraint> = Vec::with_capacity(interior.len() + d + 2);
+///
+/// Along `a + t(b − a)` every constraint is affine in `t`: a strict one cuts
+/// the open interval `0 < t < 1` from one end, an equality with a nonzero
+/// rate pins `t`. Intersect, then check the candidate point (which also
+/// decides rows constant along the segment and a second equality).
+fn open_segment_meets(a: &QVector, b: &QVector, interior: &[LinConstraint]) -> bool {
+    let dir = vec_sub(b, a);
+    let (mut lo, mut hi) = (Rational::ZERO, Rational::ONE);
+    let mut pinned = None;
     for con in interior {
-        let mut coeffs = con.coeffs.clone();
-        coeffs.push(Rational::zero());
-        cons.push(LinConstraint::new(coeffs, con.rel, con.rhs.clone()));
+        let rate = dot(&con.coeffs, &dir);
+        if rate.is_zero() {
+            continue;
+        }
+        let root = (&con.rhs - dot(&con.coeffs, a)) / &rate;
+        match con.rel {
+            Rel::Eq => pinned = Some(root),
+            // Satisfied below the root when the value rises through it.
+            Rel::Lt | Rel::Gt if (con.rel == Rel::Lt) == rate.is_positive() => {
+                hi = Rational::min_val(&hi, &root)
+            }
+            Rel::Lt | Rel::Gt => lo = Rational::max_val(&lo, &root),
+            Rel::Le | Rel::Ge => unreachable!("interior constraints only"),
+        }
     }
-    for coord in 0..d {
-        // x_coord - t*(b-a)_coord = a_coord
-        let mut coeffs = vec![Rational::zero(); d + 1];
-        coeffs[coord] = Rational::one();
-        coeffs[d] = &a[coord] - &b[coord];
-        cons.push(LinConstraint::new(coeffs, Rel::Eq, a[coord].clone()));
+    let t = pinned.unwrap_or_else(|| Rational::midpoint(&lo, &hi));
+    lo < t && t < hi && {
+        let x = vec_add(a, &scale(&dir, &t));
+        interior.iter().all(|con| con.satisfied_by(&x))
     }
-    let mut t_low = vec![Rational::zero(); d + 1];
-    t_low[d] = Rational::one();
-    cons.push(LinConstraint::new(t_low.clone(), Rel::Gt, Rational::zero()));
-    cons.push(LinConstraint::new(t_low, Rel::Lt, Rational::one()));
-    lcdb_lp::feasible(d + 1, &cons).is_some()
 }
 
 /// Does the open segment (a, b) meet the open hull `cand`?
@@ -594,6 +598,7 @@ mod tests {
     use super::*;
     use lcdb_arith::{int, rat};
     use lcdb_logic::parse_formula;
+    use proptest::prelude::*;
 
     fn relation(src: &str, vars: &[&str]) -> Relation {
         Relation::new(
@@ -735,6 +740,56 @@ mod tests {
         assert!(!d.regions.is_empty());
         // Far interior points should be covered by unbounded regions.
         assert!(d.covers(&pt(&[100, 100])));
+    }
+
+    /// The `(d+1)`-variable LP that `open_segment_meets` used to solve:
+    /// `x = a + t(b − a)`, `0 < t < 1`, `x` in the interior system.
+    fn open_segment_meets_lp(d: usize, a: &QVector, b: &QVector, interior: &[LinConstraint]) -> bool {
+        let mut cons: Vec<LinConstraint> = Vec::new();
+        for con in interior {
+            let mut coeffs = con.coeffs.clone();
+            coeffs.push(Rational::zero());
+            cons.push(LinConstraint::new(coeffs, con.rel, con.rhs.clone()));
+        }
+        for coord in 0..d {
+            let mut coeffs = vec![Rational::zero(); d + 1];
+            coeffs[coord] = Rational::one();
+            coeffs[d] = &a[coord] - &b[coord];
+            cons.push(LinConstraint::new(coeffs, Rel::Eq, a[coord].clone()));
+        }
+        let mut t = vec![Rational::zero(); d + 1];
+        t[d] = Rational::one();
+        cons.push(LinConstraint::new(t.clone(), Rel::Gt, Rational::zero()));
+        cons.push(LinConstraint::new(t, Rel::Lt, Rational::one()));
+        lcdb_lp::feasible(d + 1, &cons).is_some()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Small coefficients make zero rates, roots at the end points and
+        /// several equalities pinning the same (or different) `t` common.
+        #[test]
+        fn segment_test_agrees_with_its_lp_formulation(
+            a in proptest::collection::vec(-3i64..=3, 2),
+            b in proptest::collection::vec(-3i64..=3, 2),
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(-2i64..=2, 2), 0usize..3, -3i64..=3),
+                0..5,
+            ),
+        ) {
+            let interior: Vec<LinConstraint> = raw
+                .into_iter()
+                .map(|(coeffs, rel, rhs)| {
+                    LinConstraint::new(pt(&coeffs), [Rel::Lt, Rel::Eq, Rel::Gt][rel], int(rhs))
+                })
+                .collect();
+            let (a, b) = (pt(&a), pt(&b));
+            prop_assert_eq!(
+                open_segment_meets(&a, &b, &interior),
+                open_segment_meets_lp(2, &a, &b, &interior)
+            );
+        }
     }
 
     #[test]

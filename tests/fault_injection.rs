@@ -15,18 +15,48 @@
 
 use lcdb::budget::faults::FaultPlan;
 use lcdb::core::{
-    try_eval_sentence_arrangement_recoverable, try_eval_sentence_arrangement_recoverable_pool,
-    RegionExtension,
+    parse_regformula, try_eval_sentence_arrangement_recoverable,
+    try_eval_sentence_arrangement_recoverable_pool, RegionExtension,
 };
 use lcdb::datalog::{DatalogError, Literal, Program, Rule};
 use lcdb::{
     parse_formula, queries, BudgetError, EvalBudget, EvalError, EvalOutcome, Evaluator, Pool,
-    Relation, Snapshot,
+    RegFormula, Relation, Snapshot,
 };
 use std::path::PathBuf;
 
 /// The injection sites of the region-logic pipeline, bottom to top.
 const REGION_SITES: &[&str] = &["arith.overflow", "lp.pivot", "geom.face_cap", "core.fix_stage"];
+
+/// A database, a sentence and its verdict: one evaluation route through the
+/// pipeline.
+type Route = (Relation, RegFormula, bool);
+
+/// Conn over two intervals: exact arithmetic, the arrangement build and a
+/// multi-stage fixed point. Arrangements are built without the simplex, so
+/// this route never pivots.
+fn conn_route() -> Route {
+    (two_gaps(), queries::connectivity(), false)
+}
+
+/// An element-quantifier sentence whose elimination has to solve a linear
+/// program: the route that reaches `lp.pivot`.
+fn elimination_route() -> Route {
+    let sentence = parse_regformula(
+        "exists x. exists y. S(x) and ((y < x and 1 < y) or (y > x + 2 and y < 5)) and y + x <= 6",
+    )
+    .unwrap();
+    (rel1("0 <= x and x <= 4"), sentence, true)
+}
+
+/// The route on which `site` is executed.
+fn route_through(site: &str) -> Route {
+    if site == "lp.pivot" {
+        elimination_route()
+    } else {
+        conn_route()
+    }
+}
 
 fn seed() -> u64 {
     std::env::var("LCDB_FAULT_SEED")
@@ -56,11 +86,12 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn each_site_yields_typed_error_and_valid_checkpoint() {
     for site in REGION_SITES {
+        let (relation, sentence, expected) = route_through(site);
         let dir = temp_dir(&site.replace('.', "-"));
         let guard = FaultPlan::new().fail_on(site, 1).arm();
         let result = try_eval_sentence_arrangement_recoverable(
-            &two_gaps(),
-            &queries::connectivity(),
+            &relation,
+            &sentence,
             &EvalBudget::unlimited(),
             Some(&dir),
             None,
@@ -79,14 +110,14 @@ fn each_site_yields_typed_error_and_valid_checkpoint() {
         // The checkpoint is genuinely resumable: with the fault disarmed,
         // the run completes with the correct verdict.
         let (verdict, _) = try_eval_sentence_arrangement_recoverable(
-            &two_gaps(),
-            &queries::connectivity(),
+            &relation,
+            &sentence,
             &EvalBudget::unlimited(),
             None,
             Some(&snap),
         )
         .unwrap_or_else(|(e, _)| panic!("site {site}: resume failed: {e}"));
-        assert!(!verdict, "site {site}: wrong verdict after resume");
+        assert_eq!(verdict, expected, "site {site}: wrong verdict after resume");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -98,28 +129,32 @@ fn each_site_yields_typed_error_and_valid_checkpoint() {
 fn seeded_plans_never_panic_and_never_corrupt_snapshots() {
     let base = seed();
     for delta in 0..4u64 {
-        let dir = temp_dir(&format!("seeded-{delta}"));
-        let guard = FaultPlan::seeded(base.wrapping_add(delta), REGION_SITES, 3).arm();
-        let result = try_eval_sentence_arrangement_recoverable(
-            &two_gaps(),
-            &queries::connectivity(),
-            &EvalBudget::unlimited(),
-            Some(&dir),
-            None,
-        );
-        drop(guard);
-        match result {
-            Ok((verdict, _)) => assert!(!verdict),
-            Err((err, path)) => {
-                assert!(
-                    matches!(err, EvalError::InjectedFault { .. }),
-                    "seed {base}+{delta}: {err}"
-                );
-                let path = path.expect("recoverable abort checkpoints");
-                Snapshot::read_from(&path).expect("checkpoint decodes");
+        for (r, (relation, sentence, expected)) in
+            [conn_route(), elimination_route()].into_iter().enumerate()
+        {
+            let dir = temp_dir(&format!("seeded-{delta}-{r}"));
+            let guard = FaultPlan::seeded(base.wrapping_add(delta), REGION_SITES, 3).arm();
+            let result = try_eval_sentence_arrangement_recoverable(
+                &relation,
+                &sentence,
+                &EvalBudget::unlimited(),
+                Some(&dir),
+                None,
+            );
+            drop(guard);
+            match result {
+                Ok((verdict, _)) => assert_eq!(verdict, expected),
+                Err((err, path)) => {
+                    assert!(
+                        matches!(err, EvalError::InjectedFault { .. }),
+                        "seed {base}+{delta}: {err}"
+                    );
+                    let path = path.expect("recoverable abort checkpoints");
+                    Snapshot::read_from(&path).expect("checkpoint decodes");
+                }
             }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -166,11 +201,12 @@ fn localized_fault_is_quarantined_in_degraded_mode() {
 fn faults_fire_inside_pool_workers() {
     let pool = Pool::new(2);
     for site in REGION_SITES {
+        let (relation, sentence, expected) = route_through(site);
         let dir = temp_dir(&format!("pool-{}", site.replace('.', "-")));
         let guard = FaultPlan::new().fail_on(site, 1).arm();
         let result = try_eval_sentence_arrangement_recoverable_pool(
-            &two_gaps(),
-            &queries::connectivity(),
+            &relation,
+            &sentence,
             &EvalBudget::unlimited(),
             Some(&dir),
             None,
@@ -187,15 +223,15 @@ fn faults_fire_inside_pool_workers() {
             .unwrap_or_else(|e| panic!("site {site}: corrupt checkpoint: {e}"));
         // Resume in the same threaded configuration, fault disarmed.
         let (verdict, _) = try_eval_sentence_arrangement_recoverable_pool(
-            &two_gaps(),
-            &queries::connectivity(),
+            &relation,
+            &sentence,
             &EvalBudget::unlimited(),
             None,
             Some(&snap),
             &pool,
         )
         .unwrap_or_else(|(e, _)| panic!("site {site}: threaded resume failed: {e}"));
-        assert!(!verdict, "site {site}: wrong verdict after threaded resume");
+        assert_eq!(verdict, expected, "site {site}: wrong verdict after threaded resume");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
