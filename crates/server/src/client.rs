@@ -54,7 +54,22 @@ impl Client {
             aux,
             text: text.to_string(),
         };
-        write_frame(&mut self.stream, &req.encode())?;
+        if let Err(e) = write_frame(&mut self.stream, &req.encode()) {
+            // The server may have spoken first and hung up — an accept-time
+            // shed is an unsolicited `RetryAfter` followed by a close — so
+            // the write fails while the answer already sits in our receive
+            // buffer. Deliver that frame; without one the write error stands.
+            return match e.kind() {
+                io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset => {
+                    self.read_response().map_err(|_| e)
+                }
+                _ => Err(e),
+            };
+        }
+        self.read_response()
+    }
+
+    fn read_response(&mut self) -> io::Result<Response> {
         let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
@@ -133,5 +148,42 @@ impl Client {
             std::thread::sleep(Duration::from_millis(hint + jitter));
             attempt += 1;
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    /// A server that speaks first and hangs up (the accept-time shed): once
+    /// the client has written anything to the dead connection its next write
+    /// fails, and `request` must still deliver the frame that was waiting.
+    #[test]
+    fn write_error_still_delivers_the_pending_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut c = Client::connect(&addr).unwrap();
+        {
+            let (mut s, _) = listener.accept().unwrap();
+            write_frame(&mut s, &Response::retry_after(0, 25, "full").encode()).unwrap();
+        }
+        // The first bytes after the peer's close go out and draw a reset;
+        // only then does a write fail.
+        let mut failed = false;
+        for _ in 0..200 {
+            if c.stream.write_all(&[0]).is_err() {
+                failed = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(failed, "writes to a reset connection keep succeeding");
+        let r = c.status().expect("the pending shed is delivered");
+        assert_eq!((r.code, r.id, r.aux), (RespCode::RetryAfter, 0, 25));
+        // Nothing pending any more: the write error stands.
+        assert!(c.status().is_err());
     }
 }

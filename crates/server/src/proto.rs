@@ -323,12 +323,13 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Write one frame. The payload must not exceed [`MAX_FRAME`] (all payloads
-/// produced by this module are far below it; a text that large is rejected
-/// at request-build time by the caller).
+/// Write one frame as one `write_all`: prefix and payload leave in a single
+/// syscall and — the sockets run `TCP_NODELAY` — a single segment, so the
+/// peer never sees a length without its payload. The payload must not
+/// exceed [`MAX_FRAME`] (all payloads produced by this module are far below
+/// it; a text that large is rejected at request-build time by the caller).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(&frame(payload))?;
     w.flush()
 }
 
@@ -355,7 +356,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Incremental frame assembly for non-blocking session reads.
+/// Incremental frame assembly for session reads.
 ///
 /// Bytes arrive in arbitrary chunks ([`push`](FrameReader::push)); complete
 /// frames are drained with [`next_frame`](FrameReader::next_frame). The
@@ -466,6 +467,34 @@ mod tests {
             reader.next_frame(),
             Err(ProtoError::Oversized { .. })
         ));
+    }
+
+    /// One frame is one `write`: a `Write` that counts its calls (and would
+    /// accept any number of bytes per call) sees exactly one per frame.
+    #[test]
+    fn write_frame_issues_one_write() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        let resp = Response::ok(3, "x".repeat(10_000));
+        write_frame(&mut w, &resp.encode()).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, resp.to_frame());
+        write_frame(&mut w, &[]).unwrap();
+        assert_eq!(w.writes, 2, "an empty payload is still one write");
     }
 
     #[test]

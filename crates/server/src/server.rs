@@ -3,13 +3,15 @@
 //! Architecture (all `std`, no dependencies):
 //!
 //! ```text
-//!              accept loop (non-blocking poll)
-//!                   │  caps live sessions, sheds with RETRY_AFTER
+//!              accept loop (blocking accept)
+//!                   │  reaps finished sessions, caps the live ones,
+//!                   │  sheds with RETRY_AFTER
 //!          ┌────────┴─────────┐
 //!      session thread …  session thread        (one per connection)
-//!          │ parses frames, runs Define/Status inline,
-//!          │ enqueues Eval/Explain jobs, trips the session's
-//!          │ CancelToken when the connection closes
+//!          │ blocks in read under the idle/read timeout, parses
+//!          │ frames, runs Define/Status inline, enqueues Eval/Explain
+//!          │ jobs, trips the session's CancelToken when the
+//!          │ connection closes
 //!          └────────┬─────────┘
 //!         admission queue (bounded, fair round-robin per client)
 //!          ┌────────┴─────────┐
@@ -18,6 +20,13 @@
 //!          │ consults the shared result cache, evaluates on an
 //!          │ lcdb-exec pool, writes the response frame
 //! ```
+//!
+//! Nothing polls: every blocked thread waits on the event it is waiting
+//! for. Shutdown (API, `Drop`, or the `Shutdown` opcode) sets its flag
+//! under the queue's mutex and notifies the workers and [`Server::wait`],
+//! wakes the acceptor with a loopback connection to the listening port, and
+//! shuts down the read half of every live session's socket: a blocked read
+//! returns 0 while an in-flight answer can still be written.
 //!
 //! Robustness properties, each covered by a test:
 //!
@@ -43,7 +52,7 @@
 
 use crate::cache::ResultCache;
 use crate::proto::{
-    write_frame, FrameReader, OpCode, ProtoError, Request, RespCode, Response,
+    write_frame, FrameReader, OpCode, Request, RespCode, Response,
 };
 use lcdb_core::{
     explain_query, parse_regformula, query_fingerprint, ArrangementRegions, CancelToken,
@@ -51,17 +60,18 @@ use lcdb_core::{
     TraceHandle,
 };
 use lcdb_logic::{parse_formula, Database, Formula, Relation};
-use lcdb_trace::Counter;
+use lcdb_trace::{Counter, Histogram};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked loops (accept poll, session reads, worker waits) check
-/// the shutdown flag. Bounds shutdown latency without busy-spinning.
-const POLL: Duration = Duration::from_millis(10);
+/// How long the acceptor stands back after `accept` itself fails (descriptor
+/// exhaustion does not clear by retrying at once); a shutdown ends the wait.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Buffered telemetry rows are appended to the persistent stats segment in
 /// batches of this many (and at shutdown), so a busy server amortises the
@@ -128,17 +138,27 @@ impl Default for ServerConfig {
 /// Fault-injection plumbing: when the `faults` feature is on, every thread
 /// the server spawns re-arms the plan that was armed on the thread that
 /// called [`Server::start`], exactly like `lcdb-exec` pool workers do.
-#[cfg(feature = "faults")]
-type FaultHandle = Option<lcdb_budget::faults::ArmedHandle>;
-#[cfg(not(feature = "faults"))]
-type FaultHandle = ();
-
-#[cfg(feature = "faults")]
-fn export_faults() -> FaultHandle {
-    lcdb_budget::faults::export()
+#[derive(Clone)]
+struct FaultHandle {
+    #[cfg(feature = "faults")]
+    armed: Option<lcdb_budget::faults::ArmedHandle>,
 }
-#[cfg(not(feature = "faults"))]
-fn export_faults() -> FaultHandle {}
+
+impl FaultHandle {
+    fn export() -> FaultHandle {
+        FaultHandle {
+            #[cfg(feature = "faults")]
+            armed: lcdb_budget::faults::export(),
+        }
+    }
+
+    /// Run a spawned thread's body under the exported plan.
+    fn install(&self, f: impl FnOnce()) {
+        #[cfg(feature = "faults")]
+        let _installed = self.armed.as_ref().map(lcdb_budget::faults::install);
+        f()
+    }
+}
 
 /// Check a named server fault site; `Err` carries the message to report.
 fn fault_check(site: &str) -> Result<(), String> {
@@ -153,17 +173,57 @@ fn fault_check(site: &str) -> Result<(), String> {
     }
 }
 
+/// Lock a mutex whose data every update leaves valid at every step, so a
+/// holder that panicked poisons nothing worth refusing.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// One client connection: read by its session thread, written by that
+/// thread and by the workers answering its jobs (`write` keeps their frames
+/// whole), closed when the last of them lets go.
+struct Conn {
+    sock: TcpStream,
+    write: Mutex<()>,
+}
+
+impl Conn {
+    fn new(sock: TcpStream) -> Arc<Conn> {
+        Arc::new(Conn {
+            sock,
+            write: Mutex::new(()),
+        })
+    }
+}
+
+/// A session the acceptor started and nobody has joined yet. The socket is
+/// held weakly: the registry can end the session's blocked read at shutdown
+/// but never keeps a finished session's connection open.
+struct LiveSession {
+    thread: JoinHandle<()>,
+    conn: Weak<Conn>,
+}
+
 /// One queued evaluation request, with everything needed to execute and
 /// answer it after the submitting session has moved on (or died).
 struct Job {
     session: u64,
     req: Request,
-    db: Database,
+    /// The session's database as of this request — a shared snapshot, not a
+    /// copy; a later `Define` gives the session a new one.
+    db: Arc<Database>,
     spatial: Option<String>,
     db_fp: u64,
     cancel: CancelToken,
-    out: Arc<Mutex<TcpStream>>,
+    out: Arc<Conn>,
     enqueued_at: Instant,
+}
+
+/// Per-opcode registry handles, resolved once: the request path never
+/// formats a metric name or takes the registry mutex.
+struct OpMetrics {
+    latency: Arc<Histogram>,
+    ticks: Counter,
 }
 
 /// The admission queue: per-client FIFOs drained round-robin.
@@ -185,18 +245,27 @@ enum Shed {
 struct Shared {
     cfg: ServerConfig,
     trace: TraceHandle,
+    /// Where a loopback connection reaches the listener (the shutdown
+    /// wake-up of the blocked acceptor).
+    wake_addr: SocketAddr,
+    /// Set once, under the `dispatch` mutex (see [`Shared::request_shutdown`]).
     shutdown: AtomicBool,
-    active_sessions: AtomicUsize,
+    /// Sessions started and not yet joined; finished ones are reaped on
+    /// every accept and every `Status`.
+    sessions: Mutex<Vec<LiveSession>>,
     next_session: AtomicU64,
     dispatch: Mutex<DispatchState>,
+    /// Workers park here for work or shutdown.
     ready: Condvar,
+    /// [`Server::wait`] parks here (same mutex) for shutdown.
+    stopped: Condvar,
     cache: ResultCache,
     /// `RegionExtension`s already built, keyed by database fingerprint —
     /// repeated queries against the same database skip the O(n^d)
     /// arrangement build entirely.
     extensions: Mutex<HashMap<u64, Arc<RegionExtension>>>,
     /// Base database every session starts from (pre-parsed once).
-    base: (Database, Option<String>),
+    base: (Arc<Database>, Option<String>),
     /// Fingerprint of the base database; its cache and extension entries
     /// are protected from churn by Define-heavy sessions.
     base_fp: u64,
@@ -207,7 +276,12 @@ struct Shared {
     /// door, never accumulated.
     stats: Mutex<Vec<String>>,
     c_accepted: Counter,
+    c_reaped: Counter,
     c_shed: Counter,
+    /// The part of `c_shed` refused at accept (session cap), so that
+    /// `accepted - shed_at_accept = reaped + live` can be checked from
+    /// outside.
+    c_shed_accept: Counter,
     c_timeout: Counter,
     c_requests: Counter,
     c_completed: Counter,
@@ -222,16 +296,176 @@ struct Shared {
     c_ext_incremental: Counter,
     /// Extensions built from scratch (no usable donor, or delta too large).
     c_ext_rebuild: Counter,
+    /// The registry counter every evaluation's budget meter ticks
+    /// (`Meter::backed_by` in the evaluator); sampling it around `execute`
+    /// attributes ticks to the opcode that spent them.
+    ticks_total: Counter,
+    h_latency: Arc<Histogram>,
+    /// `EvalSentence`, `EvalQuery`, `Explain` — see [`Shared::op_metrics`].
+    ops: [OpMetrics; 3],
+    /// Where a request's wall time goes: accepted → session thread reading,
+    /// enqueue → pop, `execute`, and the reply's `write_frame`.
+    h_accept: Arc<Histogram>,
+    h_queue: Arc<Histogram>,
+    h_exec: Arc<Histogram>,
+    h_write: Arc<Histogram>,
 }
 
 impl Shared {
+    fn new(
+        cfg: ServerConfig,
+        trace: TraceHandle,
+        base: (Database, Option<String>),
+        catalog: Option<PlanCatalog>,
+        listening_on: SocketAddr,
+    ) -> Shared {
+        let m = trace.metrics();
+        let base_fp = db_fingerprint(&base.0, base.1.as_deref());
+        // A listener on the wildcard address is reached through loopback.
+        let mut wake_addr = listening_on;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let op_metrics = |op: OpCode| OpMetrics {
+            latency: m.histogram(&format!("server.latency_us.{}", op_name(op))),
+            ticks: m.counter(&format!("server.ticks.{}", op_name(op))),
+        };
+        Shared {
+            c_accepted: m.counter("server.accepted"),
+            c_reaped: m.counter("server.sessions_reaped"),
+            c_shed: m.counter("server.shed"),
+            c_shed_accept: m.counter("server.shed.accept"),
+            c_timeout: m.counter("server.timeout"),
+            c_requests: m.counter("server.requests"),
+            c_completed: m.counter("server.completed"),
+            c_cancelled: m.counter("server.cancelled"),
+            c_faults: m.counter("server.faults"),
+            c_cache_hit: m.counter("server.cache.hit"),
+            c_cache_miss: m.counter("server.cache.miss"),
+            c_store_hit: m.counter("server.store.hit"),
+            c_ext_incremental: m.counter("server.ext.incremental"),
+            c_ext_rebuild: m.counter("server.ext.rebuild"),
+            ticks_total: m.counter("budget.meter_ticks"),
+            h_latency: m.histogram("server.latency_us"),
+            ops: [OpCode::EvalSentence, OpCode::EvalQuery, OpCode::Explain].map(op_metrics),
+            h_accept: m.histogram("server.phase.accept_us"),
+            h_queue: m.histogram("server.phase.queue_us"),
+            h_exec: m.histogram("server.phase.exec_us"),
+            h_write: m.histogram("server.phase.write_us"),
+            cache: ResultCache::new(cfg.cache_capacity).protecting(base_fp),
+            extensions: Mutex::new(HashMap::new()),
+            base: (Arc::new(base.0), base.1),
+            base_fp,
+            catalog,
+            stats: Mutex::new(Vec::new()),
+            trace,
+            wake_addr,
+            shutdown: AtomicBool::new(false),
+            sessions: Mutex::new(Vec::new()),
+            next_session: AtomicU64::new(1),
+            dispatch: Mutex::new(DispatchState::default()),
+            ready: Condvar::new(),
+            stopped: Condvar::new(),
+            cfg,
+        }
+    }
+
+    /// A server's shared state with no listener behind it, for driving the
+    /// admission queue directly.
+    #[cfg(test)]
+    fn for_test(cfg: ServerConfig) -> Shared {
+        let nowhere = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+        Shared::new(cfg, TraceHandle::disabled(), (Database::new(), None), None, nowhere)
+    }
+
+    /// The handles of an opcode the workers execute.
+    fn op_metrics(&self, op: OpCode) -> &OpMetrics {
+        &self.ops[match op {
+            OpCode::EvalSentence => 0,
+            OpCode::EvalQuery => 1,
+            _ => 2,
+        }]
+    }
+
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Publish the shutdown flag and wake every thread that is blocked on
+    /// something else. The flag is set under the `dispatch` mutex, so a
+    /// worker (or `Server::wait`) between its check and its wait cannot miss
+    /// the notification; the acceptor is woken by a connection to its own
+    /// port; a session blocked in `read` sees end-of-stream once the read
+    /// half of its socket is shut down, while the write half stays open for
+    /// answers still in flight. The acceptor registers a session under the
+    /// `sessions` lock and only while the flag is clear, so the sweep below
+    /// misses none. Idempotent: only the first call does anything.
+    fn request_shutdown(&self) {
+        {
+            let _queue = lock(&self.dispatch);
+            if self.shutdown.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            self.ready.notify_all();
+            self.stopped.notify_all();
+        }
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        for session in lock(&self.sessions).iter() {
+            if let Some(conn) = session.conn.upgrade() {
+                let _ = conn.sock.shutdown(Shutdown::Read);
+            }
+        }
+    }
+
+    /// Block until shutdown is requested — or, given a limit, at most that
+    /// long.
+    fn wait_shutdown(&self, limit: Option<Duration>) {
+        let mut st = lock(&self.dispatch);
+        while !self.is_shutdown() {
+            st = match limit {
+                None => self.stopped.wait(st).unwrap_or_else(|p| p.into_inner()),
+                Some(limit) => {
+                    let _ = self.stopped.wait_timeout(st, limit);
+                    return;
+                }
+            };
+        }
+    }
+
+    /// Join the sessions whose threads have finished and drop them from the
+    /// registry, which therefore never outgrows the live sessions by more
+    /// than those that ended since the last accept or `Status`.
+    fn reap(&self, live: &mut Vec<LiveSession>) {
+        let mut i = 0;
+        while i < live.len() {
+            if live[i].thread.is_finished() {
+                let _ = live.swap_remove(i).thread.join();
+                self.c_reaped.incr();
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Write one response frame to a connection, timed as the `write` phase.
+    fn send(&self, conn: &Conn, resp: &Response) -> io::Result<()> {
+        let _whole_frame = lock(&conn.write);
+        let started = Instant::now();
+        let sent = write_frame(&mut &conn.sock, &resp.encode());
+        self.h_write.observe(started.elapsed().as_micros() as u64);
+        sent
+    }
+
     /// Suggested client backoff, proportional to current congestion.
     fn retry_hint_ms(&self, depth: usize) -> u32 {
         (20 + 5 * depth as u64).min(2_000) as u32
     }
 
     fn enqueue(&self, job: Job) -> Result<(), Shed> {
-        let mut st = self.dispatch.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = lock(&self.dispatch);
         if st.queued >= self.cfg.queue_capacity {
             return Err(Shed::QueueFull { depth: st.queued });
         }
@@ -254,9 +488,9 @@ impl Shared {
 
     /// Pop the next job fairly; `None` means the server is shutting down.
     fn pop(&self) -> Option<Job> {
-        let mut st = self.dispatch.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = lock(&self.dispatch);
         loop {
-            if self.shutdown.load(Ordering::Relaxed) {
+            if self.is_shutdown() {
                 return None;
             }
             if let Some(sid) = st.rotation.pop_front() {
@@ -275,24 +509,20 @@ impl Shared {
                 }
                 continue;
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(st, POLL)
-                .unwrap_or_else(|p| p.into_inner());
-            st = guard;
+            st = self.ready.wait(st).unwrap_or_else(|p| p.into_inner());
         }
     }
 
     /// Buffer one telemetry row for the persistent stats segment. With
-    /// persistence off the row is dropped — telemetry must never grow
-    /// unbounded memory.
-    fn push_stat(&self, row: String) {
+    /// persistence off the row is not even built — telemetry must never
+    /// grow unbounded memory, nor cost a request anything.
+    fn push_stat(&self, row: impl FnOnce() -> String) {
         if self.catalog.is_none() {
             return;
         }
         let full = {
-            let mut buf = self.stats.lock().unwrap_or_else(|p| p.into_inner());
-            buf.push(row);
+            let mut buf = lock(&self.stats);
+            buf.push(row());
             buf.len() >= STATS_BATCH
         };
         if full {
@@ -303,10 +533,7 @@ impl Shared {
     /// Append all buffered telemetry rows to the catalog's stats segment.
     fn flush_stats(&self) {
         let Some(cat) = &self.catalog else { return };
-        let rows: Vec<String> = {
-            let mut buf = self.stats.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *buf)
-        };
+        let rows: Vec<String> = std::mem::take(&mut *lock(&self.stats));
         if rows.is_empty() {
             return;
         }
@@ -316,10 +543,7 @@ impl Shared {
     }
 
     fn queue_depth(&self) -> usize {
-        self.dispatch
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .queued
+        lock(&self.dispatch).queued
     }
 
     /// Build (or fetch) the region extension for a database snapshot: the
@@ -334,12 +558,7 @@ impl Shared {
         budget: &EvalBudget,
         pool: &Pool,
     ) -> Result<Arc<RegionExtension>, EvalError> {
-        if let Some(ext) = self
-            .extensions
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&db_fp)
-        {
+        if let Some(ext) = lock(&self.extensions).get(&db_fp) {
             return Ok(Arc::clone(ext));
         }
         let regions = match self.catalog.as_ref().and_then(|cat| {
@@ -382,7 +601,7 @@ impl Shared {
             }
         };
         let ext = Arc::new(RegionExtension::from_arrangement_regions(regions));
-        let mut map = self.extensions.lock().unwrap_or_else(|p| p.into_inner());
+        let mut map = lock(&self.extensions);
         // Crude bound: serving is dominated by a handful of hot databases;
         // when a churn-heavy workload overflows the map, dropping it all
         // and rebuilding on demand is simpler than LRU bookkeeping. The
@@ -411,10 +630,7 @@ impl Shared {
         budget: &EvalBudget,
         pool: &Pool,
     ) -> Option<ArrangementRegions> {
-        let donors: Vec<Arc<RegionExtension>> = {
-            let map = self.extensions.lock().unwrap_or_else(|p| p.into_inner());
-            map.values().cloned().collect()
-        };
+        let donors: Vec<Arc<RegionExtension>> = lock(&self.extensions).values().cloned().collect();
         if donors.is_empty() {
             return None;
         }
@@ -459,10 +675,17 @@ impl Shared {
 
     /// The status body: one `name=value` per line, counters then gauges.
     fn status_body(&self) -> String {
+        let live = {
+            let mut live = lock(&self.sessions);
+            self.reap(&mut live);
+            live.len()
+        };
         let mut s = String::new();
         for (name, c) in [
             ("accepted", &self.c_accepted),
+            ("sessions_reaped", &self.c_reaped),
             ("shed", &self.c_shed),
+            ("shed_at_accept", &self.c_shed_accept),
             ("timeout", &self.c_timeout),
             ("requests", &self.c_requests),
             ("completed", &self.c_completed),
@@ -481,7 +704,7 @@ impl Shared {
         }
         s.push_str(&format!(
             "sessions={}\nqueued={}\ncache_entries={}\n",
-            self.active_sessions.load(Ordering::Relaxed),
+            live,
             self.queue_depth(),
             self.cache.len(),
         ));
@@ -634,8 +857,8 @@ fn eval_error_response(e: &EvalError, id: u64, shared: &Shared) -> Response {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    /// The workers and the acceptor; sessions are in `shared.sessions`.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -645,7 +868,6 @@ impl Server {
     /// accumulate).
     pub fn start(cfg: ServerConfig, trace: TraceHandle) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let mut base_db = Database::new();
@@ -659,7 +881,6 @@ impl Server {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
 
-        let base_fp = db_fingerprint(&base_db, base_spatial.as_deref());
         let catalog = match &cfg.store_dir {
             Some(dir) => Some(
                 PlanCatalog::open(dir)
@@ -667,65 +888,28 @@ impl Server {
             ),
             None => None,
         };
-
-        let metrics = trace.metrics();
-        let shared = Arc::new(Shared {
-            c_accepted: metrics.counter("server.accepted"),
-            c_shed: metrics.counter("server.shed"),
-            c_timeout: metrics.counter("server.timeout"),
-            c_requests: metrics.counter("server.requests"),
-            c_completed: metrics.counter("server.completed"),
-            c_cancelled: metrics.counter("server.cancelled"),
-            c_faults: metrics.counter("server.faults"),
-            c_cache_hit: metrics.counter("server.cache.hit"),
-            c_cache_miss: metrics.counter("server.cache.miss"),
-            c_store_hit: metrics.counter("server.store.hit"),
-            c_ext_incremental: metrics.counter("server.ext.incremental"),
-            c_ext_rebuild: metrics.counter("server.ext.rebuild"),
-            cache: ResultCache::new(cfg.cache_capacity).protecting(base_fp),
-            extensions: Mutex::new(HashMap::new()),
-            base: (base_db, base_spatial),
-            base_fp,
-            catalog,
-            stats: Mutex::new(Vec::new()),
-            trace,
-            shutdown: AtomicBool::new(false),
-            active_sessions: AtomicUsize::new(0),
-            next_session: AtomicU64::new(1),
-            dispatch: Mutex::new(DispatchState::default()),
-            ready: Condvar::new(),
-            cfg,
-        });
+        let shared = Arc::new(Shared::new(cfg, trace, (base_db, base_spatial), catalog, addr));
 
         // Threads spawned here re-arm the *caller's* fault plan, so a
         // seeded chaos test arms once and the whole server participates.
-        // (`FaultHandle` is the unit type in non-faults builds.)
-        #[allow(clippy::let_unit_value)]
-        let faults = export_faults();
-        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let faults = FaultHandle::export();
         let mut threads = Vec::new();
         for _ in 0..shared.cfg.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            #[cfg(feature = "faults")]
-            let faults = faults.clone();
+            let (shared, faults) = (Arc::clone(&shared), faults.clone());
             threads.push(std::thread::spawn(move || {
-                install_faults(&faults, || worker_loop(&shared))
+                faults.install(|| worker_loop(&shared))
             }));
         }
         {
             let shared = Arc::clone(&shared);
-            let sessions = Arc::clone(&sessions);
-            #[cfg(feature = "faults")]
-            let faults = faults.clone();
             threads.push(std::thread::spawn(move || {
-                install_faults(&faults, || accept_loop(&shared, listener, &sessions, &faults))
+                faults.install(|| accept_loop(&shared, listener, &faults))
             }));
         }
         Ok(Server {
             addr,
             shared,
             threads,
-            sessions,
         })
     }
 
@@ -741,15 +925,13 @@ impl Server {
 
     /// True once a shutdown has been requested (protocol or API).
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
+        self.shared.is_shutdown()
     }
 
-    /// Block until a client's `Shutdown` request (or a prior
-    /// [`Server::shutdown_now`]) stops the server, then join every thread.
+    /// Block until a client's `Shutdown` request stops the server, then
+    /// join every thread.
     pub fn wait(mut self) {
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
-            std::thread::sleep(POLL);
-        }
+        self.shared.wait_shutdown(None);
         self.join();
     }
 
@@ -757,22 +939,18 @@ impl Server {
     /// all live sessions). In-flight evaluations observe their budgets'
     /// cancellation/deadline checks; sessions close their connections.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
         self.join();
     }
 
     fn join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.ready.notify_all();
+        self.shared.request_shutdown();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        let handles: Vec<_> = {
-            let mut s = self.sessions.lock().unwrap_or_else(|p| p.into_inner());
-            s.drain(..).collect()
-        };
-        for t in handles {
-            let _ = t.join();
+        // The acceptor is gone: nothing registers a session any more.
+        let live = std::mem::take(&mut *lock(&self.shared.sessions));
+        for session in live {
+            let _ = session.thread.join();
         }
         self.shared.flush_stats();
         self.shared.trace.flush();
@@ -785,72 +963,51 @@ impl Drop for Server {
     }
 }
 
-fn install_faults(handle: &FaultHandle, f: impl FnOnce()) {
-    #[cfg(feature = "faults")]
-    let _installed = handle.as_ref().map(lcdb_budget::faults::install);
-    #[cfg(not(feature = "faults"))]
-    let _ = handle;
-    f()
-}
-
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-    sessions: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    faults: &FaultHandle,
-) {
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, faults: &FaultHandle) {
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
+        let accepted = listener.accept();
+        let accepted_at = Instant::now();
+        let mut live = lock(&shared.sessions);
+        // Checked under the registry lock (see `request_shutdown`), and
+        // before anything is counted: the connection that woke us for
+        // shutdown is no client's, bumps no counter and consumes no fault.
+        if shared.is_shutdown() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.c_accepted.incr();
-                // Fault site: a poisoned accept drops exactly this
-                // connection; the listener and every other session live on.
-                if let Err(msg) = fault_check("server.accept") {
-                    shared.c_faults.incr();
-                    shared.trace.mark("server.fault", &msg);
-                    drop(stream);
-                    continue;
-                }
-                if shared.active_sessions.load(Ordering::Relaxed) >= shared.cfg.max_sessions {
-                    shared.c_shed.incr();
-                    let hint = shared.retry_hint_ms(shared.queue_depth());
-                    let resp =
-                        Response::retry_after(0, hint, "server at session capacity");
-                    let mut stream = stream;
-                    let _ = write_frame(&mut stream, &resp.encode());
-                    continue;
-                }
-                shared.active_sessions.fetch_add(1, Ordering::Relaxed);
-                let sid = shared.next_session.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                #[cfg(feature = "faults")]
-                let faults = faults.clone();
-                #[cfg(not(feature = "faults"))]
-                #[allow(clippy::let_unit_value)]
-                let faults = *faults;
-                let handle = std::thread::spawn(move || {
-                    install_faults(&faults, || {
-                        session_loop(&shared, stream, sid);
-                        shared.active_sessions.fetch_sub(1, Ordering::Relaxed);
-                    })
-                });
-                sessions
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. aborted handshake): keep
-                // listening.
-                std::thread::sleep(POLL);
-            }
+        shared.reap(&mut live);
+        let Ok((stream, _peer)) = accepted else {
+            // Aborted handshakes are transient; descriptor exhaustion lasts
+            // until sessions end, so stand back rather than spin.
+            drop(live);
+            shared.wait_shutdown(Some(ACCEPT_RETRY));
+            continue;
+        };
+        shared.c_accepted.incr();
+        // Fault site: a poisoned accept drops exactly this connection; the
+        // listener and every other session live on.
+        if let Err(msg) = fault_check("server.accept") {
+            shared.c_faults.incr();
+            shared.trace.mark("server.fault", &msg);
+            continue;
         }
+        let conn = Conn::new(stream);
+        if live.len() >= shared.cfg.max_sessions {
+            shared.c_shed.incr();
+            shared.c_shed_accept.incr();
+            let hint = shared.retry_hint_ms(shared.queue_depth());
+            let _ = shared.send(
+                &conn,
+                &Response::retry_after(0, hint, "server at session capacity"),
+            );
+            continue;
+        }
+        let sid = shared.next_session.fetch_add(1, Ordering::Relaxed);
+        let weak = Arc::downgrade(&conn);
+        let (shared, faults) = (Arc::clone(shared), faults.clone());
+        let thread = std::thread::spawn(move || {
+            faults.install(|| session_loop(&shared, conn, sid, accepted_at))
+        });
+        live.push(LiveSession { thread, conn: weak });
     }
 }
 
@@ -858,74 +1015,69 @@ fn accept_loop(
 /// admission for Eval/Explain. Returning closes the connection; the
 /// session's cancel token is tripped on every exit path so in-flight
 /// evaluations for this client stop promptly.
-fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream, sid: u64) {
+fn session_loop(shared: &Arc<Shared>, conn: Arc<Conn>, sid: u64, accepted_at: Instant) {
     let cancel = CancelToken::new();
-    let result = session_inner(shared, &mut stream, sid, &cancel);
+    // A connection-level I/O failure has nobody to be reported to (the peer
+    // is gone); counters already reflect what was served.
+    let _ = session_inner(shared, &conn, sid, &cancel, accepted_at);
     cancel.cancel();
-    if let Err(_e) = result {
-        // Connection-level I/O failure: nothing to report to (the peer is
-        // gone); counters already reflect what was served.
-    }
 }
 
 fn session_inner(
     shared: &Arc<Shared>,
-    stream: &mut TcpStream,
+    conn: &Arc<Conn>,
     sid: u64,
     cancel: &CancelToken,
+    accepted_at: Instant,
 ) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(POLL))?;
-    let out = Arc::new(Mutex::new(stream.try_clone()?));
-    let respond = |resp: &Response| -> io::Result<()> {
-        let mut w = out.lock().unwrap_or_else(|p| p.into_inner());
-        write_frame(&mut *w, &resp.encode())
-    };
+    conn.sock.set_nodelay(true).ok();
+    let respond = |resp: &Response| shared.send(conn, resp);
 
     let (mut db, mut spatial) = shared.base.clone();
-    let mut db_fp = db_fingerprint(&db, spatial.as_deref());
+    let mut db_fp = shared.base_fp;
     let mut reader = FrameReader::new();
-    let mut last_data = Instant::now();
     let mut buf = [0u8; 4096];
+    // The socket's read timeout is the real one: a stalled frame gets the
+    // short leash, a quiet-but-healthy client the long one. It is re-armed
+    // only when the session flips between the two. (A zero `Duration`
+    // would mean "never" to the socket.)
+    let leash = |mid_frame: bool| {
+        let limit = if mid_frame {
+            shared.cfg.read_timeout
+        } else {
+            shared.cfg.idle_timeout
+        };
+        conn.sock
+            .set_read_timeout(Some(limit.max(Duration::from_millis(1))))
+    };
+    let mut mid_frame = false;
+    leash(mid_frame)?;
+    shared
+        .h_accept
+        .observe(accepted_at.elapsed().as_micros() as u64);
 
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => return Ok(()), // peer closed
+        let n = match (&conn.sock).read(&mut buf) {
+            // The peer closed, or shutdown cut the read half.
+            Ok(0) => return Ok(()),
             Ok(n) => n,
+            // Not a byte for the whole of the armed timeout: drop it.
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // No bytes this poll: enforce the idle/read timeouts. A
-                // stalled frame gets the short leash; a quiet-but-healthy
-                // client the long one.
-                let limit = if reader.mid_frame() {
-                    shared.cfg.read_timeout
-                } else {
-                    shared.cfg.idle_timeout
-                };
-                if last_data.elapsed() > limit {
-                    return Ok(());
-                }
-                continue;
+                return Ok(());
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        last_data = Instant::now();
         reader.push(&buf[..n]);
         loop {
             let payload = match reader.next_frame() {
                 Ok(Some(p)) => p,
                 Ok(None) => break,
-                Err(e @ ProtoError::Oversized { .. }) => {
-                    // Framing is unrecoverable: poison the session.
-                    let _ = respond(&Response::error(RespCode::BadRequest, 0, e.to_string()));
-                    return Ok(());
-                }
                 Err(e) => {
+                    // Framing is unrecoverable: poison the session.
                     let _ = respond(&Response::error(RespCode::BadRequest, 0, e.to_string()));
                     return Ok(());
                 }
@@ -949,7 +1101,10 @@ fn session_inner(
             shared.c_requests.incr();
             match req.op {
                 OpCode::Define => {
-                    let resp = match apply_define(&mut db, &mut spatial, &req.text) {
+                    // Copy-on-write: jobs in flight (and the base database)
+                    // keep the snapshot they were given.
+                    let resp = match apply_define(Arc::make_mut(&mut db), &mut spatial, &req.text)
+                    {
                         Ok(msg) => {
                             let before = std::mem::replace(
                                 &mut db_fp,
@@ -993,19 +1148,19 @@ fn session_inner(
                 }
                 OpCode::Shutdown => {
                     respond(&Response::ok(req.id, "shutting down"))?;
-                    shared.shutdown.store(true, Ordering::Relaxed);
-                    shared.ready.notify_all();
+                    shared.request_shutdown();
                     return Ok(());
                 }
                 OpCode::EvalSentence | OpCode::EvalQuery | OpCode::Explain => {
+                    let (op, id) = (req.op, req.id);
                     let job = Job {
                         session: sid,
-                        req: req.clone(),
-                        db: db.clone(),
+                        req,
+                        db: Arc::clone(&db),
                         spatial: spatial.clone(),
                         db_fp,
                         cancel: cancel.clone(),
-                        out: Arc::clone(&out),
+                        out: Arc::clone(conn),
                         enqueued_at: Instant::now(),
                     };
                     if let Err(shed) = shared.enqueue(job) {
@@ -1017,23 +1172,18 @@ fn session_inner(
                             }
                         };
                         respond(&Response::retry_after(
-                            req.id,
+                            id,
                             shared.retry_hint_ms(depth),
                             what,
                         ))?;
-                        shared.push_stat(stat_row(
-                            sid,
-                            op_name(req.op),
-                            0,
-                            db_fp,
-                            0,
-                            0,
-                            0,
-                            "shed",
-                        ));
+                        shared.push_stat(|| stat_row(sid, op_name(op), 0, db_fp, 0, 0, 0, "shed"));
                     }
                 }
             }
+        }
+        if reader.mid_frame() != mid_frame {
+            mid_frame = !mid_frame;
+            leash(mid_frame)?;
         }
     }
 }
@@ -1046,57 +1196,49 @@ fn worker_loop(shared: &Arc<Shared>) {
     // steal counts, idle parks, and the local-queue depth histogram land in
     // the registry and surface in the Status dump.
     let pool = Pool::new(shared.cfg.eval_threads).with_metrics(shared.trace.metrics(), "server.pool");
-    let metrics = shared.trace.metrics();
-    // The budget meter of every evaluation ticks this registry counter
-    // (`Meter::backed_by` in the evaluator); sampling it around `execute`
-    // attributes ticks to the opcode that spent them.
-    let ticks_total = metrics.counter("budget.meter_ticks");
     while let Some(job) = shared.pop() {
         let op = op_name(job.req.op);
+        let queued_us = job.enqueued_at.elapsed().as_micros() as u64;
+        shared.h_queue.observe(queued_us);
         if job.cancel.is_cancelled() {
             // The session closed while the job was queued; nobody is
             // waiting for this answer.
             shared.c_cancelled.incr();
-            shared.push_stat(stat_row(
-                job.session,
-                op,
-                0,
-                job.db_fp,
-                job.enqueued_at.elapsed().as_micros() as u64,
-                0,
-                0,
-                "cancelled",
-            ));
+            shared.push_stat(|| {
+                stat_row(job.session, op, 0, job.db_fp, queued_us, 0, 0, "cancelled")
+            });
             continue;
         }
         let _span = shared.trace.span_with("server.request", op);
         let started = Instant::now();
-        let ticks_before = ticks_total.get();
+        let ticks_before = shared.ticks_total.get();
         let mut info = ExecInfo::default();
         let resp = execute(shared, &job, &pool, &mut info);
         let self_us = started.elapsed().as_micros() as u64;
-        metrics.observe("server.latency_us", self_us);
-        metrics.observe(&format!("server.latency_us.{op}"), self_us);
+        let per_op = shared.op_metrics(job.req.op);
+        shared.h_latency.observe(self_us);
+        shared.h_exec.observe(self_us);
+        per_op.latency.observe(self_us);
         // Best-effort attribution: with concurrent workers the deltas can
         // interleave, but their sum still reconciles against the global
         // `budget.meter_ticks` counter.
-        let ticks = ticks_total.get().saturating_sub(ticks_before);
-        if ticks > 0 {
-            metrics.counter(&format!("server.ticks.{op}")).add(ticks);
-        }
+        per_op
+            .ticks
+            .add(shared.ticks_total.get().saturating_sub(ticks_before));
         shared.c_completed.incr();
-        shared.push_stat(stat_row(
-            job.session,
-            op,
-            info.plan_fp,
-            job.db_fp,
-            job.enqueued_at.elapsed().as_micros() as u64,
-            self_us,
-            info.tier,
-            outcome_label(resp.code),
-        ));
-        let mut w = job.out.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = write_frame(&mut *w, &resp.encode());
+        shared.push_stat(|| {
+            stat_row(
+                job.session,
+                op,
+                info.plan_fp,
+                job.db_fp,
+                job.enqueued_at.elapsed().as_micros() as u64,
+                self_us,
+                info.tier,
+                outcome_label(resp.code),
+            )
+        });
+        let _ = shared.send(&job.out, &resp);
     }
 }
 
@@ -1342,131 +1484,73 @@ mod tests {
         assert!(db.relation("S").is_none());
     }
 
+    /// A job nobody will execute, answering into a throwaway loopback socket.
+    fn job(session: u64, id: u64) -> Job {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Job {
+            session,
+            req: Request {
+                op: OpCode::EvalSentence,
+                id,
+                aux: 0,
+                text: "true".into(),
+            },
+            db: Arc::new(Database::new()),
+            spatial: None,
+            db_fp: 0,
+            cancel: CancelToken::new(),
+            out: Conn::new(stream),
+            enqueued_at: Instant::now(),
+        }
+    }
+
     #[test]
     fn fair_rotation_serves_clients_round_robin() {
-        let cfg = ServerConfig {
+        let shared = Shared::for_test(ServerConfig {
             queue_capacity: 100,
             per_client_queue: 100,
             ..ServerConfig::default()
-        };
-        let trace = TraceHandle::disabled();
-        let metrics = trace.metrics();
-        let shared = Shared {
-            c_accepted: metrics.counter("a"),
-            c_shed: metrics.counter("b"),
-            c_timeout: metrics.counter("c"),
-            c_requests: metrics.counter("d"),
-            c_completed: metrics.counter("e"),
-            c_cancelled: metrics.counter("f"),
-            c_faults: metrics.counter("g"),
-            c_cache_hit: metrics.counter("h"),
-            c_cache_miss: metrics.counter("i"),
-            c_store_hit: metrics.counter("j"),
-            c_ext_incremental: metrics.counter("k"),
-            c_ext_rebuild: metrics.counter("l"),
-            cache: ResultCache::new(0),
-            extensions: Mutex::new(HashMap::new()),
-            base: (Database::new(), None),
-            base_fp: 0,
-            catalog: None,
-            stats: Mutex::new(Vec::new()),
-            trace: trace.clone(),
-            shutdown: AtomicBool::new(false),
-            active_sessions: AtomicUsize::new(0),
-            next_session: AtomicU64::new(1),
-            dispatch: Mutex::new(DispatchState::default()),
-            ready: Condvar::new(),
-            cfg,
-        };
-        let mk = |session: u64, id: u64| {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            Job {
-                session,
-                req: Request {
-                    op: OpCode::EvalSentence,
-                    id,
-                    aux: 0,
-                    text: "true".into(),
-                },
-                db: Database::new(),
-                spatial: None,
-                db_fp: 0,
-                cancel: CancelToken::new(),
-                out: Arc::new(Mutex::new(stream)),
-                enqueued_at: Instant::now(),
-            }
-        };
+        });
         // Client 1 floods 4 jobs before client 2's single job arrives;
         // fair rotation still serves client 2 second, not fifth.
         for i in 0..4 {
-            shared.enqueue(mk(1, i)).map_err(|_| "shed").unwrap();
+            shared.enqueue(job(1, i)).map_err(|_| "shed").unwrap();
         }
-        shared.enqueue(mk(2, 100)).map_err(|_| "shed").unwrap();
+        shared.enqueue(job(2, 100)).map_err(|_| "shed").unwrap();
         let order: Vec<u64> = (0..5).map(|_| shared.pop().unwrap().session).collect();
         assert_eq!(order, vec![1, 2, 1, 1, 1]);
     }
 
     #[test]
     fn bounded_queue_sheds() {
-        let cfg = ServerConfig {
+        let shared = Shared::for_test(ServerConfig {
             queue_capacity: 2,
             per_client_queue: 1,
             ..ServerConfig::default()
-        };
-        let trace = TraceHandle::disabled();
-        let metrics = trace.metrics();
-        let shared = Shared {
-            c_accepted: metrics.counter("a2"),
-            c_shed: metrics.counter("b2"),
-            c_timeout: metrics.counter("c2"),
-            c_requests: metrics.counter("d2"),
-            c_completed: metrics.counter("e2"),
-            c_cancelled: metrics.counter("f2"),
-            c_faults: metrics.counter("g2"),
-            c_cache_hit: metrics.counter("h2"),
-            c_cache_miss: metrics.counter("i2"),
-            c_store_hit: metrics.counter("j2"),
-            c_ext_incremental: metrics.counter("k2"),
-            c_ext_rebuild: metrics.counter("l2"),
-            cache: ResultCache::new(0),
-            extensions: Mutex::new(HashMap::new()),
-            base: (Database::new(), None),
-            base_fp: 0,
-            catalog: None,
-            stats: Mutex::new(Vec::new()),
-            trace: trace.clone(),
-            shutdown: AtomicBool::new(false),
-            active_sessions: AtomicUsize::new(0),
-            next_session: AtomicU64::new(1),
-            dispatch: Mutex::new(DispatchState::default()),
-            ready: Condvar::new(),
-            cfg,
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mk = |session: u64| Job {
-            session,
-            req: Request {
-                op: OpCode::EvalSentence,
-                id: 0,
-                aux: 0,
-                text: "true".into(),
-            },
-            db: Database::new(),
-            spatial: None,
-            db_fp: 0,
-            cancel: CancelToken::new(),
-            out: Arc::new(Mutex::new(
-                TcpStream::connect(listener.local_addr().unwrap()).unwrap(),
-            )),
-            enqueued_at: Instant::now(),
-        };
-        assert!(shared.enqueue(mk(1)).is_ok());
+        });
+        assert!(shared.enqueue(job(1, 0)).is_ok());
         // Per-client bound: client 1's second job is shed even though the
         // global queue has room.
-        assert!(matches!(shared.enqueue(mk(1)), Err(Shed::ClientFull { .. })));
-        assert!(shared.enqueue(mk(2)).is_ok());
+        assert!(matches!(shared.enqueue(job(1, 0)), Err(Shed::ClientFull { .. })));
+        assert!(shared.enqueue(job(2, 0)).is_ok());
         // Global bound: a third client is shed at capacity 2.
-        assert!(matches!(shared.enqueue(mk(3)), Err(Shed::QueueFull { .. })));
+        assert!(matches!(shared.enqueue(job(3, 0)), Err(Shed::QueueFull { .. })));
+    }
+
+    /// The flag is published under the queue's mutex, so a worker parked
+    /// with no timeout is always woken by shutdown — and a second request
+    /// is a no-op.
+    #[test]
+    fn shutdown_wakes_a_parked_worker() {
+        let shared = Arc::new(Shared::for_test(ServerConfig::default()));
+        let worker = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || shared.pop().is_none()
+        });
+        shared.request_shutdown();
+        shared.request_shutdown();
+        assert!(worker.join().unwrap(), "pop returns None at shutdown");
+        shared.wait_shutdown(None);
     }
 }

@@ -130,6 +130,30 @@ fn accept_fault_drops_one_connection_listener_survives() {
     assert_fault_dump("server.accept");
 }
 
+/// The connection a server makes to itself to wake its blocked acceptor at
+/// shutdown is nobody's session: it must not spend the plan's one
+/// `server.accept` hit. Both servers below share this thread's arming, so
+/// had the first one's wake-up consumed the fault, the second one's first
+/// client would be served instead of dropped.
+#[test]
+fn shutdown_wake_up_does_not_consume_the_accept_fault() {
+    let _guard = FaultPlan::new().fail_on("server.accept", 1).arm();
+    start().shutdown();
+
+    let server = start();
+    let addr = server.addr().to_string();
+    let mut victim = Client::connect(&addr).expect("tcp handshake succeeds");
+    assert!(
+        victim.status().is_err(),
+        "the fault was still there for the first client connection"
+    );
+    let mut c = Client::connect(&addr).expect("connect");
+    let status = c.status().expect("status").body;
+    assert!(status.contains("accepted=2\n"), "status:\n{status}");
+    assert!(status.contains("faults=1\n"), "status:\n{status}");
+    server.shutdown();
+}
+
 /// A poisoned read quarantines exactly one session: the client gets a typed
 /// Fault response and a closed connection; siblings are unaffected.
 #[test]

@@ -205,6 +205,39 @@ fn session_cap_sheds_at_accept() {
     server.shutdown();
 }
 
+/// The same, fifty times over, each on a fresh connection: the server now
+/// answers and hangs up the moment it accepts, usually before the client
+/// has written its request, and the client must still deliver the shed
+/// (it reads the frame already in its buffer when the write fails) so that
+/// `with_backoff` can reconnect on the hint. No scheduling hides the race
+/// fifty times in a row.
+#[test]
+fn session_cap_shed_is_delivered_however_the_race_falls() {
+    let server = start(ServerConfig {
+        max_sessions: 0,
+        ..quick_cfg()
+    });
+    let addr = addr_of(&server);
+    for round in 0..50 {
+        let mut c = Client::connect(&addr).expect("tcp connect still accepted");
+        if round % 2 == 1 {
+            // Odd rounds give the server time to have hung up first.
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let r = if round % 10 == 0 {
+            // Backoff reconnects on the hint and is shed again.
+            let r = c.with_backoff(OpCode::Status, 0, "", 1);
+            assert_eq!(c.sheds, 2, "round {round}: first attempt + one retry");
+            r
+        } else {
+            c.status()
+        }
+        .expect("shed response arrives");
+        assert_eq!((r.code, r.id), (RespCode::RetryAfter, 0), "round {round}");
+    }
+    server.shutdown();
+}
+
 /// A client that enqueues work and vanishes: its cancel token stops the
 /// in-flight evaluation, and the server keeps serving everyone else.
 #[test]
