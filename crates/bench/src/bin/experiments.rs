@@ -1,22 +1,20 @@
 //! Experiment harness: regenerates every table of `EXPERIMENTS.md`.
 //!
 //! Run with `cargo run --release -p lcdb-bench --bin experiments`
-//! (optionally with a filter argument, e.g. `… experiments E3`, and
-//! `--threads N` to fan the parallelizable experiments out over a worker
-//! pool; `LCDB_THREADS` is the environment fallback). `--trace FILE`
-//! additionally writes a JSONL structured trace of every instrumented
+//! (optionally with a filter argument, e.g. `… experiments E3`).
+//! `--trace FILE` additionally writes a JSONL structured trace of every instrumented
 //! evaluation (check it with the `trace_check` bin).
 //!
 //! Every run writes a machine-readable summary to `BENCH_3.json`
 //! (override the path with `LCDB_BENCH_OUT`): per-experiment wall clock
-//! and metrics-registry deltas, the thread count, and the detailed
-//! `BENCH` rows emitted by E19 through E27.
+//! and metrics-registry deltas, and the detailed `BENCH` rows emitted by
+//! E19 through E27.
 
 use lcdb_arith::{int, rat, Rational};
 use lcdb_bench::*;
 use lcdb_core::{
-    compile, queries, Decomposition, EvalBudget, Evaluator, FixMode, JsonlTracer, Pool,
-    RegFormula, RegionExtension, TraceHandle,
+    compile, queries, Decomposition, EvalBudget, Evaluator, FixMode, JsonlTracer, RegFormula,
+    RegionExtension, TraceHandle,
 };
 use lcdb_geom::{Arrangement, VPolyhedron};
 use lcdb_logic::{parse_formula, qe, Database, Formula, LinExpr, Relation};
@@ -50,15 +48,10 @@ fn metrics_delta_json(before: &BTreeMap<String, u64>, after: &BTreeMap<String, u
 
 fn main() {
     let mut filter = String::new();
-    let mut threads: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--threads=") {
-            threads = v.parse().ok();
-        } else if a == "--threads" {
-            threads = args.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = a.strip_prefix("--trace=") {
+        if let Some(v) = a.strip_prefix("--trace=") {
             trace_path = Some(v.to_string());
         } else if a == "--trace" {
             trace_path = args.next();
@@ -79,12 +72,10 @@ fn main() {
     // measures the configuration the rest of the workspace actually runs
     // in (always-on recording), and E27 quantifies what that costs.
     lcdb_obs::init();
-    let pool = Pool::resolve(threads);
     let run = |id: &str| filter.is_empty() || filter.eq_ignore_ascii_case(id);
 
     println!("lcdb experiment harness — reproducing Kreutzer (PODS 2000)");
-    println!("===========================================================");
-    println!("worker threads: {}\n", pool.threads());
+    println!("===========================================================\n");
 
     // Per-experiment wall clock and the detailed BENCH rows, both written
     // to BENCH_3.json at the end of the run.
@@ -113,10 +104,10 @@ fn main() {
     // experiments' worth of allocator churn ahead of it adds a
     // measurable (~5-8%) systematic slowdown that has nothing to do with
     // the kernel under measurement.
-    exp!("E26", e26_incremental_maintenance(&pool, &mut rows));
+    exp!("E26", e26_incremental_maintenance(&mut rows));
     exp!("E1", e1_figure_census());
     exp!("E2", e2_incidence_graph());
-    exp!("E3", e3_arrangement_scaling(&pool));
+    exp!("E3", e3_arrangement_scaling());
     exp!("E4", e4_regfo_scaling());
     exp!("E5", e5_convex_mult());
     exp!("E6", e6_connectivity());
@@ -132,9 +123,8 @@ fn main() {
     exp!("E16", e16_closure());
     exp!("E17", e17_ablation());
     exp!("E18", e18_coefficients());
-    exp!("E19", e19_datalog_baseline(&pool, &mut rows));
+    exp!("E19", e19_datalog_baseline(&mut rows));
     exp!("E20", e20_checkpoint_overhead(&mut rows));
-    exp!("E21", e21_parallel_scaling(&mut rows));
     exp!("E22", e22_plan_economics(&mut rows));
     exp!("E23", e23_tracing_overhead(&mut rows));
     exp!("E24", e24_server_throughput(&mut rows));
@@ -143,8 +133,7 @@ fn main() {
 
     trace().flush();
     let json = format!(
-        "{{\"bench\":\"BENCH_3\",\"threads\":{},\"experiments\":[{}],\"rows\":[{}]}}\n",
-        pool.threads(),
+        "{{\"bench\":\"BENCH_3\",\"experiments\":[{}],\"rows\":[{}]}}\n",
         timings.join(","),
         rows.join(",")
     );
@@ -188,7 +177,6 @@ fn traced_arrangement(relation: &Relation) -> Arrangement {
         relation.arity(),
         hs,
         &EvalBudget::unlimited(),
-        &Pool::serial(),
         trace(),
     )
     .expect("unlimited build succeeds")
@@ -238,7 +226,7 @@ fn e2_incidence_graph() {
 }
 
 /// E3: Theorem 3.1 — arrangement construction is polynomial, faces O(n^d).
-fn e3_arrangement_scaling(pool: &Pool) {
+fn e3_arrangement_scaling() {
     header("E3", "arrangement scaling (Theorem 3.1: O(n^d) faces, poly time)");
     println!("  {:>3} {:>3} {:>8} {:>14} {:>10}", "d", "n", "faces", "time", "exp(faces)");
     for d in [1usize, 2, 3] {
@@ -251,7 +239,7 @@ fn e3_arrangement_scaling(pool: &Pool) {
         for &n in &ns {
             let hs = random_hyperplanes(d, n, 7 + d as u64);
             let t = Instant::now();
-            let arr = Arrangement::try_build_traced(d, hs, &EvalBudget::unlimited(), pool, trace())
+            let arr = Arrangement::try_build_traced(d, hs, &EvalBudget::unlimited(), trace())
                 .expect("unlimited build succeeds");
             let dt = t.elapsed();
             let exp = prev
@@ -794,8 +782,8 @@ fn reach_program(bound: Option<i64>) -> lcdb_datalog::Program {
 }
 
 /// E19: the spatial-datalog baseline — why the paper restricts recursion —
-/// plus the naive-vs-semi-naive round strategies at equal thread count.
-fn e19_datalog_baseline(pool: &Pool, rows: &mut Vec<String>) {
+/// plus the naive-vs-semi-naive round strategies.
+fn e19_datalog_baseline(rows: &mut Vec<String>) {
     header(
         "E19",
         "spatial datalog baseline: naive recursion diverges, region LFP terminates",
@@ -820,19 +808,15 @@ fn e19_datalog_baseline(pool: &Pool, rows: &mut Vec<String>) {
             ),
         }
     }
-    // Naive vs semi-naive rounds on a deeper bounded chain, at the harness's
-    // thread count: the delta-driven rounds fire one job per recursive
-    // literal bound to last round's new tuples, instead of re-deriving the
-    // whole IDB every round.
+    // Naive vs semi-naive rounds on a deeper bounded chain: the delta-driven
+    // rounds fire one job per recursive literal bound to last round's new
+    // tuples, instead of re-deriving the whole IDB every round.
     let deep = reach_program(Some(12));
-    println!(
-        "  naive vs semi-naive on the 12-step chain ({} thread(s)):",
-        pool.threads()
-    );
+    println!("  naive vs semi-naive on the 12-step chain:");
     for (label, strategy) in [("naive", Strategy::Naive), ("semi-naive", Strategy::SemiNaive)] {
         let t = Instant::now();
         let outcome = deep
-            .try_evaluate_with(&edb, 20, &experiment_budget(), strategy, pool)
+            .try_evaluate_traced(&edb, 20, &experiment_budget(), strategy, trace())
             .expect("bounded chain converges within budget");
         let dt = t.elapsed();
         let rounds = match outcome {
@@ -843,9 +827,8 @@ fn e19_datalog_baseline(pool: &Pool, rows: &mut Vec<String>) {
         };
         println!("    {:<10} {:>3} rounds {:>14?}", label, rounds, dt);
         rows.push(format!(
-            "{{\"experiment\":\"E19\",\"strategy\":\"{}\",\"threads\":{},\"rounds\":{},\"wall_us\":{}}}",
+            "{{\"experiment\":\"E19\",\"strategy\":\"{}\",\"rounds\":{},\"wall_us\":{}}}",
             label,
-            pool.threads(),
             rounds,
             dt.as_micros()
         ));
@@ -949,174 +932,6 @@ fn e20_checkpoint_overhead(rows: &mut Vec<String>) {
     }
     println!("  checkpoint and restore cost microseconds against evaluations costing");
     println!("  milliseconds: crash-safe mode is effectively free\n");
-}
-
-/// E21: parallel scaling of the two hot spots that fan out — RegFO
-/// evaluation (E4's largest instance) and RegLFP fixed-point evaluation
-/// (E8's largest instance) — across worker counts {1, 2, 4, 8}, plus
-/// arrangement construction (E3's largest instances) under the same pools.
-/// The arrangement build is serial whatever pool it is handed (a cell step
-/// of the section recursion is far below the pool's grain), so its rows are
-/// determinism asserts, not speedups. Verdicts, face censuses, and work
-/// counters are identical at every thread count; only the wall clock moves
-/// (and, for the arrangement rows, not even that). Every row
-/// records `cores` (the machine's available parallelism) so speedups from
-/// oversubscribed single-core runs can be discounted downstream, plus the
-/// work counters that evidence "same work, different schedule".
-fn e21_parallel_scaling(rows: &mut Vec<String>) {
-    header(
-        "E21",
-        "parallel scaling: arrangement build (E3), RegFO eval (E4), RegLFP fixpoint (E8)",
-    );
-    let sweep = [1usize, 2, 4, 8];
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("  available cores: {}", cores);
-    println!(
-        "  {:<24} {:>8} {:>14} {:>8}",
-        "task", "threads", "time", "speedup"
-    );
-    for (d, n) in [(2usize, 10usize), (3, 6)] {
-        let hs = random_hyperplanes(d, n, 7 + d as u64);
-        let mut serial_secs = 0f64;
-        let mut serial_census = Vec::new();
-        for &threads in &sweep {
-            let t = Instant::now();
-            let arr =
-                Arrangement::try_build_pool(d, hs.clone(), &EvalBudget::unlimited(), &Pool::new(threads))
-                    .expect("unlimited build succeeds");
-            let dt = t.elapsed();
-            if threads == 1 {
-                serial_secs = dt.as_secs_f64();
-                serial_census = arr.face_counts_by_dim();
-            }
-            assert_eq!(arr.face_counts_by_dim(), serial_census, "face census must not move");
-            let speedup = serial_secs / dt.as_secs_f64().max(1e-9);
-            println!(
-                "  {:<24} {:>8} {:>14?} {:>7.2}x",
-                format!("arrangement d={} n={}", d, n),
-                threads,
-                dt,
-                speedup
-            );
-            let row = format!(
-                "{{\"experiment\":\"E21\",\"task\":\"arrangement\",\"d\":{},\"n\":{},\"threads\":{},\"cores\":{},\"faces\":{},\"wall_us\":{},\"speedup\":{:.3}}}",
-                d,
-                n,
-                threads,
-                cores,
-                arr.num_faces(),
-                dt.as_micros(),
-                speedup
-            );
-            println!("  BENCH {}", row);
-            rows.push(row);
-        }
-    }
-    // RegFO: E4's largest instance, extension built once (serially) so the
-    // sweep isolates evaluation scaling.
-    let k = 16usize;
-    let ext = RegionExtension::arrangement(intervals(k));
-    let q = e4_query();
-    let mut serial_secs = 0f64;
-    for &threads in &sweep {
-        let ev = Evaluator::with_budget(&ext, experiment_budget()).with_trace(trace().clone()).with_threads(threads);
-        let t = Instant::now();
-        let verdict = match ev.try_eval_sentence(&q) {
-            Ok(v) => v,
-            Err(e) => {
-                println!("  regfo k={} threads={} aborted: {}", k, threads, e);
-                continue;
-            }
-        };
-        let dt = t.elapsed();
-        assert!(verdict, "points x, x+1/2 inside one unit interval always exist");
-        if threads == 1 {
-            serial_secs = dt.as_secs_f64();
-        }
-        let speedup = serial_secs / dt.as_secs_f64().max(1e-9);
-        let st = ev.stats();
-        println!(
-            "  {:<24} {:>8} {:>14?} {:>7.2}x",
-            format!("regfo k={}", k),
-            threads,
-            dt,
-            speedup
-        );
-        let row = format!(
-            "{{\"experiment\":\"E21\",\"task\":\"regfo\",\"k\":{},\"threads\":{},\"cores\":{},\"regions\":{},\"region_expansions\":{},\"qe_calls\":{},\"wall_us\":{},\"speedup\":{:.3}}}",
-            k,
-            threads,
-            cores,
-            ext.num_regions(),
-            st.region_expansions,
-            st.qe_calls,
-            dt.as_micros(),
-            speedup
-        );
-        println!("  BENCH {}", row);
-        rows.push(row);
-    }
-    // RegLFP fixpoint: E8's largest instance. Stage sweeps fan out over the
-    // pool and candidate results land in the shared plan memo, so this row
-    // exercises both halves of the shared-state design.
-    let fk = 12usize;
-    let fext = RegionExtension::arrangement(chained_intervals(fk));
-    let fq = queries::connectivity();
-    let mut serial_secs = 0f64;
-    let mut serial_iters = 0usize;
-    for &threads in &sweep {
-        let ev = Evaluator::with_budget(&fext, experiment_budget())
-            .with_trace(trace().clone())
-            .with_threads(threads);
-        let t = Instant::now();
-        let conn = match ev.try_eval_sentence(&fq) {
-            Ok(v) => v,
-            Err(e) => {
-                println!("  fixpoint k={} threads={} aborted: {}", fk, threads, e);
-                continue;
-            }
-        };
-        let dt = t.elapsed();
-        assert!(conn, "chained intervals form one connected component");
-        let st = ev.stats();
-        if threads == 1 {
-            serial_secs = dt.as_secs_f64();
-            serial_iters = st.fix_iterations;
-        }
-        // Counters measure committed work: the shared memo computes every
-        // key at most once, and a short-circuited fan-out drops the deltas
-        // of items past the deciding one, so parallel ≤ serial.
-        assert!(
-            st.fix_iterations <= serial_iters,
-            "parallel counters exceed serial work: {} > {}",
-            st.fix_iterations,
-            serial_iters
-        );
-        let speedup = serial_secs / dt.as_secs_f64().max(1e-9);
-        println!(
-            "  {:<24} {:>8} {:>14?} {:>7.2}x",
-            format!("fixpoint k={}", fk),
-            threads,
-            dt,
-            speedup
-        );
-        let row = format!(
-            "{{\"experiment\":\"E21\",\"task\":\"fixpoint\",\"k\":{},\"threads\":{},\"cores\":{},\"regions\":{},\"fix_iterations\":{},\"fix_tuple_tests\":{},\"plan_cache_hits\":{},\"wall_us\":{},\"speedup\":{:.3}}}",
-            fk,
-            threads,
-            cores,
-            fext.num_regions(),
-            st.fix_iterations,
-            st.fix_tuple_tests,
-            st.plan_cache_hits,
-            dt.as_micros(),
-            speedup
-        );
-        println!("  BENCH {}", row);
-        rows.push(row);
-    }
-    println!("  results are identical at every thread count; the ordered merge only");
-    println!("  reorders the work, never the answer\n");
 }
 
 /// E22: plan compilation economics — how long lowering + rewrite passes
@@ -1275,10 +1090,8 @@ fn e23_tracing_overhead(rows: &mut Vec<String>) {
                 let hs = random_hyperplanes(2, 8, 11 + seed);
                 let b = EvalBudget::unlimited();
                 let arr = match trace {
-                    None => Arrangement::try_build_pool(2, hs, &b, &Pool::serial()),
-                    Some(t) => {
-                        Arrangement::try_build_traced(2, hs, &b, &Pool::serial(), t)
-                    }
+                    None => Arrangement::try_build(2, hs, &b),
+                    Some(t) => Arrangement::try_build_traced(2, hs, &b, t),
                 };
                 assert!(arr.is_ok());
             }
@@ -1555,8 +1368,7 @@ fn e27_recorder_overhead(rows: &mut Vec<String>) {
         }
     };
 
-    let pool = Pool::serial();
-    measure("E3", &mut || replay_e3(&pool));
+    measure("E3", &mut replay_e3);
     measure("E10", &mut replay_e10);
     // A served burst: fresh in-process server per measurement, identical
     // load each time; sessions and workers record through the recorder.
@@ -1600,28 +1412,23 @@ fn e27_recorder_overhead(rows: &mut Vec<String>) {
 /// recorded into `BENCH_3.json` *before* the tagged small/big rational
 /// kernel, batched LP probes, and hyperplane interning landed — the
 /// before/after of the scalar arithmetic path on identical workloads.
-fn e26_incremental_maintenance(pool: &Pool, rows: &mut Vec<String>) {
+fn e26_incremental_maintenance(rows: &mut Vec<String>) {
     header("E26", "incremental maintenance vs rebuild; scalar kernel on E3/E10");
     println!(
         "  {:>2} {:>3} {:>7} {:>11} {:>11} {:>11} {:>8}",
         "d", "n", "faces", "rebuild_us", "insert_us", "remove_us", "speedup"
     );
-    let unlimited = EvalBudget::unlimited();
     for (d, ns) in [(2usize, &[6usize, 8, 10, 12][..]), (3, &[4, 5, 6][..])] {
         for &n in ns {
             let hs = random_hyperplanes(d, n, 7 + d as u64);
-            let base = Arrangement::try_build_pool(d, hs[..n - 1].to_vec(), &unlimited, pool)
-                .expect("unlimited build succeeds");
+            let base = Arrangement::build(d, hs[..n - 1].to_vec());
 
             let t = Instant::now();
-            let rebuilt = Arrangement::try_build_pool(d, hs.clone(), &unlimited, pool)
-                .expect("unlimited build succeeds");
+            let rebuilt = Arrangement::build(d, hs.clone());
             let rebuild_us = t.elapsed().as_micros();
 
             let t = Instant::now();
-            let incremental = base
-                .try_insert_hyperplane(hs[n - 1].clone(), &unlimited, pool)
-                .expect("unlimited insert succeeds");
+            let incremental = base.insert_hyperplane(hs[n - 1].clone());
             let insert_us = t.elapsed().as_micros();
 
             // The contract under test: the refined lattice is bit-for-bit
@@ -1638,14 +1445,11 @@ fn e26_incremental_maintenance(pool: &Pool, rows: &mut Vec<String>) {
             }
 
             let t = Instant::now();
-            let removed = rebuilt
-                .try_remove_hyperplane(n / 2, &unlimited, pool)
-                .expect("unlimited remove succeeds");
+            let removed = rebuilt.remove_hyperplane(n / 2);
             let remove_us = t.elapsed().as_micros();
             let mut rest = hs.clone();
             rest.remove(n / 2);
-            let control = Arrangement::try_build_pool(d, rest, &unlimited, pool)
-                .expect("unlimited build succeeds");
+            let control = Arrangement::build(d, rest);
             assert_eq!(
                 removed.face_counts_by_dim(),
                 control.face_counts_by_dim(),
@@ -1690,7 +1494,7 @@ fn e26_incremental_maintenance(pool: &Pool, rows: &mut Vec<String>) {
     // run down, never speed it up).
     const E3_BEFORE_US: u128 = 1_318_407;
     const E10_BEFORE_US: u128 = 3_162_610;
-    let e3_us = (0..3).map(|_| replay_e3(pool)).min().expect("three runs");
+    let e3_us = (0..3).map(|_| replay_e3()).min().expect("three runs");
     let e10_us = (0..3).map(|_| replay_e10()).min().expect("three runs");
     for (id, before, now) in [("E3", E3_BEFORE_US, e3_us), ("E10", E10_BEFORE_US, e10_us)] {
         let speedup = before as f64 / now.max(1) as f64;

@@ -14,11 +14,10 @@
 //!   measurement would be noise rather than signal: single-core machines,
 //!   and machines whose 1-minute load average already exceeds the core
 //!   count. `LCDB_PERF_FORCE=1` overrides the skip.
-//! * Measurement always uses a serial pool so the numbers do not depend
-//!   on the runner's core count, only on its per-core speed.
+//! * An evaluation runs on one thread, so the numbers do not depend on
+//!   the runner's core count, only on its per-core speed.
 
 use lcdb_bench::{replay_e10, replay_e3, replay_qe};
-use lcdb_core::Pool;
 use std::path::PathBuf;
 
 const THRESHOLD: f64 = 1.5;
@@ -50,9 +49,8 @@ fn loadavg1() -> Option<f64> {
 
 /// One `(row label, baseline key, microseconds)` per gated replay.
 fn measure() -> [(&'static str, &'static str, u128); 3] {
-    let pool = Pool::serial();
     [
-        ("E3", "e3_us", replay_e3(&pool)),
+        ("E3", "e3_us", replay_e3()),
         ("E10", "e10_us", replay_e10()),
         ("QE", "qe_us", replay_qe()),
     ]

@@ -283,8 +283,7 @@ pub fn fitted_exponent(n1: usize, y1: f64, n2: usize, y2: f64) -> f64 {
 /// return the total wall clock in microseconds. Shared by the `E26`
 /// kernel-comparison rows and the `perf_gate` CI regression gate so both
 /// measure exactly the same work.
-pub fn replay_e3(pool: &lcdb_core::Pool) -> u128 {
-    use lcdb_core::EvalBudget;
+pub fn replay_e3() -> u128 {
     use lcdb_geom::Arrangement;
     let t = std::time::Instant::now();
     for d in [1usize, 2, 3] {
@@ -295,8 +294,7 @@ pub fn replay_e3(pool: &lcdb_core::Pool) -> u128 {
         };
         for &n in ns {
             let hs = random_hyperplanes(d, n, 7 + d as u64);
-            let arr = Arrangement::try_build_pool(d, hs, &EvalBudget::unlimited(), pool)
-                .expect("unlimited build succeeds");
+            let arr = Arrangement::build(d, hs);
             std::hint::black_box(arr.num_faces());
         }
     }

@@ -458,10 +458,10 @@ impl std::error::Error for BudgetError {}
 /// hit-count per site from a seed via SplitMix64, so a CI seed matrix
 /// explores different abort positions deterministically.
 ///
-/// Worker threads spawned by a pool start with *no* armed plan — the
-/// `thread_local!` registration is empty on a fresh thread — so a pool that
-/// wants injected faults to keep firing inside its workers must [`export`]
-/// the caller's armed state and [`install`] it in each worker. The state
+/// A freshly spawned thread starts with *no* armed plan — the
+/// `thread_local!` registration is empty — so a server that wants injected
+/// faults to keep firing inside the threads it spawns must [`export`] the
+/// caller's armed state and [`install`] it in each of them. The state
 /// behind a handle is shared, not copied: hit counts accumulate globally,
 /// each site still fires at most once per arming no matter which thread
 /// reaches it first, and a deferred fault recorded by a worker surfaces at

@@ -26,17 +26,9 @@
 //! aborting: the verdict is still produced, marked partial, and the process
 //! exits with code 8 (an unquarantined injected fault exits with 9).
 //!
-//! Parallelism: `--threads N` (or the `LCDB_THREADS` environment variable)
-//! fans arrangement construction and evaluation out over N worker threads.
-//! Verdicts, query answers, exit codes and checkpoints are identical to a
-//! serial run; the work counters in `stats:` lines measure actual work,
-//! which can exceed a serial run's (per-worker caches recompute shared
-//! sub-results). `--allow-partial` degrades to serial evaluation because
-//! quarantine accounting is order-dependent.
-//!
 //! Plan inspection: the `explain REGFORMULA` command — or the `--explain`
 //! flag, which turns `sentence`/`query`/`connected` into explain-only
-//! commands — prints a `explain: nodes=… depth=… threads=…` header followed
+//! commands — prints a `explain: nodes=… depth=…` header followed
 //! by the optimized plan DAG with per-node canonical hashes and
 //! deterministic cost annotations, without evaluating anything.
 //!
@@ -53,7 +45,7 @@
 
 use lcdb_core::{
     empty_checkpoint, explain_query, parse_regformula, queries, ArrangementRegions, Decomposition,
-    EvalBudget, EvalError, EvalOutcome, EvalStats, Evaluator, JsonlTracer, Pool, ProfEntry,
+    EvalBudget, EvalError, EvalOutcome, EvalStats, Evaluator, JsonlTracer, ProfEntry,
     Quarantine, RegFormula, RegionExtension, Snapshot, TraceHandle,
 };
 use lcdb_logic::{parse_formula, Database, Relation};
@@ -77,9 +69,6 @@ struct Limits {
     resume: Option<PathBuf>,
     /// Quarantine localized faults instead of aborting (exit code 8).
     allow_partial: bool,
-    /// Worker threads for arrangement construction and evaluation
-    /// (`--threads N`; `LCDB_THREADS` env fallback; default serial).
-    threads: Option<usize>,
     /// Print the optimized plan for each evaluation command instead of
     /// evaluating it (`--explain`).
     explain: bool,
@@ -279,8 +268,6 @@ struct Shell {
     spatial: Option<String>,
     decomposition: DecompositionKind,
     limits: Limits,
-    /// Worker pool shared by arrangement construction and evaluation.
-    pool: Pool,
     /// Cached extension; rebuilt when the database or settings change.
     ext: Option<RegionExtension>,
     /// Exit code of the most recent failed command (0 when all succeeded).
@@ -304,7 +291,6 @@ enum DecompositionKind {
 
 impl Shell {
     fn with_limits(limits: Limits) -> Self {
-        let pool = Pool::resolve(limits.threads);
         let trace = match &limits.trace {
             Some(path) => match JsonlTracer::create(path) {
                 Ok(t) => TraceHandle::new(Arc::new(t)),
@@ -337,7 +323,6 @@ impl Shell {
             spatial: None,
             decomposition: DecompositionKind::Arrangement,
             limits,
-            pool,
             ext: None,
             exit_code: 0,
             trace,
@@ -368,7 +353,6 @@ impl Shell {
                                 self.db.clone(),
                                 &spatial,
                                 budget,
-                                &self.pool,
                                 &self.trace,
                             )?;
                             if let Some(cat) = &self.catalog {
@@ -423,9 +407,7 @@ impl Shell {
             .ext
             .as_ref()
             .ok_or_else(|| CmdError::Usage("extension cache invariant broken".to_string()))?;
-        let mut ev = Evaluator::with_budget(ext, budget.clone())
-            .with_pool(self.pool.clone())
-            .with_trace(self.trace.clone());
+        let mut ev = Evaluator::with_budget(ext, budget.clone()).with_trace(self.trace.clone());
         if self.limits.profile {
             ev = ev.with_profiling();
         }
@@ -478,10 +460,8 @@ impl Shell {
         Ok(())
     }
 
-    /// The `explain` output: a header with the plan's reachable node count,
-    /// maximum depth, and the thread count evaluation would fan out over,
-    /// followed by the rendered plan. The header is what makes `--explain`
-    /// compose with `--threads` instead of silently ignoring it.
+    /// The `explain` output: a header with the plan's reachable node count
+    /// and maximum depth, followed by the rendered plan.
     fn write_explain(&self, out: &mut dyn Write, f: &RegFormula) -> std::io::Result<()> {
         let (plan, root) = lcdb_core::compile(f);
         let reachable = plan
@@ -491,10 +471,9 @@ impl Shell {
             .count();
         writeln!(
             out,
-            "explain: nodes={} depth={} threads={}",
+            "explain: nodes={} depth={}",
             reachable,
             lcdb_plan::explain::depth(&plan, root),
-            self.pool.threads(),
         )?;
         write!(out, "{}", explain_query(f))
     }
@@ -554,7 +533,6 @@ impl Shell {
                 writeln!(out, "  --checkpoint-dir DIR   write a snapshot when a budget kills a run")?;
                 writeln!(out, "  --resume FILE          continue the next evaluation from a snapshot")?;
                 writeln!(out, "  --allow-partial        quarantine localized faults (exit code 8)")?;
-                writeln!(out, "  --threads N            parallel evaluation (default 1; LCDB_THREADS env)")?;
                 writeln!(out, "  --explain              print plans instead of evaluating sentence/query/connected")?;
                 writeln!(out, "  --trace FILE           write a JSONL structured trace of every command")?;
                 writeln!(out, "  --profile              print a per-plan-node self-time table after evaluations")?;
@@ -827,13 +805,6 @@ fn parse_limit_flags(args: &[String]) -> Result<(Limits, Vec<String>), String> {
             }
             "--store" => {
                 limits.store_dir = Some(PathBuf::from(value(&mut it)?));
-            }
-            "--threads" => {
-                let v = value(&mut it)?;
-                limits.threads = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad --threads '{}': {}", v, e))?,
-                );
             }
             _ => rest.push(arg.clone()),
         }
@@ -1155,7 +1126,6 @@ fn run_stats(limits: &Limits, args: &[String]) -> Result<(), String> {
                     .str("bench")
                     .map(str::to_string)
                     .unwrap_or_else(|| path.to_string());
-                let threads = v.u64("threads").unwrap_or(0);
                 let exps = v
                     .get("experiments")
                     .map(Json::items)
@@ -1168,9 +1138,8 @@ fn run_stats(limits: &Limits, args: &[String]) -> Result<(), String> {
                         continue;
                     };
                     out_rows.push(format!(
-                        r#"{{"kind":"bench","source":"{}","threads":{},"experiment":"{}","wall_us":{}}}"#,
+                        r#"{{"kind":"bench","source":"{}","experiment":"{}","wall_us":{}}}"#,
                         source,
-                        threads,
                         id,
                         us.round() as u64,
                     ));
@@ -1210,12 +1179,11 @@ serve options:
                         arrangements across restarts        [default: off]
 
 shared flags (parsed before the subcommand):
-  --threads N           lcdb-exec pool width per evaluation
   --timeout SECS        default per-request deadline        [default: 10]
   --trace FILE          JSONL trace of every request";
 
 /// Parse serve-specific flags into a [`lcdb_server::ServerConfig`]. The
-/// shared `Limits` flags (`--threads`, `--timeout`, `--trace`) were already
+/// shared `Limits` flags (`--timeout`, `--trace`) were already
 /// stripped by `parse_limit_flags`; whatever positional argument remains is
 /// a script whose lines seed the base database.
 fn parse_serve_flags(
@@ -1224,7 +1192,6 @@ fn parse_serve_flags(
 ) -> Result<lcdb_server::ServerConfig, String> {
     let mut cfg = lcdb_server::ServerConfig {
         addr: "127.0.0.1:7171".into(),
-        eval_threads: Pool::resolve(limits.threads).threads(),
         ..lcdb_server::ServerConfig::default()
     };
     if let Some(t) = limits.timeout {
@@ -1584,13 +1551,11 @@ mod tests {
     fn serve_flag_parsing() {
         // Defaults: well-known port, shared limits mapped through.
         let limits = Limits {
-            threads: Some(3),
             timeout: Some(Duration::from_secs(2)),
             ..Limits::default()
         };
         let cfg = parse_serve_flags(&limits, &[]).unwrap();
         assert_eq!(cfg.addr, "127.0.0.1:7171");
-        assert_eq!(cfg.eval_threads, 3);
         assert_eq!(cfg.default_timeout, Duration::from_secs(2));
 
         let cfg = parse_serve_flags(
@@ -1689,13 +1654,10 @@ mod tests {
     }
 
     #[test]
-    fn explain_header_reports_nodes_depth_threads() {
-        // Satellite: `--explain` composes with `--threads` — the header
-        // carries the fan-out width instead of silently ignoring the flag.
+    fn explain_header_reports_nodes_and_depth() {
         let (out, code) = run_shell(
             Limits {
                 explain: true,
-                threads: Some(3),
                 ..Limits::default()
             },
             &["sentence exists R. R subset S"],
@@ -1704,7 +1666,6 @@ mod tests {
         let header = out.lines().next().unwrap_or("");
         assert!(header.starts_with("explain: nodes="), "{}", out);
         assert!(header.contains("depth="), "{}", out);
-        assert!(header.contains("threads=3"), "{}", out);
         // The explain *command* prints the same header.
         let out = run(&["explain exists R. R subset S"]);
         assert!(out.starts_with("explain: nodes="), "{}", out);
@@ -1768,53 +1729,6 @@ mod tests {
         assert_eq!(summary.unbalanced, 0, "unbalanced spans in trace");
         assert!(events.iter().all(|e| e.thread > 0), "thread ids present");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn threads_flag_parsing() {
-        let (limits, rest) = parse_limit_flags(&["--threads=4".to_string()]).unwrap();
-        assert_eq!(limits.threads, Some(4));
-        assert!(rest.is_empty());
-        assert!(parse_limit_flags(&["--threads".to_string(), "many".to_string()]).is_err());
-        assert!(parse_limit_flags(&["--threads".to_string()]).is_err());
-    }
-
-    #[test]
-    fn threaded_run_output_matches_serial() {
-        // Work counters measure actual work and may exceed a serial run's
-        // under threads, so compare the semantic output with the counter
-        // annotations stripped.
-        fn semantic(out: &str) -> String {
-            out.lines()
-                .filter(|l| !l.trim_start().starts_with("stats:"))
-                .map(|l| l.split("   (lfp stages").next().unwrap_or(l))
-                .collect::<Vec<_>>()
-                .join("\n")
-        }
-        let cmds = [GAPPED, "connected", "sentence exists R. R subset S", "regions"];
-        let (serial, code_s) = run_shell(Limits::default(), &cmds);
-        let (par, code_p) = run_shell(
-            Limits {
-                threads: Some(4),
-                ..Limits::default()
-            },
-            &cmds,
-        );
-        assert_eq!(semantic(&serial), semantic(&par));
-        assert_eq!(code_s, code_p);
-    }
-
-    #[test]
-    fn threaded_budget_exit_code_matches_serial() {
-        let lim = |threads| Limits {
-            max_iterations: Some(1),
-            threads,
-            ..Limits::default()
-        };
-        let (out_s, code_s) = run_shell(lim(None), &[GAPPED, "connected"]);
-        let (out_p, code_p) = run_shell(lim(Some(2)), &[GAPPED, "connected"]);
-        assert_eq!(code_s, 3, "{}", out_s);
-        assert_eq!(code_p, 3, "{}", out_p);
     }
 
     #[test]

@@ -52,6 +52,15 @@ fn bad_flag_value_exits_one() {
 }
 
 #[test]
+fn unknown_flag_exits_one_without_evaluating() {
+    // Not a limit flag: it is read as a script path, which does not exist.
+    let (out, code) = lcdb(&["--no-such-flag", "2", "-e", GAPPED, "connected"]);
+    assert_eq!(code, 1, "{}", out);
+    assert!(out.starts_with("error:"), "{}", out);
+    assert!(!out.contains("false"), "{}", out);
+}
+
+#[test]
 fn generic_error_exits_one() {
     let (out, code) = lcdb(&["-e", "spatial Nope"]);
     assert_eq!(code, 1, "{}", out);

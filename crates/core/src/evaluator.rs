@@ -49,13 +49,13 @@ use lcdb_exec::Pool;
 use lcdb_logic::dnf::{try_to_dnf_pruned, try_to_dnf_strong, Dnf};
 use lcdb_logic::{qe, Formula, Rel, Var};
 use lcdb_plan::hash::{FastMap, FastSet};
-use lcdb_plan::memo::{Bindings, PlanMemo};
+use lcdb_plan::memo::Bindings;
 use lcdb_plan::table::Table;
 use lcdb_plan::{Plan, PlanId, PlanNode};
 use lcdb_recover::{FixKind, FixProgress, FixpointSnapshot, PersistedStats, Snapshot};
 use lcdb_trace::TraceHandle;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 use tables::{Cx, Dom, Env, PlanInfo, TableState};
@@ -298,21 +298,6 @@ pub struct Evaluator<'a> {
     /// Progress installed by [`Evaluator::resume_from`]: fixpoint loops seed
     /// their first stage from here instead of starting at the bottom.
     resume: RefCell<BTreeMap<ProgressKey, ResumeEntry>>,
-    /// Worker pool: wide table kernels split into row ranges over it, and
-    /// region quantifiers of the formula path fan out over it. Serial by
-    /// default; see [`Evaluator::with_threads`].
-    pool: Pool,
-    /// Concurrent second level behind the formula memo, shared by every
-    /// worker of a formula-path fan-out. Present exactly when the pool is
-    /// non-serial. First-writer-wins publication keeps results identical
-    /// at any thread count because every entry is a pure function of its
-    /// key.
-    shared: RefCell<Option<Arc<PlanMemo>>>,
-    /// Observed per-item cost (ns) of the last fan-out of each plan node,
-    /// from the profiler's rows when profiling is on and from a cheap
-    /// per-fan-out wall measurement otherwise. Seeds the work-stealing
-    /// split grain: expensive bodies split finer, cheap ones coarser.
-    fan_cost_ns: RefCell<HashMap<PlanId, u64>>,
     /// Structured tracing sink and metrics registry; disabled by default.
     /// See [`Evaluator::with_trace`].
     trace: TraceHandle,
@@ -330,9 +315,8 @@ pub struct Evaluator<'a> {
     prof_child_ns: Cell<u64>,
     /// Stats values already emitted as trace counter events. Counter events
     /// carry the *delta* since this snapshot and are emitted only at stage
-    /// and entry boundaries (and only by the parent evaluator — fan-out
-    /// children run with tracing off), so event volume stays bounded while
-    /// the event sums still reconcile exactly with [`EvalStats`].
+    /// and entry boundaries, so event volume stays bounded while the event
+    /// sums still reconcile exactly with [`EvalStats`].
     emitted: Cell<EvalStats>,
 }
 
@@ -349,78 +333,6 @@ pub struct ProfEntry {
     /// Wall time net of children — the node's own work, in nanoseconds.
     /// Summed over all profiled nodes this equals the root's `total_ns`.
     pub self_ns: u64,
-}
-
-/// Shared ingredients for the per-worker child evaluators of a formula-path
-/// fan-out: the (`Sync`) decomposition, a clone of the budget (sharing its
-/// deadline and cancellation token), the resume map, a copy of the table
-/// executor's state — the tables the body probes were built before the
-/// fan-out — and a handle to the fan-out's concurrent [`PlanMemo`], so each
-/// memoizable formula is computed roughly once per fan-out instead of once
-/// per worker.
-struct ParSetup<'a> {
-    ext: &'a dyn Decomposition,
-    budget: EvalBudget,
-    /// The parent's metrics registry: worker meters are backed by the same
-    /// `budget.meter_ticks` counter, so pool work shows up in `--metrics`.
-    metrics: lcdb_trace::MetricsRegistry,
-    resume: BTreeMap<ProgressKey, ResumeEntry>,
-    tabs: TableState,
-    shared: Arc<PlanMemo>,
-}
-
-impl<'a> ParSetup<'a> {
-    /// A fresh child evaluator for one worker. Children are always serial
-    /// (no nested fan-out) and never degrade — parallel evaluation falls
-    /// back to serial under [`Evaluator::tolerate_faults`].
-    fn spawn(&self) -> Evaluator<'a> {
-        let mut ev = Evaluator::with_budget(self.ext, self.budget.clone());
-        ev.meter = Meter::backed_by(self.metrics.counter("budget.meter_ticks").shared());
-        *ev.resume.borrow_mut() = self.resume.clone();
-        *ev.tabs.borrow_mut() = self.tabs.clone();
-        *ev.shared.borrow_mut() = Some(Arc::clone(&self.shared));
-        ev
-    }
-}
-
-/// One worker item's outcome plus the side state the ordered merge replays
-/// into the parent: the work-counter delta and the fixpoint progress newly
-/// recorded while the item ran (taken, not cloned — each progress entry
-/// travels in exactly one item's outcome).
-struct ChildOut<T> {
-    result: Result<T, Stop>,
-    stats: EvalStats,
-    progress: BTreeMap<ProgressKey, FixLive>,
-}
-
-/// Run one item on a worker's child evaluator, capturing the stats delta it
-/// caused and the child's accumulated fixpoint progress.
-fn run_child<'a, T>(
-    ev: &Evaluator<'a>,
-    f: impl FnOnce(&Evaluator<'a>) -> Result<T, Stop>,
-) -> ChildOut<T> {
-    let before = ev.stats();
-    let result = f(ev);
-    let after = ev.stats();
-    ChildOut {
-        result,
-        stats: EvalStats {
-            fix_iterations: after.fix_iterations - before.fix_iterations,
-            fix_tuple_tests: after.fix_tuple_tests - before.fix_tuple_tests,
-            qe_calls: after.qe_calls - before.qe_calls,
-            region_expansions: after.region_expansions - before.region_expansions,
-            tc_edge_tests: after.tc_edge_tests - before.tc_edge_tests,
-            regions: 0,
-            quarantined: 0,
-            plan_nodes: 0,
-            plan_cache_lookups: after.plan_cache_lookups - before.plan_cache_lookups,
-            plan_cache_hits: after.plan_cache_hits - before.plan_cache_hits,
-        },
-        // Take, don't clone: the child keeps accumulating into a fresh map,
-        // so per-item capture cost is proportional to *new* progress, not
-        // to everything the worker has recorded so far.
-        progress: std::mem::take(&mut *ev.progress.borrow_mut()),
-    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -472,9 +384,6 @@ impl<'a> Evaluator<'a> {
             quarantine: RefCell::new(Quarantine::default()),
             progress: RefCell::new(BTreeMap::new()),
             resume: RefCell::new(BTreeMap::new()),
-            pool: Pool::serial(),
-            shared: RefCell::new(None),
-            fan_cost_ns: RefCell::new(HashMap::new()),
             trace: TraceHandle::disabled(),
             trace_on: false,
             profiling: Cell::new(false),
@@ -518,8 +427,7 @@ impl<'a> Evaluator<'a> {
     /// same query. Empty unless [`Evaluator::with_profiling`] was set.
     ///
     /// Self times telescope: the sum of `self_ns` over all rows equals the
-    /// root node's `total_ns` (pool wait time of a parallel fan-out counts
-    /// as self time of the node that fanned out).
+    /// root node's `total_ns`.
     pub fn plan_profile(&self) -> Vec<(PlanId, ProfEntry)> {
         self.prof
             .borrow()
@@ -530,42 +438,10 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Use up to `threads` worker threads: wide table kernels split into
-    /// row ranges, and region quantifiers with free element variables fan
-    /// their regions out. Results are *identical* to serial evaluation —
-    /// verdicts, query answers, and which error wins: a table does not
-    /// depend on how its rows were split, and a fan-out's merge replays the
-    /// serial protocol over the ordered results. Table work is counted the
-    /// same at every thread count; a short-circuited fan-out drops the
-    /// deltas of the items past the deciding one, so each counter is `<=`
-    /// its serial value. `threads <= 1` keeps evaluation serial; so does
-    /// [`Evaluator::tolerate_faults`] for fan-outs, whose quarantine
-    /// accounting is inherently order-dependent.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = Pool::new(threads);
-        self.bind_shared_memo();
+    /// Returns `self`: an evaluator runs on the thread that calls it, and
+    /// `_pool` is ignored (name pinned by `benchmark/`).
+    pub fn with_pool(self, _pool: Pool) -> Self {
         self
-    }
-
-    /// Like [`Evaluator::with_threads`], with an explicit [`Pool`].
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self.bind_shared_memo();
-        self
-    }
-
-    /// Install (or drop) the shared formula memo to match the pool.
-    fn bind_shared_memo(&self) {
-        *self.shared.borrow_mut() = if self.pool.is_serial() {
-            None
-        } else {
-            Some(Arc::new(PlanMemo::new()))
-        };
-    }
-
-    /// The number of worker threads evaluation fans out over (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// Enable graceful degradation: a fault confined to one table operation
@@ -593,10 +469,6 @@ impl<'a> Evaluator<'a> {
         // was installed for the query about to run.
         *self.quarantine.borrow_mut() = Quarantine::default();
         self.progress.borrow_mut().clear();
-        // Replace the shared memo (workers of a finished fan-out may still
-        // hold the old Arc) and drop the per-node cost observations.
-        self.bind_shared_memo();
-        self.fan_cost_ns.borrow_mut().clear();
         self.stats.borrow_mut().plan_nodes = plan.len();
         if self.profiling.get() {
             let mut prof = self.prof.borrow_mut();
@@ -609,11 +481,10 @@ impl<'a> Evaluator<'a> {
 
     /// The accumulated work counters.
     ///
-    /// Invariant: every reuse was preceded by a request, at any thread
-    /// count — fan-out children count both locally and their deltas merge
-    /// pairwise, so `plan_cache_lookups >= plan_cache_hits` always.
-    /// Checked here (and repaired in release builds, where a violation
-    /// would mean a lost-update bug upstream rather than a reason to panic).
+    /// Invariant: every reuse was preceded by a request, so
+    /// `plan_cache_lookups >= plan_cache_hits` always. Checked here (and
+    /// repaired in release builds, where a violation would mean a
+    /// lost-update bug upstream rather than a reason to panic).
     pub fn stats(&self) -> EvalStats {
         let mut s = *self.stats.borrow();
         debug_assert!(
@@ -631,11 +502,8 @@ impl<'a> Evaluator<'a> {
     /// Flush the stats accumulated since the last flush into the metrics
     /// registry, and — when tracing is enabled — emit matching counter
     /// events. Called at stage and entry boundaries so the event stream
-    /// stays sparse; deltas merged in from fan-out children are included, so
-    /// over a whole evaluation the per-name sums equal the corresponding
-    /// [`EvalStats`] fields exactly. (Fan-out children flush into their own
-    /// throwaway registries; their work reaches the parent's registry via
-    /// the merged stats, exactly once.)
+    /// stays sparse; over a whole evaluation the per-name sums equal the
+    /// corresponding [`EvalStats`] fields exactly.
     fn flush_trace_counters(&self) {
         let now = *self.stats.borrow();
         let prev = self.emitted.get();
@@ -744,92 +612,6 @@ impl<'a> Evaluator<'a> {
     fn note_region_expansions(&self, regions: usize) -> Result<(), Stop> {
         self.stats.borrow_mut().region_expansions += regions;
         Ok(self.meter.tick(&self.budget)?)
-    }
-
-    /// Should this fan-out run on the pool? Degraded mode stays serial: its
-    /// quarantine accounting depends on evaluation order.
-    fn parallel(&self, items: usize) -> bool {
-        !self.pool.is_serial() && !self.degrade && items > 1
-    }
-
-    fn par_setup(&self) -> ParSetup<'a> {
-        // The shared memo exists whenever the pool is non-serial (and
-        // `parallel()` gates every caller on that), but a caller could
-        // fan out through an explicitly installed pool before any builder
-        // ran — create the table on first use rather than assume.
-        let shared = Arc::clone(
-            self.shared
-                .borrow_mut()
-                .get_or_insert_with(|| Arc::new(PlanMemo::new())),
-        );
-        ParSetup {
-            ext: self.ext,
-            budget: self.budget.clone(),
-            metrics: self.trace.metrics().clone(),
-            resume: self.resume.borrow().clone(),
-            tabs: self.tabs.borrow().clone(),
-            shared,
-        }
-    }
-
-    /// Target duration of one stealable block. Big enough that deque and
-    /// steal traffic amortize to noise, small enough that a straggling
-    /// worker's remaining blocks are worth stealing.
-    const TARGET_BLOCK_NS: u64 = 200_000;
-
-    /// Split-grain hint for fanning out over `node`'s evaluations, from the
-    /// per-plan-node self-time profile when profiling is on, else from the
-    /// last fan-out's wall-clock observation. `None` until the node's cost
-    /// has been observed (the pool then uses its default split).
-    fn fan_grain(&self, node: PlanId) -> Option<usize> {
-        let per_item_ns = if self.profiling.get() {
-            let prof = self.prof.borrow();
-            prof.get(node as usize)
-                .filter(|e| e.visits > 0)
-                .map(|e| e.total_ns / e.visits)
-        } else {
-            None
-        }
-        .or_else(|| self.fan_cost_ns.borrow().get(&node).copied())?;
-        Some((Self::TARGET_BLOCK_NS / per_item_ns.max(1)).max(1) as usize)
-    }
-
-    /// Record the observed per-item cost of a fan-out over `node`, feeding
-    /// the next [`Evaluator::fan_grain`] for the same node.
-    fn note_fan_cost(&self, node: PlanId, items: usize, elapsed: std::time::Duration) {
-        if items == 0 {
-            return;
-        }
-        let per = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX) / items as u64;
-        self.fan_cost_ns.borrow_mut().insert(node, per.max(1));
-    }
-
-    /// Ordered-merge bookkeeping for one worker item: fold the child's
-    /// counter delta and fixpoint progress into the parent, then re-check
-    /// the capped counters at their new totals — so a cap that a serial run
-    /// would have tripped mid-item trips here at the same item.
-    fn merge_child(
-        &self,
-        delta: EvalStats,
-        progress: BTreeMap<ProgressKey, FixLive>,
-    ) -> Result<(), Stop> {
-        self.progress.borrow_mut().extend(progress);
-        let totals = {
-            let mut s = self.stats.borrow_mut();
-            s.fix_iterations += delta.fix_iterations;
-            s.fix_tuple_tests += delta.fix_tuple_tests;
-            s.qe_calls += delta.qe_calls;
-            s.region_expansions += delta.region_expansions;
-            s.tc_edge_tests += delta.tc_edge_tests;
-            s.plan_cache_lookups += delta.plan_cache_lookups;
-            s.plan_cache_hits += delta.plan_cache_hits;
-            *s
-        };
-        self.budget
-            .check_fix_iterations(totals.fix_iterations as u64)?;
-        self.budget
-            .check_tuple_tests((totals.fix_tuple_tests + totals.tc_edge_tests) as u64)?;
-        Ok(())
     }
 
     /// Is this failure confined enough to quarantine? Injected faults and
@@ -1082,8 +864,7 @@ impl<'a> Evaluator<'a> {
         let out = self.eval_node(cx, root, &mut env);
         self.flush_trace_counters();
         if let Some(before) = lp_before {
-            // The solver's counters are per thread: this is the entry
-            // thread's share, which is all of it for a serial evaluator.
+            // The solver's counters are per thread, and so is an evaluation.
             let lp = lcdb_lp::counters();
             let metrics = self.trace.metrics();
             metrics.add("lp.solves", lp.solves - before.solves);
@@ -1200,8 +981,7 @@ impl<'a> Evaluator<'a> {
     /// wall time to them. `prof_child_ns` holds the time of already-profiled
     /// children of the node currently on the stack; each visit zeroes it for
     /// its own children and adds its total back for its parent, so self
-    /// times telescope (Σ self = root total) at any thread count — a
-    /// parallel fan-out's pool wait is the fanning node's self time.
+    /// times telescope (Σ self = root total).
     fn profiled<T>(&self, id: PlanId, visit: impl FnOnce() -> T) -> T {
         if !self.profiling.get() {
             return visit();
@@ -1237,8 +1017,7 @@ impl<'a> Evaluator<'a> {
     /// element-closed leaf, the leaf's cell) is probed at the binding.
     /// Set-free composite nodes with free element variables are memoized by
     /// `(PlanId, free-region bindings)`, which is what makes hash-consed
-    /// shared subplans evaluate once per binding — including (through the
-    /// shared [`PlanMemo`]) across the workers of a fan-out. Degraded mode
+    /// shared subplans evaluate once per binding. Degraded mode
     /// disables the formula memo: quarantine accounting is order-dependent,
     /// and a memoized partial answer would replay one order's quarantine
     /// into another.
@@ -1270,25 +1049,7 @@ impl<'a> Evaluator<'a> {
                     return Ok(cached.clone());
                 }
             }
-            // Second level: the fan-out-wide shared table. The first worker
-            // to reach a cold key computes while siblings block on the
-            // claim; either way the value is copied into the private memo
-            // so repeats stay lock-free.
-            let shared = self.shared.borrow().as_ref().map(Arc::clone);
-            let out = if let Some(s) = shared {
-                let mut computed = false;
-                let out = s.formulas.get_or_try_compute(&key, || {
-                    computed = true;
-                    self.eval_node_uncached(cx, id, env)
-                })?;
-                if !computed {
-                    self.stats.borrow_mut().plan_cache_hits += 1;
-                    self.note_memo_hit(id);
-                }
-                out
-            } else {
-                self.eval_node_uncached(cx, id, env)?
-            };
+            let out = self.eval_node_uncached(cx, id, env)?;
             self.formula_memo.borrow_mut().insert(key, out.clone());
             Ok(out)
         })
@@ -1432,10 +1193,7 @@ impl<'a> Evaluator<'a> {
 
     /// Expand a region quantifier whose body has free element variables
     /// over its domain: disjunction for ∃R, conjunction for ∀R (Theorem
-    /// 4.3's expansion). With a worker pool installed, region bodies
-    /// evaluate concurrently on per-worker child evaluators; the merge then
-    /// replays the serial protocol in region order — same short-circuits,
-    /// same counters, same first error.
+    /// 4.3's expansion).
     fn eval_region_quantifier(
         &self,
         cx: Cx,
@@ -1494,46 +1252,17 @@ impl<'a> Evaluator<'a> {
                 Ok(())
             }
         };
-        if !self.parallel(ids.len()) {
-            for &id in ids {
-                self.note_region_expansions(1)?;
-                env.val[slot] = id;
-                match self.eval_node(cx, inner, env) {
-                    Ok(out) => {
-                        if let Err(decided) = take(out) {
-                            return Ok(Err(decided));
-                        }
+        for &id in ids {
+            self.note_region_expansions(1)?;
+            env.val[slot] = id;
+            match self.eval_node(cx, inner, env) {
+                Ok(out) => {
+                    if let Err(decided) = take(out) {
+                        return Ok(Err(decided));
                     }
-                    // Degraded mode: skip this region's disjunct/conjunct.
-                    Err(stop) => self.absorb(stop, QuarantineUnit::Region(id as usize))?,
                 }
-            }
-        } else {
-            // The workers copy the tables: build the ones the body probes
-            // first, once, instead of once per worker.
-            self.prefetch(cx, inner, env)?;
-            let setup = self.par_setup();
-            let grain = self.fan_grain(inner);
-            let fan_start = Instant::now();
-            let proto: &Env = env;
-            let out = self.pool.map_init_grained(
-                ids,
-                grain,
-                || (setup.spawn(), proto.clone()),
-                |state, _, &id| {
-                    let (ev, wenv) = state;
-                    wenv.val[slot] = id;
-                    run_child(ev, |ev| ev.eval_node(cx, inner, wenv))
-                },
-            );
-            self.note_fan_cost(inner, ids.len(), fan_start.elapsed());
-            for item in out {
-                self.note_region_expansions(1)?;
-                self.merge_child(item.stats, item.progress)?;
-                // First error in region order wins, exactly as serial.
-                if let Err(decided) = take(item.result?) {
-                    return Ok(Err(decided));
-                }
+                // Degraded mode: skip this region's disjunct/conjunct.
+                Err(stop) => self.absorb(stop, QuarantineUnit::Region(id as usize))?,
             }
         }
         Ok(Ok(parts))
@@ -2061,96 +1790,6 @@ mod tests {
             "fixpoint recomputed per argument pair: {} iterations",
             s.fix_iterations
         );
-    }
-
-    #[test]
-    fn parallel_sentence_evaluation_matches_serial() {
-        let ext = RegionExtension::arrangement(relation(
-            "(0 < x and x < 1) or (2 < x and x < 3)",
-            &["x"],
-        ));
-        let conn = crate::queries::connectivity();
-        let serial = Evaluator::new(&ext).eval_sentence(&conn);
-        for threads in [2, 4, 8] {
-            let ev = Evaluator::new(&ext).with_threads(threads);
-            assert_eq!(ev.eval_sentence(&conn), serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_query_output_matches_serial() {
-        let ext = interval_ext();
-        // { y : ∃x (S(x) ∧ y = x + 1) }, evaluated through a region
-        // quantifier so the fan-out actually runs.
-        let q = RegFormula::exists_region(
-            "R",
-            RegFormula::and(vec![
-                RegFormula::SubsetOf("R".into(), "S".into()),
-                RegFormula::exists_elem(
-                    "x",
-                    RegFormula::and(vec![
-                        RegFormula::In(vec![LinExpr::var("x")], "R".into()),
-                        RegFormula::Lin(Atom::new(
-                            LinExpr::var("y"),
-                            Rel::Eq,
-                            LinExpr::var("x").add(&LinExpr::constant(int(1))),
-                        )),
-                    ]),
-                ),
-            ]),
-        );
-        let serial = Evaluator::new(&ext).eval_query(&q);
-        for threads in [2, 8] {
-            let par = Evaluator::new(&ext).with_threads(threads).eval_query(&q);
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_budget_error_matches_serial() {
-        let ext = RegionExtension::arrangement(relation(
-            "(0 < x and x < 1) or (2 < x and x < 3)",
-            &["x"],
-        ));
-        let conn = crate::queries::connectivity();
-        let budget = crate::EvalBudget::unlimited().with_max_tuple_tests(10);
-        let serial_err = Evaluator::with_budget(&ext, budget.clone())
-            .try_eval_sentence(&conn)
-            .expect_err("cap must trip");
-        let par_err = Evaluator::with_budget(&ext, budget)
-            .with_threads(4)
-            .try_eval_sentence(&conn)
-            .expect_err("cap must trip");
-        assert_eq!(
-            std::mem::discriminant(&serial_err),
-            std::mem::discriminant(&par_err)
-        );
-    }
-
-    #[test]
-    fn parallel_counters_never_exceed_serial_work() {
-        // Counters measure committed work: the shared memo computes every
-        // key at most once, and a short-circuited fan-out drops the deltas
-        // of items past the deciding one (the items a serial sweep never
-        // evaluates). A computation attributed to a dropped item can only
-        // lower the committed total, so every parallel counter is <= its
-        // serial value — while the semantic result stays identical.
-        let ext = RegionExtension::arrangement(relation(
-            "(0 < x and x < 1) or (2 < x and x < 3)",
-            &["x"],
-        ));
-        let conn = crate::queries::connectivity();
-        let sev = Evaluator::new(&ext);
-        let serial_verdict = sev.eval_sentence(&conn);
-        let s = sev.stats();
-        let pev = Evaluator::new(&ext).with_threads(3);
-        assert_eq!(pev.eval_sentence(&conn), serial_verdict);
-        let p = pev.stats();
-        assert_eq!(p.regions, s.regions);
-        assert_eq!(p.quarantined, 0);
-        assert!(p.fix_iterations <= s.fix_iterations, "{p:?} vs {s:?}");
-        assert!(p.fix_tuple_tests <= s.fix_tuple_tests, "{p:?} vs {s:?}");
-        assert!(p.region_expansions <= s.region_expansions, "{p:?} vs {s:?}");
     }
 
     #[test]

@@ -227,9 +227,8 @@ struct LazyRef {
     order: Box<[Var]>,
 }
 
-/// Everything the table executor remembers within one entry call. Workers
-/// of a formula-path fan-out start from a copy.
-#[derive(Clone, Default)]
+/// Everything the table executor remembers within one entry call.
+#[derive(Default)]
 pub(super) struct TableState {
     tables: Vec<Vec<Slot>>,
     /// Fixed-point operators and closures, by operator fingerprint and the
@@ -350,7 +349,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Table, Stop> {
         self.check_alloc(&out)?;
         let budget = &self.budget;
-        zip(out, reduce, children, conj, &self.pool, &|| {
+        zip(out, reduce, children, conj, &|| {
             budget.check_interrupt().map_err(Stop::from)
         })
     }
@@ -1510,32 +1509,6 @@ impl<'a> Evaluator<'a> {
         Ok(t)
     }
 
-    /// Before a formula-path fan-out: build the tables its body will probe,
-    /// so the workers start from them instead of each building its own.
-    pub(super) fn prefetch(&self, cx: Cx, id: PlanId, env: &mut Env) -> Result<(), Stop> {
-        let node = cx.plan.node(id);
-        if cx.plan.facts(id).elem_free() {
-            if !element_closed(node) {
-                self.table(cx, id, env)?;
-            }
-            return Ok(());
-        }
-        match node {
-            PlanNode::ExistsRegion(v, inner) | PlanNode::ForallRegion(v, inner) => {
-                let slot = cx.args(id)[0] as usize;
-                let existential = matches!(node, PlanNode::ExistsRegion(..));
-                let dom = Self::guarded_dom(cx.plan, *inner, v, existential);
-                let saved = std::mem::replace(&mut env.dom[slot], dom);
-                let run = self.prefetch(cx, *inner, env);
-                env.dom[slot] = saved;
-                run
-            }
-            _ => lcdb_plan::children(node)
-                .into_iter()
-                .try_for_each(|c| self.prefetch(cx, c, env)),
-        }
-    }
-
     /// The fixed-point stages recorded so far, in the snapshot's terms:
     /// tuples of region ids in declaration order, sorted.
     pub(super) fn stage_tuples(live: &FixLive) -> Vec<Vec<u64>> {
@@ -1737,16 +1710,6 @@ mod tests {
         for e in [gapped(), ext("0 < x and x < 2", &["x"])] {
             let ev = Evaluator::new(&e);
             assert!(ev.eval_sentence(&all_in));
-            let serial = ev.stats();
-            for threads in [2, 8] {
-                let pev = Evaluator::new(&e).with_threads(threads);
-                assert!(pev.eval_sentence(&all_in));
-                assert_eq!(
-                    pev.stats(),
-                    serial,
-                    "table work is thread-count independent"
-                );
-            }
         }
     }
 

@@ -83,20 +83,8 @@ pub fn try_eval_sentence_arrangement(
     sentence: &RegFormula,
     budget: &EvalBudget,
 ) -> Result<(bool, EvalStats), EvalError> {
-    try_eval_sentence_arrangement_pool(relation, sentence, budget, &Pool::serial())
-}
-
-/// Threaded form of [`try_eval_sentence_arrangement`]: both the arrangement
-/// construction and the evaluation fan out over `pool`'s workers. Results
-/// (verdict, typed errors) are identical to the serial run.
-pub fn try_eval_sentence_arrangement_pool(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-    budget: &EvalBudget,
-    pool: &Pool,
-) -> Result<(bool, EvalStats), EvalError> {
-    let ext = RegionExtension::try_arrangement_pool(relation.clone(), budget, pool)?;
-    let ev = Evaluator::with_budget(&ext, budget.clone()).with_pool(pool.clone());
+    let ext = RegionExtension::try_arrangement(relation.clone(), budget)?;
+    let ev = Evaluator::with_budget(&ext, budget.clone());
     let verdict = ev.try_eval_sentence(sentence)?;
     Ok((verdict, ev.stats()))
 }
@@ -128,41 +116,17 @@ pub fn try_eval_sentence_arrangement_recoverable(
     checkpoint_dir: Option<&std::path::Path>,
     resume: Option<&Snapshot>,
 ) -> Result<(bool, EvalStats), (EvalError, Option<std::path::PathBuf>)> {
-    try_eval_sentence_arrangement_recoverable_pool(
-        relation,
-        sentence,
-        budget,
-        checkpoint_dir,
-        resume,
-        &Pool::serial(),
-    )
-}
-
-/// Threaded form of [`try_eval_sentence_arrangement_recoverable`]: the same
-/// checkpoint/resume contract, with construction and evaluation fanned out
-/// over `pool`. Snapshots taken by a threaded run resume in a serial run and
-/// vice versa — checkpoint progress is merged back in deterministic order.
-#[allow(clippy::type_complexity, clippy::result_large_err)]
-pub fn try_eval_sentence_arrangement_recoverable_pool(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-    budget: &EvalBudget,
-    checkpoint_dir: Option<&std::path::Path>,
-    resume: Option<&Snapshot>,
-    pool: &Pool,
-) -> Result<(bool, EvalStats), (EvalError, Option<std::path::PathBuf>)> {
     try_eval_sentence_arrangement_recoverable_traced(
         relation,
         sentence,
         budget,
         checkpoint_dir,
         resume,
-        pool,
         TraceHandle::disabled_ref(),
     )
 }
 
-/// Traced form of [`try_eval_sentence_arrangement_recoverable_pool`]:
+/// Traced form of [`try_eval_sentence_arrangement_recoverable`]:
 /// arrangement construction, evaluation, and checkpoint writes all report
 /// spans/counters through `trace`.
 #[allow(clippy::type_complexity, clippy::result_large_err)]
@@ -172,11 +136,9 @@ pub fn try_eval_sentence_arrangement_recoverable_traced(
     budget: &EvalBudget,
     checkpoint_dir: Option<&std::path::Path>,
     resume: Option<&Snapshot>,
-    pool: &Pool,
     trace: &TraceHandle,
 ) -> Result<(bool, EvalStats), (EvalError, Option<std::path::PathBuf>)> {
-    let ext = match RegionExtension::try_arrangement_traced(relation.clone(), budget, pool, trace)
-    {
+    let ext = match RegionExtension::try_arrangement_traced(relation.clone(), budget, trace) {
         Ok(ext) => ext,
         Err(e) => {
             // Aborted before any evaluator existed: persist an *empty*
@@ -202,9 +164,7 @@ pub fn try_eval_sentence_arrangement_recoverable_traced(
             };
         }
     };
-    let ev = Evaluator::with_budget(&ext, budget.clone())
-        .with_pool(pool.clone())
-        .with_trace(trace.clone());
+    let ev = Evaluator::with_budget(&ext, budget.clone()).with_trace(trace.clone());
     if let Some(snap) = resume {
         ev.resume_from(sentence, snap).map_err(|e| (e, None))?;
     }

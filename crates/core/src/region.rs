@@ -30,10 +30,9 @@ pub struct RegionData {
 /// database it was derived from. This is the second sort of `B^Reg`; the
 /// logics of §4–§7 are parametric in it (Note 7.1).
 ///
-/// Decompositions are `Send + Sync` so parallel evaluation can share one
-/// across the worker threads of a pool and a query server can hand one
-/// between sessions: all queries are `&self`, and the lazy caches of
-/// [`Nc1Regions`] sit behind a mutex.
+/// Decompositions are `Send + Sync` so a query server can share one
+/// between the requests of its dispatch workers: all queries are `&self`,
+/// and the lazy caches of [`Nc1Regions`] sit behind a mutex.
 pub trait Decomposition: Send + Sync {
     /// Ambient dimension `d`.
     fn ambient_dim(&self) -> usize;
@@ -119,9 +118,9 @@ pub struct ArrangementRegions {
     members: BTreeMap<String, Vec<u64>>,
     /// Interned membership formulas keyed by (region, variable names):
     /// region-quantifier expansion and `In`-node evaluation ask for the
-    /// same formulas thousands of times, from every pool worker at once —
-    /// the shared table builds each once instead of once per call per
-    /// worker.
+    /// same formulas thousands of times, from every request that shares
+    /// this decomposition — the table builds each once instead of once per
+    /// call.
     formulas: ShardedMap<(usize, Vec<String>), Formula>,
 }
 
@@ -139,33 +138,31 @@ impl ArrangementRegions {
     /// ceiling, the deadline, or the cancellation token trips — *before* the
     /// O(n^d) face table (Theorem 3.1) is fully materialized.
     pub fn try_new(db: Database, spatial: &str, budget: &EvalBudget) -> Result<Self, EvalError> {
-        Self::try_new_pool(db, spatial, budget, &lcdb_exec::Pool::serial())
+        Self::try_new_traced(db, spatial, budget, lcdb_trace::TraceHandle::disabled_ref())
     }
 
-    /// Like [`ArrangementRegions::try_new`], for callers that hold a pool.
-    /// The arrangement build itself is serial (see
-    /// [`Arrangement::try_build_pool`]), so the result does not depend on it.
+    /// [`ArrangementRegions::try_new`]; `_pool` is ignored (name pinned by
+    /// `benchmark/`).
     pub fn try_new_pool(
         db: Database,
         spatial: &str,
         budget: &EvalBudget,
-        pool: &lcdb_exec::Pool,
+        _pool: &lcdb_exec::Pool,
     ) -> Result<Self, EvalError> {
-        Self::try_new_traced(db, spatial, budget, pool, lcdb_trace::TraceHandle::disabled_ref())
+        Self::try_new(db, spatial, budget)
     }
 
-    /// Like [`ArrangementRegions::try_new_pool`], reporting construction
+    /// Like [`ArrangementRegions::try_new`], reporting construction
     /// progress through `trace`: a `geom.build` span with per-level
     /// `geom.level` sub-spans and a `geom.faces_built` counter.
     pub fn try_new_traced(
         db: Database,
         spatial: &str,
         budget: &EvalBudget,
-        pool: &lcdb_exec::Pool,
         trace: &lcdb_trace::TraceHandle,
     ) -> Result<Self, EvalError> {
         let (d, hyperplanes) = Self::spatial_hyperplanes(&db, spatial)?;
-        let arrangement = Arrangement::try_build_traced(d, hyperplanes, budget, pool, trace)
+        let arrangement = Arrangement::try_build_traced(d, hyperplanes, budget, trace)
             .map_err(|e| EvalError::from_budget(e, EvalStats::default()))?;
         Self::from_parts(db, spatial, arrangement)
     }
@@ -265,7 +262,8 @@ impl ArrangementRegions {
     /// pays worse than a rebuild: the spatial arity changed, or the edit
     /// distance between the hyperplane sets is larger than the number of
     /// shared hyperplanes (once fewer planes survive than change, replaying
-    /// levels one at a time loses to the fresh build's fused loop).
+    /// levels one at a time loses to the fresh build's fused loop). `pool`
+    /// is ignored (signature pinned by `benchmark/`).
     pub fn try_derive(
         &self,
         db: Database,
@@ -614,57 +612,40 @@ impl RegionExtension {
         })
     }
 
-    /// Like [`RegionExtension::try_arrangement`], for callers that hold a
-    /// pool (the arrangement build is serial; result identical).
-    pub fn try_arrangement_pool(
-        relation: Relation,
-        budget: &EvalBudget,
-        pool: &lcdb_exec::Pool,
-    ) -> Result<Self, EvalError> {
-        let mut db = Database::new();
-        db.insert("S", relation);
-        Self::try_arrangement_db_pool(db, "S", budget, pool)
-    }
-
-    /// Like [`RegionExtension::try_arrangement_pool`], reporting the
+    /// Like [`RegionExtension::try_arrangement`], reporting the
     /// arrangement construction through `trace`.
     pub fn try_arrangement_traced(
         relation: Relation,
         budget: &EvalBudget,
-        pool: &lcdb_exec::Pool,
         trace: &lcdb_trace::TraceHandle,
     ) -> Result<Self, EvalError> {
         let mut db = Database::new();
         db.insert("S", relation);
-        Self::try_arrangement_db_traced(db, "S", budget, pool, trace)
+        Self::try_arrangement_db_traced(db, "S", budget, trace)
     }
 
-    /// Like [`RegionExtension::try_arrangement_db`], threaded over `pool`.
+    /// [`RegionExtension::try_arrangement_db`]; `_pool` is ignored (name
+    /// pinned by `benchmark/`).
     pub fn try_arrangement_db_pool(
         db: Database,
         spatial: &str,
         budget: &EvalBudget,
-        pool: &lcdb_exec::Pool,
+        _pool: &lcdb_exec::Pool,
     ) -> Result<Self, EvalError> {
-        Ok(RegionExtension {
-            inner: Box::new(ArrangementRegions::try_new_pool(db, spatial, budget, pool)?),
-        })
+        Self::try_arrangement_db(db, spatial, budget)
     }
 
-    /// Like [`RegionExtension::try_arrangement_db_pool`], reporting the
+    /// Like [`RegionExtension::try_arrangement_db`], reporting the
     /// arrangement construction through `trace` (spans per refinement level,
     /// `geom.faces_built` counter).
     pub fn try_arrangement_db_traced(
         db: Database,
         spatial: &str,
         budget: &EvalBudget,
-        pool: &lcdb_exec::Pool,
         trace: &lcdb_trace::TraceHandle,
     ) -> Result<Self, EvalError> {
         Ok(RegionExtension {
-            inner: Box::new(ArrangementRegions::try_new_traced(
-                db, spatial, budget, pool, trace,
-            )?),
+            inner: Box::new(ArrangementRegions::try_new_traced(db, spatial, budget, trace)?),
         })
     }
 

@@ -169,28 +169,3 @@ fn queries_agree_between_derived_and_rebuilt_extensions() {
     let b = Evaluator::new(&RegionExtension::from_arrangement_regions(rebuilt)).eval_sentence(&conn);
     assert_eq!(a, b);
 }
-
-#[test]
-fn derive_with_pool_matches_serial() {
-    let base = db_with(&[("S", "0 < x and x < 2 and 0 < y and y < 2", &["x", "y"])]);
-    let donor = ArrangementRegions::new(base.clone(), "S");
-    let extended = db_with(&[
-        ("S", "0 < x and x < 2 and 0 < y and y < 2", &["x", "y"]),
-        ("T", "x + y < 3 and x < y", &["x", "y"]),
-    ]);
-    let unlimited = EvalBudget::unlimited();
-    let (serial, _) = donor
-        .try_derive(extended.clone(), "S", &unlimited, &Pool::serial())
-        .unwrap()
-        .unwrap();
-    for threads in [1usize, 2, 8] {
-        let (pooled, _) = donor
-            .try_derive(extended.clone(), "S", &unlimited, &Pool::new(threads))
-            .unwrap()
-            .unwrap();
-        assert_same_regions(&pooled, &serial);
-        for id in pooled.region_ids() {
-            assert_eq!(pooled.region(id).witness, serial.region(id).witness);
-        }
-    }
-}

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use lcdb_core::{
-    parse_regformula, queries, Decomposition, EvalOutcome, EvalStats, Evaluator, Pool, RegFormula,
+    parse_regformula, queries, Decomposition, EvalOutcome, EvalStats, Evaluator, RegFormula,
     RegionExtension,
 };
 use lcdb_logic::{parse_formula, Database, Relation};
@@ -44,12 +44,10 @@ fn river_ext() -> RegionExtension {
 
 /// Evaluate `f` with an in-memory sink attached and return the recorded
 /// events together with the evaluator's final stats.
-fn traced_eval(ext: &RegionExtension, f: &RegFormula, pool: &Pool) -> (Vec<Event>, EvalStats) {
+fn traced_eval(ext: &RegionExtension, f: &RegFormula) -> (Vec<Event>, EvalStats) {
     let mem = Arc::new(MemoryTracer::new());
     let trace = TraceHandle::new(mem.clone());
-    let ev = Evaluator::with_budget(ext, lcdb_core::EvalBudget::unlimited())
-        .with_pool(pool.clone())
-        .with_trace(trace);
+    let ev = Evaluator::with_budget(ext, lcdb_core::EvalBudget::unlimited()).with_trace(trace);
     assert!(ev.try_eval_sentence(f).is_ok());
     (mem.events(), ev.stats())
 }
@@ -81,7 +79,7 @@ fn assert_trace_matches_stats(events: &[Event], st: &EvalStats) {
 #[test]
 fn trace_reconciles_with_stats_on_connectivity() {
     let ext = gapped_ext();
-    let (events, st) = traced_eval(&ext, &queries::connectivity(), &Pool::serial());
+    let (events, st) = traced_eval(&ext, &queries::connectivity());
     assert!(st.fix_iterations > 0, "connectivity iterates");
     assert_trace_matches_stats(&events, &st);
     // The span hierarchy mentions the fixpoint stages and the entry span.
@@ -93,21 +91,9 @@ fn trace_reconciles_with_stats_on_connectivity() {
 #[test]
 fn trace_reconciles_with_stats_on_gis_river() {
     let ext = river_ext();
-    let (events, st) = traced_eval(&ext, &queries::river_pollution(), &Pool::serial());
+    let (events, st) = traced_eval(&ext, &queries::river_pollution());
     assert!(st.fix_iterations > 0, "the river LFP iterates");
     assert_trace_matches_stats(&events, &st);
-}
-
-#[test]
-fn trace_reconciles_with_stats_under_threads() {
-    // Fan-out children trace into throwaway sinks; their work reaches the
-    // parent's stream via merged stats, so the reconciliation holds at any
-    // thread count.
-    for threads in [2, 8] {
-        let ext = gapped_ext();
-        let (events, st) = traced_eval(&ext, &queries::connectivity(), &Pool::new(threads));
-        assert_trace_matches_stats(&events, &st);
-    }
 }
 
 /// With tracing on, an entry's LP work lands in the registry beside the
@@ -144,7 +130,6 @@ fn arrangement_build_counts_faces_and_split_cells() {
     let ext = RegionExtension::try_arrangement_traced(
         triangle,
         &lcdb_core::EvalBudget::unlimited(),
-        &Pool::serial(),
         &trace,
     )
     .unwrap();
@@ -268,25 +253,18 @@ fn quarantine_is_visible_in_metrics_and_marks() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Satellite regression: the plan-cache counters stay coherent
-    /// (`lookups >= hits`) at any thread count — merged child deltas must
-    /// never leave hits ahead of lookups.
+    /// The plan-cache counters stay coherent (`lookups >= hits`).
     #[test]
-    fn plan_cache_counters_coherent_under_threads(
-        t_idx in 0usize..3,
-        gap in 1i64..4,
-    ) {
-        let threads = [1usize, 2, 8][t_idx];
+    fn plan_cache_counters_coherent(gap in 1i64..4) {
         let src = format!("(0 < x and x < 1) or ({gap} < x and x < {})", gap + 1);
         let ext = RegionExtension::arrangement(relation(&src, &["x"]));
-        let ev = Evaluator::with_budget(&ext, lcdb_core::EvalBudget::unlimited())
-            .with_pool(Pool::new(threads));
+        let ev = Evaluator::with_budget(&ext, lcdb_core::EvalBudget::unlimited());
         prop_assert!(ev.try_eval_sentence(&queries::connectivity()).is_ok());
         let st = ev.stats();
         prop_assert!(
             st.plan_cache_lookups >= st.plan_cache_hits,
-            "lookups {} < hits {} at {} threads",
-            st.plan_cache_lookups, st.plan_cache_hits, threads,
+            "lookups {} < hits {}",
+            st.plan_cache_lookups, st.plan_cache_hits,
         );
     }
 }

@@ -22,9 +22,7 @@
 //!   *semantic* convergence is detected by LP-backed inclusion tests.
 //!   Rounds are **semi-naive** by default (each round joins against the
 //!   per-predicate *delta* of the previous round instead of the full IDB;
-//!   [`Strategy::Naive`] recomputes everything, for comparison), and the
-//!   independent rule-consequence computations of one round can fan out
-//!   over an [`lcdb_exec::Pool`];
+//!   [`Strategy::Naive`] recomputes everything, for comparison);
 //! * [`EvalOutcome`] — either a fixpoint (with its round count) or
 //!   `Diverged` when the stage budget is exhausted — which genuinely happens
 //!   (see the `westward_translation` test and experiment E19).
@@ -231,7 +229,7 @@ impl Program {
             .unwrap_or_else(|e| panic!("{}", e))
     }
 
-    /// Budget-governed evaluation (semi-naive, serial). In addition to the
+    /// Budget-governed evaluation (semi-naive). In addition to the
     /// `max_rounds` stage bound (which yields [`EvalOutcome::Diverged`], the
     /// *expected* non-termination verdict), the budget's deadline,
     /// cancellation token, and fixed-point iteration cap are checked between
@@ -246,24 +244,23 @@ impl Program {
         self.try_evaluate_with(edb, max_rounds, budget, Strategy::default(), &Pool::serial())
     }
 
-    /// Full-control evaluation: pick the round [`Strategy`] and fan each
-    /// round's independent rule-consequence computations out over `pool`.
-    /// The merge is ordered (predicate, rule, delta-position), so results
-    /// and round counts are identical across strategies and thread counts.
+    /// Evaluation with an explicit round [`Strategy`]. Consequences merge in
+    /// (predicate, rule, delta-position) order, so results and round counts
+    /// are identical across strategies. `_pool` is ignored (signature pinned
+    /// by `benchmark/`).
     pub fn try_evaluate_with(
         &self,
         edb: &Database,
         max_rounds: usize,
         budget: &EvalBudget,
         strategy: Strategy,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> Result<EvalOutcome, DatalogError> {
         self.try_evaluate_traced(
             edb,
             max_rounds,
             budget,
             strategy,
-            pool,
             lcdb_trace::TraceHandle::disabled_ref(),
         )
     }
@@ -278,7 +275,6 @@ impl Program {
         max_rounds: usize,
         budget: &EvalBudget,
         strategy: Strategy,
-        pool: &Pool,
         trace: &lcdb_trace::TraceHandle,
     ) -> Result<EvalOutcome, DatalogError> {
         let mut idb: BTreeMap<String, Relation> = BTreeMap::new();
@@ -286,7 +282,7 @@ impl Program {
             let vars: Vec<Var> = (0..arity).map(|i| format!("x{}", i)).collect();
             idb.insert(name, Relation::new(vars, &Formula::False));
         }
-        self.run_rounds(edb, budget, pool, strategy, idb, 0, max_rounds, trace)
+        self.run_rounds(edb, budget, strategy, idb, 0, max_rounds, trace)
     }
 
     /// A structural fingerprint of the program's rules, derived from the
@@ -370,17 +366,10 @@ impl Program {
         budget: &EvalBudget,
         snapshot: &Snapshot,
     ) -> Result<EvalOutcome, DatalogError> {
-        self.resume_from_with(
-            edb,
-            max_rounds,
-            budget,
-            snapshot,
-            Strategy::default(),
-            &Pool::serial(),
-        )
+        self.resume_from_with(edb, max_rounds, budget, snapshot, Strategy::default())
     }
 
-    /// [`Program::resume_from`] with an explicit [`Strategy`] and [`Pool`].
+    /// [`Program::resume_from`] with an explicit [`Strategy`].
     pub fn resume_from_with(
         &self,
         edb: &Database,
@@ -388,7 +377,6 @@ impl Program {
         budget: &EvalBudget,
         snapshot: &Snapshot,
         strategy: Strategy,
-        pool: &Pool,
     ) -> Result<EvalOutcome, DatalogError> {
         let snap = match snapshot {
             Snapshot::Datalog(s) => s,
@@ -462,7 +450,6 @@ impl Program {
         self.run_rounds(
             edb,
             budget,
-            pool,
             strategy,
             idb,
             snap.rounds as usize,
@@ -487,7 +474,6 @@ impl Program {
         &self,
         edb: &Database,
         budget: &EvalBudget,
-        pool: &Pool,
         strategy: Strategy,
         mut idb: BTreeMap<String, Relation>,
         completed: usize,
@@ -536,13 +522,16 @@ impl Program {
                     ),
                 )
             });
-            let consequences = pool.map(&jobs, |_, job| {
-                let bound = job.delta_lit.map(|i| {
-                    let d = delta.as_ref().expect("delta jobs only exist once a delta does");
-                    (i, d)
-                });
-                self.rule_consequence(&compiled, job.rule_idx, edb, &idb, bound)
-            });
+            let consequences: Vec<_> = jobs
+                .iter()
+                .map(|job| {
+                    let bound = job.delta_lit.map(|i| {
+                        let d = delta.as_ref().expect("delta jobs only exist once a delta does");
+                        (i, d)
+                    });
+                    self.rule_consequence(&compiled, job.rule_idx, edb, &idb, bound)
+                })
+                .collect();
             let mut next: BTreeMap<String, Relation> = BTreeMap::new();
             let mut new_delta: BTreeMap<String, Relation> = BTreeMap::new();
             let mut converged = true;
@@ -551,8 +540,7 @@ impl Program {
                 let mut fresh = Vec::new();
                 for (job, result) in jobs.iter().zip(&consequences) {
                     if job.rule.head == *name {
-                        // First error in job order wins — same verdict as a
-                        // serial left-to-right sweep.
+                        // First error in job order wins.
                         fresh.push(result.clone()?);
                     }
                 }
@@ -1194,28 +1182,25 @@ mod tests {
     }
 
     /// Semi-naive and naive rounds land on the same semantic fixpoint in
-    /// the same number of rounds, serial or threaded.
+    /// the same number of rounds.
     #[test]
     fn semi_naive_matches_naive() {
         let (edb, program) = bounded_reach_program();
         let budget = EvalBudget::unlimited();
-        let outcomes: Vec<(BTreeMap<String, Relation>, usize)> = [
-            (Strategy::Naive, 1),
-            (Strategy::Naive, 4),
-            (Strategy::SemiNaive, 1),
-            (Strategy::SemiNaive, 4),
-        ]
-        .into_iter()
-        .map(|(strategy, threads)| {
-            match program
-                .try_evaluate_with(&edb, 20, &budget, strategy, &Pool::new(threads))
-                .unwrap()
-            {
-                EvalOutcome::Fixpoint { idb, rounds } => (idb, rounds),
-                other => panic!("{:?}", other),
-            }
-        })
-        .collect();
+        let outcomes: Vec<(BTreeMap<String, Relation>, usize)> =
+            [Strategy::Naive, Strategy::SemiNaive]
+                .into_iter()
+                .map(|strategy| {
+                    let untraced = lcdb_trace::TraceHandle::disabled_ref();
+                    match program
+                        .try_evaluate_traced(&edb, 20, &budget, strategy, untraced)
+                        .unwrap()
+                    {
+                        EvalOutcome::Fixpoint { idb, rounds } => (idb, rounds),
+                        other => panic!("{:?}", other),
+                    }
+                })
+                .collect();
         let (ref_idb, ref_rounds) = &outcomes[0];
         for (idb, rounds) in &outcomes[1..] {
             assert_eq!(rounds, ref_rounds);
@@ -1245,9 +1230,10 @@ mod tests {
                     Literal::Constraint(atom("x - y = 1")),
                 ],
             ));
+        let untraced = lcdb_trace::TraceHandle::disabled_ref();
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
             match program
-                .try_evaluate_with(&edb, 8, &EvalBudget::unlimited(), strategy, &Pool::new(2))
+                .try_evaluate_traced(&edb, 8, &EvalBudget::unlimited(), strategy, untraced)
                 .unwrap()
             {
                 EvalOutcome::Diverged { partial, rounds } => {

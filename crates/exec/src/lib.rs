@@ -1,568 +1,32 @@
-//! Scoped-thread worker pool with work-stealing deques and *ordered*
-//! result merge.
+//! Shared-state primitives for cross-request reuse, and the remnant of the
+//! intra-query worker pool.
 //!
-//! The engine's hot loops — per-level sign-vector refinement (Theorem 3.1),
-//! region-quantifier expansion, fixpoint tuple sweeps (Theorem 6.1), and
-//! datalog rule bodies — are all embarrassingly parallel maps over an input
-//! slice whose per-item work is a pure function of the item. This crate
-//! provides exactly that shape and nothing more, on `std::thread` alone (the
-//! vendored dependency set has no rayon):
-//!
-//! * [`Pool::map`] / [`Pool::map_init`] split the slice into grain-sized
-//!   blocks dealt to per-worker deques; a worker drains its own deque from
-//!   the front and, when empty, steals the back half of a sibling's deque.
-//!   Results are merged back **in input order**, so callers replay
-//!   order-dependent effects (budget metering, short-circuiting, error
-//!   selection) over the merged vector, which makes parallel evaluation
-//!   bit-for-bit identical to serial — including *which* error wins when
-//!   several items fail (first in input order, exactly as a serial loop
-//!   would have reported). Scheduling is dynamic; the merge is not.
-//! * [`Pool::map_init_grained`] lets the caller seed the split grain —
-//!   the evaluator feeds it per-plan-node self-time observations so
-//!   expensive nodes split finer and cheap ones coarser.
-//! * `LCDB_STEAL=0` (or `off`/`false`) falls back to the previous
-//!   fixed-chunk atomic-cursor scheduler for A/B measurement.
-//! * One worker (or one item) takes the serial fast path: no deques, no
-//!   cursor, no atomics — the map runs inline on the caller's thread.
-//! * [`Pool::map_init`] builds per-worker scratch state *inside* the worker
-//!   via an `init` closure, so the state only needs to be constructible from
-//!   `Sync` captures — it never crosses a thread boundary itself. This is
-//!   how non-`Send` evaluators (interior caches) ride along: each worker
-//!   owns a private one.
-//! * Under the `faults` feature, workers re-arm the spawning thread's
-//!   fault-injection plan ([`lcdb_budget::faults::export`] /
-//!   [`install`](lcdb_budget::faults::install)), so deterministic fault
-//!   tests keep firing inside the pool instead of silently escaping it.
-//!
-//! A [`Pool`] is a configuration, not a set of live threads: workers are
-//! scoped to each call, so borrows of caller state flow into the closures
-//! without `'static` bounds, and an idle pool costs nothing.
-//!
-//! The crate also hosts the shared-state primitives ([`ShardedMap`],
-//! [`Interner`]) that let workers publish memoized results to each other
-//! instead of recomputing them privately; see [`shared`].
+//! Requests are the unit of parallelism: the server's dispatch workers each
+//! run one evaluation at a time, and an evaluation runs on the thread that
+//! called it. What concurrent requests share — interned region formulas,
+//! hash-consed hyperplanes — lives behind [`ShardedMap`] and [`Interner`];
+//! see [`shared`]. Nothing in this crate starts a thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod shared;
 
-pub use shared::{Interner, OnceMap, ShardedMap};
+pub use shared::{Interner, ShardedMap};
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Cached handles for the pool's observability counters, registered once
-/// when [`Pool::with_metrics`] attaches a registry. Workers accumulate
-/// locally and flush once per map call, so instrumentation adds no
-/// contention to the steal path.
-#[derive(Clone)]
-struct PoolMetrics {
-    steals: lcdb_trace::Counter,
-    idle_parks: lcdb_trace::Counter,
-    queue_depth: std::sync::Arc<lcdb_trace::Histogram>,
-}
-
-/// A worker-pool configuration: how many threads a fan-out may use, which
-/// scheduler to run, and where to report pool health.
-///
-/// `threads == 1` (the default) runs every map inline on the caller's
-/// thread with zero overhead, which keeps serial evaluation the baseline
-/// and makes "parallel ≡ serial" trivially true at one thread.
-#[derive(Clone)]
-pub struct Pool {
-    threads: usize,
-    steal: bool,
-    metrics: Option<PoolMetrics>,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads)
-            .field("steal", &self.steal)
-            .field("metrics", &self.metrics.is_some())
-            .finish()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
-/// `LCDB_STEAL=0|off|false` disables work stealing (fixed-chunk cursor
-/// fallback); anything else — including unset — enables it.
-fn steal_from_env() -> bool {
-    match std::env::var("LCDB_STEAL") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
+/// Inert remnant of the deleted intra-query scheduler, kept because
+/// `benchmark/src/engine.rs` names it: nothing reads a `Pool`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Pool;
 
 impl Pool {
-    /// The inline pool: every map runs on the caller's thread.
+    /// The pool; every evaluation runs on its caller's thread.
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            steal: true,
-            metrics: None,
-        }
+        Pool
     }
 
-    /// A pool using up to `threads` workers per fan-out (clamped to ≥ 1).
-    /// The scheduler honours `LCDB_STEAL` at construction time.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            steal: steal_from_env(),
-            metrics: None,
-        }
-    }
-
-    /// Resolve the worker count from an explicit request (e.g. a
-    /// `--threads` flag) falling back to the `LCDB_THREADS` environment
-    /// variable, then to serial. Invalid or zero values mean serial.
-    pub fn resolve(explicit: Option<usize>) -> Self {
-        let threads = explicit
-            .or_else(|| {
-                std::env::var("LCDB_THREADS")
-                    .ok()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-            })
-            .unwrap_or(1);
-        Self::new(threads)
-    }
-
-    /// Override the scheduler choice (tests and A/B harnesses; production
-    /// callers let `LCDB_STEAL` decide).
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// True when fan-outs use the work-stealing scheduler.
-    pub fn steals(&self) -> bool {
-        self.steal
-    }
-
-    /// Report pool health into `registry` under `<prefix>.steals`,
-    /// `<prefix>.idle_parks`, and `<prefix>.local_queue_depth`. Handles
-    /// are cached here, so the hot path never touches the registry lock.
-    pub fn with_metrics(mut self, registry: &lcdb_trace::MetricsRegistry, prefix: &str) -> Self {
-        self.metrics = Some(PoolMetrics {
-            steals: registry.counter(&format!("{prefix}.steals")),
-            idle_parks: registry.counter(&format!("{prefix}.idle_parks")),
-            queue_depth: registry.histogram(&format!("{prefix}.local_queue_depth")),
-        });
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// True when maps run inline on the caller's thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads <= 1
-    }
-
-    /// Map `f` over `items`, returning results in input order.
-    ///
-    /// `f` receives the item's index alongside the item so workers can
-    /// label work without threading context through captures.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map_init(items, || (), |(), i, t| f(i, t))
-    }
-
-    /// Map `f` over `items` with per-worker scratch state, returning
-    /// results in input order. Equivalent to [`Pool::map_init_grained`]
-    /// with no grain hint.
-    pub fn map_init<S, T, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        self.map_init_grained(items, None, init, f)
-    }
-
-    /// Map `f` over `items` with per-worker scratch state and an optional
-    /// split-grain hint, returning results in input order.
-    ///
-    /// `init` runs once per worker *inside* that worker, so the state `S`
-    /// need not be `Send` — only the `init` and `f` closures (and their
-    /// captures) must be `Sync`. `grain` is the number of consecutive items
-    /// per stealable block; callers with per-item cost estimates (the
-    /// evaluator's per-plan-node self-time profile) pass a hint so
-    /// expensive items split finer. `None` uses ~8 blocks per worker.
-    /// Scheduling is dynamic, but the merged output order (and therefore
-    /// everything the caller derives from it) is not.
-    pub fn map_init_grained<S, T, R, I, F>(
-        &self,
-        items: &[T],
-        grain: Option<usize>,
-        init: I,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            // Serial fast path: no deques, no cursor, no atomic traffic.
-            let mut state = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut state, i, t))
-                .collect();
-        }
-        let grain = grain
-            .unwrap_or_else(|| items.len() / (workers * 8))
-            .clamp(1, items.len());
-        // Thread-aware tracing: workers re-adopt the spawning thread's
-        // innermost open span, so spans they emit are attributed under the
-        // fan-out instead of floating free.
-        let parent_span = lcdb_trace::current_span();
-        #[cfg(feature = "faults")]
-        let fault_state = lcdb_budget::faults::export();
-        let run = |scope_body: &(dyn Fn(usize) -> Vec<(usize, R)> + Sync)| -> Vec<Vec<(usize, R)>> {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        #[cfg(feature = "faults")]
-                        let fault_state = fault_state.clone();
-                        scope.spawn(move || {
-                            let _trace = lcdb_trace::adopt_parent(parent_span);
-                            #[cfg(feature = "faults")]
-                            let _armed =
-                                fault_state.as_ref().map(lcdb_budget::faults::install);
-                            scope_body(w)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(part) => part,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect()
-            })
-        };
-        let parts: Vec<Vec<(usize, R)>> = if self.steal {
-            // Work-stealing deques: each worker starts with a contiguous
-            // span of the input split into grain-sized blocks, drains it
-            // front-to-back (cache-friendly, lock mostly uncontended), and
-            // on empty steals the back half of the fullest sibling deque.
-            let deques: Vec<Mutex<VecDeque<(usize, usize)>>> = (0..workers)
-                .map(|w| {
-                    let per = items.len().div_ceil(workers);
-                    let lo = (w * per).min(items.len());
-                    let hi = ((w + 1) * per).min(items.len());
-                    let mut q = VecDeque::new();
-                    let mut start = lo;
-                    while start < hi {
-                        let end = (start + grain).min(hi);
-                        q.push_back((start, end));
-                        start = end;
-                    }
-                    Mutex::new(q)
-                })
-                .collect();
-            // Items claimed for processing (popped off a deque). Blocks
-            // still sitting in deques are unclaimed; when this reaches
-            // items.len() and every deque is empty, idle workers exit.
-            let claimed = AtomicUsize::new(0);
-            let deques = &deques;
-            let claimed = &claimed;
-            let total = items.len();
-            let metrics = self.metrics.clone();
-            let worker = move |w: usize| -> Vec<(usize, R)> {
-                let mut state = init();
-                let mut out: Vec<(usize, R)> = Vec::new();
-                let (mut steals, mut parks) = (0u64, 0u64);
-                let mut depths: Vec<u64> = Vec::new();
-                loop {
-                    let block = {
-                        let mut q = lock_deque(&deques[w]);
-                        depths.push(q.len() as u64);
-                        q.pop_front()
-                    };
-                    if let Some((start, end)) = block {
-                        claimed.fetch_add(end - start, Ordering::Relaxed);
-                        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            out.push((i, f(&mut state, i, item)));
-                        }
-                        continue;
-                    }
-                    // Own deque empty: steal the back half of a sibling's.
-                    let mut stolen: Option<VecDeque<(usize, usize)>> = None;
-                    for off in 1..workers {
-                        let v = (w + off) % workers;
-                        let mut q = lock_deque(&deques[v]);
-                        if !q.is_empty() {
-                            let keep = q.len() / 2;
-                            stolen = Some(q.split_off(keep));
-                            break;
-                        }
-                    }
-                    if let Some(batch) = stolen {
-                        steals += 1;
-                        lock_deque(&deques[w]).extend(batch);
-                        continue;
-                    }
-                    // Every deque looked empty. If all items are claimed,
-                    // the stragglers are mid-block and unstealable — done.
-                    // Otherwise a thief holds blocks in flight between
-                    // deques; yield and re-scan.
-                    if claimed.load(Ordering::Relaxed) >= total {
-                        break;
-                    }
-                    parks += 1;
-                    std::thread::yield_now();
-                }
-                if let Some(m) = &metrics {
-                    m.steals.add(steals);
-                    m.idle_parks.add(parks);
-                    for d in depths {
-                        m.queue_depth.observe(d);
-                    }
-                }
-                out
-            };
-            run(&worker)
-        } else {
-            // Legacy fixed-chunk scheduler (LCDB_STEAL=0): contiguous
-            // chunks claimed off a shared atomic cursor. ~8 chunks per
-            // worker amortizes cursor contention but leaves workers idle
-            // behind stragglers — kept for A/B measurement.
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            let worker = move |_w: usize| -> Vec<(usize, R)> {
-                let mut state = init();
-                let mut out: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + grain).min(items.len());
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        out.push((i, f(&mut state, i, item)));
-                    }
-                }
-                out
-            };
-            run(&worker)
-        };
-        let mut merged: Vec<Option<R>> = Vec::with_capacity(items.len());
-        merged.resize_with(items.len(), || None);
-        for part in parts {
-            for (i, r) in part {
-                merged[i] = Some(r);
-            }
-        }
-        merged
-            .into_iter()
-            .map(|r| r.expect("pool covered every index exactly once"))
-            .collect()
-    }
-}
-
-fn lock_deque<T>(m: &Mutex<VecDeque<T>>) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-    // A poisoned deque means a sibling worker panicked; the panic is
-    // re-raised at join, so recovering here only lets remaining workers
-    // drain cleanly instead of double-panicking.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
-
-    #[test]
-    fn results_arrive_in_input_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        for threads in [1, 2, 3, 8] {
-            for steal in [true, false] {
-                let pool = Pool::new(threads).with_steal(steal);
-                let out = pool.map(&items, |i, &x| {
-                    assert_eq!(i, x);
-                    x * 3
-                });
-                assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn every_index_visited_exactly_once() {
-        for steal in [true, false] {
-            let items: Vec<usize> = (0..257).collect();
-            let seen = Mutex::new(Vec::new());
-            let pool = Pool::new(4).with_steal(steal);
-            pool.map(&items, |i, _| {
-                seen.lock().expect("test mutex").push(i);
-            });
-            let mut seen = seen.into_inner().expect("test mutex");
-            seen.sort_unstable();
-            assert_eq!(seen, (0..257).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn map_init_state_is_per_worker_and_reused() {
-        let items: Vec<u32> = (0..64).collect();
-        let pool = Pool::new(3);
-        // Each worker's state is a distinct counter; the per-item results
-        // record (first-item-index, position-in-worker) pairs. Every item
-        // must be processed by exactly one worker with a monotonically
-        // growing local position.
-        let out = pool.map_init(
-            &items,
-            || 0u32,
-            |count, _i, _x| {
-                *count += 1;
-                *count
-            },
-        );
-        // Positions within a worker start at 1 and increase; summed over
-        // workers they cover all 64 items.
-        assert_eq!(out.len(), 64);
-        assert!(out.iter().all(|&c| (1..=64).contains(&c)));
-    }
-
-    #[test]
-    fn worker_count_caps_at_item_count() {
-        // More threads than items must not panic or duplicate work.
-        let items = [10usize, 20];
-        let out = Pool::new(16).map(&items, |_, &x| x + 1);
-        assert_eq!(out, vec![11, 21]);
-        let out = Pool::new(16).map(&[] as &[usize], |_, &x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn serial_pool_runs_inline() {
-        let order = Mutex::new(BTreeSet::new());
-        let items: Vec<usize> = (0..10).collect();
-        let out = Pool::serial().map_init(
-            &items,
-            || (),
-            |(), i, &x| {
-                order.lock().expect("test mutex").insert(i);
-                x
-            },
-        );
-        assert_eq!(out, items);
-        assert_eq!(order.into_inner().expect("test mutex").len(), 10);
-    }
-
-    #[test]
-    fn resolve_prefers_explicit_over_env() {
-        assert_eq!(Pool::resolve(Some(4)).threads(), 4);
-        assert_eq!(Pool::resolve(Some(0)).threads(), 1);
-    }
-
-    #[test]
-    fn grain_hint_is_respected_and_clamped() {
-        let items: Vec<usize> = (0..100).collect();
-        let pool = Pool::new(4);
-        for grain in [Some(1), Some(7), Some(10_000), None] {
-            let out = pool.map_init_grained(&items, grain, || (), |(), _i, &x| x);
-            assert_eq!(out, items);
-        }
-    }
-
-    #[test]
-    fn stealing_drains_a_skewed_load() {
-        // One pathologically slow item at the front: under stealing the
-        // other workers drain the rest while worker 0 is stuck, and the
-        // merged order is still the input order.
-        let items: Vec<usize> = (0..64).collect();
-        let pool = Pool::new(4).with_steal(true);
-        let out = pool.map_init_grained(
-            &items,
-            Some(1),
-            || (),
-            |(), i, &x| {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-                x * 2
-            },
-        );
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn metrics_report_steals_and_depth() {
-        let reg = lcdb_trace::MetricsRegistry::new();
-        let pool = Pool::new(4).with_steal(true).with_metrics(&reg, "pool");
-        let items: Vec<usize> = (0..512).collect();
-        // Skewed costs force at least some stealing with fine grain.
-        let out = pool.map_init_grained(
-            &items,
-            Some(1),
-            || (),
-            |(), i, &x| {
-                if i % 128 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                x
-            },
-        );
-        assert_eq!(out, items);
-        let hist = reg.histogram("pool.local_queue_depth");
-        assert!(hist.count() > 0, "queue depth histogram must be populated");
-        // Counters exist even if this run happened not to steal or park.
-        let snap = reg.counter_snapshot();
-        assert!(snap.contains_key("pool.steals"));
-        assert!(snap.contains_key("pool.idle_parks"));
-    }
-
-    #[test]
-    fn steal_env_override_controls_scheduler() {
-        // Constructors consult LCDB_STEAL once; with_steal overrides it.
-        let pool = Pool::new(2);
-        let forced_off = pool.clone().with_steal(false);
-        assert!(!forced_off.steals());
-        let forced_on = pool.with_steal(true);
-        assert!(forced_on.steals());
-    }
-
-    #[cfg(feature = "faults")]
-    #[test]
-    fn workers_rearm_the_callers_fault_plan() {
-        use lcdb_budget::faults::FaultPlan;
-        let _g = FaultPlan::new().fail_on("exec.test", 1).arm();
-        let items: Vec<usize> = (0..8).collect();
-        let fired = Pool::new(2).map(&items, |_, _| {
-            lcdb_budget::faults::check("exec.test").is_err()
-        });
-        assert_eq!(
-            fired.iter().filter(|&&f| f).count(),
-            1,
-            "the armed site fires exactly once, inside a pool worker"
-        );
+    /// Same as [`Pool::serial`]: `threads` is ignored.
+    pub fn new(_threads: usize) -> Self {
+        Pool
     }
 }

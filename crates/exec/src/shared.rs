@@ -1,40 +1,33 @@
-//! Shared-state primitives for cross-worker reuse: a sharded-lock
-//! concurrent map with first-writer-wins semantics, a compute-once memo
-//! table with in-flight claims, and a hash-consing interner.
+//! Shared-state primitives for cross-request reuse: a sharded-lock
+//! concurrent map with first-writer-wins semantics and a hash-consing
+//! interner.
 //!
-//! All three structures exist for one pattern: many pool workers computing
-//! the same pure function of the same key. Serial evaluation memoizes such
-//! work in per-evaluator `RefCell` tables; under a fan-out each child
-//! evaluator used to carry a *private clone* of those tables, so every
-//! worker re-derived (and re-allocated) entries its siblings had already
-//! produced. A [`ShardedMap`] is the concurrent second level behind those
-//! private tables: workers publish computed entries and consult the shared
-//! table before recomputing. An [`OnceMap`] adds claim coordination on top
-//! so expensive entries are computed exactly once instead of once per
-//! racing worker.
+//! Both exist for one pattern: several server requests, each on its own
+//! dispatch worker, computing the same pure function of the same key over a
+//! decomposition they share. A [`ShardedMap`] lets them publish computed
+//! entries and consult the shared table before recomputing.
 //!
 //! ## Determinism contract
 //!
 //! [`ShardedMap::insert_if_absent`] keeps the *first* value stored for a
 //! key and returns the winner. This is deterministic-by-value, not by
 //! schedule: callers must only store values that are pure functions of the
-//! key (given the fan-out's frozen inputs — plan, decomposition, resume
-//! state). Two workers racing on a key then compute *equal* values, so
+//! key. Two threads racing on a key then compute *equal* values, so
 //! whichever insert wins, every observer reads the same bits. Nothing in
-//! this module enforces purity; the evaluator's determinism proptests do.
+//! this module enforces purity.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of independently locked shards. A small power of two: enough to
-/// keep eight workers from serializing on one mutex, small enough that
+/// keep eight threads from serializing on one mutex, small enough that
 /// iterating shards (len, clear) stays cheap.
 const SHARDS: usize = 16;
 
 fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned shard only means some worker panicked mid-insert; the map
+    // A poisoned shard only means some thread panicked mid-insert; the map
     // holds complete entries only (no partial state), so recover.
     match m.lock() {
         Ok(g) => g,
@@ -45,7 +38,7 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A concurrent hash map sharded over independently locked segments.
 ///
 /// Lookups and inserts lock only the shard owning the key's hash, so
-/// workers touching distinct keys proceed without contention. Values are
+/// threads touching distinct keys proceed without contention. Values are
 /// returned by clone — callers store cheaply clonable values (`Arc`s,
 /// small copies).
 pub struct ShardedMap<K, V> {
@@ -95,183 +88,14 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| lock_or_recover(s).is_empty())
     }
-
-    /// Drain every entry into a single vector (shard order, then insertion
-    /// order within a shard — callers needing determinism sort the result).
-    pub fn drain(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(lock_or_recover(s).drain());
-        }
-        out
-    }
-}
-
-/// A slot of an [`OnceMap`]: either the published value or a marker that
-/// some worker is computing it right now.
-enum Slot<V> {
-    InFlight,
-    Done(V),
-}
-
-/// A concurrent memo table where each key is computed **once**: the first
-/// worker to claim a key runs the computation while later arrivals block
-/// until the value is published, instead of duplicating the work.
-///
-/// This is the coordination layer [`ShardedMap`] deliberately lacks. With
-/// plain first-writer-wins tables, `W` workers that fan out simultaneously
-/// all miss the same cold key and all recompute it — harmless for cheap
-/// values, ruinous when the value is a nested fixed point. An `OnceMap`
-/// turns that race into one computation plus `W−1` short waits.
-///
-/// ## Error and panic safety
-///
-/// The computing worker's claim is released on *every* non-publishing exit:
-/// if the computation returns an error or panics, the in-flight marker is
-/// removed and all waiters are woken so one of them can retry (typically
-/// failing the same way, since budgets and caps are global). Waiters can
-/// therefore never deadlock on an abandoned claim.
-///
-/// ## Determinism
-///
-/// Same contract as [`ShardedMap`]: stored values must be pure functions of
-/// their key given the fan-out's frozen inputs. Claiming strengthens
-/// "races duplicate work but agree" to "no duplication at all", and keeps
-/// every observer reading the same bits.
-///
-/// ## Deadlock freedom
-///
-/// A worker may wait on a key while holding claims on others, so waiting is
-/// safe only if the key-dependency relation is acyclic. Callers get this
-/// for free when the computation is a terminating recursion over the keys
-/// (a cycle would already be infinite recursion in the serial evaluator).
-pub struct OnceMap<K, V> {
-    shards: Vec<OnceShard<K, V>>,
-    hasher: RandomState,
-}
-
-struct OnceShard<K, V> {
-    slots: Mutex<HashMap<K, Slot<V>>>,
-    ready: Condvar,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Default for OnceMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> OnceMap<K, V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        OnceMap {
-            shards: (0..SHARDS)
-                .map(|_| OnceShard {
-                    slots: Mutex::new(HashMap::new()),
-                    ready: Condvar::new(),
-                })
-                .collect(),
-            hasher: RandomState::new(),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &OnceShard<K, V> {
-        let h = self.hasher.hash_one(key) as usize;
-        &self.shards[h % SHARDS]
-    }
-
-    /// The published value for `key`, if any. Never blocks: an in-flight
-    /// computation reads as absent.
-    pub fn get(&self, key: &K) -> Option<V> {
-        match lock_or_recover(&self.shard(key).slots).get(key) {
-            Some(Slot::Done(v)) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
-    /// The value for `key`, computing it via `compute` if nobody has yet.
-    ///
-    /// Exactly one worker runs `compute` per key; concurrent callers block
-    /// until the value is published and then receive a clone. If the
-    /// computing worker fails, its error propagates to it alone and one
-    /// blocked waiter takes over the claim.
-    pub fn get_or_try_compute<E, F>(&self, key: &K, compute: F) -> Result<V, E>
-    where
-        F: FnOnce() -> Result<V, E>,
-    {
-        let shard = self.shard(key);
-        {
-            let mut slots = lock_or_recover(&shard.slots);
-            loop {
-                match slots.get(key) {
-                    Some(Slot::Done(v)) => return Ok(v.clone()),
-                    Some(Slot::InFlight) => {
-                        slots = match shard.ready.wait(slots) {
-                            Ok(g) => g,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                    }
-                    None => break,
-                }
-            }
-            slots.insert(key.clone(), Slot::InFlight);
-        }
-        // The claim is released on every exit that does not publish —
-        // error returns and panics both remove the marker and wake the
-        // waiters so one of them can retry.
-        struct Claim<'a, K: Eq + Hash, V> {
-            shard: &'a OnceShard<K, V>,
-            key: &'a K,
-            armed: bool,
-        }
-        impl<K: Eq + Hash, V> Drop for Claim<'_, K, V> {
-            fn drop(&mut self) {
-                if self.armed {
-                    lock_or_recover(&self.shard.slots).remove(self.key);
-                    self.shard.ready.notify_all();
-                }
-            }
-        }
-        let mut claim = Claim {
-            shard,
-            key,
-            armed: true,
-        };
-        let value = compute()?;
-        let mut slots = lock_or_recover(&shard.slots);
-        slots.insert(key.clone(), Slot::Done(value.clone()));
-        claim.armed = false;
-        drop(slots);
-        shard.ready.notify_all();
-        Ok(value)
-    }
-
-    /// Number of published (not in-flight) entries.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                lock_or_recover(&s.slots)
-                    .values()
-                    .filter(|v| matches!(v, Slot::Done(_)))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// True when nothing has been published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A hash-consing interner: equal values share one canonical `Arc`.
 ///
 /// `intern` either returns the canonical `Arc` for an equal value already
 /// seen or stores the given value as the new canonical representative.
-/// Shared across workers, this deduplicates the allocation-heavy
-/// intermediates (sign-condition constraint rows, region formulas) that
-/// each worker previously rebuilt privately.
+/// Shared across threads, this deduplicates allocation-heavy values
+/// (hyperplane payloads) that each caller would otherwise rebuild.
 pub struct Interner<T> {
     shards: Vec<Mutex<HashSet<Arc<T>>>>,
     hasher: RandomState,
@@ -385,85 +209,5 @@ mod tests {
             assert!(Arc::ptr_eq(&pair[0], &pair[1]));
         }
         assert_eq!(i.len(), 1);
-    }
-
-    #[test]
-    fn once_map_computes_each_key_once() {
-        let m: OnceMap<u32, u64> = OnceMap::new();
-        let computed = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let m = &m;
-                let computed = &computed;
-                scope.spawn(move || {
-                    for k in 0..100u32 {
-                        let v: Result<u64, ()> = m.get_or_try_compute(&k, || {
-                            computed.fetch_add(1, Ordering::Relaxed);
-                            // Widen the race window so blocking (not
-                            // duplicated computes) resolves collisions.
-                            std::thread::yield_now();
-                            Ok(u64::from(k) * 7)
-                        });
-                        assert_eq!(v, Ok(u64::from(k) * 7));
-                    }
-                });
-            }
-        });
-        // The whole point: one computation per key, no matter how many
-        // workers collided on it.
-        assert_eq!(computed.load(Ordering::Relaxed), 100);
-        assert_eq!(m.len(), 100);
-        assert_eq!(m.get(&0), Some(0));
-        assert_eq!(m.get(&1000), None);
-    }
-
-    #[test]
-    fn once_map_releases_claim_on_error() {
-        let m: OnceMap<u32, u64> = OnceMap::new();
-        let r: Result<u64, &str> = m.get_or_try_compute(&1, || Err("boom"));
-        assert_eq!(r, Err("boom"));
-        // The failed claim is gone: a retry computes fresh.
-        assert_eq!(m.get(&1), None);
-        let r: Result<u64, &str> = m.get_or_try_compute(&1, || Ok(9));
-        assert_eq!(r, Ok(9));
-        assert_eq!(m.get(&1), Some(9));
-    }
-
-    #[test]
-    fn once_map_waiters_survive_a_failing_winner() {
-        let m: OnceMap<u32, u64> = OnceMap::new();
-        let failures = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let m = &m;
-                let failures = &failures;
-                scope.spawn(move || {
-                    let r: Result<u64, ()> = m.get_or_try_compute(&5, || {
-                        // First claimant fails; a waiter must take over.
-                        if failures.fetch_add(1, Ordering::Relaxed) == 0 {
-                            std::thread::yield_now();
-                            Err(())
-                        } else {
-                            Ok(55)
-                        }
-                    });
-                    assert!(r == Ok(55) || r == Err(()));
-                });
-            }
-        });
-        assert_eq!(m.get(&5), Some(55));
-    }
-
-    #[test]
-    fn drain_empties_the_map() {
-        let m: ShardedMap<u32, u32> = ShardedMap::new();
-        for k in 0..50 {
-            m.insert_if_absent(k, k + 1);
-        }
-        let mut all = m.drain();
-        all.sort_unstable();
-        assert_eq!(all.len(), 50);
-        assert!(m.is_empty());
-        assert_eq!(all[0], (0, 1));
     }
 }

@@ -86,34 +86,30 @@ impl Arrangement {
         hyperplanes: Vec<Hyperplane>,
         budget: &EvalBudget,
     ) -> Result<Self, BudgetError> {
-        Arrangement::try_build_pool(dim, hyperplanes, budget, &Pool::serial())
+        Arrangement::try_build_traced(dim, hyperplanes, budget, TraceHandle::disabled_ref())
     }
 
-    /// [`Arrangement::try_build`] for callers that hold a pool. A cell step
-    /// is a handful of exact dot products — far below the grain at which
-    /// fan-out pays — so the build is serial and the result does not depend
-    /// on `pool`.
+    /// [`Arrangement::try_build`]; `_pool` is ignored (name pinned by `benchmark/`).
     pub fn try_build_pool(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
         budget: &EvalBudget,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> Result<Self, BudgetError> {
-        Arrangement::try_build_traced(dim, hyperplanes, budget, pool, TraceHandle::disabled_ref())
+        Arrangement::try_build(dim, hyperplanes, budget)
     }
 
-    /// [`Arrangement::try_build_pool`] with structured tracing: one span per
+    /// [`Arrangement::try_build`] with structured tracing: one span per
     /// refinement level (carrying the level's hyperplane index and incoming
     /// partial-vector count), a span around face finalization, and two
     /// counters: `geom.faces_built`, the final face count, and
     /// `geom.cells_split`, the cells crossed by their level's hyperplane
     /// summed over levels (the zone complexity the section recursion pays
-    /// for). With a disabled handle this is exactly `try_build_pool`.
+    /// for). With a disabled handle this is exactly `try_build`.
     pub fn try_build_traced(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
         budget: &EvalBudget,
-        _pool: &Pool,
         trace: &TraceHandle,
     ) -> Result<Self, BudgetError> {
         assert!(dim > 0, "arrangements need a positive ambient dimension");
@@ -211,8 +207,8 @@ impl Arrangement {
     /// Budgeted [`Arrangement::insert_hyperplane`]. The budget protocol
     /// replays the final build level: one meter tick per existing face
     /// during refinement, a face-cap check as children accumulate, and one
-    /// tick per new face during finalization. Serial for the same reason as
-    /// [`Arrangement::try_build_pool`].
+    /// tick per new face during finalization. `_pool` is ignored (signature
+    /// pinned by `benchmark/`).
     pub fn try_insert_hyperplane(
         &self,
         h: Hyperplane,
@@ -250,7 +246,8 @@ impl Arrangement {
         }
     }
 
-    /// Budgeted [`Arrangement::remove_hyperplane`].
+    /// Budgeted [`Arrangement::remove_hyperplane`]. `_pool` is ignored
+    /// (signature pinned by `benchmark/`).
     pub fn try_remove_hyperplane(
         &self,
         index: usize,
@@ -1004,38 +1001,6 @@ mod tests {
                 .collect();
             assert!(atoms.iter().all(|at| at.eval(&env)), "{}", f);
         }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_for_bit_serial() {
-        let hs = vec![h(&[1, 0], 0), h(&[0, 1], 0), h(&[1, 1], 1), h(&[1, -1], 2)];
-        let serial = Arrangement::build(2, hs.clone());
-        for threads in [2, 4, 8] {
-            let par = Arrangement::try_build_pool(
-                2,
-                hs.clone(),
-                &EvalBudget::unlimited(),
-                &Pool::new(threads),
-            )
-            .unwrap();
-            assert_eq!(par.num_faces(), serial.num_faces());
-            for (a, b) in serial.faces().iter().zip(par.faces()) {
-                assert_eq!(a.signs, b.signs);
-                assert_eq!(a.dim, b.dim);
-                assert_eq!(a.bounded, b.bounded);
-                assert_eq!(a.witness, b.witness, "witness of {}", a);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_reports_the_same_face_cap_error() {
-        let hs = vec![h(&[1, 0], 0), h(&[0, 1], 0), h(&[1, 1], 1)];
-        let budget = EvalBudget::unlimited().with_max_faces(5);
-        let serial = Arrangement::try_build(2, hs.clone(), &budget).unwrap_err();
-        let parallel =
-            Arrangement::try_build_pool(2, hs.clone(), &budget, &Pool::new(4)).unwrap_err();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

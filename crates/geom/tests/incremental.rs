@@ -6,8 +6,7 @@
 //! bit-identical *census* (order, sign vectors, dimensions, boundedness,
 //! counts); merged-face witnesses are inherited from constituents and only
 //! need to lie inside the merged face. Both are checked here on fixed
-//! scenes, on randomized scenes, and across serial and pooled execution
-//! (threads 1, 2, and 8).
+//! scenes and on randomized scenes.
 
 use lcdb_arith::{int, rat, Rational};
 use lcdb_budget::EvalBudget;
@@ -17,11 +16,6 @@ use proptest::prelude::*;
 
 fn v(vals: &[i64]) -> Vec<Rational> {
     vals.iter().map(|&x| int(x)).collect()
-}
-
-/// The thread counts every incremental-vs-rebuild claim is checked under.
-fn pools() -> Vec<Pool> {
-    vec![Pool::new(1), Pool::new(2), Pool::new(8)]
 }
 
 /// Assert the two arrangements are equal bit for bit: same hyperplanes,
@@ -168,34 +162,6 @@ fn incremental_ops_respect_budgets() {
     assert!(msg.contains("face"), "unexpected error: {msg}");
 }
 
-#[test]
-fn pooled_insert_and_remove_match_serial() {
-    let hs = [
-        Hyperplane::new(v(&[1, 0]), int(0)),
-        Hyperplane::new(v(&[0, 1]), int(0)),
-        Hyperplane::new(v(&[1, 1]), int(2)),
-        Hyperplane::new(v(&[1, -1]), int(0)),
-    ];
-    let base = Arrangement::build(2, hs[..3].to_vec());
-    let unlimited = EvalBudget::unlimited();
-    let serial_ins = base
-        .try_insert_hyperplane(hs[3].clone(), &unlimited, &Pool::serial())
-        .expect("unlimited");
-    let serial_rm = base
-        .try_remove_hyperplane(1, &unlimited, &Pool::serial())
-        .expect("unlimited");
-    for pool in pools() {
-        let pooled_ins = base
-            .try_insert_hyperplane(hs[3].clone(), &unlimited, &pool)
-            .expect("unlimited");
-        assert_identical(&pooled_ins, &serial_ins);
-        let pooled_rm = base
-            .try_remove_hyperplane(1, &unlimited, &pool)
-            .expect("unlimited");
-        assert_identical(&pooled_rm, &serial_rm);
-    }
-}
-
 /// Strategy: a small scene of distinct hyperplanes in `dim` dimensions with
 /// coefficients in [-3, 3] (not all zero) and rational offsets.
 fn scene(dim: usize, max_planes: usize) -> impl Strategy<Value = Vec<Hyperplane>> {
@@ -228,7 +194,7 @@ fn scene(dim: usize, max_planes: usize) -> impl Strategy<Value = Vec<Hyperplane>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Insert is bit-identical to rebuild, across thread counts {1, 2, 8}.
+    /// Insert is bit-identical to rebuild.
     #[test]
     fn insert_matches_rebuild(hs in scene(2, 4)) {
         let n = hs.len();
@@ -239,15 +205,9 @@ proptest! {
             .try_insert_hyperplane(hs[n - 1].clone(), &unlimited, &Pool::serial())
             .expect("unlimited");
         assert_identical(&serial, &rebuilt);
-        for pool in pools() {
-            let pooled = base
-                .try_insert_hyperplane(hs[n - 1].clone(), &unlimited, &pool)
-                .expect("unlimited");
-            assert_identical(&pooled, &rebuilt);
-        }
     }
 
-    /// Remove reproduces the rebuild census, across thread counts {1, 2, 8}.
+    /// Remove reproduces the rebuild census.
     #[test]
     fn remove_matches_rebuild_census(case in (scene(2, 4), 0usize..64)) {
         let (hs, raw) = case;
@@ -261,16 +221,9 @@ proptest! {
             .try_remove_hyperplane(pick, &unlimited, &Pool::serial())
             .expect("unlimited");
         assert_same_census(&serial, &rebuilt);
-        for pool in pools() {
-            let pooled = full
-                .try_remove_hyperplane(pick, &unlimited, &pool)
-                .expect("unlimited");
-            assert_same_census(&pooled, &rebuilt);
-        }
     }
 
-    /// 3-dimensional spot check of insert bit-identity (serial only — the
-    /// 2-d cases above already cover the pooled paths).
+    /// 3-dimensional spot check of insert bit-identity.
     #[test]
     fn insert_matches_rebuild_3d(hs in scene(3, 3)) {
         let n = hs.len();

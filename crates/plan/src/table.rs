@@ -29,18 +29,11 @@
 //! variable order, so that the variables of any two tables that meet in a
 //! [`zip`] appear in the same relative order.
 
-use lcdb_exec::Pool;
-
 /// A region variable, resolved to a slot once per query.
 pub type Var = u16;
 
 /// Rows between two calls of a kernel's interrupt check.
 const CHECK_ROWS: usize = 4096;
-
-/// Row-times-children products below which [`zip`] stays on the calling
-/// thread: a fan-out spawns scoped threads, which costs more than combining
-/// a few thousand words.
-const PAR_MIN_WORK: usize = 1 << 18;
 
 /// The variables of a table and the sizes of their domains; the last
 /// variable is the lane.
@@ -491,16 +484,13 @@ struct Source<'a> {
 /// fly. Every child's variables must be among `out`'s plus the reduced
 /// one, in the same relative order.
 ///
-/// Rows are independent, so a wide combination is split into row ranges
-/// over `pool`; the result does not depend on the split. `check` runs once
-/// per block of rows and may abort the kernel.
-pub fn zip<E: Send>(
+/// `check` runs once per block of rows and may abort the kernel.
+pub fn zip<E>(
     out: Layout,
     reduce: Option<Reduce>,
     children: &[&Table],
     conj: bool,
-    pool: &Pool,
-    check: &(dyn Fn() -> Result<(), E> + Sync),
+    check: &dyn Fn() -> Result<(), E>,
 ) -> Result<Table, E> {
     let k = out.vars.len();
     let outer = k.saturating_sub(1);
@@ -543,107 +533,74 @@ pub fn zip<E: Send>(
     let universal = reduce.is_some_and(|r| r.universal);
     let by_bits = reduce.is_some_and(|r| r.last);
 
+    let mut bits = vec![0u64; rows * out_wpr];
+    if rows == 0 {
+        return Ok(Table { layout: out, bits });
+    }
+    if by_bits && universal {
+        for row in bits.chunks_mut(out_wpr) {
+            for (w, word) in row.iter_mut().enumerate() {
+                *word = lane_mask(inner_size, w);
+            }
+        }
+    }
     // One pass per word of the lane, so the hot loop combines single words
     // whatever the lane's width.
-    let run = |r0: usize, r1: usize, dst: &mut [u64]| -> Result<(), E> {
-        if r0 == r1 {
-            return Ok(());
-        }
-        if by_bits && universal {
-            for row in dst.chunks_mut(out_wpr) {
-                for (w, word) in row.iter_mut().enumerate() {
-                    *word = lane_mask(inner_size, w);
-                }
+    for w in 0..wpr {
+        let mask = lane_mask(lane, w);
+        let mut pos = vec![0usize; outer];
+        let mut base = vec![0usize; sources.len()];
+        for row in 0..rows {
+            if row.is_multiple_of(CHECK_ROWS) {
+                check()?;
             }
-        }
-        for w in 0..wpr {
-            let mask = lane_mask(lane, w);
-            let mut pos = vec![0usize; outer];
-            let mut r = r0;
-            for i in (0..outer).rev() {
-                pos[i] = r % out.sizes[i];
-                r /= out.sizes[i];
-            }
-            let mut base: Vec<usize> = sources
-                .iter()
-                .map(|s| pos.iter().zip(&s.steps).map(|(p, st)| p * st).sum())
-                .collect();
-            for row in r0..r1 {
-                if (row - r0).is_multiple_of(CHECK_ROWS) {
-                    check()?;
-                }
-                let dst_row = &mut dst[(row - r0) * out_wpr..(row - r0 + 1) * out_wpr];
-                let mut acc = if universal { mask } else { 0 };
-                for p in 0..inner_size {
-                    // One point of the walk: combine the children's words.
-                    let mut t = if conj { mask } else { 0 };
-                    for (s, b) in sources.iter().zip(&base) {
-                        let a = b + p * s.inner;
-                        if s.row {
-                            let word = s.bits[a / 64 + w];
-                            t = if conj { t & word } else { t | word };
-                        } else if bit(s.bits, a) != conj {
-                            t = if conj { 0 } else { mask };
-                            break;
-                        }
-                    }
-                    if by_bits {
-                        // ∃: some word of the lane is non-zero; ∀: every
-                        // word is full.
-                        if universal && t != mask {
-                            dst_row[p / 64] &= !(1 << (p % 64));
-                        } else if !universal && t != 0 {
-                            dst_row[p / 64] |= 1 << (p % 64);
-                        }
-                    } else if universal {
-                        acc &= t;
-                    } else {
-                        acc |= t;
-                    }
-                }
-                if !by_bits {
-                    // Without a reduction the inner loop ran once.
-                    dst_row[w] = acc;
-                }
-                // Advance the odometer over the output's row variables.
-                for i in (0..outer).rev() {
-                    pos[i] += 1;
-                    for (b, s) in base.iter_mut().zip(&sources) {
-                        *b += s.steps[i];
-                    }
-                    if pos[i] < out.sizes[i] {
+            let dst_row = &mut bits[row * out_wpr..(row + 1) * out_wpr];
+            let mut acc = if universal { mask } else { 0 };
+            for p in 0..inner_size {
+                // One point of the walk: combine the children's words.
+                let mut t = if conj { mask } else { 0 };
+                for (s, b) in sources.iter().zip(&base) {
+                    let a = b + p * s.inner;
+                    if s.row {
+                        let word = s.bits[a / 64 + w];
+                        t = if conj { t & word } else { t | word };
+                    } else if bit(s.bits, a) != conj {
+                        t = if conj { 0 } else { mask };
                         break;
                     }
-                    for (b, s) in base.iter_mut().zip(&sources) {
-                        *b -= s.steps[i] * out.sizes[i];
+                }
+                if by_bits {
+                    // ∃: some word of the lane is non-zero; ∀: every
+                    // word is full.
+                    if universal && t != mask {
+                        dst_row[p / 64] &= !(1 << (p % 64));
+                    } else if !universal && t != 0 {
+                        dst_row[p / 64] |= 1 << (p % 64);
                     }
-                    pos[i] = 0;
+                } else if universal {
+                    acc &= t;
+                } else {
+                    acc |= t;
                 }
             }
-        }
-        Ok(())
-    };
-
-    let work = rows
-        .saturating_mul(inner_size)
-        .saturating_mul(children.len().max(1));
-    let mut bits = vec![0u64; rows * out_wpr];
-    if pool.is_serial() || work < PAR_MIN_WORK || rows < 2 {
-        run(0, rows, &mut bits)?;
-    } else {
-        let blocks = (pool.threads() * 4).min(rows);
-        let per = rows.div_ceil(blocks);
-        let ranges: Vec<(usize, usize)> = (0..blocks)
-            .map(|b| (b * per, ((b + 1) * per).min(rows)))
-            .filter(|(a, b)| a < b)
-            .collect();
-        let parts = pool.map(&ranges, |_, &(r0, r1)| {
-            let mut part = vec![0u64; (r1 - r0) * out_wpr];
-            run(r0, r1, &mut part).map(|()| part)
-        });
-        for ((r0, _), part) in ranges.iter().zip(parts) {
-            let part = part?;
-            bits[r0 * out_wpr..r0 * out_wpr + part.len()].copy_from_slice(&part);
+            if !by_bits {
+                // Without a reduction the inner loop ran once.
+                dst_row[w] = acc;
+            }
+            // Advance the odometer over the output's row variables.
+            for i in (0..outer).rev() {
+                pos[i] += 1;
+                for (b, s) in base.iter_mut().zip(&sources) {
+                    *b += s.steps[i];
+                }
+                if pos[i] < out.sizes[i] {
+                    break;
+                }
+                for (b, s) in base.iter_mut().zip(&sources) {
+                    *b -= s.steps[i] * out.sizes[i];
+                }
+                pos[i] = 0;
+            }
         }
     }
     Ok(Table { layout: out, bits })
@@ -754,7 +711,6 @@ mod tests {
     #[test]
     fn join_matches_brute_force_for_widths_0_to_4() {
         let mut rng = Rng(7);
-        let pools = [Pool::serial(), Pool::new(3)];
         for out_vars in [
             &[][..],
             &[2],
@@ -777,24 +733,22 @@ mod tests {
                     .collect();
                 let refs: Vec<&Table> = children.iter().map(|(_, t)| t).collect();
                 for conj in [true, false] {
-                    for pool in &pools {
-                        let got = zip(layout(out_vars), None, &refs, conj, pool, &never).unwrap();
-                        for pos in tuples(out_vars) {
-                            let mut vals = children
-                                .iter()
-                                .map(|(vars, t)| t.get(&project(&pos, out_vars, vars)));
-                            let want = if conj {
-                                vals.all(|b| b)
-                            } else {
-                                vals.any(|b| b)
-                            };
-                            assert_eq!(got.get(&pos), want, "{out_vars:?} {pos:?} conj={conj}");
-                        }
-                        assert_eq!(
-                            got.count(),
-                            tuples(out_vars).iter().filter(|p| got.get(p)).count()
-                        );
+                    let got = zip(layout(out_vars), None, &refs, conj, &never).unwrap();
+                    for pos in tuples(out_vars) {
+                        let mut vals = children
+                            .iter()
+                            .map(|(vars, t)| t.get(&project(&pos, out_vars, vars)));
+                        let want = if conj {
+                            vals.all(|b| b)
+                        } else {
+                            vals.any(|b| b)
+                        };
+                        assert_eq!(got.get(&pos), want, "{out_vars:?} {pos:?} conj={conj}");
                     }
+                    assert_eq!(
+                        got.count(),
+                        tuples(out_vars).iter().filter(|p| got.get(p)).count()
+                    );
                 }
             }
         }
@@ -837,15 +791,8 @@ mod tests {
                         last: at == all.len() - 1,
                     };
                     let conj = !universal;
-                    let got = zip(
-                        layout(&out_vars),
-                        Some(reduce),
-                        &refs,
-                        conj,
-                        &Pool::serial(),
-                        &never,
-                    )
-                    .unwrap();
+                    let got =
+                        zip(layout(&out_vars), Some(reduce), &refs, conj, &never).unwrap();
                     for pos in tuples(&out_vars) {
                         let mut points = (0..SIZES[v as usize]).map(|a| {
                             let mut full = pos.clone();
@@ -876,59 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_agree_with_one_block() {
-        // Wide enough to cross PAR_MIN_WORK with a reduced variable.
-        let sizes = [80usize, 30, 70, 9];
-        let lay = |vars: &[Var]| {
-            Layout::new(
-                vars.to_vec(),
-                vars.iter().map(|&v| sizes[v as usize]).collect(),
-            )
-        };
-        let mut rng = Rng(3);
-        let mut fill = |vars: &[Var]| {
-            let mut t = Table::empty(lay(vars));
-            for w in t.bits.iter_mut() {
-                *w = rng.next() & rng.next();
-            }
-            let mut full = Table::full(lay(vars));
-            for (a, b) in full.bits.iter_mut().zip(&t.bits) {
-                *a &= b;
-            }
-            full
-        };
-        let (a, b) = (fill(&[0, 1, 3]), fill(&[1, 2, 3]));
-        let reduce = Reduce {
-            var: 3,
-            size: 9,
-            universal: false,
-            last: true,
-        };
-        let serial = zip(
-            lay(&[0, 1, 2]),
-            Some(reduce),
-            &[&a, &b],
-            true,
-            &Pool::serial(),
-            &never,
-        )
-        .unwrap();
-        for threads in [2, 8] {
-            let par = zip(
-                lay(&[0, 1, 2]),
-                Some(reduce),
-                &[&a, &b],
-                true,
-                &Pool::new(threads),
-                &never,
-            )
-            .unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        assert!(!serial.is_empty());
-    }
-
-    #[test]
     fn kernel_check_aborts_mid_table() {
         let mut rng = Rng(5);
         let a = random(&mut rng, &[1, 4]);
@@ -937,7 +831,7 @@ mod tests {
             calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Err::<(), &str>("stop")
         };
-        let r = zip(layout(&[1, 4]), None, &[&a], true, &Pool::serial(), &check);
+        let r = zip(layout(&[1, 4]), None, &[&a], true, &check);
         assert_eq!(r.err(), Some("stop"));
         assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
     }

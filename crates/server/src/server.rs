@@ -17,8 +17,8 @@
 //!          ┌────────┴─────────┐
 //!      dispatch worker …  dispatch worker      (fixed pool)
 //!          │ budgets each request (deadline counts from enqueue),
-//!          │ consults the shared result cache, evaluates on an
-//!          │ lcdb-exec pool, writes the response frame
+//!          │ consults the shared result cache, evaluates on its
+//!          │ own thread, writes the response frame
 //! ```
 //!
 //! Nothing polls: every blocked thread waits on the event it is waiting
@@ -86,7 +86,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Dispatch worker threads draining the admission queue.
     pub workers: usize,
-    /// `lcdb-exec` pool width used *inside* each evaluation.
+    /// Ignored: an evaluation runs on its dispatch worker's thread (field
+    /// pinned by `benchmark/`).
     pub eval_threads: usize,
     /// Live-session cap; connections over it are shed at accept.
     pub max_sessions: usize,
@@ -137,7 +138,7 @@ impl Default for ServerConfig {
 
 /// Fault-injection plumbing: when the `faults` feature is on, every thread
 /// the server spawns re-arms the plan that was armed on the thread that
-/// called [`Server::start`], exactly like `lcdb-exec` pool workers do.
+/// called [`Server::start`].
 #[derive(Clone)]
 struct FaultHandle {
     #[cfg(feature = "faults")]
@@ -556,7 +557,6 @@ impl Shared {
         spatial: &str,
         db_fp: u64,
         budget: &EvalBudget,
-        pool: &Pool,
     ) -> Result<Arc<RegionExtension>, EvalError> {
         if let Some(ext) = lock(&self.extensions).get(&db_fp) {
             return Ok(Arc::clone(ext));
@@ -576,20 +576,14 @@ impl Shared {
                 // one by inserting/removing the few hyperplanes a Define
                 // changed — the common shape of a session: base database
                 // plus a handful of redefinitions.
-                let built = match self.derive_incremental(db, spatial, budget, pool) {
+                let built = match self.derive_incremental(db, spatial, budget) {
                     Some(derived) => {
                         self.c_ext_incremental.incr();
                         derived
                     }
                     None => {
                         self.c_ext_rebuild.incr();
-                        ArrangementRegions::try_new_traced(
-                            db.clone(),
-                            spatial,
-                            budget,
-                            pool,
-                            &self.trace,
-                        )?
+                        ArrangementRegions::try_new_traced(db.clone(), spatial, budget, &self.trace)?
                     }
                 };
                 if let Some(cat) = &self.catalog {
@@ -628,7 +622,6 @@ impl Shared {
         db: &Database,
         spatial: &str,
         budget: &EvalBudget,
-        pool: &Pool,
     ) -> Option<ArrangementRegions> {
         let donors: Vec<Arc<RegionExtension>> = lock(&self.extensions).values().cloned().collect();
         if donors.is_empty() {
@@ -654,7 +647,7 @@ impl Shared {
             }
         }
         let (donor, _) = best?;
-        match donor.try_derive(db.clone(), spatial, budget, pool) {
+        match donor.try_derive(db.clone(), spatial, budget, &Pool::serial()) {
             Ok(Some((regions, delta))) => {
                 self.trace.mark(
                     "server.extension",
@@ -707,17 +700,6 @@ impl Shared {
             live,
             self.queue_depth(),
             self.cache.len(),
-        ));
-        // Work-stealing pool health, fed by every dispatch worker's pool.
-        let m = self.trace.metrics();
-        for name in ["server.pool.steals", "server.pool.idle_parks"] {
-            s.push_str(&format!("{}={}\n", name, m.counter(name).get()));
-        }
-        let depth = m.histogram("server.pool.local_queue_depth");
-        s.push_str(&format!(
-            "server.pool.local_queue_depth.count={}\nserver.pool.local_queue_depth.p90={}\n",
-            depth.count(),
-            depth.quantile_upper_bound(90),
         ));
         s
     }
@@ -1192,10 +1174,6 @@ fn session_inner(
 /// the response. One worker failing to write (dead client) never affects
 /// the next job.
 fn worker_loop(shared: &Arc<Shared>) {
-    // Every dispatch worker's pool feeds the same `server.pool.*` metrics:
-    // steal counts, idle parks, and the local-queue depth histogram land in
-    // the registry and surface in the Status dump.
-    let pool = Pool::new(shared.cfg.eval_threads).with_metrics(shared.trace.metrics(), "server.pool");
     while let Some(job) = shared.pop() {
         let op = op_name(job.req.op);
         let queued_us = job.enqueued_at.elapsed().as_micros() as u64;
@@ -1213,7 +1191,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let started = Instant::now();
         let ticks_before = shared.ticks_total.get();
         let mut info = ExecInfo::default();
-        let resp = execute(shared, &job, &pool, &mut info);
+        let resp = execute(shared, &job, &mut info);
         let self_us = started.elapsed().as_micros() as u64;
         let per_op = shared.op_metrics(job.req.op);
         shared.h_latency.observe(self_us);
@@ -1300,7 +1278,7 @@ fn op_name(op: OpCode) -> &'static str {
 
 /// Execute one admitted job to a response, noting the plan fingerprint and
 /// answer tier in `info` for the telemetry row.
-fn execute(shared: &Arc<Shared>, job: &Job, pool: &Pool, info: &mut ExecInfo) -> Response {
+fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
     let id = job.req.id;
     // Fault site: a poisoned dispatch fails exactly this request; the
     // session and the worker keep going.
@@ -1392,13 +1370,11 @@ fn execute(shared: &Arc<Shared>, job: &Job, pool: &Pool, info: &mut ExecInfo) ->
             "no relation defined yet; send a define request first",
         );
     };
-    let ext = match shared.extension(&job.db, spatial, job.db_fp, &budget, pool) {
+    let ext = match shared.extension(&job.db, spatial, job.db_fp, &budget) {
         Ok(ext) => ext,
         Err(e) => return eval_error_response(&e, id, shared),
     };
-    let ev = Evaluator::with_budget(ext.as_ref(), budget)
-        .with_pool(pool.clone())
-        .with_trace(shared.trace.clone());
+    let ev = Evaluator::with_budget(ext.as_ref(), budget).with_trace(shared.trace.clone());
     // Resume fixpoint progress persisted by an earlier run of this query
     // (a completed run seeds completed stages; an aborted run its partial
     // ones). A mismatched or corrupt snapshot is ignored.

@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(v.u64("wall_us"), Some(1500));
         assert_eq!(v.str("missing"), None);
 
-        let bench = r#"{"bench":"BENCH_3","threads":4,"experiments":[{"id":"E3","wall_us":231976.5},{"id":"E10","wall_us":1546338}]}"#;
+        let bench = r#"{"bench":"BENCH_3","experiments":[{"id":"E3","wall_us":231976.5},{"id":"E10","wall_us":1546338}]}"#;
         let v = Json::parse(bench).unwrap();
         assert_eq!(v.str("bench"), Some("BENCH_3"));
         let exps = v.get("experiments").unwrap().items();

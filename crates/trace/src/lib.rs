@@ -10,11 +10,9 @@
 //!   probe of the process-wide recorder hook ([`install_recorder`]), and no
 //!   clock read, no allocation, no lock. Hot loops additionally cache the
 //!   enabled bit so their per-item cost is a branch.
-//! * **Thread-aware.** Span parentage follows a per-thread stack, and
-//!   `lcdb-exec` pool workers re-adopt the spawning thread's current span
-//!   (see [`current_span`] / [`adopt_parent`]), so work done on a worker
-//!   thread is attributed under the span that fanned it out. Every event
-//!   carries a small process-stable thread id.
+//! * **Thread-aware.** Span parentage follows a per-thread stack (an
+//!   evaluation runs on one thread), and every event carries a small
+//!   process-stable thread id.
 //! * **Stable schema.** The JSONL sink writes one event per line with fixed
 //!   keys (`v`, `ev`, `span`, `parent`, `name`, `detail`, `value`,
 //!   `thread`, `t_us`); [`Event::parse_jsonl`] reads the same schema back,
@@ -229,7 +227,6 @@ static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    static AMBIENT_PARENT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A small process-stable id for the calling thread (assigned on first use,
@@ -243,32 +240,9 @@ pub fn thread_id() -> u64 {
     })
 }
 
-/// The calling thread's innermost open span, falling back to the ambient
-/// parent installed by [`adopt_parent`]; 0 when there is none. `lcdb-exec`
-/// captures this before fanning work out so workers can re-adopt it.
-pub fn current_span() -> u64 {
-    let top = SPAN_STACK.with(|s| s.borrow().last().copied());
-    top.unwrap_or_else(|| AMBIENT_PARENT.with(Cell::get))
-}
-
-/// Install `parent` as the calling thread's ambient span parent until the
-/// returned guard drops. Pool workers call this with the spawning thread's
-/// [`current_span`], so spans they open are attributed under the fan-out.
-pub fn adopt_parent(parent: u64) -> ParentGuard {
-    let prev = AMBIENT_PARENT.with(|a| a.replace(parent));
-    ParentGuard { prev }
-}
-
-/// Restores the previous ambient parent on drop; see [`adopt_parent`].
-#[must_use = "the adopted parent is uninstalled when the guard drops"]
-pub struct ParentGuard {
-    prev: u64,
-}
-
-impl Drop for ParentGuard {
-    fn drop(&mut self) {
-        AMBIENT_PARENT.with(|a| a.set(self.prev));
-    }
+/// The calling thread's innermost open span; 0 when there is none.
+fn current_span() -> u64 {
+    SPAN_STACK.with(|s| s.borrow().last().copied()).unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +250,7 @@ impl Drop for ParentGuard {
 // ---------------------------------------------------------------------------
 
 /// A sink for trace events. Implementations must be cheap to call from hot
-/// paths and safe to share across pool workers.
+/// paths and safe to share across threads.
 pub trait Tracer: Send + Sync {
     /// Whether events are being recorded. Handles check this *before*
     /// building an event, so a disabled tracer costs one virtual call.
@@ -1136,7 +1110,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_via_thread_stack_and_ambient_parent() {
+    fn spans_nest_via_thread_stack() {
         let sink = Arc::new(MemoryTracer::new());
         let h = TraceHandle::new(sink.clone());
         let outer = h.span("outer");
@@ -1151,11 +1125,6 @@ mod tests {
             .find(|e| e.kind == EventKind::Enter && e.name == "inner")
             .unwrap();
         assert_eq!(inner_enter.parent, outer_id);
-        // Ambient adoption: a "worker" with no open spans inherits the
-        // installed parent.
-        let _g = adopt_parent(outer_id);
-        assert_eq!(current_span(), outer_id);
-        drop(_g);
         assert_eq!(current_span(), 0);
     }
 

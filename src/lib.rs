@@ -32,6 +32,6 @@ pub use lcdb_tm as tm;
 pub use lcdb_arith::{rat, BigInt, BigUint, Rational};
 pub use lcdb_core::{
     queries, BudgetError, CancelToken, Decomposition, EvalBudget, EvalError, EvalOutcome,
-    EvalStats, Evaluator, Pool, Quarantine, RecoverError, RegFormula, RegionExtension, Snapshot,
+    EvalStats, Evaluator, Quarantine, RecoverError, RegFormula, RegionExtension, Snapshot,
 };
 pub use lcdb_logic::{parse_formula, Database, Formula, Relation};

@@ -15,12 +15,11 @@
 
 use lcdb::budget::faults::FaultPlan;
 use lcdb::core::{
-    parse_regformula, try_eval_sentence_arrangement_recoverable,
-    try_eval_sentence_arrangement_recoverable_pool, RegionExtension,
+    parse_regformula, try_eval_sentence_arrangement_recoverable, RegionExtension,
 };
 use lcdb::datalog::{DatalogError, Literal, Program, Rule};
 use lcdb::{
-    parse_formula, queries, BudgetError, EvalBudget, EvalError, EvalOutcome, Evaluator, Pool,
+    parse_formula, queries, BudgetError, EvalBudget, EvalError, EvalOutcome, Evaluator,
     RegFormula, Relation, Snapshot,
 };
 use std::path::PathBuf;
@@ -188,52 +187,6 @@ fn localized_fault_is_quarantined_in_degraded_mode() {
     let err = strict.try_eval_sentence(&q).expect_err("strict mode aborts");
     drop(guard);
     assert!(matches!(err, EvalError::InjectedFault { .. }), "{err}");
-}
-
-/// The fault plan crosses the pool boundary: with `--threads 2`, a plan
-/// armed on the spawning thread is re-armed inside every worker, so each
-/// region-pipeline site still surfaces as a typed `InjectedFault` with a
-/// decodable, genuinely resumable checkpoint — never a panic and never a
-/// silently-complete run. (Which worker hits the site's Nth execution is
-/// schedule-dependent, so this test asserts the error/checkpoint contract
-/// rather than bit-equality with the serial abort point.)
-#[test]
-fn faults_fire_inside_pool_workers() {
-    let pool = Pool::new(2);
-    for site in REGION_SITES {
-        let (relation, sentence, expected) = route_through(site);
-        let dir = temp_dir(&format!("pool-{}", site.replace('.', "-")));
-        let guard = FaultPlan::new().fail_on(site, 1).arm();
-        let result = try_eval_sentence_arrangement_recoverable_pool(
-            &relation,
-            &sentence,
-            &EvalBudget::unlimited(),
-            Some(&dir),
-            None,
-            &pool,
-        );
-        drop(guard);
-        let (err, path) = result.expect_err("armed fault must abort under threads");
-        match &err {
-            EvalError::InjectedFault { site: s, .. } => assert_eq!(s, site),
-            other => panic!("site {site}: expected InjectedFault, got {other}"),
-        }
-        let path = path.unwrap_or_else(|| panic!("site {site}: no checkpoint written"));
-        let snap = Snapshot::read_from(&path)
-            .unwrap_or_else(|e| panic!("site {site}: corrupt checkpoint: {e}"));
-        // Resume in the same threaded configuration, fault disarmed.
-        let (verdict, _) = try_eval_sentence_arrangement_recoverable_pool(
-            &relation,
-            &sentence,
-            &EvalBudget::unlimited(),
-            None,
-            Some(&snap),
-            &pool,
-        )
-        .unwrap_or_else(|(e, _)| panic!("site {site}: threaded resume failed: {e}"));
-        assert_eq!(verdict, expected, "site {site}: wrong verdict after threaded resume");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 /// The datalog round loop has its own site: the fault surfaces as a

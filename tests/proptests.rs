@@ -2,16 +2,12 @@
 //! paper's invariants as properties.
 
 use lcdb::arith::{int, Rational};
-use lcdb::core::{parse_regformula, Decomposition, FixMode, RegFormula};
-use lcdb::geom::{extract_hyperplanes, Arrangement};
+use lcdb::core::{Decomposition, FixMode, RegFormula};
+use lcdb::geom::Arrangement;
 use lcdb::logic::{dnf, qe, Atom, Formula, LinExpr, Rel};
-use lcdb::{queries, EvalBudget, Evaluator, Pool, RegionExtension, Relation};
+use lcdb::{EvalBudget, Evaluator, RegionExtension, Relation};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Thread counts the determinism properties sweep: serial, small, and
-/// oversubscribed relative to the tiny inputs.
-const THREADS: &[usize] = &[1, 2, 8];
 
 /// Random linear atoms over `x`, `y` with small coefficients.
 fn arb_atom() -> impl Strategy<Value = Atom> {
@@ -225,106 +221,12 @@ fn arb_intervals() -> impl Strategy<Value = Relation> {
     })
 }
 
-/// A face census an arrangement can be compared by: every public attribute
-/// of every face plus the adjacency matrix, in face order.
-#[allow(clippy::type_complexity)]
-fn census(arr: &Arrangement) -> (Vec<(usize, String, usize, Vec<Rational>, bool)>, Vec<bool>) {
-    let faces = arr
-        .faces()
-        .iter()
-        .map(|f| {
-            (
-                f.id,
-                format!("{:?}", f.signs),
-                f.dim,
-                f.witness.clone(),
-                f.bounded,
-            )
-        })
-        .collect();
-    let n = arr.num_faces();
-    let mut adj = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            adj.push(arr.adjacent(i, j));
-        }
-    }
-    (faces, adj)
-}
-
-/// (verdict, stringified query answer, stats) from one thread count's run.
-type EvalObservation = (
-    Result<bool, String>,
-    Result<String, String>,
-    lcdb::EvalStats,
-);
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel evaluation is deterministic where it must be: sentence
-    /// verdicts and open-query answers are identical across thread counts.
-    /// Work counters measure *committed* work — the shared memo computes
-    /// each key at most once, and a short-circuited fan-out drops the
-    /// deltas of items past the deciding one — so they are bounded above
-    /// by the serial run's, with the semantic region count exactly equal.
-    #[test]
-    fn parallel_evaluation_deterministic(rel in arb_intervals()) {
-        let sentence = queries::connectivity();
-        let query = parse_regformula("exists x. S(x) and y = x + 1")
-            .expect("query parses");
-        let ext = RegionExtension::arrangement(rel);
-        let mut baseline: Option<EvalObservation> = None;
-        for &t in THREADS {
-            let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited()).with_threads(t);
-            let verdict = ev.try_eval_sentence(&sentence).map_err(|e| e.to_string());
-            let answer = ev
-                .try_eval_query(&query)
-                .map(|f| f.to_string())
-                .map_err(|e| e.to_string());
-            let stats = ev.stats();
-            match &baseline {
-                None => baseline = Some((verdict, answer, stats)),
-                Some((v0, a0, s0)) => {
-                    prop_assert_eq!(&verdict, v0, "verdict differs at {} threads", t);
-                    prop_assert_eq!(&answer, a0, "query answer differs at {} threads", t);
-                    prop_assert_eq!(stats.regions, s0.regions, "region count at {} threads", t);
-                    prop_assert!(
-                        stats.fix_iterations <= s0.fix_iterations
-                            && stats.fix_tuple_tests <= s0.fix_tuple_tests
-                            && stats.region_expansions <= s0.region_expansions,
-                        "parallel counters above serial at {} threads: {:?} vs {:?}",
-                        t, stats, s0
-                    );
-                }
-            }
-        }
-    }
-
-    /// The parallel arrangement build produces the identical face census —
-    /// ids, sign vectors, dimensions, witnesses, boundedness, adjacency —
-    /// at every thread count.
-    #[test]
-    fn parallel_arrangement_census_deterministic(
-        atoms in proptest::collection::vec(arb_atom(), 1..5),
-    ) {
-        let f = Formula::and(atoms.into_iter().map(Formula::Atom).collect());
-        let rel = Relation::new(vec!["x".into(), "y".into()], &f);
-        let hyperplanes = extract_hyperplanes(&rel);
-        let budget = EvalBudget::unlimited();
-        let serial = Arrangement::try_build_pool(2, hyperplanes.clone(), &budget, &Pool::serial())
-            .expect("unlimited build succeeds");
-        let want = census(&serial);
-        for &t in &THREADS[1..] {
-            let arr = Arrangement::try_build_pool(2, hyperplanes.clone(), &budget, &Pool::new(t))
-                .expect("unlimited build succeeds");
-            prop_assert_eq!(&census(&arr), &want, "census differs at {} threads", t);
-        }
-    }
-
     /// Semi-naive datalog reaches the same fixpoint as naive, in the same
-    /// number of rounds, at every thread count — on random bounded
-    /// reachability programs (random step, bound, and seed interval).
+    /// number of rounds — on random bounded reachability programs (random
+    /// step, bound, and seed interval).
     #[test]
     fn semi_naive_matches_naive_on_random_programs(
         step in 1i64..=3,
@@ -358,34 +260,32 @@ proptest! {
             ));
         let budget = EvalBudget::unlimited();
         let mut baseline: Option<(usize, lcdb::Relation)> = None;
+        let untraced = lcdb::core::TraceHandle::disabled_ref();
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            for &t in THREADS {
-                let outcome = program
-                    .try_evaluate_with(&edb, 64, &budget, strategy, &Pool::new(t))
-                    .expect("unlimited budget cannot trip");
-                let (idb, rounds) = match outcome {
-                    EvalOutcome::Fixpoint { idb, rounds } => (idb, rounds),
-                    EvalOutcome::Diverged { rounds, .. } => {
-                        panic!("bounded program diverged after {rounds} rounds")
-                    }
-                };
-                let reach = idb.get("reach").expect("head predicate present").clone();
-                match &baseline {
-                    None => baseline = Some((rounds, reach)),
-                    Some((r0, rel0)) => {
-                        prop_assert_eq!(rounds, *r0,
-                            "round count differs ({:?}, {} threads)", strategy, t);
-                        // Semantic agreement on a half-integer grid that
-                        // covers the reachable frontier and beyond.
-                        for num in (2 * (lo - 2))..=(2 * (bound + 2)) {
-                            let p = vec![Rational::from_i64s(num, 2)];
-                            prop_assert_eq!(
-                                reach.contains(&p),
-                                rel0.contains(&p),
-                                "fixpoints disagree at {}/2 ({:?}, {} threads)",
-                                num, strategy, t
-                            );
-                        }
+            let outcome = program
+                .try_evaluate_traced(&edb, 64, &budget, strategy, untraced)
+                .expect("unlimited budget cannot trip");
+            let (idb, rounds) = match outcome {
+                EvalOutcome::Fixpoint { idb, rounds } => (idb, rounds),
+                EvalOutcome::Diverged { rounds, .. } => {
+                    panic!("bounded program diverged after {rounds} rounds")
+                }
+            };
+            let reach = idb.get("reach").expect("head predicate present").clone();
+            match &baseline {
+                None => baseline = Some((rounds, reach)),
+                Some((r0, rel0)) => {
+                    prop_assert_eq!(rounds, *r0, "round count differs ({:?})", strategy);
+                    // Semantic agreement on a half-integer grid that
+                    // covers the reachable frontier and beyond.
+                    for num in (2 * (lo - 2))..=(2 * (bound + 2)) {
+                        let p = vec![Rational::from_i64s(num, 2)];
+                        prop_assert_eq!(
+                            reach.contains(&p),
+                            rel0.contains(&p),
+                            "fixpoints disagree at {}/2 ({:?})",
+                            num, strategy
+                        );
                     }
                 }
             }
@@ -652,8 +552,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Plan equivalence: for random RegFO sentences, the plan-compiled
-    /// executor agrees with the direct model-theoretic semantics, at every
-    /// thread count. (Random *datalog* programs get the same treatment in
+    /// executor agrees with the direct model-theoretic semantics. (Random
+    /// *datalog* programs get the same treatment in
     /// `semi_naive_matches_naive_on_random_programs` above — their rule
     /// bodies compile through the same plan IR.)
     #[test]
@@ -664,13 +564,10 @@ proptest! {
         let sentence = bind_shape(&shape);
         let ext = RegionExtension::arrangement(rel);
         let want = reference_eval(&ext, &sentence, &mut BTreeMap::new());
-        for &t in THREADS {
-            let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited()).with_threads(t);
-            let got = ev
-                .try_eval_sentence(&sentence)
-                .expect("unlimited budget cannot trip");
-            prop_assert_eq!(got, want, "plan vs reference at {} threads: {:?}", t, sentence);
-        }
+        let got = Evaluator::with_budget(&ext, EvalBudget::unlimited())
+            .try_eval_sentence(&sentence)
+            .expect("unlimited budget cannot trip");
+        prop_assert_eq!(got, want, "plan vs reference: {:?}", sentence);
     }
 }
 
@@ -862,9 +759,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Differential test of the fixed-point and closure logics: on both
-    /// decompositions, every route to the verdict — serial, 2 and 8
-    /// threads, and abort-at-a-stage-cap then resume from the decoded
-    /// checkpoint — agrees with the naive explicit-set semantics.
+    /// decompositions, every route to the verdict — an uninterrupted run,
+    /// and abort-at-a-stage-cap then resume from the decoded checkpoint —
+    /// agrees with the naive explicit-set semantics.
     #[test]
     fn fixpoint_evaluation_matches_reference_semantics(
         shape in arb_fix_shape(),
@@ -876,15 +773,12 @@ proptest! {
             ("nc1", RegionExtension::nc1(rel.clone())),
         ] {
             let want = reference_eval(&ext, &sentence, &mut BTreeMap::new());
-            let mut stages = 0u64;
-            for &t in THREADS {
-                let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited()).with_threads(t);
-                let got = ev
-                    .try_eval_sentence(&sentence)
-                    .expect("unlimited budget cannot trip");
-                prop_assert_eq!(got, want, "{} at {} threads: {:?}", name, t, sentence);
-                stages = ev.stats().fix_iterations as u64;
-            }
+            let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited());
+            let got = ev
+                .try_eval_sentence(&sentence)
+                .expect("unlimited budget cannot trip");
+            prop_assert_eq!(got, want, "{}: {:?}", name, sentence);
+            let stages = ev.stats().fix_iterations as u64;
             // Every cap for short runs, a spread of caps for long ones.
             let step = (stages / 24).max(1);
             for cap in (1..=stages).step_by(step as usize) {
