@@ -619,31 +619,41 @@ fn e13_unbounded() {
     println!("  MATCH: exactly the paper's census; far points covered\n");
 }
 
-/// E14: Lemma A.1 — NC1 decomposition scaling.
+/// E14: Lemma A.1 — the shape of the NC1 decomposition of a convex k-gon.
 fn e14_nc1_scaling() {
     header("E14", "NC1 decomposition scaling (Lemma A.1)");
     println!(
-        "  {:>3} {:>9} {:>8} {:>14} {:>12}",
-        "k", "vertices", "regions", "time", "depth-proxy"
+        "  {:>3} {:>12} {:>8} {:>10} {:>12}",
+        "k", "census", "regions", "LP solves", "time"
     );
-    for k in [4usize, 6, 8, 10] {
-        let r = random_polygon(k, 11);
+    let mut solves = Vec::new();
+    for k in [4usize, 8, 12, 16] {
+        let r = convex_polygon(k);
+        let before = lcdb_lp::counters().solves;
         let t = Instant::now();
         let d = lcdb_geom::nc1::decompose_relation(&r);
         let dt = t.elapsed();
-        let verts = d.counts_by_dim()[0];
-        let work = d.regions.len().max(1);
+        solves.push(lcdb_lp::counters().solves - before);
+        let census = d.counts_by_dim();
         println!(
-            "  {:>3} {:>9} {:>8} {:>14?} {:>12.1}",
+            "  {:>3} {:>12} {:>8} {:>10} {:>12?}",
             k,
-            verts,
+            format!("{}/{}/{}", census[0], census[1], census[2]),
             d.regions.len(),
-            dt,
-            (work as f64).log2()
+            solves[solves.len() - 1],
+            dt
         );
+        // k vertices; k edges and the k − 3 diagonals of the fan from p_low;
+        // the k − 2 fan triangles: 4k − 5 regions, linear in k.
+        assert_eq!(census, vec![k, 2 * k - 3, k - 2], "census of the {k}-gon");
     }
-    println!("  shape: sequential work polynomial in the vertex count; the parallel");
-    println!("  algorithm's depth is logarithmic (the NC1 circuits of [1; 7; 20])\n");
+    assert!(
+        solves.iter().all(|&s| s == solves[0] && s <= 5),
+        "LP solves per decomposition must not depend on k: {solves:?}"
+    );
+    println!("  shape: census k / 2k-3 / k-2 (Fig. 7's pentagon: 5 / 7 / 3), regions linear");
+    println!("  in k; one emptiness test and four cube tests per disjunct whatever k is —");
+    println!("  each candidate costs Gaussian eliminations, no solver and no elimination\n");
 }
 
 /// E15: Theorems 7.3/7.4 — RegTC and RegDTC.

@@ -110,73 +110,19 @@ pub fn random_hyperplanes(d: usize, n: usize, seed: u64) -> Vec<Hyperplane> {
     out
 }
 
-/// A random convex polygon with `k` vertices on a circle of radius ~r,
-/// returned as a conjunctive relation (its edge inequalities).
-pub fn random_polygon(k: usize, seed: u64) -> Relation {
+/// The convex `k`-gon with vertices `(i, i²)`, `i < k`, as a conjunctive
+/// relation: above the `k − 1` chords between neighbours on the parabola,
+/// below the chord that closes it.
+pub fn convex_polygon(k: usize) -> Relation {
     assert!(k >= 3);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Rational points in convex position: perturbed lattice points on a
-    // coarse circle, sorted by angle octant trick. Use exact small fractions.
-    let mut pts: Vec<(i64, i64)> = Vec::new();
-    let mut angle = 0.0f64;
-    for _ in 0..k {
-        angle += rng.gen_range(0.2..(2.0 * std::f64::consts::PI / k as f64 * 1.5));
-        let r = rng.gen_range(80.0..100.0);
-        pts.push(((r * angle.cos()) as i64, (r * angle.sin()) as i64));
-    }
-    // Ensure convex position by taking the convex hull (monotone chain).
-    let hull = convex_hull_i64(&mut pts);
-    let m = hull.len();
-    let mut atoms = Vec::new();
-    for i in 0..m {
-        let (x1, y1) = hull[i];
-        let (x2, y2) = hull[(i + 1) % m];
-        // Interior on the left of (p1 -> p2) for CCW hulls:
-        // a·x + b·y >= c with a = -(y2-y1), b = x2-x1, c = a·x1 + b·y1.
-        let a = -(y2 - y1);
-        let b = x2 - x1;
-        let c = a * x1 + b * y1;
-        let expr = lcdb_logic::LinExpr::var("x")
-            .scale(&int(a))
-            .add(&lcdb_logic::LinExpr::var("y").scale(&int(b)));
-        atoms.push(lcdb_logic::Formula::Atom(lcdb_logic::Atom::new(
-            expr,
-            lcdb_logic::Rel::Ge,
-            lcdb_logic::LinExpr::constant(int(c)),
-        )));
-    }
+    let mut sides: Vec<String> = (0..k - 1)
+        .map(|i| format!("y >= {}*x - {}", 2 * i + 1, i * (i + 1)))
+        .collect();
+    sides.push(format!("y <= {}*x", k - 1));
     Relation::new(
         vec!["x".into(), "y".into()],
-        &lcdb_logic::Formula::and(atoms),
+        &parse_formula(&sides.join(" and ")).unwrap(),
     )
-}
-
-fn convex_hull_i64(pts: &mut Vec<(i64, i64)>) -> Vec<(i64, i64)> {
-    pts.sort();
-    pts.dedup();
-    if pts.len() < 3 {
-        return pts.clone();
-    }
-    let cross = |o: (i64, i64), a: (i64, i64), b: (i64, i64)| {
-        (a.0 - o.0) * (b.1 - o.1) - (a.1 - o.1) * (b.0 - o.0)
-    };
-    let mut hull: Vec<(i64, i64)> = Vec::new();
-    for &p in pts.iter() {
-        while hull.len() >= 2 && cross(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0 {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    let lower_len = hull.len() + 1;
-    for &p in pts.iter().rev() {
-        while hull.len() >= lower_len && cross(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0
-        {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    hull.pop();
-    hull
 }
 
 /// Two moving objects in the plane as the databases of the alibi query
@@ -364,11 +310,16 @@ mod tests {
 
     #[test]
     fn polygon_generator_is_convex_and_nonempty() {
-        for seed in 0..5 {
-            let r = random_polygon(8, seed);
-            assert!(!r.is_empty(), "seed {}", seed);
-            // Origin-ish points are inside (hull surrounds the origin).
-            assert!(r.contains(&[int(0), int(0)]));
+        for k in 3..8i64 {
+            let r = convex_polygon(k as usize);
+            // Every vertex, every midpoint of two vertices, nothing below
+            // the parabola.
+            for i in 0..k {
+                for j in 0..k {
+                    assert!(r.contains(&[rat(i + j, 2), rat(i * i + j * j, 2)]), "k={k} ({i}, {j})");
+                }
+                assert!(!r.contains(&[rat(2 * i + 1, 2), rat(2 * i * i + 2 * i, 2)]), "k={k} below {i}");
+            }
         }
     }
 

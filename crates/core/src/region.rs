@@ -9,7 +9,7 @@ use lcdb_budget::EvalBudget;
 use lcdb_geom::nc1::{Nc1Decomposition, RegionKind};
 use lcdb_geom::{Arrangement, Hyperplane, VPolyhedron};
 use lcdb_linalg::QVector;
-use lcdb_logic::{Database, Formula, LinExpr, Relation};
+use lcdb_logic::{Database, Formula, Relation};
 use lcdb_exec::ShardedMap;
 use std::collections::BTreeMap;
 
@@ -32,7 +32,7 @@ pub struct RegionData {
 ///
 /// Decompositions are `Send + Sync` so a query server can share one
 /// between the requests of its dispatch workers: all queries are `&self`,
-/// and the lazy caches of [`Nc1Regions`] sit behind a mutex.
+/// and the formula table of [`ArrangementRegions`] sits behind a mutex.
 pub trait Decomposition: Send + Sync {
     /// Ambient dimension `d`.
     fn ambient_dim(&self) -> usize;
@@ -390,8 +390,6 @@ pub struct Nc1Regions {
     decomposition: Nc1Decomposition,
     data: Vec<RegionData>,
     members: BTreeMap<String, Vec<u64>>,
-    adjacency: ShardedMap<(usize, usize), bool>,
-    formulas: ShardedMap<usize, Formula>,
 }
 
 impl Nc1Regions {
@@ -428,8 +426,6 @@ impl Nc1Regions {
             spatial: spatial.to_string(),
             decomposition,
             data,
-            adjacency: ShardedMap::new(),
-            formulas: ShardedMap::new(),
         })
     }
 
@@ -474,16 +470,7 @@ impl Decomposition for Nc1Regions {
     }
 
     fn adjacent(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        let key = (a.min(b), a.max(b));
-        if let Some(v) = self.adjacency.get(&key) {
-            return v;
-        }
-        let v = self.vpoly(a).adjacent(self.vpoly(b));
-        self.adjacency.insert_if_absent(key, v);
-        v
+        self.vpoly(a).adjacent(self.vpoly(b))
     }
 
     fn contains_point(&self, id: usize, x: &[Rational]) -> bool {
@@ -491,77 +478,13 @@ impl Decomposition for Nc1Regions {
     }
 
     fn region_formula(&self, id: usize, vars: &[String]) -> Formula {
-        if let Some(f) = self.formulas.get(&id) {
-            return rename_region_formula(&f, self.ambient_dim(), vars);
-        }
-        // Build `x ∈ openconv(points; rays)` as an existential formula over
-        // the hull coefficients, then eliminate them by Fourier–Motzkin.
-        let d = self.ambient_dim();
-        let canon: Vec<String> = (0..d).map(canonical_var).collect();
-        let vp = self.vpoly(id);
-        let np = vp.points().len();
-        let nr = vp.rays().len();
-        let avars: Vec<String> = (0..np).map(|i| format!("__a{}", i)).collect();
-        let bvars: Vec<String> = (0..nr).map(|j| format!("__b{}", j)).collect();
-        let mut conj: Vec<Formula> = Vec::new();
-        for coord in 0..d {
-            // x_coord = Σ a_i p_i[coord] + Σ b_j r_j[coord]
-            let mut rhs = LinExpr::zero();
-            for (i, p) in vp.points().iter().enumerate() {
-                rhs = rhs.add(&LinExpr::var(avars[i].clone()).scale(&p[coord]));
-            }
-            for (j, r) in vp.rays().iter().enumerate() {
-                rhs = rhs.add(&LinExpr::var(bvars[j].clone()).scale(&r[coord]));
-            }
-            conj.push(Formula::Atom(lcdb_logic::Atom::new(
-                LinExpr::var(canon[coord].clone()),
-                lcdb_logic::Rel::Eq,
-                rhs,
-            )));
-        }
-        let mut sum = LinExpr::zero();
-        for a in &avars {
-            sum = sum.add(&LinExpr::var(a.clone()));
-        }
-        conj.push(Formula::Atom(lcdb_logic::Atom::new(
-            sum,
-            lcdb_logic::Rel::Eq,
-            LinExpr::constant(Rational::one()),
-        )));
-        for v in avars.iter().chain(&bvars) {
-            conj.push(Formula::Atom(lcdb_logic::Atom::new(
-                LinExpr::var(v.clone()),
-                lcdb_logic::Rel::Gt,
-                LinExpr::zero(),
-            )));
-        }
-        let mut f = Formula::and(conj);
-        for v in avars.iter().chain(&bvars) {
-            f = Formula::Exists(v.clone(), Box::new(f));
-        }
-        let qf = lcdb_logic::qe::eliminate_quantifiers(&f);
-        self.formulas.insert_if_absent(id, qf.clone());
-        rename_region_formula(&qf, d, vars)
+        let rows = self.vpoly(id).atoms(vars, false);
+        Formula::and(rows.into_iter().map(Formula::Atom).collect())
     }
 
     fn members(&self, relation: &str) -> Option<&[u64]> {
         self.members.get(relation).map(Vec::as_slice)
     }
-}
-
-fn canonical_var(i: usize) -> String {
-    format!("__x{}", i)
-}
-
-/// Rename the canonical coordinate variables of a cached region formula to
-/// the caller's variable names.
-fn rename_region_formula(f: &Formula, d: usize, vars: &[String]) -> Formula {
-    assert_eq!(vars.len(), d);
-    let mut out = f.clone();
-    for (i, v) in vars.iter().enumerate() {
-        out = out.substitute(&canonical_var(i), &LinExpr::var(v.clone()));
-    }
-    out
 }
 
 /// A region extension `B^Reg`: the database together with one of the two
@@ -792,25 +715,27 @@ mod tests {
     }
 
     #[test]
-    fn nc1_region_formula_via_qe() {
+    fn nc1_region_formula_matches_membership() {
         let ext = RegionExtension::nc1(relation(
             "x >= 0 and y >= 0 and x + y <= 2",
             &["x", "y"],
         ));
         let vars = vec!["u".to_string(), "v".to_string()];
+        // Every witness (vertices, edge midpoints, the centroid) and an
+        // outside point, against every region.
+        let mut probes: Vec<QVector> = ext.region_ids().map(|id| ext.region(id).witness.clone()).collect();
+        probes.push(vec![int(50), int(50)]);
+        let before = lcdb_lp::counters();
         for id in ext.region_ids() {
             let f = ext.region_formula(id, &vars);
             assert!(f.is_quantifier_free());
-            // Spot-check at region witnesses and at an outside point.
-            let w = ext.region(id).witness.clone();
-            let mut env = BTreeMap::new();
-            env.insert("u".to_string(), w[0].clone());
-            env.insert("v".to_string(), w[1].clone());
-            assert!(f.eval(&env), "witness of region {} satisfies formula", id);
-            env.insert("u".to_string(), int(50));
-            env.insert("v".to_string(), int(50));
-            assert!(!f.eval(&env));
+            for p in &probes {
+                let env: BTreeMap<String, Rational> = vars.iter().cloned().zip(p.iter().cloned()).collect();
+                assert_eq!(f.eval(&env), ext.contains_point(id, p), "region {} at {:?}", id, p);
+            }
+            assert!(ext.contains_point(id, &ext.region(id).witness));
         }
+        assert_eq!(lcdb_lp::counters(), before, "a region formula solved a linear program");
     }
 
     #[test]

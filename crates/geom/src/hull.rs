@@ -4,20 +4,17 @@
 //!
 //! For a *bounded* relation (a finite union of polytopes), the convex hull
 //! is the hull of the disjuncts' vertex sets. We compute the vertices with
-//! the Appendix-A machinery, express hull membership as an existential
-//! formula over convex coefficients, and eliminate the coefficients by
-//! Fourier–Motzkin — producing the hull as a first-class [`Relation`]
-//! (closure of the framework, §2).
+//! the Appendix-A machinery and read the hull off the exact V→H conversion
+//! of [`VPolyhedron`]: its equality and facet rows, non-strict — producing
+//! the hull as a first-class [`Relation`] (closure of the framework, §2).
 //!
 //! The paper *bans* this operator inside the query language (Fig. 5:
 //! convex closure defines multiplication); providing it as an explicit
 //! database-level operation is exactly the §8 proposal.
 
-use crate::nc1;
-use lcdb_arith::Rational;
+use crate::{nc1, VPolyhedron};
 use lcdb_linalg::QVector;
-use lcdb_logic::dnf::to_dnf_pruned;
-use lcdb_logic::{qe, Atom, Formula, LinExpr, Rel, Relation};
+use lcdb_logic::{Formula, Relation};
 
 /// All polytope vertices across the disjuncts of a bounded relation.
 ///
@@ -50,51 +47,17 @@ pub fn relation_vertices(relation: &Relation) -> Vec<QVector> {
 /// The convex closure `conv(S)` of a bounded relation, as a relation over
 /// the same variables.
 pub fn convex_closure(relation: &Relation) -> Relation {
-    let vertices = relation_vertices(relation);
     let names = relation.var_names().to_vec();
-    let d = names.len();
-    let k = vertices.len();
-    // x̄ ∈ conv(vertices) ⟺ ∃a₁…a_k ≥ 0: Σaᵢ = 1 ∧ x̄ = Σ aᵢ vᵢ.
-    let avars: Vec<String> = (0..k).map(|i| format!("__hull_a{}", i)).collect();
-    let mut conj: Vec<Formula> = Vec::new();
-    for coord in 0..d {
-        let mut rhs = LinExpr::zero();
-        for (i, v) in vertices.iter().enumerate() {
-            rhs = rhs.add(&LinExpr::var(avars[i].clone()).scale(&v[coord]));
-        }
-        conj.push(Formula::Atom(Atom::new(
-            LinExpr::var(names[coord].clone()),
-            Rel::Eq,
-            rhs,
-        )));
-    }
-    let mut sum = LinExpr::zero();
-    for a in &avars {
-        sum = sum.add(&LinExpr::var(a.clone()));
-        conj.push(Formula::Atom(Atom::new(
-            LinExpr::var(a.clone()),
-            Rel::Ge,
-            LinExpr::zero(),
-        )));
-    }
-    conj.push(Formula::Atom(Atom::new(
-        sum,
-        Rel::Eq,
-        LinExpr::constant(Rational::ONE),
-    )));
-    let mut f = Formula::and(conj);
-    for a in avars.iter().rev() {
-        f = Formula::Exists(a.clone(), Box::new(f));
-    }
-    let qf = qe::eliminate_quantifiers(&f);
-    Relation::from_dnf(names, to_dnf_pruned(&qf).simplify_strong())
+    let hull = VPolyhedron::open_hull(relation_vertices(relation));
+    let rows = hull.atoms(&names, true).into_iter().map(Formula::Atom);
+    Relation::new(names, &Formula::and(rows.collect()))
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use lcdb_arith::{int, rat};
+    use lcdb_arith::{int, rat, Rational};
     use lcdb_logic::parse_formula;
 
     fn rel(src: &str, vars: &[&str]) -> Relation {

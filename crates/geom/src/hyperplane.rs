@@ -26,6 +26,24 @@ fn interner() -> &'static Interner<HyperplaneData> {
     INTERNER.get_or_init(Interner::new)
 }
 
+/// The positive factor scaling the given rationals (not all zero) to
+/// integers with gcd 1: the lcm of the denominators over the gcd of the
+/// numerators so scaled.
+pub(crate) fn primitive_factor<'a>(values: impl Iterator<Item = &'a Rational> + Clone) -> Rational {
+    let mut f = BigInt::one();
+    for c in values.clone() {
+        let d = c.denom();
+        let g = f.gcd(&d);
+        f = &(&f * &d) / &g;
+    }
+    let mut g = BigInt::zero();
+    for c in values {
+        let n = c.numer() * &(&f / &c.denom());
+        g = g.gcd(&n);
+    }
+    Rational::new(f, g)
+}
+
 /// A hyperplane `coeffs · x = rhs` in `ℝ^d`, stored in canonical primitive
 /// form: integer coefficients with gcd 1 and positive leading coefficient.
 /// Two atoms inducing the same point set yield equal (and hash-equal) values.
@@ -66,20 +84,7 @@ impl Hyperplane {
             coeffs.iter().any(|c| !c.is_zero()),
             "degenerate hyperplane with zero normal"
         );
-        // Scale to primitive integers: multiply by lcm of denominators,
-        // divide by gcd of numerators; then force positive leading coeff.
-        let mut f = BigInt::one();
-        for c in coeffs.iter().chain(std::iter::once(&rhs)) {
-            let d = c.denom();
-            let g = f.gcd(&d);
-            f = &(&f * &d) / &g;
-        }
-        let mut g = BigInt::zero();
-        for c in coeffs.iter().chain(std::iter::once(&rhs)) {
-            let n = c.numer() * &(&f / &c.denom());
-            g = g.gcd(&n);
-        }
-        let mut factor = Rational::new(f, g);
+        let mut factor = primitive_factor(coeffs.iter().chain(std::iter::once(&rhs)));
         let leading = coeffs
             .iter()
             .find(|c| !c.is_zero())

@@ -17,6 +17,8 @@
 //! and do not cover all of `ℝ^d` — but every point of `S` lies in at least
 //! one region (tested in the integration suite).
 
+use crate::hyperplane::primitive_factor;
+use crate::vrep::subsets_of_size;
 use crate::{Hyperplane, VPolyhedron};
 use lcdb_arith::Rational;
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
@@ -70,19 +72,20 @@ impl Nc1Decomposition {
         counts
     }
 
+    /// Ids of the regions containing the point, in order.
+    fn containing<'a>(&'a self, x: &'a [Rational]) -> impl Iterator<Item = usize> + 'a {
+        let holds = move |(_, r): &(usize, &Nc1Region)| r.set.contains(x);
+        self.regions.iter().enumerate().filter(holds).map(|(i, _)| i)
+    }
+
     /// Does any region contain the point?
     pub fn covers(&self, x: &[Rational]) -> bool {
-        self.regions.iter().any(|r| r.set.contains(x))
+        self.containing(x).next().is_some()
     }
 
     /// Ids of all regions containing the point.
     pub fn locate_all(&self, x: &[Rational]) -> Vec<usize> {
-        self.regions
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.set.contains(x))
-            .map(|(i, _)| i)
-            .collect()
+        self.containing(x).collect()
     }
 }
 
@@ -99,8 +102,8 @@ pub fn decompose_relation(relation: &Relation) -> Nc1Decomposition {
 /// The accumulated region count is checked against the budget's face cap as
 /// each disjunct is decomposed (the vertex-fan construction enumerates
 /// `d`-subsets and `d`-multisets of the vertex set, which blows up
-/// combinatorially), and the deadline/cancellation token are polled between
-/// LP calls.
+/// combinatorially), and the deadline/cancellation token are polled once per
+/// candidate subset or multiset.
 pub fn try_decompose_relation(
     relation: &Relation,
     budget: &EvalBudget,
@@ -334,12 +337,13 @@ fn try_bounded_regions(
         let mut pts: Vec<QVector> = vec![p_low.clone()];
         pts.extend(tuple.iter().map(|&i| vertices[i].clone()));
         let cand = VPolyhedron::open_hull(pts);
+        let inside = interior_system(&cand);
         let excluded: HashSet<usize> = tuple.iter().copied().collect();
         let ok = vertices.iter().enumerate().all(|(j, q)| {
             if excluded.contains(&j) || *q == p_low {
                 return true;
             }
-            !open_segment_meets_vpoly(d, &p_low, q, &cand)
+            !open_segment_meets(&p_low, q, &inside)
         });
         if ok {
             push_unique(cand, RegionKind::Inner, &mut out);
@@ -466,18 +470,8 @@ fn ray_in_closure(dir: &[Rational], closed: &[LinConstraint]) -> bool {
 
 /// Scale a direction to canonical primitive form for deduplication.
 fn canonical_direction(dir: &[Rational]) -> QVector {
-    let h = Hyperplane::new(dir.to_vec(), Rational::zero());
-    // `Hyperplane` canonicalizes to primitive integers with positive leading
-    // coefficient — but directions are oriented, so restore the sign.
-    let flip = dir
-        .iter()
-        .find(|c| !c.is_zero())
-        .map(|c| c.is_negative())
-        .unwrap_or(false);
-    h.coeffs()
-        .iter()
-        .map(|c| if flip { -c } else { c.clone() })
-        .collect()
+    let factor = primitive_factor(dir.iter());
+    dir.iter().map(|c| c * &factor).collect()
 }
 
 /// Does the open segment (a, b) meet the (relative) interior given by the
@@ -514,60 +508,14 @@ fn open_segment_meets(a: &QVector, b: &QVector, interior: &[LinConstraint]) -> b
     }
 }
 
-/// Does the open segment (a, b) meet the open hull `cand`?
-fn open_segment_meets_vpoly(d: usize, a: &QVector, b: &QVector, cand: &VPolyhedron) -> bool {
-    // x = a + t(b-a) with 0 < t < 1 and x = Σ c_i p_i, Σ c_i = 1, c_i > 0.
-    // Variables: t, c_1..c_k.
-    let k = cand.points().len();
-    let nv = 1 + k;
-    let mut cons = Vec::with_capacity(d + k + 3);
-    for coord in 0..d {
-        // a_coord + t (b-a)_coord = Σ c_i p_i[coord]
-        // =>  t (b-a)_coord - Σ c_i p_i[coord] = -a_coord
-        let mut coeffs = vec![Rational::zero(); nv];
-        coeffs[0] = &b[coord] - &a[coord];
-        for (i, p) in cand.points().iter().enumerate() {
-            coeffs[1 + i] = -p[coord].clone();
-        }
-        cons.push(LinConstraint::new(coeffs, Rel::Eq, -a[coord].clone()));
-    }
-    let mut conv = vec![Rational::zero(); nv];
-    for c in conv.iter_mut().skip(1) {
-        *c = Rational::one();
-    }
-    cons.push(LinConstraint::new(conv, Rel::Eq, Rational::one()));
-    let mut t_sel = vec![Rational::zero(); nv];
-    t_sel[0] = Rational::one();
-    cons.push(LinConstraint::new(t_sel.clone(), Rel::Gt, Rational::zero()));
-    cons.push(LinConstraint::new(t_sel, Rel::Lt, Rational::one()));
-    for i in 0..k {
-        let mut e = vec![Rational::zero(); nv];
-        e[1 + i] = Rational::one();
-        cons.push(LinConstraint::new(e, Rel::Gt, Rational::zero()));
-    }
-    lcdb_lp::feasible(nv, &cons).is_some()
-}
-
-/// All subsets of `{0..n}` of exactly `size` elements.
-fn subsets_of_size(n: usize, size: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if size > n {
-        return out;
-    }
-    let mut cur = Vec::with_capacity(size);
-    fn rec(start: usize, n: usize, size: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == size {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            rec(i + 1, n, size, cur, out);
-            cur.pop();
-        }
-    }
-    rec(0, n, size, &mut cur, &mut out);
-    out
+/// The relatively open set as a strict constraint system over its points.
+fn interior_system(set: &VPolyhedron) -> Vec<LinConstraint> {
+    set.rows()
+        .map(|(equality, row)| {
+            let rel = if equality { Rel::Eq } else { Rel::Gt };
+            LinConstraint::new(row[1..].to_vec(), rel, -&row[0])
+        })
+        .collect()
 }
 
 /// All multisets of `{0..n}` of exactly `size` elements (non-decreasing).
@@ -598,6 +546,7 @@ mod tests {
     use super::*;
     use lcdb_arith::{int, rat};
     use lcdb_logic::parse_formula;
+    use lcdb_lp::feasible;
     use proptest::prelude::*;
 
     fn relation(src: &str, vars: &[&str]) -> Relation {
@@ -761,11 +710,64 @@ mod tests {
         t[d] = Rational::one();
         cons.push(LinConstraint::new(t.clone(), Rel::Gt, Rational::zero()));
         cons.push(LinConstraint::new(t, Rel::Lt, Rational::one()));
-        lcdb_lp::feasible(d + 1, &cons).is_some()
+        feasible(d + 1, &cons).is_some()
+    }
+
+    /// The coefficient-space LP `open_segment_meets_vpoly` used to solve:
+    /// `a + t(b − a) = Σ cᵢpᵢ`, `0 < t < 1`, `Σ cᵢ = 1`, `cᵢ > 0`.
+    fn open_segment_meets_hull_lp(a: &QVector, b: &QVector, hull: &VPolyhedron) -> bool {
+        let nv = 1 + hull.points().len();
+        let unit = |i: usize| -> QVector { (0..nv).map(|j| int((i == j) as i64)).collect() };
+        let mut cons: Vec<LinConstraint> = (0..a.len())
+            .map(|coord| {
+                let mut coeffs = vec![&b[coord] - &a[coord]];
+                coeffs.extend(hull.points().iter().map(|p| -&p[coord]));
+                LinConstraint::new(coeffs, Rel::Eq, -&a[coord])
+            })
+            .collect();
+        let convexity = (0..nv).map(|j| int((j > 0) as i64)).collect();
+        cons.push(LinConstraint::new(convexity, Rel::Eq, int(1)));
+        cons.push(LinConstraint::new(unit(0), Rel::Lt, int(1)));
+        cons.extend((0..nv).map(|i| LinConstraint::new(unit(i), Rel::Gt, int(0))));
+        feasible(nv, &cons).is_some()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Open hulls of up to `d + 2` grid points (duplicates and coplanar
+        /// tuples included) against segments between grid points, hull
+        /// generators and half-integer points: ends on vertices and facets,
+        /// segments inside a facet's plane, segments through a vertex.
+        #[test]
+        fn hull_segment_test_agrees_with_its_lp_formulation(
+            d in 1usize..=3,
+            points in proptest::collection::vec(proptest::collection::vec(-2i64..=2, 3), 1..6),
+            ends in proptest::collection::vec(
+                (0usize..8, proptest::collection::vec(-4i64..=4, 3)),
+                2..5,
+            ),
+        ) {
+            let hull = VPolyhedron::open_hull(points.iter().map(|p| pt(&p[..d])).collect());
+            let inside = interior_system(&hull);
+            // An end point is a generator (low selector) or a half-integer point.
+            let ends: Vec<QVector> = ends
+                .iter()
+                .map(|(pick, half)| match hull.points().get(*pick) {
+                    Some(p) => p.clone(),
+                    None => half[..d].iter().map(|&c| rat(c, 2)).collect(),
+                })
+                .collect();
+            for a in &ends {
+                for b in &ends {
+                    prop_assert_eq!(
+                        open_segment_meets(a, b, &inside),
+                        open_segment_meets_hull_lp(a, b, &hull),
+                        "({:?}, {:?}) against {:?}", a, b, hull
+                    );
+                }
+            }
+        }
 
         /// Small coefficients make zero rates, roots at the end points and
         /// several equalities pinning the same (or different) `t` common.

@@ -803,3 +803,178 @@ proptest! {
         }
     }
 }
+
+/// A closed box `[x0, x0 + w] × [y0, y0 + h]` on a coarse grid (a segment
+/// or a point when a width is 0), optionally cut by `a·x + b·y ≤ c`.
+type BoxSpec = (i64, i64, i64, i64, Option<(i64, i64, i64)>);
+
+fn arb_box() -> impl Strategy<Value = BoxSpec> {
+    let cut = prop_oneof![
+        Just(None),
+        (-2i64..=2, -2i64..=2, -2i64..=6).prop_map(Some),
+    ];
+    (-3i64..=3, 0i64..=3, -3i64..=3, 0i64..=3, cut)
+}
+
+fn box_atoms(&(x0, w, y0, h, cut): &BoxSpec) -> Vec<Atom> {
+    let side = |v: &str, rel, c: i64| Atom::new(LinExpr::var(v), rel, LinExpr::constant(int(c)));
+    let mut atoms = vec![
+        side("x", Rel::Ge, x0),
+        side("x", Rel::Le, x0 + w),
+        side("y", Rel::Ge, y0),
+        side("y", Rel::Le, y0 + h),
+    ];
+    if let Some((a, b, c)) = cut {
+        let lhs = LinExpr::var("x").scale(&int(a)).add(&LinExpr::var("y").scale(&int(b)));
+        atoms.push(Atom::new(lhs, Rel::Le, LinExpr::constant(int(c))));
+    }
+    atoms
+}
+
+fn relation2(disjuncts: Vec<Vec<Atom>>) -> Relation {
+    Relation::from_dnf(vec!["x".into(), "y".into()], dnf::Dnf { disjuncts })
+}
+
+/// An invertible integer affine map `p ↦ M·p + t` of the plane.
+type Affine = ([i64; 4], [i64; 2]);
+
+fn arb_affine() -> impl Strategy<Value = Affine> {
+    (-2i64..=2, -2i64..=2, -2i64..=2, -2i64..=2, -3i64..=3, -3i64..=3)
+        .prop_filter("invertible", |(a, b, c, d, _, _)| a * d - b * c != 0)
+        .prop_map(|(a, b, c, d, t, u)| ([a, b, c, d], [t, u]))
+}
+
+fn map_point(([a, b, c, d], [t, u]): &Affine, p: &[Rational]) -> Vec<Rational> {
+    vec![
+        &(&int(*a) * &p[0]) + &(&(&int(*b) * &p[1]) + &int(*t)),
+        &(&int(*c) * &p[0]) + &(&(&int(*d) * &p[1]) + &int(*u)),
+    ]
+}
+
+/// The image of a relation under the map: every atom read at the preimage
+/// `M⁻¹(p − t)` of its argument.
+fn map_relation(([a, b, c, d], [t, u]): &Affine, rel: &Relation) -> Relation {
+    let det = int(a * d - b * c);
+    let (dx, dy) = (
+        LinExpr::var("x").sub(&LinExpr::constant(int(*t))),
+        LinExpr::var("y").sub(&LinExpr::constant(int(*u))),
+    );
+    let pre_x = dx.scale(&int(*d)).sub(&dy.scale(&int(*b))).scale(&det.recip());
+    let pre_y = dy.scale(&int(*a)).sub(&dx.scale(&int(*c))).scale(&det.recip());
+    let image = |atom: &Atom| {
+        atom.substitute("x", &LinExpr::var("x'"))
+            .substitute("y", &pre_y)
+            .substitute("x'", &pre_x)
+    };
+    relation2(
+        rel.dnf()
+            .disjuncts
+            .iter()
+            .map(|conj| conj.iter().map(image).collect())
+            .collect(),
+    )
+}
+
+/// Region counts by (dimension, kind) — what is left of a decomposition
+/// when the order of its regions is forgotten.
+fn nc1_census(rel: &Relation) -> BTreeMap<(usize, String), usize> {
+    let mut census = BTreeMap::new();
+    for r in &lcdb::geom::nc1::decompose_relation(rel).regions {
+        *census.entry((r.dim, format!("{:?}", r.kind))).or_insert(0) += 1;
+    }
+    census
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Note 7.1, geometric half: the NC¹ regions of a closed relation cover
+    /// exactly the relation, and an invertible affine map of the database
+    /// moves the cover and the vertex count with it.
+    #[test]
+    fn nc1_cover_is_affine_invariant(
+        boxes in proptest::collection::vec(arb_box(), 1..3),
+        map in arb_affine(),
+        probes in proptest::collection::vec((-8i64..=12, -8i64..=12), 12),
+    ) {
+        let rel = relation2(boxes.iter().map(box_atoms).collect());
+        let moved = map_relation(&map, &rel);
+        let dec = lcdb::geom::nc1::decompose_relation(&rel);
+        let dec_moved = lcdb::geom::nc1::decompose_relation(&moved);
+        prop_assert_eq!(dec.counts_by_dim()[0], dec_moved.counts_by_dim()[0], "vertex count");
+        for (px, py) in probes {
+            let p = vec![Rational::from_i64s(px, 2), Rational::from_i64s(py, 2)];
+            let q = map_point(&map, &p);
+            prop_assert_eq!(dec.covers(&p), rel.contains(&p), "cover at {:?}", p);
+            prop_assert_eq!(moved.contains(&q), rel.contains(&p), "image at {:?}", q);
+            prop_assert_eq!(dec_moved.covers(&q), rel.contains(&p), "moved cover at {:?}", q);
+        }
+    }
+
+    /// The census by dimension and kind does not depend on the order of the
+    /// atoms in a disjunct or of the disjuncts (unbounded ones included: the
+    /// boxes lose a side).
+    #[test]
+    fn nc1_census_is_permutation_invariant(
+        boxes in proptest::collection::vec((arb_box(), 0usize..5), 1..4),
+        rotate in 0usize..5,
+    ) {
+        let disjuncts: Vec<Vec<Atom>> = boxes
+            .iter()
+            .map(|(spec, open_side)| {
+                let mut atoms = box_atoms(spec);
+                if *open_side < 4 {
+                    atoms.remove(*open_side);
+                }
+                atoms
+            })
+            .collect();
+        let mut permuted: Vec<Vec<Atom>> = disjuncts
+            .iter()
+            .map(|conj| {
+                let mut conj = conj.clone();
+                let by = rotate % conj.len();
+                conj.rotate_left(by);
+                conj.reverse();
+                conj
+            })
+            .collect();
+        permuted.rotate_left(rotate % disjuncts.len());
+        prop_assert_eq!(nc1_census(&relation2(disjuncts)), nc1_census(&relation2(permuted)));
+    }
+
+    /// Note 7.1, logical half: Conn (RegLFP) and its RegTC form are
+    /// decomposition-independent, so the NC¹ regions and the arrangement
+    /// give one verdict. The NC¹ regions of different disjuncts are glued
+    /// only where one lies in the closure of another, so two boxes that
+    /// cross without either holding a corner of the other are left out
+    /// (the paper's price for the weaker decomposition, §7).
+    #[test]
+    fn nc1_connectivity_agrees_with_the_arrangement(
+        boxes in proptest::collection::vec(arb_box(), 1..3),
+        map in arb_affine(),
+    ) {
+        let boxes: Vec<BoxSpec> = boxes.iter().map(|b| (b.0, b.1, b.2, b.3, None)).collect();
+        let corner_inside = |a: &BoxSpec, b: &BoxSpec| {
+            [a.0, a.0 + a.1].iter().any(|x| (b.0..=b.0 + b.1).contains(x))
+                && [a.2, a.2 + a.3].iter().any(|y| (b.2..=b.2 + b.3).contains(y))
+        };
+        let meet = |a: &BoxSpec, b: &BoxSpec| {
+            a.0 <= b.0 + b.1 && b.0 <= a.0 + a.1 && a.2 <= b.2 + b.3 && b.2 <= a.2 + a.3
+        };
+        if let [a, b] = &boxes[..] {
+            prop_assume!(!meet(a, b) || corner_inside(a, b) || corner_inside(b, a));
+        }
+        let rel = map_relation(&map, &relation2(boxes.iter().map(box_atoms).collect()));
+        let arrangement = RegionExtension::arrangement(rel.clone());
+        let nc1 = RegionExtension::nc1(rel);
+        for sentence in [lcdb::core::queries::connectivity(), lcdb::core::queries::connectivity_tc(false)] {
+            let verdict = |ext: &RegionExtension| {
+                Evaluator::with_budget(ext, EvalBudget::unlimited())
+                    .try_eval_sentence(&sentence)
+                    .expect("unlimited budget cannot trip")
+            };
+            prop_assert_eq!(verdict(&nc1), verdict(&arrangement), "{:?}", sentence);
+        }
+    }
+}
