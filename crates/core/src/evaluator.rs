@@ -868,6 +868,7 @@ impl<'a> Evaluator<'a> {
             let lp = lcdb_lp::counters();
             let metrics = self.trace.metrics();
             metrics.add("lp.solves", lp.solves - before.solves);
+            metrics.add("lp.warm_probes", lp.warm_probes - before.warm_probes);
             metrics.add("lp.pivots", lp.pivots - before.pivots);
         }
         out.map_err(|s| self.stop_error(s))

@@ -109,13 +109,26 @@ fn lp_counters_reach_the_registry() {
     let ev = Evaluator::new(&ext).with_trace(trace.clone());
     let before = lcdb_lp::counters();
     assert!(ev.eval_sentence(&query));
+    let cold = lcdb_lp::counters();
+    assert!(cold.solves > before.solves, "the elimination ran at least one LP");
+    // Too many clauses to distribute blindly (2⁶ paths), so the conversion
+    // prunes as it goes, and alternatives of one atom each share a solved
+    // prefix: the warm path.
+    let siblings = parse_regformula(
+        "exists x. exists y. S(x) and (y < x or y > x + 1) and (y < x + 2 or y > x + 3) \
+         and (y + x < 1 or y + x > 2) and (y + x < 3 or y + x > 4) \
+         and (y - 2*x < 0 or y - 2*x > 1) and (y + 2*x < 5 or y + 2*x > 6)",
+    )
+    .unwrap();
+    assert!(ev.eval_sentence(&siblings));
     let after = lcdb_lp::counters();
-    assert!(after.solves > before.solves, "the elimination ran at least one LP");
+    assert!(after.warm_probes > cold.warm_probes, "no sibling was probed warm");
     let counters = trace.metrics().counter_snapshot();
     assert_eq!(counters["lp.solves"], after.solves - before.solves);
+    assert_eq!(counters["lp.warm_probes"], after.warm_probes - before.warm_probes);
     assert_eq!(counters["lp.pivots"], after.pivots - before.pivots);
-    assert_eq!(trace.metrics().histogram("qe.eliminate_us").count(), 1);
-    assert_eq!(ev.stats().qe_calls, 2, "one block, two variables");
+    assert_eq!(trace.metrics().histogram("qe.eliminate_us").count(), 2);
+    assert_eq!(ev.stats().qe_calls, 4, "two blocks of two variables");
 }
 
 /// A build reports its face count and the cells its levels crossed. Three

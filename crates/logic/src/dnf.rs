@@ -109,7 +109,7 @@ impl Dnf {
     /// disjunct. Quadratic in the representation size but produces minimal,
     /// human-readable output formulas.
     pub fn simplify_strong(&self) -> Dnf {
-        Cells::from_dnf(self).simplify_strong()
+        infallible(Cells::from_dnf(self).simplify_strong(&mut never))
     }
 }
 
@@ -196,9 +196,10 @@ pub fn try_to_dnf_pruned<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
 }
 
 /// `to_dnf_pruned(f).simplify_strong()` under an interrupt callback, on one
-/// list of cells: no disjunct is decided twice.
+/// list of cells: no disjunct is decided twice. The redundancy and absorption
+/// passes poll too, once per implication they decide.
 pub fn try_to_dnf_strong<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
-    Ok(Cells::convert(f, false, Strategy::Pruned, poll)?.simplify_strong())
+    Cells::convert(f, false, Strategy::Pruned, poll)?.simplify_strong(poll)
 }
 
 /// DNF conversion by *cell enumeration*: compute the canonical hyperplanes of
@@ -654,17 +655,13 @@ impl Interner {
             return None;
         } else {
             let d = self.order.len();
-            Some(match (warm, &fresh[..]) {
-                (Some(batch), [only]) => batch
-                    .get_or_insert_with(|| {
-                        let rows: Vec<_> = partial.atoms.iter().map(row).collect();
-                        FeasibilityBatch::new(d, &rows)
-                    })
-                    .probe(row(only))?,
-                _ => {
-                    let rows: Vec<_> = partial.atoms.iter().chain(&fresh).map(row).collect();
-                    lcdb_lp::feasible_refs(d, &rows)?
-                }
+            let prefix = partial.atoms.iter().map(row);
+            let run = fresh.iter().map(row);
+            Some(match warm {
+                Some(batch) => batch
+                    .get_or_insert_with(|| FeasibilityBatch::new(d, &prefix.collect::<Vec<_>>()))
+                    .probe_all(&run.collect::<Vec<_>>())?,
+                None => lcdb_lp::feasible_refs(d, &prefix.chain(run).collect::<Vec<_>>())?,
             })
         };
         let atoms = partial.atoms.iter().copied().chain(fresh).collect();
@@ -904,19 +901,20 @@ impl Cells {
     }
 
     /// [`Dnf::simplify_strong`] on cells.
-    fn simplify_strong(mut self) -> Dnf {
+    fn simplify_strong<E>(mut self, poll: Poll<'_, E>) -> Result<Dnf, E> {
         self.simplify();
-        self.drop_redundant_atoms();
-        self.absorb();
-        self.into_dnf()
+        self.drop_redundant_atoms(poll)?;
+        self.absorb(poll)?;
+        Ok(self.into_dnf())
     }
 
     /// Drop every atom the rest of its cell implies.
-    fn drop_redundant_atoms(&mut self) {
+    fn drop_redundant_atoms<E>(&mut self, poll: Poll<'_, E>) -> Result<(), E> {
         let Cells { atoms, cells } = self;
         for cell in cells {
             let mut i = 0;
             while i < cell.atoms.len() {
+                poll()?;
                 let atom = cell.atoms.remove(i);
                 // The rest is a weaker conjunct: its box is not the cell's.
                 let rest = Cell {
@@ -929,26 +927,36 @@ impl Cells {
                 }
             }
         }
+        Ok(())
     }
 
     /// Drop every cell contained in another; of two equal cells the
     /// earlier stays.
-    fn absorb(&mut self) {
+    fn absorb<E>(&mut self, poll: Poll<'_, E>) -> Result<(), E> {
         let Cells { atoms, cells } = self;
         let mut keep = vec![true; cells.len()];
         for i in 0..cells.len() {
             for j in 0..cells.len() {
-                if i == j || !keep[j] || !atoms.implies(&cells[i], &cells[j].atoms) {
+                if i == j || !keep[j] {
                     continue;
                 }
-                if !(j > i && atoms.implies(&cells[j], &cells[i].atoms)) {
-                    keep[i] = false;
-                    break;
+                poll()?;
+                if !atoms.implies(&cells[i], &cells[j].atoms) {
+                    continue;
                 }
+                if j > i {
+                    poll()?;
+                    if atoms.implies(&cells[j], &cells[i].atoms) {
+                        continue;
+                    }
+                }
+                keep[i] = false;
+                break;
             }
         }
         let mut keep = keep.into_iter();
         cells.retain(|_| keep.next().unwrap_or(true));
+        Ok(())
     }
 }
 
@@ -1252,5 +1260,114 @@ mod tests {
             Ok(())
         });
         assert_eq!(cut, Err("interrupted"));
+    }
+
+    /// Run `stage` under a poll that fails on its `allowed + 1`-st call;
+    /// what came of it, and how often it polled.
+    fn interrupted_after<T>(
+        allowed: usize,
+        stage: impl FnOnce(Poll<'_, &'static str>) -> Result<T, &'static str>,
+    ) -> (Result<T, &'static str>, usize) {
+        let mut calls = 0usize;
+        let out = stage(&mut || {
+            calls += 1;
+            if calls > allowed {
+                return Err("interrupted");
+            }
+            Ok(())
+        });
+        (out, calls)
+    }
+
+    #[test]
+    fn strong_simplification_polls_in_both_of_its_passes() {
+        let f = Formula::and(
+            (0..6)
+                .map(|k| Formula::or(vec![atom("x", Rel::Lt, k), atom("y", Rel::Gt, k)]))
+                .collect(),
+        );
+        // How many polls each stage makes when nothing interrupts it.
+        let counted = |stage: &mut dyn FnMut(Poll<'_, ()>) -> Result<(), ()>| {
+            let mut polls = 0usize;
+            stage(&mut || {
+                polls += 1;
+                Ok(())
+            })
+            .unwrap();
+            polls
+        };
+        let mut cells = None;
+        let convert = counted(&mut |poll| {
+            cells = Some(Cells::convert(&f, false, Strategy::Pruned, poll)?);
+            Ok(())
+        });
+        let mut cells = cells.unwrap();
+        cells.simplify();
+        let redundancy = counted(&mut |poll| cells.drop_redundant_atoms(poll));
+        let absorption = counted(&mut |poll| cells.absorb(poll));
+        assert!(redundancy > 0 && absorption > 0);
+        assert_eq!(cells.into_dnf(), to_dnf_pruned(&f).simplify_strong());
+
+        let cut_after = |allowed| interrupted_after(allowed, |poll| try_to_dnf_strong(&f, poll));
+        // The conversion completes and the redundancy pass is interrupted at
+        // its first implication, then at its last; so is absorption.
+        for allowed in [
+            convert,
+            convert + redundancy - 1,
+            convert + redundancy,
+            convert + redundancy + absorption - 1,
+        ] {
+            assert_eq!(cut_after(allowed), (Err("interrupted"), allowed + 1));
+        }
+        let all = convert + redundancy + absorption;
+        assert_eq!(cut_after(all), (Ok(to_dnf_pruned(&f).simplify_strong()), all));
+    }
+
+    /// `¬A ∨ box` for `A` a union of `n` space-time prisms along a fixed walk
+    /// (the matrix of the benchmark's containment sentence).
+    fn outside_prisms_or_in_box(n: usize) -> Formula {
+        const STEPS: [(i64, i64); 6] = [(1, 2), (-2, 1), (2, -1), (0, -2), (-1, 0), (2, 1)];
+        let (mut x0, mut y0) = (0, 0);
+        let mut prisms = Vec::new();
+        for (i, (dx, dy)) in STEPS.iter().take(n).enumerate() {
+            let (t0, t1) = (4 * i as i64, 4 * i as i64 + 4);
+            let (x1, y1) = (x0 + dx, y0 + dy);
+            prisms.push(format!(
+                "({t0} <= t and t <= {t1} \
+                 and {} <= t + x and t + x <= {} and t - x <= {} and {} <= t - x \
+                 and {} <= t + y and t + y <= {} and t - y <= {} and {} <= t - y)",
+                x0 + t0,
+                x1 + t1,
+                t1 - x1,
+                t0 - x0,
+                y0 + t0,
+                y1 + t1,
+                t1 - y1,
+                t0 - y0,
+            ));
+            (x0, y0) = (x1, y1);
+        }
+        let source = format!(
+            "not ({}) or (-8 <= x and x <= 8 and -8 <= y and y <= 8)",
+            prisms.join(" or ")
+        );
+        crate::parse_formula(&source).unwrap()
+    }
+
+    /// Benchmark hazard 2: pruned distribution walks the choice *paths* of
+    /// `⋀ᵢ ¬prismᵢ`, ten atoms to a prism, and they outnumber the non-empty
+    /// cells by orders of magnitude from six prisms on. What bounds the
+    /// conversion (and the memory of its partial disjuncts) is the poll.
+    #[test]
+    fn negated_prism_union_stops_at_its_poll() {
+        let decisions = |n: usize, allowed: usize| {
+            let f = outside_prisms_or_in_box(n);
+            let (out, calls) =
+                interrupted_after(allowed, |poll| Cells::convert(&f, false, Strategy::Auto, poll));
+            (out.map(|cells| cells.cells.len()), calls)
+        };
+        let (small, calls) = decisions(2, 50_000);
+        assert!(small.is_ok() && calls < 1_000, "two prisms took {calls} decisions");
+        assert_eq!(decisions(6, 50_000), (Err("interrupted"), 50_001));
     }
 }

@@ -1,23 +1,30 @@
 //! Exact rational linear programming.
 //!
-//! The arrangement construction in this reproduction decides whether a sign
-//! vector is realizable — a feasibility question about a system of linear
-//! equalities, strict, and non-strict inequalities over the reals. This crate
-//! provides an exact two-phase primal simplex with Bland's anti-cycling rule,
-//! plus a strict-feasibility oracle that returns *relative-interior* witness
-//! points (needed for the paper's `face ⊆ S` containment tests).
+//! Quantifier elimination in this reproduction stays polynomial by dropping
+//! unsatisfiable disjuncts as they arise — a feasibility question about a
+//! system of linear equalities, strict, and non-strict inequalities over the
+//! reals. This crate provides an exact simplex with Bland's anti-cycling
+//! rule, plus a strict-feasibility oracle that returns *relative-interior*
+//! witness points (which let a later decision about the same cell be read off
+//! the point instead of a solve).
 //!
 //! Strict inequalities are handled by the interior-δ method: each strict
 //! constraint `a·x < b` becomes `a·x + δ ≤ b`, and we maximize `δ` capped
 //! at one. The strict system is feasible iff the optimum is positive, and
 //! the witness satisfies every strict constraint with slack ≥ δ.
+//!
+//! The data-complexity shape of these programs is a fixed, small number of
+//! variables `d` under many constraints, so every program is solved through
+//! its *dual*: a tableau of `d + 1` rows with one column per constraint
+//! (module `simplex`). The optimum's simplex multipliers are the witness, and
+//! a further constraint is a further column, which is all a warm start is.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod simplex;
 
-pub use simplex::{LpCounters, SimplexStats};
+pub use simplex::{FeasibilityBatch, LpCounters};
 
 use lcdb_arith::Rational;
 use lcdb_linalg::QVector;
@@ -144,7 +151,7 @@ pub fn maximize(d: usize, objective: &[Rational], constraints: &[LinConstraint])
         constraints.iter().all(|c| !c.rel.is_strict()),
         "maximize requires non-strict constraints; use feasible() for strict systems"
     );
-    simplex::solve(d, objective, constraints, false).0
+    simplex::solve(d, objective, constraints)
 }
 
 /// Minimize `objective · x` subject to non-strict constraints.
@@ -171,11 +178,10 @@ pub fn feasible(d: usize, constraints: &[LinConstraint]) -> Option<QVector> {
 
 /// [`feasible`] over borrowed constraints.
 ///
-/// Callers probing many systems that share constraint rows (e.g. the
-/// arrangement builder's sign-vector refinement, where every system is a
-/// prefix of interned per-hyperplane templates) assemble a slice of
-/// references instead of cloning exact-rational rows per probe; the solver
-/// copies what it needs into its own tableau either way.
+/// Callers probing many systems that share constraint rows (the DNF cells of
+/// `lcdb-logic`, where every system is a set of interned atoms) assemble a
+/// slice of references instead of cloning exact-rational rows per probe; the
+/// solver copies what it needs into its own tableau either way.
 pub fn feasible_refs(d: usize, constraints: &[&LinConstraint]) -> Option<QVector> {
     simplex::feasible_strict(d, constraints)
 }
@@ -201,61 +207,28 @@ pub fn bounded_above(
 }
 
 /// Is the closed feasible set of the system bounded (contained in some box)?
-/// Returns `None` if the set is empty.
-///
-/// All `2d` axis directions are re-optimized over a single warm tableau: the
-/// system is normalized and phase-1-solved once, and each direction restarts
-/// simplex from the previous optimum's (still feasible) basis.
+/// Returns `None` if the set is empty; otherwise the set is bounded iff every
+/// coordinate is bounded above and below on it.
 pub fn is_bounded(d: usize, constraints: &[LinConstraint]) -> Option<bool> {
     let closed: Vec<LinConstraint> = constraints.iter().map(|c| c.closed()).collect();
-    simplex::bounded_all_axes(d, &closed)
-}
-
-/// A feasibility oracle for a family of systems sharing a constraint prefix.
-///
-/// The arrangement builder's sign-vector refinement asks, per face and per
-/// new hyperplane, which of the candidate sign extensions `{<, =, >}` are
-/// realizable — up to three systems differing only in their final
-/// constraint. `FeasibilityBatch` normalizes the shared prefix and runs
-/// simplex phase 1 over it **once**; each [`probe`](Self::probe) then starts
-/// from that warm basis and only prices in the candidate's row(s), instead
-/// of re-solving the prefix from scratch.
-///
-/// `probe` is semantically identical to [`feasible_refs`] on the
-/// concatenated system: it decides feasibility over the reals with strict
-/// constraints honored via the interior-δ method, and returns a witness in
-/// the relative interior of the strict constraints. (The witness point may
-/// differ from the one `feasible_refs` picks — both are valid interior
-/// points, but the pivot paths differ.)
-pub struct FeasibilityBatch {
-    inner: simplex::BatchInner,
-}
-
-impl FeasibilityBatch {
-    /// Normalize and phase-1-solve the shared prefix.
-    pub fn new(d: usize, prefix: &[&LinConstraint]) -> FeasibilityBatch {
-        FeasibilityBatch {
-            inner: simplex::BatchInner::new(d, prefix),
+    feasible(d, &closed)?;
+    let mut axis = vec![Rational::ZERO; d];
+    for i in 0..d {
+        for sign in [Rational::ONE, -Rational::ONE] {
+            axis[i] = sign;
+            if maximize(d, &axis, &closed) == LpOutcome::Unbounded {
+                return Some(false);
+            }
         }
+        axis[i] = Rational::ZERO;
     }
-
-    /// Is the closure of the prefix system feasible at all? When `false`,
-    /// every probe answers `None` without touching the tableau.
-    pub fn prefix_feasible(&self) -> bool {
-        self.inner.prefix_feasible()
-    }
-
-    /// Decide feasibility of `prefix ∧ extension`, returning an interior
-    /// witness if the combined system is realizable.
-    pub fn probe(&self, extension: &LinConstraint) -> Option<QVector> {
-        self.inner.probe(extension)
-    }
+    Some(true)
 }
 
 /// Check all candidate extensions of one shared prefix, returning one
 /// witness option per candidate (positionally). Equivalent to calling
-/// [`feasible_refs`] on each concatenated system, but the prefix is
-/// normalized and phase-1-solved only once.
+/// [`feasible_refs`] on each concatenated system, but the prefix is solved
+/// only once.
 pub fn feasible_batch(
     d: usize,
     prefix: &[&LinConstraint],
@@ -305,7 +278,7 @@ mod tests {
 
     #[test]
     fn maximize_with_negative_coordinates() {
-        // Optimum at a point with negative coordinates (free-variable split).
+        // Optimum at a point with negative coordinates.
         let cons = vec![c(&[1, 0], Rel::Le, -1), c(&[-1, 1], Rel::Le, 0)];
         // max x: x <= -1, y <= x  -> x = -1.
         match maximize(2, &[int(1), int(0)], &cons) {

@@ -1,10 +1,20 @@
-//! Dense two-phase primal simplex over exact rationals.
+//! Dense simplex over exact rationals, run on the *dual* program.
 //!
-//! Free variables are split into positive and negative parts, every
-//! constraint is normalized to `a·y ≤ b`, slacks make the system an equality
-//! system, and rows with negative right-hand sides get artificial variables
-//! that phase 1 drives to zero. Bland's rule (smallest eligible index enters,
-//! smallest basic index leaves among ties) guarantees termination.
+//! Every constraint is normalized to a row `a·x ≤ b` over free variables
+//! (`≥` negated, `=` as two rows). The dual of `max c·x` over such rows is
+//! `min b·λ` subject to `Σ λᵢaᵢ = c`, `λ ≥ 0`: one equality per *variable*
+//! and one column per *row*, so the tableau is as high as the dimension and
+//! only as wide as the data. Free variables need no split and rows need no
+//! slack. Each equality starts with an artificial variable basic in it;
+//! artificials never enter the basis, and one whose value is zero is pinned
+//! there (see [`Tableau::iterate`]). Bland's rule (smallest eligible index
+//! enters, smallest basic index leaves among ties) guarantees termination.
+//!
+//! The first `n` columns of the tableau are the images of the unit vectors,
+//! that is `B⁻¹` for the current basis `B`. They price a new column into a
+//! solved tableau (`B⁻¹v`, which is all a warm start takes), and their
+//! reduced costs are the negated simplex multipliers `y = c_B·B⁻¹` — at an
+//! optimum, a point of the primal attaining it.
 
 use crate::{LinConstraint, LpOutcome, Rel};
 use lcdb_arith::Rational;
@@ -14,9 +24,9 @@ use std::cell::Cell;
 /// Work the solver has done on the calling thread since it started.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LpCounters {
-    /// Tableaux built and phase-1-solved from scratch.
+    /// Tableaux built and solved from scratch.
     pub solves: u64,
-    /// Probes answered from a [`crate::FeasibilityBatch`]'s warm basis.
+    /// Probes answered from a [`crate::FeasibilityBatch`]'s solved prefix.
     pub warm_probes: u64,
     /// Pivots, over every solve and probe.
     pub pivots: u64,
@@ -40,556 +50,367 @@ fn count(bump: impl FnOnce(&mut LpCounters)) {
     });
 }
 
-/// Counters describing the work a simplex solve performed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimplexStats {
-    /// Total pivots across both phases.
-    pub pivots: usize,
-    /// Number of tableau rows after normalization.
-    pub rows: usize,
-    /// Number of tableau columns (structural + slack + artificial).
-    pub cols: usize,
+/// `acc + t·x`. A factor of 0 or 1 and a zero `acc` cost no arithmetic: every
+/// exact operation is a gcd, and tableaux are sparse (a fresh basis is the
+/// identity).
+fn add_product(acc: Rational, t: &Rational, x: &Rational) -> Rational {
+    if t.is_zero() || x.is_zero() {
+        return acc;
+    }
+    let term = if t.is_one() { x.clone() } else { t * x };
+    if acc.is_zero() {
+        term
+    } else {
+        acc + term
+    }
 }
 
+/// `−1` for a negative `v`, `1` otherwise.
+fn sign(v: &Rational) -> Rational {
+    if v.is_negative() {
+        -Rational::ONE
+    } else {
+        Rational::ONE
+    }
+}
+
+/// `line -= factor · pivot_row`, entry by entry.
+fn eliminate(line: &mut [Rational], factor: &Rational, pivot_row: &[Rational]) {
+    let factor = -factor;
+    for (v, p) in line.iter_mut().zip(pivot_row) {
+        *v = add_product(std::mem::take(v), p, &factor);
+    }
+}
+
+/// `min cost·λ` subject to `Σ λⱼvⱼ = rhs`, `λ ≥ 0`, in tableau form over a
+/// basis `B`.
 #[derive(Clone)]
 struct Tableau {
-    /// `rows x (cols + 1)` matrix; last entry of each row is the rhs.
+    /// Row `r` of `B⁻¹·[I | v₀ v₁ …]`: `n` unit images, then one entry per
+    /// pushed column.
     rows: Vec<Vec<Rational>>,
-    /// Basic variable of each row.
+    /// `B⁻¹·rhs`, the values of the basic variables (never negative).
+    rhs: Vec<Rational>,
+    /// Reduced costs, laid out like a row; the unit images carry `−y`.
+    cost: Vec<Rational>,
+    /// Objective value of the basic solution.
+    value: Rational,
+    /// The column basic in each row; `r` itself while the artificial of row
+    /// `r` still is.
     basis: Vec<usize>,
-    /// Total number of variables (columns excluding rhs).
-    cols: usize,
-    /// Objective row: `[reduced costs | -z0]`.
-    obj: Vec<Rational>,
-    /// Columns that may never enter the basis (artificials in phase 2).
-    banned: Vec<bool>,
-    stats: SimplexStats,
-}
-
-enum StepResult {
-    Optimal,
-    Unbounded,
 }
 
 impl Tableau {
-    /// Pivot on (row r, column c): make column c basic in row r.
-    fn pivot(&mut self, r: usize, c: usize) {
-        self.stats.pivots += 1;
+    /// The all-artificial basis for `rhs`, artificial `k` entering its row
+    /// with the sign of `rhs[k]`; `multipliers` is `y` for the cost the
+    /// caller gives the artificials.
+    fn new(rhs: Vec<Rational>, multipliers: &[Rational]) -> Tableau {
+        let n = rhs.len();
+        let mut value = Rational::ZERO;
+        for (y, b) in multipliers.iter().zip(&rhs) {
+            value += &(y * b);
+        }
+        let rows = (0..n)
+            .map(|r| {
+                let mut row = vec![Rational::ZERO; n];
+                row[r] = sign(&rhs[r]);
+                row
+            })
+            .collect();
+        Tableau {
+            rows,
+            rhs: rhs.iter().map(Rational::abs).collect(),
+            cost: multipliers.iter().map(|y| -y).collect(),
+            value,
+            basis: (0..n).collect(),
+        }
+    }
+
+    /// Append the column `v` with cost `cost`, nonbasic: `B⁻¹v` under the
+    /// current basis, priced by the current multipliers.
+    fn push(&mut self, v: &[Rational], cost: Rational) {
+        let n = self.rows.len();
+        assert_eq!(v.len(), n, "constraint arity mismatch");
+        let image = |line: &[Rational], start: Rational| {
+            line[..n]
+                .iter()
+                .zip(v)
+                .fold(start, |acc, (t, x)| add_product(acc, t, x))
+        };
+        for row in &mut self.rows {
+            let entry = image(row, Rational::ZERO);
+            row.push(entry);
+        }
+        let reduced = image(&self.cost, cost);
+        self.cost.push(reduced);
+    }
+
+    /// Replace the objective: `costs[j]` for the `j`-th pushed column, zero
+    /// for the artificials.
+    fn reprice(&mut self, costs: &[Rational]) {
+        let n = self.rows.len();
+        self.cost.truncate(n);
+        self.cost.fill(Rational::ZERO);
+        self.cost.extend_from_slice(costs);
+        self.value = Rational::ZERO;
+        for r in 0..n {
+            let Some(factor) = self.basis[r].checked_sub(n).map(|j| &costs[j]) else {
+                continue;
+            };
+            eliminate(&mut self.cost, factor, &self.rows[r]);
+            self.value += &(factor * &self.rhs[r]);
+        }
+    }
+
+    /// Pivot on (row r, column e): make column e basic in row r.
+    fn pivot(&mut self, r: usize, e: usize) {
         count(|n| n.pivots += 1);
-        let pivot_val = self.rows[r][c].clone();
-        debug_assert!(!pivot_val.is_zero());
-        let inv = pivot_val.recip();
-        for v in self.rows[r].iter_mut() {
+        let inv = self.rows[r][e].recip();
+        for v in self.rows[r].iter_mut().chain([&mut self.rhs[r]]) {
             if !v.is_zero() {
                 *v *= &inv;
             }
         }
-        let pivot_row = self.rows[r].clone();
-        for i in 0..self.rows.len() {
-            if i == r || self.rows[i][c].is_zero() {
+        let pivot_row = std::mem::take(&mut self.rows[r]);
+        let pivot_rhs = self.rhs[r].clone();
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if i == r || row[e].is_zero() {
                 continue;
             }
-            let factor = self.rows[i][c].clone();
-            for (j, pv) in pivot_row.iter().enumerate() {
-                if !pv.is_zero() {
-                    let delta = pv * &factor;
-                    let v = &self.rows[i][j] - &delta;
-                    self.rows[i][j] = v;
-                }
-            }
+            let factor = row[e].clone();
+            eliminate(row, &factor, &pivot_row);
+            self.rhs[i] -= &(&pivot_rhs * &factor);
         }
-        if !self.obj[c].is_zero() {
-            let factor = self.obj[c].clone();
-            for (j, pv) in pivot_row.iter().enumerate() {
-                if !pv.is_zero() {
-                    let delta = pv * &factor;
-                    let v = &self.obj[j] - &delta;
-                    self.obj[j] = v;
-                }
-            }
+        if !self.cost[e].is_zero() {
+            let factor = self.cost[e].clone();
+            eliminate(&mut self.cost, &factor, &pivot_row);
+            self.value += &(&pivot_rhs * &factor);
         }
-        self.basis[r] = c;
+        self.rows[r] = pivot_row;
+        self.basis[r] = e;
     }
 
-    /// Eliminate basic columns from the objective row.
-    fn reduce_objective(&mut self) {
-        for r in 0..self.rows.len() {
-            let b = self.basis[r];
-            if self.obj[b].is_zero() {
-                continue;
-            }
-            let factor = self.obj[b].clone();
-            let row = self.rows[r].clone();
-            for (j, pv) in row.iter().enumerate() {
-                if !pv.is_zero() {
-                    let delta = pv * &factor;
-                    let v = &self.obj[j] - &delta;
-                    self.obj[j] = v;
-                }
-            }
-        }
-    }
-
-    /// Run simplex iterations until optimal or unbounded.
-    fn iterate(&mut self) -> StepResult {
+    /// Run simplex iterations; `true` at an optimum, `false` if the
+    /// objective is unbounded below.
+    ///
+    /// A basic artificial at value zero is *pinned*: any non-zero entry of
+    /// the entering column in its row, of either sign, ties the ratio test
+    /// at zero. Stepping along such a column would move the artificial off
+    /// zero one way or the other, so the step has length zero and — the
+    /// artificials having the smallest indices — Bland's tie-break takes the
+    /// artificial out, for good. Pinned rows therefore keep value zero, a
+    /// basis that is feasible stays so, and a row no column touches keeps
+    /// its artificial (the variable of that row is in no constraint). A
+    /// cycle cannot contain a pivot that retires an artificial; without one
+    /// the pinned rows have zero entries in every entering column and the
+    /// pivots are Bland's on the remaining rows.
+    fn iterate(&mut self) -> bool {
+        let n = self.rows.len();
         loop {
             // Fault-injection site: stands in for a degenerate/cycling pivot.
             // The pivot loop is infallible (Bland's rule terminates), so the
             // fault is deferred and surfaces at the next interrupt check.
             #[cfg(feature = "faults")]
             lcdb_budget::faults::hit("lp.pivot");
-            // Bland: smallest-index column with positive reduced cost.
-            let entering = (0..self.cols)
-                .find(|&j| !self.banned[j] && self.obj[j].is_positive());
-            let Some(e) = entering else {
-                return StepResult::Optimal;
+            let Some(e) = (n..self.cost.len()).find(|&j| self.cost[j].is_negative()) else {
+                return true;
             };
-            // Ratio test; Bland tie-break on smallest basic variable index.
             let mut best: Option<(usize, Rational)> = None;
-            for r in 0..self.rows.len() {
+            for r in 0..n {
                 let a = &self.rows[r][e];
-                if !a.is_positive() {
+                let pinned = self.basis[r] < n && self.rhs[r].is_zero();
+                if !(a.is_positive() || pinned && !a.is_zero()) {
                     continue;
                 }
-                let ratio = &self.rows[r][self.cols] / a;
-                match &best {
-                    None => best = Some((r, ratio)),
-                    Some((br, bratio)) => {
-                        if ratio < *bratio
-                            || (ratio == *bratio && self.basis[r] < self.basis[*br])
-                        {
-                            best = Some((r, ratio));
-                        }
-                    }
+                let ratio = &self.rhs[r] / a;
+                let closer = best.as_ref().is_none_or(|(at, least)| {
+                    ratio < *least || ratio == *least && self.basis[r] < self.basis[*at]
+                });
+                if closer {
+                    best = Some((r, ratio));
                 }
             }
             let Some((r, _)) = best else {
-                return StepResult::Unbounded;
+                return false;
             };
             self.pivot(r, e);
         }
     }
 
-    /// Current objective value `z0`.
-    fn objective_value(&self) -> Rational {
-        -self.obj[self.cols].clone()
-    }
-
-    /// Value of variable `j` in the current basic solution.
-    fn var_value(&self, j: usize) -> Rational {
-        for r in 0..self.rows.len() {
-            if self.basis[r] == j {
-                return self.rows[r][self.cols].clone();
-            }
-        }
-        Rational::ZERO
+    /// The first `d` simplex multipliers: at an optimum, a primal point.
+    fn point(&self, d: usize) -> QVector {
+        self.cost[..d].iter().map(|c| -c).collect()
     }
 }
 
-/// Normalize into `a·y ≤ b` rows over the split variables.
-fn normalized_rows(d: usize, constraints: &[LinConstraint]) -> Vec<(QVector, Rational)> {
-    let mut rows = Vec::new();
-    let mut push = |coeffs: &[Rational], rhs: Rational, negate: bool| {
-        let mut split = Vec::with_capacity(2 * d);
-        if negate {
-            split.extend(coeffs.iter().map(|c| -c));
-            split.extend(coeffs.iter().cloned());
-            rows.push((split, -rhs));
-        } else {
-            split.extend(coeffs.iter().cloned());
-            split.extend(coeffs.iter().map(|c| -c));
-            rows.push((split, rhs));
-        }
+/// The rows `a·x + s·δ ≤ b` of `c` — `s` is 1 on a strict row, and left out
+/// unless `delta` — each as the column `(a, s)` of the dual and its cost `b`.
+fn columns(c: &LinConstraint, delta: bool) -> impl Iterator<Item = (QVector, Rational)> + '_ {
+    let sides: &[bool] = match c.rel {
+        Rel::Lt | Rel::Le => &[false],
+        Rel::Gt | Rel::Ge => &[true],
+        Rel::Eq => &[false, true],
     };
+    sides.iter().map(move |&negate| {
+        let side = |v: &Rational| if negate { -v } else { v.clone() };
+        let mut column: QVector = c.coeffs.iter().map(side).collect();
+        if delta {
+            column.push(if c.rel.is_strict() {
+                Rational::ONE
+            } else {
+                Rational::ZERO
+            });
+        }
+        (column, side(&c.rhs))
+    })
+}
+
+/// The interior-δ program of a system, solved: `max δ` subject to `δ ≤ 1` and
+/// the system's rows, as its dual `min b·λ + μ` subject to `Σ λᵢaᵢ = 0` (one
+/// equality per variable), `Σ sᵢλᵢ + μ = 1`. `λ = 0, μ = 1` is a basic
+/// solution — `μ` basic at 1, the artificials of the `d` other rows pinned at
+/// 0 — so there is no phase 1. `None` if the dual is unbounded: not even the
+/// non-strict rows have a common point.
+fn interior(d: usize, constraints: &[&LinConstraint]) -> Option<Tableau> {
+    let mut unit = vec![Rational::ZERO; d + 1];
+    unit[d] = Rational::ONE;
+    let mut t = Tableau::new(unit.clone(), &unit);
+    // μ's column is the unit vector of the δ row: basic there as it stands.
+    t.push(&unit, Rational::ONE);
+    t.basis[d] = d + 1;
     for c in constraints {
-        assert_eq!(c.coeffs.len(), d, "constraint arity mismatch");
-        match c.rel {
-            Rel::Le => push(&c.coeffs, c.rhs.clone(), false),
-            Rel::Ge => push(&c.coeffs, c.rhs.clone(), true),
-            Rel::Eq => {
-                push(&c.coeffs, c.rhs.clone(), false);
-                push(&c.coeffs, c.rhs.clone(), true);
-            }
-            Rel::Lt | Rel::Gt => unreachable!("strict constraints must be pre-processed"),
+        for (column, cost) in columns(c, true) {
+            t.push(&column, cost);
         }
     }
-    rows
+    t.iterate().then_some(t)
 }
 
-/// Build the slack/artificial tableau for `constraints` over `d` split free
-/// variables (plus `reserve` trailing banned columns) and run phase 1.
-/// Returns the phase-1-complete tableau — artificials banned, any basic ones
-/// pivoted out where possible — and whether the system is feasible.
-fn phase1_tableau(d: usize, constraints: &[LinConstraint], reserve: usize) -> (Tableau, bool) {
-    count(|n| n.solves += 1);
-    let norm = normalized_rows(d, constraints);
-    let m = norm.len();
-    let n_struct = 2 * d;
-    let n_artificial = norm.iter().filter(|(_, b)| b.is_negative()).count();
-    let cols = n_struct + m + n_artificial + reserve;
-
-    let mut rows = Vec::with_capacity(m);
-    let mut basis = Vec::with_capacity(m);
-    let mut art_cols = Vec::new();
-    let mut next_art = n_struct + m;
-    for (i, (coeffs, rhs)) in norm.iter().enumerate() {
-        let mut row = vec![Rational::ZERO; cols + 1];
-        let negate = rhs.is_negative();
-        for (j, v) in coeffs.iter().enumerate() {
-            row[j] = if negate { -v } else { v.clone() };
-        }
-        // Slack for this row.
-        row[n_struct + i] = if negate {
-            -Rational::ONE
-        } else {
-            Rational::ONE
-        };
-        row[cols] = if negate { -rhs } else { rhs.clone() };
-        if negate {
-            row[next_art] = Rational::ONE;
-            basis.push(next_art);
-            art_cols.push(next_art);
-            next_art += 1;
-        } else {
-            basis.push(n_struct + i);
-        }
-        rows.push(row);
-    }
-
-    let mut t = Tableau {
-        rows,
-        basis,
-        cols,
-        obj: vec![Rational::ZERO; cols + 1],
-        banned: vec![false; cols],
-        stats: SimplexStats {
-            pivots: 0,
-            rows: m,
-            cols,
-        },
-    };
-    // Reserved probe columns only come alive inside a probe's own clone.
-    for j in cols - reserve..cols {
-        t.banned[j] = true;
-    }
-
-    // Phase 1: maximize -(sum of artificials).
-    if !art_cols.is_empty() {
-        for &a in &art_cols {
-            t.obj[a] = -Rational::ONE;
-        }
-        t.reduce_objective();
-        match t.iterate() {
-            StepResult::Unbounded => unreachable!("phase-1 objective is bounded above by 0"),
-            StepResult::Optimal => {}
-        }
-        if t.objective_value().is_negative() {
-            return (t, false);
-        }
-        // Ban artificials and pivot any remaining basic ones out.
-        for &a in &art_cols {
-            t.banned[a] = true;
-        }
-        for r in 0..t.rows.len() {
-            if !t.banned[t.basis[r]] {
-                continue;
-            }
-            // The artificial sits at value zero; pivot to any usable column.
-            let col = (0..t.cols).find(|&j| !t.banned[j] && !t.rows[r][j].is_zero());
-            if let Some(c) = col {
-                t.pivot(r, c);
-            }
-            // If no column is available the row is redundant (all zeros over
-            // real variables); leaving the artificial basic at zero is safe
-            // because banned columns never enter and the row never binds.
-        }
-    }
-    (t, true)
-}
-
-/// Solve `max objective·x` over the free variables subject to non-strict
-/// constraints. Returns the outcome and solver statistics.
-pub(crate) fn solve(
-    d: usize,
-    objective: &[Rational],
-    constraints: &[LinConstraint],
-    _want_stats: bool,
-) -> (LpOutcome, SimplexStats) {
-    assert_eq!(objective.len(), d, "objective arity mismatch");
-    let (mut t, feasible) = phase1_tableau(d, constraints, 0);
-    if !feasible {
-        return (LpOutcome::Infeasible, t.stats);
-    }
-    let cols = t.cols;
-
-    // Phase 2: the real objective over the split variables.
-    t.obj = vec![Rational::ZERO; cols + 1];
-    for (j, c) in objective.iter().enumerate().take(d) {
-        t.obj[j] = c.clone();
-        t.obj[d + j] = -c.clone();
-    }
-    t.reduce_objective();
-    let outcome = match t.iterate() {
-        StepResult::Unbounded => LpOutcome::Unbounded,
-        StepResult::Optimal => {
-            let mut x = Vec::with_capacity(d);
-            for j in 0..d {
-                x.push(&t.var_value(j) - &t.var_value(d + j));
-            }
-            LpOutcome::Optimal {
-                value: t.objective_value(),
-                point: x,
-            }
-        }
-    };
-    (outcome, t.stats)
-}
-
-/// Rewrite a constraint over `d` variables into the δ-extended space of
-/// `d + 1` variables: strict relations pick up a ±1 coefficient on δ (so
-/// positive δ means positive slack) and weaken to their closures.
-fn delta_extend(c: &LinConstraint, d: usize) -> LinConstraint {
-    let mut coeffs = c.coeffs.clone();
-    debug_assert_eq!(coeffs.len(), d);
-    match c.rel {
-        Rel::Lt => {
-            coeffs.push(Rational::ONE);
-            LinConstraint::new(coeffs, Rel::Le, c.rhs.clone())
-        }
-        Rel::Gt => {
-            coeffs.push(-Rational::ONE);
-            LinConstraint::new(coeffs, Rel::Ge, c.rhs.clone())
-        }
-        rel => {
-            coeffs.push(Rational::ZERO);
-            LinConstraint::new(coeffs, rel, c.rhs.clone())
-        }
-    }
+/// The verdict of a solved [`interior`] program: its optimum is `δ*`, and the
+/// multipliers satisfy every strict row with slack `δ*`.
+fn witness(t: &Tableau, d: usize, has_strict: bool) -> Option<QVector> {
+    (!has_strict || t.value.is_positive()).then(|| t.point(d))
 }
 
 /// Feasibility of a mixed strict/non-strict system via interior-δ
 /// maximization; returns a relative-interior witness if feasible.
 pub(crate) fn feasible_strict(d: usize, constraints: &[&LinConstraint]) -> Option<QVector> {
+    count(|n| n.solves += 1);
     let has_strict = constraints.iter().any(|c| c.rel.is_strict());
-    // Work in dimension d+1 with δ as the extra coordinate.
-    let dd = d + 1;
-    let mut cons: Vec<LinConstraint> = Vec::with_capacity(constraints.len() + 1);
-    for c in constraints {
-        cons.push(delta_extend(c, d));
-    }
-    // Cap δ so the objective is bounded.
-    let mut cap = vec![Rational::ZERO; dd];
-    cap[d] = Rational::ONE;
-    cons.push(LinConstraint::new(cap, Rel::Le, Rational::ONE));
+    let point = witness(&interior(d, constraints)?, d, has_strict)?;
+    debug_assert!(constraints.iter().all(|c| c.satisfied_by(&point)));
+    Some(point)
+}
 
-    let mut obj = vec![Rational::ZERO; dd];
-    obj[d] = Rational::ONE;
-    match solve(dd, &obj, &cons, false).0 {
-        LpOutcome::Infeasible => None,
-        LpOutcome::Unbounded => unreachable!("δ is capped at 1"),
-        LpOutcome::Optimal { value, mut point } => {
-            if has_strict && !value.is_positive() {
-                None
-            } else {
-                point.truncate(d);
-                debug_assert!(constraints.iter().all(|c| c.satisfied_by(&point)));
-                Some(point)
-            }
+/// Solve `max objective·x` over the free variables subject to non-strict
+/// constraints: two phases on the dual `min b·λ`, `Σ λᵢaᵢ = objective`.
+pub(crate) fn solve(d: usize, objective: &[Rational], constraints: &[LinConstraint]) -> LpOutcome {
+    assert_eq!(objective.len(), d, "objective arity mismatch");
+    count(|n| n.solves += 1);
+    // Phase 1: unit cost on the artificials, none on the columns.
+    let signs: QVector = objective.iter().map(sign).collect();
+    let mut t = Tableau::new(objective.to_vec(), &signs);
+    let mut costs = Vec::with_capacity(constraints.len());
+    for c in constraints {
+        for (column, cost) in columns(c, false) {
+            t.push(&column, Rational::ZERO);
+            costs.push(cost);
         }
+    }
+    let optimal = t.iterate();
+    debug_assert!(
+        optimal,
+        "a sum of non-negative artificials is bounded below"
+    );
+    if t.value.is_positive() {
+        // The dual is empty, so the primal is empty or unbounded.
+        let refs: Vec<&LinConstraint> = constraints.iter().collect();
+        return match interior(d, &refs) {
+            Some(_) => LpOutcome::Unbounded,
+            None => LpOutcome::Infeasible,
+        };
+    }
+    t.reprice(&costs);
+    if !t.iterate() {
+        return LpOutcome::Infeasible;
+    }
+    LpOutcome::Optimal {
+        value: t.value.clone(),
+        point: t.point(d),
     }
 }
 
-/// Columns reserved at the end of a batch tableau for probe rows: a probe
-/// appends at most two normalized rows (an equality splits in two), each
-/// needing a fresh slack and possibly an artificial.
-const PROBE_RESERVE: usize = 4;
-
-/// A feasibility oracle for many systems sharing a constraint prefix.
+/// A feasibility oracle for a family of systems sharing a constraint prefix.
 ///
-/// Construction δ-extends the prefix, builds the tableau, and runs phase 1
-/// **once**; every [`BatchInner::probe`] then clones the warm basis, prices
-/// the extension's rows out against it, restores primal feasibility with an
-/// incremental phase 1 over at most two fresh artificials, and re-optimizes
-/// the δ objective — instead of re-running the full two-phase solve on the
-/// prefix from scratch per candidate.
-pub(crate) struct BatchInner {
+/// Sign-cell enumeration asks, per cell and per new hyperplane, which of the
+/// candidate sign extensions `{<, =, >}` are realizable — three systems
+/// differing only in their final constraint — and a pruned distribution asks
+/// the same of the alternatives of a disjunction. `FeasibilityBatch` solves
+/// the shared prefix **once**; since a further constraint is a further
+/// *column*, which leaves the basis feasible, each probe appends the
+/// candidate's column(s) to a copy of that optimal tableau and pivots on from
+/// there, instead of re-solving the prefix from scratch.
+///
+/// A probe is semantically identical to [`crate::feasible_refs`] on the
+/// concatenated system: it decides feasibility over the reals with strict
+/// constraints honored via the interior-δ method, and returns a witness in
+/// the relative interior of the strict constraints. (The witness point may
+/// differ from the one `feasible_refs` picks — both are valid interior
+/// points, but the pivot paths differ.)
+pub struct FeasibilityBatch {
     d: usize,
-    /// δ-extended dimension (`d + 1`).
-    dd: usize,
-    /// Phase-1-complete tableau over the prefix; `None` if the closed prefix
-    /// is infeasible (every probe is then trivially infeasible).
+    /// The solved prefix; `None` if its non-strict rows have no common point.
     tableau: Option<Tableau>,
-    /// First reserved column index (prefix columns end here).
-    base_cols: usize,
     prefix_has_strict: bool,
+    #[cfg(debug_assertions)]
     prefix: Vec<LinConstraint>,
 }
 
-impl BatchInner {
-    pub(crate) fn new(d: usize, prefix: &[&LinConstraint]) -> BatchInner {
-        let dd = d + 1;
-        let mut cons: Vec<LinConstraint> = Vec::with_capacity(prefix.len() + 1);
-        for c in prefix {
-            cons.push(delta_extend(c, d));
-        }
-        let mut cap = vec![Rational::ZERO; dd];
-        cap[d] = Rational::ONE;
-        cons.push(LinConstraint::new(cap, Rel::Le, Rational::ONE));
-
-        let (t, feasible) = phase1_tableau(dd, &cons, PROBE_RESERVE);
-        let base_cols = t.cols - PROBE_RESERVE;
-        BatchInner {
+impl FeasibilityBatch {
+    /// Solve the shared prefix.
+    pub fn new(d: usize, prefix: &[&LinConstraint]) -> FeasibilityBatch {
+        count(|n| n.solves += 1);
+        FeasibilityBatch {
             d,
-            dd,
-            tableau: feasible.then_some(t),
-            base_cols,
+            tableau: interior(d, prefix),
             prefix_has_strict: prefix.iter().any(|c| c.rel.is_strict()),
+            #[cfg(debug_assertions)]
             prefix: prefix.iter().map(|&c| c.clone()).collect(),
         }
     }
 
-    /// Is the closed prefix system feasible at all?
-    pub(crate) fn prefix_feasible(&self) -> bool {
+    /// Do the non-strict constraints of the prefix have a common point at
+    /// all? When `false`, every probe answers `None` without any work.
+    pub fn prefix_feasible(&self) -> bool {
         self.tableau.is_some()
     }
 
-    /// Decide feasibility of `prefix ∧ extension`, returning a witness in the
-    /// relative interior of the strict constraints. Equivalent to
-    /// [`feasible_strict`] on the concatenated system.
-    pub(crate) fn probe(&self, extension: &LinConstraint) -> Option<QVector> {
+    /// Decide feasibility of `prefix ∧ extension`, returning an interior
+    /// witness if the combined system is realizable.
+    pub fn probe(&self, extension: &LinConstraint) -> Option<QVector> {
+        self.probe_all(&[extension])
+    }
+
+    /// [`probe`](Self::probe) with a whole run of constraints as the
+    /// extension: each is one more column (an equality two) on the copy.
+    pub fn probe_all(&self, extensions: &[&LinConstraint]) -> Option<QVector> {
         let mut t = self.tableau.as_ref()?.clone();
         count(|n| n.warm_probes += 1);
-        let cols = t.cols;
-        let ext = delta_extend(extension, self.d);
-        let norm = normalized_rows(self.dd, &[ext]);
-        debug_assert!(norm.len() <= 2, "one constraint normalizes to ≤ 2 rows");
-
-        let n_struct = 2 * self.dd;
-        let mut art_cols = Vec::new();
-        for (k, (coeffs, rhs)) in norm.iter().enumerate() {
-            let slack = self.base_cols + 2 * k;
-            let art = slack + 1;
-            let mut row = vec![Rational::ZERO; cols + 1];
-            for (j, v) in coeffs.iter().enumerate().take(n_struct) {
-                row[j] = v.clone();
-            }
-            row[slack] = Rational::ONE;
-            row[cols] = rhs.clone();
-            // Price out: express the row over the current basis by
-            // eliminating every basic column.
-            for r in 0..t.rows.len() {
-                let b = t.basis[r];
-                if row[b].is_zero() {
-                    continue;
-                }
-                let factor = row[b].clone();
-                for (j, pv) in t.rows[r].iter().enumerate() {
-                    if !pv.is_zero() {
-                        let delta = pv * &factor;
-                        row[j] = &row[j] - &delta;
-                    }
-                }
-            }
-            t.banned[slack] = false;
-            if row[cols].is_negative() {
-                // Negate so the artificial enters at a nonnegative value.
-                for v in row.iter_mut() {
-                    if !v.is_zero() {
-                        *v = -&*v;
-                    }
-                }
-                row[art] = Rational::ONE;
-                t.banned[art] = false;
-                t.basis.push(art);
-                art_cols.push(art);
-            } else {
-                t.basis.push(slack);
-            }
-            t.rows.push(row);
-            t.stats.rows += 1;
-        }
-
-        // Incremental phase 1: drive only the probe's artificials to zero.
-        if !art_cols.is_empty() {
-            t.obj = vec![Rational::ZERO; cols + 1];
-            for &a in &art_cols {
-                t.obj[a] = -Rational::ONE;
-            }
-            t.reduce_objective();
-            match t.iterate() {
-                StepResult::Unbounded => unreachable!("phase-1 objective is bounded above by 0"),
-                StepResult::Optimal => {}
-            }
-            if t.objective_value().is_negative() {
-                return None;
-            }
-            for &a in &art_cols {
-                t.banned[a] = true;
-            }
-            for r in 0..t.rows.len() {
-                if !t.banned[t.basis[r]] {
-                    continue;
-                }
-                let col = (0..t.cols).find(|&j| !t.banned[j] && !t.rows[r][j].is_zero());
-                if let Some(c) = col {
-                    t.pivot(r, c);
-                }
+        for extension in extensions {
+            for (column, cost) in columns(extension, true) {
+                t.push(&column, cost);
             }
         }
-
-        // Phase 2: maximize δ from the warm basis.
-        t.obj = vec![Rational::ZERO; cols + 1];
-        t.obj[self.d] = Rational::ONE;
-        t.obj[self.dd + self.d] = -Rational::ONE;
-        t.reduce_objective();
-        match t.iterate() {
-            StepResult::Unbounded => unreachable!("δ is capped at 1"),
-            StepResult::Optimal => {}
-        }
-        let has_strict = self.prefix_has_strict || extension.rel.is_strict();
-        if has_strict && !t.objective_value().is_positive() {
-            return None;
-        }
-        let mut point = Vec::with_capacity(self.d);
-        for j in 0..self.d {
-            point.push(&t.var_value(j) - &t.var_value(self.dd + j));
-        }
+        let has_strict = self.prefix_has_strict || extensions.iter().any(|c| c.rel.is_strict());
+        let point = t.iterate().then(|| witness(&t, self.d, has_strict))??;
+        #[cfg(debug_assertions)]
         debug_assert!(
-            self.prefix.iter().all(|c| c.satisfied_by(&point)) && extension.satisfied_by(&point),
+            self.prefix
+                .iter()
+                .chain(extensions.iter().copied())
+                .all(|c| c.satisfied_by(&point)),
             "batch probe witness violates its system"
         );
         Some(point)
     }
-}
-
-/// Boundedness of the closed feasible set along every ±axis direction,
-/// sharing one phase-1 solve across all `2d` objective re-optimizations.
-/// Returns `None` on an empty feasible set, `Some(false)` at the first
-/// unbounded direction.
-pub(crate) fn bounded_all_axes(d: usize, constraints: &[LinConstraint]) -> Option<bool> {
-    debug_assert!(constraints.iter().all(|c| !c.rel.is_strict()));
-    if d == 0 {
-        // A zero-dimensional set is a point or empty.
-        return crate::feasible(0, constraints).map(|_| true);
-    }
-    let (mut t, feasible) = phase1_tableau(d, constraints, 0);
-    if !feasible {
-        return None;
-    }
-    let cols = t.cols;
-
-    // Each ±axis objective restarts from the previous optimum's basis, which
-    // stays primal-feasible throughout — only the objective row changes.
-    for i in 0..d {
-        for sign in [Rational::ONE, -Rational::ONE] {
-            t.obj = vec![Rational::ZERO; cols + 1];
-            t.obj[i] = sign.clone();
-            t.obj[d + i] = -sign;
-            t.reduce_objective();
-            if let StepResult::Unbounded = t.iterate() {
-                return Some(false);
-            }
-        }
-    }
-    Some(true)
 }
