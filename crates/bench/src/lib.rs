@@ -1,4 +1,4 @@
-//! Shared workload generators for benchmarks and the experiment harness.
+//! Shared workload generators for the experiment harness and the root tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,41 +23,6 @@ pub fn chained_intervals(k: usize) -> Relation {
         .map(|i| format!("({} <= x and x <= {})", i, i + 1))
         .collect();
     Relation::new(vec!["x".into()], &parse_formula(&parts.join(" or ")).unwrap())
-}
-
-/// A row of `k` disjoint open boxes in the plane.
-pub fn boxes(k: usize) -> Relation {
-    let parts: Vec<String> = (0..k)
-        .map(|i| {
-            format!(
-                "({} < x and x < {} and 0 < y and y < 1)",
-                2 * i,
-                2 * i + 1
-            )
-        })
-        .collect();
-    Relation::new(
-        vec!["x".into(), "y".into()],
-        &parse_formula(&parts.join(" or ")).unwrap(),
-    )
-}
-
-/// A chain of `k` closed boxes touching corner-to-corner (connected).
-pub fn corner_chain(k: usize) -> Relation {
-    let parts: Vec<String> = (0..k)
-        .map(|i| {
-            format!(
-                "({i} <= x and x <= {} and {i} <= y and y <= {})",
-                i + 1,
-                i + 1,
-                i = i
-            )
-        })
-        .collect();
-    Relation::new(
-        vec!["x".into(), "y".into()],
-        &parse_formula(&parts.join(" or ")).unwrap(),
-    )
 }
 
 /// The running-example relation of Fig. 1: any relation whose induced
@@ -210,11 +175,6 @@ pub fn alibi_extension(n: usize, seed: u64, meet: bool) -> lcdb_core::RegionExte
 
 /// The alibi sentence: could the two objects have met?
 pub const ALIBI_SENTENCE: &str = "exists t. exists x. exists y. A(t, x, y) and B(t, x, y)";
-/// The open alibi query: when could they have met?
-pub const ALIBI_WHEN: &str = "exists x. exists y. A(t, x, y) and B(t, x, y)";
-/// A containment sentence over the first object (false: the box is small).
-pub const ALIBI_BOX: &str =
-    "forall t. forall x. forall y. A(t, x, y) -> (-8 <= x and x <= 8 and -8 <= y and y <= 8)";
 
 /// Log-log slope between two measurements — the empirical polynomial degree.
 pub fn fitted_exponent(n1: usize, y1: f64, n2: usize, y2: f64) -> f64 {
@@ -224,20 +184,19 @@ pub fn fitted_exponent(n1: usize, y1: f64, n2: usize, y2: f64) -> f64 {
     (y2 / y1).ln() / ((n2 as f64) / (n1 as f64)).ln()
 }
 
+/// The hyperplane families of experiment E3: per dimension `d`, the counts
+/// `n` of seeded random hyperplanes (seed `7 + d`) an arrangement is built
+/// over.
+pub const E3_FAMILIES: [(usize, &[usize]); 3] =
+    [(1, &[4, 8, 16, 32]), (2, &[4, 6, 8, 10]), (3, &[3, 4, 5, 6])];
+
 /// Replay the timed core of experiment E3 — arrangement construction over
-/// the same seeded random hyperplane families the harness uses — and
-/// return the total wall clock in microseconds. Shared by the `E26`
-/// kernel-comparison rows and the `perf_gate` CI regression gate so both
-/// measure exactly the same work.
+/// [`E3_FAMILIES`] — and return the total wall clock in microseconds. One
+/// of the workloads E27 prices the flight recorder on.
 pub fn replay_e3() -> u128 {
     use lcdb_geom::Arrangement;
     let t = std::time::Instant::now();
-    for d in [1usize, 2, 3] {
-        let ns: &[usize] = match d {
-            1 => &[4, 8, 16, 32],
-            2 => &[4, 6, 8, 10],
-            _ => &[3, 4, 5, 6],
-        };
+    for (d, ns) in E3_FAMILIES {
         for &n in ns {
             let hs = random_hyperplanes(d, n, 7 + d as u64);
             let arr = Arrangement::build(d, hs);
@@ -250,7 +209,7 @@ pub fn replay_e3() -> u128 {
 /// Replay the timed core of experiment E10 — the Theorem 6.4 capture runs
 /// (direct TM execution vs the compiled RegIFP sentence) over the same
 /// three machines and three databases — and return the total wall clock in
-/// microseconds. See [`replay_e3`] for why this lives in the library.
+/// microseconds. The evaluator-heavy workload of E27.
 pub fn replay_e10() -> u128 {
     use lcdb_core::{Evaluator, RegionExtension};
     use lcdb_tm::capture::{capture_agreement, input_word};
@@ -272,23 +231,6 @@ pub fn replay_e10() -> u128 {
             assert_eq!(direct, logical, "capture disagreement in replay");
         }
     }
-    t.elapsed().as_micros()
-}
-
-/// Replay a quantifier-elimination-dominated workload — the alibi sentence,
-/// the open "when" query and a containment sentence over one fixed pair of
-/// 16-bead trajectories, through the evaluator — and return the total wall
-/// clock in microseconds. See [`replay_e3`] for why this lives in the
-/// library.
-pub fn replay_qe() -> u128 {
-    use lcdb_core::{parse_regformula, Evaluator};
-    let ext = alibi_extension(16, 11, true);
-    let ev = Evaluator::new(&ext);
-    let parse = |src| parse_regformula(src).expect("fixed query");
-    let t = std::time::Instant::now();
-    assert!(ev.eval_sentence(&parse(ALIBI_SENTENCE)), "the pair meets");
-    std::hint::black_box(ev.eval_query(&parse(ALIBI_WHEN)));
-    std::hint::black_box(ev.eval_sentence(&parse(ALIBI_BOX)));
     t.elapsed().as_micros()
 }
 
@@ -361,7 +303,6 @@ mod tests {
             let sentence = parse_regformula(ALIBI_SENTENCE).unwrap();
             assert_eq!(ev.eval_sentence(&sentence), meet, "n = {n}");
         }
-        assert!(replay_qe() > 0);
     }
 
     #[test]

@@ -914,43 +914,32 @@ fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
 }
 
 const STATS_USAGE: &str = "\
-usage: lcdb stats <top|latency|regressions|import> [args] [DIR]
+usage: lcdb stats <top|latency> [args] [DIR]
 
-Derived views over the telemetry segment of a plan catalog. `lcdb serve
---store DIR` appends one `req` row per request; `lcdb stats import` adds
-`bench` rows from BENCH_*.json files. DIR falls back to the shared
-`--store` flag when omitted.
+Derived views over the telemetry segment of a plan catalog: `lcdb serve
+--store DIR` appends one `req` row per request. DIR falls back to the
+shared `--store` flag when omitted.
 
   top [N]              top N plans by total self-time across all `req`
                        rows, with request counts and cache-hit rates
                        [default N: 10]
   latency              per-batch p50/p90/max request latency — one row
-                       per server run, oldest first
-  regressions [FILE]   latest imported bench wall time per experiment
-                       vs a baseline JSON file of `<exp>_us` keys
-                       [default: crates/bench/perf_baseline.json]
-  import FILE...       append one `bench` row per experiment found in
-                       each JSON file (harness output shape)";
+                       per server run, oldest first";
 
 /// `lcdb stats <action> [args] [DIR]`: derived views over the telemetry
 /// rows persisted in a plan catalog's stats segment. Returns `Err("")` to
 /// request the usage text without an error banner.
 fn run_stats(limits: &Limits, args: &[String]) -> Result<(), String> {
-    use lcdb_store::{append_stats, read_stats, read_stats_batched, Json, Store, StoreOptions};
+    use lcdb_store::{json_u64_field, read_stats, read_stats_batched, Store, StoreOptions};
     let mut it = args.iter();
     let action = match it.next().map(String::as_str) {
         None | Some("--help") | Some("-h") => return Err(String::new()),
-        Some(a) => a.to_string(),
+        Some(a @ ("top" | "latency")) => a,
+        Some(other) => return Err(format!("unknown stats action '{}'", other)),
     };
-    // Positionals ending in `.json` are files (import sources or a
-    // regression baseline); at most one other positional is the store DIR.
-    let rest: Vec<String> = it.cloned().collect();
-    let (files, dirs): (Vec<&String>, Vec<&String>) =
-        rest.iter().partition(|a| a.ends_with(".json"));
-    let mut dirs = dirs.into_iter();
     let mut count: Option<usize> = None;
     let mut dir_arg: Option<PathBuf> = None;
-    for d in dirs.by_ref() {
+    for d in it {
         if action == "top" && count.is_none() && d.chars().all(|c| c.is_ascii_digit()) {
             count = Some(d.parse().map_err(|e| format!("bad count '{}': {}", d, e))?);
         } else if dir_arg.is_none() {
@@ -962,200 +951,80 @@ fn run_stats(limits: &Limits, args: &[String]) -> Result<(), String> {
     let dir = dir_arg
         .or_else(|| limits.store_dir.clone())
         .ok_or_else(|| "stats needs a directory (positional DIR or --store DIR)".to_string())?;
-    let open = |dir: &std::path::Path| -> Result<Store, String> {
-        if !Store::exists(dir) {
-            return Err(format!(
-                "no store at {} (run `lcdb store init {}`)",
-                dir.display(),
-                dir.display()
-            ));
-        }
-        Store::open(dir, StoreOptions::default()).map_err(|e| e.to_string())
-    };
-    match action.as_str() {
-        "top" => {
-            if !files.is_empty() {
-                return Err(format!("unexpected argument '{}'", files[0]));
+    if !Store::exists(&dir) {
+        return Err(format!(
+            "no store at {} (run `lcdb store init {}`)",
+            dir.display(),
+            dir.display()
+        ));
+    }
+    let mut store = Store::open(&dir, StoreOptions::default()).map_err(|e| e.to_string())?;
+    if action == "top" {
+        let rows = read_stats(&mut store, "req").map_err(|e| e.to_string())?;
+        // plan_fp -> (requests, total self-time, tier>=1 hits)
+        let mut by_plan: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+        let mut parsed = 0u64;
+        for row in &rows {
+            let Some(fp) = json_u64_field(row, "plan_fp") else { continue };
+            parsed += 1;
+            if fp == 0 {
+                continue; // sheds, cancellations, non-eval opcodes
             }
-            let mut store = open(&dir)?;
-            let rows = read_stats(&mut store, "req").map_err(|e| e.to_string())?;
-            // plan_fp -> (requests, total self-time, tier>=1 hits)
-            let mut by_plan: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
-            let mut parsed = 0u64;
-            for row in &rows {
-                let Ok(v) = Json::parse(row) else { continue };
-                parsed += 1;
-                let fp = v.u64("plan_fp").unwrap_or(0);
-                if fp == 0 {
-                    continue; // sheds, cancellations, non-eval opcodes
-                }
-                let e = by_plan.entry(fp).or_insert((0, 0, 0));
-                e.0 += 1;
-                e.1 += v.u64("self_us").unwrap_or(0);
-                if v.u64("tier").unwrap_or(0) >= 1 {
-                    e.2 += 1;
-                }
-            }
-            let mut ranked: Vec<(u64, (u64, u64, u64))> = by_plan.into_iter().collect();
-            ranked.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(&b.0)));
-            ranked.truncate(count.unwrap_or(10));
-            println!(
-                "top {} plan(s) by self-time over {} request row(s):",
-                ranked.len(),
-                parsed
-            );
-            println!(
-                "  {:<16}  {:>6}  {:>10}  {:>8}  {:>6}",
-                "plan_fp", "reqs", "self_us", "mean_us", "cached"
-            );
-            for (fp, (reqs, self_us, hits)) in &ranked {
-                println!(
-                    "  {:016x}  {:>6}  {:>10}  {:>8}  {:>5}%",
-                    fp,
-                    reqs,
-                    self_us,
-                    self_us / reqs.max(&1),
-                    100 * hits / reqs.max(&1),
-                );
+            let e = by_plan.entry(fp).or_insert((0, 0, 0));
+            e.0 += 1;
+            e.1 += json_u64_field(row, "self_us").unwrap_or(0);
+            if json_u64_field(row, "tier").unwrap_or(0) >= 1 {
+                e.2 += 1;
             }
         }
-        "latency" => {
-            if !files.is_empty() {
-                return Err(format!("unexpected argument '{}'", files[0]));
+        let mut ranked: Vec<(u64, (u64, u64, u64))> = by_plan.into_iter().collect();
+        ranked.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(&b.0)));
+        ranked.truncate(count.unwrap_or(10));
+        println!(
+            "top {} plan(s) by self-time over {} request row(s):",
+            ranked.len(),
+            parsed
+        );
+        println!(
+            "  {:<16}  {:>6}  {:>10}  {:>8}  {:>6}",
+            "plan_fp", "reqs", "self_us", "mean_us", "cached"
+        );
+        for (fp, (reqs, self_us, hits)) in &ranked {
+            println!(
+                "  {:016x}  {:>6}  {:>10}  {:>8}  {:>5}%",
+                fp,
+                reqs,
+                self_us,
+                self_us / reqs.max(&1),
+                100 * hits / reqs.max(&1),
+            );
+        }
+    } else {
+        let batches = read_stats_batched(&mut store, "req").map_err(|e| e.to_string())?;
+        println!("request latency per batch (oldest first):");
+        println!(
+            "  {:<14}  {:>6}  {:>8}  {:>8}  {:>8}",
+            "batch", "rows", "p50_us", "p90_us", "max_us"
+        );
+        for (name, rows) in &batches {
+            let mut walls: Vec<u64> = rows
+                .iter()
+                .filter_map(|r| json_u64_field(r, "wall_us"))
+                .collect();
+            if walls.is_empty() {
+                continue;
             }
-            let mut store = open(&dir)?;
-            let batches = read_stats_batched(&mut store, "req").map_err(|e| e.to_string())?;
-            println!("request latency per batch (oldest first):");
+            walls.sort_unstable();
+            let q = |p: usize| walls[(walls.len() - 1) * p / 100];
             println!(
                 "  {:<14}  {:>6}  {:>8}  {:>8}  {:>8}",
-                "batch", "rows", "p50_us", "p90_us", "max_us"
-            );
-            for (name, rows) in &batches {
-                let mut walls: Vec<u64> = rows
-                    .iter()
-                    .filter_map(|r| Json::parse(r).ok())
-                    .filter_map(|v| v.u64("wall_us"))
-                    .collect();
-                if walls.is_empty() {
-                    continue;
-                }
-                walls.sort_unstable();
-                let q = |p: usize| walls[(walls.len() - 1) * p / 100];
-                println!(
-                    "  {:<14}  {:>6}  {:>8}  {:>8}  {:>8}",
-                    name,
-                    walls.len(),
-                    q(50),
-                    q(90),
-                    walls[walls.len() - 1],
-                );
-            }
-        }
-        "regressions" => {
-            if files.len() > 1 {
-                return Err(format!("unexpected argument '{}'", files[1]));
-            }
-            let baseline_path = files
-                .first()
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("crates/bench/perf_baseline.json"));
-            let text = std::fs::read_to_string(&baseline_path)
-                .map_err(|e| format!("reading {}: {}", baseline_path.display(), e))?;
-            let base = Json::parse(&text)
-                .map_err(|e| format!("parsing {}: {}", baseline_path.display(), e))?;
-            // Baseline keys `e3_us`, `e10_us`, … name experiments E3, E10, …
-            let baselines: Vec<(String, u64)> = match &base {
-                Json::Obj(pairs) => pairs
-                    .iter()
-                    .filter_map(|(k, v)| {
-                        let exp = k.strip_suffix("_us")?.to_uppercase();
-                        match v {
-                            Json::Num(n) if *n >= 0.0 => Some((exp, *n as u64)),
-                            _ => None,
-                        }
-                    })
-                    .collect(),
-                _ => return Err(format!("{} is not a JSON object", baseline_path.display())),
-            };
-            let mut store = open(&dir)?;
-            let rows = read_stats(&mut store, "bench").map_err(|e| e.to_string())?;
-            // Rows are in append order: the last row per experiment wins.
-            let mut latest: BTreeMap<String, u64> = BTreeMap::new();
-            for row in &rows {
-                let Ok(v) = Json::parse(row) else { continue };
-                if let (Some(id), Some(us)) = (v.str("experiment"), v.u64("wall_us")) {
-                    latest.insert(id.to_string(), us);
-                }
-            }
-            println!(
-                "latest bench results vs {} ({} bench row(s)):",
-                baseline_path.display(),
-                rows.len()
-            );
-            println!(
-                "  {:<10}  {:>12}  {:>12}  {:>8}",
-                "experiment", "baseline_us", "latest_us", "delta"
-            );
-            for (exp, base_us) in &baselines {
-                match latest.get(exp) {
-                    Some(&us) if *base_us > 0 => {
-                        let delta = 100.0 * (us as f64 - *base_us as f64) / *base_us as f64;
-                        let flag = if delta > 10.0 { "  <-- regression" } else { "" };
-                        println!(
-                            "  {:<10}  {:>12}  {:>12}  {:>+7.1}%{}",
-                            exp, base_us, us, delta, flag
-                        );
-                    }
-                    Some(&us) => {
-                        println!("  {:<10}  {:>12}  {:>12}  {:>8}", exp, base_us, us, "-")
-                    }
-                    None => println!("  {:<10}  {:>12}  {:>12}  {:>8}", exp, base_us, "-", "-"),
-                }
-            }
-        }
-        "import" => {
-            if files.is_empty() {
-                return Err("import needs at least one JSON file".to_string());
-            }
-            let mut out_rows: Vec<String> = Vec::new();
-            for path in &files {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {}: {}", path, e))?;
-                let v = Json::parse(&text).map_err(|e| format!("parsing {}: {}", path, e))?;
-                let source = v
-                    .str("bench")
-                    .map(str::to_string)
-                    .unwrap_or_else(|| path.to_string());
-                let exps = v
-                    .get("experiments")
-                    .map(Json::items)
-                    .unwrap_or(&[]);
-                if exps.is_empty() {
-                    return Err(format!("{}: no experiments[] array", path));
-                }
-                for e in exps {
-                    let (Some(id), Some(us)) = (e.str("id"), e.num("wall_us")) else {
-                        continue;
-                    };
-                    out_rows.push(format!(
-                        r#"{{"kind":"bench","source":"{}","experiment":"{}","wall_us":{}}}"#,
-                        source,
-                        id,
-                        us.round() as u64,
-                    ));
-                }
-            }
-            let mut store = open(&dir)?;
-            let seq = append_stats(&mut store, "bench", &out_rows).map_err(|e| e.to_string())?;
-            store.checkpoint().map_err(|e| e.to_string())?;
-            println!(
-                "imported {} row(s) from {} file(s) into batch bench-{:08}",
-                out_rows.len(),
-                files.len(),
-                seq
+                name,
+                walls.len(),
+                q(50),
+                q(90),
+                walls[walls.len() - 1],
             );
         }
-        other => return Err(format!("unknown stats action '{}'", other)),
     }
     Ok(())
 }

@@ -279,5 +279,15 @@ proptest! {
             "lookups {} < hits {}",
             st.plan_cache_lookups, st.plan_cache_hits,
         );
+        // Conn's body is rebuilt at every stage, but its stage-invariant
+        // operands (the `⊆ S` leaves, adjacency) are tables built once and
+        // asked for again; and a lookup is a request for a whole table —
+        // at most plan nodes × stages of them, never one per binding.
+        prop_assert!(st.plan_cache_hits > 0, "no table of Conn's body was reused");
+        prop_assert!(
+            st.plan_cache_lookups <= st.plan_nodes * (st.fix_iterations + 1),
+            "{} lookups for {} nodes x {} stages",
+            st.plan_cache_lookups, st.plan_nodes, st.fix_iterations,
+        );
     }
 }

@@ -46,7 +46,7 @@ pub use catalog::{
     Catalog, CatEntry, EntryKey, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RELATION, CLASS_RESULT,
     CLASS_STATS,
 };
-pub use stats::{append_stats, read_stats, read_stats_batched, stats_batches, Json};
+pub use stats::{append_stats, json_u64_field, read_stats, read_stats_batched, stats_batches};
 pub use page::{PAGE_PAYLOAD, PAGE_SIZE};
 pub use pool::{BufferPool, FifoReplacer, LruReplacer, Replacement, Replacer};
 pub use store::{Store, StoreOptions, StoreStat, VerifyReport};

@@ -9,15 +9,17 @@
 //! rewritten; appending is one `put`, which the WAL makes atomic, so a crash
 //! loses at most the batch being written, never corrupts earlier telemetry.
 //!
-//! Two kinds are in use today: `req` (one row per server request, written by
-//! the query server) and `bench` (one row per experiment run, written by
-//! `lcdb stats import` from `BENCH_*.json` files). The row payloads are
-//! opaque to this module; the [`Json`] value parser below is what `lcdb
-//! stats` uses to derive views from them.
+//! One kind is in use today: `req`, one row per server request, written by
+//! the query server. The row payloads are opaque to this module; they are
+//! flat objects of strings and unsigned integers, and `lcdb stats` derives
+//! its views from them with [`json_u64_field`] — the exact field reader
+//! `lcdb-trace` parses its own JSONL events with.
 
 use crate::catalog::{EntryKey, CLASS_STATS};
 use crate::store::Store;
 use crate::StoreError;
+
+pub use lcdb_trace::json_u64_field;
 
 /// Append one batch of telemetry rows under `kind`, returning the batch's
 /// sequence number. Rows must not contain newlines (they are newline-joined
@@ -117,221 +119,6 @@ fn next_seq(store: &Store, kind: &str) -> u64 {
         .unwrap_or(0)
 }
 
-// ---------------------------------------------------------------------------
-// A minimal JSON value parser for telemetry rows and bench files
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Just enough JSON for telemetry rows, `BENCH_*.json`
-/// imports, and `perf_baseline.json` — objects, arrays, strings with the
-/// escapes our writers emit, f64 numbers, booleans, null. Not a validating
-/// parser: it accepts some invalid JSON, which is fine for data we wrote
-/// ourselves, and rejects anything it cannot make sense of.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (integers included), as an `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one JSON value from `text` (surrounding whitespace tolerated).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut at = 0usize;
-        let v = parse_value(bytes, &mut at)?;
-        skip_ws(bytes, &mut at);
-        if at != bytes.len() {
-            return Err(format!("trailing bytes at offset {at}"));
-        }
-        Ok(v)
-    }
-
-    /// The value of `key` in an object, if present.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value of `key` in an object, if present and a number.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric value of `key`, truncated to `u64` (absent or negative
-    /// values become `None`).
-    pub fn u64(&self, key: &str) -> Option<u64> {
-        let n = self.num(key)?;
-        if n < 0.0 {
-            return None;
-        }
-        Some(n as u64)
-    }
-
-    /// The string value of `key` in an object, if present and a string.
-    pub fn str(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn items(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], at: &mut usize) {
-    while *at < b.len() && matches!(b[*at], b' ' | b'\t' | b'\n' | b'\r') {
-        *at += 1;
-    }
-}
-
-fn parse_value(b: &[u8], at: &mut usize) -> Result<Json, String> {
-    skip_ws(b, at);
-    match b.get(*at) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *at += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, at);
-            if b.get(*at) == Some(&b'}') {
-                *at += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, at);
-                let key = match parse_value(b, at)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key is not a string: {other:?}")),
-                };
-                skip_ws(b, at);
-                if b.get(*at) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {at}"));
-                }
-                *at += 1;
-                pairs.push((key, parse_value(b, at)?));
-                skip_ws(b, at);
-                match b.get(*at) {
-                    Some(b',') => *at += 1,
-                    Some(b'}') => {
-                        *at += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {at}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *at += 1;
-            let mut items = Vec::new();
-            skip_ws(b, at);
-            if b.get(*at) == Some(&b']') {
-                *at += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, at)?);
-                skip_ws(b, at);
-                match b.get(*at) {
-                    Some(b',') => *at += 1,
-                    Some(b']') => {
-                        *at += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {at}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *at += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*at) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *at += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *at += 1;
-                        match b.get(*at) {
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*at + 1..*at + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex =
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape")?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *at += 4;
-                            }
-                            other => return Err(format!("unknown escape {other:?}")),
-                        }
-                        *at += 1;
-                    }
-                    Some(_) => {
-                        // Advance one UTF-8 scalar, not one byte.
-                        let rest = std::str::from_utf8(&b[*at..])
-                            .map_err(|_| "string is not UTF-8")?;
-                        let c = rest.chars().next().ok_or("unterminated string")?;
-                        s.push(c);
-                        *at += c.len_utf8();
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*at..].starts_with(b"true") => {
-            *at += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*at..].starts_with(b"false") => {
-            *at += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*at..].starts_with(b"null") => {
-            *at += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *at;
-            while *at < b.len()
-                && matches!(b[*at], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *at += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*at]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number '{text}' at offset {start}"))
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -352,12 +139,12 @@ mod tests {
             let mut store = Store::init(&dir).unwrap();
             append_stats(&mut store, "req", &["r1".into(), "r2".into()]).unwrap();
             append_stats(&mut store, "req", &["r3".into()]).unwrap();
-            append_stats(&mut store, "bench", &["b1".into()]).unwrap();
+            append_stats(&mut store, "other", &["b1".into()]).unwrap();
             store.checkpoint().unwrap();
         }
         let mut store = Store::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(read_stats(&mut store, "req").unwrap(), vec!["r1", "r2", "r3"]);
-        assert_eq!(read_stats(&mut store, "bench").unwrap(), vec!["b1"]);
+        assert_eq!(read_stats(&mut store, "other").unwrap(), vec!["b1"]);
         assert_eq!(stats_batches(&store, "req"), 2);
         // Appending after a reopen continues the sequence.
         append_stats(&mut store, "req", &["r4".into()]).unwrap();
@@ -376,27 +163,5 @@ mod tests {
         assert_eq!(stats_batches(&store, "req"), 0);
         assert!(read_stats(&mut store, "req").unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_parses_rows_and_bench_shapes() {
-        let row = r#"{"kind":"req","op":"eval_sentence","plan_fp":42,"wall_us":1500,"outcome":"ok"}"#;
-        let v = Json::parse(row).unwrap();
-        assert_eq!(v.str("op"), Some("eval_sentence"));
-        assert_eq!(v.u64("plan_fp"), Some(42));
-        assert_eq!(v.u64("wall_us"), Some(1500));
-        assert_eq!(v.str("missing"), None);
-
-        let bench = r#"{"bench":"BENCH_3","experiments":[{"id":"E3","wall_us":231976.5},{"id":"E10","wall_us":1546338}]}"#;
-        let v = Json::parse(bench).unwrap();
-        assert_eq!(v.str("bench"), Some("BENCH_3"));
-        let exps = v.get("experiments").unwrap().items();
-        assert_eq!(exps.len(), 2);
-        assert_eq!(exps[0].str("id"), Some("E3"));
-        assert_eq!(exps[0].num("wall_us"), Some(231976.5));
-
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert_eq!(Json::parse("[-1.5e3, true, null]").unwrap().items().len(), 3);
     }
 }

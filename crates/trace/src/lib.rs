@@ -191,7 +191,9 @@ fn json_value_start(line: &str, key: &str) -> Option<usize> {
     Some(at + pat.len())
 }
 
-fn json_str_field(line: &str, key: &str) -> Option<String> {
+/// The string value of `key` in a one-line flat JSON object, unescaped —
+/// how [`Event::parse_jsonl`] reads its own lines back.
+pub fn json_str_field(line: &str, key: &str) -> Option<String> {
     let start = json_value_start(line, key)?;
     let rest = line.get(start..)?.strip_prefix('"')?;
     // Scan to the closing unescaped quote.
@@ -210,7 +212,11 @@ fn json_str_field(line: &str, key: &str) -> Option<String> {
     Some(json_unescape(&rest[..end?]))
 }
 
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
+/// The unsigned integer value of `key` in a one-line flat JSON object, read
+/// digit by digit (exact over the whole `u64` range — no detour through
+/// `f64`). `None` when the key is absent or its value is not a plain
+/// unsigned integer.
+pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
     let start = json_value_start(line, key)?;
     let rest = line.get(start..)?;
     let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
@@ -1057,6 +1063,17 @@ mod tests {
         assert_eq!(Event::parse_jsonl(&line).unwrap(), ev);
         assert!(Event::parse_jsonl("").is_none());
         assert!(Event::parse_jsonl("{\"v\":1}").is_none());
+    }
+
+    #[test]
+    fn u64_fields_are_read_exactly() {
+        // A telemetry row of the server: the fingerprint does not fit an f64.
+        let row = r#"{"kind":"req","op":"eval_sentence","plan_fp":9371306455331559157,"tier":1}"#;
+        assert_eq!(json_u64_field(row, "plan_fp"), Some(0x820d_9191_df5c_d6f5));
+        assert_eq!(json_u64_field(row, "tier"), Some(1));
+        assert_eq!(json_str_field(row, "op").as_deref(), Some("eval_sentence"));
+        assert_eq!(json_u64_field(row, "op"), None);
+        assert_eq!(json_u64_field(row, "missing"), None);
     }
 
     #[test]
