@@ -19,12 +19,13 @@
 //! code (2 deadline, 3 iteration limit, 4 face limit, 5 cancelled, 6 tuple
 //! tests, 7 memory; 1 for other errors).
 //!
-//! Crash safety: with `--checkpoint-dir DIR`, a run killed by a budget
-//! writes its completed fixpoint stages to a snapshot file; `--resume FILE`
-//! continues a later run from that snapshot (pair it with a fresh, larger
-//! budget). `--allow-partial` quarantines localized faults instead of
-//! aborting: the verdict is still produced, marked partial, and the process
-//! exits with code 8 (an unquarantined injected fault exits with 9).
+//! Crash safety: with `--store DIR`, a run killed by a budget leaves its
+//! completed fixpoint stages in the plan catalog, and running the same
+//! command again with the same `--store DIR` (and a fresh, larger budget)
+//! continues from them — it says `resumed from store`. `--allow-partial`
+//! quarantines localized faults instead of aborting: the verdict is still
+//! produced, marked partial, and the process exits with code 8 (an
+//! unquarantined injected fault exits with 9).
 //!
 //! Plan inspection: the `explain REGFORMULA` command — or the `--explain`
 //! flag, which turns `sentence`/`query`/`connected` into explain-only
@@ -44,9 +45,9 @@
 //! starts from. Drive it with the bundled `lcdb-load` generator.
 
 use lcdb_core::{
-    empty_checkpoint, explain_query, parse_regformula, queries, ArrangementRegions, Decomposition,
-    EvalBudget, EvalError, EvalOutcome, EvalStats, Evaluator, JsonlTracer, ProfEntry,
-    Quarantine, RegFormula, RegionExtension, Snapshot, TraceHandle,
+    database_fingerprint, explain_query, parse_regformula, queries, ArrangementRegions,
+    Decomposition, DecompositionKind, EvalBudget, EvalError, EvalOutcome, EvalStats, Evaluator,
+    JsonlTracer, ProfEntry, Quarantine, RegFormula, RegionExtension, Resumable, TraceHandle,
 };
 use lcdb_logic::{parse_formula, Database, Relation};
 use lcdb_plan::PlanId;
@@ -63,10 +64,6 @@ struct Limits {
     timeout: Option<Duration>,
     max_iterations: Option<u64>,
     max_faces: Option<usize>,
-    /// Where to write a snapshot when a budget kills an evaluation.
-    checkpoint_dir: Option<PathBuf>,
-    /// Snapshot to resume the next evaluation command from (consumed once).
-    resume: Option<PathBuf>,
     /// Quarantine localized faults instead of aborting (exit code 8).
     allow_partial: bool,
     /// Print the optimized plan for each evaluation command instead of
@@ -82,9 +79,10 @@ struct Limits {
     /// (`--metrics`).
     metrics: bool,
     /// Root of the persistent plan catalog (`--store DIR`): completed
-    /// arrangements are looked up there before being rebuilt, and saved
-    /// there after construction. Also the default directory for the
-    /// `store` subcommand and `serve`.
+    /// arrangements are looked up there before being rebuilt and saved
+    /// there after construction, and an evaluation killed by a budget
+    /// leaves its fixpoint stages there for the next run to resume. Also
+    /// the default directory for the `store` subcommand and `serve`.
     store_dir: Option<PathBuf>,
 }
 
@@ -179,21 +177,6 @@ fn write_stats(out: &mut dyn Write, label: &str, st: &EvalStats) -> std::io::Res
     )
 }
 
-/// Write `snap` into `dir`, reporting the resulting path. A write failure is
-/// reported as a warning rather than an error: it must not mask the
-/// evaluation abort being reported right after it.
-fn report_checkpoint(
-    out: &mut dyn Write,
-    snap: Snapshot,
-    dir: &std::path::Path,
-    trace: &TraceHandle,
-) -> std::io::Result<()> {
-    match snap.write_to_dir_traced(dir, trace) {
-        Ok(p) => writeln!(out, "checkpoint written: {}", p.display()),
-        Err(e) => writeln!(out, "warning: checkpoint write failed: {}", e),
-    }
-}
-
 /// Report a degraded verdict: say what was quarantined and mark the command
 /// with the dedicated partial-success exit code 8.
 fn write_partial(sh: &mut Shell, out: &mut dyn Write, q: &Quarantine) -> std::io::Result<()> {
@@ -278,15 +261,10 @@ struct Shell {
     trace: TraceHandle,
     /// Persistent plan catalog (`--store DIR`): arrangement extensions are
     /// warm-loaded from here before being rebuilt, persisted after a fresh
-    /// build, and invalidated when `rel` redefines a relation. Store
+    /// build, and invalidated when `rel` redefines a relation; an aborted
+    /// evaluation's fixpoint stages wait here for the next run. Store
     /// failures degrade to recomputation — they never fail a command.
     catalog: Option<lcdb_core::PlanCatalog>,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum DecompositionKind {
-    Arrangement,
-    Nc1,
 }
 
 impl Shell {
@@ -339,33 +317,39 @@ impl Shell {
             })?;
             let ext = match self.decomposition {
                 DecompositionKind::Arrangement => {
+                    let mut built = false;
+                    let mut build = || {
+                        built = true;
+                        ArrangementRegions::try_new_traced(
+                            self.db.clone(),
+                            &spatial,
+                            budget,
+                            &self.trace,
+                        )
+                    };
                     // Warm path: a previous process persisted this exact
-                    // arrangement (same database fingerprint) — reuse it
-                    // instead of re-running the construction. A store
-                    // error (corrupt blob, IO) falls through to a rebuild.
-                    let warm = self.catalog.as_ref().and_then(|cat| {
-                        cat.load_extension(&self.db, &spatial).ok().flatten()
-                    });
-                    match warm {
-                        Some(regions) => RegionExtension::from_arrangement_regions(regions),
-                        None => {
-                            let regions = ArrangementRegions::try_new_traced(
-                                self.db.clone(),
-                                &spatial,
-                                budget,
-                                &self.trace,
-                            )?;
-                            if let Some(cat) = &self.catalog {
-                                if let Err(e) = cat
-                                    .save_extension(&regions)
-                                    .and_then(|()| cat.checkpoint())
-                                {
-                                    eprintln!("warning: store write failed: {}", e);
+                    // arrangement (same database fingerprint) — the catalog
+                    // hands it back instead of re-running the construction.
+                    let regions = match &self.catalog {
+                        Some(cat) => {
+                            let (regions, mut warnings) =
+                                cat.extension_or_build(&self.db, &spatial, build)?;
+                            if built {
+                                // This process exits without an orderly
+                                // shutdown: fold the WAL now, so the next
+                                // one opens on pages instead of a replay.
+                                if let Err(e) = cat.checkpoint() {
+                                    warnings.push(format!("store checkpoint failed: {e}"));
                                 }
                             }
-                            RegionExtension::from_arrangement_regions(regions)
+                            for w in warnings {
+                                eprintln!("warning: {w}");
+                            }
+                            regions
                         }
-                    }
+                        None => build()?,
+                    };
+                    RegionExtension::from_arrangement_regions(regions)
                 }
                 DecompositionKind::Nc1 => {
                     RegionExtension::try_nc1_db(self.db.clone(), &spatial, budget)?
@@ -379,9 +363,10 @@ impl Shell {
     }
 
     /// Shared crash-safe evaluation path for `sentence`, `query` and
-    /// `connected`: applies `--resume`, quarantines localized faults under
-    /// `--allow-partial`, and on a recoverable abort checkpoints the
-    /// completed fixpoint stages into `--checkpoint-dir`.
+    /// `connected`: quarantines localized faults under `--allow-partial`
+    /// and, with `--store`, continues from the fixpoint stages an earlier
+    /// killed run left in the catalog and leaves its own there on a
+    /// recoverable abort.
     #[allow(clippy::type_complexity)]
     fn eval_recoverable<T>(
         &mut self,
@@ -390,53 +375,50 @@ impl Shell {
         run: impl FnOnce(&Evaluator) -> Result<EvalOutcome<T>, EvalError>,
     ) -> Result<(T, Quarantine, EvalStats, Vec<(PlanId, ProfEntry)>), CmdError> {
         let budget = self.limits.budget();
-        let resume = self.limits.resume.take();
-        let ckpt = self.limits.checkpoint_dir.clone();
-        if let Err(e) = self.extension(&budget) {
-            // Aborted before any evaluator existed: an entry-less snapshot
-            // still lets a resumed run carry the spent work counters over.
-            if let (CmdError::Eval(ee), Some(dir)) = (&e, &ckpt) {
-                if ee.is_recoverable() {
-                    report_checkpoint(out, empty_checkpoint(f, ee.stats()), dir, &self.trace)?;
+        // An abort while the decomposition is built is still an evaluation
+        // abort, and the catalog records it like one.
+        let built = match self.extension(&budget) {
+            Ok(_) => Ok(()),
+            Err(CmdError::Eval(e)) => Err(e),
+            Err(other) => return Err(other),
+        };
+        let ev = built.map(|()| {
+            let ext = self.ext.as_ref().expect("extension() caches what it returns");
+            let mut ev = Evaluator::with_budget(ext, budget).with_trace(self.trace.clone());
+            if self.limits.profile {
+                ev = ev.with_profiling();
+            }
+            if self.limits.allow_partial {
+                ev = ev.tolerate_faults();
+            }
+            ev
+        });
+        let run = |ev: &Evaluator| {
+            run(ev).map(|outcome| match outcome {
+                EvalOutcome::Complete(v) => {
+                    (v, Quarantine::default(), ev.stats(), ev.plan_profile())
                 }
-            }
-            return Err(e);
-        }
-        let allow_partial = self.limits.allow_partial;
-        let ext = self
-            .ext
-            .as_ref()
-            .ok_or_else(|| CmdError::Usage("extension cache invariant broken".to_string()))?;
-        let mut ev = Evaluator::with_budget(ext, budget.clone()).with_trace(self.trace.clone());
-        if self.limits.profile {
-            ev = ev.with_profiling();
-        }
-        if allow_partial {
-            ev = ev.tolerate_faults();
-        }
-        if let Some(path) = &resume {
-            let snap = Snapshot::read_from(path).map_err(|e| {
-                CmdError::Usage(format!("cannot load snapshot '{}': {}", path.display(), e))
-            })?;
-            ev.resume_from(f, &snap)?;
-            writeln!(out, "resumed from {}", path.display())?;
-        }
-        match run(&ev) {
-            Ok(EvalOutcome::Complete(v)) => {
-                Ok((v, Quarantine::default(), ev.stats(), ev.plan_profile()))
-            }
-            Ok(EvalOutcome::Partial { value, quarantined }) => {
-                Ok((value, quarantined, ev.stats(), ev.plan_profile()))
-            }
-            Err(e) => {
-                if let Some(dir) = &ckpt {
-                    if e.is_recoverable() {
-                        report_checkpoint(out, ev.checkpoint(f), dir, &self.trace)?;
-                    }
+                EvalOutcome::Partial { value, quarantined } => {
+                    (value, quarantined, ev.stats(), ev.plan_profile())
                 }
-                Err(e.into())
-            }
+            })
+        };
+        let Some(cat) = &self.catalog else {
+            return Ok(ev.and_then(|ev| run(&ev))?);
+        };
+        let db_fp = database_fingerprint(&self.db, self.spatial.as_deref());
+        let Resumable {
+            result,
+            resumed,
+            warnings,
+        } = cat.eval_resumable(f, &self.db, db_fp, self.decomposition, ev, run);
+        for w in warnings {
+            eprintln!("warning: {w}");
         }
+        if resumed {
+            writeln!(out, "resumed from store")?;
+        }
+        Ok(result?)
     }
 
     /// Post-evaluation observability reporting shared by the evaluation
@@ -530,14 +512,13 @@ impl Shell {
                 writeln!(out, "  quit                             leave")?;
                 writeln!(out, "flags (at startup):")?;
                 writeln!(out, "  --timeout SECS --max-iterations N --max-faces N")?;
-                writeln!(out, "  --checkpoint-dir DIR   write a snapshot when a budget kills a run")?;
-                writeln!(out, "  --resume FILE          continue the next evaluation from a snapshot")?;
                 writeln!(out, "  --allow-partial        quarantine localized faults (exit code 8)")?;
                 writeln!(out, "  --explain              print plans instead of evaluating sentence/query/connected")?;
                 writeln!(out, "  --trace FILE           write a JSONL structured trace of every command")?;
                 writeln!(out, "  --profile              print a per-plan-node self-time table after evaluations")?;
                 writeln!(out, "  --metrics              print the metrics-registry dump after evaluations")?;
-                writeln!(out, "  --store DIR            persist arrangements across runs (see `lcdb store --help`)")?;
+                writeln!(out, "  --store DIR            persist arrangements across runs, and resume a run a budget")?;
+                writeln!(out, "                         killed from its stored stages (see `lcdb store --help`)")?;
             }
             "rel" => match parse_rel_definition(rest) {
                 Ok((name, vars, formula)) => {
@@ -781,12 +762,6 @@ fn parse_limit_flags(args: &[String]) -> Result<(Limits, Vec<String>), String> {
                     v.parse()
                         .map_err(|e| format!("bad --max-faces '{}': {}", v, e))?,
                 );
-            }
-            "--checkpoint-dir" => {
-                limits.checkpoint_dir = Some(PathBuf::from(value(&mut it)?));
-            }
-            "--resume" => {
-                limits.resume = Some(PathBuf::from(value(&mut it)?));
             }
             "--allow-partial" => {
                 limits.allow_partial = true;
@@ -1395,21 +1370,16 @@ mod tests {
 
     #[test]
     fn new_flag_parsing() {
-        let args: Vec<String> = [
-            "--checkpoint-dir=ckpts",
-            "--resume",
-            "snap.lcdbsnap",
-            "--allow-partial",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["--store=cat", "--trace", "t.jsonl", "--allow-partial"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let (limits, rest) = parse_limit_flags(&args).unwrap();
-        assert_eq!(limits.checkpoint_dir, Some(PathBuf::from("ckpts")));
-        assert_eq!(limits.resume, Some(PathBuf::from("snap.lcdbsnap")));
+        assert_eq!(limits.store_dir, Some(PathBuf::from("cat")));
+        assert_eq!(limits.trace, Some(PathBuf::from("t.jsonl")));
         assert!(limits.allow_partial);
         assert!(rest.is_empty());
-        assert!(parse_limit_flags(&["--resume".to_string()]).is_err());
+        assert!(parse_limit_flags(&["--store".to_string()]).is_err());
     }
 
     fn strs(args: &[&str]) -> Vec<String> {
@@ -1604,43 +1574,31 @@ mod tests {
     fn checkpoint_then_resume_completes() {
         let dir = std::env::temp_dir().join(format!("lcdb-cli-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Kill the connectivity LFP mid-flight; a snapshot must appear.
-        let (out, code) = run_shell(
-            Limits {
-                max_iterations: Some(1),
-                checkpoint_dir: Some(dir.clone()),
-                ..Limits::default()
-            },
-            &[GAPPED, "connected"],
-        );
+        let with_store = |max_iterations| Limits {
+            max_iterations,
+            store_dir: Some(dir.clone()),
+            ..Limits::default()
+        };
+        // Kill the connectivity LFP mid-flight: its stages go to the store.
+        let (out, code) = run_shell(with_store(Some(1)), &[GAPPED, "connected"]);
         assert_eq!(code, 3, "{}", out);
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("checkpoint written: "))
-            .unwrap_or_else(|| panic!("no checkpoint line in: {}", out));
-        let path = PathBuf::from(line.trim_start_matches("checkpoint written: "));
-        assert!(path.exists(), "{}", path.display());
-        // Resume under a fresh budget: same verdict as an uninterrupted run.
-        let (out2, code2) = run_shell(
-            Limits {
-                resume: Some(path.clone()),
-                ..Limits::default()
-            },
-            &[GAPPED, "connected"],
-        );
-        assert_eq!(code2, 0, "{}", out2);
-        assert!(out2.contains("resumed from"), "{}", out2);
-        assert!(out2.contains("false"), "{}", out2);
-        // A snapshot for `connected` must be refused by a different query.
+        assert!(!out.contains("resumed from"), "{}", out);
+        // The stages belong to `connected`: a different query over the same
+        // database neither sees them nor disturbs them.
         let (out3, code3) = run_shell(
-            Limits {
-                resume: Some(path),
-                ..Limits::default()
-            },
+            with_store(None),
             &[GAPPED, "sentence exists R. R subset S"],
         );
-        assert_eq!(code3, 1, "{}", out3);
-        assert!(out3.contains("different query"), "{}", out3);
+        assert_eq!(code3, 0, "{}", out3);
+        assert!(!out3.contains("resumed from"), "{}", out3);
+        // The same command under a fresh budget: same verdict as an
+        // uninterrupted run, and the stages are consumed by the success.
+        for resumed in [true, false] {
+            let (out2, code2) = run_shell(with_store(None), &[GAPPED, "connected"]);
+            assert_eq!(code2, 0, "{}", out2);
+            assert_eq!(out2.contains("resumed from store"), resumed, "{}", out2);
+            assert!(out2.contains("false"), "{}", out2);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,11 +1,14 @@
-//! Process-level crash-safety tests: a run killed by a budget writes a
-//! resumable snapshot, and a second process completes the query from it
-//! with the same verdict as an uninterrupted run.
+//! Process-level crash-safety tests: a run killed by a budget leaves its
+//! completed fixpoint stages in the `--store` catalog, and a second process
+//! running the same command completes the query from them with the verdict
+//! and the work counters of an uninterrupted run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const GAPPED: &str = "rel S(x) := (0 < x and x < 1) or (2 < x and x < 3)";
+/// `connected`, spelled out: the `sentence` command prints the work counters.
+const CONN: &str = "sentence forall Rx. forall Ry. (Rx subset S and Ry subset S) -> [lfp $M, R, Rp. (R = Rp and R subset S) or (exists Z. $M(R, Z) and adj(Z, Rp) and Rp subset S)](Rx, Ry)";
 
 fn lcdb(args: &[&str]) -> (String, i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_lcdb"))
@@ -23,85 +26,94 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn written_snapshot(out: &str) -> PathBuf {
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("checkpoint written: "))
-        .unwrap_or_else(|| panic!("no checkpoint line in: {}", out));
-    PathBuf::from(line.trim_start_matches("checkpoint written: "))
+/// Catalog entries in the store at `dir`, as `lcdb store stat` counts them.
+fn entries(dir: &Path) -> u64 {
+    let (out, code) = lcdb(&["store", "stat", &dir.to_string_lossy()]);
+    assert_eq!(code, 0, "{}", out);
+    out.lines()
+        .find_map(|l| l.trim().strip_prefix("entries"))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no entry count in: {}", out))
 }
 
-/// The headline acceptance cycle: kill → snapshot → resume → identical
-/// verdict, across two separate processes.
+/// The headline acceptance cycle: kill → stages in the store → the same
+/// command again → identical verdict and counters, across two processes.
 #[test]
 fn killed_run_resumes_to_same_verdict() {
     let dir = temp_dir("resume");
     let dir_s = dir.to_string_lossy().into_owned();
 
     // Uninterrupted reference run.
-    let (full, code) = lcdb(&["-e", GAPPED, "connected"]);
+    let (full, code) = lcdb(&["-e", GAPPED, CONN]);
     assert_eq!(code, 0, "{}", full);
     assert!(full.contains("false"), "{}", full);
 
     // Killed run: the iteration cap aborts the connectivity LFP.
-    let (out, code) = lcdb(&[
-        "--max-iterations",
-        "1",
-        "--checkpoint-dir",
-        &dir_s,
-        "-e",
-        GAPPED,
-        "connected",
-    ]);
+    let (out, code) = lcdb(&["--store", &dir_s, "--max-iterations", "1", "-e", GAPPED, CONN]);
     assert_eq!(code, 3, "{}", out);
-    let snap = written_snapshot(&out);
-    assert!(snap.exists(), "{}", snap.display());
-    assert_eq!(snap.extension().and_then(|e| e.to_str()), Some("lcdbsnap"));
+    assert!(!out.contains("resumed from"), "{}", out);
+    assert_eq!(entries(&dir), 2, "the arrangement and the fixpoint stages");
 
-    // Fresh process resumes under an adequate budget: same verdict.
-    let snap_s = snap.to_string_lossy().into_owned();
-    let (out, code) = lcdb(&["--resume", &snap_s, "-e", GAPPED, "connected"]);
+    // Fresh process, same command, adequate budget: it says where it picked
+    // up, and everything else it prints is what the uninterrupted run
+    // printed — verdict, stage total and every other counter.
+    let (out, code) = lcdb(&["--store", &dir_s, "--max-iterations", "9", "-e", GAPPED, CONN]);
     assert_eq!(code, 0, "{}", out);
-    assert!(out.contains("resumed from"), "{}", out);
-    assert!(out.contains("false"), "{}", out);
+    assert_eq!(out.replacen("resumed from store\n", "", 1), full, "{}", out);
+    assert_eq!(entries(&dir), 1, "success consumes the stages");
 
+    // Nothing left to resume: the next run is an ordinary warm start.
+    let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, CONN]);
+    assert_eq!((out.as_str(), code), (full.as_str(), 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A deadline that fires before the decomposition is even built still
-/// leaves a (stage-less) snapshot behind, and the resumed run completes.
+/// An abort before any fixpoint stage completed — a deadline that fires at
+/// the first table, a face cap that stops the decomposition itself — still
+/// leaves a (stage-less) entry behind, and the resumed run completes.
 #[test]
 fn timeout_before_decomposition_still_checkpoints() {
-    let dir = temp_dir("resume-timeout");
-    let dir_s = dir.to_string_lossy().into_owned();
-    let (out, code) = lcdb(&[
-        "--timeout",
-        "0",
-        "--checkpoint-dir",
-        &dir_s,
-        "-e",
-        GAPPED,
-        "connected",
-    ]);
-    assert_eq!(code, 2, "{}", out);
-    let snap = written_snapshot(&out);
-    let snap_s = snap.to_string_lossy().into_owned();
-    let (out, code) = lcdb(&["--resume", &snap_s, "-e", GAPPED, "connected"]);
-    assert_eq!(code, 0, "{}", out);
-    assert!(out.contains("false"), "{}", out);
-    let _ = std::fs::remove_dir_all(&dir);
+    for (flag, value, exit, stored) in [("--timeout", "0", 2, 2), ("--max-faces", "2", 4, 1)] {
+        let dir = temp_dir(&format!("resume{flag}"));
+        let dir_s = dir.to_string_lossy().into_owned();
+        let (out, code) = lcdb(&["--store", &dir_s, flag, value, "-e", GAPPED, "connected"]);
+        assert_eq!(code, exit, "{}", out);
+        assert_eq!(entries(&dir), stored, "{flag}: the fixpoint entry is one of them");
+        let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
+        assert_eq!(code, 0, "{}", out);
+        assert!(out.contains("resumed from store"), "{}", out);
+        assert!(out.contains("false"), "{}", out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
-/// A corrupt snapshot is refused with a typed message, never a panic.
+/// A flipped byte in the stored fixpoint blob is refused with a warning,
+/// never a panic and never a wrong answer: the run goes cold, gets the
+/// right verdict, exits 0 and drops the damaged entry.
 #[test]
 fn corrupt_snapshot_is_refused() {
     let dir = temp_dir("resume-corrupt");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let bad = dir.join("bad.lcdbsnap");
-    std::fs::write(&bad, b"LCDBSNAPgarbage").expect("write");
-    let bad_s = bad.to_string_lossy().into_owned();
-    let (out, code) = lcdb(&["--resume", &bad_s, "-e", GAPPED, "connected"]);
-    assert_eq!(code, 1, "{}", out);
-    assert!(out.contains("cannot load snapshot"), "{}", out);
+    let dir_s = dir.to_string_lossy().into_owned();
+    let (out, code) = lcdb(&["--store", &dir_s, "--max-iterations", "1", "-e", GAPPED, "connected"]);
+    assert_eq!(code, 3, "{}", out);
+    // Fold the WAL into the page file, or replay would heal the flip.
+    let (out, code) = lcdb(&["store", "compact", &dir_s]);
+    assert_eq!(code, 0, "{}", out);
+    let pages = dir.join("store.pages");
+    let mut bytes = std::fs::read(&pages).expect("page file");
+    let blob = bytes
+        .windows(8)
+        .position(|w| w == b"LCDBSNAP")
+        .expect("the stored snapshot starts with its magic");
+    bytes[blob + 40] ^= 0x01;
+    std::fs::write(&pages, &bytes).expect("write");
+
+    let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
+    assert_eq!(code, 0, "{}", out);
+    assert!(out.contains("warning: stored fixpoint snapshot unreadable"), "{}", out);
+    assert!(out.contains("running cold"), "{}", out);
+    assert!(!out.contains("resumed from"), "{}", out);
+    assert!(out.contains("false"), "{}", out);
+    assert_eq!(entries(&dir), 1, "only the arrangement is left");
     let _ = std::fs::remove_dir_all(&dir);
 }

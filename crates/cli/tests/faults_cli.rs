@@ -1,8 +1,8 @@
 //! Process-level fault-injection tests (enabled with `--features faults`):
 //! `LCDB_FAULT_SITE` arms a plan in the spawned `lcdb` process, proving the
 //! two crash-safety exit codes end to end — 9 for an unhandled injected
-//! fault (with a resumable checkpoint) and 8 for a quarantined partial
-//! verdict under `--allow-partial`.
+//! fault (with its stages left in the `--store` catalog to resume from) and
+//! 8 for a quarantined partial verdict under `--allow-partial`.
 
 #![cfg(feature = "faults")]
 
@@ -28,32 +28,27 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// An injected fault in strict mode exits 9, names the site, and leaves a
-/// snapshot a fault-free process resumes to the correct verdict.
+/// An injected fault in strict mode exits 9, names the site, and leaves
+/// stages in the store that a fault-free process resumes to the correct
+/// verdict.
 #[test]
 fn injected_fault_exits_9_and_checkpoints() {
     let dir = temp_dir("fault-strict");
     let dir_s = dir.to_string_lossy().into_owned();
-    let (out, code) = lcdb_with_fault(
-        "core.fix_stage",
-        &["--checkpoint-dir", &dir_s, "-e", GAPPED, "connected"],
-    );
+    let args = ["--store", &dir_s, "-e", GAPPED, "connected"];
+    // The second stage transition: one completed stage to resume from.
+    let (out, code) = lcdb_with_fault("core.fix_stage:2", &args);
     assert_eq!(code, 9, "{}", out);
     assert!(out.contains("injected fault"), "{}", out);
     assert!(out.contains("core.fix_stage"), "{}", out);
-    let snap = out
-        .lines()
-        .find(|l| l.starts_with("checkpoint written: "))
-        .unwrap_or_else(|| panic!("no checkpoint line in: {}", out))
-        .trim_start_matches("checkpoint written: ")
-        .to_owned();
 
     let resume = Command::new(env!("CARGO_BIN_EXE_lcdb"))
-        .args(["--resume", &snap, "-e", GAPPED, "connected"])
+        .args(args)
         .output()
         .expect("binary runs");
     let text = String::from_utf8_lossy(&resume.stdout).into_owned();
     assert_eq!(resume.status.code(), Some(0), "{}", text);
+    assert!(text.contains("resumed from store"), "{}", text);
     assert!(text.contains("false"), "{}", text);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -178,6 +178,10 @@ struct FixLive {
     /// The regions each declared component ranges over, by position.
     regions: Arc<Vec<Vec<u32>>>,
     table: Arc<Table>,
+    /// Work this run spent on the loop's completed stages — what a run
+    /// resumed from the stage will not redo. Zero for a loop nested in
+    /// another fixed point's body, whose stages already count it.
+    spent: Work,
 }
 
 /// A stage installed by [`Evaluator::resume_from`], still as tuples of
@@ -196,27 +200,42 @@ struct ResumeEntry {
 /// Unlike plan ids, this survives across processes.
 type ProgressKey = (u64, Vec<u64>);
 
-fn persisted(stats: EvalStats, regions: u64) -> PersistedStats {
+/// The work counters a snapshot carries, in [`PersistedStats`] order:
+/// fixed-point stages, tuple tests, QE calls, region expansions, TC edge
+/// tests, quarantined units.
+type Work = [usize; 6];
+
+fn work(s: &EvalStats) -> Work {
+    [
+        s.fix_iterations,
+        s.fix_tuple_tests,
+        s.qe_calls,
+        s.region_expansions,
+        s.tc_edge_tests,
+        s.quarantined,
+    ]
+}
+
+fn persisted(w: Work, regions: u64) -> PersistedStats {
     PersistedStats {
-        fix_iterations: stats.fix_iterations as u64,
-        fix_tuple_tests: stats.fix_tuple_tests as u64,
-        qe_calls: stats.qe_calls as u64,
-        region_expansions: stats.region_expansions as u64,
-        tc_edge_tests: stats.tc_edge_tests as u64,
+        fix_iterations: w[0] as u64,
+        fix_tuple_tests: w[1] as u64,
+        qe_calls: w[2] as u64,
+        region_expansions: w[3] as u64,
+        tc_edge_tests: w[4] as u64,
         regions,
-        quarantined: stats.quarantined as u64,
+        quarantined: w[5] as u64,
     }
 }
 
 /// An entry-less checkpoint for aborts that happen before any evaluator
 /// exists (typically during decomposition construction). Resuming from it
-/// restarts the evaluation from the bottom, but the work counters spent
-/// before the abort are carried over; `regions` is recorded as 0, which
-/// [`Evaluator::resume_from`] treats as "any decomposition".
-pub fn empty_checkpoint(query: &RegFormula, stats: EvalStats) -> Snapshot {
+/// restarts the evaluation from the bottom; `regions` is recorded as 0,
+/// which [`Evaluator::resume_from`] treats as "any decomposition".
+pub(crate) fn empty_checkpoint(query: &RegFormula) -> Snapshot {
     Snapshot::Fixpoint(FixpointSnapshot {
         query_fingerprint: query_fingerprint(query),
-        stats: persisted(stats, 0),
+        stats: persisted(Work::default(), 0),
         entries: Vec::new(),
     })
 }
@@ -298,6 +317,8 @@ pub struct Evaluator<'a> {
     /// Progress installed by [`Evaluator::resume_from`]: fixpoint loops seed
     /// their first stage from here instead of starting at the bottom.
     resume: RefCell<BTreeMap<ProgressKey, ResumeEntry>>,
+    /// The work the installed snapshot's stages embody (its `stats`).
+    carried: Cell<Work>,
     /// Structured tracing sink and metrics registry; disabled by default.
     /// See [`Evaluator::with_trace`].
     trace: TraceHandle,
@@ -384,6 +405,7 @@ impl<'a> Evaluator<'a> {
             quarantine: RefCell::new(Quarantine::default()),
             progress: RefCell::new(BTreeMap::new()),
             resume: RefCell::new(BTreeMap::new()),
+            carried: Cell::new(Work::default()),
             trace: TraceHandle::disabled(),
             trace_on: false,
             profiling: Cell::new(false),
@@ -681,30 +703,57 @@ impl<'a> Evaluator<'a> {
     ///
     /// `query` must be the formula the entry call evaluated; its fingerprint
     /// binds the snapshot to the query.
+    ///
+    /// The snapshot's counters are the work its stages *embody* — what was
+    /// spent computing them, not what the aborted stage burnt after the last
+    /// one completed — so a resumed run, which redoes everything but those
+    /// stages, ends on the counters of an uninterrupted run (exactly when
+    /// the abort fell inside an outermost fixed point, one confirming stage
+    /// over when it fell after a fixed point had already converged).
     pub fn checkpoint(&self, query: &RegFormula) -> Snapshot {
-        let _span = self.trace.span_with(
-            "eval.checkpoint",
-            &format!("entries={}", self.progress.borrow().len()),
-        );
+        let progress = self.progress.borrow();
+        let _span = self
+            .trace
+            .span_with("eval.checkpoint", &format!("entries={}", progress.len()));
+        let mut embodied = self.carried.get();
+        for live in progress.values() {
+            for (total, spent) in embodied.iter_mut().zip(live.spent) {
+                *total += spent;
+            }
+        }
         // The stage tables become the snapshot's sorted tuples of region
         // ids here, at the boundary: the format knows nothing of tables.
-        let entries = self
-            .progress
-            .borrow()
+        let reached = progress.iter().map(|((fp, bindings), live)| FixProgress {
+            fingerprint: *fp,
+            bindings: bindings.clone(),
+            mode: fix_kind(live.mode),
+            stage: live.stage,
+            arity: live.order.len() as u32,
+            tuples: Self::stage_tuples(live),
+        });
+        // Stages installed by `resume_from` that this run did not get past
+        // are still the best known: a second abort must not lose them.
+        let resume = self.resume.borrow();
+        let kept = resume
             .iter()
-            .map(|((fp, bindings), live)| FixProgress {
+            .filter(|(key, _)| !progress.contains_key(*key))
+            .map(|((fp, bindings), saved)| FixProgress {
                 fingerprint: *fp,
                 bindings: bindings.clone(),
-                mode: fix_kind(live.mode),
-                stage: live.stage,
-                arity: live.order.len() as u32,
-                tuples: Self::stage_tuples(live),
-            })
-            .collect();
-        let s = self.stats();
+                mode: fix_kind(saved.mode),
+                stage: saved.stage,
+                arity: saved.arity as u32,
+                tuples: saved
+                    .tuples
+                    .iter()
+                    .map(|t| t.iter().map(|&r| r as u64).collect())
+                    .collect(),
+            });
+        let mut entries: Vec<FixProgress> = reached.chain(kept).collect();
+        entries.sort_by(|a, b| (a.fingerprint, &a.bindings).cmp(&(b.fingerprint, &b.bindings)));
         Snapshot::Fixpoint(FixpointSnapshot {
             query_fingerprint: query_fingerprint(query),
-            stats: persisted(s, s.regions as u64),
+            stats: persisted(embodied, self.ext.num_regions() as u64),
             entries,
         })
     }
@@ -785,6 +834,7 @@ impl<'a> Evaluator<'a> {
         st.region_expansions = snap.stats.region_expansions as usize;
         st.tc_edge_tests = snap.stats.tc_edge_tests as usize;
         st.quarantined = snap.stats.quarantined as usize;
+        self.carried.set(work(&st));
         Ok(())
     }
 

@@ -1178,6 +1178,9 @@ impl<'a> Evaluator<'a> {
             epoch,
         };
         let depth = self.tabs.borrow().sets.len();
+        // An outermost loop (no enclosing fixed point has a stage bound)
+        // accounts for the work its completed stages cost.
+        let before = (depth == 0).then(|| super::work(&self.stats.borrow()));
         // The orbit so far, for PFP's divergence check.
         let mut seen: HashSet<Vec<u64>> = HashSet::new();
         // Leaf cells computed before the previous stage began.
@@ -1251,6 +1254,10 @@ impl<'a> Evaluator<'a> {
             }
             let next = Arc::new(next);
             if let Some(pk) = &progress_key {
+                let spent = before.map_or(super::Work::default(), |before| {
+                    let now = super::work(&self.stats.borrow());
+                    std::array::from_fn(|i| now[i] - before[i])
+                });
                 self.progress.borrow_mut().insert(
                     pk.clone(),
                     FixLive {
@@ -1259,6 +1266,7 @@ impl<'a> Evaluator<'a> {
                         order: order.to_vec(),
                         regions: Arc::clone(&regions),
                         table: Arc::clone(&next),
+                        spent,
                     },
                 );
             }

@@ -37,7 +37,7 @@ mod regfo;
 
 pub use error::EvalError;
 pub use evaluator::{
-    empty_checkpoint, query_fingerprint, EvalOutcome, EvalStats, Evaluator, ProfEntry, Quarantine,
+    query_fingerprint, EvalOutcome, EvalStats, Evaluator, ProfEntry, Quarantine,
 };
 pub use lower::{compile, explain_query};
 pub use lcdb_budget::{BudgetError, CancelToken, EvalBudget};
@@ -48,7 +48,7 @@ pub use lcdb_trace::{
     NullTracer, TraceHandle, TraceSummary, Tracer,
 };
 pub use parser::parse_regformula;
-pub use persist::{database_fingerprint, PlanCatalog};
+pub use persist::{database_fingerprint, DecompositionKind, PlanCatalog, Resumable};
 pub use regfo::{FixMode, RegFormula, RegionVar, SetVar};
 pub use region::{
     ArrangementRegions, Decomposition, Nc1Regions, RegionData, RegionExtension, UpdateDelta,
@@ -100,91 +100,4 @@ pub fn try_eval_sentence_nc1(
     let ev = Evaluator::with_budget(&ext, budget.clone());
     let verdict = ev.try_eval_sentence(sentence)?;
     Ok((verdict, ev.stats()))
-}
-
-/// Crash-safe form of [`try_eval_sentence_arrangement`]: optionally resume
-/// from a snapshot of an earlier aborted run, and on a recoverable abort
-/// (budget exhaustion or injected fault) checkpoint the completed fixpoint
-/// stages into `checkpoint_dir` — the written path is returned with the
-/// error. Checkpoint write failures are reported in favour of the
-/// evaluation error, which they would otherwise mask.
-#[allow(clippy::type_complexity, clippy::result_large_err)]
-pub fn try_eval_sentence_arrangement_recoverable(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-    budget: &EvalBudget,
-    checkpoint_dir: Option<&std::path::Path>,
-    resume: Option<&Snapshot>,
-) -> Result<(bool, EvalStats), (EvalError, Option<std::path::PathBuf>)> {
-    try_eval_sentence_arrangement_recoverable_traced(
-        relation,
-        sentence,
-        budget,
-        checkpoint_dir,
-        resume,
-        TraceHandle::disabled_ref(),
-    )
-}
-
-/// Traced form of [`try_eval_sentence_arrangement_recoverable`]:
-/// arrangement construction, evaluation, and checkpoint writes all report
-/// spans/counters through `trace`.
-#[allow(clippy::type_complexity, clippy::result_large_err)]
-pub fn try_eval_sentence_arrangement_recoverable_traced(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-    budget: &EvalBudget,
-    checkpoint_dir: Option<&std::path::Path>,
-    resume: Option<&Snapshot>,
-    trace: &TraceHandle,
-) -> Result<(bool, EvalStats), (EvalError, Option<std::path::PathBuf>)> {
-    let ext = match RegionExtension::try_arrangement_traced(relation.clone(), budget, trace) {
-        Ok(ext) => ext,
-        Err(e) => {
-            // Aborted before any evaluator existed: persist an *empty*
-            // snapshot so the resuming process still finds one to continue
-            // (it simply restarts from the bottom, with stats carried over).
-            let path = if e.is_recoverable() {
-                checkpoint_dir.map(|dir| {
-                    empty_checkpoint(sentence, e.stats()).write_to_dir_traced(dir, trace)
-                })
-            } else {
-                None
-            };
-            return match path {
-                Some(Err(werr)) => Err((
-                    EvalError::Internal {
-                        message: format!("checkpoint write failed: {werr}"),
-                        stats: e.stats(),
-                    },
-                    None,
-                )),
-                Some(Ok(p)) => Err((e, Some(p))),
-                None => Err((e, None)),
-            };
-        }
-    };
-    let ev = Evaluator::with_budget(&ext, budget.clone()).with_trace(trace.clone());
-    if let Some(snap) = resume {
-        ev.resume_from(sentence, snap).map_err(|e| (e, None))?;
-    }
-    match ev.try_eval_sentence(sentence) {
-        Ok(verdict) => Ok((verdict, ev.stats())),
-        Err(e) if e.is_recoverable() => {
-            let path = checkpoint_dir
-                .map(|dir| ev.checkpoint(sentence).write_to_dir_traced(dir, trace));
-            match path {
-                Some(Err(werr)) => Err((
-                    EvalError::Internal {
-                        message: format!("checkpoint write failed: {werr}"),
-                        stats: e.stats(),
-                    },
-                    None,
-                )),
-                Some(Ok(p)) => Err((e, Some(p))),
-                None => Err((e, None)),
-            }
-        }
-        Err(e) => Err((e, None)),
-    }
 }

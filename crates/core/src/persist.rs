@@ -14,18 +14,25 @@
 //!   in-memory result cache uses, so a warm start serves µs-scale catalog
 //!   fetches instead of ms-scale recomputes;
 //! * **fixpoint snapshots** ([`lcdb_store::CLASS_FIXPOINT`]): the
-//!   [`Snapshot`] bytes of a completed or aborted run, resumable via
-//!   [`crate::Evaluator::resume_from`].
+//!   [`Snapshot`] bytes of an *aborted* run, keyed by `(query fingerprint,
+//!   database fingerprint, decomposition kind)`. This is the one way
+//!   evaluation state survives a process: [`PlanCatalog::eval_resumable`]
+//!   wraps an evaluation — resume from the stored stages, run, save on a
+//!   recoverable abort, drop the entry on success (the result entry serves
+//!   from then on) — and both front ends go through it.
 //!
 //! All blobs ride the store's WAL, page checksums, and quarantine: a torn or
 //! bit-flipped catalog entry is reported as a typed [`StoreError`] and the
 //! caller falls back to recomputing — never to serving corrupt state.
 
+use crate::evaluator::{empty_checkpoint, query_fingerprint, Evaluator};
 use crate::region::ArrangementRegions;
+use crate::{EvalError, RegFormula};
+use lcdb_exec::codec::{put_str, put_u64, put_u8, Cursor};
+use lcdb_exec::hash::fingerprint_str;
 use lcdb_geom::{Arrangement, Face, Hyperplane};
 use lcdb_logic::Database;
-use lcdb_recover::{fingerprint_str, Snapshot};
-use lcdb_store::codec::{put_str, put_u64, put_u8, Cursor};
+use lcdb_recover::Snapshot;
 use lcdb_store::{
     EntryKey, Store, StoreError, StoreOptions, StoreStat, VerifyReport, CLASS_ARRANGEMENT,
     CLASS_FIXPOINT, CLASS_RESULT,
@@ -116,54 +123,64 @@ pub fn decode_arrangement(bytes: &[u8]) -> Result<Arrangement, StoreError> {
         });
     }
     let dim = cur.u64("ambient dimension")? as usize;
-    let nh = cur.len_prefix("hyperplane count")?;
-    let mut hyperplanes = Vec::with_capacity(nh);
-    for i in 0..nh {
-        let nc = cur.len_prefix("coefficient count")?;
-        let mut coeffs = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            coeffs.push(rational(&mut cur, "hyperplane coefficient")?);
-        }
-        let rhs = rational(&mut cur, "hyperplane rhs")?;
+    let hyperplanes = cur.seq("hyperplane count", |cur| {
+        let coeffs = cur.seq("coefficient count", |cur| rational(cur, "hyperplane coefficient"))?;
+        let rhs = rational(cur, "hyperplane rhs")?;
         if coeffs.iter().all(|c| c.is_zero()) {
-            return Err(malformed(format!("hyperplane {i} has a zero normal")));
+            let end = cur.offset();
+            return Err(malformed(format!("hyperplane ending at byte offset {end} has a zero normal")));
         }
-        hyperplanes.push(Hyperplane::new(coeffs, rhs));
-    }
-    let nf = cur.len_prefix("face count")?;
-    let mut faces = Vec::with_capacity(nf);
-    for id in 0..nf {
-        let ns = cur.len_prefix("sign count")?;
-        let mut signs = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            signs.push(match cur.u8("sign")? {
-                0 => lcdb_arith::Sign::Negative,
-                1 => lcdb_arith::Sign::Zero,
-                2 => lcdb_arith::Sign::Positive,
-                other => return Err(malformed(format!("unknown sign tag {other}"))),
-            });
-        }
-        let fdim = cur.u64("face dimension")? as usize;
-        let nw = cur.len_prefix("witness length")?;
-        let mut witness = Vec::with_capacity(nw);
-        for _ in 0..nw {
-            witness.push(rational(&mut cur, "witness coordinate")?);
-        }
+        Ok(Hyperplane::new(coeffs, rhs))
+    })?;
+    let mut id = 0;
+    let faces = cur.seq("face count", |cur| {
+        let signs = cur.seq("sign count", |cur| match cur.u8("sign")? {
+            0 => Ok(lcdb_arith::Sign::Negative),
+            1 => Ok(lcdb_arith::Sign::Zero),
+            2 => Ok(lcdb_arith::Sign::Positive),
+            other => Err(malformed(format!("unknown sign tag {other}"))),
+        })?;
+        let dim = cur.u64("face dimension")? as usize;
+        let witness = cur.seq("witness length", |cur| rational(cur, "witness coordinate"))?;
         let bounded = match cur.u8("bounded flag")? {
             0 => false,
             1 => true,
             other => return Err(malformed(format!("unknown bounded flag {other}"))),
         };
-        faces.push(Face {
-            id,
+        id += 1;
+        Ok(Face {
+            id: id - 1,
             signs,
-            dim: fdim,
+            dim,
             witness,
             bounded,
-        });
-    }
+        })
+    })?;
     cur.done("arrangement blob")?;
     Arrangement::from_parts(dim, hyperplanes, faces).map_err(malformed)
+}
+
+/// Which decomposition the region ids of a stored fixpoint refer to — part
+/// of the fixpoint entry's key, since the two number their regions
+/// independently.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecompositionKind {
+    /// The arrangement `A(S)` (§3).
+    Arrangement,
+    /// The NC¹ decomposition (Appendix A).
+    Nc1,
+}
+
+/// What [`PlanCatalog::eval_resumable`] reports besides the evaluation's own
+/// result.
+pub struct Resumable<T> {
+    /// What the evaluation returned.
+    pub result: Result<T, EvalError>,
+    /// The run continued from stages an earlier, aborted run had stored.
+    pub resumed: bool,
+    /// Store-side problems, none of them fatal: an unreadable or mismatched
+    /// stored snapshot (the run went cold), a failed save or drop.
+    pub warnings: Vec<String>,
 }
 
 /// A process-shared handle on the persistent catalog. All methods take
@@ -219,6 +236,30 @@ impl PlanCatalog {
             .map_err(|e| malformed(e.to_string()))
     }
 
+    /// The catalog rungs of the extension ladder (a front end's in-memory
+    /// tier sits above this call): the arrangement persisted for `(db,
+    /// spatial)` if one loads — a warm start skips the `O(n^d)` build —
+    /// otherwise `build`'s, persisted for the next process. A corrupt blob
+    /// or a failed save is a warning next to the regions, never an error.
+    pub fn extension_or_build(
+        &self,
+        db: &Database,
+        spatial: &str,
+        build: impl FnOnce() -> Result<ArrangementRegions, EvalError>,
+    ) -> Result<(ArrangementRegions, Vec<String>), EvalError> {
+        let mut warnings = Vec::new();
+        match self.load_extension(db, spatial) {
+            Ok(Some(warm)) => return Ok((warm, warnings)),
+            Ok(None) => {}
+            Err(e) => warnings.push(format!("stored arrangement unreadable ({e}); rebuilding")),
+        }
+        let built = build()?;
+        if let Err(e) = self.save_extension(&built) {
+            warnings.push(format!("arrangement not saved: {e}"));
+        }
+        Ok((built, warnings))
+    }
+
     /// Persist a completed region extension. Dependency tags are the
     /// database's relation names, so redefining any of them invalidates the
     /// entry.
@@ -233,16 +274,20 @@ impl PlanCatalog {
             .put(Self::extension_key(db_fp, spatial), &deps, &blob)
     }
 
-    /// Look up a persisted query result by `(plan fingerprint, database
-    /// fingerprint)`. The payload is whatever the caller stored — the server
-    /// stores rendered response text.
-    pub fn load_result(&self, plan_fp: u64, db_fp: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        self.lock().get(&EntryKey {
+    fn result_key(plan_fp: u64, db_fp: u64) -> EntryKey {
+        EntryKey {
             class: CLASS_RESULT,
             plan_fp,
             db_fp,
             name: "result".into(),
-        })
+        }
+    }
+
+    /// Look up a persisted query result by `(plan fingerprint, database
+    /// fingerprint)`. The payload is whatever the caller stored — the server
+    /// stores rendered response text.
+    pub fn load_result(&self, plan_fp: u64, db_fp: u64) -> Result<Option<Vec<u8>>, StoreError> {
+        self.lock().get(&Self::result_key(plan_fp, db_fp))
     }
 
     /// Persist a query result under `(plan fingerprint, database
@@ -254,32 +299,23 @@ impl PlanCatalog {
         deps: &[String],
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        self.lock().put(
-            EntryKey {
-                class: CLASS_RESULT,
-                plan_fp,
-                db_fp,
-                name: "result".into(),
-            },
-            deps,
-            payload,
-        )
+        self.lock().put(Self::result_key(plan_fp, db_fp), deps, payload)
     }
 
-    /// Load a fixpoint snapshot for `(query fingerprint, database
-    /// fingerprint)`, ready for [`crate::Evaluator::resume_from`].
-    pub fn load_fixpoint(
-        &self,
-        query_fp: u64,
-        db_fp: u64,
-    ) -> Result<Option<Snapshot>, StoreError> {
-        let Some(bytes) = self.lock().get(&EntryKey {
+    fn fixpoint_key(query_fp: u64, db_fp: u64, kind: DecompositionKind) -> EntryKey {
+        EntryKey {
             class: CLASS_FIXPOINT,
             plan_fp: query_fp,
             db_fp,
-            name: "fixpoint".into(),
-        })?
-        else {
+            name: match kind {
+                DecompositionKind::Arrangement => "fixpoint".into(),
+                DecompositionKind::Nc1 => "fixpoint:nc1".into(),
+            },
+        }
+    }
+
+    fn load_fixpoint(&self, key: &EntryKey) -> Result<Option<Snapshot>, StoreError> {
+        let Some(bytes) = self.lock().get(key)? else {
             return Ok(None);
         };
         Snapshot::decode(&bytes)
@@ -290,24 +326,81 @@ impl PlanCatalog {
             })
     }
 
-    /// Persist a fixpoint snapshot (from [`crate::Evaluator::checkpoint`])
-    /// keyed by its own query fingerprint and the database fingerprint.
-    pub fn save_fixpoint(
+    fn save_fixpoint(
         &self,
+        key: EntryKey,
         snapshot: &Snapshot,
-        db_fp: u64,
-        deps: &[String],
+        db: &Database,
     ) -> Result<(), StoreError> {
-        self.lock().put(
-            EntryKey {
-                class: CLASS_FIXPOINT,
-                plan_fp: snapshot.fingerprint(),
-                db_fp,
-                name: "fixpoint".into(),
-            },
-            deps,
-            &snapshot.encode(),
-        )
+        let deps: Vec<String> = db.relations().map(|(n, _)| n.clone()).collect();
+        self.lock().put(key, &deps, &snapshot.encode())
+    }
+
+    /// Run one evaluation so that a killed run is continued by the next:
+    /// the stages stored for `(query, db_fp, kind)` by an earlier aborted
+    /// run are installed with [`Evaluator::resume_from`], `run` is called,
+    /// and then a *recoverable* abort stores [`Evaluator::checkpoint`]
+    /// under the same key, while success drops a leftover entry — the
+    /// result entry answers from then on, and a snapshot nothing can reach
+    /// is a WAL append for nothing.
+    ///
+    /// `ev` is the evaluator over the decomposition of `db`, or the error
+    /// its construction tripped on: a recoverable one leaves an entry-less
+    /// [`empty_checkpoint`] (unless real stages are already stored), so the
+    /// next run still finds something to resume. A stored blob that is
+    /// corrupt, or that [`Evaluator::resume_from`] refuses, is a warning and
+    /// a cold run; no store failure ever fails the evaluation.
+    pub fn eval_resumable<T>(
+        &self,
+        query: &RegFormula,
+        db: &Database,
+        db_fp: u64,
+        kind: DecompositionKind,
+        ev: Result<Evaluator<'_>, EvalError>,
+        run: impl FnOnce(&Evaluator<'_>) -> Result<T, EvalError>,
+    ) -> Resumable<T> {
+        let key = Self::fixpoint_key(query_fingerprint(query), db_fp, kind);
+        let mut warnings = Vec::new();
+        let loaded = self.load_fixpoint(&key);
+        // The key holds an entry, readable or not.
+        let leftover = !matches!(loaded, Ok(None));
+        let stored = loaded.unwrap_or_else(|e| {
+            warnings.push(format!("stored fixpoint snapshot unreadable ({e}); running cold"));
+            None
+        });
+        let mut resumed = false;
+        let (result, snapshot) = match ev {
+            Err(e) => {
+                let empty = e.is_recoverable() && stored.is_none();
+                (Err(e), empty.then(|| empty_checkpoint(query)))
+            }
+            Ok(ev) => {
+                if let Some(stored) = &stored {
+                    match ev.resume_from(query, stored) {
+                        Ok(()) => resumed = true,
+                        Err(e) => warnings.push(format!(
+                            "stored fixpoint snapshot not resumable ({e}); running cold"
+                        )),
+                    }
+                }
+                let result = run(&ev);
+                let aborted = matches!(&result, Err(e) if e.is_recoverable());
+                (result, aborted.then(|| ev.checkpoint(query)))
+            }
+        };
+        let kept = match snapshot {
+            Some(snapshot) => self.save_fixpoint(key, &snapshot, db),
+            None if result.is_ok() && leftover => self.lock().delete(&key).map(drop),
+            None => Ok(()),
+        };
+        if let Err(e) = kept {
+            warnings.push(format!("fixpoint snapshot not updated: {e}"));
+        }
+        Resumable {
+            result,
+            resumed,
+            warnings,
+        }
     }
 
     /// Invalidate every catalog entry depending on `name` (a redefined or
@@ -389,17 +482,91 @@ mod tests {
         assert_eq!(a.locate(&p), b.locate(&p));
     }
 
-    #[test]
-    fn every_blob_truncation_is_typed() {
-        let db = sample_db();
-        let regions = ArrangementRegions::new(db, "S");
-        let blob = encode_arrangement(regions.arrangement());
-        for n in 0..blob.len() {
-            assert!(
-                decode_arrangement(&blob[..n]).is_err(),
-                "prefix of {n} bytes decoded successfully"
-            );
+    /// Every prefix and every single-byte flip of `bytes` goes through
+    /// `decode` without a panic; a prefix never decodes, a flip only where
+    /// the format has no checksum to see it, and an error that reports an
+    /// offset reports one inside the buffer it was given.
+    fn mutate<E: std::fmt::Display>(
+        what: &str,
+        bytes: &[u8],
+        checksummed: bool,
+        decode: impl Fn(&[u8]) -> Result<(), E>,
+        offset: impl Fn(&E) -> Option<u64>,
+    ) {
+        let inside = |e: &E, len: usize, how: &str| {
+            if let Some(at) = offset(e) {
+                assert!(at <= len as u64, "{what}: {how} reported offset {at} of {len}: {e}");
+            }
+        };
+        for n in 0..bytes.len() {
+            match decode(&bytes[..n]) {
+                Ok(()) => panic!("{what}: prefix of {n} bytes decoded"),
+                Err(e) => inside(&e, n, "truncation"),
+            }
         }
+        let mut flipped = bytes.to_vec();
+        for i in 0..bytes.len() {
+            flipped[i] ^= 0xff;
+            match decode(&flipped) {
+                Ok(()) => assert!(!checksummed, "{what}: flip at byte {i} decoded"),
+                Err(e) => inside(&e, bytes.len(), "flip"),
+            }
+            flipped[i] ^= 0xff;
+        }
+    }
+
+    /// The shared `Cursor` under mutation, through each format built on it:
+    /// a fixpoint snapshot, a `store.cat` image and an arrangement blob.
+    #[test]
+    fn every_truncation_and_byte_flip_is_typed() {
+        let db = sample_db();
+        let regions = ArrangementRegions::new(db.clone(), "S");
+        let store_offset = |e: &StoreError| match e {
+            StoreError::Truncated { offset, .. } => Some(*offset),
+            _ => None,
+        };
+
+        let q = crate::queries::connectivity();
+        let ev = Evaluator::with_budget(
+            &regions,
+            crate::EvalBudget::unlimited().with_max_fix_iterations(1),
+        );
+        ev.try_eval_sentence(&q).expect_err("one stage is not enough");
+        mutate(
+            "snapshot",
+            &ev.checkpoint(&q).encode(),
+            true,
+            |b| Snapshot::decode(b).map(drop),
+            |e| match e {
+                lcdb_recover::RecoverError::Truncated { offset, .. } => Some(*offset),
+                _ => None,
+            },
+        );
+
+        let dir = scratch("mutate");
+        {
+            let cat = PlanCatalog::open(&dir).unwrap();
+            cat.save_extension(&regions).unwrap();
+            cat.save_result(7, 9, &["S".into(), "T".into()], b"true").unwrap();
+            cat.checkpoint().unwrap();
+        }
+        let image = std::fs::read(dir.join("store.cat")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        mutate(
+            "store.cat",
+            &image,
+            true,
+            |b| lcdb_store::Catalog::decode(b).map(drop),
+            store_offset,
+        );
+
+        mutate(
+            "arrangement blob",
+            &encode_arrangement(regions.arrangement()),
+            false,
+            |b| decode_arrangement(b).map(drop),
+            store_offset,
+        );
     }
 
     #[test]
@@ -425,8 +592,45 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A stored blob the store's own checksums pass but the snapshot codec
+    /// (garbage) or `resume_from` (another query's stages) refuses: a
+    /// warning, a cold run with the right verdict, and the entry dropped.
+    #[test]
+    fn unusable_stored_fixpoint_is_a_warning_and_a_cold_run() {
+        let dir = scratch("refuse");
+        let cat = PlanCatalog::open(&dir).unwrap();
+        let db = sample_db();
+        let db_fp = database_fingerprint(&db, Some("S"));
+        let regions = ArrangementRegions::new(db.clone(), "S");
+        let q = crate::queries::connectivity();
+        let verdict = Evaluator::new(&regions).eval_sentence(&q);
+        let kind = DecompositionKind::Arrangement;
+        let key = || PlanCatalog::fixpoint_key(query_fingerprint(&q), db_fp, kind);
+        let foreign = empty_checkpoint(&crate::queries::nonempty()).encode();
+        for (blob, complaint) in [
+            (&b"LCDBSNAPgarbage"[..], "unreadable"),
+            (&foreign[..], "not resumable"),
+        ] {
+            cat.lock().put(key(), &[], blob).unwrap();
+            let ev = Evaluator::new(&regions);
+            let run = cat.eval_resumable(&q, &db, db_fp, kind, Ok(ev), |ev| {
+                ev.try_eval_sentence(&q)
+            });
+            assert!(!run.resumed);
+            assert!(
+                matches!(&run.warnings[..], [w] if w.contains(complaint) && w.contains("cold")),
+                "{:?}",
+                run.warnings
+            );
+            assert_eq!(run.result, Ok(verdict));
+            assert!(cat.load_fixpoint(&key()).unwrap().is_none(), "entry dropped");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn catalog_results_and_fixpoints_survive_reopen() {
+        let fixpoint_key = || PlanCatalog::fixpoint_key(42, 9, DecompositionKind::Arrangement);
         let dir = scratch("res");
         {
             let cat = PlanCatalog::open(&dir).unwrap();
@@ -436,18 +640,18 @@ mod tests {
                 stats: Default::default(),
                 entries: Vec::new(),
             });
-            cat.save_fixpoint(&snap, 9, &["S".into()]).unwrap();
+            cat.save_fixpoint(fixpoint_key(), &snap, &sample_db()).unwrap();
             cat.checkpoint().unwrap();
         }
         let cat = PlanCatalog::open(&dir).unwrap();
         assert_eq!(cat.load_result(7, 9).unwrap().as_deref(), Some(&b"TRUE"[..]));
         assert_eq!(cat.load_result(7, 10).unwrap(), None);
-        let snap = cat.load_fixpoint(42, 9).unwrap().expect("fixpoint hit");
+        let snap = cat.load_fixpoint(&fixpoint_key()).unwrap().expect("fixpoint hit");
         assert_eq!(snap.fingerprint(), 42);
         // Invalidation drops both dependents atomically.
         assert_eq!(cat.invalidate_relation("S").unwrap(), 2);
         assert!(cat.load_result(7, 9).unwrap().is_none());
-        assert!(cat.load_fixpoint(42, 9).unwrap().is_none());
+        assert!(cat.load_fixpoint(&fixpoint_key()).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -535,18 +535,6 @@ impl RegionExtension {
         })
     }
 
-    /// Like [`RegionExtension::try_arrangement`], reporting the
-    /// arrangement construction through `trace`.
-    pub fn try_arrangement_traced(
-        relation: Relation,
-        budget: &EvalBudget,
-        trace: &lcdb_trace::TraceHandle,
-    ) -> Result<Self, EvalError> {
-        let mut db = Database::new();
-        db.insert("S", relation);
-        Self::try_arrangement_db_traced(db, "S", budget, trace)
-    }
-
     /// [`RegionExtension::try_arrangement_db`]; `_pool` is ignored (name
     /// pinned by `benchmark/`).
     pub fn try_arrangement_db_pool(

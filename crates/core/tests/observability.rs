@@ -140,12 +140,10 @@ fn lp_counters_reach_the_registry() {
 fn arrangement_build_counts_faces_and_split_cells() {
     let trace = TraceHandle::new(Arc::new(MemoryTracer::new()));
     let triangle = relation("x >= 0 and y >= 0 and x + y <= 1", &["x", "y"]);
-    let ext = RegionExtension::try_arrangement_traced(
-        triangle,
-        &lcdb_core::EvalBudget::unlimited(),
-        &trace,
-    )
-    .unwrap();
+    let mut db = lcdb_logic::Database::new();
+    db.insert("S", triangle);
+    let budget = lcdb_core::EvalBudget::unlimited();
+    let ext = RegionExtension::try_arrangement_db_traced(db, "S", &budget, &trace).unwrap();
     assert_eq!(ext.num_regions(), 19);
     let counters = trace.metrics().counter_snapshot();
     assert_eq!(counters["geom.faces_built"], 19);

@@ -32,14 +32,13 @@
 
 use lcdb_arith::Rational;
 use lcdb_budget::{BudgetError, EvalBudget};
+use lcdb_exec::hash::fingerprint_str;
 use lcdb_exec::Pool;
 use lcdb_logic::dnf::{to_dnf_pruned, Dnf};
 use lcdb_logic::{parse_formula, Atom, Database, Formula, LinExpr, Rel, Relation, Var};
 use lcdb_plan::exec::{eval_fo, lower_fo, ExecError, FoStats};
 use lcdb_plan::{Plan, PlanId};
-use lcdb_recover::{
-    fingerprint_str, DatalogSnapshot, IdbRelation, IdbRepr, PackedAtom, Snapshot,
-};
+use lcdb_recover::{DatalogSnapshot, IdbRelation, IdbRepr, PackedAtom, Snapshot};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 

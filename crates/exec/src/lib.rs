@@ -1,15 +1,21 @@
-//! Shared-state primitives for cross-request reuse, and the remnant of the
-//! intra-query worker pool.
+//! The dependency-free leaf of the workspace: what several layers need and
+//! none should own.
 //!
-//! Requests are the unit of parallelism: the server's dispatch workers each
-//! run one evaluation at a time, and an evaluation runs on the thread that
-//! called it. What concurrent requests share — interned region formulas,
-//! hash-consed hyperplanes — lives behind [`ShardedMap`] and [`Interner`];
-//! see [`shared`]. Nothing in this crate starts a thread.
+//! * [`shared`] — what concurrent requests share (interned region formulas,
+//!   hash-consed hyperplanes) lives behind [`ShardedMap`] and [`Interner`].
+//!   Requests are the unit of parallelism: the server's dispatch workers
+//!   each run one evaluation at a time, and an evaluation runs on the
+//!   thread that called it. Nothing in this crate starts a thread.
+//! * [`codec`] — the little-endian writers and the one bounds-checked,
+//!   offset-reporting [`codec::Cursor`] behind every durable format.
+//! * [`hash`] — the process-stable FNV-1a-64 accumulator (checksums,
+//!   fingerprints, canonical plan hashes) and SplitMix64.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
+pub mod hash;
 pub mod shared;
 
 pub use shared::{Interner, ShardedMap};

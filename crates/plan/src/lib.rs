@@ -43,6 +43,7 @@ pub mod memo;
 pub mod passes;
 pub mod table;
 
+use lcdb_exec::hash::Fnv;
 use lcdb_logic::{Atom, LinExpr};
 use std::collections::{BTreeSet, HashMap};
 
@@ -187,42 +188,6 @@ impl NodeFacts {
     /// No free set variables.
     pub fn set_free(&self) -> bool {
         self.free_sets.is_empty()
-    }
-}
-
-/// FNV-1a 64-bit accumulator for the canonical node hash. Deliberately not
-/// `std::hash::Hasher`: the canonical hash must be identical across
-/// processes, which `RandomState` is not.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed string, so `("ab","c")` and `("a","bc")` differ.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
     }
 }
 

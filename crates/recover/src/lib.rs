@@ -1,4 +1,4 @@
-//! Crash-safe snapshots of fixed-point evaluation state.
+//! The snapshot codec for fixed-point evaluation state.
 //!
 //! Kreutzer's fixed-point semantics (Section 5) is stage-wise: an LFP/IFP/PFP
 //! induction and a datalog evaluation both proceed through a chain of
@@ -16,24 +16,25 @@
 //!   files that went through the constraint-formula surface syntax still
 //!   decode as [`IdbRepr::Text`].
 //!
-//! The format is deliberately dependency-free: a fixed magic, a little-endian
-//! version word, an FNV-1a-64 checksum over the payload, and length-prefixed
-//! fields. Every way a file can be damaged — truncation, bit flips, a future
-//! version, trailing garbage — maps to a typed [`RecoverError`]; decoding
-//! never panics and never yields a silently wrong snapshot.
+//! The layout is a fixed magic, a little-endian version word, an FNV-1a-64
+//! checksum over the payload, and length-prefixed fields, written and read
+//! with the workspace's shared byte codec (`lcdb_exec::codec`). Every way
+//! the bytes can be damaged — truncation, bit flips, a future version,
+//! trailing garbage — maps to a typed [`RecoverError`]; decoding never
+//! panics and never yields a silently wrong snapshot.
 //!
-//! Files are written atomically (temp file + rename) so a crash *during*
-//! checkpointing can leave a stale snapshot or none, but never a torn one.
+//! This crate is the codec only: it touches no file. Snapshots reach a disk
+//! as blobs of the WAL-backed plan catalog (`lcdb_core::PlanCatalog`), which
+//! brings the atomicity and the page checksums.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use lcdb_exec::codec::{put_str, put_u32, put_u64, CodecError, Cursor};
+use lcdb_exec::hash::fnv1a64;
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
-/// File magic: the first eight bytes of every snapshot.
+/// Magic: the first eight bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"LCDBSNAP";
 
 /// Current snapshot format version. Decoders accept [`MIN_VERSION`] through
@@ -47,49 +48,11 @@ pub const VERSION: u32 = 2;
 /// Oldest snapshot format version this build still decodes.
 pub const MIN_VERSION: u32 = 1;
 
-/// File extension used by [`Snapshot::write_to_dir`].
-pub const EXTENSION: &str = "lcdbsnap";
-
-/// FNV-1a 64-bit hash. Used both as the payload checksum and as the
-/// structural fingerprint hash for queries/subformulas: unlike `std`'s
-/// `RandomState`, it is stable across processes, which resuming in a fresh
-/// process requires.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Fingerprint a string (UTF-8 bytes) with [`fnv1a64`].
-pub fn fingerprint_str(s: &str) -> u64 {
-    fnv1a64(s.as_bytes())
-}
-
-/// SplitMix64 step: derives well-mixed values from sequential or sparse
-/// seeds. Used by the fault-injection harness to turn `(seed, site)` into a
-/// deterministic trigger count.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Typed decoding/IO failures. Every corruption mode a snapshot file can
-/// exhibit maps to one of these; none of them panics.
+/// Typed decoding failures. Every corruption mode a snapshot can exhibit
+/// maps to one of these; none of them panics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecoverError {
-    /// Filesystem error (open/read/write/rename), with the OS message.
-    Io {
-        /// The failing path.
-        path: PathBuf,
-        /// The OS error text.
-        message: String,
-    },
-    /// The file does not start with [`MAGIC`] — not a snapshot at all.
+    /// The bytes do not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
     /// The version word names a format this build does not understand.
     UnsupportedVersion {
@@ -106,12 +69,12 @@ pub enum RecoverError {
         /// Checksum of the bytes actually present.
         actual: u64,
     },
-    /// The file ends before a declared field does (torn write, truncation).
+    /// The bytes end before a declared field does (torn write, truncation).
     Truncated {
         /// What was being read when the bytes ran out.
         context: &'static str,
-        /// Absolute byte offset within the snapshot file at which the bytes
-        /// ran out.
+        /// Absolute byte offset within the snapshot at which the bytes ran
+        /// out.
         offset: u64,
         /// Which record was being decoded: `"header"` before the payload
         /// kind tag is known, then `"fixpoint"` or `"datalog"`.
@@ -128,9 +91,6 @@ pub enum RecoverError {
 impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoverError::Io { path, message } => {
-                write!(f, "snapshot io error on {}: {}", path.display(), message)
-            }
             RecoverError::BadMagic => write!(f, "not a snapshot: bad magic"),
             RecoverError::UnsupportedVersion { found, supported } => write!(
                 f,
@@ -156,6 +116,25 @@ impl fmt::Display for RecoverError {
 }
 
 impl std::error::Error for RecoverError {}
+
+impl From<CodecError> for RecoverError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated {
+                label,
+                offset,
+                context,
+            } => RecoverError::Truncated {
+                context,
+                offset,
+                kind: label,
+            },
+            CodecError::Malformed { context, message } => RecoverError::Malformed {
+                message: format!("{context}: {message}"),
+            },
+        }
+    }
+}
 
 /// Evaluation counters persisted alongside the stage state so a resumed run
 /// carries over the work already spent (mirrors lcdb-core's `EvalStats`).
@@ -313,8 +292,7 @@ const REPR_TEXT: u8 = 0;
 const REPR_PACKED: u8 = 1;
 
 impl Snapshot {
-    /// The fingerprint of the query/program this snapshot belongs to; also
-    /// names the file under [`Snapshot::write_to_dir`].
+    /// The fingerprint of the query/program this snapshot belongs to.
     pub fn fingerprint(&self) -> u64 {
         match self {
             Snapshot::Fixpoint(s) => s.query_fingerprint,
@@ -322,7 +300,7 @@ impl Snapshot {
         }
     }
 
-    /// Serialize to the on-disk byte layout (header + checksummed payload).
+    /// Serialize to the byte layout (header + checksummed payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         match self {
@@ -384,11 +362,11 @@ impl Snapshot {
                 }
             }
         }
-        let mut out = Vec::with_capacity(28 + payload.len());
+        let mut out = Vec::with_capacity(HEADER_LEN as usize + payload.len());
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        put_u32(&mut out, VERSION);
+        put_u64(&mut out, fnv1a64(&payload));
+        put_u64(&mut out, payload.len() as u64);
         out.extend_from_slice(&payload);
         out
     }
@@ -410,7 +388,7 @@ impl Snapshot {
         if bytes[..MAGIC.len()] != MAGIC {
             return Err(RecoverError::BadMagic);
         }
-        let mut cur = Cursor::new(&bytes[MAGIC.len()..], MAGIC.len() as u64);
+        let mut cur = Cursor::with_base(&bytes[MAGIC.len()..], MAGIC.len() as u64, "header");
         let version = cur.u32("version")?;
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(RecoverError::UnsupportedVersion {
@@ -420,12 +398,8 @@ impl Snapshot {
         }
         let expected = cur.u64("checksum")?;
         let len = cur.u64("payload length")?;
-        let payload = cur.bytes_exact(len, "payload")?;
-        if !cur.is_empty() {
-            return Err(RecoverError::Malformed {
-                message: format!("{} trailing bytes after payload", cur.remaining()),
-            });
-        }
+        let payload = cur.take(usize::try_from(len).unwrap_or(usize::MAX), "payload")?;
+        cur.done("snapshot")?;
         let actual = fnv1a64(payload);
         if actual != expected {
             return Err(RecoverError::ChecksumMismatch { expected, actual });
@@ -436,47 +410,15 @@ impl Snapshot {
     fn decode_payload(payload: &[u8], version: u32) -> Result<Self, RecoverError> {
         // The payload begins right after the fixed 28-byte header (magic,
         // version, checksum, payload length), so offsets reported from here
-        // are absolute positions within the snapshot file.
-        let mut cur = Cursor::new(payload, HEADER_LEN);
+        // are absolute positions within the snapshot.
+        let mut cur = Cursor::with_base(payload, HEADER_LEN, "header");
         let kind = cur.u8("kind tag")?;
         let snap = match kind {
             KIND_FIXPOINT => {
-                cur.kind = "fixpoint";
+                cur.set_label("fixpoint");
                 let query_fingerprint = cur.u64("query fingerprint")?;
                 let stats = get_stats(&mut cur)?;
-                let n = cur.len_prefix("entry count")?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let fingerprint = cur.u64("entry fingerprint")?;
-                    let mode = FixKind::from_byte(cur.u8("fixpoint mode")?)?;
-                    let stage = cur.u64("stage count")?;
-                    let nb = cur.len_prefix("binding count")?;
-                    let mut bindings = Vec::with_capacity(nb);
-                    for _ in 0..nb {
-                        bindings.push(cur.u64("binding")?);
-                    }
-                    let arity64 = cur.u64("arity")?;
-                    let arity = u32::try_from(arity64).map_err(|_| RecoverError::Malformed {
-                        message: format!("implausible tuple arity {arity64}"),
-                    })?;
-                    let nt = cur.len_prefix("tuple count")?;
-                    let mut tuples = Vec::with_capacity(nt);
-                    for _ in 0..nt {
-                        let mut t = Vec::with_capacity(arity as usize);
-                        for _ in 0..arity {
-                            t.push(cur.u64("tuple element")?);
-                        }
-                        tuples.push(t);
-                    }
-                    entries.push(FixProgress {
-                        fingerprint,
-                        bindings,
-                        mode,
-                        stage,
-                        arity,
-                        tuples,
-                    });
-                }
+                let entries = cur.seq("entry count", get_progress)?;
                 Snapshot::Fixpoint(FixpointSnapshot {
                     query_fingerprint,
                     stats,
@@ -484,67 +426,10 @@ impl Snapshot {
                 })
             }
             KIND_DATALOG => {
-                cur.kind = "datalog";
+                cur.set_label("datalog");
                 let program_fingerprint = cur.u64("program fingerprint")?;
                 let rounds = cur.u64("round count")?;
-                let n = cur.len_prefix("relation count")?;
-                let mut idb = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = cur.string("relation name")?;
-                    let nv = cur.len_prefix("variable count")?;
-                    let mut vars = Vec::with_capacity(nv);
-                    for _ in 0..nv {
-                        vars.push(cur.string("variable name")?);
-                    }
-                    let repr = if version == 1 {
-                        // v1 stored every relation as surface syntax, with
-                        // no representation tag.
-                        IdbRepr::Text(cur.string("relation formula")?)
-                    } else {
-                        match cur.u8("representation tag")? {
-                            REPR_TEXT => IdbRepr::Text(cur.string("relation formula")?),
-                            REPR_PACKED => {
-                                let nd = cur.len_prefix("disjunct count")?;
-                                let mut disjuncts = Vec::with_capacity(nd);
-                                for _ in 0..nd {
-                                    let na = cur.len_prefix("atom count")?;
-                                    let mut conj = Vec::with_capacity(na);
-                                    for _ in 0..na {
-                                        let rel = cur.u8("atom relation tag")?;
-                                        if rel > 4 {
-                                            return Err(RecoverError::Malformed {
-                                                message: format!(
-                                                    "unknown atom relation tag {rel}"
-                                                ),
-                                            });
-                                        }
-                                        let constant = cur.string("atom constant")?;
-                                        let nt = cur.len_prefix("term count")?;
-                                        let mut terms = Vec::with_capacity(nt);
-                                        for _ in 0..nt {
-                                            let var = cur.string("term variable")?;
-                                            let coeff = cur.string("term coefficient")?;
-                                            terms.push((var, coeff));
-                                        }
-                                        conj.push(PackedAtom {
-                                            rel,
-                                            constant,
-                                            terms,
-                                        });
-                                    }
-                                    disjuncts.push(conj);
-                                }
-                                IdbRepr::Packed(disjuncts)
-                            }
-                            other => {
-                                return Err(RecoverError::Malformed {
-                                    message: format!("unknown representation tag {other}"),
-                                })
-                            }
-                        }
-                    };
-                    idb.push(IdbRelation { name, vars, repr });
-                }
+                let idb = cur.seq("relation count", |cur| get_relation(cur, version))?;
                 Snapshot::Datalog(DatalogSnapshot {
                     program_fingerprint,
                     rounds,
@@ -557,97 +442,10 @@ impl Snapshot {
                 })
             }
         };
-        if !cur.is_empty() {
-            return Err(RecoverError::Malformed {
-                message: format!("{} trailing bytes in payload", cur.remaining()),
-            });
-        }
+        cur.done("snapshot payload")?;
         Ok(snap)
     }
 
-    /// Write atomically to `path`: the bytes land in a sibling temp file
-    /// first and are renamed into place, so a crash mid-write never leaves a
-    /// torn snapshot behind.
-    pub fn write_to(&self, path: &Path) -> Result<(), RecoverError> {
-        let io_err = |message: String| RecoverError::Io {
-            path: path.to_path_buf(),
-            message,
-        };
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| io_err("path has no file name".into()))?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let bytes = self.encode();
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(e.to_string()))?;
-        f.write_all(&bytes).map_err(|e| io_err(e.to_string()))?;
-        f.sync_all().map_err(|e| io_err(e.to_string()))?;
-        drop(f);
-        fs::rename(&tmp, path).map_err(|e| io_err(e.to_string()))
-    }
-
-    /// Write to `dir/snap-<fingerprint>.lcdbsnap` (creating `dir` if
-    /// needed) and return the path. The deterministic name lets a resuming
-    /// process find the snapshot for the query it is about to run.
-    pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf, RecoverError> {
-        fs::create_dir_all(dir).map_err(|e| RecoverError::Io {
-            path: dir.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        let path = dir.join(format!("snap-{:016x}.{}", self.fingerprint(), EXTENSION));
-        self.write_to(&path)?;
-        Ok(path)
-    }
-
-    /// Read and decode a snapshot file.
-    pub fn read_from(path: &Path) -> Result<Self, RecoverError> {
-        let bytes = fs::read(path).map_err(|e| RecoverError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        Self::decode(&bytes)
-    }
-
-    /// [`Snapshot::write_to_dir`] under a `recover.write` span, with the
-    /// encoded byte count on the `recover.bytes_written` counter and the
-    /// written path as a `mark`. With a disabled handle this is exactly
-    /// `write_to_dir`.
-    pub fn write_to_dir_traced(
-        &self,
-        dir: &Path,
-        trace: &lcdb_trace::TraceHandle,
-    ) -> Result<PathBuf, RecoverError> {
-        let _span = trace.span_with("recover.write", &format!("fp={:016x}", self.fingerprint()));
-        let path = self.write_to_dir(dir)?;
-        trace.count("recover.bytes_written", self.encode().len() as u64);
-        trace.mark("recover.checkpoint", &path.display().to_string());
-        Ok(path)
-    }
-
-    /// [`Snapshot::read_from`] under a `recover.read` span, with the byte
-    /// count on the `recover.bytes_read` counter.
-    pub fn read_from_traced(
-        path: &Path,
-        trace: &lcdb_trace::TraceHandle,
-    ) -> Result<Self, RecoverError> {
-        let _span = trace.span_with("recover.read", &path.display().to_string());
-        let bytes = fs::read(path).map_err(|e| RecoverError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        trace.count("recover.bytes_read", bytes.len() as u64);
-        Self::decode(&bytes)
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_stats(out: &mut Vec<u8>, s: &PersistedStats) {
@@ -664,6 +462,69 @@ fn put_stats(out: &mut Vec<u8>, s: &PersistedStats) {
     }
 }
 
+fn get_progress(cur: &mut Cursor<'_>) -> Result<FixProgress, RecoverError> {
+    let fingerprint = cur.u64("entry fingerprint")?;
+    let mode = FixKind::from_byte(cur.u8("fixpoint mode")?)?;
+    let stage = cur.u64("stage count")?;
+    let bindings = cur.seq("binding count", |cur| cur.u64("binding"))?;
+    let arity64 = cur.u64("arity")?;
+    let arity = u32::try_from(arity64).map_err(|_| RecoverError::Malformed {
+        message: format!("implausible tuple arity {arity64}"),
+    })?;
+    let tuples = cur.seq("tuple count", |cur| {
+        (0..arity).map(|_| cur.u64("tuple element")).collect()
+    })?;
+    Ok(FixProgress {
+        fingerprint,
+        bindings,
+        mode,
+        stage,
+        arity,
+        tuples,
+    })
+}
+
+fn get_relation(cur: &mut Cursor<'_>, version: u32) -> Result<IdbRelation, RecoverError> {
+    let name = cur.string("relation name")?;
+    let vars = cur.seq("variable count", |cur| cur.string("variable name"))?;
+    // v1 stored every relation as surface syntax, with no representation tag.
+    let tag = if version == 1 {
+        REPR_TEXT
+    } else {
+        cur.u8("representation tag")?
+    };
+    let repr = match tag {
+        REPR_TEXT => IdbRepr::Text(cur.string("relation formula")?),
+        REPR_PACKED => IdbRepr::Packed(cur.seq("disjunct count", |cur| {
+            cur.seq("atom count", get_atom)
+        })?),
+        other => {
+            return Err(RecoverError::Malformed {
+                message: format!("unknown representation tag {other}"),
+            })
+        }
+    };
+    Ok(IdbRelation { name, vars, repr })
+}
+
+fn get_atom(cur: &mut Cursor<'_>) -> Result<PackedAtom, RecoverError> {
+    let rel = cur.u8("atom relation tag")?;
+    if rel > 4 {
+        return Err(RecoverError::Malformed {
+            message: format!("unknown atom relation tag {rel}"),
+        });
+    }
+    let constant = cur.string("atom constant")?;
+    let terms = cur.seq("term count", |cur| {
+        Ok::<_, CodecError>((cur.string("term variable")?, cur.string("term coefficient")?))
+    })?;
+    Ok(PackedAtom {
+        rel,
+        constant,
+        terms,
+    })
+}
+
 fn get_stats(cur: &mut Cursor<'_>) -> Result<PersistedStats, RecoverError> {
     Ok(PersistedStats {
         fix_iterations: cur.u64("stats.fix_iterations")?,
@@ -674,107 +535,6 @@ fn get_stats(cur: &mut Cursor<'_>) -> Result<PersistedStats, RecoverError> {
         regions: cur.u64("stats.regions")?,
         quarantined: cur.u64("stats.quarantined")?,
     })
-}
-
-/// Bounds-checked little-endian reader; every short read names the field it
-/// was reading, the absolute byte offset at which the bytes ran out, and the
-/// record kind being decoded, so truncation errors are diagnosable without a
-/// hex dump.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// Absolute offset of `buf[0]` within the snapshot file.
-    base: u64,
-    /// Record kind being decoded, for error reports.
-    kind: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Cursor {
-            buf,
-            pos: 0,
-            base,
-            kind: "header",
-        }
-    }
-
-    /// Absolute offset of the next unread byte within the snapshot file.
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], RecoverError> {
-        if self.remaining() < n {
-            return Err(RecoverError::Truncated {
-                context,
-                offset: self.offset(),
-                kind: self.kind,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, RecoverError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, RecoverError> {
-        let s = self.take(4, context)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, RecoverError> {
-        let s = self.take(8, context)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// A length prefix that must be satisfiable by the bytes remaining:
-    /// rejects implausible counts before `Vec::with_capacity` can OOM on a
-    /// corrupt length.
-    fn len_prefix(&mut self, context: &'static str) -> Result<usize, RecoverError> {
-        let n = self.u64(context)?;
-        // Each counted item occupies at least one byte of payload.
-        if n > self.remaining() as u64 {
-            return Err(RecoverError::Malformed {
-                message: format!("{context} {n} exceeds remaining payload"),
-            });
-        }
-        Ok(n as usize)
-    }
-
-    fn bytes_exact(&mut self, n: u64, context: &'static str) -> Result<&'a [u8], RecoverError> {
-        if n > self.remaining() as u64 {
-            return Err(RecoverError::Truncated {
-                context,
-                offset: self.offset(),
-                kind: self.kind,
-            });
-        }
-        self.take(n as usize, context)
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, RecoverError> {
-        let n = self.u64(context)?;
-        let s = self.bytes_exact(n, context)?;
-        String::from_utf8(s.to_vec()).map_err(|_| RecoverError::Malformed {
-            message: format!("{context} is not valid UTF-8"),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1109,34 +869,46 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_and_deterministic_name() {
-        let dir = std::env::temp_dir().join(format!("lcdb-recover-test-{}", std::process::id()));
-        let s = sample_fixpoint();
-        let path = s.write_to_dir(&dir).unwrap();
-        assert!(path
-            .file_name()
-            .unwrap()
-            .to_string_lossy()
-            .starts_with("snap-deadbeef12345678"));
-        assert_eq!(Snapshot::read_from(&path).unwrap(), s);
-        // Overwrite is atomic and idempotent.
-        let path2 = s.write_to_dir(&dir).unwrap();
-        assert_eq!(path, path2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        let r = Snapshot::read_from(Path::new("/nonexistent/lcdb/snap.lcdbsnap"));
-        assert!(matches!(r, Err(RecoverError::Io { .. })));
-    }
-
-    #[test]
     fn fnv_vectors() {
-        // Known FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        // The header checksum is the FNV-1a 64 of the payload.
+        let bytes = sample_fixpoint().encode();
+        let mut recorded = [0u8; 8];
+        recorded.copy_from_slice(&bytes[12..20]);
+        assert_eq!(u64::from_le_bytes(recorded), fnv1a64(&bytes[HEADER_LEN as usize..]));
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fingerprint_str("x"), fingerprint_str("y"));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The byte layout is frozen: stores written by earlier builds hold
+    /// these blobs. Both literals were captured from the encoder before the
+    /// codec moved to `lcdb-exec`.
+    #[test]
+    fn encoding_matches_golden_bytes() {
+        assert_eq!(
+            hex(&sample_fixpoint().encode()),
+            "4c434442534e415002000000de628892600af42ae30000000000000001785634\
+             12efbeadde070000000000000037010000000000000200000000000000280000\
+             000000000009000000000000000b000000000000000100000000000000020000\
+             00000000002a0000000000000000030000000000000000000000000000000200\
+             0000000000000300000000000000000000000000000001000000000000000100\
+             0000000000000000000000000000020000000000000002000000000000002b00\
+             0000000000000201000000000000000200000000000000050000000000000009\
+             00000000000000010000000000000001000000000000000400000000000000"
+        );
+        assert_eq!(
+            hex(&sample_packed().encode()),
+            "4c434442534e4150020000006082526e2559c6d9d30000000000000002070000\
+             0000000000020000000000000001000000000000000500000000000000726561\
+             6368020000000000000001000000000000007801000000000000007901030000\
+             000000000002000000000000000004000000000000002d312f32020000000000\
+             0000010000000000000078010000000000000031010000000000000079020000\
+             00000000002d3302010000000000000030010000000000000001000000000000\
+             00790300000000000000322f3700000000000000000100000000000000040100\
+             000000000000350000000000000000"
+        );
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! dominated by verbatim-repeated queries (dashboards, polling monitors),
 //! where *any* bounded policy captures most of the win and FIFO's
 //! single-deque bookkeeping keeps the critical section tiny. Capacity 0
-//! disables the cache entirely (every lookup misses), which is what the E24
-//! ablation measures against.
+//! disables the cache entirely (every lookup misses).
 //!
 //! **Segmentation.** A server cache may designate one *protected* database
 //! fingerprint — the base database every session starts from. Entries for

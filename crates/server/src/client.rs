@@ -9,7 +9,7 @@
 //! re-stampeding the server in lockstep.
 
 use crate::proto::{read_frame, write_frame, OpCode, ProtoError, Request, RespCode, Response};
-use lcdb_recover::splitmix64;
+use lcdb_exec::hash::splitmix64;
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;

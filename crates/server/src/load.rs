@@ -1,6 +1,6 @@
 //! Load generator: N client threads hammering one server, with latency
-//! percentiles and a JSON report. Used by the `lcdb-load` binary, the CI
-//! overload smoke test, and experiment E24.
+//! percentiles and a JSON report. Used by the `lcdb-load` binary and the CI
+//! overload smoke test.
 
 use crate::client::Client;
 use crate::proto::{OpCode, RespCode};

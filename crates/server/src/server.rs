@@ -56,8 +56,8 @@ use crate::proto::{
 };
 use lcdb_core::{
     explain_query, parse_regformula, query_fingerprint, ArrangementRegions, CancelToken,
-    Decomposition, EvalBudget, EvalError, Evaluator, PlanCatalog, Pool, RegionExtension,
-    TraceHandle,
+    Decomposition, DecompositionKind, EvalBudget, EvalError, Evaluator, PlanCatalog, Pool,
+    RegionExtension, TraceHandle,
 };
 use lcdb_logic::{parse_formula, Database, Formula, Relation};
 use lcdb_trace::{Counter, Histogram};
@@ -111,8 +111,9 @@ pub struct ServerConfig {
     /// Directory of the persistent plan catalog (`lcdb-store`). When set,
     /// the server warm-starts: arrangements and results computed against a
     /// fingerprint found in the catalog are loaded instead of recomputed,
-    /// and completed evaluations are persisted on the way out. `None`
-    /// disables persistence entirely.
+    /// completed evaluations persist their result, and an evaluation killed
+    /// by its deadline or a fault persists its completed fixpoint stages for
+    /// the retry to resume from. `None` disables persistence entirely.
     pub store_dir: Option<std::path::PathBuf>,
 }
 
@@ -549,8 +550,8 @@ impl Shared {
 
     /// Build (or fetch) the region extension for a database snapshot: the
     /// in-memory map first, then the persistent catalog (a warm start skips
-    /// the O(n^d) arrangement build), then a fresh build — which is
-    /// persisted for the next process.
+    /// the O(n^d) arrangement build), then a fresh build — which the
+    /// catalog persists for the next process.
     fn extension(
         &self,
         db: &Database,
@@ -561,38 +562,30 @@ impl Shared {
         if let Some(ext) = lock(&self.extensions).get(&db_fp) {
             return Ok(Arc::clone(ext));
         }
-        let regions = match self.catalog.as_ref().and_then(|cat| {
-            // A corrupt or torn catalog blob is a typed error inside the
-            // store (the page is quarantined); fall back to rebuilding.
-            cat.load_extension(db, spatial).unwrap_or_else(|e| {
-                self.trace.mark("server.store", &e.to_string());
-                None
-            })
-        }) {
-            Some(warm) => warm,
-            None => {
-                // Cold in both caches. Before paying the O(n^d) rebuild,
-                // try to *derive* the arrangement from the closest cached
-                // one by inserting/removing the few hyperplanes a Define
-                // changed — the common shape of a session: base database
-                // plus a handful of redefinitions.
-                let built = match self.derive_incremental(db, spatial, budget) {
-                    Some(derived) => {
-                        self.c_ext_incremental.incr();
-                        derived
-                    }
-                    None => {
-                        self.c_ext_rebuild.incr();
-                        ArrangementRegions::try_new_traced(db.clone(), spatial, budget, &self.trace)?
-                    }
-                };
-                if let Some(cat) = &self.catalog {
-                    if let Err(e) = cat.save_extension(&built) {
-                        self.trace.mark("server.store", &e.to_string());
-                    }
-                }
-                built
+        // Cold in memory (and, behind `extension_or_build`, in the
+        // catalog). Before paying the O(n^d) rebuild, try to *derive* the
+        // arrangement from the closest cached one by inserting/removing
+        // the few hyperplanes a Define changed — the common shape of a
+        // session: base database plus a handful of redefinitions.
+        let build = || match self.derive_incremental(db, spatial, budget) {
+            Some(derived) => {
+                self.c_ext_incremental.incr();
+                Ok(derived)
             }
+            None => {
+                self.c_ext_rebuild.incr();
+                ArrangementRegions::try_new_traced(db.clone(), spatial, budget, &self.trace)
+            }
+        };
+        let regions = match &self.catalog {
+            Some(cat) => {
+                let (regions, warnings) = cat.extension_or_build(db, spatial, build)?;
+                for w in &warnings {
+                    self.trace.mark("server.store", w);
+                }
+                regions
+            }
+            None => build()?,
         };
         let ext = Arc::new(RegionExtension::from_arrangement_regions(regions));
         let mut map = lock(&self.extensions);
@@ -985,11 +978,16 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, faults: &FaultHandle
         }
         let sid = shared.next_session.fetch_add(1, Ordering::Relaxed);
         let weak = Arc::downgrade(&conn);
-        let (shared, faults) = (Arc::clone(shared), faults.clone());
-        let thread = std::thread::spawn(move || {
-            faults.install(|| session_loop(&shared, conn, sid, accepted_at))
-        });
-        live.push(LiveSession { thread, conn: weak });
+        let (sh, faults) = (Arc::clone(shared), faults.clone());
+        // Named, so a thread census can tell sessions from everything else.
+        match std::thread::Builder::new()
+            .name("lcdb-session".into())
+            .spawn(move || faults.install(|| session_loop(&sh, conn, sid, accepted_at)))
+        {
+            Ok(thread) => live.push(LiveSession { thread, conn: weak }),
+            // No thread to be had: the connection closes with the closure.
+            Err(e) => shared.trace.mark("server.session", &e.to_string()),
+        }
     }
 }
 
@@ -1370,29 +1368,35 @@ fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
             "no relation defined yet; send a define request first",
         );
     };
-    let ext = match shared.extension(&job.db, spatial, job.db_fp, &budget) {
-        Ok(ext) => ext,
-        Err(e) => return eval_error_response(&e, id, shared),
+    let sentence = match job.req.op {
+        OpCode::EvalSentence => true,
+        OpCode::EvalQuery => false,
+        _ => return Response::error(RespCode::Internal, id, "unexpected opcode in dispatcher"),
     };
-    let ev = Evaluator::with_budget(ext.as_ref(), budget).with_trace(shared.trace.clone());
-    // Resume fixpoint progress persisted by an earlier run of this query
-    // (a completed run seeds completed stages; an aborted run its partial
-    // ones). A mismatched or corrupt snapshot is ignored.
-    if let Some(cat) = &shared.catalog {
-        if let Ok(Some(snap)) = cat.load_fixpoint(plan_fp, job.db_fp) {
-            if ev.resume_from(&f, &snap).is_err() {
-                shared
-                    .trace
-                    .mark("server.store", "persisted fixpoint snapshot not resumable");
+    let ext = shared.extension(&job.db, spatial, job.db_fp, &budget);
+    let ev = ext.as_ref().map_err(EvalError::clone).map(|ext| {
+        Evaluator::with_budget(ext.as_ref(), budget).with_trace(shared.trace.clone())
+    });
+    let run = |ev: &Evaluator| {
+        if sentence {
+            ev.try_eval_sentence(&f).map(|b| b.to_string())
+        } else {
+            ev.try_eval_query(&f).map(|fm| fm.to_string())
+        }
+    };
+    // With a store, a run killed by its deadline or a fault leaves its
+    // completed fixpoint stages behind, and the next request for the same
+    // query on the same database continues from them.
+    let result = match &shared.catalog {
+        Some(cat) => {
+            let kind = DecompositionKind::Arrangement;
+            let resumable = cat.eval_resumable(&f, &job.db, job.db_fp, kind, ev, run);
+            for w in &resumable.warnings {
+                shared.trace.mark("server.store", w);
             }
+            resumable.result
         }
-    }
-    let result = match job.req.op {
-        OpCode::EvalSentence => ev.try_eval_sentence(&f).map(|b| b.to_string()),
-        OpCode::EvalQuery => ev.try_eval_query(&f).map(|fm| fm.to_string()),
-        _ => {
-            return Response::error(RespCode::Internal, id, "unexpected opcode in dispatcher")
-        }
+        None => ev.and_then(|ev| run(&ev)),
     };
     match result {
         Ok(body) => {
@@ -1400,9 +1404,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
             if let Some(cat) = &shared.catalog {
                 let deps: Vec<String> = job.db.relations().map(|(n, _)| n.clone()).collect();
                 if let Err(e) = cat.save_result(key.0, key.1, &deps, body.as_bytes()) {
-                    shared.trace.mark("server.store", &e.to_string());
-                }
-                if let Err(e) = cat.save_fixpoint(&ev.checkpoint(&f), job.db_fp, &deps) {
                     shared.trace.mark("server.store", &e.to_string());
                 }
             }

@@ -2,7 +2,9 @@
 //! injection sites — `server.accept`, `server.read`, `server.dispatch` —
 //! poison at most the affected connection or request. The listener keeps
 //! accepting, sibling sessions keep completing with answers identical to a
-//! fault-free run, and shutdown stays clean.
+//! fault-free run, and shutdown stays clean. With a store, an evaluation
+//! killed by a fault inside the engine (`core.fix_stage`) leaves its
+//! completed fixpoint stages in the catalog and the retry resumes from them.
 //!
 //! The seed comes from `LCDB_FAULT_SEED` (default 3), matching the CI fault
 //! matrix of the rest of the workspace.
@@ -26,6 +28,7 @@ use std::time::{Duration, Instant};
 const SERVER_SITES: &[&str] = &["server.accept", "server.read", "server.dispatch"];
 const GAPPED: &str = "S(x) := (0 < x and x < 1) or (2 < x and x < 3)";
 const NONEMPTY: &str = "exists x. S(x)";
+const CONN: &str = "forall Rx. forall Ry. (Rx subset S and Ry subset S) -> [lfp $M, R, Rp. (R = Rp and R subset S) or (exists Z. $M(R, Z) and adj(Z, Rp) and Rp subset S)](Rx, Ry)";
 
 fn seed() -> u64 {
     std::env::var("LCDB_FAULT_SEED")
@@ -92,10 +95,15 @@ fn assert_fault_dump(site: &str) {
 }
 
 fn start() -> Server {
+    start_with_store(None)
+}
+
+fn start_with_store(store_dir: Option<PathBuf>) -> Server {
     obs_dir();
     Server::start(
         ServerConfig {
             idle_timeout: Duration::from_secs(10),
+            store_dir,
             ..ServerConfig::default()
         },
         TraceHandle::disabled(),
@@ -291,4 +299,57 @@ fn seeded_chaos_preserves_answers_and_shuts_down_cleanly() {
             report.reason
         );
     }
+}
+
+/// Fixpoint entries in the store at `dir`, read once the server that owned
+/// it has shut down.
+fn stored_fixpoints(dir: &Path) -> usize {
+    let store = lcdb_store::Store::open(dir, lcdb_store::StoreOptions::default())
+        .expect("store opens");
+    store
+        .entries()
+        .filter(|e| e.key.class == lcdb_store::CLASS_FIXPOINT)
+        .count()
+}
+
+/// A fault inside the engine kills one evaluation; with a store, the stages
+/// it had completed are in the catalog afterwards, the same request sent
+/// again (to a fresh server process over the same store) resumes from them
+/// to the verdict a store-less server gives, and the entry is gone once the
+/// result is stored.
+#[test]
+fn aborted_evaluation_is_stored_and_the_retry_resumes() {
+    let dir = std::env::temp_dir().join(format!("lcdb-chaos-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let conn = |server: &Server| {
+        let mut c = Client::connect(&server.addr().to_string()).expect("connect");
+        assert_eq!(c.define(GAPPED).expect("define").code, RespCode::Ok);
+        c.eval_sentence(CONN, 0).expect("eval io")
+    };
+
+    let server = start();
+    let reference = conn(&server);
+    server.shutdown();
+    assert_eq!(reference.code, RespCode::Ok, "{}", reference.body);
+
+    // The second stage transition fails: one completed stage to store.
+    let guard = FaultPlan::new().fail_on("core.fix_stage", 2).arm();
+    let server = start_with_store(Some(dir.clone()));
+    let r = conn(&server);
+    assert_eq!(r.code, RespCode::Fault, "{}", r.body);
+    assert!(r.body.contains("core.fix_stage"), "{}", r.body);
+    server.shutdown();
+    drop(guard);
+    assert_eq!(stored_fixpoints(&dir), 1, "the abort left its stages behind");
+
+    let server = start_with_store(Some(dir.clone()));
+    let r = conn(&server);
+    assert_eq!(
+        (r.code, r.body.as_str(), r.aux),
+        (RespCode::Ok, reference.body.as_str(), 0),
+        "resumed verdict differs from the store-less one"
+    );
+    server.shutdown();
+    assert_eq!(stored_fixpoints(&dir), 0, "success drops the snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -191,22 +191,31 @@ fn protocol_shutdown_ends_wait() {
     );
 }
 
-fn os_threads() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
-    line.trim().parse().ok()
+/// How many of this process's threads are server sessions (they are spawned
+/// under the name `lcdb-session`); `None` where there is no `/proc`. The
+/// process-wide `Threads:` count will not do: it includes libtest's own
+/// threads, which come and go between two readings.
+fn session_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == "lcdb-session")
+            .count(),
+    )
 }
 
 /// (f) Two thousand connections, one after the other: the registry holds
 /// the live session and at most the few whose threads have yet to notice
 /// that their client hung up — it does not grow with the visits — every
-/// session is accounted for as reaped or live, and the process ends up with
-/// the threads it had before.
+/// session is accounted for as reaped or live, and no session thread is left
+/// behind.
 #[test]
 fn finished_sessions_are_reaped() {
     let _serial = serial();
     let (server, addr) = start(ServerConfig::default());
-    let threads_before = os_threads();
+    let threads_before = session_threads();
+    assert!(matches!(threads_before, None | Some(0)), "{threads_before:?}");
     const VISITS: u64 = 2_000;
     for visit in 1..=VISITS {
         let mut c = Client::connect(&addr).expect("connect");
@@ -219,14 +228,14 @@ fn finished_sessions_are_reaped() {
             "visit {visit}:\n{body}"
         );
     }
-    if let Some(before) = threads_before {
+    if threads_before.is_some() {
         // The last session's thread is exiting, not yet gone.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while os_threads() != Some(before) {
+        while session_threads() != Some(0) {
             assert!(
                 Instant::now() < deadline,
-                "threads: {before} before, {:?} after {VISITS} visits",
-                os_threads()
+                "session threads after {VISITS} visits: {:?}",
+                session_threads()
             );
             std::thread::sleep(Duration::from_millis(5));
         }

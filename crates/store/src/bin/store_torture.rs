@@ -18,7 +18,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lcdb_recover::splitmix64;
+use lcdb_exec::hash::splitmix64;
 use lcdb_store::{kill, EntryKey, Store, StoreOptions, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RELATION, CLASS_RESULT, PAGE_PAYLOAD};
 
 struct Rng(u64);

@@ -13,9 +13,9 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 
-use crate::codec::{put_str, put_u32, put_u64, put_u8, Cursor};
+use lcdb_exec::codec::{put_str, put_u32, put_u64, put_u8, Cursor};
 use crate::StoreError;
-use lcdb_recover::fnv1a64;
+use lcdb_exec::hash::fnv1a64;
 
 /// Entry class: a named DNF relation (keyed by name).
 pub const CLASS_RELATION: u8 = 1;
@@ -23,7 +23,8 @@ pub const CLASS_RELATION: u8 = 1;
 pub const CLASS_ARRANGEMENT: u8 = 2;
 /// Entry class: a rendered query/sentence result (keyed by plan ⊕ db).
 pub const CLASS_RESULT: u8 = 3;
-/// Entry class: a completed fixpoint snapshot (keyed by plan ⊕ db).
+/// Entry class: the fixpoint stages of an aborted evaluation (keyed by plan
+/// ⊕ db), kept until a later run resumes from them and completes.
 pub const CLASS_FIXPOINT: u8 = 4;
 /// Entry class: an append-only telemetry segment (keyed by name, e.g.
 /// `req-00000042`); see the `stats` module.
@@ -133,23 +134,9 @@ impl Catalog {
     /// Decode a snapshot, verifying magic, version, and checksum.
     pub fn decode(bytes: &[u8]) -> Result<Catalog, StoreError> {
         let mut c = Cursor::new(bytes, "catalog");
-        let magic = {
-            let mut m = [0u8; 8];
-            if bytes.len() < 8 {
-                return Err(StoreError::Truncated {
-                    file: "catalog",
-                    offset: bytes.len() as u64,
-                    context: "snapshot magic",
-                });
-            }
-            m.copy_from_slice(&bytes[..8]);
-            m
-        };
-        if &magic != CAT_MAGIC {
+        if c.take(CAT_MAGIC.len(), "snapshot magic")? != CAT_MAGIC {
             return Err(StoreError::BadMagic { file: "catalog" });
         }
-        // Skip the magic in the cursor.
-        let _ = c.u64("snapshot magic")?;
         let version = c.u32("snapshot version")?;
         if version > CAT_VERSION {
             return Err(StoreError::UnsupportedVersion {

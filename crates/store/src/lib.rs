@@ -29,10 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use lcdb_exec::codec::CodecError;
 use std::fmt;
 use std::path::PathBuf;
 
-pub mod codec;
 pub mod kill;
 pub mod stats;
 
@@ -198,6 +198,23 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated {
+                label,
+                offset,
+                context,
+            } => StoreError::Truncated {
+                file: label,
+                offset,
+                context,
+            },
+            CodecError::Malformed { context, message } => StoreError::Malformed { context, message },
+        }
+    }
+}
 
 impl StoreError {
     pub(crate) fn io(context: &'static str, err: std::io::Error) -> StoreError {

@@ -23,7 +23,7 @@
 //! ```
 
 use crate::StoreError;
-use lcdb_recover::fnv1a64;
+use lcdb_exec::hash::fnv1a64;
 
 /// Size of every page in the data file.
 pub const PAGE_SIZE: usize = 4096;

@@ -20,14 +20,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::catalog::{CatEntry, Catalog, EntryKey, CLASS_RELATION};
-use crate::codec::{put_bytes, put_str, put_u32, put_u64, put_u8};
+use lcdb_exec::codec::{put_bytes, put_str, put_u32, put_u64, put_u8};
 use crate::page::{
     decode_page, encode_page, is_zero_page, pages_for, KIND_CONT, KIND_HEAD, NO_PAGE, PAGE_SIZE,
 };
 use crate::pool::{BufferPool, Replacement};
 use crate::wal::{ReplayReport, Wal, WalOp, WalRecord};
 use crate::{fault_check, kill, StoreError};
-use lcdb_recover::fnv1a64;
+use lcdb_exec::hash::fnv1a64;
 
 const META_MAGIC: &[u8; 8] = b"LCDBSTO1";
 const META_VERSION: u32 = 1;

@@ -22,9 +22,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::codec::{put_bytes, put_str, put_u32, put_u64, put_u8, Cursor};
+use lcdb_exec::codec::{put_bytes, put_str, put_u32, put_u64, put_u8, Cursor};
 use crate::{kill, StoreError};
-use lcdb_recover::fnv1a64;
+use lcdb_exec::hash::fnv1a64;
 
 /// Largest record payload `replay` will accept; a bigger length prefix is
 /// treated as tail corruption.
@@ -160,7 +160,7 @@ fn decode_payload(payload: &[u8], base: u64) -> Result<WalRecord, StoreError> {
             for _ in 0..npages {
                 pages.push(c.u32("put page number")?);
             }
-            let data = c.bytes("put blob bytes")?;
+            let data = c.bytes("put blob bytes")?.to_vec();
             WalOp::Put {
                 class,
                 plan_fp,

@@ -14,7 +14,8 @@
 //! * [`datalog`] — the naive spatial-datalog baseline (terminates only
 //!   sometimes; the motivation for region-restricted recursion),
 //! * [`budget`] — resource governance (budgets, deadlines, cancellation),
-//! * [`recover`] — crash safety: checkpoint snapshots and resume.
+//! * [`recover`] — the snapshot codec: the byte form of fixed-point stages
+//!   (they reach a disk through [`core::PlanCatalog`]).
 
 #![forbid(unsafe_code)]
 

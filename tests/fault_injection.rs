@@ -2,9 +2,10 @@
 //!
 //! A seeded [`FaultPlan`] makes one injection site fail on a chosen
 //! execution; these tests prove that every such fault surfaces as a typed
-//! error accompanied by a valid (decodable) checkpoint — never a panic and
-//! never a corrupt snapshot — and that under `tolerate_faults` a localized
-//! fault is quarantined while the rest of the evaluation completes.
+//! error accompanied by a valid (decodable, resumable) checkpoint in the
+//! plan catalog — never a panic and never a corrupt snapshot — and that
+//! under `tolerate_faults` a localized fault is quarantined while the rest
+//! of the evaluation completes.
 //!
 //! The seed comes from `LCDB_FAULT_SEED` (default 3), so CI can sweep a
 //! seed matrix without recompiling.
@@ -15,11 +16,12 @@
 
 use lcdb::budget::faults::FaultPlan;
 use lcdb::core::{
-    parse_regformula, try_eval_sentence_arrangement_recoverable, RegionExtension,
+    database_fingerprint, parse_regformula, DecompositionKind, PlanCatalog, RegionExtension,
+    Resumable,
 };
 use lcdb::datalog::{DatalogError, Literal, Program, Rule};
 use lcdb::{
-    parse_formula, queries, BudgetError, EvalBudget, EvalError, EvalOutcome, Evaluator,
+    parse_formula, queries, BudgetError, Database, EvalBudget, EvalError, EvalOutcome, Evaluator,
     RegFormula, Relation, Snapshot,
 };
 use std::path::PathBuf;
@@ -78,44 +80,54 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// One sentence evaluation over the arrangement of `relation`, built and
+/// run the way both front ends do it: through the catalog's resumable
+/// wrapper, so an abort anywhere — decomposition or fixpoint — is stored.
+fn run_through(cat: &PlanCatalog, relation: &Relation, sentence: &RegFormula) -> Resumable<bool> {
+    let mut db = Database::new();
+    db.insert("S", relation.clone());
+    let db_fp = database_fingerprint(&db, Some("S"));
+    let budget = EvalBudget::unlimited();
+    let ext = RegionExtension::try_arrangement_db(db.clone(), "S", &budget);
+    let ev = ext
+        .as_ref()
+        .map(|ext| Evaluator::with_budget(ext, budget))
+        .map_err(EvalError::clone);
+    cat.eval_resumable(sentence, &db, db_fp, DecompositionKind::Arrangement, ev, |ev| {
+        ev.try_eval_sentence(sentence)
+    })
+}
+
 /// Every region-pipeline site, fired on its first execution, surfaces as
 /// `EvalError::InjectedFault` naming the site, with a decodable checkpoint
-/// on disk — whether the fault lands during decomposition construction or
-/// mid-fixpoint.
+/// in the store — whether the fault lands during decomposition construction
+/// or mid-fixpoint.
 #[test]
 fn each_site_yields_typed_error_and_valid_checkpoint() {
     for site in REGION_SITES {
         let (relation, sentence, expected) = route_through(site);
         let dir = temp_dir(&site.replace('.', "-"));
+        let cat = PlanCatalog::open(&dir).expect("store opens");
         let guard = FaultPlan::new().fail_on(site, 1).arm();
-        let result = try_eval_sentence_arrangement_recoverable(
-            &relation,
-            &sentence,
-            &EvalBudget::unlimited(),
-            Some(&dir),
-            None,
-        );
+        let aborted = run_through(&cat, &relation, &sentence);
         drop(guard);
-        let (err, path) = result.expect_err("armed fault must abort");
+        let err = aborted.result.expect_err("armed fault must abort");
         match &err {
             EvalError::InjectedFault { site: s, .. } => assert_eq!(s, site),
             other => panic!("site {site}: expected InjectedFault, got {other}"),
         }
         assert!(err.is_recoverable(), "{err}");
-        let path = path.unwrap_or_else(|| panic!("site {site}: no checkpoint written"));
-        let snap = Snapshot::read_from(&path)
-            .unwrap_or_else(|e| panic!("site {site}: corrupt checkpoint: {e}"));
+        assert!(aborted.warnings.is_empty(), "site {site}: {:?}", aborted.warnings);
+        assert_eq!(cat.stat().entries, 1, "site {site}: no checkpoint stored");
 
         // The checkpoint is genuinely resumable: with the fault disarmed,
-        // the run completes with the correct verdict.
-        let (verdict, _) = try_eval_sentence_arrangement_recoverable(
-            &relation,
-            &sentence,
-            &EvalBudget::unlimited(),
-            None,
-            Some(&snap),
-        )
-        .unwrap_or_else(|(e, _)| panic!("site {site}: resume failed: {e}"));
+        // the run picks it up (a corrupt one would be a warning and a cold
+        // run) and completes with the correct verdict.
+        let resumed = run_through(&cat, &relation, &sentence);
+        assert!(resumed.resumed, "site {site}: {:?}", resumed.warnings);
+        let verdict = resumed
+            .result
+            .unwrap_or_else(|e| panic!("site {site}: resume failed: {e}"));
         assert_eq!(verdict, expected, "site {site}: wrong verdict after resume");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -132,24 +144,21 @@ fn seeded_plans_never_panic_and_never_corrupt_snapshots() {
             [conn_route(), elimination_route()].into_iter().enumerate()
         {
             let dir = temp_dir(&format!("seeded-{delta}-{r}"));
+            let cat = PlanCatalog::open(&dir).expect("store opens");
             let guard = FaultPlan::seeded(base.wrapping_add(delta), REGION_SITES, 3).arm();
-            let result = try_eval_sentence_arrangement_recoverable(
-                &relation,
-                &sentence,
-                &EvalBudget::unlimited(),
-                Some(&dir),
-                None,
-            );
+            let run = run_through(&cat, &relation, &sentence);
             drop(guard);
-            match result {
-                Ok((verdict, _)) => assert_eq!(verdict, expected),
-                Err((err, path)) => {
+            match run.result {
+                Ok(verdict) => assert_eq!(verdict, expected),
+                Err(err) => {
                     assert!(
                         matches!(err, EvalError::InjectedFault { .. }),
                         "seed {base}+{delta}: {err}"
                     );
-                    let path = path.expect("recoverable abort checkpoints");
-                    Snapshot::read_from(&path).expect("checkpoint decodes");
+                    assert_eq!(cat.stat().entries, 1, "recoverable abort checkpoints");
+                    let resumed = run_through(&cat, &relation, &sentence);
+                    assert!(resumed.resumed, "checkpoint decodes: {:?}", resumed.warnings);
+                    assert_eq!(resumed.result.expect("resume completes"), expected);
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);

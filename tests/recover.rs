@@ -1,14 +1,15 @@
 //! Crash-safety integration tests: a budget-killed evaluation checkpoints
 //! its completed fixpoint stages, the snapshot round-trips through the
-//! binary encoding, and a resumed run reaches the same verdict as an
-//! uninterrupted one.
+//! binary encoding and through the plan catalog, and a resumed run reaches
+//! the verdict and the work counters of an uninterrupted one.
 
 use lcdb::core::{
-    query_fingerprint, try_eval_sentence_arrangement, try_eval_sentence_arrangement_recoverable,
-    RegFormula, RegionExtension,
+    database_fingerprint, query_fingerprint, try_eval_sentence_arrangement, DecompositionKind,
+    PlanCatalog, RegFormula, RegionExtension, Resumable,
 };
 use lcdb::{
-    parse_formula, queries, EvalBudget, EvalError, Evaluator, Relation, Snapshot,
+    parse_formula, queries, Database, EvalBudget, EvalError, EvalStats, Evaluator, Relation,
+    Snapshot,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -27,6 +28,41 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lcdb-recover-{}-{}", tag, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The counters a snapshot carries (the plan-cache counters describe one
+/// process's memo, not the query's work, and are not persisted).
+fn work(s: EvalStats) -> [usize; 7] {
+    [
+        s.fix_iterations,
+        s.fix_tuple_tests,
+        s.qe_calls,
+        s.region_expansions,
+        s.tc_edge_tests,
+        s.regions,
+        s.quarantined,
+    ]
+}
+
+/// One sentence evaluation over the arrangement of `r`, the way both front
+/// ends run it: through [`PlanCatalog::eval_resumable`].
+fn run_through(
+    cat: &PlanCatalog,
+    r: &Relation,
+    q: &RegFormula,
+    budget: &EvalBudget,
+) -> Resumable<(bool, EvalStats)> {
+    let mut db = Database::new();
+    db.insert("S", r.clone());
+    let db_fp = database_fingerprint(&db, Some("S"));
+    let ext = RegionExtension::try_arrangement_db(db.clone(), "S", budget);
+    let ev = ext
+        .as_ref()
+        .map(|ext| Evaluator::with_budget(ext, budget.clone()))
+        .map_err(EvalError::clone);
+    cat.eval_resumable(q, &db, db_fp, DecompositionKind::Arrangement, ev, |ev| {
+        Ok((ev.try_eval_sentence(q)?, ev.stats()))
+    })
 }
 
 /// The acceptance cycle at the library level: abort mid-fixpoint, persist
@@ -52,50 +88,76 @@ fn resume_after_abort_matches_uninterrupted_run() {
     ev2.resume_from(&q, &snap).expect("snapshot matches query");
     let verdict = ev2.try_eval_sentence(&q).expect("resume completes");
     assert_eq!(verdict, full_verdict);
-    // The resumed run still did real work and carried the prior counters.
-    assert!(ev2.stats().fix_iterations >= full_stats.fix_iterations);
+    // The snapshot carried the work its stages embody and the resumed run
+    // did the rest: together, the counters of the uninterrupted run.
+    assert_eq!(work(ev2.stats()), work(full_stats));
 }
 
-/// The one-call convenience wrapper writes a snapshot file on abort and
-/// accepts it back on resume.
+/// The one-call wrapper both front ends use stores the stages of an aborted
+/// run in the catalog, hands them to the next run — in another process, as
+/// far as the catalog can tell — and drops them once the query completes.
 #[test]
 fn recoverable_wrapper_writes_and_consumes_snapshots() {
     let dir = temp_dir("wrapper");
     let r = two_gaps();
     let q = queries::connectivity();
-    let tight = EvalBudget::unlimited().with_max_fix_iterations(1);
-    let (err, path) =
-        try_eval_sentence_arrangement_recoverable(&r, &q, &tight, Some(&dir), None)
-            .expect_err("tight budget aborts");
-    assert!(err.is_recoverable(), "{err}");
-    let path = path.expect("checkpoint path returned");
-    let snap = Snapshot::read_from(&path).expect("snapshot reads back");
+    let entries = |cat: &PlanCatalog| cat.stat().entries;
+    let (_, full_stats) =
+        try_eval_sentence_arrangement(&r, &q, &EvalBudget::unlimited()).expect("converges");
+    {
+        let cat = PlanCatalog::open(&dir).expect("store opens");
+        let tight = EvalBudget::unlimited().with_max_fix_iterations(1);
+        let aborted = run_through(&cat, &r, &q, &tight);
+        let err = aborted.result.expect_err("tight budget aborts");
+        assert!(err.is_recoverable(), "{err}");
+        assert!(!aborted.resumed && aborted.warnings.is_empty(), "{:?}", aborted.warnings);
+        assert_eq!(entries(&cat), 1, "the abort stored its stages");
 
-    let (verdict, _) = try_eval_sentence_arrangement_recoverable(
-        &r,
-        &q,
-        &EvalBudget::unlimited(),
-        None,
-        Some(&snap),
-    )
-    .expect("resume completes");
+        // Non-recoverable failures must not leave snapshots behind.
+        let bad = lcdb::RegFormula::Pred("S".into(), vec![lcdb::logic::LinExpr::var("x")]);
+        let invalid = run_through(&cat, &r, &bad, &EvalBudget::unlimited());
+        let err = invalid.result.expect_err("free variables are invalid");
+        assert!(!err.is_recoverable(), "{err}");
+        assert_eq!(entries(&cat), 1, "invalid query must not checkpoint");
+    }
+    let cat = PlanCatalog::open(&dir).expect("store reopens");
+    let resumed = run_through(&cat, &r, &q, &EvalBudget::unlimited());
+    assert!(resumed.resumed && resumed.warnings.is_empty(), "{:?}", resumed.warnings);
+    let (verdict, stats) = resumed.result.expect("resume completes");
     assert!(!verdict, "two gapped intervals are disconnected");
+    assert_eq!(work(stats), work(full_stats));
+    assert_eq!(entries(&cat), 0, "success drops the stages");
+    assert!(!run_through(&cat, &r, &q, &EvalBudget::unlimited()).resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // Non-recoverable failures must not leave snapshots behind.
-    let bad = lcdb::RegFormula::Pred("S".into(), vec![lcdb::logic::LinExpr::var("x")]);
-    let before = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    let res = try_eval_sentence_arrangement_recoverable(
-        &two_gaps(),
-        &bad, // free element variable: invalid as a sentence
-        &EvalBudget::unlimited(),
-        Some(&dir),
-        None,
-    );
-    let (err, path) = res.expect_err("free variables are invalid");
-    assert!(!err.is_recoverable(), "{err}");
-    assert!(path.is_none());
-    let after = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert_eq!(before, after, "invalid query must not checkpoint");
+/// An abort before the decomposition exists still leaves something to
+/// resume — an entry-less snapshot — and a second abort does not replace
+/// stored stages with it.
+#[test]
+fn abort_before_decomposition_leaves_an_entry() {
+    let dir = temp_dir("early");
+    let cat = PlanCatalog::open(&dir).expect("store opens");
+    let r = two_gaps();
+    let q = queries::connectivity();
+    let no_faces = EvalBudget::unlimited().with_max_faces(2);
+    let early = run_through(&cat, &r, &q, &no_faces);
+    assert!(matches!(early.result, Err(EvalError::FaceLimit { .. })));
+    assert_eq!(cat.stat().entries, 1);
+
+    // Real stages replace the entry-less snapshot...
+    let tight = EvalBudget::unlimited().with_max_fix_iterations(1);
+    let aborted = run_through(&cat, &r, &q, &tight);
+    assert!(aborted.resumed, "the entry-less snapshot resumes (from the bottom)");
+    assert!(matches!(aborted.result, Err(EvalError::IterationLimit { .. })));
+    // ...and survive a later abort that never reaches an evaluator.
+    let early = run_through(&cat, &r, &q, &no_faces);
+    assert!(matches!(early.result, Err(EvalError::FaceLimit { .. })));
+    let (full, full_stats) =
+        try_eval_sentence_arrangement(&r, &q, &EvalBudget::unlimited()).expect("converges");
+    let resumed = run_through(&cat, &r, &q, &EvalBudget::unlimited());
+    let (verdict, stats) = resumed.result.expect("resume completes");
+    assert_eq!((verdict, work(stats)), (full, work(full_stats)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -141,10 +203,8 @@ fn checkpoint_fingerprint_is_canonical_plan_hash() {
         "snapshot must embed the canonical plan hash"
     );
 
-    // Byte-for-byte through the file encoding.
-    let dir = temp_dir("fingerprint");
-    let path = snap.write_to_dir(&dir).expect("snapshot writes");
-    let back = Snapshot::read_from(&path).expect("snapshot reads");
+    // Byte-for-byte through the encoding.
+    let back = Snapshot::decode(&snap.encode()).expect("snapshot decodes");
     assert_eq!(back.fingerprint(), query_fingerprint(&q));
 
     // Lowering-normalized variants: ¬¬q and q ∧ q produce the identical
@@ -166,7 +226,6 @@ fn checkpoint_fingerprint_is_canonical_plan_hash() {
         query_fingerprint(&q),
         query_fingerprint(&queries::nonempty())
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn arb_intervals() -> impl Strategy<Value = Relation> {
@@ -203,10 +262,14 @@ proptest! {
         let ev2 = Evaluator::with_budget(&ext, EvalBudget::unlimited());
         ev2.resume_from(&q, &decoded).expect("matching snapshot");
         // Resume data only becomes observable progress after the next entry
-        // call; equality of verdicts (below) is the behavioural check.
+        // call; equality of verdicts and counters (below) is the
+        // behavioural check.
         let v_resumed = ev2.try_eval_sentence(&q).expect("completes");
-        let v_full = lcdb::core::eval_sentence_arrangement(&relation, &q);
+        let (v_full, full_stats) =
+            try_eval_sentence_arrangement(&relation, &q, &EvalBudget::unlimited())
+                .expect("unlimited run completes");
         prop_assert_eq!(v_resumed, v_full);
+        prop_assert_eq!(work(ev2.stats()), work(full_stats));
     }
 
     /// Aborting after a random number of stages and resuming always lands
