@@ -16,7 +16,8 @@
 //! * **Nodes with free element variables are interpreted**, here, one
 //!   binding at a time, to a quantifier-free FO+LIN formula over those
 //!   variables (*closure*): element quantifiers are eliminated by
-//!   Fourier–Motzkin with feasibility-pruned DNF conversion, region
+//!   Fourier–Motzkin with feasibility-pruned DNF conversion — or, where a
+//!   membership in a point region says what they are, substituted —, region
 //!   quantifiers expand into finite disjunctions/conjunctions, `rBIT`
 //!   extracts the binary representation of a defined rational. Where the
 //!   interpreter meets an element-free subplan it probes that subplan's
@@ -47,7 +48,7 @@ use lcdb_arith::{Rational, Sign};
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
 use lcdb_exec::Pool;
 use lcdb_logic::dnf::{try_to_dnf_pruned, try_to_dnf_strong, Dnf};
-use lcdb_logic::{qe, Formula, Rel, Var};
+use lcdb_logic::{qe, Formula, LinExpr, Rel, Var};
 use lcdb_plan::hash::{FastMap, FastSet};
 use lcdb_plan::memo::Bindings;
 use lcdb_plan::table::Table;
@@ -58,7 +59,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
-use tables::{Cx, Dom, Env, PlanInfo, TableState};
+use tables::{Cx, Dom, Env, PlanInfo, Subsets, TableState};
 
 pub use crate::lower::query_fingerprint;
 
@@ -289,12 +290,10 @@ pub struct Evaluator<'a> {
     ext: &'a dyn Decomposition,
     budget: EvalBudget,
     meter: Meter,
-    /// Dimension of each region, and the regions of each dimension with
-    /// every region's position in its class: the guarded quantifier
-    /// domains.
+    /// Dimension of each region.
     dim_of: Vec<u32>,
-    by_dim: Vec<Vec<u32>>,
-    pos_in_dim: Vec<u32>,
+    /// The narrowed quantifier domains met so far.
+    subsets: RefCell<Subsets>,
     /// The table executor's state for the current entry call.
     tabs: RefCell<TableState>,
     /// Operand size above which a table is built in slices; a field so the
@@ -367,22 +366,10 @@ impl<'a> Evaluator<'a> {
     /// the infallible entry points panic when the budget runs out.
     pub fn with_budget(ext: &'a dyn Decomposition, budget: EvalBudget) -> Self {
         let dim_of: Vec<u32> = ext.region_ids().map(|r| ext.region(r).dim as u32).collect();
-        let mut by_dim: Vec<Vec<u32>> = Vec::new();
-        let mut pos_in_dim = Vec::with_capacity(dim_of.len());
-        for (r, &k) in dim_of.iter().enumerate() {
-            if by_dim.len() <= k as usize {
-                by_dim.resize(k as usize + 1, Vec::new());
-            }
-            pos_in_dim.push(by_dim[k as usize].len() as u32);
-            by_dim[k as usize].push(r as u32);
-        }
         // Order the 0-dimensional regions lexicographically by the point they
         // contain (they are singletons); this is the total order the rBIT
         // operator and the capture construction rely on (§5, §6).
-        let mut zero_dim: Vec<usize> = by_dim
-            .first()
-            .map(|ids| ids.iter().map(|&r| r as usize).collect())
-            .unwrap_or_default();
+        let mut zero_dim: Vec<usize> = (0..dim_of.len()).filter(|&r| dim_of[r] == 0).collect();
         zero_dim.sort_by(|&a, &b| ext.region(a).witness.cmp(&ext.region(b).witness));
         let meter = budget.meter();
         Evaluator {
@@ -390,8 +377,7 @@ impl<'a> Evaluator<'a> {
             budget,
             meter,
             dim_of,
-            by_dim,
-            pos_in_dim,
+            subsets: RefCell::new(Subsets::default()),
             tabs: RefCell::new(TableState::default()),
             slice_bytes: Cell::new(tables::SLICE_BYTES),
             formula_memo: RefCell::new(FastMap::default()),
@@ -862,36 +848,49 @@ impl<'a> Evaluator<'a> {
         &self,
         f: &RegFormula,
     ) -> Result<EvalOutcome<bool>, EvalError> {
-        if !f.free_element_vars().is_empty() {
-            return Err(self.query_error("sentence has free element variables"));
-        }
-        if !f.free_region_vars().is_empty() {
-            return Err(self.query_error("sentence has free region variables"));
-        }
-        if !f.free_set_vars().is_empty() {
-            return Err(self.query_error("sentence has free set variables"));
-        }
-        let out = self.run_entry(f, "eval.sentence", &[])?;
+        let (plan, root) = lower::compile(f);
+        self.check_free(plan.facts(root), "sentence", true, true)?;
+        let out = self.run_entry(&plan, root, "eval.sentence", &[])?;
         Ok(self.outcome(truth(&out)))
     }
 
-    /// Compile `f`, run it under the given region bindings, and flush the
+    /// The entry check, read off the compiled root: `what` may have no free
+    /// set variable, nor — where the flags ask — a free element or region
+    /// variable. A variable that constant folding removed is not free: no
+    /// value depends on it.
+    fn check_free(
+        &self,
+        facts: &lcdb_plan::NodeFacts,
+        what: &str,
+        elements: bool,
+        regions: bool,
+    ) -> Result<(), EvalError> {
+        let sort = if elements && !facts.elem_free() {
+            "element"
+        } else if regions && !facts.free_regions.is_empty() {
+            "region"
+        } else if !facts.set_free() {
+            "set"
+        } else {
+            return Ok(());
+        };
+        Err(self.query_error(format!("{what} has free {sort} variables")))
+    }
+
+    /// Run a compiled query under the given region bindings and flush the
     /// trace counters: the body of every entry point.
     fn run_entry(
         &self,
-        f: &RegFormula,
+        plan: &Plan,
+        root: PlanId,
         span: &str,
         bindings: &[(&str, usize)],
     ) -> Result<Formula, EvalError> {
-        let (plan, root) = lower::compile(f);
-        let info = self.begin_entry(&plan);
+        let info = self.begin_entry(plan);
         let _span = self
             .trace
             .span_with(span, &format!("plan_nodes={}", plan.len()));
-        let cx = Cx {
-            plan: &plan,
-            info: &info,
-        };
+        let cx = Cx { plan, info: &info };
         let mut env = Env::new(&info);
         for &(name, id) in bindings {
             if id >= self.ext.num_regions() {
@@ -958,13 +957,13 @@ impl<'a> Evaluator<'a> {
         &self,
         f: &RegFormula,
     ) -> Result<EvalOutcome<Formula>, EvalError> {
-        if !f.free_region_vars().is_empty() {
-            return Err(self.query_error("query has free region variables"));
-        }
-        if !f.free_set_vars().is_empty() {
-            return Err(self.query_error("query has free set variables"));
-        }
-        let out = self.run_entry(f, "eval.query", &[])?;
+        let (plan, root) = lower::compile(f);
+        self.query_outcome(&plan, root)
+    }
+
+    fn query_outcome(&self, plan: &Plan, root: PlanId) -> Result<EvalOutcome<Formula>, EvalError> {
+        self.check_free(plan.facts(root), "query", false, true)?;
+        let out = self.run_entry(plan, root, "eval.query", &[])?;
         // An answer that came out of an elimination is DNF-shaped already:
         // the conversion is then one decision per disjunct, no distribution.
         let dnf =
@@ -977,9 +976,9 @@ impl<'a> Evaluator<'a> {
     /// database object (closure, §2).
     ///
     /// # Panics
-    /// Panics if the formula's free element variables are not exactly
-    /// `var_order`, if region/set variables are free, or if an installed
-    /// budget is exhausted.
+    /// Panics if `var_order` omits a free element variable of the query
+    /// (a column it names beyond those is unconstrained), if region/set
+    /// variables are free, or if an installed budget is exhausted.
     pub fn eval_query_to_relation(
         &self,
         f: &RegFormula,
@@ -995,13 +994,13 @@ impl<'a> Evaluator<'a> {
         f: &RegFormula,
         var_order: &[Var],
     ) -> Result<lcdb_logic::Relation, EvalError> {
-        let free = f.free_element_vars();
-        if free != var_order.iter().cloned().collect() {
+        let (plan, root) = lower::compile(f);
+        if !plan.facts(root).free_elems.iter().all(|x| var_order.contains(x)) {
             return Err(self.query_error(
                 "variable order must match the query's free element variables",
             ));
         }
-        let qf = self.try_eval_query(f)?;
+        let qf = self.query_outcome(&plan, root)?.into_value();
         Ok(lcdb_logic::Relation::new(var_order.to_vec(), &qf))
     }
 
@@ -1022,10 +1021,9 @@ impl<'a> Evaluator<'a> {
         f: &RegFormula,
         bindings: &[(&str, usize)],
     ) -> Result<Formula, EvalError> {
-        if !f.free_set_vars().is_empty() {
-            return Err(self.query_error("query has free set variables"));
-        }
-        self.run_entry(f, "eval.with_regions", bindings)
+        let (plan, root) = lower::compile(f);
+        self.check_free(plan.facts(root), "query", false, false)?;
+        self.run_entry(&plan, root, "eval.with_regions", bindings)
     }
 
     /// Time one visit of a plan node for the profile, crediting children's
@@ -1169,13 +1167,17 @@ impl<'a> Evaluator<'a> {
             PlanNode::Not(inner) => Formula::not(self.eval_node(cx, *inner, env)?),
             PlanNode::ExistsElem(..) | PlanNode::ForallElem(..) => {
                 let (vars, existential, body) = lcdb_plan::exec::quantifier_block(cx.plan, id);
-                let sub = self.eval_node(cx, body, env)?;
+                let (sub, vars) = self.block_body(cx, body, vars, existential, env)?;
                 self.stats.borrow_mut().qe_calls += vars.len();
-                self.timed_qe(&sub, &vars, existential)?
+                if vars.is_empty() {
+                    sub
+                } else {
+                    self.timed_qe(&sub, &vars, existential)?
+                }
             }
-            PlanNode::ExistsRegion(v, inner) | PlanNode::ForallRegion(v, inner) => {
+            PlanNode::ExistsRegion(_, inner) | PlanNode::ForallRegion(_, inner) => {
                 let existential = matches!(cx.plan.node(id), PlanNode::ExistsRegion(..));
-                self.eval_region_quantifier(cx, id, v, *inner, env, existential)?
+                self.eval_region_quantifier(cx, id, *inner, env, existential)?
             }
             PlanNode::Rbit { var, body, .. } => {
                 bool_formula(self.eval_rbit(cx, id, var, *body, env)?)
@@ -1210,36 +1212,90 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// Detect a dimension guard on the quantified region variable `v` in
-    /// `body`: a top-level conjunct `dim(v) = k` in existential position, or
-    /// a top-level disjunct `¬ dim(v) = k` in universal position. A binding
-    /// that violates such a guard makes the body the quantifier's absorbing
-    /// element — false under ∃ (and under fixpoint membership), true under
-    /// ∀ — so the quantifier may range over the regions of dimension `k`
-    /// alone without changing the value, only the work. Compiled capture
-    /// sentences (Theorem 6.4) guard every quantifier with `dim(v) = 0`,
-    /// which turns tables over the whole face lattice into tables over its
-    /// vertices.
-    fn dim_guard(plan: &Plan, body: PlanId, v: &str, existential: bool) -> Option<usize> {
-        let direct = |id: PlanId| match plan.node(id) {
-            PlanNode::DimEq(r, k) if r == v => Some(*k),
-            _ => None,
+    /// The body of a block of like element quantifiers over `vars` at the
+    /// binding in `env`, and the variables still to be eliminated from it.
+    ///
+    /// A conjunct `x̄ ∈ P` of an `∃` block (a disjunct `x̄ ∉ P` of a `∀`
+    /// block) in distinct block variables, with `P` bound to a region of
+    /// dimension 0, says what `x̄` is — the region's one point, which the
+    /// decomposition holds as its witness — so those variables are
+    /// substituted in the other operands, not eliminated: the order
+    /// formulas of §6 quantify over points only and eliminate nothing.
+    /// Decided per binding: the same node eliminates where `P` is an
+    /// interval.
+    fn block_body<'p>(
+        &self,
+        cx: Cx<'p>,
+        body: PlanId,
+        mut vars: Vec<&'p str>,
+        existential: bool,
+        env: &mut Env,
+    ) -> Result<(Formula, Vec<&'p str>), Stop> {
+        let parts = match (cx.plan.node(body), existential) {
+            (PlanNode::And(parts), true) | (PlanNode::Or(parts), false) => &parts[..],
+            _ => std::slice::from_ref(&body),
         };
-        let negated = |id: PlanId| match plan.node(id) {
-            PlanNode::Not(inner) => direct(*inner),
-            _ => None,
-        };
-        if existential {
-            match plan.node(body) {
-                PlanNode::And(fs) => fs.iter().find_map(|&f| direct(f)),
-                _ => direct(body),
-            }
-        } else {
-            match plan.node(body) {
-                PlanNode::Or(fs) => fs.iter().find_map(|&f| negated(f)),
-                _ => negated(body),
+        let mut point: Vec<(&str, LinExpr)> = Vec::new();
+        let mut rest: Vec<PlanId> = Vec::with_capacity(parts.len());
+        for &p in parts {
+            let member = match (cx.plan.node(p), existential) {
+                (PlanNode::In(..), true) => Some(p),
+                (PlanNode::Not(inner), false) => Some(*inner),
+                _ => None,
+            };
+            match member.and_then(|m| self.point_membership(cx, m, &vars, &point, env)) {
+                Some(coordinates) => point.extend(coordinates),
+                None => rest.push(p),
             }
         }
+        if point.is_empty() {
+            return Ok((self.eval_node(cx, body, env)?, vars));
+        }
+        let mut operands = Vec::with_capacity(rest.len());
+        for p in rest {
+            operands.push(at_point(&self.eval_node(cx, p, env)?, &point));
+        }
+        vars.retain(|x| point.iter().all(|(y, _)| x != y));
+        Ok(if existential {
+            (Formula::and(operands), vars)
+        } else {
+            (Formula::or(operands), vars)
+        })
+    }
+
+    /// If node `m` is `x̄ ∈ P` with `x̄` distinct variables of `vars` that
+    /// `point` does not place yet and `P` bound to a 0-dimensional region:
+    /// the variables with that region's coordinates.
+    fn point_membership<'p>(
+        &self,
+        cx: Cx<'p>,
+        m: PlanId,
+        vars: &[&'p str],
+        point: &[(&'p str, LinExpr)],
+        env: &Env,
+    ) -> Option<Vec<(&'p str, LinExpr)>> {
+        let PlanNode::In(args, _) = cx.plan.node(m) else {
+            return None;
+        };
+        let region = env.val[cx.args(m)[0] as usize] as usize;
+        let at = &self.ext.region(region).witness;
+        if self.dim_of[region] != 0 || args.len() != at.len() {
+            return None;
+        }
+        let mut out: Vec<(&str, LinExpr)> = Vec::with_capacity(args.len());
+        for (arg, c) in args.iter().zip(at) {
+            let mut terms = arg.terms();
+            let (Some((x, one)), None) = (terms.next(), terms.next()) else {
+                return None;
+            };
+            let x = *vars.iter().find(|v| *v == x)?;
+            let fresh = point.iter().chain(&out).all(|(y, _)| *y != x);
+            if !(fresh && one.is_one() && arg.constant_term().is_zero()) {
+                return None;
+            }
+            out.push((x, LinExpr::constant(c.clone())));
+        }
+        Some(out)
     }
 
     /// Expand a region quantifier whose body has free element variables
@@ -1249,13 +1305,13 @@ impl<'a> Evaluator<'a> {
         &self,
         cx: Cx,
         id: PlanId,
-        v: &str,
         inner: PlanId,
         env: &mut Env,
         existential: bool,
     ) -> Result<Formula, Stop> {
-        let slot = cx.args(id)[0] as usize;
-        let dom = Self::guarded_dom(cx.plan, inner, v, existential);
+        let var = cx.args(id)[0];
+        let slot = var as usize;
+        let dom = self.narrow(cx, inner, var, existential, env)?;
         let ids = self.dom_regions(dom);
         let _span = self.trace_on.then(|| {
             self.trace.span_with(
@@ -1358,6 +1414,24 @@ impl<'a> Evaluator<'a> {
             return Ok(false);
         };
         Ok(a.numer_magnitude().bit(i as u64) && a.denom_magnitude().bit(j as u64))
+    }
+}
+
+/// `f` with the variables of `point` replaced by their values and the atoms
+/// that became constant folded.
+fn at_point(f: &Formula, point: &[(&str, LinExpr)]) -> Formula {
+    let each = |fs: &[Formula]| fs.iter().map(|g| at_point(g, point)).collect();
+    match f {
+        Formula::Atom(a) => {
+            let a = point.iter().fold(a.clone(), |a, (x, c)| a.substitute(x, c));
+            a.constant_truth().map_or(Formula::Atom(a), bool_formula)
+        }
+        Formula::And(fs) => Formula::and(each(fs)),
+        Formula::Or(fs) => Formula::or(each(fs)),
+        Formula::Not(g) => Formula::not(at_point(g, point)),
+        other => point
+            .iter()
+            .fold(other.clone(), |g, (x, c)| g.substitute(x, c)),
     }
 }
 
@@ -1841,6 +1915,71 @@ mod tests {
             "fixpoint recomputed per argument pair: {} iterations",
             s.fix_iterations
         );
+    }
+
+    #[test]
+    fn membership_in_a_point_region_is_a_substitution() {
+        // Regions: (-∞,0) {0} (0,2) {2} (2,∞); `y` stays free.
+        let ext = interval_ext();
+        let x_below_y = Formula::Atom(Atom::new(LinExpr::var("x"), Rel::Lt, LinExpr::var("y")));
+        for (src, universal) in [
+            ("exists x. (x in P and x < y)", false),
+            ("forall x. (not (x in P) or x < y)", true),
+            // Not a bare variable: nothing to substitute.
+            ("exists x. (x + 1 in P and x + 1 < y)", false),
+        ] {
+            let f = crate::parse_regformula(src).unwrap();
+            for r in ext.region_ids() {
+                let ev = Evaluator::new(&ext);
+                let got = ev.eval_with_regions(&f, &[("P", r)]);
+                let substituted = ext.region(r).dim == 0 && !src.contains("x + 1");
+                assert_eq!(ev.stats().qe_calls, usize::from(!substituted), "{src} at {r}");
+                // The same, by elimination on the region's own formula.
+                let inside = ext.region_formula(r, &["x".to_string()]);
+                let want = if universal {
+                    Formula::Forall("x".into(), Box::new(inside.implies(x_below_y.clone())))
+                } else {
+                    Formula::Exists("x".into(), Box::new(Formula::and(vec![inside, x_below_y.clone()])))
+                };
+                for y in -3..=5 {
+                    let env = BTreeMap::from([("y".to_string(), int(y))]);
+                    assert_eq!(got.eval(&env), want.eval(&env), "{src} at region {r}, y = {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn entry_checks_read_the_compiled_plan() {
+        let ext = interval_ext();
+        let ev = Evaluator::new(&ext);
+        let open = |what: &str| {
+            RegFormula::and(vec![
+                crate::parse_regformula(what).unwrap(),
+                RegFormula::SubsetOf("R".into(), "S".into()),
+            ])
+        };
+        for (f, sort) in [
+            (crate::parse_regformula("x < 1").unwrap(), "element"),
+            (open("true"), "region"),
+            (RegFormula::SetApp("M".into(), vec![]), "set"),
+        ] {
+            let err = ev.try_eval_sentence(&f).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("sentence has free {sort} variables")),
+                "{err}"
+            );
+        }
+        // What constant folding removed is not free: no value depends on it.
+        let folded = RegFormula::or(vec![
+            RegFormula::and(vec![open("x < 1"), RegFormula::False]),
+            RegFormula::exists_region("R", open("true")),
+        ]);
+        assert!(ev.eval_sentence(&folded));
+        assert!(ev.try_eval_query(&open("x < 1")).is_err());
+        assert!(ev
+            .try_eval_with_regions(&open("x < 1"), &[("R", 0)])
+            .is_ok());
     }
 
     #[test]

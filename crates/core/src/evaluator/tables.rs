@@ -7,6 +7,8 @@
 //! * `And`/`Or`/`Not` and the region quantifiers are the word-wise kernels
 //!   of [`lcdb_plan::table`]; a quantifier over a conjunction is one fused
 //!   join-project.
+//! * A bound variable ranges over what the stage-invariant guards of its
+//!   binder allow ([`Evaluator::narrow`]), decided before the join is built.
 //! * A fixed point is a loop of stage tables, one saturation per binding of
 //!   the variables its body takes from outside; `TC`/`DTC` is the closure of
 //!   one bit matrix per body.
@@ -40,12 +42,21 @@ pub(super) const SLICE_BYTES: usize = 16 << 20;
 pub(super) enum Dom {
     /// Every region.
     All,
-    /// The regions of one dimension: the variable's binder carries a
-    /// `dim(v) = k` guard, so other bindings are absorbing.
-    Dim(u32),
+    /// The regions the guards of the variable's binder leave (an id into
+    /// [`Subsets`]): a dimension class under a `dim(v) = k` guard.
+    Sub(u32),
     /// One region: a binding handed in from outside, a dependency of a
-    /// fixed point being saturated, or a slice.
+    /// fixed point being saturated, a slice, or all a binder's guards allow.
     One(u32),
+}
+
+/// Interned sets of regions, each ascending: the narrowed binder domains.
+/// A domain is a key of every table built under it, so equal sets must be
+/// one id.
+#[derive(Default)]
+pub(super) struct Subsets {
+    sets: Vec<Arc<[u32]>>,
+    ids: FastMap<Arc<[u32]>, u32>,
 }
 
 /// The region variables in scope, by slot: their domains (for tables) and,
@@ -233,7 +244,7 @@ pub(super) struct TableState {
     tables: Vec<Vec<Slot>>,
     /// Fixed-point operators and closures, by operator fingerprint and the
     /// domains of their dependencies.
-    ops: FastMap<(u64, Box<[Dom]>), Slot>,
+    ops: FastMap<OpKey, Slot>,
     lazy: Vec<Option<LazySlot>>,
     leaf_ids: HashMap<String, usize>,
     node_leaf: Vec<Option<Arc<LazyRef>>>,
@@ -245,9 +256,20 @@ pub(super) struct TableState {
     pub sets: Vec<SetBinding>,
     epoch: u64,
     adjacency: Option<Arc<Table>>,
-    /// Tables keyed by a one-region domain, in insertion order: dropped
-    /// when the binding or slice that needed them is done.
-    scratch: Vec<(PlanId, Box<[Dom]>)>,
+    /// Tables and operators keyed by a one-region domain, in insertion
+    /// order: dropped when the binding or slice that needed them is done —
+    /// not before, so what a stage builds under a pinned variable serves
+    /// every later stage of the same saturation.
+    scratch: Vec<Scratch>,
+}
+
+/// An operator's fingerprint and the domains of its dependencies.
+type OpKey = (u64, Box<[Dom]>);
+
+enum Scratch {
+    /// A node's table under these domains of its free variables.
+    Table(PlanId, Box<[Dom]>),
+    Op(OpKey),
 }
 
 impl TableState {
@@ -268,7 +290,7 @@ impl<'a> Evaluator<'a> {
     fn dom_size(&self, d: Dom) -> usize {
         match d {
             Dom::All => self.ext.num_regions(),
-            Dom::Dim(k) => self.by_dim.get(k as usize).map_or(0, Vec::len),
+            Dom::Sub(s) => self.subsets.borrow().sets[s as usize].len(),
             Dom::One(_) => 1,
         }
     }
@@ -276,7 +298,7 @@ impl<'a> Evaluator<'a> {
     fn dom_region(&self, d: Dom, pos: usize) -> u32 {
         match d {
             Dom::All => pos as u32,
-            Dom::Dim(k) => self.by_dim[k as usize][pos],
+            Dom::Sub(s) => self.subsets.borrow().sets[s as usize][pos],
             Dom::One(r) => r,
         }
     }
@@ -284,33 +306,129 @@ impl<'a> Evaluator<'a> {
     fn dom_pos(&self, d: Dom, region: u32) -> Option<usize> {
         match d {
             Dom::All => Some(region as usize),
-            Dom::Dim(k) => (self.dim_of[region as usize] == k)
-                .then(|| self.pos_in_dim[region as usize] as usize),
+            Dom::Sub(s) => self.subsets.borrow().sets[s as usize]
+                .binary_search(&region)
+                .ok(),
             Dom::One(r) => (r == region).then_some(0),
         }
     }
 
     /// The regions of a domain, in position order.
     pub(super) fn dom_regions(&self, d: Dom) -> Vec<u32> {
-        (0..self.dom_size(d))
-            .map(|p| self.dom_region(d, p))
-            .collect()
+        match d {
+            Dom::All => (0..self.ext.num_regions() as u32).collect(),
+            Dom::Sub(s) => self.subsets.borrow().sets[s as usize].to_vec(),
+            Dom::One(r) => vec![r],
+        }
     }
 
     /// For each position of `from`, the position of the same region in `to`.
     fn conversion(&self, from: Dom, to: Dom) -> Vec<Option<usize>> {
-        (0..self.dom_size(from))
-            .map(|p| self.dom_pos(to, self.dom_region(from, p)))
+        self.dom_regions(from)
+            .into_iter()
+            .map(|r| self.dom_pos(to, r))
             .collect()
     }
 
-    /// The domain a quantified or tuple variable ranges over: every region,
-    /// or one dimension class when the body guards it.
-    pub(super) fn guarded_dom(plan: &Plan, body: PlanId, v: &str, existential: bool) -> Dom {
-        match Self::dim_guard(plan, body, v, existential) {
-            Some(k) => Dom::Dim(k as u32),
-            None => Dom::All,
+    /// The domain of exactly `regions` (ascending).
+    fn subset(&self, regions: Vec<u32>) -> Dom {
+        if let [r] = regions[..] {
+            return Dom::One(r);
         }
+        let mut subsets = self.subsets.borrow_mut();
+        if let Some(&s) = subsets.ids.get(&regions[..]) {
+            return Dom::Sub(s);
+        }
+        let (s, set) = (subsets.sets.len() as u32, Arc::<[u32]>::from(regions));
+        subsets.sets.push(Arc::clone(&set));
+        subsets.ids.insert(set, s);
+        Dom::Sub(s)
+    }
+
+    /// `dom` without the regions `holds` rejects (it is given each region
+    /// with its position in `dom`).
+    fn restrict(&self, dom: Dom, mut holds: impl FnMut(usize, u32) -> bool) -> Dom {
+        let all = self.dom_regions(dom);
+        let left: Vec<u32> = (0..all.len())
+            .filter(|&at| holds(at, all[at]))
+            .map(|at| all[at])
+            .collect();
+        if left.len() == all.len() {
+            dom
+        } else {
+            self.subset(left)
+        }
+    }
+
+    /// What the variable `slot` of a binder over `body` ranges over — an
+    /// `∃` or a fixed-point tuple variable when `existential`, else a `∀`.
+    ///
+    /// A *guard* is a top-level conjunct of the body (under `∀`, the
+    /// negation of a top-level disjunct) that reads no element and no set
+    /// variable and whose region variables are `slot` and variables `env`
+    /// pins to one region. A binding that violates a guard makes the body
+    /// the binder's absorbing element — false under `∃`, true under `∀`,
+    /// and for a tuple variable false at every stage of LFP, IFP and PFP,
+    /// because a guard reads no stage — so the variable may range over the
+    /// regions that satisfy every guard without changing the value, only
+    /// the work. A dimension guard is read off `dim_of`; the others are
+    /// ordinary cached tables over the candidates the guards before them
+    /// left, smallest subplan first, and are built only when some operand
+    /// that is no guard mentions the variable — without one the join *is*
+    /// the guards. One candidate left pins the variable, which makes guards
+    /// for the binders below it: `first(K1)`, then `succ(K1, K2)`.
+    pub(super) fn narrow(
+        &self,
+        cx: Cx,
+        body: PlanId,
+        slot: Var,
+        existential: bool,
+        env: &mut Env,
+    ) -> Result<Dom, Stop> {
+        let parts = match (cx.plan.node(body), existential) {
+            (PlanNode::And(parts), true) | (PlanNode::Or(parts), false) => &parts[..],
+            _ => std::slice::from_ref(&body),
+        };
+        let dimension = |p: PlanId| match (cx.plan.node(p), existential) {
+            (PlanNode::DimEq(_, k), true) => Some(*k),
+            (PlanNode::Not(inner), false) => match cx.plan.node(*inner) {
+                PlanNode::DimEq(_, k) => Some(*k),
+                _ => None,
+            },
+            _ => None,
+        };
+        let mut dom = Dom::All;
+        let mut guards: Vec<PlanId> = Vec::new();
+        let mut joined = false;
+        for &p in parts.iter().filter(|&&p| cx.free(p).contains(&slot)) {
+            let facts = cx.plan.facts(p);
+            let pinned = |&u: &Var| u == slot || matches!(env.dom[u as usize], Dom::One(_));
+            if !(facts.elem_free() && facts.set_free() && cx.free(p).iter().all(pinned)) {
+                joined = true;
+            } else if let Some(k) = dimension(p) {
+                dom = self.restrict(dom, |_, r| self.dim_of[r as usize] as usize == k);
+            } else {
+                guards.push(p);
+            }
+        }
+        if !joined {
+            return Ok(dom);
+        }
+        guards.sort_by_key(|&p| cx.plan.facts(p).size);
+        for p in guards {
+            let saved = std::mem::replace(&mut env.dom[slot as usize], dom);
+            let table = self.table(cx, p, env);
+            env.dom[slot as usize] = saved;
+            let table = table?;
+            // Every other variable of a guard is pinned: position 0.
+            let mut pos = vec![0usize; cx.free(p).len()];
+            let lane = cx.free(p).iter().position(|&u| u == slot).unwrap_or(0);
+            dom = self.restrict(dom, |at, _| {
+                pos[lane] = at;
+                table.get(&pos) == existential
+            });
+        }
+        Ok(dom)
     }
 
     fn layout(&self, vars: &[Var], env: &Env) -> Layout {
@@ -414,13 +532,10 @@ impl<'a> Evaluator<'a> {
             // Same domains, older stage: the stage's table is replaced.
             Some(old) => *old = slot,
             None => {
-                if slot.doms.iter().any(|d| matches!(d, Dom::One(_))) {
-                    let key = (id, slot.doms.clone());
-                    slots.push(slot);
-                    st.scratch.push(key);
-                } else {
-                    slots.push(slot);
-                }
+                let pinned = slot.doms.iter().any(|d| matches!(d, Dom::One(_)));
+                let key = pinned.then(|| Scratch::Table(id, slot.doms.clone()));
+                slots.push(slot);
+                st.scratch.extend(key);
             }
         }
         Ok(())
@@ -430,8 +545,12 @@ impl<'a> Evaluator<'a> {
     fn drop_scratch(&self, mark: usize) {
         let mut st = self.tabs.borrow_mut();
         while st.scratch.len() > mark {
-            if let Some((id, doms)) = st.scratch.pop() {
-                st.tables[id as usize].retain(|s| s.doms != doms);
+            match st.scratch.pop() {
+                Some(Scratch::Table(id, doms)) => {
+                    st.tables[id as usize].retain(|s| s.doms != doms)
+                }
+                Some(Scratch::Op(key)) => drop(st.ops.remove(&key)),
+                None => {}
             }
         }
     }
@@ -545,10 +664,8 @@ impl<'a> Evaluator<'a> {
             }
             PlanNode::And(parts) => self.connective(cx, cx.free(id), parts, true, None, env, None),
             PlanNode::Or(parts) => self.connective(cx, cx.free(id), parts, false, None, env, None),
-            PlanNode::ExistsRegion(v, inner) => {
-                self.quantifier(cx, id, v, *inner, false, env, None)
-            }
-            PlanNode::ForallRegion(v, inner) => self.quantifier(cx, id, v, *inner, true, env, None),
+            PlanNode::ExistsRegion(_, inner) => self.quantifier(cx, id, *inner, false, env, None),
+            PlanNode::ForallRegion(_, inner) => self.quantifier(cx, id, *inner, true, env, None),
             PlanNode::Fix { .. } => self.fix_application(cx, id, env),
             PlanNode::Tc { .. } => self.tc_application(cx, id, env),
             _ => self.lazy_force(cx, id, env),
@@ -612,11 +729,11 @@ impl<'a> Evaluator<'a> {
             PlanNode::And(parts) | PlanNode::Or(parts) => {
                 parts.iter().any(|&p| wide(cx.free(p), env))
             }
-            PlanNode::ExistsRegion(q, inner) | PlanNode::ForallRegion(q, inner) => {
+            PlanNode::ExistsRegion(_, inner) | PlanNode::ForallRegion(_, inner) => {
+                // An estimate: the bound variable counts for every region,
+                // whatever its guards will leave.
                 let slot = cx.args(id)[0] as usize;
-                let existential = matches!(cx.plan.node(id), PlanNode::ExistsRegion(..));
-                let saved = env.dom[slot];
-                env.dom[slot] = Self::guarded_dom(cx.plan, *inner, q, existential);
+                let saved = std::mem::replace(&mut env.dom[slot], Dom::All);
                 let over = match cx.plan.node(*inner) {
                     PlanNode::And(parts) | PlanNode::Or(parts) => {
                         parts.iter().any(|&p| wide(cx.free(p), env))
@@ -774,30 +891,28 @@ impl<'a> Evaluator<'a> {
                 PlanNode::Or(parts) => {
                     self.connective(cx, cx.free(id), parts, false, None, env, Some(care))
                 }
-                PlanNode::ExistsRegion(v, inner) => {
-                    self.quantifier(cx, id, v, *inner, false, env, Some(care))
+                PlanNode::ExistsRegion(_, inner) => {
+                    self.quantifier(cx, id, *inner, false, env, Some(care))
                 }
-                PlanNode::ForallRegion(v, inner) => {
-                    self.quantifier(cx, id, v, *inner, true, env, Some(care))
+                PlanNode::ForallRegion(_, inner) => {
+                    self.quantifier(cx, id, *inner, true, env, Some(care))
                 }
                 _ => unreachable!("only connectives and region quantifiers are maskable"),
             }
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn quantifier(
         &self,
         cx: Cx,
         id: PlanId,
-        v: &str,
         inner: PlanId,
         universal: bool,
         env: &mut Env,
         care: Option<&Table>,
     ) -> Result<Table, Stop> {
         let slot = cx.args(id)[0];
-        let dom = Self::guarded_dom(cx.plan, inner, v, !universal);
+        let dom = self.narrow(cx, inner, slot, !universal, env)?;
         let size = self.dom_size(dom);
         self.note_region_expansions(size)?;
         let out_vars = cx.free(id);
@@ -996,15 +1111,17 @@ impl<'a> Evaluator<'a> {
             self.check_alloc(&Layout::new(vars, sizes))?;
             Arc::new(Table::stack(&outer, inner, &parts))
         };
+        let slot = Slot {
+            doms: key.1.clone(),
+            epochs,
+            table: Arc::clone(&table),
+        };
         // An operator under a pinned dependency belongs to one binding or
-        // slice of an enclosing table; it is not kept.
-        if !key.1.iter().any(|d| matches!(d, Dom::One(_))) {
-            let slot = Slot {
-                doms: key.1.clone(),
-                epochs,
-                table: Arc::clone(&table),
-            };
-            self.tabs.borrow_mut().ops.insert(key, slot);
+        // slice of an enclosing table.
+        let pinned = key.1.iter().any(|d| matches!(d, Dom::One(_)));
+        let mut st = self.tabs.borrow_mut();
+        if st.ops.insert(key.clone(), slot).is_none() && pinned {
+            st.scratch.push(Scratch::Op(key));
         }
         Ok(table)
     }
@@ -1052,14 +1169,26 @@ impl<'a> Evaluator<'a> {
         // The fixed point depends on the body's free variables other than
         // the tuple variables — not on the applied arguments, so one
         // operator table serves every application site. Definition 5.1
-        // sweeps every tuple, but one that violates a `dim(v) = c` guard of
-        // the body is false at every stage: the tuple space is the product
-        // of the guarded domains.
+        // sweeps every tuple, but one that violates a guard of the body is
+        // false at every stage: the tuple space is the product of the
+        // narrowed domains, each narrowed under the ones before it.
         let deps = Self::dependencies(cx, body, var_slots);
-        let doms: Vec<Dom> = vars
+        let saved: Vec<Dom> = var_slots
             .iter()
-            .map(|v| Self::guarded_dom(cx.plan, body, v, true))
+            .map(|&v| std::mem::replace(&mut env.dom[v as usize], Dom::All))
             .collect();
+        let narrowed: Result<Vec<Dom>, Stop> = var_slots
+            .iter()
+            .map(|&v| {
+                let dom = self.narrow(cx, body, v, true, env)?;
+                env.dom[v as usize] = dom;
+                Ok(dom)
+            })
+            .collect();
+        for (&v, &d) in var_slots.iter().zip(&saved).rev() {
+            env.dom[v as usize] = d;
+        }
+        let doms = narrowed?;
         let mut sorted: Vec<usize> = (0..k).collect();
         sorted.sort_by_key(|&i| var_slots[i]);
         let mut order = vec![0usize; k];
@@ -1719,6 +1848,54 @@ mod tests {
             let ev = Evaluator::new(&e);
             assert!(ev.eval_sentence(&all_in));
         }
+    }
+
+    #[test]
+    fn guards_narrow_a_binder_and_a_pinned_binder_guards_the_next() {
+        // Regions of the line: (-∞,0) {0} (0,1) {1} (1,3) {3} (3,∞).
+        let e = ext("(0 < x and x < 1) or x = 3", &["x"]);
+        assert_eq!(e.num_regions(), 7);
+        let run = |body: &str| {
+            let f = crate::parse_regformula(&format!("exists R. [ifp $M, X. {body}](R)"));
+            let ev = Evaluator::new(&e);
+            let verdict = ev.eval_sentence(&f.unwrap());
+            // The outer `∃R` ranges over every region, once.
+            (verdict, ev.stats().fix_iterations, ev.stats().region_expansions - 7)
+        };
+        // The guards `A ⊆ S` and `dim(A) = 0` leave {3}, which pins A and
+        // makes `adj(A, B)` a guard of B: (1,3) and (3,∞). The stage is
+        // joined over 1 + 2 regions, not 7 + 7 (3 + 7 by dimension alone).
+        let joined = "(X = B or $M(X))";
+        let chain = format!(
+            "exists A. (A subset S and dim(A) = 0 and \
+             exists B. (adj(A, B) and not (B subset S) and {joined}))"
+        );
+        assert_eq!(run(&chain), (true, 2, 2 * (1 + 2)));
+        // Under `∀` a violated guard makes the body true.
+        let dual = format!(
+            "forall A. (not (A subset S) or not (dim(A) = 0) or \
+             exists B. (adj(A, B) and {joined}))"
+        );
+        assert_eq!(run(&dual), (true, 2, 2 * (1 + 2)));
+        // Guards nothing satisfies: the absorbing constant, nothing ranged over.
+        let none = format!("exists A. (dim(A) = 0 and dim(A) = 1 and {})", joined.replace('B', "A"));
+        assert_eq!(run(&none), (false, 1, 0));
+        // Without an operand to join, the guards are the join: only the
+        // dimension class, which costs nothing, is taken.
+        let ev = Evaluator::new(&e);
+        let all_guards = crate::parse_regformula("exists A. (A subset S and dim(A) = 0)");
+        assert!(ev.eval_sentence(&all_guards.unwrap()));
+        assert_eq!(ev.stats().region_expansions, 3, "{:?}", ev.stats());
+        // A tuple variable: the guards leave (0,1), and Definition 5.1's
+        // sweep is charged for that one tuple per stage.
+        let fix = crate::parse_regformula(
+            "exists R. [lfp $M, X. (X subset S and dim(X) = 1 and bounded(X) and \
+             (adj(X, X) or $M(X)))](R)",
+        );
+        let ev = Evaluator::new(&e);
+        assert!(!ev.eval_sentence(&fix.unwrap()));
+        let s = ev.stats();
+        assert_eq!((s.fix_iterations, s.fix_tuple_tests), (1, 1), "{s:?}");
     }
 
     #[test]

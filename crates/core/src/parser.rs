@@ -40,7 +40,7 @@
 //! ```
 
 use crate::regfo::{FixMode, RegFormula};
-use lcdb_logic::lex::{self, LexOptions, RawTok};
+use lcdb_logic::lex::{self, LexOptions, RawTok, MAX_NESTING};
 use lcdb_logic::{Atom, LinExpr, ParseError, Rel};
 use lcdb_arith::Rational;
 
@@ -122,6 +122,8 @@ struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     len: usize,
+    /// Nesting levels open at `pos`, at most [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -167,15 +169,31 @@ impl Parser {
         }
     }
 
-    fn formula(&mut self) -> Result<RegFormula, ParseError> {
-        let lhs = self.or_formula()?;
-        if self.peek() == Some(&Tok::Arrow) {
-            self.bump();
-            let rhs = self.formula()?;
-            Ok(lhs.implies(rhs))
-        } else {
-            Ok(lhs)
+    /// Run `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::too_deep(self.here()));
         }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn formula(&mut self) -> Result<RegFormula, ParseError> {
+        self.nested(|p| {
+            let lhs = p.or_formula()?;
+            if p.peek() == Some(&Tok::Arrow) {
+                p.bump();
+                let rhs = p.formula()?;
+                Ok(lhs.implies(rhs))
+            } else {
+                Ok(lhs)
+            }
+        })
     }
 
     fn or_formula(&mut self) -> Result<RegFormula, ParseError> {
@@ -208,7 +226,7 @@ impl Parser {
         match self.peek().cloned() {
             Some(Tok::Keyword("not")) => {
                 self.bump();
-                Ok(RegFormula::not(self.unary()?))
+                Ok(RegFormula::not(self.nested(Self::unary)?))
             }
             Some(Tok::Keyword(q @ ("exists" | "forall"))) => {
                 self.bump();
@@ -579,6 +597,7 @@ pub fn parse_regformula(input: &str) -> Result<RegFormula, ParseError> {
         toks,
         pos: 0,
         len: input.len(),
+        depth: 0,
     };
     let f = p.formula()?;
     if p.pos != p.toks.len() {
@@ -686,6 +705,29 @@ mod tests {
         assert!(!Evaluator::new(&ext1("0 < x and x < 1")).eval_sentence(&f));
         let g = parse_regformula("forall R. [ifp $M, X. not $M(X)](R)").unwrap();
         assert!(Evaluator::new(&ext1("0 < x and x < 1")).eval_sentence(&g));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        for (open, close) in [
+            ("(", ")"),
+            ("not ", ""),
+            ("exists R. ", ""),
+            ("forall x. ", ""),
+            ("R subset S -> ", ""),
+            ("[lfp $M, R. ", "](R)"),
+        ] {
+            let nest = |levels: usize| {
+                let n = levels - 1;
+                format!("{}R subset S{}", open.repeat(n), close.repeat(n))
+            };
+            assert!(parse_regformula(&nest(MAX_NESTING)).is_ok(), "{open:?}");
+            let err = parse_regformula(&nest(MAX_NESTING + 1)).unwrap_err();
+            assert_eq!(err.message, format!("nesting deeper than {MAX_NESTING}"));
+            assert!(err.to_string().contains("at byte"), "{err}");
+            // However deep: an error, not a stack overflow.
+            assert_eq!(parse_regformula(&nest(200_000)).unwrap_err().message, err.message);
+        }
     }
 
     #[test]

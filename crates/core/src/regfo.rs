@@ -178,106 +178,6 @@ impl RegFormula {
         RegFormula::ForallElem(v.into(), Box::new(body))
     }
 
-    /// Free element variables.
-    pub fn free_element_vars(&self) -> BTreeSet<Var> {
-        match self {
-            RegFormula::True
-            | RegFormula::False
-            | RegFormula::Adj(..)
-            | RegFormula::RegionEq(..)
-            | RegFormula::SubsetOf(..)
-            | RegFormula::DimEq(..)
-            | RegFormula::Bounded(..)
-            | RegFormula::SetApp(..) => BTreeSet::new(),
-            RegFormula::Lin(a) => a.expr.vars(),
-            RegFormula::Pred(_, args) | RegFormula::In(args, _) => {
-                let mut s = BTreeSet::new();
-                for a in args {
-                    s.extend(a.vars());
-                }
-                s
-            }
-            RegFormula::And(fs) | RegFormula::Or(fs) => {
-                fs.iter().flat_map(|f| f.free_element_vars()).collect()
-            }
-            RegFormula::Not(f) => f.free_element_vars(),
-            RegFormula::ExistsElem(v, f) | RegFormula::ForallElem(v, f) => {
-                let mut s = f.free_element_vars();
-                s.remove(v);
-                s
-            }
-            RegFormula::ExistsRegion(_, f) | RegFormula::ForallRegion(_, f) => {
-                f.free_element_vars()
-            }
-            RegFormula::Fix { body, .. } => body.free_element_vars(),
-            RegFormula::Rbit { var, body, .. } => {
-                let mut s = body.free_element_vars();
-                s.remove(var);
-                s
-            }
-            RegFormula::Tc { body, .. } => body.free_element_vars(),
-        }
-    }
-
-    /// Free region variables.
-    pub fn free_region_vars(&self) -> BTreeSet<RegionVar> {
-        match self {
-            RegFormula::True | RegFormula::False | RegFormula::Lin(_) | RegFormula::Pred(..) => {
-                BTreeSet::new()
-            }
-            RegFormula::In(_, r) => [r.clone()].into(),
-            RegFormula::Adj(a, b) | RegFormula::RegionEq(a, b) => {
-                [a.clone(), b.clone()].into()
-            }
-            RegFormula::SubsetOf(r, _) | RegFormula::DimEq(r, _) | RegFormula::Bounded(r) => {
-                [r.clone()].into()
-            }
-            RegFormula::And(fs) | RegFormula::Or(fs) => {
-                fs.iter().flat_map(|f| f.free_region_vars()).collect()
-            }
-            RegFormula::Not(f) => f.free_region_vars(),
-            RegFormula::ExistsElem(_, f) | RegFormula::ForallElem(_, f) => f.free_region_vars(),
-            RegFormula::ExistsRegion(v, f) | RegFormula::ForallRegion(v, f) => {
-                let mut s = f.free_region_vars();
-                s.remove(v);
-                s
-            }
-            RegFormula::SetApp(_, vars) => vars.iter().cloned().collect(),
-            RegFormula::Fix {
-                vars, body, args, ..
-            } => {
-                let mut s = body.free_region_vars();
-                for v in vars {
-                    s.remove(v);
-                }
-                s.extend(args.iter().cloned());
-                s
-            }
-            RegFormula::Rbit { body, rn, rd, .. } => {
-                let mut s = body.free_region_vars();
-                s.insert(rn.clone());
-                s.insert(rd.clone());
-                s
-            }
-            RegFormula::Tc {
-                left,
-                right,
-                body,
-                arg_left,
-                arg_right,
-                ..
-            } => {
-                let mut s = body.free_region_vars();
-                for v in left.iter().chain(right) {
-                    s.remove(v);
-                }
-                s.extend(arg_left.iter().cloned());
-                s.extend(arg_right.iter().cloned());
-                s
-            }
-        }
-    }
-
     /// Free set variables.
     pub fn free_set_vars(&self) -> BTreeSet<SetVar> {
         match self {
@@ -464,6 +364,12 @@ mod tests {
         RegFormula::SetApp(m.into(), vars.iter().map(|v| v.to_string()).collect())
     }
 
+    /// Free variables are facts of the compiled plan.
+    fn free_region_vars(f: &RegFormula) -> Vec<String> {
+        let (plan, root) = crate::lower::compile(f);
+        plan.facts(root).free_regions.clone()
+    }
+
     #[test]
     fn smart_constructors() {
         assert_eq!(RegFormula::and(vec![]), RegFormula::True);
@@ -487,9 +393,7 @@ mod tests {
                 RegFormula::Bounded("R".into()),
             ]),
         );
-        let fv = f.free_region_vars();
-        assert!(fv.contains("Q"));
-        assert!(!fv.contains("R"));
+        assert_eq!(free_region_vars(&f), ["Q"]);
     }
 
     #[test]
@@ -504,10 +408,7 @@ mod tests {
             ])),
             args: vec!["A".into(), "B".into()],
         };
-        assert_eq!(
-            f.free_region_vars(),
-            ["A".to_string(), "B".to_string()].into()
-        );
+        assert_eq!(free_region_vars(&f), ["A", "B"]);
         assert!(f.free_set_vars().is_empty());
         assert!(!f.is_regfo());
     }

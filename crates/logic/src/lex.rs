@@ -22,6 +22,24 @@ pub struct ParseError {
     pub position: usize,
 }
 
+/// How many levels a formula may nest, the whole formula being the first:
+/// a parenthesis, a `not`, a binder, an operator body and the right side of
+/// an `->` each open one. The recursive-descent parsers (this crate's and
+/// `lcdb-core`'s) spend stack per level, so the input must not choose the
+/// depth; every later walk of the tree — lowering, printing, `Drop` — is
+/// bounded with it.
+pub const MAX_NESTING: usize = 256;
+
+impl ParseError {
+    /// A formula opens a level beyond [`MAX_NESTING`] at byte `position`.
+    pub fn too_deep(position: usize) -> Self {
+        ParseError {
+            message: format!("nesting deeper than {MAX_NESTING}"),
+            position,
+        }
+    }
+}
+
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "parse error at byte {}: {}", self.position, self.message)

@@ -18,7 +18,7 @@
 //!
 //! Example: `exists x. S(x, y) and 0 < x < 10 and 2*x - y <= 1/2`.
 
-use crate::lex::{self, LexOptions, RawTok};
+use crate::lex::{self, LexOptions, RawTok, MAX_NESTING};
 use crate::{Atom, Formula, LinExpr};
 use lcdb_arith::Rational;
 use lcdb_lp::Rel;
@@ -100,6 +100,8 @@ struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     input_len: usize,
+    /// Nesting levels open at `pos`, at most [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -140,15 +142,31 @@ impl Parser {
         }
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseError> {
-        let lhs = self.or_formula()?;
-        if self.peek() == Some(&Tok::Arrow) {
-            self.bump();
-            let rhs = self.formula()?; // right associative
-            Ok(lhs.implies(rhs))
-        } else {
-            Ok(lhs)
+    /// Run `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::too_deep(self.here()));
         }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn formula(&mut self) -> Result<Formula, ParseError> {
+        self.nested(|p| {
+            let lhs = p.or_formula()?;
+            if p.peek() == Some(&Tok::Arrow) {
+                p.bump();
+                let rhs = p.formula()?; // right associative
+                Ok(lhs.implies(rhs))
+            } else {
+                Ok(lhs)
+            }
+        })
     }
 
     fn or_formula(&mut self) -> Result<Formula, ParseError> {
@@ -181,7 +199,7 @@ impl Parser {
         match self.peek() {
             Some(Tok::Not) => {
                 self.bump();
-                Ok(Formula::not(self.unary()?))
+                Ok(Formula::not(self.nested(Self::unary)?))
             }
             Some(Tok::Exists) | Some(Tok::Forall) => {
                 let is_exists = matches!(self.peek(), Some(Tok::Exists));
@@ -333,6 +351,7 @@ pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
         toks,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let f = p.formula()?;
     if p.pos != p.toks.len() {
@@ -437,6 +456,22 @@ mod tests {
     fn parse_true_false() {
         assert_eq!(parse_formula("true").unwrap(), Formula::True);
         assert_eq!(parse_formula("false and x < 1").unwrap(), Formula::False);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        for (open, close) in [("(", ")"), ("not ", ""), ("exists x. ", ""), ("x < 1 -> ", "")] {
+            let nest = |levels: usize| {
+                let n = levels - 1;
+                format!("{}x < 1{}", open.repeat(n), close.repeat(n))
+            };
+            assert!(parse_formula(&nest(MAX_NESTING)).is_ok(), "{open:?}");
+            let err = parse_formula(&nest(MAX_NESTING + 1)).unwrap_err();
+            assert_eq!(err.message, format!("nesting deeper than {MAX_NESTING}"));
+            assert!(err.to_string().contains("at byte"), "{err}");
+            // However deep: an error, not a stack overflow.
+            assert_eq!(parse_formula(&nest(200_000)).unwrap_err().message, err.message);
+        }
     }
 
     #[test]

@@ -191,6 +191,32 @@ fn protocol_shutdown_ends_wait() {
     );
 }
 
+/// (d') A frame that nests deeper than any stack is one client's parse
+/// error: it gets a response, not a hang-up, and the process — every other
+/// session and cache with it — goes on serving.
+#[test]
+fn deeply_nested_frame_is_a_parse_error_not_a_crash() {
+    let _serial = serial();
+    let (server, addr) = start(ServerConfig::default());
+    let mut c = Client::connect(&addr).expect("connect");
+    let r = c.define("S(x) := (0 < x and x < 1) or (2 < x and x < 3)");
+    assert_eq!(r.expect("define").code, RespCode::Ok);
+    // Each frame stays under `MAX_FRAME`.
+    let n = 200_000;
+    for (open, close, n) in [("(", ")", n), ("not ", "", n), ("exists R. ", "", n / 4)] {
+        let deep = format!("{}exists R. R subset S{}", open.repeat(n), close.repeat(n));
+        let r = c.eval_sentence(&deep, 0).expect("a response, not a hang-up");
+        assert_eq!(r.code, RespCode::ParseError, "{}", r.body);
+        assert!(r.body.contains("nesting deeper than"), "{}", r.body);
+    }
+    let deep = format!("S(x) := {}x < 1{}", "(".repeat(n), ")".repeat(n));
+    assert_eq!(c.define(&deep).expect("a response").code, RespCode::ParseError);
+    assert_eq!(c.status().expect("same session").code, RespCode::Ok);
+    let r = c.eval_sentence(CONN, 0).expect("the server still evaluates");
+    assert_eq!((r.code, r.body.trim()), (RespCode::Ok, "false"));
+    server.shutdown();
+}
+
 /// How many of this process's threads are server sessions (they are spawned
 /// under the name `lcdb-session`); `None` where there is no `/proc`. The
 /// process-wide `Threads:` count will not do: it includes libtest's own

@@ -544,7 +544,46 @@ fn reference_eval_sets(
             }
             r
         }),
+        RegFormula::ExistsElem(..) | RegFormula::ForallElem(..) => {
+            let closed = element_formula(ext, f, env);
+            thread_local! {
+                static DECIDED: std::cell::RefCell<BTreeMap<String, bool>> = Default::default();
+            }
+            // The reference asks again at every tuple of every stage.
+            DECIDED.with(|memo| {
+                *memo
+                    .borrow_mut()
+                    .entry(closed.to_string())
+                    .or_insert_with(|| closed.eval(&BTreeMap::new()))
+            })
+        }
         other => unreachable!("not generated by arb_reg_shape: {other:?}"),
+    }
+}
+
+/// An element-closed subformula as an FO+LIN sentence over the formulas of
+/// the regions its `∈` atoms name: decided by `Formula::eval`, that is by
+/// quantifier elimination, whatever the regions' dimensions.
+fn element_formula(ext: &RegionExtension, f: &RegFormula, env: &BTreeMap<String, usize>) -> Formula {
+    let each = |fs: &[RegFormula]| fs.iter().map(|g| element_formula(ext, g, env)).collect();
+    match f {
+        RegFormula::Lin(a) => Formula::Atom(a.clone()),
+        RegFormula::In(args, r) => {
+            let tmp: Vec<String> = (0..args.len()).map(|i| format!("__ref{i}")).collect();
+            tmp.iter()
+                .zip(args)
+                .fold(ext.region_formula(env[r], &tmp), |g, (t, arg)| g.substitute(t, arg))
+        }
+        RegFormula::And(fs) => Formula::and(each(fs)),
+        RegFormula::Or(fs) => Formula::or(each(fs)),
+        RegFormula::Not(g) => Formula::not(element_formula(ext, g, env)),
+        RegFormula::ExistsElem(x, g) => {
+            Formula::Exists(x.clone(), Box::new(element_formula(ext, g, env)))
+        }
+        RegFormula::ForallElem(x, g) => {
+            Formula::Forall(x.clone(), Box::new(element_formula(ext, g, env)))
+        }
+        other => unreachable!("not generated under an element quantifier: {other:?}"),
     }
 }
 
@@ -585,42 +624,61 @@ fn rel1(src: &str) -> Relation {
 enum FixShape {
     /// A region atom: kind, two variable indices.
     Leaf(u8, u8, u8),
+    /// `∃x∃y (x ∈ A ∧ y ∈ B ∧ x < y)`, or with the flag its dual
+    /// `∀x∀y (x ∉ A ∨ y ∉ B ∨ x < y)`: two variable indices.
+    Below(bool, u8, u8),
     /// Application of an enclosing set variable (a region atom when none).
     App(u8, u8, u8),
     Not(Box<FixShape>),
     And(Box<FixShape>, Box<FixShape>),
     Or(Box<FixShape>, Box<FixShape>),
-    Exists(Box<FixShape>),
-    Forall(Box<FixShape>),
-    /// A fixed point: mode, unary or binary, body, two argument indices.
-    Fix(u8, bool, Box<FixShape>, u8, u8),
+    /// `∃Q (g ∧ φ)`.
+    Exists(Guard, Box<FixShape>),
+    /// `∀Q (¬g ∨ φ)`.
+    Forall(Guard, Box<FixShape>),
+    /// A fixed point with body `g(X̄) ∧ φ`: mode, unary or binary, body, two
+    /// argument indices.
+    Fix(Guard, u8, bool, Box<FixShape>, u8, u8),
     /// `TC` or `DTC` over single regions: body, two argument indices.
     Tc(bool, Box<FixShape>, u8, u8),
+}
+
+/// A conjunction of set-free atoms over a bound variable and one variable
+/// from outside its binder, each a kind and an index; empty for no guard.
+/// Unsatisfiable ones (`dim = 0 ∧ dim = 1`) and ones a single region
+/// satisfies (`Q = outer`) occur.
+type Guard = Vec<(u8, u8)>;
+
+fn arb_guard() -> impl Strategy<Value = Guard> {
+    proptest::collection::vec((any::<u8>(), any::<u8>()), 0..=3)
 }
 
 fn arb_fix_shape() -> impl Strategy<Value = FixShape> {
     let leaf = prop_oneof![
         (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(k, a, b)| FixShape::Leaf(k, a, b)),
+        (any::<bool>(), any::<u8>(), any::<u8>()).prop_map(|(u, a, b)| FixShape::Below(u, a, b)),
         (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(m, a, b)| FixShape::App(m, a, b)),
     ];
-    let tree = leaf.prop_recursive(3, 10, 2, |inner| {
+    let fix = |inner: BoxedStrategy<FixShape>| {
+        (arb_guard(), any::<u8>(), any::<bool>(), inner, any::<u8>(), any::<u8>())
+            .prop_map(|(g, m, bin, s, a, b)| FixShape::Fix(g, m, bin, Box::new(s), a, b))
+    };
+    let tree = leaf.prop_recursive(3, 10, 2, move |inner| {
         prop_oneof![
             inner.clone().prop_map(|s| FixShape::Not(Box::new(s))),
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| FixShape::And(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| FixShape::Or(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|s| FixShape::Exists(Box::new(s))),
-            inner.clone().prop_map(|s| FixShape::Forall(Box::new(s))),
-            (any::<u8>(), any::<bool>(), inner.clone(), any::<u8>(), any::<u8>())
-                .prop_map(|(m, bin, s, a, b)| FixShape::Fix(m, bin, Box::new(s), a, b)),
+            (arb_guard(), inner.clone()).prop_map(|(g, s)| FixShape::Exists(g, Box::new(s))),
+            (arb_guard(), inner.clone()).prop_map(|(g, s)| FixShape::Forall(g, Box::new(s))),
+            fix(inner.clone()),
             (any::<bool>(), inner, any::<u8>(), any::<u8>())
                 .prop_map(|(det, s, a, b)| FixShape::Tc(det, Box::new(s), a, b)),
         ]
     });
     // Every sentence applies at least one operator at the top.
-    (any::<u8>(), any::<bool>(), tree, any::<u8>(), any::<u8>())
-        .prop_map(|(m, bin, s, a, b)| FixShape::Fix(m, bin, Box::new(s), a, b))
+    fix(tree.boxed())
 }
 
 /// Is every free occurrence of `m` in `f` under an even number of
@@ -657,6 +715,23 @@ fn bind_fix_shape(shape: &FixShape) -> RegFormula {
             sc.fresh += 1;
             format!("{prefix}{}", sc.fresh)
         };
+        // The atoms of a guard over `bound` (one variable per atom, in
+        // turn), read in the scope outside their binder.
+        let guard = |g: &Guard, bound: &[String], sc: &Scope| -> Vec<RegFormula> {
+            g.iter()
+                .enumerate()
+                .map(|(i, &(kind, outer))| {
+                    let v = bound[i % bound.len()].clone();
+                    match kind % 5 {
+                        0 => RegFormula::SubsetOf(v, "S".into()),
+                        1 => RegFormula::Adj(v, var(outer, sc)),
+                        2 => RegFormula::RegionEq(v, var(outer, sc)),
+                        3 => RegFormula::DimEq(v, (outer % 2) as usize),
+                        _ => RegFormula::Bounded(v),
+                    }
+                })
+                .collect()
+        };
         match s {
             FixShape::Leaf(kind, a, b) => match kind % 5 {
                 0 => RegFormula::SubsetOf(var(*a, sc), "S".into()),
@@ -665,6 +740,18 @@ fn bind_fix_shape(shape: &FixShape) -> RegFormula {
                 3 => RegFormula::DimEq(var(*a, sc), (*b % 2) as usize),
                 _ => RegFormula::Bounded(var(*a, sc)),
             },
+            FixShape::Below(universal, a, b) => {
+                let inside = |x: &str, r: String| RegFormula::In(vec![LinExpr::var(x)], r);
+                let (in_a, in_b) = (inside("x", var(*a, sc)), inside("y", var(*b, sc)));
+                let lt = RegFormula::Lin(Atom::new(LinExpr::var("x"), Rel::Lt, LinExpr::var("y")));
+                if *universal {
+                    let body = RegFormula::Or(vec![RegFormula::not(in_a), RegFormula::not(in_b), lt]);
+                    RegFormula::forall_elem("x", RegFormula::forall_elem("y", body))
+                } else {
+                    let body = RegFormula::And(vec![in_a, in_b, lt]);
+                    RegFormula::exists_elem("x", RegFormula::exists_elem("y", body))
+                }
+            }
             FixShape::App(m, a, b) => match sc.sets.get(*m as usize % sc.sets.len().max(1)) {
                 None => RegFormula::SubsetOf(var(*a, sc), "S".into()),
                 Some((name, arity)) => RegFormula::SetApp(
@@ -675,26 +762,37 @@ fn bind_fix_shape(shape: &FixShape) -> RegFormula {
             FixShape::Not(g) => RegFormula::Not(Box::new(go(g, sc))),
             FixShape::And(a, b) => RegFormula::And(vec![go(a, sc), go(b, sc)]),
             FixShape::Or(a, b) => RegFormula::Or(vec![go(a, sc), go(b, sc)]),
-            FixShape::Exists(g) | FixShape::Forall(g) => {
+            FixShape::Exists(guards, g) | FixShape::Forall(guards, g) => {
                 let v = fresh("Q", sc);
+                let mut parts = guard(guards, std::slice::from_ref(&v), sc);
                 sc.regions.push(v.clone());
-                let body = Box::new(go(g, sc));
+                let body = go(g, sc);
                 sc.regions.pop();
                 match s {
-                    FixShape::Exists(_) => RegFormula::ExistsRegion(v, body),
-                    _ => RegFormula::ForallRegion(v, body),
+                    FixShape::Exists(..) => {
+                        parts.push(body);
+                        RegFormula::ExistsRegion(v, Box::new(RegFormula::And(parts)))
+                    }
+                    _ => {
+                        let unguarded = RegFormula::not(RegFormula::And(parts));
+                        RegFormula::ForallRegion(v, Box::new(RegFormula::Or(vec![unguarded, body])))
+                    }
                 }
             }
-            FixShape::Fix(_, _, g, _, _) | FixShape::Tc(_, g, _, _) if sc.depth >= 2 => go(g, sc),
-            FixShape::Fix(mode, binary, g, a, b) => {
+            FixShape::Fix(_, _, _, g, _, _) | FixShape::Tc(_, g, _, _) if sc.depth >= 2 => {
+                go(g, sc)
+            }
+            FixShape::Fix(guards, mode, binary, g, a, b) => {
                 let arity = if *binary && sc.depth == 0 { 2 } else { 1 };
                 let args = [var(*a, sc), var(*b, sc)][..arity].to_vec();
                 let set_var = fresh("M", sc);
                 let vars: Vec<String> = (0..arity).map(|_| fresh("X", sc)).collect();
+                let mut parts = guard(guards, &vars, sc);
                 sc.regions.extend(vars.iter().cloned());
                 sc.sets.push((set_var.clone(), arity));
                 sc.depth += 1;
-                let body = go(g, sc);
+                parts.push(go(g, sc));
+                let body = RegFormula::And(parts);
                 sc.depth -= 1;
                 sc.sets.pop();
                 sc.regions.truncate(sc.regions.len() - arity);
@@ -743,13 +841,22 @@ fn bind_fix_shape(shape: &FixShape) -> RegFormula {
     )
 }
 
-/// One or two short open intervals: at most nine regions, so the naive
-/// reference stays fast under nested operators.
+/// One or two short pieces — intervals with either endpoint open or closed,
+/// and isolated points, so 0-dimensional regions belong to `S` sometimes:
+/// at most nine regions, so the naive reference stays fast under nested
+/// operators.
 fn arb_small_intervals() -> impl Strategy<Value = Relation> {
-    proptest::collection::vec((-3i64..=3, 1i64..=2), 1..3).prop_map(|spans| {
+    let piece = (-3i64..=3, 0i64..=2, any::<bool>(), any::<bool>());
+    proptest::collection::vec(piece, 1..3).prop_map(|spans| {
         let parts: Vec<String> = spans
             .iter()
-            .map(|(lo, w)| format!("({} < x and x < {})", lo, lo + w))
+            .map(|&(lo, w, lo_closed, hi_closed)| {
+                let le = |closed| if closed { "<=" } else { "<" };
+                match w {
+                    0 => format!("x = {lo}"),
+                    _ => format!("({lo} {} x and x {} {})", le(lo_closed), le(hi_closed), lo + w),
+                }
+            })
             .collect();
         rel1(&parts.join(" or "))
     })
