@@ -283,8 +283,10 @@ mod tests {
         let args: Vec<LinExpr> = ["t", "x", "y"].into_iter().map(LinExpr::var).collect();
         let matrix = Formula::and(vec![a.apply(&args), b.apply(&args)]);
         let before = lcdb_lp::counters();
+        let decided_before = lcdb_logic::dnf::counters();
         let met = qe::eliminate_block(&matrix, &["y", "x", "t"], true);
         let after = lcdb_lp::counters();
+        let decided = lcdb_logic::dnf::counters();
         assert_eq!(met, Formula::True);
         let solves = (after.solves - before.solves) + (after.warm_probes - before.warm_probes);
         assert!(
@@ -292,6 +294,12 @@ mod tests {
             "{solves} solves, the per-atom route took {SOLVES_PER_ATOM_ROUTE}"
         );
         assert!(after.pivots > before.pivots);
+        // Bound propagation in front of the LP: the parent commit (e8970a9,
+        // box of the single-variable atoms only) ran 77 solves and probes
+        // here, most of them on pairs of beads whose `x ± t` rows rule each
+        // other out inside the common time interval.
+        assert!(solves <= 23, "{solves} solves and probes");
+        assert!(decided.box_refuted > decided_before.box_refuted);
     }
 
     #[test]

@@ -909,16 +909,22 @@ impl<'a> Evaluator<'a> {
         {
             return Err(self.query_error(format!("unbound region variable '{}'", v)));
         }
-        let lp_before = self.trace_on.then(lcdb_lp::counters);
+        let before = self
+            .trace_on
+            .then(|| (lcdb_lp::counters(), lcdb_logic::dnf::counters()));
         let out = self.eval_node(cx, root, &mut env);
         self.flush_trace_counters();
-        if let Some(before) = lp_before {
-            // The solver's counters are per thread, and so is an evaluation.
-            let lp = lcdb_lp::counters();
+        if let Some((lp_before, dnf_before)) = before {
+            // Both layers count per thread, and so runs an evaluation.
+            let (lp, dnf) = (lcdb_lp::counters(), lcdb_logic::dnf::counters());
             let metrics = self.trace.metrics();
-            metrics.add("lp.solves", lp.solves - before.solves);
-            metrics.add("lp.warm_probes", lp.warm_probes - before.warm_probes);
-            metrics.add("lp.pivots", lp.pivots - before.pivots);
+            metrics.add("lp.solves", lp.solves - lp_before.solves);
+            metrics.add("lp.warm_probes", lp.warm_probes - lp_before.warm_probes);
+            metrics.add("lp.pivots", lp.pivots - lp_before.pivots);
+            metrics.add("logic.dnf_decisions", dnf.decisions - dnf_before.decisions);
+            metrics.add("logic.dnf_witness_hits", dnf.witness_hits - dnf_before.witness_hits);
+            metrics.add("logic.dnf_box_refuted", dnf.box_refuted - dnf_before.box_refuted);
+            metrics.add("logic.dnf_lp_decided", dnf.lp_decided - dnf_before.lp_decided);
         }
         out.map_err(|s| self.stop_error(s))
     }
@@ -1131,12 +1137,12 @@ impl<'a> Evaluator<'a> {
                         d
                     )));
                 }
-                let tmp: Vec<String> = (0..d).map(|i| format!("__in{}", i)).collect();
-                let mut formula = self.ext.region_formula(rid, &tmp);
-                for (t, arg) in tmp.iter().zip(args) {
-                    formula = formula.substitute(t, arg);
-                }
-                formula
+                // Any distinct names do: the substitution is simultaneous,
+                // so an argument that mentions one of them is left alone.
+                let axes: Vec<String> = (0..d).map(|i| format!("x{i}")).collect();
+                let subst: Vec<(&str, &LinExpr)> =
+                    axes.iter().map(String::as_str).zip(args).collect();
+                self.ext.region_formula(rid, &axes).substitute_all(&subst)
             }
             PlanNode::And(fs) => {
                 let mut parts = Vec::with_capacity(fs.len());
@@ -1423,15 +1429,13 @@ fn at_point(f: &Formula, point: &[(&str, LinExpr)]) -> Formula {
     let each = |fs: &[Formula]| fs.iter().map(|g| at_point(g, point)).collect();
     match f {
         Formula::Atom(a) => {
-            let a = point.iter().fold(a.clone(), |a, (x, c)| a.substitute(x, c));
+            let a = a.substitute_all(point);
             a.constant_truth().map_or(Formula::Atom(a), bool_formula)
         }
         Formula::And(fs) => Formula::and(each(fs)),
         Formula::Or(fs) => Formula::or(each(fs)),
         Formula::Not(g) => Formula::not(at_point(g, point)),
-        other => point
-            .iter()
-            .fold(other.clone(), |g, (x, c)| g.substitute(x, c)),
+        other => other.substitute_all(point),
     }
 }
 

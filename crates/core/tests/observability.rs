@@ -108,6 +108,7 @@ fn lp_counters_reach_the_registry() {
     let trace = TraceHandle::new(Arc::new(MemoryTracer::new()));
     let ev = Evaluator::new(&ext).with_trace(trace.clone());
     let before = lcdb_lp::counters();
+    let decided_before = lcdb_logic::dnf::counters();
     assert!(ev.eval_sentence(&query));
     let cold = lcdb_lp::counters();
     assert!(cold.solves > before.solves, "the elimination ran at least one LP");
@@ -127,6 +128,22 @@ fn lp_counters_reach_the_registry() {
     assert_eq!(counters["lp.solves"], after.solves - before.solves);
     assert_eq!(counters["lp.warm_probes"], after.warm_probes - before.warm_probes);
     assert_eq!(counters["lp.pivots"], after.pivots - before.pivots);
+    // So does the layer above the solver: every feasibility decision of the
+    // two conversions is a witness hit, a box refutation or an LP (no run of
+    // these sentences is constant-false), and an LP is a solve or a probe.
+    let decided = lcdb_logic::dnf::counters();
+    let delta = |name: &str, now: u64, then: u64| {
+        assert_eq!(counters[name], now - then, "{name}");
+        now - then
+    };
+    let decisions = delta("logic.dnf_decisions", decided.decisions, decided_before.decisions);
+    let hits = delta("logic.dnf_witness_hits", decided.witness_hits, decided_before.witness_hits);
+    let refuted = delta("logic.dnf_box_refuted", decided.box_refuted, decided_before.box_refuted);
+    let lps = delta("logic.dnf_lp_decided", decided.lp_decided, decided_before.lp_decided);
+    assert_eq!(decisions, hits + refuted + lps);
+    assert!(hits > 0 && refuted > 0 && lps > 0, "{hits} hits, {refuted} refuted, {lps} LPs");
+    // (A solve is also how a warm batch comes to be: no equality here.)
+    assert!(lps <= counters["lp.solves"] + counters["lp.warm_probes"]);
     assert_eq!(trace.metrics().histogram("qe.eliminate_us").count(), 2);
     assert_eq!(ev.stats().qe_calls, 4, "two blocks of two variables");
 }

@@ -676,7 +676,7 @@ impl Program {
             &mut memo,
             &mut stats,
         );
-        let mut qf = qf.map_err(|e| match e {
+        let qf = qf.map_err(|e| match e {
             ExecError::UnknownPredicate(tag) => DatalogError::UnknownPredicate {
                 name: tag
                     .split_once('@')
@@ -687,10 +687,13 @@ impl Program {
                 unreachable!("FO lowering produced a non-FO node: {what}")
             }
         })?;
-        for canon in &head_vars {
-            qf = qf.substitute(&format!("__h_{}", canon), &LinExpr::var(canon.clone()));
-        }
-        Ok(qf)
+        let temporaries: Vec<Var> = head_vars.iter().map(|canon| format!("__h_{canon}")).collect();
+        let back: Vec<(&str, LinExpr)> = temporaries
+            .iter()
+            .map(String::as_str)
+            .zip(head_vars.into_iter().map(LinExpr::var))
+            .collect();
+        Ok(qf.substitute_all(&back))
     }
 }
 
@@ -712,14 +715,19 @@ fn rule_body_formula(rule: &Rule) -> Formula {
             }
         }
     }
-    let mut f = Formula::and(parts);
-    for (hv, canon) in rule.head_vars.iter().zip(&head_vars) {
-        f = f.substitute(hv, &LinExpr::var(format!("__h_{}", canon)));
-    }
-    let free: Vec<Var> = f.free_vars().into_iter().collect();
-    for v in free {
-        if !v.starts_with("__h_") {
-            f = Formula::Exists(v.clone(), Box::new(f));
+    let body = Formula::and(parts);
+    // One simultaneous renaming: a head variable that is itself named like
+    // another position's temporary is renamed once, not twice.
+    let renaming: Vec<(&str, LinExpr)> = rule
+        .head_vars
+        .iter()
+        .zip(&head_vars)
+        .map(|(hv, canon)| (hv.as_str(), LinExpr::var(format!("__h_{canon}"))))
+        .collect();
+    let mut f = body.substitute_all(&renaming);
+    for v in body.free_vars() {
+        if !rule.head_vars.contains(&v) {
+            f = Formula::Exists(v, Box::new(f));
         }
     }
     f
@@ -1032,6 +1040,35 @@ mod tests {
             }
             other => panic!("{:?}", other),
         }
+    }
+
+    /// Head variables named like the renaming's own temporaries, crosswise:
+    /// `Swap(__h_x1, __h_x0) :- Seg(__h_x0, __h_x1)` is `Swap(b, a) :- Seg(a, b)`.
+    #[test]
+    fn head_variables_named_like_temporaries() {
+        let mut edb = Database::new();
+        edb.insert(
+            "Seg",
+            Relation::new(
+                vec!["x".into(), "y".into()],
+                &parse_formula("0 <= x and x <= 1 and 2 <= y and y <= 3").unwrap(),
+            ),
+        );
+        let swap = |first: &str, second: &str| {
+            let program = Program::new().rule(Rule::new(
+                "Swap",
+                vec![second.into(), first.into()],
+                vec![Literal::Pred("Seg".into(), vec![first.into(), second.into()])],
+            ));
+            match program.evaluate(&edb, 5) {
+                EvalOutcome::Fixpoint { idb, .. } => idb["Swap"].clone(),
+                other => panic!("{:?}", other),
+            }
+        };
+        let plain = swap("a", "b");
+        assert!(plain.contains(&[rat(5, 2), rat(1, 2)]));
+        assert!(!plain.contains(&[rat(1, 2), rat(5, 2)]));
+        assert_eq!(swap("__h_x0", "__h_x1"), plain);
     }
 
     fn bounded_reach_program() -> (Database, Program) {

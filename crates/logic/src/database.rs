@@ -1,6 +1,6 @@
 //! Linear constraint databases: finitely represented relations over `(ℝ, <, +)`.
 
-use crate::dnf::{to_dnf, Dnf};
+use crate::dnf::{to_dnf, Conjunct, Dnf};
 use crate::{Formula, LinExpr, Var};
 use lcdb_arith::Rational;
 use std::collections::BTreeMap;
@@ -62,8 +62,11 @@ impl Relation {
         &self.dnf
     }
 
-    /// Apply to argument terms: the defining formula with `var_names[i]`
-    /// substituted by `args[i]`.
+    /// Apply to argument terms: the defining formula with every
+    /// `var_names[i]` replaced by `args[i]` at once, each atom built straight
+    /// from the stored DNF. The substitution is simultaneous, so an argument
+    /// may mention any name — a designated one included — and is not
+    /// substituted again.
     ///
     /// # Panics
     /// Panics on arity mismatch.
@@ -73,19 +76,16 @@ impl Relation {
             self.arity,
             "relation applied with wrong arity"
         );
-        let mut f = self.dnf.to_formula();
-        // Two-step substitution through fresh names to avoid capture when an
-        // argument mentions one of the designated variable names.
-        let fresh: Vec<Var> = (0..self.arity)
-            .map(|i| format!("__subst_{}", i))
-            .collect();
-        for (v, tmp) in self.var_names.iter().zip(&fresh) {
-            f = f.substitute(v, &LinExpr::var(tmp.clone()));
-        }
-        for (tmp, arg) in fresh.iter().zip(args) {
-            f = f.substitute(tmp, arg);
-        }
-        f
+        let subst: Vec<(&str, &LinExpr)> =
+            self.var_names.iter().map(String::as_str).zip(args).collect();
+        let conjunct = |c: &Conjunct| {
+            Formula::and(
+                c.iter()
+                    .map(|a| Formula::Atom(a.substitute_all(&subst)))
+                    .collect(),
+            )
+        };
+        Formula::or(self.dnf.disjuncts.iter().map(conjunct).collect())
     }
 
     /// Membership test for a point.
@@ -209,6 +209,21 @@ mod tests {
         assert!(!applied.eval(&env(-5)));
     }
 
+    /// The routine `apply` replaced, kept as its oracle: every designated
+    /// name to a temporary, then every temporary to its argument. Right
+    /// whenever no argument mentions a temporary.
+    fn apply_two_step(r: &Relation, args: &[LinExpr]) -> Formula {
+        let mut f = r.dnf().to_formula();
+        let fresh: Vec<Var> = (0..r.arity()).map(|i| format!("tmp_{i}")).collect();
+        for (v, tmp) in r.var_names().iter().zip(&fresh) {
+            f = f.substitute(v, &LinExpr::var(tmp.clone()));
+        }
+        for (tmp, arg) in fresh.iter().zip(args) {
+            f = f.substitute(tmp, arg);
+        }
+        f
+    }
+
     #[test]
     fn apply_avoids_capture() {
         // Relation over (x, y): x < y. Apply with swapped args (y, x).
@@ -222,6 +237,57 @@ mod tests {
         assert!(applied.eval(&env));
         env.insert("y".to_string(), int(2));
         assert!(!applied.eval(&env));
+
+        // Whatever the arguments are called — like the temporaries the old
+        // two-step routine went through (spelled in two pieces here: CI keeps
+        // the literal out of the sources), in either order, repeated, constant
+        // or compound — the result is `first < second`.
+        let less = |a: &LinExpr, b: &LinExpr| Formula::Atom(Atom::new(a.clone(), Rel::Lt, b.clone()));
+        let var = LinExpr::var;
+        let tmp = |i: usize| LinExpr::var(format!("{}subst_{i}", "__"));
+        let compound = tmp(1).scale(&int(2)).add(&var("x")).add(&LinExpr::constant(int(1)));
+        for (a, b) in [
+            (tmp(1), var("z")),
+            (tmp(1), tmp(0)),
+            (tmp(0), tmp(1)),
+            (var("z"), var("z")),
+            (tmp(0), tmp(0)),
+            (LinExpr::constant(int(3)), tmp(0)),
+            (compound.clone(), var("y")),
+            (var("y"), compound),
+        ] {
+            assert_eq!(r.apply(&[a.clone(), b.clone()]), less(&a, &b), "S({a}, {b})");
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use crate::arb::arb_formula;
+        use proptest::prelude::*;
+
+        /// Arguments over the relation's own names and others, none of them
+        /// the oracle's temporaries.
+        fn arb_arg() -> impl Strategy<Value = LinExpr> {
+            (proptest::collection::vec(-2i64..=2, 5), -3i64..=3).prop_map(|(coeffs, c)| {
+                let names = ["x", "y", "z", "u", "v"];
+                let terms = names.iter().zip(coeffs).map(|(v, k)| (v.to_string(), int(k)));
+                LinExpr::from_terms(terms, int(c))
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// One simultaneous pass builds what the two-step routine built.
+            #[test]
+            fn apply_matches_the_two_step_oracle(
+                f in arb_formula(12),
+                args in proptest::collection::vec(arb_arg(), 3),
+            ) {
+                let r = Relation::new(vec!["x".into(), "y".into(), "z".into()], &f);
+                prop_assert_eq!(r.apply(&args), apply_two_step(&r, &args));
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::Var;
 use lcdb_arith::Rational;
 use lcdb_lp::{LinConstraint, Rel};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -83,52 +84,73 @@ impl LinExpr {
         self.terms.is_empty()
     }
 
+    /// `self += factor · other`, in place: the one accumulation every sum,
+    /// difference and substitution goes through.
+    pub fn add_scaled(&mut self, other: &LinExpr, factor: &Rational) {
+        if factor.is_zero() {
+            return;
+        }
+        let unit = factor.is_one();
+        let times = |c: &Rational| if unit { c.clone() } else { c * factor };
+        for (v, c) in &other.terms {
+            self.add_term(v, times(c));
+        }
+        if !other.constant.is_zero() {
+            self.constant += &times(&other.constant);
+        }
+    }
+
+    /// `self += c · v` for a non-zero `c`.
+    fn add_term(&mut self, v: &str, c: Rational) {
+        let Some(entry) = self.terms.get_mut(v) else {
+            self.terms.insert(v.to_string(), c);
+            return;
+        };
+        *entry += &c;
+        if entry.is_zero() {
+            self.terms.remove(v);
+        }
+    }
+
     /// Sum of two expressions.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut terms = self.terms.clone();
-        for (v, c) in &other.terms {
-            let entry = terms.entry(v.clone()).or_insert_with(Rational::zero);
-            *entry += c;
-            if entry.is_zero() {
-                terms.remove(v);
-            }
-        }
-        LinExpr {
-            terms,
-            constant: &self.constant + &other.constant,
-        }
+        let mut sum = self.clone();
+        sum.add_scaled(other, &Rational::ONE);
+        sum
     }
 
     /// Difference of two expressions.
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(&-Rational::one()))
+        let mut difference = self.clone();
+        difference.add_scaled(other, &-Rational::ONE);
+        difference
     }
 
     /// Scalar multiple.
     pub fn scale(&self, c: &Rational) -> LinExpr {
-        if c.is_zero() {
-            return LinExpr::zero();
-        }
-        LinExpr {
-            terms: self
-                .terms
-                .iter()
-                .map(|(v, a)| (v.clone(), a * c))
-                .collect(),
-            constant: &self.constant * c,
-        }
+        let mut multiple = LinExpr::zero();
+        multiple.add_scaled(self, c);
+        multiple
     }
 
     /// Substitute a variable by an expression.
     pub fn substitute(&self, v: &str, replacement: &LinExpr) -> LinExpr {
-        match self.terms.get(v) {
-            None => self.clone(),
-            Some(a) => {
-                let mut without = self.clone();
-                without.terms.remove(v);
-                without.add(&replacement.scale(a))
+        self.substitute_all(&[(v, replacement)])
+    }
+
+    /// Simultaneous substitution: every variable named in `subst` is replaced
+    /// by its expression at once (of two entries for one name the first
+    /// counts), so a replacement that mentions another substituted name — or
+    /// its own — is not substituted again.
+    pub fn substitute_all<E: Borrow<LinExpr>>(&self, subst: &[(&str, E)]) -> LinExpr {
+        let mut out = LinExpr::constant(self.constant.clone());
+        for (v, a) in &self.terms {
+            match subst.iter().find(|(name, _)| name == v) {
+                Some((_, replacement)) => out.add_scaled(replacement.borrow(), a),
+                None => out.add_term(v, a.clone()),
             }
         }
+        out
     }
 
     /// Evaluate at a point given by a variable assignment.
@@ -200,11 +222,9 @@ pub struct Atom {
 
 impl Atom {
     /// Build the atom `lhs REL rhs` (stored as `lhs - rhs REL 0`).
-    pub fn new(lhs: LinExpr, rel: Rel, rhs: LinExpr) -> Self {
-        Atom {
-            expr: lhs.sub(&rhs),
-            rel,
-        }
+    pub fn new(mut lhs: LinExpr, rel: Rel, rhs: LinExpr) -> Self {
+        lhs.add_scaled(&rhs, &-Rational::ONE);
+        Atom { expr: lhs, rel }
     }
 
     /// Negation as an (up to two-element) disjunction-free set:
@@ -249,6 +269,14 @@ impl Atom {
     pub fn substitute(&self, v: &str, replacement: &LinExpr) -> Atom {
         Atom {
             expr: self.expr.substitute(v, replacement),
+            rel: self.rel,
+        }
+    }
+
+    /// [`LinExpr::substitute_all`] on the atom's expression.
+    pub fn substitute_all<E: Borrow<LinExpr>>(&self, subst: &[(&str, E)]) -> Atom {
+        Atom {
+            expr: self.expr.substitute_all(subst),
             rel: self.rel,
         }
     }

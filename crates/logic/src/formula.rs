@@ -2,6 +2,7 @@
 
 use crate::{Atom, Database, LinExpr, Var};
 use lcdb_arith::Rational;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -171,26 +172,35 @@ impl Formula {
     /// not needed because replacement expressions use fresh or free names; a
     /// bound occurrence of the variable shadows the substitution).
     pub fn substitute(&self, v: &str, replacement: &LinExpr) -> Formula {
+        self.substitute_all(&[(v, replacement)])
+    }
+
+    /// Simultaneous substitution of free variables ([`LinExpr::substitute_all`]
+    /// on every term); like [`Formula::substitute`], a binder shadows its own
+    /// variable and the shape of the formula is kept as it is.
+    pub fn substitute_all<E: Borrow<LinExpr>>(&self, subst: &[(&str, E)]) -> Formula {
+        let each = |fs: &[Formula]| fs.iter().map(|f| f.substitute_all(subst)).collect();
         match self {
             Formula::True | Formula::False => self.clone(),
-            Formula::Atom(a) => Formula::Atom(a.substitute(v, replacement)),
+            Formula::Atom(a) => Formula::Atom(a.substitute_all(subst)),
             Formula::Pred(name, args) => Formula::Pred(
                 name.clone(),
-                args.iter().map(|a| a.substitute(v, replacement)).collect(),
+                args.iter().map(|a| a.substitute_all(subst)).collect(),
             ),
-            Formula::And(fs) => {
-                Formula::And(fs.iter().map(|f| f.substitute(v, replacement)).collect())
-            }
-            Formula::Or(fs) => {
-                Formula::Or(fs.iter().map(|f| f.substitute(v, replacement)).collect())
-            }
-            Formula::Not(f) => Formula::Not(Box::new(f.substitute(v, replacement))),
-            Formula::Exists(bv, f) | Formula::Forall(bv, f) if bv == v => self.clone(),
-            Formula::Exists(bv, f) => {
-                Formula::Exists(bv.clone(), Box::new(f.substitute(v, replacement)))
-            }
-            Formula::Forall(bv, f) => {
-                Formula::Forall(bv.clone(), Box::new(f.substitute(v, replacement)))
+            Formula::And(fs) => Formula::And(each(fs)),
+            Formula::Or(fs) => Formula::Or(each(fs)),
+            Formula::Not(f) => Formula::Not(Box::new(f.substitute_all(subst))),
+            Formula::Exists(bv, f) | Formula::Forall(bv, f) => {
+                let free: Vec<(&str, &LinExpr)> = subst
+                    .iter()
+                    .filter(|(v, _)| v != bv)
+                    .map(|(v, e)| (*v, e.borrow()))
+                    .collect();
+                let body = Box::new(f.substitute_all(&free));
+                match self {
+                    Formula::Exists(..) => Formula::Exists(bv.clone(), body),
+                    _ => Formula::Forall(bv.clone(), body),
+                }
             }
         }
     }

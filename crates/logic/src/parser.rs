@@ -281,15 +281,18 @@ impl Parser {
             };
             let Some(rel) = rel else { break };
             any = true;
-            let rhs = self.expr()?;
+            // `lhs - rhs`, built in the left side's own map; the right side
+            // moves on to be the left side of the chain's next link.
+            let mut expr = std::mem::replace(&mut lhs, self.expr()?);
+            expr.add_scaled(&lhs, &-Rational::ONE);
+            let atom = |expr, rel| Formula::Atom(Atom { expr, rel });
             match rel {
-                Ok(r) => parts.push(Formula::Atom(Atom::new(lhs.clone(), r, rhs.clone()))),
+                Ok(rel) => parts.push(atom(expr, rel)),
                 Err(()) => parts.push(Formula::or(vec![
-                    Formula::Atom(Atom::new(lhs.clone(), Rel::Lt, rhs.clone())),
-                    Formula::Atom(Atom::new(lhs.clone(), Rel::Gt, rhs.clone())),
+                    atom(expr.clone(), Rel::Lt),
+                    atom(expr, Rel::Gt),
                 ])),
             }
-            lhs = rhs;
         }
         if !any {
             return Err(self.err("expected a comparison operator".into()));
@@ -311,13 +314,11 @@ impl Parser {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.bump();
-                    let t = self.term()?;
-                    acc = acc.add(&t);
+                    acc.add_scaled(&self.term()?, &Rational::ONE);
                 }
                 Some(Tok::Minus) => {
                     self.bump();
-                    let t = self.term()?;
-                    acc = acc.sub(&t);
+                    acc.add_scaled(&self.term()?, &-Rational::ONE);
                 }
                 _ => break,
             }
