@@ -14,8 +14,8 @@
 use lcdb_arith::{int, rat, Rational};
 use lcdb_bench::*;
 use lcdb_core::{
-    queries, Decomposition, EvalBudget, Evaluator, FixMode, JsonlTracer, RegFormula,
-    RegionExtension, TraceHandle,
+    queries, Decomposition, DecompositionKind, EvalBudget, Evaluator, FixMode, JsonlTracer,
+    RegFormula, RegionExtension, TraceHandle,
 };
 use lcdb_geom::{Arrangement, VPolyhedron};
 use lcdb_logic::{parse_formula, qe, Database, Formula, LinExpr, Relation};
@@ -324,7 +324,8 @@ fn river_extension(chem1: (i64, i64), chem2: (i64, i64)) -> RegionExtension {
     db.insert("spring", rel1("x = 0"));
     db.insert("chem1", rel1(&format!("{} < x and x < {}", chem1.0, chem1.1)));
     db.insert("chem2", rel1(&format!("{} < x and x < {}", chem2.0, chem2.1)));
-    RegionExtension::arrangement_db(db, "S")
+    RegionExtension::try_new(db, "S", DecompositionKind::Arrangement, &EvalBudget::unlimited())
+        .expect("an unlimited build succeeds")
 }
 
 /// E7: the GIS river query (Fig. 6).
@@ -413,7 +414,8 @@ fn e9_rbit() {
         let mut den_bits = Vec::new();
         for (i, &rn) in zeros.iter().enumerate() {
             for (j, &rd) in zeros.iter().enumerate() {
-                if ev.eval_with_regions(&f, &[("Rn", rn), ("Rd", rd)]) == Formula::True {
+                let bound = [("Rn", rn), ("Rd", rd)];
+                if ev.try_eval_with_regions(&f, &bound).unwrap() == Formula::True {
                     num_bits.push(i);
                     den_bits.push(j);
                 }

@@ -170,7 +170,9 @@ pub fn alibi_extension(n: usize, seed: u64, meet: bool) -> lcdb_core::RegionExte
     );
     db.insert("A", a);
     db.insert("B", b);
-    lcdb_core::RegionExtension::arrangement_db(db, "T")
+    let budget = lcdb_core::EvalBudget::unlimited();
+    lcdb_core::RegionExtension::try_new(db, "T", lcdb_core::DecompositionKind::Arrangement, &budget)
+        .expect("an unlimited build succeeds")
 }
 
 /// The alibi sentence: could the two objects have met?

@@ -46,7 +46,7 @@
 
 use lcdb_core::{
     database_fingerprint, explain_query, parse_regformula, queries, ArrangementRegions,
-    Decomposition, DecompositionKind, EvalBudget, EvalError, EvalOutcome, EvalStats, Evaluator,
+    Decomposition, DecompositionKind, EvalBudget, EvalError, EvalStats, Evaluator,
     JsonlTracer, ProfEntry, Quarantine, RegFormula, RegionExtension, Resumable, TraceHandle,
 };
 use lcdb_logic::{parse_formula, Database, Relation};
@@ -320,7 +320,7 @@ impl Shell {
                     let mut built = false;
                     let mut build = || {
                         built = true;
-                        ArrangementRegions::try_new_traced(
+                        ArrangementRegions::try_new(
                             self.db.clone(),
                             &spatial,
                             budget,
@@ -349,10 +349,10 @@ impl Shell {
                         }
                         None => build()?,
                     };
-                    RegionExtension::from_arrangement_regions(regions)
+                    RegionExtension::from(regions)
                 }
-                DecompositionKind::Nc1 => {
-                    RegionExtension::try_nc1_db(self.db.clone(), &spatial, budget)?
+                kind @ DecompositionKind::Nc1 => {
+                    RegionExtension::try_new(self.db.clone(), &spatial, kind, budget)?
                 }
             };
             self.ext = Some(ext);
@@ -372,7 +372,7 @@ impl Shell {
         &mut self,
         out: &mut dyn Write,
         f: &RegFormula,
-        run: impl FnOnce(&Evaluator) -> Result<EvalOutcome<T>, EvalError>,
+        run: impl FnOnce(&Evaluator) -> Result<T, EvalError>,
     ) -> Result<(T, Quarantine, EvalStats, Vec<(PlanId, ProfEntry)>), CmdError> {
         let budget = self.limits.budget();
         // An abort while the decomposition is built is still an evaluation
@@ -393,16 +393,8 @@ impl Shell {
             }
             ev
         });
-        let run = |ev: &Evaluator| {
-            run(ev).map(|outcome| match outcome {
-                EvalOutcome::Complete(v) => {
-                    (v, Quarantine::default(), ev.stats(), ev.plan_profile())
-                }
-                EvalOutcome::Partial { value, quarantined } => {
-                    (value, quarantined, ev.stats(), ev.plan_profile())
-                }
-            })
-        };
+        let run =
+            |ev: &Evaluator| run(ev).map(|v| (v, ev.quarantine(), ev.stats(), ev.plan_profile()));
         let Some(cat) = &self.catalog else {
             return Ok(ev.and_then(|ev| run(&ev))?);
         };
@@ -601,7 +593,7 @@ impl Shell {
                 Ok(f) if self.limits.explain => self.write_explain(out, &f)?,
                 Ok(f) => self.run_command(out, |sh, out| {
                     let (verdict, q, st, prof) =
-                        sh.eval_recoverable(out, &f, |ev| ev.try_eval_sentence_outcome(&f))?;
+                        sh.eval_recoverable(out, &f, |ev| ev.try_eval_sentence(&f))?;
                     writeln!(
                         out,
                         "{}   (lfp stages: {}, qe calls: {})",
@@ -621,7 +613,7 @@ impl Shell {
                 Ok(f) if self.limits.explain => self.write_explain(out, &f)?,
                 Ok(f) => self.run_command(out, |sh, out| {
                     let (answer, q, _, prof) =
-                        sh.eval_recoverable(out, &f, |ev| ev.try_eval_query_outcome(&f))?;
+                        sh.eval_recoverable(out, &f, |ev| ev.try_eval_query(&f))?;
                     writeln!(out, "{}", answer)?;
                     write_partial(sh, out, &q)?;
                     sh.write_observability(out, &f, &prof)?;
@@ -638,7 +630,7 @@ impl Shell {
             "connected" => self.run_command(out, |sh, out| {
                 let f = queries::connectivity();
                 let (verdict, q, _, prof) =
-                    sh.eval_recoverable(out, &f, |ev| ev.try_eval_sentence_outcome(&f))?;
+                    sh.eval_recoverable(out, &f, |ev| ev.try_eval_sentence(&f))?;
                 writeln!(out, "{}", verdict)?;
                 write_partial(sh, out, &q)?;
                 sh.write_observability(out, &f, &prof)?;

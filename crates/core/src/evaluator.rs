@@ -34,9 +34,13 @@
 //! as an [`EvalError`] carrying the partial [`EvalStats`]. Stage and
 //! tuple-test caps are charged per stage, the memory ceiling before every
 //! table allocation, the deadline and cancellation per table and per block
-//! of rows. The legacy infallible entry points (`eval_sentence`, …) wrap
-//! the `try_*` variants with an unlimited budget, so for them only query
-//! defects can surface — as panics, preserving the historical contract.
+//! of rows. There is one fallible entry per answer shape —
+//! [`Evaluator::try_eval_sentence`] (a verdict), [`Evaluator::try_eval_query`]
+//! (a quantifier-free formula), [`Evaluator::try_eval_query_to_relation`] (a
+//! relation) and [`Evaluator::try_eval_with_regions`] (a formula at a region
+//! binding) — and a partial answer is one read together with
+//! [`Evaluator::quarantine`]. `eval_sentence` and `eval_query` are the quick
+//! path for examples and tests: they panic on any error.
 
 mod tables;
 
@@ -97,8 +101,10 @@ pub struct EvalStats {
 }
 
 /// What fault-tolerant evaluation walled off: the units whose local faults
-/// were absorbed so the rest of the query could complete. Attached to
-/// [`EvalOutcome::Partial`].
+/// were absorbed so the rest of the query could complete. Read after an
+/// entry call with [`Evaluator::quarantine`]; when it is not empty, the
+/// answer that call returned is a sound evaluation of the query *minus* the
+/// quarantined units — partial, not exact.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Quarantine {
     /// Region ids whose quantifier expansion was skipped (formula path).
@@ -120,43 +126,6 @@ impl Quarantine {
     /// Total quarantined units.
     pub fn units(&self) -> usize {
         self.regions.len() + self.disjuncts + self.tables
-    }
-}
-
-/// Result of a fault-tolerant evaluation: either the exact answer, or an
-/// answer computed with some units quarantined (a sound evaluation of the
-/// query *minus* the quarantined units, explicitly marked as partial).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EvalOutcome<T> {
-    /// Every unit evaluated; the answer is exact.
-    Complete(T),
-    /// Some units were quarantined; the answer ignores their contribution.
-    Partial {
-        /// The degraded answer.
-        value: T,
-        /// What was walled off, and why.
-        quarantined: Quarantine,
-    },
-}
-
-impl<T> EvalOutcome<T> {
-    /// The (possibly degraded) answer.
-    pub fn value(&self) -> &T {
-        match self {
-            EvalOutcome::Complete(v) | EvalOutcome::Partial { value: v, .. } => v,
-        }
-    }
-
-    /// Consume into the (possibly degraded) answer.
-    pub fn into_value(self) -> T {
-        match self {
-            EvalOutcome::Complete(v) | EvalOutcome::Partial { value: v, .. } => v,
-        }
-    }
-
-    /// True when units were quarantined.
-    pub fn is_partial(&self) -> bool {
-        matches!(self, EvalOutcome::Partial { .. })
     }
 }
 
@@ -363,7 +332,7 @@ impl<'a> Evaluator<'a> {
 
     /// Create an evaluator whose work is governed by `budget`. Use the
     /// `try_*` entry points to observe limit exhaustion as [`EvalError`]s;
-    /// the infallible entry points panic when the budget runs out.
+    /// the quick-path `eval_sentence`/`eval_query` panic when it runs out.
     pub fn with_budget(ext: &'a dyn Decomposition, budget: EvalBudget) -> Self {
         let dim_of: Vec<u32> = ext.region_ids().map(|r| ext.region(r).dim as u32).collect();
         // Order the 0-dimensional regions lexicographically by the point they
@@ -456,7 +425,7 @@ impl<'a> Evaluator<'a> {
     /// (one plan node over its domains), or on the formula path to one
     /// disjunct or one region of a quantifier expansion — an injected fault
     /// or a localized query defect — quarantines that unit (recorded in
-    /// [`EvalStats::quarantined`] and the outcome's [`Quarantine`]) instead
+    /// [`EvalStats::quarantined`] and [`Evaluator::quarantine`]) instead
     /// of aborting the whole evaluation. Global resource exhaustion
     /// (deadline, caps, cancellation) still aborts.
     pub fn tolerate_faults(mut self) -> Self {
@@ -835,23 +804,14 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate a sentence to a boolean, reporting budget exhaustion and
-    /// query defects as typed errors.
+    /// query defects as typed errors. Under [`Evaluator::tolerate_faults`]
+    /// the verdict is partial exactly when [`Evaluator::quarantine`] is not
+    /// empty afterwards.
     pub fn try_eval_sentence(&self, f: &RegFormula) -> Result<bool, EvalError> {
-        self.try_eval_sentence_outcome(f).map(EvalOutcome::into_value)
-    }
-
-    /// Evaluate a sentence, distinguishing exact answers from degraded ones:
-    /// under [`Evaluator::tolerate_faults`], quarantined units yield
-    /// [`EvalOutcome::Partial`] instead of an error or a silently inexact
-    /// `Ok`.
-    pub fn try_eval_sentence_outcome(
-        &self,
-        f: &RegFormula,
-    ) -> Result<EvalOutcome<bool>, EvalError> {
         let (plan, root) = lower::compile(f);
         self.check_free(plan.facts(root), "sentence", true, true)?;
         let out = self.run_entry(&plan, root, "eval.sentence", &[])?;
-        Ok(self.outcome(truth(&out)))
+        Ok(truth(&out))
     }
 
     /// The entry check, read off the compiled root: `what` may have no free
@@ -929,16 +889,6 @@ impl<'a> Evaluator<'a> {
         out.map_err(|s| self.stop_error(s))
     }
 
-    /// Package a value with the quarantine accumulated by this entry call.
-    fn outcome<T>(&self, value: T) -> EvalOutcome<T> {
-        let quarantined = self.quarantine();
-        if quarantined.is_empty() {
-            EvalOutcome::Complete(value)
-        } else {
-            EvalOutcome::Partial { value, quarantined }
-        }
-    }
-
     /// Evaluate a query with free *element* variables to a quantifier-free
     /// FO+LIN formula over those variables (the closure property of §2: the
     /// answer is again a finitely representable relation).
@@ -952,49 +902,28 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate an open query to a quantifier-free formula, reporting budget
-    /// exhaustion and query defects as typed errors.
+    /// exhaustion and query defects as typed errors; partial answers as for
+    /// [`Evaluator::try_eval_sentence`].
     pub fn try_eval_query(&self, f: &RegFormula) -> Result<Formula, EvalError> {
-        self.try_eval_query_outcome(f).map(EvalOutcome::into_value)
-    }
-
-    /// Outcome-reporting form of [`Evaluator::try_eval_query`]; see
-    /// [`Evaluator::try_eval_sentence_outcome`].
-    pub fn try_eval_query_outcome(
-        &self,
-        f: &RegFormula,
-    ) -> Result<EvalOutcome<Formula>, EvalError> {
         let (plan, root) = lower::compile(f);
-        self.query_outcome(&plan, root)
+        self.query_answer(&plan, root)
     }
 
-    fn query_outcome(&self, plan: &Plan, root: PlanId) -> Result<EvalOutcome<Formula>, EvalError> {
+    fn query_answer(&self, plan: &Plan, root: PlanId) -> Result<Formula, EvalError> {
         self.check_free(plan.facts(root), "query", false, true)?;
         let out = self.run_entry(plan, root, "eval.query", &[])?;
         // An answer that came out of an elimination is DNF-shaped already:
         // the conversion is then one decision per disjunct, no distribution.
         let dnf =
             try_to_dnf_strong(&out, &mut || self.interrupted()).map_err(|s| self.stop_error(s))?;
-        Ok(self.outcome(dnf.to_formula()))
+        Ok(dnf.to_formula())
     }
 
-    /// Evaluate an open query and package the answer as a [`lcdb_logic::Relation`] over
-    /// the given variable order — the query's result as a first-class
-    /// database object (closure, §2).
-    ///
-    /// # Panics
-    /// Panics if `var_order` omits a free element variable of the query
-    /// (a column it names beyond those is unconstrained), if region/set
-    /// variables are free, or if an installed budget is exhausted.
-    pub fn eval_query_to_relation(
-        &self,
-        f: &RegFormula,
-        var_order: &[Var],
-    ) -> lcdb_logic::Relation {
-        self.try_eval_query_to_relation(f, var_order)
-            .unwrap_or_else(|e| panic!("{}", e))
-    }
-
-    /// Fallible form of [`Evaluator::eval_query_to_relation`].
+    /// Evaluate an open query and package the answer as a
+    /// [`lcdb_logic::Relation`] over the given variable order — the query's
+    /// result as a first-class database object (closure, §2). An error if
+    /// `var_order` omits a free element variable of the query (a column it
+    /// names beyond those is unconstrained).
     pub fn try_eval_query_to_relation(
         &self,
         f: &RegFormula,
@@ -1006,22 +935,12 @@ impl<'a> Evaluator<'a> {
                 "variable order must match the query's free element variables",
             ));
         }
-        let qf = self.query_outcome(&plan, root)?.into_value();
+        let qf = self.query_answer(&plan, root)?;
         Ok(lcdb_logic::Relation::new(var_order.to_vec(), &qf))
     }
 
     /// Evaluate with explicit region variable bindings (for tests and for
-    /// region-valued sub-queries).
-    ///
-    /// # Panics
-    /// Panics on malformed queries (e.g. region variables left unbound) and
-    /// on budget exhaustion; see [`Evaluator::try_eval_with_regions`].
-    pub fn eval_with_regions(&self, f: &RegFormula, bindings: &[(&str, usize)]) -> Formula {
-        self.try_eval_with_regions(f, bindings)
-            .unwrap_or_else(|e| panic!("{}", e))
-    }
-
-    /// Fallible form of [`Evaluator::eval_with_regions`].
+    /// region-valued sub-queries); every free region variable must be bound.
     pub fn try_eval_with_regions(
         &self,
         f: &RegFormula,
@@ -1831,8 +1750,9 @@ mod tests {
             arg_left: vec!["A".into()],
             arg_right: vec!["B".into()],
         };
-        let tc = ev.eval_with_regions(&mk(false), &[("A", zero_region), ("B", seg_region)]);
-        let dtc = ev.eval_with_regions(&mk(true), &[("A", zero_region), ("B", seg_region)]);
+        let bound = [("A", zero_region), ("B", seg_region)];
+        let tc = ev.try_eval_with_regions(&mk(false), &bound).unwrap();
+        let dtc = ev.try_eval_with_regions(&mk(true), &bound).unwrap();
         assert_eq!(tc, Formula::True);
         assert_eq!(dtc, Formula::False);
     }
@@ -1859,7 +1779,8 @@ mod tests {
         };
         // numerator bits 0 and 1 set; denominator bit 1 set only.
         let t = |rn, rd| {
-            ev.eval_with_regions(&mk("Rn", "Rd"), &[("Rn", rn), ("Rd", rd)]) == Formula::True
+            let bound = [("Rn", rn), ("Rd", rd)];
+            ev.try_eval_with_regions(&mk("Rn", "Rd"), &bound).unwrap() == Formula::True
         };
         assert!(t(r0, r2)); // num bit0=1, den bit1=1
         assert!(t(r2, r2)); // num bit1=1, den bit1=1
@@ -1889,7 +1810,7 @@ mod tests {
             rd: "Rd".into(),
         };
         let t = |f: &RegFormula, rn, rd| {
-            ev.eval_with_regions(f, &[("Rn", rn), ("Rd", rd)]) == Formula::True
+            ev.try_eval_with_regions(f, &[("Rn", rn), ("Rd", rd)]).unwrap() == Formula::True
         };
         let f0 = mk(zero_body);
         assert!(t(&f0, seg, seg), "a=0 relates equal higher-dim regions");
@@ -1935,7 +1856,7 @@ mod tests {
             let f = crate::parse_regformula(src).unwrap();
             for r in ext.region_ids() {
                 let ev = Evaluator::new(&ext);
-                let got = ev.eval_with_regions(&f, &[("P", r)]);
+                let got = ev.try_eval_with_regions(&f, &[("P", r)]).unwrap();
                 let substituted = ext.region(r).dim == 0 && !src.contains("x + 1");
                 assert_eq!(ev.stats().qe_calls, usize::from(!substituted), "{src} at {r}");
                 // The same, by elimination on the region's own formula.
@@ -2033,7 +1954,7 @@ mod relation_output_tests {
                 )),
             ]),
         );
-        let answer = ev.eval_query_to_relation(&q, &["y".into()]);
+        let answer = ev.try_eval_query_to_relation(&q, &["y".into()]).unwrap();
         assert!(answer.contains(&[int(1)]));
         assert!(answer.contains(&[int(5)]));
         assert!(!answer.contains(&[int(3)]));

@@ -1805,7 +1805,7 @@ mod tests {
         // With the binding given from outside, one chain.
         for (a, b) in [(0, 0), (1, 3), (3, 1), (1, 2)] {
             let ev = Evaluator::new(&e);
-            let got = ev.eval_with_regions(&reach("A", "B"), &[("A", a), ("B", b)]);
+            let got = ev.try_eval_with_regions(&reach("A", "B"), &[("A", a), ("B", b)]).unwrap();
             assert_eq!(got == lcdb_logic::Formula::True, reach_by_search(&e, a)[b]);
         }
     }

@@ -36,9 +36,7 @@ mod region;
 mod regfo;
 
 pub use error::EvalError;
-pub use evaluator::{
-    query_fingerprint, EvalOutcome, EvalStats, Evaluator, ProfEntry, Quarantine,
-};
+pub use evaluator::{query_fingerprint, EvalStats, Evaluator, ProfEntry, Quarantine};
 pub use lower::{compile, explain_query};
 pub use lcdb_budget::{BudgetError, CancelToken, EvalBudget};
 pub use lcdb_exec::Pool;
@@ -48,56 +46,9 @@ pub use lcdb_trace::{
     NullTracer, TraceHandle, TraceSummary, Tracer,
 };
 pub use parser::parse_regformula;
-pub use persist::{database_fingerprint, DecompositionKind, PlanCatalog, Resumable};
+pub use persist::{database_fingerprint, PlanCatalog, Resumable};
 pub use regfo::{FixMode, RegFormula, RegionVar, SetVar};
 pub use region::{
-    ArrangementRegions, Decomposition, Nc1Regions, RegionData, RegionExtension, UpdateDelta,
+    ArrangementRegions, Decomposition, DecompositionKind, Nc1Regions, RegionData,
+    RegionExtension, UpdateDelta,
 };
-
-/// Convenience: evaluate a region-logic *sentence* against a database
-/// relation using the arrangement decomposition.
-pub fn eval_sentence_arrangement(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-) -> bool {
-    let ext = RegionExtension::arrangement(relation.clone());
-    Evaluator::new(&ext).eval_sentence(sentence)
-}
-
-/// Convenience: evaluate a region-logic *sentence* using the NC¹
-/// decomposition of Appendix A.
-pub fn eval_sentence_nc1(relation: &lcdb_logic::Relation, sentence: &RegFormula) -> bool {
-    let ext = RegionExtension::nc1(relation.clone());
-    Evaluator::new(&ext).eval_sentence(sentence)
-}
-
-/// Budget-governed form of [`eval_sentence_arrangement`]: decomposition
-/// construction *and* sentence evaluation both run under `budget`. On
-/// success the verdict is returned together with the work counters; on
-/// exhaustion the [`EvalError`] carries the partial counters instead.
-///
-/// The budget's deadline is armed when [`EvalBudget::with_timeout`] is
-/// called, so build a fresh budget per query.
-pub fn try_eval_sentence_arrangement(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-    budget: &EvalBudget,
-) -> Result<(bool, EvalStats), EvalError> {
-    let ext = RegionExtension::try_arrangement(relation.clone(), budget)?;
-    let ev = Evaluator::with_budget(&ext, budget.clone());
-    let verdict = ev.try_eval_sentence(sentence)?;
-    Ok((verdict, ev.stats()))
-}
-
-/// Budget-governed form of [`eval_sentence_nc1`]; see
-/// [`try_eval_sentence_arrangement`].
-pub fn try_eval_sentence_nc1(
-    relation: &lcdb_logic::Relation,
-    sentence: &RegFormula,
-    budget: &EvalBudget,
-) -> Result<(bool, EvalStats), EvalError> {
-    let ext = RegionExtension::try_nc1(relation.clone(), budget)?;
-    let ev = Evaluator::with_budget(&ext, budget.clone());
-    let verdict = ev.try_eval_sentence(sentence)?;
-    Ok((verdict, ev.stats()))
-}

@@ -26,7 +26,7 @@
 //! caller falls back to recomputing — never to serving corrupt state.
 
 use crate::evaluator::{empty_checkpoint, query_fingerprint, Evaluator};
-use crate::region::ArrangementRegions;
+use crate::region::{ArrangementRegions, DecompositionKind};
 use crate::{EvalError, RegFormula};
 use lcdb_exec::codec::{put_str, put_u64, put_u8, Cursor};
 use lcdb_exec::hash::fingerprint_str;
@@ -158,17 +158,6 @@ pub fn decode_arrangement(bytes: &[u8]) -> Result<Arrangement, StoreError> {
     })?;
     cur.done("arrangement blob")?;
     Arrangement::from_parts(dim, hyperplanes, faces).map_err(malformed)
-}
-
-/// Which decomposition the region ids of a stored fixpoint refer to — part
-/// of the fixpoint entry's key, since the two number their regions
-/// independently.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DecompositionKind {
-    /// The arrangement `A(S)` (§3).
-    Arrangement,
-    /// The NC¹ decomposition (Appendix A).
-    Nc1,
 }
 
 /// What [`PlanCatalog::eval_resumable`] reports besides the evaluation's own
@@ -454,6 +443,11 @@ mod tests {
         db
     }
 
+    fn arrangement(db: Database) -> ArrangementRegions {
+        let trace = lcdb_trace::TraceHandle::disabled_ref();
+        ArrangementRegions::try_new(db, "S", &crate::EvalBudget::unlimited(), trace).unwrap()
+    }
+
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("lcdb-persist-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -463,7 +457,7 @@ mod tests {
     #[test]
     fn arrangement_blob_roundtrips_exactly() {
         let db = sample_db();
-        let regions = ArrangementRegions::new(db, "S");
+        let regions = arrangement(db);
         let a = regions.arrangement();
         let blob = encode_arrangement(a);
         let b = decode_arrangement(&blob).unwrap();
@@ -520,7 +514,7 @@ mod tests {
     #[test]
     fn every_truncation_and_byte_flip_is_typed() {
         let db = sample_db();
-        let regions = ArrangementRegions::new(db.clone(), "S");
+        let regions = arrangement(db.clone());
         let store_offset = |e: &StoreError| match e {
             StoreError::Truncated { offset, .. } => Some(*offset),
             _ => None,
@@ -576,7 +570,7 @@ mod tests {
         let db = sample_db();
         assert!(cat.load_extension(&db, "S").unwrap().is_none());
 
-        let built = ArrangementRegions::new(db.clone(), "S");
+        let built = arrangement(db.clone());
         cat.save_extension(&built).unwrap();
         let warm = cat.load_extension(&db, "S").unwrap().expect("catalog hit");
         assert_eq!(warm.num_regions(), built.num_regions());
@@ -601,7 +595,7 @@ mod tests {
         let cat = PlanCatalog::open(&dir).unwrap();
         let db = sample_db();
         let db_fp = database_fingerprint(&db, Some("S"));
-        let regions = ArrangementRegions::new(db.clone(), "S");
+        let regions = arrangement(db.clone());
         let q = crate::queries::connectivity();
         let verdict = Evaluator::new(&regions).eval_sentence(&q);
         let kind = DecompositionKind::Arrangement;

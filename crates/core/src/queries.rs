@@ -449,7 +449,7 @@ mod tests {
 
     /// A linear river flowing through 1-d space: spring at the left,
     /// chemicals introduced at given stretches.
-    fn river_db(chem1_at: (i64, i64), chem2_at: (i64, i64)) -> Database {
+    fn river(chem1_at: (i64, i64), chem2_at: (i64, i64)) -> RegionExtension {
         let mut db = Database::new();
         db.insert("S", relation("0 <= x and x <= 10", &["x"]));
         db.insert("river", relation("0 <= x and x <= 10", &["x"]));
@@ -462,7 +462,8 @@ mod tests {
             "chem2",
             relation(&format!("{} < x and x < {}", chem2_at.0, chem2_at.1), &["x"]),
         );
-        db
+        let budget = crate::EvalBudget::unlimited();
+        RegionExtension::try_new(db, "S", crate::DecompositionKind::Arrangement, &budget).unwrap()
     }
 
     #[test]
@@ -470,30 +471,30 @@ mod tests {
         // The paper's formula as printed is order-insensitive: it fires
         // whenever a (spring-reachable) chem1 stretch and a chem2 stretch
         // both exist.
-        let up = RegionExtension::arrangement_db(river_db((1, 2), (4, 5)), "S");
+        let up = river((1, 2), (4, 5));
         assert!(Evaluator::new(&up).eval_sentence(&river_pollution()));
-        let down = RegionExtension::arrangement_db(river_db((4, 5), (1, 2)), "S");
+        let down = river((4, 5), (1, 2));
         assert!(Evaluator::new(&down).eval_sentence(&river_pollution()));
         // No chem2 at all (empty stretch): nothing to detect.
-        let none = RegionExtension::arrangement_db(river_db((1, 2), (7, 7)), "S");
+        let none = river((1, 2), (7, 7));
         assert!(!Evaluator::new(&none).eval_sentence(&river_pollution()));
         // No chem1: nothing to detect either.
-        let none1 = RegionExtension::arrangement_db(river_db((7, 7), (1, 2)), "S");
+        let none1 = river((7, 7), (1, 2));
         assert!(!Evaluator::new(&none1).eval_sentence(&river_pollution()));
     }
 
     #[test]
     fn river_pollution_ordered_semantics() {
         // The ordered variant enforces flow order via directed adjacency.
-        let up = RegionExtension::arrangement_db(river_db((1, 2), (4, 5)), "S");
+        let up = river((1, 2), (4, 5));
         assert!(Evaluator::new(&up).eval_sentence(&river_pollution_ordered()));
-        let down = RegionExtension::arrangement_db(river_db((4, 5), (1, 2)), "S");
+        let down = river((4, 5), (1, 2));
         assert!(!Evaluator::new(&down).eval_sentence(&river_pollution_ordered()));
         // Overlapping stretches: chem2 extends beyond chem1's start: fires.
-        let overlap = RegionExtension::arrangement_db(river_db((3, 6), (4, 8)), "S");
+        let overlap = river((3, 6), (4, 8));
         assert!(Evaluator::new(&overlap).eval_sentence(&river_pollution_ordered()));
         // Missing either chemical: no detection.
-        let none = RegionExtension::arrangement_db(river_db((1, 2), (7, 7)), "S");
+        let none = river((1, 2), (7, 7));
         assert!(!Evaluator::new(&none).eval_sentence(&river_pollution_ordered()));
     }
 }

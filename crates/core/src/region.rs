@@ -11,7 +11,19 @@ use lcdb_geom::{Arrangement, Hyperplane, VPolyhedron};
 use lcdb_linalg::QVector;
 use lcdb_logic::{Database, Formula, Relation};
 use lcdb_exec::ShardedMap;
+use lcdb_trace::TraceHandle;
 use std::collections::BTreeMap;
+
+/// Which of the two decompositions a region extension is built over. Also
+/// part of a stored fixpoint's key, since the two number their regions
+/// independently.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecompositionKind {
+    /// The arrangement `A(S)` (§3).
+    Arrangement,
+    /// The NC¹ decomposition (Appendix A).
+    Nc1,
+}
 
 /// Per-region metadata exposed to the logics.
 #[derive(Clone, Debug)]
@@ -125,46 +137,35 @@ pub struct ArrangementRegions {
 }
 
 impl ArrangementRegions {
-    /// Build from a database and the designated spatial relation name.
-    ///
-    /// # Panics
-    /// Panics if the relation is missing.
-    pub fn new(db: Database, spatial: &str) -> Self {
-        Self::try_new(db, spatial, &EvalBudget::unlimited()).unwrap_or_else(|e| panic!("{}", e))
+    /// Build from a database and the designated spatial relation name. The
+    /// arrangement is built incrementally and aborts with a typed error as
+    /// soon as the face cap, the memory ceiling, the deadline, or the
+    /// cancellation token trips — *before* the O(n^d) face table
+    /// (Theorem 3.1) is fully materialized. Construction progress is
+    /// reported through `trace` (pass [`TraceHandle::disabled_ref`] for
+    /// none): a `geom.build` span with per-level `geom.level` sub-spans and
+    /// a `geom.faces_built` counter.
+    pub fn try_new(
+        db: Database,
+        spatial: &str,
+        budget: &EvalBudget,
+        trace: &TraceHandle,
+    ) -> Result<Self, EvalError> {
+        let (d, hyperplanes) = Self::spatial_hyperplanes(&db, spatial)?;
+        let arrangement = Arrangement::try_build_traced(d, hyperplanes, budget, trace)
+            .map_err(|e| EvalError::from_budget(e, EvalStats::default()))?;
+        Self::from_parts(db, spatial, arrangement)
     }
 
-    /// Budget-governed construction: the arrangement is built incrementally
-    /// and aborts with a typed error as soon as the face cap, the memory
-    /// ceiling, the deadline, or the cancellation token trips — *before* the
-    /// O(n^d) face table (Theorem 3.1) is fully materialized.
-    pub fn try_new(db: Database, spatial: &str, budget: &EvalBudget) -> Result<Self, EvalError> {
-        Self::try_new_traced(db, spatial, budget, lcdb_trace::TraceHandle::disabled_ref())
-    }
-
-    /// [`ArrangementRegions::try_new`]; `_pool` is ignored (name pinned by
-    /// `benchmark/`).
+    /// Pinned by `benchmark/`: [`ArrangementRegions::try_new`] untraced;
+    /// `_pool` is ignored.
     pub fn try_new_pool(
         db: Database,
         spatial: &str,
         budget: &EvalBudget,
         _pool: &lcdb_exec::Pool,
     ) -> Result<Self, EvalError> {
-        Self::try_new(db, spatial, budget)
-    }
-
-    /// Like [`ArrangementRegions::try_new`], reporting construction
-    /// progress through `trace`: a `geom.build` span with per-level
-    /// `geom.level` sub-spans and a `geom.faces_built` counter.
-    pub fn try_new_traced(
-        db: Database,
-        spatial: &str,
-        budget: &EvalBudget,
-        trace: &lcdb_trace::TraceHandle,
-    ) -> Result<Self, EvalError> {
-        let (d, hyperplanes) = Self::spatial_hyperplanes(&db, spatial)?;
-        let arrangement = Arrangement::try_build_traced(d, hyperplanes, budget, trace)
-            .map_err(|e| EvalError::from_budget(e, EvalStats::default()))?;
-        Self::from_parts(db, spatial, arrangement)
+        Self::try_new(db, spatial, budget, TraceHandle::disabled_ref())
     }
 
     /// Reassemble a region structure around an arrangement that was built
@@ -393,16 +394,9 @@ pub struct Nc1Regions {
 }
 
 impl Nc1Regions {
-    /// Build from a database and the designated spatial relation name.
-    ///
-    /// # Panics
-    /// Panics if the relation is missing.
-    pub fn new(db: Database, spatial: &str) -> Self {
-        Self::try_new(db, spatial, &EvalBudget::unlimited()).unwrap_or_else(|e| panic!("{}", e))
-    }
-
-    /// Budget-governed construction; the vertex-fan enumeration aborts with
-    /// a typed error when the region cap or memory ceiling is exceeded.
+    /// Build from a database and the designated spatial relation name; the
+    /// vertex-fan enumeration aborts with a typed error when the region cap
+    /// or memory ceiling is exceeded.
     pub fn try_new(db: Database, spatial: &str, budget: &EvalBudget) -> Result<Self, EvalError> {
         let rel = db.relation(spatial).ok_or_else(|| {
             EvalError::invalid_query(format!("unknown spatial relation '{}'", spatial))
@@ -494,102 +488,69 @@ pub struct RegionExtension {
 }
 
 impl RegionExtension {
-    /// Region extension over the arrangement `A(S)` (§3), for a single
-    /// spatial relation named `S`.
-    pub fn arrangement(relation: Relation) -> Self {
-        let mut db = Database::new();
-        db.insert("S", relation);
-        Self::arrangement_db(db, "S")
-    }
-
-    /// Budget-governed form of [`RegionExtension::arrangement`].
-    pub fn try_arrangement(relation: Relation, budget: &EvalBudget) -> Result<Self, EvalError> {
-        let mut db = Database::new();
-        db.insert("S", relation);
-        Self::try_arrangement_db(db, "S", budget)
-    }
-
-    /// Wrap an already-built arrangement region structure — e.g. one
-    /// reassembled from the persistent plan catalog — without rebuilding.
-    pub fn from_arrangement_regions(regions: ArrangementRegions) -> Self {
-        RegionExtension {
-            inner: Box::new(regions),
-        }
-    }
-
-    /// Region extension over the arrangement, general database form.
-    pub fn arrangement_db(db: Database, spatial: &str) -> Self {
-        RegionExtension {
-            inner: Box::new(ArrangementRegions::new(db, spatial)),
-        }
-    }
-
-    /// Budget-governed form of [`RegionExtension::arrangement_db`].
-    pub fn try_arrangement_db(
+    /// The region extension of `db` over the decomposition `kind` of its
+    /// spatial relation, built under `budget` (see
+    /// [`ArrangementRegions::try_new`] and [`Nc1Regions::try_new`]).
+    pub fn try_new(
         db: Database,
         spatial: &str,
+        kind: DecompositionKind,
         budget: &EvalBudget,
     ) -> Result<Self, EvalError> {
-        Ok(RegionExtension {
-            inner: Box::new(ArrangementRegions::try_new(db, spatial, budget)?),
-        })
+        let inner: Box<dyn Decomposition> = match kind {
+            DecompositionKind::Arrangement => Box::new(ArrangementRegions::try_new(
+                db,
+                spatial,
+                budget,
+                TraceHandle::disabled_ref(),
+            )?),
+            DecompositionKind::Nc1 => Box::new(Nc1Regions::try_new(db, spatial, budget)?),
+        };
+        Ok(RegionExtension { inner })
     }
 
-    /// [`RegionExtension::try_arrangement_db`]; `_pool` is ignored (name
-    /// pinned by `benchmark/`).
+    /// Region extension over the arrangement `A(S)` (§3) of a single
+    /// spatial relation named `S`, without limits.
+    ///
+    /// # Panics
+    /// Panics only if an injected fault stops the build.
+    pub fn arrangement(relation: Relation) -> Self {
+        Self::single(relation, DecompositionKind::Arrangement)
+    }
+
+    /// Region extension over the NC¹ decomposition (§7) of a single spatial
+    /// relation named `S`, without limits; see
+    /// [`RegionExtension::arrangement`].
+    pub fn nc1(relation: Relation) -> Self {
+        Self::single(relation, DecompositionKind::Nc1)
+    }
+
+    fn single(relation: Relation, kind: DecompositionKind) -> Self {
+        let mut db = Database::new();
+        db.insert("S", relation);
+        Self::try_new(db, "S", kind, &EvalBudget::unlimited()).unwrap_or_else(|e| panic!("{}", e))
+    }
+
+    /// Pinned by `benchmark/`: `RegionExtension::from(regions)`.
+    pub fn from_arrangement_regions(regions: ArrangementRegions) -> Self {
+        regions.into()
+    }
+
+    /// Pinned by `benchmark/`: [`RegionExtension::try_new`] over the
+    /// arrangement; `_pool` is ignored.
     pub fn try_arrangement_db_pool(
         db: Database,
         spatial: &str,
         budget: &EvalBudget,
         _pool: &lcdb_exec::Pool,
     ) -> Result<Self, EvalError> {
-        Self::try_arrangement_db(db, spatial, budget)
+        Self::try_new(db, spatial, DecompositionKind::Arrangement, budget)
     }
 
-    /// Like [`RegionExtension::try_arrangement_db`], reporting the
-    /// arrangement construction through `trace` (spans per refinement level,
-    /// `geom.faces_built` counter).
-    pub fn try_arrangement_db_traced(
-        db: Database,
-        spatial: &str,
-        budget: &EvalBudget,
-        trace: &lcdb_trace::TraceHandle,
-    ) -> Result<Self, EvalError> {
-        Ok(RegionExtension {
-            inner: Box::new(ArrangementRegions::try_new_traced(db, spatial, budget, trace)?),
-        })
-    }
-
-    /// Region extension over the NC¹ decomposition (§7), single relation.
-    pub fn nc1(relation: Relation) -> Self {
-        let mut db = Database::new();
-        db.insert("S", relation);
-        Self::nc1_db(db, "S")
-    }
-
-    /// Budget-governed form of [`RegionExtension::nc1`].
-    pub fn try_nc1(relation: Relation, budget: &EvalBudget) -> Result<Self, EvalError> {
-        let mut db = Database::new();
-        db.insert("S", relation);
-        Self::try_nc1_db(db, "S", budget)
-    }
-
-    /// Region extension over the NC¹ decomposition, general database form.
-    pub fn nc1_db(db: Database, spatial: &str) -> Self {
-        RegionExtension {
-            inner: Box::new(Nc1Regions::new(db, spatial)),
-        }
-    }
-
-    /// Budget-governed form of [`RegionExtension::nc1_db`].
-    pub fn try_nc1_db(
-        db: Database,
-        spatial: &str,
-        budget: &EvalBudget,
-    ) -> Result<Self, EvalError> {
-        Ok(RegionExtension {
-            inner: Box::new(Nc1Regions::try_new(db, spatial, budget)?),
-        })
+    /// Pinned by `benchmark/`: [`RegionExtension::try_new`] over the NC¹
+    /// decomposition.
+    pub fn try_nc1_db(db: Database, spatial: &str, budget: &EvalBudget) -> Result<Self, EvalError> {
+        Self::try_new(db, spatial, DecompositionKind::Nc1, budget)
     }
 
     /// Access the decomposition interface.
@@ -602,6 +563,16 @@ impl RegionExtension {
     /// pick a donor for incremental arrangement maintenance.
     pub fn as_arrangement_regions(&self) -> Option<&ArrangementRegions> {
         self.inner.as_any().downcast_ref::<ArrangementRegions>()
+    }
+}
+
+/// Wrap an already-built arrangement region structure — e.g. one
+/// reassembled from the persistent plan catalog — without rebuilding.
+impl From<ArrangementRegions> for RegionExtension {
+    fn from(regions: ArrangementRegions) -> Self {
+        RegionExtension {
+            inner: Box::new(regions),
+        }
     }
 }
 
@@ -733,7 +704,13 @@ mod tests {
         let mut db = Database::new();
         db.insert("S", relation("0 < x and x < 4", &["x"]));
         db.insert("T", relation("x > 2", &["x"]));
-        let ext = RegionExtension::arrangement_db(db, "S");
+        let ext = RegionExtension::try_new(
+            db,
+            "S",
+            DecompositionKind::Arrangement,
+            &EvalBudget::unlimited(),
+        )
+        .unwrap();
         // Hyperplanes x=0, x=4, x=2: seven faces.
         assert_eq!(ext.num_regions(), 7);
         for id in ext.region_ids() {
@@ -775,6 +752,57 @@ mod tests {
         for id in ext.region_ids() {
             if id != seg {
                 assert!(ext.adjacent(id, seg));
+            }
+        }
+    }
+
+    /// Note 7.1 makes the decomposition a parameter: the one general
+    /// constructor and the names `benchmark/` pins build the same
+    /// extension, answer the same, and fail the same way.
+    #[test]
+    fn one_constructor_per_kind() {
+        use crate::{queries, Evaluator};
+        use lcdb_exec::Pool;
+        let conn = queries::connectivity();
+        let shapes = [
+            ("(0 < x and x < 1) or (2 < x and x < 3)", &["x"][..]),
+            (
+                "(x >= 0 and y >= 0 and x + y <= 2) or (x >= 2 and y >= 0 and x <= 3 and y <= 1)",
+                &["x", "y"][..],
+            ),
+        ];
+        for (src, vars) in shapes {
+            let mut db = Database::new();
+            db.insert("S", relation(src, vars));
+            for kind in [DecompositionKind::Arrangement, DecompositionKind::Nc1] {
+                let build = |b: &EvalBudget| RegionExtension::try_new(db.clone(), "S", kind, b);
+                let pinned = |b: &EvalBudget| match kind {
+                    DecompositionKind::Arrangement => vec![
+                        RegionExtension::try_arrangement_db_pool(db.clone(), "S", b, &Pool::serial()),
+                        ArrangementRegions::try_new_pool(db.clone(), "S", b, &Pool::serial())
+                            .map(RegionExtension::from_arrangement_regions),
+                    ],
+                    DecompositionKind::Nc1 => vec![RegionExtension::try_nc1_db(db.clone(), "S", b)],
+                };
+                let unlimited = EvalBudget::unlimited();
+                let ext = build(&unlimited).unwrap();
+                let verdict = Evaluator::new(&ext).eval_sentence(&conn);
+                for shim in pinned(&unlimited) {
+                    let shim = shim.unwrap();
+                    assert_eq!(shim.num_regions(), ext.num_regions(), "{src} {kind:?}");
+                    for id in ext.region_ids() {
+                        let (a, b) = (ext.region(id), shim.region(id));
+                        assert_eq!((a.dim, a.bounded, &a.witness), (b.dim, b.bounded, &b.witness));
+                    }
+                    let shim_verdict = Evaluator::new(&shim).eval_sentence(&conn);
+                    assert_eq!(shim_verdict, verdict, "{src} {kind:?}");
+                }
+                let capped = EvalBudget::unlimited().with_max_faces(2);
+                let err = build(&capped).err().unwrap();
+                assert!(matches!(err, EvalError::FaceLimit { limit: 2, .. }), "{err}");
+                for shim in pinned(&capped) {
+                    assert_eq!(shim.err(), Some(err.clone()), "{src} {kind:?}");
+                }
             }
         }
     }

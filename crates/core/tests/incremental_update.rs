@@ -25,6 +25,12 @@ fn db_with(relations: &[(&str, &str, &[&str])]) -> Database {
     db
 }
 
+/// The arrangement region structure of `db` over `S`, built from scratch.
+fn build(db: Database) -> ArrangementRegions {
+    let trace = lcdb_core::TraceHandle::disabled_ref();
+    ArrangementRegions::try_new(db, "S", &EvalBudget::unlimited(), trace).unwrap()
+}
+
 /// Assert two region structures describe the same decomposition: same
 /// region count, and per region (in id order) the same dimension and
 /// boundedness, with each witness contained in the corresponding region of
@@ -52,7 +58,7 @@ fn derive_after_adding_a_relation_matches_rebuild() {
     // exactly the order the derivation inserts them in, which makes the
     // two structures bit-comparable, witnesses included.
     let base = db_with(&[("S", "0 < x and x < 2 and 0 < y", &["x", "y"])]);
-    let donor = ArrangementRegions::new(base.clone(), "S");
+    let donor = build(base.clone());
 
     let extended = db_with(&[
         ("S", "0 < x and x < 2 and 0 < y", &["x", "y"]),
@@ -71,7 +77,7 @@ fn derive_after_adding_a_relation_matches_rebuild() {
     assert_eq!(delta.removed, 0);
     assert_eq!(delta.kept, 3);
 
-    let rebuilt = ArrangementRegions::new(extended, "S");
+    let rebuilt = build(extended);
     assert_same_regions(&derived, &rebuilt);
     // Insert-only derivations share the rebuild's hyperplane order, so the
     // comparison can be exact down to the witnesses.
@@ -86,7 +92,7 @@ fn derive_after_dropping_a_relation_matches_rebuild_census() {
         ("S", "0 < x and x < 2", &["x", "y"]),
         ("T", "y < 3", &["x", "y"]),
     ]);
-    let donor = ArrangementRegions::new(extended, "S");
+    let donor = build(extended);
 
     let shrunk = db_with(&[("S", "0 < x and x < 2", &["x", "y"])]);
     let (derived, delta) = donor
@@ -97,7 +103,7 @@ fn derive_after_dropping_a_relation_matches_rebuild_census() {
     assert_eq!(delta.removed, 1);
     assert_eq!(delta.kept, 2);
 
-    let rebuilt = ArrangementRegions::new(shrunk, "S");
+    let rebuilt = build(shrunk);
     assert_same_regions(&derived, &rebuilt);
 }
 
@@ -107,7 +113,7 @@ fn derive_refuses_when_delta_dominates() {
     // maintenance would replay as many levels as a rebuild without its
     // fused loop. try_derive must hand the decision back to the caller.
     let base = db_with(&[("S", "0 < x and x < 2", &["x", "y"])]);
-    let donor = ArrangementRegions::new(base, "S");
+    let donor = build(base);
     let replaced = db_with(&[("S", "0 < y and y < 2", &["x", "y"])]);
     let outcome = donor
         .try_derive(replaced, "S", &EvalBudget::unlimited(), &Pool::serial())
@@ -118,7 +124,7 @@ fn derive_refuses_when_delta_dominates() {
 #[test]
 fn derive_refuses_on_arity_change() {
     let base = db_with(&[("S", "0 < x and x < 2", &["x", "y"])]);
-    let donor = ArrangementRegions::new(base, "S");
+    let donor = build(base);
     let other = db_with(&[("S", "0 < x and x < 2", &["x"])]);
     let outcome = donor
         .try_derive(other, "S", &EvalBudget::unlimited(), &Pool::serial())
@@ -129,7 +135,7 @@ fn derive_refuses_on_arity_change() {
 #[test]
 fn derive_respects_budgets() {
     let base = db_with(&[("S", "0 < x and x < 2 and 0 < y and y < 2", &["x", "y"])]);
-    let donor = ArrangementRegions::new(base.clone(), "S");
+    let donor = build(base.clone());
     let extended = db_with(&[
         ("S", "0 < x and x < 2 and 0 < y and y < 2", &["x", "y"]),
         ("T", "x + y < 3", &["x", "y"]),
@@ -148,7 +154,7 @@ fn queries_agree_between_derived_and_rebuilt_extensions() {
     // incrementally derived extension answers exactly like one evaluated
     // over a fresh build of the same snapshot.
     let base = db_with(&[("S", "(0 < x and x < 2) or (3 < x and x < 5)", &["x"])]);
-    let donor = ArrangementRegions::new(base.clone(), "S");
+    let donor = build(base.clone());
     let extended = db_with(&[
         ("S", "(0 < x and x < 2) or (3 < x and x < 5)", &["x"]),
         ("T", "x < 4", &["x"]),
@@ -162,10 +168,10 @@ fn queries_agree_between_derived_and_rebuilt_extensions() {
         )
         .unwrap()
         .expect("one inserted hyperplane derives incrementally");
-    let rebuilt = ArrangementRegions::new(extended, "S");
+    let rebuilt = build(extended);
 
     let conn = queries::connectivity();
-    let a = Evaluator::new(&RegionExtension::from_arrangement_regions(derived)).eval_sentence(&conn);
-    let b = Evaluator::new(&RegionExtension::from_arrangement_regions(rebuilt)).eval_sentence(&conn);
+    let a = Evaluator::new(&RegionExtension::from(derived)).eval_sentence(&conn);
+    let b = Evaluator::new(&RegionExtension::from(rebuilt)).eval_sentence(&conn);
     assert_eq!(a, b);
 }

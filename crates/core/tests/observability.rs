@@ -7,8 +7,8 @@
 #![allow(clippy::unwrap_used)]
 
 use lcdb_core::{
-    parse_regformula, queries, Decomposition, EvalOutcome, EvalStats, Evaluator, RegFormula,
-    RegionExtension,
+    parse_regformula, queries, ArrangementRegions, Decomposition, DecompositionKind, EvalBudget,
+    EvalStats, Evaluator, RegFormula, RegionExtension,
 };
 use lcdb_logic::{parse_formula, Database, Relation};
 use lcdb_trace::{aggregate, Event, EventKind, JsonlTracer, MemoryTracer, TraceHandle};
@@ -39,7 +39,8 @@ fn river_ext() -> RegionExtension {
     db.insert("spring", relation("x = 0", &["x"]));
     db.insert("chem1", relation("1 < x and x < 2", &["x"]));
     db.insert("chem2", relation("4 < x and x < 5", &["x"]));
-    RegionExtension::arrangement_db(db, "S")
+    RegionExtension::try_new(db, "S", DecompositionKind::Arrangement, &EvalBudget::unlimited())
+        .unwrap()
 }
 
 /// Evaluate `f` with an in-memory sink attached and return the recorded
@@ -160,8 +161,8 @@ fn arrangement_build_counts_faces_and_split_cells() {
     let mut db = lcdb_logic::Database::new();
     db.insert("S", triangle);
     let budget = lcdb_core::EvalBudget::unlimited();
-    let ext = RegionExtension::try_arrangement_db_traced(db, "S", &budget, &trace).unwrap();
-    assert_eq!(ext.num_regions(), 19);
+    let regions = ArrangementRegions::try_new(db, "S", &budget, &trace).unwrap();
+    assert_eq!(regions.num_regions(), 19);
     let counters = trace.metrics().counter_snapshot();
     assert_eq!(counters["geom.faces_built"], 19);
     assert_eq!(counters["geom.cells_split"], 9);
@@ -244,13 +245,8 @@ fn quarantine_is_visible_in_metrics_and_marks() {
     let ev = Evaluator::with_budget(&ext, lcdb_core::EvalBudget::unlimited())
         .with_trace(trace.clone())
         .tolerate_faults();
-    match ev.try_eval_sentence_outcome(&f).unwrap() {
-        EvalOutcome::Partial { value, quarantined } => {
-            assert!(value, "the healthy disjunct still answers");
-            assert!(quarantined.units() > 0);
-        }
-        EvalOutcome::Complete(_) => panic!("expected a partial outcome"),
-    }
+    assert!(ev.try_eval_sentence(&f).unwrap(), "the healthy disjunct still answers");
+    assert!(ev.quarantine().units() > 0, "expected a partial outcome");
     // Registry: quarantine counters survive even without an event sink.
     // (The defect here is absorbed per-region, inside the quantifier.)
     let quarantine_total: u64 = trace

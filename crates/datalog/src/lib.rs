@@ -829,11 +829,6 @@ pub fn same_relation(a: &Relation, b: &Relation) -> bool {
     subset_of(a, b) && subset_of(b, a)
 }
 
-/// Helper: dump a relation's DNF (for diagnostics).
-pub fn relation_dnf(r: &Relation) -> &Dnf {
-    r.dnf()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {

@@ -72,20 +72,9 @@ impl Nc1Decomposition {
         counts
     }
 
-    /// Ids of the regions containing the point, in order.
-    fn containing<'a>(&'a self, x: &'a [Rational]) -> impl Iterator<Item = usize> + 'a {
-        let holds = move |(_, r): &(usize, &Nc1Region)| r.set.contains(x);
-        self.regions.iter().enumerate().filter(holds).map(|(i, _)| i)
-    }
-
     /// Does any region contain the point?
     pub fn covers(&self, x: &[Rational]) -> bool {
-        self.containing(x).next().is_some()
-    }
-
-    /// Ids of all regions containing the point.
-    pub fn locate_all(&self, x: &[Rational]) -> Vec<usize> {
-        self.containing(x).collect()
+        self.regions.iter().any(|r| r.set.contains(x))
     }
 }
 

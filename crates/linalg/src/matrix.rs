@@ -64,11 +64,6 @@ impl Matrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.cols
-    }
-
     /// Element accessor.
     pub fn at(&self, r: usize, c: usize) -> &Rational {
         &self.data[r * self.cols + c]

@@ -7,7 +7,7 @@
 //!
 //! `closure(S) = { x̄ : ∀ε>0 ∃ȳ (S(ȳ) ∧ ⋀ᵢ |xᵢ−yᵢ| < ε) }`.
 
-use crate::algebra::{complement, difference, intersect};
+use crate::algebra::{complement, difference};
 use crate::dnf::to_dnf_pruned;
 use crate::{qe, Formula, LinExpr, Relation, Var};
 
@@ -69,22 +69,11 @@ pub fn is_open(a: &Relation) -> bool {
     crate::algebra::equivalent(a, &interior(a))
 }
 
-/// The relative interior test used by Appendix A can also be phrased
-/// relationally: points of `a` that are not on its boundary.
-pub fn without_boundary(a: &Relation) -> Relation {
-    difference(a, &boundary(a))
-}
-
-/// Intersection with the boundary (the "frontier points of S inside S").
-pub fn boundary_in(a: &Relation) -> Relation {
-    intersect(a, &boundary(a))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::algebra::equivalent;
+    use crate::algebra::{equivalent, intersect};
     use crate::parse_formula;
 
     fn rel1(src: &str) -> Relation {

@@ -574,7 +574,7 @@ impl Shared {
             }
             None => {
                 self.c_ext_rebuild.incr();
-                ArrangementRegions::try_new_traced(db.clone(), spatial, budget, &self.trace)
+                ArrangementRegions::try_new(db.clone(), spatial, budget, &self.trace)
             }
         };
         let regions = match &self.catalog {
@@ -587,7 +587,7 @@ impl Shared {
             }
             None => build()?,
         };
-        let ext = Arc::new(RegionExtension::from_arrangement_regions(regions));
+        let ext = Arc::new(RegionExtension::from(regions));
         let mut map = lock(&self.extensions);
         // Crude bound: serving is dominated by a handful of hot databases;
         // when a churn-heavy workload overflows the map, dropping it all
@@ -896,11 +896,6 @@ impl Server {
     /// The server's trace/metrics handle.
     pub fn trace(&self) -> &TraceHandle {
         &self.shared.trace
-    }
-
-    /// True once a shutdown has been requested (protocol or API).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.is_shutdown()
     }
 
     /// Block until a client's `Shutdown` request stops the server, then

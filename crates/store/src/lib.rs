@@ -12,7 +12,7 @@
 //!   tail and rewrites every page named by a committed record, so recovery
 //!   always lands on the pre-write or post-write state of the interrupted
 //!   operation;
-//! * a small **buffer pool** with pluggable replacement ([`Replacer`]);
+//! * a small least-recently-used **buffer pool** ([`BufferPool`]);
 //!   pages that fail their checksum are quarantined and reported as a typed
 //!   [`StoreError`] — the store never panics on corrupt input;
 //! * a **catalog** of named blobs keyed by `(class, plan fingerprint,
@@ -48,7 +48,7 @@ pub use catalog::{
 };
 pub use stats::{append_stats, json_u64_field, read_stats, read_stats_batched, stats_batches};
 pub use page::{PAGE_PAYLOAD, PAGE_SIZE};
-pub use pool::{BufferPool, FifoReplacer, LruReplacer, Replacement, Replacer};
+pub use pool::BufferPool;
 pub use store::{Store, StoreOptions, StoreStat, VerifyReport};
 pub use wal::{ReplayReport, WalOp, WalRecord};
 

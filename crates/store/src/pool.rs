@@ -1,124 +1,31 @@
-//! A small buffer pool over the paged file, with pluggable replacement.
+//! A small buffer pool over the paged file, with least-recently-used
+//! replacement.
 //!
 //! The pool is a read cache: pages are verified (checksum, identity) before
 //! insertion, and every write path invalidates the affected frames, so a
 //! cached frame is always a verified copy of the durable page.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
-/// A page-replacement policy. The pool reports residency changes and
-/// accesses; the policy picks eviction victims.
-pub trait Replacer: Send {
-    /// A page became resident.
-    fn on_insert(&mut self, page: u32);
-    /// A resident page was read.
-    fn on_access(&mut self, page: u32);
-    /// A page left the pool (eviction or invalidation).
-    fn on_remove(&mut self, page: u32);
-    /// Choose the next eviction victim among resident pages.
-    fn victim(&mut self) -> Option<u32>;
-}
-
-/// First-in, first-out replacement: evicts the page resident longest,
-/// ignoring accesses.
-#[derive(Default)]
-pub struct FifoReplacer {
-    queue: VecDeque<u32>,
-    resident: HashSet<u32>,
-}
-
-impl Replacer for FifoReplacer {
-    fn on_insert(&mut self, page: u32) {
-        if self.resident.insert(page) {
-            self.queue.push_back(page);
-        }
-    }
-
-    fn on_access(&mut self, _page: u32) {}
-
-    fn on_remove(&mut self, page: u32) {
-        if self.resident.remove(&page) {
-            self.queue.retain(|&p| p != page);
-        }
-    }
-
-    fn victim(&mut self) -> Option<u32> {
-        let v = self.queue.pop_front();
-        if let Some(p) = v {
-            self.resident.remove(&p);
-        }
-        v
-    }
-}
-
-/// Least-recently-used replacement via a logical access clock.
-#[derive(Default)]
-pub struct LruReplacer {
-    tick: u64,
-    last: HashMap<u32, u64>,
-}
-
-impl Replacer for LruReplacer {
-    fn on_insert(&mut self, page: u32) {
-        self.tick += 1;
-        self.last.insert(page, self.tick);
-    }
-
-    fn on_access(&mut self, page: u32) {
-        self.tick += 1;
-        self.last.insert(page, self.tick);
-    }
-
-    fn on_remove(&mut self, page: u32) {
-        self.last.remove(&page);
-    }
-
-    fn victim(&mut self) -> Option<u32> {
-        let v = self.last.iter().min_by_key(|&(_, &t)| t).map(|(&p, _)| p);
-        if let Some(p) = v {
-            self.last.remove(&p);
-        }
-        v
-    }
-}
-
-/// Which built-in replacement policy a store uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// First-in, first-out.
-    Fifo,
-    /// Least recently used (the default).
-    #[default]
-    Lru,
-}
-
-impl Replacement {
-    /// Instantiate the policy.
-    pub fn build(self) -> Box<dyn Replacer> {
-        match self {
-            Replacement::Fifo => Box::<FifoReplacer>::default(),
-            Replacement::Lru => Box::<LruReplacer>::default(),
-        }
-    }
-}
-
-/// A bounded cache of verified page images.
+/// A bounded cache of verified page images, evicting the least recently
+/// used page (by a logical access clock) when full.
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<u32, Vec<u8>>,
-    replacer: Box<dyn Replacer>,
+    /// Each resident page's image and the clock tick of its last use.
+    frames: HashMap<u32, (Vec<u8>, u64)>,
+    tick: u64,
     hits: u64,
     misses: u64,
 }
 
 impl BufferPool {
-    /// A pool holding at most `capacity` pages under `policy`. Capacity 0
-    /// disables caching entirely.
-    pub fn new(capacity: usize, policy: Replacement) -> BufferPool {
+    /// A pool holding at most `capacity` pages. Capacity 0 disables caching
+    /// entirely.
+    pub fn new(capacity: usize) -> BufferPool {
         BufferPool {
             capacity,
             frames: HashMap::new(),
-            replacer: policy.build(),
+            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -126,42 +33,43 @@ impl BufferPool {
 
     /// Fetch a cached page image, recording the access.
     pub fn get(&mut self, page: u32) -> Option<&Vec<u8>> {
-        if self.frames.contains_key(&page) {
-            self.hits += 1;
-            self.replacer.on_access(page);
-            self.frames.get(&page)
-        } else {
-            self.misses += 1;
-            None
+        match self.frames.get_mut(&page) {
+            Some((image, last)) => {
+                self.hits += 1;
+                self.tick += 1;
+                *last = self.tick;
+                Some(image)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
         }
     }
 
-    /// Insert a verified page image, evicting per policy when full.
+    /// Insert a verified page image, evicting the least recently used page
+    /// when full.
     pub fn insert(&mut self, page: u32, image: Vec<u8>) {
         if self.capacity == 0 {
             return;
         }
         if !self.frames.contains_key(&page) && self.frames.len() >= self.capacity {
-            if let Some(victim) = self.replacer.victim() {
+            let victim = self.frames.iter().min_by_key(|(_, (_, t))| *t).map(|(&p, _)| p);
+            if let Some(victim) = victim {
                 self.frames.remove(&victim);
             }
         }
-        self.frames.insert(page, image);
-        self.replacer.on_insert(page);
+        self.tick += 1;
+        self.frames.insert(page, (image, self.tick));
     }
 
     /// Drop a page (its durable image changed or failed verification).
     pub fn invalidate(&mut self, page: u32) {
-        if self.frames.remove(&page).is_some() {
-            self.replacer.on_remove(page);
-        }
+        self.frames.remove(&page);
     }
 
     /// Drop everything.
     pub fn clear(&mut self) {
-        for page in self.frames.keys().copied().collect::<Vec<_>>() {
-            self.replacer.on_remove(page);
-        }
         self.frames.clear();
     }
 
@@ -182,20 +90,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_evicts_in_insertion_order_regardless_of_access() {
-        let mut pool = BufferPool::new(2, Replacement::Fifo);
-        pool.insert(1, vec![1]);
-        pool.insert(2, vec![2]);
-        assert!(pool.get(1).is_some()); // access must not save page 1
-        pool.insert(3, vec![3]);
-        assert!(pool.get(1).is_none());
-        assert!(pool.get(2).is_some());
-        assert!(pool.get(3).is_some());
-    }
-
-    #[test]
     fn lru_keeps_recently_used() {
-        let mut pool = BufferPool::new(2, Replacement::Lru);
+        let mut pool = BufferPool::new(2);
         pool.insert(1, vec![1]);
         pool.insert(2, vec![2]);
         assert!(pool.get(1).is_some()); // page 1 is now most recent
@@ -207,7 +103,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut pool = BufferPool::new(0, Replacement::Lru);
+        let mut pool = BufferPool::new(0);
         pool.insert(1, vec![1]);
         assert!(pool.get(1).is_none());
     }

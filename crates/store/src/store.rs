@@ -24,7 +24,7 @@ use lcdb_exec::codec::{put_bytes, put_str, put_u32, put_u64, put_u8};
 use crate::page::{
     decode_page, encode_page, is_zero_page, pages_for, KIND_CONT, KIND_HEAD, NO_PAGE, PAGE_SIZE,
 };
-use crate::pool::{BufferPool, Replacement};
+use crate::pool::BufferPool;
 use crate::wal::{ReplayReport, Wal, WalOp, WalRecord};
 use crate::{fault_check, kill, StoreError};
 use lcdb_exec::hash::fnv1a64;
@@ -43,18 +43,14 @@ const CAT_FILE: &str = "store.cat";
 /// Tunables for opening a store.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
-    /// Buffer-pool capacity in pages (0 disables caching).
+    /// Buffer-pool capacity in pages (0 disables caching; least recently
+    /// used pages are evicted first).
     pub pool_pages: usize,
-    /// Buffer-pool replacement policy.
-    pub replacement: Replacement,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        StoreOptions {
-            pool_pages: 256,
-            replacement: Replacement::default(),
-        }
+        StoreOptions { pool_pages: 256 }
     }
 }
 
@@ -170,7 +166,7 @@ impl Store {
             pages_file,
             wal: Wal::open_end(&dir.join(WAL_FILE))?,
             catalog: Catalog::default(),
-            pool: BufferPool::new(opts.pool_pages, opts.replacement),
+            pool: BufferPool::new(opts.pool_pages),
             quarantined: BTreeSet::new(),
             free: BTreeSet::new(),
             page_count: 0,

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use lcdb_store::{
-    EntryKey, Replacement, Store, StoreError, StoreOptions, CLASS_ARRANGEMENT, CLASS_RELATION,
+    EntryKey, Store, StoreError, StoreOptions, CLASS_ARRANGEMENT, CLASS_RELATION,
     CLASS_RESULT, PAGE_PAYLOAD, PAGE_SIZE,
 };
 
@@ -231,36 +231,24 @@ fn torn_wal_tail_is_truncated_on_open() {
 
 #[test]
 fn pool_policies_both_serve_reads() {
-    for policy in [Replacement::Fifo, Replacement::Lru] {
-        let dir = scratch(match policy {
-            Replacement::Fifo => "pool-fifo",
-            Replacement::Lru => "pool-lru",
-        });
-        let mut s = Store::init(&dir).unwrap();
-        for i in 0..6u64 {
-            s.put(key(CLASS_RESULT, i, 0, ""), &[], &blob(PAGE_PAYLOAD * 2, i as u8))
-                .unwrap();
-        }
-        drop(s);
-        let mut s = Store::open(
-            &dir,
-            StoreOptions {
-                pool_pages: 3,
-                replacement: policy,
-            },
-        )
-        .unwrap();
-        for round in 0..3 {
-            for i in 0..6u64 {
-                let data = s.get(&key(CLASS_RESULT, i, 0, "")).unwrap().unwrap();
-                assert_eq!(data.len(), PAGE_PAYLOAD * 2, "round {round}");
-            }
-        }
-        let st = s.stat();
-        assert!(st.pool_hits + st.pool_misses > 0);
-        assert!(st.pool_resident <= 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+    let dir = scratch("pool-lru");
+    let mut s = Store::init(&dir).unwrap();
+    for i in 0..6u64 {
+        s.put(key(CLASS_RESULT, i, 0, ""), &[], &blob(PAGE_PAYLOAD * 2, i as u8))
+            .unwrap();
     }
+    drop(s);
+    let mut s = Store::open(&dir, StoreOptions { pool_pages: 3 }).unwrap();
+    for round in 0..3 {
+        for i in 0..6u64 {
+            let data = s.get(&key(CLASS_RESULT, i, 0, "")).unwrap().unwrap();
+            assert_eq!(data.len(), PAGE_PAYLOAD * 2, "round {round}");
+        }
+    }
+    let st = s.stat();
+    assert!(st.pool_hits + st.pool_misses > 0);
+    assert!(st.pool_resident <= 3);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -100,7 +100,7 @@ fn substituted_order_formulas_equal_their_elimination() {
             let less = |p: usize, q: usize| point(p) && point(q) && eliminated(p, q);
             let ev = Evaluator::new(&ext);
             let holds = |f: &RegFormula, bound: &[(&str, usize)]| {
-                ev.eval_with_regions(f, bound) == Formula::True
+                ev.try_eval_with_regions(f, bound).unwrap() == Formula::True
             };
             for p in 0..n {
                 let unary = [("P", p)];

@@ -372,11 +372,6 @@ pub fn install_recorder(recorder: Arc<dyn Tracer>) -> bool {
     RECORDER.set(recorder).is_ok()
 }
 
-/// The installed recorder, if any (whether or not it is currently armed).
-pub fn installed_recorder() -> Option<&'static Arc<dyn Tracer>> {
-    RECORDER.get()
-}
-
 /// The recorder, only when installed *and* armed. One `OnceLock` read on
 /// the disabled path, so handles stay near-zero-cost with no recorder.
 #[inline]

@@ -7,18 +7,30 @@
 //!
 //! Run with `cargo run --example budgeted`.
 
-use lcdb::core::try_eval_sentence_arrangement;
-use lcdb::{parse_formula, queries, CancelToken, EvalBudget, Relation};
+use lcdb::core::DecompositionKind;
+use lcdb::{
+    parse_formula, queries, CancelToken, Database, EvalBudget, EvalError, EvalStats, Evaluator,
+    RegionExtension, Relation,
+};
 use std::time::Duration;
 
 fn main() {
     let phi = parse_formula("(0 < x and x < 1) or (2 < x and x < 3) or (4 < x and x < 5)")
         .expect("well-formed");
-    let s = Relation::new(vec!["x".into()], &phi);
+    let mut db = Database::new();
+    db.insert("S", Relation::new(vec!["x".into()], &phi));
     let conn = queries::connectivity();
 
+    // The decomposition is built and the sentence evaluated under the same
+    // budget: either may abort.
+    let run = |budget: &EvalBudget| -> Result<(bool, EvalStats), EvalError> {
+        let kind = DecompositionKind::Arrangement;
+        let ext = RegionExtension::try_new(db.clone(), "S", kind, budget)?;
+        let ev = Evaluator::with_budget(&ext, budget.clone());
+        Ok((ev.try_eval_sentence(&conn)?, ev.stats()))
+    };
     let show = |name: &str, budget: EvalBudget| {
-        match try_eval_sentence_arrangement(&s, &conn, &budget) {
+        match run(&budget) {
             Ok((verdict, st)) => println!(
                 "{name:<24} ok: connected={verdict} (lfp stages {}, tuple tests {})",
                 st.fix_iterations, st.fix_tuple_tests

@@ -10,7 +10,8 @@
 //!
 //! Run with `cargo run --example gis_river`.
 
-use lcdb::{parse_formula, queries, Database, Evaluator, RegionExtension, Relation};
+use lcdb::core::DecompositionKind;
+use lcdb::{parse_formula, queries, Database, EvalBudget, Evaluator, RegionExtension, Relation};
 
 fn rel1(src: &str) -> Relation {
     Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
@@ -29,7 +30,9 @@ fn scenario(name: &str, chem1: (i64, i64), chem2: (i64, i64)) {
         "chem2",
         rel1(&format!("{} < x and x < {}", chem2.0, chem2.1)),
     );
-    let ext = RegionExtension::arrangement_db(db, "S");
+    let kind = DecompositionKind::Arrangement;
+    let ext = RegionExtension::try_new(db, "S", kind, &EvalBudget::unlimited())
+        .expect("an unlimited build succeeds");
     let ev = Evaluator::new(&ext);
     let literal = ev.eval_sentence(&queries::river_pollution());
     let ordered = ev.eval_sentence(&queries::river_pollution_ordered());

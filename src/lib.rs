@@ -32,7 +32,7 @@ pub use lcdb_tm as tm;
 
 pub use lcdb_arith::{rat, BigInt, BigUint, Rational};
 pub use lcdb_core::{
-    queries, BudgetError, CancelToken, Decomposition, EvalBudget, EvalError, EvalOutcome,
-    EvalStats, Evaluator, Quarantine, RecoverError, RegFormula, RegionExtension, Snapshot,
+    queries, BudgetError, CancelToken, Decomposition, EvalBudget, EvalError, EvalStats,
+    Evaluator, Quarantine, RecoverError, RegFormula, RegionExtension, Snapshot,
 };
 pub use lcdb_logic::{parse_formula, Database, Formula, Relation};

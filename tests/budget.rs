@@ -2,9 +2,11 @@
 //! evaluation pipeline with the matching typed error and partial statistics,
 //! and the fallible entry points never panic.
 
-use lcdb::core::{parse_regformula, try_eval_sentence_arrangement, try_eval_sentence_nc1};
+use lcdb::core::DecompositionKind::{self, Arrangement, Nc1};
+use lcdb::core::parse_regformula;
 use lcdb::{
-    parse_formula, queries, CancelToken, EvalBudget, EvalError, Evaluator, RegFormula, Relation,
+    parse_formula, queries, CancelToken, Database, EvalBudget, EvalError, EvalStats, Evaluator,
+    RegFormula, RegionExtension, Relation,
 };
 use lcdb::logic::LinExpr;
 use lcdb_bench::{alibi_extension, ALIBI_SENTENCE};
@@ -21,10 +23,27 @@ fn two_gaps() -> Relation {
     rel1("(0 < x and x < 1) or (2 < x and x < 3)")
 }
 
+/// Build the `kind` decomposition of `r` and evaluate `sentence` over it,
+/// both under `budget`: the verdict with the work counters, or the typed
+/// error (carrying the partial counters).
+fn eval(
+    kind: DecompositionKind,
+    r: &Relation,
+    sentence: &RegFormula,
+    budget: &EvalBudget,
+) -> Result<(bool, EvalStats), EvalError> {
+    let mut db = Database::new();
+    db.insert("S", r.clone());
+    let ext = RegionExtension::try_new(db, "S", kind, budget)?;
+    let ev = Evaluator::with_budget(&ext, budget.clone());
+    let verdict = ev.try_eval_sentence(sentence)?;
+    Ok((verdict, ev.stats()))
+}
+
 #[test]
 fn iteration_limit_stops_fixpoint() {
     let budget = EvalBudget::unlimited().with_max_fix_iterations(1);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &two_gaps(), &queries::connectivity(), &budget)
         .expect_err("one stage cannot converge");
     match &err {
         EvalError::IterationLimit { limit, stats } => {
@@ -40,12 +59,9 @@ fn iteration_limit_stops_fixpoint() {
 
 #[test]
 fn unlimited_budget_converges() {
-    let (verdict, stats) = try_eval_sentence_arrangement(
-        &two_gaps(),
-        &queries::connectivity(),
-        &EvalBudget::unlimited(),
-    )
-    .expect("no limits, no abort");
+    let (verdict, stats) =
+        eval(Arrangement, &two_gaps(), &queries::connectivity(), &EvalBudget::unlimited())
+            .expect("no limits, no abort");
     assert!(!verdict, "two gapped intervals are disconnected");
     assert!(stats.fix_iterations > 1);
     assert!(stats.regions > 0);
@@ -56,7 +72,7 @@ fn face_limit_stops_arrangement_construction() {
     // Nine hyperplane bundles produce far more than four faces.
     let budget = EvalBudget::unlimited().with_max_faces(4);
     let r = rel1("(0<x and x<1) or (2<x and x<3) or (4<x and x<5) or (6<x and x<7)");
-    let err = try_eval_sentence_arrangement(&r, &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &r, &queries::connectivity(), &budget)
         .expect_err("face budget is far below the arrangement size");
     match &err {
         EvalError::FaceLimit { limit, reached, .. } => {
@@ -71,7 +87,7 @@ fn face_limit_stops_arrangement_construction() {
 fn face_limit_stops_nc1_construction() {
     let budget = EvalBudget::unlimited().with_max_faces(2);
     let r = rel1("(0<x and x<1) or (2<x and x<3) or (4<x and x<5)");
-    let err = try_eval_sentence_nc1(&r, &queries::connectivity(), &budget)
+    let err = eval(Nc1, &r, &queries::connectivity(), &budget)
         .expect_err("NC1 decomposition also counts faces");
     assert!(
         matches!(err, EvalError::FaceLimit { .. }),
@@ -85,7 +101,7 @@ fn cancelled_token_aborts_mid_fixpoint() {
     let token = CancelToken::new();
     token.cancel(); // trip before evaluation: first interrupt check aborts
     let budget = EvalBudget::unlimited().with_cancel_token(token);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &two_gaps(), &queries::connectivity(), &budget)
         .expect_err("cancelled before the first stage");
     assert!(matches!(err, EvalError::Cancelled { .. }), "got {}", err);
     assert!(err.is_budget_exhaustion());
@@ -94,7 +110,7 @@ fn cancelled_token_aborts_mid_fixpoint() {
 #[test]
 fn zero_timeout_exceeds_deadline() {
     let budget = EvalBudget::unlimited().with_timeout(Duration::ZERO);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &two_gaps(), &queries::connectivity(), &budget)
         .expect_err("deadline already passed when evaluation starts");
     match &err {
         // The deadline guard and the face guard share construction-time
@@ -146,7 +162,7 @@ fn quantifier_elimination_observes_the_deadline() {
 #[test]
 fn tuple_test_limit_stops_fixpoint() {
     let budget = EvalBudget::unlimited().with_max_tuple_tests(3);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &two_gaps(), &queries::connectivity(), &budget)
         .expect_err("connectivity tests many more than 3 tuples");
     match &err {
         EvalError::TupleTestLimit { limit, stats } => {
@@ -162,7 +178,7 @@ fn memory_limit_stops_tuple_space_materialization() {
     // The LFP over pairs of regions wants to enumerate regions², which the
     // 8-byte budget cannot hold; the estimate check fires before allocation.
     let budget = EvalBudget::unlimited().with_max_memory_bytes(8);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &two_gaps(), &queries::connectivity(), &budget)
         .expect_err("tuple space exceeds 8 bytes");
     assert!(
         matches!(err, EvalError::MemoryLimit { .. }),
@@ -195,11 +211,11 @@ fn divergent_pfp_stopped_by_iteration_limit() {
         ),
     );
     let (verdict, _) =
-        try_eval_sentence_arrangement(&two_gaps(), &q, &EvalBudget::unlimited())
+        eval(Arrangement, &two_gaps(), &q, &EvalBudget::unlimited())
             .expect("divergence detection needs no budget");
     assert!(!verdict, "a divergent PFP denotes the empty set");
     let budget = EvalBudget::unlimited().with_max_fix_iterations(1);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &q, &budget)
+    let err = eval(Arrangement, &two_gaps(), &q, &budget)
         .expect_err("oscillation exceeds one stage");
     match &err {
         EvalError::IterationLimit { stats, .. } => {
@@ -215,7 +231,7 @@ fn invalid_query_is_not_budget_exhaustion() {
         "R",
         RegFormula::SubsetOf("R".into(), "NoSuchRelation".into()),
     );
-    let err = try_eval_sentence_arrangement(&two_gaps(), &q, &EvalBudget::unlimited())
+    let err = eval(Arrangement, &two_gaps(), &q, &EvalBudget::unlimited())
         .expect_err("unknown relation");
     assert!(matches!(err, EvalError::InvalidQuery { .. }), "got {}", err);
     assert!(!err.is_budget_exhaustion());
@@ -224,7 +240,7 @@ fn invalid_query_is_not_budget_exhaustion() {
 #[test]
 fn errors_format_and_chain() {
     let budget = EvalBudget::unlimited().with_max_fix_iterations(1);
-    let err = try_eval_sentence_arrangement(&two_gaps(), &queries::connectivity(), &budget)
+    let err = eval(Arrangement, &two_gaps(), &queries::connectivity(), &budget)
         .expect_err("limit 1");
     let msg = err.to_string();
     assert!(msg.contains("iteration limit"), "{}", msg);
@@ -285,14 +301,14 @@ proptest! {
         } else {
             EvalBudget::unlimited()
         };
-        let arr = try_eval_sentence_arrangement(&r, &q, &budget);
+        let arr = eval(Arrangement, &r, &q, &budget);
         if !tight {
             prop_assert!(arr.is_ok(), "unlimited budget aborted: {:?}", arr.err().map(|e| e.to_string()));
         } else if let Err(e) = arr {
             prop_assert!(e.is_budget_exhaustion(), "non-budget error: {}", e);
         }
         // NC1 path too, unlimited only (its face counts differ).
-        let nc1 = try_eval_sentence_nc1(&r, &q, &EvalBudget::unlimited());
+        let nc1 = eval(Nc1, &r, &q, &EvalBudget::unlimited());
         prop_assert!(nc1.is_ok(), "nc1 aborted: {:?}", nc1.err().map(|e| e.to_string()));
     }
 }

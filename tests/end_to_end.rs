@@ -2,7 +2,8 @@
 //! round-trips, decomposition independence, and the capture experiment.
 
 use lcdb::arith::{int, rat};
-use lcdb::core::{queries, Evaluator, FixMode, RegFormula, RegionExtension};
+use lcdb::core::{queries, DecompositionKind, Evaluator, FixMode, RegFormula, RegionExtension};
+use lcdb::EvalBudget;
 use lcdb::logic::LinExpr;
 use lcdb::{parse_formula, Database, Relation};
 use std::collections::BTreeMap;
@@ -150,7 +151,9 @@ fn rbit_against_arith_bits() {
         };
         for (i, &rn) in zeros.iter().enumerate() {
             for (j, &rd) in zeros.iter().enumerate() {
-                let got = Evaluator::new(&ext).eval_with_regions(&f, &[("Rn", rn), ("Rd", rd)])
+                let got = Evaluator::new(&ext)
+                    .try_eval_with_regions(&f, &[("Rn", rn), ("Rd", rd)])
+                    .unwrap()
                     == lcdb::Formula::True;
                 let expect = q.numer_magnitude().bit(i as u64)
                     && q.denom_magnitude().bit(j as u64);
@@ -169,7 +172,8 @@ fn river_scenarios_full_pipeline() {
         db.insert("spring", rel1("x = 0"));
         db.insert("chem1", rel1(&format!("{} < x and x < {}", chem1.0, chem1.1)));
         db.insert("chem2", rel1(&format!("{} < x and x < {}", chem2.0, chem2.1)));
-        RegionExtension::arrangement_db(db, "S")
+        RegionExtension::try_new(db, "S", DecompositionKind::Arrangement, &EvalBudget::unlimited())
+        .expect("an unlimited build succeeds")
     };
     let cases = [
         ((1, 2), (4, 5), true, true),   // ordered: chem1 then chem2

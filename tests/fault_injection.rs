@@ -21,7 +21,7 @@ use lcdb::core::{
 };
 use lcdb::datalog::{DatalogError, Literal, Program, Rule};
 use lcdb::{
-    parse_formula, queries, BudgetError, Database, EvalBudget, EvalError, EvalOutcome, Evaluator,
+    parse_formula, queries, BudgetError, Database, EvalBudget, EvalError, Evaluator,
     RegFormula, Relation, Snapshot,
 };
 use std::path::PathBuf;
@@ -88,7 +88,7 @@ fn run_through(cat: &PlanCatalog, relation: &Relation, sentence: &RegFormula) ->
     db.insert("S", relation.clone());
     let db_fp = database_fingerprint(&db, Some("S"));
     let budget = EvalBudget::unlimited();
-    let ext = RegionExtension::try_arrangement_db(db.clone(), "S", &budget);
+    let ext = RegionExtension::try_new(db.clone(), "S", DecompositionKind::Arrangement, &budget);
     let ev = ext
         .as_ref()
         .map(|ext| Evaluator::with_budget(ext, budget))
@@ -175,20 +175,17 @@ fn localized_fault_is_quarantined_in_degraded_mode() {
     let q = queries::connectivity();
     let guard = FaultPlan::new().fail_on("core.fix_stage", 1).arm();
     let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited()).tolerate_faults();
-    let outcome = ev.try_eval_sentence_outcome(&q);
+    let verdict = ev.try_eval_sentence(&q);
     drop(guard);
-    match outcome.expect("degraded run completes") {
-        EvalOutcome::Partial { quarantined, .. } => {
-            assert!(!quarantined.is_empty());
-            assert!(
-                quarantined.sites.contains("core.fix_stage"),
-                "{:?}",
-                quarantined
-            );
-            assert!(ev.stats().quarantined > 0);
-        }
-        EvalOutcome::Complete(_) => panic!("armed fault was not quarantined"),
-    }
+    verdict.expect("degraded run completes");
+    let quarantined = ev.quarantine();
+    assert!(!quarantined.is_empty(), "armed fault was not quarantined");
+    assert!(
+        quarantined.sites.contains("core.fix_stage"),
+        "{:?}",
+        quarantined
+    );
+    assert!(ev.stats().quarantined > 0);
 
     // Without degradation the same plan aborts the whole evaluation.
     let guard = FaultPlan::new().fail_on("core.fix_stage", 1).arm();

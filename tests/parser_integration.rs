@@ -70,7 +70,7 @@ fn parsed_open_query_through_cli_syntax() {
     let ext = RegionExtension::arrangement(rel1("(0 < x and x < 1) or (4 < x and x < 5)"));
     let ev = Evaluator::new(&ext);
     let q = parse_regformula("exists x. S(x) and y = x + 10").unwrap();
-    let answer = ev.eval_query_to_relation(&q, &["y".into()]);
+    let answer = ev.try_eval_query_to_relation(&q, &["y".into()]).unwrap();
     assert!(answer.contains(&[lcdb::arith::rat(21, 2)]));
     assert!(answer.contains(&[lcdb::arith::rat(29, 2)]));
     assert!(!answer.contains(&[lcdb::arith::int(12)]));

@@ -4,7 +4,7 @@
 //! the verdict and the work counters of an uninterrupted one.
 
 use lcdb::core::{
-    database_fingerprint, query_fingerprint, try_eval_sentence_arrangement, DecompositionKind,
+    database_fingerprint, query_fingerprint, DecompositionKind,
     PlanCatalog, RegFormula, RegionExtension, Resumable,
 };
 use lcdb::{
@@ -44,6 +44,14 @@ fn work(s: EvalStats) -> [usize; 7] {
     ]
 }
 
+/// An uninterrupted evaluation over the arrangement of `r`: the verdict and
+/// its work counters.
+fn uninterrupted(r: &Relation, q: &RegFormula) -> (bool, EvalStats) {
+    let ext = RegionExtension::arrangement(r.clone());
+    let ev = Evaluator::new(&ext);
+    (ev.eval_sentence(q), ev.stats())
+}
+
 /// One sentence evaluation over the arrangement of `r`, the way both front
 /// ends run it: through [`PlanCatalog::eval_resumable`].
 fn run_through(
@@ -55,7 +63,7 @@ fn run_through(
     let mut db = Database::new();
     db.insert("S", r.clone());
     let db_fp = database_fingerprint(&db, Some("S"));
-    let ext = RegionExtension::try_arrangement_db(db.clone(), "S", budget);
+    let ext = RegionExtension::try_new(db.clone(), "S", DecompositionKind::Arrangement, budget);
     let ev = ext
         .as_ref()
         .map(|ext| Evaluator::with_budget(ext, budget.clone()))
@@ -71,8 +79,7 @@ fn run_through(
 fn resume_after_abort_matches_uninterrupted_run() {
     let r = two_gaps();
     let q = queries::connectivity();
-    let (full_verdict, full_stats) =
-        try_eval_sentence_arrangement(&r, &q, &EvalBudget::unlimited()).expect("converges");
+    let (full_verdict, full_stats) = uninterrupted(&r, &q);
 
     let ext = RegionExtension::arrangement(r);
     let tight = EvalBudget::unlimited().with_max_fix_iterations(1);
@@ -102,8 +109,7 @@ fn recoverable_wrapper_writes_and_consumes_snapshots() {
     let r = two_gaps();
     let q = queries::connectivity();
     let entries = |cat: &PlanCatalog| cat.stat().entries;
-    let (_, full_stats) =
-        try_eval_sentence_arrangement(&r, &q, &EvalBudget::unlimited()).expect("converges");
+    let (_, full_stats) = uninterrupted(&r, &q);
     {
         let cat = PlanCatalog::open(&dir).expect("store opens");
         let tight = EvalBudget::unlimited().with_max_fix_iterations(1);
@@ -153,8 +159,7 @@ fn abort_before_decomposition_leaves_an_entry() {
     // ...and survive a later abort that never reaches an evaluator.
     let early = run_through(&cat, &r, &q, &no_faces);
     assert!(matches!(early.result, Err(EvalError::FaceLimit { .. })));
-    let (full, full_stats) =
-        try_eval_sentence_arrangement(&r, &q, &EvalBudget::unlimited()).expect("converges");
+    let (full, full_stats) = uninterrupted(&r, &q);
     let resumed = run_through(&cat, &r, &q, &EvalBudget::unlimited());
     let (verdict, stats) = resumed.result.expect("resume completes");
     assert_eq!((verdict, work(stats)), (full, work(full_stats)));
@@ -265,9 +270,7 @@ proptest! {
         // call; equality of verdicts and counters (below) is the
         // behavioural check.
         let v_resumed = ev2.try_eval_sentence(&q).expect("completes");
-        let (v_full, full_stats) =
-            try_eval_sentence_arrangement(&relation, &q, &EvalBudget::unlimited())
-                .expect("unlimited run completes");
+        let (v_full, full_stats) = uninterrupted(&relation, &q);
         prop_assert_eq!(v_resumed, v_full);
         prop_assert_eq!(work(ev2.stats()), work(full_stats));
     }
@@ -277,8 +280,7 @@ proptest! {
     #[test]
     fn random_abort_then_resume_is_equivalent(r in arb_intervals(), cap in 1u64..4) {
         let q = queries::connectivity();
-        let (full, _) = try_eval_sentence_arrangement(&r, &q, &EvalBudget::unlimited())
-            .expect("unlimited run completes");
+        let (full, _) = uninterrupted(&r, &q);
         let ext = RegionExtension::arrangement(r);
         let ev = Evaluator::with_budget(
             &ext,
