@@ -332,6 +332,30 @@ impl Rational {
             Repr::Big(b) => (b.0.clone(), b.1.clone()),
         }
     }
+
+    /// The positive factor scaling `values` to coprime integers (`None` if all
+    /// are zero), in `i128` unless a value is `Big` or a step overflows.
+    pub fn primitive_factor(values: &[&Rational]) -> Option<Rational> {
+        primitive_factor_small(values).unwrap_or_else(|| primitive_factor_big(values))
+    }
+}
+
+fn primitive_factor_small(values: &[&Rational]) -> Option<Option<Rational>> {
+    let lcm = values.iter().try_fold(1i128, |f, c| {
+        let d = i128::from(c.small()?.1);
+        (f / gcd_u128(f as u128, d as u128) as i128).checked_mul(d)
+    })?;
+    let gcd = values.iter().try_fold(0u128, |g, c| {
+        let (n, d) = c.small()?;
+        Some(gcd_u128(g, i128::from(n).checked_mul(lcm / i128::from(d))?.unsigned_abs()))
+    })?;
+    i128::try_from(gcd).ok().map(|gcd| (gcd != 0).then(|| from_i128_frac(lcm, gcd)))
+}
+
+fn primitive_factor_big(values: &[&Rational]) -> Option<Rational> {
+    let f = values.iter().fold(BigInt::one(), |f, c| &(&f * &c.denom()) / &f.gcd(&c.denom()));
+    let g = values.iter().fold(BigInt::zero(), |g, c| g.gcd(&(c.numer() * &(&f / &c.denom()))));
+    (!g.is_zero()).then(|| Rational::new(f, g))
 }
 
 /// Word-sized binary gcd used by the fixed-width fast path. Total on all
@@ -576,6 +600,10 @@ impl FromStr for Rational {
 
     /// Parses `"a"`, `"a/b"`, and decimal `"a.b"` forms, with optional sign.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        // In its range `i64` accepts exactly the strings `BigInt` does.
+        if let Ok(n) = s.parse::<i64>() {
+            return Ok(Rational::from_int(n));
+        }
         if let Some((numer, denom)) = s.split_once('/') {
             let n: BigInt = numer.trim().parse()?;
             let d: BigInt = denom.trim().parse()?;
@@ -615,6 +643,7 @@ impl FromStr for Rational {
 mod tests {
     use super::*;
     use crate::rat;
+    use proptest::prelude::*;
 
     /// The canonicity invariant: a value is `Small` exactly when its
     /// normalized components fit `i64`.
@@ -690,6 +719,87 @@ mod tests {
         assert!("1/0".parse::<Rational>().is_err());
         assert!("1.".parse::<Rational>().is_err());
         assert!("a/b".parse::<Rational>().is_err());
+    }
+
+    /// A literal that fits a word takes the `i64` route; every integer
+    /// literal, fitting or not, reads as it did through `BigInt` alone, and
+    /// the other forms are untouched.
+    #[test]
+    fn integer_literals_parse_as_through_bigint() {
+        let (min, max) = (i64::MIN.to_string(), i64::MAX.to_string());
+        for s in ["+5", "-0", "007", &min, &max, "9223372036854775808", "-", "", "+", "-+1"] {
+            let through_bigint = s.parse::<BigInt>().map(Rational::from_integer);
+            assert_eq!(s.parse::<Rational>(), through_bigint, "{s:?}");
+        }
+        assert_eq!("+5".parse::<Rational>(), Ok(rat(5, 1)));
+        assert_eq!("-0".parse::<Rational>(), Ok(Rational::ZERO));
+        assert_eq!("007".parse::<Rational>(), Ok(rat(7, 1)));
+        assert_eq!(min.parse::<Rational>(), Ok(Rational::from_int(i64::MIN)));
+        assert_eq!("9223372036854775808".parse::<Rational>(), Ok(-Rational::from_int(i64::MIN)));
+        assert_eq!("-".parse::<Rational>(), Err(ParseNumError::new("empty string")));
+        assert_eq!("".parse::<Rational>(), Err(ParseNumError::new("empty string")));
+        assert_eq!("1/0".parse::<Rational>(), Err(ParseNumError::new("zero denominator")));
+        assert_eq!("1.5".parse::<Rational>(), Ok(rat(3, 2)));
+    }
+
+    fn refs(values: &[Rational]) -> Vec<&Rational> {
+        values.iter().collect()
+    }
+
+    /// The `i128` route of `primitive_factor` is the `BigInt` loop wherever
+    /// it answers, and it answers up to the `i64` boundary.
+    #[test]
+    fn primitive_factor_at_the_word_boundary() {
+        let (min, max) = (Rational::from_int(i64::MIN), Rational::from_int(i64::MAX));
+        let cases = [
+            vec![rat(1, i64::MAX), rat(1, i64::MAX - 1)],
+            vec![min.clone(), max.clone()],
+            vec![rat(i64::MIN, i64::MAX), rat(i64::MAX, 2)],
+            vec![rat(6, 4), rat(-9, 2), Rational::ZERO],
+            vec![Rational::ZERO, Rational::ZERO],
+            vec![],
+        ];
+        for values in &cases {
+            let small = primitive_factor_small(&refs(values)).expect("every step fits i128");
+            assert_eq!(small, primitive_factor_big(&refs(values)), "{values:?}");
+        }
+        assert_eq!(Rational::primitive_factor(&refs(&cases[3])), Some(rat(2, 3)));
+        assert_eq!(Rational::primitive_factor(&refs(&cases[4])), None);
+        // Three word-sized denominators whose lcm passes i128, and a value
+        // past i64: the BigInt loop answers.
+        let past = [rat(1, i64::MAX), rat(1, i64::MAX - 1), rat(1, i64::MAX - 2), -&min];
+        for values in [&past[..3], &past[2..]] {
+            assert!(primitive_factor_small(&refs(values)).is_none());
+            assert!(Rational::primitive_factor(&refs(values)).is_some());
+        }
+    }
+
+    /// Components near zero, at the `i64` boundary and just past it.
+    fn boundary_component(positive: bool) -> impl Strategy<Value = i128> {
+        let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+        let near = prop_oneof![-9i128..10, max - 3..max + 4, min - 3..min + 4];
+        near.prop_map(move |v| if positive { v.abs().max(1) } else { v })
+    }
+
+    proptest! {
+        #[test]
+        fn primitive_factor_routes_agree(
+            parts in proptest::collection::vec(
+                (boundary_component(false), boundary_component(true)),
+                0..5,
+            ),
+        ) {
+            let values: Vec<Rational> = parts
+                .iter()
+                .map(|&(n, d)| Rational::new(BigInt::from(n), BigInt::from(d)))
+                .collect();
+            let values = refs(&values);
+            let big = primitive_factor_big(&values);
+            if let Some(small) = primitive_factor_small(&values) {
+                prop_assert_eq!(&small, &big);
+            }
+            prop_assert_eq!(Rational::primitive_factor(&values), big);
+        }
     }
 
     #[test]

@@ -295,13 +295,19 @@ mod tests {
             5 * solves <= SOLVES_PER_ATOM_ROUTE,
             "{solves} solves, the per-atom route took {SOLVES_PER_ATOM_ROUTE}"
         );
-        assert!(after.pivots > before.pivots);
-        // Bound propagation in front of the LP: the parent commit (e8970a9,
-        // box of the single-variable atoms only) ran 77 solves and probes
-        // here, most of them on pairs of beads whose `x ± t` rows rule each
-        // other out inside the common time interval.
-        assert!(solves <= 23, "{solves} solves and probes");
+        // Bound propagation in front of the LP: the commit before it
+        // (e8970a9, box of the single-variable atoms only) ran 77 solves and
+        // probes here, most of them on pairs of beads whose `x ± t` rows rule
+        // each other out inside the common time interval.
         assert!(decided.box_refuted > decided_before.box_refuted);
+        // A point of the propagated box in front of the LP: the commit
+        // before it (0c172ba) decided the 272 decisions as 2 witness hits,
+        // 251 box refutations and 19 LPs (4 solves, 19 probes, 75 pivots);
+        // now the 19 are 1 witness hit and 18 point hits, and no LP runs.
+        assert_eq!(solves, 0, "{solves} solves and probes");
+        assert_eq!(after.pivots, before.pivots);
+        assert!(decided.point_hits > decided_before.point_hits);
+        assert_eq!(decided.lp_decided, decided_before.lp_decided);
     }
 
     #[test]

@@ -884,6 +884,7 @@ impl<'a> Evaluator<'a> {
             metrics.add("logic.dnf_decisions", dnf.decisions - dnf_before.decisions);
             metrics.add("logic.dnf_witness_hits", dnf.witness_hits - dnf_before.witness_hits);
             metrics.add("logic.dnf_box_refuted", dnf.box_refuted - dnf_before.box_refuted);
+            metrics.add("logic.dnf_point_hits", dnf.point_hits - dnf_before.point_hits);
             metrics.add("logic.dnf_lp_decided", dnf.lp_decided - dnf_before.lp_decided);
         }
         out.map_err(|s| self.stop_error(s))

@@ -112,7 +112,10 @@ fn lp_counters_reach_the_registry() {
     let decided_before = lcdb_logic::dnf::counters();
     assert!(ev.eval_sentence(&query));
     let cold = lcdb_lp::counters();
-    assert!(cold.solves > before.solves, "the elimination ran at least one LP");
+    // Its matrix is distributed undecided, and once `y` is projected away
+    // the rows are in `x` alone, whose box is exact: a point of the box
+    // decides every disjunct, and no LP runs.
+    assert_eq!(cold.solves, before.solves, "the elimination ran an LP");
     // Too many clauses to distribute blindly (2⁶ paths), so the conversion
     // prunes as it goes, and alternatives of one atom each share a solved
     // prefix: the warm path.
@@ -130,8 +133,9 @@ fn lp_counters_reach_the_registry() {
     assert_eq!(counters["lp.warm_probes"], after.warm_probes - before.warm_probes);
     assert_eq!(counters["lp.pivots"], after.pivots - before.pivots);
     // So does the layer above the solver: every feasibility decision of the
-    // two conversions is a witness hit, a box refutation or an LP (no run of
-    // these sentences is constant-false), and an LP is a solve or a probe.
+    // two conversions is a witness hit, a box refutation, a point hit or an
+    // LP (no run of these sentences is constant-false), and an LP is a solve
+    // or a probe.
     let decided = lcdb_logic::dnf::counters();
     let delta = |name: &str, now: u64, then: u64| {
         assert_eq!(counters[name], now - then, "{name}");
@@ -140,8 +144,9 @@ fn lp_counters_reach_the_registry() {
     let decisions = delta("logic.dnf_decisions", decided.decisions, decided_before.decisions);
     let hits = delta("logic.dnf_witness_hits", decided.witness_hits, decided_before.witness_hits);
     let refuted = delta("logic.dnf_box_refuted", decided.box_refuted, decided_before.box_refuted);
+    let points = delta("logic.dnf_point_hits", decided.point_hits, decided_before.point_hits);
     let lps = delta("logic.dnf_lp_decided", decided.lp_decided, decided_before.lp_decided);
-    assert_eq!(decisions, hits + refuted + lps);
+    assert_eq!(decisions, hits + refuted + points + lps);
     assert!(hits > 0 && refuted > 0 && lps > 0, "{hits} hits, {refuted} refuted, {lps} LPs");
     // (A solve is also how a warm batch comes to be: no equality here.)
     assert!(lps <= counters["lp.solves"] + counters["lp.warm_probes"]);

@@ -165,11 +165,33 @@ pub(crate) fn infallible<T>(result: Result<T, Infallible>) -> T {
 /// Convert a quantifier-free, predicate-free formula to DNF.
 ///
 /// Negations are pushed to the atoms first (`¬(e = 0)` splits into two
-/// strict atoms), then conjunctions distribute over disjunctions.
+/// strict atoms), then conjunctions distribute over disjunctions. A formula
+/// that already is an `Or` of conjunctions of atoms is read as it stands.
 ///
 /// # Panics
 /// Panics if the formula contains quantifiers or relation symbols.
 pub fn to_dnf(f: &Formula) -> Dnf {
+    read_dnf(f).unwrap_or_else(|| to_dnf_interned(f))
+}
+
+/// The atoms of an `Or` of (`And` of `Atom` | `Atom`), an `And` of atoms or
+/// an atom, copied out — what [`to_dnf_interned`] makes of it, as an atom
+/// rebuilt from its row is itself (no zero coefficient is stored) — or `None`.
+fn read_dnf(f: &Formula) -> Option<Dnf> {
+    let atom = |g: &Formula| if let Formula::Atom(a) = g { Some(a.clone()) } else { None };
+    let conjunct = |g: &Formula| match g {
+        Formula::And(parts) => parts.iter().map(atom).collect(),
+        g => atom(g).map(|a| vec![a]),
+    };
+    let disjuncts = match f {
+        Formula::Or(parts) => parts.iter().map(conjunct).collect::<Option<_>>()?,
+        f => vec![conjunct(f)?],
+    };
+    Some(Dnf { disjuncts })
+}
+
+/// [`to_dnf`] through the interner, whatever the formula's shape.
+fn to_dnf_interned(f: &Formula) -> Dnf {
     let (atoms, nnf) = Interner::lower_formula(f, false);
     Dnf {
         disjuncts: nnf.distribute().iter().map(|c| atoms.conjunct(c)).collect(),
@@ -262,8 +284,8 @@ fn formula_vars(f: &Formula, out: &mut BTreeSet<Var>) {
 }
 
 /// What the feasibility decisions of the calling thread's conversions came
-/// to since it started: every decision is a constant-false run (counted
-/// nowhere else), a witness hit, a box refutation or an LP.
+/// to since it started: `decisions` = constant-false runs (counted nowhere
+/// else) + `witness_hits` + `box_refuted` + `point_hits` + `lp_decided`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DnfCounters {
     /// Feasibility decisions (`partial ∧ run` asked for).
@@ -273,16 +295,20 @@ pub struct DnfCounters {
     /// Refuted by the interval box: single-variable atoms, or bound
     /// propagation through the multi-variable rows.
     pub box_refuted: u64,
+    /// Decided by a point built from the propagated box satisfying every row.
+    pub point_hits: u64,
     /// Handed to the exact LP.
     pub lp_decided: u64,
 }
 
 thread_local! {
     static COUNTERS: Slot<DnfCounters> = const {
-        Slot::new(DnfCounters { decisions: 0, witness_hits: 0, box_refuted: 0, lp_decided: 0 })
+        Slot::new(DnfCounters {
+            decisions: 0, witness_hits: 0, box_refuted: 0, point_hits: 0, lp_decided: 0,
+        })
     };
-    /// Test-side switch: decide by single-variable box and LP alone, the
-    /// conversion the propagating one must equal.
+    /// Test-side switch: decide by single-variable box and LP alone (no
+    /// sweep, no point), the conversion the shortcuts must agree with.
     #[cfg(test)]
     static LP_ONLY: Slot<bool> = const { Slot::new(false) };
 }
@@ -751,12 +777,12 @@ impl Interner {
     /// which point? Cheapest test first — constant atoms, the partial's own
     /// witness (if it has one), the interval box of the single-variable
     /// atoms, and only for what those leave undecided: exact bound
-    /// propagation through the multi-variable rows ([`sweep`]), then an
-    /// exact LP over borrowed rows. The propagation only ever refutes an
-    /// infeasible system and every other verdict is the LP's on all the rows,
-    /// so verdicts and witnesses are those of the LP alone. Sibling
-    /// extensions of one partial (`warm`) share a [`FeasibilityBatch`] over
-    /// the partial's rows, built at the first of them that needs an LP.
+    /// propagation through the multi-variable rows ([`sweep`]), a point of the
+    /// propagated box ([`Interner::probe`]), then an exact LP over borrowed
+    /// rows. Propagation only refutes an infeasible system and the point only
+    /// accepts a feasible one, so verdicts are the LP's alone (witnesses may
+    /// differ). Sibling extensions of one partial (`warm`) share a
+    /// [`FeasibilityBatch`] over its rows, built at the first that needs one.
     fn extend(
         &self,
         partial: &Cell,
@@ -793,6 +819,9 @@ impl Interner {
         {
             count(|n| n.box_refuted += 1);
             return None;
+        } else if let Some(point) = self.probe(partial, &fresh, &bounds) {
+            count(|n| n.point_hits += 1);
+            Some(point)
         } else {
             count(|n| n.lp_decided += 1);
             let d = self.order.len();
@@ -807,6 +836,20 @@ impl Interner {
         };
         let atoms = partial.atoms.iter().copied().chain(fresh).collect();
         Some(Cell::new(self, atoms, witness, bounds))
+    }
+
+    /// One point of `bounds` (per coordinate the midpoint, one inside a lone
+    /// end, or else the partial's witness coordinate or 0) if it satisfies
+    /// every row of `partial` and of `run`, checked exactly.
+    fn probe(&self, partial: &Cell, run: &[AtomId], bounds: &[Interval]) -> Option<Vec<Rational>> {
+        let point: Vec<Rational> = bounds.iter().enumerate().map(|(k, b)| match (&b.lo, &b.hi) {
+            (Some((lo, _)), Some((hi, _))) => Rational::midpoint(lo, hi),
+            (Some((lo, _)), None) => lo + &Rational::ONE,
+            (None, Some((hi, _))) => hi - &Rational::ONE,
+            (None, None) => partial.witness.as_ref().map_or(Rational::ZERO, |w| w[k].clone()),
+        }).collect();
+        let holds = |id: &AtomId| self.entries[*id].row.satisfied_by(&point);
+        (propagating() && partial.atoms.iter().chain(run).all(holds)).then_some(point)
     }
 
     /// All satisfiable disjuncts of `partial ∧ nnf`, in the order plain
@@ -1271,8 +1314,9 @@ mod tests {
     /// Differential tests of the witness-carrying conversion.
     mod differential {
         use super::super::{
-            conjunct_satisfiable, infallible, never, sweep, tighten, to_dnf, to_dnf_pruned, AtomId,
-            Cells, Conjunct, Dnf, Interner, Strategy as Conversion, LP_ONLY,
+            conjunct_satisfiable, infallible, never, read_dnf, sweep, tighten, to_dnf,
+            to_dnf_interned, to_dnf_pruned, AtomId, Cells, Conjunct, Dnf, Formula, Interner,
+            Strategy as Conversion, LP_ONLY,
         };
         use crate::arb::{arb_atom, arb_formula};
         use proptest::prelude::*;
@@ -1357,8 +1401,11 @@ mod tests {
                 }
             }
 
-            /// Propagation changes no verdict, no order, no atom and no witness:
-            /// the conversion equals the one that decides by box and LP alone.
+            /// Propagation and the point change no verdict, no order and no
+            /// atom: the conversion equals the one that decides by box and LP
+            /// alone. A cell the point decided keeps that point rather than
+            /// the LP's, so witnesses are compared by what they must be — a
+            /// point of the cell's rows inside the cell's box — not by value.
             #[test]
             fn propagated_conversion_equals_lp_only(f in arb_formula(24), negated in 0..2usize) {
                 let convert = |lp_only: bool| {
@@ -1366,10 +1413,26 @@ mod tests {
                     let cells =
                         infallible(Cells::convert(&f, negated == 1, Conversion::Pruned, &mut never));
                     LP_ONLY.with(|flag| flag.set(false));
-                    let witnesses: Vec<_> = cells.cells.iter().map(|c| c.witness.clone()).collect();
-                    (cells.into_dnf(), witnesses)
+                    for cell in &cells.cells {
+                        let point = cell.witness.as_ref().expect("pruned cells are decided");
+                        for &id in &cell.atoms {
+                            assert!(cells.atoms.entries[id].row.satisfied_by(point));
+                        }
+                        assert!(cell.bounds.iter().zip(point).all(|(b, x)| b.contains(x)));
+                    }
+                    cells.into_dnf()
                 };
                 prop_assert_eq!(convert(false), convert(true));
+            }
+
+            /// Reading a DNF-shaped formula as it stands gives what the
+            /// interner makes of it, and any other shape still goes there.
+            #[test]
+            fn read_dnf_equals_the_interner(f in arb_formula(24), shaped in 0..2usize) {
+                let f = if shaped == 1 { to_dnf_interned(&f).to_formula() } else { f };
+                let constant = matches!(f, Formula::True | Formula::False);
+                prop_assert!(shaped == 0 || constant || read_dnf(&f).is_some());
+                prop_assert_eq!(to_dnf(&f), to_dnf_interned(&f));
             }
         }
     }
@@ -1487,13 +1550,13 @@ mod tests {
         assert_eq!(cut_after(all), (Ok(to_dnf_pruned(&f).simplify_strong()), all));
     }
 
-    /// `¬A ∨ box` for `A` a union of `n` space-time prisms along a fixed walk
-    /// (the matrix of the benchmark's containment sentence).
-    fn outside_prisms_or_in_box(n: usize) -> Formula {
+    /// `n` space-time prisms (beads of speed 1, four time units each) along a
+    /// fixed walk from `start`, as source text.
+    fn prisms(n: usize, start: (i64, i64)) -> Vec<String> {
         const STEPS: [(i64, i64); 6] = [(1, 2), (-2, 1), (2, -1), (0, -2), (-1, 0), (2, 1)];
-        let (mut x0, mut y0) = (0, 0);
+        let (mut x0, mut y0) = start;
         let mut prisms = Vec::new();
-        for (i, (dx, dy)) in STEPS.iter().take(n).enumerate() {
+        for (i, (dx, dy)) in STEPS.iter().cycle().take(n).enumerate() {
             let (t0, t1) = (4 * i as i64, 4 * i as i64 + 4);
             let (x1, y1) = (x0 + dx, y0 + dy);
             prisms.push(format!(
@@ -1511,11 +1574,38 @@ mod tests {
             ));
             (x0, y0) = (x1, y1);
         }
+        prisms
+    }
+
+    /// `¬A ∨ box` for `A` a union of `n` space-time prisms along a fixed walk
+    /// (the matrix of the benchmark's containment sentence).
+    fn outside_prisms_or_in_box(n: usize) -> Formula {
         let source = format!(
             "not ({}) or (-8 <= x and x <= 8 and -8 <= y and y <= 8)",
-            prisms.join(" or ")
+            prisms(n, (0, 0)).join(" or ")
         );
         crate::parse_formula(&source).unwrap()
+    }
+
+    /// The centre of a bead's propagated box lies in the bead, so a union of
+    /// beads (none through the origin, the root's witness) is decided one
+    /// point per bead and without a linear program.
+    #[test]
+    fn a_bead_is_decided_at_the_centre_of_its_box() {
+        let union = crate::parse_formula(&prisms(8, (1, 1)).join(" or ")).unwrap();
+        let before = counters();
+        let cells = infallible(Cells::convert(&union, false, Strategy::Pruned, &mut never));
+        let after = counters();
+        assert_eq!(cells.cells.len(), 8);
+        assert_eq!(after.point_hits - before.point_hits, 8);
+        assert_eq!(after.lp_decided, before.lp_decided);
+        for cell in &cells.cells {
+            let centre = cell.bounds.iter().map(|b| match (&b.lo, &b.hi) {
+                (Some((lo, _)), Some((hi, _))) => Rational::midpoint(lo, hi),
+                _ => panic!("a bead's box is bounded"),
+            });
+            assert_eq!(cell.witness, Some(centre.collect()));
+        }
     }
 
     /// Benchmark hazard 2: pruned distribution walks the choice *paths* of

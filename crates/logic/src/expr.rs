@@ -320,21 +320,8 @@ impl Atom {
         // constant) primitive integers: multiply by lcm(denominators), divide
         // by gcd(integerized numerators).
         let mut atom = Atom { expr, rel };
-        let mut all: Vec<Rational> = atom.expr.terms().map(|(_, c)| c.clone()).collect();
-        all.push(atom.expr.constant_term().clone());
-        let mut f = lcdb_arith::BigInt::one();
-        for c in &all {
-            let d = c.denom();
-            let g = f.gcd(&d);
-            f = &(&f * &d) / &g;
-        }
-        let mut g = lcdb_arith::BigInt::zero();
-        for c in &all {
-            let n = c.numer() * &(&f / &c.denom());
-            g = g.gcd(&n);
-        }
-        if !g.is_zero() {
-            let factor = Rational::new(f, g);
+        let all: Vec<&Rational> = atom.expr.terms.values().chain([&atom.expr.constant]).collect();
+        if let Some(factor) = Rational::primitive_factor(&all).filter(|f| !f.is_one()) {
             debug_assert!(factor.is_positive());
             atom.expr = atom.expr.scale(&factor);
         }

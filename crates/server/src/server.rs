@@ -781,7 +781,12 @@ pub fn apply_define(
 
 fn validate_definition(f: &Formula, vars: &[String]) -> Result<(), String> {
     match f {
-        Formula::True | Formula::False | Formula::Atom(_) => {}
+        Formula::True | Formula::False => {}
+        Formula::Atom(a) => {
+            if let Some((v, _)) = a.expr.terms().find(|(v, _)| !vars.contains(v)) {
+                return Err(format!("definition mentions unknown variable '{}'", v));
+            }
+        }
         Formula::Pred(name, _) => {
             return Err(format!(
                 "relation symbol '{}' not allowed in a definition body",
@@ -799,11 +804,6 @@ fn validate_definition(f: &Formula, vars: &[String]) -> Result<(), String> {
                 "quantifier over '{}' not allowed in a definition body",
                 v
             ))
-        }
-    }
-    for v in f.free_vars() {
-        if !vars.contains(&v) {
-            return Err(format!("definition mentions unknown variable '{}'", v));
         }
     }
     Ok(())
@@ -1454,6 +1454,36 @@ mod tests {
             );
         }
         assert!(db.relation("S").is_none());
+    }
+
+    /// The first offence left to right is the one reported; an atom names
+    /// the first of its unknown variables in name order.
+    #[test]
+    fn definition_errors_name_the_first_offence() {
+        let mut db = Database::new();
+        let mut spatial = None;
+        for (bad, message) in [
+            ("S(x) := y < 1", "definition mentions unknown variable 'y'"),
+            ("S(x) := exists y. y < x", "quantifier over 'y' not allowed in a definition body"),
+            ("S(x) := T(x)", "relation symbol 'T' not allowed in a definition body"),
+            ("S() := 0 < 1", "relation needs at least one variable"),
+            ("(x) := 0 < x", "empty relation name"),
+            ("S(x) : = 0 < x", "expected `NAME(vars) := formula` or `spatial NAME`"),
+            ("spatial T", "unknown relation 'T'"),
+            ("S(x) := 0 <", "parse error at byte 3: expected a number or variable"),
+            (
+                "S(x) := (x < 1 and (x < 2 or not (x < 3 and b + a < 4))) or c < 0",
+                "definition mentions unknown variable 'a'",
+            ),
+            ("S(x) := y < 0 and exists z. z < x", "definition mentions unknown variable 'y'"),
+            (
+                "S(x) := (exists z. z < x) and y < 0",
+                "quantifier over 'z' not allowed in a definition body",
+            ),
+            ("S(x) := not (x < 0 or T(y))", "relation symbol 'T' not allowed in a definition body"),
+        ] {
+            assert_eq!(apply_define(&mut db, &mut spatial, bad), Err(message.to_string()));
+        }
     }
 
     /// A job nobody will execute, answering into a throwaway loopback socket.

@@ -41,10 +41,12 @@ fn conn_route() -> Route {
 }
 
 /// An element-quantifier sentence whose elimination has to solve a linear
-/// program: the route that reaches `lp.pivot`.
+/// program: the route that reaches `lp.pivot`. Once `z` is projected away,
+/// `3x < y < x + 1` is a sliver of its propagated box that misses the box's
+/// centre, so neither the box nor a point of it decides the disjunct.
 fn elimination_route() -> Route {
     let sentence = parse_regformula(
-        "exists x. exists y. S(x) and ((y < x and 1 < y) or (y > x + 2 and y < 5)) and y + x <= 6",
+        "exists x. exists y. exists z. S(x) and y > 3*x and y < x + 1 and z > y and z < 2",
     )
     .unwrap();
     (rel1("0 <= x and x <= 4"), sentence, true)
