@@ -56,8 +56,9 @@ pub fn database_fingerprint(db: &Database, spatial: Option<&str>) -> u64 {
     fingerprint_str(&desc)
 }
 
-/// Version tag of the arrangement blob layout.
-const ARR_VERSION: u8 = 1;
+/// Version tag of the arrangement blob layout: 2 stores each face's recession
+/// ray where 1 stored a bounded flag.
+const ARR_VERSION: u8 = 2;
 
 fn malformed(message: String) -> StoreError {
     StoreError::Malformed {
@@ -67,7 +68,8 @@ fn malformed(message: String) -> StoreError {
 }
 
 /// Serialize an arrangement to the catalog blob layout: exact `Rational`
-/// renderings for hyperplane coefficients and witnesses, one byte per sign.
+/// renderings for hyperplane coefficients, witnesses and rays (a bounded
+/// face's ray has length 0), one byte per sign.
 pub fn encode_arrangement(a: &Arrangement) -> Vec<u8> {
     let mut out = Vec::new();
     put_u8(&mut out, ARR_VERSION);
@@ -94,11 +96,12 @@ pub fn encode_arrangement(a: &Arrangement) -> Vec<u8> {
             );
         }
         put_u64(&mut out, f.dim as u64);
-        put_u64(&mut out, f.witness.len() as u64);
-        for w in &f.witness {
-            put_str(&mut out, &w.to_string());
+        for v in [&f.witness[..], f.ray.as_deref().unwrap_or_default()] {
+            put_u64(&mut out, v.len() as u64);
+            for c in v {
+                put_str(&mut out, &c.to_string());
+            }
         }
-        put_u8(&mut out, u8::from(f.bounded));
     }
     out
 }
@@ -110,8 +113,8 @@ fn rational(cur: &mut Cursor<'_>, context: &'static str) -> Result<lcdb_arith::R
 }
 
 /// Decode an arrangement blob, validating structure (the store has already
-/// verified the bytes' checksum). The sign-vector index is rebuilt; LP
-/// feasibility is **not** re-run.
+/// verified the bytes' checksum). The sign-vector index is rebuilt and every
+/// ray is checked to recede in its face; LP feasibility is **not** re-run.
 pub fn decode_arrangement(bytes: &[u8]) -> Result<Arrangement, StoreError> {
     let mut cur = Cursor::new(bytes, "arrangement blob");
     let version = cur.u8("blob version")?;
@@ -142,18 +145,14 @@ pub fn decode_arrangement(bytes: &[u8]) -> Result<Arrangement, StoreError> {
         })?;
         let dim = cur.u64("face dimension")? as usize;
         let witness = cur.seq("witness length", |cur| rational(cur, "witness coordinate"))?;
-        let bounded = match cur.u8("bounded flag")? {
-            0 => false,
-            1 => true,
-            other => return Err(malformed(format!("unknown bounded flag {other}"))),
-        };
+        let ray = cur.seq("ray length", |cur| rational(cur, "ray coordinate"))?;
         id += 1;
-        Ok(Face {
+        Ok::<_, StoreError>(Face {
             id: id - 1,
             signs,
             dim,
             witness,
-            bounded,
+            ray: (!ray.is_empty()).then_some(ray),
         })
     })?;
     cur.done("arrangement blob")?;
@@ -469,7 +468,7 @@ mod tests {
             assert_eq!(fa.signs, fb.signs);
             assert_eq!(fa.dim, fb.dim);
             assert_eq!(fa.witness, fb.witness);
-            assert_eq!(fa.bounded, fb.bounded);
+            assert_eq!(fa.bounded(), fb.bounded());
         }
         // The rebuilt index answers point location identically.
         let p = vec![lcdb_arith::int(1), lcdb_arith::int(1)];
@@ -561,6 +560,41 @@ mod tests {
             |b| decode_arrangement(b).map(drop),
             store_offset,
         );
+    }
+
+    /// A v1 blob (a bounded byte where v2 stores the ray) is a typed
+    /// version error, and the catalog ladder turns it into a warning and a
+    /// rebuild that replaces it.
+    #[test]
+    fn v1_arrangement_blob_is_unsupported_and_rebuilt() {
+        // ℝ² with no hyperplanes: one unbounded face at the origin.
+        let mut v1 = Vec::new();
+        put_u8(&mut v1, 1);
+        for n in [2, 0, 1, 0, 2, 2] {
+            // dim, hyperplanes, faces, signs, face dim, witness length
+            put_u64(&mut v1, n);
+        }
+        put_str(&mut v1, "0");
+        put_str(&mut v1, "0");
+        put_u8(&mut v1, 0);
+        assert!(matches!(
+            decode_arrangement(&v1),
+            Err(StoreError::UnsupportedVersion { found: 1, supported: 2, .. })
+        ));
+
+        let dir = scratch("v1");
+        let cat = PlanCatalog::open(&dir).unwrap();
+        let db = sample_db();
+        let key = PlanCatalog::extension_key(database_fingerprint(&db, Some("S")), "S");
+        cat.lock().put(key, &[], &v1).unwrap();
+        let (built, warnings) = cat.extension_or_build(&db, "S", || Ok(arrangement(db.clone()))).unwrap();
+        assert!(
+            matches!(&warnings[..], [w] if w.contains("unreadable") && w.contains("rebuilding")),
+            "{warnings:?}"
+        );
+        let warm = cat.load_extension(&db, "S").unwrap().expect("the rebuild was saved");
+        assert_eq!(warm.num_regions(), built.num_regions());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl ArrangementRegions {
             .map(|f| RegionData {
                 id: f.id,
                 dim: f.dim,
-                bounded: f.bounded,
+                bounded: f.bounded(),
                 witness: f.witness.clone(),
             })
             .collect::<Vec<_>>();

@@ -8,19 +8,21 @@
 //! bijection with the cells of the `(d−1)`-dimensional arrangement the prefix
 //! induces *inside* `h`, which is built by the same procedure (a
 //! 0-dimensional section is a single point). No linear program is solved.
+//! Boundedness rides along: every cell carries one direction of its
+//! closure's recession cone, none when bounded, updated by [`refine`].
 //! Level `k` costs one section arrangement plus one step per cell, so a
 //! build performs `T_d(n) = Σ_k (T_{d−1}(k) + #cells_k) = O(n^{d+1})` sign
 //! evaluations, matching the polynomial bound of Theorem 3.1.
 
 use crate::Hyperplane;
-use lcdb_arith::{BigInt, Rational, Sign};
+use lcdb_arith::{Rational, Sign};
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
 use lcdb_exec::Pool;
 use lcdb_linalg::{dot, scale, vec_add, vec_sub, Matrix, QVector};
 use lcdb_logic::{Atom, LinExpr, Relation};
 use lcdb_lp::Rel;
 use lcdb_trace::TraceHandle;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Which side of a hyperplane a face lies on: the paper's `v_i(p)`.
@@ -44,8 +46,16 @@ pub struct Face {
     pub dim: usize,
     /// A point in the relative interior of the face.
     pub witness: QVector,
+    /// A nonzero direction `u` with `witness + t·u` in the face's closure for
+    /// every `t ≥ 0`; `None` exactly when the face is bounded.
+    pub ray: Option<QVector>,
+}
+
+impl Face {
     /// Is the face contained in some bounding box?
-    pub bounded: bool,
+    pub fn bounded(&self) -> bool {
+        self.ray.is_none()
+    }
 }
 
 /// A hyperplane arrangement with its full face list.
@@ -101,11 +111,13 @@ impl Arrangement {
 
     /// [`Arrangement::try_build`] with structured tracing: one span per
     /// refinement level (carrying the level's hyperplane index and incoming
-    /// partial-vector count), a span around face finalization, and two
-    /// counters: `geom.faces_built`, the final face count, and
+    /// partial-vector count), a span around face finalization, and three
+    /// counters: `geom.faces_built`, the final face count,
     /// `geom.cells_split`, the cells crossed by their level's hyperplane
     /// summed over levels (the zone complexity the section recursion pays
-    /// for). With a disabled handle this is exactly `try_build`.
+    /// for), and `geom.sections_built`, the section arrangements built at
+    /// every depth of the recursion. With a disabled handle this is exactly
+    /// `try_build`.
     pub fn try_build_traced(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
@@ -129,44 +141,44 @@ impl Arrangement {
         let meter = budget.meter();
         let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
         let mut partial = vec![Cell::whole_space(dim)];
-        let mut cells_split = 0;
+        let (mut cells_split, mut sections_built) = (0, 0);
         for k in 0..rows.len() {
             let _level_span = on.then(|| {
                 trace.span_with("geom.level", &format!("level={} partial={}", k, partial.len()))
             });
-            let parents = partial.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim));
-            let (next, crossed) =
+            let parents = partial.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim, c.ray.as_ref()));
+            let (next, crossed, sections) =
                 refine(dim, &rows[..=k], parents, &meter, budget, face_guard(budget))?;
             cells_split += crossed;
+            sections_built += sections;
             partial = next;
         }
 
         trace.count("geom.faces_built", partial.len() as u64);
         trace.count("geom.cells_split", cells_split);
+        trace.count("geom.sections_built", sections_built);
         let _final_span =
             on.then(|| trace.span_with("geom.finalize", &format!("faces={}", partial.len())));
-        Arrangement::finalize(dim, hyperplanes, &rows, partial, &meter, budget)
+        Arrangement::finalize(dim, hyperplanes, partial, &meter, budget)
     }
 
-    /// Decide boundedness and index the finished cells as faces.
+    /// Index the finished cells as faces.
     fn finalize(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
-        rows: &[Row],
         cells: Vec<Cell>,
         meter: &Meter,
         budget: &EvalBudget,
     ) -> Result<Self, BudgetError> {
-        let bounded = bounded_flags(dim, rows, &cells, meter, budget)?;
         let mut faces = Vec::with_capacity(cells.len());
-        for (id, (cell, bounded)) in cells.into_iter().zip(bounded).enumerate() {
+        for (id, cell) in cells.into_iter().enumerate() {
             meter.tick(budget)?;
             faces.push(Face {
                 id,
                 signs: cell.signs,
                 dim: cell.dim,
                 witness: cell.witness,
-                bounded,
+                ray: cell.ray,
             });
         }
         Ok(Arrangement::indexed(dim, hyperplanes, faces))
@@ -188,12 +200,12 @@ impl Arrangement {
     /// `self.hyperplanes() ++ [h]` would split it.
     ///
     /// The result is bit-for-bit identical to that rebuild — face order,
-    /// sign vectors, dimensions, boundedness flags, *and witnesses* — because
+    /// sign vectors, dimensions, recession rays, *and witnesses* — because
     /// the first `n` levels of the rebuild do not depend on `h` at all (they
     /// reproduce this arrangement's faces), and this method runs the last
-    /// level through the same function. An insert costs one section
-    /// arrangement and one step per face instead of `n + 1` levels;
-    /// boundedness is re-decided for the new arrangement as a whole.
+    /// level through the same function, with the faces' rays as the
+    /// parents'. An insert costs one section arrangement and one step per
+    /// face instead of `n + 1` levels.
     ///
     /// # Panics
     /// Panics if `h` has the wrong ambient dimension.
@@ -220,9 +232,10 @@ impl Arrangement {
         hyperplanes.push(h);
         let meter = budget.meter();
         let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
-        let parents = self.faces.iter().map(|f| (&f.signs[..], &f.witness[..], f.dim));
-        let (cells, _) = refine(self.dim, &rows, parents, &meter, budget, face_guard(budget))?;
-        Arrangement::finalize(self.dim, hyperplanes, &rows, cells, &meter, budget)
+        let parents =
+            self.faces.iter().map(|f| (&f.signs[..], &f.witness[..], f.dim, f.ray.as_ref()));
+        let (cells, ..) = refine(self.dim, &rows, parents, &meter, budget, face_guard(budget))?;
+        Arrangement::finalize(self.dim, hyperplanes, cells, &meter, budget)
     }
 
     /// Coarsen the face lattice by deleting the hyperplane at `index`:
@@ -233,9 +246,11 @@ impl Arrangement {
     /// and face count as a from-scratch build over the remaining
     /// hyperplanes — the census is bit-identical. A merged face is the union
     /// of its constituents: its dimension is their largest, it is bounded
-    /// iff all of them are, and its witness is inherited from the first (in
-    /// face order), so it may differ from the rebuild's point though it
-    /// always lies in the merged face.
+    /// iff all of them are, its ray is the first unbounded one's (a
+    /// constituent's closure lies in the union's, so its recession directions
+    /// are the union's), and its witness is inherited from the first (in
+    /// face order). Witness and ray may differ from the rebuild's though both
+    /// always belong to the merged face.
     ///
     /// # Panics
     /// Panics if `index` is out of range.
@@ -290,7 +305,7 @@ impl Arrangement {
                 signs,
                 dim: parts().map(|f| f.dim).max().expect("groups are nonempty"),
                 witness: self.faces[members[0]].witness.clone(),
-                bounded: parts().all(|f| f.bounded),
+                ray: parts().find_map(|f| f.ray.clone()),
             });
         }
         Ok(Arrangement::indexed(self.dim, hyperplanes, faces))
@@ -302,8 +317,10 @@ impl Arrangement {
     /// [`Arrangement::faces`]; it does **not** re-derive the faces, so the
     /// caller is responsible for the parts having come from a real build. Structural invariants are still checked: face ids must be
     /// sequential, sign vectors must match the hyperplane count, witnesses
-    /// must have ambient dimension, face dims must be `≤ dim`, and sign
-    /// vectors must be pairwise distinct.
+    /// must have ambient dimension, face dims must be `≤ dim`, sign vectors
+    /// must be pairwise distinct, and a ray must be a nonzero `dim`-vector
+    /// with `aᵢ·u` zero or of sign `σᵢ` on every hyperplane (a recession
+    /// direction of the face's closure).
     pub fn from_parts(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
@@ -346,6 +363,13 @@ impl Arrangement {
             }
             if index.insert(f.signs.clone(), i).is_some() {
                 return Err(format!("face {i} duplicates another face's sign vector"));
+            }
+            if let Some(u) = &f.ray {
+                let nonzero = u.len() == dim && u.iter().any(|c| !c.is_zero());
+                let rates = hyperplanes.iter().map(|h| dot(h.coeffs(), u).sign());
+                if !nonzero || rates.zip(&f.signs).any(|(r, s)| r != Sign::Zero && r != *s) {
+                    return Err(format!("face {i} ray is not a receding nonzero {dim}-vector"));
+                }
             }
         }
         Ok(Arrangement {
@@ -553,99 +577,106 @@ impl Row {
         }
     }
 
-    /// The point of `self = 0` whose other coordinates are `y`.
-    fn lift(&self, pivot: usize, y: &[Rational]) -> QVector {
+    /// The point of `self = rhs` whose other coordinates are `y`: with
+    /// `self.rhs` a point of the hyperplane, with zero a direction inside it.
+    fn lift(&self, pivot: usize, y: &[Rational], rhs: &Rational) -> QVector {
         let mut x: QVector = y.to_vec();
         x.insert(pivot, Rational::ZERO);
-        x[pivot] = -self.value(&x) / &self.coeffs[pivot];
+        x[pivot] = (rhs - dot(&self.coeffs, &x)) / &self.coeffs[pivot];
         x
     }
 }
 
 /// A cell of the arrangement of a row prefix: position vector, a point of
-/// its relative interior, and its dimension.
+/// its relative interior, its dimension, and a nonzero direction of its
+/// closure's recession cone (`None` exactly when the cell is bounded).
 struct Cell {
     signs: SignVector,
     witness: QVector,
     dim: usize,
+    ray: Option<QVector>,
 }
 
 impl Cell {
-    /// The one cell of the arrangement of no rows.
+    /// The one cell of the arrangement of no rows: `ℝ^dim`, along `e₁`
+    /// unless it is a point.
     fn whole_space(dim: usize) -> Cell {
+        let e1 = (0..dim).map(|i| if i == 0 { Rational::ONE } else { Rational::ZERO });
         Cell {
             signs: Vec::new(),
             witness: vec![Rational::ZERO; dim],
             dim,
+            ray: (dim > 0).then(|| e1.collect()),
         }
     }
 }
 
 /// All cells of the arrangement of `rows` in `ℝ^dim`, in lexicographic
-/// sign-vector order.
+/// sign-vector order, and the section arrangements built on the way.
 fn arrangement_cells(
     dim: usize,
     rows: &[Row],
     meter: &Meter,
     budget: &EvalBudget,
-) -> Result<Vec<Cell>, BudgetError> {
-    let mut cells = vec![Cell::whole_space(dim)];
+) -> Result<(Vec<Cell>, u64), BudgetError> {
+    let (mut cells, mut sections) = (vec![Cell::whole_space(dim)], 0);
     for k in 0..rows.len() {
-        let parents = cells.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim));
-        cells = refine(dim, &rows[..=k], parents, meter, budget, |_| Ok(()))?.0;
+        let parents = cells.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim, c.ray.as_ref()));
+        let (next, _, built) = refine(dim, &rows[..=k], parents, meter, budget, |_| Ok(()))?;
+        (cells, sections) = (next, sections + built);
     }
-    Ok(cells)
-}
-
-/// The arrangement `rows` induce inside the hyperplane `h = 0` of `ℝ^dim`,
-/// in the coordinates other than `pivot`.
-fn section_cells(
-    dim: usize,
-    rows: &[Row],
-    (h, pivot): (&Row, usize),
-    meter: &Meter,
-    budget: &EvalBudget,
-) -> Result<Vec<Cell>, BudgetError> {
-    let restricted: Vec<Row> = rows.iter().map(|r| r.restrict(h, pivot)).collect();
-    arrangement_cells(dim - 1, &restricted, meter, budget)
+    Ok((cells, sections))
 }
 
 /// One refinement level, shared by build, insert and the recursion itself:
-/// split the cells of the arrangement of `rows[..k]` (the `parents`, as
-/// `(signs, witness, dim)`) by `h = rows[k]`.
+/// split the cells of the arrangement of `rows[..k]` (the `parents`) by
+/// `h = rows[k]`.
 ///
-/// The section arrangement of the prefix inside `h` says which parents are
-/// crossed. A parent whose sign vector does not occur there misses `h` and
-/// has one child, on its witness's side. One that occurs with its own
-/// dimension lies inside `h`. Any other is crossed: the section cell is its
-/// `Zero` child, one dimension lower, and both sides are nonempty. Children
-/// are emitted in `[-, 0, +]` order under parents in order — the source of
-/// the arrangement-wide lexicographic face order. Returns the children and
-/// how many parents were crossed; `after_parent` sees the running child
-/// count after every parent, one `meter` tick precedes each.
+/// The section arrangement of the prefix inside `h` (in the coordinates
+/// other than a pivot of `h`) says which parents are crossed. A parent whose
+/// sign vector does not occur there misses `h` and has one child, on its
+/// witness's side. One that occurs with its own dimension lies inside `h`.
+/// Any other is crossed: the section cell is its `Zero` child, one dimension
+/// lower, and both sides are nonempty. Children are emitted in `[-, 0, +]`
+/// order under parents in order — the source of the arrangement-wide
+/// lexicographic face order. `after_parent` sees the running child count
+/// after every parent, one `meter` tick precedes each. Returns the children,
+/// how many parents were crossed and how many sections were built.
+///
+/// Rays, by `rec(A ∩ B) = rec A ∩ rec B` and `cl(P ∩ h) = cl P ∩ h` for a
+/// relatively open `P` meeting `h` (or an open side of it): a child equal to
+/// its parent keeps its ray. A ray `r` of a crossed parent's section cell `Z`
+/// lies in `rec(cl P) ∩ {a·v = 0}` (`a` the normal of `h`), so all three
+/// children get it. If `Z` is bounded and `P` has a ray `u`, `rec(cl P)`
+/// meets `a·v = 0` only at 0: the side of `sign(a·u) ≠ 0` gets `u`, and the
+/// other `−u` if `rec(cl P)` is the line through `u` (`u` orthogonal to every
+/// prefix normal, the lineality space), else it is bounded.
 fn refine<'a>(
     dim: usize,
     rows: &[Row],
-    parents: impl ExactSizeIterator<Item = (&'a [Side], &'a [Rational], usize)>,
+    parents: impl ExactSizeIterator<Item = (&'a [Side], &'a [Rational], usize, Option<&'a QVector>)>,
     meter: &Meter,
     budget: &EvalBudget,
     mut after_parent: impl FnMut(usize) -> Result<(), BudgetError>,
-) -> Result<(Vec<Cell>, u64), BudgetError> {
+) -> Result<(Vec<Cell>, u64, u64), BudgetError> {
     let (h, prefix) = rows.split_last().expect("a level has a splitting row");
-    let pivot = h.coeffs.iter().position(|c| !c.is_zero());
+    let mut sections = 0;
     // Without a normal `h` is one constant sign and has no section.
-    let section: HashMap<SignVector, (QVector, usize)> = match pivot {
-        None => HashMap::new(),
-        Some(p) => section_cells(dim, prefix, (h, p), meter, budget)?
-            .into_iter()
-            .map(|c| (c.signs, (h.lift(p, &c.witness), c.dim)))
-            .collect(),
-    };
+    let mut section: HashMap<SignVector, (QVector, usize, Option<QVector>)> = HashMap::new();
+    if let Some(p) = h.coeffs.iter().position(|c| !c.is_zero()) {
+        let restricted: Vec<Row> = prefix.iter().map(|r| r.restrict(h, p)).collect();
+        let (cells, nested) = arrangement_cells(dim - 1, &restricted, meter, budget)?;
+        sections = 1 + nested;
+        for c in cells {
+            let ray = c.ray.map(|r| h.lift(p, &r, &Rational::ZERO));
+            section.insert(c.signs, (h.lift(p, &c.witness, &h.rhs), c.dim, ray));
+        }
+    }
     let mut children = Vec::with_capacity(parents.len() * 2);
     let mut crossed = 0;
-    for (signs, w, cell_dim) in parents {
+    for (signs, w, cell_dim, ray) in parents {
         meter.tick(budget)?;
-        let mut child = |side: Side, witness: QVector, dim: usize| {
+        let mut child = |side: Side, witness: QVector, dim: usize, ray: Option<QVector>| {
             let mut child_signs = Vec::with_capacity(signs.len() + 1);
             child_signs.extend_from_slice(signs);
             child_signs.push(side);
@@ -653,15 +684,16 @@ fn refine<'a>(
                 signs: child_signs,
                 witness,
                 dim,
+                ray,
             });
         };
         let carried = h.value(w).sign();
         match section.get(signs) {
-            None => child(carried, w.to_vec(), cell_dim),
-            Some((_, section_dim)) if *section_dim == cell_dim => {
-                child(Sign::Zero, w.to_vec(), cell_dim)
+            None => child(carried, w.to_vec(), cell_dim, ray.cloned()),
+            Some((_, section_dim, _)) if *section_dim == cell_dim => {
+                child(Sign::Zero, w.to_vec(), cell_dim, ray.cloned())
             }
-            Some((z, _)) => {
+            Some((z, _, z_ray)) => {
                 crossed += 1;
                 let step = |base, dir| step_inside(prefix, signs, base, dir);
                 let (neg, zero, pos) = match carried {
@@ -676,14 +708,24 @@ fn refine<'a>(
                         (step(w, &down), w.to_vec(), step(w, &up))
                     }
                 };
-                child(Sign::Negative, neg, cell_dim);
-                child(Sign::Zero, zero, cell_dim - 1);
-                child(Sign::Positive, pos, cell_dim);
+                let [neg_ray, pos_ray] = side_rays(h, prefix, ray, z_ray.as_ref());
+                child(Sign::Negative, neg, cell_dim, neg_ray);
+                child(Sign::Zero, zero, cell_dim - 1, z_ray.clone());
+                child(Sign::Positive, pos, cell_dim, pos_ray);
             }
         }
         after_parent(children.len())?;
     }
-    Ok((children, crossed))
+    Ok((children, crossed, sections))
+}
+
+/// The rays of the `[-, +]` sides of a parent with ray `u` crossed by `h`
+/// in a section cell with ray `z`, by the rule in [`refine`]'s doc.
+fn side_rays(h: &Row, prefix: &[Row], u: Option<&QVector>, z: Option<&QVector>) -> [Option<QVector>; 2] {
+    let (Some(u), None) = (u, z) else { return [z.cloned(), z.cloned()] };
+    let line = prefix.iter().all(|row| dot(&row.coeffs, u).is_zero());
+    let back = line.then(|| u.iter().map(|c| -c).collect());
+    if dot(&h.coeffs, u).is_positive() { [back, Some(u.clone())] } else { [Some(u.clone()), back] }
 }
 
 /// What build and insert check after every parent of their (top) level: the
@@ -738,38 +780,6 @@ fn direction_off(h: &Row, prefix: &[Row], signs: &[Side]) -> QVector {
             Sign::Negative => Some(u.iter().map(|c| -c).collect()),
         })
         .expect("a cell crossed by h has a direction leaving h")
-}
-
-/// Boundedness of every cell, by the cube test: with `M` above every
-/// coordinate of every vertex, a cell is unbounded iff it meets one of the
-/// `2·dim` hyperplanes `x_i = ±M`, i.e. iff its sign vector occurs in one of
-/// those sections. (The closure of every cell has a vertex, all of them
-/// strictly inside the cube: a bounded cell lies in the hull of its
-/// vertices, and an unbounded one is convex and reaches outside, so it
-/// crosses the cube's boundary.) Without a vertex the arrangement has a
-/// lineality direction and every cell is unbounded.
-fn bounded_flags(
-    dim: usize,
-    rows: &[Row],
-    cells: &[Cell],
-    meter: &Meter,
-    budget: &EvalBudget,
-) -> Result<Vec<bool>, BudgetError> {
-    let vertices = cells.iter().filter(|c| c.dim == 0);
-    let Some(reach) = vertices.flat_map(|c| c.witness.iter().map(Rational::abs)).max() else {
-        return Ok(vec![false; cells.len()]);
-    };
-    let m = Rational::from_integer(reach.floor() + BigInt::one());
-    let mut unbounded: HashSet<SignVector> = HashSet::new();
-    for i in 0..dim {
-        for rhs in [-&m, m.clone()] {
-            let mut coeffs = vec![Rational::ZERO; dim];
-            coeffs[i] = Rational::ONE;
-            let section = section_cells(dim, rows, (&Row { coeffs, rhs }, i), meter, budget)?;
-            unbounded.extend(section.into_iter().map(|c| c.signs));
-        }
-    }
-    Ok(cells.iter().map(|c| !unbounded.contains(&c.signs)).collect())
 }
 
 /// Node of the incidence graph: a proper face or one of the two improper
@@ -844,7 +854,7 @@ mod tests {
         let a = Arrangement::build(2, vec![]);
         assert_eq!(a.num_faces(), 1);
         assert_eq!(a.face(0).dim, 2);
-        assert!(!a.face(0).bounded);
+        assert!(!a.face(0).bounded());
         assert_eq!(a.locate(&pt(&[5, -7])), 0);
     }
 
@@ -871,7 +881,7 @@ mod tests {
         assert_eq!(a.face_counts_by_dim(), vec![1, 4, 4]);
         let origin = a.locate(&pt(&[0, 0]));
         assert_eq!(a.face(origin).dim, 0);
-        assert!(a.face(origin).bounded);
+        assert!(a.face(origin).bounded());
         // The origin is adjacent to every other face.
         for f in 0..a.num_faces() {
             if f != origin {
@@ -892,7 +902,7 @@ mod tests {
         let a = Arrangement::build(2, vec![h(&[1, 0], 0), h(&[1, 0], 1)]);
         assert_eq!(a.num_faces(), 5);
         assert_eq!(a.face_counts_by_dim(), vec![0, 2, 3]);
-        assert!(a.faces().iter().all(|f| !f.bounded));
+        assert!(a.faces().iter().all(|f| !f.bounded()));
         // The middle strip is adjacent to both lines but not to outer strips.
         let mid = a.locate(&pt(&[0, 0]).iter().map(|_| lcdb_arith::rat(1, 2)).collect::<Vec<_>>());
         let left = a.locate(&pt(&[-1, 0]));
@@ -911,13 +921,44 @@ mod tests {
         let bounded_cells: Vec<&Face> = a
             .faces()
             .iter()
-            .filter(|f| f.dim == 2 && f.bounded)
+            .filter(|f| f.dim == 2 && f.bounded())
             .collect();
         assert_eq!(bounded_cells.len(), 1);
         // Its witness is strictly inside.
         let w = &bounded_cells[0].witness;
         assert!(w[0].is_positive() && w[1].is_positive());
         assert!((&w[0] + &w[1]) < int(1));
+    }
+
+    #[test]
+    fn from_parts_checks_every_ray() {
+        let a = Arrangement::build(2, vec![h(&[1, 0], 0), h(&[0, 1], 0), h(&[1, 1], 1)]);
+        let with_ray = |id: FaceId, ray: QVector| {
+            let mut faces = a.faces().to_vec();
+            faces[id].ray = Some(ray);
+            Arrangement::from_parts(2, a.hyperplanes().to_vec(), faces)
+        };
+        let quadrant = a.locate(&pt(&[-1, -1]));
+        assert!(with_ray(quadrant, pt(&[-1, -2])).is_ok());
+        assert!(with_ray(quadrant, pt(&[-1])).is_err());
+        assert!(with_ray(quadrant, pt(&[0, 0])).is_err());
+        assert!(with_ray(quadrant, pt(&[1, -1])).is_err());
+        // A vertex, a bounded edge and the triangle have no direction at all.
+        for p in [pt(&[0, 0]), vec![lcdb_arith::rat(1, 2), int(0)]] {
+            let id = a.locate(&p);
+            assert!(with_ray(id, pt(&[1, 0])).is_err() && with_ray(id, pt(&[-1, 0])).is_err());
+        }
+    }
+
+    #[test]
+    fn lines_recede_both_ways() {
+        // The line x = 0 crossed by y = 0: both half-lines are unbounded,
+        // each along its own direction, and the origin is bounded.
+        let a = Arrangement::build(2, vec![h(&[1, 0], 0), h(&[0, 1], 0)]);
+        let ray = |p: &[i64]| a.face(a.locate(&pt(p))).ray.clone();
+        assert_eq!(ray(&[0, 1]), Some(pt(&[0, 1])));
+        assert_eq!(ray(&[0, -1]), Some(pt(&[0, -1])));
+        assert_eq!(ray(&[0, 0]), None);
     }
 
     #[test]

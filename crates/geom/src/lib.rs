@@ -4,7 +4,7 @@
 //!
 //! * [`Arrangement`] — the hyperplane arrangement `A(S)` of §3: faces as
 //!   realizable sign vectors over the induced hyperplane set `𝔥(S)`, with
-//!   dimensions, relative-interior witness points, boundedness flags, the
+//!   dimensions, relative-interior witness points, recession rays, the
 //!   face poset, and the incidence graph (including the improper faces).
 //! * [`nc1`] — the vertex-fan decomposition of Appendix A (`regions(ψ)` per
 //!   disjunct): vertices, cube-based boundedness test, inner/outer regions as

@@ -147,11 +147,35 @@ fn try_decompose_conjunct_inner(
     budget: &EvalBudget,
     meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
-    let original: Vec<LinConstraint> =
-        conj.iter().map(|a| a.to_constraint(var_order)).collect();
-    // Empty polyhedron: no regions.
+    match try_read_disjunct(d, conj, var_order, budget, meter)? {
+        None => Ok(Vec::new()), // empty polyhedron: no regions
+        Some(psi) if psi.bounded => try_bounded_regions(d, &psi.vertices, &psi.interior, budget, meter),
+        Some(psi) => try_unbounded_regions(d, &psi, budget, meter),
+    }
+}
+
+/// A nonempty disjunct `ψ` after steps 1 and 2: its closure and relative
+/// interior, distinct bounding hyperplanes, vertices, cube bound and verdict.
+pub(crate) struct Disjunct {
+    closed: Vec<LinConstraint>,
+    interior: Vec<LinConstraint>,
+    hyperplanes: Vec<Hyperplane>,
+    pub(crate) vertices: Vec<QVector>,
+    bound: Rational,
+    pub(crate) bounded: bool,
+}
+
+/// Steps 1 and 2 for one disjunct; `None` when it is empty.
+pub(crate) fn try_read_disjunct(
+    d: usize,
+    conj: &Conjunct,
+    var_order: &[String],
+    budget: &EvalBudget,
+    meter: &Meter,
+) -> Result<Option<Disjunct>, BudgetError> {
+    let original: Vec<LinConstraint> = conj.iter().map(|a| a.to_constraint(var_order)).collect();
     if lcdb_lp::feasible(d, &original).is_none() {
-        return Ok(Vec::new());
+        return Ok(None);
     }
     let closed: Vec<LinConstraint> = original.iter().map(|c| c.closed()).collect();
     // Relative interior of ψ: strict inequalities, equalities kept.
@@ -159,15 +183,12 @@ fn try_decompose_conjunct_inner(
         .iter()
         .map(|c| LinConstraint::new(c.coeffs.clone(), c.rel.interior(), c.rhs.clone()))
         .collect();
-    let mut hyperplanes: Vec<Hyperplane> = Vec::new();
     let mut seen = HashSet::new();
-    for a in conj {
-        if let Some(h) = Hyperplane::from_atom(a, var_order) {
-            if seen.insert(h.clone()) {
-                hyperplanes.push(h);
-            }
-        }
-    }
+    let hyperplanes: Vec<Hyperplane> = conj
+        .iter()
+        .filter_map(|a| Hyperplane::from_atom(a, var_order))
+        .filter(|h| seen.insert(h.clone()))
+        .collect();
 
     // Step 1: vertices of ψ.
     let vertices = try_vertex_set(d, &hyperplanes, &closed, budget, meter)?;
@@ -176,12 +197,7 @@ fn try_decompose_conjunct_inner(
     let c = max_abs_coordinate(d, &hyperplanes, &vertices);
     let bound = (&c + &Rational::one()) * Rational::from(2);
     let bounded = is_bounded_by_cube(d, &closed, &bound);
-
-    if bounded {
-        try_bounded_regions(d, &vertices, &interior, budget, meter)
-    } else {
-        try_unbounded_regions(d, &hyperplanes, &interior, &closed, &bound, budget, meter)
-    }
+    Ok(Some(Disjunct { closed, interior, hyperplanes, vertices, bound, bounded }))
 }
 
 /// Vertices: `d`-subsets of hyperplanes meeting in a single point inside the
@@ -346,13 +362,11 @@ fn try_bounded_regions(
 /// ray regions from `up(ψ)` and their open hulls.
 fn try_unbounded_regions(
     d: usize,
-    hyperplanes: &[Hyperplane],
-    interior: &[LinConstraint],
-    closed: &[LinConstraint],
-    bound: &Rational,
+    psi: &Disjunct,
     budget: &EvalBudget,
     meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
+    let Disjunct { hyperplanes, interior, closed, bound, .. } = psi;
     // Hyperplane set of ψ ∩ icube: add the cube sides.
     let mut augmented = hyperplanes.to_vec();
     let mut cube_closed = closed.to_vec();

@@ -2,11 +2,14 @@
 //!
 //! `insert_hyperplane` promises *bit-for-bit* equality with a rebuild over
 //! the extended hyperplane list — face order, sign vectors, dimensions,
-//! boundedness flags, and witnesses. `remove_hyperplane` promises a
+//! recession rays, and witnesses. `remove_hyperplane` promises a
 //! bit-identical *census* (order, sign vectors, dimensions, boundedness,
-//! counts); merged-face witnesses are inherited from constituents and only
-//! need to lie inside the merged face. Both are checked here on fixed
-//! scenes and on randomized scenes.
+//! counts); merged-face witnesses and rays are inherited from constituents
+//! and only need to lie inside (recede in) the merged face, and boundedness
+//! must agree with the cube test. Both are checked here on fixed scenes and
+//! on randomized scenes.
+
+mod common;
 
 use lcdb_arith::{int, rat, Rational};
 use lcdb_budget::EvalBudget;
@@ -28,15 +31,20 @@ fn assert_identical(a: &Arrangement, b: &Arrangement) {
         assert_eq!(fa.id, fb.id);
         assert_eq!(fa.signs, fb.signs);
         assert_eq!(fa.dim, fb.dim, "dim mismatch at face {:?}", fa.signs);
-        assert_eq!(fa.bounded, fb.bounded, "bounded mismatch at {:?}", fa.signs);
+        assert_eq!(fa.bounded(), fb.bounded(), "bounded mismatch at {:?}", fa.signs);
         assert_eq!(fa.witness, fb.witness, "witness mismatch at {:?}", fa.signs);
+        assert_eq!(fa.ray, fb.ray, "ray mismatch at {:?}", fa.signs);
     }
 }
 
 /// Assert the two arrangements have the same census: identical face order,
 /// sign vectors, dimensions, and boundedness — witnesses may differ but must
-/// lie inside the claimed face of the *other* arrangement.
+/// lie inside the claimed face of the *other* arrangement, and `a`'s rays
+/// must recede in their faces and agree with the cube test.
 fn assert_same_census(a: &Arrangement, b: &Arrangement) {
+    common::assert_rays_recede(a, "census");
+    let cube = common::cube_bounded_flags(a);
+    assert!(a.faces().iter().all(|f| f.bounded() == cube[f.id]), "cube boundedness");
     assert_eq!(a.ambient_dim(), b.ambient_dim());
     assert_eq!(a.hyperplanes(), b.hyperplanes());
     assert_eq!(a.num_faces(), b.num_faces());
@@ -44,7 +52,7 @@ fn assert_same_census(a: &Arrangement, b: &Arrangement) {
     for (fa, fb) in a.faces().iter().zip(b.faces()) {
         assert_eq!(fa.signs, fb.signs);
         assert_eq!(fa.dim, fb.dim, "dim mismatch at face {:?}", fa.signs);
-        assert_eq!(fa.bounded, fb.bounded, "bounded mismatch at {:?}", fa.signs);
+        assert_eq!(fa.bounded(), fb.bounded(), "bounded mismatch at {:?}", fa.signs);
         assert!(
             b.face_contains(fb.id, &fa.witness),
             "witness of {:?} escapes its face",
@@ -135,7 +143,7 @@ fn remove_last_hyperplane_leaves_ambient_cell() {
     let coarsened = a.remove_hyperplane(0);
     assert_eq!(coarsened.num_faces(), 1);
     assert_eq!(coarsened.faces()[0].dim, 1);
-    assert!(!coarsened.faces()[0].bounded);
+    assert!(!coarsened.faces()[0].bounded());
 }
 
 #[test]

@@ -10,7 +10,9 @@
 //! lie in its face — on degenerate families (parallel, duplicate and
 //! concurrent hyperplanes), hyperplanes through the origin (the first
 //! witness lies on them) and near-degenerate cones, and after a random
-//! insert/remove sequence.
+//! insert/remove sequence. Boundedness, which the builder reads off one
+//! recession ray per face, must also agree with the cube test it ran before
+//! (`common::cube_bounded_flags`), and every ray must recede in its face.
 //!
 //! **V-polyhedra.** The oracle is the coefficient-space LP every
 //! [`VPolyhedron`] predicate used to solve (`x = Σ aᵢpᵢ + Σ bⱼrⱼ`,
@@ -21,6 +23,8 @@
 //! probes with denominators or exactly on a facet or vertex. (The segment
 //! test against an open hull has its oracle beside `open_segment_meets` in
 //! `nc1.rs`, where both are private.)
+
+mod common;
 
 use lcdb_arith::{int, rat, Rational, Sign};
 use lcdb_geom::nc1::decompose_relation;
@@ -85,16 +89,19 @@ fn oracle(d: usize, hs: &[Hyperplane]) -> Vec<(SignVector, usize, bool)> {
 
 fn assert_matches_oracle(a: &Arrangement, context: &str) {
     let expected = oracle(a.ambient_dim(), a.hyperplanes());
+    let cube = common::cube_bounded_flags(a);
     assert_eq!(a.num_faces(), expected.len(), "{context}: face count");
     for (face, (signs, dim, bounded)) in a.faces().iter().zip(&expected) {
         assert_eq!(&face.signs, signs, "{context}: sign vector of face {}", face.id);
         assert_eq!(face.dim, *dim, "{context}: dimension of {face}");
-        assert_eq!(face.bounded, *bounded, "{context}: boundedness of {face}");
+        assert_eq!(face.bounded(), *bounded, "{context}: boundedness of {face}");
+        assert_eq!(face.bounded(), cube[face.id], "{context}: cube boundedness of {face}");
         assert!(
             a.face_contains(face.id, &face.witness),
             "{context}: witness of {face} escapes it"
         );
     }
+    common::assert_rays_recede(a, context);
 }
 
 /// `n` hyperplanes with integer coefficients in `-range..=range`; a zero
@@ -195,6 +202,26 @@ fn arrangement_path_solves_no_lp() {
     assert!(a.num_faces() < inserted.num_faces());
     assert!(removed.num_faces() < inserted.num_faces());
     assert_eq!(lcdb_lp::counters(), before, "the simplex is back on the arrangement path");
+}
+
+/// Boundedness builds no section arrangement. Seven planes
+/// `x + t·y + t²·z = t³`, `t = 1..=7`, are in general position (the normals
+/// are Vandermonde rows, and a point on four of them would make a cubic in
+/// `t` with four roots), so level `k` of a build, a plane of `j` lines and a
+/// line of `i` points build `S₃(7) = Σ_k (1 + S₂(k))`, `S₂(k) = Σ_j
+/// (1 + S₁(j))`, `S₁(i) = i` sections: 63. The cube test the builder ran
+/// before rays added `2d` sections of all seven rows, `1 + S₂(7) = 29` each:
+/// 63 + 174 = 237 → 63.
+#[test]
+fn boundedness_builds_no_sections() {
+    let hs = (1..=7)
+        .map(|t: i64| Hyperplane::new(vec![int(1), int(t), int(t * t)], int(t * t * t)))
+        .collect();
+    let trace = lcdb_trace::TraceHandle::new(std::sync::Arc::new(lcdb_trace::MemoryTracer::new()));
+    let budget = lcdb_budget::EvalBudget::unlimited();
+    let a = Arrangement::try_build_traced(3, hs, &budget, &trace).expect("unlimited");
+    assert_eq!(a.face_counts_by_dim(), vec![35, 126, 154, 64]);
+    assert_eq!(trace.metrics().counter_snapshot()["geom.sections_built"], 63);
 }
 
 /// `x = Σ aᵢpᵢ + Σ bⱼrⱼ` over the coefficients (the `aᵢ` summing to
