@@ -579,29 +579,33 @@ fn e13_unbounded() {
 fn e14_nc1_scaling() {
     header("E14", "NC1 decomposition scaling (Lemma A.1)");
     println!(
-        "  {:>3} {:>12} {:>8} {:>10} {:>12}",
-        "k", "census", "regions", "LP solves", "time"
+        "  {:>3} {:>12} {:>8} {:>6} {:>10} {:>12}",
+        "k", "census", "regions", "hulls", "LP solves", "time"
     );
     let mut solves = Vec::new();
     for k in [4usize, 8, 12, 16] {
         let r = convex_polygon(k);
         let before = lcdb_lp::counters().solves;
+        let hulls_before = lcdb_geom::nc1::counters().hulls;
         let t = Instant::now();
         let d = lcdb_geom::nc1::decompose_relation(&r);
         let dt = t.elapsed();
         solves.push(lcdb_lp::counters().solves - before);
+        let hulls = lcdb_geom::nc1::counters().hulls - hulls_before;
         let census = d.counts_by_dim();
         println!(
-            "  {:>3} {:>12} {:>8} {:>10} {:>12?}",
+            "  {:>3} {:>12} {:>8} {:>6} {:>10} {:>12?}",
             k,
             format!("{}/{}/{}", census[0], census[1], census[2]),
             d.regions.len(),
+            hulls,
             solves[solves.len() - 1],
             dt
         );
         // k vertices; k edges and the k − 3 diagonals of the fan from p_low;
         // the k − 2 fan triangles: 4k − 5 regions, linear in k.
         assert_eq!(census, vec![k, 2 * k - 3, k - 2], "census of the {k}-gon");
+        assert_eq!(hulls, d.regions.len() as u64, "hulls built for the {k}-gon");
     }
     assert!(
         solves.iter().all(|&s| s == solves[0] && s <= 5),
@@ -609,7 +613,8 @@ fn e14_nc1_scaling() {
     );
     println!("  shape: census k / 2k-3 / k-2 (Fig. 7's pentagon: 5 / 7 / 3), regions linear");
     println!("  in k; one emptiness test and four cube tests per disjunct whatever k is —");
-    println!("  each candidate costs Gaussian eliminations, no solver and no elimination\n");
+    println!("  a candidate is decided by tight rows or cone coordinates (no solver, no");
+    println!("  quantifier elimination), and a hull is built only for a region emitted\n");
 }
 
 /// E15: Theorems 7.3/7.4 — RegTC and RegDTC.

@@ -6,12 +6,21 @@
 //! 1. compute the vertex set `vert(ψ)` from `d`-subsets of the bounding
 //!    hyperplanes `𝔥(ψ)` (keeping intersection points in `closure(ψ)`),
 //! 2. decide boundedness with the `cube(ψ)` test at coordinate `±2(c+1)`,
-//! 3. bounded: *inner* regions fan out from the lexicographically smallest
-//!    vertex `p_low` (open hulls of `p_low` plus `d` vertices, with the
-//!    empty-segment condition), *outer* regions are open hulls of at most `d`
-//!    vertices whose pairwise segments avoid the interior of `ψ`,
-//! 4. unbounded: vertices of `ψ ∩ icube(ψ)` give the bounded regions; the
-//!    `up(ψ)` pairs `(p, p−q)` give ray regions and their open hulls.
+//! 3. bounded: *outer* regions are open hulls of at most `d` vertices whose
+//!    pairwise open segments avoid the interior of `ψ` — for points of
+//!    `closure(ψ)`, iff the two share a tight inequality row. *Inner*
+//!    regions are open hulls of the lexicographically smallest vertex
+//!    `p_low` and a `d`-multiset `T` of vertices that no open segment
+//!    `(p_low, q)` to another vertex meets. One meets iff `q − p_low` is a
+//!    strictly positive combination of the directions to `T`: coordinates
+//!    from one elimination per tuple when those are independent (always for
+//!    `d ≤ 2`), the segment test against `T`'s hull when they are not,
+//! 4. unbounded: vertices of `ψ ∩ icube(ψ)` give the bounded regions as in
+//!    3; the `up(ψ)` pairs `(p, p−q)` give ray regions and their open hulls.
+//!
+//! Distinct vertices are extreme points, so a region is its vertex-index set
+//! and a hull is built only for a set emitted for the first time (or for a
+//! dependent tuple): `4k − 5` for a `k`-gon, one per region ([`counters`]).
 //!
 //! Unlike the arrangement of §3, these regions may overlap across disjuncts
 //! and do not cover all of `ℝ^d` — but every point of `S` lies in at least
@@ -22,10 +31,44 @@ use crate::vrep::subsets_of_size;
 use crate::{Hyperplane, VPolyhedron};
 use lcdb_arith::Rational;
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
-use lcdb_linalg::{dot, scale, vec_add, vec_sub, Flat, QVector};
+use lcdb_linalg::{dot, scale, vec_add, vec_sub, Flat, Matrix, QVector, RrefResult};
 use lcdb_logic::{dnf::Conjunct, Relation};
 use lcdb_lp::{LinConstraint, Rel};
+use std::cell::Cell;
 use std::collections::HashSet;
+
+/// What NC¹ decompositions on the calling thread have built since it
+/// started; take the difference of two readings.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Nc1Counters {
+    /// V→H conversions: emitted regions, dependent fan tuples, ray candidates.
+    pub hulls: u64,
+    /// Fan tuples decided on their hull: directions from `p_low` dependent.
+    pub hull_decided: u64,
+}
+
+thread_local! {
+    static COUNTERS: Cell<Nc1Counters> = const { Cell::new(Nc1Counters { hulls: 0, hull_decided: 0 }) };
+}
+
+/// The calling thread's NC¹ counters. They only grow.
+pub fn counters() -> Nc1Counters {
+    COUNTERS.with(Cell::get)
+}
+
+fn count(bump: impl FnOnce(&mut Nc1Counters)) {
+    COUNTERS.with(|c| {
+        let mut now = c.get();
+        bump(&mut now);
+        c.set(now);
+    });
+}
+
+/// `VPolyhedron::new`, counted.
+fn hull(points: Vec<QVector>, rays: Vec<QVector>) -> VPolyhedron {
+    count(|c| c.hulls += 1);
+    VPolyhedron::new(points, rays)
+}
 
 /// How a region was produced (the paper's terminology).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -303,30 +346,33 @@ fn try_bounded_regions(
     budget: &EvalBudget,
     meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
+    #[cfg(test)]
+    if tests::HULL_ORACLE.with(Cell::get) {
+        return tests::hull_oracle_regions(d, vertices, interior, budget, meter);
+    }
     let mut out: Vec<(VPolyhedron, RegionKind)> = Vec::new();
     if vertices.is_empty() {
         return Ok(out);
     }
-    let push_unique = |cand: VPolyhedron, kind: RegionKind, out: &mut Vec<(VPolyhedron, RegionKind)>| {
-        if !out.iter().any(|(r, _)| r.same_set(&cand)) {
-            out.push((cand, kind));
-        }
-    };
+    // The vertices are distinct extreme points, so a region is its sorted
+    // vertex-index set: a set already emitted is neither decided nor built.
+    let mut emitted: HashSet<Vec<usize>> = HashSet::new();
+    let open_hull = |set: &[usize]| hull(set.iter().map(|&i| vertices[i].clone()).collect(), Vec::new());
 
     // Outer regions: open hulls of at most d vertices whose pairwise open
-    // segments avoid the interior of ψ.
+    // segments avoid the interior of ψ, i.e. share a tight inequality row.
+    let tight: Vec<Vec<u64>> = vertices.iter().map(|v| tight_rows(v, interior)).collect();
     for size in 1..=d.min(vertices.len()) {
         check_combination_count(vertices.len(), size, budget)?;
         for combo in subsets_of_size(vertices.len(), size) {
             meter.tick(budget)?;
-            let pts: Vec<QVector> = combo.iter().map(|&i| vertices[i].clone()).collect();
             let ok = combo.iter().enumerate().all(|(ii, &i)| {
-                combo[ii + 1..].iter().all(|&j| {
-                    !open_segment_meets(&vertices[i], &vertices[j], interior)
-                })
+                let shared = |j: &usize| tight[i].iter().zip(&tight[*j]).any(|(a, b)| a & b != 0);
+                combo[ii + 1..].iter().all(shared)
             });
             if ok {
-                push_unique(VPolyhedron::open_hull(pts), RegionKind::Outer, &mut out);
+                out.push((open_hull(&combo), RegionKind::Outer));
+                emitted.insert(combo);
                 budget.check_faces(out.len())?;
             }
         }
@@ -335,27 +381,79 @@ fn try_bounded_regions(
     // Inner regions: p_low is the lexicographically smallest vertex; take
     // open hulls of p_low with d further vertices (repetitions allowed) such
     // that segments from p_low to every *other* vertex avoid the hull.
-    let p_low = vertices[0].clone(); // sorted lexicographically
+    let p_low = &vertices[0]; // sorted lexicographically
     check_combination_count(vertices.len() + d.saturating_sub(1), d, budget)?;
     for tuple in multisets_of_size(vertices.len(), d) {
         meter.tick(budget)?;
-        let mut pts: Vec<QVector> = vec![p_low.clone()];
-        pts.extend(tuple.iter().map(|&i| vertices[i].clone()));
-        let cand = VPolyhedron::open_hull(pts);
-        let inside = interior_system(&cand);
-        let excluded: HashSet<usize> = tuple.iter().copied().collect();
-        let ok = vertices.iter().enumerate().all(|(j, q)| {
-            if excluded.contains(&j) || *q == p_low {
-                return true;
-            }
-            !open_segment_meets(&p_low, q, &inside)
-        });
-        if ok {
-            push_unique(cand, RegionKind::Inner, &mut out);
+        let mut set = tuple;
+        set.insert(0, 0);
+        set.dedup();
+        if emitted.contains(&set) {
+            continue;
+        }
+        let mut others = vertices.iter().enumerate().filter(|(j, _)| set.binary_search(j).is_err());
+        let dirs: Vec<QVector> = set[1..].iter().map(|&i| vec_sub(&vertices[i], p_low)).collect();
+        let cand = if let Some(cone) = ConeCoordinates::new(d, &dirs) {
+            others.all(|(_, q)| !cone.strictly_positive(&vec_sub(q, p_low))).then(|| open_hull(&set))
+        } else {
+            count(|c| c.hull_decided += 1);
+            let cand = open_hull(&set);
+            let inside = interior_system(&cand);
+            others.all(|(_, q)| !open_segment_meets(p_low, q, &inside)).then_some(cand)
+        };
+        if let Some(cand) = cand {
+            out.push((cand, RegionKind::Inner));
+            emitted.insert(set);
             budget.check_faces(out.len())?;
         }
     }
     Ok(out)
+}
+
+/// The inequality rows of the interior system tight at `x`, as a bitset. For
+/// `a, b` in the closure a row holds strictly on the open segment `(a, b)`
+/// unless tight at both ends, so the segment meets the interior iff the two
+/// sets are disjoint.
+fn tight_rows(x: &[Rational], interior: &[LinConstraint]) -> Vec<u64> {
+    let mut bits = vec![0u64; interior.len().div_ceil(64)];
+    for (k, con) in interior.iter().enumerate() {
+        if con.rel != Rel::Eq && dot(&con.coeffs, x) == con.rhs {
+            bits[k / 64] |= 1 << (k % 64);
+        }
+    }
+    bits
+}
+
+/// The rows `R` of an invertible `d × d` matrix with `R·uᵢ = eᵢ` for
+/// independent directions `u₁..u_m`: `v = Σ cᵢuᵢ` iff `R·v = (c, 0)`.
+struct ConeCoordinates {
+    coords: Vec<QVector>,
+    normals: Vec<QVector>,
+}
+
+impl ConeCoordinates {
+    /// One elimination of `[u₁ … u_m | I]`; `None` for dependent directions.
+    fn new(d: usize, dirs: &[QVector]) -> Option<Self> {
+        let m = dirs.len();
+        let mut aug = Matrix::zeros(d, m + d);
+        for i in 0..d {
+            for (j, u) in dirs.iter().enumerate() {
+                *aug.at_mut(i, j) = u[i].clone();
+            }
+            *aug.at_mut(i, m + i) = Rational::ONE;
+        }
+        let RrefResult { rref, pivots } = aug.rref();
+        let mut coords: Vec<QVector> = (0..d).map(|r| rref.row(r)[m..].to_vec()).collect();
+        let normals = coords.split_off(m);
+        pivots[..m].iter().copied().eq(0..m).then_some(ConeCoordinates { coords, normals })
+    }
+
+    /// Is `v` a combination of the directions with every coefficient
+    /// positive — for `v = q − p`, does the open segment `(p, q)` meet the
+    /// relative interior of `conv({p} ∪ {p + uᵢ})`?
+    fn strictly_positive(&self, v: &[Rational]) -> bool {
+        self.coords.iter().all(|w| dot(w, v).is_positive()) && self.normals.iter().all(|n| dot(n, v).is_zero())
+    }
 }
 
 /// Regions for an unbounded disjunct: bounded regions of `ψ ∩ icube(ψ)` plus
@@ -419,7 +517,7 @@ fn try_unbounded_regions(
             meter.tick(budget)?;
             let pts: Vec<QVector> = combo.iter().map(|&i| ups[i].0.clone()).collect();
             let rays: Vec<QVector> = combo.iter().map(|&i| ups[i].1.clone()).collect();
-            let cand = VPolyhedron::new(pts, rays);
+            let cand = hull(pts, rays);
             let kind = if size == 1 {
                 RegionKind::Ray
             } else {
@@ -550,7 +648,151 @@ mod tests {
     use lcdb_arith::{int, rat};
     use lcdb_logic::parse_formula;
     use lcdb_lp::feasible;
+    use proptest::collection::vec;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    thread_local! {
+        /// Test-side switch: build every candidate's hull and decide it by
+        /// segment tests, the construction the two facts replaced.
+        pub(super) static HULL_ORACLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The bounded regions as Appendix A states them: every outer pair and
+    /// every fan candidate decided by `open_segment_meets` (the latter on the
+    /// candidate's hull), a region kept unless its rows were kept already.
+    pub(super) fn hull_oracle_regions(
+        d: usize,
+        vertices: &[QVector],
+        interior: &[LinConstraint],
+        budget: &EvalBudget,
+        meter: &Meter,
+    ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
+        let mut out: Vec<(VPolyhedron, RegionKind)> = Vec::new();
+        if vertices.is_empty() {
+            return Ok(out);
+        }
+        let push_unique = |cand: VPolyhedron, kind: RegionKind, out: &mut Vec<(VPolyhedron, RegionKind)>| {
+            if !out.iter().any(|(r, _)| r.same_set(&cand)) {
+                out.push((cand, kind));
+            }
+        };
+        for size in 1..=d.min(vertices.len()) {
+            check_combination_count(vertices.len(), size, budget)?;
+            for combo in subsets_of_size(vertices.len(), size) {
+                meter.tick(budget)?;
+                let pts: Vec<QVector> = combo.iter().map(|&i| vertices[i].clone()).collect();
+                let ok = combo.iter().enumerate().all(|(ii, &i)| {
+                    combo[ii + 1..].iter().all(|&j| !open_segment_meets(&vertices[i], &vertices[j], interior))
+                });
+                if ok {
+                    push_unique(hull(pts, Vec::new()), RegionKind::Outer, &mut out);
+                    budget.check_faces(out.len())?;
+                }
+            }
+        }
+        let p_low = vertices[0].clone();
+        check_combination_count(vertices.len() + d.saturating_sub(1), d, budget)?;
+        for tuple in multisets_of_size(vertices.len(), d) {
+            meter.tick(budget)?;
+            let mut pts: Vec<QVector> = vec![p_low.clone()];
+            pts.extend(tuple.iter().map(|&i| vertices[i].clone()));
+            let cand = hull(pts, Vec::new());
+            let inside = interior_system(&cand);
+            let ok = vertices.iter().enumerate().all(|(j, q)| {
+                tuple.contains(&j) || *q == p_low || !open_segment_meets(&p_low, q, &inside)
+            });
+            if ok {
+                push_unique(cand, RegionKind::Inner, &mut out);
+                budget.check_faces(out.len())?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Every disjunct's regions (order, kind, point set) and the meter's
+    /// ticks must be the same decided by the facts and by the hull oracle.
+    fn assert_matches_hull_oracle(r: &Relation) {
+        let budget = EvalBudget::unlimited();
+        let run = |oracle: bool| {
+            HULL_ORACLE.with(|o| o.set(oracle));
+            let meter = budget.meter();
+            let regions: Vec<Vec<(VPolyhedron, RegionKind)>> = r
+                .dnf()
+                .disjuncts
+                .iter()
+                .map(|conj| try_decompose_conjunct_inner(r.arity(), conj, r.var_names(), &budget, &meter).unwrap())
+                .collect();
+            HULL_ORACLE.with(|o| o.set(false));
+            (regions, meter.count())
+        };
+        let oracle = run(true);
+        assert_eq!(run(false), oracle, "{r}");
+    }
+
+    /// `Σ cᵢ·vᵢ` in the parser's syntax, which takes a leading minus only.
+    fn lin(coeffs: &[i64], vars: &[&str]) -> String {
+        let terms = coeffs.iter().zip(vars);
+        terms.fold("0".to_string(), |acc, (c, v)| format!("{acc} {} {}*{v}", if *c < 0 { '-' } else { '+' }, c.abs()))
+    }
+
+    /// A centrally symmetric convex `k`-gon (`k` even) drawn the way
+    /// `geom_build` draws its polygons: `k/2` pairwise non-parallel edge
+    /// vectors of the upper half-plane and their negatives, sorted by angle
+    /// and walked from a random start.
+    fn symmetric_polygon(rng: &mut StdRng, k: usize) -> Relation {
+        let mut dirs: Vec<(i64, i64)> = Vec::new();
+        while dirs.len() < k / 2 {
+            let v = (rng.gen_range(-12..=12), rng.gen_range(0..=12));
+            let upper = v.1 > 0 || v.0 > 0;
+            if upper && dirs.iter().all(|u| u.0 * v.1 != u.1 * v.0) {
+                dirs.push(v);
+            }
+        }
+        dirs.sort_by(|u, v| (v.0 * u.1 - v.1 * u.0).cmp(&0));
+        let edges = dirs.clone().into_iter().chain(dirs.iter().map(|&(x, y)| (-x, -y)));
+        let mut p: (i64, i64) = (rng.gen_range(-20..=20), rng.gen_range(-20..=20));
+        let sides: Vec<String> = edges
+            .map(|(ex, ey)| {
+                // The interior lies to the left of the counter-clockwise edge.
+                let side = format!("{} >= {}", lin(&[-ey, ex], &["x", "y"]), -ey * p.0 + ex * p.1);
+                p = (p.0 + ex, p.1 + ey);
+                side
+            })
+            .collect();
+        relation(&sides.join(" and "), &["x", "y"])
+    }
+
+    /// A disjunct over the first `d` of `x, y, z`: a unit box (the cube in
+    /// `ℝ³`), a square pyramid (a simplex below `ℝ³`), a box flattened by an
+    /// equality, a box flattened by two opposite inequalities, an open box
+    /// cut by a strict diagonal, or an unbounded wedge — with extra atoms.
+    fn shape_src(d: usize, shape: usize, extra: &[(Vec<i64>, usize, i64)]) -> String {
+        let v = &["x", "y", "z"][..d];
+        let each = |f: &dyn Fn(&str) -> String| v.iter().map(|x| f(x)).collect::<Vec<_>>().join(" and ");
+        let boxed = |hi: i64| each(&|x| format!("0 <= {x} and {x} <= {hi}"));
+        let mut src = match shape {
+            0 => boxed(1),
+            1 if d == 3 => "z >= 0 and z <= x and z <= y and x + z <= 2 and y + z <= 2".to_string(),
+            1 => format!("{} and {} <= 2", each(&|x| format!("{x} >= 0")), v.join(" + ")),
+            2 if d == 1 => "x = 1".to_string(),
+            2 => format!("{} and {} = {}", boxed(2), v[0], v[d - 1]),
+            3 => format!("{} and {} <= 1 and {} >= 1", boxed(2), v[0], v[0]),
+            4 => format!("{} and {} < 3", each(&|x| format!("0 < {x} and {x} < 2")), v.join(" + ")),
+            _ => {
+                let mut wedge = vec!["x >= 1".to_string()];
+                wedge.extend(v[1..].iter().map(|y| format!("{y} <= x and {y} + x >= 0")));
+                wedge.join(" and ")
+            }
+        };
+        for (coeffs, rel, rhs) in extra {
+            src += &format!(" and {} {} {rhs}", lin(&coeffs[..d], v), ["<", "<=", "=", ">=", ">"][*rel]);
+        }
+        src
+    }
+
+    const CUBE: &str = "0 <= x and x <= 1 and 0 <= y and y <= 1 and 0 <= z and z <= 1";
 
     fn relation(src: &str, vars: &[&str]) -> Relation {
         Relation::new(
@@ -794,6 +1036,136 @@ mod tests {
                 open_segment_meets(&a, &b, &interior),
                 open_segment_meets_lp(2, &a, &b, &interior)
             );
+        }
+    }
+
+    #[test]
+    fn facts_match_the_hull_oracle_on_the_paper_shapes_and_symmetric_polygons() {
+        for (src, vars) in [
+            // E12's pentagon, E13's P', the half-plane (vert'), a point, a
+            // segment embedded by an equality, an interval.
+            ("x + 3*y >= 0 and x - y <= 4 and 3*x + y <= 16 and 3*y - x <= 8 and y <= 3*x", &["x", "y"][..]),
+            ("y <= x and y >= -x and x >= 1", &["x", "y"]),
+            ("x + y >= 3", &["x", "y"]),
+            ("x = 1 and y = 2", &["x", "y"]),
+            ("y = x and x >= 0 and x <= 2", &["x", "y"]),
+            ("(x >= 0 and x <= 1) or (x >= 5 and x <= 6)", &["x"]),
+            (CUBE, &["x", "y", "z"]),
+        ] {
+            assert_matches_hull_oracle(&relation(src, vars));
+        }
+        let mut rng = StdRng::seed_from_u64(29);
+        for k in (4..=16).step_by(2) {
+            assert_matches_hull_oracle(&symmetric_polygon(&mut rng, k));
+        }
+    }
+
+    /// Hulls built equal regions emitted on a polygon, where every fan tuple
+    /// has independent directions; the oracle builds one per candidate.
+    #[test]
+    fn a_k_gon_builds_one_hull_per_region() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for k in (4..=16).step_by(2) {
+            let r = symmetric_polygon(&mut rng, k as usize);
+            assert_eq!(hull_census(&r, false), (4 * k - 5, 4 * k - 5, 0), "{k}-gon");
+            assert_eq!(hull_census(&r, true), (4 * k - 5, 2 * k + k * (k + 1) / 2, 0), "{k}-gon, oracle");
+        }
+    }
+
+    /// Regions, hulls built and fan tuples decided on a hull by one
+    /// decomposition, with the facts or with the hull oracle.
+    fn hull_census(r: &Relation, oracle: bool) -> (u64, u64, u64) {
+        HULL_ORACLE.with(|o| o.set(oracle));
+        let before = counters();
+        let regions = decompose_relation(r).regions.len() as u64;
+        HULL_ORACLE.with(|o| o.set(false));
+        let after = counters();
+        (regions, after.hulls - before.hulls, after.hull_decided - before.hull_decided)
+    }
+
+    /// `p_low` and the three other vertices of a plane through it — one of
+    /// three faces or three diagonal rectangles — make the six dependent fan
+    /// tuples; every other tuple is decided by coordinates.
+    #[test]
+    fn the_unit_cube_decides_coplanar_tuples_on_their_hulls() {
+        let r = relation(CUBE, &["x", "y", "z"]);
+        assert_eq!(hull_census(&r, false), (104, 104, 6));
+        // The oracle: 64 accepted outer hulls and all C(10, 3) fan tuples.
+        assert_eq!(hull_census(&r, true), (104, 184, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// For two points of `closure(ψ)`, the open segment meets the
+        /// interior system iff no inequality row is tight at both.
+        #[test]
+        fn shared_tight_rows_decide_the_segment_test_in_the_closure(
+            d in 1usize..=3,
+            raw in vec((vec(-2i64..=2, 3), 0usize..5, -2i64..=2), 1..6),
+        ) {
+            let rels = [Rel::Lt, Rel::Le, Rel::Eq, Rel::Ge, Rel::Gt];
+            let interior: Vec<LinConstraint> = raw
+                .iter()
+                .map(|(c, rel, rhs)| LinConstraint::new(pt(&c[..d]), rels[*rel].interior(), int(*rhs)))
+                .collect();
+            let side: i64 = if d == 3 { 3 } else { 5 };
+            let grid: Vec<QVector> = (0..side.pow(d as u32))
+                .map(|n| (0..d as u32).map(|i| int(n / side.pow(i) % side - side / 2)).collect())
+                .filter(|p: &QVector| interior.iter().all(|c| c.closed().satisfied_by(p)))
+                .collect();
+            for a in &grid {
+                for b in &grid {
+                    let (ta, tb) = (tight_rows(a, &interior), tight_rows(b, &interior));
+                    let shared = ta.iter().zip(&tb).any(|(x, y)| x & y != 0);
+                    prop_assert_eq!(!shared, open_segment_meets(a, b, &interior), "({:?}, {:?})", a, b);
+                }
+            }
+        }
+
+        /// With independent directions from `p` to `T`, the open segment
+        /// `(p, q)` meets the open hull of `{p} ∪ T` iff `q − p` has positive
+        /// cone coordinates; dependence is exactly a rank drop.
+        #[test]
+        fn cone_coordinates_decide_the_segment_test_against_a_fan_hull(
+            d in 1usize..=3,
+            p in vec(-2i64..=2, 3),
+            tuple in vec(vec(-2i64..=2, 3), 1..=3),
+            qs in vec(vec(-4i64..=4, 3), 1..8),
+        ) {
+            let p = pt(&p[..d]);
+            let mut fan: Vec<QVector> = tuple.iter().take(d).map(|t| pt(&t[..d])).collect();
+            fan.sort();
+            fan.dedup();
+            fan.retain(|t| *t != p);
+            let dirs: Vec<QVector> = fan.iter().map(|t| vec_sub(t, &p)).collect();
+            let cone = ConeCoordinates::new(d, &dirs);
+            let rank = if dirs.is_empty() { 0 } else { Matrix::from_rows(dirs.clone()).rank() };
+            prop_assert_eq!(cone.is_some(), rank == dirs.len());
+            let Some(cone) = cone else { return Ok(()) };
+            let hull = VPolyhedron::open_hull(std::iter::once(p.clone()).chain(fan.clone()).collect());
+            let inside = interior_system(&hull);
+            let halves = qs.iter().map(|q| q[..d].iter().map(|&c| rat(c, 2)).collect::<QVector>());
+            for q in halves.chain(fan.iter().cloned()) {
+                prop_assert_eq!(
+                    cone.strictly_positive(&vec_sub(&q, &p)),
+                    open_segment_meets(&p, &q, &inside),
+                    "p {:?}, fan {:?}, q {:?}", p, fan, q
+                );
+            }
+        }
+
+        /// Random unions in ℝ¹–ℝ³ of solids with coplanar vertices, flat
+        /// disjuncts (an equality, or two opposite inequalities), strict
+        /// atoms and unbounded wedges, each cut by up to two random atoms.
+        #[test]
+        fn facts_match_the_hull_oracle_on_random_unions(
+            d in 1usize..=3,
+            disjuncts in vec((0usize..6, vec((vec(-2i64..=2, 3), 0usize..5, -3i64..=3), 0..=2)), 1..=2),
+        ) {
+            let src: Vec<String> =
+                disjuncts.iter().map(|(shape, extra)| format!("({})", shape_src(d, *shape, extra))).collect();
+            assert_matches_hull_oracle(&relation(&src.join(" or "), &["x", "y", "z"][..d]));
         }
     }
 
