@@ -4,10 +4,10 @@
 //! as the AST is walked, so the resulting plan has `Not` only around
 //! non-decomposable leaves (predicates, region tests, set applications,
 //! fixpoint/closure operators). Constant folding and common-subplan sharing
-//! happen for free in the arena's smart constructors; the region-quantifier
-//! hoisting pass then runs over the lowered DAG. The root's canonical hash
-//! is the query fingerprint persisted by `lcdb-recover` — computed from the
-//! plan structure, never from a pretty-printed rendering.
+//! happen for free in the arena's smart constructors, and each region
+//! quantifier is hoisted as it is built, so lowering is one pass. The root's
+//! canonical hash is the query fingerprint persisted by `lcdb-recover` —
+//! computed from the plan structure, never from a pretty-printed rendering.
 
 use crate::regfo::RegFormula;
 use lcdb_plan::hash::FastMap;
@@ -20,13 +20,12 @@ use std::sync::Arc;
 /// keys are this process's addresses, so the fast hasher qualifies.
 type Memo = FastMap<(*const RegFormula, bool), PlanId>;
 
-/// Compile a formula to an optimized plan: NNF lowering (with constant
-/// folding and hash-consed sharing) followed by region-quantifier hoisting.
+/// Compile a formula to an optimized plan in one pass: NNF lowering with
+/// constant folding, hash-consed sharing and region-quantifier hoisting.
 /// Returns the arena and the root id.
 pub fn compile(f: &RegFormula) -> (Plan, PlanId) {
     let mut plan = Plan::new();
     let root = lower_pol(&mut plan, &mut Memo::default(), f, true);
-    let root = passes::hoist_region_quantifiers(&mut plan, root);
     (plan, root)
 }
 
@@ -96,12 +95,8 @@ fn lower_pol(plan: &mut Plan, memo: &mut Memo, f: &RegFormula, positive: bool) -
         }
         RegFormula::ExistsRegion(v, inner) | RegFormula::ForallRegion(v, inner) => {
             let body = lower_child(plan, memo, inner, positive);
-            let node = if matches!(f, RegFormula::ExistsRegion(..)) == positive {
-                PlanNode::ExistsRegion(v.clone(), body)
-            } else {
-                PlanNode::ForallRegion(v.clone(), body)
-            };
-            plan.intern(node)
+            let exists = matches!(f, RegFormula::ExistsRegion(..)) == positive;
+            passes::hoist_one(plan, v, body, exists)
         }
         // Opaque leaves: lower positively, wrap when the context negates.
         other => {

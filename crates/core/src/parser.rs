@@ -223,12 +223,12 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<RegFormula, ParseError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Tok::Keyword("not")) => {
                 self.bump();
                 Ok(RegFormula::not(self.nested(Self::unary)?))
             }
-            Some(Tok::Keyword(q @ ("exists" | "forall"))) => {
+            Some(&Tok::Keyword(q @ ("exists" | "forall"))) => {
                 self.bump();
                 // Sorted binders: uppercase = region, lowercase = element.
                 let mut binders = Vec::new();
@@ -296,7 +296,8 @@ impl Parser {
                 }
             }
             Some(Tok::SetVar(m)) => {
-                self.bump();
+                let m = m.clone();
+                self.pos += 1;
                 self.expect(&Tok::LParen, "'(' after set variable")?;
                 let mut vars = vec![self.regvar()?];
                 while self.peek() == Some(&Tok::Comma) {
@@ -311,8 +312,8 @@ impl Parser {
                 // Uppercase relation symbol applied to element terms (the
                 // paper's `S(x̄)`): unambiguous because region variables are
                 // never applied.
-                self.bump();
-                self.bump();
+                let name = name.clone();
+                self.pos += 2;
                 let mut args = vec![self.expr()?];
                 while self.peek() == Some(&Tok::Comma) {
                     self.bump();
@@ -339,8 +340,8 @@ impl Parser {
                 }
             }
             Some(Tok::Ident(name)) if self.peek2() == Some(&Tok::LParen) => {
-                self.bump();
-                self.bump();
+                let name = name.clone();
+                self.pos += 2;
                 let mut args = vec![self.expr()?];
                 while self.peek() == Some(&Tok::Comma) {
                     self.bump();
@@ -530,12 +531,14 @@ impl Parser {
         let mut parts = Vec::new();
         let mut lhs = first;
         let mut any = false;
-        while let Some(Tok::Rel(rel)) = self.peek().cloned() {
-            self.bump();
+        while let Some(&Tok::Rel(rel)) = self.peek() {
+            self.pos += 1;
             any = true;
-            let rhs = self.expr()?;
-            parts.push(RegFormula::Lin(Atom::new(lhs.clone(), rel, rhs.clone())));
-            lhs = rhs;
+            // `lhs - rhs`, built in the left side's own map; the right side
+            // moves on to be the left side of the chain's next link.
+            let mut expr = std::mem::replace(&mut lhs, self.expr()?);
+            expr.add_scaled(&lhs, &-Rational::one());
+            parts.push(RegFormula::Lin(Atom { expr, rel }));
         }
         if !any {
             return Err(self.err("expected a comparison, 'in', or region operation"));

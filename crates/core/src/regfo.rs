@@ -375,7 +375,7 @@ mod tests {
     /// Free variables are facts of the compiled plan.
     fn free_region_vars(f: &RegFormula) -> Vec<String> {
         let (plan, root) = crate::lower::compile(f);
-        plan.facts(root).free_regions.clone()
+        plan.facts(root).free_regions.to_vec()
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //!   [`Plan::or_node`], [`Plan::not_node`], [`Plan::lin`] flatten, fold
 //!   constants and drop duplicate children (hash-consing makes duplicate
 //!   detection O(1));
-//! * common-subplan sharing — interning itself;
-//! * region-quantifier hoisting ([`passes::hoist_region_quantifiers`]) —
-//!   conjuncts independent of a region quantifier move out of its scope, so
-//!   fixpoint bodies expose stage-invariant subplans, whose tables the
-//!   executor builds once;
+//! * common-subplan sharing — interning itself: one SipHash lookup per
+//!   node, each node stored once, and free-variable sets shared with a
+//!   child whose set they equal;
+//! * region-quantifier hoisting ([`passes::hoist_one`]), applied as each
+//!   quantifier is built — conjuncts independent of a region quantifier
+//!   move out of its scope, so fixpoint bodies expose stage-invariant
+//!   subplans, whose tables the executor builds once;
 //! * dependency stratification ([`passes::stratify`]) — orders the
 //!   `lfp`/`ifp`/`pfp`/`tc` operators by nesting depth, innermost first: the
 //!   order in which a stage-wise executor must saturate them.
@@ -45,7 +47,9 @@ pub mod table;
 
 use lcdb_exec::hash::Fnv;
 use lcdb_logic::{Atom, LinExpr};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a node in a [`Plan`] arena. Equal ids imply structurally equal
 /// subplans (hash-consing), so `PlanId` equality is subplan equality.
@@ -165,15 +169,19 @@ pub enum PlanNode {
     },
 }
 
+/// A sorted, duplicate-free set of variable names. A node whose set equals
+/// one of its children's shares that child's allocation.
+pub type VarSet = Arc<[String]>;
+
 /// Static facts about a node, computed once at interning time.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeFacts {
     /// Free element variables, sorted.
-    pub free_elems: Vec<String>,
+    pub free_elems: VarSet,
     /// Free region variables, sorted.
-    pub free_regions: Vec<String>,
+    pub free_regions: VarSet,
     /// Free set variables, sorted.
-    pub free_sets: Vec<String>,
+    pub free_sets: VarSet,
     /// Tree size of the subplan (shared nodes counted per occurrence,
     /// saturating) — the denominator of the sharing ratio.
     pub size: u64,
@@ -193,12 +201,33 @@ impl NodeFacts {
 
 /// A hash-consed plan arena. Append-only: interning an already-present node
 /// returns its existing id, so `PlanId` equality is structural equality.
-#[derive(Clone, Debug, Default)]
+/// Each node is stored once, shared by `nodes` and the interner.
+#[derive(Clone, Debug)]
 pub struct Plan {
-    nodes: Vec<PlanNode>,
+    nodes: Vec<Arc<PlanNode>>,
     hashes: Vec<u64>,
     facts: Vec<NodeFacts>,
-    interner: HashMap<PlanNode, PlanId>,
+    interner: HashMap<Arc<PlanNode>, PlanId>,
+    /// `marks[id] == epoch` iff the running `and_node`/`or_node` call kept
+    /// `id` already: duplicate detection without a set per call.
+    marks: Vec<u32>,
+    epoch: u32,
+    /// The one empty [`VarSet`], shared by every node without free variables.
+    empty: VarSet,
+}
+
+impl Default for Plan {
+    fn default() -> Self {
+        Plan {
+            nodes: Vec::new(),
+            hashes: Vec::new(),
+            facts: Vec::new(),
+            interner: HashMap::new(),
+            marks: Vec::new(),
+            epoch: 0,
+            empty: Arc::from(Vec::new()),
+        }
+    }
 }
 
 impl Plan {
@@ -235,18 +264,22 @@ impl Plan {
     }
 
     /// Intern a node, returning the id of the unique structurally equal
-    /// instance. Child ids must already belong to this arena.
+    /// instance. Child ids must already belong to this arena. One lookup
+    /// (SipHash, once) decides; a new node is stored once, not cloned.
     pub fn intern(&mut self, node: PlanNode) -> PlanId {
-        if let Some(&id) = self.interner.get(&node) {
-            return id;
-        }
-        let hash = self.canonical_hash(&node);
-        let facts = self.node_facts(&node);
         let id = self.nodes.len() as PlanId;
-        self.interner.insert(node.clone(), id);
+        let node = match self.interner.entry(Arc::new(node)) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => {
+                let node = Arc::clone(e.key());
+                e.insert(id);
+                node
+            }
+        };
+        self.hashes.push(self.canonical_hash(&node));
+        self.facts.push(self.node_facts(&node));
         self.nodes.push(node);
-        self.hashes.push(hash);
-        self.facts.push(facts);
+        self.marks.push(0);
         id
     }
 
@@ -274,57 +307,46 @@ impl Plan {
     /// (`true` disappears, `false` short-circuits), and drops duplicate
     /// children (sound for conjunction; duplicates are exact by interning).
     pub fn and_node(&mut self, parts: Vec<PlanId>) -> PlanId {
-        let mut out: Vec<PlanId> = Vec::with_capacity(parts.len());
-        let mut seen: BTreeSet<PlanId> = BTreeSet::new();
-        let mut stack: Vec<PlanId> = parts.into_iter().rev().collect();
-        while let Some(p) = stack.pop() {
-            match self.node(p) {
-                PlanNode::True => {}
-                PlanNode::False => return self.falsity(),
-                PlanNode::And(inner) => {
-                    for &c in inner.iter().rev() {
-                        stack.push(c);
-                    }
-                }
-                _ => {
-                    if seen.insert(p) {
-                        out.push(p);
-                    }
-                }
-            }
-        }
-        match out.len() {
-            0 => self.truth(),
-            1 => out[0],
-            _ => self.intern(PlanNode::And(out)),
-        }
+        self.connective(parts, true)
     }
 
     /// Smart disjunction, dual to [`Plan::and_node`].
     pub fn or_node(&mut self, parts: Vec<PlanId>) -> PlanId {
-        let mut out: Vec<PlanId> = Vec::with_capacity(parts.len());
-        let mut seen: BTreeSet<PlanId> = BTreeSet::new();
-        let mut stack: Vec<PlanId> = parts.into_iter().rev().collect();
+        self.connective(parts, false)
+    }
+
+    /// [`Plan::and_node`] (`conj`) or [`Plan::or_node`]: children in
+    /// first-occurrence order, in time linear in their number.
+    fn connective(&mut self, mut stack: Vec<PlanId>, conj: bool) -> PlanId {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        let mut out: Vec<PlanId> = Vec::with_capacity(stack.len());
+        stack.reverse();
         while let Some(p) = stack.pop() {
-            match self.node(p) {
-                PlanNode::False => {}
-                PlanNode::True => return self.truth(),
-                PlanNode::Or(inner) => {
-                    for &c in inner.iter().rev() {
-                        stack.push(c);
-                    }
+            match (self.node(p), conj) {
+                (PlanNode::True, true) | (PlanNode::False, false) => {}
+                (PlanNode::True, false) => return self.truth(),
+                (PlanNode::False, true) => return self.falsity(),
+                (PlanNode::And(inner), true) | (PlanNode::Or(inner), false) => {
+                    stack.extend(inner.iter().rev());
                 }
                 _ => {
-                    if seen.insert(p) {
+                    if self.marks[p as usize] != self.epoch {
+                        self.marks[p as usize] = self.epoch;
                         out.push(p);
                     }
                 }
             }
         }
-        match out.len() {
-            0 => self.falsity(),
-            1 => out[0],
-            _ => self.intern(PlanNode::Or(out)),
+        match (out.len(), conj) {
+            (0, true) => self.truth(),
+            (0, false) => self.falsity(),
+            (1, _) => out[0],
+            (_, true) => self.intern(PlanNode::And(out)),
+            (_, false) => self.intern(PlanNode::Or(out)),
         }
     }
 
@@ -532,85 +554,51 @@ impl Plan {
     }
 
     fn node_facts(&self, node: &PlanNode) -> NodeFacts {
-        let mut elems: BTreeSet<String> = BTreeSet::new();
-        let mut regions: BTreeSet<String> = BTreeSet::new();
-        let mut sets: BTreeSet<String> = BTreeSet::new();
-        let mut size: u64 = 1;
-        let add_child = |f: &NodeFacts,
-                             elems: &mut BTreeSet<String>,
-                             regions: &mut BTreeSet<String>,
-                             sets: &mut BTreeSet<String>,
-                             size: &mut u64| {
-            elems.extend(f.free_elems.iter().cloned());
-            regions.extend(f.free_regions.iter().cloned());
-            sets.extend(f.free_sets.iter().cloned());
-            *size = size.saturating_add(f.size);
+        let none = || Arc::clone(&self.empty);
+        let names = |vs: &[&String]| set_of(vs.iter().map(|&v| v.clone()));
+        let exprs = |args: &[LinExpr]| set_of(args.iter().flat_map(LinExpr::vars));
+        let leaf = |free_elems, free_regions, free_sets| NodeFacts {
+            free_elems,
+            free_regions,
+            free_sets,
+            size: 1,
+        };
+        // A node over one child: the child's facts, one node larger.
+        let over = |p: PlanId| {
+            let f = self.facts(p);
+            NodeFacts {
+                size: f.size.saturating_add(1),
+                ..f.clone()
+            }
         };
         match node {
-            PlanNode::True | PlanNode::False => {}
-            PlanNode::Lin(a) => elems.extend(a.expr.vars()),
-            PlanNode::Pred(_, args) => {
-                for a in args {
-                    elems.extend(a.vars());
-                }
+            PlanNode::True | PlanNode::False => leaf(none(), none(), none()),
+            PlanNode::Lin(a) => leaf(set_of(a.expr.vars()), none(), none()),
+            PlanNode::Pred(_, args) => leaf(exprs(args), none(), none()),
+            PlanNode::In(args, r) => leaf(exprs(args), names(&[r]), none()),
+            PlanNode::Adj(a, b) | PlanNode::RegionEq(a, b) => leaf(none(), names(&[a, b]), none()),
+            PlanNode::SubsetOf(r, _) | PlanNode::DimEq(r, _) | PlanNode::Bounded(r) => {
+                leaf(none(), names(&[r]), none())
             }
-            PlanNode::In(args, r) => {
-                for a in args {
-                    elems.extend(a.vars());
-                }
-                regions.insert(r.clone());
-            }
-            PlanNode::Adj(a, b) | PlanNode::RegionEq(a, b) => {
-                regions.insert(a.clone());
-                regions.insert(b.clone());
-            }
-            PlanNode::SubsetOf(r, _) | PlanNode::Bounded(r) => {
-                regions.insert(r.clone());
-            }
-            PlanNode::DimEq(r, _) => {
-                regions.insert(r.clone());
-            }
-            PlanNode::And(parts) | PlanNode::Or(parts) => {
-                for &p in parts {
-                    add_child(
-                        self.facts(p),
-                        &mut elems,
-                        &mut regions,
-                        &mut sets,
-                        &mut size,
-                    );
-                }
-            }
-            PlanNode::Not(p) => add_child(
-                self.facts(*p),
-                &mut elems,
-                &mut regions,
-                &mut sets,
-                &mut size,
-            ),
+            PlanNode::SetApp(m, vars) => leaf(none(), set_of(vars.iter().cloned()), names(&[m])),
+            PlanNode::And(parts) | PlanNode::Or(parts) => NodeFacts {
+                free_elems: self.union(parts, |f| &f.free_elems),
+                free_regions: self.union(parts, |f| &f.free_regions),
+                free_sets: self.union(parts, |f| &f.free_sets),
+                size: parts
+                    .iter()
+                    .fold(1, |s: u64, &p| s.saturating_add(self.facts(p).size)),
+            },
+            PlanNode::Not(p) => over(*p),
             PlanNode::ExistsElem(v, p) | PlanNode::ForallElem(v, p) => {
-                add_child(
-                    self.facts(*p),
-                    &mut elems,
-                    &mut regions,
-                    &mut sets,
-                    &mut size,
-                );
-                elems.remove(v);
+                let mut f = over(*p);
+                f.free_elems = rebind(&f.free_elems, [v], []);
+                f
             }
             PlanNode::ExistsRegion(v, p) | PlanNode::ForallRegion(v, p) => {
-                add_child(
-                    self.facts(*p),
-                    &mut elems,
-                    &mut regions,
-                    &mut sets,
-                    &mut size,
-                );
-                regions.remove(v);
-            }
-            PlanNode::SetApp(m, vars) => {
-                sets.insert(m.clone());
-                regions.extend(vars.iter().cloned());
+                let mut f = over(*p);
+                f.free_regions = rebind(&f.free_regions, [v], []);
+                f
             }
             PlanNode::Fix {
                 set_var,
@@ -619,30 +607,16 @@ impl Plan {
                 args,
                 ..
             } => {
-                add_child(
-                    self.facts(*body),
-                    &mut elems,
-                    &mut regions,
-                    &mut sets,
-                    &mut size,
-                );
-                for v in vars {
-                    regions.remove(v);
-                }
-                regions.extend(args.iter().cloned());
-                sets.remove(set_var);
+                let mut f = over(*body);
+                f.free_regions = rebind(&f.free_regions, vars, args);
+                f.free_sets = rebind(&f.free_sets, [set_var], []);
+                f
             }
             PlanNode::Rbit { var, body, rn, rd } => {
-                add_child(
-                    self.facts(*body),
-                    &mut elems,
-                    &mut regions,
-                    &mut sets,
-                    &mut size,
-                );
-                elems.remove(var);
-                regions.insert(rn.clone());
-                regions.insert(rd.clone());
+                let mut f = over(*body);
+                f.free_elems = rebind(&f.free_elems, [var], []);
+                f.free_regions = rebind(&f.free_regions, [], [rn, rd]);
+                f
             }
             PlanNode::Tc {
                 left,
@@ -652,26 +626,25 @@ impl Plan {
                 arg_right,
                 ..
             } => {
-                add_child(
-                    self.facts(*body),
-                    &mut elems,
-                    &mut regions,
-                    &mut sets,
-                    &mut size,
-                );
-                for v in left.iter().chain(right) {
-                    regions.remove(v);
-                }
-                regions.extend(arg_left.iter().cloned());
-                regions.extend(arg_right.iter().cloned());
+                let mut f = over(*body);
+                let (bound, args) = (left.iter().chain(right), arg_left.iter().chain(arg_right));
+                f.free_regions = rebind(&f.free_regions, bound, args);
+                f
             }
         }
-        NodeFacts {
-            free_elems: elems.into_iter().collect(),
-            free_regions: regions.into_iter().collect(),
-            free_sets: sets.into_iter().collect(),
-            size,
+    }
+
+    /// The union of one free-variable set over `parts`: the largest of them
+    /// when it holds all the others, else a new sorted set.
+    fn union(&self, parts: &[PlanId], set: impl Fn(&NodeFacts) -> &VarSet) -> VarSet {
+        let sets = || parts.iter().map(|&p| set(self.facts(p)));
+        let Some(big) = sets().max_by_key(|s| s.len()) else {
+            return Arc::clone(&self.empty);
+        };
+        if sets().all(|s| s.iter().all(|v| big.binary_search(v).is_ok())) {
+            return Arc::clone(big);
         }
+        set_of(sets().flat_map(|s| s.iter().cloned()))
     }
 
     /// Syntactic positivity of a set variable in the subplan at `id`: every
@@ -748,6 +721,29 @@ fn rel_tag(rel: lcdb_logic::Rel) -> u8 {
         Rel::Ge => 3,
         Rel::Gt => 4,
     }
+}
+
+/// The sorted, duplicate-free set of `vars`.
+fn set_of(vars: impl IntoIterator<Item = String>) -> VarSet {
+    let mut vars: Vec<String> = vars.into_iter().collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars.into()
+}
+
+/// `base` without `remove`, then with `add`: `base` itself when that
+/// changes nothing.
+fn rebind<'a>(
+    base: &VarSet,
+    remove: impl IntoIterator<Item = &'a String> + Clone,
+    add: impl IntoIterator<Item = &'a String> + Clone,
+) -> VarSet {
+    let has = |v: &String| base.binary_search(v).is_ok();
+    if !remove.clone().into_iter().any(has) && add.clone().into_iter().all(has) {
+        return Arc::clone(base);
+    }
+    let kept = base.iter().filter(|&v| !remove.clone().into_iter().any(|r| r == v));
+    set_of(kept.cloned().chain(add.into_iter().cloned()))
 }
 
 /// The direct children of a node, in deterministic order.
@@ -846,6 +842,42 @@ mod tests {
     }
 
     #[test]
+    fn wide_connectives_dedup_in_first_occurrence_order() {
+        let mut p = Plan::new();
+        let atoms: Vec<PlanId> = (0..20_000).map(|c| p.lin(atom(c))).collect();
+        let twice: Vec<PlanId> = atoms.iter().flat_map(|&a| [a, a]).collect();
+        let and = p.and_node(twice.clone());
+        assert!(matches!(p.node(and), PlanNode::And(parts) if *parts == atoms));
+        let mut reversed = twice;
+        reversed.reverse();
+        let or = p.or_node(reversed);
+        assert!(matches!(p.node(or), PlanNode::Or(parts) if parts.iter().rev().eq(&atoms)));
+        // The connective's `{x}` is one of its atoms' sets, not a copy.
+        let elems = &p.facts(and).free_elems;
+        assert!(atoms.iter().any(|&a| Arc::ptr_eq(elems, &p.facts(a).free_elems)));
+        assert_eq!(p.facts(or).size, 20_001);
+    }
+
+    #[test]
+    fn facts_share_a_child_set() {
+        let mut p = Plan::new();
+        let adj = p.intern(PlanNode::Adj("R".into(), "S".into()));
+        let bounded = p.intern(PlanNode::Bounded("S".into()));
+        let both = p.and_node(vec![bounded, adj]);
+        assert!(Arc::ptr_eq(&p.facts(both).free_regions, &p.facts(adj).free_regions));
+        // Binding a variable that is not free changes nothing.
+        let q = p.intern(PlanNode::ExistsRegion("T".into(), both));
+        assert!(Arc::ptr_eq(&p.facts(q).free_regions, &p.facts(adj).free_regions));
+        let q = p.intern(PlanNode::ExistsRegion("R".into(), both));
+        assert_eq!(*p.facts(q).free_regions, ["S".to_string()]);
+        // A union neither side holds is a merge.
+        let other = p.intern(PlanNode::Adj("T".into(), "U".into()));
+        let all = p.or_node(vec![adj, other]);
+        assert_eq!(p.facts(all).free_regions.join(","), "R,S,T,U");
+        assert!(Arc::ptr_eq(&p.facts(all).free_sets, &p.facts(adj).free_elems));
+    }
+
+    #[test]
     fn facts_track_free_variables() {
         let mut p = Plan::new();
         let sa = p.intern(PlanNode::SetApp("M".into(), vec!["X".into()]));
@@ -860,7 +892,7 @@ mod tests {
         });
         let f = p.facts(fix);
         assert!(f.set_free());
-        assert_eq!(f.free_regions, vec!["A".to_string(), "Y".to_string()]);
+        assert_eq!(*f.free_regions, ["A".to_string(), "Y".to_string()]);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Rewrite passes over the plan DAG.
+//! Rewrites on the plan DAG.
 //!
-//! Passes are pure rebuilds: they walk the DAG bottom-up through the arena's
-//! smart constructors (so folding and hash-consing re-apply) and return the
-//! new root. Old nodes stay in the arena — ids are cheap and append-only
-//! interning keeps rebuilds simple.
+//! Region-quantifier hoisting ([`hoist_one`]) is a rewrite applied as each
+//! quantifier is built, so lowering never rebuilds the DAG; a rebuild pass
+//! applying it to a finished plan is the tests' oracle for that.
+//! Stratification ([`stratify`]) reads a finished plan.
 
 use crate::{children, FixMode, Plan, PlanId, PlanNode};
 use std::collections::HashMap;
 
-/// Hoist region-quantifier-independent conjuncts (dually: disjuncts) out of
-/// the quantifier's scope:
+/// Build `∃v body` (`exists`) or `∀v body` over the region variable `v`,
+/// hoisting the conjuncts (dually: disjuncts) independent of `v` out of the
+/// quantifier's scope:
 ///
 /// * `∃R (φ ∧ ψ(R))  ⇒  φ ∧ ∃R ψ(R)` when `R` is not free in `φ`,
 /// * `∀R (φ ∨ ψ(R))  ⇒  φ ∨ ∀R ψ(R)` when `R` is not free in `φ`.
@@ -19,129 +20,34 @@ use std::collections::HashMap;
 /// region domain (the residual quantifier still decides emptiness). Inside
 /// fixpoint bodies this exposes stage-invariant subplans that the
 /// executor's memo tables then evaluate once instead of once per stage.
-pub fn hoist_region_quantifiers(plan: &mut Plan, root: PlanId) -> PlanId {
-    let mut memo: HashMap<PlanId, PlanId> = HashMap::new();
-    rebuild(plan, root, &mut memo)
-}
-
-fn rebuild(plan: &mut Plan, id: PlanId, memo: &mut HashMap<PlanId, PlanId>) -> PlanId {
-    if let Some(&out) = memo.get(&id) {
-        return out;
-    }
-    let node = plan.node(id).clone();
-    let out = match node {
-        PlanNode::And(parts) => {
-            let parts = parts.iter().map(|&p| rebuild(plan, p, memo)).collect();
-            plan.and_node(parts)
-        }
-        PlanNode::Or(parts) => {
-            let parts = parts.iter().map(|&p| rebuild(plan, p, memo)).collect();
-            plan.or_node(parts)
-        }
-        PlanNode::Not(p) => {
-            let p = rebuild(plan, p, memo);
-            plan.not_node(p)
-        }
-        PlanNode::ExistsElem(v, p) => {
-            let p = rebuild(plan, p, memo);
-            plan.intern(PlanNode::ExistsElem(v, p))
-        }
-        PlanNode::ForallElem(v, p) => {
-            let p = rebuild(plan, p, memo);
-            plan.intern(PlanNode::ForallElem(v, p))
-        }
-        PlanNode::ExistsRegion(v, p) => {
-            let p = rebuild(plan, p, memo);
-            hoist_one(plan, &v, p, true)
-        }
-        PlanNode::ForallRegion(v, p) => {
-            let p = rebuild(plan, p, memo);
-            hoist_one(plan, &v, p, false)
-        }
-        PlanNode::Fix {
-            mode,
-            set_var,
-            vars,
-            body,
-            args,
-        } => {
-            let body = rebuild(plan, body, memo);
-            plan.intern(PlanNode::Fix {
-                mode,
-                set_var,
-                vars,
-                body,
-                args,
-            })
-        }
-        PlanNode::Rbit { var, body, rn, rd } => {
-            let body = rebuild(plan, body, memo);
-            plan.intern(PlanNode::Rbit { var, body, rn, rd })
-        }
-        PlanNode::Tc {
-            deterministic,
-            left,
-            right,
-            body,
-            arg_left,
-            arg_right,
-        } => {
-            let body = rebuild(plan, body, memo);
-            plan.intern(PlanNode::Tc {
-                deterministic,
-                left,
-                right,
-                body,
-                arg_left,
-                arg_right,
-            })
-        }
-        leaf => plan.intern(leaf),
-    };
-    memo.insert(id, out);
-    out
-}
-
-/// Apply the hoist at a single (already rebuilt) quantifier scope.
-fn hoist_one(plan: &mut Plan, v: &str, body: PlanId, exists: bool) -> PlanId {
-    let parts: Option<Vec<PlanId>> = match (exists, plan.node(body)) {
-        (true, PlanNode::And(parts)) | (false, PlanNode::Or(parts)) => Some(parts.clone()),
-        _ => None,
-    };
-    let Some(parts) = parts else {
-        let node = if exists {
+///
+/// Lowering calls this where it builds each region quantifier: the body is
+/// final there, so no second pass over the plan is needed.
+pub fn hoist_one(plan: &mut Plan, v: &str, body: PlanId, exists: bool) -> PlanId {
+    let quantify = |plan: &mut Plan, body| {
+        plan.intern(if exists {
             PlanNode::ExistsRegion(v.to_string(), body)
         } else {
             PlanNode::ForallRegion(v.to_string(), body)
-        };
-        return plan.intern(node);
+        })
     };
-    let (dependent, independent): (Vec<PlanId>, Vec<PlanId>) = parts
-        .into_iter()
-        .partition(|&p| plan.facts(p).free_regions.iter().any(|r| r == v));
+    let (dependent, independent): (Vec<PlanId>, Vec<PlanId>) = match (exists, plan.node(body)) {
+        (true, PlanNode::And(parts)) | (false, PlanNode::Or(parts)) => parts
+            .iter()
+            .partition(|&&p| plan.facts(p).free_regions.iter().any(|r| r == v)),
+        _ => return quantify(plan, body),
+    };
     if dependent.is_empty() || independent.is_empty() {
-        let node = if exists {
-            PlanNode::ExistsRegion(v.to_string(), body)
-        } else {
-            PlanNode::ForallRegion(v.to_string(), body)
-        };
-        return plan.intern(node);
+        return quantify(plan, body);
     }
-    let inner = if exists {
-        plan.and_node(dependent)
-    } else {
-        plan.or_node(dependent)
-    };
-    let quantified = if exists {
-        plan.intern(PlanNode::ExistsRegion(v.to_string(), inner))
-    } else {
-        plan.intern(PlanNode::ForallRegion(v.to_string(), inner))
-    };
     let mut out = independent;
-    out.push(quantified);
     if exists {
+        let inner = plan.and_node(dependent);
+        out.push(quantify(plan, inner));
         plan.and_node(out)
     } else {
+        let inner = plan.or_node(dependent);
+        out.push(quantify(plan, inner));
         plan.or_node(out)
     }
 }
@@ -227,11 +133,304 @@ fn collect(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::explain;
     use lcdb_arith::int;
     use lcdb_logic::{Atom, LinExpr, Rel};
+    use proptest::prelude::*;
 
     fn atom(c: i64) -> Atom {
         Atom::new(LinExpr::var("x"), Rel::Lt, LinExpr::constant(int(c)))
+    }
+
+    /// The two-pass oracle: rebuild a finished plan bottom-up through the
+    /// smart constructors, applying [`hoist_one`] at every region
+    /// quantifier. Lowering hoists as it builds instead; the proptest below
+    /// holds the two to the same plan.
+    fn hoist_region_quantifiers(plan: &mut Plan, root: PlanId) -> PlanId {
+        let mut memo: HashMap<PlanId, PlanId> = HashMap::new();
+        rebuild(plan, root, &mut memo)
+    }
+
+    fn rebuild(plan: &mut Plan, id: PlanId, memo: &mut HashMap<PlanId, PlanId>) -> PlanId {
+        if let Some(&out) = memo.get(&id) {
+            return out;
+        }
+        let node = plan.node(id).clone();
+        let out = match node {
+            PlanNode::And(parts) => {
+                let parts = parts.iter().map(|&p| rebuild(plan, p, memo)).collect();
+                plan.and_node(parts)
+            }
+            PlanNode::Or(parts) => {
+                let parts = parts.iter().map(|&p| rebuild(plan, p, memo)).collect();
+                plan.or_node(parts)
+            }
+            PlanNode::Not(p) => {
+                let p = rebuild(plan, p, memo);
+                plan.not_node(p)
+            }
+            PlanNode::ExistsElem(v, p) => {
+                let p = rebuild(plan, p, memo);
+                plan.intern(PlanNode::ExistsElem(v, p))
+            }
+            PlanNode::ForallElem(v, p) => {
+                let p = rebuild(plan, p, memo);
+                plan.intern(PlanNode::ForallElem(v, p))
+            }
+            PlanNode::ExistsRegion(v, p) => {
+                let p = rebuild(plan, p, memo);
+                hoist_one(plan, &v, p, true)
+            }
+            PlanNode::ForallRegion(v, p) => {
+                let p = rebuild(plan, p, memo);
+                hoist_one(plan, &v, p, false)
+            }
+            PlanNode::Fix {
+                mode,
+                set_var,
+                vars,
+                body,
+                args,
+            } => {
+                let body = rebuild(plan, body, memo);
+                plan.intern(PlanNode::Fix {
+                    mode,
+                    set_var,
+                    vars,
+                    body,
+                    args,
+                })
+            }
+            PlanNode::Rbit { var, body, rn, rd } => {
+                let body = rebuild(plan, body, memo);
+                plan.intern(PlanNode::Rbit { var, body, rn, rd })
+            }
+            PlanNode::Tc {
+                deterministic,
+                left,
+                right,
+                body,
+                arg_left,
+                arg_right,
+            } => {
+                let body = rebuild(plan, body, memo);
+                plan.intern(PlanNode::Tc {
+                    deterministic,
+                    left,
+                    right,
+                    body,
+                    arg_left,
+                    arg_right,
+                })
+            }
+            leaf => plan.intern(leaf),
+        };
+        memo.insert(id, out);
+        out
+    }
+
+    /// A plan shape over a small alphabet, so equal subplans recur and the
+    /// arena shares them.
+    #[derive(Clone, Debug)]
+    enum Shape {
+        Leaf(u8),
+        And(Vec<Shape>),
+        Or(Vec<Shape>),
+        Not(Box<Shape>),
+        /// `∃` (true) or `∀` over region variable `R`, `S` or `T`.
+        Region(bool, u8, Box<Shape>),
+        /// `∃x` (true) or `∀x`.
+        Elem(bool, Box<Shape>),
+    }
+
+    /// A rooted plan: a shape, optionally glued to one fixpoint (negated or
+    /// not) whose body is a shape of its own. One fixpoint, so the stage
+    /// listing has no tie for the id order to break.
+    #[derive(Clone, Debug)]
+    struct Rooted {
+        rest: Shape,
+        fix: Option<(Shape, bool)>,
+        glue: u8,
+    }
+
+    const REGIONS: [&str; 3] = ["R", "S", "T"];
+
+    fn arb_shape() -> impl Strategy<Value = Shape> {
+        (0u8..14).prop_map(Shape::Leaf).prop_recursive(4, 32, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Shape::And),
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Shape::Or),
+                inner.clone().prop_map(|s| Shape::Not(Box::new(s))),
+                (any::<bool>(), 0u8..3, inner.clone())
+                    .prop_map(|(e, v, s)| Shape::Region(e, v, Box::new(s))),
+                (any::<bool>(), inner.clone()).prop_map(|(e, s)| Shape::Elem(e, Box::new(s))),
+                // A region quantifier straight over a mixed connective.
+                (any::<bool>(), 0u8..3, proptest::collection::vec(inner, 2..4)).prop_map(
+                    |(e, v, parts)| {
+                        let body = if e { Shape::And(parts) } else { Shape::Or(parts) };
+                        Shape::Region(e, v, Box::new(body))
+                    }
+                ),
+            ]
+        })
+    }
+
+    fn arb_rooted() -> impl Strategy<Value = Rooted> {
+        // Glue 4: no fixpoint.
+        (arb_shape(), arb_shape(), any::<bool>(), 0u8..5).prop_map(|(rest, body, negated, glue)| {
+            Rooted {
+                rest,
+                fix: (glue < 4).then_some((body, negated)),
+                glue,
+            }
+        })
+    }
+
+    fn leaf(plan: &mut Plan, i: u8) -> PlanId {
+        let r = |v: &str| v.to_string();
+        plan.intern(match i {
+            0 => PlanNode::Adj(r("R"), r("S")),
+            1 => PlanNode::Adj(r("S"), r("T")),
+            2 => PlanNode::Bounded(r("R")),
+            3 => PlanNode::Bounded(r("T")),
+            4 => PlanNode::DimEq(r("S"), 0),
+            5 => PlanNode::RegionEq(r("R"), r("T")),
+            6 => PlanNode::SetApp(r("M"), vec![r("R")]),
+            7 => PlanNode::SetApp(r("M"), vec![r("S")]),
+            8 => PlanNode::Lin(atom(1)),
+            9 => PlanNode::Lin(atom(2)),
+            10 => PlanNode::In(vec![LinExpr::var("x")], r("T")),
+            11 => PlanNode::SubsetOf(r("R"), r("P")),
+            12 => PlanNode::True,
+            _ => PlanNode::False,
+        })
+    }
+
+    /// A region quantifier: hoisted as it is built (`one_pass`), or left in
+    /// place for the rebuild pass.
+    fn region(plan: &mut Plan, exists: bool, v: &str, body: PlanId, one_pass: bool) -> PlanId {
+        match (one_pass, exists) {
+            (true, _) => hoist_one(plan, v, body, exists),
+            (false, true) => plan.intern(PlanNode::ExistsRegion(v.to_string(), body)),
+            (false, false) => plan.intern(PlanNode::ForallRegion(v.to_string(), body)),
+        }
+    }
+
+    fn build(plan: &mut Plan, s: &Shape, one_pass: bool) -> PlanId {
+        match s {
+            Shape::Leaf(i) => leaf(plan, *i),
+            Shape::And(xs) | Shape::Or(xs) => {
+                let parts = xs.iter().map(|x| build(plan, x, one_pass)).collect();
+                if matches!(s, Shape::And(_)) {
+                    plan.and_node(parts)
+                } else {
+                    plan.or_node(parts)
+                }
+            }
+            Shape::Not(x) => {
+                let x = build(plan, x, one_pass);
+                plan.not_node(x)
+            }
+            Shape::Region(exists, v, x) => {
+                let x = build(plan, x, one_pass);
+                region(plan, *exists, REGIONS[*v as usize], x, one_pass)
+            }
+            Shape::Elem(exists, x) => {
+                let x = build(plan, x, one_pass);
+                plan.intern(if *exists {
+                    PlanNode::ExistsElem("x".into(), x)
+                } else {
+                    PlanNode::ForallElem("x".into(), x)
+                })
+            }
+        }
+    }
+
+    fn build_rooted(plan: &mut Plan, t: &Rooted, one_pass: bool) -> PlanId {
+        let rest = build(plan, &t.rest, one_pass);
+        let Some((body, negated)) = &t.fix else {
+            return rest;
+        };
+        let body = build(plan, body, one_pass);
+        let fix = plan.intern(PlanNode::Fix {
+            mode: FixMode::Lfp,
+            set_var: "M".into(),
+            vars: vec!["R".into()],
+            body,
+            args: vec!["T".into()],
+        });
+        let fix = if *negated { plan.not_node(fix) } else { fix };
+        match t.glue {
+            0 => plan.and_node(vec![rest, fix]),
+            1 => plan.or_node(vec![rest, fix]),
+            2 => {
+                let both = plan.and_node(vec![rest, fix]);
+                region(plan, true, "S", both, one_pass)
+            }
+            _ => {
+                let either = plan.or_node(vec![rest, fix]);
+                region(plan, false, "R", either, one_pass)
+            }
+        }
+    }
+
+    /// `text` with every node id `#123` replaced by `#N`.
+    fn without_ids(text: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut chars = text.chars().peekable();
+        while let Some(c) = chars.next() {
+            out.push(c);
+            if c == '#' && chars.peek().is_some_and(char::is_ascii_digit) {
+                while chars.next_if(char::is_ascii_digit).is_some() {}
+                out.push('N');
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hoisting as each quantifier is built gives the plan the rebuild
+        /// pass gives: the same root hash, root facts and rendering up to
+        /// node ids.
+        #[test]
+        fn hoisting_at_construction_equals_the_rebuild_pass(t in arb_rooted()) {
+            let mut one = Plan::new();
+            let r1 = build_rooted(&mut one, &t, true);
+            let mut two = Plan::new();
+            let built = build_rooted(&mut two, &t, false);
+            let r2 = hoist_region_quantifiers(&mut two, built);
+            prop_assert_eq!(one.hash(r1), two.hash(r2));
+            prop_assert_eq!(one.facts(r1), two.facts(r2));
+            prop_assert_eq!(
+                without_ids(&explain::render(&one, r1)),
+                without_ids(&explain::render(&two, r2))
+            );
+            // A one-pass plan is a fixed point of the rebuild pass.
+            let again = hoist_region_quantifiers(&mut one, r1);
+            prop_assert_eq!(again, r1);
+        }
+    }
+
+    #[test]
+    fn hoisting_at_construction_interns_no_intermediate() {
+        // ∃R (dim(S)=0 ∧ adj(R, S)): the rebuild pass interns the
+        // un-hoisted ∃R first; building it hoisted never does.
+        let body = Shape::And(vec![Shape::Leaf(4), Shape::Leaf(0)]);
+        let t = Rooted {
+            rest: Shape::Region(true, 0, Box::new(body)),
+            fix: None,
+            glue: 0,
+        };
+        let mut one = Plan::new();
+        let r1 = build_rooted(&mut one, &t, true);
+        let mut two = Plan::new();
+        let built = build_rooted(&mut two, &t, false);
+        let r2 = hoist_region_quantifiers(&mut two, built);
+        assert_eq!(one.hash(r1), two.hash(r2));
+        assert_eq!((one.len(), two.len()), (5, 6));
+        assert_eq!(without_ids("#12 a [see #3] #x #"), "#N a [see #N] #x #");
     }
 
     #[test]

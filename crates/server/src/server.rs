@@ -311,6 +311,9 @@ struct Shared {
     h_queue: Arc<Histogram>,
     h_exec: Arc<Histogram>,
     h_write: Arc<Histogram>,
+    /// The front of `execute`: parse + fingerprint + cache lookup, the
+    /// whole of a cache hit's work.
+    h_front: Arc<Histogram>,
 }
 
 impl Shared {
@@ -357,6 +360,7 @@ impl Shared {
             h_queue: m.histogram("server.phase.queue_us"),
             h_exec: m.histogram("server.phase.exec_us"),
             h_write: m.histogram("server.phase.write_us"),
+            h_front: m.histogram("server.phase.front_us"),
             cache: ResultCache::new(cfg.cache_capacity).protecting(base_fp),
             extensions: Mutex::new(HashMap::new()),
             base: (Arc::new(base.0), base.1),
@@ -1280,9 +1284,14 @@ fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
         shared.trace.mark("server.fault", &msg);
         return Response::error(RespCode::Fault, id, msg);
     }
+    let front = Instant::now();
+    let observe_front = || shared.h_front.observe(front.elapsed().as_micros() as u64);
     let f = match parse_regformula(&job.req.text) {
         Ok(f) => f,
-        Err(e) => return Response::error(RespCode::ParseError, id, e.to_string()),
+        Err(e) => {
+            observe_front();
+            return Response::error(RespCode::ParseError, id, e.to_string());
+        }
     };
     let plan_fp = query_fingerprint(&f);
     info.plan_fp = plan_fp;
@@ -1293,7 +1302,9 @@ fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
         job.db_fp
     };
     let key = (plan_fp ^ op_salt(job.req.op), cache_db_fp);
-    if let Some(body) = shared.cache.get(key) {
+    let cached = shared.cache.get(key);
+    observe_front();
+    if let Some(body) = cached {
         shared.c_cache_hit.incr();
         info.tier = 1;
         return Response {

@@ -60,6 +60,50 @@ fn define_eval_explain_status_shutdown_roundtrip() {
     server.wait();
 }
 
+/// The value of the sample `series` in a scraped exposition.
+fn sample(scrape: &str, series: &str) -> u64 {
+    scrape
+        .lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {series} in\n{scrape}"))
+}
+
+/// `server.phase.front_us` (parse + fingerprint + cache lookup) observes
+/// every eval and explain request once — a miss, a hit, a parse error —
+/// and nothing else; the scrape stays a well-formed histogram.
+#[test]
+fn front_phase_observes_every_served_request() {
+    let server = start(quick_cfg());
+    let mut c = Client::connect(&addr_of(&server)).expect("connect");
+    let front = |c: &mut Client| {
+        let scrape = c.metrics().expect("scrape").body;
+        let count = sample(&scrape, "lcdb_server_phase_front_us_count");
+        let inf = sample(&scrape, "lcdb_server_phase_front_us_bucket{le=\"+Inf\"}");
+        assert_eq!(count, inf, "{scrape}");
+        count
+    };
+    assert_eq!(front(&mut c), 0);
+    c.define(GAPPED).expect("define");
+    assert_eq!(front(&mut c), 0, "a define is not served by a worker");
+    // The expected cache flag (`aux`), or `None` for a parse error.
+    let requests: [(OpCode, &str, Option<u32>); 5] = [
+        (OpCode::EvalSentence, NONEMPTY, Some(0)),
+        (OpCode::EvalSentence, NONEMPTY, Some(1)),
+        (OpCode::EvalQuery, "S(x)", Some(0)),
+        (OpCode::Explain, NONEMPTY, Some(0)),
+        (OpCode::EvalSentence, "exists x.", None),
+    ];
+    for (n, (op, text, aux)) in requests.into_iter().enumerate() {
+        let r = c.request(op, 0, text).expect("request");
+        match aux {
+            Some(aux) => assert_eq!((r.code, r.aux), (RespCode::Ok, aux), "{}", r.body),
+            None => assert_eq!(r.code, RespCode::ParseError, "{}", r.body),
+        }
+        assert_eq!(front(&mut c), n as u64 + 1, "after {text:?}");
+    }
+    server.shutdown();
+}
+
 /// Redefining a relation changes the database fingerprint, so a stale
 /// cached answer is never served across a redefinition.
 #[test]
