@@ -23,7 +23,13 @@ mod rational;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
-pub use rational::Rational;
+pub use rational::{ArithCounters, Rational};
+
+/// The calling thread's fixed-width arithmetic counters. They only grow;
+/// take the difference of two readings to attribute the work in between.
+pub fn counters() -> ArithCounters {
+    rational::counters()
+}
 
 /// Error type for parsing numbers from strings.
 #[derive(Debug, Clone, PartialEq, Eq)]

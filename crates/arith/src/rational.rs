@@ -10,18 +10,53 @@
 //! value-correct without cross-variant comparisons.
 //!
 //! Arithmetic between two `Small` values runs entirely in overflow-free
-//! `i128` cross-products (products of `i64`s fit `i128` with a bit to
-//! spare, and one addition of two such products still fits), normalizes
-//! with a word-sized gcd, and only *promotes* to `Big` when the checked
-//! conversion of the normalized result back to `i64` fails. Mixed and
+//! `i128` (products of `i64`s fit `i128` with a bit to spare, and one
+//! addition of two such products still fits) and only *promotes* to `Big`
+//! when the checked conversion of the normalized result back to `i64`
+//! fails. Operands over one denominator (integers among them) add their
+//! numerators; others add through the cross products. A product or quotient
+//! cancels across first (`gcd(a, d)` and `gcd(c, b)` of `a/b · c/d`, Knuth
+//! 4.5.1), which leaves it in lowest terms, so its gcds stay on words. A
+//! gcd runs Euclid on the hardware `u64` remainder whenever both operands
+//! fit a word, and the `u128` loop only while one does not. Mixed and
 //! `Big`/`Big` operations fall back to arbitrary precision and demote on
 //! the way out.
 
 use crate::{BigInt, BigUint, ParseNumError, Sign};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
+
+/// The rare branches of the fixed-width path, taken on the calling thread
+/// since it started.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArithCounters {
+    /// Fixed-width normalizations whose result did not fit `i64` and was
+    /// stored `Big`.
+    pub promotions: u64,
+    /// Gcds with an operand wider than a `u64`, which took `u128` steps.
+    pub wide_gcds: u64,
+}
+
+thread_local! {
+    static COUNTERS: Cell<ArithCounters> = const {
+        Cell::new(ArithCounters { promotions: 0, wide_gcds: 0 })
+    };
+}
+
+pub(crate) fn counters() -> ArithCounters {
+    COUNTERS.with(Cell::get)
+}
+
+fn count(bump: impl FnOnce(&mut ArithCounters)) {
+    COUNTERS.with(|c| {
+        let mut now = c.get();
+        bump(&mut now);
+        c.set(now);
+    });
+}
 
 /// An exact rational number.
 ///
@@ -358,26 +393,48 @@ fn primitive_factor_big(values: &[&Rational]) -> Option<Rational> {
     (!g.is_zero()).then(|| Rational::new(f, g))
 }
 
-/// Word-sized binary gcd used by the fixed-width fast path. Total on all
-/// inputs including zeros (`gcd(0, b) = b`, `gcd(a, 0) = a`), so callers at
-/// the `i64::MIN` boundary can pass `unsigned_abs()` products directly.
+/// Euclid on the hardware `u64` remainder; a 0 or 1 answers at once.
 #[inline]
-pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a <= 1 || b <= 1 {
+        return if a == 0 { b } else if b == 0 { a } else { 1 };
+    }
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        (a, b) = (b, a % b);
     }
     a
+}
+
+/// The gcd of the fixed-width fast path. Total on all inputs including
+/// zeros (`gcd(0, b) = b`, `gcd(a, 0) = a`), so callers at the `i64::MIN`
+/// boundary can pass `unsigned_abs()` products directly. Operands that fit
+/// a word go straight to [`gcd_u64`]; a wider one takes `u128` remainder
+/// steps until both fit.
+#[inline]
+pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    const WORD: u128 = u64::MAX as u128;
+    if a <= 1 || b <= 1 {
+        return if a == 0 { b } else if b == 0 { a } else { 1 };
+    }
+    if a > WORD || b > WORD {
+        count(|c| c.wide_gcds += 1);
+        while a > WORD || b > WORD {
+            (a, b) = (b, a % b);
+            if b == 0 {
+                return a;
+            }
+        }
+    }
+    u128::from(gcd_u64(a as u64, b as u64))
 }
 
 /// Normalize an `i128` fraction without allocating limb vectors, demoting to
 /// the fixed-width representation when the normalized components fit `i64`
 /// and promoting to `Big` (checked, never wrapping) when they do not.
 ///
-/// Inputs are cross-products of `i64` components, so they fit `i128` with
-/// headroom (`|num| ≤ 2^127 - 2^64`, never `i128::MIN`) and `den` is nonzero
-/// whenever the caller's denominators were.
+/// Inputs are sums and cross-products of `i64` components, so they fit
+/// `i128` with headroom (`|num| ≤ 2^127 - 2^64`, never `i128::MIN`) and
+/// `den` is nonzero whenever the caller's denominators were.
 pub(crate) fn from_i128_frac(num: i128, den: i128) -> Rational {
     // Same deferred fault-injection site as `Rational::new`, so the fast
     // path does not change which operations can be made to fail.
@@ -391,13 +448,54 @@ fn from_i128_frac_unfaulted(num: i128, den: i128) -> Rational {
     if num == 0 {
         return Rational::ZERO;
     }
+    if den == 1 {
+        if let Ok(n) = i64::try_from(num) {
+            return Rational(Repr::Small(n, 1));
+        }
+    }
     // Work in magnitudes: negating `i128::MIN`-adjacent values is handled by
     // `unsigned_abs`, and the sign is reapplied after reduction.
     let negative = (num < 0) != (den < 0);
     let (mut un, mut ud) = (num.unsigned_abs(), den.unsigned_abs());
     let g = gcd_u128(un, ud);
-    un /= g;
-    ud /= g;
+    if g != 1 {
+        un /= g;
+        ud /= g;
+    }
+    from_reduced(negative, un, ud)
+}
+
+/// `an/ad + bn/bd` of two fixed-width values, `bn` already negated for a
+/// difference (hence `i128`). One denominator — two integers, say — adds
+/// the numerators over it; two go through the cross products.
+fn add_small(an: i128, ad: i64, bn: i128, bd: i64) -> Rational {
+    if ad == bd {
+        return from_i128_frac(an + bn, i128::from(ad));
+    }
+    let (ad, bd) = (i128::from(ad), i128::from(bd));
+    from_i128_frac(an * bd + bn * ad, ad * bd)
+}
+
+/// `±(an/ad)·(bn/bd)` over magnitudes of two fixed-width values, each in
+/// lowest terms: with `gcd(an, bd)` and `gcd(bn, ad)` cancelled first the
+/// product is in lowest terms too (Knuth, TAOCP 4.5.1), so no gcd runs on a
+/// 128-bit product. A quotient passes the divisor's magnitudes swapped.
+fn mul_small(negative: bool, an: u64, ad: u64, bn: u64, bd: u64) -> Rational {
+    // The operation's one deferred fault-injection site, as in
+    // `from_i128_frac`.
+    #[cfg(feature = "faults")]
+    lcdb_budget::faults::hit("arith.overflow");
+    if an == 0 || bn == 0 {
+        return Rational::ZERO;
+    }
+    let (g, h) = (gcd_u64(an, bd), gcd_u64(bn, ad));
+    let num = u128::from(an / g) * u128::from(bn / h);
+    from_reduced(negative, num, u128::from(ad / h) * u128::from(bd / g))
+}
+
+/// `±un/ud`, already in lowest terms: `Small` when both components fit,
+/// else `Big` (counted as a promotion).
+fn from_reduced(negative: bool, un: u128, ud: u128) -> Rational {
     let fits = |m: u128, neg: bool| -> Option<i64> {
         if neg {
             if m <= i64::MIN.unsigned_abs() as u128 {
@@ -412,6 +510,7 @@ fn from_i128_frac_unfaulted(num: i128, den: i128) -> Rational {
     match (fits(un, negative), fits(ud, false)) {
         (Some(n), Some(d)) => Rational(Repr::Small(n, d)),
         _ => {
+            count(|c| c.promotions += 1);
             let num = BigInt::from_sign_mag(
                 if negative { Sign::Negative } else { Sign::Positive },
                 BigUint::from(un),
@@ -524,19 +623,13 @@ fn add_big(a: &Rational, b: &Rational) -> Rational {
 
 forward_binop_rational!(Add, add, |a: &Rational, b: &Rational| {
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
-        return from_i128_frac(
-            an as i128 * bd as i128 + bn as i128 * ad as i128,
-            ad as i128 * bd as i128,
-        );
+        return add_small(i128::from(an), ad, i128::from(bn), bd);
     }
     add_big(a, b)
 });
 forward_binop_rational!(Sub, sub, |a: &Rational, b: &Rational| {
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
-        return from_i128_frac(
-            an as i128 * bd as i128 - bn as i128 * ad as i128,
-            ad as i128 * bd as i128,
-        );
+        return add_small(i128::from(an), ad, -i128::from(bn), bd);
     }
     let (an, ad) = a.to_big();
     let (bn, bd) = b.to_big();
@@ -544,7 +637,8 @@ forward_binop_rational!(Sub, sub, |a: &Rational, b: &Rational| {
 });
 forward_binop_rational!(Mul, mul, |a: &Rational, b: &Rational| {
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
-        return from_i128_frac(an as i128 * bn as i128, ad as i128 * bd as i128);
+        let (ad, bd) = (ad.unsigned_abs(), bd.unsigned_abs());
+        return mul_small((an < 0) != (bn < 0), an.unsigned_abs(), ad, bn.unsigned_abs(), bd);
     }
     let (an, ad) = a.to_big();
     let (bn, bd) = b.to_big();
@@ -553,7 +647,8 @@ forward_binop_rational!(Mul, mul, |a: &Rational, b: &Rational| {
 forward_binop_rational!(Div, div, |a: &Rational, b: &Rational| {
     assert!(!b.is_zero(), "rational division by zero");
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
-        return from_i128_frac(an as i128 * bd as i128, ad as i128 * bn as i128);
+        let (ad, bd) = (ad.unsigned_abs(), bd.unsigned_abs());
+        return mul_small((an < 0) != (bn < 0), an.unsigned_abs(), ad, bd, bn.unsigned_abs());
     }
     let (an, ad) = a.to_big();
     let (bn, bd) = b.to_big();
@@ -974,6 +1069,155 @@ mod tests {
         for (a, b) in cases {
             let slow = (a.numer() * b.denom()).cmp(&(b.numer() * a.denom()));
             assert_eq!(a.cmp(&b), slow, "{a} vs {b}");
+        }
+    }
+
+    /// The `u128` Euclid loop every fixed-width gcd once ran.
+    fn gcd_u128_euclid(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+
+    /// The fixed-width operators before equal denominators and cancelling
+    /// across: the full `i128` cross products, reduced by the `u128` loop.
+    fn cross_product_oracle(op: char, (an, ad): (i64, i64), (bn, bd): (i64, i64)) -> Rational {
+        let (an, ad, bn, bd) = (i128::from(an), i128::from(ad), i128::from(bn), i128::from(bd));
+        let (num, den) = match op {
+            '+' => (an * bd + bn * ad, ad * bd),
+            '-' => (an * bd - bn * ad, ad * bd),
+            '*' => (an * bn, ad * bd),
+            _ => (an * bd, ad * bn),
+        };
+        if num == 0 {
+            return Rational::ZERO;
+        }
+        let (un, ud) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd_u128_euclid(un, ud);
+        from_reduced((num < 0) != (den < 0), un / g, ud / g)
+    }
+
+    /// Numerators at the hard cases: 0, ±1, the `i64` ends, powers of two,
+    /// shared small factors, and anything.
+    fn hard_numerator() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            prop_oneof![Just(0i64), Just(1), Just(-1), Just(i64::MIN), Just(i64::MAX)],
+            (0u32..63, any::<bool>()).prop_map(|(k, neg)| if neg { -(1i64 << k) } else { 1 << k }),
+            (-36i64..37).prop_map(|k| k * 30),
+            any::<i64>(),
+        ]
+    }
+
+    /// Denominators: 1, `i64::MAX`, powers of two, multiples of 30 (shared
+    /// factors), odd primes (coprime), and anything positive.
+    fn hard_denominator() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            prop_oneof![Just(1i64), Just(i64::MAX), Just(3), Just(7), Just(1_000_003)],
+            (0u32..63).prop_map(|k| 1i64 << k),
+            (1i64..37).prop_map(|k| k * 30),
+            1i64..=i64::MAX,
+        ]
+    }
+
+    /// A fixed-width operand, normalized, and a second one that shares its
+    /// denominator half the time.
+    fn operand_pair() -> impl Strategy<Value = (Rational, Rational)> {
+        let part = || (hard_numerator(), hard_denominator());
+        (part(), part(), any::<bool>()).prop_map(|((an, ad), (bn, bd), same)| {
+            let a = Rational::from_i64s(an, ad);
+            let b = match (same, a.small()) {
+                (true, Some((_, d))) => Rational::from_i64s(bn, d),
+                _ => Rational::from_i64s(bn, bd),
+            };
+            (a, b)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Equal denominators and cancelling across give the old cross
+        /// products' value and representation.
+        #[test]
+        fn word_paths_equal_the_cross_product_oracle(pair in operand_pair()) {
+            let (a, b) = pair;
+            let (Some(x), Some(y)) = (a.small(), b.small()) else { return Ok(()) };
+            let mut ops = vec![('+', &a + &b), ('-', &a - &b), ('*', &a * &b)];
+            if !b.is_zero() {
+                ops.push(('/', &a / &b));
+            }
+            for (op, got) in ops {
+                let want = cross_product_oracle(op, x, y);
+                prop_assert_eq!(&got, &want, "{} {} {}", a, op, b);
+                prop_assert_eq!(got.small().is_some(), want.small().is_some());
+                assert_canonical(&got);
+            }
+        }
+
+        /// The word-sized gcd equals the `u128` loop on operands on either
+        /// side of 2⁶⁴.
+        #[test]
+        fn gcd_equals_the_u128_loop(
+            a in prop_oneof![0u128..1 << 64, (1u128 << 64)..=u128::MAX, (1u128 << 63)..(1u128 << 65)],
+            b in prop_oneof![0u128..4, 0u128..1 << 64, (1u128 << 64)..=u128::MAX, (1u128 << 63)..(1u128 << 65)],
+            k in 0u128..1 << 40,
+        ) {
+            prop_assert_eq!(gcd_u128(a, b), gcd_u128_euclid(a, b));
+            // A shared factor, so the answer is not always 1.
+            let (ka, kb) = (a.checked_mul(k), b.checked_mul(k));
+            if let (Some(ka), Some(kb)) = (ka, kb) {
+                prop_assert_eq!(gcd_u128(ka, kb), gcd_u128_euclid(ka, kb));
+            }
+        }
+    }
+
+    /// The counters move on the two rare branches only.
+    #[test]
+    fn counters_pin_promotions_and_wide_gcds() {
+        let before = counters();
+        let max = Rational::from_int(i64::MAX);
+        let _ = &max + &Rational::ONE; // integer add past i64: a promotion
+        let _ = &rat(1, 3) + &rat(2, 3); // equal denominators: neither
+        let _ = &max * &max; // cancelled across, then too wide: a promotion
+        let _ = &rat(3, 4) / &rat(9, 8); // cancelled across: neither
+        let p = (1i64 << 40) + 1;
+        let _ = &rat(1, p) + &rat(1, p + 2); // an 81-bit denominator: both
+        let _ = &rat(5, 6) - &rat(1, 10); // cross products on words: neither
+        let after = counters();
+        assert_eq!(after.promotions - before.promotions, 3);
+        assert_eq!(after.wide_gcds - before.wide_gcds, 1);
+    }
+}
+
+#[cfg(all(test, feature = "faults"))]
+mod fault_tests {
+    use super::*;
+    use crate::rat;
+    use lcdb_budget::faults::{take_pending, FaultPlan};
+
+    /// Each fast path hits `arith.overflow` exactly once: a plan armed on the
+    /// first hit trips, one armed on the second does not.
+    #[test]
+    fn every_fast_path_is_one_fault_site() {
+        let (two, third, half) = (Rational::from_int(2), rat(1, 3), rat(3, 4));
+        let paths = [
+            ("integer add", &two, &two, '+'),
+            ("equal-denominator add", &third, &third, '+'),
+            ("cross-product add", &third, &half, '+'),
+            ("cancelled mul", &third, &half, '*'),
+            ("cancelled div", &half, &third, '/'),
+        ];
+        for (name, a, b, op) in paths {
+            for (nth, trips) in [(1, true), (2, false)] {
+                let _armed = FaultPlan::new().fail_on("arith.overflow", nth).arm();
+                let _ = match op {
+                    '+' => a + b,
+                    '*' => a * b,
+                    _ => a / b,
+                };
+                assert_eq!(take_pending().is_some(), trips, "{name}, fault on hit {nth}");
+            }
         }
     }
 }

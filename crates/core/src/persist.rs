@@ -113,8 +113,9 @@ fn rational(cur: &mut Cursor<'_>, context: &'static str) -> Result<lcdb_arith::R
 }
 
 /// Decode an arrangement blob, validating structure (the store has already
-/// verified the bytes' checksum). The sign-vector index is rebuilt and every
-/// ray is checked to recede in its face; LP feasibility is **not** re-run.
+/// verified the bytes' checksum). Faces must come in strictly increasing
+/// sign-vector order and every ray must recede in its face; LP feasibility
+/// is **not** re-run.
 pub fn decode_arrangement(bytes: &[u8]) -> Result<Arrangement, StoreError> {
     let mut cur = Cursor::new(bytes, "arrangement blob");
     let version = cur.u8("blob version")?;
@@ -470,7 +471,7 @@ mod tests {
             assert_eq!(fa.witness, fb.witness);
             assert_eq!(fa.bounded(), fb.bounded());
         }
-        // The rebuilt index answers point location identically.
+        // Point location answers identically.
         let p = vec![lcdb_arith::int(1), lcdb_arith::int(1)];
         assert_eq!(a.locate(&p), b.locate(&p));
     }
@@ -560,6 +561,42 @@ mod tests {
             |b| decode_arrangement(b).map(drop),
             store_offset,
         );
+    }
+
+    /// The faces of `x = 0` on the line, `[−] [0] [+]`: in order the blob
+    /// decodes, with the first two swapped it is a typed `Malformed` error.
+    #[test]
+    fn swapped_faces_are_a_malformed_blob() {
+        let blob = |faces: [(u8, u64, &str, Option<&str>); 3]| {
+            let mut out = Vec::new();
+            put_u8(&mut out, ARR_VERSION);
+            for n in [1, 1, 1] {
+                // dim, hyperplanes, coefficients
+                put_u64(&mut out, n);
+            }
+            put_str(&mut out, "1");
+            put_str(&mut out, "0");
+            put_u64(&mut out, faces.len() as u64);
+            for (sign, dim, witness, ray) in faces {
+                put_u64(&mut out, 1);
+                put_u8(&mut out, sign);
+                put_u64(&mut out, dim);
+                put_u64(&mut out, 1);
+                put_str(&mut out, witness);
+                put_u64(&mut out, u64::from(ray.is_some()));
+                ray.into_iter().for_each(|r| put_str(&mut out, r));
+            }
+            out
+        };
+        let (neg, zero, pos) = ((0, 1, "-1", Some("-1")), (1, 0, "0", None), (2, 1, "1", Some("1")));
+        let a = decode_arrangement(&blob([neg, zero, pos])).unwrap();
+        assert_eq!(a.num_faces(), 3);
+        match decode_arrangement(&blob([zero, neg, pos])) {
+            Err(StoreError::Malformed { message, .. }) => {
+                assert!(message.contains("sign-vector order"), "{message}")
+            }
+            other => panic!("swapped faces decoded to {:?}", other.map(|a| a.num_faces())),
+        }
     }
 
     /// A v1 blob (a bounded byte where v2 stores the ray) is a typed

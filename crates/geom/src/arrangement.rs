@@ -12,7 +12,9 @@
 //! closure's recession cone, none when bounded, updated by [`refine`].
 //! Level `k` costs one section arrangement plus one step per cell, so a
 //! build performs `T_d(n) = Σ_k (T_{d−1}(k) + #cells_k) = O(n^{d+1})` sign
-//! evaluations, matching the polynomial bound of Theorem 3.1.
+//! evaluations, matching the polynomial bound of Theorem 3.1. The faces'
+//! sign-vector order is the only index: refinement merges a section's cells
+//! into the parents, removal sorts, and point location binary-searches.
 
 use crate::Hyperplane;
 use lcdb_arith::{Rational, Sign};
@@ -22,7 +24,6 @@ use lcdb_linalg::{dot, scale, vec_add, vec_sub, Matrix, QVector};
 use lcdb_logic::{Atom, LinExpr, Relation};
 use lcdb_lp::Rel;
 use lcdb_trace::TraceHandle;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Which side of a hyperplane a face lies on: the paper's `v_i(p)`.
@@ -63,8 +64,9 @@ impl Face {
 pub struct Arrangement {
     dim: usize,
     hyperplanes: Vec<Hyperplane>,
+    /// In strictly increasing sign-vector order (`− < 0 < +`, lexicographic),
+    /// `faces[i].id == i`: built so, and [`Arrangement::from_parts`] checks it.
     faces: Vec<Face>,
-    index: HashMap<SignVector, FaceId>,
 }
 
 impl Arrangement {
@@ -181,17 +183,11 @@ impl Arrangement {
                 ray: cell.ray,
             });
         }
-        Ok(Arrangement::indexed(dim, hyperplanes, faces))
-    }
-
-    fn indexed(dim: usize, hyperplanes: Vec<Hyperplane>, faces: Vec<Face>) -> Self {
-        let index = faces.iter().map(|f| (f.signs.clone(), f.id)).collect();
-        Arrangement {
+        Ok(Arrangement {
             dim,
             hyperplanes,
             faces,
-            index,
-        }
+        })
     }
 
     /// Refine the existing face lattice by one new hyperplane, **without**
@@ -261,8 +257,9 @@ impl Arrangement {
         }
     }
 
-    /// Budgeted [`Arrangement::remove_hyperplane`]. `_pool` is ignored
-    /// (signature pinned by `benchmark/`).
+    /// Budgeted [`Arrangement::remove_hyperplane`]: one meter tick per face,
+    /// and the face cap checked as merged faces accumulate. `_pool` is
+    /// ignored (signature pinned by `benchmark/`).
     pub fn try_remove_hyperplane(
         &self,
         index: usize,
@@ -278,49 +275,49 @@ impl Arrangement {
         let mut hyperplanes = self.hyperplanes.clone();
         hyperplanes.remove(index);
 
-        // Group faces by their projected sign vector, keeping constituents
-        // in face order so witness inheritance is deterministic.
-        let mut groups: HashMap<SignVector, Vec<FaceId>> = HashMap::new();
-        for f in &self.faces {
+        // A stable sort of the face ids by sign vector with coordinate
+        // `index` skipped puts the faces that merge into runs, each in face
+        // order (which fixes witness inheritance), and the runs in the order
+        // a from-scratch build emits them.
+        let projected = |id: FaceId| {
+            let signs = &self.faces[id].signs;
+            (&signs[..index], &signs[index + 1..])
+        };
+        let mut order: Vec<FaceId> = (0..self.faces.len()).collect();
+        order.sort_by(|&a, &b| projected(a).cmp(&projected(b)));
+        let mut faces: Vec<Face> = Vec::new();
+        for id in order {
             meter.tick(budget)?;
-            let mut signs = f.signs.clone();
-            signs.remove(index);
-            groups.entry(signs).or_default().push(f.id);
+            let (f, (before, after)) = (&self.faces[id], projected(id));
+            match faces.last_mut() {
+                Some(g) if g.signs[..index] == *before && g.signs[index..] == *after => {
+                    g.dim = g.dim.max(f.dim);
+                    g.ray = g.ray.take().or_else(|| f.ray.clone());
+                }
+                _ => {
+                    budget.check_faces(faces.len() + 1)?;
+                    let (signs, witness) = ([before, after].concat(), f.witness.clone());
+                    faces.push(Face { id: faces.len(), signs, dim: f.dim, witness, ray: f.ray.clone() });
+                }
+            }
         }
-        budget.check_faces(groups.len())?;
-
-        // A from-scratch build emits faces in lexicographic sign-vector
-        // order (children are pushed `[-, 0, +]` under parents already in
-        // lexicographic order), so sorting the merged keys reproduces the
-        // rebuild's face order and ids exactly.
-        let mut order: Vec<(SignVector, Vec<FaceId>)> = groups.into_iter().collect();
-        order.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut faces = Vec::with_capacity(order.len());
-        for (id, (signs, members)) in order.into_iter().enumerate() {
-            meter.tick(budget)?;
-            let parts = || members.iter().map(|&m| &self.faces[m]);
-            faces.push(Face {
-                id,
-                signs,
-                dim: parts().map(|f| f.dim).max().expect("groups are nonempty"),
-                witness: self.faces[members[0]].witness.clone(),
-                ray: parts().find_map(|f| f.ray.clone()),
-            });
-        }
-        Ok(Arrangement::indexed(self.dim, hyperplanes, faces))
+        Ok(Arrangement {
+            dim: self.dim,
+            hyperplanes,
+            faces,
+        })
     }
 
     /// Reassemble an arrangement from previously materialized parts (e.g. a
-    /// persisted catalog blob), rebuilding the sign-vector index. This is the
-    /// inverse of reading [`Arrangement::hyperplanes`] and
-    /// [`Arrangement::faces`]; it does **not** re-derive the faces, so the
-    /// caller is responsible for the parts having come from a real build. Structural invariants are still checked: face ids must be
-    /// sequential, sign vectors must match the hyperplane count, witnesses
-    /// must have ambient dimension, face dims must be `≤ dim`, sign vectors
-    /// must be pairwise distinct, and a ray must be a nonzero `dim`-vector
-    /// with `aᵢ·u` zero or of sign `σᵢ` on every hyperplane (a recession
-    /// direction of the face's closure).
+    /// persisted catalog blob). This is the inverse of reading
+    /// [`Arrangement::hyperplanes`] and [`Arrangement::faces`]. It does
+    /// **not** re-derive the faces, so the caller is responsible for
+    /// the parts having come from a real build. The structural invariants
+    /// are still checked: face ids are sequential, sign vectors match the
+    /// hyperplane count and strictly increase (so they are distinct),
+    /// witnesses have ambient dimension, face dims are `≤ dim`, and a ray is
+    /// a nonzero `dim`-vector with `aᵢ·u` zero or of sign `σᵢ` on every
+    /// hyperplane (a recession direction of the face's closure).
     pub fn from_parts(
         dim: usize,
         hyperplanes: Vec<Hyperplane>,
@@ -337,7 +334,6 @@ impl Arrangement {
                 ));
             }
         }
-        let mut index = HashMap::with_capacity(faces.len());
         for (i, f) in faces.iter().enumerate() {
             if f.id != i {
                 return Err(format!("face at position {i} carries id {}", f.id));
@@ -348,6 +344,9 @@ impl Arrangement {
                     f.signs.len(),
                     hyperplanes.len()
                 ));
+            }
+            if i > 0 && faces[i - 1].signs >= f.signs {
+                return Err(format!("face {i} does not follow face {} in sign-vector order", i - 1));
             }
             if f.witness.len() != dim {
                 return Err(format!(
@@ -361,9 +360,6 @@ impl Arrangement {
                     f.dim
                 ));
             }
-            if index.insert(f.signs.clone(), i).is_some() {
-                return Err(format!("face {i} duplicates another face's sign vector"));
-            }
             if let Some(u) = &f.ray {
                 let nonzero = u.len() == dim && u.iter().any(|c| !c.is_zero());
                 let rates = hyperplanes.iter().map(|h| dot(h.coeffs(), u).sign());
@@ -376,7 +372,6 @@ impl Arrangement {
             dim,
             hyperplanes,
             faces,
-            index,
         })
     }
 
@@ -408,7 +403,7 @@ impl Arrangement {
         &self.hyperplanes
     }
 
-    /// All faces.
+    /// All faces, in strictly increasing sign-vector order.
     pub fn faces(&self) -> &[Face] {
         &self.faces
     }
@@ -432,13 +427,13 @@ impl Arrangement {
         counts
     }
 
-    /// The face containing a point (faces partition `ℝ^d`, so this is total).
+    /// The face containing a point (faces partition `ℝ^d`, so this is
+    /// total): a binary search of the faces for the point's sign vector.
     pub fn locate(&self, p: &[Rational]) -> FaceId {
         assert_eq!(p.len(), self.dim);
         let signs: SignVector = self.hyperplanes.iter().map(|h| h.side_of(p)).collect();
-        *self
-            .index
-            .get(&signs)
+        self.faces
+            .binary_search_by(|f| f.signs.cmp(&signs))
             .expect("sign vectors of points are realizable by construction")
     }
 
@@ -633,10 +628,12 @@ fn arrangement_cells(
 /// `h = rows[k]`.
 ///
 /// The section arrangement of the prefix inside `h` (in the coordinates
-/// other than a pivot of `h`) says which parents are crossed. A parent whose
-/// sign vector does not occur there misses `h` and has one child, on its
-/// witness's side. One that occurs with its own dimension lies inside `h`.
-/// Any other is crossed: the section cell is its `Zero` child, one dimension
+/// other than a pivot of `h`) says which parents are crossed. Its cells are
+/// in sign-vector order over the same prefix, and each one's sign vector is
+/// the parent's that contains it, so one cursor walks them beside the
+/// parents (a merge). A parent whose sign vector does not occur there misses
+/// `h` and has one child, on its witness's side. One that occurs with its
+/// own dimension lies inside `h`. Any other is crossed: the section cell is its `Zero` child, one dimension
 /// lower, and both sides are nonempty. Children are emitted in `[-, 0, +]`
 /// order under parents in order — the source of the arrangement-wide
 /// lexicographic face order. `after_parent` sees the running child count
@@ -662,16 +659,17 @@ fn refine<'a>(
     let (h, prefix) = rows.split_last().expect("a level has a splitting row");
     let mut sections = 0;
     // Without a normal `h` is one constant sign and has no section.
-    let mut section: HashMap<SignVector, (QVector, usize, Option<QVector>)> = HashMap::new();
+    let mut section = Vec::new();
     if let Some(p) = h.coeffs.iter().position(|c| !c.is_zero()) {
         let restricted: Vec<Row> = prefix.iter().map(|r| r.restrict(h, p)).collect();
         let (cells, nested) = arrangement_cells(dim - 1, &restricted, meter, budget)?;
         sections = 1 + nested;
         for c in cells {
             let ray = c.ray.map(|r| h.lift(p, &r, &Rational::ZERO));
-            section.insert(c.signs, (h.lift(p, &c.witness, &h.rhs), c.dim, ray));
+            section.push(Cell { witness: h.lift(p, &c.witness, &h.rhs), ray, ..c });
         }
     }
+    let mut section = section.into_iter().peekable();
     let mut children = Vec::with_capacity(parents.len() * 2);
     let mut crossed = 0;
     for (signs, w, cell_dim, ray) in parents {
@@ -688,17 +686,15 @@ fn refine<'a>(
             });
         };
         let carried = h.value(w).sign();
-        match section.get(signs) {
+        match section.next_if(|c| c.signs == signs) {
             None => child(carried, w.to_vec(), cell_dim, ray.cloned()),
-            Some((_, section_dim, _)) if *section_dim == cell_dim => {
-                child(Sign::Zero, w.to_vec(), cell_dim, ray.cloned())
-            }
-            Some((z, _, z_ray)) => {
+            Some(z) if z.dim == cell_dim => child(Sign::Zero, w.to_vec(), cell_dim, ray.cloned()),
+            Some(Cell { witness: z, ray: z_ray, .. }) => {
                 crossed += 1;
                 let step = |base, dir| step_inside(prefix, signs, base, dir);
                 let (neg, zero, pos) = match carried {
-                    Sign::Negative => (w.to_vec(), z.clone(), step(z, &vec_sub(z, w))),
-                    Sign::Positive => (step(z, &vec_sub(z, w)), z.clone(), w.to_vec()),
+                    Sign::Negative => (w.to_vec(), z.clone(), step(&z, &vec_sub(&z, w))),
+                    Sign::Positive => (step(&z, &vec_sub(&z, w)), z.clone(), w.to_vec()),
                     // The witness itself lies on `h` (level 0 of a hyperplane
                     // through the origin, say): leave it along a direction of
                     // the cell's own affine hull that `h` is not parallel to.
@@ -710,12 +706,13 @@ fn refine<'a>(
                 };
                 let [neg_ray, pos_ray] = side_rays(h, prefix, ray, z_ray.as_ref());
                 child(Sign::Negative, neg, cell_dim, neg_ray);
-                child(Sign::Zero, zero, cell_dim - 1, z_ray.clone());
+                child(Sign::Zero, zero, cell_dim - 1, z_ray);
                 child(Sign::Positive, pos, cell_dim, pos_ray);
             }
         }
         after_parent(children.len())?;
     }
+    debug_assert!(section.next().is_none(), "every section cell lies in a parent");
     Ok((children, crossed, sections))
 }
 
@@ -948,6 +945,21 @@ mod tests {
             let id = a.locate(&p);
             assert!(with_ray(id, pt(&[1, 0])).is_err() && with_ray(id, pt(&[-1, 0])).is_err());
         }
+    }
+
+    #[test]
+    fn from_parts_refuses_swapped_faces() {
+        let a = Arrangement::build(2, vec![h(&[1, 0], 0), h(&[0, 1], 0)]);
+        let parts = |faces: Vec<Face>| Arrangement::from_parts(2, a.hyperplanes().to_vec(), faces);
+        assert!(parts(a.faces().to_vec()).is_ok());
+        let mut swapped = a.faces().to_vec();
+        swapped.swap(3, 4);
+        (swapped[3].id, swapped[4].id) = (3, 4);
+        let err = parts(swapped).err().unwrap();
+        assert!(err.contains("face 4 does not follow face 3 in sign-vector order"), "{err}");
+        let mut doubled = a.faces().to_vec();
+        doubled[1].signs = doubled[0].signs.clone();
+        assert!(parts(doubled).is_err());
     }
 
     #[test]

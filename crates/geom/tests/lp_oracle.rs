@@ -26,6 +26,7 @@
 
 mod common;
 
+use common::family;
 use lcdb_arith::{int, rat, Rational, Sign};
 use lcdb_geom::nc1::decompose_relation;
 use lcdb_geom::{Arrangement, Hyperplane, SignVector, VPolyhedron};
@@ -102,22 +103,6 @@ fn assert_matches_oracle(a: &Arrangement, context: &str) {
         );
     }
     common::assert_rays_recede(a, context);
-}
-
-/// `n` hyperplanes with integer coefficients in `-range..=range`; a zero
-/// right-hand side puts every one through the origin. Small ranges make
-/// parallel, duplicate and concurrent hyperplanes the common case.
-fn family(rng: &mut StdRng, d: usize, n: usize, range: i64, through_origin: bool) -> Vec<Hyperplane> {
-    let mut hs = Vec::new();
-    while hs.len() < n {
-        let coeffs: Vec<i64> = (0..d).map(|_| rng.gen_range(-range..=range)).collect();
-        if coeffs.iter().all(|&c| c == 0) {
-            continue;
-        }
-        let rhs = if through_origin { 0 } else { rng.gen_range(-range..=range) };
-        hs.push(Hyperplane::new(coeffs.into_iter().map(int).collect(), int(rhs)));
-    }
-    hs
 }
 
 /// A near-degenerate cone: hyperplanes through one apex, each doubled by a
