@@ -1,13 +1,13 @@
-//! The shared lexer for the constraint-formula surface syntaxes.
+//! The shared lexer and token cursor for the constraint-formula syntaxes.
 //!
-//! Two parsers read linear-constraint text: [`crate::parse_formula`] (FO+LIN
-//! formulas) and `lcdb-core`'s `parse_regformula` (the region logic family).
-//! Their token streams differ only in a few surface features — set-variable
+//! Two grammars read linear-constraint text: [`crate::parse_formula`] (FO+LIN
+//! formulas) and `lcdb-core`'s `parse_regformula` (the region logic family),
+//! both through the one skeleton in [`crate::parser`]. Their token streams
+//! differ only in a few surface features — the keyword table, set-variable
 //! names (`$M`), the bracket/semicolon tokens of the fixpoint operators, and
-//! the `!=` comparison — so the character-level scan lives here once,
-//! parameterized by [`LexOptions`]. Each parser maps the [`RawTok`] stream
-//! into its own token type (classifying words as keywords, identifiers, or
-//! region variables — a *parser* concern, not a lexical one).
+//! the `!=` comparison — so the scan lives here once, parameterized by
+//! [`LexOptions`], and both grammars read its [`Tok`]s through one
+//! [`TokenCursor`].
 
 use lcdb_arith::Rational;
 use lcdb_lp::Rel;
@@ -24,10 +24,9 @@ pub struct ParseError {
 
 /// How many levels a formula may nest, the whole formula being the first:
 /// a parenthesis, a `not`, a binder, an operator body and the right side of
-/// an `->` each open one. The recursive-descent parsers (this crate's and
-/// `lcdb-core`'s) spend stack per level, so the input must not choose the
-/// depth; every later walk of the tree — lowering, printing, `Drop` — is
-/// bounded with it.
+/// an `->` each open one. The recursive-descent parser spends stack per
+/// level, so the input must not choose the depth; every later walk of the
+/// tree — lowering, printing, `Drop` — is bounded with it.
 pub const MAX_NESTING: usize = 256;
 
 impl ParseError {
@@ -48,12 +47,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A surface token, before the parser classifies words.
+/// A surface token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RawTok {
-    /// An identifier or keyword: `[A-Za-z_][A-Za-z0-9_]*`.
+pub enum Tok {
+    /// A word of the grammar's keyword table ([`LexOptions::keywords`]).
+    Keyword(&'static str),
+    /// Any other word: `[A-Za-z_][A-Za-z0-9_]*`.
     Word(String),
-    /// A `$name` set-variable token (only with [`LexOptions::set_names`]).
+    /// A `$name` set-variable token (only with [`LexOptions::region`]).
     SetName(String),
     /// A rational literal: `digits`, `digits/digits`, or `digits.digits`.
     Number(Rational),
@@ -61,13 +62,13 @@ pub enum RawTok {
     LParen,
     /// `)`
     RParen,
-    /// `[` (only with [`LexOptions::brackets`])
+    /// `[` (only with [`LexOptions::region`])
     LBracket,
-    /// `]` (only with [`LexOptions::brackets`])
+    /// `]` (only with [`LexOptions::region`])
     RBracket,
     /// `,`
     Comma,
-    /// `;` (only with [`LexOptions::brackets`])
+    /// `;` (only with [`LexOptions::region`])
     Semicolon,
     /// `.` (the quantifier dot; a dot inside a number is part of the literal)
     Dot,
@@ -85,173 +86,216 @@ pub enum RawTok {
     Arrow,
 }
 
-/// Which optional surface features the lexer accepts. Characters outside the
-/// enabled set are "unexpected character" errors, exactly as if the lexer
-/// had no rule for them.
+/// A grammar's lexical surface. Characters outside the enabled set are
+/// "unexpected character" errors, exactly as if the lexer had no rule for
+/// them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LexOptions {
-    /// Accept `$name` set-variable tokens (region-logic syntax).
-    pub set_names: bool,
-    /// Accept `[`, `]`, and `;` (the fixpoint/TC operator brackets).
-    pub brackets: bool,
+    /// The words lexed as [`Tok::Keyword`]; every other word is a
+    /// [`Tok::Word`].
+    pub keywords: &'static [&'static str],
+    /// Accept `$name`, `[`, `]` and `;` (the region logic's set variables
+    /// and operator brackets).
+    pub region: bool,
     /// Accept the `!=` comparison.
     pub not_equal: bool,
 }
 
 /// Tokenize `input`, pairing every token with its starting byte offset.
-pub fn lex(input: &str, opts: LexOptions) -> Result<Vec<(RawTok, usize)>, ParseError> {
+pub fn lex(input: &str, opts: &LexOptions) -> Result<Vec<(Tok, usize)>, ParseError> {
     let bytes = input.as_bytes();
+    // The end of the run of bytes from `from` on that `keep` admits.
+    let run = |from: usize, keep: fn(&u8) -> bool| {
+        from + bytes[from..].iter().take_while(|&b| keep(b)).count()
+    };
+    let word_byte = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+    let fail = |message: String, position: usize| Err(ParseError { message, position });
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let err = |message: String, position: usize| ParseError { message, position };
-        let unexpected = |position: usize| ParseError {
-            message: format!("unexpected character '{}'", c),
-            position,
-        };
-        match c {
-            '(' => {
-                out.push((RawTok::LParen, start));
+        let next = bytes.get(i + 1).copied();
+        let (tok, end) = match c {
+            _ if c.is_whitespace() => {
                 i += 1;
+                continue;
             }
-            ')' => {
-                out.push((RawTok::RParen, start));
-                i += 1;
-            }
-            '[' if opts.brackets => {
-                out.push((RawTok::LBracket, start));
-                i += 1;
-            }
-            ']' if opts.brackets => {
-                out.push((RawTok::RBracket, start));
-                i += 1;
-            }
-            ';' if opts.brackets => {
-                out.push((RawTok::Semicolon, start));
-                i += 1;
-            }
-            ',' => {
-                out.push((RawTok::Comma, start));
-                i += 1;
-            }
-            '.' => {
-                out.push((RawTok::Dot, start));
-                i += 1;
-            }
-            '+' => {
-                out.push((RawTok::Plus, start));
-                i += 1;
-            }
-            '*' => {
-                out.push((RawTok::Star, start));
-                i += 1;
-            }
-            '$' if opts.set_names => {
-                let mut j = i + 1;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
-                {
-                    j += 1;
+            '(' => (Tok::LParen, i + 1),
+            ')' => (Tok::RParen, i + 1),
+            '[' if opts.region => (Tok::LBracket, i + 1),
+            ']' if opts.region => (Tok::RBracket, i + 1),
+            ';' if opts.region => (Tok::Semicolon, i + 1),
+            ',' => (Tok::Comma, i + 1),
+            '.' => (Tok::Dot, i + 1),
+            '+' => (Tok::Plus, i + 1),
+            '*' => (Tok::Star, i + 1),
+            '-' if next == Some(b'>') => (Tok::Arrow, i + 2),
+            '-' => (Tok::Minus, i + 1),
+            '<' if next == Some(b'=') => (Tok::Rel(Rel::Le), i + 2),
+            '<' => (Tok::Rel(Rel::Lt), i + 1),
+            '>' if next == Some(b'=') => (Tok::Rel(Rel::Ge), i + 2),
+            '>' => (Tok::Rel(Rel::Gt), i + 1),
+            '=' => (Tok::Rel(Rel::Eq), i + 1),
+            '!' if opts.not_equal && next == Some(b'=') => (Tok::NotEqual, i + 2),
+            '!' if opts.not_equal => return fail("expected '=' after '!'".into(), i),
+            '$' if opts.region => {
+                let end = run(i + 1, word_byte);
+                if end == i + 1 {
+                    return fail("expected a name after '$'".into(), i);
                 }
-                if j == i + 1 {
-                    return Err(err("expected a name after '$'".into(), start));
-                }
-                out.push((RawTok::SetName(input[i + 1..j].to_string()), start));
-                i = j;
-            }
-            '-' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    out.push((RawTok::Arrow, start));
-                    i += 2;
-                } else {
-                    out.push((RawTok::Minus, start));
-                    i += 1;
-                }
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push((RawTok::Rel(Rel::Le), start));
-                    i += 2;
-                } else {
-                    out.push((RawTok::Rel(Rel::Lt), start));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push((RawTok::Rel(Rel::Ge), start));
-                    i += 2;
-                } else {
-                    out.push((RawTok::Rel(Rel::Gt), start));
-                    i += 1;
-                }
-            }
-            '=' => {
-                out.push((RawTok::Rel(Rel::Eq), start));
-                i += 1;
-            }
-            '!' if opts.not_equal => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push((RawTok::NotEqual, start));
-                    i += 2;
-                } else {
-                    return Err(err("expected '=' after '!'".into(), start));
-                }
+                (Tok::SetName(input[i + 1..end].to_string()), end)
             }
             _ if c.is_ascii_digit() => {
-                let mut j = i;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                    j += 1;
-                }
                 // Optional "/digits" (fraction) or ".digits" (decimal). A dot
                 // only counts as part of the number if followed by a digit —
                 // otherwise it is the quantifier dot.
-                if j < bytes.len() && bytes[j] == b'/' {
-                    let mut k = j + 1;
-                    while k < bytes.len() && (bytes[k] as char).is_ascii_digit() {
-                        k += 1;
+                let mut end = run(i, u8::is_ascii_digit);
+                if bytes.get(end) == Some(&b'/') {
+                    let k = run(end + 1, u8::is_ascii_digit);
+                    if k == end + 1 {
+                        return fail("expected digits after '/'".into(), end);
                     }
-                    if k == j + 1 {
-                        return Err(err("expected digits after '/'".into(), j));
-                    }
-                    j = k;
-                } else if j + 1 < bytes.len()
-                    && bytes[j] == b'.'
-                    && (bytes[j + 1] as char).is_ascii_digit()
+                    end = k;
+                } else if bytes.get(end) == Some(&b'.')
+                    && bytes.get(end + 1).is_some_and(u8::is_ascii_digit)
                 {
-                    let mut k = j + 1;
-                    while k < bytes.len() && (bytes[k] as char).is_ascii_digit() {
-                        k += 1;
-                    }
-                    j = k;
+                    end = run(end + 1, u8::is_ascii_digit);
                 }
-                let text = &input[i..j];
-                let value: Rational = text
-                    .parse()
-                    .map_err(|e| err(format!("bad number '{}': {}", text, e), start))?;
-                out.push((RawTok::Number(value), start));
-                i = j;
+                let text = &input[i..end];
+                match text.parse() {
+                    Ok(value) => (Tok::Number(value), end),
+                    Err(e) => return fail(format!("bad number '{}': {}", text, e), i),
+                }
             }
             _ if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
-                {
-                    j += 1;
-                }
-                out.push((RawTok::Word(input[i..j].to_string()), start));
-                i = j;
+                let end = run(i, word_byte);
+                let word = &input[i..end];
+                let tok = match opts.keywords.iter().find(|&&k| k == word) {
+                    Some(&k) => Tok::Keyword(k),
+                    None => Tok::Word(word.to_string()),
+                };
+                (tok, end)
             }
-            _ => return Err(unexpected(start)),
-        }
+            _ => return fail(format!("unexpected character '{}'", c), i),
+        };
+        out.push((tok, i));
+        i = end;
     }
     Ok(out)
+}
+
+/// A lexed formula being parsed: the grammar skeleton ([`crate::parser`])
+/// and each language's own productions read it through `peek` and `bump`,
+/// and open every nesting level through [`TokenCursor::nested`]. An error is
+/// placed at [`TokenCursor::here`], the next unread token.
+pub struct TokenCursor {
+    /// The unread tokens with their byte offsets, the next one last, so
+    /// [`TokenCursor::bump`] moves it out.
+    rest: Vec<(Tok, usize)>,
+    /// The input's length: where "end of input" is.
+    end: usize,
+    /// Nesting levels open, at most [`MAX_NESTING`].
+    depth: usize,
+}
+
+impl TokenCursor {
+    /// Lex `input` with `opts`.
+    pub fn new(input: &str, opts: &LexOptions) -> Result<TokenCursor, ParseError> {
+        let mut rest = lex(input, opts)?;
+        rest.reverse();
+        Ok(TokenCursor {
+            rest,
+            end: input.len(),
+            depth: 0,
+        })
+    }
+
+    /// The unread tokens, next first.
+    pub fn ahead(&self) -> impl Iterator<Item = &Tok> {
+        self.rest.iter().rev().map(|(t, _)| t)
+    }
+
+    /// The next token.
+    pub fn peek(&self) -> Option<&Tok> {
+        self.ahead().next()
+    }
+
+    /// The token after the next.
+    pub fn peek2(&self) -> Option<&Tok> {
+        self.ahead().nth(1)
+    }
+
+    /// Byte offset of the next token, or the input's length at its end.
+    pub fn here(&self) -> usize {
+        self.rest.last().map_or(self.end, |&(_, p)| p)
+    }
+
+    /// An error at [`TokenCursor::here`].
+    pub fn err(&self, message: impl Into<String>) -> ParseError {
+        ParseError {
+            message: message.into(),
+            position: self.here(),
+        }
+    }
+
+    /// Take the next token.
+    pub fn bump(&mut self) -> Option<Tok> {
+        self.rest.pop().map(|(t, _)| t)
+    }
+
+    /// Take the next token if it is `want`.
+    pub fn eat(&mut self, want: &Tok) -> bool {
+        let hit = self.peek() == Some(want);
+        if hit {
+            self.rest.pop();
+        }
+        hit
+    }
+
+    /// Take the next token, which must be `want`; otherwise fail with
+    /// "expected {what}".
+    pub fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+        if self.eat(want) {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {}", what)))
+        }
+    }
+
+    /// Take the next token, which must be a word `accept` admits; otherwise
+    /// fail with "expected {what}" just past it.
+    pub fn word(&mut self, accept: fn(&str) -> bool, what: &str) -> Result<String, ParseError> {
+        match self.bump() {
+            Some(Tok::Word(w)) if accept(&w) => Ok(w),
+            _ => Err(self.err(format!("expected {}", what))),
+        }
+    }
+
+    /// `item ("," item)*`.
+    pub fn commas<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut items = vec![item(self)?];
+        while self.eat(&Tok::Comma) {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// Run `parse` one nesting level down.
+    pub fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::too_deep(self.here()));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
 }
 
 #[cfg(test)]
@@ -262,11 +306,11 @@ mod tests {
 
     #[test]
     fn numbers_fractions_decimals() {
-        let toks = lex("1 1/2 1.5", LexOptions::default()).unwrap();
+        let toks = lex("1 1/2 1.5", &LexOptions::default()).unwrap();
         let values: Vec<_> = toks
             .into_iter()
             .map(|(t, _)| match t {
-                RawTok::Number(n) => n,
+                Tok::Number(n) => n,
                 other => panic!("{other:?}"),
             })
             .collect();
@@ -275,36 +319,38 @@ mod tests {
 
     #[test]
     fn quantifier_dot_vs_decimal_dot() {
-        let toks = lex("x. 1.5", LexOptions::default()).unwrap();
+        let toks = lex("x. 1.5", &LexOptions::default()).unwrap();
         assert_eq!(toks.len(), 3);
-        assert!(matches!(toks[1].0, RawTok::Dot));
-        assert!(matches!(toks[2].0, RawTok::Number(_)));
+        assert!(matches!(toks[1].0, Tok::Dot));
+        assert!(matches!(toks[2].0, Tok::Number(_)));
     }
 
     #[test]
     fn optional_features_are_gated() {
         // Disabled: the characters are plain lexical errors.
         for src in ["[", "]", ";", "$M", "x != 1"] {
-            assert!(lex(src, LexOptions::default()).is_err(), "{src}");
+            assert!(lex(src, &LexOptions::default()).is_err(), "{src}");
         }
         // Enabled: they tokenize.
         let all = LexOptions {
-            set_names: true,
-            brackets: true,
+            keywords: &["in"],
+            region: true,
             not_equal: true,
         };
-        assert!(lex("[ ] ; $M", all).is_ok());
-        assert_eq!(
-            lex("x != 1", all).unwrap()[1].0,
-            RawTok::NotEqual
-        );
-        assert!(lex("$", all).is_err()); // still needs a name
-        assert!(lex("!", all).is_err()); // still needs '='
+        assert!(lex("[ ] ; $M", &all).is_ok());
+        assert_eq!(lex("x != 1", &all).unwrap()[1].0, Tok::NotEqual);
+        assert!(lex("$", &all).is_err()); // still needs a name
+        assert!(lex("!", &all).is_err()); // still needs '='
+
+        // Keywords come from the table; every other word is a word.
+        let toks = lex("in inside", &all).unwrap();
+        assert_eq!(toks[0].0, Tok::Keyword("in"));
+        assert_eq!(toks[1].0, Tok::Word("inside".into()));
     }
 
     #[test]
     fn offsets_are_byte_positions() {
-        let toks = lex("ab  <= cd", LexOptions::default()).unwrap();
+        let toks = lex("ab  <= cd", &LexOptions::default()).unwrap();
         let positions: Vec<usize> = toks.iter().map(|&(_, p)| p).collect();
         assert_eq!(positions, vec![0, 4, 7]);
     }

@@ -26,7 +26,7 @@ pub mod dnf;
 mod expr;
 mod formula;
 pub mod lex;
-mod parser;
+pub mod parser;
 pub mod qe;
 
 pub use database::{Database, Relation};
