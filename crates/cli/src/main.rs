@@ -49,7 +49,7 @@ use lcdb_core::{
     Decomposition, DecompositionKind, EvalBudget, EvalError, EvalStats, Evaluator,
     JsonlTracer, ProfEntry, Quarantine, RegFormula, RegionExtension, Resumable, TraceHandle,
 };
-use lcdb_logic::{parse_formula, Database, Relation};
+use lcdb_logic::Database;
 use lcdb_plan::PlanId;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -512,42 +512,33 @@ impl Shell {
                 writeln!(out, "  --store DIR            persist arrangements across runs, and resume a run a budget")?;
                 writeln!(out, "                         killed from its stored stages (see `lcdb store --help`)")?;
             }
-            "rel" => match parse_rel_definition(rest) {
-                Ok((name, vars, formula)) => {
-                    let rel = Relation::new(vars, &formula);
-                    if self.spatial.is_none() {
-                        self.spatial = Some(name.clone());
-                    }
-                    // A *changed* definition invalidates every persisted
-                    // entry computed against the old one. Re-issuing an
-                    // identical `rel` line (the warm-start pattern: every
-                    // script re-states its database) must not — the
-                    // persisted arrangement is still exactly right.
-                    let redefined = self.db.relation(&name).is_some_and(|old| *old != rel);
-                    self.db.insert(name.clone(), rel);
-                    self.ext = None;
-                    if redefined {
-                        if let Some(cat) = &self.catalog {
-                            if let Err(e) = cat.invalidate_relation(&name) {
-                                eprintln!("warning: store invalidation failed: {}", e);
+            "rel" | "spatial" => {
+                // A *changed* definition invalidates every persisted entry
+                // computed against the old one. Re-issuing an identical
+                // `rel` line (the warm-start pattern: every script re-states
+                // its database) must not — the persisted arrangement is
+                // still exactly right.
+                let before = self.catalog.is_some().then(|| self.db.clone());
+                let line = format!("{} {}", cmd, rest);
+                match lcdb_server::apply_define(&mut self.db, &mut self.spatial, &line) {
+                    Ok(msg) => {
+                        self.ext = None;
+                        if let (Some(cat), Some(before)) = (&self.catalog, before) {
+                            for (name, old) in before.relations() {
+                                if self.db.relation(name) == Some(old) {
+                                    continue;
+                                }
+                                if let Err(e) = cat.invalidate_relation(name) {
+                                    eprintln!("warning: store invalidation failed: {}", e);
+                                }
                             }
                         }
+                        writeln!(out, "{}", msg)?;
                     }
-                    writeln!(out, "defined {}", name)?;
-                }
-                Err(e) => {
-                    self.exit_code = 1;
-                    writeln!(out, "error: {}", e)?;
-                }
-            },
-            "spatial" => {
-                if self.db.relation(rest).is_none() {
-                    self.exit_code = 1;
-                    writeln!(out, "error: unknown relation '{}'", rest)?;
-                } else {
-                    self.spatial = Some(rest.to_string());
-                    self.ext = None;
-                    writeln!(out, "spatial relation set to {}", rest)?;
+                    Err(e) => {
+                        self.exit_code = 1;
+                        writeln!(out, "error: {}", e)?;
+                    }
                 }
             }
             "decomposition" => {
@@ -684,32 +675,6 @@ impl Shell {
         }
         Ok(true)
     }
-}
-
-/// Parse `NAME(v1, v2, …) := FORMULA`.
-fn parse_rel_definition(src: &str) -> Result<(String, Vec<String>, lcdb_logic::Formula), String> {
-    let (head, body) = src
-        .split_once(":=")
-        .ok_or("expected `NAME(vars) := formula`")?;
-    let head = head.trim();
-    let open = head.find('(').ok_or("expected '(' in relation head")?;
-    if !head.ends_with(')') {
-        return Err("expected ')' at the end of the relation head".into());
-    }
-    let name = head[..open].trim().to_string();
-    if name.is_empty() {
-        return Err("empty relation name".into());
-    }
-    let vars: Vec<String> = head[open + 1..head.len() - 1]
-        .split(',')
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .collect();
-    if vars.is_empty() {
-        return Err("relation needs at least one variable".into());
-    }
-    let formula = parse_formula(body.trim()).map_err(|e| e.to_string())?;
-    Ok((name, vars, formula))
 }
 
 /// Pull `--timeout SECS`, `--max-iterations N`, `--max-faces N` (also the
@@ -1336,13 +1301,21 @@ mod tests {
 
     #[test]
     fn rel_parse_failures() {
-        assert!(parse_rel_definition("S(x) : = foo").is_err());
-        assert!(parse_rel_definition("(x) := x < 1").is_err());
-        assert!(parse_rel_definition("S() := x < 1").is_err());
-        assert!(parse_rel_definition("S(x) := x <").is_err());
-        let ok = parse_rel_definition("S(x, y) := x < y");
-        assert!(ok.is_ok());
-        assert_eq!(ok.unwrap().1, vec!["x".to_string(), "y".to_string()]);
+        for bad in [
+            "S(x) : = foo",
+            "(x) := x < 1",
+            "S() := x < 1",
+            "S(x) := x <",
+            "S(x) := y < 1",
+            "S(x) := exists y. y < x",
+            "S(x) := T(x)",
+        ] {
+            let (out, code) = run_shell(Limits::default(), &[&format!("rel {bad}")]);
+            assert_eq!(code, 1, "{bad}: {out}");
+            assert!(out.starts_with("error: "), "{bad}: {out}");
+        }
+        let out = run(&["rel S(x, y) := x < y", "contains S 0 1", "contains S 1 0"]);
+        assert_eq!(out, "defined S\ntrue\nfalse\n");
     }
 
     #[test]

@@ -66,3 +66,14 @@ fn generic_error_exits_one() {
     assert_eq!(code, 1, "{}", out);
     assert!(out.contains("unknown relation"), "{}", out);
 }
+
+#[test]
+fn hostile_definition_exits_one() {
+    let (out, code) = lcdb(&["-e", "rel S(x) := y < 1"]);
+    assert_eq!(code, 1, "{}", out);
+    assert!(
+        out.contains("error: definition mentions unknown variable 'y'"),
+        "{}",
+        out
+    );
+}
