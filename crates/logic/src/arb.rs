@@ -1,5 +1,5 @@
 //! Proptest generators shared by the differential tests of [`crate::dnf`]
-//! and [`crate::qe`].
+//! and [`crate::qe`], and the print → parse round trip of [`crate::parser`].
 
 use crate::{Atom, Formula, LinExpr};
 use lcdb_arith::int;
@@ -41,6 +41,25 @@ pub(crate) fn arb_formula(size: u32) -> impl Strategy<Value = Formula> {
             proptest::collection::vec(inner.clone(), 1..4).prop_map(Formula::and),
             proptest::collection::vec(inner.clone(), 1..4).prop_map(Formula::or),
             inner.prop_map(Formula::not),
+        ]
+    })
+}
+
+/// Random formulas of [`arb_formula`]'s shape that also bind `x`, `y` or `z`
+/// (`exists`/`forall`) and apply a binary `S` to random arguments.
+pub(crate) fn arb_fo_formula(size: u32) -> impl Strategy<Value = Formula> {
+    let leaf = prop_oneof![
+        arb_atom().prop_map(Formula::Atom),
+        (arb_atom(), arb_atom()).prop_map(|(a, b)| Formula::Pred("S".into(), vec![a.expr, b.expr])),
+    ];
+    leaf.prop_recursive(3, size, 4, |inner| {
+        let var = || prop_oneof![Just("x"), Just("y"), Just("z")];
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 1..4).prop_map(Formula::and),
+            proptest::collection::vec(inner.clone(), 1..4).prop_map(Formula::or),
+            inner.clone().prop_map(Formula::not),
+            (var(), inner.clone()).prop_map(|(v, f)| Formula::Exists(v.into(), Box::new(f))),
+            (var(), inner).prop_map(|(v, f)| Formula::Forall(v.into(), Box::new(f))),
         ]
     })
 }

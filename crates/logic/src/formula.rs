@@ -253,31 +253,38 @@ impl fmt::Display for Formula {
                 }
                 write!(f, ")")
             }
-            Formula::And(fs) => {
-                write!(f, "(")?;
-                for (i, sub) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " and ")?;
-                    }
-                    write!(f, "{}", sub)?;
-                }
-                write!(f, ")")
-            }
-            Formula::Or(fs) => {
-                write!(f, "(")?;
-                for (i, sub) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " or ")?;
-                    }
-                    write!(f, "{}", sub)?;
-                }
-                write!(f, ")")
-            }
+            Formula::And(fs) => write_joined(f, fs, " and "),
+            Formula::Or(fs) => write_joined(f, fs, " or "),
             Formula::Not(inner) => write!(f, "not {}", inner),
             Formula::Exists(v, inner) => write!(f, "exists {}. {}", v, inner),
             Formula::Forall(v, inner) => write!(f, "forall {}. {}", v, inner),
         }
     }
+}
+
+/// `(a SEP b SEP …)`. A binder's body reaches as far right as the text
+/// goes, so a part that ends in one (`exists …`, `forall …`, or `not` of
+/// either) is parenthesized unless it is the last.
+fn write_joined(f: &mut fmt::Formatter<'_>, parts: &[Formula], sep: &str) -> fmt::Result {
+    fn open_ended(part: &Formula) -> bool {
+        match part {
+            Formula::Exists(..) | Formula::Forall(..) => true,
+            Formula::Not(inner) => open_ended(inner),
+            _ => false,
+        }
+    }
+    write!(f, "(")?;
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            write!(f, "{}", sep)?;
+        }
+        if i + 1 < parts.len() && open_ended(part) {
+            write!(f, "({})", part)?;
+        } else {
+            write!(f, "{}", part)?;
+        }
+    }
+    write!(f, ")")
 }
 
 impl fmt::Debug for Formula {
