@@ -260,8 +260,8 @@ struct Shell {
     /// stays live either way, for `--metrics`).
     trace: TraceHandle,
     /// Persistent plan catalog (`--store DIR`): arrangement extensions are
-    /// warm-loaded from here before being rebuilt, persisted after a fresh
-    /// build, and invalidated when `rel` redefines a relation; an aborted
+    /// warm-loaded from here before being rebuilt and persisted after a
+    /// fresh build, keyed by the hyperplanes they were built over; an aborted
     /// evaluation's fixpoint stages wait here for the next run. Store
     /// failures degrade to recomputation — they never fail a command.
     catalog: Option<lcdb_core::PlanCatalog>,
@@ -327,9 +327,9 @@ impl Shell {
                             &self.trace,
                         )
                     };
-                    // Warm path: a previous process persisted this exact
-                    // arrangement (same database fingerprint) — the catalog
-                    // hands it back instead of re-running the construction.
+                    // Warm path: a previous process persisted an arrangement
+                    // over the same spatial hyperplanes — the catalog hands
+                    // it back instead of re-running the construction.
                     let regions = match &self.catalog {
                         Some(cat) => {
                             let (regions, mut warnings) =
@@ -403,7 +403,7 @@ impl Shell {
             result,
             resumed,
             warnings,
-        } = cat.eval_resumable(f, &self.db, db_fp, self.decomposition, ev, run);
+        } = cat.eval_resumable(f, db_fp, self.decomposition, ev, run);
         for w in warnings {
             eprintln!("warning: {w}");
         }
@@ -513,26 +513,10 @@ impl Shell {
                 writeln!(out, "                         killed from its stored stages (see `lcdb store --help`)")?;
             }
             "rel" | "spatial" => {
-                // A *changed* definition invalidates every persisted entry
-                // computed against the old one. Re-issuing an identical
-                // `rel` line (the warm-start pattern: every script re-states
-                // its database) must not — the persisted arrangement is
-                // still exactly right.
-                let before = self.catalog.is_some().then(|| self.db.clone());
                 let line = format!("{} {}", cmd, rest);
                 match lcdb_server::apply_define(&mut self.db, &mut self.spatial, &line) {
                     Ok(msg) => {
                         self.ext = None;
-                        if let (Some(cat), Some(before)) = (&self.catalog, before) {
-                            for (name, old) in before.relations() {
-                                if self.db.relation(name) == Some(old) {
-                                    continue;
-                                }
-                                if let Err(e) = cat.invalidate_relation(name) {
-                                    eprintln!("warning: store invalidation failed: {}", e);
-                                }
-                            }
-                        }
                         writeln!(out, "{}", msg)?;
                     }
                     Err(e) => {

@@ -99,11 +99,12 @@ fn shell_persists_arrangement_and_warm_starts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Redefining a relation drops the persisted entries computed against the
-/// old definition, so a later process never sees a stale arrangement.
+/// A changed definition is a different database: it misses the entries
+/// persisted for the old definition, so a later process never sees a stale
+/// arrangement.
 #[test]
-fn redefinition_invalidates_persisted_entries() {
-    let dir = temp_dir("invalidate");
+fn a_changed_definition_misses_persisted_entries() {
+    let dir = temp_dir("changed");
     let dir_s = dir.to_string_lossy().into_owned();
 
     let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
@@ -124,5 +125,35 @@ fn redefinition_invalidates_persisted_entries() {
     assert_eq!(code, 0, "{}", out);
     assert!(out.contains("true"), "{}", out);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store of the format before content-addressed keys cannot be opened:
+/// the shell warns, runs without persistence, and answers.
+#[test]
+fn a_version_1_store_warns_and_runs_without_persistence() {
+    let dir = temp_dir("v1");
+    let dir_s = dir.to_string_lossy().into_owned();
+    let (out, code) = lcdb(&["store", "init", &dir_s]);
+    assert_eq!(code, 0, "{}", out);
+    // store.meta is magic · version · page size · fnv1a64(version · page size).
+    let meta = dir.join("store.meta");
+    let mut bytes = std::fs::read(&meta).expect("meta");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let sum = lcdb_exec::hash::fnv1a64(&bytes[8..16]);
+    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&meta, &bytes).expect("write meta");
+
+    let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
+    assert_eq!(code, 0, "{}", out);
+    assert!(
+        out.contains("meta file has version 1, this build reads version 2 (persistence disabled)"),
+        "{}",
+        out
+    );
+    assert!(out.contains("false"), "{}", out);
+    let (out, code) = lcdb(&["store", "stat", &dir_s]);
+    assert_eq!(code, 1, "{}", out);
+    assert!(out.contains("version 1"), "{}", out);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,10 +5,11 @@
 //! hyperplane arrangement (Theorem 3.1) — and re-ran every fixpoint from
 //! stage zero. The [`PlanCatalog`] gives those artifacts a crash-safe home:
 //!
-//! * **arrangements** ([`lcdb_store::CLASS_ARRANGEMENT`]) keyed by the
-//!   database fingerprint, with the database's relation names as dependency
-//!   tags, so a redefined relation invalidates exactly the extensions built
-//!   over it;
+//! * **arrangements** ([`lcdb_store::CLASS_ARRANGEMENT`]) keyed by a
+//!   fingerprint of the input of their build,
+//!   [`ArrangementRegions::spatial_hyperplanes`]' `(d, hyperplanes)` in
+//!   order: every relation of the spatial arity contributes, a relation of
+//!   another arity does not, so redefining one reuses the arrangement;
 //! * **query results** ([`lcdb_store::CLASS_RESULT`]) keyed by
 //!   `(plan fingerprint, database fingerprint)` — the same key the server's
 //!   in-memory result cache uses, so a warm start serves µs-scale catalog
@@ -21,6 +22,15 @@
 //!   recoverable abort, drop the entry on success (the result entry serves
 //!   from then on) — and both front ends go through it.
 //!
+//! Every key names what its blob was computed from, so no entry goes stale
+//! and nothing is invalidated when a relation is redefined: the changed
+//! database has other keys, and the old entries are still right for the old
+//! database. A 64-bit fingerprint collision is the one way a wrong entry
+//! could be served — the exposure the in-memory result cache already has —
+//! and an arrangement rules even that out by comparing its hyperplanes on
+//! load. Space comes back by least-recently-used eviction before a put that
+//! would pass [`MAX_LIVE_BYTES`].
+//!
 //! All blobs ride the store's WAL, page checksums, and quarantine: a torn or
 //! bit-flipped catalog entry is reported as a typed [`StoreError`] and the
 //! caller falls back to recomputing — never to serving corrupt state.
@@ -29,7 +39,7 @@ use crate::evaluator::{empty_checkpoint, query_fingerprint, Evaluator};
 use crate::region::{ArrangementRegions, DecompositionKind};
 use crate::{EvalError, RegFormula};
 use lcdb_exec::codec::{put_str, put_u64, put_u8, Cursor};
-use lcdb_exec::hash::fingerprint_str;
+use lcdb_exec::hash::{fingerprint_str, Fnv};
 use lcdb_geom::{Arrangement, Face, Hyperplane};
 use lcdb_logic::Database;
 use lcdb_recover::Snapshot;
@@ -55,6 +65,16 @@ pub fn database_fingerprint(db: &Database, spatial: Option<&str>) -> u64 {
     desc.push_str(spatial.unwrap_or(""));
     fingerprint_str(&desc)
 }
+
+/// Live blob bytes the catalog holds before a put evicts least-recently-used
+/// entries. A 20 s `serve_churn` run on a 2-core x86-64 (about 4 400 new
+/// databases, store on) ends with 33 MB live in 16 000 entries, so the bound
+/// holds eight such runs, and eight times the largest blob the store
+/// accepts, before anything goes — `serve_churn` counts a base-map read
+/// recomputed after its restart as a failure, and the base entries are its
+/// least recently used. Pages cost more than live bytes: an entry takes
+/// whole 4 KiB pages, so that run's 33 MB filled 94 MB of them.
+pub const MAX_LIVE_BYTES: u64 = 256 << 20;
 
 /// Version tag of the arrangement blob layout: 2 stores each face's recession
 /// ray where 1 stored a bounded flag.
@@ -196,30 +216,64 @@ impl PlanCatalog {
         self.store.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn extension_key(db_fp: u64, spatial: &str) -> EntryKey {
+    /// Put `data` under `key`. A put that would take the live blob bytes
+    /// past [`MAX_LIVE_BYTES`] first evicts least-recently-used entries down
+    /// to three quarters of it, so one eviction (a sort of the catalog and
+    /// one WAL record) pays for a quarter of the bound's worth of puts.
+    fn put(&self, key: EntryKey, data: &[u8]) -> Result<(), StoreError> {
+        let mut store = self.lock();
+        if store.live_bytes() + data.len() as u64 > MAX_LIVE_BYTES {
+            store.evict_lru(MAX_LIVE_BYTES / 4 * 3)?;
+        }
+        store.put(key, data)
+    }
+
+    /// The key of the arrangement over `(d, hyperplanes)`: a fingerprint of
+    /// exactly that input, in order. Which relation is spatial does not
+    /// enter; only its arity does.
+    fn arrangement_key(d: usize, hyperplanes: &[Hyperplane]) -> EntryKey {
+        let mut h = Fnv::new();
+        h.u64(d as u64);
+        for plane in hyperplanes {
+            h.str(&plane.to_string());
+        }
         EntryKey {
             class: CLASS_ARRANGEMENT,
             plan_fp: 0,
-            db_fp,
-            name: format!("ext:{spatial}"),
+            db_fp: h.finish(),
+            name: "arrangement".into(),
         }
     }
 
     /// Load a previously persisted region extension for `db`, rebuilding the
     /// [`ArrangementRegions`] around the live database. Returns `Ok(None)`
-    /// on a catalog miss; corrupt blobs surface as typed errors (the entry
-    /// stays quarantined) and the caller recomputes.
+    /// on a catalog miss, and when the stored arrangement is not over the
+    /// hyperplanes its key names (a fingerprint collision); corrupt blobs
+    /// surface as typed errors (the entry stays quarantined) and the caller
+    /// recomputes.
     pub fn load_extension(
         &self,
         db: &Database,
         spatial: &str,
     ) -> Result<Option<ArrangementRegions>, StoreError> {
-        let db_fp = database_fingerprint(db, Some(spatial));
-        let key = Self::extension_key(db_fp, spatial);
-        let Some(bytes) = self.lock().get(&key)? else {
+        // An unknown spatial relation has no arrangement; the build reports it.
+        let Ok((d, hyperplanes)) = ArrangementRegions::spatial_hyperplanes(db, spatial) else {
+            return Ok(None);
+        };
+        let Some(bytes) = self.lock().get(&Self::arrangement_key(d, &hyperplanes))? else {
             return Ok(None);
         };
         let arrangement = decode_arrangement(&bytes)?;
+        // An arrangement derived by edits holds the same planes in the order
+        // the edits left them, which serves this database as well as a build.
+        let wanted: std::collections::HashSet<&Hyperplane> = hyperplanes.iter().collect();
+        let stored = arrangement.hyperplanes();
+        if arrangement.ambient_dim() != d
+            || stored.len() != wanted.len()
+            || !stored.iter().all(|h| wanted.contains(h))
+        {
+            return Ok(None);
+        }
         ArrangementRegions::from_parts(db.clone(), spatial, arrangement)
             .map(Some)
             .map_err(|e| malformed(e.to_string()))
@@ -249,18 +303,15 @@ impl PlanCatalog {
         Ok((built, warnings))
     }
 
-    /// Persist a completed region extension. Dependency tags are the
-    /// database's relation names, so redefining any of them invalidates the
-    /// entry.
+    /// Persist a completed region extension under the key of its
+    /// database's spatial hyperplanes.
     pub fn save_extension(&self, regions: &ArrangementRegions) -> Result<(), StoreError> {
         use crate::region::Decomposition;
-        let db = regions.database();
-        let spatial = regions.spatial_relation();
-        let db_fp = database_fingerprint(db, Some(spatial));
-        let deps: Vec<String> = db.relations().map(|(n, _)| n.clone()).collect();
+        let (d, hyperplanes) =
+            ArrangementRegions::spatial_hyperplanes(regions.database(), regions.spatial_relation())
+                .map_err(|e| malformed(e.to_string()))?;
         let blob = encode_arrangement(regions.arrangement());
-        self.lock()
-            .put(Self::extension_key(db_fp, spatial), &deps, &blob)
+        self.put(Self::arrangement_key(d, &hyperplanes), &blob)
     }
 
     fn result_key(plan_fp: u64, db_fp: u64) -> EntryKey {
@@ -280,15 +331,15 @@ impl PlanCatalog {
     }
 
     /// Persist a query result under `(plan fingerprint, database
-    /// fingerprint)` with the given relation-name dependency tags.
+    /// fingerprint)`. Pinned by `benchmark/`: `_deps` is ignored.
     pub fn save_result(
         &self,
         plan_fp: u64,
         db_fp: u64,
-        deps: &[String],
+        _deps: &[String],
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        self.lock().put(Self::result_key(plan_fp, db_fp), deps, payload)
+        self.put(Self::result_key(plan_fp, db_fp), payload)
     }
 
     fn fixpoint_key(query_fp: u64, db_fp: u64, kind: DecompositionKind) -> EntryKey {
@@ -315,16 +366,6 @@ impl PlanCatalog {
             })
     }
 
-    fn save_fixpoint(
-        &self,
-        key: EntryKey,
-        snapshot: &Snapshot,
-        db: &Database,
-    ) -> Result<(), StoreError> {
-        let deps: Vec<String> = db.relations().map(|(n, _)| n.clone()).collect();
-        self.lock().put(key, &deps, &snapshot.encode())
-    }
-
     /// Run one evaluation so that a killed run is continued by the next:
     /// the stages stored for `(query, db_fp, kind)` by an earlier aborted
     /// run are installed with [`Evaluator::resume_from`], `run` is called,
@@ -333,16 +374,16 @@ impl PlanCatalog {
     /// result entry answers from then on, and a snapshot nothing can reach
     /// is a WAL append for nothing.
     ///
-    /// `ev` is the evaluator over the decomposition of `db`, or the error
-    /// its construction tripped on: a recoverable one leaves an entry-less
-    /// [`empty_checkpoint`] (unless real stages are already stored), so the
-    /// next run still finds something to resume. A stored blob that is
+    /// `ev` is the evaluator over the decomposition of the database that
+    /// `db_fp` names, or the error its construction tripped on: a
+    /// recoverable one leaves an entry-less [`empty_checkpoint`] (unless
+    /// real stages are already stored), so the next run still finds
+    /// something to resume. A stored blob that is
     /// corrupt, or that [`Evaluator::resume_from`] refuses, is a warning and
     /// a cold run; no store failure ever fails the evaluation.
     pub fn eval_resumable<T>(
         &self,
         query: &RegFormula,
-        db: &Database,
         db_fp: u64,
         kind: DecompositionKind,
         ev: Result<Evaluator<'_>, EvalError>,
@@ -378,7 +419,7 @@ impl PlanCatalog {
             }
         };
         let kept = match snapshot {
-            Some(snapshot) => self.save_fixpoint(key, &snapshot, db),
+            Some(snapshot) => self.put(key, &snapshot.encode()),
             None if result.is_ok() && leftover => self.lock().delete(&key).map(drop),
             None => Ok(()),
         };
@@ -390,13 +431,6 @@ impl PlanCatalog {
             resumed,
             warnings,
         }
-    }
-
-    /// Invalidate every catalog entry depending on `name` (a redefined or
-    /// dropped relation). One atomic WAL record covers the whole victim set.
-    /// Returns how many entries were dropped.
-    pub fn invalidate_relation(&self, name: &str) -> Result<usize, StoreError> {
-        self.lock().invalidate_dep(name)
     }
 
     /// Checkpoint the store: flush pages, snapshot the catalog, reset the WAL.
@@ -622,8 +656,8 @@ mod tests {
         let dir = scratch("v1");
         let cat = PlanCatalog::open(&dir).unwrap();
         let db = sample_db();
-        let key = PlanCatalog::extension_key(database_fingerprint(&db, Some("S")), "S");
-        cat.lock().put(key, &[], &v1).unwrap();
+        let (d, hyperplanes) = ArrangementRegions::spatial_hyperplanes(&db, "S").unwrap();
+        cat.lock().put(PlanCatalog::arrangement_key(d, &hyperplanes), &v1).unwrap();
         let (built, warnings) = cat.extension_or_build(&db, "S", || Ok(arrangement(db.clone()))).unwrap();
         assert!(
             matches!(&warnings[..], [w] if w.contains("unreadable") && w.contains("rebuilding")),
@@ -634,8 +668,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn with(db: &Database, name: &str, vars: &[&str], src: &str) -> Database {
+        let mut db = db.clone();
+        let vars = vars.iter().map(|v| v.to_string()).collect();
+        db.insert(name, Relation::new(vars, &parse_formula(src).unwrap()));
+        db
+    }
+
+    /// The arrangement is keyed by the spatial hyperplanes: a changed plane
+    /// is a miss, a relation of another arity or another spatial relation of
+    /// the same planes is a hit, and so is the old database after a change.
     #[test]
-    fn catalog_roundtrips_extension_and_invalidates_on_define() {
+    fn catalog_roundtrips_extension_keyed_by_its_hyperplanes() {
         let dir = scratch("ext");
         let cat = PlanCatalog::open(&dir).unwrap();
         let db = sample_db();
@@ -651,9 +695,47 @@ mod tests {
             assert!(warm.subset_of(id, "S") == built.subset_of(id, "S"));
         }
 
-        // Redefining a relation the extension was built over evicts it.
-        assert_eq!(cat.invalidate_relation("T").unwrap(), 1);
+        // T has S's arity, so its planes are part of the key.
+        let changed = with(&db, "T", &["x", "y"], "x - y > 2");
+        assert!(cat.load_extension(&changed, "S").unwrap().is_none());
+        assert!(cat.load_extension(&db, "S").unwrap().is_some(), "the old entry is still right");
+        let unary = with(&db, "U", &["x"], "x > 5");
+        assert!(cat.load_extension(&unary, "S").unwrap().is_some());
+        let over_t = cat.load_extension(&db, "T").unwrap().expect("same planes, same arity");
+        assert_eq!(over_t.spatial_relation(), "T");
+
+        // A blob over other planes under this key (a fingerprint collision)
+        // is a miss, not a wrong arrangement.
+        let (d, hyperplanes) = ArrangementRegions::spatial_hyperplanes(&db, "S").unwrap();
+        let other = encode_arrangement(arrangement(changed).arrangement());
+        cat.lock().put(PlanCatalog::arrangement_key(d, &hyperplanes), &other).unwrap();
         assert!(cat.load_extension(&db, "S").unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An arrangement derived by edits lists its planes in edit order, not
+    /// in the order a build over its database would: it is stored under its
+    /// database's key and served from it.
+    #[test]
+    fn a_derived_arrangement_is_served_under_its_database_key() {
+        let dir = scratch("derived");
+        let cat = PlanCatalog::open(&dir).unwrap();
+        let db = sample_db();
+        // `A` sorts before S, so a build lists its plane first; the edit
+        // appends it.
+        let grown = with(&db, "A", &["x", "y"], "x + 2*y < 3");
+        let budget = crate::EvalBudget::unlimited();
+        let (derived, delta) = arrangement(db)
+            .try_derive(grown.clone(), "S", &budget, &lcdb_exec::Pool::serial())
+            .unwrap()
+            .expect("one insert beats a rebuild");
+        assert_eq!(delta.inserted, 1);
+        let (_, canonical) = ArrangementRegions::spatial_hyperplanes(&grown, "S").unwrap();
+        assert_ne!(derived.arrangement().hyperplanes(), &canonical[..]);
+        cat.save_extension(&derived).unwrap();
+        let warm = cat.load_extension(&grown, "S").unwrap().expect("catalog hit");
+        assert_eq!(warm.arrangement().hyperplanes(), derived.arrangement().hyperplanes());
+        assert_eq!(warm.num_regions(), arrangement(grown).num_regions());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -676,9 +758,9 @@ mod tests {
             (&b"LCDBSNAPgarbage"[..], "unreadable"),
             (&foreign[..], "not resumable"),
         ] {
-            cat.lock().put(key(), &[], blob).unwrap();
+            cat.lock().put(key(), blob).unwrap();
             let ev = Evaluator::new(&regions);
-            let run = cat.eval_resumable(&q, &db, db_fp, kind, Ok(ev), |ev| {
+            let run = cat.eval_resumable(&q, db_fp, kind, Ok(ev), |ev| {
                 ev.try_eval_sentence(&q)
             });
             assert!(!run.resumed);
@@ -705,7 +787,7 @@ mod tests {
                 stats: Default::default(),
                 entries: Vec::new(),
             });
-            cat.save_fixpoint(fixpoint_key(), &snap, &sample_db()).unwrap();
+            cat.put(fixpoint_key(), &snap.encode()).unwrap();
             cat.checkpoint().unwrap();
         }
         let cat = PlanCatalog::open(&dir).unwrap();
@@ -713,10 +795,6 @@ mod tests {
         assert_eq!(cat.load_result(7, 10).unwrap(), None);
         let snap = cat.load_fixpoint(&fixpoint_key()).unwrap().expect("fixpoint hit");
         assert_eq!(snap.fingerprint(), 42);
-        // Invalidation drops both dependents atomically.
-        assert_eq!(cat.invalidate_relation("S").unwrap(), 2);
-        assert!(cat.load_result(7, 9).unwrap().is_none());
-        assert!(cat.load_fixpoint(&fixpoint_key()).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

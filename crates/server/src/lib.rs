@@ -34,4 +34,4 @@ pub use cache::ResultCache;
 pub use client::Client;
 pub use load::{run as run_load, LoadConfig, LoadReport};
 pub use proto::{OpCode, ProtoError, Request, RespCode, Response};
-pub use server::{apply_define, db_fingerprint, Server, ServerConfig};
+pub use server::{apply_define, Server, ServerConfig};

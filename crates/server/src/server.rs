@@ -55,9 +55,9 @@ use crate::proto::{
     write_frame, FrameReader, OpCode, Request, RespCode, Response,
 };
 use lcdb_core::{
-    explain_query, parse_regformula, query_fingerprint, ArrangementRegions, CancelToken,
-    Decomposition, DecompositionKind, EvalBudget, EvalError, Evaluator, PlanCatalog, Pool,
-    RegionExtension, TraceHandle,
+    database_fingerprint, explain_query, parse_regformula, query_fingerprint, ArrangementRegions,
+    CancelToken, Decomposition, DecompositionKind, EvalBudget, EvalError, Evaluator, PlanCatalog,
+    Pool, RegionExtension, TraceHandle,
 };
 use lcdb_logic::{parse_formula, Database, Formula, Relation};
 use lcdb_trace::{Counter, Histogram};
@@ -325,7 +325,7 @@ impl Shared {
         listening_on: SocketAddr,
     ) -> Shared {
         let m = trace.metrics();
-        let base_fp = db_fingerprint(&base.0, base.1.as_deref());
+        let base_fp = database_fingerprint(&base.0, base.1.as_deref());
         // A listener on the wildcard address is reached through loopback.
         let mut wake_addr = listening_on;
         if wake_addr.ip().is_unspecified() {
@@ -702,26 +702,6 @@ impl Shared {
     }
 }
 
-/// Fingerprint of a session database: every relation's name, variables and
-/// defining formula, plus the designated spatial relation. Process-stable
-/// (FNV-1a over the canonical rendering), so cache keys survive restarts.
-pub fn db_fingerprint(db: &Database, spatial: Option<&str>) -> u64 {
-    lcdb_core::database_fingerprint(db, spatial)
-}
-
-/// The relation name a `Define` line (re)binds, if any: the head of a
-/// `NAME(vars) := formula` definition. `spatial NAME` lines rebind no
-/// relation, so dependents of existing definitions stay valid.
-fn defined_relation(line: &str) -> Option<&str> {
-    let line = line.trim();
-    if line.starts_with("spatial ") {
-        return None;
-    }
-    let line = line.strip_prefix("rel ").unwrap_or(line);
-    let head = line.split_once(":=")?.0.trim();
-    Some(head[..head.find('(')?].trim())
-}
-
 /// Salt mixed into the plan hash so the same query text evaluated as a
 /// sentence, as an open query, or explained never share a cache entry.
 fn op_salt(op: OpCode) -> u64 {
@@ -1085,27 +1065,9 @@ fn session_inner(
                     let resp = match apply_define(Arc::make_mut(&mut db), &mut spatial, &req.text)
                     {
                         Ok(msg) => {
-                            let before = std::mem::replace(
-                                &mut db_fp,
-                                db_fingerprint(&db, spatial.as_deref()),
-                            );
-                            // A rebound relation invalidates every persisted
-                            // artifact depending on it — one atomic WAL
-                            // record, before the definition is acknowledged,
-                            // so no later request can warm-start from state
-                            // derived from the old definition. A definition
-                            // that leaves the database as it was (sessions
-                            // re-state their relations) invalidates nothing:
-                            // what the catalog holds is still exactly right.
-                            if let (Some(cat), Some(name), true) = (
-                                &shared.catalog,
-                                defined_relation(&req.text),
-                                before != db_fp,
-                            ) {
-                                if let Err(e) = cat.invalidate_relation(name) {
-                                    shared.trace.mark("server.store", &e.to_string());
-                                }
-                            }
+                            // Every later key names the new database, so
+                            // nothing persisted for the old one is served.
+                            db_fp = database_fingerprint(&db, spatial.as_deref());
                             Response::ok(req.id, msg)
                         }
                         Err(e) => Response::error(RespCode::ParseError, req.id, e),
@@ -1396,7 +1358,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
     let result = match &shared.catalog {
         Some(cat) => {
             let kind = DecompositionKind::Arrangement;
-            let resumable = cat.eval_resumable(&f, &job.db, job.db_fp, kind, ev, run);
+            let resumable = cat.eval_resumable(&f, job.db_fp, kind, ev, run);
             for w in &resumable.warnings {
                 shared.trace.mark("server.store", w);
             }
@@ -1408,8 +1370,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, info: &mut ExecInfo) -> Response {
         Ok(body) => {
             shared.cache.put(key, body.clone());
             if let Some(cat) = &shared.catalog {
-                let deps: Vec<String> = job.db.relations().map(|(n, _)| n.clone()).collect();
-                if let Err(e) = cat.save_result(key.0, key.1, &deps, body.as_bytes()) {
+                if let Err(e) = cat.save_result(key.0, key.1, &[], body.as_bytes()) {
                     shared.trace.mark("server.store", &e.to_string());
                 }
             }
@@ -1428,20 +1389,20 @@ mod tests {
     fn define_and_fingerprint() {
         let mut db = Database::new();
         let mut spatial = None;
-        let fp0 = db_fingerprint(&db, spatial.as_deref());
+        let fp0 = database_fingerprint(&db, spatial.as_deref());
         let msg = apply_define(&mut db, &mut spatial, "S(x) := 0 < x and x < 1").unwrap();
         assert_eq!(msg, "defined S");
         assert_eq!(spatial.as_deref(), Some("S"));
-        let fp1 = db_fingerprint(&db, spatial.as_deref());
+        let fp1 = database_fingerprint(&db, spatial.as_deref());
         assert_ne!(fp0, fp1);
         // Same definition → same fingerprint (cache sharing across
         // sessions); different body → different fingerprint.
         let mut db2 = Database::new();
         let mut spatial2 = None;
         apply_define(&mut db2, &mut spatial2, "rel S(x) := 0 < x and x < 1").unwrap();
-        assert_eq!(fp1, db_fingerprint(&db2, spatial2.as_deref()));
+        assert_eq!(fp1, database_fingerprint(&db2, spatial2.as_deref()));
         apply_define(&mut db2, &mut spatial2, "S(x) := 0 < x and x < 2").unwrap();
-        assert_ne!(fp1, db_fingerprint(&db2, spatial2.as_deref()));
+        assert_ne!(fp1, database_fingerprint(&db2, spatial2.as_deref()));
     }
 
     #[test]

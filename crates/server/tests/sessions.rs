@@ -440,8 +440,9 @@ fn define_churn_in_one_session_cannot_evict_base_entries() {
 }
 
 /// Warm start from the persistent catalog: a second server process on the
-/// same store directory serves persisted results without recomputing, and a
-/// `Define` invalidates the dependent catalog entries.
+/// same store directory serves persisted results without recomputing. A
+/// changed definition is a different database, so it misses; the base
+/// database's entries stay, because their content did not change.
 #[test]
 fn warm_start_serves_persisted_results_across_processes() {
     let dir = std::env::temp_dir().join(format!("lcdb-server-store-{}", std::process::id()));
@@ -479,8 +480,8 @@ fn warm_start_serves_persisted_results_across_processes() {
             .expect("eval");
         assert_eq!((r.code, r.body.as_str()), (RespCode::Ok, "true"));
 
-        // Redefining S invalidates the persisted dependents: after the
-        // define, the old base answer is recomputed, not warm-served.
+        // Redefining S makes a new database: its answer is computed, not
+        // served from what the catalog holds for the base.
         let r = c.define("S(x) := x < x").expect("define");
         assert_eq!(r.code, RespCode::Ok, "{}", r.body);
         let r = c.eval_sentence(NONEMPTY, 0).expect("eval");
@@ -488,26 +489,26 @@ fn warm_start_serves_persisted_results_across_processes() {
         server.shutdown();
     }
 
-    // Third "process": the invalidation was durable — the base query must
-    // NOT be served from the catalog (its entry was dropped), while the
-    // session still computes the correct fresh answer.
+    // Third "process": the redefinition dropped nothing — the base query
+    // is still served from the catalog.
     {
         let server = start(cfg());
         let mut c = Client::connect(&addr_of(&server)).expect("connect");
         let r = c.eval_sentence(NONEMPTY, 0).expect("eval");
         assert_eq!(
             (r.code, r.body.as_str(), r.aux),
-            (RespCode::Ok, "true", 0),
-            "invalidated entry must be recomputed, not warm-served"
+            (RespCode::Ok, "true", 2),
+            "the base database's entry must be served warm"
         );
         server.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `Define` that leaves the database as it was invalidates nothing: what
-/// the session persisted before it is still served warm after a restart on
-/// the same store. A definition that changes the database still does.
+/// A `Define` that leaves the database as it was keeps its key: what the
+/// session persisted before it is still served warm after a restart on the
+/// same store. A changed definition misses, and changing it back is the
+/// stored database again.
 #[test]
 fn identical_redefinition_keeps_persisted_results_warm() {
     let dir = std::env::temp_dir().join(format!("lcdb-server-redefine-{}", std::process::id()));
@@ -531,16 +532,91 @@ fn identical_redefinition_keeps_persisted_results_warm() {
     assert_eq!(r.code, RespCode::Ok, "{}", r.body);
     server.shutdown();
 
-    // Restart: the identical re-`Define` dropped nothing. Then change the
-    // definition, and change it back, in one session.
-    let (server, mut c) = warm(2, "an unchanged definition must not invalidate");
-    c.define("S(x) := x < x").expect("define");
-    c.define(GAPPED).expect("define");
+    // Restart: the identical re-`Define` is the same database.
+    let (server, _) = warm(2, "an unchanged definition must be served warm");
     server.shutdown();
 
-    // Restart: the changed definition dropped S's dependents durably.
-    let (server, _) = warm(0, "a changed definition must still invalidate");
+    // Restart, change the definition and change it back, in one session.
+    let server = start(cfg());
+    let mut c = Client::connect(&addr_of(&server)).expect("connect");
+    c.define("S(x) := x < x").expect("define");
+    let r = c.eval_sentence(NONEMPTY, 0).expect("eval");
+    assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "false", 0), "a changed definition misses");
+    c.define(GAPPED).expect("define");
+    let r = c.eval_sentence(NONEMPTY, 0).expect("eval");
+    assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "true", 2), "changed back");
     server.shutdown();
+
+    // Restart: the changed definition dropped nothing.
+    let (server, _) = warm(2, "the base database's entry must survive a change");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The arrangement is keyed by the hyperplanes of the relations of the
+/// spatial arity: after a restart, a session that defines a relation of
+/// another arity is served the stored arrangement, neither rebuilt nor
+/// derived.
+#[test]
+fn redefining_another_arity_reuses_the_stored_arrangement() {
+    let dir = std::env::temp_dir().join(format!("lcdb-server-arity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServerConfig {
+        base_db: vec![GAPPED.to_string()],
+        store_dir: Some(dir.clone()),
+        ..quick_cfg()
+    };
+    let extension_counters = |c: &mut Client| {
+        let body = c.status().expect("status").body;
+        body.lines()
+            .filter(|l| l.starts_with("ext_"))
+            .map(String::from)
+            .collect::<Vec<_>>()
+    };
+    {
+        let server = start(cfg());
+        let mut c = Client::connect(&addr_of(&server)).expect("connect");
+        let r = c.eval_sentence(NONEMPTY, 0).expect("eval");
+        assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "true", 0));
+        assert!(extension_counters(&mut c).contains(&"ext_rebuilds=1".to_string()));
+        server.shutdown();
+    }
+    let server = start(cfg());
+    let mut c = Client::connect(&addr_of(&server)).expect("connect");
+    let before = extension_counters(&mut c);
+    assert_eq!(before, ["ext_incremental=0", "ext_rebuilds=0"]);
+    assert_eq!(c.define("T(x, y) := x < y").expect("define").code, RespCode::Ok);
+    let r = c.eval_sentence("exists x. (S(x) and x > 2)", 0).expect("eval");
+    assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "true", 0));
+    assert_eq!(extension_counters(&mut c), before, "the stored arrangement was not used");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store written by the format before content-addressed keys is refused
+/// at start with the store's own message.
+#[test]
+fn a_version_1_store_is_refused_at_start() {
+    let dir = std::env::temp_dir().join(format!("lcdb-server-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    drop(lcdb_store::Store::init(&dir).expect("init"));
+    // store.meta is magic · version · page size · fnv1a64(version · page size).
+    let meta = dir.join("store.meta");
+    let mut bytes = std::fs::read(&meta).expect("meta");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let sum = lcdb_exec::hash::fnv1a64(&bytes[8..16]);
+    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&meta, &bytes).expect("write meta");
+    let err = Server::start(
+        ServerConfig {
+            store_dir: Some(dir.clone()),
+            ..quick_cfg()
+        },
+        TraceHandle::disabled(),
+    )
+    .err()
+    .expect("a version-1 store must be refused");
+    assert_eq!(err.to_string(), "meta file has version 1, this build reads version 2");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic store writer for the crash-torture harness.
 //!
-//! Runs a seeded workload of puts, deletes, dependency invalidations, and
-//! checkpoints against a store directory. Before each operation it prints
+//! Runs a seeded workload of puts, deletes, least-recently-used evictions
+//! (each after a get) and checkpoints against a store directory. Before each operation it prints
 //! `begin-op K` (flushed), so a harness that kills this process mid-write
 //! knows which operation was in flight; at the end it prints the number of
 //! kill points passed (`kill_points=H`), which is the size of the kill
@@ -19,7 +19,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lcdb_exec::hash::splitmix64;
-use lcdb_store::{kill, EntryKey, Store, StoreOptions, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RELATION, CLASS_RESULT, PAGE_PAYLOAD};
+use lcdb_store::{
+    kill, EntryKey, Store, StoreOptions, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT,
+    CLASS_STATS, PAGE_PAYLOAD,
+};
 
 struct Rng(u64);
 
@@ -31,7 +34,7 @@ impl Rng {
 }
 
 fn random_key(rng: &mut Rng) -> EntryKey {
-    let class = [CLASS_RELATION, CLASS_ARRANGEMENT, CLASS_RESULT, CLASS_FIXPOINT]
+    let class = [CLASS_STATS, CLASS_ARRANGEMENT, CLASS_RESULT, CLASS_FIXPOINT]
         [(rng.next() % 4) as usize];
     EntryKey {
         class,
@@ -112,14 +115,18 @@ fn run() -> Result<(), String> {
                 store.delete(&key).map_err(|e| e.to_string())?;
             }
             2 => {
-                let name = format!("R{}", rng.next() % 3);
-                store.invalidate_dep(&name).map_err(|e| e.to_string())?;
+                // A get moves one entry (if present) to the back of the
+                // eviction order; the target ranges from evicting
+                // everything evictable to evicting nothing.
+                let key = random_key(&mut rng);
+                store.get(&key).map_err(|e| e.to_string())?;
+                let target = rng.next() % (8 * PAGE_PAYLOAD as u64);
+                store.evict_lru(target).map_err(|e| e.to_string())?;
             }
             _ => {
                 let key = random_key(&mut rng);
-                let deps = vec![format!("R{}", rng.next() % 3)];
                 let data = random_data(&mut rng);
-                store.put(key, &deps, &data).map_err(|e| e.to_string())?;
+                store.put(key, &data).map_err(|e| e.to_string())?;
             }
         }
         if let Some(d) = &dump_each {

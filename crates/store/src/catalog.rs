@@ -17,9 +17,8 @@ use lcdb_exec::codec::{put_str, put_u32, put_u64, put_u8, Cursor};
 use crate::StoreError;
 use lcdb_exec::hash::fnv1a64;
 
-/// Entry class: a named DNF relation (keyed by name).
-pub const CLASS_RELATION: u8 = 1;
-/// Entry class: a completed hyperplane arrangement (keyed by db fingerprint).
+/// Entry class: a completed hyperplane arrangement (keyed by a fingerprint
+/// of the hyperplanes it was built over).
 pub const CLASS_ARRANGEMENT: u8 = 2;
 /// Entry class: a rendered query/sentence result (keyed by plan ⊕ db).
 pub const CLASS_RESULT: u8 = 3;
@@ -31,8 +30,8 @@ pub const CLASS_FIXPOINT: u8 = 4;
 pub const CLASS_STATS: u8 = 5;
 
 /// The identity of a catalog entry: class, plan fingerprint, database
-/// fingerprint, and an optional name (used by [`CLASS_RELATION`] and as a
-/// human-readable tag elsewhere).
+/// fingerprint, and an optional name (a human-readable tag; the telemetry
+/// batches of [`CLASS_STATS`] are told apart by it).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntryKey {
     /// One of the `CLASS_*` constants.
@@ -49,7 +48,6 @@ impl EntryKey {
     /// A human-readable rendering for errors and the CLI.
     pub fn render(&self) -> String {
         let class = match self.class {
-            CLASS_RELATION => "relation",
             CLASS_ARRANGEMENT => "arrangement",
             CLASS_RESULT => "result",
             CLASS_FIXPOINT => "fixpoint",
@@ -58,6 +56,24 @@ impl EntryKey {
         };
         format!("{class}:{:016x}:{:016x}:{}", self.plan_fp, self.db_fp, self.name)
     }
+
+    /// Append the key to a catalog snapshot, WAL record or state dump.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_u8(out, self.class);
+        put_u64(out, self.plan_fp);
+        put_u64(out, self.db_fp);
+        put_str(out, &self.name);
+    }
+
+    /// Read a key written by [`EntryKey::encode`].
+    pub(crate) fn decode(c: &mut Cursor<'_>) -> Result<EntryKey, StoreError> {
+        Ok(EntryKey {
+            class: c.u8("entry class")?,
+            plan_fp: c.u64("entry plan fingerprint")?,
+            db_fp: c.u64("entry db fingerprint")?,
+            name: c.string("entry name")?,
+        })
+    }
 }
 
 /// A catalog entry: where a blob lives and how to validate it.
@@ -65,9 +81,6 @@ impl EntryKey {
 pub struct CatEntry {
     /// The entry's identity.
     pub key: EntryKey,
-    /// Relation names this entry was computed from; redefining any of them
-    /// invalidates the entry.
-    pub deps: Vec<String>,
     /// Blob identity stamped into every page of the chain.
     pub blob_id: u64,
     /// The blob's pages in chain order.
@@ -90,7 +103,7 @@ pub struct Catalog {
 }
 
 const CAT_MAGIC: &[u8; 8] = b"LCDBCAT1";
-const CAT_VERSION: u32 = 1;
+const CAT_VERSION: u32 = 2;
 
 impl Catalog {
     fn encode_payload(&self) -> Vec<u8> {
@@ -99,14 +112,7 @@ impl Catalog {
         put_u64(&mut out, self.next_blob);
         put_u64(&mut out, self.entries.len() as u64);
         for e in self.entries.values() {
-            put_u8(&mut out, e.key.class);
-            put_u64(&mut out, e.key.plan_fp);
-            put_u64(&mut out, e.key.db_fp);
-            put_str(&mut out, &e.key.name);
-            put_u32(&mut out, e.deps.len() as u32);
-            for d in &e.deps {
-                put_str(&mut out, d);
-            }
+            e.key.encode(&mut out);
             put_u64(&mut out, e.blob_id);
             put_u32(&mut out, e.pages.len() as u32);
             for p in &e.pages {
@@ -138,7 +144,7 @@ impl Catalog {
             return Err(StoreError::BadMagic { file: "catalog" });
         }
         let version = c.u32("snapshot version")?;
-        if version > CAT_VERSION {
+        if version != CAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 file: "catalog",
                 found: version,
@@ -163,15 +169,7 @@ impl Catalog {
         let count = c.u64("entry count")?;
         let mut entries = BTreeMap::new();
         for _ in 0..count {
-            let class = c.u8("entry class")?;
-            let plan_fp = c.u64("entry plan fingerprint")?;
-            let db_fp = c.u64("entry db fingerprint")?;
-            let name = c.string("entry name")?;
-            let ndeps = c.u32("entry dep count")?;
-            let mut deps = Vec::with_capacity(ndeps.min(1024) as usize);
-            for _ in 0..ndeps {
-                deps.push(c.string("entry dep name")?);
-            }
+            let key = EntryKey::decode(&mut c)?;
             let blob_id = c.u64("entry blob id")?;
             let npages = c.u32("entry page count")?;
             let mut pages = Vec::with_capacity(npages.min(65_536) as usize);
@@ -180,17 +178,10 @@ impl Catalog {
             }
             let total_len = c.u64("entry blob length")?;
             let checksum = c.u64("entry blob checksum")?;
-            let key = EntryKey {
-                class,
-                plan_fp,
-                db_fp,
-                name,
-            };
             entries.insert(
                 key.clone(),
                 CatEntry {
                     key,
-                    deps,
                     blob_id,
                     pages,
                     total_len,
@@ -262,7 +253,6 @@ mod tests {
             key.clone(),
             CatEntry {
                 key,
-                deps: vec!["R".into(), "S".into()],
                 blob_id: 3,
                 pages: vec![0, 1, 5],
                 total_len: 9000,

@@ -1,7 +1,7 @@
 //! WAL-durable paged storage for constraint-database artifacts.
 //!
-//! Every other layer of the workspace rebuilds its expensive state — DNF
-//! relations, hyperplane arrangements, completed fixpoints — from text on
+//! Every other layer of the workspace rebuilds its expensive state —
+//! hyperplane arrangements, query results, fixpoint stages — from text on
 //! every process start. This crate gives those artifacts a crash-safe home:
 //!
 //! * a **paged binary file** (`store.pages`): fixed 4 KiB pages, each with a
@@ -16,9 +16,11 @@
 //!   pages that fail their checksum are quarantined and reported as a typed
 //!   [`StoreError`] — the store never panics on corrupt input;
 //! * a **catalog** of named blobs keyed by `(class, plan fingerprint,
-//!   database fingerprint, name)` plus dependency tags, so arrangements and
-//!   fixpoint results are computed once and reused across processes, and a
-//!   redefined relation invalidates exactly its dependents.
+//!   database fingerprint, name)`, so arrangements and fixpoint results are
+//!   computed once and reused across processes. A key names what its blob
+//!   was computed from, so an entry never goes stale and nothing is
+//!   invalidated: space comes back through [`Store::evict_lru`], which drops
+//!   least-recently-used entries (never telemetry) in one WAL record.
 //!
 //! Crash-robustness is enforced by the [`kill`] module: environment-armed
 //! process kill points at every durability-critical step (sites
@@ -43,8 +45,7 @@ mod store;
 mod wal;
 
 pub use catalog::{
-    Catalog, CatEntry, EntryKey, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RELATION, CLASS_RESULT,
-    CLASS_STATS,
+    Catalog, CatEntry, EntryKey, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT, CLASS_STATS,
 };
 pub use stats::{append_stats, json_u64_field, read_stats, read_stats_batched, stats_batches};
 pub use page::{PAGE_PAYLOAD, PAGE_SIZE};
@@ -75,7 +76,7 @@ pub enum StoreError {
         file: &'static str,
         /// The version found on disk.
         found: u32,
-        /// The newest version this build understands.
+        /// The version this build reads.
         supported: u32,
     },
     /// A whole-file checksum did not match (meta or catalog snapshot).
@@ -159,7 +160,7 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic { file } => write!(f, "{file} file does not start with the store magic"),
             StoreError::UnsupportedVersion { file, found, supported } => write!(
                 f,
-                "{file} file has version {found}, this build supports up to {supported}"
+                "{file} file has version {found}, this build reads version {supported}"
             ),
             StoreError::ChecksumMismatch { file, expected, found } => write!(
                 f,

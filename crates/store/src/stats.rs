@@ -31,7 +31,7 @@ pub fn append_stats(store: &mut Store, kind: &str, rows: &[String]) -> Result<u6
     let seq = next_seq(store, kind);
     let key = stats_key(kind, seq);
     let blob = rows.join("\n");
-    store.put(key, &[], blob.as_bytes())?;
+    store.put(key, blob.as_bytes())?;
     Ok(seq)
 }
 

@@ -13,14 +13,19 @@
 //! the pages the record names, so recovery is byte-identical to the
 //! fault-free execution of every committed operation, and an uncommitted
 //! (torn) tail record is truncated away — the pre-write state.
+//!
+//! Space is reclaimed by [`Store::evict_lru`]: least-recently-used entries
+//! go first, in one WAL record listing every victim. Recency lives in memory
+//! only; after an open it starts from each entry's blob id (the order the
+//! entries were last written in).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::catalog::{CatEntry, Catalog, EntryKey, CLASS_RELATION};
-use lcdb_exec::codec::{put_bytes, put_str, put_u32, put_u64, put_u8};
+use crate::catalog::{CatEntry, Catalog, EntryKey, CLASS_STATS};
+use lcdb_exec::codec::{put_bytes, put_u32, put_u64};
 use crate::page::{
     decode_page, encode_page, is_zero_page, pages_for, KIND_CONT, KIND_HEAD, NO_PAGE, PAGE_SIZE,
 };
@@ -30,7 +35,10 @@ use crate::{fault_check, kill, StoreError};
 use lcdb_exec::hash::fnv1a64;
 
 const META_MAGIC: &[u8; 8] = b"LCDBSTO1";
-const META_VERSION: u32 = 1;
+/// Version 2 dropped the dependency tags of catalog entries and WAL puts,
+/// and the WAL's invalidate-by-name record. A version-1 store is refused
+/// with [`StoreError::UnsupportedVersion`], not migrated.
+const META_VERSION: u32 = 2;
 
 /// Largest blob the store accepts (bounded by the WAL record cap).
 pub const MAX_BLOB: usize = 1 << 25; // 32 MiB
@@ -111,6 +119,13 @@ pub struct Store {
     free: BTreeSet<u32>,
     page_count: u32,
     replay: ReplayReport,
+    /// Last use of each entry touched since open (a `put` or a `get`);
+    /// an untouched entry's last use is its blob id.
+    recency: HashMap<EntryKey, u64>,
+    /// The recency clock; starts above every blob id of the opened store.
+    clock: u64,
+    /// Sum of the live entries' blob lengths.
+    live_bytes: u64,
 }
 
 impl Store {
@@ -171,6 +186,9 @@ impl Store {
             free: BTreeSet::new(),
             page_count: 0,
             replay,
+            recency: HashMap::new(),
+            clock: 0,
+            live_bytes: 0,
         };
         // Redo phase: every committed record is reapplied. Records already
         // reflected in the snapshot are rewritten idempotently — the page
@@ -179,28 +197,17 @@ impl Store {
             catalog.next_lsn = catalog.next_lsn.max(rec.lsn + 1);
             match &rec.op {
                 WalOp::Put {
-                    class,
-                    plan_fp,
-                    db_fp,
-                    name,
-                    deps,
+                    key,
                     blob_id,
                     pages,
                     data,
                 } => {
                     catalog.next_blob = catalog.next_blob.max(blob_id + 1);
                     store.write_blob_pages(pages, *blob_id, data)?;
-                    let key = EntryKey {
-                        class: *class,
-                        plan_fp: *plan_fp,
-                        db_fp: *db_fp,
-                        name: name.clone(),
-                    };
                     catalog.entries.insert(
                         key.clone(),
                         CatEntry {
-                            key,
-                            deps: deps.clone(),
+                            key: key.clone(),
                             blob_id: *blob_id,
                             pages: pages.clone(),
                             total_len: data.len() as u64,
@@ -208,26 +215,15 @@ impl Store {
                         },
                     );
                 }
-                WalOp::Delete {
-                    class,
-                    plan_fp,
-                    db_fp,
-                    name,
-                } => {
-                    catalog.entries.remove(&EntryKey {
-                        class: *class,
-                        plan_fp: *plan_fp,
-                        db_fp: *db_fp,
-                        name: name.clone(),
-                    });
-                }
-                WalOp::InvalidateDep { name } => {
-                    for key in victims_of(&catalog, name) {
-                        catalog.entries.remove(&key);
+                WalOp::Delete { keys } => {
+                    for key in keys {
+                        catalog.entries.remove(key);
                     }
                 }
             }
         }
+        store.clock = catalog.next_blob;
+        store.live_bytes = catalog.entries.values().map(|e| e.total_len).sum();
         store.catalog = catalog;
         store.derive_allocation()?;
         Ok(store)
@@ -315,10 +311,26 @@ impl Store {
         Ok(())
     }
 
-    /// Insert or replace the blob stored under `key`. `deps` are the
-    /// relation names the blob was computed from; redefining any of them
-    /// via [`Store::invalidate_dep`] removes the entry.
-    pub fn put(&mut self, key: EntryKey, deps: &[String], data: &[u8]) -> Result<(), StoreError> {
+    /// Insert or replace the blob stored under `key`, making it the most
+    /// recently used entry.
+    pub fn put(&mut self, key: EntryKey, data: &[u8]) -> Result<(), StoreError> {
+        self.write_entry(key.clone(), data)?;
+        self.touch(key);
+        Ok(())
+    }
+
+    fn touch(&mut self, key: EntryKey) {
+        self.clock += 1;
+        self.recency.insert(key, self.clock);
+    }
+
+    fn last_use(&self, entry: &CatEntry) -> u64 {
+        self.recency.get(&entry.key).copied().unwrap_or(entry.blob_id)
+    }
+
+    /// [`Store::put`] without the recency update (compaction moves a blob
+    /// without using it).
+    fn write_entry(&mut self, key: EntryKey, data: &[u8]) -> Result<(), StoreError> {
         fault_check("store.wal_append")?;
         if data.len() > MAX_BLOB {
             return Err(StoreError::TooLarge {
@@ -339,11 +351,7 @@ impl Store {
         let rec = WalRecord {
             lsn: self.catalog.next_lsn,
             op: WalOp::Put {
-                class: key.class,
-                plan_fp: key.plan_fp,
-                db_fp: key.db_fp,
-                name: key.name.clone(),
-                deps: deps.to_vec(),
+                key: key.clone(),
                 blob_id,
                 pages: pages.clone(),
                 data: data.to_vec(),
@@ -358,14 +366,15 @@ impl Store {
         self.page_count = self.page_count.max(next_new);
         let entry = CatEntry {
             key: key.clone(),
-            deps: deps.to_vec(),
             blob_id,
             pages: pages.clone(),
             total_len: data.len() as u64,
             checksum: fnv1a64(data),
         };
+        self.live_bytes += entry.total_len;
         let old = self.catalog.entries.insert(key, entry);
         if let Some(old) = old {
+            self.live_bytes -= old.total_len;
             for p in old.pages {
                 if !pages.contains(&p) {
                     self.free.insert(p);
@@ -471,12 +480,15 @@ impl Store {
     }
 
     /// Fetch the blob stored under `key`, verifying every page and the
-    /// whole-blob checksum. `Ok(None)` when the key is absent.
+    /// whole-blob checksum, and make it the most recently used entry.
+    /// `Ok(None)` when the key is absent.
     pub fn get(&mut self, key: &EntryKey) -> Result<Option<Vec<u8>>, StoreError> {
         let Some(entry) = self.catalog.entries.get(key).cloned() else {
             return Ok(None);
         };
-        self.read_blob(&entry).map(Some)
+        let data = self.read_blob(&entry)?;
+        self.touch(entry.key);
+        Ok(Some(data))
     }
 
     /// Remove the entry stored under `key`, freeing its pages. Returns
@@ -486,54 +498,71 @@ impl Store {
         if !self.catalog.entries.contains_key(key) {
             return Ok(false);
         }
-        let rec = WalRecord {
-            lsn: self.catalog.next_lsn,
-            op: WalOp::Delete {
-                class: key.class,
-                plan_fp: key.plan_fp,
-                db_fp: key.db_fp,
-                name: key.name.clone(),
-            },
-        };
-        self.wal.append(&rec)?; // commit point
-        self.catalog.next_lsn += 1;
-        if let Some(old) = self.catalog.entries.remove(key) {
-            for p in old.pages {
-                self.free.insert(p);
-                self.pool.invalidate(p);
-            }
-        }
+        self.remove(std::slice::from_ref(key))?;
         Ok(true)
     }
 
-    /// Remove every entry that depends on relation `name` (its `deps`
-    /// contain it, or it *is* the named relation entry), atomically: one
-    /// WAL record covers the whole victim set, so a crash can never leave
-    /// a half-invalidated catalog. Returns how many entries were removed.
-    pub fn invalidate_dep(&mut self, name: &str) -> Result<usize, StoreError> {
-        fault_check("store.wal_append")?;
-        let victims = victims_of(&self.catalog, name);
+    /// The sum of the live entries' blob lengths.
+    pub fn live_bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
+    /// Evict least-recently-used entries until the live blob bytes are at
+    /// most `target`, and return how many were evicted. Telemetry
+    /// ([`CLASS_STATS`]) is never evicted: `lcdb stats` reads it as data, so
+    /// the live bytes can stay above a target smaller than it. One WAL
+    /// record lists every victim, so a crash leaves the whole eviction or
+    /// none of it.
+    pub fn evict_lru(&mut self, target: u64) -> Result<usize, StoreError> {
+        let mut live = self.live_bytes;
+        if live <= target {
+            return Ok(0);
+        }
+        let mut by_age: Vec<(u64, &CatEntry)> = self
+            .catalog
+            .entries
+            .values()
+            .filter(|e| e.key.class != CLASS_STATS)
+            .map(|e| (self.last_use(e), e))
+            .collect();
+        by_age.sort_unstable_by_key(|&(last_use, _)| last_use);
+        let mut victims = Vec::new();
+        for (_, e) in by_age {
+            if live <= target {
+                break;
+            }
+            live -= e.total_len;
+            victims.push(e.key.clone());
+        }
         if victims.is_empty() {
             return Ok(0);
         }
+        fault_check("store.wal_append")?;
+        self.remove(&victims)?;
+        Ok(victims.len())
+    }
+
+    /// Log one delete record for `keys`, then drop them and free their pages.
+    fn remove(&mut self, keys: &[EntryKey]) -> Result<(), StoreError> {
         let rec = WalRecord {
             lsn: self.catalog.next_lsn,
-            op: WalOp::InvalidateDep {
-                name: name.to_string(),
+            op: WalOp::Delete {
+                keys: keys.to_vec(),
             },
         };
         self.wal.append(&rec)?; // commit point
         self.catalog.next_lsn += 1;
-        let n = victims.len();
-        for key in victims {
-            if let Some(old) = self.catalog.entries.remove(&key) {
+        for key in keys {
+            self.recency.remove(key);
+            if let Some(old) = self.catalog.entries.remove(key) {
+                self.live_bytes -= old.total_len;
                 for p in old.pages {
                     self.free.insert(p);
                     self.pool.invalidate(p);
                 }
             }
         }
-        Ok(n)
+        Ok(())
     }
 
     /// Make all applied operations durable and reset the WAL: fsync the
@@ -645,8 +674,9 @@ impl Store {
                     continue;
                 };
                 let data = self.read_blob(&entry)?;
-                let deps = entry.deps.clone();
-                self.put(key, &deps, &data)?;
+                let last_use = self.last_use(&entry);
+                self.write_entry(key.clone(), &data)?;
+                self.recency.insert(key, last_use);
             }
         }
         let high_water = self
@@ -697,7 +727,8 @@ impl Store {
     }
 
     /// A canonical byte rendering of the store's whole logical state:
-    /// every entry in key order with its dependency tags and blob bytes.
+    /// every entry in key order with its blob bytes. Reading it does not
+    /// count as a use.
     /// Two stores holding the same logical state dump identical bytes —
     /// this is what the crash-torture harness compares.
     pub fn canonical_dump(&mut self) -> Result<Vec<u8>, StoreError> {
@@ -709,33 +740,11 @@ impl Store {
                 continue;
             };
             let data = self.read_blob(&entry)?;
-            put_u8(&mut out, key.class);
-            put_u64(&mut out, key.plan_fp);
-            put_u64(&mut out, key.db_fp);
-            put_str(&mut out, &key.name);
-            put_u32(&mut out, entry.deps.len() as u32);
-            for d in &entry.deps {
-                put_str(&mut out, d);
-            }
+            key.encode(&mut out);
             put_bytes(&mut out, &data);
         }
         Ok(out)
     }
-}
-
-/// Entries that depend on relation `name`: their `deps` contain it, or
-/// they *are* the named relation entry. Pure over the catalog so the live
-/// path and WAL replay compute identical victim sets.
-fn victims_of(catalog: &Catalog, name: &str) -> Vec<EntryKey> {
-    catalog
-        .entries
-        .values()
-        .filter(|e| {
-            e.deps.iter().any(|d| d == name)
-                || (e.key.class == CLASS_RELATION && e.key.name == name)
-        })
-        .map(|e| e.key.clone())
-        .collect()
 }
 
 fn read_meta(path: &Path, dir: &Path) -> Result<(), StoreError> {
@@ -759,7 +768,7 @@ fn read_meta(path: &Path, dir: &Path) -> Result<(), StoreError> {
         return Err(StoreError::BadMagic { file: "meta" });
     }
     let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version > META_VERSION {
+    if version != META_VERSION {
         return Err(StoreError::UnsupportedVersion {
             file: "meta",
             found: version,

@@ -22,8 +22,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
-use lcdb_exec::codec::{put_bytes, put_str, put_u32, put_u64, put_u8, Cursor};
-use crate::{kill, StoreError};
+use lcdb_exec::codec::{put_bytes, put_u32, put_u64, put_u8, Cursor};
+use crate::{kill, EntryKey, StoreError};
 use lcdb_exec::hash::fnv1a64;
 
 /// Largest record payload `replay` will accept; a bigger length prefix is
@@ -37,16 +37,8 @@ const FRAME_HEADER: usize = 4 + 8;
 pub enum WalOp {
     /// Insert or replace the blob stored under `key`.
     Put {
-        /// Entry class (see the catalog's `CLASS_*` constants).
-        class: u8,
-        /// Plan fingerprint component of the key.
-        plan_fp: u64,
-        /// Database fingerprint component of the key.
-        db_fp: u64,
-        /// Name component of the key.
-        name: String,
-        /// Relation names this entry depends on (invalidation tags).
-        deps: Vec<String>,
+        /// The entry's identity.
+        key: EntryKey,
         /// Blob identity stamped into every page of the chain.
         blob_id: u64,
         /// The exact pages assigned to the blob, in chain order.
@@ -54,25 +46,13 @@ pub enum WalOp {
         /// The blob bytes.
         data: Vec<u8>,
     },
-    /// Remove the entry stored under the key, freeing its pages.
+    /// Remove every listed entry, freeing its pages: one key for a delete,
+    /// every victim for an eviction. The keys are explicit, so replay
+    /// needs no recency and a multi-entry eviction is one record that can
+    /// never be half-applied.
     Delete {
-        /// Entry class.
-        class: u8,
-        /// Plan fingerprint component of the key.
-        plan_fp: u64,
-        /// Database fingerprint component of the key.
-        db_fp: u64,
-        /// Name component of the key.
-        name: String,
-    },
-    /// Atomically remove every entry depending on a relation name. The
-    /// victim set is recomputed from the catalog state during replay —
-    /// identical to what the live operation saw, since replay applies the
-    /// same record prefix — so a multi-entry invalidation is one record
-    /// and can never be half-applied.
-    InvalidateDep {
-        /// The redefined relation name.
-        name: String,
+        /// The removed entries' keys.
+        keys: Vec<EntryKey>,
     },
 }
 
@@ -87,31 +67,19 @@ pub struct WalRecord {
 
 const OP_PUT: u8 = 1;
 const OP_DELETE: u8 = 2;
-const OP_INVALIDATE: u8 = 3;
 
 fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     let mut out = Vec::new();
     put_u64(&mut out, rec.lsn);
     match &rec.op {
         WalOp::Put {
-            class,
-            plan_fp,
-            db_fp,
-            name,
-            deps,
+            key,
             blob_id,
             pages,
             data,
         } => {
             put_u8(&mut out, OP_PUT);
-            put_u8(&mut out, *class);
-            put_u64(&mut out, *plan_fp);
-            put_u64(&mut out, *db_fp);
-            put_str(&mut out, name);
-            put_u32(&mut out, deps.len() as u32);
-            for d in deps {
-                put_str(&mut out, d);
-            }
+            key.encode(&mut out);
             put_u64(&mut out, *blob_id);
             put_u32(&mut out, pages.len() as u32);
             for p in pages {
@@ -119,21 +87,12 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             }
             put_bytes(&mut out, data);
         }
-        WalOp::Delete {
-            class,
-            plan_fp,
-            db_fp,
-            name,
-        } => {
+        WalOp::Delete { keys } => {
             put_u8(&mut out, OP_DELETE);
-            put_u8(&mut out, *class);
-            put_u64(&mut out, *plan_fp);
-            put_u64(&mut out, *db_fp);
-            put_str(&mut out, name);
-        }
-        WalOp::InvalidateDep { name } => {
-            put_u8(&mut out, OP_INVALIDATE);
-            put_str(&mut out, name);
+            put_u32(&mut out, keys.len() as u32);
+            for key in keys {
+                key.encode(&mut out);
+            }
         }
     }
     out
@@ -145,15 +104,7 @@ fn decode_payload(payload: &[u8], base: u64) -> Result<WalRecord, StoreError> {
     let tag = c.u8("record op tag")?;
     let op = match tag {
         OP_PUT => {
-            let class = c.u8("put class")?;
-            let plan_fp = c.u64("put plan fingerprint")?;
-            let db_fp = c.u64("put db fingerprint")?;
-            let name = c.string("put name")?;
-            let ndeps = c.u32("put dep count")?;
-            let mut deps = Vec::with_capacity(ndeps.min(1024) as usize);
-            for _ in 0..ndeps {
-                deps.push(c.string("put dep name")?);
-            }
+            let key = EntryKey::decode(&mut c)?;
             let blob_id = c.u64("put blob id")?;
             let npages = c.u32("put page count")?;
             let mut pages = Vec::with_capacity(npages.min(65_536) as usize);
@@ -162,25 +113,20 @@ fn decode_payload(payload: &[u8], base: u64) -> Result<WalRecord, StoreError> {
             }
             let data = c.bytes("put blob bytes")?.to_vec();
             WalOp::Put {
-                class,
-                plan_fp,
-                db_fp,
-                name,
-                deps,
+                key,
                 blob_id,
                 pages,
                 data,
             }
         }
-        OP_DELETE => WalOp::Delete {
-            class: c.u8("delete class")?,
-            plan_fp: c.u64("delete plan fingerprint")?,
-            db_fp: c.u64("delete db fingerprint")?,
-            name: c.string("delete name")?,
-        },
-        OP_INVALIDATE => WalOp::InvalidateDep {
-            name: c.string("invalidate dep name")?,
-        },
+        OP_DELETE => {
+            let nkeys = c.u32("delete key count")?;
+            let mut keys = Vec::with_capacity(nkeys.min(65_536) as usize);
+            for _ in 0..nkeys {
+                keys.push(EntryKey::decode(&mut c)?);
+            }
+            WalOp::Delete { keys }
+        }
         other => {
             return Err(StoreError::Malformed {
                 context: "wal record op tag",
@@ -362,11 +308,12 @@ mod tests {
         WalRecord {
             lsn,
             op: WalOp::Put {
-                class: 1,
-                plan_fp: 7,
-                db_fp: 9,
-                name: format!("r{lsn}"),
-                deps: vec!["S".into()],
+                key: EntryKey {
+                    class: 3,
+                    plan_fp: 7,
+                    db_fp: 9,
+                    name: format!("r{lsn}"),
+                },
                 blob_id: lsn,
                 pages: vec![0, 1],
                 data: vec![0xAB; 100],

@@ -15,7 +15,8 @@
 //!
 //! Kill points cover the `store.wal_append`, `store.page_flush`, and
 //! `store.checkpoint` sites, including mid-write positions that leave torn
-//! frames and torn pages on disk. Seeds 1–2 run by default (≥200 points);
+//! frames and torn pages on disk; seed 1 also kills inside the record of a
+//! five-entry eviction. Seeds 1–2 run by default (≥200 points);
 //! CI fans seeds 1–5 across jobs via `LCDB_TORTURE_SEED`.
 
 #![allow(clippy::unwrap_used)]

@@ -137,9 +137,13 @@ fn alibi_sentence_at_64_beads_meets_its_deadline() {
 
 /// Quantifier elimination polls the budget at every feasibility decision:
 /// a conversion that outlasts the deadline is abandoned, not finished.
+/// Unbounded, the 1024 × 1024 elimination takes 430 ms on a 2-core x86-64
+/// (128 × 128 took 18 ms, too close to the deadline to tell a finish from
+/// an abort), so no machine finishes it inside 20 ms; the aborted run
+/// returns in 100–210 ms there.
 #[test]
 fn quantifier_elimination_observes_the_deadline() {
-    let ext = alibi_extension(128, 11, true);
+    let ext = alibi_extension(1024, 11, true);
     let sentence = parse_regformula(ALIBI_SENTENCE).unwrap();
     let limit = Duration::from_millis(20);
     let ev = Evaluator::with_budget(&ext, EvalBudget::unlimited().with_timeout(limit));
@@ -153,8 +157,7 @@ fn quantifier_elimination_observes_the_deadline() {
             assert_eq!(stats.qe_calls, 3, "{stats:?}");
             assert!(stats.regions > 0, "{stats:?}");
         }
-        // Only a machine that eliminates 128 × 128 beads in 20 ms may finish.
-        Ok(_) => assert!(took <= limit, "finished in {took:?} past the deadline"),
+        Ok(_) => panic!("finished a 430 ms elimination under a 20 ms deadline in {took:?}"),
         Err(other) => panic!("expected DeadlineExceeded, got {other}"),
     }
 }

@@ -95,7 +95,7 @@ fn run_through(cat: &PlanCatalog, relation: &Relation, sentence: &RegFormula) ->
         .as_ref()
         .map(|ext| Evaluator::with_budget(ext, budget))
         .map_err(EvalError::clone);
-    cat.eval_resumable(sentence, &db, db_fp, DecompositionKind::Arrangement, ev, |ev| {
+    cat.eval_resumable(sentence, db_fp, DecompositionKind::Arrangement, ev, |ev| {
         ev.try_eval_sentence(sentence)
     })
 }

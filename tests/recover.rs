@@ -68,7 +68,7 @@ fn run_through(
         .as_ref()
         .map(|ext| Evaluator::with_budget(ext, budget.clone()))
         .map_err(EvalError::clone);
-    cat.eval_resumable(q, &db, db_fp, DecompositionKind::Arrangement, ev, |ev| {
+    cat.eval_resumable(q, db_fp, DecompositionKind::Arrangement, ev, |ev| {
         Ok((ev.try_eval_sentence(q)?, ev.stats()))
     })
 }
