@@ -67,13 +67,13 @@ pub fn database_fingerprint(db: &Database, spatial: Option<&str>) -> u64 {
 }
 
 /// Live blob bytes the catalog holds before a put evicts least-recently-used
-/// entries. A 20 s `serve_churn` run on a 2-core x86-64 (about 4 400 new
-/// databases, store on) ends with 33 MB live in 16 000 entries, so the bound
-/// holds eight such runs, and eight times the largest blob the store
-/// accepts, before anything goes — `serve_churn` counts a base-map read
-/// recomputed after its restart as a failure, and the base entries are its
-/// least recently used. Pages cost more than live bytes: an entry takes
-/// whole 4 KiB pages, so that run's 33 MB filled 94 MB of them.
+/// entries. A 20 s `serve_churn` run on a 2-core x86-64 (about 3 000 new
+/// databases, store on) ends with 33 MB live in 16 000 entries; the bound
+/// holds eight such runs, and eight of the largest blob the store accepts.
+/// It must: that run's base-map entries are its least recently used (their
+/// reads hit the in-memory cache), and it fails if its restart recomputes
+/// them. Pages cost more than live bytes, since an entry takes whole 4 KiB
+/// pages: the run's 33 MB filled 94 MB of them.
 pub const MAX_LIVE_BYTES: u64 = 256 << 20;
 
 /// Version tag of the arrangement blob layout: 2 stores each face's recession
@@ -280,10 +280,11 @@ impl PlanCatalog {
     }
 
     /// The catalog rungs of the extension ladder (a front end's in-memory
-    /// tier sits above this call): the arrangement persisted for `(db,
-    /// spatial)` if one loads — a warm start skips the `O(n^d)` build —
-    /// otherwise `build`'s, persisted for the next process. A corrupt blob
-    /// or a failed save is a warning next to the regions, never an error.
+    /// tier sits above this call): the arrangement persisted over `db`'s
+    /// spatial hyperplanes if one loads — a warm start skips the `O(n^d)`
+    /// build — otherwise `build`'s, persisted for the next process. A
+    /// corrupt blob or a failed save is a warning next to the regions, never
+    /// an error.
     pub fn extension_or_build(
         &self,
         db: &Database,

@@ -68,11 +68,6 @@ impl BufferPool {
         self.frames.remove(&page);
     }
 
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.frames.clear();
-    }
-
     /// Resident page count.
     pub fn resident(&self) -> usize {
         self.frames.len()

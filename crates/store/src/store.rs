@@ -229,11 +229,6 @@ impl Store {
         Ok(store)
     }
 
-    /// Root directory of this store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The recovery report from when this store was opened.
     pub fn replay_report(&self) -> &ReplayReport {
         &self.replay
@@ -242,11 +237,6 @@ impl Store {
     /// Iterate the live catalog entries in key order.
     pub fn entries(&self) -> impl Iterator<Item = &CatEntry> {
         self.catalog.entries.values()
-    }
-
-    /// Look up an entry without reading its blob.
-    pub fn entry(&self, key: &EntryKey) -> Option<&CatEntry> {
-        self.catalog.entries.get(key)
     }
 
     fn derive_allocation(&mut self) -> Result<(), StoreError> {
