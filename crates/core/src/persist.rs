@@ -27,8 +27,8 @@
 //! database has other keys, and the old entries are still right for the old
 //! database. A 64-bit fingerprint collision is the one way a wrong entry
 //! could be served — the exposure the in-memory result cache already has —
-//! and an arrangement rules even that out by comparing its hyperplanes on
-//! load. Space comes back by least-recently-used eviction before a put that
+//! and an arrangement rules even that out by comparing its hyperplanes with
+//! the list on load. Space comes back by least-recently-used eviction before a put that
 //! would pass [`MAX_LIVE_BYTES`].
 //!
 //! All blobs ride the store's WAL, page checksums, and quarantine: a torn or
@@ -264,14 +264,7 @@ impl PlanCatalog {
             return Ok(None);
         };
         let arrangement = decode_arrangement(&bytes)?;
-        // An arrangement derived by edits holds the same planes in the order
-        // the edits left them, which serves this database as well as a build.
-        let wanted: std::collections::HashSet<&Hyperplane> = hyperplanes.iter().collect();
-        let stored = arrangement.hyperplanes();
-        if arrangement.ambient_dim() != d
-            || stored.len() != wanted.len()
-            || !stored.iter().all(|h| wanted.contains(h))
-        {
+        if arrangement.ambient_dim() != d || arrangement.hyperplanes() != &hyperplanes[..] {
             return Ok(None);
         }
         ArrangementRegions::from_parts(db.clone(), spatial, arrangement)
@@ -305,14 +298,12 @@ impl PlanCatalog {
     }
 
     /// Persist a completed region extension under the key of its
-    /// database's spatial hyperplanes.
+    /// hyperplanes. A build and a derivation both list them as
+    /// [`ArrangementRegions::spatial_hyperplanes`] does, which is the key a
+    /// later [`PlanCatalog::load_extension`] of the same planes looks up.
     pub fn save_extension(&self, regions: &ArrangementRegions) -> Result<(), StoreError> {
-        use crate::region::Decomposition;
-        let (d, hyperplanes) =
-            ArrangementRegions::spatial_hyperplanes(regions.database(), regions.spatial_relation())
-                .map_err(|e| malformed(e.to_string()))?;
-        let blob = encode_arrangement(regions.arrangement());
-        self.put(Self::arrangement_key(d, &hyperplanes), &blob)
+        let a = regions.arrangement();
+        self.put(Self::arrangement_key(a.ambient_dim(), a.hyperplanes()), &encode_arrangement(a))
     }
 
     fn result_key(plan_fp: u64, db_fp: u64) -> EntryKey {
@@ -714,16 +705,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An arrangement derived by edits lists its planes in edit order, not
-    /// in the order a build over its database would: it is stored under its
-    /// database's key and served from it.
+    /// An arrangement derived by edits lists its planes as a build over its
+    /// database does, so it is stored under that database's key and served
+    /// from it.
     #[test]
     fn a_derived_arrangement_is_served_under_its_database_key() {
         let dir = scratch("derived");
         let cat = PlanCatalog::open(&dir).unwrap();
         let db = sample_db();
-        // `A` sorts before S, so a build lists its plane first; the edit
-        // appends it.
+        // `A` sorts before S, so a build lists its plane first, where the
+        // edit appends it.
         let grown = with(&db, "A", &["x", "y"], "x + 2*y < 3");
         let budget = crate::EvalBudget::unlimited();
         let (derived, delta) = arrangement(db)
@@ -732,11 +723,15 @@ mod tests {
             .expect("one insert beats a rebuild");
         assert_eq!(delta.inserted, 1);
         let (_, canonical) = ArrangementRegions::spatial_hyperplanes(&grown, "S").unwrap();
-        assert_ne!(derived.arrangement().hyperplanes(), &canonical[..]);
+        assert_eq!(derived.arrangement().hyperplanes(), &canonical[..]);
         cat.save_extension(&derived).unwrap();
         let warm = cat.load_extension(&grown, "S").unwrap().expect("catalog hit");
-        assert_eq!(warm.arrangement().hyperplanes(), derived.arrangement().hyperplanes());
-        assert_eq!(warm.num_regions(), arrangement(grown).num_regions());
+        let built = arrangement(grown);
+        assert_eq!(warm.num_regions(), built.num_regions());
+        for id in warm.region_ids() {
+            assert_eq!(warm.region(id).dim, built.region(id).dim);
+            assert!(built.contains_point(id, &warm.region(id).witness));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

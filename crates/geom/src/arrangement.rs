@@ -308,6 +308,40 @@ impl Arrangement {
         })
     }
 
+    /// This arrangement over `order`, a permutation of its hyperplanes:
+    /// every face's signs follow the permutation and the faces are sorted
+    /// again, so face ids are those of a build over `order` (witnesses and
+    /// rays stay this arrangement's). `None` if `order` is not a permutation
+    /// of [`Arrangement::hyperplanes`].
+    pub fn reordered(&self, order: &[Hyperplane]) -> Option<Arrangement> {
+        let n = self.hyperplanes.len();
+        let perm: Vec<usize> = order
+            .iter()
+            .map(|h| self.hyperplanes.iter().position(|g| g == h))
+            .collect::<Option<_>>()?;
+        let mut seen = vec![false; n];
+        if perm.len() != n || perm.iter().any(|&i| std::mem::replace(&mut seen[i], true)) {
+            return None;
+        }
+        let mut faces: Vec<Face> = self
+            .faces
+            .iter()
+            .map(|f| Face {
+                signs: perm.iter().map(|&i| f.signs[i]).collect(),
+                ..f.clone()
+            })
+            .collect();
+        faces.sort_unstable_by(|a, b| a.signs.cmp(&b.signs));
+        for (id, f) in faces.iter_mut().enumerate() {
+            f.id = id;
+        }
+        Some(Arrangement {
+            dim: self.dim,
+            hyperplanes: order.to_vec(),
+            faces,
+        })
+    }
+
     /// Reassemble an arrangement from previously materialized parts (e.g. a
     /// persisted catalog blob). This is the inverse of reading
     /// [`Arrangement::hyperplanes`] and [`Arrangement::faces`]. It does
@@ -1070,5 +1104,23 @@ mod tests {
             let in_s = r.contains(&face.witness);
             let _ = in_s; // homogeneity is exercised in the integration tests
         }
+    }
+
+    #[test]
+    fn reordered_numbers_faces_as_a_build_over_the_new_order() {
+        let (a, b, c) = (h(&[1, 0], 0), h(&[0, 1], 1), h(&[1, 1], 3));
+        let arr = Arrangement::build(2, vec![a.clone(), b.clone(), c.clone()]);
+        let order = [c.clone(), a.clone(), b.clone()];
+        let moved = arr.reordered(&order).unwrap();
+        let built = Arrangement::build(2, order.to_vec());
+        assert_eq!(moved.hyperplanes(), built.hyperplanes());
+        assert_eq!(moved.num_faces(), built.num_faces());
+        for (m, f) in moved.faces().iter().zip(built.faces()) {
+            assert_eq!((m.id, &m.signs, m.dim, m.bounded()), (f.id, &f.signs, f.dim, f.bounded()));
+            assert_eq!(moved.locate(&m.witness), m.id);
+        }
+        assert!(arr.reordered(&[a.clone(), b.clone()]).is_none());
+        assert!(arr.reordered(&[a.clone(), a, b]).is_none());
+        assert!(arr.reordered(&[c.clone(), h(&[1, -1], 0), c]).is_none());
     }
 }
