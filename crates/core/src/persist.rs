@@ -275,9 +275,11 @@ impl PlanCatalog {
     /// The catalog rungs of the extension ladder (a front end's in-memory
     /// tier sits above this call): the arrangement persisted over `db`'s
     /// spatial hyperplanes if one loads — a warm start skips the `O(n^d)`
-    /// build — otherwise `build`'s, persisted for the next process. A
-    /// corrupt blob or a failed save is a warning next to the regions, never
-    /// an error.
+    /// build — otherwise `build`'s, persisted for the next process. Either
+    /// way its planes are in build order, so region ids, which a stored
+    /// fixpoint snapshot holds, do not depend on whether `build` derived
+    /// the arrangement or built it. A corrupt blob or a failed save is a
+    /// warning next to the regions, never an error.
     pub fn extension_or_build(
         &self,
         db: &Database,
@@ -290,17 +292,18 @@ impl PlanCatalog {
             Ok(None) => {}
             Err(e) => warnings.push(format!("stored arrangement unreadable ({e}); rebuilding")),
         }
-        let built = build()?;
+        let built = build()?.in_build_order()?;
         if let Err(e) = self.save_extension(&built) {
             warnings.push(format!("arrangement not saved: {e}"));
         }
         Ok((built, warnings))
     }
 
-    /// Persist a completed region extension under the key of its
-    /// hyperplanes. A build and a derivation both list them as
-    /// [`ArrangementRegions::spatial_hyperplanes`] does, which is the key a
-    /// later [`PlanCatalog::load_extension`] of the same planes looks up.
+    /// Persist a completed region extension under the key of its hyperplane
+    /// list. [`PlanCatalog::load_extension`] looks up the list a build over
+    /// its database uses, so an arrangement in another order (a derived one
+    /// [`PlanCatalog::extension_or_build`] has not put in build order) is
+    /// never found.
     pub fn save_extension(&self, regions: &ArrangementRegions) -> Result<(), StoreError> {
         let a = regions.arrangement();
         self.put(Self::arrangement_key(a.ambient_dim(), a.hyperplanes()), &encode_arrangement(a))
@@ -705,11 +708,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An arrangement derived by edits lists its planes as a build over its
-    /// database does, so it is stored under that database's key and served
-    /// from it.
+    /// An arrangement derived by edits lists its planes in edit order; the
+    /// ladder puts them in build order before it saves and returns them, so
+    /// a load finds it and its region ids are a build's.
     #[test]
-    fn a_derived_arrangement_is_served_under_its_database_key() {
+    fn a_derived_arrangement_is_served_in_build_order() {
         let dir = scratch("derived");
         let cat = PlanCatalog::open(&dir).unwrap();
         let db = sample_db();
@@ -723,14 +726,18 @@ mod tests {
             .expect("one insert beats a rebuild");
         assert_eq!(delta.inserted, 1);
         let (_, canonical) = ArrangementRegions::spatial_hyperplanes(&grown, "S").unwrap();
-        assert_eq!(derived.arrangement().hyperplanes(), &canonical[..]);
-        cat.save_extension(&derived).unwrap();
+        assert_ne!(derived.arrangement().hyperplanes(), &canonical[..]);
+        let (served, warnings) = cat.extension_or_build(&grown, "S", || Ok(derived)).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(served.arrangement().hyperplanes(), &canonical[..]);
         let warm = cat.load_extension(&grown, "S").unwrap().expect("catalog hit");
         let built = arrangement(grown);
-        assert_eq!(warm.num_regions(), built.num_regions());
-        for id in warm.region_ids() {
-            assert_eq!(warm.region(id).dim, built.region(id).dim);
-            assert!(built.contains_point(id, &warm.region(id).witness));
+        for regions in [&served, &warm] {
+            assert_eq!(regions.num_regions(), built.num_regions());
+            for id in regions.region_ids() {
+                assert_eq!(regions.region(id).dim, built.region(id).dim);
+                assert!(built.contains_point(id, &regions.region(id).witness));
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -215,6 +215,19 @@ impl ArrangementRegions {
         })
     }
 
+    /// These regions with the hyperplanes listed as a build over the
+    /// database lists them: a derivation keeps its donor's order and
+    /// appends new planes, and region ids follow the order.
+    pub(crate) fn in_build_order(self) -> Result<Self, EvalError> {
+        let (_, target) = Self::spatial_hyperplanes(&self.db, &self.spatial)?;
+        if self.arrangement.hyperplanes() == &target[..] {
+            return Ok(self);
+        }
+        let mut arrangement = self.arrangement;
+        arrangement.reorder(&target);
+        Self::from_parts(self.db, &self.spatial, arrangement)
+    }
+
     /// The underlying arrangement.
     pub fn arrangement(&self) -> &Arrangement {
         &self.arrangement
@@ -255,11 +268,9 @@ impl ArrangementRegions {
     /// rebuilding the arrangement from scratch. Each insert replays one
     /// refinement level over the current faces and each removal is one
     /// merge pass, so small
-    /// edits cost far less than the `O(n^d)` rebuild. The result lists its
-    /// hyperplanes in [`ArrangementRegions::spatial_hyperplanes`]' order, as
-    /// a build over `db` does, so its region ids, dimensions and
-    /// boundedness are the build's (witnesses may differ): a fixpoint
-    /// snapshot taken over either resumes over the other.
+    /// edits cost far less than the `O(n^d)` rebuild; the resulting face
+    /// census is bit-identical to what a rebuild over the same hyperplane
+    /// order would produce.
     ///
     /// Returns `Ok(None)` when incremental maintenance does not apply or
     /// pays worse than a rebuild: the spatial arity changed, or the edit
@@ -313,13 +324,6 @@ impl ArrangementRegions {
             arrangement = arrangement
                 .try_insert_hyperplane(h, budget, pool)
                 .map_err(map_err)?;
-        }
-        // The edits leave the kept planes in the donor's order and append
-        // the new ones; list them as a build over `db` does.
-        if arrangement.hyperplanes() != &target[..] {
-            if let Some(canonical) = arrangement.reordered(&target) {
-                arrangement = canonical;
-            }
         }
         let regions = Self::from_parts(db, spatial, arrangement)?;
         Ok(Some((regions, delta)))

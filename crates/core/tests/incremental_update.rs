@@ -86,28 +86,6 @@ fn derive_after_adding_a_relation_matches_rebuild() {
     }
 }
 
-/// A relation that sorts before the spatial one adds planes a build lists
-/// first, where the edit appends them: the derivation puts them in the
-/// build's order, so region ids are the rebuild's, and the stages of a
-/// fixpoint taken over one name the same regions in the other.
-#[test]
-fn derive_lists_hyperplanes_in_build_order() {
-    let base = db_with(&[("S", "0 < x and x < 2 and 0 < y", &["x", "y"])]);
-    let donor = build(base);
-    let extended = db_with(&[
-        ("A", "y < 3 and x + y < 4", &["x", "y"]),
-        ("S", "0 < x and x < 2 and 0 < y", &["x", "y"]),
-    ]);
-    let (derived, delta) = donor
-        .try_derive(extended.clone(), "S", &EvalBudget::unlimited(), &Pool::serial())
-        .unwrap()
-        .expect("small delta must derive incrementally");
-    assert_eq!(delta.inserted, 2);
-    let rebuilt = build(extended);
-    assert_eq!(derived.arrangement().hyperplanes(), rebuilt.arrangement().hyperplanes());
-    assert_same_regions(&derived, &rebuilt);
-}
-
 #[test]
 fn derive_after_dropping_a_relation_matches_rebuild_census() {
     let extended = db_with(&[

@@ -308,38 +308,36 @@ impl Arrangement {
         })
     }
 
-    /// This arrangement over `order`, a permutation of its hyperplanes:
-    /// every face's signs follow the permutation and the faces are sorted
-    /// again, so face ids are those of a build over `order` (witnesses and
-    /// rays stay this arrangement's). `None` if `order` is not a permutation
-    /// of [`Arrangement::hyperplanes`].
-    pub fn reordered(&self, order: &[Hyperplane]) -> Option<Arrangement> {
-        let n = self.hyperplanes.len();
+    /// Put the hyperplanes in `order`, a permutation of them: every face's
+    /// signs follow the permutation and the faces are sorted again, so face
+    /// ids become those of a build over `order` (witnesses and rays are
+    /// kept).
+    ///
+    /// # Panics
+    /// Panics if `order` is not a permutation of the hyperplanes.
+    pub fn reorder(&mut self, order: &[Hyperplane]) {
+        assert_eq!(order.len(), self.hyperplanes.len(), "not a permutation");
+        let mut seen = vec![false; order.len()];
         let perm: Vec<usize> = order
             .iter()
-            .map(|h| self.hyperplanes.iter().position(|g| g == h))
-            .collect::<Option<_>>()?;
-        let mut seen = vec![false; n];
-        if perm.len() != n || perm.iter().any(|&i| std::mem::replace(&mut seen[i], true)) {
-            return None;
-        }
-        let mut faces: Vec<Face> = self
-            .faces
-            .iter()
-            .map(|f| Face {
-                signs: perm.iter().map(|&i| f.signs[i]).collect(),
-                ..f.clone()
+            .map(|h| {
+                let i = self.hyperplanes.iter().position(|g| g == h);
+                let i = i.expect("not a permutation: a plane of `order` is missing");
+                assert!(!std::mem::replace(&mut seen[i], true), "not a permutation: a plane repeats");
+                i
             })
             .collect();
-        faces.sort_unstable_by(|a, b| a.signs.cmp(&b.signs));
-        for (id, f) in faces.iter_mut().enumerate() {
+        let mut permuted = Vec::with_capacity(perm.len());
+        for f in &mut self.faces {
+            permuted.clear();
+            permuted.extend(perm.iter().map(|&i| f.signs[i]));
+            f.signs.copy_from_slice(&permuted);
+        }
+        self.faces.sort_unstable_by(|a, b| a.signs.cmp(&b.signs));
+        for (id, f) in self.faces.iter_mut().enumerate() {
             f.id = id;
         }
-        Some(Arrangement {
-            dim: self.dim,
-            hyperplanes: order.to_vec(),
-            faces,
-        })
+        self.hyperplanes = order.to_vec();
     }
 
     /// Reassemble an arrangement from previously materialized parts (e.g. a
@@ -1107,11 +1105,11 @@ mod tests {
     }
 
     #[test]
-    fn reordered_numbers_faces_as_a_build_over_the_new_order() {
+    fn reorder_numbers_faces_as_a_build_over_the_new_order() {
         let (a, b, c) = (h(&[1, 0], 0), h(&[0, 1], 1), h(&[1, 1], 3));
-        let arr = Arrangement::build(2, vec![a.clone(), b.clone(), c.clone()]);
-        let order = [c.clone(), a.clone(), b.clone()];
-        let moved = arr.reordered(&order).unwrap();
+        let mut moved = Arrangement::build(2, vec![a.clone(), b.clone(), c.clone()]);
+        let order = [c, a, b];
+        moved.reorder(&order);
         let built = Arrangement::build(2, order.to_vec());
         assert_eq!(moved.hyperplanes(), built.hyperplanes());
         assert_eq!(moved.num_faces(), built.num_faces());
@@ -1119,8 +1117,12 @@ mod tests {
             assert_eq!((m.id, &m.signs, m.dim, m.bounded()), (f.id, &f.signs, f.dim, f.bounded()));
             assert_eq!(moved.locate(&m.witness), m.id);
         }
-        assert!(arr.reordered(&[a.clone(), b.clone()]).is_none());
-        assert!(arr.reordered(&[a.clone(), a, b]).is_none());
-        assert!(arr.reordered(&[c.clone(), h(&[1, -1], 0), c]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "a plane repeats")]
+    fn reorder_refuses_a_repeated_plane() {
+        let (a, b) = (h(&[1, 0], 0), h(&[0, 1], 1));
+        Arrangement::build(2, vec![a.clone(), b]).reorder(&[a.clone(), a]);
     }
 }
