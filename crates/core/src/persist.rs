@@ -28,8 +28,8 @@
 //! database. A 64-bit fingerprint collision is the one way a wrong entry
 //! could be served — the exposure the in-memory result cache already has —
 //! and an arrangement rules even that out by comparing its hyperplanes with
-//! the list on load. Space comes back by least-recently-used eviction before a put that
-//! would pass [`MAX_LIVE_BYTES`].
+//! the list on load. Space comes back by least-recently-used eviction before
+//! a put that would pass [`MAX_LIVE_BYTES`].
 //!
 //! All blobs ride the store's WAL, page checksums, and quarantine: a torn or
 //! bit-flipped catalog entry is reported as a typed [`StoreError`] and the
