@@ -83,7 +83,7 @@ fn main() {
     // Arm the global flight recorder for the whole run: every experiment
     // measures the configuration the rest of the workspace actually runs
     // in (always-on recording), and E27 quantifies what that costs.
-    lcdb_obs::init();
+    lcdb_trace::recorder::init();
 
     println!("lcdb experiment harness — reproducing Kreutzer (PODS 2000)");
     println!("===========================================================\n");
@@ -1029,7 +1029,7 @@ fn e27_recorder_overhead() {
     use lcdb_server::{Server, ServerConfig};
 
     header("E27", "flight recorder: always-on ring-buffer overhead");
-    let rec = lcdb_obs::init();
+    let rec = lcdb_trace::recorder::init();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let loaded = loadavg1().is_some_and(|l| l > cores as f64);
     let assert_gate = cores >= 2 && !loaded;

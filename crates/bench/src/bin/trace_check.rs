@@ -4,40 +4,28 @@
 //! Three modes, one exit discipline (`0` ok, `1` first violation, `2`
 //! usage):
 //!
-//! * `trace_check FILE...` — JSONL trace files: every line must parse as
-//!   a schema-v1 trace event, every span enter must have a matching exit,
-//!   and every event must carry a thread id.
+//! * `trace_check FILE...` — JSONL trace files ([`read_trace`]): every
+//!   line must parse as a schema-v1 trace event, every span enter must
+//!   have a matching exit, and every event must carry a thread id.
 //! * `trace_check --dump FILE...` — flight-recorder dump files: the
-//!   stricter [`lcdb_obs::validate_dump`] contract (header mark with the
-//!   dump reason, per-thread monotone timestamps, balanced spans).
+//!   stricter [`validate_dump`] contract (header mark with the dump
+//!   reason, per-thread monotone timestamps, balanced spans).
 //! * `trace_check --metrics FILE...` — Prometheus-style text expositions
 //!   as scraped from the server's `Metrics` opcode: every sample belongs
 //!   to a `# TYPE` family, names carry the `lcdb_` prefix, histogram
 //!   buckets are cumulative and end at `+Inf`, and `_count` agrees with
 //!   the `+Inf` bucket.
 
-use lcdb_core::{trace_aggregate, TraceEvent};
+use lcdb_trace::recorder::{read_trace, validate_dump};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn check_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {}", e))?;
-    let mut events: Vec<TraceEvent> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = TraceEvent::parse_jsonl(line)
-            .ok_or_else(|| format!("line {}: unparseable event: {}", i + 1, line))?;
-        if ev.thread == 0 {
-            return Err(format!("line {}: missing thread id", i + 1));
-        }
-        events.push(ev);
-    }
+    let (events, summary) = read_trace(&text)?;
     if events.is_empty() {
         return Err("no events".into());
     }
-    let summary = trace_aggregate(&events);
     if summary.unbalanced != 0 {
         return Err(format!(
             "{} span enter(s) without a matching exit",
@@ -56,7 +44,7 @@ fn check_file(path: &str) -> Result<(), String> {
 
 fn check_dump(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {}", e))?;
-    let report = lcdb_obs::validate_dump(&text)?;
+    let report = validate_dump(&text)?;
     println!(
         "{}: ok ({} events, {} thread(s), reason: {})",
         path, report.events, report.threads, report.reason

@@ -468,7 +468,7 @@ impl Shell {
                 // the abort can be diagnosed after the fact.
                 if let CmdError::Eval(ee) = &e {
                     if ee.is_budget_exhaustion() {
-                        let _ = lcdb_obs::dump_now(&format!("budget:{}", ee));
+                        let _ = lcdb_trace::recorder::dump_now(&format!("budget:{}", ee));
                     }
                 }
                 self.exit_code = e.exit_code();
@@ -1088,7 +1088,7 @@ fn main() -> std::process::ExitCode {
     // The always-on flight recorder: recent trace events ring-buffered per
     // thread, dumped on panic, quarantine, injected faults and budget
     // aborts (set LCDB_OBS_DIR to receive the dumps).
-    lcdb_obs::init();
+    lcdb_trace::recorder::init();
 
     if args.first().map(String::as_str) == Some("store") {
         return match run_store(&limits, &args[1..]) {

@@ -175,7 +175,7 @@ fn arrangement_build_counts_faces_and_split_cells() {
 
 #[test]
 fn jsonl_roundtrip_preserves_the_event_stream() {
-    let path = std::env::temp_dir().join(format!("lcdb-obs-{}.jsonl", std::process::id()));
+    let path = std::env::temp_dir().join(format!("lcdb-trace-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let ext = gapped_ext();
     let st;

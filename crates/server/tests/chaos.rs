@@ -18,8 +18,8 @@
 #![cfg(feature = "faults")]
 
 use lcdb_budget::faults::FaultPlan;
-use lcdb_obs::DumpReport;
 use lcdb_server::{Client, OpCode, RespCode, Server, ServerConfig};
+use lcdb_trace::recorder::{self, DumpReport};
 use lcdb_trace::TraceHandle;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -47,7 +47,7 @@ fn obs_dir() -> &'static PathBuf {
         let dir = std::env::temp_dir().join(format!("lcdb-chaos-dumps-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create dump dir");
-        let rec = lcdb_obs::init();
+        let rec = recorder::init();
         rec.set_dump_dir(Some(dir.clone()));
         dir
     })
@@ -60,7 +60,7 @@ fn validate_eventually(path: &Path) -> Result<DumpReport, String> {
     loop {
         let attempt = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|text| lcdb_obs::validate_dump(&text));
+            .and_then(|text| recorder::validate_dump(&text));
         match attempt {
             Ok(report) => return Ok(report),
             Err(e) if Instant::now() > deadline => return Err(e),

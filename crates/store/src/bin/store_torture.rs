@@ -92,7 +92,7 @@ fn run() -> Result<(), String> {
     // The always-on flight recorder: when a kill point fires mid-write,
     // `lcdb_store::kill` dumps the ring into LCDB_OBS_DIR, and the spans
     // recorded below are the history that dump shows.
-    lcdb_obs::init();
+    lcdb_trace::recorder::init();
     let trace = lcdb_trace::TraceHandle::disabled_ref();
     let mut store = if Store::exists(&dir) {
         Store::open(&dir, StoreOptions::default()).map_err(|e| e.to_string())?

@@ -100,7 +100,7 @@ pub fn point(site: &str) {
 /// so this is the black box's only chance to reach disk. The dump itself is
 /// ordinary buffered-then-written I/O and cannot re-enter the store.
 fn die(site: &str, hit: u64) -> ! {
-    let _ = lcdb_obs::dump_now(&format!("kill:{site} hit={hit}"));
+    let _ = lcdb_trace::recorder::dump_now(&format!("kill:{site} hit={hit}"));
     std::process::exit(KILL_EXIT_CODE);
 }
 

@@ -147,7 +147,7 @@ fn killed_writers_always_recover_to_a_baseline_state() {
                      found {dumps:?}"
                 );
                 let text = std::fs::read_to_string(&dumps[0]).unwrap();
-                let report = lcdb_obs::validate_dump(&text).unwrap_or_else(|e| {
+                let report = lcdb_trace::recorder::validate_dump(&text).unwrap_or_else(|e| {
                     panic!("seed {seed} kill {n}: invalid flight-recorder dump: {e}")
                 });
                 assert!(

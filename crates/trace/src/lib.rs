@@ -7,9 +7,9 @@
 //!
 //! * **Zero-cost when disabled.** The default sink is [`NullTracer`]; a
 //!   span on a disabled handle is one virtual `enabled()` call, one relaxed
-//!   probe of the process-wide recorder hook ([`install_recorder`]), and no
-//!   clock read, no allocation, no lock. Hot loops additionally cache the
-//!   enabled bit so their per-item cost is a branch.
+//!   probe of the flight [`recorder`]'s armed flag, and no clock read, no
+//!   allocation, no lock. Hot loops additionally cache the enabled bit so
+//!   their per-item cost is a branch.
 //! * **Thread-aware.** Span parentage follows a per-thread stack (an
 //!   evaluation runs on one thread), and every event carries a small
 //!   process-stable thread id.
@@ -24,9 +24,15 @@
 //! Registration takes a mutex; the returned [`Counter`] handle is a bare
 //! `Arc<AtomicU64>` that callers cache and bump lock-free (this is how
 //! `lcdb-budget`'s meter ticks become registry-backed).
+//!
+//! The [`recorder`] module is the always-on flight recorder: every handle
+//! feeds its per-thread rings while it is armed, and it dumps them on
+//! panics, faults, quarantines, budget aborts and kill points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod recorder;
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -354,32 +360,6 @@ impl Tracer for MemoryTracer {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide flight-recorder hook
-// ---------------------------------------------------------------------------
-
-static RECORDER: OnceLock<Arc<dyn Tracer>> = OnceLock::new();
-
-/// Install a process-wide *secondary* sink — the flight recorder — that
-/// every [`TraceHandle`] feeds in addition to its own tracer. The recorder
-/// is consulted through its own `enabled()` (so it can be armed and
-/// disarmed at runtime), and it sees events even from handles whose primary
-/// sink is the [`NullTracer`]: that is what makes a black-box recorder
-/// "always on" without every call site threading a handle through.
-///
-/// Returns `false` (and drops `recorder`) if a recorder is already
-/// installed; the hook is set-once for the life of the process.
-pub fn install_recorder(recorder: Arc<dyn Tracer>) -> bool {
-    RECORDER.set(recorder).is_ok()
-}
-
-/// The recorder, only when installed *and* armed. One `OnceLock` read on
-/// the disabled path, so handles stay near-zero-cost with no recorder.
-#[inline]
-fn active_recorder() -> Option<&'static Arc<dyn Tracer>> {
-    RECORDER.get().filter(|r| r.enabled())
-}
-
-// ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
 
@@ -511,6 +491,13 @@ impl Counter {
     pub fn shared(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.0)
     }
+}
+
+/// Poison-tolerant lock: the registry and the flight recorder must stay
+/// usable from panic hooks, where some other thread may have poisoned a
+/// mutex.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Add `n` to an atomic cell, sticking at `u64::MAX` instead of wrapping.
@@ -663,15 +650,8 @@ impl MetricsRegistry {
 
     /// The counter named `name`, registering it on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        inner
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        let mut inner = lock(&self.inner);
+        inner.counters.entry(name.to_string()).or_default().clone()
     }
 
     /// Add `n` to the counter named `name` (registering it on first use).
@@ -681,10 +661,7 @@ impl MetricsRegistry {
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut inner = lock(&self.inner);
         Arc::clone(inner.histograms.entry(name.to_string()).or_default())
     }
 
@@ -695,10 +672,7 @@ impl MetricsRegistry {
 
     /// Current counter values by name.
     pub fn counter_snapshot(&self) -> BTreeMap<String, u64> {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let inner = lock(&self.inner);
         inner
             .counters
             .iter()
@@ -709,10 +683,7 @@ impl MetricsRegistry {
     /// Render every counter and histogram as stable `name value` lines —
     /// the CLI's `--metrics` dump.
     pub fn render(&self) -> String {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let inner = lock(&self.inner);
         let mut out = String::new();
         for (name, c) in &inner.counters {
             let _ = writeln!(out, "{name} {}", c.get());
@@ -753,10 +724,7 @@ impl MetricsRegistry {
             }
             out
         }
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let inner = lock(&self.inner);
         let mut out = String::new();
         for (name, c) in &inner.counters {
             let n = sanitize(name);
@@ -861,41 +829,24 @@ impl TraceHandle {
     }
 
     /// Open a span. Disabled handles return an inert guard without reading
-    /// the clock (unless a flight recorder is installed and armed — then
-    /// the span goes live so the recorder's ring sees it).
+    /// the clock (unless the flight recorder is armed — then the span goes
+    /// live so the recorder's ring sees it).
     pub fn span(&self, name: &str) -> Span<'_> {
         self.span_with(name, "")
     }
 
     /// Open a span with a detail string. The span is live when the handle's
-    /// own sink is enabled *or* the process-wide recorder
-    /// ([`install_recorder`]) is armed; each sink only receives events while
-    /// it is enabled.
+    /// own sink is enabled *or* the flight [`recorder`] is armed; each sink
+    /// only receives events while it is enabled.
     pub fn span_with(&self, name: &str, detail: &str) -> Span<'_> {
-        let traced = self.tracer.enabled();
-        let recorder = active_recorder();
-        if !traced && recorder.is_none() {
+        let Some(traced) = self.listening() else {
             return Span { inner: None };
-        }
+        };
         let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
         let parent = current_span();
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        let event = Event {
-            kind: EventKind::Enter,
-            span: id,
-            parent,
-            name: name.to_string(),
-            detail: detail.to_string(),
-            value: 0,
-            thread: thread_id(),
-            t_us: self.now_us(),
-        };
-        if traced {
-            self.tracer.record(&event);
-        }
-        if let Some(r) = recorder {
-            r.record(&event);
-        }
+        let event = self.event(EventKind::Enter, id, parent, name, detail, 0);
+        self.emit(traced, event);
         Span {
             inner: Some(SpanInner {
                 handle: self,
@@ -913,50 +864,58 @@ impl TraceHandle {
     /// sink and the recorder are disabled.
     pub fn count(&self, name: &str, value: u64) {
         self.metrics.add(name, value);
-        let traced = self.tracer.enabled();
-        let recorder = active_recorder();
-        if !traced && recorder.is_none() {
-            return;
-        }
-        let event = Event {
-            kind: EventKind::Counter,
-            span: 0,
-            parent: current_span(),
-            name: name.to_string(),
-            detail: String::new(),
-            value,
-            thread: thread_id(),
-            t_us: self.now_us(),
-        };
-        if traced {
-            self.tracer.record(&event);
-        }
-        if let Some(r) = recorder {
-            r.record(&event);
+        if let Some(traced) = self.listening() {
+            let event = self.event(EventKind::Counter, 0, current_span(), name, "", value);
+            self.emit(traced, event);
         }
     }
 
     /// Emit a point event (quarantine notices, checkpoint paths, …).
     pub fn mark(&self, name: &str, detail: &str) {
-        let traced = self.tracer.enabled();
-        let recorder = active_recorder();
-        if !traced && recorder.is_none() {
-            return;
+        if let Some(traced) = self.listening() {
+            let event = self.event(EventKind::Mark, 0, current_span(), name, detail, 0);
+            self.emit(traced, event);
         }
-        let event = Event {
-            kind: EventKind::Mark,
-            span: 0,
-            parent: current_span(),
+    }
+
+    /// `Some(traced)` when an event would reach anyone — this handle's own
+    /// sink (`traced`) or the armed flight recorder — and `None` when no
+    /// one listens, so callers build nothing.
+    fn listening(&self) -> Option<bool> {
+        let traced = self.tracer.enabled();
+        (traced || recorder::armed().is_some()).then_some(traced)
+    }
+
+    /// An event on the calling thread, stamped now.
+    fn event(
+        &self,
+        kind: EventKind,
+        span: u64,
+        parent: u64,
+        name: &str,
+        detail: &str,
+        value: u64,
+    ) -> Event {
+        Event {
+            kind,
+            span,
+            parent,
             name: name.to_string(),
             detail: detail.to_string(),
-            value: 0,
+            value,
             thread: thread_id(),
             t_us: self.now_us(),
-        };
+        }
+    }
+
+    /// Deliver `event` to this handle's sink when `traced`, and to the
+    /// flight recorder when it is armed. Every event a handle emits leaves
+    /// through here.
+    fn emit(&self, traced: bool, event: Event) {
         if traced {
             self.tracer.record(&event);
         }
-        if let Some(r) = recorder {
+        if let Some(r) = recorder::armed() {
             r.record(&event);
         }
     }
@@ -1006,32 +965,33 @@ impl Drop for Span<'_> {
         });
         let dur_us = inner.start.elapsed().as_micros() as u64;
         inner.handle.metrics.observe(&inner.name, dur_us);
-        let event = Event {
-            kind: EventKind::Exit,
-            span: inner.id,
-            parent: inner.parent,
-            name: inner.name.clone(),
-            detail: String::new(),
-            value: dur_us,
-            thread: thread_id(),
-            t_us: inner.handle.now_us(),
-        };
-        if inner.traced {
-            inner.handle.tracer.record(&event);
-        }
-        if let Some(r) = active_recorder() {
-            r.record(&event);
-        }
+        let h = inner.handle;
+        let event = h.event(
+            EventKind::Exit,
+            inner.id,
+            inner.parent,
+            &inner.name,
+            "",
+            dur_us,
+        );
+        h.emit(inner.traced, event);
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    use super::recorder::{validate_dump, FlightRecorder, MAX_DUMPS};
     use super::*;
+    use std::path::PathBuf;
+
+    /// Held by the tests that arm the global flight recorder and by those
+    /// that need it disarmed (it turns spans on disabled handles live).
+    static GLOBAL_RECORDER: Mutex<()> = Mutex::new(());
 
     #[test]
     fn null_tracer_spans_are_inert() {
+        let _global = lock(&GLOBAL_RECORDER);
         let h = TraceHandle::disabled();
         assert!(!h.enabled());
         let sp = h.span("anything");
@@ -1231,5 +1191,259 @@ mod tests {
         assert_eq!(here, thread_id());
         let other = std::thread::spawn(thread_id).join().unwrap();
         assert_ne!(here, other);
+    }
+
+    // -- flight recorder ---------------------------------------------------
+
+    fn counter_event(name: &str, value: u64) -> Event {
+        Event {
+            kind: EventKind::Counter,
+            span: 0,
+            parent: 0,
+            name: name.to_string(),
+            detail: String::new(),
+            value,
+            thread: thread_id(),
+            t_us: 0,
+        }
+    }
+
+    fn mark_event(name: &str, detail: &str) -> Event {
+        Event {
+            kind: EventKind::Mark,
+            detail: detail.to_string(),
+            ..counter_event(name, 0)
+        }
+    }
+
+    fn span_pair(id: u64, name: &str) -> (Event, Event) {
+        let enter = Event {
+            kind: EventKind::Enter,
+            span: id,
+            parent: 0,
+            name: name.to_string(),
+            detail: String::new(),
+            value: 0,
+            thread: thread_id(),
+            t_us: 0,
+        };
+        let mut exit = enter.clone();
+        exit.kind = EventKind::Exit;
+        exit.value = 5;
+        (enter, exit)
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lcdb-recorder-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn ring_keeps_the_most_recent_events() {
+        let rec = FlightRecorder::new(8);
+        rec.set_armed(true);
+        for i in 0..20u64 {
+            rec.record(&counter_event("tick", i));
+        }
+        let dump = rec.render_dump("test");
+        let report = validate_dump(&dump).unwrap();
+        assert_eq!(report.reason, "test");
+        // Last 8 ticks survive; earlier ones were overwritten.
+        assert!(dump.contains("\"value\":19"));
+        assert!(dump.contains("\"value\":12"));
+        assert!(!dump.contains("\"value\":11,"));
+        // The dropped count is reported in the footer.
+        let events: Vec<Event> = dump.lines().filter_map(Event::parse_jsonl).collect();
+        let dropped = events
+            .iter()
+            .find(|e| e.name == "recorder.dropped")
+            .unwrap();
+        assert_eq!(dropped.value, 12);
+    }
+
+    #[test]
+    fn disarmed_recorder_records_nothing() {
+        let rec = FlightRecorder::new(8);
+        rec.record(&counter_event("tick", 1));
+        let dump = rec.render_dump("empty");
+        let report = validate_dump(&dump).unwrap();
+        // Header + 4 footer marks only.
+        assert_eq!(report.events, 5);
+    }
+
+    #[test]
+    fn dump_synthesizes_exits_for_dangling_enters() {
+        let rec = FlightRecorder::new(32);
+        rec.set_armed(true);
+        let (enter, exit) = span_pair(9001, "closed.span");
+        rec.record(&enter);
+        rec.record(&exit);
+        let (dangling, _) = span_pair(9002, "open.span");
+        rec.record(&dangling);
+        let dump = rec.render_dump("truncation");
+        validate_dump(&dump).unwrap();
+        assert!(dump.contains("truncated-by-dump"));
+        // The merged span histogram saw the one completed span.
+        let events: Vec<Event> = dump.lines().filter_map(Event::parse_jsonl).collect();
+        let count = events
+            .iter()
+            .find(|e| e.name == "recorder.spans.count")
+            .unwrap();
+        assert_eq!(count.value, 1);
+    }
+
+    #[test]
+    fn orphan_exits_are_dropped_not_fatal() {
+        let rec = FlightRecorder::new(4);
+        rec.set_armed(true);
+        let (enter, exit) = span_pair(9100, "wide.span");
+        rec.record(&enter);
+        for i in 0..6u64 {
+            rec.record(&counter_event("noise", i)); // overwrites the enter
+        }
+        rec.record(&exit); // its enter is gone from the ring
+        validate_dump(&rec.render_dump("orphan")).unwrap();
+    }
+
+    #[test]
+    fn trigger_mark_writes_a_dump_file() {
+        let dir = scratch("trigger");
+        let rec = FlightRecorder::new(16);
+        rec.set_armed(true);
+        rec.set_dump_dir(Some(dir.clone()));
+        rec.record(&mark_event("quarantine", "site=unit"));
+        assert_eq!(rec.dumps_written(), 1);
+        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(entries.len(), 1);
+        let text = std::fs::read_to_string(entries[0].as_ref().unwrap().path()).unwrap();
+        let report = validate_dump(&text).unwrap();
+        assert_eq!(report.reason, "mark:quarantine site=unit");
+        // Other marks record without dumping.
+        rec.record(&mark_event("test.boom", ""));
+        assert_eq!(rec.dumps_written(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dump_cap_suppresses_later_dumps() {
+        let dir = scratch("cap");
+        let rec = FlightRecorder::new(4);
+        rec.set_armed(true);
+        rec.set_dump_dir(Some(dir.clone()));
+        for i in 0..(MAX_DUMPS + 3) {
+            let wrote = rec.dump_now(&format!("r{i}")).is_some();
+            assert_eq!(wrote, i < MAX_DUMPS, "dump {i}");
+        }
+        assert_eq!(rec.dumps_written(), MAX_DUMPS);
+        assert_eq!(rec.dumps_suppressed(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn validate_rejects_broken_dumps() {
+        assert!(validate_dump("").is_err());
+        assert!(validate_dump("not json\n").is_err());
+        // Missing header mark.
+        let ev = counter_event("x", 1).to_jsonl();
+        assert!(validate_dump(&format!("{ev}\n")).is_err());
+        // Non-monotone timestamps on one thread.
+        let rec = FlightRecorder::new(8);
+        let head = rec.render_dump("ok");
+        let mut lines: Vec<String> = head.lines().map(String::from).collect();
+        let mut early = counter_event("late", 1);
+        early.t_us = 0;
+        lines.push(early.to_jsonl()); // footer marks have t_us >= 0 … craft one going backwards
+        let mut back = counter_event("later", 2);
+        back.t_us = 0;
+        let mut fwd = back.clone();
+        fwd.t_us = 10;
+        let crafted = format!(
+            "{}\n{}\n{}\n",
+            lines[0], // header
+            fwd.to_jsonl(),
+            back.to_jsonl()
+        );
+        assert!(validate_dump(&crafted).is_err(), "{crafted}");
+        // Unbalanced span.
+        let (enter, _) = span_pair(9900, "never.closed");
+        let crafted = format!("{}\n{}\n", lines[0], enter.to_jsonl());
+        assert!(validate_dump(&crafted).is_err());
+    }
+
+    #[test]
+    fn global_recorder_sees_spans_from_disabled_handles() {
+        let _global = lock(&GLOBAL_RECORDER);
+        let rec = recorder::init();
+        rec.set_armed(true);
+        let handle = TraceHandle::disabled();
+        assert!(!handle.enabled());
+        {
+            let span = handle.span_with("obs.test.span", "via-recorder");
+            assert_ne!(span.id(), 0, "recorder arms the span");
+            handle.count("obs.test.counter", 3);
+        }
+        let dump = rec.render_dump("global");
+        rec.set_armed(false);
+        validate_dump(&dump).unwrap();
+        assert!(dump.contains("obs.test.span"));
+        assert!(dump.contains("obs.test.counter"));
+    }
+
+    /// A ring lives as long as its thread: 64 threads that each record one
+    /// event and exit leave only the test thread's ring behind.
+    #[test]
+    fn rings_belong_to_their_threads() {
+        let rec = Arc::new(FlightRecorder::new(8));
+        rec.set_armed(true);
+        rec.record(&counter_event("main", 0));
+        let workers: Vec<_> = (0..64u64)
+            .map(|i| {
+                let rec = Arc::clone(&rec);
+                std::thread::spawn(move || rec.record(&counter_event("worker", i)))
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let report = validate_dump(&rec.render_dump("rings")).unwrap();
+        assert_eq!(report.threads, 1, "rings of exited threads remain");
+        // Header, the test thread's event, 4 footer marks.
+        assert_eq!(report.events, 6);
+    }
+
+    /// Trigger marks recorded at once on N threads write N dumps: no dump
+    /// in progress on one thread swallows another thread's trigger.
+    #[test]
+    fn concurrent_trigger_marks_each_dump() {
+        const N: usize = 8;
+        let dir = scratch("concurrent");
+        let rec = Arc::new(FlightRecorder::new(16));
+        rec.set_armed(true);
+        rec.set_dump_dir(Some(dir.clone()));
+        let barrier = Arc::new(std::sync::Barrier::new(N));
+        let workers: Vec<_> = (0..N)
+            .map(|i| {
+                let (rec, barrier) = (Arc::clone(&rec), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    rec.record(&mark_event("quarantine", &format!("worker={i}")));
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(rec.dumps_written(), N as u64);
+        let dumps: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(dumps.len(), N);
+        for d in dumps {
+            let text = std::fs::read_to_string(d.unwrap().path()).unwrap();
+            assert!(validate_dump(&text)
+                .unwrap()
+                .reason
+                .starts_with("mark:quarantine"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
