@@ -108,11 +108,11 @@ fn experiment_budget() -> EvalBudget {
 }
 
 fn rel2(src: &str) -> Relation {
-    Relation::new(vec!["x".into(), "y".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into(), "y".into()], parse_formula(src).unwrap())
 }
 
 fn rel1(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(src).unwrap())
 }
 
 /// [`Arrangement::from_relation`], routed through the harness trace handle

@@ -14,7 +14,7 @@ pub fn intervals(k: usize) -> Relation {
     let parts: Vec<String> = (0..k)
         .map(|i| format!("({} < x and x < {})", 2 * i, 2 * i + 1))
         .collect();
-    Relation::new(vec!["x".into()], &parse_formula(&parts.join(" or ")).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(&parts.join(" or ")).unwrap())
 }
 
 /// `k` *touching* closed unit intervals: `[0,1] ∪ [1,2] ∪ …` (connected).
@@ -22,7 +22,7 @@ pub fn chained_intervals(k: usize) -> Relation {
     let parts: Vec<String> = (0..k)
         .map(|i| format!("({} <= x and x <= {})", i, i + 1))
         .collect();
-    Relation::new(vec!["x".into()], &parse_formula(&parts.join(" or ")).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(&parts.join(" or ")).unwrap())
 }
 
 /// The running-example relation of Fig. 1: any relation whose induced
@@ -31,7 +31,7 @@ pub fn chained_intervals(k: usize) -> Relation {
 pub fn figure1_relation() -> Relation {
     Relation::new(
         vec!["x".into(), "y".into()],
-        &parse_formula("x >= 0 and y >= 0 and x + y <= 1").unwrap(),
+        parse_formula("x >= 0 and y >= 0 and x + y <= 1").unwrap(),
     )
 }
 
@@ -39,7 +39,7 @@ pub fn figure1_relation() -> Relation {
 pub fn figure7_pentagon() -> Relation {
     Relation::new(
         vec!["x".into(), "y".into()],
-        &parse_formula(
+        parse_formula(
             "x + 3*y >= 0 and x - y <= 4 and 3*x + y <= 16 and 3*y - x <= 8 and y <= 3*x",
         )
         .unwrap(),
@@ -50,7 +50,7 @@ pub fn figure7_pentagon() -> Relation {
 pub fn figure10_unbounded() -> Relation {
     Relation::new(
         vec!["x".into(), "y".into()],
-        &parse_formula("y <= x and y >= -x and x >= 1").unwrap(),
+        parse_formula("y <= x and y >= -x and x >= 1").unwrap(),
     )
 }
 
@@ -86,7 +86,7 @@ pub fn convex_polygon(k: usize) -> Relation {
     sides.push(format!("y <= {}*x", k - 1));
     Relation::new(
         vec!["x".into(), "y".into()],
-        &parse_formula(&sides.join(" and ")).unwrap(),
+        parse_formula(&sides.join(" and ")).unwrap(),
     )
 }
 
@@ -148,7 +148,7 @@ pub fn alibi_pair(n: usize, seed: u64, meet: bool) -> (Relation, Relation) {
             .collect();
         Relation::new(
             vec!["t".into(), "x".into(), "y".into()],
-            &parse_formula(&beads.join(" or ")).expect("generated formula"),
+            parse_formula(&beads.join(" or ")).expect("generated formula"),
         )
     };
     (relation(&a), relation(&b))
@@ -165,7 +165,7 @@ pub fn alibi_extension(n: usize, seed: u64, meet: bool) -> lcdb_core::RegionExte
         "T",
         Relation::new(
             vec!["t".into()],
-            &parse_formula(&line).expect("fixed formula"),
+            parse_formula(&line).expect("fixed formula"),
         ),
     );
     db.insert("A", a);
@@ -224,7 +224,7 @@ pub fn replay_e10() -> u128 {
     ];
     let t = std::time::Instant::now();
     for src in dbs {
-        let rel = Relation::new(vec!["x".into()], &parse_formula(src).expect("fixed formula"));
+        let rel = Relation::new(vec!["x".into()], parse_formula(src).expect("fixed formula"));
         let ext = RegionExtension::arrangement(rel);
         let ev = Evaluator::new(&ext);
         std::hint::black_box(input_word(&ev));

@@ -937,7 +937,7 @@ impl<'a> Evaluator<'a> {
             ));
         }
         let qf = self.query_answer(&plan, root)?;
-        Ok(lcdb_logic::Relation::new(var_order.to_vec(), &qf))
+        Ok(lcdb_logic::Relation::new(var_order.to_vec(), qf))
     }
 
     /// Evaluate with explicit region variable bindings (for tests and for
@@ -1490,7 +1490,7 @@ mod tests {
     fn relation(src: &str, vars: &[&str]) -> Relation {
         Relation::new(
             vars.iter().map(|v| v.to_string()).collect(),
-            &parse_formula(src).unwrap(),
+            parse_formula(src).unwrap(),
         )
     }
 
@@ -1939,7 +1939,7 @@ mod relation_output_tests {
     fn query_answers_are_relations() {
         let rel = Relation::new(
             vec!["x".into()],
-            &parse_formula("(0 < x and x < 1) or (2 < x and x < 3)").unwrap(),
+            parse_formula("(0 < x and x < 1) or (2 < x and x < 3)").unwrap(),
         );
         let ext = RegionExtension::arrangement(rel);
         let ev = Evaluator::new(&ext);

@@ -1720,7 +1720,7 @@ mod tests {
     fn ext(src: &str, vars: &[&str]) -> RegionExtension {
         RegionExtension::arrangement(Relation::new(
             vars.iter().map(|v| v.to_string()).collect(),
-            &parse_formula(src).unwrap(),
+            parse_formula(src).unwrap(),
         ))
     }
 

@@ -64,14 +64,6 @@ impl Grammar for Reg {
         !word.starts_with(|ch: char| ch.is_uppercase())
     }
 
-    fn truth(value: bool) -> RegFormula {
-        if value {
-            RegFormula::True
-        } else {
-            RegFormula::False
-        }
-    }
-
     fn atom(atom: Atom) -> RegFormula {
         RegFormula::Lin(atom)
     }
@@ -101,7 +93,7 @@ impl Grammar for Reg {
         }
     }
 
-    fn unary(c: &mut TokenCursor) -> Result<Option<RegFormula>, ParseError> {
+    fn unary(c: &mut TokenCursor<'_>) -> Result<Option<RegFormula>, ParseError> {
         let f = match c.peek() {
             Some(Tok::Keyword("adj")) => {
                 c.bump();
@@ -151,7 +143,8 @@ impl Grammar for Reg {
                 match c.bump() {
                     Some(Tok::Rel(Rel::Eq)) => RegFormula::RegionEq(a, regvar(c)?),
                     Some(Tok::Keyword("subset")) => {
-                        RegFormula::SubsetOf(a, c.word(|_| true, "a relation name after 'subset'")?)
+                        let name = c.word(|_| true, "a relation name after 'subset'")?;
+                        RegFormula::SubsetOf(a, name.into())
                     }
                     _ => return Err(c.err("expected '=' or 'subset' after region variable")),
                 }
@@ -177,13 +170,13 @@ impl Grammar for Reg {
     }
 }
 
-fn regvar(c: &mut TokenCursor) -> Result<String, ParseError> {
-    c.word(|w| !Reg::is_element(w), "a region variable (uppercase)")
+fn regvar(c: &mut TokenCursor<'_>) -> Result<String, ParseError> {
+    c.word(|w| !Reg::is_element(w), "a region variable (uppercase)").map(String::from)
 }
 
-fn set_name(c: &mut TokenCursor) -> Result<String, ParseError> {
+fn set_name(c: &mut TokenCursor<'_>) -> Result<String, ParseError> {
     match c.bump() {
-        Some(Tok::SetName(m)) => Ok(m),
+        Some(Tok::SetName(m)) => Ok(m.into()),
         _ => Err(c.err("expected a set variable ($name)")),
     }
 }
@@ -192,7 +185,7 @@ fn set_name(c: &mut TokenCursor) -> Result<String, ParseError> {
 /// — a point tuple's containment rather than a parenthesized formula —
 /// decided without consuming them. Mirrors [`expr`]: `["-"] term (("+" |
 /// "-") term)*` with `term := number ["*" element] | element`.
-fn tuple_ahead(c: &TokenCursor) -> bool {
+fn tuple_ahead(c: &TokenCursor<'_>) -> bool {
     let element = |t: Option<&Tok>| matches!(t, Some(Tok::Word(w)) if Reg::is_element(w));
     let mut toks = c.ahead().skip(1).peekable();
     loop {
@@ -223,7 +216,7 @@ fn tuple_ahead(c: &TokenCursor) -> bool {
 }
 
 /// `. body ] (`, between an operator's variables and its arguments.
-fn operator_body(c: &mut TokenCursor) -> Result<RegFormula, ParseError> {
+fn operator_body(c: &mut TokenCursor<'_>) -> Result<RegFormula, ParseError> {
     c.expect(&Tok::Dot, "'.'")?;
     let body = formula::<Reg>(c)?;
     c.expect(&Tok::RBracket, "']'")?;
@@ -233,7 +226,7 @@ fn operator_body(c: &mut TokenCursor) -> Result<RegFormula, ParseError> {
 
 /// `[lfp $M, R, … . body](args)`, `[tc Ls ; Rs . body](As ; Bs)`,
 /// `[rbit x. body](Rn, Rd)`.
-fn operator(c: &mut TokenCursor) -> Result<RegFormula, ParseError> {
+fn operator(c: &mut TokenCursor<'_>) -> Result<RegFormula, ParseError> {
     c.bump(); // '['
     match c.bump() {
         Some(Tok::Keyword(op @ ("lfp" | "ifp" | "pfp"))) => {
@@ -287,7 +280,7 @@ fn operator(c: &mut TokenCursor) -> Result<RegFormula, ParseError> {
             })
         }
         Some(Tok::Keyword("rbit")) => {
-            let var = c.word(Reg::is_element, "an element variable after 'rbit'")?;
+            let var = c.word(Reg::is_element, "an element variable after 'rbit'")?.into();
             let body = operator_body(c)?.into();
             let rn = regvar(c)?;
             c.expect(&Tok::Comma, "','")?;
@@ -313,7 +306,7 @@ mod tests {
     use lcdb_logic::{parse_formula, Relation};
 
     fn ext1(src: &str) -> RegionExtension {
-        let rel = Relation::new(vec!["x".into()], &parse_formula(src).unwrap());
+        let rel = Relation::new(vec!["x".into()], parse_formula(src).unwrap());
         RegionExtension::arrangement(rel)
     }
 

@@ -466,9 +466,9 @@ mod tests {
     fn sample_db() -> Database {
         let mut db = Database::new();
         let f = parse_formula("(x >= 0 and y >= 0 and x + y <= 2) or (x = y)").unwrap();
-        db.insert("S", Relation::new(vec!["x".into(), "y".into()], &f));
+        db.insert("S", Relation::new(vec!["x".into(), "y".into()], f));
         let g = parse_formula("x - y > 1").unwrap();
-        db.insert("T", Relation::new(vec!["x".into(), "y".into()], &g));
+        db.insert("T", Relation::new(vec!["x".into(), "y".into()], g));
         db
     }
 
@@ -666,7 +666,7 @@ mod tests {
     fn with(db: &Database, name: &str, vars: &[&str], src: &str) -> Database {
         let mut db = db.clone();
         let vars = vars.iter().map(|v| v.to_string()).collect();
-        db.insert(name, Relation::new(vars, &parse_formula(src).unwrap()));
+        db.insert(name, Relation::new(vars, parse_formula(src).unwrap()));
         db
     }
 

@@ -633,7 +633,7 @@ mod tests {
     fn relation(src: &str, vars: &[&str]) -> Relation {
         Relation::new(
             vars.iter().map(|v| v.to_string()).collect(),
-            &parse_formula(src).unwrap(),
+            parse_formula(src).unwrap(),
         )
     }
 

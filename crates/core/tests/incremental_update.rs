@@ -13,7 +13,7 @@ use lcdb_logic::{parse_formula, Database, Relation};
 fn relation(src: &str, vars: &[&str]) -> Relation {
     Relation::new(
         vars.iter().map(|v| v.to_string()).collect(),
-        &parse_formula(src).unwrap(),
+        parse_formula(src).unwrap(),
     )
 }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 fn relation(src: &str, vars: &[&str]) -> Relation {
     Relation::new(
         vars.iter().map(|v| v.to_string()).collect(),
-        &parse_formula(src).unwrap(),
+        parse_formula(src).unwrap(),
     )
 }
 

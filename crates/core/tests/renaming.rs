@@ -10,7 +10,7 @@ use lcdb_logic::{parse_formula, Formula, LinExpr, Relation};
 fn renaming_a_variable_renames_the_answer() {
     let s = Relation::new(
         vec!["x".into(), "y".into()],
-        &parse_formula("0 <= x and x < y and y <= 2").expect("parses"),
+        parse_formula("0 <= x and x < y and y <= 2").expect("parses"),
     );
     let ext = RegionExtension::arrangement(s);
     let ev = Evaluator::new(&ext);

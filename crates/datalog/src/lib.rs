@@ -279,7 +279,7 @@ impl Program {
         let mut idb: BTreeMap<String, Relation> = BTreeMap::new();
         for (name, arity) in self.idb_predicates() {
             let vars: Vec<Var> = (0..arity).map(|i| format!("x{}", i)).collect();
-            idb.insert(name, Relation::new(vars, &Formula::False));
+            idb.insert(name, Relation::new(vars, Formula::False));
         }
         self.run_rounds(edb, budget, strategy, idb, 0, max_rounds, trace)
     }
@@ -398,7 +398,7 @@ impl Program {
         let mut idb: BTreeMap<String, Relation> = BTreeMap::new();
         for (name, arity) in self.idb_predicates() {
             let vars: Vec<Var> = (0..arity).map(|i| format!("x{}", i)).collect();
-            idb.insert(name, Relation::new(vars, &Formula::False));
+            idb.insert(name, Relation::new(vars, Formula::False));
         }
         for saved in &snap.idb {
             let arity = match idb.get(&saved.name) {
@@ -429,7 +429,11 @@ impl Program {
                                 saved.name, e
                             ),
                         })?;
-                    Relation::new(saved.vars.clone(), &formula)
+                    Relation::define(saved.vars.clone(), formula).map_err(|e| {
+                        DatalogError::Snapshot {
+                            message: format!("snapshot relation '{}': {}", saved.name, e),
+                        }
+                    })?
                 }
                 // Current snapshots: the packed DNF restores directly.
                 IdbRepr::Packed(disjuncts) => {
@@ -837,7 +841,7 @@ mod tests {
     use lcdb_logic::{parse_formula, Rel};
 
     fn rel1(src: &str) -> Relation {
-        Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+        Relation::new(vec!["x".into()], parse_formula(src).unwrap())
     }
 
     fn atom(src: &str) -> lcdb_logic::Atom {
@@ -1009,7 +1013,7 @@ mod tests {
             "Seg",
             Relation::new(
                 vec!["x".into(), "y".into()],
-                &parse_formula("0 <= x and x <= 1 and 2 <= y and y <= 3").unwrap(),
+                parse_formula("0 <= x and x <= 1 and 2 <= y and y <= 3").unwrap(),
             ),
         );
         // Mid(z) :- Seg(x, y), 2*z = x + y.
@@ -1046,7 +1050,7 @@ mod tests {
             "Seg",
             Relation::new(
                 vec!["x".into(), "y".into()],
-                &parse_formula("0 <= x and x <= 1 and 2 <= y and y <= 3").unwrap(),
+                parse_formula("0 <= x and x <= 1 and 2 <= y and y <= 3").unwrap(),
             ),
         );
         let swap = |first: &str, second: &str| {

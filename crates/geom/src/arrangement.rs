@@ -1091,7 +1091,7 @@ mod tests {
     #[test]
     fn from_relation_uses_induced_hyperplanes() {
         let f = parse_formula("(x >= 0 and y >= 0 and x + y <= 1) or (x = 2 and y > 0)").unwrap();
-        let r = Relation::new(vec!["x".into(), "y".into()], &f);
+        let r = Relation::new(vec!["x".into(), "y".into()], f);
         let a = Arrangement::from_relation(&r);
         // x = 0, y = 0 (shared by `y >= 0` and `y > 0`), x + y = 1, x = 2.
         assert_eq!(a.hyperplanes().len(), 4);

@@ -47,7 +47,7 @@ pub fn convex_closure(relation: &Relation) -> Relation {
     let names = relation.var_names().to_vec();
     let hull = VPolyhedron::open_hull(relation_vertices(relation));
     let rows = hull.atoms(&names, true).into_iter().map(Formula::Atom);
-    Relation::new(names, &Formula::and(rows.collect()))
+    Relation::new(names, Formula::and(rows.collect()))
 }
 
 #[cfg(test)]
@@ -62,7 +62,7 @@ mod tests {
     fn rel(src: &str, vars: &[&str]) -> Relation {
         Relation::new(
             vars.iter().map(|v| v.to_string()).collect(),
-            &parse_formula(src).unwrap(),
+            parse_formula(src).unwrap(),
         )
     }
 
@@ -121,7 +121,7 @@ mod tests {
         let check = |x: Rational, y: Rational, z: Rational| {
             let r = Relation::new(
                 vec!["u".into(), "v".into()],
-                &parse_formula(&format!(
+                parse_formula(&format!(
                     "(u = 0 and v = {}) or (u = {} and v = 0)",
                     y, z
                 ))

@@ -227,7 +227,7 @@ mod tests {
     fn extraction_dedups_and_skips_constants() {
         // Both disjuncts mention (scaled copies of) the same two hyperplanes.
         let f = parse_formula("(x < 1 and 2*x < 2 and y >= x) or (y = x and 0 < 1)").unwrap();
-        let r = Relation::new(vec!["x".into(), "y".into()], &f);
+        let r = Relation::new(vec!["x".into(), "y".into()], f);
         let hs = extract_hyperplanes(&r);
         assert_eq!(hs.len(), 2); // x = 1 and y - x = 0 (sign-canonical)
     }
@@ -236,7 +236,7 @@ mod tests {
     fn from_atom_orientation() {
         // Atom `x - y < 0` induces hyperplane x - y = 0 with positive leading.
         let f = parse_formula("x - y < 0").unwrap();
-        let r = Relation::new(vec!["x".into(), "y".into()], &f);
+        let r = Relation::new(vec!["x".into(), "y".into()], f);
         let hs = extract_hyperplanes(&r);
         assert_eq!(hs.len(), 1);
         assert_eq!(hs[0].coeffs()[0], int(1));

@@ -366,7 +366,7 @@ fn parabola_polygon(k: i64) -> Relation {
         .collect();
     sides.push(format!("y <= {}*x", k - 1));
     let formula = parse_formula(&sides.join(" and ")).expect("polygon formula");
-    Relation::new(vec!["x".into(), "y".into()], &formula)
+    Relation::new(vec!["x".into(), "y".into()], formula)
 }
 
 /// A decomposition solves the per-disjunct emptiness test and the `2d`

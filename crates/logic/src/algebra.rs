@@ -115,11 +115,11 @@ mod tests {
     use lcdb_arith::{int, rat};
 
     fn rel1(src: &str) -> Relation {
-        Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+        Relation::new(vec!["x".into()], parse_formula(src).unwrap())
     }
 
     fn rel2(src: &str) -> Relation {
-        Relation::new(vec!["x".into(), "y".into()], &parse_formula(src).unwrap())
+        Relation::new(vec!["x".into(), "y".into()], parse_formula(src).unwrap())
     }
 
     #[test]

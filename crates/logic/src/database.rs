@@ -1,55 +1,106 @@
 //! Linear constraint databases: finitely represented relations over `(ℝ, <, +)`.
 
-use crate::dnf::{to_dnf, Conjunct, Dnf};
+use crate::dnf::{dnf_shaped, read_dnf, to_dnf, Conjunct, Dnf};
 use crate::{Formula, LinExpr, Var};
 use lcdb_arith::Rational;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A finitely represented relation: a DNF formula over designated variable
 /// names `x1, …, xd` (the paper's `φ_S` in disjunctive normal form, §2).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation {
-    arity: usize,
     var_names: Vec<Var>,
     dnf: Dnf,
 }
 
+/// Why a definition `NAME(vars) := body` is not a relation.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum DefineError {
+    /// The head has an empty variable name, as in `R(x, ) := …`.
+    EmptyVariable,
+    /// The head names a variable twice, as in `R(x, x) := …`.
+    RepeatedVariable(Var),
+    /// The body mentions a variable the head does not name.
+    UnknownVariable(Var),
+    /// The body applies a relation symbol.
+    RelationSymbol(String),
+    /// The body binds a variable.
+    Quantifier(Var),
+}
+
+impl fmt::Display for DefineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let body = "not allowed in a definition body";
+        match self {
+            DefineError::EmptyVariable => write!(f, "empty variable name in the relation head"),
+            DefineError::RepeatedVariable(v) => {
+                write!(f, "variable '{v}' named twice in the relation head")
+            }
+            DefineError::UnknownVariable(v) => {
+                write!(f, "definition mentions unknown variable '{v}'")
+            }
+            DefineError::RelationSymbol(name) => write!(f, "relation symbol '{name}' {body}"),
+            DefineError::Quantifier(v) => write!(f, "quantifier over '{v}' {body}"),
+        }
+    }
+}
+
+impl std::error::Error for DefineError {}
+
+/// The first offence of a definition body over `vars`, in reading order.
+fn check_body(f: &Formula, vars: &[Var]) -> Result<(), DefineError> {
+    match f {
+        Formula::True | Formula::False => Ok(()),
+        Formula::Atom(a) => match a.expr.terms().find(|(v, _)| !vars.contains(v)) {
+            Some((v, _)) => Err(DefineError::UnknownVariable(v.clone())),
+            None => Ok(()),
+        },
+        Formula::And(parts) | Formula::Or(parts) => {
+            parts.iter().try_for_each(|p| check_body(p, vars))
+        }
+        Formula::Not(inner) => check_body(inner, vars),
+        Formula::Pred(name, _) => Err(DefineError::RelationSymbol(name.clone())),
+        Formula::Exists(v, _) | Formula::Forall(v, _) => Err(DefineError::Quantifier(v.clone())),
+    }
+}
+
 impl Relation {
-    /// Construct from a quantifier-free, predicate-free formula whose free
-    /// variables are among `var_names`.
+    /// The relation `var_names := body`, for a quantifier-free,
+    /// predicate-free body over distinct, non-empty names, checked in one
+    /// walk. A body already in DNF shape (an `Or` of `And`s of atoms, or
+    /// less) gives its atoms up; any other goes through [`to_dnf`].
+    pub fn define(var_names: Vec<Var>, body: Formula) -> Result<Relation, DefineError> {
+        for (i, v) in var_names.iter().enumerate() {
+            if v.is_empty() {
+                return Err(DefineError::EmptyVariable);
+            }
+            if var_names[..i].contains(v) {
+                return Err(DefineError::RepeatedVariable(v.clone()));
+            }
+        }
+        check_body(&body, &var_names)?;
+        let dnf = if dnf_shaped(&body) { read_dnf(body) } else { to_dnf(&body) };
+        Ok(Relation::from_dnf(var_names, dnf))
+    }
+
+    /// [`Relation::define`] for a definition known to be well formed.
     ///
     /// # Panics
-    /// Panics if the formula mentions other variables, quantifiers, or
-    /// relation symbols.
-    pub fn new(var_names: Vec<Var>, formula: &Formula) -> Self {
-        let dnf = to_dnf(formula);
-        for v in dnf.vars() {
-            assert!(
-                var_names.contains(&v),
-                "relation definition mentions unknown variable '{}'",
-                v
-            );
-        }
-        Relation {
-            arity: var_names.len(),
-            var_names,
-            dnf,
-        }
+    /// Panics with the [`DefineError`] if it is not.
+    pub fn new(var_names: Vec<Var>, body: Formula) -> Self {
+        Relation::define(var_names, body).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Construct directly from a DNF.
     pub fn from_dnf(var_names: Vec<Var>, dnf: Dnf) -> Self {
-        Relation {
-            arity: var_names.len(),
-            var_names,
-            dnf,
-        }
+        Relation { var_names, dnf }
     }
 
     /// The relation's arity `d`.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.var_names.len()
     }
 
     /// The designated variable names.
@@ -71,11 +122,7 @@ impl Relation {
     /// # Panics
     /// Panics on arity mismatch.
     pub fn apply(&self, args: &[LinExpr]) -> Formula {
-        assert_eq!(
-            args.len(),
-            self.arity,
-            "relation applied with wrong arity"
-        );
+        assert_eq!(args.len(), self.arity(), "relation applied with wrong arity");
         let subst: Vec<(&str, &LinExpr)> =
             self.var_names.iter().map(String::as_str).zip(args).collect();
         let conjunct = |c: &Conjunct| {
@@ -93,7 +140,7 @@ impl Relation {
     /// # Panics
     /// Panics on arity mismatch.
     pub fn contains(&self, point: &[Rational]) -> bool {
-        assert_eq!(point.len(), self.arity);
+        assert_eq!(point.len(), self.arity());
         let env: BTreeMap<Var, Rational> = self
             .var_names
             .iter()
@@ -127,10 +174,11 @@ impl fmt::Display for Relation {
 }
 
 /// A linear constraint database: named, finitely represented relations over
-/// the fixed context structure `(ℝ, <, +)`.
+/// the fixed context structure `(ℝ, <, +)`. Its relations are shared, so a
+/// clone copies one pointer per relation.
 #[derive(Clone, Default, Debug)]
 pub struct Database {
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, Arc<Relation>>,
 }
 
 impl Database {
@@ -141,22 +189,17 @@ impl Database {
 
     /// Insert (or replace) a relation.
     pub fn insert(&mut self, name: impl Into<String>, relation: Relation) {
-        self.relations.insert(name.into(), relation);
+        self.relations.insert(name.into(), Arc::new(relation));
     }
 
     /// Look up a relation.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.relations.get(name).map(Arc::as_ref)
     }
 
     /// Iterate over `(name, relation)` pairs.
     pub fn relations(&self) -> impl Iterator<Item = (&String, &Relation)> {
-        self.relations.iter()
-    }
-
-    /// Total representation size.
-    pub fn size(&self) -> usize {
-        self.relations.values().map(|r| r.size()).sum()
+        self.relations.iter().map(|(name, r)| (name, r.as_ref()))
     }
 }
 
@@ -181,7 +224,7 @@ mod tests {
                 LinExpr::constant(int(10)),
             )),
         ]);
-        Relation::new(vec!["x".into()], &f)
+        Relation::new(vec!["x".into()], f)
     }
 
     #[test]
@@ -228,7 +271,7 @@ mod tests {
     fn apply_avoids_capture() {
         // Relation over (x, y): x < y. Apply with swapped args (y, x).
         let f = Formula::Atom(Atom::new(LinExpr::var("x"), Rel::Lt, LinExpr::var("y")));
-        let r = Relation::new(vec!["x".into(), "y".into()], &f);
+        let r = Relation::new(vec!["x".into(), "y".into()], f);
         let applied = r.apply(&[LinExpr::var("y"), LinExpr::var("x")]);
         // Must mean y < x, not x < x or y < y.
         let mut env = BTreeMap::new();
@@ -262,8 +305,58 @@ mod tests {
 
     mod differential {
         use super::*;
-        use crate::arb::arb_formula;
+        use crate::arb::{arb_atom, arb_fo_formula, arb_formula};
+        use crate::dnf::to_dnf_interned;
         use proptest::prelude::*;
+
+        /// The definition check [`Relation::define`] replaced, kept as its
+        /// oracle: it ran before the constructor, which converted the body
+        /// by `to_dnf` and then checked the DNF's variables again.
+        fn validate_oracle(f: &Formula, vars: &[String]) -> Result<(), String> {
+            match f {
+                Formula::True | Formula::False => {}
+                Formula::Atom(a) => {
+                    if let Some((v, _)) = a.expr.terms().find(|(v, _)| !vars.contains(v)) {
+                        return Err(format!("definition mentions unknown variable '{}'", v));
+                    }
+                }
+                Formula::Pred(name, _) => {
+                    return Err(format!(
+                        "relation symbol '{}' not allowed in a definition body",
+                        name
+                    ))
+                }
+                Formula::And(parts) | Formula::Or(parts) => {
+                    for p in parts {
+                        validate_oracle(p, vars)?;
+                    }
+                }
+                Formula::Not(inner) => validate_oracle(inner, vars)?,
+                Formula::Exists(v, _) | Formula::Forall(v, _) => {
+                    return Err(format!(
+                        "quantifier over '{}' not allowed in a definition body",
+                        v
+                    ))
+                }
+            }
+            Ok(())
+        }
+
+        /// Bodies of every kind: already in DNF shape, quantifier-free of
+        /// any shape, and with binders and relation symbols.
+        fn arb_body() -> impl Strategy<Value = Formula> {
+            let conjunct = proptest::collection::vec(arb_atom().prop_map(Formula::Atom), 1..4);
+            let shaped = proptest::collection::vec(conjunct.prop_map(Formula::and), 1..4)
+                .prop_map(Formula::or);
+            prop_oneof![shaped, arb_formula(12), arb_fo_formula(12)]
+        }
+
+        /// Heads over some, all or none of the names the bodies use.
+        fn arb_head() -> impl Strategy<Value = Vec<Var>> {
+            const HEADS: [&[&str]; 5] =
+                [&["x"], &["y", "x"], &["x", "y", "z"], &["z", "y", "x", "w"], &["w"]];
+            (0..HEADS.len()).prop_map(|i| HEADS[i].iter().map(|v| v.to_string()).collect())
+        }
 
         /// Arguments over the relation's own names and others, none of them
         /// the oracle's temporaries.
@@ -284,8 +377,21 @@ mod tests {
                 f in arb_formula(12),
                 args in proptest::collection::vec(arb_arg(), 3),
             ) {
-                let r = Relation::new(vec!["x".into(), "y".into(), "z".into()], &f);
+                let r = Relation::new(vec!["x".into(), "y".into(), "z".into()], f);
                 prop_assert_eq!(r.apply(&args), apply_two_step(&r, &args));
+            }
+
+            /// The constructor makes the DNF `to_dnf` made — the interner's,
+            /// which no shape shortcut of `to_dnf` can bend — and rejects a
+            /// body with the oracle's message for its first offence.
+            #[test]
+            fn define_matches_the_validate_then_convert_oracle(
+                f in arb_body(),
+                head in arb_head(),
+            ) {
+                let want = validate_oracle(&f, &head).map(|()| to_dnf_interned(&f));
+                let got = Relation::define(head, f).map(|r| r.dnf).map_err(|e| e.to_string());
+                prop_assert_eq!(got, want);
             }
         }
     }
@@ -296,8 +402,8 @@ mod tests {
         let phi1 = parse_formula("0 < x and x < 10").unwrap();
         let phi2 =
             parse_formula("(0 < x and x < 6) or (6 < x and x < 10) or x = 6").unwrap();
-        let r1 = Relation::new(vec!["x".into()], &phi1);
-        let r2 = Relation::new(vec!["x".into()], &phi2);
+        let r1 = Relation::new(vec!["x".into()], phi1);
+        let r2 = Relation::new(vec!["x".into()], phi2);
         // Same point set at probe points, different sizes.
         for v in [-1i64, 0, 1, 5, 6, 7, 9, 10, 11] {
             assert_eq!(r1.contains(&[int(v)]), r2.contains(&[int(v)]), "at {}", v);
@@ -306,12 +412,39 @@ mod tests {
     }
 
     #[test]
+    fn a_head_names_each_variable_once() {
+        let define = |head: &[&str]| {
+            let head = head.iter().map(|v| v.to_string()).collect();
+            Relation::define(head, parse_formula("x < 1").unwrap())
+        };
+        let repeated = define(&["x", "x"]);
+        assert_eq!(repeated, Err(DefineError::RepeatedVariable("x".into())));
+        assert_eq!(define(&["x", ""]), Err(DefineError::EmptyVariable));
+        assert!(define(&["y", "x"]).is_ok());
+    }
+
+    #[test]
+    fn a_cloned_database_shares_its_relations() {
+        let mut db = Database::new();
+        db.insert("S", interval_relation());
+        db.insert("T", interval_relation());
+        let mut copy = db.clone();
+        assert!(Arc::ptr_eq(&db.relations["S"], &copy.relations["S"]));
+        // Replacing one relation in the copy leaves the original's and
+        // still shares the other.
+        copy.insert("S", Relation::new(vec!["x".into()], Formula::False));
+        assert!(!Arc::ptr_eq(&db.relations["S"], &copy.relations["S"]));
+        assert!(Arc::ptr_eq(&db.relations["T"], &copy.relations["T"]));
+        assert_eq!(db.relation("S"), Some(&interval_relation()));
+    }
+
+    #[test]
     fn database_lookup_and_size() {
         let mut db = Database::new();
         db.insert("S", interval_relation());
         assert!(db.relation("S").is_some());
         assert!(db.relation("T").is_none());
-        assert_eq!(db.size(), 2);
+        assert_eq!(db.relation("S").unwrap().size(), 2);
         assert_eq!(db.relations().count(), 1);
     }
 
@@ -329,7 +462,7 @@ mod tests {
                 LinExpr::constant(int(0)),
             )),
         ]);
-        let r = Relation::new(vec!["x".into()], &f);
+        let r = Relation::new(vec!["x".into()], f);
         assert!(r.is_empty());
         assert!(!interval_relation().is_empty());
     }
@@ -342,6 +475,6 @@ mod tests {
             Rel::Lt,
             LinExpr::constant(int(0)),
         ));
-        let _ = Relation::new(vec!["x".into()], &f);
+        let _ = Relation::new(vec!["x".into()], f);
     }
 }

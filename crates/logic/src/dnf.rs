@@ -45,11 +45,6 @@ impl Dnf {
         }
     }
 
-    /// Is this syntactically false (no disjuncts)?
-    pub fn is_false(&self) -> bool {
-        self.disjuncts.is_empty()
-    }
-
     /// Convert back into a [`Formula`].
     pub fn to_formula(&self) -> Formula {
         Formula::or(
@@ -171,27 +166,45 @@ pub(crate) fn infallible<T>(result: Result<T, Infallible>) -> T {
 /// # Panics
 /// Panics if the formula contains quantifiers or relation symbols.
 pub fn to_dnf(f: &Formula) -> Dnf {
-    read_dnf(f).unwrap_or_else(|| to_dnf_interned(f))
+    if dnf_shaped(f) {
+        read_dnf(f.clone())
+    } else {
+        to_dnf_interned(f)
+    }
 }
 
-/// The atoms of an `Or` of (`And` of `Atom` | `Atom`), an `And` of atoms or
-/// an atom, copied out — what [`to_dnf_interned`] makes of it, as an atom
-/// rebuilt from its row is itself (no zero coefficient is stored) — or `None`.
-fn read_dnf(f: &Formula) -> Option<Dnf> {
-    let atom = |g: &Formula| if let Formula::Atom(a) = g { Some(a.clone()) } else { None };
+/// Is `f` an `Or` of (`And` of `Atom` | `Atom`), an `And` of atoms or an
+/// atom?
+pub(crate) fn dnf_shaped(f: &Formula) -> bool {
+    let atom = |g: &Formula| matches!(g, Formula::Atom(_));
     let conjunct = |g: &Formula| match g {
-        Formula::And(parts) => parts.iter().map(atom).collect(),
-        g => atom(g).map(|a| vec![a]),
+        Formula::And(parts) => parts.iter().all(atom),
+        g => atom(g),
+    };
+    match f {
+        Formula::Or(parts) => parts.iter().all(conjunct),
+        f => conjunct(f),
+    }
+}
+
+/// The atoms of a [`dnf_shaped`] formula, moved out: what [`to_dnf_interned`]
+/// makes of it, as an atom rebuilt from its row is itself (no zero
+/// coefficient is stored).
+pub(crate) fn read_dnf(f: Formula) -> Dnf {
+    let atom = |g| if let Formula::Atom(a) = g { Some(a) } else { None };
+    let conjunct = |g| match g {
+        Formula::And(parts) => parts.into_iter().filter_map(atom).collect(),
+        g => atom(g).into_iter().collect(),
     };
     let disjuncts = match f {
-        Formula::Or(parts) => parts.iter().map(conjunct).collect::<Option<_>>()?,
-        f => vec![conjunct(f)?],
+        Formula::Or(parts) => parts.into_iter().map(conjunct).collect(),
+        f => vec![conjunct(f)],
     };
-    Some(Dnf { disjuncts })
+    Dnf { disjuncts }
 }
 
 /// [`to_dnf`] through the interner, whatever the formula's shape.
-fn to_dnf_interned(f: &Formula) -> Dnf {
+pub(crate) fn to_dnf_interned(f: &Formula) -> Dnf {
     let (atoms, nnf) = Interner::lower_formula(f, false);
     Dnf {
         disjuncts: nnf.distribute().iter().map(|c| atoms.conjunct(c)).collect(),
@@ -1314,7 +1327,7 @@ mod tests {
     /// Differential tests of the witness-carrying conversion.
     mod differential {
         use super::super::{
-            conjunct_satisfiable, infallible, never, read_dnf, sweep, tighten, to_dnf,
+            conjunct_satisfiable, dnf_shaped, infallible, never, sweep, tighten, to_dnf,
             to_dnf_interned, to_dnf_pruned, AtomId, Cells, Conjunct, Dnf, Formula, Interner,
             Strategy as Conversion, LP_ONLY,
         };
@@ -1431,7 +1444,7 @@ mod tests {
             fn read_dnf_equals_the_interner(f in arb_formula(24), shaped in 0..2usize) {
                 let f = if shaped == 1 { to_dnf_interned(&f).to_formula() } else { f };
                 let constant = matches!(f, Formula::True | Formula::False);
-                prop_assert!(shaped == 0 || constant || read_dnf(&f).is_some());
+                prop_assert!(shaped == 0 || constant || dnf_shaped(&f));
                 prop_assert_eq!(to_dnf(&f), to_dnf_interned(&f));
             }
         }

@@ -100,8 +100,11 @@ impl LinExpr {
         }
     }
 
-    /// `self += c · v` for a non-zero `c`.
-    fn add_term(&mut self, v: &str, c: Rational) {
+    /// `self += c · v`.
+    pub(crate) fn add_term(&mut self, v: &str, c: Rational) {
+        if c.is_zero() {
+            return;
+        }
         let Some(entry) = self.terms.get_mut(v) else {
             self.terms.insert(v.to_string(), c);
             return;

@@ -35,43 +35,44 @@ pub enum Formula {
 impl Formula {
     /// Conjunction convenience constructor (flattens and short-circuits).
     pub fn and(parts: Vec<Formula>) -> Formula {
-        let mut out = Vec::new();
-        for p in parts {
-            match p {
-                Formula::True => {}
-                Formula::False => return Formula::False,
-                Formula::And(inner) => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        match out.pop() {
-            None => Formula::True,
-            Some(only) if out.is_empty() => only,
-            Some(last) => {
-                out.push(last);
-                Formula::And(out)
-            }
-        }
+        Formula::join(parts, false)
     }
 
     /// Disjunction convenience constructor (flattens and short-circuits).
     pub fn or(parts: Vec<Formula>) -> Formula {
-        let mut out = Vec::new();
-        for p in parts {
-            match p {
-                Formula::False => {}
-                Formula::True => return Formula::True,
-                Formula::Or(inner) => out.extend(inner),
-                other => out.push(other),
-            }
+        Formula::join(parts, true)
+    }
+
+    /// `parts` joined by `or` (`disjoin`) or `and`: a part that decides the
+    /// connective is the result, a neutral part drops out, and a part that
+    /// is the same connective is flattened. The vector is kept unless a part
+    /// is flattened.
+    fn join(mut parts: Vec<Formula>, disjoin: bool) -> Formula {
+        let (neutral, decisive) = match disjoin {
+            true => (Formula::False, Formula::True),
+            false => (Formula::True, Formula::False),
+        };
+        if parts.contains(&decisive) {
+            return decisive;
         }
-        match out.pop() {
-            None => Formula::False,
-            Some(only) if out.is_empty() => only,
-            Some(last) => {
-                out.push(last);
-                Formula::Or(out)
+        parts.retain(|p| *p != neutral);
+        let same =
+            |p: &Formula| matches!((p, disjoin), (Formula::Or(_), true) | (Formula::And(_), false));
+        if parts.iter().any(same) {
+            let mut flat = Vec::with_capacity(parts.len());
+            for p in parts {
+                match p {
+                    Formula::And(inner) | Formula::Or(inner) if same(&p) => flat.extend(inner),
+                    p => flat.push(p),
+                }
             }
+            parts = flat;
+        }
+        match parts.len() {
+            0 => neutral,
+            1 => parts.swap_remove(0),
+            _ if disjoin => Formula::Or(parts),
+            _ => Formula::And(parts),
         }
     }
 

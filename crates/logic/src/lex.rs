@@ -29,16 +29,6 @@ pub struct ParseError {
 /// tree — lowering, printing, `Drop` — is bounded with it.
 pub const MAX_NESTING: usize = 256;
 
-impl ParseError {
-    /// A formula opens a level beyond [`MAX_NESTING`] at byte `position`.
-    pub fn too_deep(position: usize) -> Self {
-        ParseError {
-            message: format!("nesting deeper than {MAX_NESTING}"),
-            position,
-        }
-    }
-}
-
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "parse error at byte {}: {}", self.position, self.message)
@@ -47,15 +37,15 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A surface token.
+/// A surface token. Words borrow their text from the input.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub enum Tok<'a> {
     /// A word of the grammar's keyword table ([`LexOptions::keywords`]).
     Keyword(&'static str),
     /// Any other word: `[A-Za-z_][A-Za-z0-9_]*`.
-    Word(String),
+    Word(&'a str),
     /// A `$name` set-variable token (only with [`LexOptions::region`]).
-    SetName(String),
+    SetName(&'a str),
     /// A rational literal: `digits`, `digits/digits`, or `digits.digits`.
     Number(Rational),
     /// `(`
@@ -102,7 +92,7 @@ pub struct LexOptions {
 }
 
 /// Tokenize `input`, pairing every token with its starting byte offset.
-pub fn lex(input: &str, opts: &LexOptions) -> Result<Vec<(Tok, usize)>, ParseError> {
+pub fn lex<'a>(input: &'a str, opts: &LexOptions) -> Result<Vec<(Tok<'a>, usize)>, ParseError> {
     let bytes = input.as_bytes();
     // The end of the run of bytes from `from` on that `keep` admits.
     let run = |from: usize, keep: fn(&u8) -> bool| {
@@ -110,7 +100,8 @@ pub fn lex(input: &str, opts: &LexOptions) -> Result<Vec<(Tok, usize)>, ParseErr
     };
     let word_byte = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
     let fail = |message: String, position: usize| Err(ParseError { message, position });
-    let mut out = Vec::new();
+    // Dense text averages about two bytes a token.
+    let mut out = Vec::with_capacity(input.len() / 2);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -143,7 +134,7 @@ pub fn lex(input: &str, opts: &LexOptions) -> Result<Vec<(Tok, usize)>, ParseErr
                 if end == i + 1 {
                     return fail("expected a name after '$'".into(), i);
                 }
-                (Tok::SetName(input[i + 1..end].to_string()), end)
+                (Tok::SetName(&input[i + 1..end]), end)
             }
             _ if c.is_ascii_digit() => {
                 // Optional "/digits" (fraction) or ".digits" (decimal). A dot
@@ -172,7 +163,7 @@ pub fn lex(input: &str, opts: &LexOptions) -> Result<Vec<(Tok, usize)>, ParseErr
                 let word = &input[i..end];
                 let tok = match opts.keywords.iter().find(|&&k| k == word) {
                     Some(&k) => Tok::Keyword(k),
-                    None => Tok::Word(word.to_string()),
+                    None => Tok::Word(word),
                 };
                 (tok, end)
             }
@@ -188,46 +179,38 @@ pub fn lex(input: &str, opts: &LexOptions) -> Result<Vec<(Tok, usize)>, ParseErr
 /// and each language's own productions read it through `peek` and `bump`,
 /// and open every nesting level through [`TokenCursor::nested`]. An error is
 /// placed at [`TokenCursor::here`], the next unread token.
-pub struct TokenCursor {
-    /// The unread tokens with their byte offsets, the next one last, so
-    /// [`TokenCursor::bump`] moves it out.
-    rest: Vec<(Tok, usize)>,
+pub struct TokenCursor<'a> {
+    /// The unread tokens with their byte offsets.
+    rest: std::vec::IntoIter<(Tok<'a>, usize)>,
     /// The input's length: where "end of input" is.
     end: usize,
     /// Nesting levels open, at most [`MAX_NESTING`].
     depth: usize,
 }
 
-impl TokenCursor {
+impl<'a> TokenCursor<'a> {
     /// Lex `input` with `opts`.
-    pub fn new(input: &str, opts: &LexOptions) -> Result<TokenCursor, ParseError> {
-        let mut rest = lex(input, opts)?;
-        rest.reverse();
+    pub fn new(input: &'a str, opts: &LexOptions) -> Result<Self, ParseError> {
         Ok(TokenCursor {
-            rest,
+            rest: lex(input, opts)?.into_iter(),
             end: input.len(),
             depth: 0,
         })
     }
 
     /// The unread tokens, next first.
-    pub fn ahead(&self) -> impl Iterator<Item = &Tok> {
-        self.rest.iter().rev().map(|(t, _)| t)
+    pub fn ahead(&self) -> impl Iterator<Item = &Tok<'a>> {
+        self.rest.as_slice().iter().map(|(t, _)| t)
     }
 
     /// The next token.
-    pub fn peek(&self) -> Option<&Tok> {
+    pub fn peek(&self) -> Option<&Tok<'a>> {
         self.ahead().next()
-    }
-
-    /// The token after the next.
-    pub fn peek2(&self) -> Option<&Tok> {
-        self.ahead().nth(1)
     }
 
     /// Byte offset of the next token, or the input's length at its end.
     pub fn here(&self) -> usize {
-        self.rest.last().map_or(self.end, |&(_, p)| p)
+        self.rest.as_slice().first().map_or(self.end, |&(_, p)| p)
     }
 
     /// An error at [`TokenCursor::here`].
@@ -239,22 +222,22 @@ impl TokenCursor {
     }
 
     /// Take the next token.
-    pub fn bump(&mut self) -> Option<Tok> {
-        self.rest.pop().map(|(t, _)| t)
+    pub fn bump(&mut self) -> Option<Tok<'a>> {
+        self.rest.next().map(|(t, _)| t)
     }
 
     /// Take the next token if it is `want`.
-    pub fn eat(&mut self, want: &Tok) -> bool {
+    pub fn eat(&mut self, want: &Tok<'_>) -> bool {
         let hit = self.peek() == Some(want);
         if hit {
-            self.rest.pop();
+            self.rest.next();
         }
         hit
     }
 
     /// Take the next token, which must be `want`; otherwise fail with
     /// "expected {what}".
-    pub fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseError> {
+    pub fn expect(&mut self, want: &Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.eat(want) {
             Ok(())
         } else {
@@ -264,9 +247,9 @@ impl TokenCursor {
 
     /// Take the next token, which must be a word `accept` admits; otherwise
     /// fail with "expected {what}" just past it.
-    pub fn word(&mut self, accept: fn(&str) -> bool, what: &str) -> Result<String, ParseError> {
+    pub fn word(&mut self, accept: fn(&str) -> bool, what: &str) -> Result<&'a str, ParseError> {
         match self.bump() {
-            Some(Tok::Word(w)) if accept(&w) => Ok(w),
+            Some(Tok::Word(w)) if accept(w) => Ok(w),
             _ => Err(self.err(format!("expected {}", what))),
         }
     }
@@ -289,7 +272,7 @@ impl TokenCursor {
         parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
         if self.depth == MAX_NESTING {
-            return Err(ParseError::too_deep(self.here()));
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING}")));
         }
         self.depth += 1;
         let out = parse(self);
@@ -345,7 +328,7 @@ mod tests {
         // Keywords come from the table; every other word is a word.
         let toks = lex("in inside", &all).unwrap();
         assert_eq!(toks[0].0, Tok::Keyword("in"));
-        assert_eq!(toks[1].0, Tok::Word("inside".into()));
+        assert_eq!(toks[1].0, Tok::Word("inside"));
     }
 
     #[test]

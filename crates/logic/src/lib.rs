@@ -29,7 +29,7 @@ pub mod lex;
 pub mod parser;
 pub mod qe;
 
-pub use database::{Database, Relation};
+pub use database::{Database, DefineError, Relation};
 pub use expr::{Atom, LinExpr};
 pub use formula::Formula;
 pub use lcdb_lp::Rel;

@@ -41,8 +41,6 @@ pub trait Grammar {
     /// Whether `word` names an element variable (a `term` and the variable
     /// after `number *`).
     fn is_element(word: &str) -> bool;
-    /// `true` or `false`.
-    fn truth(value: bool) -> Self::Formula;
     /// One comparison `expr REL 0`.
     fn atom(atom: Atom) -> Self::Formula;
     /// A relation application `name(args)`.
@@ -58,7 +56,7 @@ pub trait Grammar {
     /// The language's own `unary` productions, tried after the shared
     /// keyword forms and relation application. `None` leaves the next token
     /// to a parenthesized formula, a comparison, or the end-of-input error.
-    fn unary(c: &mut TokenCursor) -> Result<Option<Self::Formula>, ParseError>;
+    fn unary(c: &mut TokenCursor<'_>) -> Result<Option<Self::Formula>, ParseError>;
 }
 
 /// FO+LIN.
@@ -74,14 +72,6 @@ impl Grammar for Fo {
 
     fn is_element(_: &str) -> bool {
         true
-    }
-
-    fn truth(value: bool) -> Formula {
-        if value {
-            Formula::True
-        } else {
-            Formula::False
-        }
     }
 
     fn atom(atom: Atom) -> Formula {
@@ -112,7 +102,7 @@ impl Grammar for Fo {
         }
     }
 
-    fn unary(_: &mut TokenCursor) -> Result<Option<Formula>, ParseError> {
+    fn unary(_: &mut TokenCursor<'_>) -> Result<Option<Formula>, ParseError> {
         Ok(None)
     }
 }
@@ -128,7 +118,7 @@ pub fn parse<G: Grammar>(input: &str) -> Result<G::Formula, ParseError> {
 }
 
 /// `formula`, one nesting level down.
-pub fn formula<G: Grammar>(c: &mut TokenCursor) -> Result<G::Formula, ParseError> {
+pub fn formula<G: Grammar>(c: &mut TokenCursor<'_>) -> Result<G::Formula, ParseError> {
     c.nested(|c| {
         let lhs = joined(c, "or", G::or, |c| joined(c, "and", G::and, unary::<G>))?;
         if c.eat(&Tok::Arrow) {
@@ -141,24 +131,25 @@ pub fn formula<G: Grammar>(c: &mut TokenCursor) -> Result<G::Formula, ParseError
 }
 
 /// `item (sep item)*`, joined when there is more than one.
-fn joined<F>(
-    c: &mut TokenCursor,
+fn joined<'a, F>(
+    c: &mut TokenCursor<'a>,
     sep: &'static str,
     join: fn(Vec<F>) -> F,
-    item: impl Fn(&mut TokenCursor) -> Result<F, ParseError>,
+    item: impl Fn(&mut TokenCursor<'a>) -> Result<F, ParseError>,
 ) -> Result<F, ParseError> {
     let first = item(c)?;
     if c.peek() != Some(&Tok::Keyword(sep)) {
         return Ok(first);
     }
-    let mut parts = vec![first];
+    let mut parts = Vec::with_capacity(4);
+    parts.push(first);
     while c.eat(&Tok::Keyword(sep)) {
         parts.push(item(c)?);
     }
     Ok(join(parts))
 }
 
-fn unary<G: Grammar>(c: &mut TokenCursor) -> Result<G::Formula, ParseError> {
+fn unary<G: Grammar>(c: &mut TokenCursor<'_>) -> Result<G::Formula, ParseError> {
     match c.peek() {
         Some(Tok::Keyword("not")) => {
             c.bump();
@@ -172,14 +163,15 @@ fn unary<G: Grammar>(c: &mut TokenCursor) -> Result<G::Formula, ParseError> {
             Ok(vars
                 .into_iter()
                 .rev()
-                .fold(body, |body, v| G::quantify(q == "exists", v, body)))
+                .fold(body, |body, v| G::quantify(q == "exists", v.into(), body)))
         }
         Some(&Tok::Keyword(b @ ("true" | "false"))) => {
             c.bump();
-            Ok(G::truth(b == "true"))
+            // The empty conjunction is true, the empty disjunction false.
+            Ok(if b == "true" { G::and(Vec::new()) } else { G::or(Vec::new()) })
         }
-        Some(Tok::Word(_)) if c.peek2() == Some(&Tok::LParen) => {
-            let name = c.word(|_| true, "relation name")?;
+        Some(Tok::Word(_)) if c.ahead().nth(1) == Some(&Tok::LParen) => {
+            let name = c.word(|_| true, "relation name")?.into();
             c.bump(); // '('
             let args = c.commas(expr::<G>)?;
             c.expect(&Tok::RParen, "')' after relation arguments")?;
@@ -208,11 +200,11 @@ fn unary<G: Grammar>(c: &mut TokenCursor) -> Result<G::Formula, ParseError> {
 /// adjacent comparisons (e.g. `0 < x < 10`). Fails with `missing` when no
 /// comparison follows `first`.
 pub fn comparison<G: Grammar>(
-    c: &mut TokenCursor,
+    c: &mut TokenCursor<'_>,
     first: LinExpr,
     missing: &str,
 ) -> Result<G::Formula, ParseError> {
-    let mut parts = Vec::new();
+    let mut chain = None;
     let mut lhs = first;
     loop {
         let rel = match c.peek() {
@@ -225,7 +217,7 @@ pub fn comparison<G: Grammar>(
         // moves on to be the left side of the chain's next link.
         let mut expr = std::mem::replace(&mut lhs, expr::<G>(c)?);
         expr.add_scaled(&lhs, &-Rational::ONE);
-        parts.push(match rel {
+        let link = match rel {
             Some(rel) => G::atom(Atom { expr, rel }),
             None => {
                 let lt = G::atom(Atom {
@@ -234,42 +226,37 @@ pub fn comparison<G: Grammar>(
                 });
                 G::or(vec![lt, G::atom(Atom { expr, rel: Rel::Gt })])
             }
+        };
+        // A lone comparison is itself, with no list around it.
+        chain = Some(match chain {
+            None => link,
+            Some(links) => G::and(vec![links, link]),
         });
     }
-    if parts.is_empty() {
-        return Err(c.err(missing));
-    }
-    Ok(G::and(parts))
+    chain.ok_or_else(|| c.err(missing))
 }
 
-/// `["-"] term (("+" | "-") term)*`.
-pub fn expr<G: Grammar>(c: &mut TokenCursor) -> Result<LinExpr, ParseError> {
-    let negate = c.eat(&Tok::Minus);
-    let mut acc = term::<G>(c)?;
-    if negate {
-        acc = acc.scale(&-Rational::ONE);
-    }
+/// `["-"] term (("+" | "-") term)*` with `term := number ["*" element] |
+/// element`, each term added to one expression as it is read.
+pub fn expr<G: Grammar>(c: &mut TokenCursor<'_>) -> Result<LinExpr, ParseError> {
+    let mut acc = LinExpr::zero();
+    let mut sign = if c.eat(&Tok::Minus) { -Rational::ONE } else { Rational::ONE };
     loop {
-        let sign = if c.eat(&Tok::Plus) {
+        match c.bump() {
+            Some(Tok::Number(n)) if c.eat(&Tok::Star) => {
+                acc.add_term(c.word(G::is_element, "variable after '*'")?, &n * &sign);
+            }
+            Some(Tok::Number(n)) => acc.add_scaled(&LinExpr::constant(n), &sign),
+            Some(Tok::Word(v)) if G::is_element(v) => acc.add_term(v, sign),
+            _ => return Err(c.err("expected a number or variable")),
+        }
+        sign = if c.eat(&Tok::Plus) {
             Rational::ONE
         } else if c.eat(&Tok::Minus) {
             -Rational::ONE
         } else {
             return Ok(acc);
         };
-        acc.add_scaled(&term::<G>(c)?, &sign);
-    }
-}
-
-/// `number ["*" element] | element`.
-fn term<G: Grammar>(c: &mut TokenCursor) -> Result<LinExpr, ParseError> {
-    match c.bump() {
-        Some(Tok::Number(n)) if c.eat(&Tok::Star) => {
-            Ok(LinExpr::var(c.word(G::is_element, "variable after '*'")?).scale(&n))
-        }
-        Some(Tok::Number(n)) => Ok(LinExpr::constant(n)),
-        Some(Tok::Word(v)) if G::is_element(&v) => Ok(LinExpr::var(v)),
-        _ => Err(c.err("expected a number or variable")),
     }
 }
 
@@ -462,7 +449,7 @@ mod tests {
                 prop_assert_eq!(g.to_string(), printed.clone());
                 let mut db = Database::new();
                 let less = parse_formula("a < b").unwrap();
-                db.insert("S", Relation::new(vec!["a".into(), "b".into()], &less));
+                db.insert("S", Relation::new(vec!["a".into(), "b".into()], less));
                 let (f, g) = (f.expand_predicates(&db), g.expand_predicates(&db));
                 for vx in -1..=1 {
                     for vy in -1..=1 {

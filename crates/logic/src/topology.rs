@@ -77,11 +77,11 @@ mod tests {
     use crate::parse_formula;
 
     fn rel1(src: &str) -> Relation {
-        Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+        Relation::new(vec!["x".into()], parse_formula(src).unwrap())
     }
 
     fn rel2(src: &str) -> Relation {
-        Relation::new(vec!["x".into(), "y".into()], &parse_formula(src).unwrap())
+        Relation::new(vec!["x".into(), "y".into()], parse_formula(src).unwrap())
     }
 
     #[test]

@@ -59,7 +59,7 @@ use lcdb_core::{
     CancelToken, Decomposition, DecompositionKind, EvalBudget, EvalError, Evaluator, PlanCatalog,
     Pool, RegionExtension, TraceHandle,
 };
-use lcdb_logic::{parse_formula, Database, Formula, Relation};
+use lcdb_logic::{parse_formula, Database, Relation};
 use lcdb_trace::{Counter, Histogram};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read};
@@ -746,51 +746,15 @@ pub fn apply_define(
     let vars: Vec<String> = head[open + 1..head.len() - 1]
         .split(',')
         .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
         .collect();
-    if vars.is_empty() {
+    if vars.iter().all(String::is_empty) {
         return Err("relation needs at least one variable".into());
     }
     let formula = parse_formula(body.trim()).map_err(|e| e.to_string())?;
-    // `Relation::new` panics on malformed definitions; a server must turn
-    // hostile input into typed errors instead, so validate first.
-    validate_definition(&formula, &vars)?;
-    let rel = Relation::new(vars, &formula);
-    if spatial.is_none() {
-        *spatial = Some(name.clone());
-    }
+    let rel = Relation::define(vars, formula).map_err(|e| e.to_string())?;
+    spatial.get_or_insert_with(|| name.clone());
     db.insert(name.clone(), rel);
     Ok(format!("defined {}", name))
-}
-
-fn validate_definition(f: &Formula, vars: &[String]) -> Result<(), String> {
-    match f {
-        Formula::True | Formula::False => {}
-        Formula::Atom(a) => {
-            if let Some((v, _)) = a.expr.terms().find(|(v, _)| !vars.contains(v)) {
-                return Err(format!("definition mentions unknown variable '{}'", v));
-            }
-        }
-        Formula::Pred(name, _) => {
-            return Err(format!(
-                "relation symbol '{}' not allowed in a definition body",
-                name
-            ))
-        }
-        Formula::And(parts) | Formula::Or(parts) => {
-            for p in parts {
-                validate_definition(p, vars)?;
-            }
-        }
-        Formula::Not(inner) => validate_definition(inner, vars)?,
-        Formula::Exists(v, _) | Formula::Forall(v, _) => {
-            return Err(format!(
-                "quantifier over '{}' not allowed in a definition body",
-                v
-            ))
-        }
-    }
-    Ok(())
 }
 
 /// Map an evaluation error onto the wire response.
@@ -1405,6 +1369,23 @@ mod tests {
         assert_ne!(fp1, database_fingerprint(&db2, spatial2.as_deref()));
     }
 
+    /// Stored catalogs are keyed by the database fingerprint, so its value
+    /// for a fixed database is pinned: neither how a database holds its
+    /// relations nor how a relation prints may move it.
+    #[test]
+    fn fingerprint_of_a_fixed_database_is_pinned() {
+        let mut db = Database::new();
+        let mut spatial = None;
+        for line in [
+            "S(x, y) := (0 < x and x < 1 and y = 2*x) or (2 <= x and x <= 3 and y = 1/2)",
+            "T(x) := not (x < 0 or x = 5)",
+        ] {
+            apply_define(&mut db, &mut spatial, line).unwrap();
+        }
+        assert_eq!(database_fingerprint(&db, spatial.as_deref()), 0x5704_c433_0d39_109f);
+        assert_eq!(database_fingerprint(&db.clone(), spatial.as_deref()), 0x5704_c433_0d39_109f);
+    }
+
     #[test]
     fn hostile_definitions_are_errors_not_panics() {
         let mut db = Database::new();
@@ -1418,6 +1399,8 @@ mod tests {
             "S(x) : = 0 < x",                 // bad :=
             "spatial T",                      // unknown spatial
             "S(x) := 0 <",                    // parse error
+            "R(x, x) := x < 1",               // repeated head variable
+            "R(x, ) := x < 1",                // empty head variable
         ] {
             assert!(
                 apply_define(&mut db, &mut spatial, bad).is_err(),
@@ -1425,7 +1408,7 @@ mod tests {
                 bad
             );
         }
-        assert!(db.relation("S").is_none());
+        assert!(db.relation("S").is_none() && db.relation("R").is_none());
     }
 
     /// The first offence left to right is the one reported; an atom names
@@ -1453,6 +1436,9 @@ mod tests {
                 "quantifier over 'z' not allowed in a definition body",
             ),
             ("S(x) := not (x < 0 or T(y))", "relation symbol 'T' not allowed in a definition body"),
+            ("R(x, x) := x < 1", "variable 'x' named twice in the relation head"),
+            ("R(x, ) := x < 1", "empty variable name in the relation head"),
+            ("R( , ) := 0 < 1", "relation needs at least one variable"),
         ] {
             assert_eq!(apply_define(&mut db, &mut spatial, bad), Err(message.to_string()));
         }

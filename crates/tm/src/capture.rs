@@ -473,7 +473,7 @@ mod tests {
     use lcdb_logic::{parse_formula, Relation};
 
     fn ext(src: &str) -> RegionExtension {
-        let rel = Relation::new(vec!["x".into()], &parse_formula(src).unwrap());
+        let rel = Relation::new(vec!["x".into()], parse_formula(src).unwrap());
         RegionExtension::arrangement(rel)
     }
 

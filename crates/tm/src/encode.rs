@@ -250,7 +250,7 @@ mod tests {
     fn ext(src: &str, vars: &[&str]) -> RegionExtension {
         let rel = Relation::new(
             vars.iter().map(|v| v.to_string()).collect(),
-            &parse_formula(src).unwrap(),
+            parse_formula(src).unwrap(),
         );
         RegionExtension::arrangement(rel)
     }

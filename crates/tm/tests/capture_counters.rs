@@ -35,7 +35,7 @@ const UNNARROWED: [[(usize, usize, usize, usize); 3]; 3] = [
 ];
 
 fn relation(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).expect("formula parses"))
+    Relation::new(vec!["x".into()], parse_formula(src).expect("formula parses"))
 }
 
 #[test]

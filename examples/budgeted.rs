@@ -18,7 +18,7 @@ fn main() {
     let phi = parse_formula("(0 < x and x < 1) or (2 < x and x < 3) or (4 < x and x < 5)")
         .expect("well-formed");
     let mut db = Database::new();
-    db.insert("S", Relation::new(vec!["x".into()], &phi));
+    db.insert("S", Relation::new(vec!["x".into()], phi));
     let conn = queries::connectivity();
 
     // The decomposition is built and the sentence evaluated under the same

@@ -15,7 +15,7 @@ use lcdb::tm::Tm;
 use lcdb::{parse_formula, Evaluator, RegionExtension, Relation};
 
 fn ext_of(src: &str) -> RegionExtension {
-    let rel = Relation::new(vec!["x".into()], &parse_formula(src).unwrap());
+    let rel = Relation::new(vec!["x".into()], parse_formula(src).unwrap());
     RegionExtension::arrangement(rel)
 }
 

@@ -10,7 +10,7 @@ use lcdb::{parse_formula, queries, Decomposition, Evaluator, RegionExtension, Re
 
 fn check(name: &str, src: &str) {
     let phi = parse_formula(src).expect("well-formed");
-    let s = Relation::new(vec!["x".into(), "y".into()], &phi);
+    let s = Relation::new(vec!["x".into(), "y".into()], phi);
     let ext = RegionExtension::arrangement(s);
     let ev = Evaluator::new(&ext);
     let connected = ev.eval_sentence(&queries::connectivity());

@@ -17,7 +17,7 @@ fn main() {
     let mut edb = Database::new();
     edb.insert(
         "S",
-        Relation::new(vec!["x".into()], &parse_formula("0 <= x and x <= 1").unwrap()),
+        Relation::new(vec!["x".into()], parse_formula("0 <= x and x <= 1").unwrap()),
     );
 
     println!("spatial datalog: reach(x) :- S(x).  reach(x) :- reach(y), x = y + 1.\n");
@@ -78,7 +78,7 @@ fn main() {
     // ... and the paper's answer: recursion over the *finite region sort*
     // terminates unconditionally, whatever the query.
     let ext = RegionExtension::arrangement(
-        Relation::new(vec!["x".into()], &parse_formula("0 <= x and x <= 1").unwrap()),
+        Relation::new(vec!["x".into()], parse_formula("0 <= x and x <= 1").unwrap()),
     );
     let ev = Evaluator::new(&ext);
     let conn = ev.eval_sentence(&queries::connectivity());

@@ -14,7 +14,7 @@ use lcdb::core::DecompositionKind;
 use lcdb::{parse_formula, queries, Database, EvalBudget, Evaluator, RegionExtension, Relation};
 
 fn rel1(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(src).unwrap())
 }
 
 fn scenario(name: &str, chem1: (i64, i64), chem2: (i64, i64)) {

@@ -13,7 +13,7 @@ fn main() {
         "(x >= 0 and y >= 0 and x + y <= 2) or (3 < x and x < 4 and 0 < y and y < 1)",
     )
     .expect("well-formed formula");
-    let s = Relation::new(vec!["x".into(), "y".into()], &phi);
+    let s = Relation::new(vec!["x".into(), "y".into()], phi);
     println!("S := {}", s);
 
     // The region extension B^Reg over the arrangement A(S) (§3/§4).

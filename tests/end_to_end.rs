@@ -9,7 +9,7 @@ use lcdb::{parse_formula, Database, Relation};
 use std::collections::BTreeMap;
 
 fn rel1(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(src).unwrap())
 }
 
 #[test]

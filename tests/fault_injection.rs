@@ -69,7 +69,7 @@ fn seed() -> u64 {
 }
 
 fn rel1(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(src).unwrap())
 }
 
 fn two_gaps() -> Relation {

@@ -4,7 +4,7 @@ use lcdb::geom::{nc1, Arrangement};
 use lcdb::{parse_formula, Relation};
 
 fn rel2(src: &str) -> Relation {
-    Relation::new(vec!["x".into(), "y".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into(), "y".into()], parse_formula(src).unwrap())
 }
 
 /// Fig. 1–3: the running example induces three lines in general position,

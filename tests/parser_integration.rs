@@ -7,7 +7,7 @@ use lcdb::logic::algebra;
 use lcdb::{parse_formula, Relation};
 
 fn rel1(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(src).unwrap())
 }
 
 #[test]

@@ -123,7 +123,7 @@ proptest! {
         py in -6i64..=6,
     ) {
         let f = Formula::and(atoms.into_iter().map(Formula::Atom).collect());
-        let rel = Relation::new(vec!["x".into(), "y".into()], &f);
+        let rel = Relation::new(vec!["x".into(), "y".into()], f);
         let arr = Arrangement::from_relation(&rel);
         let p = vec![int(px), int(py)];
         // Partition: exactly one face contains any point.
@@ -170,7 +170,7 @@ proptest! {
                 LinExpr::var("x").sub(&LinExpr::constant(int(4))),
             )),
         ]);
-        let rel = Relation::new(vec!["x".into(), "y".into()], &f);
+        let rel = Relation::new(vec!["x".into(), "y".into()], f);
         let dec = lcdb::geom::nc1::decompose_relation(&rel);
         let p = vec![int(px), int(py)];
         if rel.contains(&p) {
@@ -218,7 +218,7 @@ fn arb_intervals() -> impl Strategy<Value = Relation> {
                 })
                 .collect(),
         );
-        Relation::new(vec!["x".into()], &f)
+        Relation::new(vec!["x".into()], f)
     })
 }
 
@@ -660,7 +660,7 @@ proptest! {
 fn rel1(src: &str) -> Relation {
     Relation::new(
         vec!["x".into()],
-        &lcdb::parse_formula(src).expect("formula parses"),
+        lcdb::parse_formula(src).expect("formula parses"),
     )
 }
 

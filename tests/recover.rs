@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn rel1(src: &str) -> Relation {
-    Relation::new(vec!["x".into()], &parse_formula(src).unwrap())
+    Relation::new(vec!["x".into()], parse_formula(src).unwrap())
 }
 
 /// A disconnected database: connectivity needs several LFP stages, so tight
