@@ -20,16 +20,11 @@
 mod bigint;
 mod biguint;
 mod rational;
+pub mod work;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
-pub use rational::{ArithCounters, Rational};
-
-/// The calling thread's fixed-width arithmetic counters. They only grow;
-/// take the difference of two readings to attribute the work in between.
-pub fn counters() -> ArithCounters {
-    rational::counters()
-}
+pub use rational::Rational;
 
 /// Error type for parsing numbers from strings.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,41 +22,12 @@
 //! `Big`/`Big` operations fall back to arbitrary precision and demote on
 //! the way out.
 
+use crate::work::{self, Work};
 use crate::{BigInt, BigUint, ParseNumError, Sign};
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
-
-/// The rare branches of the fixed-width path, taken on the calling thread
-/// since it started.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArithCounters {
-    /// Fixed-width normalizations whose result did not fit `i64` and was
-    /// stored `Big`.
-    pub promotions: u64,
-    /// Gcds with an operand wider than a `u64`, which took `u128` steps.
-    pub wide_gcds: u64,
-}
-
-thread_local! {
-    static COUNTERS: Cell<ArithCounters> = const {
-        Cell::new(ArithCounters { promotions: 0, wide_gcds: 0 })
-    };
-}
-
-pub(crate) fn counters() -> ArithCounters {
-    COUNTERS.with(Cell::get)
-}
-
-fn count(bump: impl FnOnce(&mut ArithCounters)) {
-    COUNTERS.with(|c| {
-        let mut now = c.get();
-        bump(&mut now);
-        c.set(now);
-    });
-}
 
 /// An exact rational number.
 ///
@@ -417,7 +388,7 @@ pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
         return if a == 0 { b } else if b == 0 { a } else { 1 };
     }
     if a > WORD || b > WORD {
-        count(|c| c.wide_gcds += 1);
+        work::add(Work::ArithWideGcds, 1);
         while a > WORD || b > WORD {
             (a, b) = (b, a % b);
             if b == 0 {
@@ -510,7 +481,7 @@ fn from_reduced(negative: bool, un: u128, ud: u128) -> Rational {
     match (fits(un, negative), fits(ud, false)) {
         (Some(n), Some(d)) => Rational(Repr::Small(n, d)),
         _ => {
-            count(|c| c.promotions += 1);
+            work::add(Work::ArithPromotions, 1);
             let num = BigInt::from_sign_mag(
                 if negative { Sign::Negative } else { Sign::Positive },
                 BigUint::from(un),
@@ -1175,7 +1146,7 @@ mod tests {
     /// The counters move on the two rare branches only.
     #[test]
     fn counters_pin_promotions_and_wide_gcds() {
-        let before = counters();
+        let before = work::snapshot();
         let max = Rational::from_int(i64::MAX);
         let _ = &max + &Rational::ONE; // integer add past i64: a promotion
         let _ = &rat(1, 3) + &rat(2, 3); // equal denominators: neither
@@ -1184,9 +1155,9 @@ mod tests {
         let p = (1i64 << 40) + 1;
         let _ = &rat(1, p) + &rat(1, p + 2); // an 81-bit denominator: both
         let _ = &rat(5, 6) - &rat(1, 10); // cross products on words: neither
-        let after = counters();
-        assert_eq!(after.promotions - before.promotions, 3);
-        assert_eq!(after.wide_gcds - before.wide_gcds, 1);
+        let spent = before.since();
+        assert_eq!(spent[Work::ArithPromotions], 3);
+        assert_eq!(spent[Work::ArithWideGcds], 1);
     }
 }
 

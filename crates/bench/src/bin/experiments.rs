@@ -11,6 +11,7 @@
 //! two timed experiments that remain, E23 and E27, each assert an overhead
 //! contract of the observability stack.
 
+use lcdb_arith::work::{self, Work};
 use lcdb_arith::{int, rat, Rational};
 use lcdb_bench::*;
 use lcdb_core::{
@@ -585,13 +586,13 @@ fn e14_nc1_scaling() {
     let mut solves = Vec::new();
     for k in [4usize, 8, 12, 16] {
         let r = convex_polygon(k);
-        let before = lcdb_lp::counters().solves;
-        let hulls_before = lcdb_geom::nc1::counters().hulls;
+        let before = work::snapshot();
         let t = Instant::now();
         let d = lcdb_geom::nc1::decompose_relation(&r);
         let dt = t.elapsed();
-        solves.push(lcdb_lp::counters().solves - before);
-        let hulls = lcdb_geom::nc1::counters().hulls - hulls_before;
+        let spent = before.since();
+        solves.push(spent[Work::LpSolves]);
+        let hulls = spent[Work::Nc1Hulls];
         let census = d.counts_by_dim();
         println!(
             "  {:>3} {:>12} {:>8} {:>6} {:>10} {:>12?}",
@@ -836,9 +837,9 @@ fn e18_coefficients() {
     let mut dnf = lcdb_logic::dnf::to_dnf(&f);
     let mut bits = vec![qe::max_coefficient_bits(&dnf)];
     for i in 0..k {
-        let lp_before = lcdb_lp::counters().solves;
+        let before = work::snapshot();
         dnf = qe::eliminate_exists_dnf(&dnf, &format!("v{}", i)).simplify();
-        let solves = lcdb_lp::counters().solves - lp_before;
+        let solves = before.since()[Work::LpSolves];
         bits.push(qe::max_coefficient_bits(&dnf));
         let count: usize = dnf.disjuncts.iter().map(|c| c.len()).sum();
         println!("  {:>6} {:>16} {:>12} {:>10}", i + 1, bits[i + 1], count, solves);

@@ -273,9 +273,10 @@ mod tests {
         assert_eq!(hs.len(), 10);
     }
 
-    /// LP solves are deterministic: the thread-local counters pin them.
+    /// LP solves are deterministic: the work ledger pins them.
     #[test]
     fn block_elimination_is_lp_frugal() {
+        use lcdb_arith::work::{self, Work};
         use lcdb_logic::{qe, Formula, LinExpr};
         // What the parent commit (3691859: one `eliminate_one_cells` per
         // variable, one LP per atom of every candidate disjunct) solved on
@@ -284,13 +285,11 @@ mod tests {
         let (a, b) = alibi_pair(16, 11, true);
         let args: Vec<LinExpr> = ["t", "x", "y"].into_iter().map(LinExpr::var).collect();
         let matrix = Formula::and(vec![a.apply(&args), b.apply(&args)]);
-        let before = lcdb_lp::counters();
-        let decided_before = lcdb_logic::dnf::counters();
+        let before = work::snapshot();
         let met = qe::eliminate_block(&matrix, &["y", "x", "t"], true);
-        let after = lcdb_lp::counters();
-        let decided = lcdb_logic::dnf::counters();
+        let spent = before.since();
         assert_eq!(met, Formula::True);
-        let solves = (after.solves - before.solves) + (after.warm_probes - before.warm_probes);
+        let solves = spent[Work::LpSolves] + spent[Work::LpWarmProbes];
         assert!(
             5 * solves <= SOLVES_PER_ATOM_ROUTE,
             "{solves} solves, the per-atom route took {SOLVES_PER_ATOM_ROUTE}"
@@ -299,15 +298,15 @@ mod tests {
         // (e8970a9, box of the single-variable atoms only) ran 77 solves and
         // probes here, most of them on pairs of beads whose `x ± t` rows rule
         // each other out inside the common time interval.
-        assert!(decided.box_refuted > decided_before.box_refuted);
+        assert!(spent[Work::DnfBoxRefuted] > 0);
         // A point of the propagated box in front of the LP: the commit
         // before it (0c172ba) decided the 272 decisions as 2 witness hits,
         // 251 box refutations and 19 LPs (4 solves, 19 probes, 75 pivots);
         // now the 19 are 1 witness hit and 18 point hits, and no LP runs.
         assert_eq!(solves, 0, "{solves} solves and probes");
-        assert_eq!(after.pivots, before.pivots);
-        assert!(decided.point_hits > decided_before.point_hits);
-        assert_eq!(decided.lp_decided, decided_before.lp_decided);
+        assert_eq!(spent[Work::LpPivots], 0);
+        assert!(spent[Work::DnfPointHits] > 0);
+        assert_eq!(spent[Work::DnfLpDecided], 0);
     }
 
     #[test]

@@ -48,6 +48,7 @@ use crate::error::EvalError;
 use crate::lower;
 use crate::regfo::{FixMode, RegFormula};
 use crate::region::Decomposition;
+use lcdb_arith::work as ledger;
 use lcdb_arith::{Rational, Sign};
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
 use lcdb_exec::Pool;
@@ -810,7 +811,7 @@ impl<'a> Evaluator<'a> {
     pub fn try_eval_sentence(&self, f: &RegFormula) -> Result<bool, EvalError> {
         let (plan, root) = lower::compile(f);
         self.check_free(plan.facts(root), "sentence", true, true)?;
-        let out = self.run_entry(&plan, root, "eval.sentence", &[])?;
+        let out = self.metered(|| self.run_entry(&plan, root, "eval.sentence", &[]))?;
         Ok(truth(&out))
     }
 
@@ -869,25 +870,24 @@ impl<'a> Evaluator<'a> {
         {
             return Err(self.query_error(format!("unbound region variable '{}'", v)));
         }
-        let before = self
-            .trace_on
-            .then(|| (lcdb_lp::counters(), lcdb_logic::dnf::counters()));
         let out = self.eval_node(cx, root, &mut env);
         self.flush_trace_counters();
-        if let Some((lp_before, dnf_before)) = before {
-            // Both layers count per thread, and so runs an evaluation.
-            let (lp, dnf) = (lcdb_lp::counters(), lcdb_logic::dnf::counters());
-            let metrics = self.trace.metrics();
-            metrics.add("lp.solves", lp.solves - lp_before.solves);
-            metrics.add("lp.warm_probes", lp.warm_probes - lp_before.warm_probes);
-            metrics.add("lp.pivots", lp.pivots - lp_before.pivots);
-            metrics.add("logic.dnf_decisions", dnf.decisions - dnf_before.decisions);
-            metrics.add("logic.dnf_witness_hits", dnf.witness_hits - dnf_before.witness_hits);
-            metrics.add("logic.dnf_box_refuted", dnf.box_refuted - dnf_before.box_refuted);
-            metrics.add("logic.dnf_point_hits", dnf.point_hits - dnf_before.point_hits);
-            metrics.add("logic.dnf_lp_decided", dnf.lp_decided - dnf_before.lp_decided);
-        }
         out.map_err(|s| self.stop_error(s))
+    }
+
+    /// Run one entry point and, with tracing on, add its LP and DNF work (a
+    /// query's closing conversion included) to the registry.
+    fn metered<T>(&self, entry: impl FnOnce() -> Result<T, EvalError>) -> Result<T, EvalError> {
+        let before = self.trace_on.then(ledger::snapshot);
+        let out = entry();
+        if let Some(spent) = before.map(|b| b.since()) {
+            for w in ledger::Work::ALL {
+                if w.name().starts_with("lp.") || w.name().starts_with("logic.") {
+                    self.trace.metrics().add(w.name(), spent[w]);
+                }
+            }
+        }
+        out
     }
 
     /// Evaluate a query with free *element* variables to a quantifier-free
@@ -912,12 +912,15 @@ impl<'a> Evaluator<'a> {
 
     fn query_answer(&self, plan: &Plan, root: PlanId) -> Result<Formula, EvalError> {
         self.check_free(plan.facts(root), "query", false, true)?;
-        let out = self.run_entry(plan, root, "eval.query", &[])?;
-        // An answer that came out of an elimination is DNF-shaped already:
-        // the conversion is then one decision per disjunct, no distribution.
-        let dnf =
-            try_to_dnf_strong(&out, &mut || self.interrupted()).map_err(|s| self.stop_error(s))?;
-        Ok(dnf.to_formula())
+        self.metered(|| {
+            let out = self.run_entry(plan, root, "eval.query", &[])?;
+            // An answer that came out of an elimination is DNF-shaped
+            // already: the conversion is then one decision per disjunct, no
+            // distribution.
+            let dnf = try_to_dnf_strong(&out, &mut || self.interrupted())
+                .map_err(|s| self.stop_error(s))?;
+            Ok(dnf.to_formula())
+        })
     }
 
     /// Evaluate an open query and package the answer as a
@@ -949,7 +952,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Formula, EvalError> {
         let (plan, root) = lower::compile(f);
         self.check_free(plan.facts(root), "query", false, false)?;
-        self.run_entry(&plan, root, "eval.with_regions", bindings)
+        self.metered(|| self.run_entry(&plan, root, "eval.with_regions", bindings))
     }
 
     /// Time one visit of a plan node for the profile, crediting children's

@@ -6,6 +6,7 @@
 
 #![allow(clippy::unwrap_used)]
 
+use lcdb_core::work::{self, Work};
 use lcdb_core::{
     parse_regformula, queries, ArrangementRegions, Decomposition, DecompositionKind, EvalBudget,
     EvalStats, Evaluator, RegFormula, RegionExtension,
@@ -98,7 +99,7 @@ fn trace_reconciles_with_stats_on_gis_river() {
 }
 
 /// With tracing on, an entry's LP work lands in the registry beside the
-/// elimination histogram, and equals the solver's own thread-local count.
+/// elimination histogram, and equals the solver's own count in the ledger.
 #[test]
 fn lp_counters_reach_the_registry() {
     let ext = RegionExtension::arrangement(relation("0 <= x and x <= 4", &["x"]));
@@ -108,14 +109,13 @@ fn lp_counters_reach_the_registry() {
     .unwrap();
     let trace = TraceHandle::new(Arc::new(MemoryTracer::new()));
     let ev = Evaluator::new(&ext).with_trace(trace.clone());
-    let before = lcdb_lp::counters();
-    let decided_before = lcdb_logic::dnf::counters();
+    let before = work::snapshot();
     assert!(ev.eval_sentence(&query));
-    let cold = lcdb_lp::counters();
+    let cold = before.since();
     // Its matrix is distributed undecided, and once `y` is projected away
     // the rows are in `x` alone, whose box is exact: a point of the box
     // decides every disjunct, and no LP runs.
-    assert_eq!(cold.solves, before.solves, "the elimination ran an LP");
+    assert_eq!(cold[Work::LpSolves], 0, "the elimination ran an LP");
     // Too many clauses to distribute blindly (2⁶ paths), so the conversion
     // prunes as it goes, and alternatives of one atom each share a solved
     // prefix: the warm path.
@@ -126,32 +126,51 @@ fn lp_counters_reach_the_registry() {
     )
     .unwrap();
     assert!(ev.eval_sentence(&siblings));
-    let after = lcdb_lp::counters();
-    assert!(after.warm_probes > cold.warm_probes, "no sibling was probed warm");
+    let spent = before.since();
+    assert!(spent[Work::LpWarmProbes] > cold[Work::LpWarmProbes], "no sibling was probed warm");
     let counters = trace.metrics().counter_snapshot();
-    assert_eq!(counters["lp.solves"], after.solves - before.solves);
-    assert_eq!(counters["lp.warm_probes"], after.warm_probes - before.warm_probes);
-    assert_eq!(counters["lp.pivots"], after.pivots - before.pivots);
+    assert_eq!(counters["lp.solves"], spent[Work::LpSolves]);
+    assert_eq!(counters["lp.warm_probes"], spent[Work::LpWarmProbes]);
+    assert_eq!(counters["lp.pivots"], spent[Work::LpPivots]);
     // So does the layer above the solver: every feasibility decision of the
     // two conversions is a witness hit, a box refutation, a point hit or an
     // LP (no run of these sentences is constant-false), and an LP is a solve
     // or a probe.
-    let decided = lcdb_logic::dnf::counters();
-    let delta = |name: &str, now: u64, then: u64| {
-        assert_eq!(counters[name], now - then, "{name}");
-        now - then
+    let delta = |w: Work| {
+        assert_eq!(counters[w.name()], spent[w], "{}", w.name());
+        spent[w]
     };
-    let decisions = delta("logic.dnf_decisions", decided.decisions, decided_before.decisions);
-    let hits = delta("logic.dnf_witness_hits", decided.witness_hits, decided_before.witness_hits);
-    let refuted = delta("logic.dnf_box_refuted", decided.box_refuted, decided_before.box_refuted);
-    let points = delta("logic.dnf_point_hits", decided.point_hits, decided_before.point_hits);
-    let lps = delta("logic.dnf_lp_decided", decided.lp_decided, decided_before.lp_decided);
+    let decisions = delta(Work::DnfDecisions);
+    let hits = delta(Work::DnfWitnessHits);
+    let refuted = delta(Work::DnfBoxRefuted);
+    let points = delta(Work::DnfPointHits);
+    let lps = delta(Work::DnfLpDecided);
     assert_eq!(decisions, hits + refuted + points + lps);
     assert!(hits > 0 && refuted > 0 && lps > 0, "{hits} hits, {refuted} refuted, {lps} LPs");
     // (A solve is also how a warm batch comes to be: no equality here.)
     assert!(lps <= counters["lp.solves"] + counters["lp.warm_probes"]);
     assert_eq!(trace.metrics().histogram("qe.eliminate_us").count(), 2);
     assert_eq!(ev.stats().qe_calls, 4, "two blocks of two variables");
+}
+
+/// An open query's closing conversion to DNF (at least one decision per
+/// disjunct of the answer) is part of the entry's work: every registry
+/// counter the evaluator feeds equals the ledger over the whole call.
+#[test]
+fn an_open_query_counts_its_closing_conversion() {
+    let ext = RegionExtension::arrangement(relation("0 <= x and x <= 4", &["x"]));
+    let query = parse_regformula("exists y. S(y) and y < x and x < y + 1").unwrap();
+    let trace = TraceHandle::new(Arc::new(MemoryTracer::new()));
+    let ev = Evaluator::new(&ext).with_trace(trace.clone());
+    let before = work::snapshot();
+    let answer = ev.eval_query(&query);
+    let spent = before.since();
+    assert!(answer != lcdb_logic::Formula::False, "{answer}");
+    assert!(spent[Work::DnfDecisions] > 0);
+    let counters = trace.metrics().counter_snapshot();
+    for w in Work::ALL.into_iter().filter(|w| ["lp.", "logic."].iter().any(|l| w.name().starts_with(l))) {
+        assert_eq!(counters[w.name()], spent[w], "{}", w.name());
+    }
 }
 
 /// A build reports its face count and the cells its levels crossed. Three

@@ -17,6 +17,7 @@
 //! into the parents, removal sorts, and point location binary-searches.
 
 use crate::Hyperplane;
+use lcdb_arith::work::{self, Work};
 use lcdb_arith::{Rational, Sign};
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
 use lcdb_exec::Pool;
@@ -143,22 +144,22 @@ impl Arrangement {
         let meter = budget.meter();
         let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
         let mut partial = vec![Cell::whole_space(dim)];
-        let (mut cells_split, mut sections_built) = (0, 0);
+        let before = work::snapshot();
         for k in 0..rows.len() {
             let _level_span = on.then(|| {
                 trace.span_with("geom.level", &format!("level={} partial={}", k, partial.len()))
             });
             let parents = partial.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim, c.ray.as_ref()));
-            let (next, crossed, sections) =
-                refine(dim, &rows[..=k], parents, &meter, budget, face_guard(budget))?;
-            cells_split += crossed;
-            sections_built += sections;
+            let next = refine(dim, &rows[..=k], parents, &meter, budget, face_guard(budget))?;
+            // A crossed parent has three children, any other one.
+            work::add(Work::CellsSplit, ((next.len() - partial.len()) / 2) as u64);
             partial = next;
         }
 
+        let spent = before.since();
         trace.count("geom.faces_built", partial.len() as u64);
-        trace.count("geom.cells_split", cells_split);
-        trace.count("geom.sections_built", sections_built);
+        trace.count(Work::CellsSplit.name(), spent[Work::CellsSplit]);
+        trace.count(Work::SectionsBuilt.name(), spent[Work::SectionsBuilt]);
         let _final_span =
             on.then(|| trace.span_with("geom.finalize", &format!("faces={}", partial.len())));
         Arrangement::finalize(dim, hyperplanes, partial, &meter, budget)
@@ -230,7 +231,7 @@ impl Arrangement {
         let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
         let parents =
             self.faces.iter().map(|f| (&f.signs[..], &f.witness[..], f.dim, f.ray.as_ref()));
-        let (cells, ..) = refine(self.dim, &rows, parents, &meter, budget, face_guard(budget))?;
+        let cells = refine(self.dim, &rows, parents, &meter, budget, face_guard(budget))?;
         Arrangement::finalize(self.dim, hyperplanes, cells, &meter, budget)
     }
 
@@ -639,20 +640,19 @@ impl Cell {
 }
 
 /// All cells of the arrangement of `rows` in `ℝ^dim`, in lexicographic
-/// sign-vector order, and the section arrangements built on the way.
+/// sign-vector order.
 fn arrangement_cells(
     dim: usize,
     rows: &[Row],
     meter: &Meter,
     budget: &EvalBudget,
-) -> Result<(Vec<Cell>, u64), BudgetError> {
-    let (mut cells, mut sections) = (vec![Cell::whole_space(dim)], 0);
+) -> Result<Vec<Cell>, BudgetError> {
+    let mut cells = vec![Cell::whole_space(dim)];
     for k in 0..rows.len() {
         let parents = cells.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim, c.ray.as_ref()));
-        let (next, _, built) = refine(dim, &rows[..=k], parents, meter, budget, |_| Ok(()))?;
-        (cells, sections) = (next, sections + built);
+        cells = refine(dim, &rows[..=k], parents, meter, budget, |_| Ok(()))?;
     }
-    Ok((cells, sections))
+    Ok(cells)
 }
 
 /// One refinement level, shared by build, insert and the recursion itself:
@@ -669,8 +669,8 @@ fn arrangement_cells(
 /// lower, and both sides are nonempty. Children are emitted in `[-, 0, +]`
 /// order under parents in order — the source of the arrangement-wide
 /// lexicographic face order. `after_parent` sees the running child count
-/// after every parent, one `meter` tick precedes each. Returns the children,
-/// how many parents were crossed and how many sections were built.
+/// after every parent, one `meter` tick precedes each. Returns the children;
+/// every section built counts in the ledger's `geom.sections_built`.
 ///
 /// Rays, by `rec(A ∩ B) = rec A ∩ rec B` and `cl(P ∩ h) = cl P ∩ h` for a
 /// relatively open `P` meeting `h` (or an open side of it): a child equal to
@@ -687,23 +687,20 @@ fn refine<'a>(
     meter: &Meter,
     budget: &EvalBudget,
     mut after_parent: impl FnMut(usize) -> Result<(), BudgetError>,
-) -> Result<(Vec<Cell>, u64, u64), BudgetError> {
+) -> Result<Vec<Cell>, BudgetError> {
     let (h, prefix) = rows.split_last().expect("a level has a splitting row");
-    let mut sections = 0;
     // Without a normal `h` is one constant sign and has no section.
     let mut section = Vec::new();
     if let Some(p) = h.coeffs.iter().position(|c| !c.is_zero()) {
         let restricted: Vec<Row> = prefix.iter().map(|r| r.restrict(h, p)).collect();
-        let (cells, nested) = arrangement_cells(dim - 1, &restricted, meter, budget)?;
-        sections = 1 + nested;
-        for c in cells {
+        work::add(Work::SectionsBuilt, 1);
+        for c in arrangement_cells(dim - 1, &restricted, meter, budget)? {
             let ray = c.ray.map(|r| h.lift(p, &r, &Rational::ZERO));
             section.push(Cell { witness: h.lift(p, &c.witness, &h.rhs), ray, ..c });
         }
     }
     let mut section = section.into_iter().peekable();
     let mut children = Vec::with_capacity(parents.len() * 2);
-    let mut crossed = 0;
     for (signs, w, cell_dim, ray) in parents {
         meter.tick(budget)?;
         let mut child = |side: Side, witness: QVector, dim: usize, ray: Option<QVector>| {
@@ -722,7 +719,6 @@ fn refine<'a>(
             None => child(carried, w.to_vec(), cell_dim, ray.cloned()),
             Some(z) if z.dim == cell_dim => child(Sign::Zero, w.to_vec(), cell_dim, ray.cloned()),
             Some(Cell { witness: z, ray: z_ray, .. }) => {
-                crossed += 1;
                 let step = |base, dir| step_inside(prefix, signs, base, dir);
                 let (neg, zero, pos) = match carried {
                     Sign::Negative => (w.to_vec(), z.clone(), step(&z, &vec_sub(&z, w))),
@@ -745,7 +741,7 @@ fn refine<'a>(
         after_parent(children.len())?;
     }
     debug_assert!(section.next().is_none(), "every section cell lies in a parent");
-    Ok((children, crossed, sections))
+    Ok(children)
 }
 
 /// The rays of the `[-, +]` sides of a parent with ray `u` crossed by `h`

@@ -20,7 +20,8 @@
 //!
 //! Distinct vertices are extreme points, so a region is its vertex-index set
 //! and a hull is built only for a set emitted for the first time (or for a
-//! dependent tuple): `4k − 5` for a `k`-gon, one per region ([`counters`]).
+//! dependent tuple): `4k − 5` for a `k`-gon, one per region (the ledger's
+//! `geom.nc1_hulls`, [`Work::Nc1Hulls`]).
 //!
 //! Unlike the arrangement of §3, these regions may overlap across disjuncts
 //! and do not cover all of `ℝ^d` — but every point of `S` lies in at least
@@ -29,44 +30,17 @@
 use crate::hyperplane::primitive_factor;
 use crate::vrep::subsets_of_size;
 use crate::{Hyperplane, VPolyhedron};
+use lcdb_arith::work::{self, Work};
 use lcdb_arith::Rational;
 use lcdb_budget::{BudgetError, EvalBudget, Meter};
 use lcdb_linalg::{dot, scale, vec_add, vec_sub, Flat, Matrix, QVector, RrefResult};
 use lcdb_logic::{dnf::Conjunct, Relation};
 use lcdb_lp::{LinConstraint, Rel};
-use std::cell::Cell;
 use std::collections::HashSet;
-
-/// What NC¹ decompositions on the calling thread have built since it
-/// started; take the difference of two readings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Nc1Counters {
-    /// V→H conversions: emitted regions, dependent fan tuples, ray candidates.
-    pub hulls: u64,
-    /// Fan tuples decided on their hull: directions from `p_low` dependent.
-    pub hull_decided: u64,
-}
-
-thread_local! {
-    static COUNTERS: Cell<Nc1Counters> = const { Cell::new(Nc1Counters { hulls: 0, hull_decided: 0 }) };
-}
-
-/// The calling thread's NC¹ counters. They only grow.
-pub fn counters() -> Nc1Counters {
-    COUNTERS.with(Cell::get)
-}
-
-fn count(bump: impl FnOnce(&mut Nc1Counters)) {
-    COUNTERS.with(|c| {
-        let mut now = c.get();
-        bump(&mut now);
-        c.set(now);
-    });
-}
 
 /// `VPolyhedron::new`, counted.
 fn hull(points: Vec<QVector>, rays: Vec<QVector>) -> VPolyhedron {
-    count(|c| c.hulls += 1);
+    work::add(Work::Nc1Hulls, 1);
     VPolyhedron::new(points, rays)
 }
 
@@ -347,7 +321,7 @@ fn try_bounded_regions(
     meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
     #[cfg(test)]
-    if tests::HULL_ORACLE.with(Cell::get) {
+    if tests::HULL_ORACLE.with(std::cell::Cell::get) {
         return tests::hull_oracle_regions(d, vertices, interior, budget, meter);
     }
     let mut out: Vec<(VPolyhedron, RegionKind)> = Vec::new();
@@ -396,7 +370,7 @@ fn try_bounded_regions(
         let cand = if let Some(cone) = ConeCoordinates::new(d, &dirs) {
             others.all(|(_, q)| !cone.strictly_positive(&vec_sub(q, p_low))).then(|| open_hull(&set))
         } else {
-            count(|c| c.hull_decided += 1);
+            work::add(Work::Nc1HullDecided, 1);
             let cand = open_hull(&set);
             let inside = interior_system(&cand);
             others.all(|(_, q)| !open_segment_meets(p_low, q, &inside)).then_some(cand)
@@ -652,6 +626,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
 
     thread_local! {
         /// Test-side switch: build every candidate's hull and decide it by
@@ -1076,11 +1051,11 @@ mod tests {
     /// decomposition, with the facts or with the hull oracle.
     fn hull_census(r: &Relation, oracle: bool) -> (u64, u64, u64) {
         HULL_ORACLE.with(|o| o.set(oracle));
-        let before = counters();
+        let before = work::snapshot();
         let regions = decompose_relation(r).regions.len() as u64;
         HULL_ORACLE.with(|o| o.set(false));
-        let after = counters();
-        (regions, after.hulls - before.hulls, after.hull_decided - before.hull_decided)
+        let spent = before.since();
+        (regions, spent[Work::Nc1Hulls], spent[Work::Nc1HullDecided])
     }
 
     /// `p_low` and the three other vertices of a plane through it — one of

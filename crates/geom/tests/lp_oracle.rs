@@ -27,6 +27,7 @@
 mod common;
 
 use common::family;
+use lcdb_arith::work::{self, Work};
 use lcdb_arith::{int, rat, Rational, Sign};
 use lcdb_geom::nc1::decompose_relation;
 use lcdb_geom::{Arrangement, Hyperplane, SignVector, VPolyhedron};
@@ -174,19 +175,19 @@ fn edits_agree_with_the_lp_oracle() {
 }
 
 /// Build, insert and remove on the benchmark's d = 2, n = 12 shape solve no
-/// linear program: the calling thread's solver counters do not move.
+/// linear program: the calling thread's `lp.*` ledger slots do not move.
 #[test]
 fn arrangement_path_solves_no_lp() {
     let mut rng = StdRng::seed_from_u64(18);
     let mut hs = family(&mut rng, 2, 13, 9, false);
     let extra = hs.remove(12);
-    let before = lcdb_lp::counters();
+    let before = work::snapshot();
     let a = Arrangement::build(2, hs);
     let inserted = a.insert_hyperplane(extra);
     let removed = inserted.remove_hyperplane(5);
     assert!(a.num_faces() < inserted.num_faces());
     assert!(removed.num_faces() < inserted.num_faces());
-    assert_eq!(lcdb_lp::counters(), before, "the simplex is back on the arrangement path");
+    assert_eq!(before.since().sum("lp."), 0, "the simplex is back on the arrangement path");
 }
 
 /// Boundedness builds no section arrangement. Seven planes
@@ -375,9 +376,9 @@ fn parabola_polygon(k: i64) -> Relation {
 #[test]
 fn nc1_lp_solves_do_not_grow_with_vertices() {
     let solves = |k: i64| {
-        let before = lcdb_lp::counters();
+        let before = work::snapshot();
         let dec = decompose_relation(&parabola_polygon(k));
-        let built = lcdb_lp::counters();
+        let built = work::snapshot();
         let k = k as usize;
         assert_eq!(dec.counts_by_dim(), vec![k, 2 * k - 3, k - 2]);
         let names = ["x".to_string(), "y".to_string()];
@@ -391,8 +392,8 @@ fn nc1_lp_solves_do_not_grow_with_vertices() {
                 assert_eq!(a.set.same_set(&b.set), std::ptr::eq(a, b));
             }
         }
-        assert_eq!(lcdb_lp::counters(), built, "a region predicate solved a linear program");
-        built.solves - before.solves
+        assert_eq!(built.since().sum("lp."), 0, "a region predicate solved a linear program");
+        built[Work::LpSolves] - before[Work::LpSolves]
     };
     let (small, large) = (solves(8), solves(16));
     assert_eq!(small, large, "LP solves grow with the vertex count");

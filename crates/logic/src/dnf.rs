@@ -12,9 +12,10 @@
 //! feasibility questions are answered without a linear program.
 
 use crate::{Atom, Formula, LinExpr, Var};
+use lcdb_arith::work::{self, Work};
 use lcdb_arith::Rational;
 use lcdb_lp::{FeasibilityBatch, LinConstraint, Rel};
-use std::cell::{Cell as Slot, OnceCell};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::convert::Infallible;
 use std::rc::Rc;
@@ -296,54 +297,17 @@ fn formula_vars(f: &Formula, out: &mut BTreeSet<Var>) {
     }
 }
 
-/// What the feasibility decisions of the calling thread's conversions came
-/// to since it started: `decisions` = constant-false runs (counted nowhere
-/// else) + `witness_hits` + `box_refuted` + `point_hits` + `lp_decided`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DnfCounters {
-    /// Feasibility decisions (`partial ∧ run` asked for).
-    pub decisions: u64,
-    /// Decided by the partial's own witness satisfying the run.
-    pub witness_hits: u64,
-    /// Refuted by the interval box: single-variable atoms, or bound
-    /// propagation through the multi-variable rows.
-    pub box_refuted: u64,
-    /// Decided by a point built from the propagated box satisfying every row.
-    pub point_hits: u64,
-    /// Handed to the exact LP.
-    pub lp_decided: u64,
-}
-
+#[cfg(test)]
 thread_local! {
-    static COUNTERS: Slot<DnfCounters> = const {
-        Slot::new(DnfCounters {
-            decisions: 0, witness_hits: 0, box_refuted: 0, point_hits: 0, lp_decided: 0,
-        })
-    };
     /// Test-side switch: decide by single-variable box and LP alone (no
     /// sweep, no point), the conversion the shortcuts must agree with.
-    #[cfg(test)]
-    static LP_ONLY: Slot<bool> = const { Slot::new(false) };
-}
-
-/// The calling thread's decision counters. They only grow; take the
-/// difference of two readings to attribute the work in between.
-pub fn counters() -> DnfCounters {
-    COUNTERS.with(Slot::get)
-}
-
-fn count(bump: impl FnOnce(&mut DnfCounters)) {
-    COUNTERS.with(|c| {
-        let mut now = c.get();
-        bump(&mut now);
-        c.set(now);
-    });
+    static LP_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Always, outside this crate's own tests.
 fn propagating() -> bool {
     #[cfg(test)]
-    return !LP_ONLY.with(Slot::get);
+    return !LP_ONLY.with(std::cell::Cell::get);
     #[cfg(not(test))]
     true
 }
@@ -802,7 +766,7 @@ impl Interner {
         run: &[AtomId],
         warm: Option<&mut Option<FeasibilityBatch>>,
     ) -> Option<Cell> {
-        count(|n| n.decisions += 1);
+        work::add(Work::DnfDecisions, 1);
         let mut fresh = Vec::with_capacity(run.len());
         for &id in run {
             match self.entries[id].truth {
@@ -821,7 +785,7 @@ impl Interner {
             .rows(&fresh, true)
             .all(|(row, support)| tighten(&mut bounds, row, support));
         let witness = if holds {
-            count(|n| n.witness_hits += 1);
+            work::add(Work::DnfWitnessHits, 1);
             partial.witness.clone()
         } else if !boxed
             || (propagating()
@@ -830,13 +794,13 @@ impl Interner {
                     &mut bounds,
                 ))
         {
-            count(|n| n.box_refuted += 1);
+            work::add(Work::DnfBoxRefuted, 1);
             return None;
         } else if let Some(point) = self.probe(partial, &fresh, &bounds) {
-            count(|n| n.point_hits += 1);
+            work::add(Work::DnfPointHits, 1);
             Some(point)
         } else {
-            count(|n| n.lp_decided += 1);
+            work::add(Work::DnfLpDecided, 1);
             let d = self.order.len();
             let prefix = partial.atoms.iter().map(row);
             let run = fresh.iter().map(row);
@@ -1606,12 +1570,12 @@ mod tests {
     #[test]
     fn a_bead_is_decided_at_the_centre_of_its_box() {
         let union = crate::parse_formula(&prisms(8, (1, 1)).join(" or ")).unwrap();
-        let before = counters();
+        let before = work::snapshot();
         let cells = infallible(Cells::convert(&union, false, Strategy::Pruned, &mut never));
-        let after = counters();
+        let spent = before.since();
         assert_eq!(cells.cells.len(), 8);
-        assert_eq!(after.point_hits - before.point_hits, 8);
-        assert_eq!(after.lp_decided, before.lp_decided);
+        assert_eq!(spent[Work::DnfPointHits], 8);
+        assert_eq!(spent[Work::DnfLpDecided], 0);
         for cell in &cells.cells {
             let centre = cell.bounds.iter().map(|b| match (&b.lo, &b.hi) {
                 (Some((lo, _)), Some((hi, _))) => Rational::midpoint(lo, hi),

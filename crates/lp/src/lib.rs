@@ -24,7 +24,7 @@
 
 mod simplex;
 
-pub use simplex::{FeasibilityBatch, LpCounters};
+pub use simplex::FeasibilityBatch;
 
 use lcdb_arith::Rational;
 use lcdb_linalg::QVector;
@@ -184,12 +184,6 @@ pub fn feasible(d: usize, constraints: &[LinConstraint]) -> Option<QVector> {
 /// solver copies what it needs into its own tableau either way.
 pub fn feasible_refs(d: usize, constraints: &[&LinConstraint]) -> Option<QVector> {
     simplex::feasible_strict(d, constraints)
-}
-
-/// The calling thread's solver counters. They only grow; take the difference
-/// of two readings to attribute the work in between.
-pub fn counters() -> LpCounters {
-    simplex::counters()
 }
 
 /// Decide whether `objective · x` is bounded above on the (closed) feasible

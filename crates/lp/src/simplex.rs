@@ -17,38 +17,9 @@
 //! optimum, a point of the primal attaining it.
 
 use crate::{LinConstraint, LpOutcome, Rel};
+use lcdb_arith::work::{self, Work};
 use lcdb_arith::Rational;
 use lcdb_linalg::QVector;
-use std::cell::Cell;
-
-/// Work the solver has done on the calling thread since it started.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LpCounters {
-    /// Tableaux built and solved from scratch.
-    pub solves: u64,
-    /// Probes answered from a [`crate::FeasibilityBatch`]'s solved prefix.
-    pub warm_probes: u64,
-    /// Pivots, over every solve and probe.
-    pub pivots: u64,
-}
-
-thread_local! {
-    static COUNTERS: Cell<LpCounters> = const {
-        Cell::new(LpCounters { solves: 0, warm_probes: 0, pivots: 0 })
-    };
-}
-
-pub(crate) fn counters() -> LpCounters {
-    COUNTERS.with(Cell::get)
-}
-
-fn count(bump: impl FnOnce(&mut LpCounters)) {
-    COUNTERS.with(|c| {
-        let mut now = c.get();
-        bump(&mut now);
-        c.set(now);
-    });
-}
 
 /// `acc + t·x`. A factor of 0 or 1 and a zero `acc` cost no arithmetic: every
 /// exact operation is a gcd, and tableaux are sparse (a fresh basis is the
@@ -164,7 +135,7 @@ impl Tableau {
 
     /// Pivot on (row r, column e): make column e basic in row r.
     fn pivot(&mut self, r: usize, e: usize) {
-        count(|n| n.pivots += 1);
+        work::add(Work::LpPivots, 1);
         let inv = self.rows[r][e].recip();
         for v in self.rows[r].iter_mut().chain([&mut self.rhs[r]]) {
             if !v.is_zero() {
@@ -295,7 +266,7 @@ fn witness(t: &Tableau, d: usize, has_strict: bool) -> Option<QVector> {
 /// Feasibility of a mixed strict/non-strict system via interior-δ
 /// maximization; returns a relative-interior witness if feasible.
 pub(crate) fn feasible_strict(d: usize, constraints: &[&LinConstraint]) -> Option<QVector> {
-    count(|n| n.solves += 1);
+    work::add(Work::LpSolves, 1);
     let has_strict = constraints.iter().any(|c| c.rel.is_strict());
     let point = witness(&interior(d, constraints)?, d, has_strict)?;
     debug_assert!(constraints.iter().all(|c| c.satisfied_by(&point)));
@@ -306,7 +277,7 @@ pub(crate) fn feasible_strict(d: usize, constraints: &[&LinConstraint]) -> Optio
 /// constraints: two phases on the dual `min b·λ`, `Σ λᵢaᵢ = objective`.
 pub(crate) fn solve(d: usize, objective: &[Rational], constraints: &[LinConstraint]) -> LpOutcome {
     assert_eq!(objective.len(), d, "objective arity mismatch");
-    count(|n| n.solves += 1);
+    work::add(Work::LpSolves, 1);
     // Phase 1: unit cost on the artificials, none on the columns.
     let signs: QVector = objective.iter().map(sign).collect();
     let mut t = Tableau::new(objective.to_vec(), &signs);
@@ -369,7 +340,7 @@ pub struct FeasibilityBatch {
 impl FeasibilityBatch {
     /// Solve the shared prefix.
     pub fn new(d: usize, prefix: &[&LinConstraint]) -> FeasibilityBatch {
-        count(|n| n.solves += 1);
+        work::add(Work::LpSolves, 1);
         FeasibilityBatch {
             d,
             tableau: interior(d, prefix),
@@ -395,7 +366,7 @@ impl FeasibilityBatch {
     /// extension: each is one more column (an equality two) on the copy.
     pub fn probe_all(&self, extensions: &[&LinConstraint]) -> Option<QVector> {
         let mut t = self.tableau.as_ref()?.clone();
-        count(|n| n.warm_probes += 1);
+        work::add(Work::LpWarmProbes, 1);
         for extension in extensions {
             for (column, cost) in columns(extension, true) {
                 t.push(&column, cost);

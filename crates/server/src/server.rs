@@ -54,6 +54,7 @@ use crate::cache::ResultCache;
 use crate::proto::{
     write_frame, FrameReader, OpCode, Request, RespCode, Response,
 };
+use lcdb_core::work::{self, Tally, Work};
 use lcdb_core::{
     database_fingerprint, explain_query, parse_regformula, query_fingerprint, ArrangementRegions,
     CancelToken, Decomposition, DecompositionKind, EvalBudget, EvalError, Evaluator, PlanCatalog,
@@ -1081,7 +1082,9 @@ fn session_inner(
                             shared.retry_hint_ms(depth),
                             what,
                         ))?;
-                        shared.push_stat(|| stat_row(sid, op_name(op), 0, db_fp, 0, 0, 0, "shed"));
+                        shared.push_stat(|| {
+                            stat_row(sid, op_name(op), 0, db_fp, 0, 0, 0, "shed", Tally::default())
+                        });
                     }
                 }
             }
@@ -1106,13 +1109,17 @@ fn worker_loop(shared: &Arc<Shared>) {
             // waiting for this answer.
             shared.c_cancelled.incr();
             shared.push_stat(|| {
-                stat_row(job.session, op, 0, job.db_fp, queued_us, 0, 0, "cancelled")
+                let none = Tally::default();
+                stat_row(job.session, op, 0, job.db_fp, queued_us, 0, 0, "cancelled", none)
             });
             continue;
         }
         let _span = shared.trace.span_with("server.request", op);
         let started = Instant::now();
         let ticks_before = shared.ticks_total.get();
+        // Exact, unlike the ticks: the request's work and its dispatch run
+        // on this one thread.
+        let work_before = shared.catalog.is_some().then(work::snapshot);
         let mut info = ExecInfo::default();
         let resp = execute(shared, &job, &mut info);
         let self_us = started.elapsed().as_micros() as u64;
@@ -1137,6 +1144,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 self_us,
                 info.tier,
                 outcome_label(resp.code),
+                work_before.map(|before| before.since()).unwrap_or_default(),
             )
         });
         let _ = shared.send(&job.out, &resp);
@@ -1168,7 +1176,9 @@ fn outcome_label(code: RespCode) -> &'static str {
 }
 
 /// One telemetry row: a single JSON line with a stable key order, so the
-/// stats segment is greppable and `lcdb stats` can parse it back.
+/// stats segment is greppable and `lcdb stats` can parse it back. The
+/// request's non-zero work counts follow `outcome`, in ledger order and
+/// under their trace names.
 #[allow(clippy::too_many_arguments)]
 fn stat_row(
     session: u64,
@@ -1179,12 +1189,18 @@ fn stat_row(
     self_us: u64,
     tier: u8,
     outcome: &str,
+    spent: Tally,
 ) -> String {
-    format!(
+    let mut row = format!(
         "{{\"kind\":\"req\",\"session\":{session},\"op\":\"{op}\",\"plan_fp\":{plan_fp},\
          \"db_fp\":{db_fp},\"wall_us\":{wall_us},\"self_us\":{self_us},\"tier\":{tier},\
-         \"outcome\":\"{outcome}\"}}"
-    )
+         \"outcome\":\"{outcome}\""
+    );
+    for w in Work::ALL.into_iter().filter(|&w| spent[w] > 0) {
+        row.push_str(&format!(",\"{}\":{}", w.name(), spent[w]));
+    }
+    row.push('}');
+    row
 }
 
 fn op_name(op: OpCode) -> &'static str {

@@ -593,6 +593,44 @@ fn redefining_another_arity_reuses_the_stored_arrangement() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// With the store on, a request's telemetry row carries the work it did,
+/// per ledger slot: an evaluation that eliminates a quantifier block names
+/// its DNF decisions, and the same request answered from the cache names
+/// none.
+#[test]
+fn a_request_row_carries_its_work() {
+    let dir = std::env::temp_dir().join(format!("lcdb-server-work-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = start(ServerConfig {
+        base_db: vec![GAPPED.to_string()],
+        store_dir: Some(dir.clone()),
+        ..quick_cfg()
+    });
+    let mut c = Client::connect(&addr_of(&server)).expect("connect");
+    let query = "exists x. exists y. S(x) and x < y and y < x + 1 and y > 2";
+    for tier in [0, 1] {
+        let r = c.eval_sentence(query, 0).expect("eval");
+        assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "true", tier));
+    }
+    server.shutdown();
+    let mut store =
+        lcdb_store::Store::open(&dir, lcdb_store::StoreOptions::default()).expect("open store");
+    let rows = lcdb_store::read_stats(&mut store, "req").expect("read stats");
+    let evals: Vec<&String> = rows.iter().filter(|r| r.contains("\"op\":\"eval_sentence\"")).collect();
+    assert_eq!(evals.len(), 2, "{rows:?}");
+    let field = |row: &str, key: &str| lcdb_store::json_u64_field(row, key);
+    assert!(field(evals[0], "logic.dnf_decisions").is_some_and(|n| n > 0), "{}", evals[0]);
+    // What `lcdb stats` reads is where it was.
+    for key in ["plan_fp", "self_us", "wall_us"] {
+        assert!(evals.iter().all(|row| field(row, key).is_some()), "{key}");
+    }
+    assert_eq!((field(evals[0], "tier"), field(evals[1], "tier")), (Some(0), Some(1)));
+    for w in lcdb_core::work::Work::ALL {
+        assert!(!evals[1].contains(&format!("\"{}\"", w.name())), "{}", evals[1]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A store written by the format before content-addressed keys is refused
 /// at start with the store's own message.
 #[test]
