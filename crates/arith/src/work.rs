@@ -40,9 +40,15 @@ pub enum Work {
     CellsSplit,
     /// Section arrangements built, at every depth of the recursion.
     SectionsBuilt,
+    /// Relation symbols a quantifier elimination read as stored rows.
+    QePredRows,
+    /// Relation symbols a quantifier elimination expanded through
+    /// `Relation::apply` (arguments not distinct variables, or a constant
+    /// relation).
+    QePredApplied,
 }
 
-const COUNT: usize = 14;
+const COUNT: usize = 16;
 
 impl Work {
     /// Every slot, in ledger order.
@@ -61,6 +67,8 @@ impl Work {
         Work::Nc1HullDecided,
         Work::CellsSplit,
         Work::SectionsBuilt,
+        Work::QePredRows,
+        Work::QePredApplied,
     ];
 
     /// The trace name, prefixed by the layer that does the work: `arith.`,
@@ -77,6 +85,8 @@ impl Work {
             Work::DnfBoxRefuted => "logic.dnf_box_refuted",
             Work::DnfPointHits => "logic.dnf_point_hits",
             Work::DnfLpDecided => "logic.dnf_lp_decided",
+            Work::QePredRows => "logic.qe_pred_rows",
+            Work::QePredApplied => "logic.qe_pred_applied",
             Work::Nc1Hulls => "geom.nc1_hulls",
             Work::Nc1HullDecided => "geom.nc1_hull_decided",
             Work::CellsSplit => "geom.cells_split",

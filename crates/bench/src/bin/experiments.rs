@@ -19,6 +19,7 @@ use lcdb_core::{
     RegFormula, RegionExtension, TraceHandle,
 };
 use lcdb_geom::{Arrangement, VPolyhedron};
+use lcdb_logic::dnf::Dnf;
 use lcdb_logic::{parse_formula, qe, Database, Formula, LinExpr, Relation};
 use lcdb_tm::capture::{capture_agreement, input_word};
 use lcdb_tm::{encode, Tm};
@@ -838,7 +839,9 @@ fn e18_coefficients() {
     let mut bits = vec![qe::max_coefficient_bits(&dnf)];
     for i in 0..k {
         let before = work::snapshot();
-        dnf = qe::eliminate_exists_dnf(&dnf, &format!("v{}", i)).simplify();
+        let var = format!("v{i}");
+        let disjuncts = dnf.disjuncts.iter().map(|c| qe::fm_eliminate_conjunct(c, &var));
+        dnf = Dnf { disjuncts: disjuncts.collect() }.simplify();
         let solves = before.since()[Work::LpSolves];
         bits.push(qe::max_coefficient_bits(&dnf));
         let count: usize = dnf.disjuncts.iter().map(|c| c.len()).sum();

@@ -320,6 +320,26 @@ mod tests {
         }
     }
 
+    /// The alibi sentence and "when" query apply `A` and `B` to distinct
+    /// variables, so elimination reads both from their stored rows and
+    /// expands neither through `apply` (`lcdb-logic`'s proptest
+    /// `a_relation_lowers_from_rows_as_its_application` holds the two
+    /// lowerings equal).
+    #[test]
+    fn alibi_relations_lower_from_rows() {
+        use lcdb_arith::work::{self, Work};
+        use lcdb_core::{parse_regformula, Evaluator};
+        let ext = alibi_extension(8, 11, true);
+        let ev = Evaluator::new(&ext);
+        let before = work::snapshot();
+        assert!(ev.eval_sentence(&parse_regformula(ALIBI_SENTENCE).unwrap()));
+        let when = parse_regformula("exists x. exists y. A(t, x, y) and B(t, x, y)").unwrap();
+        assert_ne!(ev.eval_query(&when), lcdb_logic::Formula::False);
+        let spent = before.since();
+        assert_eq!(spent[Work::QePredApplied], 0);
+        assert_eq!(spent[Work::QePredRows], 4, "two symbols in each of two blocks");
+    }
+
     #[test]
     fn exponent_fit() {
         let e = fitted_exponent(10, 100.0, 20, 400.0);

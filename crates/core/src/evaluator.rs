@@ -17,7 +17,9 @@
 //!   binding at a time, to a quantifier-free FO+LIN formula over those
 //!   variables (*closure*): element quantifiers are eliminated by
 //!   Fourier–Motzkin with feasibility-pruned DNF conversion — or, where a
-//!   membership in a point region says what they are, substituted —, region
+//!   membership in a point region says what they are, substituted —, with
+//!   the relation symbols of the block's matrix left unexpanded for the
+//!   elimination to read from the database's stored rows; region
 //!   quantifiers expand into finite disjunctions/conjunctions, `rBIT`
 //!   extracts the binary representation of a defined rational. Where the
 //!   interpreter meets an element-free subplan it probes that subplan's
@@ -25,7 +27,8 @@
 //!
 //! Because plan nodes are hash-consed, sharing is per [`PlanId`]: a shared
 //! subplan has one table per choice of domains, and on the formula path one
-//! memoized formula per region binding.
+//! memoized formula per region binding (a block matrix's connectives,
+//! atoms and relation symbols excepted: the elimination consumes them).
 //!
 //! Every recursion path is *fallible*: internally the evaluator threads a
 //! private `Stop` error channel so that an [`EvalBudget`] limit (deadline,
@@ -1008,7 +1011,7 @@ impl<'a> Evaluator<'a> {
         self.profiled(id, || {
             self.meter.tick(&self.budget)?;
             if self.degrade || !facts.set_free() {
-                return self.eval_node_uncached(cx, id, env);
+                return self.eval_node_uncached(cx, id, env, false);
             }
             let key: NodeKey = (
                 id,
@@ -1027,15 +1030,50 @@ impl<'a> Evaluator<'a> {
                     return Ok(cached.clone());
                 }
             }
-            let out = self.eval_node_uncached(cx, id, env)?;
+            let out = self.eval_node_uncached(cx, id, env, false)?;
             self.formula_memo.borrow_mut().insert(key, out.clone());
             Ok(out)
         })
     }
 
-    /// One step of the formula interpreter. Also the way an element-closed
+    /// The matrix of a quantifier block whose variables are all eliminated:
+    /// its `And`/`Or`/`Not`/`Lin`/`Pred` spine, with each relation symbol
+    /// of a non-constant relation left as `Formula::Pred` for the
+    /// elimination to read from the database's rows. The elimination
+    /// consumes the spine at once, so its nodes skip the formula memo; they
+    /// still tick the meter and are profiled. Any other node is `eval_node`'s.
+    fn eval_matrix(&self, cx: Cx, id: PlanId, env: &mut Env) -> Result<Formula, Stop> {
+        let spine = matches!(
+            cx.plan.node(id),
+            PlanNode::And(_)
+                | PlanNode::Or(_)
+                | PlanNode::Not(_)
+                | PlanNode::Lin(_)
+                | PlanNode::Pred(..)
+        );
+        if !spine || cx.plan.facts(id).elem_free() {
+            return self.eval_node(cx, id, env);
+        }
+        self.profiled(id, || {
+            self.meter.tick(&self.budget)?;
+            self.eval_node_uncached(cx, id, env, true)
+        })
+    }
+
+    /// One step of the formula interpreter, of a block's `matrix` spine
+    /// ([`Evaluator::eval_matrix`]) or not. Also the way an element-closed
     /// leaf computes a cell: its node is interpreted at the cell's binding.
-    fn eval_node_uncached(&self, cx: Cx, id: PlanId, env: &mut Env) -> Result<Formula, Stop> {
+    fn eval_node_uncached(
+        &self,
+        cx: Cx,
+        id: PlanId,
+        env: &mut Env,
+        matrix: bool,
+    ) -> Result<Formula, Stop> {
+        let child = |sub: PlanId, env: &mut Env| match matrix {
+            true => self.eval_matrix(cx, sub, env),
+            false => self.eval_node(cx, sub, env),
+        };
         Ok(match cx.plan.node(id) {
             PlanNode::Lin(a) => match a.constant_truth() {
                 Some(true) => Formula::True,
@@ -1048,7 +1086,10 @@ impl<'a> Evaluator<'a> {
                     .database()
                     .relation(name)
                     .ok_or_else(|| Stop::Query(format!("unknown relation '{}'", name)))?;
-                rel.apply(args)
+                match rel.constant_truth() {
+                    None if matrix => Formula::Pred(name.clone(), args.clone()),
+                    _ => rel.apply(args),
+                }
             }
             PlanNode::In(args, _) => {
                 let rid = env.val[cx.args(id)[0] as usize] as usize;
@@ -1070,7 +1111,7 @@ impl<'a> Evaluator<'a> {
             PlanNode::And(fs) => {
                 let mut parts = Vec::with_capacity(fs.len());
                 for &sub in fs {
-                    match self.eval_node(cx, sub, env)? {
+                    match child(sub, env)? {
                         Formula::False => return Ok(Formula::False),
                         Formula::True => {}
                         other => parts.push(other),
@@ -1081,7 +1122,7 @@ impl<'a> Evaluator<'a> {
             PlanNode::Or(fs) => {
                 let mut parts = Vec::with_capacity(fs.len());
                 for &sub in fs {
-                    match self.eval_node(cx, sub, env) {
+                    match child(sub, env) {
                         Ok(Formula::True) => return Ok(Formula::True),
                         Ok(Formula::False) => {}
                         Ok(other) => parts.push(other),
@@ -1093,7 +1134,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Formula::or(parts)
             }
-            PlanNode::Not(inner) => Formula::not(self.eval_node(cx, *inner, env)?),
+            PlanNode::Not(inner) => Formula::not(child(*inner, env)?),
             PlanNode::ExistsElem(..) | PlanNode::ForallElem(..) => {
                 let (vars, existential, body) = lcdb_plan::exec::quantifier_block(cx.plan, id);
                 let (sub, vars) = self.block_body(cx, body, vars, existential, env)?;
@@ -1133,7 +1174,8 @@ impl<'a> Evaluator<'a> {
     /// histogram samples rather than spans).
     fn timed_qe(&self, sub: &Formula, vars: &[&str], existential: bool) -> Result<Formula, Stop> {
         let start = self.trace_on.then(Instant::now);
-        let out = qe::try_eliminate_block(sub, vars, existential, &mut || self.interrupted());
+        let db = self.ext.database();
+        let out = qe::try_eliminate_block(sub, db, vars, existential, &mut || self.interrupted());
         if let Some(start) = start {
             let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.trace.metrics().observe("qe.eliminate_us", us);
@@ -1178,7 +1220,7 @@ impl<'a> Evaluator<'a> {
             }
         }
         if point.is_empty() {
-            return Ok((self.eval_node(cx, body, env)?, vars));
+            return Ok((self.eval_matrix(cx, body, env)?, vars));
         }
         let mut operands = Vec::with_capacity(rest.len());
         for p in rest {
@@ -1213,13 +1255,9 @@ impl<'a> Evaluator<'a> {
         }
         let mut out: Vec<(&str, LinExpr)> = Vec::with_capacity(args.len());
         for (arg, c) in args.iter().zip(at) {
-            let mut terms = arg.terms();
-            let (Some((x, one)), None) = (terms.next(), terms.next()) else {
-                return None;
-            };
+            let x = arg.as_var()?;
             let x = *vars.iter().find(|v| *v == x)?;
-            let fresh = point.iter().chain(&out).all(|(y, _)| *y != x);
-            if !(fresh && one.is_one() && arg.constant_term().is_zero()) {
+            if point.iter().chain(&out).any(|(y, _)| *y == x) {
                 return None;
             }
             out.push((x, LinExpr::constant(c.clone())));

@@ -1553,7 +1553,7 @@ impl<'a> Evaluator<'a> {
         if let Some(b) = known {
             return Ok(b);
         }
-        let b = super::truth(&self.eval_node_uncached(cx, id, env)?);
+        let b = super::truth(&self.eval_node_uncached(cx, id, env, false)?);
         let n = self.ext.num_regions();
         let layout = Layout::new((0..pos.len() as Var).collect(), vec![n; pos.len()]);
         let fresh = self.tabs.borrow().lazy[r.leaf]

@@ -135,6 +135,18 @@ impl Relation {
         Formula::or(self.dnf.disjuncts.iter().map(conjunct).collect())
     }
 
+    /// The truth value [`Relation::apply`] gives whatever the arguments, if
+    /// it gives a constant: `false` without disjuncts, `true` with an empty
+    /// one. Read off the stored DNF, not decided: a relation whose
+    /// disjuncts are all unsatisfiable is not constant here.
+    pub fn constant_truth(&self) -> Option<bool> {
+        let disjuncts = &self.dnf.disjuncts;
+        match disjuncts.iter().any(Vec::is_empty) {
+            true => Some(true),
+            false => disjuncts.is_empty().then_some(false),
+        }
+    }
+
     /// Membership test for a point.
     ///
     /// # Panics

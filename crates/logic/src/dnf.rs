@@ -11,11 +11,13 @@
 //! `Cell` — a conjunct that carries a point satisfying it — so that most
 //! feasibility questions are answered without a linear program.
 
-use crate::{Atom, Formula, LinExpr, Var};
+use crate::expr::negations;
+use crate::{Atom, Database, Formula, LinExpr, Relation, Var};
 use lcdb_arith::work::{self, Work};
 use lcdb_arith::Rational;
 use lcdb_lp::{FeasibilityBatch, LinConstraint, Rel};
 use std::cell::OnceCell;
+use std::collections::hash_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::convert::Infallible;
 use std::rc::Rc;
@@ -206,7 +208,7 @@ pub(crate) fn read_dnf(f: Formula) -> Dnf {
 
 /// [`to_dnf`] through the interner, whatever the formula's shape.
 pub(crate) fn to_dnf_interned(f: &Formula) -> Dnf {
-    let (atoms, nnf) = Interner::lower_formula(f, false);
+    let (atoms, nnf) = Interner::lower_formula(f, &Database::new(), false);
     Dnf {
         disjuncts: nnf.distribute().iter().map(|c| atoms.conjunct(c)).collect(),
     }
@@ -228,14 +230,14 @@ pub fn to_dnf_pruned(f: &Formula) -> Dnf {
 
 /// [`to_dnf_pruned`] under an interrupt callback.
 pub fn try_to_dnf_pruned<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
-    Ok(Cells::convert(f, false, Strategy::Pruned, poll)?.into_dnf())
+    Ok(Cells::convert(f, &Database::new(), false, Strategy::Pruned, poll)?.into_dnf())
 }
 
 /// `to_dnf_pruned(f).simplify_strong()` under an interrupt callback, on one
 /// list of cells: no disjunct is decided twice. The redundancy and absorption
 /// passes poll too, once per implication they decide.
 pub fn try_to_dnf_strong<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
-    Cells::convert(f, false, Strategy::Pruned, poll)?.simplify_strong(poll)
+    Cells::convert(f, &Database::new(), false, Strategy::Pruned, poll)?.simplify_strong(poll)
 }
 
 /// DNF conversion by *cell enumeration*: compute the canonical hyperplanes of
@@ -251,7 +253,8 @@ pub fn try_to_dnf_strong<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
 /// region quantifiers), where path-based distribution explodes even with
 /// feasibility pruning.
 pub fn to_dnf_cells(f: &Formula) -> Dnf {
-    infallible(Cells::convert(f, false, Strategy::SignCells, &mut never)).into_dnf()
+    let cells = Cells::convert(f, &Database::new(), false, Strategy::SignCells, &mut never);
+    infallible(cells).into_dnf()
 }
 
 /// Adaptive DNF conversion. A formula that cannot blow up — structural
@@ -262,7 +265,8 @@ pub fn to_dnf_cells(f: &Formula) -> Dnf {
 /// `m` distinct hyperplanes in `k` variables; cells are enumerated only
 /// when `mᵏ` is the smaller.
 pub fn to_dnf_auto(f: &Formula) -> Dnf {
-    infallible(Cells::convert(f, false, Strategy::Auto, &mut never)).into_dnf()
+    let cells = Cells::convert(f, &Database::new(), false, Strategy::Auto, &mut never);
+    infallible(cells).into_dnf()
 }
 
 /// How [`Cells::convert`] turns a formula into cells.
@@ -288,13 +292,62 @@ fn note_vars(expr: &LinExpr, out: &mut BTreeSet<Var>) {
     }
 }
 
-fn formula_vars(f: &Formula, out: &mut BTreeSet<Var>) {
+/// The variables of `f`'s atoms, a relation symbol's those of its
+/// application over `db`.
+fn formula_vars(f: &Formula, db: &Database, out: &mut BTreeSet<Var>) {
     match f {
         Formula::Atom(a) => note_vars(&a.expr, out),
-        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| formula_vars(g, out)),
-        Formula::Not(g) => formula_vars(g, out),
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| formula_vars(g, db, out)),
+        Formula::Not(g) => formula_vars(g, db, out),
+        Formula::Pred(name, args) => {
+            let rel = relation(db, name);
+            match renaming(rel, args) {
+                Some(renaming) => {
+                    let terms = rel.dnf().disjuncts.iter().flatten().flat_map(|a| a.expr.terms());
+                    for (v, _) in terms {
+                        if let Some((_, arg)) = renaming.iter().find(|(x, _)| *x == v) {
+                            if !out.contains(*arg) {
+                                out.insert((*arg).clone());
+                            }
+                        }
+                    }
+                }
+                None => formula_vars(&rel.apply(args), db, out),
+            }
+        }
         _ => {}
     }
+}
+
+/// The relation `name` of `db`.
+///
+/// # Panics
+/// Panics if `db` has no relation of that name.
+fn relation<'a>(db: &'a Database, name: &str) -> &'a Relation {
+    db.relation(name).unwrap_or_else(|| panic!("unknown relation '{name}'"))
+}
+
+/// Each designated variable of `rel` with its argument, when `rel(args)` is
+/// a renaming of the stored DNF: every argument a distinct bare variable,
+/// every stored atom over designated variables only, and the relation not
+/// constant ([`Relation::constant_truth`]). Then an atom of the application
+/// is the stored atom with its coefficients moved to their arguments'
+/// columns, and its nesting is that of the stored disjuncts.
+fn renaming<'a>(rel: &'a Relation, args: &'a [LinExpr]) -> Option<Vec<(&'a Var, &'a Var)>> {
+    if args.len() != rel.arity() || rel.constant_truth().is_some() {
+        return None;
+    }
+    let mut out: Vec<(&Var, &Var)> = Vec::with_capacity(args.len());
+    for (x, arg) in rel.var_names().iter().zip(args) {
+        let arg = arg.as_var()?;
+        if out.iter().any(|(_, seen)| *seen == arg) {
+            return None;
+        }
+        out.push((x, arg));
+    }
+    let atoms = rel.dnf().disjuncts.iter().flatten();
+    let designated = |(v, _): (&Var, _)| rel.var_names().contains(v);
+    atoms.flat_map(|a| a.expr.terms()).all(designated).then_some(out)
 }
 
 #[cfg(test)]
@@ -310,6 +363,19 @@ fn propagating() -> bool {
     return !LP_ONLY.with(std::cell::Cell::get);
     #[cfg(not(test))]
     true
+}
+
+/// The row of the stored atom `a` with relation `rel` in an order of `width`
+/// variables, each coefficient of a designated variable in its argument's
+/// column (as `a.to_constraint` after renaming).
+fn renamed_row(a: &Atom, rel: Rel, columns: &[(&Var, usize)], width: usize) -> LinConstraint {
+    let mut coeffs = vec![Rational::ZERO; width];
+    for (v, c) in a.expr.terms() {
+        if let Some((_, k)) = columns.iter().find(|(x, _)| *x == v) {
+            coeffs[*k] = c.clone();
+        }
+    }
+    LinConstraint::new(coeffs, rel, -a.expr.constant_term().clone())
 }
 
 /// Index of an atom in its [`Interner`].
@@ -604,19 +670,23 @@ impl Interner {
         }
     }
 
-    /// Intern `(¬)f`'s atoms and push its negations to them.
+    /// Intern `(¬)f`'s atoms and push its negations to them. A relation
+    /// symbol is read from `db`: from its stored atoms as rows where its
+    /// application is a [`renaming`], and through [`Relation::apply`]
+    /// otherwise — to the same order, atom ids and [`Nnf`] either way.
     ///
     /// # Panics
-    /// Panics if the formula contains quantifiers or relation symbols.
-    fn lower_formula(f: &Formula, negated: bool) -> (Interner, Nnf) {
+    /// Panics if the formula contains quantifiers, or relation symbols that
+    /// `db` lacks or that are applied with the wrong arity.
+    fn lower_formula(f: &Formula, db: &Database, negated: bool) -> (Interner, Nnf) {
         let mut vars = BTreeSet::new();
-        formula_vars(f, &mut vars);
+        formula_vars(f, db, &mut vars);
         let mut atoms = Interner::new(vars);
-        let nnf = atoms.lower(f, negated);
+        let nnf = atoms.lower(f, db, negated);
         (atoms, nnf)
     }
 
-    fn lower(&mut self, f: &Formula, negated: bool) -> Nnf {
+    fn lower(&mut self, f: &Formula, db: &Database, negated: bool) -> Nnf {
         match f {
             Formula::True | Formula::False => {
                 if matches!(f, Formula::True) != negated {
@@ -632,9 +702,9 @@ impl Interner {
                     .collect(),
             ),
             Formula::Atom(a) => Nnf::Run(vec![self.intern(a)]),
-            Formula::Not(inner) => self.lower(inner, !negated),
+            Formula::Not(inner) => self.lower(inner, db, !negated),
             Formula::And(fs) | Formula::Or(fs) => {
-                let parts = fs.iter().map(|g| self.lower(g, negated)).collect();
+                let parts = fs.iter().map(|g| self.lower(g, db, negated)).collect();
                 if matches!(f, Formula::And(_)) != negated {
                     Nnf::and(parts)
                 } else {
@@ -644,21 +714,63 @@ impl Interner {
             Formula::Exists(..) | Formula::Forall(..) => {
                 panic!("DNF conversion requires a quantifier-free formula")
             }
-            Formula::Pred(..) => panic!("expand predicates before DNF"),
+            Formula::Pred(name, args) => {
+                let rel = relation(db, name);
+                let Some(renaming) = renaming(rel, args) else {
+                    work::add(Work::QePredApplied, 1);
+                    return self.lower(&rel.apply(args), db, negated);
+                };
+                work::add(Work::QePredRows, 1);
+                let columns: Vec<(&Var, usize)> = renaming
+                    .iter()
+                    .filter_map(|&(x, arg)| Some((x, self.order.binary_search(arg).ok()?)))
+                    .collect();
+                // Nested as lowering the `Or` of `And`s that `apply` builds
+                // would nest it, negated: `¬⋁ⱼ⋀ₖ aⱼₖ` as `⋀ⱼ⋁ₖ ¬aⱼₖ`.
+                let width = self.order.len();
+                let mut row = |a: &Atom, rel| {
+                    self.intern_row(renamed_row(a, rel, &columns, width))
+                };
+                let mut conjunct = |c: &Conjunct| match negated {
+                    false => Nnf::Run(c.iter().map(|a| row(a, a.rel)).collect()),
+                    true => {
+                        let mut runs = Vec::new();
+                        for a in c {
+                            for &rel in negations(a.rel) {
+                                runs.push(Nnf::Run(vec![row(a, rel)]));
+                            }
+                        }
+                        Nnf::or(runs)
+                    }
+                };
+                let parts = rel.dnf().disjuncts.iter().map(&mut conjunct).collect();
+                if negated {
+                    Nnf::and(parts)
+                } else {
+                    Nnf::or(parts)
+                }
+            }
         }
     }
 
     fn intern(&mut self, atom: &Atom) -> AtomId {
-        let row = atom.to_constraint(&self.order);
-        if let Some(&id) = self.ids.get(&row) {
-            return id;
-        }
-        let support = support(&row);
+        self.intern_row(atom.to_constraint(&self.order))
+    }
+
+    /// Intern an atom given as its row over the interner's order.
+    fn intern_row(&mut self, row: LinConstraint) -> AtomId {
         let id = self.entries.len();
-        let row = Rc::new(row);
-        self.ids.insert(Rc::clone(&row), id);
+        let row = match self.ids.entry(Rc::new(row)) {
+            Slot::Occupied(known) => return *known.get(),
+            Slot::Vacant(slot) => {
+                let row = Rc::clone(slot.key());
+                slot.insert(id);
+                row
+            }
+        };
+        let support = support(&row);
         self.entries.push(Entry {
-            truth: atom.constant_truth(),
+            truth: support.is_empty().then(|| row.rel.eval(&Rational::ZERO, &row.rhs)),
             row,
             atom: OnceCell::new(),
             support,
@@ -964,11 +1076,12 @@ impl Cells {
     /// Panics if the formula contains quantifiers or relation symbols.
     pub(crate) fn convert<E>(
         f: &Formula,
+        db: &Database,
         negated: bool,
         strategy: Strategy,
         poll: Poll<'_, E>,
     ) -> Result<Cells, E> {
-        let (mut atoms, nnf) = Interner::lower_formula(f, negated);
+        let (mut atoms, nnf) = Interner::lower_formula(f, db, negated);
         let estimate = nnf.estimate();
         let dimension = u32::try_from(atoms.order.len()).unwrap_or(u32::MAX);
         let outgrown = |planes: usize| planes.saturating_pow(dimension) >= estimate;
@@ -1292,11 +1405,52 @@ mod tests {
     mod differential {
         use super::super::{
             conjunct_satisfiable, dnf_shaped, infallible, never, sweep, tighten, to_dnf,
-            to_dnf_interned, to_dnf_pruned, AtomId, Cells, Conjunct, Dnf, Formula, Interner,
-            Strategy as Conversion, LP_ONLY,
+            to_dnf_interned, to_dnf_pruned, AtomId, Cells, Conjunct, Database, Dnf, Formula,
+            Interner, Strategy as Conversion, LP_ONLY,
         };
         use crate::arb::{arb_atom, arb_formula};
+        use crate::{LinExpr, Relation};
+        use lcdb_arith::int;
         use proptest::prelude::*;
+
+        /// Relations over atoms in `x`, `y`, `z`, of every shape `apply`
+        /// tells apart: no disjunct, an empty disjunct, `=` atoms, designated
+        /// variables with zero coefficients, and heads `(x, y, z, w)` (`w`
+        /// never used) or `(x, y, w, v)` (`z` not designated).
+        fn arb_relation() -> impl Strategy<Value = Relation> {
+            let conjunct = proptest::collection::vec(arb_atom(), 0..4);
+            let disjuncts = proptest::collection::vec(conjunct, 0..4);
+            (disjuncts, 0..4usize).prop_map(|(disjuncts, head)| {
+                let head = if head == 0 { ["x", "y", "w", "v"] } else { ["x", "y", "z", "w"] };
+                Relation::from_dnf(head.map(String::from).to_vec(), Dnf { disjuncts })
+            })
+        }
+
+        /// Four arguments: distinct variables in any order, over the
+        /// relation's own names and others, or such a list with a repeated
+        /// variable, a constant or an affine term in one place.
+        fn arb_args() -> impl Strategy<Value = Vec<LinExpr>> {
+            (0..120usize, 0..8usize, 0..3usize, -2i64..=2).prop_map(|(pick, at, kind, k)| {
+                let mut names = vec!["x", "y", "z", "u", "v"];
+                let mut pick = pick;
+                let mut args: Vec<LinExpr> = (0..4)
+                    .map(|i| {
+                        let name = names.remove(pick % (5 - i));
+                        pick /= 5 - i;
+                        LinExpr::var(name)
+                    })
+                    .collect();
+                if at < 4 {
+                    let other = args[(at + 1) % 4].clone();
+                    args[at] = match kind {
+                        0 => other,
+                        1 => LinExpr::constant(int(k)),
+                        _ => other.scale(&int(2)).add(&LinExpr::constant(int(k))),
+                    };
+                }
+                args
+            })
+        }
 
         /// The reference simplification: canonical atoms, constants folded,
         /// and — unless the input is trusted to be pruned already — one plain
@@ -1337,8 +1491,9 @@ mod tests {
             #[test]
             fn cell_witnesses_satisfy_their_atoms(f in arb_formula(24), negated in 0..2usize) {
                 for strategy in [Conversion::Pruned, Conversion::SignCells, Conversion::Auto] {
+                    let db = Database::new();
                     let mut cells =
-                        infallible(Cells::convert(&f, negated == 1, strategy, &mut never));
+                        infallible(Cells::convert(&f, &db, negated == 1, strategy, &mut never));
                     // Under `Auto` a small formula is plainly distributed and
                     // its conjuncts are decided here.
                     cells.simplify();
@@ -1387,8 +1542,9 @@ mod tests {
             fn propagated_conversion_equals_lp_only(f in arb_formula(24), negated in 0..2usize) {
                 let convert = |lp_only: bool| {
                     LP_ONLY.with(|flag| flag.set(lp_only));
-                    let cells =
-                        infallible(Cells::convert(&f, negated == 1, Conversion::Pruned, &mut never));
+                    let db = Database::new();
+                    let cells = Cells::convert(&f, &db, negated == 1, Conversion::Pruned, &mut never);
+                    let cells = infallible(cells);
                     LP_ONLY.with(|flag| flag.set(false));
                     for cell in &cells.cells {
                         let point = cell.witness.as_ref().expect("pruned cells are decided");
@@ -1400,6 +1556,39 @@ mod tests {
                     cells.into_dnf()
                 };
                 prop_assert_eq!(convert(false), convert(true));
+            }
+
+            /// A relation symbol lowered over its database — from its stored
+            /// rows when the arguments rename it, through `apply` otherwise —
+            /// gives what lowering its application gives: the same variable
+            /// order, the same rows under the same ids, the same `Nnf`, alone
+            /// or beside other atoms, in either polarity.
+            #[test]
+            fn a_relation_lowers_from_rows_as_its_application(
+                rel in arb_relation(),
+                args in arb_args(),
+                g in arb_formula(8),
+                shape in 0..3usize,
+                negated in 0..2usize,
+            ) {
+                // Built as they stand: the smart constructors would fold a
+                // constant application, and the symbol is no constant.
+                let in_context = |r: Formula| match shape {
+                    0 => r,
+                    1 => Formula::And(vec![g.clone(), r]),
+                    _ => Formula::Or(vec![r, Formula::Not(Box::new(g.clone()))]),
+                };
+                let lowered = |f: &Formula, db: &Database| {
+                    let (atoms, nnf) = Interner::lower_formula(f, db, negated == 1);
+                    let rows: Vec<_> =
+                        atoms.entries.iter().map(|e| ((*e.row).clone(), e.truth)).collect();
+                    (atoms.order, rows, nnf.distribute())
+                };
+                let mut db = Database::new();
+                db.insert("R", rel.clone());
+                let pred = Formula::Pred("R".into(), args.clone());
+                let want = lowered(&in_context(rel.apply(&args)), &Database::new());
+                prop_assert_eq!(lowered(&in_context(pred), &db), want);
             }
 
             /// Reading a DNF-shaped formula as it stands gives what the
@@ -1502,7 +1691,7 @@ mod tests {
         };
         let mut cells = None;
         let convert = counted(&mut |poll| {
-            cells = Some(Cells::convert(&f, false, Strategy::Pruned, poll)?);
+            cells = Some(Cells::convert(&f, &Database::new(), false, Strategy::Pruned, poll)?);
             Ok(())
         });
         let mut cells = cells.unwrap();
@@ -1571,7 +1760,8 @@ mod tests {
     fn a_bead_is_decided_at_the_centre_of_its_box() {
         let union = crate::parse_formula(&prisms(8, (1, 1)).join(" or ")).unwrap();
         let before = work::snapshot();
-        let cells = infallible(Cells::convert(&union, false, Strategy::Pruned, &mut never));
+        let db = Database::new();
+        let cells = infallible(Cells::convert(&union, &db, false, Strategy::Pruned, &mut never));
         let spent = before.since();
         assert_eq!(cells.cells.len(), 8);
         assert_eq!(spent[Work::DnfPointHits], 8);
@@ -1593,8 +1783,9 @@ mod tests {
     fn negated_prism_union_stops_at_its_poll() {
         let decisions = |n: usize, allowed: usize| {
             let f = outside_prisms_or_in_box(n);
+            let db = Database::new();
             let (out, calls) =
-                interrupted_after(allowed, |poll| Cells::convert(&f, false, Strategy::Auto, poll));
+                interrupted_after(allowed, |poll| Cells::convert(&f, &db, false, Strategy::Auto, poll));
             (out.map(|cells| cells.cells.len()), calls)
         };
         let (small, calls) = decisions(2, 50_000);

@@ -79,6 +79,16 @@ impl LinExpr {
         self.terms.contains_key(v)
     }
 
+    /// The variable this expression is, if it is one variable with
+    /// coefficient one and no constant.
+    pub fn as_var(&self) -> Option<&Var> {
+        let mut terms = self.terms.iter();
+        match (terms.next(), terms.next()) {
+            (Some((v, c)), None) if c.is_one() && self.constant.is_zero() => Some(v),
+            _ => None,
+        }
+    }
+
     /// Is this a constant expression?
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
@@ -214,6 +224,18 @@ impl fmt::Debug for LinExpr {
     }
 }
 
+/// The relations of [`Atom::negate`]'s atoms, in its order: `e REL 0` fails
+/// exactly where one of `e R 0` holds.
+pub(crate) fn negations(rel: Rel) -> &'static [Rel] {
+    match rel {
+        Rel::Lt => &[Rel::Ge],
+        Rel::Le => &[Rel::Gt],
+        Rel::Ge => &[Rel::Lt],
+        Rel::Gt => &[Rel::Le],
+        Rel::Eq => &[Rel::Lt, Rel::Gt],
+    }
+}
+
 /// An atomic linear constraint, normalized as `expr REL 0`.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
@@ -233,34 +255,13 @@ impl Atom {
     /// Negation as an (up to two-element) disjunction-free set:
     /// `¬(e < 0) ≡ e ≥ 0`, `¬(e = 0) ≡ e < 0 ∨ e > 0` (two atoms).
     pub fn negate(&self) -> Vec<Atom> {
-        match self.rel {
-            Rel::Lt => vec![Atom {
+        negations(self.rel)
+            .iter()
+            .map(|&rel| Atom {
                 expr: self.expr.clone(),
-                rel: Rel::Ge,
-            }],
-            Rel::Le => vec![Atom {
-                expr: self.expr.clone(),
-                rel: Rel::Gt,
-            }],
-            Rel::Ge => vec![Atom {
-                expr: self.expr.clone(),
-                rel: Rel::Lt,
-            }],
-            Rel::Gt => vec![Atom {
-                expr: self.expr.clone(),
-                rel: Rel::Le,
-            }],
-            Rel::Eq => vec![
-                Atom {
-                    expr: self.expr.clone(),
-                    rel: Rel::Lt,
-                },
-                Atom {
-                    expr: self.expr.clone(),
-                    rel: Rel::Gt,
-                },
-            ],
-        }
+                rel,
+            })
+            .collect()
     }
 
     /// Evaluate the atom at a point.

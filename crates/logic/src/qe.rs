@@ -9,7 +9,7 @@
 #[cfg(test)]
 use crate::dnf::to_dnf;
 use crate::dnf::{infallible, never, Cells, Conjunct, Dnf, Poll, Strategy};
-use crate::{Atom, Formula, LinExpr};
+use crate::{Atom, Database, Formula, LinExpr};
 use lcdb_lp::Rel;
 
 /// Eliminate all quantifiers from a predicate-free formula, returning an
@@ -47,7 +47,8 @@ fn eliminate_rec(f: &Formula) -> Formula {
             }
             vars.reverse();
             let matrix = eliminate_rec(body);
-            infallible(eliminate(&matrix, &vars, exists, Strategy::Pruned, &mut never))
+            let db = Database::new();
+            infallible(eliminate(&matrix, &db, &vars, exists, Strategy::Pruned, &mut never))
         }
         Formula::Pred(..) => unreachable!("checked by caller"),
     }
@@ -55,16 +56,18 @@ fn eliminate_rec(f: &Formula) -> Formula {
 
 /// Eliminate a block of like quantifiers over one list of cells: `∃ vars. f`
 /// directly, `∀ vars. f` as `¬∃ vars. ¬f`. `vars` is innermost first. The
-/// matrix is converted once; each variable is then one Fourier–Motzkin pass
-/// over cells that stay known satisfiable, so only the conversion runs LPs.
+/// matrix, whose relation symbols are `db`'s, is converted once; each
+/// variable is then one Fourier–Motzkin pass over cells that stay known
+/// satisfiable, so only the conversion runs LPs.
 fn eliminate<E>(
     f: &Formula,
+    db: &Database,
     vars: &[&str],
     exists: bool,
     strategy: Strategy,
     poll: Poll<'_, E>,
 ) -> Result<Formula, E> {
-    let mut cells = Cells::convert(f, !exists, strategy, poll)?;
+    let mut cells = Cells::convert(f, db, !exists, strategy, poll)?;
     for var in vars {
         poll()?;
         cells.project(var, |mentioning| fm_combine(mentioning, var));
@@ -79,18 +82,27 @@ fn eliminate<E>(
 /// [`eliminate_one_cells`] call per variable, without the round trips
 /// through [`Formula`] between them. `poll` is the interrupt callback of
 /// [`crate::dnf::Poll`], also polled once per variable.
+///
+/// A relation symbol of `f` is `db`'s: the conversion reads its stored
+/// atoms as rows, so the answer is that of `f` with every symbol replaced
+/// by [`crate::Relation::apply`], and no expanded matrix is built.
+///
+/// # Panics
+/// Panics if `f` applies a relation `db` lacks, or with the wrong arity.
 pub fn try_eliminate_block<E>(
     f: &Formula,
+    db: &Database,
     vars: &[&str],
     exists: bool,
     poll: Poll<'_, E>,
 ) -> Result<Formula, E> {
-    eliminate(f, vars, exists, Strategy::Auto, poll)
+    eliminate(f, db, vars, exists, Strategy::Auto, poll)
 }
 
-/// [`try_eliminate_block`] without an interrupt.
+/// [`try_eliminate_block`] of a predicate-free formula, without an
+/// interrupt.
 pub fn eliminate_block(f: &Formula, vars: &[&str], exists: bool) -> Formula {
-    infallible(try_eliminate_block(f, vars, exists, &mut never))
+    infallible(try_eliminate_block(f, &Database::new(), vars, exists, &mut never))
 }
 
 /// Eliminate a single element quantifier from a quantifier-free formula:
@@ -99,17 +111,6 @@ pub fn eliminate_block(f: &Formula, vars: &[&str], exists: bool) -> Formula {
 /// number of sign cells — not the boolean structure — bounds the work.
 pub fn eliminate_one_cells(f: &Formula, var: &str, exists: bool) -> Formula {
     eliminate_block(f, &[var], exists)
-}
-
-/// Eliminate `∃ var` from a DNF: Fourier–Motzkin on each disjunct.
-pub fn eliminate_exists_dnf(dnf: &Dnf, var: &str) -> Dnf {
-    Dnf {
-        disjuncts: dnf
-            .disjuncts
-            .iter()
-            .map(|c| fm_eliminate_conjunct(c, var))
-            .collect(),
-    }
 }
 
 /// Fourier–Motzkin elimination of a variable from a conjunction of atoms.

@@ -64,7 +64,8 @@ fn below_by_elimination(ext: &RegionExtension, p: usize, q: usize) -> bool {
         ext.region_formula(q, &["y".to_string()]),
         Formula::Atom(Atom::new(LinExpr::var("x"), Rel::Lt, LinExpr::var("y"))),
     ]);
-    let closed = qe::try_eliminate_block::<Infallible>(&body, &["y", "x"], true, &mut || Ok(()));
+    let (db, vars) = (ext.database(), ["y", "x"]);
+    let closed = qe::try_eliminate_block::<Infallible>(&body, db, &vars, true, &mut || Ok(()));
     closed
         .unwrap_or_else(|never| match never {})
         .eval(&BTreeMap::new())
