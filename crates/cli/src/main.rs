@@ -336,8 +336,8 @@ impl Shell {
                                 cat.extension_or_build(&self.db, &spatial, build)?;
                             if built {
                                 // This process exits without an orderly
-                                // shutdown: fold the WAL now, so the next
-                                // one opens on pages instead of a replay.
+                                // shutdown: checkpoint the index now, so
+                                // the next one opens without a replay.
                                 if let Err(e) = cat.checkpoint() {
                                     warnings.push(format!("store checkpoint failed: {e}"));
                                 }
@@ -731,19 +731,20 @@ fn parse_limit_flags(args: &[String]) -> Result<(Limits, Vec<String>), String> {
 const STORE_USAGE: &str = "\
 usage: lcdb store <init|stat|verify|compact> [DIR]
 
-Maintains the WAL-durable plan catalog used by `--store DIR` (shell) and
-`lcdb serve --store DIR`. DIR falls back to the shared `--store` flag
-when omitted.
+Maintains the plan catalog, a checksummed record log, used by `--store
+DIR` (shell) and `lcdb serve --store DIR`. DIR falls back to the shared
+`--store` flag when omitted.
 
   init      create an empty store (error if one already exists)
-  stat      print catalog, page, WAL and buffer-pool statistics
-  verify    checksum every page and reassemble every entry; exit 1 on damage
-  compact   rewrite live blobs contiguously and drop free pages";
+  stat      print entry, segment, index-checkpoint and replay statistics
+  verify    checksum the record of every entry; exit 1 on damage
+  compact   seal the active segment and copy the live records of every
+            segment holding a dead one forward, deleting it";
 
 /// `lcdb store <action> [DIR]`: offline maintenance of a plan catalog.
 /// Returns `Err("")` to request the usage text without an error banner.
 fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
-    use lcdb_store::{Store, StoreOptions};
+    use lcdb_store::Store;
     let mut it = args.iter();
     let action = match it.next().map(String::as_str) {
         None | Some("--help") | Some("-h") => return Err(String::new()),
@@ -765,7 +766,7 @@ fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
                 dir.display()
             ));
         }
-        Store::open(dir, StoreOptions::default()).map_err(|e| e.to_string())
+        Store::open(dir).map_err(|e| e.to_string())
     };
     match action.as_str() {
         "init" => {
@@ -781,39 +782,34 @@ fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
             println!("store {}", dir.display());
             println!("  entries     {}", st.entries);
             println!(
-                "  pages       {} ({} bytes, {} free, {} quarantined)",
-                st.pages, st.pages_bytes, st.free_pages, st.quarantined
+                "  log         {} segment(s), {} bytes ({} live blob bytes)",
+                st.segments,
+                st.pages_bytes + st.wal_bytes,
+                st.live_bytes
+            );
+            println!(
+                "  index       covers {} bytes, {} bytes behind it",
+                st.pages_bytes, st.wal_bytes
             );
             let torn = st
                 .torn_at
-                .map(|o| format!(", torn tail truncated at byte {}", o))
+                .map(|(seg, at)| format!(", torn tail truncated at segment {seg} byte {at}"))
                 .unwrap_or_default();
-            println!(
-                "  wal         {} bytes (next lsn {}, {} record(s) replayed on open{})",
-                st.wal_bytes, st.next_lsn, st.replayed, torn
-            );
-            println!(
-                "  pool        {} resident, {} hits, {} misses",
-                st.pool_resident, st.pool_hits, st.pool_misses
-            );
+            println!("  replay      {} record(s) on open{}", st.replayed, torn);
         }
         "verify" => {
-            let mut store = open(&dir)?;
+            let store = open(&dir)?;
             let rep = store.verify().map_err(|e| e.to_string())?;
             println!(
-                "verified {} entr(ies) over {} page(s) ({} hole(s))",
-                rep.entries, rep.pages, rep.holes
+                "verified {} entr(ies) over {} segment(s)",
+                rep.entries, rep.segments
             );
-            for p in &rep.corrupt_pages {
-                println!("  corrupt page {}", p);
-            }
             for (key, err) in &rep.bad_entries {
                 println!("  bad entry {}: {}", key, err);
             }
             if !rep.ok {
                 return Err(format!(
-                    "verification failed: {} corrupt page(s), {} bad entr(ies)",
-                    rep.corrupt_pages.len(),
+                    "verification failed: {} bad entr(ies)",
                     rep.bad_entries.len()
                 ));
             }
@@ -822,7 +818,7 @@ fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
         "compact" => {
             let mut store = open(&dir)?;
             let (before, after) = store.compact().map_err(|e| e.to_string())?;
-            println!("compacted {} -> {} page(s)", before, after);
+            println!("compacted {} -> {} log bytes", before, after);
         }
         other => return Err(format!("unknown store action '{}'", other)),
     }
@@ -846,7 +842,7 @@ shared `--store` flag when omitted.
 /// rows persisted in a plan catalog's stats segment. Returns `Err("")` to
 /// request the usage text without an error banner.
 fn run_stats(limits: &Limits, args: &[String]) -> Result<(), String> {
-    use lcdb_store::{json_u64_field, read_stats, read_stats_batched, Store, StoreOptions};
+    use lcdb_store::{json_u64_field, read_stats, read_stats_batched, Store};
     let mut it = args.iter();
     let action = match it.next().map(String::as_str) {
         None | Some("--help") | Some("-h") => return Err(String::new()),
@@ -874,7 +870,7 @@ fn run_stats(limits: &Limits, args: &[String]) -> Result<(), String> {
             dir.display()
         ));
     }
-    let mut store = Store::open(&dir, StoreOptions::default()).map_err(|e| e.to_string())?;
+    let mut store = Store::open(&dir).map_err(|e| e.to_string())?;
     if action == "top" {
         let rows = read_stats(&mut store, "req").map_err(|e| e.to_string())?;
         // plan_fp -> (requests, total self-time, tier>=1 hits)

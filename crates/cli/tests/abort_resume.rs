@@ -96,17 +96,25 @@ fn corrupt_snapshot_is_refused() {
     let dir_s = dir.to_string_lossy().into_owned();
     let (out, code) = lcdb(&["--store", &dir_s, "--max-iterations", "1", "-e", GAPPED, "connected"]);
     assert_eq!(code, 3, "{}", out);
-    // Fold the WAL into the page file, or replay would heal the flip.
+    // Bring every record under the index checkpoint, or replay would cut
+    // the flipped record as a torn tail instead of reading it.
     let (out, code) = lcdb(&["store", "compact", &dir_s]);
     assert_eq!(code, 0, "{}", out);
-    let pages = dir.join("store.pages");
-    let mut bytes = std::fs::read(&pages).expect("page file");
+    let segment = std::fs::read_dir(&dir)
+        .expect("store directory")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            p.extension().is_some_and(|x| x == "log")
+                && std::fs::read(p).expect("segment").windows(8).any(|w| w == b"LCDBSNAP")
+        })
+        .expect("a segment holds the stored snapshot");
+    let mut bytes = std::fs::read(&segment).expect("segment");
     let blob = bytes
         .windows(8)
         .position(|w| w == b"LCDBSNAP")
         .expect("the stored snapshot starts with its magic");
     bytes[blob + 40] ^= 0x01;
-    std::fs::write(&pages, &bytes).expect("write");
+    std::fs::write(&segment, &bytes).expect("write");
 
     let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
     assert_eq!(code, 0, "{}", out);

@@ -128,32 +128,34 @@ fn a_changed_definition_misses_persisted_entries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A store of the format before content-addressed keys cannot be opened:
-/// the shell warns, runs without persistence, and answers.
+/// A store of an older format cannot be opened — version 1 (before
+/// content-addressed keys) or version 2 (pages beside a WAL, before the
+/// record log): the shell warns, runs without persistence, and answers.
 #[test]
 fn a_version_1_store_warns_and_runs_without_persistence() {
-    let dir = temp_dir("v1");
-    let dir_s = dir.to_string_lossy().into_owned();
-    let (out, code) = lcdb(&["store", "init", &dir_s]);
-    assert_eq!(code, 0, "{}", out);
-    // store.meta is magic · version · page size · fnv1a64(version · page size).
-    let meta = dir.join("store.meta");
-    let mut bytes = std::fs::read(&meta).expect("meta");
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let sum = lcdb_exec::hash::fnv1a64(&bytes[8..16]);
-    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&meta, &bytes).expect("write meta");
+    for version in [1u32, 2] {
+        let dir = temp_dir(&format!("v{version}"));
+        let dir_s = dir.to_string_lossy().into_owned();
+        let (out, code) = lcdb(&["store", "init", &dir_s]);
+        assert_eq!(code, 0, "{}", out);
+        // store.meta is magic · version · reserved · fnv1a64(version · reserved).
+        let meta = dir.join("store.meta");
+        let mut bytes = std::fs::read(&meta).expect("meta");
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let sum = lcdb_exec::hash::fnv1a64(&bytes[8..16]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&meta, &bytes).expect("write meta");
 
-    let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
-    assert_eq!(code, 0, "{}", out);
-    assert!(
-        out.contains("meta file has version 1, this build reads version 2 (persistence disabled)"),
-        "{}",
-        out
-    );
-    assert!(out.contains("false"), "{}", out);
-    let (out, code) = lcdb(&["store", "stat", &dir_s]);
-    assert_eq!(code, 1, "{}", out);
-    assert!(out.contains("version 1"), "{}", out);
-    let _ = std::fs::remove_dir_all(&dir);
+        let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
+        assert_eq!(code, 0, "{}", out);
+        let warning = format!(
+            "meta file has version {version}, this build reads version 3 (persistence disabled)"
+        );
+        assert!(out.contains(&warning), "{}", out);
+        assert!(out.contains("false"), "{}", out);
+        let (out, code) = lcdb(&["store", "stat", &dir_s]);
+        assert_eq!(code, 1, "{}", out);
+        assert!(out.contains(&format!("version {version}")), "{}", out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -31,7 +31,7 @@
 //! the list on load. Space comes back by least-recently-used eviction before
 //! a put that would pass [`MAX_LIVE_BYTES`].
 //!
-//! All blobs ride the store's WAL, page checksums, and quarantine: a torn or
+//! Every blob is one checksummed record of the store's log: a torn or
 //! bit-flipped catalog entry is reported as a typed [`StoreError`] and the
 //! caller falls back to recomputing — never to serving corrupt state.
 
@@ -44,7 +44,7 @@ use lcdb_geom::{Arrangement, Face, Hyperplane};
 use lcdb_logic::Database;
 use lcdb_recover::Snapshot;
 use lcdb_store::{
-    EntryKey, Store, StoreError, StoreOptions, StoreStat, VerifyReport, CLASS_ARRANGEMENT,
+    EntryKey, Store, StoreError, StoreStat, VerifyReport, CLASS_ARRANGEMENT,
     CLASS_FIXPOINT, CLASS_RESULT,
 };
 use std::path::Path;
@@ -72,8 +72,8 @@ pub fn database_fingerprint(db: &Database, spatial: Option<&str>) -> u64 {
 /// holds eight such runs, and eight of the largest blob the store accepts.
 /// It must: that run's base-map entries are its least recently used (their
 /// reads hit the in-memory cache), and it fails if its restart recomputes
-/// them. Pages cost more than live bytes, since an entry takes whole 4 KiB
-/// pages: the run's 33 MB filled 94 MB of them.
+/// them. On disk each blob is one log record of its own length, and
+/// compaction keeps the log within twice the live bytes plus one segment.
 pub const MAX_LIVE_BYTES: u64 = 256 << 20;
 
 /// Version tag of the arrangement blob layout: 2 stores each face's recession
@@ -203,7 +203,7 @@ impl PlanCatalog {
     /// Open the catalog at `dir`, initializing a fresh store if none exists.
     pub fn open(dir: &Path) -> Result<PlanCatalog, StoreError> {
         let store = if Store::exists(dir) {
-            Store::open(dir, StoreOptions::default())?
+            Store::open(dir)?
         } else {
             Store::init(dir)?
         };
@@ -219,7 +219,7 @@ impl PlanCatalog {
     /// Put `data` under `key`. A put that would take the live blob bytes
     /// past [`MAX_LIVE_BYTES`] first evicts least-recently-used entries down
     /// to three quarters of it, so one eviction (a sort of the catalog and
-    /// one WAL record) pays for a quarter of the bound's worth of puts.
+    /// one log record) pays for a quarter of the bound's worth of puts.
     fn put(&self, key: EntryKey, data: &[u8]) -> Result<(), StoreError> {
         let mut store = self.lock();
         if store.live_bytes() + data.len() as u64 > MAX_LIVE_BYTES {
@@ -367,7 +367,7 @@ impl PlanCatalog {
     /// and then a *recoverable* abort stores [`Evaluator::checkpoint`]
     /// under the same key, while success drops a leftover entry — the
     /// result entry answers from then on, and a snapshot nothing can reach
-    /// is a WAL append for nothing.
+    /// is a log append for nothing.
     ///
     /// `ev` is the evaluator over the decomposition of the database that
     /// `db_fp` names, or the error its construction tripped on: a
@@ -428,7 +428,7 @@ impl PlanCatalog {
         }
     }
 
-    /// Checkpoint the store: flush pages, snapshot the catalog, reset the WAL.
+    /// Checkpoint the store's index, so the next open replays no record.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         self.lock().checkpoint()
     }
@@ -450,7 +450,7 @@ impl PlanCatalog {
         self.lock().stat()
     }
 
-    /// Full verification sweep over pages and entries.
+    /// Full verification sweep: read back and checksum every entry's record.
     pub fn verify(&self) -> Result<VerifyReport, StoreError> {
         self.lock().verify()
     }
@@ -539,7 +539,8 @@ mod tests {
     }
 
     /// The shared `Cursor` under mutation, through each format built on it:
-    /// a fixpoint snapshot, a `store.cat` image and an arrangement blob.
+    /// a fixpoint snapshot, a `store.cat` image, a `Put` and a `Delete`
+    /// record of the store's log and an arrangement blob.
     #[test]
     fn every_truncation_and_byte_flip_is_typed() {
         let db = sample_db();
@@ -582,6 +583,31 @@ mod tests {
             |b| lcdb_store::Catalog::decode(b).map(drop),
             store_offset,
         );
+
+        let key = |name: &str| EntryKey {
+            class: CLASS_RESULT,
+            plan_fp: 7,
+            db_fp: 9,
+            name: name.into(),
+        };
+        let records = [
+            lcdb_store::Record::Put {
+                key: key("put"),
+                data: b"(0 < x and x < 1)".to_vec(),
+            },
+            lcdb_store::Record::Delete {
+                keys: vec![key("a"), key("b")],
+            },
+        ];
+        for record in &records {
+            mutate(
+                "log record",
+                &record.encode(),
+                true,
+                |b| lcdb_store::Record::decode(b).map(drop),
+                store_offset,
+            );
+        }
 
         mutate(
             "arrangement blob",

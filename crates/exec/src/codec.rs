@@ -1,5 +1,5 @@
 //! Little-endian binary encoding shared by every durable format of the
-//! workspace: snapshots (`lcdb-recover`), the store's WAL records and
+//! workspace: snapshots (`lcdb-recover`), the store's log records and
 //! catalog image (`lcdb-store`), arrangement blobs (`lcdb-core`).
 //!
 //! Writers append to a `Vec<u8>`; the reader is one bounds-checked

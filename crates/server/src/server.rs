@@ -76,7 +76,7 @@ const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Buffered telemetry rows are appended to the persistent stats segment in
 /// batches of this many (and at shutdown), so a busy server amortises the
-/// WAL append instead of paying it per request.
+/// log append instead of paying it per request.
 const STATS_BATCH: usize = 32;
 
 /// Everything the server's behaviour depends on. `Default` is tuned for

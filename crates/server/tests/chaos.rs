@@ -304,8 +304,7 @@ fn seeded_chaos_preserves_answers_and_shuts_down_cleanly() {
 /// Fixpoint entries in the store at `dir`, read once the server that owned
 /// it has shut down.
 fn stored_fixpoints(dir: &Path) -> usize {
-    let store = lcdb_store::Store::open(dir, lcdb_store::StoreOptions::default())
-        .expect("store opens");
+    let store = lcdb_store::Store::open(dir).expect("store opens");
     store
         .entries()
         .filter(|e| e.key.class == lcdb_store::CLASS_FIXPOINT)

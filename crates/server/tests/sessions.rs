@@ -613,8 +613,7 @@ fn a_request_row_carries_its_work() {
         assert_eq!((r.code, r.body.as_str(), r.aux), (RespCode::Ok, "true", tier));
     }
     server.shutdown();
-    let mut store =
-        lcdb_store::Store::open(&dir, lcdb_store::StoreOptions::default()).expect("open store");
+    let mut store = lcdb_store::Store::open(&dir).expect("open store");
     let rows = lcdb_store::read_stats(&mut store, "req").expect("read stats");
     let evals: Vec<&String> = rows.iter().filter(|r| r.contains("\"op\":\"eval_sentence\"")).collect();
     assert_eq!(evals.len(), 2, "{rows:?}");
@@ -638,7 +637,7 @@ fn a_version_1_store_is_refused_at_start() {
     let dir = std::env::temp_dir().join(format!("lcdb-server-v1-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     drop(lcdb_store::Store::init(&dir).expect("init"));
-    // store.meta is magic · version · page size · fnv1a64(version · page size).
+    // store.meta is magic · version · reserved · fnv1a64(version · reserved).
     let meta = dir.join("store.meta");
     let mut bytes = std::fs::read(&meta).expect("meta");
     bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
@@ -654,7 +653,7 @@ fn a_version_1_store_is_refused_at_start() {
     )
     .err()
     .expect("a version-1 store must be refused");
-    assert_eq!(err.to_string(), "meta file has version 1, this build reads version 2");
+    assert_eq!(err.to_string(), "meta file has version 1, this build reads version 3");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,11 +1,12 @@
 //! Deterministic store writer for the crash-torture harness.
 //!
 //! Runs a seeded workload of puts, deletes, least-recently-used evictions
-//! (each after a get) and checkpoints against a store directory. Before each operation it prints
-//! `begin-op K` (flushed), so a harness that kills this process mid-write
-//! knows which operation was in flight; at the end it prints the number of
-//! kill points passed (`kill_points=H`), which is the size of the kill
-//! matrix for this seed.
+//! (each after a get), checkpoints and compactions against a store
+//! directory. Before each operation it prints `begin-op K` (flushed), so a
+//! harness that kills this process mid-write knows which operation was in
+//! flight; at the end it prints the kill points passed at each site
+//! (`site store.append=N`, …) and in all (`kill_points=H`), which is the
+//! size of the kill matrix for this seed.
 //!
 //! With `--dump-each DIR`, the canonical state dump is written after every
 //! operation (`op-K.bin`, plus `op-0.bin` for the empty store): the
@@ -20,9 +21,13 @@ use std::process::ExitCode;
 
 use lcdb_exec::hash::splitmix64;
 use lcdb_store::{
-    kill, EntryKey, Store, StoreOptions, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT,
-    CLASS_STATS, PAGE_PAYLOAD,
+    kill, EntryKey, Store, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT, CLASS_STATS,
 };
+
+/// Blob lengths are drawn from `0..BLOB_LEN`.
+const BLOB_LEN: u64 = 12_209;
+/// Eviction targets are drawn from `0..EVICT_TARGET` live bytes.
+const EVICT_TARGET: u64 = 32_512;
 
 struct Rng(u64);
 
@@ -45,7 +50,7 @@ fn random_key(rng: &mut Rng) -> EntryKey {
 }
 
 fn random_data(rng: &mut Rng) -> Vec<u8> {
-    let len = (rng.next() % (3 * PAGE_PAYLOAD as u64 + 17)) as usize;
+    let len = (rng.next() % BLOB_LEN) as usize;
     let mut data = Vec::with_capacity(len);
     while data.len() < len {
         let chunk = rng.next().to_le_bytes();
@@ -95,7 +100,7 @@ fn run() -> Result<(), String> {
     lcdb_trace::recorder::init();
     let trace = lcdb_trace::TraceHandle::disabled_ref();
     let mut store = if Store::exists(&dir) {
-        Store::open(&dir, StoreOptions::default()).map_err(|e| e.to_string())?
+        Store::open(&dir).map_err(|e| e.to_string())?
     } else {
         Store::init(&dir).map_err(|e| e.to_string())?
     };
@@ -111,8 +116,13 @@ fn run() -> Result<(), String> {
         match rng.next() % 10 {
             0 => store.checkpoint().map_err(|e| e.to_string())?,
             1 => {
-                let key = random_key(&mut rng);
-                store.delete(&key).map_err(|e| e.to_string())?;
+                // A delete removes a live entry, if there is one, so it
+                // leaves a dead record for a later compaction.
+                let live: Vec<EntryKey> = store.entries().map(|e| e.key.clone()).collect();
+                let pick = rng.next() as usize % live.len().max(1);
+                if let Some(key) = live.get(pick) {
+                    store.delete(key).map_err(|e| e.to_string())?;
+                }
             }
             2 => {
                 // A get moves one entry (if present) to the back of the
@@ -120,8 +130,11 @@ fn run() -> Result<(), String> {
                 // everything evictable to evicting nothing.
                 let key = random_key(&mut rng);
                 store.get(&key).map_err(|e| e.to_string())?;
-                let target = rng.next() % (8 * PAGE_PAYLOAD as u64);
+                let target = rng.next() % EVICT_TARGET;
                 store.evict_lru(target).map_err(|e| e.to_string())?;
+            }
+            3 => {
+                store.compact().map_err(|e| e.to_string())?;
             }
             _ => {
                 let key = random_key(&mut rng);
@@ -133,6 +146,9 @@ fn run() -> Result<(), String> {
             let dump = store.canonical_dump().map_err(|e| e.to_string())?;
             std::fs::write(d.join(format!("op-{k}.bin")), dump).map_err(|e| e.to_string())?;
         }
+    }
+    for (site, hits) in kill::site_hits() {
+        emit(&format!("site {site}={hits}"));
     }
     emit(&format!("kill_points={}", kill::hits()));
     emit("ops-done");

@@ -1,20 +1,18 @@
 //! The catalog: named blobs keyed by plan and database fingerprints.
 //!
-//! The catalog is the store's root structure: a map from [`EntryKey`] to the
-//! page chain holding the blob, plus the allocation watermarks. It lives in
-//! memory while the store is open and is made durable two ways: every
-//! mutation is WAL-logged first, and a checkpoint writes the whole catalog
-//! as an atomically-renamed, checksummed snapshot (`store.cat`) after which
-//! the WAL is reset. Recovery is `snapshot + replay`, and replay is
-//! idempotent, so either the old or the new snapshot works.
+//! The catalog is the store's index: a map from [`EntryKey`] to the log
+//! record holding the blob, plus the position the index covers the log up
+//! to. It lives in memory while the store is open. A checkpoint writes it as
+//! an atomically renamed, checksummed image (`store.cat`); an open loads the
+//! image and replays the log records behind its position.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 
+use crate::{kill, StoreError};
 use lcdb_exec::codec::{put_str, put_u32, put_u64, put_u8, Cursor};
-use crate::StoreError;
 use lcdb_exec::hash::fnv1a64;
 
 /// Entry class: a completed hyperplane arrangement (keyed by a fingerprint
@@ -57,7 +55,7 @@ impl EntryKey {
         format!("{class}:{:016x}:{:016x}:{}", self.plan_fp, self.db_fp, self.name)
     }
 
-    /// Append the key to a catalog snapshot, WAL record or state dump.
+    /// Append the key to a catalog image, log record or state dump.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_u8(out, self.class);
         put_u64(out, self.plan_fp);
@@ -76,50 +74,56 @@ impl EntryKey {
     }
 }
 
-/// A catalog entry: where a blob lives and how to validate it.
+/// A catalog entry: the record holding a blob and how to validate it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CatEntry {
     /// The entry's identity.
     pub key: EntryKey,
-    /// Blob identity stamped into every page of the chain.
-    pub blob_id: u64,
-    /// The blob's pages in chain order.
-    pub pages: Vec<u32>,
-    /// Total blob length in bytes.
+    /// The segment holding the entry's `Put` record.
+    pub segment: u32,
+    /// Byte offset of the record's frame in its segment.
+    pub offset: u64,
+    /// Length of the frame, header included.
+    pub len: u32,
+    /// Blob length in bytes.
     pub total_len: u64,
-    /// FNV-1a-64 over the blob bytes.
+    /// FNV-1a-64 over the frame's payload and then its header.
     pub checksum: u64,
+    /// Write order: an entry's recency after an open starts from it.
+    pub seq: u64,
 }
 
-/// The in-memory catalog plus allocation watermarks.
+/// The in-memory index plus the log position it covers.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
     /// All live entries.
     pub entries: BTreeMap<EntryKey, CatEntry>,
-    /// Next log sequence number to assign.
-    pub next_lsn: u64,
-    /// Next blob id to assign.
-    pub next_blob: u64,
+    /// The `(segment, offset)` the index covers the log up to: an open
+    /// replays the records from there on.
+    pub tail: (u32, u64),
+    /// Next write sequence number to assign.
+    pub next_seq: u64,
 }
 
 const CAT_MAGIC: &[u8; 8] = b"LCDBCAT1";
-const CAT_VERSION: u32 = 2;
+/// Version 3 locates each entry by log record where 2 listed its pages.
+const CAT_VERSION: u32 = 3;
 
 impl Catalog {
     fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.next_lsn);
-        put_u64(&mut out, self.next_blob);
+        put_u64(&mut out, self.next_seq);
+        put_u32(&mut out, self.tail.0);
+        put_u64(&mut out, self.tail.1);
         put_u64(&mut out, self.entries.len() as u64);
         for e in self.entries.values() {
             e.key.encode(&mut out);
-            put_u64(&mut out, e.blob_id);
-            put_u32(&mut out, e.pages.len() as u32);
-            for p in &e.pages {
-                put_u32(&mut out, *p);
-            }
+            put_u32(&mut out, e.segment);
+            put_u64(&mut out, e.offset);
+            put_u32(&mut out, e.len);
             put_u64(&mut out, e.total_len);
             put_u64(&mut out, e.checksum);
+            put_u64(&mut out, e.seq);
         }
         out
     }
@@ -164,45 +168,36 @@ impl Catalog {
             });
         }
         let mut c = Cursor::with_base(payload, payload_start as u64, "catalog");
-        let next_lsn = c.u64("next lsn")?;
-        let next_blob = c.u64("next blob id")?;
-        let count = c.u64("entry count")?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..count {
-            let key = EntryKey::decode(&mut c)?;
-            let blob_id = c.u64("entry blob id")?;
-            let npages = c.u32("entry page count")?;
-            let mut pages = Vec::with_capacity(npages.min(65_536) as usize);
-            for _ in 0..npages {
-                pages.push(c.u32("entry page number")?);
-            }
-            let total_len = c.u64("entry blob length")?;
-            let checksum = c.u64("entry blob checksum")?;
-            entries.insert(
-                key.clone(),
-                CatEntry {
-                    key,
-                    blob_id,
-                    pages,
-                    total_len,
-                    checksum,
-                },
-            );
-        }
+        let next_seq = c.u64("next sequence number")?;
+        let tail = (c.u32("tail segment")?, c.u64("tail offset")?);
+        let entries = c.seq("entry count", |c| {
+            let e = CatEntry {
+                key: EntryKey::decode(c)?,
+                segment: c.u32("entry segment")?,
+                offset: c.u64("entry offset")?,
+                len: c.u32("entry record length")?,
+                total_len: c.u64("entry blob length")?,
+                checksum: c.u64("entry record checksum")?,
+                seq: c.u64("entry sequence number")?,
+            };
+            Ok::<_, StoreError>((e.key.clone(), e))
+        })?;
         c.done("catalog snapshot")?;
         Ok(Catalog {
-            entries,
-            next_lsn,
-            next_blob,
+            entries: entries.into_iter().collect(),
+            tail,
+            next_seq,
         })
     }
 
     /// Write the snapshot atomically: serialize to `path.tmp`, fsync,
     /// rename over `path`. A crash leaves the old snapshot or the new one,
-    /// never a torn mixture.
+    /// never a torn mixture. Kill points (`store.checkpoint`) sit before
+    /// the write, before the rename and after it.
     pub fn write_to(&self, path: &Path) -> Result<(), StoreError> {
         let bytes = self.encode();
         let tmp = path.with_extension("cat.tmp");
+        kill::point("store.checkpoint");
         {
             let mut f = File::create(&tmp)
                 .map_err(|e| StoreError::io("creating the catalog snapshot", e))?;
@@ -211,14 +206,13 @@ impl Catalog {
             f.sync_all()
                 .map_err(|e| StoreError::io("fsyncing the catalog snapshot", e))?;
         }
+        kill::point("store.checkpoint");
         std::fs::rename(&tmp, path)
             .map_err(|e| StoreError::io("renaming the catalog snapshot into place", e))?;
-        // Best-effort directory sync so the rename itself is durable.
         if let Some(dir) = path.parent() {
-            if let Ok(d) = OpenOptions::new().read(true).open(dir) {
-                let _ = d.sync_all();
-            }
+            sync_dir(dir);
         }
+        kill::point("store.checkpoint");
         Ok(())
     }
 
@@ -232,6 +226,14 @@ impl Catalog {
     }
 }
 
+/// Best-effort fsync of a directory, so a file created or renamed in it
+/// stays there after a crash.
+pub(crate) fn sync_dir(dir: &Path) {
+    if let Ok(d) = OpenOptions::new().read(true).open(dir) {
+        let _ = d.sync_all();
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -239,8 +241,8 @@ mod tests {
 
     fn sample() -> Catalog {
         let mut cat = Catalog {
-            next_lsn: 42,
-            next_blob: 7,
+            tail: (4, 42),
+            next_seq: 7,
             ..Catalog::default()
         };
         let key = EntryKey {
@@ -253,10 +255,12 @@ mod tests {
             key.clone(),
             CatEntry {
                 key,
-                blob_id: 3,
-                pages: vec![0, 1, 5],
+                segment: 3,
+                offset: 512,
+                len: 9040,
                 total_len: 9000,
                 checksum: 0x1234,
+                seq: 5,
             },
         );
         cat
@@ -266,8 +270,8 @@ mod tests {
     fn snapshot_roundtrip() {
         let cat = sample();
         let back = Catalog::decode(&cat.encode()).unwrap();
-        assert_eq!(back.next_lsn, 42);
-        assert_eq!(back.next_blob, 7);
+        assert_eq!(back.tail, (4, 42));
+        assert_eq!(back.next_seq, 7);
         assert_eq!(back.entries, cat.entries);
     }
 

@@ -8,9 +8,10 @@
 //! there, and asserts recovery lands byte-identically on the pre- or
 //! post-write state.
 //!
-//! Arming is purely environmental, so the instrumentation is always
-//! compiled (one relaxed atomic increment and one `OnceLock` read when
-//! disarmed) and production binaries are unaffected:
+//! Every point belongs to one of the [`SITES`]. Arming is purely
+//! environmental, so the instrumentation is always compiled (two relaxed
+//! atomic increments and one `OnceLock` read when disarmed) and production
+//! binaries are unaffected:
 //!
 //! * `LCDB_KILL_AT=n` — exit at the `n`-th kill point hit, any site;
 //! * `LCDB_KILL_SITE=site:n` — exit at the `n`-th hit of `site`.
@@ -20,15 +21,31 @@
 //! writes not yet issued are lost, exactly the torn states recovery must
 //! handle.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Exit code used when a kill point fires, distinguishable from every exit
 /// code the CLI uses.
 pub const KILL_EXIT_CODE: i32 = 86;
 
+/// Every kill site: a record append (before / torn / unsynced / after), a
+/// compaction copy (before / torn / written; one fsync covers the copies),
+/// an index checkpoint (before / image synced / renamed) and a segment
+/// delete (before / after).
+pub const SITES: [&str; 4] = [
+    "store.append",
+    "store.compact",
+    "store.checkpoint",
+    "store.segment_delete",
+];
+
 static HITS: AtomicU64 = AtomicU64::new(0);
+static SITE_HITS: [AtomicU64; 4] = [
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+    AtomicU64::new(0),
+];
 
 enum Mode {
     Off,
@@ -62,14 +79,14 @@ fn mode() -> &'static Mode {
     })
 }
 
-fn site_counts() -> &'static Mutex<HashMap<String, u64>> {
-    static COUNTS: OnceLock<Mutex<HashMap<String, u64>>> = OnceLock::new();
-    COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Record passing kill point `site`; exit the process here if armed to.
+/// Record passing a kill point of `site` (one of [`SITES`]); exit the
+/// process here if armed to.
 pub fn point(site: &str) {
     let n = HITS.fetch_add(1, Ordering::Relaxed) + 1;
+    let nth_here = SITES
+        .iter()
+        .position(|s| *s == site)
+        .map(|i| SITE_HITS[i].fetch_add(1, Ordering::Relaxed) + 1);
     match mode() {
         Mode::Off => {}
         Mode::At(k) => {
@@ -78,18 +95,8 @@ pub fn point(site: &str) {
             }
         }
         Mode::Site { site: want, nth } => {
-            if site == want {
-                let mut counts = match site_counts().lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let c = counts.entry(want.clone()).or_insert(0);
-                *c += 1;
-                if *c == *nth {
-                    let hit = *c;
-                    drop(counts);
-                    die(site, hit);
-                }
+            if site == want && nth_here == Some(*nth) {
+                die(site, *nth);
             }
         }
     }
@@ -107,4 +114,9 @@ fn die(site: &str, hit: u64) -> ! {
 /// Total kill points passed by this process so far.
 pub fn hits() -> u64 {
     HITS.load(Ordering::Relaxed)
+}
+
+/// Kill points passed so far at each of [`SITES`], in that order.
+pub fn site_hits() -> [(&'static str, u64); 4] {
+    std::array::from_fn(|i| (SITES[i], SITE_HITS[i].load(Ordering::Relaxed)))
 }

@@ -1,32 +1,33 @@
-//! WAL-durable paged storage for constraint-database artifacts.
+//! Log-structured storage for constraint-database artifacts.
 //!
 //! Every other layer of the workspace rebuilds its expensive state —
 //! hyperplane arrangements, query results, fixpoint stages — from text on
-//! every process start. This crate gives those artifacts a crash-safe home:
+//! every process start. This crate gives those artifacts a crash-safe home.
+//! Each stored artifact is immutable and keyed by what it was computed from,
+//! so nothing is updated in place, and the store is one log:
 //!
-//! * a **paged binary file** (`store.pages`): fixed 4 KiB pages, each with a
-//!   self-identifying header and an FNV-1a-64 checksum over its contents, so
-//!   bit-rot and misdirected writes are detected on read, never served;
-//! * a **write-ahead log** (`store.wal`): checksummed, length-prefixed
-//!   records fsynced before any page is touched; replay truncates a torn
-//!   tail and rewrites every page named by a committed record, so recovery
-//!   always lands on the pre-write or post-write state of the interrupted
-//!   operation;
-//! * a small least-recently-used **buffer pool** ([`BufferPool`]);
-//!   pages that fail their checksum are quarantined and reported as a typed
-//!   [`StoreError`] — the store never panics on corrupt input;
-//! * a **catalog** of named blobs keyed by `(class, plan fingerprint,
-//!   database fingerprint, name)`, so arrangements and fixpoint results are
-//!   computed once and reused across processes. A key names what its blob
-//!   was computed from, so an entry never goes stale and nothing is
-//!   invalidated: space comes back through [`Store::evict_lru`], which drops
-//!   least-recently-used entries (never telemetry) in one WAL record.
+//! * a directory of numbered **segment files** holding checksummed,
+//!   length-prefixed [`Record`]s — `Put { key, data }` and
+//!   `Delete { keys }` — each fsynced before its operation returns. The
+//!   record is the commit point and the blob's only copy on disk;
+//! * an in-memory **index** ([`Catalog`]) from key to the record holding its
+//!   blob, checkpointed to `store.cat` whenever a segment is sealed and
+//!   rebuilt at open from that checkpoint plus a replay of the tail behind
+//!   it. Replay truncates a torn tail record, so recovery lands on the pre-
+//!   or post-write state of the interrupted operation. A read is one
+//!   positioned read and one checksum; a record that fails it is a typed
+//!   [`StoreError`], never served;
+//! * **compaction**: a sealed segment more than half dead has its live
+//!   records copied forward and is deleted, so the log stays within twice
+//!   its live records plus one segment ([`SEGMENT_BYTES`]) with no caller of
+//!   [`Store::checkpoint`]. Entries go by [`Store::evict_lru`], which drops
+//!   least-recently-used entries (never telemetry) in one `Delete` record.
 //!
 //! Crash-robustness is enforced by the [`kill`] module: environment-armed
-//! process kill points at every durability-critical step (sites
-//! `store.wal_append`, `store.page_flush`, `store.checkpoint`), driven by a
-//! torture harness that kills a writer at hundreds of seeded points and
-//! byte-checks the recovered state against fault-free baselines.
+//! process kill points at every durability-critical step (the sites of
+//! [`kill::SITES`]), driven by a torture harness that kills a writer at
+//! hundreds of seeded points and byte-checks the recovered state against
+//! fault-free baselines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,19 +40,15 @@ pub mod kill;
 pub mod stats;
 
 mod catalog;
-mod page;
-mod pool;
+mod log;
 mod store;
-mod wal;
 
 pub use catalog::{
     Catalog, CatEntry, EntryKey, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT, CLASS_STATS,
 };
+pub use log::Record;
 pub use stats::{append_stats, json_u64_field, read_stats, read_stats_batched, stats_batches};
-pub use page::{PAGE_PAYLOAD, PAGE_SIZE};
-pub use pool::BufferPool;
-pub use store::{Store, StoreOptions, StoreStat, VerifyReport};
-pub use wal::{ReplayReport, WalOp, WalRecord};
+pub use store::{Store, StoreStat, VerifyReport, SEGMENT_BYTES};
 
 /// Typed errors for every way the store can fail. The store never panics on
 /// corrupt or truncated input: every defect is reported through one of these
@@ -67,7 +64,7 @@ pub enum StoreError {
     },
     /// A store file began with the wrong magic bytes.
     BadMagic {
-        /// Which file ("meta", "catalog", "pages").
+        /// Which file ("meta", "catalog").
         file: &'static str,
     },
     /// A store file was written by an unsupported format version.
@@ -79,7 +76,7 @@ pub enum StoreError {
         /// The version this build reads.
         supported: u32,
     },
-    /// A whole-file checksum did not match (meta or catalog snapshot).
+    /// A checksum did not match (meta, catalog snapshot or a log record).
     ChecksumMismatch {
         /// Which file.
         file: &'static str,
@@ -87,21 +84,6 @@ pub enum StoreError {
         expected: u64,
         /// The checksum recomputed from the payload.
         found: u64,
-    },
-    /// A page failed its checksum or self-identification on read; the page
-    /// has been quarantined.
-    CorruptPage {
-        /// The page number.
-        page: u32,
-        /// The checksum recorded in the page header.
-        expected: u64,
-        /// The checksum recomputed from the page contents.
-        found: u64,
-    },
-    /// A read touched a page already quarantined by an earlier failure.
-    Quarantined {
-        /// The page number.
-        page: u32,
     },
     /// A file ended in the middle of a structure.
     Truncated {
@@ -119,13 +101,13 @@ pub enum StoreError {
         /// Human-readable detail.
         message: String,
     },
-    /// A reassembled blob did not match the checksum in its catalog entry.
+    /// A record read back did not match the checksum in its catalog entry.
     BlobChecksum {
         /// Rendered entry key.
         entry: String,
         /// The checksum recorded in the catalog.
         expected: u64,
-        /// The checksum recomputed from the page payloads.
+        /// The checksum recomputed from the record.
         found: u64,
     },
     /// A blob exceeded the maximum the store accepts.
@@ -166,13 +148,6 @@ impl fmt::Display for StoreError {
                 f,
                 "{file} file checksum mismatch: recorded {expected:016x}, computed {found:016x}"
             ),
-            StoreError::CorruptPage { page, expected, found } => write!(
-                f,
-                "page {page} is corrupt (recorded checksum {expected:016x}, computed {found:016x}); page quarantined"
-            ),
-            StoreError::Quarantined { page } => {
-                write!(f, "page {page} is quarantined after an earlier corruption")
-            }
             StoreError::Truncated { file, offset, context } => write!(
                 f,
                 "{file} file truncated while reading {context} at byte offset {offset}"

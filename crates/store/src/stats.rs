@@ -1,12 +1,12 @@
 //! The persistent telemetry segment: append-only batches of stats rows
-//! layered on the store's WAL-durable pages.
+//! stored as log records.
 //!
 //! Telemetry is stored as [`CLASS_STATS`] catalog entries. Each entry is one
 //! *batch*: a newline-joined block of rows (one JSON object per row) under a
 //! name of the form `{kind}-{seq:08}` — the zero-padded sequence number
 //! makes the catalog's `BTreeMap` ordering the append order, so reading a
 //! kind back yields rows in the order they were written. Batches are never
-//! rewritten; appending is one `put`, which the WAL makes atomic, so a crash
+//! rewritten; appending is one `put`, one atomic log record, so a crash
 //! loses at most the batch being written, never corrupts earlier telemetry.
 //!
 //! One kind is in use today: `req`, one row per server request, written by
@@ -36,8 +36,8 @@ pub fn append_stats(store: &mut Store, kind: &str, rows: &[String]) -> Result<u6
 }
 
 /// Read back every row of `kind`, in append order across all batches.
-/// A batch whose pages were quarantined by corruption is reported as the
-/// underlying [`StoreError`]; earlier batches are unaffected.
+/// A batch whose record fails its checksum is reported as the underlying
+/// [`StoreError`]; earlier batches are unaffected.
 pub fn read_stats(store: &mut Store, kind: &str) -> Result<Vec<String>, StoreError> {
     let keys = stats_keys(store, kind);
     let mut out = Vec::new();
@@ -123,7 +123,6 @@ fn next_seq(store: &Store, kind: &str) -> u64 {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::StoreOptions;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("lcdb-stats-{name}-{}", std::process::id()));
@@ -142,7 +141,7 @@ mod tests {
             append_stats(&mut store, "other", &["b1".into()]).unwrap();
             store.checkpoint().unwrap();
         }
-        let mut store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let mut store = Store::open(&dir).unwrap();
         assert_eq!(read_stats(&mut store, "req").unwrap(), vec!["r1", "r2", "r3"]);
         assert_eq!(read_stats(&mut store, "other").unwrap(), vec!["b1"]);
         assert_eq!(stats_batches(&store, "req"), 2);

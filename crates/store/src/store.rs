@@ -1,131 +1,141 @@
-//! The store facade: recovery, puts/gets, checkpointing, verification, and
-//! compaction over the paged file + WAL + catalog.
+//! The store facade: recovery, puts/gets, checkpoints, compaction and
+//! verification over the record log and its index.
 //!
-//! Commit protocol for a mutation:
+//! Commit protocol for a mutation: append its record to the active segment
+//! and fsync — **the commit point** — then apply it to the in-memory index.
+//! A crash before the fsync leaves a torn frame that replay truncates (the
+//! pre-write state); after it, replay re-applies the record (the post-write
+//! state). The record is the only copy of the data, so there is nothing
+//! else to write.
 //!
-//! 1. append the operation (with its full blob bytes and assigned pages) to
-//!    the WAL and fsync — **the commit point**;
-//! 2. apply it to the in-memory catalog;
-//! 3. write the data pages (write-through; the buffer pool only caches
-//!    verified reads).
-//!
-//! A crash after step 1 is repaired on open: WAL replay rewrites exactly
-//! the pages the record names, so recovery is byte-identical to the
-//! fault-free execution of every committed operation, and an uncommitted
-//! (torn) tail record is truncated away — the pre-write state.
+//! The active segment is sealed when the next record would take it past
+//! [`SEGMENT_BYTES`]: a new segment starts and the index is checkpointed, so
+//! an open replays at most the active segment. After every mutation, each
+//! sealed segment more than half dead is compacted: its live records are
+//! copied forward, the index is checkpointed and the file is deleted. The
+//! log therefore stays within twice its live records plus one segment with
+//! no caller of [`Store::checkpoint`].
 //!
 //! Space is reclaimed by [`Store::evict_lru`]: least-recently-used entries
-//! go first, in one WAL record listing every victim. Recency lives in memory
-//! only; after an open it starts from each entry's blob id (the order the
-//! entries were last written in).
+//! go first, in one `Delete` record listing every victim. Recency lives in
+//! memory only; after an open it starts from each entry's write order.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use crate::catalog::{CatEntry, Catalog, EntryKey, CLASS_STATS};
-use lcdb_exec::codec::{put_bytes, put_u32, put_u64};
-use crate::page::{
-    decode_page, encode_page, is_zero_page, pages_for, KIND_CONT, KIND_HEAD, NO_PAGE, PAGE_SIZE,
-};
-use crate::pool::BufferPool;
-use crate::wal::{ReplayReport, Wal, WalOp, WalRecord};
+use crate::catalog::{sync_dir, CatEntry, Catalog, EntryKey, CLASS_STATS};
+use crate::log::{self, Record, FRAME_HEADER, MAX_RECORD};
 use crate::{fault_check, kill, StoreError};
+use lcdb_exec::codec::{put_bytes, put_u32, put_u64};
 use lcdb_exec::hash::fnv1a64;
 
 const META_MAGIC: &[u8; 8] = b"LCDBSTO1";
-/// Version 2 dropped the dependency tags of catalog entries and WAL puts,
-/// and the WAL's invalidate-by-name record. A version-1 store is refused
-/// with [`StoreError::UnsupportedVersion`], not migrated.
-const META_VERSION: u32 = 2;
+/// Version 3 keeps the data in the record log alone, where version 2 kept
+/// a page file beside a WAL and version 1 also had dependency tags. An
+/// older store is refused with [`StoreError::UnsupportedVersion`], not
+/// migrated.
+const META_VERSION: u32 = 3;
 
-/// Largest blob the store accepts (bounded by the WAL record cap).
+/// Largest blob the store accepts (within the log's record cap).
 pub const MAX_BLOB: usize = 1 << 25; // 32 MiB
 
+/// A segment is sealed when the next record would take it past this many
+/// bytes; a record larger than that fills a segment of its own.
+pub const SEGMENT_BYTES: u64 = 4 << 20; // 4 MiB
+
 const META_FILE: &str = "store.meta";
-const PAGES_FILE: &str = "store.pages";
-const WAL_FILE: &str = "store.wal";
 const CAT_FILE: &str = "store.cat";
-
-/// Tunables for opening a store.
-#[derive(Clone, Copy, Debug)]
-pub struct StoreOptions {
-    /// Buffer-pool capacity in pages (0 disables caching; least recently
-    /// used pages are evicted first).
-    pub pool_pages: usize,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions { pool_pages: 256 }
-    }
-}
 
 /// A point-in-time summary for `lcdb store stat`.
 #[derive(Clone, Debug)]
 pub struct StoreStat {
     /// Live catalog entries.
     pub entries: usize,
-    /// Pages in the data file.
-    pub pages: u32,
-    /// Pages on the free list.
-    pub free_pages: usize,
-    /// Pages quarantined since open.
-    pub quarantined: usize,
-    /// Current WAL length in bytes.
-    pub wal_bytes: u64,
-    /// Data file length in bytes.
+    /// Segment files in the log.
+    pub segments: usize,
+    /// Sum of the live entries' blob lengths.
+    pub live_bytes: u64,
+    /// Segment bytes covered by the index checkpoint: every segment before
+    /// the checkpoint's position and the one it is in up to it.
     pub pages_bytes: u64,
-    /// Pages resident in the buffer pool.
-    pub pool_resident: usize,
-    /// Buffer-pool hits since open.
+    /// Segment bytes behind the index checkpoint, the tail the next open
+    /// replays; `pages_bytes + wal_bytes` is the whole log.
+    pub wal_bytes: u64,
+    /// Always 0: a read is one positioned read, through no buffer pool.
     pub pool_hits: u64,
-    /// Buffer-pool misses since open.
+    /// Always 0, as `pool_hits`.
     pub pool_misses: u64,
-    /// Next log sequence number.
-    pub next_lsn: u64,
-    /// WAL records replayed when this store was opened.
+    /// Tail records replayed when this store was opened.
     pub replayed: usize,
-    /// Offset the WAL was truncated at on open, if a torn tail was found.
-    pub torn_at: Option<u64>,
+    /// Where a torn tail was truncated on open: (segment, byte offset).
+    pub torn_at: Option<(u32, u64)>,
 }
 
 /// The outcome of `lcdb store verify`.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
-    /// Pages in the data file.
-    pub pages: u32,
-    /// All-zero unreferenced pages (holes from file extension).
-    pub holes: u32,
-    /// Pages that failed their checksum or self-identification.
-    pub corrupt_pages: Vec<u32>,
+    /// Segment files in the log.
+    pub segments: usize,
     /// Live catalog entries checked.
     pub entries: usize,
-    /// Entries whose blob failed to reassemble, with the error.
+    /// Entries whose record failed to read back, with the error.
     pub bad_entries: Vec<(String, String)>,
-    /// True when every page and every entry verified clean.
+    /// True when every entry's record verified clean.
     pub ok: bool,
+}
+
+/// One segment file and what the index holds in it.
+struct Segment {
+    /// The file, open for reading and writing.
+    file: File,
+    /// Its length.
+    bytes: u64,
+    /// Bytes of the frames the index points into.
+    live: u64,
 }
 
 /// An open store rooted at a directory.
 pub struct Store {
     dir: PathBuf,
-    pages_file: File,
-    wal: Wal,
     catalog: Catalog,
-    pool: BufferPool,
-    quarantined: BTreeSet<u32>,
-    free: BTreeSet<u32>,
-    page_count: u32,
-    replay: ReplayReport,
+    /// The sealed segments by number: never written again.
+    sealed: BTreeMap<u32, Segment>,
+    /// The segment records are appended to, numbered above every sealed one.
+    active_no: u32,
+    active: Segment,
+    /// Tail records replayed when this store was opened.
+    replayed: usize,
+    /// Where the open truncated a torn tail.
+    torn_at: Option<(u32, u64)>,
     /// Last use of each entry touched since open (a `put` or a `get`);
-    /// an untouched entry's last use is its blob id.
+    /// an untouched entry's last use is its write sequence number.
     recency: HashMap<EntryKey, u64>,
-    /// The recency clock; starts above every blob id of the opened store.
+    /// The recency clock; starts above every sequence number at open.
     clock: u64,
     /// Sum of the live entries' blob lengths.
     live_bytes: u64,
+}
+
+fn open_segment(dir: &Path, no: u32) -> Result<Segment, StoreError> {
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(log::segment_path(dir, no))
+        .map_err(|e| StoreError::io("opening a segment", e))?;
+    let bytes = file
+        .metadata()
+        .map_err(|e| StoreError::io("inspecting a segment", e))?
+        .len();
+    Ok(Segment {
+        file,
+        bytes,
+        live: 0,
+    })
 }
 
 impl Store {
@@ -144,94 +154,58 @@ impl Store {
         }
         std::fs::create_dir_all(dir)
             .map_err(|e| StoreError::io("creating the store directory", e))?;
+        // magic · version · reserved (0) · fnv1a64(version · reserved)
         let mut meta = Vec::with_capacity(24);
         meta.extend_from_slice(META_MAGIC);
         put_u32(&mut meta, META_VERSION);
-        put_u32(&mut meta, PAGE_SIZE as u32);
+        put_u32(&mut meta, 0);
         let sum = fnv1a64(&meta[8..16]);
         put_u64(&mut meta, sum);
-        {
-            let mut f = File::create(dir.join(META_FILE))
-                .map_err(|e| StoreError::io("creating store.meta", e))?;
-            f.write_all(&meta)
-                .map_err(|e| StoreError::io("writing store.meta", e))?;
-            f.sync_all()
-                .map_err(|e| StoreError::io("fsyncing store.meta", e))?;
-        }
-        Catalog::default().write_to(&dir.join(CAT_FILE))?;
-        Store::open(dir, StoreOptions::default())
+        let mut f = File::create(dir.join(META_FILE))
+            .map_err(|e| StoreError::io("creating store.meta", e))?;
+        f.write_all(&meta)
+            .map_err(|e| StoreError::io("writing store.meta", e))?;
+        f.sync_all()
+            .map_err(|e| StoreError::io("fsyncing store.meta", e))?;
+        Store::open(dir)
     }
 
-    /// Open a store, performing recovery: load the catalog snapshot,
-    /// replay the WAL (truncating a torn tail), and rewrite every page a
-    /// committed record names.
-    pub fn open(dir: &Path, opts: StoreOptions) -> Result<Store, StoreError> {
+    /// Open a store, performing recovery: load the index checkpoint and
+    /// replay the records behind it, truncating a torn tail.
+    pub fn open(dir: &Path) -> Result<Store, StoreError> {
         read_meta(&dir.join(META_FILE), dir)?;
         let mut catalog = Catalog::load_from(&dir.join(CAT_FILE))?;
-        let (records, replay) = Wal::replay(&dir.join(WAL_FILE))?;
-        let pages_file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(PAGES_FILE))
-            .map_err(|e| StoreError::io("opening store.pages", e))?;
-        let mut store = Store {
-            dir: dir.to_path_buf(),
-            pages_file,
-            wal: Wal::open_end(&dir.join(WAL_FILE))?,
-            catalog: Catalog::default(),
-            pool: BufferPool::new(opts.pool_pages),
-            quarantined: BTreeSet::new(),
-            free: BTreeSet::new(),
-            page_count: 0,
-            replay,
-            recency: HashMap::new(),
-            clock: 0,
-            live_bytes: 0,
-        };
-        // Redo phase: every committed record is reapplied. Records already
-        // reflected in the snapshot are rewritten idempotently — the page
-        // images are a pure function of the record.
-        for rec in &records {
-            catalog.next_lsn = catalog.next_lsn.max(rec.lsn + 1);
-            match &rec.op {
-                WalOp::Put {
-                    key,
-                    blob_id,
-                    pages,
-                    data,
-                } => {
-                    catalog.next_blob = catalog.next_blob.max(blob_id + 1);
-                    store.write_blob_pages(pages, *blob_id, data)?;
-                    catalog.entries.insert(
-                        key.clone(),
-                        CatEntry {
-                            key: key.clone(),
-                            blob_id: *blob_id,
-                            pages: pages.clone(),
-                            total_len: data.len() as u64,
-                            checksum: fnv1a64(data),
-                        },
-                    );
-                }
-                WalOp::Delete { keys } => {
-                    for key in keys {
-                        catalog.entries.remove(key);
-                    }
-                }
+        let mut segments = BTreeMap::new();
+        for no in log::segment_numbers(dir)? {
+            segments.insert(no, open_segment(dir, no)?);
+        }
+        let tail_no = catalog.tail.0;
+        if segments.range(tail_no..).next().is_none() {
+            segments.insert(tail_no, open_segment(dir, tail_no)?);
+            sync_dir(dir);
+        }
+        let (replayed, torn_at) = replay(dir, &mut catalog, &mut segments)?;
+        for e in catalog.entries.values() {
+            if let Some(seg) = segments.get_mut(&e.segment) {
+                seg.live += u64::from(e.len);
             }
         }
-        store.clock = catalog.next_blob;
-        store.live_bytes = catalog.entries.values().map(|e| e.total_len).sum();
-        store.catalog = catalog;
-        store.derive_allocation()?;
-        Ok(store)
-    }
-
-    /// The recovery report from when this store was opened.
-    pub fn replay_report(&self) -> &ReplayReport {
-        &self.replay
+        let (active_no, active) = segments.pop_last().ok_or_else(|| StoreError::Malformed {
+            context: "store directory",
+            message: "no segment to append to".into(),
+        })?;
+        Ok(Store {
+            dir: dir.to_path_buf(),
+            clock: catalog.next_seq,
+            live_bytes: catalog.entries.values().map(|e| e.total_len).sum(),
+            catalog,
+            sealed: segments,
+            active_no,
+            active,
+            replayed,
+            torn_at,
+            recency: HashMap::new(),
+        })
     }
 
     /// Iterate the live catalog entries in key order.
@@ -239,74 +213,134 @@ impl Store {
         self.catalog.entries.values()
     }
 
-    fn derive_allocation(&mut self) -> Result<(), StoreError> {
-        let file_len = self
-            .pages_file
-            .metadata()
-            .map_err(|e| StoreError::io("inspecting store.pages", e))?
-            .len();
-        let file_pages = file_len.div_ceil(PAGE_SIZE as u64) as u32;
-        let mut used = BTreeSet::new();
-        let mut max_ref = 0u32;
-        for e in self.catalog.entries.values() {
-            for &p in &e.pages {
-                used.insert(p);
-                max_ref = max_ref.max(p + 1);
-            }
+    fn segment(&self, no: u32) -> Option<&Segment> {
+        if no == self.active_no {
+            Some(&self.active)
+        } else {
+            self.sealed.get(&no)
         }
-        self.page_count = file_pages.max(max_ref);
-        self.free = (0..self.page_count).filter(|p| !used.contains(p)).collect();
-        Ok(())
     }
 
-    fn write_page_image(&mut self, no: u32, image: &[u8]) -> Result<(), StoreError> {
-        let offset = no as u64 * PAGE_SIZE as u64;
-        self.pages_file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| StoreError::io("seeking store.pages", e))?;
-        // The page is written in two halves with a kill point between: the
-        // torture harness uses it to leave a genuinely torn page on disk.
-        let half = image.len() / 2;
-        self.pages_file
-            .write_all(&image[..half])
-            .map_err(|e| StoreError::io("writing a page", e))?;
-        kill::point("store.page_flush");
-        self.pages_file
-            .write_all(&image[half..])
-            .map_err(|e| StoreError::io("writing a page", e))?;
-        self.pool.invalidate(no);
-        self.quarantined.remove(&no);
-        Ok(())
+    fn segment_mut(&mut self, no: u32) -> Option<&mut Segment> {
+        if no == self.active_no {
+            Some(&mut self.active)
+        } else {
+            self.sealed.get_mut(&no)
+        }
     }
 
-    fn write_blob_pages(
-        &mut self,
-        pages: &[u32],
-        blob_id: u64,
-        data: &[u8],
-    ) -> Result<(), StoreError> {
-        fault_check("store.page_flush")?;
-        kill::point("store.page_flush");
-        let payload_per = crate::page::PAGE_PAYLOAD;
-        for (i, &no) in pages.iter().enumerate() {
-            let start = i * payload_per;
-            let end = (start + payload_per).min(data.len());
-            let chunk = if start <= data.len() { &data[start..end] } else { &[] };
-            let kind = if i == 0 { KIND_HEAD } else { KIND_CONT };
-            let next = pages.get(i + 1).copied().unwrap_or(NO_PAGE);
-            let image = encode_page(no, kind, next, blob_id, chunk);
-            self.write_page_image(no, &image)?;
+    fn segments(&self) -> impl Iterator<Item = (u32, &Segment)> {
+        let active = std::iter::once((self.active_no, &self.active));
+        self.sealed.iter().map(|(&no, s)| (no, s)).chain(active)
+    }
+
+    /// Append `frame` to the active segment and fsync it — the commit
+    /// point. Kill points of `site` sit before the write, between its
+    /// halves (a torn frame), before the fsync and after it.
+    fn append(&mut self, frame: &[u8], site: &'static str) -> Result<(u32, u64), StoreError> {
+        let at = self.write(frame, site)?;
+        self.sync()?;
+        kill::point(site);
+        Ok(at)
+    }
+
+    /// Write `frame` at the end of the active segment, sealing the segment
+    /// first if the frame would overfill it. The frame is durable after the
+    /// next `sync`.
+    fn write(&mut self, frame: &[u8], site: &'static str) -> Result<(u32, u64), StoreError> {
+        if frame.len() > FRAME_HEADER + MAX_RECORD {
+            return Err(StoreError::TooLarge {
+                len: frame.len(),
+                max: FRAME_HEADER + MAX_RECORD,
+            });
         }
-        kill::point("store.page_flush");
-        Ok(())
+        if self.active.bytes > 0 && self.active.bytes + frame.len() as u64 > SEGMENT_BYTES {
+            self.seal()?;
+        }
+        let offset = self.active.bytes;
+        let (head, rest) = frame.split_at(frame.len() / 2);
+        let file = &self.active.file;
+        let write = || {
+            kill::point(site);
+            file.write_all_at(head, offset)?;
+            kill::point(site);
+            file.write_all_at(rest, offset + head.len() as u64)
+        };
+        if let Err(e) = write() {
+            // Leave no partial frame for a later append to follow.
+            let _ = file.set_len(offset);
+            return Err(StoreError::io("appending a log record", e));
+        }
+        kill::point(site);
+        self.active.bytes += frame.len() as u64;
+        Ok((self.active_no, offset))
+    }
+
+    /// Make every record written to the active segment durable.
+    fn sync(&self) -> Result<(), StoreError> {
+        self.active
+            .file
+            .sync_data()
+            .map_err(|e| StoreError::io("fsyncing a segment", e))
+    }
+
+    /// Start a new active segment and checkpoint the index, so the tail an
+    /// open replays is never more than one segment. A sealed segment is
+    /// durable whole.
+    fn seal(&mut self) -> Result<(), StoreError> {
+        self.sync()?;
+        let no = self.active_no + 1;
+        let fresh = open_segment(&self.dir, no)?;
+        let old = std::mem::replace(&mut self.active, fresh);
+        self.sealed.insert(self.active_no, old);
+        self.active_no = no;
+        self.checkpoint()
+    }
+
+    /// Point the index at `entry`, counting the bytes it makes live and
+    /// those of the entry it replaces as dead.
+    fn index(&mut self, entry: CatEntry) {
+        self.live_bytes += entry.total_len;
+        if let Some(seg) = self.segment_mut(entry.segment) {
+            seg.live += u64::from(entry.len);
+        }
+        if let Some(old) = self.catalog.entries.insert(entry.key.clone(), entry) {
+            self.unindex(&old);
+        }
+    }
+
+    fn unindex(&mut self, old: &CatEntry) {
+        self.live_bytes -= old.total_len;
+        if let Some(seg) = self.segment_mut(old.segment) {
+            seg.live -= u64::from(old.len);
+        }
     }
 
     /// Insert or replace the blob stored under `key`, making it the most
-    /// recently used entry.
+    /// recently used entry. The blob is written once, as one `Put` record.
     pub fn put(&mut self, key: EntryKey, data: &[u8]) -> Result<(), StoreError> {
-        self.write_entry(key.clone(), data)?;
+        fault_check("store.append")?;
+        if data.len() > MAX_BLOB {
+            return Err(StoreError::TooLarge {
+                len: data.len(),
+                max: MAX_BLOB,
+            });
+        }
+        let (frame, checksum) = log::put_frame(&key, data);
+        let (segment, offset) = self.append(&frame, "store.append")?; // commit point
+        let seq = self.catalog.next_seq;
+        self.catalog.next_seq += 1;
+        self.index(CatEntry {
+            key: key.clone(),
+            segment,
+            offset,
+            len: frame.len() as u32,
+            total_len: data.len() as u64,
+            checksum,
+            seq,
+        });
         self.touch(key);
-        Ok(())
+        self.reclaim()
     }
 
     fn touch(&mut self, key: EntryKey) {
@@ -315,150 +349,26 @@ impl Store {
     }
 
     fn last_use(&self, entry: &CatEntry) -> u64 {
-        self.recency.get(&entry.key).copied().unwrap_or(entry.blob_id)
+        self.recency.get(&entry.key).copied().unwrap_or(entry.seq)
     }
 
-    /// [`Store::put`] without the recency update (compaction moves a blob
-    /// without using it).
-    fn write_entry(&mut self, key: EntryKey, data: &[u8]) -> Result<(), StoreError> {
-        fault_check("store.wal_append")?;
-        if data.len() > MAX_BLOB {
-            return Err(StoreError::TooLarge {
-                len: data.len(),
-                max: MAX_BLOB,
-            });
-        }
-        // Choose pages without committing to them: lowest free slots first,
-        // then extension past the current high-water mark.
-        let needed = pages_for(data.len());
-        let mut pages: Vec<u32> = self.free.iter().copied().take(needed).collect();
-        let mut next_new = self.page_count;
-        while pages.len() < needed {
-            pages.push(next_new);
-            next_new += 1;
-        }
-        let blob_id = self.catalog.next_blob;
-        let rec = WalRecord {
-            lsn: self.catalog.next_lsn,
-            op: WalOp::Put {
-                key: key.clone(),
-                blob_id,
-                pages: pages.clone(),
-                data: data.to_vec(),
-            },
-        };
-        self.wal.append(&rec)?; // commit point
-        self.catalog.next_lsn += 1;
-        self.catalog.next_blob += 1;
-        for &p in &pages {
-            self.free.remove(&p);
-        }
-        self.page_count = self.page_count.max(next_new);
-        let entry = CatEntry {
-            key: key.clone(),
-            blob_id,
-            pages: pages.clone(),
-            total_len: data.len() as u64,
-            checksum: fnv1a64(data),
-        };
-        self.live_bytes += entry.total_len;
-        let old = self.catalog.entries.insert(key, entry);
-        if let Some(old) = old {
-            self.live_bytes -= old.total_len;
-            for p in old.pages {
-                if !pages.contains(&p) {
-                    self.free.insert(p);
-                    self.pool.invalidate(p);
-                }
-            }
-        }
-        // The operation is committed; page writes only materialize it. A
-        // failure here leaves a typed error and a store that heals on the
-        // next open (replay rewrites these exact pages).
-        self.write_blob_pages(&pages, blob_id, data)?;
-        Ok(())
-    }
-
-    fn read_page(&mut self, no: u32) -> Result<crate::page::Page, StoreError> {
-        if self.quarantined.contains(&no) {
-            return Err(StoreError::Quarantined { page: no });
-        }
-        if let Some(image) = self.pool.get(no) {
-            let image = image.clone();
-            return decode_page(no, &image);
-        }
-        let offset = no as u64 * PAGE_SIZE as u64;
-        let file_len = self
-            .pages_file
-            .metadata()
-            .map_err(|e| StoreError::io("inspecting store.pages", e))?
-            .len();
-        if offset + PAGE_SIZE as u64 > file_len {
-            return Err(StoreError::Truncated {
-                file: "pages",
-                offset: file_len,
-                context: "page image",
-            });
-        }
-        let mut image = vec![0u8; PAGE_SIZE];
-        self.pages_file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| StoreError::io("seeking store.pages", e))?;
-        self.pages_file
-            .read_exact(&mut image)
-            .map_err(|e| StoreError::io("reading a page", e))?;
-        match decode_page(no, &image) {
-            Ok(page) => {
-                self.pool.insert(no, image);
-                Ok(page)
-            }
-            Err(e) => {
-                // Quarantine: the slot is never served again until a write
-                // replaces it.
-                self.quarantined.insert(no);
-                self.pool.invalidate(no);
-                Err(e)
-            }
-        }
-    }
-
-    fn read_blob(&mut self, entry: &CatEntry) -> Result<Vec<u8>, StoreError> {
-        let mut out = Vec::with_capacity(entry.total_len as usize);
-        for (i, &no) in entry.pages.iter().enumerate() {
-            let page = self.read_page(no)?;
-            let want_kind = if i == 0 { KIND_HEAD } else { KIND_CONT };
-            let want_next = entry.pages.get(i + 1).copied().unwrap_or(NO_PAGE);
-            if page.blob_id != entry.blob_id || page.kind != want_kind || page.next != want_next {
-                self.quarantined.insert(no);
-                self.pool.invalidate(no);
-                return Err(StoreError::Malformed {
-                    context: "blob page chain",
-                    message: format!(
-                        "page {no} of {} carries blob {} kind {} next {}, expected blob {} kind {} next {}",
-                        entry.key.render(),
-                        page.blob_id,
-                        page.kind,
-                        page.next,
-                        entry.blob_id,
-                        want_kind,
-                        want_next,
-                    ),
-                });
-            }
-            out.extend_from_slice(&page.payload);
-        }
-        if out.len() as u64 != entry.total_len {
-            return Err(StoreError::Malformed {
-                context: "blob length",
+    /// Read `entry`'s record: one positioned read and one checksum.
+    fn read(&self, entry: &CatEntry) -> Result<Vec<u8>, StoreError> {
+        let seg = self
+            .segment(entry.segment)
+            .ok_or_else(|| StoreError::Malformed {
+                context: "index entry",
                 message: format!(
-                    "{} reassembled to {} bytes, catalog records {}",
+                    "{} is in segment {}, which is gone",
                     entry.key.render(),
-                    out.len(),
-                    entry.total_len
+                    entry.segment
                 ),
-            });
-        }
-        let found = fnv1a64(&out);
+            })?;
+        let mut frame = vec![0; entry.len as usize];
+        seg.file
+            .read_exact_at(&mut frame, entry.offset)
+            .map_err(|e| StoreError::io("reading a log record", e))?;
+        let found = log::frame_sum(&frame);
         if found != entry.checksum {
             return Err(StoreError::BlobChecksum {
                 entry: entry.key.render(),
@@ -466,29 +376,42 @@ impl Store {
                 found,
             });
         }
-        Ok(out)
+        let payload = frame.get(FRAME_HEADER..).unwrap_or_default();
+        match log::decode_payload(payload, entry.offset + FRAME_HEADER as u64)? {
+            Record::Put { key, data } if key == entry.key => Ok(data),
+            _ => Err(StoreError::Malformed {
+                context: "index entry",
+                message: format!(
+                    "segment {} offset {} holds no put of {}",
+                    entry.segment,
+                    entry.offset,
+                    entry.key.render()
+                ),
+            }),
+        }
     }
 
-    /// Fetch the blob stored under `key`, verifying every page and the
-    /// whole-blob checksum, and make it the most recently used entry.
-    /// `Ok(None)` when the key is absent.
+    /// Fetch the blob stored under `key`, verifying its record's checksum,
+    /// and make it the most recently used entry. `Ok(None)` when the key is
+    /// absent.
     pub fn get(&mut self, key: &EntryKey) -> Result<Option<Vec<u8>>, StoreError> {
-        let Some(entry) = self.catalog.entries.get(key).cloned() else {
+        let Some(entry) = self.catalog.entries.get(key) else {
             return Ok(None);
         };
-        let data = self.read_blob(&entry)?;
-        self.touch(entry.key);
+        let data = self.read(entry)?;
+        self.touch(key.clone());
         Ok(Some(data))
     }
 
-    /// Remove the entry stored under `key`, freeing its pages. Returns
-    /// whether an entry existed.
+    /// Remove the entry stored under `key`. Returns whether an entry
+    /// existed.
     pub fn delete(&mut self, key: &EntryKey) -> Result<bool, StoreError> {
-        fault_check("store.wal_append")?;
+        fault_check("store.append")?;
         if !self.catalog.entries.contains_key(key) {
             return Ok(false);
         }
-        self.remove(std::slice::from_ref(key))?;
+        self.remove(std::slice::from_ref(key), "store.append")?;
+        self.reclaim()?;
         Ok(true)
     }
 
@@ -500,7 +423,7 @@ impl Store {
     /// Evict least-recently-used entries until the live blob bytes are at
     /// most `target`, and return how many were evicted. Telemetry
     /// ([`CLASS_STATS`]) is never evicted: `lcdb stats` reads it as data, so
-    /// the live bytes can stay above a target smaller than it. One WAL
+    /// the live bytes can stay above a target smaller than it. One `Delete`
     /// record lists every victim, so a crash leaves the whole eviction or
     /// none of it.
     pub fn evict_lru(&mut self, target: u64) -> Result<usize, StoreError> {
@@ -527,192 +450,163 @@ impl Store {
         if victims.is_empty() {
             return Ok(0);
         }
-        fault_check("store.wal_append")?;
-        self.remove(&victims)?;
+        fault_check("store.append")?;
+        self.remove(&victims, "store.append")?;
+        self.reclaim()?;
         Ok(victims.len())
     }
 
-    /// Log one delete record for `keys`, then drop them and free their pages.
-    fn remove(&mut self, keys: &[EntryKey]) -> Result<(), StoreError> {
-        let rec = WalRecord {
-            lsn: self.catalog.next_lsn,
-            op: WalOp::Delete {
-                keys: keys.to_vec(),
-            },
-        };
-        self.wal.append(&rec)?; // commit point
-        self.catalog.next_lsn += 1;
+    /// Log one `Delete` record for `keys`, then drop them from the index.
+    fn remove(&mut self, keys: &[EntryKey], site: &'static str) -> Result<(), StoreError> {
+        self.append(&log::delete_frame(keys).0, site)?; // commit point
         for key in keys {
             self.recency.remove(key);
             if let Some(old) = self.catalog.entries.remove(key) {
-                self.live_bytes -= old.total_len;
-                for p in old.pages {
-                    self.free.insert(p);
-                    self.pool.invalidate(p);
-                }
+                self.unindex(&old);
             }
         }
         Ok(())
     }
 
-    /// Make all applied operations durable and reset the WAL: fsync the
-    /// data pages, atomically publish the catalog snapshot, truncate the
-    /// log.
+    /// Checkpoint the index: make the log durable, then publish the index
+    /// atomically as `store.cat`, covering the log up to its end, so the
+    /// next open replays nothing.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         fault_check("store.checkpoint")?;
-        kill::point("store.checkpoint");
-        self.pages_file
-            .sync_all()
-            .map_err(|e| StoreError::io("fsyncing store.pages", e))?;
-        kill::point("store.checkpoint");
-        self.catalog.write_to(&self.dir.join(CAT_FILE))?;
-        kill::point("store.checkpoint");
-        self.wal.reset()?;
-        kill::point("store.checkpoint");
+        self.sync()?;
+        self.catalog.tail = (self.active_no, self.active.bytes);
+        self.catalog.write_to(&self.dir.join(CAT_FILE))
+    }
+
+    /// Compact every sealed segment that is more than half dead.
+    fn reclaim(&mut self) -> Result<(), StoreError> {
+        while let Some(no) = self
+            .sealed
+            .iter()
+            .find(|(_, s)| s.live * 2 < s.bytes)
+            .map(|(&no, _)| no)
+        {
+            self.compact_segments(&[no])?;
+        }
         Ok(())
     }
 
-    /// Scan every page and every entry for corruption. Referenced pages
-    /// that fail are quarantined; nothing panics.
-    pub fn verify(&mut self) -> Result<VerifyReport, StoreError> {
-        let mut report = VerifyReport::default();
-        let mut referenced: BTreeMap<u32, EntryKey> = BTreeMap::new();
-        for e in self.catalog.entries.values() {
-            for &p in &e.pages {
-                referenced.insert(p, e.key.clone());
-            }
-        }
-        let file_len = self
-            .pages_file
-            .metadata()
-            .map_err(|e| StoreError::io("inspecting store.pages", e))?
-            .len();
-        let slots = file_len.div_ceil(PAGE_SIZE as u64) as u32;
-        report.pages = slots;
-        for no in 0..slots {
-            let offset = no as u64 * PAGE_SIZE as u64;
-            let mut image = vec![0u8; PAGE_SIZE];
-            let have = (file_len - offset).min(PAGE_SIZE as u64) as usize;
-            self.pages_file
-                .seek(SeekFrom::Start(offset))
-                .map_err(|e| StoreError::io("seeking store.pages", e))?;
-            self.pages_file
-                .read_exact(&mut image[..have])
-                .map_err(|e| StoreError::io("reading a page", e))?;
-            if !referenced.contains_key(&no) && is_zero_page(&image) {
-                report.holes += 1;
-                continue;
-            }
-            if have < PAGE_SIZE || decode_page(no, &image).is_err() {
-                report.corrupt_pages.push(no);
-                if referenced.contains_key(&no) {
-                    self.quarantined.insert(no);
-                    self.pool.invalidate(no);
-                }
-            }
-        }
-        report.entries = self.catalog.entries.len();
-        let keys: Vec<EntryKey> = self.catalog.entries.keys().cloned().collect();
-        for key in keys {
-            if let Some(entry) = self.catalog.entries.get(&key).cloned() {
-                if let Err(e) = self.read_blob(&entry) {
-                    report.bad_entries.push((key.render(), e.to_string()));
-                }
-            }
-        }
-        // Only corruption of *referenced* state fails verification; stale
-        // complete pages on the free list are harmless.
-        report.ok = report.bad_entries.is_empty()
-            && report
-                .corrupt_pages
-                .iter()
-                .all(|p| !referenced.contains_key(p));
-        Ok(report)
-    }
-
-    /// Rewrite live blobs into the lowest page slots (through the normal
-    /// WAL-logged put path, so compaction is as crash-safe as any write),
-    /// checkpoint, and truncate the data file. Returns (pages before,
-    /// pages after).
-    pub fn compact(&mut self) -> Result<(u32, u32), StoreError> {
-        let before = self.page_count;
-        let total: usize = self
-            .catalog
-            .entries
-            .values()
-            .map(|e| e.pages.len())
-            .sum();
-        let target = total as u32;
-        // Move entries occupying slots at or above the packed watermark
-        // into the holes below it; each move frees its old slots for later
-        // moves. An entry straddling the watermark can temporarily spill
-        // above it again, but every pass strictly shrinks the occupied
-        // tail, so iterate until no entry sits above the watermark.
-        for _pass in 0..64 {
-            let movers: Vec<EntryKey> = self
+    /// Copy the live records of the sealed segments `victims` to the active
+    /// one, checkpoint the index and delete the files. A record that fails
+    /// its checksum is not copied: one `Delete` record drops its entry.
+    /// Kill points of `store.compact` sit before each copy, between its
+    /// halves and after it.
+    fn compact_segments(&mut self, victims: &[u32]) -> Result<(), StoreError> {
+        for &no in victims {
+            let bytes = std::fs::read(log::segment_path(&self.dir, no))
+                .map_err(|e| StoreError::io("reading a segment", e))?;
+            let mut live: Vec<CatEntry> = self
                 .catalog
                 .entries
                 .values()
-                .filter(|e| e.pages.iter().any(|&p| p >= target))
-                .map(|e| e.key.clone())
+                .filter(|e| e.segment == no)
+                .cloned()
                 .collect();
-            if movers.is_empty() {
-                break;
-            }
-            for key in movers {
-                let Some(entry) = self.catalog.entries.get(&key).cloned() else {
+            live.sort_unstable_by_key(|e| e.offset);
+            let mut lost = Vec::new();
+            for e in live {
+                let frame = bytes
+                    .get(e.offset as usize..)
+                    .and_then(|b| b.get(..e.len as usize))
+                    .filter(|f| log::frame_sum(f) == e.checksum);
+                let Some(frame) = frame else {
+                    lost.push(e.key);
                     continue;
                 };
-                let data = self.read_blob(&entry)?;
-                let last_use = self.last_use(&entry);
-                self.write_entry(key.clone(), &data)?;
-                self.recency.insert(key, last_use);
+                // Unsynced: the checkpoint below syncs the copies before
+                // the index points at them, and the originals stay until then.
+                let (segment, offset) = self.write(frame, "store.compact")?;
+                self.index(CatEntry {
+                    segment,
+                    offset,
+                    ..e
+                });
+            }
+            if !lost.is_empty() {
+                self.remove(&lost, "store.compact")?;
             }
         }
-        let high_water = self
+        self.checkpoint()?;
+        for &no in victims {
+            self.sealed.remove(&no);
+            kill::point("store.segment_delete");
+            std::fs::remove_file(log::segment_path(&self.dir, no))
+                .map_err(|e| StoreError::io("deleting a segment", e))?;
+            kill::point("store.segment_delete");
+        }
+        Ok(())
+    }
+
+    /// Seal the active segment and compact every segment that holds a dead
+    /// record, so the log holds live records only. Returns the log's bytes
+    /// before and after.
+    pub fn compact(&mut self) -> Result<(u64, u64), StoreError> {
+        let before = self.log_bytes();
+        if self.active.bytes > 0 {
+            self.seal()?;
+        }
+        let victims: Vec<u32> = self
+            .sealed
+            .iter()
+            .filter(|(_, s)| s.live < s.bytes)
+            .map(|(&no, _)| no)
+            .collect();
+        if !victims.is_empty() {
+            self.compact_segments(&victims)?;
+        }
+        Ok((before, self.log_bytes()))
+    }
+
+    fn log_bytes(&self) -> u64 {
+        self.segments().map(|(_, s)| s.bytes).sum()
+    }
+
+    /// Read back every entry's record and check it. Nothing panics.
+    pub fn verify(&self) -> Result<VerifyReport, StoreError> {
+        let bad_entries: Vec<(String, String)> = self
             .catalog
             .entries
             .values()
-            .flat_map(|e| e.pages.iter().copied())
-            .max()
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        self.checkpoint()?;
-        self.pages_file
-            .set_len(high_water as u64 * PAGE_SIZE as u64)
-            .map_err(|e| StoreError::io("truncating store.pages", e))?;
-        self.pages_file
-            .sync_all()
-            .map_err(|e| StoreError::io("fsyncing store.pages", e))?;
-        for p in high_water..self.page_count {
-            self.pool.invalidate(p);
-            self.free.remove(&p);
-            self.quarantined.remove(&p);
-        }
-        self.page_count = high_water;
-        Ok((before, high_water))
+            .filter_map(|e| {
+                self.read(e)
+                    .err()
+                    .map(|err| (e.key.render(), err.to_string()))
+            })
+            .collect();
+        Ok(VerifyReport {
+            segments: self.sealed.len() + 1,
+            entries: self.catalog.entries.len(),
+            ok: bad_entries.is_empty(),
+            bad_entries,
+        })
     }
 
     /// Summarize the store for `lcdb store stat`.
     pub fn stat(&self) -> StoreStat {
-        let (pool_hits, pool_misses) = self.pool.stats();
+        let (tail_no, tail_offset) = self.catalog.tail;
+        let covered = self
+            .segments()
+            .map(|(no, s)| match no.cmp(&tail_no) {
+                std::cmp::Ordering::Less => s.bytes,
+                std::cmp::Ordering::Equal => s.bytes.min(tail_offset),
+                std::cmp::Ordering::Greater => 0,
+            })
+            .sum();
         StoreStat {
             entries: self.catalog.entries.len(),
-            pages: self.page_count,
-            free_pages: self.free.len(),
-            quarantined: self.quarantined.len(),
-            wal_bytes: self.wal.len(),
-            pages_bytes: self
-                .pages_file
-                .metadata()
-                .map(|m| m.len())
-                .unwrap_or_default(),
-            pool_resident: self.pool.resident(),
-            pool_hits,
-            pool_misses,
-            next_lsn: self.catalog.next_lsn,
-            replayed: self.replay.records,
-            torn_at: self.replay.torn_at,
+            segments: self.sealed.len() + 1,
+            live_bytes: self.live_bytes,
+            pages_bytes: covered,
+            wal_bytes: self.log_bytes() - covered,
+            pool_hits: 0,
+            pool_misses: 0,
+            replayed: self.replayed,
+            torn_at: self.torn_at,
         }
     }
 
@@ -721,20 +615,76 @@ impl Store {
     /// count as a use.
     /// Two stores holding the same logical state dump identical bytes —
     /// this is what the crash-torture harness compares.
-    pub fn canonical_dump(&mut self) -> Result<Vec<u8>, StoreError> {
-        let keys: Vec<EntryKey> = self.catalog.entries.keys().cloned().collect();
+    pub fn canonical_dump(&self) -> Result<Vec<u8>, StoreError> {
         let mut out = Vec::new();
-        put_u64(&mut out, keys.len() as u64);
-        for key in keys {
-            let Some(entry) = self.catalog.entries.get(&key).cloned() else {
-                continue;
-            };
-            let data = self.read_blob(&entry)?;
-            key.encode(&mut out);
+        put_u64(&mut out, self.catalog.entries.len() as u64);
+        for entry in self.catalog.entries.values() {
+            let data = self.read(entry)?;
+            entry.key.encode(&mut out);
             put_bytes(&mut out, &data);
         }
         Ok(out)
     }
+}
+
+/// Apply the records behind the index checkpoint, segment by segment from
+/// its position on, and return how many there were and where a torn tail
+/// was cut. Nothing after the first bad frame was committed, so that frame
+/// and every later segment go.
+fn replay(
+    dir: &Path,
+    catalog: &mut Catalog,
+    segments: &mut BTreeMap<u32, Segment>,
+) -> Result<(usize, Option<(u32, u64)>), StoreError> {
+    let (tail_no, tail_offset) = catalog.tail;
+    let mut replayed = 0;
+    let numbers: Vec<u32> = segments.range(tail_no..).map(|(&no, _)| no).collect();
+    for no in numbers {
+        let bytes = std::fs::read(log::segment_path(dir, no))
+            .map_err(|e| StoreError::io("reading a segment", e))?;
+        let from = if no == tail_no { tail_offset } else { 0 };
+        let (records, torn) = log::scan(&bytes, from);
+        replayed += records.len();
+        for r in records {
+            match r.record {
+                Record::Put { key, data } => {
+                    let seq = catalog.next_seq;
+                    catalog.next_seq += 1;
+                    let entry = CatEntry {
+                        key: key.clone(),
+                        segment: no,
+                        offset: r.offset,
+                        len: r.len,
+                        total_len: data.len() as u64,
+                        checksum: r.checksum,
+                        seq,
+                    };
+                    catalog.entries.insert(key, entry);
+                }
+                Record::Delete { keys } => {
+                    for key in &keys {
+                        catalog.entries.remove(key);
+                    }
+                }
+            }
+        }
+        let Some(at) = torn else { continue };
+        if let Some(seg) = segments.get_mut(&no) {
+            seg.file
+                .set_len(at)
+                .map_err(|e| StoreError::io("truncating the torn tail", e))?;
+            seg.file
+                .sync_all()
+                .map_err(|e| StoreError::io("fsyncing the truncated segment", e))?;
+            seg.bytes = at;
+        }
+        for later in segments.split_off(&(no + 1)).into_keys() {
+            std::fs::remove_file(log::segment_path(dir, later))
+                .map_err(|e| StoreError::io("deleting a segment after a torn tail", e))?;
+        }
+        return Ok((replayed, Some((no, at))));
+    }
+    Ok((replayed, None))
 }
 
 fn read_meta(path: &Path, dir: &Path) -> Result<(), StoreError> {
@@ -774,13 +724,6 @@ fn read_meta(path: &Path, dir: &Path) -> Result<(), StoreError> {
             file: "meta",
             expected,
             found,
-        });
-    }
-    let page_size = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-    if page_size as usize != PAGE_SIZE {
-        return Err(StoreError::Malformed {
-            context: "meta page size",
-            message: format!("store uses {page_size}-byte pages, this build uses {PAGE_SIZE}"),
         });
     }
     Ok(())

@@ -13,11 +13,12 @@
 //!   state either before or after the operation that was in flight;
 //! * `verify()` reports the recovered store clean — no silent corruption.
 //!
-//! Kill points cover the `store.wal_append`, `store.page_flush`, and
-//! `store.checkpoint` sites, including mid-write positions that leave torn
-//! frames and torn pages on disk; seed 1 also kills inside the record of a
-//! five-entry eviction. Seeds 1–2 run by default (≥200 points);
-//! CI fans seeds 1–5 across jobs via `LCDB_TORTURE_SEED`.
+//! Kill points cover every site of `lcdb_store::kill::SITES` — record
+//! appends, compaction copies, index checkpoints and segment deletes —
+//! including mid-write positions that leave torn frames on disk, and the
+//! baseline run of each default seed passes every site. Seeds 1–2 run by
+//! default (≥200 points); CI fans seeds 1–5 across jobs via
+//! `LCDB_TORTURE_SEED`.
 
 #![allow(clippy::unwrap_used)]
 
@@ -25,9 +26,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use lcdb_store::{kill::KILL_EXIT_CODE, Store, StoreOptions};
+use lcdb_store::kill::{KILL_EXIT_CODE, SITES};
+use lcdb_store::Store;
 
-const OPS: u64 = 18;
+const OPS: u64 = 30;
 
 fn torture_bin() -> &'static str {
     env!("CARGO_BIN_EXE_store_torture")
@@ -42,6 +44,8 @@ fn scratch(name: &str) -> PathBuf {
 
 struct Baseline {
     kill_points: u64,
+    /// Kill points passed at each site, as `site NAME=N` lines report them.
+    site_hits: HashMap<String, u64>,
     /// Canonical dump after op k (index k; index 0 = empty store).
     dumps: Vec<Vec<u8>>,
 }
@@ -67,10 +71,19 @@ fn run_baseline(root: &Path, seed: u64) -> Baseline {
         .lines()
         .find_map(|l| l.strip_prefix("kill_points=").map(|v| v.parse().unwrap()))
         .expect("baseline run did not report kill_points");
+    let site_hits = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("site ")?.split_once('='))
+        .map(|(site, n)| (site.to_string(), n.parse().unwrap()))
+        .collect();
     let dumps = (0..=OPS)
         .map(|k| std::fs::read(dumps_dir.join(format!("op-{k}.bin"))).unwrap())
         .collect();
-    Baseline { kill_points, dumps }
+    Baseline {
+        kill_points,
+        site_hits,
+        dumps,
+    }
 }
 
 fn last_begun_op(stdout: &str) -> u64 {
@@ -101,6 +114,15 @@ fn killed_writers_always_recover_to_a_baseline_state() {
             baseline.kill_points
         );
         total_points += baseline.kill_points;
+        if seed <= 2 {
+            for site in SITES {
+                assert!(
+                    baseline.site_hits.get(site).is_some_and(|&n| n > 0),
+                    "seed {seed} passes no kill point at {site}: {:?}",
+                    baseline.site_hits
+                );
+            }
+        }
 
         for n in 1..=baseline.kill_points {
             let dir = root.join("killed-store");
@@ -159,7 +181,7 @@ fn killed_writers_always_recover_to_a_baseline_state() {
             let k = last_begun_op(&stdout) as usize;
 
             // Recovery must succeed and land on the pre- or post-op state.
-            let mut store = Store::open(&dir, StoreOptions::default())
+            let store = Store::open(&dir)
                 .unwrap_or_else(|e| panic!("seed {seed} kill {n}: recovery failed: {e}"));
             let dump = store
                 .canonical_dump()
@@ -177,8 +199,8 @@ fn killed_writers_always_recover_to_a_baseline_state() {
             assert!(
                 report.ok,
                 "seed {seed} kill {n}: verify found corruption after recovery: \
-                 corrupt pages {:?}, bad entries {:?}",
-                report.corrupt_pages, report.bad_entries
+                 bad entries {:?}",
+                report.bad_entries
             );
         }
         let _ = std::fs::remove_dir_all(&root);
@@ -206,6 +228,7 @@ fn killed_run_statistics_are_deterministic_per_seed() {
     let a = run_baseline(&root_a, 42);
     let b = run_baseline(&root_b, 42);
     assert_eq!(a.kill_points, b.kill_points);
+    assert_eq!(a.site_hits, b.site_hits);
     let a_dumps: HashMap<usize, &Vec<u8>> = a.dumps.iter().enumerate().collect();
     for (k, dump) in b.dumps.iter().enumerate() {
         assert_eq!(a_dumps[&k], dump, "dump after op {k} differs between runs");

@@ -1,13 +1,14 @@
 //! Integration tests for the store: durability round-trips, corruption
-//! detection and quarantine, least-recently-used eviction, and compaction.
+//! detection, least-recently-used eviction, compaction, and the bound on
+//! the bytes on disk.
 
 #![allow(clippy::unwrap_used)]
 
 use std::path::PathBuf;
 
 use lcdb_store::{
-    EntryKey, Store, StoreError, StoreOptions, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT,
-    CLASS_STATS, PAGE_PAYLOAD, PAGE_SIZE,
+    EntryKey, Record, Store, StoreError, CLASS_ARRANGEMENT, CLASS_FIXPOINT, CLASS_RESULT,
+    CLASS_STATS, SEGMENT_BYTES,
 };
 
 fn scratch(name: &str) -> PathBuf {
@@ -34,24 +35,24 @@ fn roundtrip_survives_reopen() {
     let dir = scratch("roundtrip");
     let k1 = key(CLASS_RESULT, 1, 2, "");
     let k2 = key(CLASS_ARRANGEMENT, 0, 5, "arrangement");
-    let big = blob(3 * PAGE_PAYLOAD + 123, 7); // spans four pages
+    let big = blob(12_315, 7);
     {
         let mut s = Store::init(&dir).unwrap();
         s.put(k1.clone(), b"TRUE").unwrap();
         s.put(k2.clone(), &big).unwrap();
         assert_eq!(s.get(&k1).unwrap().unwrap(), b"TRUE");
-        // No checkpoint: recovery must come entirely from the WAL.
+        // No checkpoint: recovery must come entirely from the replay.
     }
     {
-        let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+        let mut s = Store::open(&dir).unwrap();
         assert_eq!(s.get(&k1).unwrap().unwrap(), b"TRUE");
         assert_eq!(s.get(&k2).unwrap().unwrap(), big);
         s.checkpoint().unwrap();
     }
     {
-        // After a checkpoint the WAL is empty and state comes from the
-        // snapshot + pages.
-        let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+        // After a checkpoint nothing is behind the index: state comes from
+        // the index image and reads of the records it points to.
+        let mut s = Store::open(&dir).unwrap();
         assert_eq!(s.stat().wal_bytes, 0);
         assert_eq!(s.get(&k2).unwrap().unwrap(), big);
     }
@@ -63,10 +64,10 @@ fn replace_and_delete_free_pages() {
     let dir = scratch("replace");
     let mut s = Store::init(&dir).unwrap();
     let k = key(CLASS_RESULT, 9, 9, "");
-    s.put(k.clone(), &blob(2 * PAGE_PAYLOAD, 1)).unwrap();
+    s.put(k.clone(), &blob(8_128, 1)).unwrap();
     s.put(k.clone(), b"small").unwrap();
     assert_eq!(s.get(&k).unwrap().unwrap(), b"small");
-    assert!(s.stat().free_pages >= 1);
+    assert_eq!(s.live_bytes(), 5);
     assert!(s.delete(&k).unwrap());
     assert!(!s.delete(&k).unwrap());
     assert!(s.get(&k).unwrap().is_none());
@@ -103,8 +104,6 @@ fn eviction_drops_the_least_recently_used_first() {
     assert!(s.get(&b).unwrap().is_none());
     assert!(s.get(&c).unwrap().is_some());
     assert!(s.get(&d).unwrap().is_some());
-    // Their pages are free for the next put.
-    assert!(s.stat().free_pages >= 2);
     assert!(s.verify().unwrap().ok);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -136,7 +135,7 @@ fn recency_restarts_from_write_order_after_reopen() {
         s.put(keys[1].clone(), &blob(100, 7)).unwrap();
         keys
     };
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+    let mut s = Store::open(&dir).unwrap();
     assert_eq!(s.evict_lru(200).unwrap(), 2);
     assert!(s.get(&a).unwrap().is_none());
     assert!(s.get(&c).unwrap().is_none());
@@ -172,16 +171,16 @@ fn an_eviction_replays_to_the_same_catalog() {
         assert_eq!(s.evict_lru(250).unwrap(), 2);
         s.canonical_dump().unwrap()
     };
-    // No checkpoint: the catalog comes back from the WAL alone, and the
+    // No checkpoint: the catalog comes back from the replay alone, and the
     // eviction record names its victims, so replay needs no recency.
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
-    assert_eq!(s.replay_report().records, 5);
+    let mut s = Store::open(&dir).unwrap();
+    assert_eq!(s.stat().replayed, 5);
     assert_eq!(s.stat().entries, 2);
     assert_eq!(s.live_bytes(), 200);
     assert_eq!(s.canonical_dump().unwrap(), dump);
     s.checkpoint().unwrap();
     drop(s);
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+    let s = Store::open(&dir).unwrap();
     assert_eq!(s.canonical_dump().unwrap(), dump);
     assert!(s.verify().unwrap().ok);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -189,71 +188,79 @@ fn an_eviction_replays_to_the_same_catalog() {
 
 #[test]
 fn a_version_1_store_is_unsupported() {
-    let dir = scratch("v1");
-    drop(Store::init(&dir).unwrap());
-    // Rewrite store.meta as version 1 with a valid checksum: magic ·
-    // version · page size · fnv1a64(version · page size).
-    let meta = dir.join("store.meta");
-    let mut bytes = std::fs::read(&meta).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let sum = lcdb_exec::hash::fnv1a64(&bytes[8..16]);
-    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&meta, &bytes).unwrap();
-    match Store::open(&dir, StoreOptions::default()) {
-        Err(e @ StoreError::UnsupportedVersion { file: "meta", found: 1, supported: 2 }) => {
-            assert_eq!(e.to_string(), "meta file has version 1, this build reads version 2")
+    // Version 1 had dependency tags, version 2 a page file beside a WAL.
+    for version in [1u32, 2] {
+        let dir = scratch(&format!("v{version}"));
+        drop(Store::init(&dir).unwrap());
+        // Rewrite store.meta with a valid checksum: magic · version ·
+        // reserved · fnv1a64(version · reserved).
+        let meta = dir.join("store.meta");
+        let mut bytes = std::fs::read(&meta).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let sum = lcdb_exec::hash::fnv1a64(&bytes[8..16]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&meta, &bytes).unwrap();
+        match Store::open(&dir) {
+            Err(e @ StoreError::UnsupportedVersion { file: "meta", supported: 3, .. }) => {
+                assert_eq!(
+                    e.to_string(),
+                    format!("meta file has version {version}, this build reads version 3")
+                )
+            }
+            Err(other) => panic!("expected UnsupportedVersion, got {other}"),
+            Ok(_) => panic!("a version-{version} store opened"),
         }
-        Err(other) => panic!("expected UnsupportedVersion, got {other}"),
-        Ok(_) => panic!("a version-1 store opened"),
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The one segment file of a store that has not sealed one.
+fn first_segment(dir: &std::path::Path) -> PathBuf {
+    dir.join("00000000.log")
 }
 
 #[test]
 fn bit_flips_are_detected_and_quarantined() {
     let dir = scratch("bitflip");
     let k = key(CLASS_RESULT, 3, 4, "");
-    let data = blob(2 * PAGE_PAYLOAD + 50, 9);
-    let pages: Vec<u32>;
-    {
+    let data = blob(8_178, 9);
+    let (offset, len) = {
         let mut s = Store::init(&dir).unwrap();
+        s.put(key(CLASS_RESULT, 1, 1, "before"), b"neighbour").unwrap();
         s.put(k.clone(), &data).unwrap();
+        // The index now covers the record: an open reads it, not replays it.
         s.checkpoint().unwrap();
-        pages = s.entries().next().unwrap().pages.clone();
-    }
-    let pages_path = dir.join("store.pages");
-    let pristine = std::fs::read(&pages_path).unwrap();
+        let e = s.entries().find(|e| e.key == k).unwrap();
+        (e.offset as usize, e.len as usize)
+    };
+    let log = first_segment(&dir);
+    let pristine = std::fs::read(&log).unwrap();
 
-    // Flip one bit at a spread of offsets inside every referenced page:
-    // header bytes, payload bytes, and the checksum itself. Every flip must
-    // be (a) a typed error from get(), (b) flagged by verify(), never a
-    // panic or silently wrong data.
-    for &page in &pages {
-        let base = page as usize * PAGE_SIZE;
-        for rel in [0usize, 9, 15, 40, 100, PAGE_SIZE / 2, PAGE_SIZE - 1] {
-            let mut bytes = pristine.clone();
-            bytes[base + rel] ^= 0x10;
-            std::fs::write(&pages_path, &bytes).unwrap();
+    // Flip one bit at a spread of offsets inside the record: its length,
+    // its checksum, its key and its blob. Every flip must be a typed
+    // BlobChecksum error from get(), on every read, and named by verify();
+    // never a panic or silently wrong data.
+    for rel in [0usize, 3, 4, 11, 12, 20, 40, len / 2, len - 1] {
+        let mut bytes = pristine.clone();
+        bytes[offset + rel] ^= 0x10;
+        std::fs::write(&log, &bytes).unwrap();
 
-            let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
-            let err = s.get(&k).unwrap_err();
-            match err {
-                StoreError::CorruptPage { page: p, .. } => assert_eq!(p, page),
-                other => panic!("expected CorruptPage, got {other}"),
+        let mut s = Store::open(&dir).unwrap();
+        for _ in 0..2 {
+            match s.get(&k).unwrap_err() {
+                StoreError::BlobChecksum { entry, .. } => assert_eq!(entry, k.render()),
+                other => panic!("flip at +{rel}: expected BlobChecksum, got {other}"),
             }
-            // Quarantined: the second read fails fast.
-            assert!(matches!(
-                s.get(&k).unwrap_err(),
-                StoreError::Quarantined { page: p } if p == page
-            ));
-            let report = s.verify().unwrap();
-            assert!(!report.ok, "verify missed a flip in page {page} at +{rel}");
-            assert!(report.corrupt_pages.contains(&page));
         }
+        let report = s.verify().unwrap();
+        assert!(!report.ok, "verify missed a flip at +{rel}");
+        assert_eq!(report.bad_entries.len(), 1);
+        assert_eq!(report.bad_entries[0].0, k.render());
+        assert_eq!(s.get(&key(CLASS_RESULT, 1, 1, "before")).unwrap().unwrap(), b"neighbour");
     }
     // Restore: the store must verify clean again.
-    std::fs::write(&pages_path, &pristine).unwrap();
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+    std::fs::write(&log, &pristine).unwrap();
+    let mut s = Store::open(&dir).unwrap();
     assert!(s.verify().unwrap().ok);
     assert_eq!(s.get(&k).unwrap().unwrap(), data);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -266,56 +273,120 @@ fn a_rewrite_clears_quarantine() {
     let mut s = Store::init(&dir).unwrap();
     s.put(k.clone(), b"first").unwrap();
     s.checkpoint().unwrap();
-    let page = s.entries().next().unwrap().pages[0];
-    // Corrupt the page behind the store's back.
+    let offset = s.entries().next().unwrap().offset as usize;
+    // Corrupt the record behind the store's back.
     drop(s);
-    let pages_path = dir.join("store.pages");
-    let mut bytes = std::fs::read(&pages_path).unwrap();
-    bytes[page as usize * PAGE_SIZE + 60] ^= 0xFF;
-    std::fs::write(&pages_path, &bytes).unwrap();
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
-    assert!(s.get(&k).is_err());
-    // Overwriting the entry moves it to a fresh page; the corrupt slot is
-    // demoted to the free list and no longer fails verification (only
-    // referenced state counts), while reads serve the new page.
+    let log = first_segment(&dir);
+    let mut bytes = std::fs::read(&log).unwrap();
+    bytes[offset + 30] ^= 0xFF;
+    std::fs::write(&log, &bytes).unwrap();
+    let mut s = Store::open(&dir).unwrap();
+    assert!(matches!(s.get(&k), Err(StoreError::BlobChecksum { .. })));
+    // A new put of the key is a new record: reads serve it, and the
+    // corrupt one is dead, so it no longer fails verification.
     s.put(k.clone(), b"second").unwrap();
     assert_eq!(s.get(&k).unwrap().unwrap(), b"second");
     assert!(s.verify().unwrap().ok);
-    // Reusing the quarantined slot rewrites it and lifts the quarantine.
-    s.put(key(CLASS_RESULT, 2, 2, ""), b"third").unwrap();
-    assert_eq!(s.stat().quarantined, 0);
-    assert_eq!(
-        s.get(&key(CLASS_RESULT, 2, 2, "")).unwrap().unwrap(),
-        b"third"
-    );
+    // Compaction drops the dead record without reading it.
+    s.compact().unwrap();
+    assert!(!log.exists());
+    assert_eq!(s.get(&k).unwrap().unwrap(), b"second");
+    assert!(s.verify().unwrap().ok);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Segment files in a store directory.
+fn segment_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "log"))
+        .count()
+}
+
 #[test]
-fn compact_packs_pages_and_preserves_state() {
+fn compact_drops_dead_segments_and_preserves_state() {
     let dir = scratch("compact");
     let mut s = Store::init(&dir).unwrap();
     let mut keys = Vec::new();
     for i in 0..8u64 {
         let k = key(CLASS_RESULT, i, 0, "");
-        s.put(k.clone(), &blob(PAGE_PAYLOAD + i as usize * 100, i as u8))
-            .unwrap();
+        s.put(k.clone(), &blob(4_064 + i as usize * 100, i as u8)).unwrap();
         keys.push(k);
     }
-    // Delete every other entry, leaving holes.
+    // Delete every other entry, leaving dead records.
     for k in keys.iter().step_by(2) {
         s.delete(k).unwrap();
     }
     let before_dump = s.canonical_dump().unwrap();
     let (before, after) = s.compact().unwrap();
-    assert!(after < before, "compaction freed no pages ({before} -> {after})");
-    assert_eq!(s.stat().free_pages, 0);
+    assert!(after < before, "compaction freed nothing ({before} -> {after})");
+    // The log holds the live records and nothing else, and the segment
+    // that held the dead ones is gone.
+    let live: u64 = s.entries().map(|e| u64::from(e.len)).sum();
+    assert_eq!(after, live);
+    assert!(!first_segment(&dir).exists());
+    assert_eq!(segment_files(&dir), s.stat().segments);
+    assert_eq!(s.stat().wal_bytes, 0);
     assert_eq!(s.canonical_dump().unwrap(), before_dump);
     assert!(s.verify().unwrap().ok);
     // Reopen: state still intact.
     drop(s);
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+    let s = Store::open(&dir).unwrap();
     assert_eq!(s.canonical_dump().unwrap(), before_dump);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Bytes of every file in a store directory.
+fn disk_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum()
+}
+
+/// A long-running writer that never checkpoints: puts and evictions
+/// churn many times the live target through the store, and the bytes on
+/// disk stay within twice the live bytes plus one segment.
+#[test]
+fn disk_stays_bounded_under_churn() {
+    let dir = scratch("churn");
+    let mut s = Store::init(&dir).unwrap();
+
+    // Each blob goes to disk once, as one frame of its length: no page
+    // rounding, no second copy.
+    let k = key(CLASS_RESULT, 0, 0, "first");
+    let data = blob(10_000, 1);
+    let before = disk_bytes(&dir);
+    s.put(k.clone(), &data).unwrap();
+    let frame = Record::Put { key: k, data }.encode().len() as u64;
+    assert!(frame < 10_000 + 64, "a 10 000-byte blob in a {frame}-byte frame");
+    assert_eq!(disk_bytes(&dir) - before, frame);
+
+    let target = SEGMENT_BYTES * 3 / 2;
+    let mut written = 0u64;
+    let mut i = 1u64;
+    while written < 16 * SEGMENT_BYTES {
+        let data = blob(32_768 + (i % 7) as usize * 1_000, i as u8);
+        s.put(key(CLASS_RESULT, i, 0, ""), &data).unwrap();
+        written += data.len() as u64;
+        s.evict_lru(target).unwrap();
+        let disk = disk_bytes(&dir);
+        assert!(
+            disk <= 2 * s.live_bytes() + SEGMENT_BYTES,
+            "after {written} bytes written: {disk} bytes on disk for {} live",
+            s.live_bytes()
+        );
+        i += 1;
+    }
+    // Compaction deleted the oldest segments, and replay stays bounded:
+    // the index was checkpointed at every seal.
+    assert!(!first_segment(&dir).exists());
+    assert!(s.stat().wal_bytes <= SEGMENT_BYTES);
+    let dump = s.canonical_dump().unwrap();
+    drop(s);
+    let s = Store::open(&dir).unwrap();
+    assert_eq!(s.canonical_dump().unwrap(), dump);
+    assert!(s.verify().unwrap().ok);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -327,42 +398,20 @@ fn torn_wal_tail_is_truncated_on_open() {
         s.put(key(CLASS_RESULT, 1, 0, ""), b"committed").unwrap();
     }
     // Append garbage that looks like the start of a frame.
-    let wal_path = dir.join("store.wal");
-    let mut wal = std::fs::read(&wal_path).unwrap();
-    let good = wal.len() as u64;
-    wal.extend_from_slice(&[0x55; 7]);
-    std::fs::write(&wal_path, &wal).unwrap();
-    let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
-    assert_eq!(s.replay_report().torn_at, Some(good));
-    assert_eq!(s.replay_report().records, 1);
+    let log = first_segment(&dir);
+    let mut bytes = std::fs::read(&log).unwrap();
+    let good = bytes.len() as u64;
+    bytes.extend_from_slice(&[0x55; 7]);
+    std::fs::write(&log, &bytes).unwrap();
+    let mut s = Store::open(&dir).unwrap();
+    assert_eq!(s.stat().torn_at, Some((0, good)));
+    assert_eq!(s.stat().replayed, 1);
     assert_eq!(
         s.get(&key(CLASS_RESULT, 1, 0, "")).unwrap().unwrap(),
         b"committed"
     );
     // The tail is gone from disk too.
-    assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), good);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn pool_policies_both_serve_reads() {
-    let dir = scratch("pool-lru");
-    let mut s = Store::init(&dir).unwrap();
-    for i in 0..6u64 {
-        s.put(key(CLASS_RESULT, i, 0, ""), &blob(PAGE_PAYLOAD * 2, i as u8))
-            .unwrap();
-    }
-    drop(s);
-    let mut s = Store::open(&dir, StoreOptions { pool_pages: 3 }).unwrap();
-    for round in 0..3 {
-        for i in 0..6u64 {
-            let data = s.get(&key(CLASS_RESULT, i, 0, "")).unwrap().unwrap();
-            assert_eq!(data.len(), PAGE_PAYLOAD * 2, "round {round}");
-        }
-    }
-    let st = s.stat();
-    assert!(st.pool_hits + st.pool_misses > 0);
-    assert!(st.pool_resident <= 3);
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), good);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -375,7 +424,7 @@ fn init_refuses_to_overwrite() {
         Err(StoreError::AlreadyExists { .. })
     ));
     assert!(matches!(
-        Store::open(&dir.join("nope"), StoreOptions::default()),
+        Store::open(&dir.join("nope")),
         Err(StoreError::NotAStore { .. })
     ));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -387,47 +436,23 @@ mod faults {
     use lcdb_budget::faults::FaultPlan;
 
     #[test]
-    fn injected_wal_fault_fails_put_and_leaves_store_usable() {
-        let dir = scratch("fault-wal");
+    fn injected_append_fault_fails_put_and_leaves_store_usable() {
+        let dir = scratch("fault-append");
         let mut s = Store::init(&dir).unwrap();
         let k = key(CLASS_RESULT, 1, 1, "");
         {
-            let _armed = FaultPlan::new().fail_on("store.wal_append", 1).arm();
+            let _armed = FaultPlan::new().fail_on("store.append", 1).arm();
             assert!(matches!(
                 s.put(k.clone(), b"doomed"),
-                Err(StoreError::Injected { site: "store.wal_append" })
+                Err(StoreError::Injected { site: "store.append" })
             ));
         }
-        // The failed put never reached the WAL: nothing committed.
+        // The failed put never reached the log: nothing committed.
         assert!(s.get(&k).unwrap().is_none());
         s.put(k.clone(), b"fine").unwrap();
         drop(s);
-        let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
+        let mut s = Store::open(&dir).unwrap();
         assert_eq!(s.get(&k).unwrap().unwrap(), b"fine");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_page_fault_after_commit_heals_on_reopen() {
-        let dir = scratch("fault-page");
-        let mut s = Store::init(&dir).unwrap();
-        let k = key(CLASS_RESULT, 2, 2, "");
-        {
-            let _armed = FaultPlan::new().fail_on("store.page_flush", 1).arm();
-            assert!(matches!(
-                s.put(k.clone(), b"committed-but-unwritten"),
-                Err(StoreError::Injected { site: "store.page_flush" })
-            ));
-        }
-        // The WAL committed before the page fault: reopening replays the
-        // record and materializes the pages.
-        drop(s);
-        let mut s = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(
-            s.get(&k).unwrap().unwrap(),
-            b"committed-but-unwritten"
-        );
-        assert!(s.verify().unwrap().ok);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
