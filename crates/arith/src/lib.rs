@@ -20,7 +20,6 @@
 mod bigint;
 mod biguint;
 mod rational;
-pub mod work;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;

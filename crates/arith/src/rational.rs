@@ -22,7 +22,7 @@
 //! `Big`/`Big` operations fall back to arbitrary precision and demote on
 //! the way out.
 
-use crate::work::{self, Work};
+use lcdb_budget::work::{self, Work};
 use crate::{BigInt, BigUint, ParseNumError, Sign};
 use std::cmp::Ordering;
 use std::fmt;
@@ -76,7 +76,8 @@ impl Rational {
         assert!(!den.is_zero(), "rational with zero denominator");
         // Fault-injection site: stands in for a (hypothetical) overflow in
         // the normalization below. Rational construction is infallible, so
-        // the fault is deferred and surfaces at the next interrupt check.
+        // the fault is deferred and surfaces at the work ledger's next
+        // charge.
         #[cfg(feature = "faults")]
         lcdb_budget::faults::hit("arith.overflow");
         if num.is_zero() {

@@ -11,7 +11,7 @@
 //! two timed experiments that remain, E23 and E27, each assert an overhead
 //! contract of the observability stack.
 
-use lcdb_arith::work::{self, Work};
+use lcdb_core::work::{self, Work};
 use lcdb_arith::{int, rat, Rational};
 use lcdb_bench::*;
 use lcdb_core::{

@@ -276,7 +276,7 @@ mod tests {
     /// LP solves are deterministic: the work ledger pins them.
     #[test]
     fn block_elimination_is_lp_frugal() {
-        use lcdb_arith::work::{self, Work};
+        use lcdb_core::work::{self, Work};
         use lcdb_logic::{qe, Formula, LinExpr};
         // What the parent commit (3691859: one `eliminate_one_cells` per
         // variable, one LP per atom of every candidate disjunct) solved on
@@ -327,7 +327,7 @@ mod tests {
     /// lowerings equal).
     #[test]
     fn alibi_relations_lower_from_rows() {
-        use lcdb_arith::work::{self, Work};
+        use lcdb_core::work::{self, Work};
         use lcdb_core::{parse_regformula, Evaluator};
         let ext = alibi_extension(8, 11, true);
         let ev = Evaluator::new(&ext);

@@ -14,25 +14,29 @@
 //!   thread can trip to abort an evaluation in progress.
 //! * [`BudgetError`] — the typed verdict when a limit is hit. Higher layers
 //!   (lcdb-core's `EvalError`) wrap it with evaluation statistics.
-//! * [`Meter`] — an amortized clock: checking `Instant::now()` per tuple
-//!   test would dominate the work being metered, so the meter only consults
-//!   the clock (and the cancel flag) every [`Meter::PERIOD`] ticks.
+//! * [`work`] — the work ledger, which is also the budget's clock: every
+//!   unit of work charged to a thread's armed ledger checks the token, the
+//!   iteration and tuple-test caps and, every [`work::PERIOD`] units, the
+//!   deadline. The face and memory caps bound a *size*, not work, and stay
+//!   explicit checks.
 //!
-//! All limits are optional; [`EvalBudget::unlimited`] turns every check into
-//! a cheap no-op, which is what the infallible legacy entry points use.
+//! All limits are optional; [`EvalBudget::unlimited`] sets none, which is
+//! what the infallible legacy entry points use.
 
 #![forbid(unsafe_code)]
 
+pub mod work;
+
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A shared cancellation flag.
 ///
 /// Cloning is cheap and all clones observe the same flag, so a token can be
-/// handed to another thread (or a signal handler) while the evaluator polls
-/// it through its [`Meter`].
+/// handed to another thread (or a signal handler) while the evaluation
+/// charges its work against it.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -43,8 +47,8 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Trip the flag: every budget sharing this token fails its next
-    /// interrupt check with [`BudgetError::Cancelled`].
+    /// Trip the flag: every budget sharing this token refuses its next
+    /// charge with [`BudgetError::Cancelled`].
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
@@ -61,8 +65,8 @@ impl CancelToken {
 /// reusing one across a session.
 #[derive(Clone, Debug, Default)]
 pub struct EvalBudget {
-    deadline: Option<Instant>,
-    timeout: Option<Duration>,
+    /// The instant the deadline passes, and the timeout it was set from.
+    deadline: Option<(Instant, Duration)>,
     max_fix_iterations: Option<u64>,
     max_tuple_tests: Option<u64>,
     max_faces: Option<usize>,
@@ -71,7 +75,7 @@ pub struct EvalBudget {
 }
 
 impl EvalBudget {
-    /// A budget with no limits: every check is a no-op.
+    /// A budget with no limits.
     pub fn unlimited() -> Self {
         Self::default()
     }
@@ -79,8 +83,7 @@ impl EvalBudget {
     /// Abort with [`BudgetError::DeadlineExceeded`] once `timeout` has
     /// elapsed from this call.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.deadline = Some(Instant::now() + timeout);
-        self.timeout = Some(timeout);
+        self.deadline = Some((Instant::now() + timeout, timeout));
         self
     }
 
@@ -111,86 +114,10 @@ impl EvalBudget {
         self
     }
 
-    /// Attach a cancellation token polled by interrupt checks.
+    /// Attach a cancellation token, observed by every charge.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    pub fn max_fix_iterations(&self) -> Option<u64> {
-        self.max_fix_iterations
-    }
-
-    pub fn max_tuple_tests(&self) -> Option<u64> {
-        self.max_tuple_tests
-    }
-
-    pub fn max_faces(&self) -> Option<usize> {
-        self.max_faces
-    }
-
-    pub fn max_memory_bytes(&self) -> Option<usize> {
-        self.max_memory_bytes
-    }
-
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// True when an attached cancellation token has been tripped. A cheap
-    /// relaxed flag load — safe to consult before every unit of work.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-    }
-
-    /// True when no limit or token is set, i.e. every check is a no-op.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_fix_iterations.is_none()
-            && self.max_tuple_tests.is_none()
-            && self.max_faces.is_none()
-            && self.max_memory_bytes.is_none()
-            && self.cancel.is_none()
-    }
-
-    /// Check the deadline and the cancellation token. This consults the
-    /// clock; hot loops should go through a [`Meter`] instead.
-    pub fn check_interrupt(&self) -> Result<(), BudgetError> {
-        // Deferred faults from infallible layers (arith, lp) surface at the
-        // next interrupt check, exactly like a cancellation would.
-        #[cfg(feature = "faults")]
-        if let Some(err) = faults::take_pending() {
-            return Err(err);
-        }
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(BudgetError::Cancelled);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                return Err(BudgetError::DeadlineExceeded {
-                    limit: self.timeout.unwrap_or_default(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Fail once `iterations` exceeds the fixed-point stage cap.
-    pub fn check_fix_iterations(&self, iterations: u64) -> Result<(), BudgetError> {
-        match self.max_fix_iterations {
-            Some(limit) if iterations > limit => Err(BudgetError::IterationLimit { limit }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Fail once `tests` exceeds the tuple-test cap.
-    pub fn check_tuple_tests(&self, tests: u64) -> Result<(), BudgetError> {
-        match self.max_tuple_tests {
-            Some(limit) if tests > limit => Err(BudgetError::TupleTestLimit { limit }),
-            _ => Ok(()),
-        }
     }
 
     /// Fail once a decomposition holds more than the face cap.
@@ -221,101 +148,6 @@ impl EvalBudget {
                 limit_bytes: limit,
                 estimated_bytes: usize::MAX,
             }),
-        }
-    }
-
-    /// A fresh amortized-interrupt meter bound to this budget's pacing.
-    pub fn meter(&self) -> Meter {
-        Meter::new()
-    }
-}
-
-/// Amortizes clock/cancellation checks over hot loops.
-///
-/// `tick` is cheap (a relaxed increment of one cell) except every
-/// [`Meter::PERIOD`]-th call, which performs a full
-/// [`EvalBudget::check_interrupt`]. An evaluation runs on the thread that
-/// called it, so a meter has one ticking thread; the cell is atomic only so
-/// a meter can sit in a `Sync` evaluator, and counts stay exact however
-/// many threads tick it.
-///
-/// A meter constructed with [`Meter::backed_by`] mirrors its ticks into an
-/// externally owned cell (a metrics-registry counter) in `PERIOD`-sized
-/// batches at check boundaries, with the remainder flushed on drop — the
-/// registry sees the full count without its shared cell ever sitting on the
-/// per-tick path.
-///
-/// The alignment keeps the cell off the cache lines of whatever struct the
-/// meter is a field of: loads from a line wait on a locked increment to the
-/// same line, and with the cell next to the evaluator's own fields the
-/// benchmark's `fixpoint_batch` ran 5 % slower.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct Meter {
-    ticks: AtomicU64,
-    backing: Option<std::sync::Arc<AtomicU64>>,
-}
-
-impl Meter {
-    /// Interrupt-check frequency: every 256 ticks. A tuple test costs at
-    /// least a formula substitution plus an LP call, so the added latency of
-    /// a trip through `Instant::now()` every 256 of those is noise, while
-    /// the reaction time to a deadline or cancellation stays well under a
-    /// millisecond of work.
-    pub const PERIOD: u64 = 256;
-
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A meter that mirrors its ticks into an externally owned cell — this
-    /// is how a metrics registry observes meter activity without sitting on
-    /// the hot path: the registry hands out the `Arc<AtomicU64>`, the meter
-    /// adds to it in `PERIOD`-sized batches (plus a final flush on drop)
-    /// while the per-tick increment stays on the meter's own cell.
-    pub fn backed_by(ticks: std::sync::Arc<AtomicU64>) -> Self {
-        Meter {
-            ticks: AtomicU64::new(0),
-            backing: Some(ticks),
-        }
-    }
-
-    /// The number of ticks counted so far.
-    pub fn count(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Count one unit of work; every [`Meter::PERIOD`] units, run the
-    /// budget's interrupt check. Cancellation is checked on *every* tick,
-    /// before the work unit is counted.
-    pub fn tick(&self, budget: &EvalBudget) -> Result<(), BudgetError> {
-        // Observe cancellation before claiming the next unit of work, not up
-        // to PERIOD-1 units later: a cancelled query stops at the first tick
-        // after the token trips.
-        if budget.is_cancelled() {
-            return Err(BudgetError::Cancelled);
-        }
-        let t = self.ticks.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        // `u64::is_multiple_of` needs a newer MSRV than the workspace floor.
-        #[allow(clippy::manual_is_multiple_of)]
-        if t % Self::PERIOD == 0 {
-            if let Some(backing) = &self.backing {
-                backing.fetch_add(Self::PERIOD, Ordering::Relaxed);
-            }
-            budget.check_interrupt()
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Drop for Meter {
-    fn drop(&mut self) {
-        // Flush the sub-period remainder so a registry-backed cell ends up
-        // with the exact tick total once the meter retires: every full
-        // period was mirrored by the tick that completed it.
-        if let Some(backing) = &self.backing {
-            backing.fetch_add(self.count() % Self::PERIOD, Ordering::Relaxed);
         }
     }
 }
@@ -403,9 +235,9 @@ impl std::error::Error for BudgetError {}
 ///   [`BudgetError::InjectedFault`] when the armed plan says the site's
 ///   N-th execution should fail;
 /// * infallible hot paths (a `Rational` constructor cannot return `Err`)
-///   call [`hit`], which records the fault as *pending*; the next
-///   [`EvalBudget::check_interrupt`] — every meter period at most — turns it
-///   into the same typed error.
+///   call [`hit`], which records the fault as *pending*; the next charge to
+///   the armed work ledger ([`crate::work::charge`]) turns it into the same
+///   typed error.
 ///
 /// Plans are armed per thread ([`FaultPlan::arm`] returns an RAII guard), so
 /// parallel tests do not interfere, and each site fires at most once per
@@ -421,7 +253,7 @@ impl std::error::Error for BudgetError {}
 /// behind a handle is shared, not copied: hit counts accumulate globally,
 /// each site still fires at most once per arming no matter which thread
 /// reaches it first, and a deferred fault recorded by a worker surfaces at
-/// the next interrupt check on *any* participating thread.
+/// the next clock reading of a charge on *any* participating thread.
 ///
 /// With the feature disabled this module does not exist and the sites
 /// compile to nothing.
@@ -607,9 +439,9 @@ pub mod faults {
     }
 
     /// Injection site for infallible code: if the armed plan fires here, the
-    /// fault is recorded as pending and surfaces at the next
-    /// [`EvalBudget::check_interrupt`](super::EvalBudget::check_interrupt)
-    /// on any thread sharing the arming. An already pending fault is never
+    /// fault is recorded as pending and surfaces at this thread's next
+    /// [`charge`](crate::work::charge) (at the next clock reading on any
+    /// other thread sharing the arming). An already pending fault is never
     /// overwritten, so the first deferred site wins deterministically.
     pub fn hit(site: &str) {
         with_state(|st| {
@@ -625,6 +457,7 @@ pub mod faults {
                 if st.pending.is_none() {
                     st.pending = Some(site.to_string());
                 }
+                crate::work::check_soon();
             }
         });
     }
@@ -641,9 +474,8 @@ pub mod faults {
         }
     }
 
-    /// Drain the pending deferred fault, if any. Called by
-    /// [`EvalBudget::check_interrupt`](super::EvalBudget::check_interrupt);
-    /// tests normally never need it directly.
+    /// Drain the pending deferred fault, if any. Called by the work
+    /// ledger's clock reading; tests normally never need it directly.
     pub fn take_pending() -> Option<BudgetError> {
         with_state(|st| st.pending.take())
             .flatten()
@@ -757,17 +589,18 @@ pub mod faults {
         }
 
         #[test]
-        fn interrupt_check_surfaces_deferred_fault() {
+        fn the_next_charge_surfaces_a_deferred_fault() {
+            use crate::work::{self, Work};
             let _g = FaultPlan::new().fail_on("arith.overflow", 1).arm();
+            let _armed = work::arm(&super::super::EvalBudget::unlimited(), [0, 0]);
             hit("arith.overflow");
-            let b = super::super::EvalBudget::unlimited();
             assert_eq!(
-                b.check_interrupt(),
+                work::charge(Work::NodeVisits, 1),
                 Err(BudgetError::InjectedFault {
                     site: "arith.overflow".into()
                 })
             );
-            assert!(b.check_interrupt().is_ok(), "one-shot");
+            assert!(work::charge(Work::NodeVisits, 1).is_ok(), "one-shot");
         }
     }
 }
@@ -777,38 +610,44 @@ pub mod faults {
 mod tests {
     use super::*;
 
+    use std::time::Duration;
+    use work::{arm, charge, snapshot, Work, PERIOD};
+
     #[test]
     fn unlimited_budget_passes_everything() {
         let b = EvalBudget::unlimited();
-        assert!(b.is_unlimited());
-        b.check_interrupt().unwrap();
-        b.check_fix_iterations(u64::MAX).unwrap();
-        b.check_tuple_tests(u64::MAX).unwrap();
         b.check_faces(usize::MAX).unwrap();
         b.check_memory_estimate(None).unwrap();
-        let m = b.meter();
+        let _armed = arm(&b, [u64::MAX, u64::MAX]);
         for _ in 0..10_000 {
-            m.tick(&b).unwrap();
+            charge(Work::NodeVisits, 1).unwrap();
         }
+        charge(Work::FixIterations, 1).unwrap();
+        charge(Work::FixTupleTests, u64::MAX).unwrap();
     }
 
     #[test]
     fn iteration_limit_trips_only_past_cap() {
         let b = EvalBudget::unlimited().with_max_fix_iterations(5);
-        b.check_fix_iterations(5).unwrap();
+        let _armed = arm(&b, [3, 0]);
+        charge(Work::FixIterations, 2).unwrap();
+        let before = snapshot();
         assert_eq!(
-            b.check_fix_iterations(6),
+            charge(Work::FixIterations, 1),
             Err(BudgetError::IterationLimit { limit: 5 })
         );
+        assert_eq!(before.since()[Work::FixIterations], 1, "the stage over the cap counts");
     }
 
     #[test]
     fn zero_timeout_trips_immediately() {
         let b = EvalBudget::unlimited().with_timeout(Duration::ZERO);
-        // The deadline is `now`, so by the time we check, it has passed.
+        // The deadline is `now`, so by the time we check, it has passed; a
+        // stage is a whole sweep, so its charge reads the clock at once.
         std::thread::sleep(Duration::from_millis(1));
+        let _armed = arm(&b, [0, 0]);
         assert!(matches!(
-            b.check_interrupt(),
+            charge(Work::FixIterations, 1),
             Err(BudgetError::DeadlineExceeded { .. })
         ));
     }
@@ -816,110 +655,77 @@ mod tests {
     #[test]
     fn cancel_token_shared_across_clones() {
         let token = CancelToken::new();
-        let b = EvalBudget::unlimited().with_cancel_token(token.clone());
-        b.check_interrupt().unwrap();
+        let _armed = arm(&EvalBudget::unlimited().with_cancel_token(token.clone()), [0, 0]);
+        charge(Work::NodeVisits, 1).unwrap();
         let other = token.clone();
         other.cancel();
-        assert_eq!(b.check_interrupt(), Err(BudgetError::Cancelled));
+        assert_eq!(charge(Work::NodeVisits, 1), Err(BudgetError::Cancelled));
     }
 
     #[test]
     fn meter_observes_cancellation_on_first_tick() {
         let token = CancelToken::new();
-        let b = EvalBudget::unlimited().with_cancel_token(token.clone());
-        let m = b.meter();
+        let _armed = arm(&EvalBudget::unlimited().with_cancel_token(token.clone()), [0, 0]);
         token.cancel();
-        // A cancelled budget trips the very next tick — before the work
-        // unit is counted — not up to PERIOD-1 units later.
-        assert_eq!(m.tick(&b), Err(BudgetError::Cancelled));
-        assert_eq!(m.count(), 0, "the cancelled tick claims no work");
+        let before = snapshot();
+        // A cancelled budget refuses the very next charge — before the work
+        // is counted — not up to PERIOD-1 units later.
+        assert_eq!(charge(Work::NodeVisits, 1), Err(BudgetError::Cancelled));
+        assert_eq!(before.since()[Work::NodeVisits], 0, "the cancelled charge claims no work");
     }
 
     #[test]
     fn meter_checks_deadline_on_the_period() {
         // Non-cancellation interrupts (the clock) still amortize: the
-        // deadline is only consulted every PERIOD ticks.
+        // deadline is only consulted every PERIOD charged units.
         let b = EvalBudget::unlimited().with_timeout(Duration::from_secs(0));
         std::thread::sleep(Duration::from_millis(2));
-        let m = b.meter();
+        let _armed = arm(&b, [0, 0]);
         let mut tripped = None;
-        for i in 0..Meter::PERIOD {
-            if m.tick(&b).is_err() {
+        for i in 0..PERIOD {
+            if charge(Work::NodeVisits, 1).is_err() {
                 tripped = Some(i + 1);
                 break;
             }
         }
-        assert_eq!(tripped, Some(Meter::PERIOD), "trips exactly on the period");
+        assert_eq!(tripped, Some(PERIOD), "trips exactly on the period");
     }
 
     #[test]
     fn meter_cancel_mid_stream_stops_next_tick() {
         let token = CancelToken::new();
-        let b = EvalBudget::unlimited().with_cancel_token(token.clone());
-        let m = b.meter();
+        let _armed = arm(&EvalBudget::unlimited().with_cancel_token(token.clone()), [0, 0]);
+        let before = snapshot();
         for _ in 0..10 {
-            m.tick(&b).expect("not cancelled yet");
+            charge(Work::NodeVisits, 1).expect("not cancelled yet");
         }
         token.cancel();
-        assert_eq!(m.tick(&b), Err(BudgetError::Cancelled));
-        assert_eq!(m.count(), 10, "no work claimed after cancellation");
+        assert_eq!(charge(Work::NodeVisits, 1), Err(BudgetError::Cancelled));
+        assert_eq!(before.since()[Work::NodeVisits], 10, "no work claimed after cancellation");
     }
 
     #[test]
     fn meter_count_is_exact_across_threads() {
-        // Every tick is one fetch_add on the meter's cell, so the total is
-        // exact however many threads tick it.
-        let b = EvalBudget::unlimited();
-        let m = b.meter();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        m.tick(&b).expect("unlimited budget never trips");
-                    }
-                });
-            }
+        // Every thread counts its own work in its own ledger, so each total
+        // is exact however many threads charge at once.
+        let budget = EvalBudget::unlimited();
+        let counts: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..=4u64)
+                .map(|k| {
+                    let budget = &budget;
+                    scope.spawn(move || {
+                        let _armed = arm(budget, [0, 0]);
+                        let before = snapshot();
+                        for _ in 0..1000 * k {
+                            charge(Work::NodeVisits, 1).expect("unlimited budget never trips");
+                        }
+                        before.since()[Work::NodeVisits]
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        assert_eq!(m.count(), 4000);
-    }
-
-    #[test]
-    fn backed_meter_flushes_exact_total_to_registry_cell() {
-        let cell = std::sync::Arc::new(AtomicU64::new(0));
-        let b = EvalBudget::unlimited();
-        {
-            let m = Meter::backed_by(cell.clone());
-            // 2·PERIOD + 13 ticks: two in-flight batch flushes at the
-            // period boundaries, the remainder owed at drop.
-            for _ in 0..(2 * Meter::PERIOD + 13) {
-                m.tick(&b).expect("unlimited budget never trips");
-            }
-            assert_eq!(
-                cell.load(Ordering::Relaxed),
-                2 * Meter::PERIOD,
-                "boundary batches land before the meter retires"
-            );
-        }
-        assert_eq!(
-            cell.load(Ordering::Relaxed),
-            2 * Meter::PERIOD + 13,
-            "drop flushes the sub-period remainder"
-        );
-    }
-
-    #[test]
-    fn backed_meter_accumulates_onto_existing_cell_value() {
-        // Registry counters persist across queries; a fresh meter must add
-        // its ticks on top of whatever earlier meters already flushed.
-        let cell = std::sync::Arc::new(AtomicU64::new(0));
-        let b = EvalBudget::unlimited();
-        for _ in 0..2 {
-            let m = Meter::backed_by(cell.clone());
-            for _ in 0..10 {
-                m.tick(&b).expect("unlimited budget never trips");
-            }
-        }
-        assert_eq!(cell.load(Ordering::Relaxed), 20);
+        assert_eq!(counts, [1000, 2000, 3000, 4000]);
     }
 
     #[test]

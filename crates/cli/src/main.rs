@@ -741,22 +741,34 @@ DIR` (shell) and `lcdb serve --store DIR`. DIR falls back to the shared
   compact   seal the active segment and copy the live records of every
             segment holding a dead one forward, deleting it";
 
+/// Why `lcdb store` stopped: a command line it cannot read, answered with
+/// the usage text (alone when the message is empty, as for `--help`), or a
+/// store operation that failed.
+enum StoreError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for StoreError {
+    fn from(message: String) -> Self {
+        StoreError::Failed(message)
+    }
+}
+
 /// `lcdb store <action> [DIR]`: offline maintenance of a plan catalog.
-/// Returns `Err("")` to request the usage text without an error banner.
-fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
+fn run_store(limits: &Limits, args: &[String]) -> Result<(), StoreError> {
     use lcdb_store::Store;
     let mut it = args.iter();
     let action = match it.next().map(String::as_str) {
-        None | Some("--help") | Some("-h") => return Err(String::new()),
-        Some(a) => a.to_string(),
+        None | Some("--help") | Some("-h") => return Err(StoreError::Usage(String::new())),
+        Some(a @ ("init" | "stat" | "verify" | "compact")) => a,
+        Some(other) => return Err(StoreError::Usage(format!("unknown store action '{}'", other))),
     };
-    let dir = it
-        .next()
-        .map(PathBuf::from)
-        .or_else(|| limits.store_dir.clone())
-        .ok_or_else(|| "store needs a directory (positional DIR or --store DIR)".to_string())?;
+    let dir = it.next().map(PathBuf::from).or_else(|| limits.store_dir.clone()).ok_or_else(|| {
+        StoreError::Usage("store needs a directory (positional DIR or --store DIR)".to_string())
+    })?;
     if let Some(extra) = it.next() {
-        return Err(format!("unexpected argument '{}'", extra));
+        return Err(StoreError::Usage(format!("unexpected argument '{}'", extra)));
     }
     let open = |dir: &std::path::Path| -> Result<Store, String> {
         if !Store::exists(dir) {
@@ -768,10 +780,10 @@ fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
         }
         Store::open(dir).map_err(|e| e.to_string())
     };
-    match action.as_str() {
+    match action {
         "init" => {
             if Store::exists(&dir) {
-                return Err(format!("store already exists at {}", dir.display()));
+                return Err(format!("store already exists at {}", dir.display()).into());
             }
             Store::init(&dir).map_err(|e| e.to_string())?;
             println!("initialized empty store at {}", dir.display());
@@ -811,16 +823,16 @@ fn run_store(limits: &Limits, args: &[String]) -> Result<(), String> {
                 return Err(format!(
                     "verification failed: {} bad entr(ies)",
                     rep.bad_entries.len()
-                ));
+                )
+                .into());
             }
             println!("ok");
         }
-        "compact" => {
+        _ => {
             let mut store = open(&dir)?;
             let (before, after) = store.compact().map_err(|e| e.to_string())?;
             println!("compacted {} -> {} log bytes", before, after);
         }
-        other => return Err(format!("unknown store action '{}'", other)),
     }
     Ok(())
 }
@@ -1089,12 +1101,16 @@ fn main() -> std::process::ExitCode {
     if args.first().map(String::as_str) == Some("store") {
         return match run_store(&limits, &args[1..]) {
             Ok(()) => std::process::ExitCode::SUCCESS,
-            Err(msg) if msg.is_empty() => {
+            Err(StoreError::Usage(msg)) if msg.is_empty() => {
                 println!("{}", STORE_USAGE);
                 std::process::ExitCode::SUCCESS
             }
-            Err(msg) => {
+            Err(StoreError::Usage(msg)) => {
                 eprintln!("error: {}\n{}", msg, STORE_USAGE);
+                std::process::ExitCode::from(1)
+            }
+            Err(StoreError::Failed(msg)) => {
+                eprintln!("error: {}", msg);
                 std::process::ExitCode::from(1)
             }
         };

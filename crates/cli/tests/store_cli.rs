@@ -71,6 +71,42 @@ fn store_usage_and_errors() {
     assert!(out.contains("no store at"), "{}", out);
 }
 
+/// A failed store operation is an error, not a usage mistake: `verify` of a
+/// store with one flipped byte names the bad entry and its verdict, and
+/// prints no usage text; an unknown action still does.
+#[test]
+fn a_damaged_store_fails_verify_without_usage_text() {
+    let dir = temp_dir("damaged");
+    let dir_s = dir.to_string_lossy().into_owned();
+    let (out, code) = lcdb(&["--store", &dir_s, "-e", GAPPED, "connected"]);
+    assert_eq!(code, 0, "{}", out);
+    // Under the index checkpoint, a flipped record is read as damaged, not
+    // cut as a torn tail.
+    let (out, code) = lcdb(&["store", "compact", &dir_s]);
+    assert_eq!(code, 0, "{}", out);
+    let segment = std::fs::read_dir(&dir)
+        .expect("store directory")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .max_by_key(|p| std::fs::metadata(p).expect("segment").len())
+        .expect("a segment holds the records");
+    let mut bytes = std::fs::read(&segment).expect("segment");
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    std::fs::write(&segment, &bytes).expect("write");
+
+    let (out, code) = lcdb(&["store", "verify", &dir_s]);
+    assert_eq!(code, 1, "{}", out);
+    assert!(out.contains("bad entry"), "{}", out);
+    assert!(out.contains("verification failed: 1 bad entr(ies)"), "{}", out);
+    assert!(!out.contains("usage: lcdb store"), "{}", out);
+
+    let (out, code) = lcdb(&["store", "frobnicate", &dir_s]);
+    assert_eq!(code, 1, "{}", out);
+    assert!(out.contains("usage: lcdb store"), "{}", out);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The warm-start cycle: process 1 builds and persists the arrangement,
 /// process 2 loads it back and answers identically, and the persisted
 /// files pass a full verification sweep.

@@ -51,9 +51,9 @@ use crate::error::EvalError;
 use crate::lower;
 use crate::regfo::{FixMode, RegFormula};
 use crate::region::Decomposition;
-use lcdb_arith::work as ledger;
 use lcdb_arith::{Rational, Sign};
-use lcdb_budget::{BudgetError, EvalBudget, Meter};
+use lcdb_budget::work::{self as ledger, Tally, Work};
+use lcdb_budget::{BudgetError, EvalBudget};
 use lcdb_exec::Pool;
 use lcdb_logic::dnf::{try_to_dnf_pruned, try_to_dnf_strong, Dnf};
 use lcdb_logic::{qe, Formula, LinExpr, Rel, Var};
@@ -74,7 +74,10 @@ pub use crate::lower::query_fingerprint;
 /// Counters describing the work an evaluation performed.
 ///
 /// Reported both on success (via [`Evaluator::stats`]) and on budget aborts
-/// (inside [`EvalError`]), so interrupted runs stay debuggable.
+/// (inside [`EvalError`]), so interrupted runs stay debuggable. The six
+/// work counts (stages, tuple tests, QE calls, region expansions, TC edge
+/// tests, quarantined units) are a view of the work ledger's `eval.*` slots
+/// over the evaluator's entry calls, plus what a resumed snapshot carried.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Fixed-point iterations (applications of the stage operator).
@@ -155,7 +158,7 @@ struct FixLive {
     /// Work this run spent on the loop's completed stages — what a run
     /// resumed from the stage will not redo. Zero for a loop nested in
     /// another fixed point's body, whose stages already count it.
-    spent: Work,
+    spent: Counts,
 }
 
 /// A stage installed by [`Evaluator::resume_from`], still as tuples of
@@ -174,23 +177,22 @@ struct ResumeEntry {
 /// Unlike plan ids, this survives across processes.
 type ProgressKey = (u64, Vec<u64>);
 
-/// The work counters a snapshot carries, in [`PersistedStats`] order:
-/// fixed-point stages, tuple tests, QE calls, region expansions, TC edge
-/// tests, quarantined units.
-type Work = [usize; 6];
+/// The ledger slots of the work counters a snapshot carries, in
+/// [`PersistedStats`] order: fixed-point stages, tuple tests, QE calls,
+/// region expansions, TC edge tests, quarantined units.
+const COUNTED: [Work; 6] = [
+    Work::FixIterations,
+    Work::FixTupleTests,
+    Work::QeCalls,
+    Work::RegionExpansions,
+    Work::TcEdgeTests,
+    Work::Quarantined,
+];
 
-fn work(s: &EvalStats) -> Work {
-    [
-        s.fix_iterations,
-        s.fix_tuple_tests,
-        s.qe_calls,
-        s.region_expansions,
-        s.tc_edge_tests,
-        s.quarantined,
-    ]
-}
+/// One count per [`COUNTED`] slot.
+type Counts = [usize; 6];
 
-fn persisted(w: Work, regions: u64) -> PersistedStats {
+fn persisted(w: Counts, regions: u64) -> PersistedStats {
     PersistedStats {
         fix_iterations: w[0] as u64,
         fix_tuple_tests: w[1] as u64,
@@ -209,7 +211,7 @@ fn persisted(w: Work, regions: u64) -> PersistedStats {
 pub(crate) fn empty_checkpoint(query: &RegFormula) -> Snapshot {
     Snapshot::Fixpoint(FixpointSnapshot {
         query_fingerprint: query_fingerprint(query),
-        stats: persisted(Work::default(), 0),
+        stats: persisted(Counts::default(), 0),
         entries: Vec::new(),
     })
 }
@@ -262,7 +264,6 @@ type NodeKey = lcdb_plan::memo::MemoKey;
 pub struct Evaluator<'a> {
     ext: &'a dyn Decomposition,
     budget: EvalBudget,
-    meter: Meter,
     /// Dimension of each region.
     dim_of: Vec<u32>,
     /// The narrowed quantifier domains met so far.
@@ -276,7 +277,14 @@ pub struct Evaluator<'a> {
     /// variables: shared subplans evaluate once per region binding.
     formula_memo: RefCell<FastMap<NodeKey, Formula>>,
     positivity_checked: RefCell<FastSet<PlanId>>,
+    /// The counters that are not the ledger's; the six work counts here
+    /// stay zero.
     stats: RefCell<EvalStats>,
+    /// The work counts of the entry calls that returned, from what a
+    /// resumed snapshot carried on.
+    counted: Cell<Counts>,
+    /// The ledger at the start of the entry call in progress.
+    window: Cell<Option<Tally>>,
     zero_dim_order: Vec<usize>,
     /// Fault-tolerant mode: quarantine localized faults instead of aborting.
     degrade: bool,
@@ -290,7 +298,7 @@ pub struct Evaluator<'a> {
     /// their first stage from here instead of starting at the bottom.
     resume: RefCell<BTreeMap<ProgressKey, ResumeEntry>>,
     /// The work the installed snapshot's stages embody (its `stats`).
-    carried: Cell<Work>,
+    carried: Cell<Counts>,
     /// Structured tracing sink and metrics registry; disabled by default.
     /// See [`Evaluator::with_trace`].
     trace: TraceHandle,
@@ -344,11 +352,9 @@ impl<'a> Evaluator<'a> {
         // operator and the capture construction rely on (§5, §6).
         let mut zero_dim: Vec<usize> = (0..dim_of.len()).filter(|&r| dim_of[r] == 0).collect();
         zero_dim.sort_by(|&a, &b| ext.region(a).witness.cmp(&ext.region(b).witness));
-        let meter = budget.meter();
         Evaluator {
             ext,
             budget,
-            meter,
             dim_of,
             subsets: RefCell::new(Subsets::default()),
             tabs: RefCell::new(TableState::default()),
@@ -359,12 +365,14 @@ impl<'a> Evaluator<'a> {
                 regions: ext.num_regions(),
                 ..EvalStats::default()
             }),
+            counted: Cell::new(Counts::default()),
+            window: Cell::new(None),
             zero_dim_order: zero_dim,
             degrade: false,
             quarantine: RefCell::new(Quarantine::default()),
             progress: RefCell::new(BTreeMap::new()),
             resume: RefCell::new(BTreeMap::new()),
-            carried: Cell::new(Work::default()),
+            carried: Cell::new(Counts::default()),
             trace: TraceHandle::disabled(),
             trace_on: false,
             profiling: Cell::new(false),
@@ -375,14 +383,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Attach a tracing/metrics handle. Spans and counter events are emitted
-    /// through `trace`'s sink; the budget meter is rebound to the handle's
-    /// registry (counter `budget.meter_ticks`), so metered work is visible
-    /// in a metrics dump even when the sink itself is a
-    /// [`lcdb_trace::NullTracer`]. With tracing disabled the hot paths pay a
-    /// single cached boolean test.
+    /// through `trace`'s sink, and the registry is fed even when the sink
+    /// itself is a [`lcdb_trace::NullTracer`]. With tracing disabled the hot
+    /// paths pay a single cached boolean test.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
         self.trace_on = trace.enabled();
-        self.meter = Meter::backed_by(trace.metrics().counter("budget.meter_ticks").shared());
         self.trace = trace;
         self
     }
@@ -467,7 +472,9 @@ impl<'a> Evaluator<'a> {
     /// repaired in release builds, where a violation would mean a
     /// lost-update bug upstream rather than a reason to panic).
     pub fn stats(&self) -> EvalStats {
-        let mut s = *self.stats.borrow();
+        let (mut s, c) = (*self.stats.borrow(), self.counts());
+        (s.fix_iterations, s.fix_tuple_tests, s.qe_calls) = (c[0], c[1], c[2]);
+        (s.region_expansions, s.tc_edge_tests, s.quarantined) = (c[3], c[4], c[5]);
         debug_assert!(
             s.plan_cache_lookups >= s.plan_cache_hits,
             "plan-memo hits ({}) exceed lookups ({})",
@@ -480,13 +487,25 @@ impl<'a> Evaluator<'a> {
         s
     }
 
+    /// The work counts so far, the entry call in progress included.
+    fn counts(&self) -> Counts {
+        let mut counts = self.counted.get();
+        if let Some(open) = self.window.get() {
+            let spent = open.since();
+            for (n, w) in counts.iter_mut().zip(COUNTED) {
+                *n += spent[w] as usize;
+            }
+        }
+        counts
+    }
+
     /// Flush the stats accumulated since the last flush into the metrics
     /// registry, and — when tracing is enabled — emit matching counter
     /// events. Called at stage and entry boundaries so the event stream
     /// stays sparse; over a whole evaluation the per-name sums equal the
     /// corresponding [`EvalStats`] fields exactly.
     fn flush_trace_counters(&self) {
-        let now = *self.stats.borrow();
+        let now = self.stats();
         let prev = self.emitted.get();
         let emit = |name: &str, cur: usize, old: usize| {
             if cur > old {
@@ -522,11 +541,6 @@ impl<'a> Evaluator<'a> {
         self.ext
     }
 
-    /// The budget governing this evaluator.
-    pub fn budget(&self) -> &EvalBudget {
-        &self.budget
-    }
-
     /// The lexicographic order on 0-dimensional regions (region ids, rank
     /// `1..=n` in the paper's numbering).
     pub fn zero_dim_order(&self) -> &[usize] {
@@ -550,49 +564,30 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Count one fixed-point stage against the budget. Stages are coarse
-    /// (each sweeps the whole tuple space), so a full interrupt check here
-    /// is cheap relative to the work it gates.
+    /// Charge one fixed-point stage to the budget. A stage sweeps the whole
+    /// tuple space, so its charge also reads the clock.
     fn note_fix_stage(&self) -> Result<(), Stop> {
         // Fault-injection site: a stage transition failing outright.
         #[cfg(feature = "faults")]
         lcdb_budget::faults::check("core.fix_stage")?;
-        let total = {
-            let mut s = self.stats.borrow_mut();
-            s.fix_iterations += 1;
-            s.fix_iterations
-        };
-        self.budget.check_fix_iterations(total as u64)?;
-        self.budget.check_interrupt()?;
-        Ok(())
+        Ok(ledger::charge(Work::FixIterations, 1)?)
     }
 
-    /// Count the tuple tests of one fixed-point stage; TC edge tests share
+    /// Charge the tuple tests of one fixed-point stage; TC edge tests share
     /// the same cap.
     fn note_fix_tuple_tests(&self, tests: usize) -> Result<(), Stop> {
-        let total = {
-            let mut s = self.stats.borrow_mut();
-            s.fix_tuple_tests = s.fix_tuple_tests.saturating_add(tests);
-            s.fix_tuple_tests.saturating_add(s.tc_edge_tests) as u64
-        };
-        Ok(self.budget.check_tuple_tests(total)?)
+        Ok(ledger::charge(Work::FixTupleTests, tests as u64)?)
     }
 
-    /// Count the edge tests of one closure toward the shared tuple-test cap.
+    /// Charge the edge tests of one closure toward the shared tuple-test cap.
     fn note_tc_edge_tests(&self, tests: usize) -> Result<(), Stop> {
-        let total = {
-            let mut s = self.stats.borrow_mut();
-            s.tc_edge_tests = s.tc_edge_tests.saturating_add(tests);
-            s.fix_tuple_tests.saturating_add(s.tc_edge_tests) as u64
-        };
-        Ok(self.budget.check_tuple_tests(total)?)
+        Ok(ledger::charge(Work::TcEdgeTests, tests as u64)?)
     }
 
-    /// Count the regions one evaluation of a region quantifier ranges over
+    /// Charge the regions one evaluation of a region quantifier ranges over
     /// (metered, not capped).
     fn note_region_expansions(&self, regions: usize) -> Result<(), Stop> {
-        self.stats.borrow_mut().region_expansions += regions;
-        Ok(self.meter.tick(&self.budget)?)
+        Ok(ledger::charge(Work::RegionExpansions, regions as u64)?)
     }
 
     /// Is this failure confined enough to quarantine? Injected faults and
@@ -638,7 +633,7 @@ impl<'a> Evaluator<'a> {
             q.sites.insert(site.clone());
         }
         drop(q);
-        self.stats.borrow_mut().quarantined += 1;
+        ledger::add(Work::Quarantined, 1);
         // Quarantine visibility: every absorbed unit counts in the metrics
         // registry (for `--metrics` even without a sink) and, when tracing
         // is on, emits one event naming the unit and the fault site.
@@ -786,14 +781,14 @@ impl<'a> Evaluator<'a> {
         }
         drop(resume);
         // Carry the prior run's work over; `regions` stays this extension's.
-        let mut st = self.stats.borrow_mut();
-        st.fix_iterations = snap.stats.fix_iterations as usize;
-        st.fix_tuple_tests = snap.stats.fix_tuple_tests as usize;
-        st.qe_calls = snap.stats.qe_calls as usize;
-        st.region_expansions = snap.stats.region_expansions as usize;
-        st.tc_edge_tests = snap.stats.tc_edge_tests as usize;
-        st.quarantined = snap.stats.quarantined as usize;
-        self.carried.set(work(&st));
+        let st = &snap.stats;
+        let carried: Counts = [
+            st.fix_iterations, st.fix_tuple_tests, st.qe_calls,
+            st.region_expansions, st.tc_edge_tests, st.quarantined,
+        ]
+        .map(|n| n as usize);
+        self.counted.set(carried);
+        self.carried.set(carried);
         Ok(())
     }
 
@@ -878,13 +873,23 @@ impl<'a> Evaluator<'a> {
         out.map_err(|s| self.stop_error(s))
     }
 
-    /// Run one entry point and, with tracing on, add its LP and DNF work (a
-    /// query's closing conversion included) to the registry.
+    /// Run one entry point with the thread's work ledger armed with the
+    /// budget — the stages and tuple tests already counted, a resumed
+    /// snapshot's included, charged against its caps — count its work and,
+    /// with tracing on, add its LP and DNF work (a query's closing
+    /// conversion included) to the registry.
     fn metered<T>(&self, entry: impl FnOnce() -> Result<T, EvalError>) -> Result<T, EvalError> {
-        let before = self.trace_on.then(ledger::snapshot);
+        let counts = self.counts();
+        let capped = [counts[0], counts[1].saturating_add(counts[4])].map(|n| n as u64);
+        let _armed = ledger::arm(&self.budget, capped);
+        let before = ledger::snapshot();
+        self.window.set(Some(before));
         let out = entry();
-        if let Some(spent) = before.map(|b| b.since()) {
-            for w in ledger::Work::ALL {
+        self.counted.set(self.counts());
+        self.window.set(None);
+        if self.trace_on {
+            let spent = before.since();
+            for w in Work::ALL {
                 if w.name().starts_with("lp.") || w.name().starts_with("logic.") {
                     self.trace.metrics().add(w.name(), spent[w]);
                 }
@@ -920,8 +925,7 @@ impl<'a> Evaluator<'a> {
             // An answer that came out of an elimination is DNF-shaped
             // already: the conversion is then one decision per disjunct, no
             // distribution.
-            let dnf = try_to_dnf_strong(&out, &mut || self.interrupted())
-                .map_err(|s| self.stop_error(s))?;
+            let dnf = try_to_dnf_strong(&out).map_err(|e| self.stop_error(e.into()))?;
             Ok(dnf.to_formula())
         })
     }
@@ -1009,7 +1013,7 @@ impl<'a> Evaluator<'a> {
             return self.probe(cx, id, env).map(bool_formula);
         }
         self.profiled(id, || {
-            self.meter.tick(&self.budget)?;
+            ledger::charge(Work::NodeVisits, 1)?;
             if self.degrade || !facts.set_free() {
                 return self.eval_node_uncached(cx, id, env, false);
             }
@@ -1041,7 +1045,7 @@ impl<'a> Evaluator<'a> {
     /// of a non-constant relation left as `Formula::Pred` for the
     /// elimination to read from the database's rows. The elimination
     /// consumes the spine at once, so its nodes skip the formula memo; they
-    /// still tick the meter and are profiled. Any other node is `eval_node`'s.
+    /// are still charged and profiled. Any other node is `eval_node`'s.
     fn eval_matrix(&self, cx: Cx, id: PlanId, env: &mut Env) -> Result<Formula, Stop> {
         let spine = matches!(
             cx.plan.node(id),
@@ -1055,7 +1059,7 @@ impl<'a> Evaluator<'a> {
             return self.eval_node(cx, id, env);
         }
         self.profiled(id, || {
-            self.meter.tick(&self.budget)?;
+            ledger::charge(Work::NodeVisits, 1)?;
             self.eval_node_uncached(cx, id, env, true)
         })
     }
@@ -1138,7 +1142,7 @@ impl<'a> Evaluator<'a> {
             PlanNode::ExistsElem(..) | PlanNode::ForallElem(..) => {
                 let (vars, existential, body) = lcdb_plan::exec::quantifier_block(cx.plan, id);
                 let (sub, vars) = self.block_body(cx, body, vars, existential, env)?;
-                self.stats.borrow_mut().qe_calls += vars.len();
+                ledger::add(Work::QeCalls, vars.len() as u64);
                 if vars.is_empty() {
                     sub
                 } else {
@@ -1162,12 +1166,6 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// The budget's interrupt check, as the callback the DNF conversions
-    /// poll once per feasibility decision.
-    fn interrupted(&self) -> Result<(), Stop> {
-        self.budget.check_interrupt().map_err(Stop::from)
-    }
-
     /// Eliminate one block of like quantifiers (`vars` innermost first)
     /// under the budget, feeding its latency into the `qe.eliminate_us`
     /// histogram when tracing is enabled (QE calls are frequent, so they are
@@ -1175,7 +1173,7 @@ impl<'a> Evaluator<'a> {
     fn timed_qe(&self, sub: &Formula, vars: &[&str], existential: bool) -> Result<Formula, Stop> {
         let start = self.trace_on.then(Instant::now);
         let db = self.ext.database();
-        let out = qe::try_eliminate_block(sub, db, vars, existential, &mut || self.interrupted());
+        let out = qe::try_eliminate_block(sub, db, vars, existential).map_err(Stop::from);
         if let Some(start) = start {
             let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.trace.metrics().observe("qe.eliminate_us", us);
@@ -1363,7 +1361,7 @@ impl<'a> Evaluator<'a> {
                 var
             )));
         }
-        let dnf = try_to_dnf_pruned(&formula, &mut || self.interrupted())?;
+        let dnf = try_to_dnf_pruned(&formula)?;
         let Some(a) = unique_solution(&dnf, var) else {
             return Ok(false);
         };

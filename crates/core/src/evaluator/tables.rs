@@ -25,6 +25,7 @@
 
 use super::{Evaluator, FixLive, QuarantineUnit, Stop};
 use crate::regfo::FixMode;
+use lcdb_budget::work::{self as ledger, Work};
 use lcdb_budget::BudgetError;
 use lcdb_plan::hash::FastMap;
 use lcdb_plan::table::{zip, Layout, Pick, Reduce, Table, Var};
@@ -466,10 +467,7 @@ impl<'a> Evaluator<'a> {
         conj: bool,
     ) -> Result<Table, Stop> {
         self.check_alloc(&out)?;
-        let budget = &self.budget;
-        zip(out, reduce, children, conj, &|| {
-            budget.check_interrupt().map_err(Stop::from)
-        })
+        Ok(zip(out, reduce, children, conj)?)
     }
 
     // -----------------------------------------------------------------
@@ -571,13 +569,12 @@ impl<'a> Evaluator<'a> {
         env: &mut Env,
         absorb: bool,
     ) -> Result<Arc<Table>, Stop> {
-        self.meter.tick(&self.budget)?;
+        ledger::charge(Work::NodeVisits, 1)?;
         let hit = self.cached(cx, id, env)?;
         self.note_lookup(id, hit.is_some());
         if let Some(t) = hit {
             return Ok(t);
         }
-        self.budget.check_interrupt()?;
         let table = match self.build(cx, id, env) {
             Ok(t) => t,
             // Degraded mode: the operation that faulted contributes the
@@ -698,7 +695,7 @@ impl<'a> Evaluator<'a> {
         let n = self.ext.num_regions();
         let mut t = self.empty(Layout::new(vec![0, 1], vec![n, n]))?;
         for a in 0..n {
-            self.budget.check_interrupt()?;
+            ledger::charge(Work::TableSteps, 1)?;
             for b in 0..a {
                 if self.ext.adjacent(a, b) {
                     t.set(&[a, b], true);
@@ -822,7 +819,7 @@ impl<'a> Evaluator<'a> {
         let mut acc = self.zip(wide.clone(), None, &refs, conj)?;
         let doms = Self::doms_of(&all, env);
         for leaf in leaves {
-            self.budget.check_interrupt()?;
+            ledger::charge(Work::TableSteps, 1)?;
             acc.refine(conj, |pos| {
                 for ((&v, &d), &p) in all.iter().zip(doms.iter()).zip(pos) {
                     env.val[v as usize] = self.dom_region(d, p);
@@ -882,7 +879,7 @@ impl<'a> Evaluator<'a> {
     /// element-closed leaves — is kept by the leaves.
     fn masked(&self, cx: Cx, id: PlanId, env: &mut Env, care: &Table) -> Result<Table, Stop> {
         self.profiled(id, || {
-            self.meter.tick(&self.budget)?;
+            ledger::charge(Work::NodeVisits, 1)?;
             self.note_lookup(id, false);
             match cx.plan.node(id) {
                 PlanNode::And(parts) => {
@@ -1309,7 +1306,7 @@ impl<'a> Evaluator<'a> {
         let depth = self.tabs.borrow().sets.len();
         // An outermost loop (no enclosing fixed point has a stage bound)
         // accounts for the work its completed stages cost.
-        let before = (depth == 0).then(|| super::work(&self.stats.borrow()));
+        let before = (depth == 0).then(|| self.counts());
         // The orbit so far, for PFP's divergence check.
         let mut seen: HashSet<Vec<u64>> = HashSet::new();
         // Leaf cells computed before the previous stage began.
@@ -1383,8 +1380,8 @@ impl<'a> Evaluator<'a> {
             }
             let next = Arc::new(next);
             if let Some(pk) = &progress_key {
-                let spent = before.map_or(super::Work::default(), |before| {
-                    let now = super::work(&self.stats.borrow());
+                let spent = before.map_or(super::Counts::default(), |before| {
+                    let now = self.counts();
                     std::array::from_fn(|i| now[i] - before[i])
                 });
                 self.progress.borrow_mut().insert(
@@ -1481,9 +1478,7 @@ impl<'a> Evaluator<'a> {
                     self.note_tc_edge_tests(tuples.saturating_mul(tuples))?;
                     let edges = self.table(cx, body, env)?;
                     let mut closed = self.spread(cx, body, &edges, &matrix)?;
-                    closed.close(deterministic, || {
-                        self.budget.check_interrupt().map_err(Stop::from)
-                    })?;
+                    closed.close(deterministic)?;
                     Ok(Arc::new(closed))
                 })();
                 for (&v, &d) in bound.iter().zip(&saved) {

@@ -38,7 +38,7 @@ mod regfo;
 pub use error::EvalError;
 pub use evaluator::{query_fingerprint, EvalStats, Evaluator, ProfEntry, Quarantine};
 pub use lower::{compile, explain_query};
-pub use lcdb_arith::work;
+pub use lcdb_budget::work;
 pub use lcdb_budget::{BudgetError, CancelToken, EvalBudget};
 pub use lcdb_exec::Pool;
 pub use lcdb_recover::{RecoverError, Snapshot};

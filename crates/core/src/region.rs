@@ -697,7 +697,7 @@ mod tests {
         // outside point, against every region.
         let mut probes: Vec<QVector> = ext.region_ids().map(|id| ext.region(id).witness.clone()).collect();
         probes.push(vec![int(50), int(50)]);
-        let before = lcdb_arith::work::snapshot();
+        let before = lcdb_budget::work::snapshot();
         for id in ext.region_ids() {
             let f = ext.region_formula(id, &vars);
             assert!(f.is_quantifier_free());

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 use lcdb_arith::Rational;
+use lcdb_budget::work::{self, Work};
 use lcdb_budget::{BudgetError, EvalBudget};
 use lcdb_exec::hash::fingerprint_str;
 use lcdb_exec::Pool;
@@ -490,6 +491,8 @@ impl Program {
         // The previous round's delta; `None` until a round completes in
         // this process (semi-naive needs a predecessor round to diff).
         let mut delta: Option<BTreeMap<String, Relation>> = None;
+        // Rounds are stages: a resumed run's rounds count against the cap.
+        let _armed = work::arm(budget, [completed as u64, 0]);
         for round in (completed + 1)..=max_rounds {
             let abort = |error: BudgetError, idb: &BTreeMap<String, Relation>| {
                 DatalogError::Budget {
@@ -498,15 +501,14 @@ impl Program {
                     rounds: round - 1,
                 }
             };
-            if let Err(e) = budget.check_interrupt() {
-                return Err(abort(e, &idb));
-            }
             // Fault-injection site: a round that dies mid-consequence.
             #[cfg(feature = "faults")]
             if let Err(e) = lcdb_budget::faults::check("datalog.round") {
                 return Err(abort(e, &idb));
             }
-            if let Err(e) = budget.check_fix_iterations(round as u64) {
+            // A round is a stage: its charge also reads the clock, and
+            // returns what the eliminations of the last round left pending.
+            if let Err(e) = work::charge(Work::FixIterations, 1) {
                 return Err(abort(e, &idb));
             }
             // The round's independent consequence computations, in

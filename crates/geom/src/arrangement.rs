@@ -17,9 +17,9 @@
 //! into the parents, removal sorts, and point location binary-searches.
 
 use crate::Hyperplane;
-use lcdb_arith::work::{self, Work};
 use lcdb_arith::{Rational, Sign};
-use lcdb_budget::{BudgetError, EvalBudget, Meter};
+use lcdb_budget::work::{self, Work};
+use lcdb_budget::{BudgetError, EvalBudget};
 use lcdb_exec::Pool;
 use lcdb_linalg::{dot, scale, vec_add, vec_sub, Matrix, QVector};
 use lcdb_logic::{Atom, LinExpr, Relation};
@@ -87,8 +87,9 @@ impl Arrangement {
     /// The face count is checked against `budget`'s face cap as the
     /// sign-vector refinement grows (the arrangement has `O(n^d)` faces —
     /// Theorem 3.1 — so the check has to happen *during* construction, not
-    /// after), and the deadline/cancellation token are polled once per cell
-    /// step, inside the section recursion too. On `Err` nothing is
+    /// after), and each cell step, inside the section recursion too, is
+    /// one `geom.cell_steps` unit charged to `budget`, which the build arms
+    /// on the calling thread's work ledger. On `Err` nothing is
     /// materialized.
     ///
     /// # Panics
@@ -141,7 +142,7 @@ impl Arrangement {
                 &format!("dim={} hyperplanes={}", dim, hyperplanes.len()),
             )
         });
-        let meter = budget.meter();
+        let _armed = work::arm(budget, [0, 0]);
         let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
         let mut partial = vec![Cell::whole_space(dim)];
         let before = work::snapshot();
@@ -150,7 +151,7 @@ impl Arrangement {
                 trace.span_with("geom.level", &format!("level={} partial={}", k, partial.len()))
             });
             let parents = partial.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim, c.ray.as_ref()));
-            let next = refine(dim, &rows[..=k], parents, &meter, budget, face_guard(budget))?;
+            let next = refine(dim, &rows[..=k], parents, face_guard(budget))?;
             // A crossed parent has three children, any other one.
             work::add(Work::CellsSplit, ((next.len() - partial.len()) / 2) as u64);
             partial = next;
@@ -162,20 +163,14 @@ impl Arrangement {
         trace.count(Work::SectionsBuilt.name(), spent[Work::SectionsBuilt]);
         let _final_span =
             on.then(|| trace.span_with("geom.finalize", &format!("faces={}", partial.len())));
-        Arrangement::finalize(dim, hyperplanes, partial, &meter, budget)
+        Arrangement::finalize(dim, hyperplanes, partial)
     }
 
     /// Index the finished cells as faces.
-    fn finalize(
-        dim: usize,
-        hyperplanes: Vec<Hyperplane>,
-        cells: Vec<Cell>,
-        meter: &Meter,
-        budget: &EvalBudget,
-    ) -> Result<Self, BudgetError> {
+    fn finalize(dim: usize, hyperplanes: Vec<Hyperplane>, cells: Vec<Cell>) -> Result<Self, BudgetError> {
         let mut faces = Vec::with_capacity(cells.len());
         for (id, cell) in cells.into_iter().enumerate() {
-            meter.tick(budget)?;
+            work::charge(Work::CellSteps, 1)?;
             faces.push(Face {
                 id,
                 signs: cell.signs,
@@ -214,9 +209,9 @@ impl Arrangement {
     }
 
     /// Budgeted [`Arrangement::insert_hyperplane`]. The budget protocol
-    /// replays the final build level: one meter tick per existing face
-    /// during refinement, a face-cap check as children accumulate, and one
-    /// tick per new face during finalization. `_pool` is ignored (signature
+    /// replays the final build level: one charged cell step per existing
+    /// face during refinement, a face-cap check as children accumulate, and
+    /// one step per new face during finalization. `_pool` is ignored (signature
     /// pinned by `benchmark/`).
     pub fn try_insert_hyperplane(
         &self,
@@ -227,12 +222,12 @@ impl Arrangement {
         assert_eq!(h.dim(), self.dim, "hyperplane dimension mismatch");
         let mut hyperplanes = self.hyperplanes.clone();
         hyperplanes.push(h);
-        let meter = budget.meter();
+        let _armed = work::arm(budget, [0, 0]);
         let rows: Vec<Row> = hyperplanes.iter().map(Row::of).collect();
         let parents =
             self.faces.iter().map(|f| (&f.signs[..], &f.witness[..], f.dim, f.ray.as_ref()));
-        let cells = refine(self.dim, &rows, parents, &meter, budget, face_guard(budget))?;
-        Arrangement::finalize(self.dim, hyperplanes, cells, &meter, budget)
+        let cells = refine(self.dim, &rows, parents, face_guard(budget))?;
+        Arrangement::finalize(self.dim, hyperplanes, cells)
     }
 
     /// Coarsen the face lattice by deleting the hyperplane at `index`:
@@ -258,7 +253,7 @@ impl Arrangement {
         }
     }
 
-    /// Budgeted [`Arrangement::remove_hyperplane`]: one meter tick per face,
+    /// Budgeted [`Arrangement::remove_hyperplane`]: one charged cell step per face,
     /// and the face cap checked as merged faces accumulate. `_pool` is
     /// ignored (signature pinned by `benchmark/`).
     pub fn try_remove_hyperplane(
@@ -272,7 +267,7 @@ impl Arrangement {
             "hyperplane index {index} out of range for {} hyperplanes",
             self.hyperplanes.len()
         );
-        let meter = budget.meter();
+        let _armed = work::arm(budget, [0, 0]);
         let mut hyperplanes = self.hyperplanes.clone();
         hyperplanes.remove(index);
 
@@ -288,7 +283,7 @@ impl Arrangement {
         order.sort_by(|&a, &b| projected(a).cmp(&projected(b)));
         let mut faces: Vec<Face> = Vec::new();
         for id in order {
-            meter.tick(budget)?;
+            work::charge(Work::CellSteps, 1)?;
             let (f, (before, after)) = (&self.faces[id], projected(id));
             match faces.last_mut() {
                 Some(g) if g.signs[..index] == *before && g.signs[index..] == *after => {
@@ -421,7 +416,6 @@ impl Arrangement {
         relation: &Relation,
         budget: &EvalBudget,
     ) -> Result<Self, BudgetError> {
-        budget.check_interrupt()?;
         let hs = crate::extract_hyperplanes(relation);
         Arrangement::try_build(relation.arity(), hs, budget)
     }
@@ -641,16 +635,11 @@ impl Cell {
 
 /// All cells of the arrangement of `rows` in `ℝ^dim`, in lexicographic
 /// sign-vector order.
-fn arrangement_cells(
-    dim: usize,
-    rows: &[Row],
-    meter: &Meter,
-    budget: &EvalBudget,
-) -> Result<Vec<Cell>, BudgetError> {
+fn arrangement_cells(dim: usize, rows: &[Row]) -> Result<Vec<Cell>, BudgetError> {
     let mut cells = vec![Cell::whole_space(dim)];
     for k in 0..rows.len() {
         let parents = cells.iter().map(|c| (&c.signs[..], &c.witness[..], c.dim, c.ray.as_ref()));
-        cells = refine(dim, &rows[..=k], parents, meter, budget, |_| Ok(()))?;
+        cells = refine(dim, &rows[..=k], parents, |_| Ok(()))?;
     }
     Ok(cells)
 }
@@ -669,7 +658,7 @@ fn arrangement_cells(
 /// lower, and both sides are nonempty. Children are emitted in `[-, 0, +]`
 /// order under parents in order — the source of the arrangement-wide
 /// lexicographic face order. `after_parent` sees the running child count
-/// after every parent, one `meter` tick precedes each. Returns the children;
+/// after every parent, one charged cell step precedes each. Returns the children;
 /// every section built counts in the ledger's `geom.sections_built`.
 ///
 /// Rays, by `rec(A ∩ B) = rec A ∩ rec B` and `cl(P ∩ h) = cl P ∩ h` for a
@@ -684,8 +673,6 @@ fn refine<'a>(
     dim: usize,
     rows: &[Row],
     parents: impl ExactSizeIterator<Item = (&'a [Side], &'a [Rational], usize, Option<&'a QVector>)>,
-    meter: &Meter,
-    budget: &EvalBudget,
     mut after_parent: impl FnMut(usize) -> Result<(), BudgetError>,
 ) -> Result<Vec<Cell>, BudgetError> {
     let (h, prefix) = rows.split_last().expect("a level has a splitting row");
@@ -694,7 +681,7 @@ fn refine<'a>(
     if let Some(p) = h.coeffs.iter().position(|c| !c.is_zero()) {
         let restricted: Vec<Row> = prefix.iter().map(|r| r.restrict(h, p)).collect();
         work::add(Work::SectionsBuilt, 1);
-        for c in arrangement_cells(dim - 1, &restricted, meter, budget)? {
+        for c in arrangement_cells(dim - 1, &restricted)? {
             let ray = c.ray.map(|r| h.lift(p, &r, &Rational::ZERO));
             section.push(Cell { witness: h.lift(p, &c.witness, &h.rhs), ray, ..c });
         }
@@ -702,7 +689,7 @@ fn refine<'a>(
     let mut section = section.into_iter().peekable();
     let mut children = Vec::with_capacity(parents.len() * 2);
     for (signs, w, cell_dim, ray) in parents {
-        meter.tick(budget)?;
+        work::charge(Work::CellSteps, 1)?;
         let mut child = |side: Side, witness: QVector, dim: usize, ray: Option<QVector>| {
             let mut child_signs = Vec::with_capacity(signs.len() + 1);
             child_signs.extend_from_slice(signs);

@@ -14,7 +14,7 @@
 //! database-level operation is exactly the §8 proposal.
 
 use crate::{nc1, VPolyhedron};
-use lcdb_budget::EvalBudget;
+use lcdb_budget::{work, EvalBudget};
 use lcdb_linalg::QVector;
 use lcdb_logic::{Formula, Relation};
 
@@ -24,14 +24,11 @@ use lcdb_logic::{Formula, Relation};
 /// Panics if the relation is unbounded (the hull would not be closed) or
 /// empty.
 pub fn relation_vertices(relation: &Relation) -> Vec<QVector> {
-    let budget = EvalBudget::unlimited();
-    let (d, meter) = (relation.arity(), budget.meter());
+    let (budget, d) = (EvalBudget::unlimited(), relation.arity());
     let mut disjuncts = Vec::new();
     for conj in &relation.dnf().disjuncts {
-        match nc1::try_read_disjunct(d, conj, relation.var_names(), &budget, &meter) {
-            Ok(psi) => disjuncts.extend(psi),
-            Err(e) => panic!("unlimited budget cannot be exhausted: {e}"),
-        }
+        let psi = work::deferred(|| nc1::try_read_disjunct(d, conj, relation.var_names(), &budget));
+        disjuncts.extend(psi);
     }
     assert!(!disjuncts.is_empty(), "convex closure of an empty relation");
     assert!(disjuncts.iter().all(|psi| psi.bounded), "convex closure requires a bounded relation");

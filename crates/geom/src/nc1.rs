@@ -30,9 +30,9 @@
 use crate::hyperplane::primitive_factor;
 use crate::vrep::subsets_of_size;
 use crate::{Hyperplane, VPolyhedron};
-use lcdb_arith::work::{self, Work};
 use lcdb_arith::Rational;
-use lcdb_budget::{BudgetError, EvalBudget, Meter};
+use lcdb_budget::work::{self, Work};
+use lcdb_budget::{BudgetError, EvalBudget};
 use lcdb_linalg::{dot, scale, vec_add, vec_sub, Flat, Matrix, QVector, RrefResult};
 use lcdb_logic::{dnf::Conjunct, Relation};
 use lcdb_lp::{LinConstraint, Rel};
@@ -108,19 +108,19 @@ pub fn decompose_relation(relation: &Relation) -> Nc1Decomposition {
 /// The accumulated region count is checked against the budget's face cap as
 /// each disjunct is decomposed (the vertex-fan construction enumerates
 /// `d`-subsets and `d`-multisets of the vertex set, which blows up
-/// combinatorially), and the deadline/cancellation token are polled once per
-/// candidate subset or multiset.
+/// combinatorially), and each candidate subset, multiset or ray pair is one
+/// unit of `geom.nc1_candidates` charged to the budget, which arms the
+/// thread's work ledger for the call.
 pub fn try_decompose_relation(
     relation: &Relation,
     budget: &EvalBudget,
 ) -> Result<Nc1Decomposition, BudgetError> {
     let d = relation.arity();
     let order: Vec<String> = relation.var_names().to_vec();
-    let meter = budget.meter();
+    let _armed = work::arm(budget, [0, 0]);
     let mut regions = Vec::new();
     for (i, conj) in relation.dnf().disjuncts.iter().enumerate() {
-        budget.check_interrupt()?;
-        for (set, kind) in try_decompose_conjunct_inner(d, conj, &order, budget, &meter)? {
+        for (set, kind) in try_decompose_conjunct_inner(d, conj, &order, budget)? {
             let dim = set.dim();
             regions.push(Nc1Region {
                 set,
@@ -153,8 +153,8 @@ pub fn try_decompose_conjunct(
     var_order: &[String],
     budget: &EvalBudget,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
-    let meter = budget.meter();
-    try_decompose_conjunct_inner(d, conj, var_order, budget, &meter)
+    let _armed = work::arm(budget, [0, 0]);
+    try_decompose_conjunct_inner(d, conj, var_order, budget)
 }
 
 fn try_decompose_conjunct_inner(
@@ -162,12 +162,11 @@ fn try_decompose_conjunct_inner(
     conj: &Conjunct,
     var_order: &[String],
     budget: &EvalBudget,
-    meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
-    match try_read_disjunct(d, conj, var_order, budget, meter)? {
+    match try_read_disjunct(d, conj, var_order, budget)? {
         None => Ok(Vec::new()), // empty polyhedron: no regions
-        Some(psi) if psi.bounded => try_bounded_regions(d, &psi.vertices, &psi.interior, budget, meter),
-        Some(psi) => try_unbounded_regions(d, &psi, budget, meter),
+        Some(psi) if psi.bounded => try_bounded_regions(d, &psi.vertices, &psi.interior, budget),
+        Some(psi) => try_unbounded_regions(d, &psi, budget),
     }
 }
 
@@ -188,7 +187,6 @@ pub(crate) fn try_read_disjunct(
     conj: &Conjunct,
     var_order: &[String],
     budget: &EvalBudget,
-    meter: &Meter,
 ) -> Result<Option<Disjunct>, BudgetError> {
     let original: Vec<LinConstraint> = conj.iter().map(|a| a.to_constraint(var_order)).collect();
     if lcdb_lp::feasible(d, &original).is_none() {
@@ -208,7 +206,7 @@ pub(crate) fn try_read_disjunct(
         .collect();
 
     // Step 1: vertices of ψ.
-    let vertices = try_vertex_set(d, &hyperplanes, &closed, budget, meter)?;
+    let vertices = try_vertex_set(d, &hyperplanes, &closed, budget)?;
 
     // Step 2: boundedness via the cube test.
     let c = max_abs_coordinate(d, &hyperplanes, &vertices);
@@ -224,12 +222,11 @@ fn try_vertex_set(
     hyperplanes: &[Hyperplane],
     closed: &[LinConstraint],
     budget: &EvalBudget,
-    meter: &Meter,
 ) -> Result<Vec<QVector>, BudgetError> {
     check_combination_count(hyperplanes.len(), d, budget)?;
     let mut vertices: Vec<QVector> = Vec::new();
     for combo in subsets_of_size(hyperplanes.len(), d) {
-        meter.tick(budget)?;
+        work::charge(Work::Nc1Candidates, 1)?;
         let eqs: Vec<(QVector, Rational)> = combo
             .iter()
             .map(|&i| (hyperplanes[i].coeffs().to_vec(), hyperplanes[i].rhs().clone()))
@@ -318,11 +315,10 @@ fn try_bounded_regions(
     vertices: &[QVector],
     interior: &[LinConstraint],
     budget: &EvalBudget,
-    meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
     #[cfg(test)]
     if tests::HULL_ORACLE.with(std::cell::Cell::get) {
-        return tests::hull_oracle_regions(d, vertices, interior, budget, meter);
+        return tests::hull_oracle_regions(d, vertices, interior, budget);
     }
     let mut out: Vec<(VPolyhedron, RegionKind)> = Vec::new();
     if vertices.is_empty() {
@@ -339,7 +335,7 @@ fn try_bounded_regions(
     for size in 1..=d.min(vertices.len()) {
         check_combination_count(vertices.len(), size, budget)?;
         for combo in subsets_of_size(vertices.len(), size) {
-            meter.tick(budget)?;
+            work::charge(Work::Nc1Candidates, 1)?;
             let ok = combo.iter().enumerate().all(|(ii, &i)| {
                 let shared = |j: &usize| tight[i].iter().zip(&tight[*j]).any(|(a, b)| a & b != 0);
                 combo[ii + 1..].iter().all(shared)
@@ -358,7 +354,7 @@ fn try_bounded_regions(
     let p_low = &vertices[0]; // sorted lexicographically
     check_combination_count(vertices.len() + d.saturating_sub(1), d, budget)?;
     for tuple in multisets_of_size(vertices.len(), d) {
-        meter.tick(budget)?;
+        work::charge(Work::Nc1Candidates, 1)?;
         let mut set = tuple;
         set.insert(0, 0);
         set.dedup();
@@ -436,7 +432,6 @@ fn try_unbounded_regions(
     d: usize,
     psi: &Disjunct,
     budget: &EvalBudget,
-    meter: &Meter,
 ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
     let Disjunct { hyperplanes, interior, closed, bound, .. } = psi;
     // Hyperplane set of ψ ∩ icube: add the cube sides.
@@ -455,11 +450,11 @@ fn try_unbounded_regions(
             cube_closed.push(LinConstraint::new(coeffs, rel, rhs));
         }
     }
-    let cut_vertices = try_vertex_set(d, &augmented, &cube_closed, budget, meter)?;
+    let cut_vertices = try_vertex_set(d, &augmented, &cube_closed, budget)?;
 
     // Bounded part: fan regions over the cut vertex set; outer segments must
     // avoid the interior of the *original* ψ.
-    let mut out = try_bounded_regions(d, &cut_vertices, interior, budget, meter)?;
+    let mut out = try_bounded_regions(d, &cut_vertices, interior, budget)?;
 
     // up(ψ): p on the cube boundary, direction p - q staying inside closure(ψ).
     let mut ups: Vec<(QVector, QVector)> = Vec::new();
@@ -469,7 +464,7 @@ fn try_unbounded_regions(
             continue;
         }
         for q in &cut_vertices {
-            meter.tick(budget)?;
+            work::charge(Work::Nc1Candidates, 1)?;
             if q == p {
                 continue;
             }
@@ -488,7 +483,7 @@ fn try_unbounded_regions(
     for size in 1..=d.min(ups.len()) {
         check_combination_count(ups.len(), size, budget)?;
         for combo in subsets_of_size(ups.len(), size) {
-            meter.tick(budget)?;
+            work::charge(Work::Nc1Candidates, 1)?;
             let pts: Vec<QVector> = combo.iter().map(|&i| ups[i].0.clone()).collect();
             let rays: Vec<QVector> = combo.iter().map(|&i| ups[i].1.clone()).collect();
             let cand = hull(pts, rays);
@@ -507,7 +502,7 @@ fn try_unbounded_regions(
 }
 
 /// `subsets_of_size`/`multisets_of_size` materialize all `C(n, k)` index
-/// combinations before the per-combination loops start ticking, so the
+/// combinations before the per-combination loops start charging, so the
 /// materialization itself must be pre-checked against the memory ceiling.
 fn check_combination_count(n: usize, k: usize, budget: &EvalBudget) -> Result<(), BudgetError> {
     let estimated_bytes = binomial(n as u128, k as u128)
@@ -642,7 +637,6 @@ mod tests {
         vertices: &[QVector],
         interior: &[LinConstraint],
         budget: &EvalBudget,
-        meter: &Meter,
     ) -> Result<Vec<(VPolyhedron, RegionKind)>, BudgetError> {
         let mut out: Vec<(VPolyhedron, RegionKind)> = Vec::new();
         if vertices.is_empty() {
@@ -656,7 +650,7 @@ mod tests {
         for size in 1..=d.min(vertices.len()) {
             check_combination_count(vertices.len(), size, budget)?;
             for combo in subsets_of_size(vertices.len(), size) {
-                meter.tick(budget)?;
+                work::charge(Work::Nc1Candidates, 1)?;
                 let pts: Vec<QVector> = combo.iter().map(|&i| vertices[i].clone()).collect();
                 let ok = combo.iter().enumerate().all(|(ii, &i)| {
                     combo[ii + 1..].iter().all(|&j| !open_segment_meets(&vertices[i], &vertices[j], interior))
@@ -670,7 +664,7 @@ mod tests {
         let p_low = vertices[0].clone();
         check_combination_count(vertices.len() + d.saturating_sub(1), d, budget)?;
         for tuple in multisets_of_size(vertices.len(), d) {
-            meter.tick(budget)?;
+            work::charge(Work::Nc1Candidates, 1)?;
             let mut pts: Vec<QVector> = vec![p_low.clone()];
             pts.extend(tuple.iter().map(|&i| vertices[i].clone()));
             let cand = hull(pts, Vec::new());
@@ -686,21 +680,21 @@ mod tests {
         Ok(out)
     }
 
-    /// Every disjunct's regions (order, kind, point set) and the meter's
-    /// ticks must be the same decided by the facts and by the hull oracle.
+    /// Every disjunct's regions (order, kind, point set) and the charged
+    /// candidates must be the same decided by the facts and by the hull oracle.
     fn assert_matches_hull_oracle(r: &Relation) {
         let budget = EvalBudget::unlimited();
         let run = |oracle: bool| {
             HULL_ORACLE.with(|o| o.set(oracle));
-            let meter = budget.meter();
+            let before = work::snapshot();
             let regions: Vec<Vec<(VPolyhedron, RegionKind)>> = r
                 .dnf()
                 .disjuncts
                 .iter()
-                .map(|conj| try_decompose_conjunct_inner(r.arity(), conj, r.var_names(), &budget, &meter).unwrap())
+                .map(|conj| try_decompose_conjunct_inner(r.arity(), conj, r.var_names(), &budget).unwrap())
                 .collect();
             HULL_ORACLE.with(|o| o.set(false));
-            (regions, meter.count())
+            (regions, before.since()[Work::Nc1Candidates])
         };
         let oracle = run(true);
         assert_eq!(run(false), oracle, "{r}");

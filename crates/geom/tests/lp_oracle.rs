@@ -27,7 +27,7 @@
 mod common;
 
 use common::family;
-use lcdb_arith::work::{self, Work};
+use lcdb_budget::work::{self, Work};
 use lcdb_arith::{int, rat, Rational, Sign};
 use lcdb_geom::nc1::decompose_relation;
 use lcdb_geom::{Arrangement, Hyperplane, SignVector, VPolyhedron};

@@ -13,13 +13,13 @@
 
 use crate::expr::negations;
 use crate::{Atom, Database, Formula, LinExpr, Relation, Var};
-use lcdb_arith::work::{self, Work};
 use lcdb_arith::Rational;
+use lcdb_budget::work::{self, Work};
+use lcdb_budget::BudgetError;
 use lcdb_lp::{FeasibilityBatch, LinConstraint, Rel};
 use std::cell::OnceCell;
 use std::collections::hash_map::Entry as Slot;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::convert::Infallible;
 use std::rc::Rc;
 
 /// A conjunction of atoms.
@@ -96,7 +96,7 @@ impl Dnf {
     /// infeasible disjuncts, deduplicate disjuncts.
     pub fn simplify(&self) -> Dnf {
         let mut cells = Cells::from_dnf(self);
-        cells.simplify();
+        work::deferred(|| cells.simplify());
         cells.into_dnf()
     }
 
@@ -107,7 +107,7 @@ impl Dnf {
     /// disjunct. Quadratic in the representation size but produces minimal,
     /// human-readable output formulas.
     pub fn simplify_strong(&self) -> Dnf {
-        infallible(Cells::from_dnf(self).simplify_strong(&mut never))
+        work::deferred(|| Cells::from_dnf(self).simplify_strong())
     }
 }
 
@@ -122,10 +122,10 @@ pub fn conjunct_implies(a: &Conjunct, b: &Conjunct) -> bool {
         c.iter().map(|atom| atoms.intern(atom)).collect()
     };
     let (a, b) = (ids(&mut atoms, a), ids(&mut atoms, b));
-    match atoms.extend(&atoms.root(), &a, None) {
+    work::deferred(|| match atoms.extend(&atoms.root(), &a, None)? {
         Some(cell) => atoms.implies(&cell, &b),
-        None => true,
-    }
+        None => Ok(true),
+    })
 }
 
 /// Is a single conjunct satisfiable over the reals?
@@ -142,22 +142,6 @@ pub fn conjunct_satisfiable(c: &Conjunct) -> bool {
 /// Translate a conjunct to LP constraints over an explicit variable order.
 pub fn conjunct_to_constraints(c: &Conjunct, order: &[Var]) -> Vec<LinConstraint> {
     c.iter().map(|a| a.to_constraint(order)).collect()
-}
-
-/// The interrupt callback of a conversion: polled once per feasibility
-/// decision, and an `Err` abandons the conversion with that error.
-pub type Poll<'a, E> = &'a mut dyn FnMut() -> Result<(), E>;
-
-/// The [`Poll`] of the conversions that cannot be interrupted.
-pub(crate) fn never() -> Result<(), Infallible> {
-    Ok(())
-}
-
-pub(crate) fn infallible<T>(result: Result<T, Infallible>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(never) => match never {},
-    }
 }
 
 /// Convert a quantifier-free, predicate-free formula to DNF.
@@ -224,20 +208,24 @@ pub(crate) fn to_dnf_interned(f: &Formula) -> Dnf {
 ///
 /// A formula that already is an `Or` of conjunctions of atoms costs one
 /// feasibility decision per disjunct.
+///
+/// Each feasibility decision is charged to the thread's work ledger; under
+/// an armed budget a verdict waits for the caller's next charge.
 pub fn to_dnf_pruned(f: &Formula) -> Dnf {
-    infallible(try_to_dnf_pruned(f, &mut never))
+    work::deferred(|| try_to_dnf_pruned(f))
 }
 
-/// [`to_dnf_pruned`] under an interrupt callback.
-pub fn try_to_dnf_pruned<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
-    Ok(Cells::convert(f, &Database::new(), false, Strategy::Pruned, poll)?.into_dnf())
+/// [`to_dnf_pruned`] under the thread's armed budget: a charge's verdict
+/// abandons the conversion.
+pub fn try_to_dnf_pruned(f: &Formula) -> Result<Dnf, BudgetError> {
+    Ok(Cells::convert(f, &Database::new(), false, Strategy::Pruned)?.into_dnf())
 }
 
-/// `to_dnf_pruned(f).simplify_strong()` under an interrupt callback, on one
-/// list of cells: no disjunct is decided twice. The redundancy and absorption
-/// passes poll too, once per implication they decide.
-pub fn try_to_dnf_strong<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
-    Cells::convert(f, &Database::new(), false, Strategy::Pruned, poll)?.simplify_strong(poll)
+/// `to_dnf_pruned(f).simplify_strong()` under the thread's armed budget, on
+/// one list of cells: no disjunct is decided twice. The redundancy and
+/// absorption passes charge their implications' decisions too.
+pub fn try_to_dnf_strong(f: &Formula) -> Result<Dnf, BudgetError> {
+    Cells::convert(f, &Database::new(), false, Strategy::Pruned)?.simplify_strong()
 }
 
 /// DNF conversion by *cell enumeration*: compute the canonical hyperplanes of
@@ -253,8 +241,7 @@ pub fn try_to_dnf_strong<E>(f: &Formula, poll: Poll<'_, E>) -> Result<Dnf, E> {
 /// region quantifiers), where path-based distribution explodes even with
 /// feasibility pruning.
 pub fn to_dnf_cells(f: &Formula) -> Dnf {
-    let cells = Cells::convert(f, &Database::new(), false, Strategy::SignCells, &mut never);
-    infallible(cells).into_dnf()
+    work::deferred(|| Cells::convert(f, &Database::new(), false, Strategy::SignCells)).into_dnf()
 }
 
 /// Adaptive DNF conversion. A formula that cannot blow up — structural
@@ -265,8 +252,7 @@ pub fn to_dnf_cells(f: &Formula) -> Dnf {
 /// `m` distinct hyperplanes in `k` variables; cells are enumerated only
 /// when `mᵏ` is the smaller.
 pub fn to_dnf_auto(f: &Formula) -> Dnf {
-    let cells = Cells::convert(f, &Database::new(), false, Strategy::Auto, &mut never);
-    infallible(cells).into_dnf()
+    work::deferred(|| Cells::convert(f, &Database::new(), false, Strategy::Auto)).into_dnf()
 }
 
 /// How [`Cells::convert`] turns a formula into cells.
@@ -292,13 +278,21 @@ fn note_vars(expr: &LinExpr, out: &mut BTreeSet<Var>) {
     }
 }
 
+/// The applications of relation symbols that are not [`renaming`]s, by the
+/// address of their `Pred` node: each is expanded once, for its variables
+/// and its atoms alike.
+type Applied = HashMap<*const Formula, Formula>;
+
 /// The variables of `f`'s atoms, a relation symbol's those of its
-/// application over `db`.
-fn formula_vars(f: &Formula, db: &Database, out: &mut BTreeSet<Var>) {
+/// application over `db`, which is kept in `applied` unless a renaming
+/// gives it.
+fn formula_vars(f: &Formula, db: &Database, applied: &mut Applied, out: &mut BTreeSet<Var>) {
     match f {
         Formula::Atom(a) => note_vars(&a.expr, out),
-        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| formula_vars(g, db, out)),
-        Formula::Not(g) => formula_vars(g, db, out),
+        Formula::And(fs) | Formula::Or(fs) => {
+            fs.iter().for_each(|g| formula_vars(g, db, applied, out))
+        }
+        Formula::Not(g) => formula_vars(g, db, applied, out),
         Formula::Pred(name, args) => {
             let rel = relation(db, name);
             match renaming(rel, args) {
@@ -312,7 +306,11 @@ fn formula_vars(f: &Formula, db: &Database, out: &mut BTreeSet<Var>) {
                         }
                     }
                 }
-                None => formula_vars(&rel.apply(args), db, out),
+                None => {
+                    let expansion = rel.apply(args);
+                    formula_vars(&expansion, db, applied, out);
+                    applied.insert(f, expansion);
+                }
             }
         }
         _ => {}
@@ -679,14 +677,14 @@ impl Interner {
     /// Panics if the formula contains quantifiers, or relation symbols that
     /// `db` lacks or that are applied with the wrong arity.
     fn lower_formula(f: &Formula, db: &Database, negated: bool) -> (Interner, Nnf) {
-        let mut vars = BTreeSet::new();
-        formula_vars(f, db, &mut vars);
+        let (mut applied, mut vars) = (Applied::new(), BTreeSet::new());
+        formula_vars(f, db, &mut applied, &mut vars);
         let mut atoms = Interner::new(vars);
-        let nnf = atoms.lower(f, db, negated);
+        let nnf = atoms.lower(f, db, &applied, negated);
         (atoms, nnf)
     }
 
-    fn lower(&mut self, f: &Formula, db: &Database, negated: bool) -> Nnf {
+    fn lower(&mut self, f: &Formula, db: &Database, applied: &Applied, negated: bool) -> Nnf {
         match f {
             Formula::True | Formula::False => {
                 if matches!(f, Formula::True) != negated {
@@ -702,9 +700,9 @@ impl Interner {
                     .collect(),
             ),
             Formula::Atom(a) => Nnf::Run(vec![self.intern(a)]),
-            Formula::Not(inner) => self.lower(inner, db, !negated),
+            Formula::Not(inner) => self.lower(inner, db, applied, !negated),
             Formula::And(fs) | Formula::Or(fs) => {
-                let parts = fs.iter().map(|g| self.lower(g, db, negated)).collect();
+                let parts = fs.iter().map(|g| self.lower(g, db, applied, negated)).collect();
                 if matches!(f, Formula::And(_)) != negated {
                     Nnf::and(parts)
                 } else {
@@ -718,7 +716,7 @@ impl Interner {
                 let rel = relation(db, name);
                 let Some(renaming) = renaming(rel, args) else {
                     work::add(Work::QePredApplied, 1);
-                    return self.lower(&rel.apply(args), db, negated);
+                    return self.lower(&applied[&(f as *const Formula)], db, applied, negated);
                 };
                 work::add(Work::QePredRows, 1);
                 let columns: Vec<(&Var, usize)> = renaming
@@ -877,13 +875,13 @@ impl Interner {
         partial: &Cell,
         run: &[AtomId],
         warm: Option<&mut Option<FeasibilityBatch>>,
-    ) -> Option<Cell> {
-        work::add(Work::DnfDecisions, 1);
+    ) -> Result<Option<Cell>, BudgetError> {
+        work::charge(Work::DnfDecisions, 1)?;
         let mut fresh = Vec::with_capacity(run.len());
         for &id in run {
             match self.entries[id].truth {
                 Some(true) => {}
-                Some(false) => return None,
+                Some(false) => return Ok(None),
                 None => fresh.push(id),
             }
         }
@@ -907,7 +905,7 @@ impl Interner {
                 ))
         {
             work::add(Work::DnfBoxRefuted, 1);
-            return None;
+            return Ok(None);
         } else if let Some(point) = self.probe(partial, &fresh, &bounds) {
             work::add(Work::DnfPointHits, 1);
             Some(point)
@@ -916,15 +914,19 @@ impl Interner {
             let d = self.order.len();
             let prefix = partial.atoms.iter().map(row);
             let run = fresh.iter().map(row);
-            Some(match warm {
+            let point = match warm {
                 Some(batch) => batch
                     .get_or_insert_with(|| FeasibilityBatch::new(d, &prefix.collect::<Vec<_>>()))
-                    .probe_all(&run.collect::<Vec<_>>())?,
-                None => lcdb_lp::feasible_refs(d, &prefix.chain(run).collect::<Vec<_>>())?,
-            })
+                    .probe_all(&run.collect::<Vec<_>>()),
+                None => lcdb_lp::feasible_refs(d, &prefix.chain(run).collect::<Vec<_>>()),
+            };
+            let Some(point) = point else {
+                return Ok(None);
+            };
+            Some(point)
         };
         let atoms = partial.atoms.iter().copied().chain(fresh).collect();
-        Some(Cell::new(self, atoms, witness, bounds))
+        Ok(Some(Cell::new(self, atoms, witness, bounds)))
     }
 
     /// One point of `bounds` (per coordinate the midpoint, one inside a lone
@@ -945,18 +947,15 @@ impl Interner {
     /// distribution lists them. A partial is extended by a whole run of
     /// atoms per feasibility decision, and is dropped the moment it becomes
     /// unsatisfiable.
-    fn dist<E>(&self, nnf: &Nnf, partial: Cell, poll: Poll<'_, E>) -> Result<Vec<Cell>, E> {
+    fn dist(&self, nnf: &Nnf, partial: Cell) -> Result<Vec<Cell>, BudgetError> {
         Ok(match nnf {
-            Nnf::Run(run) => {
-                poll()?;
-                self.extend(&partial, run, None).into_iter().collect()
-            }
+            Nnf::Run(run) => self.extend(&partial, run, None)?.into_iter().collect(),
             Nnf::And(parts) => {
                 let mut acc = vec![partial];
                 for part in parts {
                     let mut next = Vec::new();
                     for cell in acc {
-                        next.extend(self.dist(part, cell, poll)?);
+                        next.extend(self.dist(part, cell)?);
                     }
                     acc = next;
                     if acc.is_empty() {
@@ -970,11 +969,8 @@ impl Interner {
                 let mut out = Vec::new();
                 for part in parts {
                     match part {
-                        Nnf::Run(run) => {
-                            poll()?;
-                            out.extend(self.extend(&partial, run, Some(&mut warm)));
-                        }
-                        other => out.extend(self.dist(other, partial.clone(), poll)?),
+                        Nnf::Run(run) => out.extend(self.extend(&partial, run, Some(&mut warm))?),
+                        other => out.extend(self.dist(other, partial.clone())?),
                     }
                 }
                 out
@@ -1008,12 +1004,7 @@ impl Interner {
     /// The realizable sign cells of `planes` on which `nnf` holds: the
     /// pruned distribution of `⋀ₕ (h < 0 ∨ h = 0 ∨ h > 0)`, filtered at
     /// the witnesses (every atom has constant sign on every cell).
-    fn sign_cells<E>(
-        &mut self,
-        nnf: &Nnf,
-        planes: Vec<LinExpr>,
-        poll: Poll<'_, E>,
-    ) -> Result<Vec<Cell>, E> {
+    fn sign_cells(&mut self, nnf: &Nnf, planes: Vec<LinExpr>) -> Result<Vec<Cell>, BudgetError> {
         let arrangement = Nnf::And(
             planes
                 .into_iter()
@@ -1031,7 +1022,7 @@ impl Interner {
                 })
                 .collect(),
         );
-        let mut cells = self.dist(&arrangement, self.root(), poll)?;
+        let mut cells = self.dist(&arrangement, self.root())?;
         cells.retain(|cell| {
             let point = cell
                 .witness
@@ -1045,18 +1036,23 @@ impl Interner {
     /// Does every point of `cell` satisfy every atom of `atoms`? Exact: the
     /// cell's witness refutes most non-inclusions, the rest ask whether
     /// `cell ∧ ¬atom` is satisfiable for some branch of the negation.
-    fn implies(&mut self, cell: &Cell, atoms: &[AtomId]) -> bool {
-        atoms.iter().all(|&id| {
+    fn implies(&mut self, cell: &Cell, atoms: &[AtomId]) -> Result<bool, BudgetError> {
+        for &id in atoms {
             let refuted = cell
                 .witness
                 .as_ref()
                 .is_some_and(|point| !self.entries[id].row.satisfied_by(point));
-            !refuted
-                && self.atom(id).negate().iter().all(|negated| {
-                    let negated = self.intern(negated);
-                    self.extend(cell, &[negated], None).is_none()
-                })
-        })
+            if refuted {
+                return Ok(false);
+            }
+            for negated in self.atom(id).negate() {
+                let negated = self.intern(&negated);
+                if self.extend(cell, &[negated], None)?.is_some() {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -1074,13 +1070,12 @@ impl Cells {
     ///
     /// # Panics
     /// Panics if the formula contains quantifiers or relation symbols.
-    pub(crate) fn convert<E>(
+    pub(crate) fn convert(
         f: &Formula,
         db: &Database,
         negated: bool,
         strategy: Strategy,
-        poll: Poll<'_, E>,
-    ) -> Result<Cells, E> {
+    ) -> Result<Cells, BudgetError> {
         let (mut atoms, nnf) = Interner::lower_formula(f, db, negated);
         let estimate = nnf.estimate();
         let dimension = u32::try_from(atoms.order.len()).unwrap_or(u32::MAX);
@@ -1100,8 +1095,8 @@ impl Cells {
             }
         };
         let cells = match planes {
-            Some(planes) => atoms.sign_cells(&nnf, planes, poll)?,
-            None => atoms.dist(&nnf, atoms.root(), poll)?,
+            Some(planes) => atoms.sign_cells(&nnf, planes)?,
+            None => atoms.dist(&nnf, atoms.root())?,
         };
         Ok(Cells { atoms, cells })
     }
@@ -1133,7 +1128,11 @@ impl Cells {
     /// Replace, in every cell, the atoms mentioning `var` by what `combine`
     /// makes of them — a conjunction equivalent to their `∃ var` — and
     /// simplify. A cell that has a witness keeps it, so no LP runs for it.
-    pub(crate) fn project(&mut self, var: &str, combine: impl Fn(&[&Atom]) -> Vec<Atom>) {
+    pub(crate) fn project(
+        &mut self,
+        var: &str,
+        combine: impl Fn(&[&Atom]) -> Vec<Atom>,
+    ) -> Result<(), BudgetError> {
         if let Some(position) = self.atoms.order.iter().position(|v| v == var) {
             for cell in &mut self.cells {
                 let entries = &self.atoms.entries;
@@ -1151,11 +1150,11 @@ impl Cells {
                 cell.bounds[position] = Interval::default();
             }
         }
-        self.simplify();
+        self.simplify()
     }
 
     /// [`Dnf::simplify`] on cells; the one place an undecided cell is decided.
-    pub(crate) fn simplify(&mut self) {
+    pub(crate) fn simplify(&mut self) -> Result<(), BudgetError> {
         let mut seen = HashSet::new();
         for mut cell in std::mem::take(&mut self.cells) {
             let Some(atoms) = self.atoms.normalize(&cell.atoms) else {
@@ -1168,34 +1167,34 @@ impl Cells {
                 cell.atoms = atoms;
                 self.cells.push(cell);
             } else {
-                let decided = self.atoms.extend(&self.atoms.root(), &atoms, None);
+                let decided = self.atoms.extend(&self.atoms.root(), &atoms, None)?;
                 self.cells.extend(decided);
             }
         }
+        Ok(())
     }
 
     /// [`Dnf::simplify_strong`] on cells.
-    fn simplify_strong<E>(mut self, poll: Poll<'_, E>) -> Result<Dnf, E> {
-        self.simplify();
-        self.drop_redundant_atoms(poll)?;
-        self.absorb(poll)?;
+    fn simplify_strong(mut self) -> Result<Dnf, BudgetError> {
+        self.simplify()?;
+        self.drop_redundant_atoms()?;
+        self.absorb()?;
         Ok(self.into_dnf())
     }
 
     /// Drop every atom the rest of its cell implies.
-    fn drop_redundant_atoms<E>(&mut self, poll: Poll<'_, E>) -> Result<(), E> {
+    fn drop_redundant_atoms(&mut self) -> Result<(), BudgetError> {
         let Cells { atoms, cells } = self;
         for cell in cells {
             let mut i = 0;
             while i < cell.atoms.len() {
-                poll()?;
                 let atom = cell.atoms.remove(i);
                 // The rest is a weaker conjunct: its box is not the cell's.
                 let rest = Cell {
                     bounds: atoms.unbounded(),
                     ..cell.clone()
                 };
-                if !atoms.implies(&rest, &[atom]) {
+                if !atoms.implies(&rest, &[atom])? {
                     cell.atoms.insert(i, atom);
                     i += 1;
                 }
@@ -1206,7 +1205,7 @@ impl Cells {
 
     /// Drop every cell contained in another; of two equal cells the
     /// earlier stays.
-    fn absorb<E>(&mut self, poll: Poll<'_, E>) -> Result<(), E> {
+    fn absorb(&mut self) -> Result<(), BudgetError> {
         let Cells { atoms, cells } = self;
         let mut keep = vec![true; cells.len()];
         for i in 0..cells.len() {
@@ -1214,15 +1213,11 @@ impl Cells {
                 if i == j || !keep[j] {
                     continue;
                 }
-                poll()?;
-                if !atoms.implies(&cells[i], &cells[j].atoms) {
+                if !atoms.implies(&cells[i], &cells[j].atoms)? {
                     continue;
                 }
-                if j > i {
-                    poll()?;
-                    if atoms.implies(&cells[j], &cells[i].atoms) {
-                        continue;
-                    }
+                if j > i && atoms.implies(&cells[j], &cells[i].atoms)? {
+                    continue;
                 }
                 keep[i] = false;
                 break;
@@ -1240,6 +1235,7 @@ mod tests {
     use super::*;
     use crate::LinExpr;
     use lcdb_arith::int;
+    use std::time::Duration;
 
     fn atom(var: &str, rel: Rel, c: i64) -> Formula {
         Formula::Atom(Atom::new(
@@ -1404,7 +1400,7 @@ mod tests {
     /// Differential tests of the witness-carrying conversion.
     mod differential {
         use super::super::{
-            conjunct_satisfiable, dnf_shaped, infallible, never, sweep, tighten, to_dnf,
+            conjunct_satisfiable, dnf_shaped, sweep, tighten, to_dnf,
             to_dnf_interned, to_dnf_pruned, AtomId, Cells, Conjunct, Database, Dnf, Formula,
             Interner, Strategy as Conversion, LP_ONLY,
         };
@@ -1492,11 +1488,10 @@ mod tests {
             fn cell_witnesses_satisfy_their_atoms(f in arb_formula(24), negated in 0..2usize) {
                 for strategy in [Conversion::Pruned, Conversion::SignCells, Conversion::Auto] {
                     let db = Database::new();
-                    let mut cells =
-                        infallible(Cells::convert(&f, &db, negated == 1, strategy, &mut never));
+                    let mut cells = Cells::convert(&f, &db, negated == 1, strategy).unwrap();
                     // Under `Auto` a small formula is plainly distributed and
                     // its conjuncts are decided here.
-                    cells.simplify();
+                    cells.simplify().unwrap();
                     for cell in &cells.cells {
                         let point = cell.witness.as_ref().expect("decided by now");
                         for &id in &cell.atoms {
@@ -1526,7 +1521,7 @@ mod tests {
                     && sweep(atoms.rows(&live, false), &mut bounds);
                 let feasible = conjunct_satisfiable(&conjunct);
                 prop_assert!(boxed || !feasible, "box rejected a feasible conjunct");
-                let decided = atoms.extend(&atoms.root(), &ids, None);
+                let decided = atoms.extend(&atoms.root(), &ids, None).unwrap();
                 prop_assert_eq!(decided.is_some(), feasible);
                 if let (true, Some(point)) = (boxed, decided.and_then(|cell| cell.witness)) {
                     prop_assert!(bounds.iter().zip(&point).all(|(b, x)| b.contains(x)));
@@ -1543,8 +1538,7 @@ mod tests {
                 let convert = |lp_only: bool| {
                     LP_ONLY.with(|flag| flag.set(lp_only));
                     let db = Database::new();
-                    let cells = Cells::convert(&f, &db, negated == 1, Conversion::Pruned, &mut never);
-                    let cells = infallible(cells);
+                    let cells = Cells::convert(&f, &db, negated == 1, Conversion::Pruned).unwrap();
                     LP_ONLY.with(|flag| flag.set(false));
                     for cell in &cells.cells {
                         let point = cell.witness.as_ref().expect("pruned cells are decided");
@@ -1633,6 +1627,24 @@ mod tests {
         assert_ne!(to_dnf_auto(&space), to_dnf_cells(&space));
     }
 
+    /// Arm a budget whose clock trips the budget at the `n`-th charge from
+    /// now (`1 ≤ n ≤ PERIOD`): its deadline has passed, and the clock is
+    /// next read `n` units into the period.
+    fn tripping_at(n: u64) -> work::Armed {
+        let budget = lcdb_budget::EvalBudget::unlimited().with_timeout(Duration::ZERO);
+        std::thread::sleep(Duration::from_millis(1));
+        let armed = work::arm(&budget, [0, 0]);
+        work::charge(Work::NodeVisits, work::PERIOD - n).unwrap();
+        armed
+    }
+
+    /// The decisions `stage` charges, and what came of it.
+    fn decided<T>(stage: impl FnOnce() -> Result<T, BudgetError>) -> (Result<T, BudgetError>, u64) {
+        let before = work::snapshot();
+        let out = stage();
+        (out, before.since()[Work::DnfDecisions])
+    }
+
     #[test]
     fn conversion_polls_once_per_decision_and_stops_on_error() {
         let f = Formula::and(
@@ -1640,68 +1652,37 @@ mod tests {
                 .map(|k| Formula::or(vec![atom("x", Rel::Lt, k), atom("y", Rel::Gt, k)]))
                 .collect(),
         );
-        let mut polls = 0usize;
-        let full = try_to_dnf_pruned(&f, &mut || {
-            polls += 1;
-            Ok::<(), ()>(())
-        });
+        let (full, decisions) = decided(|| try_to_dnf_pruned(&f));
         assert_eq!(full, Ok(to_dnf_pruned(&f)));
-        assert!(polls >= 12, "polled {polls} times");
-        let mut budget = 5usize;
-        let cut = try_to_dnf_pruned(&f, &mut || {
-            budget = budget.checked_sub(1).ok_or("interrupted")?;
-            Ok(())
-        });
-        assert_eq!(cut, Err("interrupted"));
-    }
-
-    /// Run `stage` under a poll that fails on its `allowed + 1`-st call;
-    /// what came of it, and how often it polled.
-    fn interrupted_after<T>(
-        allowed: usize,
-        stage: impl FnOnce(Poll<'_, &'static str>) -> Result<T, &'static str>,
-    ) -> (Result<T, &'static str>, usize) {
-        let mut calls = 0usize;
-        let out = stage(&mut || {
-            calls += 1;
-            if calls > allowed {
-                return Err("interrupted");
-            }
-            Ok(())
-        });
-        (out, calls)
+        assert!(decisions >= 12, "decided {decisions} times");
+        let _armed = tripping_at(6);
+        let (cut, decisions) = decided(|| try_to_dnf_pruned(&f));
+        assert!(matches!(cut, Err(BudgetError::DeadlineExceeded { .. })), "{cut:?}");
+        assert_eq!(decisions, 6, "no decision after the one that tripped the budget");
     }
 
     #[test]
     fn strong_simplification_polls_in_both_of_its_passes() {
         let f = Formula::and(
-            (0..6)
+            (0..3)
                 .map(|k| Formula::or(vec![atom("x", Rel::Lt, k), atom("y", Rel::Gt, k)]))
                 .collect(),
         );
-        // How many polls each stage makes when nothing interrupts it.
-        let counted = |stage: &mut dyn FnMut(Poll<'_, ()>) -> Result<(), ()>| {
-            let mut polls = 0usize;
-            stage(&mut || {
-                polls += 1;
-                Ok(())
-            })
-            .unwrap();
-            polls
-        };
-        let mut cells = None;
-        let convert = counted(&mut |poll| {
-            cells = Some(Cells::convert(&f, &Database::new(), false, Strategy::Pruned, poll)?);
-            Ok(())
-        });
+        // How many decisions each stage charges when nothing interrupts it.
+        let (cells, convert) = decided(|| Cells::convert(&f, &Database::new(), false, Strategy::Pruned));
         let mut cells = cells.unwrap();
-        cells.simplify();
-        let redundancy = counted(&mut |poll| cells.drop_redundant_atoms(poll));
-        let absorption = counted(&mut |poll| cells.absorb(poll));
+        let (_, simplification) = decided(|| cells.simplify());
+        let (_, redundancy) = decided(|| cells.drop_redundant_atoms());
+        let (_, absorption) = decided(|| cells.absorb());
         assert!(redundancy > 0 && absorption > 0);
         assert_eq!(cells.into_dnf(), to_dnf_pruned(&f).simplify_strong());
 
-        let cut_after = |allowed| interrupted_after(allowed, |poll| try_to_dnf_strong(&f, poll));
+        let convert = convert + simplification;
+        let cut_after = |allowed: u64| {
+            let _armed = tripping_at(allowed + 1);
+            let (out, decisions) = decided(|| try_to_dnf_strong(&f));
+            (out.map_err(|_| "interrupted"), decisions)
+        };
         // The conversion completes and the redundancy pass is interrupted at
         // its first implication, then at its last; so is absorption.
         for allowed in [
@@ -1761,7 +1742,7 @@ mod tests {
         let union = crate::parse_formula(&prisms(8, (1, 1)).join(" or ")).unwrap();
         let before = work::snapshot();
         let db = Database::new();
-        let cells = infallible(Cells::convert(&union, &db, false, Strategy::Pruned, &mut never));
+        let cells = Cells::convert(&union, &db, false, Strategy::Pruned).unwrap();
         let spent = before.since();
         assert_eq!(cells.cells.len(), 8);
         assert_eq!(spent[Work::DnfPointHits], 8);
@@ -1778,18 +1759,19 @@ mod tests {
     /// Benchmark hazard 2: pruned distribution walks the choice *paths* of
     /// `⋀ᵢ ¬prismᵢ`, ten atoms to a prism, and they outnumber the non-empty
     /// cells by orders of magnitude from six prisms on. What bounds the
-    /// conversion (and the memory of its partial disjuncts) is the poll.
+    /// conversion (and the memory of its partial disjuncts) is its charge.
     #[test]
     fn negated_prism_union_stops_at_its_poll() {
-        let decisions = |n: usize, allowed: usize| {
+        let decisions = |n: usize, allowed: u64| {
             let f = outside_prisms_or_in_box(n);
             let db = Database::new();
-            let (out, calls) =
-                interrupted_after(allowed, |poll| Cells::convert(&f, &db, false, Strategy::Auto, poll));
-            (out.map(|cells| cells.cells.len()), calls)
+            let _armed = tripping_at(allowed + 1);
+            let (out, decisions) = decided(|| Cells::convert(&f, &db, false, Strategy::Auto));
+            (out.map(|cells| cells.cells.len()).map_err(|_| "interrupted"), decisions)
         };
-        let (small, calls) = decisions(2, 50_000);
-        assert!(small.is_ok() && calls < 1_000, "two prisms took {calls} decisions");
-        assert_eq!(decisions(6, 50_000), (Err("interrupted"), 50_001));
+        let allowed = work::PERIOD - 1;
+        let (small, calls) = decisions(2, allowed);
+        assert!(small.is_ok() && calls < allowed, "two prisms took {calls} decisions");
+        assert_eq!(decisions(6, allowed), (Err("interrupted"), allowed + 1));
     }
 }

@@ -8,8 +8,10 @@
 
 #[cfg(test)]
 use crate::dnf::to_dnf;
-use crate::dnf::{infallible, never, Cells, Conjunct, Dnf, Poll, Strategy};
+use crate::dnf::{Cells, Conjunct, Dnf, Strategy};
 use crate::{Atom, Database, Formula, LinExpr};
+use lcdb_budget::work::{self, Work};
+use lcdb_budget::BudgetError;
 use lcdb_lp::Rel;
 
 /// Eliminate all quantifiers from a predicate-free formula, returning an
@@ -48,7 +50,7 @@ fn eliminate_rec(f: &Formula) -> Formula {
             vars.reverse();
             let matrix = eliminate_rec(body);
             let db = Database::new();
-            infallible(eliminate(&matrix, &db, &vars, exists, Strategy::Pruned, &mut never))
+            work::deferred(|| eliminate(&matrix, &db, &vars, exists, Strategy::Pruned))
         }
         Formula::Pred(..) => unreachable!("checked by caller"),
     }
@@ -59,18 +61,17 @@ fn eliminate_rec(f: &Formula) -> Formula {
 /// matrix, whose relation symbols are `db`'s, is converted once; each
 /// variable is then one Fourier–Motzkin pass over cells that stay known
 /// satisfiable, so only the conversion runs LPs.
-fn eliminate<E>(
+fn eliminate(
     f: &Formula,
     db: &Database,
     vars: &[&str],
     exists: bool,
     strategy: Strategy,
-    poll: Poll<'_, E>,
-) -> Result<Formula, E> {
-    let mut cells = Cells::convert(f, db, !exists, strategy, poll)?;
+) -> Result<Formula, BudgetError> {
+    let mut cells = Cells::convert(f, db, !exists, strategy)?;
     for var in vars {
-        poll()?;
-        cells.project(var, |mentioning| fm_combine(mentioning, var));
+        work::charge(Work::QeProjections, 1)?;
+        cells.project(var, |mentioning| fm_combine(mentioning, var))?;
     }
     let out = cells.into_dnf().to_formula();
     Ok(if exists { out } else { Formula::not(out) })
@@ -80,8 +81,9 @@ fn eliminate<E>(
 /// quantifier-free formula (`vars` innermost first), choosing the DNF
 /// conversion adaptively ([`crate::dnf::to_dnf_auto`]). Equivalent to one
 /// [`eliminate_one_cells`] call per variable, without the round trips
-/// through [`Formula`] between them. `poll` is the interrupt callback of
-/// [`crate::dnf::Poll`], also polled once per variable.
+/// through [`Formula`] between them. Every feasibility decision and every
+/// variable is charged to the thread's armed budget
+/// ([`lcdb_budget::work::charge`]), whose verdict abandons the elimination.
 ///
 /// A relation symbol of `f` is `db`'s: the conversion reads its stored
 /// atoms as rows, so the answer is that of `f` with every symbol replaced
@@ -89,20 +91,19 @@ fn eliminate<E>(
 ///
 /// # Panics
 /// Panics if `f` applies a relation `db` lacks, or with the wrong arity.
-pub fn try_eliminate_block<E>(
+pub fn try_eliminate_block(
     f: &Formula,
     db: &Database,
     vars: &[&str],
     exists: bool,
-    poll: Poll<'_, E>,
-) -> Result<Formula, E> {
-    eliminate(f, db, vars, exists, Strategy::Auto, poll)
+) -> Result<Formula, BudgetError> {
+    eliminate(f, db, vars, exists, Strategy::Auto)
 }
 
-/// [`try_eliminate_block`] of a predicate-free formula, without an
-/// interrupt.
+/// [`try_eliminate_block`] of a predicate-free formula, its budget's
+/// verdict left for the caller's next charge.
 pub fn eliminate_block(f: &Formula, vars: &[&str], exists: bool) -> Formula {
-    infallible(try_eliminate_block(f, &Database::new(), vars, exists, &mut never))
+    work::deferred(|| try_eliminate_block(f, &Database::new(), vars, exists))
 }
 
 /// Eliminate a single element quantifier from a quantifier-free formula:
@@ -196,9 +197,7 @@ pub fn project_dnf(dnf: &Dnf, keep: &[String]) -> Dnf {
         return dnf.clone();
     }
     let mut cells = Cells::from_dnf(dnf);
-    for var in &drop {
-        cells.project(var, |mentioning| fm_combine(mentioning, var));
-    }
+    work::deferred(|| drop.iter().try_for_each(|var| cells.project(var, |atoms| fm_combine(atoms, var))));
     cells.into_dnf()
 }
 
@@ -553,6 +552,30 @@ mod tests {
             atom("x", Rel::Lt, 1),
         ]);
         assert_matches_brute_force(&body2, "x", "y");
+    }
+
+    /// A relation symbol applied to a repeated variable or a constant is
+    /// no renaming of its rows: it is expanded through `apply`, once, and
+    /// the elimination answers as over that expansion.
+    #[test]
+    fn applications_that_rename_nothing_eliminate_as_their_expansion() {
+        let p = crate::Relation::new(
+            vec!["a".into(), "b".into()],
+            crate::parse_formula("(a < b + 1 and b < 3) or a = 2*b").unwrap(),
+        );
+        let mut db = Database::new();
+        db.insert("P", p.clone());
+        let (x, y) = (LinExpr::var("x"), LinExpr::var("y"));
+        let bound = Formula::Atom(Atom::new(y.clone(), Rel::Gt, x.clone()));
+        for args in [vec![y.clone(), y.clone()], vec![y.clone(), LinExpr::constant(int(3))]] {
+            let with = |symbol: Formula| Formula::and(vec![symbol, bound.clone()]);
+            let before = lcdb_budget::work::snapshot();
+            let got = try_eliminate_block(&with(Formula::Pred("P".into(), args.clone())), &db, &["y"], true);
+            let spent = before.since();
+            let want = eliminate_block(&with(p.apply(&args)), &["y"], true);
+            assert_eq!(got, Ok(want), "{args:?}");
+            assert_eq!(spent[lcdb_budget::work::Work::QePredApplied], 1, "{args:?}");
+        }
     }
 
     /// `∃`/`∀` of `var` decided by the brute-force reference.

@@ -17,7 +17,7 @@
 //! optimum, a point of the primal attaining it.
 
 use crate::{LinConstraint, LpOutcome, Rel};
-use lcdb_arith::work::{self, Work};
+use lcdb_budget::work::{self, Work};
 use lcdb_arith::Rational;
 use lcdb_linalg::QVector;
 
@@ -180,7 +180,7 @@ impl Tableau {
         loop {
             // Fault-injection site: stands in for a degenerate/cycling pivot.
             // The pivot loop is infallible (Bland's rule terminates), so the
-            // fault is deferred and surfaces at the next interrupt check.
+            // fault is deferred and surfaces at the work ledger's next charge.
             #[cfg(feature = "faults")]
             lcdb_budget::faults::hit("lp.pivot");
             let Some(e) = (n..self.cost.len()).find(|&j| self.cost[j].is_negative()) else {

@@ -29,10 +29,13 @@
 //! variable order, so that the variables of any two tables that meet in a
 //! [`zip`] appear in the same relative order.
 
+use lcdb_budget::work::{self, Work};
+use lcdb_budget::BudgetError;
+
 /// A region variable, resolved to a slot once per query.
 pub type Var = u16;
 
-/// Rows between two calls of a kernel's interrupt check.
+/// Rows a kernel charges to the work ledger as one `eval.table_steps` unit.
 const CHECK_ROWS: usize = 4096;
 
 /// The variables of a table and the sizes of their domains; the last
@@ -413,12 +416,8 @@ impl Table {
     /// on `m`-tuples (first half source, second half target) and replace
     /// it by its reflexive-transitive closure; with `deterministic`, edges
     /// out of a tuple with more than one successor are dropped first
-    /// (`DTC`, Definition 7.2). `check` runs once per source tuple.
-    pub fn close<E>(
-        &mut self,
-        deterministic: bool,
-        mut check: impl FnMut() -> Result<(), E>,
-    ) -> Result<(), E> {
+    /// (`DTC`, Definition 7.2). Each round charges one table step.
+    pub fn close(&mut self, deterministic: bool) -> Result<(), BudgetError> {
         let k = self.layout.vars.len();
         assert!(
             k.is_multiple_of(2),
@@ -446,7 +445,7 @@ impl Table {
         }
         // Warshall: after round `via`, paths through tuples `0..=via`.
         for via in 0..n {
-            check()?;
+            work::charge(Work::TableSteps, 1)?;
             let a = target(via);
             let via_row = self.bits[via * block..(via + 1) * block].to_vec();
             for s in 0..n {
@@ -484,14 +483,14 @@ struct Source<'a> {
 /// fly. Every child's variables must be among `out`'s plus the reduced
 /// one, in the same relative order.
 ///
-/// `check` runs once per block of rows and may abort the kernel.
-pub fn zip<E>(
+/// Each block of [`CHECK_ROWS`] rows charges one table step, whose budget
+/// verdict aborts the kernel.
+pub fn zip(
     out: Layout,
     reduce: Option<Reduce>,
     children: &[&Table],
     conj: bool,
-    check: &dyn Fn() -> Result<(), E>,
-) -> Result<Table, E> {
+) -> Result<Table, BudgetError> {
     let k = out.vars.len();
     let outer = k.saturating_sub(1);
     // The inner loop runs over the reduced variable, or over the output's
@@ -552,7 +551,7 @@ pub fn zip<E>(
         let mut base = vec![0usize; sources.len()];
         for row in 0..rows {
             if row.is_multiple_of(CHECK_ROWS) {
-                check()?;
+                work::charge(Work::TableSteps, 1)?;
             }
             let dst_row = &mut bits[row * out_wpr..(row + 1) * out_wpr];
             let mut acc = if universal { mask } else { 0 };
@@ -621,10 +620,6 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         }
-    }
-
-    fn never() -> Result<(), ()> {
-        Ok(())
     }
 
     /// Domain sizes of the test variables 0..6; 0 and 70 cover the empty
@@ -733,7 +728,7 @@ mod tests {
                     .collect();
                 let refs: Vec<&Table> = children.iter().map(|(_, t)| t).collect();
                 for conj in [true, false] {
-                    let got = zip(layout(out_vars), None, &refs, conj, &never).unwrap();
+                    let got = zip(layout(out_vars), None, &refs, conj).unwrap();
                     for pos in tuples(out_vars) {
                         let mut vals = children
                             .iter()
@@ -792,7 +787,7 @@ mod tests {
                     };
                     let conj = !universal;
                     let got =
-                        zip(layout(&out_vars), Some(reduce), &refs, conj, &never).unwrap();
+                        zip(layout(&out_vars), Some(reduce), &refs, conj).unwrap();
                     for pos in tuples(&out_vars) {
                         let mut points = (0..SIZES[v as usize]).map(|a| {
                             let mut full = pos.clone();
@@ -826,14 +821,14 @@ mod tests {
     fn kernel_check_aborts_mid_table() {
         let mut rng = Rng(5);
         let a = random(&mut rng, &[1, 4]);
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let check = || {
-            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Err::<(), &str>("stop")
-        };
-        let r = zip(layout(&[1, 4]), None, &[&a], true, &check);
-        assert_eq!(r.err(), Some("stop"));
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+        let token = lcdb_budget::CancelToken::new();
+        token.cancel();
+        let budget = lcdb_budget::EvalBudget::unlimited().with_cancel_token(token);
+        let _armed = work::arm(&budget, [0, 0]);
+        let before = work::snapshot();
+        let r = zip(layout(&[1, 4]), None, &[&a], true);
+        assert_eq!(r.err(), Some(BudgetError::Cancelled));
+        assert_eq!(before.since()[Work::TableSteps], 0, "refused at its first step");
     }
 
     #[test]
@@ -953,7 +948,7 @@ mod tests {
                         }
                     }
                 }
-                edges.close(deterministic, never).unwrap();
+                edges.close(deterministic).unwrap();
                 for s in 0..count {
                     let mut seen = vec![false; count];
                     let mut stack = vec![s];

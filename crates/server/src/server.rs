@@ -226,6 +226,8 @@ struct Job {
 /// formats a metric name or takes the registry mutex.
 struct OpMetrics {
     latency: Arc<Histogram>,
+    /// The requests' work: every unit their dispatch counted in the work
+    /// ledger.
     ticks: Counter,
 }
 
@@ -299,10 +301,6 @@ struct Shared {
     c_ext_incremental: Counter,
     /// Extensions built from scratch (no usable donor, or delta too large).
     c_ext_rebuild: Counter,
-    /// The registry counter every evaluation's budget meter ticks
-    /// (`Meter::backed_by` in the evaluator); sampling it around `execute`
-    /// attributes ticks to the opcode that spent them.
-    ticks_total: Counter,
     h_latency: Arc<Histogram>,
     /// `EvalSentence`, `EvalQuery`, `Explain` — see [`Shared::op_metrics`].
     ops: [OpMetrics; 3],
@@ -354,7 +352,6 @@ impl Shared {
             c_store_hit: m.counter("server.store.hit"),
             c_ext_incremental: m.counter("server.ext.incremental"),
             c_ext_rebuild: m.counter("server.ext.rebuild"),
-            ticks_total: m.counter("budget.meter_ticks"),
             h_latency: m.histogram("server.latency_us"),
             ops: [OpCode::EvalSentence, OpCode::EvalQuery, OpCode::Explain].map(op_metrics),
             h_accept: m.histogram("server.phase.accept_us"),
@@ -1116,10 +1113,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         let _span = shared.trace.span_with("server.request", op);
         let started = Instant::now();
-        let ticks_before = shared.ticks_total.get();
-        // Exact, unlike the ticks: the request's work and its dispatch run
-        // on this one thread.
-        let work_before = shared.catalog.is_some().then(work::snapshot);
+        // Exact: the request's work and its dispatch run on this one thread.
+        let work_before = work::snapshot();
         let mut info = ExecInfo::default();
         let resp = execute(shared, &job, &mut info);
         let self_us = started.elapsed().as_micros() as u64;
@@ -1127,12 +1122,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared.h_latency.observe(self_us);
         shared.h_exec.observe(self_us);
         per_op.latency.observe(self_us);
-        // Best-effort attribution: with concurrent workers the deltas can
-        // interleave, but their sum still reconciles against the global
-        // `budget.meter_ticks` counter.
-        per_op
-            .ticks
-            .add(shared.ticks_total.get().saturating_sub(ticks_before));
+        let spent = work_before.since();
+        per_op.ticks.add(spent.sum(""));
         shared.c_completed.incr();
         shared.push_stat(|| {
             stat_row(
@@ -1144,7 +1135,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 self_us,
                 info.tier,
                 outcome_label(resp.code),
-                work_before.map(|before| before.since()).unwrap_or_default(),
+                spent,
             )
         });
         let _ = shared.send(&job.out, &resp);

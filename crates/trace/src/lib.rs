@@ -22,8 +22,7 @@
 //! The [`MetricsRegistry`] is orthogonal to the event stream: a lock-cheap
 //! registry of named monotonic counters and log₂-bucketed histograms.
 //! Registration takes a mutex; the returned [`Counter`] handle is a bare
-//! `Arc<AtomicU64>` that callers cache and bump lock-free (this is how
-//! `lcdb-budget`'s meter ticks become registry-backed).
+//! `Arc<AtomicU64>` that callers cache and bump lock-free.
 //!
 //! The [`recorder`] module is the always-on flight recorder: every handle
 //! feeds its per-thread rings while it is armed, and it dumps them on
@@ -483,13 +482,6 @@ impl Counter {
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// The underlying shared cell — this is how foreign counters (e.g. the
-    /// budget meter's tick count) become registry-backed without depending
-    /// on this crate's types in their hot path.
-    pub fn shared(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.0)
     }
 }
 
