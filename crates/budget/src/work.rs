@@ -84,6 +84,9 @@ slots! {
     /// `Relation::apply` (arguments not distinct variables, or a constant
     /// relation).
     QePredApplied => "logic.qe_pred_applied",
+    /// Stored rows a quantifier elimination lowered from relation symbols,
+    /// charged one disjunct at a time.
+    RowsLowered => "logic.rows_lowered",
     /// Fourier–Motzkin passes over a block's cells, one per variable it
     /// eliminates.
     QeProjections => "logic.qe_projections",

@@ -1,18 +1,37 @@
 //! Linear constraint databases: finitely represented relations over `(ℝ, <, +)`.
 
-use crate::dnf::{dnf_shaped, read_dnf, to_dnf, Conjunct, Dnf};
+use crate::dnf::{dnf_shaped, read_dnf, to_dnf, Conjunct, Dnf, StoredRows};
 use crate::{Formula, LinExpr, Var};
 use lcdb_arith::Rational;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A finitely represented relation: a DNF formula over designated variable
 /// names `x1, …, xd` (the paper's `φ_S` in disjunctive normal form, §2).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone)]
 pub struct Relation {
     var_names: Vec<Var>,
     dnf: Dnf,
+    /// The columns of the stored atoms' terms, found by the first
+    /// quantifier elimination that reads the relation as rows; a clone of
+    /// the database's `Arc` shares them.
+    rows: OnceLock<StoredRows>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.var_names == other.var_names && self.dnf == other.dnf
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (var_names, dnf) = (&self.var_names, &self.dnf);
+        f.debug_struct("Relation").field("var_names", var_names).field("dnf", dnf).finish()
+    }
 }
 
 /// Why a definition `NAME(vars) := body` is not a relation.
@@ -95,7 +114,7 @@ impl Relation {
 
     /// Construct directly from a DNF.
     pub fn from_dnf(var_names: Vec<Var>, dnf: Dnf) -> Self {
-        Relation { var_names, dnf }
+        Relation { var_names, dnf, rows: OnceLock::new() }
     }
 
     /// The relation's arity `d`.
@@ -111,6 +130,12 @@ impl Relation {
     /// The defining DNF.
     pub fn dnf(&self) -> &Dnf {
         &self.dnf
+    }
+
+    /// The stored atoms as sparse rows over the designated variables,
+    /// found once.
+    pub(crate) fn rows(&self) -> &StoredRows {
+        self.rows.get_or_init(|| StoredRows::new(&self.var_names, &self.dnf))
     }
 
     /// Apply to argument terms: the defining formula with every

@@ -5,11 +5,11 @@
 //!
 //! Every converter shares one front end (`Interner`): the variable order
 //! is fixed once per conversion, each distinct atom is interned once as its
-//! LP row, and negations are pushed to the atoms. What keeps the
-//! conversions polynomial is that unsatisfiable disjuncts are dropped as
-//! they arise; what keeps that cheap is that every live disjunct is a
-//! `Cell` — a conjunct that carries a point satisfying it — so that most
-//! feasibility questions are answered without a linear program.
+//! sparse row in one arena, and negations are pushed to the atoms. What
+//! keeps the conversions polynomial is that unsatisfiable disjuncts are
+//! dropped as they arise; what keeps that cheap is that every live disjunct
+//! is a `Cell` — a conjunct that carries a point satisfying it — so that
+//! most feasibility questions are answered without a linear program.
 
 use crate::expr::negations;
 use crate::{Atom, Database, Formula, LinExpr, Relation, Var};
@@ -18,9 +18,9 @@ use lcdb_budget::work::{self, Work};
 use lcdb_budget::BudgetError;
 use lcdb_lp::{FeasibilityBatch, LinConstraint, Rel};
 use std::cell::OnceCell;
-use std::collections::hash_map::Entry as Slot;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::rc::Rc;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// A conjunction of atoms.
 pub type Conjunct = Vec<Atom>;
@@ -192,7 +192,7 @@ pub(crate) fn read_dnf(f: Formula) -> Dnf {
 
 /// [`to_dnf`] through the interner, whatever the formula's shape.
 pub(crate) fn to_dnf_interned(f: &Formula) -> Dnf {
-    let (atoms, nnf) = Interner::lower_formula(f, &Database::new(), false);
+    let (atoms, nnf) = work::deferred(|| Interner::lower_formula(f, &Database::new(), false));
     Dnf {
         disjuncts: nnf.distribute().iter().map(|c| atoms.conjunct(c)).collect(),
     }
@@ -297,12 +297,10 @@ fn formula_vars(f: &Formula, db: &Database, applied: &mut Applied, out: &mut BTr
             let rel = relation(db, name);
             match renaming(rel, args) {
                 Some(renaming) => {
-                    let terms = rel.dnf().disjuncts.iter().flatten().flat_map(|a| a.expr.terms());
-                    for (v, _) in terms {
-                        if let Some((_, arg)) = renaming.iter().find(|(x, _)| *x == v) {
-                            if !out.contains(*arg) {
-                                out.insert((*arg).clone());
-                            }
+                    let used = renaming.into_iter().zip(&rel.rows().used);
+                    for (arg, _) in used.filter(|(_, &used)| used) {
+                        if !out.contains(arg) {
+                            out.insert(arg.clone());
                         }
                     }
                 }
@@ -325,27 +323,73 @@ fn relation<'a>(db: &'a Database, name: &str) -> &'a Relation {
     db.relation(name).unwrap_or_else(|| panic!("unknown relation '{name}'"))
 }
 
-/// Each designated variable of `rel` with its argument, when `rel(args)` is
-/// a renaming of the stored DNF: every argument a distinct bare variable,
-/// every stored atom over designated variables only, and the relation not
-/// constant ([`Relation::constant_truth`]). Then an atom of the application
-/// is the stored atom with its coefficients moved to their arguments'
-/// columns, and its nesting is that of the stored disjuncts.
-fn renaming<'a>(rel: &'a Relation, args: &'a [LinExpr]) -> Option<Vec<(&'a Var, &'a Var)>> {
+/// The argument of each designated variable of `rel`, in the head's order,
+/// when `rel(args)` is a renaming of the stored DNF: every argument a
+/// distinct bare variable, every stored atom over designated variables only
+/// ([`StoredRows`]), and the relation not constant
+/// ([`Relation::constant_truth`]). Then an atom of the application is the
+/// stored row with its coefficients moved to their arguments' columns, and
+/// its nesting is that of the stored disjuncts.
+fn renaming<'a>(rel: &Relation, args: &'a [LinExpr]) -> Option<Vec<&'a Var>> {
     if args.len() != rel.arity() || rel.constant_truth().is_some() {
         return None;
     }
-    let mut out: Vec<(&Var, &Var)> = Vec::with_capacity(args.len());
-    for (x, arg) in rel.var_names().iter().zip(args) {
+    let mut out: Vec<&Var> = Vec::with_capacity(args.len());
+    for arg in args {
         let arg = arg.as_var()?;
-        if out.iter().any(|(_, seen)| *seen == arg) {
+        if out.contains(&arg) {
             return None;
         }
-        out.push((x, arg));
+        out.push(arg);
     }
-    let atoms = rel.dnf().disjuncts.iter().flatten();
-    let designated = |(v, _): (&Var, _)| rel.var_names().contains(v);
-    atoms.flat_map(|a| a.expr.terms()).all(designated).then_some(out)
+    rel.rows().designated.then_some(out)
+}
+
+/// Where a relation's stored atoms put their coefficients: for each term
+/// of each atom, its column (the position of its variable in the head).
+/// With the atoms' own coefficients, each is a sparse row over the
+/// relation's columns, which lowering a [`renaming`] of the relation moves
+/// to the arguments' columns. Built once per relation ([`Relation::rows`]).
+#[derive(Clone)]
+pub(crate) struct StoredRows {
+    /// The column of every term, atom after atom, disjunct after disjunct.
+    columns: Vec<usize>,
+    /// Per atom, the end of its columns.
+    ends: Vec<usize>,
+    /// The columns some stored atom mentions.
+    used: Vec<bool>,
+    /// Does every stored atom mention designated variables only? Nothing
+    /// else is filled in when one does not.
+    designated: bool,
+}
+
+impl StoredRows {
+    pub(crate) fn new(var_names: &[Var], dnf: &Dnf) -> StoredRows {
+        let mut out = StoredRows {
+            columns: Vec::new(),
+            ends: Vec::new(),
+            used: vec![false; var_names.len()],
+            designated: true,
+        };
+        for a in dnf.disjuncts.iter().flatten() {
+            for (v, _) in a.expr.terms() {
+                let Some(k) = var_names.iter().position(|x| x == v) else {
+                    out.designated = false;
+                    return out;
+                };
+                out.used[k] = true;
+                out.columns.push(k);
+            }
+            out.ends.push(out.columns.len());
+        }
+        out
+    }
+
+    /// The columns of stored atom `i`'s terms.
+    fn columns(&self, i: usize) -> &[usize] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.columns[start..self.ends[i]]
+    }
 }
 
 #[cfg(test)]
@@ -361,19 +405,6 @@ fn propagating() -> bool {
     return !LP_ONLY.with(std::cell::Cell::get);
     #[cfg(not(test))]
     true
-}
-
-/// The row of the stored atom `a` with relation `rel` in an order of `width`
-/// variables, each coefficient of a designated variable in its argument's
-/// column (as `a.to_constraint` after renaming).
-fn renamed_row(a: &Atom, rel: Rel, columns: &[(&Var, usize)], width: usize) -> LinConstraint {
-    let mut coeffs = vec![Rational::ZERO; width];
-    for (v, c) in a.expr.terms() {
-        if let Some((_, k)) = columns.iter().find(|(x, _)| *x == v) {
-            coeffs[*k] = c.clone();
-        }
-    }
-    LinConstraint::new(coeffs, rel, -a.expr.constant_term().clone())
 }
 
 /// Index of an atom in its [`Interner`].
@@ -477,37 +508,98 @@ impl Nnf {
     /// Truth at a point given in the interner's variable order.
     fn holds(&self, atoms: &Interner, point: &[Rational]) -> bool {
         match self {
-            Nnf::Run(run) => run
-                .iter()
-                .all(|&id| atoms.entries[id].row.satisfied_by(point)),
+            Nnf::Run(run) => run.iter().all(|&id| atoms.row(id).satisfied_by(point)),
             Nnf::And(parts) => parts.iter().all(|p| p.holds(atoms, point)),
             Nnf::Or(parts) => parts.iter().any(|p| p.holds(atoms, point)),
         }
     }
 }
 
-/// One interned atom.
+/// One interned atom: the row `Σᵢ coeffs[i]·x[support[i]] rel rhs` over
+/// the interner's variable order, `i` in `start..end` of its arena.
 struct Entry {
-    /// The atom as an LP row over the interner's variable order; shared
-    /// with the interner's lookup key.
-    row: Rc<LinConstraint>,
-    /// The atom itself, rebuilt from the row when first asked for: most
-    /// atoms of a large conversion are only ever rows.
-    atom: OnceCell<Atom>,
+    start: u32,
+    end: u32,
+    rel: Rel,
     /// The truth value of a variable-free atom.
     truth: Option<bool>,
-    /// The columns of the row's non-zero coefficients.
-    support: Vec<usize>,
+    rhs: Rational,
+    /// The atom itself, rebuilt from the row when first asked for: most
+    /// atoms of a large conversion are only ever rows.
+    atom: OnceCell<Box<Atom>>,
     /// The entry of [`Atom::canonicalize`], once asked for.
     canon: Option<AtomId>,
+    /// The entry interned before this one under the same row hash.
+    collision: Option<AtomId>,
+}
+
+/// An interned atom's row, read in place from the arena:
+/// `Σᵢ coeffs[i]·x[support[i]] rel rhs`, its columns increasing and none of
+/// its coefficients zero.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    support: &'a [usize],
+    coeffs: &'a [Rational],
+    rel: Rel,
+    rhs: &'a Rational,
+}
+
+impl Row<'_> {
+    /// Does the point satisfy the row? (Exact, the products of
+    /// `LinConstraint::satisfied_by` in its order.)
+    fn satisfied_by(&self, point: &[Rational]) -> bool {
+        let mut lhs = Rational::ZERO;
+        for (&k, c) in self.support.iter().zip(self.coeffs) {
+            if !point[k].is_zero() {
+                lhs += &(c * &point[k]);
+            }
+        }
+        self.rel.eval(&lhs, self.rhs)
+    }
+
+    /// The row as a linear program's constraint over `width` columns.
+    fn constraint(&self, width: usize) -> LinConstraint {
+        let mut coeffs = vec![Rational::ZERO; width];
+        for (&k, c) in self.support.iter().zip(self.coeffs) {
+            coeffs[k] = c.clone();
+        }
+        LinConstraint::new(coeffs, self.rel, self.rhs.clone())
+    }
+}
+
+/// The hasher of [`Interner::ids`], whose keys are row hashes already:
+/// SipHash under the interner's random keys, so a row crafted in client
+/// text cannot aim at a bucket.
+#[derive(Default)]
+struct RowHash(u64);
+
+impl Hasher for RowHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the keys of the row index are row hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
 /// The front end of every conversion: a variable order fixed once, and each
-/// distinct atom stored once with everything later steps ask of it.
+/// distinct atom stored once with everything later steps ask of it. The
+/// rows live in one arena, so interning an atom allocates nothing.
 struct Interner {
     order: Vec<Var>,
-    ids: HashMap<Rc<LinConstraint>, AtomId>,
+    /// Every entry's row: its columns and their non-zero coefficients,
+    /// entry after entry; a row being interned is on the end.
+    support: Vec<usize>,
+    coeffs: Vec<Rational>,
     entries: Vec<Entry>,
+    /// The last entry of each row hash, hashed once by `state`.
+    ids: HashMap<u64, AtomId, BuildHasherDefault<RowHash>>,
+    state: RandomState,
 }
 
 /// An interval of the real line; `true` marks a strict end.
@@ -558,21 +650,12 @@ impl Interval {
 /// 2 029, 2 029.
 const SWEEPS: usize = 2;
 
-/// The columns of a row's non-zero coefficients.
-fn support(row: &LinConstraint) -> Vec<usize> {
-    let nonzero = row.coeffs.iter().enumerate().filter(|(_, c)| !c.is_zero());
-    nonzero.map(|(k, _)| k).collect()
-}
-
 /// Exact bound propagation: tighten `bounds` by what each row of `rows`
-/// (with its [`support`]) implies, [`SWEEPS`] times over. `false` means
-/// the rows have no common point inside `bounds`; `true` decides nothing,
-/// and `bounds` then still contains every such point.
-fn sweep<'a>(
-    rows: impl Iterator<Item = (&'a LinConstraint, &'a [usize])> + Clone,
-    bounds: &mut [Interval],
-) -> bool {
-    (0..SWEEPS).all(|_| rows.clone().all(|(row, support)| tighten(bounds, row, support)))
+/// implies, [`SWEEPS`] times over. `false` means the rows have no common
+/// point inside `bounds`; `true` decides nothing, and `bounds` then still
+/// contains every such point.
+fn sweep<'a>(rows: impl Iterator<Item = Row<'a>> + Clone, bounds: &mut [Interval]) -> bool {
+    (0..SWEEPS).all(|_| rows.clone().all(|row| tighten(bounds, row)))
 }
 
 /// The bound propagation that runs in front of every LP of a conversion, on
@@ -580,8 +663,20 @@ fn sweep<'a>(
 /// (exactly — an LP would say the same); otherwise `bounds`, tightened,
 /// still holds every such point. The entry the test-side oracle judges.
 pub fn propagate(rows: &[&LinConstraint], bounds: &mut [Interval]) -> bool {
-    let supports: Vec<Vec<usize>> = rows.iter().map(|row| support(row)).collect();
-    sweep(rows.iter().copied().zip(supports.iter().map(Vec::as_slice)), bounds)
+    let sparse: Vec<(Vec<usize>, Vec<Rational>)> = rows
+        .iter()
+        .map(|row| {
+            let nonzero = row.coeffs.iter().enumerate().filter(|(_, c)| !c.is_zero());
+            nonzero.map(|(k, c)| (k, c.clone())).unzip()
+        })
+        .collect();
+    let rows = rows.iter().zip(&sparse).map(|(row, (support, coeffs))| Row {
+        support,
+        coeffs,
+        rel: row.rel,
+        rhs: &row.rhs,
+    });
+    sweep(rows, bounds)
 }
 
 /// Intersect `bounds` with what one row says about each variable of its
@@ -593,18 +688,18 @@ pub fn propagate(rows: &[&LinConstraint], bounds: &mut [Interval]) -> bool {
 /// bound empties `xⱼ`'s interval exactly if `Σ inf > b` (or `= b`, strictly),
 /// so refuting the row inside the box and tightening the box are one step,
 /// and a single-variable row is the case without others.
-fn tighten(bounds: &mut [Interval], row: &LinConstraint, support: &[usize]) -> bool {
+fn tighten(bounds: &mut [Interval], row: Row) -> bool {
     let sides: &[bool] = match row.rel {
         Rel::Lt | Rel::Le => &[false],
         Rel::Gt | Rel::Ge => &[true],
         Rel::Eq => &[false, true],
     };
+    let terms = || row.support.iter().copied().zip(row.coeffs);
     sides.iter().all(|&above| {
-        support.iter().all(|&j| {
+        terms().all(|(j, a_j)| {
             let mut rest = row.rhs.clone();
             let mut strict = row.rel.is_strict();
-            for &k in support.iter().filter(|&&k| k != j) {
-                let a = &row.coeffs[k];
+            for (k, a) in terms().filter(|&(k, _)| k != j) {
                 let interval = &bounds[k];
                 let end = if a.is_negative() == above { &interval.lo } else { &interval.hi };
                 let Some((value, open)) = end else {
@@ -613,8 +708,7 @@ fn tighten(bounds: &mut [Interval], row: &LinConstraint, support: &[usize]) -> b
                 rest -= &(a * value);
                 strict |= open;
             }
-            let a = &row.coeffs[j];
-            bounds[j].tighten(above == a.is_negative(), &rest / a, strict)
+            bounds[j].tighten(above == a_j.is_negative(), &rest / a_j, strict)
         })
     })
 }
@@ -640,9 +734,9 @@ impl Cell {
         bounds: Vec<Interval>,
     ) -> Cell {
         debug_assert!(
-            witness.iter().all(|point| atoms
+            witness
                 .iter()
-                .all(|&id| interner.entries[id].row.satisfied_by(point))),
+                .all(|point| atoms.iter().all(|&id| interner.row(id).satisfied_by(point))),
             "cell witness violates one of its atoms"
         );
         debug_assert!(
@@ -663,8 +757,11 @@ impl Interner {
     fn new(vars: BTreeSet<Var>) -> Interner {
         Interner {
             order: vars.into_iter().collect(),
-            ids: HashMap::new(),
+            support: Vec::new(),
+            coeffs: Vec::new(),
             entries: Vec::new(),
+            ids: HashMap::default(),
+            state: RandomState::new(),
         }
     }
 
@@ -672,20 +769,32 @@ impl Interner {
     /// symbol is read from `db`: from its stored atoms as rows where its
     /// application is a [`renaming`], and through [`Relation::apply`]
     /// otherwise — to the same order, atom ids and [`Nnf`] either way.
+    /// Each stored disjunct read as rows is charged to the thread's work
+    /// ledger (`logic.rows_lowered`, one unit a row) before it is lowered.
     ///
     /// # Panics
     /// Panics if the formula contains quantifiers, or relation symbols that
     /// `db` lacks or that are applied with the wrong arity.
-    fn lower_formula(f: &Formula, db: &Database, negated: bool) -> (Interner, Nnf) {
+    fn lower_formula(
+        f: &Formula,
+        db: &Database,
+        negated: bool,
+    ) -> Result<(Interner, Nnf), BudgetError> {
         let (mut applied, mut vars) = (Applied::new(), BTreeSet::new());
         formula_vars(f, db, &mut applied, &mut vars);
         let mut atoms = Interner::new(vars);
-        let nnf = atoms.lower(f, db, &applied, negated);
-        (atoms, nnf)
+        let nnf = atoms.lower(f, db, &applied, negated)?;
+        Ok((atoms, nnf))
     }
 
-    fn lower(&mut self, f: &Formula, db: &Database, applied: &Applied, negated: bool) -> Nnf {
-        match f {
+    fn lower(
+        &mut self,
+        f: &Formula,
+        db: &Database,
+        applied: &Applied,
+        negated: bool,
+    ) -> Result<Nnf, BudgetError> {
+        Ok(match f {
             Formula::True | Formula::False => {
                 if matches!(f, Formula::True) != negated {
                     Nnf::Run(Vec::new())
@@ -700,9 +809,10 @@ impl Interner {
                     .collect(),
             ),
             Formula::Atom(a) => Nnf::Run(vec![self.intern(a)]),
-            Formula::Not(inner) => self.lower(inner, db, applied, !negated),
+            Formula::Not(inner) => self.lower(inner, db, applied, !negated)?,
             Formula::And(fs) | Formula::Or(fs) => {
-                let parts = fs.iter().map(|g| self.lower(g, db, applied, negated)).collect();
+                let parts = fs.iter().map(|g| self.lower(g, db, applied, negated));
+                let parts = parts.collect::<Result<_, _>>()?;
                 if matches!(f, Formula::And(_)) != negated {
                     Nnf::and(parts)
                 } else {
@@ -719,77 +829,144 @@ impl Interner {
                     return self.lower(&applied[&(f as *const Formula)], db, applied, negated);
                 };
                 work::add(Work::QePredRows, 1);
-                let columns: Vec<(&Var, usize)> = renaming
-                    .iter()
-                    .filter_map(|&(x, arg)| Some((x, self.order.binary_search(arg).ok()?)))
-                    .collect();
+                let column = |arg| self.order.binary_search(arg).unwrap_or(usize::MAX);
+                let columns: Vec<usize> = renaming.into_iter().map(column).collect();
+                let (rows, disjuncts) = (rel.rows(), &rel.dnf().disjuncts);
                 // Nested as lowering the `Or` of `And`s that `apply` builds
                 // would nest it, negated: `¬⋁ⱼ⋀ₖ aⱼₖ` as `⋀ⱼ⋁ₖ ¬aⱼₖ`.
-                let width = self.order.len();
-                let mut row = |a: &Atom, rel| {
-                    self.intern_row(renamed_row(a, rel, &columns, width))
-                };
-                let mut conjunct = |c: &Conjunct| match negated {
-                    false => Nnf::Run(c.iter().map(|a| row(a, a.rel)).collect()),
-                    true => {
-                        let mut runs = Vec::new();
-                        for a in c {
-                            for &rel in negations(a.rel) {
-                                runs.push(Nnf::Run(vec![row(a, rel)]));
+                let mut parts = Vec::with_capacity(disjuncts.len());
+                let mut first = 0;
+                for conjunct in disjuncts {
+                    work::charge(Work::RowsLowered, conjunct.len() as u64)?;
+                    let atoms = conjunct.iter().zip(first..);
+                    first += conjunct.len();
+                    let mut row = |a, i, rel| self.intern_stored(a, rel, rows.columns(i), &columns);
+                    parts.push(match negated {
+                        false => Nnf::Run(atoms.map(|(a, i)| row(a, i, a.rel)).collect()),
+                        true => {
+                            let mut runs = Vec::new();
+                            for (a, i) in atoms {
+                                for &rel in negations(a.rel) {
+                                    runs.push(Nnf::Run(vec![row(a, i, rel)]));
+                                }
                             }
+                            Nnf::or(runs)
                         }
-                        Nnf::or(runs)
-                    }
-                };
-                let parts = rel.dnf().disjuncts.iter().map(&mut conjunct).collect();
+                    });
+                }
                 if negated {
                     Nnf::and(parts)
                 } else {
                     Nnf::or(parts)
                 }
             }
-        }
+        })
     }
 
     fn intern(&mut self, atom: &Atom) -> AtomId {
-        self.intern_row(atom.to_constraint(&self.order))
+        let start = self.support.len();
+        for (v, c) in atom.expr.terms() {
+            if let (Ok(k), false) = (self.order.binary_search(v), c.is_zero()) {
+                self.support.push(k);
+                self.coeffs.push(c.clone());
+            }
+        }
+        self.commit(start, atom.rel, -atom.expr.constant_term().clone())
     }
 
-    /// Intern an atom given as its row over the interner's order.
-    fn intern_row(&mut self, row: LinConstraint) -> AtomId {
-        let id = self.entries.len();
-        let row = match self.ids.entry(Rc::new(row)) {
-            Slot::Occupied(known) => return *known.get(),
-            Slot::Vacant(slot) => {
-                let row = Rc::clone(slot.key());
-                slot.insert(id);
-                row
+    /// Intern the stored atom `a` with relation `rel`, each coefficient in
+    /// the column `columns` gives its relation column (`stored`), as `apply`
+    /// and [`Interner::intern`] would intern the renamed atom.
+    fn intern_stored(&mut self, a: &Atom, rel: Rel, stored: &[usize], columns: &[usize]) -> AtomId {
+        let start = self.support.len();
+        for ((_, c), &k) in a.expr.terms().zip(stored).filter(|((_, c), _)| !c.is_zero()) {
+            // Into place among the columns already on the end: at most an
+            // arity's worth of them.
+            let column = columns[k];
+            let mut at = self.support.len();
+            self.support.push(column);
+            self.coeffs.push(c.clone());
+            while at > start && self.support[at - 1] > column {
+                self.support.swap(at - 1, at);
+                self.coeffs.swap(at - 1, at);
+                at -= 1;
             }
-        };
-        let support = support(&row);
+        }
+        self.commit(start, rel, -a.expr.constant_term().clone())
+    }
+
+    /// The entry of the row on the end of the arena from `start`, with
+    /// relation `rel` and right-hand side `rhs`: a known one (and the end
+    /// taken off again) or a new one.
+    fn commit(&mut self, start: usize, rel: Rel, rhs: Rational) -> AtomId {
+        let (support, coeffs) = (&self.support[start..], &self.coeffs[start..]);
+        let hash = self.hash(Row { support, coeffs, rel, rhs: &rhs });
+        let head = self.ids.get(&hash).copied();
+        let mut known = head;
+        while let Some(id) = known {
+            let e = &self.entries[id];
+            let span = e.start as usize..e.end as usize;
+            if e.rel == rel
+                && e.rhs == rhs
+                && self.support[span.clone()] == *support
+                && self.coeffs[span] == *coeffs
+            {
+                self.support.truncate(start);
+                self.coeffs.truncate(start);
+                return id;
+            }
+            known = e.collision;
+        }
+        let id = self.entries.len();
+        let end = self.support.len();
+        let offset = |k: usize| u32::try_from(k).expect("an arena of fewer than 2³² terms");
         self.entries.push(Entry {
-            truth: support.is_empty().then(|| row.rel.eval(&Rational::ZERO, &row.rhs)),
-            row,
+            truth: (start == end).then(|| rel.eval(&Rational::ZERO, &rhs)),
+            start: offset(start),
+            end: offset(end),
+            rel,
+            rhs,
             atom: OnceCell::new(),
-            support,
             canon: None,
+            collision: head,
         });
+        self.ids.insert(hash, id);
         id
     }
 
+    /// The key of a row in [`Interner::ids`].
+    fn hash(&self, row: Row) -> u64 {
+        self.state.hash_one((row.rel, row.rhs, row.support, row.coeffs))
+    }
+
+    /// The row of an entry, read in place.
+    fn row(&self, id: AtomId) -> Row<'_> {
+        let Entry { start, end, rel, ref rhs, .. } = self.entries[id];
+        let span = start as usize..end as usize;
+        Row {
+            support: &self.support[span.clone()],
+            coeffs: &self.coeffs[span],
+            rel,
+            rhs,
+        }
+    }
+
+    /// The row of an entry as a linear program's constraint.
+    fn constraint(&self, id: AtomId) -> LinConstraint {
+        self.row(id).constraint(self.order.len())
+    }
+
     fn atom(&self, id: AtomId) -> &Atom {
-        let Entry { row, atom, .. } = &self.entries[id];
-        atom.get_or_init(|| {
-            let terms = self.order.iter().zip(&row.coeffs);
-            Atom {
+        self.entries[id].atom.get_or_init(|| {
+            let row = self.row(id);
+            let terms = row.support.iter().zip(row.coeffs);
+            Box::new(Atom {
                 expr: LinExpr::from_terms(
-                    terms
-                        .filter(|(_, c)| !c.is_zero())
-                        .map(|(v, c)| (v.clone(), c.clone())),
+                    terms.map(|(&k, c)| (self.order[k].clone(), c.clone())),
                     -row.rhs.clone(),
                 ),
                 rel: row.rel,
-            }
+            })
         })
     }
 
@@ -847,17 +1024,14 @@ impl Interner {
         }
     }
 
-    /// The rows of `ids` with their supports: the single-variable ones, or
-    /// the others.
+    /// The rows of `ids`: the single-variable ones, or the others.
     fn rows<'a>(
         &'a self,
         ids: &'a [AtomId],
         single: bool,
-    ) -> impl Iterator<Item = (&'a LinConstraint, &'a [usize])> + Clone {
-        let entries = ids.iter().map(|&id| &self.entries[id]);
-        entries
-            .filter(move |entry| (entry.support.len() == 1) == single)
-            .map(|entry| (&*entry.row, &entry.support[..]))
+    ) -> impl Iterator<Item = Row<'a>> + Clone {
+        let rows = ids.iter().map(|&id| self.row(id));
+        rows.filter(move |row| (row.support.len() == 1) == single)
     }
 
     /// The one feasibility decision: is `partial ∧ run` satisfiable, and at
@@ -885,15 +1059,12 @@ impl Interner {
                 None => fresh.push(id),
             }
         }
-        let row = |id: &AtomId| &*self.entries[*id].row;
         let holds = partial
             .witness
             .as_ref()
-            .is_some_and(|point| fresh.iter().all(|id| row(id).satisfied_by(point)));
+            .is_some_and(|point| fresh.iter().all(|&id| self.row(id).satisfied_by(point)));
         let mut bounds = partial.bounds.clone();
-        let boxed = self
-            .rows(&fresh, true)
-            .all(|(row, support)| tighten(&mut bounds, row, support));
+        let boxed = self.rows(&fresh, true).all(|row| tighten(&mut bounds, row));
         let witness = if holds {
             work::add(Work::DnfWitnessHits, 1);
             partial.witness.clone()
@@ -911,14 +1082,18 @@ impl Interner {
             Some(point)
         } else {
             work::add(Work::DnfLpDecided, 1);
+            // The only rows built as `LinConstraint`s: those an LP reads.
             let d = self.order.len();
-            let prefix = partial.atoms.iter().map(row);
-            let run = fresh.iter().map(row);
+            let constraints = |ids: &[AtomId]| -> Vec<LinConstraint> {
+                ids.iter().map(|&id| self.constraint(id)).collect()
+            };
             let point = match warm {
                 Some(batch) => batch
-                    .get_or_insert_with(|| FeasibilityBatch::new(d, &prefix.collect::<Vec<_>>()))
-                    .probe_all(&run.collect::<Vec<_>>()),
-                None => lcdb_lp::feasible_refs(d, &prefix.chain(run).collect::<Vec<_>>()),
+                    .get_or_insert_with(|| {
+                        FeasibilityBatch::new(d, &constraints(&partial.atoms).iter().collect::<Vec<_>>())
+                    })
+                    .probe_all(&constraints(&fresh).iter().collect::<Vec<_>>()),
+                None => lcdb_lp::feasible(d, &constraints(&[&partial.atoms[..], &fresh].concat())),
             };
             let Some(point) = point else {
                 return Ok(None);
@@ -939,7 +1114,7 @@ impl Interner {
             (None, Some((hi, _))) => hi - &Rational::ONE,
             (None, None) => partial.witness.as_ref().map_or(Rational::ZERO, |w| w[k].clone()),
         }).collect();
-        let holds = |id: &AtomId| self.entries[*id].row.satisfied_by(&point);
+        let holds = |&id: &AtomId| self.row(id).satisfied_by(&point);
         (propagating() && partial.atoms.iter().chain(run).all(holds)).then_some(point)
     }
 
@@ -1041,7 +1216,7 @@ impl Interner {
             let refuted = cell
                 .witness
                 .as_ref()
-                .is_some_and(|point| !self.entries[id].row.satisfied_by(point));
+                .is_some_and(|point| !self.row(id).satisfied_by(point));
             if refuted {
                 return Ok(false);
             }
@@ -1076,7 +1251,7 @@ impl Cells {
         negated: bool,
         strategy: Strategy,
     ) -> Result<Cells, BudgetError> {
-        let (mut atoms, nnf) = Interner::lower_formula(f, db, negated);
+        let (mut atoms, nnf) = Interner::lower_formula(f, db, negated)?;
         let estimate = nnf.estimate();
         let dimension = u32::try_from(atoms.order.len()).unwrap_or(u32::MAX);
         let outgrown = |planes: usize| planes.saturating_pow(dimension) >= estimate;
@@ -1135,11 +1310,11 @@ impl Cells {
     ) -> Result<(), BudgetError> {
         if let Some(position) = self.atoms.order.iter().position(|v| v == var) {
             for cell in &mut self.cells {
-                let entries = &self.atoms.entries;
+                let atoms = &self.atoms;
                 let (with_var, mut rest): (Vec<AtomId>, Vec<AtomId>) = cell
                     .atoms
                     .iter()
-                    .partition(|&&id| !entries[id].row.coeffs[position].is_zero());
+                    .partition(|&&id| atoms.row(id).support.binary_search(&position).is_ok());
                 if with_var.is_empty() {
                     continue;
                 }
@@ -1402,12 +1577,63 @@ mod tests {
         use super::super::{
             conjunct_satisfiable, dnf_shaped, sweep, tighten, to_dnf,
             to_dnf_interned, to_dnf_pruned, AtomId, Cells, Conjunct, Database, Dnf, Formula,
-            Interner, Strategy as Conversion, LP_ONLY,
+            Interner, StoredRows, Strategy as Conversion, LP_ONLY,
         };
         use crate::arb::{arb_atom, arb_formula};
-        use crate::{LinExpr, Relation};
-        use lcdb_arith::int;
+        use crate::{Atom, LinExpr, Relation, Var};
+        use lcdb_arith::{int, Rational};
+        use lcdb_lp::LinConstraint;
         use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        /// The interner before its arena, kept as the arena's oracle: each
+        /// distinct dense row, by value, under the next id.
+        #[derive(Default)]
+        struct RowMap {
+            ids: HashMap<LinConstraint, AtomId>,
+            rows: Vec<LinConstraint>,
+        }
+
+        impl RowMap {
+            fn intern(&mut self, row: LinConstraint) -> AtomId {
+                let next = self.rows.len();
+                *self.ids.entry(row).or_insert_with_key(|row| {
+                    self.rows.push(row.clone());
+                    next
+                })
+            }
+        }
+
+        /// Streams of atoms over `x`, `y`, `z` that come back: each is a
+        /// fresh atom, or an earlier one as it was, with another constant,
+        /// with another relation, with one coefficient set to or from zero,
+        /// or without its variables.
+        fn arb_stream() -> impl Strategy<Value = Vec<Atom>> {
+            let step = (arb_atom(), 0..6usize, 0..64usize, 0..3usize);
+            proptest::collection::vec(step, 1..40).prop_map(|steps| {
+                let mut out: Vec<Atom> = Vec::new();
+                for (fresh, kind, pick, var) in steps {
+                    if out.is_empty() || kind == 0 {
+                        out.push(fresh);
+                        continue;
+                    }
+                    let Atom { expr, rel } = out[pick % out.len()].clone();
+                    let (v, shift) = (["x", "y", "z"][var], LinExpr::constant(int(1)));
+                    let toggled = match expr.coeff(v).is_zero() {
+                        true => Rational::ONE,
+                        false => -expr.coeff(v),
+                    };
+                    out.push(match kind {
+                        1 => Atom { expr, rel },
+                        2 => Atom { expr: expr.add(&shift), rel },
+                        3 => Atom { expr, rel: fresh.rel },
+                        4 => Atom { expr: expr.add(&LinExpr::var(v).scale(&toggled)), rel },
+                        _ => Atom { expr: LinExpr::constant(expr.constant_term().clone()), rel },
+                    });
+                }
+                out
+            })
+        }
 
         /// Relations over atoms in `x`, `y`, `z`, of every shape `apply`
         /// tells apart: no disjunct, an empty disjunct, `=` atoms, designated
@@ -1495,7 +1721,7 @@ mod tests {
                     for cell in &cells.cells {
                         let point = cell.witness.as_ref().expect("decided by now");
                         for &id in &cell.atoms {
-                            prop_assert!(cells.atoms.entries[id].row.satisfied_by(point));
+                            prop_assert!(cells.atoms.row(id).satisfied_by(point));
                         }
                     }
                 }
@@ -1517,7 +1743,7 @@ mod tests {
                 let mut bounds = atoms.unbounded();
                 let boxed = atoms
                     .rows(&live, true)
-                    .all(|(row, support)| tighten(&mut bounds, row, support))
+                    .all(|row| tighten(&mut bounds, row))
                     && sweep(atoms.rows(&live, false), &mut bounds);
                 let feasible = conjunct_satisfiable(&conjunct);
                 prop_assert!(boxed || !feasible, "box rejected a feasible conjunct");
@@ -1543,7 +1769,7 @@ mod tests {
                     for cell in &cells.cells {
                         let point = cell.witness.as_ref().expect("pruned cells are decided");
                         for &id in &cell.atoms {
-                            assert!(cells.atoms.entries[id].row.satisfied_by(point));
+                            assert!(cells.atoms.row(id).satisfied_by(point));
                         }
                         assert!(cell.bounds.iter().zip(point).all(|(b, x)| b.contains(x)));
                     }
@@ -1573,9 +1799,10 @@ mod tests {
                     _ => Formula::Or(vec![r, Formula::Not(Box::new(g.clone()))]),
                 };
                 let lowered = |f: &Formula, db: &Database| {
-                    let (atoms, nnf) = Interner::lower_formula(f, db, negated == 1);
-                    let rows: Vec<_> =
-                        atoms.entries.iter().map(|e| ((*e.row).clone(), e.truth)).collect();
+                    let (atoms, nnf) = Interner::lower_formula(f, db, negated == 1).unwrap();
+                    let rows: Vec<_> = (0..atoms.entries.len())
+                        .map(|id| (atoms.constraint(id), atoms.entries[id].truth))
+                        .collect();
                     (atoms.order, rows, nnf.distribute())
                 };
                 let mut db = Database::new();
@@ -1593,6 +1820,45 @@ mod tests {
                 let constant = matches!(f, Formula::True | Formula::False);
                 prop_assert!(shaped == 0 || constant || dnf_shaped(&f));
                 prop_assert_eq!(to_dnf(&f), to_dnf_interned(&f));
+            }
+
+            /// The arena interns what a map from dense rows to ids interns —
+            /// the same ids, rows, supports and truth values —, whether an
+            /// atom comes as itself or as the stored row of a relation over
+            /// `(z, x, y)` renamed to its own variables, and rebuilds each
+            /// atom as it came.
+            #[test]
+            fn the_arena_interner_agrees_with_a_map_of_rows(
+                stream in arb_stream(),
+                routes in proptest::collection::vec(any::<bool>(), 40),
+            ) {
+                let vars = ["x", "y", "z"].iter().map(|v| v.to_string()).collect();
+                let mut atoms = Interner::new(vars);
+                let mut reference = RowMap::default();
+                let head: Vec<Var> = ["z", "x", "y"].map(String::from).to_vec();
+                let mut first: Vec<Atom> = Vec::new();
+                for (a, stored) in stream.iter().zip(routes) {
+                    let id = if stored {
+                        let rows = StoredRows::new(&head, &Dnf { disjuncts: vec![vec![a.clone()]] });
+                        atoms.intern_stored(a, a.rel, rows.columns(0), &[2, 0, 1])
+                    } else {
+                        atoms.intern(a)
+                    };
+                    prop_assert_eq!(id, reference.intern(a.to_constraint(&atoms.order)));
+                    if id == first.len() {
+                        first.push(a.clone());
+                    }
+                }
+                prop_assert_eq!(atoms.entries.len(), reference.rows.len());
+                for (id, row) in reference.rows.iter().enumerate() {
+                    prop_assert_eq!(&atoms.constraint(id), row);
+                    let support: Vec<usize> =
+                        (0..row.coeffs.len()).filter(|&k| !row.coeffs[k].is_zero()).collect();
+                    prop_assert_eq!(atoms.row(id).support, &support[..]);
+                    let truth = support.is_empty().then(|| row.rel.eval(&Rational::ZERO, &row.rhs));
+                    prop_assert_eq!(atoms.entries[id].truth, truth);
+                    prop_assert_eq!(atoms.atom(id), &first[id]);
+                }
             }
         }
     }
@@ -1625,6 +1891,21 @@ mod tests {
         );
         assert_eq!(to_dnf_auto(&space), to_dnf_pruned(&space));
         assert_ne!(to_dnf_auto(&space), to_dnf_cells(&space));
+    }
+
+    /// Two rows under one hash are told apart by their slices: the entry
+    /// interned later heads the chain, and a lookup walks past it.
+    #[test]
+    fn rows_under_one_hash_stay_apart() {
+        let mut atoms = Interner::new(["x".to_string()].into());
+        let lt = |k| Atom::new(LinExpr::var("x"), Rel::Lt, LinExpr::constant(int(k)));
+        let (a, b) = (atoms.intern(&lt(0)), atoms.intern(&lt(1)));
+        // Make `a`'s hash lead to `b` first, as a collision would.
+        let hash = atoms.hash(atoms.row(a));
+        atoms.ids.insert(hash, b);
+        atoms.entries[b].collision = Some(a);
+        assert_eq!((atoms.intern(&lt(0)), atoms.intern(&lt(1))), (a, b));
+        assert_eq!((atoms.entries.len(), atoms.support.len()), (2, 2));
     }
 
     /// Arm a budget whose clock trips the budget at the `n`-th charge from

@@ -162,6 +162,47 @@ fn quantifier_elimination_observes_the_deadline() {
     }
 }
 
+/// A cancelled token stops the 1024 × 1024 alibi elimination inside the
+/// lowering of its matrix: at most one stored disjunct's rows are charged,
+/// the second relation symbol is never read and no feasibility decision is
+/// made. Counts, not wall time.
+#[test]
+fn a_cancelled_elimination_stops_within_one_disjunct() {
+    use lcdb::budget::work::{self, Work};
+    use lcdb::budget::BudgetError;
+    use lcdb::logic::qe;
+    let (a, b) = lcdb_bench::alibi_pair(1024, 11, true);
+    let disjunct = a.dnf().disjuncts[0].len() as u64;
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = EvalBudget::unlimited().with_cancel_token(token);
+
+    let ext = alibi_extension(1024, 11, true);
+    let ev = Evaluator::with_budget(&ext, budget.clone());
+    let before = work::snapshot();
+    let result = ev.try_eval_sentence(&parse_regformula(ALIBI_SENTENCE).unwrap());
+    assert!(matches!(result, Err(EvalError::Cancelled { .. })), "{result:?}");
+    assert!(before.since()[Work::RowsLowered] <= disjunct);
+
+    // The block itself, as the evaluator hands it over.
+    let mut db = Database::new();
+    db.insert("A", a);
+    db.insert("B", b);
+    let args: Vec<LinExpr> = ["t", "x", "y"].into_iter().map(LinExpr::var).collect();
+    let matrix = lcdb::Formula::and(vec![
+        lcdb::Formula::Pred("A".into(), args.clone()),
+        lcdb::Formula::Pred("B".into(), args),
+    ]);
+    let _armed = work::arm(&budget, [0, 0]);
+    let before = work::snapshot();
+    let result = qe::try_eliminate_block(&matrix, &db, &["y", "x", "t"], true);
+    let spent = before.since();
+    assert_eq!(result, Err(BudgetError::Cancelled));
+    assert!(spent[Work::RowsLowered] <= disjunct, "{} rows", spent[Work::RowsLowered]);
+    assert_eq!(spent[Work::QePredRows], 1, "the second symbol is never read");
+    assert_eq!(spent[Work::DnfDecisions], 0);
+}
+
 #[test]
 fn tuple_test_limit_stops_fixpoint() {
     let budget = EvalBudget::unlimited().with_max_tuple_tests(3);
