@@ -21,6 +21,16 @@
 //! fit a word, and the `u128` loop only while one does not. Mixed and
 //! `Big`/`Big` operations fall back to arbitrary precision and demote on
 //! the way out.
+//!
+//! An inner product `Σ xᵢ·yᵢ` is one operation, not a fold of them:
+//! [`Rational::dot`] keeps a running `num/den` in `i128` while every operand
+//! is `Small`, adds numerators over equal or dividing denominators and
+//! cross-multiplies (checked) otherwise, and normalizes once at the end;
+//! [`Rational::dot_sign`] reads the sign of that running fraction and
+//! normalizes nothing. An affine form `a·x − b` is the inner product with
+//! one more pair `(b, −1)`. A `Big` operand or an overflowing step hands the
+//! partial sum and the rest of the terms to the per-term operators, so the
+//! value (and, the representation being canonical, the tag) is the fold's.
 
 use lcdb_budget::work::{self, Work};
 use crate::{BigInt, BigUint, ParseNumError, Sign};
@@ -53,6 +63,10 @@ impl Rational {
     /// The value one.
     pub const ONE: Rational = Rational(Repr::Small(1, 1));
 
+    /// The value minus one: the second entry of an affine form's constant
+    /// pair `(b, −1)` in [`Rational::dot`] and [`Rational::dot_sign`].
+    pub const MINUS_ONE: Rational = Rational(Repr::Small(-1, 1));
+
     /// An integer value, constructed without normalization work.
     pub const fn from_int(n: i64) -> Rational {
         Rational(Repr::Small(n, 1))
@@ -74,12 +88,13 @@ impl Rational {
     /// Panics if `den` is zero.
     pub fn new(num: BigInt, den: BigInt) -> Self {
         assert!(!den.is_zero(), "rational with zero denominator");
-        // Fault-injection site: stands in for a (hypothetical) overflow in
-        // the normalization below. Rational construction is infallible, so
-        // the fault is deferred and surfaces at the work ledger's next
-        // charge.
-        #[cfg(feature = "faults")]
-        lcdb_budget::faults::hit("arith.overflow");
+        overflow_site();
+        Rational::normalize(num, den)
+    }
+
+    /// `num / den` (den nonzero) in lowest terms with a positive
+    /// denominator: [`Rational::new`] without its fault site.
+    fn normalize(num: BigInt, den: BigInt) -> Self {
         if num.is_zero() {
             return Rational::ZERO;
         }
@@ -279,9 +294,31 @@ impl Rational {
     /// Panics if `den == 0`.
     pub fn from_i64s(num: i64, den: i64) -> Rational {
         assert!(den != 0, "rational with zero denominator");
-        #[cfg(feature = "faults")]
-        lcdb_budget::faults::hit("arith.overflow");
+        overflow_site();
         from_i128_frac_unfaulted(num as i128, den as i128)
+    }
+
+    /// The exact inner product `Σ xᵢ·yᵢ` of `pairs`, normalized once. Pass
+    /// an affine form's constant `b` as one more pair `(b, −1)`.
+    pub fn dot<'a>(pairs: impl IntoIterator<Item = (&'a Rational, &'a Rational)>) -> Rational {
+        match InnerProduct::of(pairs) {
+            InnerProduct::Words(num, den) => from_i128_frac_unfaulted(num, den),
+            InnerProduct::Folded(sum) => sum,
+        }
+    }
+
+    /// The sign of [`Rational::dot`] of `pairs`, found without normalizing
+    /// anything: `dot_sign(a·x, (b, −1))` is the side of `a·x = b` that `x`
+    /// is on.
+    pub fn dot_sign<'a>(pairs: impl IntoIterator<Item = (&'a Rational, &'a Rational)>) -> Sign {
+        match InnerProduct::of(pairs) {
+            InnerProduct::Words(num, _) => match num.cmp(&0) {
+                Ordering::Less => Sign::Negative,
+                Ordering::Equal => Sign::Zero,
+                Ordering::Greater => Sign::Positive,
+            },
+            InnerProduct::Folded(sum) => sum.sign(),
+        }
     }
 
     /// Midpoint of two rationals.
@@ -347,6 +384,88 @@ impl Rational {
     }
 }
 
+/// The deferred `arith.overflow` fault-injection site, one hit per
+/// operation: it stands in for a (hypothetical) overflow in normalization.
+/// Rational arithmetic is infallible, so the fault surfaces at the work
+/// ledger's next charge.
+#[inline]
+fn overflow_site() {
+    #[cfg(feature = "faults")]
+    lcdb_budget::faults::hit("arith.overflow");
+}
+
+/// The running sum of an inner product.
+enum InnerProduct {
+    /// `num/den`, `den > 0`, not reduced: every term so far was `Small`
+    /// and every step fit `i128`.
+    Words(i128, i128),
+    /// The per-term fold's sum, once a term was `Big` or a step overflowed.
+    Folded(Rational),
+}
+
+impl InnerProduct {
+    /// Accumulate `pairs`, skipping those with a zero entry. Each `Small`
+    /// term's `an·bn / ad·bd` fits `i128`; it joins the sum over a shared
+    /// denominator when one of the two divides the other and through the
+    /// cross products otherwise, every step checked. The first `Big` entry
+    /// or overflow normalizes the partial sum and folds the rest term by
+    /// term. One fault-site hit, whichever way it goes.
+    fn of<'a>(pairs: impl IntoIterator<Item = (&'a Rational, &'a Rational)>) -> InnerProduct {
+        overflow_site();
+        let mut pairs = pairs.into_iter();
+        let (mut num, mut den) = (0i128, 1i128);
+        while let Some((x, y)) = pairs.next() {
+            if x.is_zero() || y.is_zero() {
+                continue;
+            }
+            if let (Some((an, ad)), Some((bn, bd))) = (x.small(), y.small()) {
+                let term = (i128::from(an) * i128::from(bn), i128::from(ad) * i128::from(bd));
+                if let Some(sum) = add_words((num, den), term) {
+                    (num, den) = sum;
+                    continue;
+                }
+            }
+            let mut sum = from_i128_frac_unfaulted(num, den);
+            for (x, y) in std::iter::once((x, y)).chain(pairs) {
+                if !x.is_zero() && !y.is_zero() {
+                    sum = add_unfaulted(&sum, &mul_unfaulted(x, y));
+                }
+            }
+            return InnerProduct::Folded(sum);
+        }
+        InnerProduct::Words(num, den)
+    }
+}
+
+/// `an/ad + bn/bd` unreduced (denominators positive): over the larger
+/// denominator when the smaller divides it, else over their product; `None`
+/// when a step overflows `i128`.
+fn add_words((an, ad): (i128, i128), (bn, bd): (i128, i128)) -> Option<(i128, i128)> {
+    if ad == bd {
+        return Some((an.checked_add(bn)?, ad));
+    }
+    if let Some(k) = quotient(ad, bd) {
+        return Some((an.checked_add(bn.checked_mul(k)?)?, ad));
+    }
+    if let Some(k) = quotient(bd, ad) {
+        return Some((an.checked_mul(k)?.checked_add(bn)?, bd));
+    }
+    Some((an.checked_mul(bd)?.checked_add(bn.checked_mul(ad)?)?, ad.checked_mul(bd)?))
+}
+
+/// `n / d` when `d` divides `n` (both positive), on the hardware `u64`
+/// division when both fit a word.
+#[inline]
+fn quotient(n: i128, d: i128) -> Option<i128> {
+    if d == 1 {
+        return Some(n);
+    }
+    match (u64::try_from(n), u64::try_from(d)) {
+        (Ok(n), Ok(d)) => (n % d == 0).then(|| i128::from(n / d)),
+        _ => (n % d == 0).then(|| n / d),
+    }
+}
+
 fn primitive_factor_small(values: &[&Rational]) -> Option<Option<Rational>> {
     let lcm = values.iter().try_fold(1i128, |f, c| {
         let d = i128::from(c.small()?.1);
@@ -404,14 +523,13 @@ pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
 /// the fixed-width representation when the normalized components fit `i64`
 /// and promoting to `Big` (checked, never wrapping) when they do not.
 ///
-/// Inputs are sums and cross-products of `i64` components, so they fit
-/// `i128` with headroom (`|num| ≤ 2^127 - 2^64`, never `i128::MIN`) and
-/// `den` is nonzero whenever the caller's denominators were.
+/// Every `i128` numerator is accepted, `i128::MIN` included: an inner
+/// product's running sum reaches `±2¹²⁷`, and the reduction works on
+/// `unsigned_abs` magnitudes. `den` must be nonzero.
 pub(crate) fn from_i128_frac(num: i128, den: i128) -> Rational {
-    // Same deferred fault-injection site as `Rational::new`, so the fast
-    // path does not change which operations can be made to fail.
-    #[cfg(feature = "faults")]
-    lcdb_budget::faults::hit("arith.overflow");
+    // The same fault site as `Rational::new`, so the fast path does not
+    // change which operations can be made to fail.
+    overflow_site();
     from_i128_frac_unfaulted(num, den)
 }
 
@@ -442,10 +560,10 @@ fn from_i128_frac_unfaulted(num: i128, den: i128) -> Rational {
 /// the numerators over it; two go through the cross products.
 fn add_small(an: i128, ad: i64, bn: i128, bd: i64) -> Rational {
     if ad == bd {
-        return from_i128_frac(an + bn, i128::from(ad));
+        return from_i128_frac_unfaulted(an + bn, i128::from(ad));
     }
     let (ad, bd) = (i128::from(ad), i128::from(bd));
-    from_i128_frac(an * bd + bn * ad, ad * bd)
+    from_i128_frac_unfaulted(an * bd + bn * ad, ad * bd)
 }
 
 /// `±(an/ad)·(bn/bd)` over magnitudes of two fixed-width values, each in
@@ -453,10 +571,6 @@ fn add_small(an: i128, ad: i64, bn: i128, bd: i64) -> Rational {
 /// product is in lowest terms too (Knuth, TAOCP 4.5.1), so no gcd runs on a
 /// 128-bit product. A quotient passes the divisor's magnitudes swapped.
 fn mul_small(negative: bool, an: u64, ad: u64, bn: u64, bd: u64) -> Rational {
-    // The operation's one deferred fault-injection site, as in
-    // `from_i128_frac`.
-    #[cfg(feature = "faults")]
-    lcdb_budget::faults::hit("arith.overflow");
     if an == 0 || bn == 0 {
         return Rational::ZERO;
     }
@@ -587,44 +701,55 @@ macro_rules! forward_binop_rational {
     };
 }
 
-fn add_big(a: &Rational, b: &Rational) -> Rational {
-    let (an, ad) = a.to_big();
-    let (bn, bd) = b.to_big();
-    Rational::new(&an * &bd + &bn * &ad, &ad * &bd)
-}
-
-forward_binop_rational!(Add, add, |a: &Rational, b: &Rational| {
+/// `a + b` without the operator's fault site.
+fn add_unfaulted(a: &Rational, b: &Rational) -> Rational {
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
         return add_small(i128::from(an), ad, i128::from(bn), bd);
     }
-    add_big(a, b)
-});
-forward_binop_rational!(Sub, sub, |a: &Rational, b: &Rational| {
-    if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
-        return add_small(i128::from(an), ad, -i128::from(bn), bd);
-    }
     let (an, ad) = a.to_big();
     let (bn, bd) = b.to_big();
-    Rational::new(&an * &bd - &bn * &ad, &ad * &bd)
-});
-forward_binop_rational!(Mul, mul, |a: &Rational, b: &Rational| {
+    Rational::normalize(&an * &bd + &bn * &ad, &ad * &bd)
+}
+
+/// `a · b` without the operator's fault site.
+fn mul_unfaulted(a: &Rational, b: &Rational) -> Rational {
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
         let (ad, bd) = (ad.unsigned_abs(), bd.unsigned_abs());
         return mul_small((an < 0) != (bn < 0), an.unsigned_abs(), ad, bn.unsigned_abs(), bd);
     }
     let (an, ad) = a.to_big();
     let (bn, bd) = b.to_big();
-    Rational::new(&an * &bn, &ad * &bd)
+    Rational::normalize(&an * &bn, &ad * &bd)
+}
+
+// Each operator is one hit of the fault site.
+forward_binop_rational!(Add, add, |a: &Rational, b: &Rational| {
+    overflow_site();
+    add_unfaulted(a, b)
+});
+forward_binop_rational!(Sub, sub, |a: &Rational, b: &Rational| {
+    overflow_site();
+    if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
+        return add_small(i128::from(an), ad, -i128::from(bn), bd);
+    }
+    let (an, ad) = a.to_big();
+    let (bn, bd) = b.to_big();
+    Rational::normalize(&an * &bd - &bn * &ad, &ad * &bd)
+});
+forward_binop_rational!(Mul, mul, |a: &Rational, b: &Rational| {
+    overflow_site();
+    mul_unfaulted(a, b)
 });
 forward_binop_rational!(Div, div, |a: &Rational, b: &Rational| {
     assert!(!b.is_zero(), "rational division by zero");
+    overflow_site();
     if let (Some((an, ad)), Some((bn, bd))) = (a.small(), b.small()) {
         let (ad, bd) = (ad.unsigned_abs(), bd.unsigned_abs());
         return mul_small((an < 0) != (bn < 0), an.unsigned_abs(), ad, bd, bn.unsigned_abs());
     }
     let (an, ad) = a.to_big();
     let (bn, bd) = b.to_big();
-    Rational::new(&an * &bd, &ad * &bn)
+    Rational::normalize(&an * &bd, &ad * &bn)
 });
 
 impl AddAssign<&Rational> for Rational {
@@ -709,7 +834,7 @@ impl FromStr for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rat;
+    use crate::{int, rat};
     use proptest::prelude::*;
 
     /// The canonicity invariant: a value is `Small` exactly when its
@@ -1144,6 +1269,125 @@ mod tests {
         }
     }
 
+    /// Every `i128` numerator normalizes, the two ends included, over a
+    /// word, an odd and a wider-than-word denominator.
+    #[test]
+    fn from_i128_frac_accepts_every_numerator() {
+        for num in [i128::MIN, i128::MAX] {
+            for den in [1, 3, (1i128 << 64) + 1] {
+                let q = from_i128_frac(num, den);
+                assert_eq!(q, Rational::new(BigInt::from(num), BigInt::from(den)), "{num}/{den}");
+                assert_canonical(&q);
+            }
+        }
+    }
+
+    /// The per-term fold every inner product once ran: a `Rational`
+    /// product and sum per term with a zero entry skipped.
+    fn fold(pairs: &[(Rational, Rational)]) -> Rational {
+        let mut acc = Rational::ZERO;
+        for (x, y) in pairs {
+            if !x.is_zero() && !y.is_zero() {
+                acc += &(x * y);
+            }
+        }
+        acc
+    }
+
+    fn pair_refs(pairs: &[(Rational, Rational)]) -> impl Iterator<Item = (&Rational, &Rational)> {
+        pairs.iter().map(|(x, y)| (x, y))
+    }
+
+    fn sign_of(ord: Ordering) -> Sign {
+        match ord {
+            Ordering::Less => Sign::Negative,
+            Ordering::Equal => Sign::Zero,
+            Ordering::Greater => Sign::Positive,
+        }
+    }
+
+    /// Which way the kernel went: `true` when it kept to words.
+    fn stays_on_words(pairs: &[(Rational, Rational)]) -> bool {
+        matches!(InnerProduct::of(pair_refs(pairs)), InnerProduct::Words(..))
+    }
+
+    /// Inner-product entries: zeros, small values, `i64::MIN` and
+    /// `i64::MAX` numerators, denominators near 2⁶³ and `Big` values.
+    fn kernel_entry() -> impl Strategy<Value = Rational> {
+        let near_top = || (i64::MAX - 64)..=i64::MAX;
+        prop_oneof![
+            Just(Rational::ZERO),
+            (-9i64..10, 1i64..10).prop_map(|(n, d)| Rational::from_i64s(n, d)),
+            (prop_oneof![Just(i64::MIN), Just(i64::MAX)], hard_denominator())
+                .prop_map(|(n, d)| Rational::from_i64s(n, d)),
+            (hard_numerator(), near_top()).prop_map(|(n, d)| Rational::from_i64s(n, d)),
+            (hard_numerator(), hard_denominator()).prop_map(|(n, d)| Rational::from_i64s(n, d)),
+            (hard_numerator(), 1u32..4).prop_map(|(n, k)| {
+                let big = BigInt::from(n) * BigInt::from(i64::MAX).pow(k) + BigInt::one();
+                Rational::new(big, BigInt::from(3))
+            }),
+        ]
+    }
+
+    /// Up to eight pairs, each with whether its coefficient stays in the
+    /// sparse row, and a constant to compare with.
+    fn kernel_case() -> impl Strategy<Value = (Vec<(Rational, Rational, bool)>, Rational)> {
+        let term = (kernel_entry(), kernel_entry(), any::<bool>());
+        (proptest::collection::vec(term, 0..9), kernel_entry())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The kernel is the per-term fold: `dot` in value and tag, the sign
+        /// finish against a constant passed as `(c, −1)`, and a sparse row
+        /// (its support only) against the dense one.
+        #[test]
+        fn the_kernel_equals_the_per_term_fold(case in kernel_case()) {
+            let (terms, c) = case;
+            let pairs: Vec<(Rational, Rational)> = terms.iter().map(|(x, y, _)| (x.clone(), y.clone())).collect();
+            let want = fold(&pairs);
+            let got = Rational::dot(pair_refs(&pairs));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got.small().is_some(), want.small().is_some());
+            assert_canonical(&got);
+            let affine = pair_refs(&pairs).chain(std::iter::once((&c, &Rational::MINUS_ONE)));
+            prop_assert_eq!(Rational::dot_sign(affine), sign_of(want.cmp(&c)));
+            // A dense row with the unkept coefficients zeroed, and its support.
+            let dense: Vec<(Rational, Rational)> = terms
+                .iter()
+                .map(|(x, y, keep)| (if *keep { x.clone() } else { Rational::ZERO }, y.clone()))
+                .collect();
+            let support = || pair_refs(&dense).filter(|(x, _)| !x.is_zero());
+            prop_assert_eq!(Rational::dot(support()), Rational::dot(pair_refs(&dense)));
+            prop_assert_eq!(Rational::dot_sign(support()), Rational::dot_sign(pair_refs(&dense)));
+        }
+    }
+
+    /// The kernel's three ways: words throughout, an overflowing step that
+    /// hands the rest to the fold, and a `Big` entry. Each equals the fold.
+    #[test]
+    fn the_kernel_falls_back_on_overflow_and_on_big() {
+        let (p, q) = (i64::MAX - 24, i64::MAX - 58); // coprime, near 2⁶³
+        let words = vec![(rat(1, 2), rat(3, 1)), (rat(1, 6), rat(5, 7)), (int(4), rat(-1, 3))];
+        let overflow = vec![(rat(1, p), rat(1, q)), (rat(1, q), rat(1, p - 2)), (int(1), int(1))];
+        let past = &int(i64::MAX) + &Rational::ONE;
+        let big = vec![(int(2), int(3)), (past.clone(), rat(1, 2)), (int(1), int(-1))];
+        assert!(stays_on_words(&words));
+        assert!(!stays_on_words(&overflow));
+        assert!(!stays_on_words(&big));
+        for pairs in [&words, &overflow, &big] {
+            assert_eq!(Rational::dot(pair_refs(pairs)), fold(pairs));
+            assert_eq!(Rational::dot_sign(pair_refs(pairs)), fold(pairs).sign());
+        }
+        // An i64::MIN² term twice over one denominator: 2¹²⁷ is past i128.
+        let min = int(i64::MIN);
+        let edge = vec![(min.clone(), min.clone()), (min.clone(), min.clone())];
+        assert!(!stays_on_words(&edge));
+        assert_eq!(Rational::dot(pair_refs(&edge)), fold(&edge));
+        assert_eq!(Rational::dot(pair_refs(&[])), Rational::ZERO);
+    }
+
     /// The counters move on the two rare branches only.
     #[test]
     fn counters_pin_promotions_and_wide_gcds() {
@@ -1165,7 +1409,7 @@ mod tests {
 #[cfg(all(test, feature = "faults"))]
 mod fault_tests {
     use super::*;
-    use crate::rat;
+    use crate::{int, rat};
     use lcdb_budget::faults::{take_pending, FaultPlan};
 
     /// Each fast path hits `arith.overflow` exactly once: a plan armed on the
@@ -1189,6 +1433,30 @@ mod fault_tests {
                     _ => a / b,
                 };
                 assert_eq!(take_pending().is_some(), trips, "{name}, fault on hit {nth}");
+            }
+        }
+    }
+
+    /// An inner product is one fault site too, whichever way the kernel
+    /// goes and whichever finish reads it.
+    #[test]
+    fn an_inner_product_is_one_fault_site() {
+        let p = i64::MAX - 24;
+        let words = [(rat(1, 3), rat(3, 4)), (int(2), rat(1, 5))];
+        let overflow = [(rat(1, p), rat(1, p - 34)), (rat(1, p - 2), rat(1, p)), (int(1), int(1))];
+        let big = [(rat(1, 3), int(2)), (&int(i64::MAX) + &Rational::ONE, rat(1, 2))];
+        for (name, pairs) in [("words", &words[..]), ("overflow", &overflow), ("big", &big)] {
+            for sign in [false, true] {
+                for (nth, trips) in [(1, true), (2, false)] {
+                    let _armed = FaultPlan::new().fail_on("arith.overflow", nth).arm();
+                    let terms = pairs.iter().map(|(x, y)| (x, y));
+                    if sign {
+                        let _ = Rational::dot_sign(terms);
+                    } else {
+                        let _ = Rational::dot(terms);
+                    }
+                    assert_eq!(take_pending().is_some(), trips, "{name}, sign {sign}, fault on hit {nth}");
+                }
             }
         }
     }

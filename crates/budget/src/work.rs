@@ -49,9 +49,12 @@ macro_rules! slots {
 }
 
 slots! {
-    /// Rational results that did not fit `i64` words and were stored `Big`.
+    /// Rational results that did not fit `i64` words and were stored `Big`:
+    /// operator results and inner products' final sums, not the partial
+    /// sums an inner product keeps unnormalized.
     ArithPromotions => "arith.promotions",
-    /// Gcds with an operand wider than a `u64`, which took `u128` steps.
+    /// Gcds with an operand wider than a `u64`, which took `u128` steps: in
+    /// operators and in an inner product's one final normalization.
     ArithWideGcds => "arith.wide_gcds",
     /// Simplex tableaux built and solved from scratch.
     LpSolves => "lp.solves",

@@ -21,7 +21,7 @@ use lcdb_arith::{Rational, Sign};
 use lcdb_budget::work::{self, Work};
 use lcdb_budget::{BudgetError, EvalBudget};
 use lcdb_exec::Pool;
-use lcdb_linalg::{dot, scale, vec_add, vec_sub, Matrix, QVector};
+use lcdb_linalg::{dot, dot_sign, scale, vec_add, vec_sub, Matrix, QVector};
 use lcdb_logic::{Atom, LinExpr, Relation};
 use lcdb_lp::Rel;
 use lcdb_trace::TraceHandle;
@@ -390,7 +390,7 @@ impl Arrangement {
             }
             if let Some(u) = &f.ray {
                 let nonzero = u.len() == dim && u.iter().any(|c| !c.is_zero());
-                let rates = hyperplanes.iter().map(|h| dot(h.coeffs(), u).sign());
+                let rates = hyperplanes.iter().map(|h| dot_sign(h.coeffs(), u));
                 if !nonzero || rates.zip(&f.signs).any(|(r, s)| r != Sign::Zero && r != *s) {
                     return Err(format!("face {i} ray is not a receding nonzero {dim}-vector"));
                 }
@@ -581,7 +581,18 @@ impl Row {
     }
 
     fn value(&self, p: &[Rational]) -> Rational {
-        dot(&self.coeffs, p) - &self.rhs
+        Rational::dot(self.affine(p))
+    }
+
+    /// The sign of [`Row::value`], found without normalizing it.
+    fn side(&self, p: &[Rational]) -> Side {
+        Rational::dot_sign(self.affine(p))
+    }
+
+    /// The pairs of the inner product `coeffs · p − rhs`.
+    fn affine<'a>(&'a self, p: &'a [Rational]) -> impl Iterator<Item = (&'a Rational, &'a Rational)> {
+        assert_eq!(p.len(), self.coeffs.len(), "dot product of unequal lengths");
+        self.coeffs.iter().zip(p).chain(std::iter::once((&self.rhs, &Rational::MINUS_ONE)))
     }
 
     /// The same expression as a function on the section `h = 0`, with
@@ -701,7 +712,7 @@ fn refine<'a>(
                 ray,
             });
         };
-        let carried = h.value(w).sign();
+        let carried = h.side(w);
         match section.next_if(|c| c.signs == signs) {
             None => child(carried, w.to_vec(), cell_dim, ray.cloned()),
             Some(z) if z.dim == cell_dim => child(Sign::Zero, w.to_vec(), cell_dim, ray.cloned()),
@@ -735,9 +746,9 @@ fn refine<'a>(
 /// in a section cell with ray `z`, by the rule in [`refine`]'s doc.
 fn side_rays(h: &Row, prefix: &[Row], u: Option<&QVector>, z: Option<&QVector>) -> [Option<QVector>; 2] {
     let (Some(u), None) = (u, z) else { return [z.cloned(), z.cloned()] };
-    let line = prefix.iter().all(|row| dot(&row.coeffs, u).is_zero());
+    let line = prefix.iter().all(|row| dot_sign(&row.coeffs, u) == Sign::Zero);
     let back = line.then(|| u.iter().map(|c| -c).collect());
-    if dot(&h.coeffs, u).is_positive() { [back, Some(u.clone())] } else { [Some(u.clone()), back] }
+    if dot_sign(&h.coeffs, u) == Sign::Positive { [back, Some(u.clone())] } else { [Some(u.clone()), back] }
 }
 
 /// What build and insert check after every parent of their (top) level: the
@@ -758,8 +769,8 @@ fn face_guard(budget: &EvalBudget) -> impl FnMut(usize) -> Result<(), BudgetErro
 fn step_inside(prefix: &[Row], signs: &[Side], base: &[Rational], dir: &[Rational]) -> QVector {
     let strict = prefix.iter().zip(signs).filter(|(_, side)| **side != Sign::Zero);
     let reach = |(row, side): (&Row, &Side)| {
-        let rate = dot(&row.coeffs, dir);
-        (rate.sign() == side.flip()).then(|| -(row.value(base) / &rate))
+        let towards = dot_sign(&row.coeffs, dir) == side.flip();
+        towards.then(|| -(row.value(base) / &dot(&row.coeffs, dir)))
     };
     let limit = strict.filter_map(reach).min();
     let mut t = Rational::ONE;
@@ -786,7 +797,7 @@ fn direction_off(h: &Row, prefix: &[Row], signs: &[Side]) -> QVector {
     Matrix::from_rows(normals)
         .nullspace()
         .into_iter()
-        .find_map(|u| match dot(&h.coeffs, &u).sign() {
+        .find_map(|u| match dot_sign(&h.coeffs, &u) {
             Sign::Zero => None,
             Sign::Positive => Some(u),
             Sign::Negative => Some(u.iter().map(|c| -c).collect()),

@@ -2,7 +2,7 @@
 
 use lcdb_arith::{BigInt, Rational, Sign};
 use lcdb_exec::Interner;
-use lcdb_linalg::{dot, QVector};
+use lcdb_linalg::QVector;
 use lcdb_logic::{Atom, Relation};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -132,12 +132,19 @@ impl Hyperplane {
     /// Which side of the hyperplane is the point on? (`Positive` = above,
     /// `Zero` = on, `Negative` = below, matching `v_i(p)` of §3.)
     pub fn side_of(&self, p: &[Rational]) -> Sign {
-        (dot(&self.inner.coeffs, p) - &self.inner.rhs).sign()
+        Rational::dot_sign(self.affine(p))
     }
 
     /// The value `coeffs · p - rhs`.
     pub fn eval(&self, p: &[Rational]) -> Rational {
-        dot(&self.inner.coeffs, p) - &self.inner.rhs
+        Rational::dot(self.affine(p))
+    }
+
+    /// The pairs of the inner product `coeffs · p − rhs`.
+    fn affine<'a>(&'a self, p: &'a [Rational]) -> impl Iterator<Item = (&'a Rational, &'a Rational)> {
+        assert_eq!(p.len(), self.dim(), "dot product of unequal lengths");
+        let rhs = std::iter::once((&self.inner.rhs, &Rational::MINUS_ONE));
+        self.inner.coeffs.iter().zip(p).chain(rhs)
     }
 }
 

@@ -30,10 +30,10 @@
 use crate::hyperplane::primitive_factor;
 use crate::vrep::subsets_of_size;
 use crate::{Hyperplane, VPolyhedron};
-use lcdb_arith::Rational;
+use lcdb_arith::{Rational, Sign};
 use lcdb_budget::work::{self, Work};
 use lcdb_budget::{BudgetError, EvalBudget};
-use lcdb_linalg::{dot, scale, vec_add, vec_sub, Flat, Matrix, QVector, RrefResult};
+use lcdb_linalg::{dot, dot_sign, scale, vec_add, vec_sub, Flat, Matrix, QVector, RrefResult};
 use lcdb_logic::{dnf::Conjunct, Relation};
 use lcdb_lp::{LinConstraint, Rel};
 use std::collections::HashSet;
@@ -387,7 +387,7 @@ fn try_bounded_regions(
 fn tight_rows(x: &[Rational], interior: &[LinConstraint]) -> Vec<u64> {
     let mut bits = vec![0u64; interior.len().div_ceil(64)];
     for (k, con) in interior.iter().enumerate() {
-        if con.rel != Rel::Eq && dot(&con.coeffs, x) == con.rhs {
+        if con.rel != Rel::Eq && con.side_of(x) == Sign::Zero {
             bits[k / 64] |= 1 << (k % 64);
         }
     }
@@ -422,7 +422,8 @@ impl ConeCoordinates {
     /// positive — for `v = q − p`, does the open segment `(p, q)` meet the
     /// relative interior of `conv({p} ∪ {p + uᵢ})`?
     fn strictly_positive(&self, v: &[Rational]) -> bool {
-        self.coords.iter().all(|w| dot(w, v).is_positive()) && self.normals.iter().all(|n| dot(n, v).is_zero())
+        self.coords.iter().all(|w| dot_sign(w, v) == Sign::Positive)
+            && self.normals.iter().all(|n| dot_sign(n, v) == Sign::Zero)
     }
 }
 
@@ -528,13 +529,8 @@ fn binomial(n: u128, k: u128) -> Option<u128> {
 /// Does the ray direction stay inside the closed polyhedron?
 fn ray_in_closure(dir: &[Rational], closed: &[LinConstraint]) -> bool {
     closed.iter().all(|con| {
-        let v = lcdb_linalg::dot(&con.coeffs, dir);
-        match con.rel {
-            Rel::Le => !v.is_positive(),
-            Rel::Ge => !v.is_negative(),
-            Rel::Eq => v.is_zero(),
-            Rel::Lt | Rel::Gt => unreachable!("closed constraints only"),
-        }
+        assert!(con.rel == con.rel.closure(), "closed constraints only");
+        con.rel.admits(dot_sign(&con.coeffs, dir))
     })
 }
 

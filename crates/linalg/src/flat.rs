@@ -4,8 +4,8 @@
 //! hyperplanes that contain them (their affine support, §3 of the paper).
 //! A canonical representation lets flats be deduplicated by equality/hash.
 
-use crate::{dot, Matrix, QVector};
-use lcdb_arith::Rational;
+use crate::{dot, dot_sign, Matrix, QVector};
+use lcdb_arith::{Rational, Sign};
 
 /// An affine subspace of `Q^d`, canonicalized as the reduced row echelon form
 /// of its defining equation system `A x = b`.
@@ -85,9 +85,11 @@ impl Flat {
     /// Does the flat contain the given point?
     pub fn contains(&self, x: &[Rational]) -> bool {
         assert_eq!(x.len(), self.dim_ambient);
-        self.rows
-            .iter()
-            .all(|r| dot(&r[..self.dim_ambient], x) == r[self.dim_ambient])
+        let d = self.dim_ambient;
+        self.rows.iter().all(|r| {
+            let affine = r[..d].iter().zip(x).chain(std::iter::once((&r[d], &Rational::MINUS_ONE)));
+            Rational::dot_sign(affine) == Sign::Zero
+        })
     }
 
     /// A particular point on the flat.
@@ -182,7 +184,7 @@ impl Flat {
         self.rows.iter().all(|r| {
             basis
                 .iter()
-                .all(|v| dot(&r[..self.dim_ambient], v).is_zero())
+                .all(|v| dot_sign(&r[..self.dim_ambient], v) == Sign::Zero)
         })
     }
 }

@@ -15,4 +15,4 @@ mod vector;
 
 pub use flat::Flat;
 pub use matrix::{Matrix, RrefResult};
-pub use vector::{dot, scale, vec_add, vec_sub, QVector};
+pub use vector::{dot, dot_sign, scale, vec_add, vec_sub, QVector};

@@ -92,18 +92,8 @@ impl Matrix {
         assert_eq!(self.cols, other.rows);
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.at(i, k);
-                if a.is_zero() {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    let b = other.at(k, j);
-                    if !b.is_zero() {
-                        let prod = a * b;
-                        *out.at_mut(i, j) += &prod;
-                    }
-                }
+            for j in 0..other.cols {
+                *out.at_mut(i, j) = Rational::dot((0..self.cols).map(|k| (self.at(i, k), other.at(k, j))));
             }
         }
         out

@@ -1,6 +1,6 @@
 //! Rational vectors and elementary operations.
 
-use lcdb_arith::Rational;
+use lcdb_arith::{Rational, Sign};
 
 /// A point or direction in `Q^d`, represented densely.
 pub type QVector = Vec<Rational>;
@@ -11,13 +11,16 @@ pub type QVector = Vec<Rational>;
 /// Panics if the lengths differ.
 pub fn dot(a: &[Rational], b: &[Rational]) -> Rational {
     assert_eq!(a.len(), b.len(), "dot product of unequal lengths");
-    let mut acc = Rational::zero();
-    for (x, y) in a.iter().zip(b) {
-        if !x.is_zero() && !y.is_zero() {
-            acc += &(x * y);
-        }
-    }
-    acc
+    Rational::dot(a.iter().zip(b))
+}
+
+/// The sign of [`dot`], found without normalizing a sum.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn dot_sign(a: &[Rational], b: &[Rational]) -> Sign {
+    assert_eq!(a.len(), b.len(), "dot product of unequal lengths");
+    Rational::dot_sign(a.iter().zip(b))
 }
 
 /// Component-wise sum.

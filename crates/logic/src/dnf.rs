@@ -545,16 +545,12 @@ struct Row<'a> {
 }
 
 impl Row<'_> {
-    /// Does the point satisfy the row? (Exact, the products of
-    /// `LinConstraint::satisfied_by` in its order.)
+    /// Does the point satisfy the row? (Exact: `LinConstraint::satisfied_by`
+    /// over the support only.)
     fn satisfied_by(&self, point: &[Rational]) -> bool {
-        let mut lhs = Rational::ZERO;
-        for (&k, c) in self.support.iter().zip(self.coeffs) {
-            if !point[k].is_zero() {
-                lhs += &(c * &point[k]);
-            }
-        }
-        self.rel.eval(&lhs, self.rhs)
+        let terms = self.support.iter().zip(self.coeffs).map(|(&k, c)| (c, &point[k]));
+        let rhs = std::iter::once((self.rhs, &Rational::MINUS_ONE));
+        self.rel.admits(Rational::dot_sign(terms.chain(rhs)))
     }
 
     /// The row as a linear program's constraint over `width` columns.
@@ -921,7 +917,7 @@ impl Interner {
         let end = self.support.len();
         let offset = |k: usize| u32::try_from(k).expect("an arena of fewer than 2³² terms");
         self.entries.push(Entry {
-            truth: (start == end).then(|| rel.eval(&Rational::ZERO, &rhs)),
+            truth: (start == end).then(|| rel.admits(rhs.sign().flip())),
             start: offset(start),
             end: offset(end),
             rel,
@@ -1855,7 +1851,7 @@ mod tests {
                     let support: Vec<usize> =
                         (0..row.coeffs.len()).filter(|&k| !row.coeffs[k].is_zero()).collect();
                     prop_assert_eq!(atoms.row(id).support, &support[..]);
-                    let truth = support.is_empty().then(|| row.rel.eval(&Rational::ZERO, &row.rhs));
+                    let truth = support.is_empty().then(|| row.satisfied_by(&vec![Rational::ZERO; row.coeffs.len()]));
                     prop_assert_eq!(atoms.entries[id].truth, truth);
                     prop_assert_eq!(atoms.atom(id), &first[id]);
                 }

@@ -171,14 +171,14 @@ impl LinExpr {
     /// # Panics
     /// Panics if a mentioned variable is unassigned.
     pub fn eval(&self, env: &BTreeMap<Var, Rational>) -> Rational {
-        let mut acc = self.constant.clone();
-        for (v, c) in &self.terms {
-            let val = env
-                .get(v)
-                .unwrap_or_else(|| panic!("unassigned variable '{}'", v));
-            acc += &(c * val);
-        }
-        acc
+        Rational::dot(self.at(env))
+    }
+
+    /// The pairs of the inner product `Σ c·env[v] + constant`.
+    fn at<'a>(&'a self, env: &'a BTreeMap<Var, Rational>) -> impl Iterator<Item = (&'a Rational, &'a Rational)> {
+        let value = |v: &Var| env.get(v).unwrap_or_else(|| panic!("unassigned variable '{}'", v));
+        let terms = self.terms.iter().map(move |(v, c)| (c, value(v)));
+        terms.chain(std::iter::once((&self.constant, &Rational::ONE)))
     }
 }
 
@@ -266,7 +266,7 @@ impl Atom {
 
     /// Evaluate the atom at a point.
     pub fn eval(&self, env: &BTreeMap<Var, Rational>) -> bool {
-        self.rel.eval(&self.expr.eval(env), &Rational::zero())
+        self.rel.admits(Rational::dot_sign(self.expr.at(env)))
     }
 
     /// Substitute a variable by an expression.
@@ -287,14 +287,7 @@ impl Atom {
 
     /// If the atom is variable-free, its truth value.
     pub fn constant_truth(&self) -> Option<bool> {
-        if self.expr.is_constant() {
-            Some(
-                self.rel
-                    .eval(self.expr.constant_term(), &Rational::zero()),
-            )
-        } else {
-            None
-        }
+        self.expr.is_constant().then(|| self.rel.admits(self.expr.constant_term().sign()))
     }
 
     /// Convert to an [`LinConstraint`] over an explicit variable order.

@@ -26,7 +26,7 @@ mod simplex;
 
 pub use simplex::FeasibilityBatch;
 
-use lcdb_arith::Rational;
+use lcdb_arith::{Rational, Sign};
 use lcdb_linalg::QVector;
 
 /// Comparison relation of a linear constraint `a·x REL b`.
@@ -81,14 +81,14 @@ impl Rel {
         }
     }
 
-    /// Does `lhs REL rhs` hold for rationals?
-    pub fn eval(self, lhs: &Rational, rhs: &Rational) -> bool {
+    /// Does `lhs REL rhs` hold when `lhs − rhs` has sign `sign`?
+    pub fn admits(self, sign: Sign) -> bool {
         match self {
-            Rel::Lt => lhs < rhs,
-            Rel::Le => lhs <= rhs,
-            Rel::Eq => lhs == rhs,
-            Rel::Ge => lhs >= rhs,
-            Rel::Gt => lhs > rhs,
+            Rel::Lt => sign == Sign::Negative,
+            Rel::Le => sign != Sign::Positive,
+            Rel::Eq => sign == Sign::Zero,
+            Rel::Ge => sign != Sign::Negative,
+            Rel::Gt => sign == Sign::Positive,
         }
     }
 }
@@ -112,7 +112,17 @@ impl LinConstraint {
 
     /// Does the point satisfy the constraint?
     pub fn satisfied_by(&self, x: &[Rational]) -> bool {
-        self.rel.eval(&lcdb_linalg::dot(&self.coeffs, x), &self.rhs)
+        self.rel.admits(self.side_of(x))
+    }
+
+    /// The sign of `coeffs · x − rhs`, found without normalizing a sum.
+    ///
+    /// # Panics
+    /// Panics if `x` is not of the constraint's dimension.
+    pub fn side_of(&self, x: &[Rational]) -> Sign {
+        assert_eq!(self.coeffs.len(), x.len(), "dot product of unequal lengths");
+        let rhs = std::iter::once((&self.rhs, &Rational::MINUS_ONE));
+        Rational::dot_sign(self.coeffs.iter().zip(x).chain(rhs))
     }
 
     /// The same constraint with the relation replaced by its closure.
@@ -243,9 +253,9 @@ mod tests {
 
     #[test]
     fn rel_eval_and_flip() {
-        assert!(Rel::Lt.eval(&int(1), &int(2)));
-        assert!(!Rel::Lt.eval(&int(2), &int(2)));
-        assert!(Rel::Le.eval(&int(2), &int(2)));
+        assert!(Rel::Lt.admits(Sign::Negative));
+        assert!(!Rel::Lt.admits(Sign::Zero));
+        assert!(Rel::Le.admits(Sign::Zero));
         assert_eq!(Rel::Lt.flip(), Rel::Gt);
         assert_eq!(Rel::Eq.flip(), Rel::Eq);
         assert_eq!(Rel::Gt.closure(), Rel::Ge);

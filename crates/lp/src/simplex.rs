@@ -77,10 +77,7 @@ impl Tableau {
     /// caller gives the artificials.
     fn new(rhs: Vec<Rational>, multipliers: &[Rational]) -> Tableau {
         let n = rhs.len();
-        let mut value = Rational::ZERO;
-        for (y, b) in multipliers.iter().zip(&rhs) {
-            value += &(y * b);
-        }
+        let value = Rational::dot(multipliers.iter().zip(&rhs));
         let rows = (0..n)
             .map(|r| {
                 let mut row = vec![Rational::ZERO; n];
